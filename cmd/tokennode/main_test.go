@@ -168,6 +168,7 @@ func TestOpsEndpoint(t *testing.T) {
 		`tokennode_tick_latency_seconds{quantile="0.5"}`,
 		"tokennode_tick_latency_seconds_count ",
 		"tokennode_transport_bytes_sent_total ",
+		"tokennode_transport_writes_total ",
 		"tokennode_transport_sends_shed_total ",
 		"tokennode_transport_decode_errors_total ",
 		"tokennode_transport_queue_depth ",

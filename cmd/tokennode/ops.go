@@ -126,6 +126,7 @@ func writeMetrics(w io.Writer, d *live.Daemon) {
 	counter(w, "tokennode_transport_reconnects_total", "Dials replacing a previous connection.", float64(ts.Reconnects))
 	counter(w, "tokennode_transport_frames_sent_total", "Frames written to sockets.", float64(ts.FramesSent))
 	counter(w, "tokennode_transport_frames_received_total", "Frames read from sockets.", float64(ts.FramesReceived))
+	counter(w, "tokennode_transport_writes_total", "Completed socket writes; frames_sent_total over this is the batching factor.", float64(ts.Writes))
 	counter(w, "tokennode_transport_bytes_sent_total", "Wire bytes written, including frame headers.", float64(ts.BytesSent))
 	counter(w, "tokennode_transport_bytes_received_total", "Wire bytes read, including frame headers.", float64(ts.BytesReceived))
 	counter(w, "tokennode_transport_payload_bytes_sent_total", "Modeled payload bytes sent (protocol sizer accounting).", float64(ts.PayloadBytesSent))

@@ -4,15 +4,39 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// FuzzReadFrame feeds arbitrary byte streams to the frame reader: it must
-// never panic, and any frame it accepts must re-encode to a prefix of the
-// input it was read from.
+// writeFrame writes one frame the way a peer's writer does: length prefix
+// and body in a single Write.
+func writeFrame(w io.Writer, body []byte) error {
+	_, err := w.Write(appendFrame(nil, body))
+	return err
+}
+
+// readFrames runs the read loop's frame reader over r until it fails and
+// returns a copy of every body it produced, with the error that ended it
+// (io.EOF for a stream that ends between two frames).
+func readFrames(r io.Reader) ([][]byte, error) {
+	var bodies [][]byte
+	for frames := newFrameReader(r); ; {
+		body, err := frames.next()
+		if err != nil {
+			return bodies, err
+		}
+		bodies = append(bodies, bytes.Clone(body))
+	}
+}
+
+// FuzzReadFrame feeds arbitrary byte streams to the read loop's frame
+// reader: it must never panic, the frames it accepts must re-encode to a
+// prefix of the input, and it must cut the stream the same way when the
+// bytes arrive one at a time.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})                // truncated header
@@ -22,44 +46,37 @@ func FuzzReadFrame(f *testing.F) {
 	var exact [frameHeaderSize]byte
 	binary.BigEndian.PutUint32(exact[:], maxFrameSize)
 	f.Add(exact[:]) // max-size header, no body
-	valid := new(bytes.Buffer)
-	if err := writeFrame(valid, []byte(`{"from":1,"type":"t","body":{}}`)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
+	valid := appendFrame(nil, []byte(`{"from":1,"type":"t","body":{}}`))
+	f.Add(valid)
+	f.Add(append(appendFrame(valid, make([]byte, readBufSize)), valid...)) // in place, allocated, in place
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		frame, err := readFrame(r)
-		if err != nil {
-			return
+		bodies, _ := readFrames(bytes.NewReader(data))
+		var reencoded []byte
+		for _, body := range bodies {
+			reencoded = appendFrame(reencoded, body)
 		}
-		reencoded := new(bytes.Buffer)
-		if err := writeFrame(reencoded, frame); err != nil {
-			t.Fatalf("accepted frame failed to re-encode: %v", err)
+		if !bytes.HasPrefix(data, reencoded) {
+			t.Fatalf("the %d accepted frames do not re-encode to a prefix of the input", len(bodies))
 		}
-		if !bytes.HasPrefix(data, reencoded.Bytes()) {
-			t.Fatalf("re-encoded frame is not a prefix of the input")
+		trickled, _ := readFrames(iotest.OneByteReader(bytes.NewReader(data)))
+		if !reflect.DeepEqual(trickled, bodies) {
+			t.Fatalf("read byte by byte the stream gave %d frames, at once %d", len(trickled), len(bodies))
 		}
 	})
 }
 
-// FuzzFrameRoundTrip checks writeFrame→readFrame is bit-exact for any body
-// the writer accepts.
+// FuzzFrameRoundTrip checks appendFrame→frameReader is bit-exact for any
+// body, whichever side of the read-buffer size it falls on.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello"))
 	f.Add([]byte{wordFrameTag, 0, 1, 2, 3})
+	f.Add(make([]byte, readBufSize-frameHeaderSize))   // the largest frame read in place
+	f.Add(make([]byte, readBufSize-frameHeaderSize+1)) // the smallest allocated one
 	f.Fuzz(func(t *testing.T, body []byte) {
-		buf := new(bytes.Buffer)
-		if err := writeFrame(buf, body); err != nil {
-			if len(body) <= maxFrameSize {
-				t.Fatalf("writeFrame rejected %d-byte body: %v", len(body), err)
-			}
-			return
-		}
-		got, err := readFrame(buf)
+		got, err := newFrameReader(bytes.NewReader(appendFrame(nil, body))).next()
 		if err != nil {
-			t.Fatalf("readFrame failed on written frame: %v", err)
+			t.Fatalf("frame reader failed on a written frame: %v", err)
 		}
 		if !bytes.Equal(got, body) {
 			t.Fatalf("round trip corrupted body: wrote %d bytes, read %d", len(body), len(got))
@@ -84,19 +101,14 @@ func FuzzWordFrame(f *testing.F) {
 	})
 }
 
-// TestFrameSizeBoundary pins the exact limit: a frame of maxFrameSize bytes
-// passes both directions, one byte more is rejected by the writer and — when
-// forged directly as a header — by the reader.
+// TestFrameSizeBoundary pins the exact limit on the read side: a frame of
+// maxFrameSize bytes is read whole, a length prefix one byte larger is
+// rejected. (TestTCPOversizeSendRejected pins the send side.)
 func TestFrameSizeBoundary(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocates two 16 MiB frames")
+		t.Skip("allocates 16 MiB frames")
 	}
-	body := make([]byte, maxFrameSize)
-	buf := new(bytes.Buffer)
-	if err := writeFrame(buf, body); err != nil {
-		t.Fatalf("frame of exactly maxFrameSize rejected: %v", err)
-	}
-	got, err := readFrame(buf)
+	got, err := newFrameReader(bytes.NewReader(appendFrame(nil, make([]byte, maxFrameSize)))).next()
 	if err != nil {
 		t.Fatalf("frame of exactly maxFrameSize unreadable: %v", err)
 	}
@@ -104,13 +116,10 @@ func TestFrameSizeBoundary(t *testing.T) {
 		t.Fatalf("read %d bytes, want %d", len(got), maxFrameSize)
 	}
 
-	if err := writeFrame(io.Discard, make([]byte, maxFrameSize+1)); err == nil {
-		t.Error("writeFrame accepted an oversize frame")
-	}
 	var header [frameHeaderSize]byte
 	binary.BigEndian.PutUint32(header[:], maxFrameSize+1)
-	if _, err := readFrame(bytes.NewReader(header[:])); err == nil {
-		t.Error("readFrame accepted an oversize header")
+	if _, err := newFrameReader(bytes.NewReader(header[:])).next(); err == nil {
+		t.Error("frame reader accepted an oversize header")
 	} else if !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversize header error = %v, want size-limit error", err)
 	}

@@ -19,6 +19,10 @@ type Stats struct {
 	// read on a socket.
 	FramesSent     int64
 	FramesReceived int64
+	// Writes counts completed socket writes. A writer sends every frame that
+	// is waiting for its peer in one write, so FramesSent / Writes is the
+	// batching factor.
+	Writes int64
 	// BytesSent and BytesReceived count wire bytes, including the 4-byte
 	// frame headers.
 	BytesSent     int64
@@ -44,8 +48,8 @@ type Stats struct {
 	// loops ending on a peer hangup or decode error, and outgoing
 	// connections whose monitor saw the peer go away.
 	Disconnects int64
-	// QueueDepth is the total number of frames currently waiting in per-peer
-	// outbound queues.
+	// QueueDepth is the total number of frames accepted into per-peer
+	// outbound queues and not yet written to a socket.
 	QueueDepth int64
 	// PeersConnected is the number of peers with an established outgoing
 	// connection.
@@ -56,6 +60,7 @@ type Stats struct {
 type counters struct {
 	dials, dialFailures, reconnects atomic.Int64
 	framesSent, framesReceived      atomic.Int64
+	writes                          atomic.Int64
 	bytesSent, bytesReceived        atomic.Int64
 	payloadBytesSent                atomic.Int64
 	sendsShed, sendErrors           atomic.Int64
@@ -69,6 +74,7 @@ func (c *counters) snapshot() Stats {
 		Reconnects:       c.reconnects.Load(),
 		FramesSent:       c.framesSent.Load(),
 		FramesReceived:   c.framesReceived.Load(),
+		Writes:           c.writes.Load(),
 		BytesSent:        c.bytesSent.Load(),
 		BytesReceived:    c.bytesReceived.Load(),
 		PayloadBytesSent: c.payloadBytesSent.Load(),

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -11,10 +9,6 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
-
-// maxFrameSize bounds a single message on the wire (16 MiB); larger frames
-// indicate a protocol error or an attack and close the connection.
-const maxFrameSize = 16 << 20
 
 // Managed-connection defaults. They are deliberately LAN-flavoured: the
 // deployment target is a localhost or datacenter fleet of tokennode daemons.
@@ -24,6 +18,11 @@ const (
 	defaultBackoffMin  = 50 * time.Millisecond
 	defaultBackoffMax  = 1 * time.Second
 )
+
+// maxIdleBuf is the largest frame buffer a link keeps between batches; one
+// that grew beyond it (a burst of large envelope frames) is released once
+// written instead of staying pinned to the peer.
+const maxIdleBuf = 64 << 10
 
 // tcpConfig carries the tunables of a TCPEndpoint.
 type tcpConfig struct {
@@ -36,9 +35,10 @@ type tcpConfig struct {
 // TCPOption configures a TCPEndpoint beyond its required parameters.
 type TCPOption func(*tcpConfig)
 
-// WithPeerQueueSize bounds the per-peer outbound queue (default 256 frames).
-// When a peer's queue is full further sends to it are shed, never blocking
-// the caller; the shed count is visible in Stats.SendsShed.
+// WithPeerQueueSize bounds the per-peer outbound queue (default 256 frames):
+// the frames accepted for a peer and not yet written to its socket. When a
+// peer's queue is full further sends to it are shed, never blocking the
+// caller; the shed count is visible in Stats.SendsShed.
 func WithPeerQueueSize(n int) TCPOption {
 	return func(c *tcpConfig) {
 		if n > 0 {
@@ -58,7 +58,8 @@ func WithDialTimeout(d time.Duration) TCPOption {
 
 // WithBackoff sets the reconnect backoff window: after a failed dial the
 // peer's link fast-fails sends for a jittered, exponentially growing span
-// between min and max (defaults 50 ms and 1 s).
+// between min and max (defaults 50 ms and 1 s). A max below min is ignored,
+// and the window's upper end is never left below its lower end.
 func WithBackoff(min, max time.Duration) TCPOption {
 	return func(c *tcpConfig) {
 		if min > 0 {
@@ -67,17 +68,25 @@ func WithBackoff(min, max time.Duration) TCPOption {
 		if max >= c.backoffMin {
 			c.backoffMax = max
 		}
+		if c.backoffMax < c.backoffMin {
+			c.backoffMax = c.backoffMin
+		}
 	}
 }
 
 // TCPEndpoint is a Transport over TCP with managed per-peer connections: each
 // peer gets its own bounded outbound queue drained by a dedicated writer, so
-// one slow or dead peer never serializes sends to the others. Writers dial on
-// demand, redial with capped exponential backoff plus jitter, retry a frame
-// once over a fresh connection when a cached connection turns out stale, and
-// shed load (counted, never blocking) when a peer's queue fills. Outgoing
-// connections are monitored for peer hangup, so a restarted peer is redialed
-// on the first send after the restart instead of losing it to a stale socket.
+// one slow or dead peer never serializes sends to the others. A writer sends
+// everything that accumulated while it was busy in a single socket write and
+// never waits for more, so a lone frame leaves at once and a backlog costs
+// one system call, not one per frame; the receiving side reads through a
+// small per-connection buffer and decodes word frames in place. Writers dial
+// on demand, redial with capped exponential backoff plus jitter, retry a
+// batch once over a fresh connection when a cached connection turns out
+// stale, and shed load (counted, never blocking) when a peer's queue fills.
+// Outgoing connections are monitored for peer hangup, so a restarted peer is
+// redialed on the first send after the restart instead of losing it to a
+// stale socket.
 //
 // Payloads sent through the untyped Send path must be registered in a
 // Registry shared by all participating processes; word-encoded
@@ -163,8 +172,9 @@ func (e *TCPEndpoint) Stats() Stats {
 	}
 	e.mu.Unlock()
 	for _, l := range links {
-		s.QueueDepth += int64(len(l.queue))
-		if l.connected() {
+		queued, connected := l.gauges()
+		s.QueueDepth += int64(queued)
+		if connected {
 			s.PeersConnected++
 		}
 	}
@@ -176,9 +186,9 @@ func (e *TCPEndpoint) Stats() Stats {
 // dial uses it.
 //
 // An existing link's address is updated after e.mu is released: setAddr takes
-// l.mu, and ensureStarted acquires e.mu while holding l.mu, so taking l.mu
-// under e.mu here would be an ABBA deadlock against a concurrent send. The
-// lock order is l.mu → e.mu throughout.
+// l.mu, and a link's first send acquires e.mu while holding l.mu (see start),
+// so taking l.mu under e.mu here would be an ABBA deadlock against a
+// concurrent send. The lock order is l.mu → e.mu throughout.
 func (e *TCPEndpoint) AddPeer(id protocol.NodeID, addr string) {
 	e.mu.Lock()
 	if e.closed {
@@ -235,16 +245,16 @@ func (e *TCPEndpoint) SetPayloadHandler(h PayloadHandler) {
 
 // Send implements Transport: the payload is encoded through the registry and
 // enqueued on the destination peer's outbound queue. Errors are local only —
-// closed endpoint, unknown peer, unregistered payload, or a peer whose
-// backoff window is open; a full queue sheds the message (counted in Stats)
-// and reports success, because shedding is the designed response to a slow
-// peer, not a caller error.
+// closed endpoint, unknown peer, unregistered payload, a frame above the
+// 16 MiB limit, or a peer whose backoff window is open; a full queue sheds
+// the message (counted in Stats) and reports success, because shedding is the
+// designed response to a slow peer, not a caller error.
 func (e *TCPEndpoint) Send(to protocol.NodeID, payload any) error {
 	data, err := e.registry.encode(e.id, payload)
 	if err != nil {
 		return err
 	}
-	return e.enqueueFrame(to, data, 1)
+	return e.enqueue(to, data, 1)
 }
 
 // SendPayload implements PayloadSender: word-encoded payloads travel in the
@@ -258,13 +268,19 @@ func (e *TCPEndpoint) SendPayload(to protocol.NodeID, p protocol.Payload) error 
 		if err != nil {
 			return err
 		}
-		return e.enqueueFrame(to, data, int64(protocol.PayloadSize(p)))
+		return e.enqueue(to, data, int64(protocol.PayloadSize(p)))
 	}
-	return e.enqueueFrame(to, appendWordFrame(nil, e.id, p), int64(protocol.PayloadSize(p)))
+	var frame [wordFrameSize]byte // stays on the stack: enqueue copies it
+	return e.enqueue(to, appendWordFrame(frame[:0], e.id, p), int64(protocol.PayloadSize(p)))
 }
 
-// enqueueFrame routes an encoded frame onto the destination's bounded queue.
-func (e *TCPEndpoint) enqueueFrame(to protocol.NodeID, frame []byte, payloadBytes int64) error {
+// enqueue routes an encoded frame body onto the destination's bounded queue.
+// An oversize frame is the caller's mistake and is refused here, before it
+// can reach the writer and be mistaken for a failed connection.
+func (e *TCPEndpoint) enqueue(to protocol.NodeID, body []byte, payloadBytes int64) error {
+	if len(body) > maxFrameSize {
+		return fmt.Errorf("transport: frame of %d bytes for node %d exceeds the %d-byte limit", len(body), to, maxFrameSize)
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -273,23 +289,13 @@ func (e *TCPEndpoint) enqueueFrame(to protocol.NodeID, frame []byte, payloadByte
 	l, ok := e.links[to]
 	e.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("transport: no address known for node %d", to)
+		return errUnknownPeer(to)
 	}
-	if l.backingOff() {
-		e.stats.sendErrors.Add(1)
-		return fmt.Errorf("transport: peer %d unreachable, backing off", to)
-	}
-	l.ensureStarted()
-	select {
-	case l.queue <- frame:
-		e.stats.payloadBytesSent.Add(payloadBytes)
-		return nil
-	default:
-		// The peer is slower than the offered load; shed rather than block
-		// the caller (the protocol tick must never stall behind one peer).
-		e.stats.sendsShed.Add(1)
-		return nil
-	}
+	return l.enqueue(body, payloadBytes)
+}
+
+func errUnknownPeer(id protocol.NodeID) error {
+	return fmt.Errorf("transport: no address known for node %d", id)
 }
 
 // Close implements Transport.
@@ -361,43 +367,26 @@ func (e *TCPEndpoint) acceptLoop() {
 
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer conn.Close()
+	frames := newFrameReader(conn)
 	for {
-		data, err := readFrame(conn)
+		body, err := frames.next()
 		if err != nil {
-			// Peer hangup (or a frame violation). Counted unless we are the
-			// ones shutting down.
-			if !e.isClosed() {
-				e.stats.disconnects.Add(1)
-			}
-			return
+			break // peer hangup, or a frame violation
 		}
 		e.stats.framesReceived.Add(1)
-		e.stats.bytesReceived.Add(int64(len(data)) + frameHeaderSize)
-		if len(data) > 0 && data[0] == wordFrameTag {
-			from, p, err := decodeWordFrame(data)
-			if err != nil {
-				e.countDecodeFailure()
-				return
-			}
-			e.deliverIncoming(from, p)
-			continue
-		}
-		from, payload, err := e.registry.decode(data)
+		e.stats.bytesReceived.Add(int64(len(body)) + frameHeaderSize)
+		from, p, err := e.registry.decodeFrame(body)
 		if err != nil {
 			// Undecodable peers are disconnected; the protocol tolerates the
 			// lost messages — but the failure and the disconnect are counted,
 			// so silent drops show up on the ops surface instead of
 			// vanishing.
-			e.countDecodeFailure()
-			return
+			e.stats.decodeErrors.Add(1)
+			break
 		}
-		e.deliverIncoming(from, protocol.BoxPayload(payload))
+		e.deliverIncoming(from, p)
 	}
-}
-
-// countDecodeFailure records a decode error and the disconnect it entails.
-func (e *TCPEndpoint) countDecodeFailure() {
-	e.stats.decodeErrors.Add(1)
+	// The disconnect is counted unless we are the ones shutting down.
 	if !e.isClosed() {
 		e.stats.disconnects.Add(1)
 	}
@@ -430,16 +419,18 @@ func (e *TCPEndpoint) deliverIncoming(from protocol.NodeID, p protocol.Payload) 
 	h(from, v)
 }
 
-// peerLink is the managed outgoing side of one peer: a bounded frame queue,
-// a dedicated writer goroutine (started on first use), the current
-// connection, and the reconnect backoff state.
+// peerLink is the managed outgoing side of one peer: a bounded buffer of
+// pending frames, a dedicated writer goroutine (started on first use), the
+// current connection, and the reconnect backoff state.
 type peerLink struct {
-	ep    *TCPEndpoint
-	id    protocol.NodeID
-	queue chan []byte
-	stopc chan struct{}
+	ep     *TCPEndpoint
+	id     protocol.NodeID
+	notify chan struct{} // 1 slot: the queue went from empty to non-empty
+	stopc  chan struct{}
 
 	mu         sync.Mutex
+	pending    []byte // wire form of the frames the writer has not taken yet
+	queued     int    // frames in pending plus frames in the batch being written
 	addr       string
 	started    bool
 	stopped    bool
@@ -451,11 +442,11 @@ type peerLink struct {
 
 func newPeerLink(e *TCPEndpoint, id protocol.NodeID, addr string) *peerLink {
 	return &peerLink{
-		ep:    e,
-		id:    id,
-		addr:  addr,
-		queue: make(chan []byte, e.cfg.peerQueue),
-		stopc: make(chan struct{}),
+		ep:     e,
+		id:     id,
+		addr:   addr,
+		notify: make(chan struct{}, 1),
+		stopc:  make(chan struct{}),
 	}
 }
 
@@ -470,38 +461,70 @@ func (l *peerLink) setAddr(addr string) {
 	}
 }
 
-func (l *peerLink) connected() bool {
+// gauges returns the link's share of Stats.QueueDepth and whether it holds
+// an established connection.
+func (l *peerLink) gauges() (queued int, connected bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.conn != nil
+	return l.queued, l.conn != nil
 }
 
-// backingOff reports whether the link is inside a reconnect backoff window
-// with no established connection; sends fast-fail rather than queueing
-// frames that the writer would immediately discard.
-func (l *peerLink) backingOff() bool {
+// enqueue appends one frame to the pending buffer under a single lock
+// acquisition, which also covers the backoff, bound and lazy-start checks.
+// Inside a reconnect backoff window with no established connection it
+// fast-fails rather than queueing frames that the writer would immediately
+// discard; at the bound it sheds.
+func (l *peerLink) enqueue(body []byte, payloadBytes int64) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn == nil && time.Now().Before(l.downUntil)
-}
-
-// ensureStarted launches the writer goroutine on first use, so idle peers
-// cost no goroutine.
-func (l *peerLink) ensureStarted() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.started || l.stopped {
-		return
+	if l.stopped {
+		l.mu.Unlock()
+		return errUnknownPeer(l.id) // lost a race with RemovePeer
 	}
+	if l.conn == nil && time.Now().Before(l.downUntil) {
+		l.mu.Unlock()
+		l.ep.stats.sendErrors.Add(1)
+		return fmt.Errorf("transport: peer %d unreachable, backing off", l.id)
+	}
+	if l.queued >= l.ep.cfg.peerQueue {
+		// The peer is slower than the offered load; shed rather than block
+		// the caller (the protocol tick must never stall behind one peer).
+		l.mu.Unlock()
+		l.ep.stats.sendsShed.Add(1)
+		return nil
+	}
+	if !l.started && !l.start() {
+		l.mu.Unlock()
+		return ErrClosed
+	}
+	l.pending = appendFrame(l.pending, body)
+	l.queued++
+	wake := l.queued == 1
+	l.mu.Unlock()
+	l.ep.stats.payloadBytesSent.Add(payloadBytes)
+	if wake {
+		// The writer parks only after seeing an empty queue under l.mu, so
+		// the send that makes it non-empty is the one that must wake it. A
+		// token already in the slot serves as well.
+		select {
+		case l.notify <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+// start launches the writer goroutine on first use, so idle peers cost no
+// goroutine. It reports false if the endpoint closed meanwhile. l.mu is held.
+func (l *peerLink) start() bool {
 	l.ep.mu.Lock()
+	defer l.ep.mu.Unlock()
 	if l.ep.closed {
-		l.ep.mu.Unlock()
-		return
+		return false
 	}
 	l.ep.wg.Add(1)
-	l.ep.mu.Unlock()
 	l.started = true
 	go l.writeLoop()
+	return true
 }
 
 // stop tears the link down: the writer exits, the connection closes, queued
@@ -522,60 +545,73 @@ func (l *peerLink) stop() {
 	}
 }
 
+// writeLoop is the link's writer. It swaps the pending buffer against its
+// own (so senders keep appending while it writes), writes the whole batch at
+// once, and repeats until nothing is pending; only then does it park. It
+// never waits for a batch to fill.
 func (l *peerLink) writeLoop() {
 	defer l.ep.wg.Done()
+	var batch []byte
+	frames := 0
 	for {
+		if cap(batch) > maxIdleBuf {
+			batch = nil
+		}
+		l.mu.Lock()
+		l.queued -= frames // the previous batch has left the queue
+		frames = l.queued
+		batch, l.pending = l.pending, batch[:0]
+		conn := l.conn
+		l.mu.Unlock()
+		if frames > 0 {
+			l.deliver(conn, batch, frames)
+			continue
+		}
 		select {
 		case <-l.ep.closedCh:
 			return
 		case <-l.stopc:
 			return
-		case frame := <-l.queue:
-			l.deliver(frame)
+		case <-l.notify:
 		}
 	}
 }
 
-// deliver writes one frame, dialling if necessary. A write failure on a
+// deliver writes one batch of frames over conn, the link's connection when
+// the batch was taken, dialling if there was none. A write failure on a
 // cached connection means the connection went stale (the classic case: the
-// peer restarted between two sends); the frame is retried exactly once over
-// a fresh connection before it is declared lost, so a single-shot send
-// around a peer restart is not silently swallowed by the dead socket.
-func (l *peerLink) deliver(frame []byte) {
-	conn := l.currentConn()
+// peer restarted between two sends); the batch is retried exactly once over
+// a fresh connection before its frames are declared lost, so a single-shot
+// send around a peer restart is not silently swallowed by the dead socket.
+// The retry resends the whole batch: a frame the dead connection did carry
+// before failing arrives twice, which the protocol tolerates as it tolerates
+// loss.
+func (l *peerLink) deliver(conn net.Conn, batch []byte, frames int) {
 	if conn == nil {
-		if conn = l.dial(false); conn == nil {
-			l.ep.stats.sendErrors.Add(1)
+		conn = l.dial(false)
+	}
+	if conn != nil {
+		if l.write(conn, batch, frames) == nil {
 			return
 		}
-	}
-	if l.write(conn, frame) == nil {
-		return
-	}
-	l.dropConn(conn)
-	if conn = l.dial(true); conn == nil {
-		l.ep.stats.sendErrors.Add(1)
-		return
-	}
-	if l.write(conn, frame) != nil {
 		l.dropConn(conn)
-		l.ep.stats.sendErrors.Add(1)
-		return
+		if conn = l.dial(true); conn != nil {
+			if l.write(conn, batch, frames) == nil {
+				return
+			}
+			l.dropConn(conn)
+		}
 	}
+	l.ep.stats.sendErrors.Add(int64(frames))
 }
 
-func (l *peerLink) currentConn() net.Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn
-}
-
-func (l *peerLink) write(conn net.Conn, frame []byte) error {
-	if err := writeFrame(conn, frame); err != nil {
+func (l *peerLink) write(conn net.Conn, batch []byte, frames int) error {
+	if _, err := conn.Write(batch); err != nil {
 		return err
 	}
-	l.ep.stats.framesSent.Add(1)
-	l.ep.stats.bytesSent.Add(int64(len(frame)) + frameHeaderSize)
+	l.ep.stats.writes.Add(1)
+	l.ep.stats.framesSent.Add(int64(frames))
+	l.ep.stats.bytesSent.Add(int64(len(batch)))
 	return nil
 }
 
@@ -685,38 +721,4 @@ func (l *peerLink) monitor(conn net.Conn) {
 		}
 		_ = conn.Close()
 	}()
-}
-
-// frameHeaderSize is the wire overhead of one frame: the 4-byte length prefix.
-const frameHeaderSize = 4
-
-// writeFrame writes a length-prefixed frame.
-func writeFrame(w io.Writer, data []byte) error {
-	if len(data) > maxFrameSize {
-		return fmt.Errorf("frame of %d bytes exceeds limit", len(data))
-	}
-	var header [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(data)))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// readFrame reads a length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var header [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err
-	}
-	size := binary.BigEndian.Uint32(header[:])
-	if size > maxFrameSize {
-		return nil, fmt.Errorf("frame of %d bytes exceeds limit", size)
-	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
