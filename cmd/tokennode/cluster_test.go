@@ -20,9 +20,11 @@ import (
 // bar is a 10+ node deployment; 12 keeps a margin without stretching CI time.
 const clusterNodes = 12
 
-// reserveAddrs grabs n distinct loopback TCP addresses by binding and
-// immediately releasing them, so the daemon processes can be handed
-// non-colliding fixed addresses on their command lines.
+// reserveAddrs grabs n distinct loopback TCP addresses by binding them all
+// and only then releasing them, so the daemon processes can be handed
+// non-colliding fixed addresses on their command lines. Every address of a
+// test must come from one call: the kernel may hand a released port out
+// again, so a second batch could repeat one of the first.
 func reserveAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -103,6 +105,7 @@ func scrapeClusterTotals(t *testing.T, httpAddrs []string) (sends, rounds float6
 //     standing in for the sim's overlay sampler, and narrow enough to catch
 //     the real failure modes (messages not crossing the wire, or the rate
 //     limiter not engaging at all),
+//   - no process ever broke the §3.4 rate bound (its always-on audit),
 //   - POST /drain shuts a process down gracefully and the rest survive it.
 func TestMultiProcessCluster(t *testing.T) {
 	if testing.Short() {
@@ -113,8 +116,8 @@ func TestMultiProcessCluster(t *testing.T) {
 		t.Fatalf("building tokennode: %v\n%s", err, out)
 	}
 
-	protoAddrs := reserveAddrs(t, clusterNodes)
-	httpAddrs := reserveAddrs(t, clusterNodes)
+	addrs := reserveAddrs(t, 2*clusterNodes)
+	protoAddrs, httpAddrs := addrs[:clusterNodes], addrs[clusterNodes:]
 	var peerList []string
 	for i, addr := range protoAddrs {
 		peerList = append(peerList, fmt.Sprintf("%d=%s", i, addr))
@@ -215,6 +218,7 @@ func TestMultiProcessCluster(t *testing.T) {
 	for _, want := range []string{
 		"tokennode_tokens ",
 		"tokennode_rounds_total ",
+		"tokennode_bytes_sent_total ",
 		`tokennode_health{state="serving"} 1`,
 		"tokennode_transport_frames_sent_total ",
 		"tokennode_transport_peers_connected ",
@@ -253,6 +257,19 @@ func TestMultiProcessCluster(t *testing.T) {
 	}
 	if liveRate < 0.5*simRate || liveRate > 2*simRate {
 		t.Errorf("cluster rate %.3f outside [0.5x, 2x] of sim rate %.3f", liveRate, simRate)
+	}
+
+	// The guarantee itself, on the wall clock and across real sockets: every
+	// process audits its own sends against ⌈t/Δ⌉ + C, with no jitter
+	// allowance.
+	for i, addr := range httpAddrs {
+		v, err := scrapeMetric("http://"+addr+"/metrics", "tokennode_audit_violations ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != 0 {
+			t.Errorf("node %d: audit_violations = %v, want 0", i, v)
+		}
 	}
 
 	// Graceful drain through the ops endpoint: the process must exit...

@@ -1,6 +1,7 @@
 // Command tokennode runs one token account node as a long-lived daemon: the
-// deployable unit of the live stack. Each process hosts one protocol node
-// behind a managed TCP endpoint (live.Daemon) plus an HTTP ops endpoint with
+// deployable unit of the live stack. Each process hosts one protocol node on
+// a runtime.Host behind a managed TCP endpoint (live.Daemon), with the §3.4
+// rate-bound audit always on, plus an HTTP ops endpoint with
 // Prometheus-text metrics, a health probe, an update injector and a graceful
 // drain hook.
 //
@@ -33,6 +34,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/live"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/runtime"
 )
 
 // nodeOptions collects every tunable of one daemon process. JSON tags double
@@ -305,7 +307,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer cancel()
 		_ = httpSrv.Shutdown(shutCtx)
 	}
-	fmt.Fprintf(stdout, "tokennode id=%d stopped tokens=%d\n", o.ID, d.Service().Tokens())
+	var tokens int
+	d.WithHost(func(h *runtime.Host) { tokens = h.Node(0).Tokens() })
+	fmt.Fprintf(stdout, "tokennode id=%d stopped tokens=%d\n", o.ID, tokens)
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -161,8 +163,14 @@ func TestOpsEndpoint(t *testing.T) {
 		"tokennode_rounds_total ",
 		`tokennode_sends_total{kind="proactive"}`,
 		`tokennode_sends_total{kind="reactive"}`,
+		"tokennode_bytes_sent_total ",
+		"tokennode_audit_violations 0",
+		"tokennode_received_total ",
+		"tokennode_useful_received_total ",
+		"tokennode_tokens_banked_total ",
 		"tokennode_dropped_incoming_total ",
 		"tokennode_queue_depth ",
+		"tokennode_peers ",
 		"tokennode_app_seq 5",
 		`tokennode_health{state="serving"} 1`,
 		`tokennode_tick_latency_seconds{quantile="0.5"}`,
@@ -188,5 +196,32 @@ func TestOpsEndpoint(t *testing.T) {
 	}
 	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "stopped") {
 		t.Errorf("healthz after drain = (%d, %q), want 503 stopped", code, body)
+	}
+}
+
+// TestRunReturnsBindErrorPromptly is the regression test for the hang on an
+// unusable -http address: run returns the listen error through its deferred
+// Daemon.Close, which used to wait forever for a run loop that never started.
+func TestRunReturnsBindErrorPromptly(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	result := make(chan error, 1)
+	go func() {
+		var stdout, stderr bytes.Buffer
+		result <- run([]string{
+			"-id", "0", "-cluster-size", "2", "-peers", "1=127.0.0.1:1",
+			"-listen", "127.0.0.1:0", "-http", busy.Addr().String(),
+		}, &stdout, &stderr)
+	}()
+	select {
+	case err := <-result:
+		if err == nil || !strings.Contains(err.Error(), "http listen") {
+			t.Errorf("run = %v, want the http listen error", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("run did not return on a busy -http port")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/live"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/runtime"
 )
 
 // newOpsMux builds the daemon's HTTP ops surface:
@@ -40,8 +41,8 @@ func newOpsMux(d *live.Daemon, stop func()) *http.ServeMux {
 			return
 		}
 		var ok bool
-		d.Service().WithApplication(func(app protocol.Application) {
-			if inj, can := app.(interface{ Inject(seq int64) }); can {
+		d.WithHost(func(h *runtime.Host) {
+			if inj, can := h.App(0).(interface{ Inject(seq int64) }); can {
 				inj.Inject(seq)
 				ok = true
 			}
@@ -53,7 +54,7 @@ func newOpsMux(d *live.Daemon, stop func()) *http.ServeMux {
 		fmt.Fprintln(w, "injected", seq)
 	})
 	mux.HandleFunc("POST /drain", func(w http.ResponseWriter, r *http.Request) {
-		// Answer first: Drain stops the service and (with a stop hook) the
+		// Answer first: Drain stops the node and (with a stop hook) the
 		// process, so a synchronous handler would race its own response away.
 		w.WriteHeader(http.StatusAccepted)
 		fmt.Fprintln(w, "draining")
@@ -72,30 +73,39 @@ func newOpsMux(d *live.Daemon, stop func()) *http.ServeMux {
 }
 
 // writeMetrics renders the daemon's ops snapshot in the Prometheus text
-// exposition format: protocol counters, transport counters, queue gauges and
-// tick-latency quantiles.
+// exposition format: protocol counters, the §3.4 audit, transport counters,
+// queue gauges and tick-latency quantiles.
 func writeMetrics(w io.Writer, d *live.Daemon) {
-	svc := d.Service()
-	st := svc.Stats()
+	var (
+		st         protocol.Stats
+		tokens     int
+		bytesSent  int64
+		violations int
+		seq        float64 = -1
+	)
+	d.WithHost(func(h *runtime.Host) {
+		st = h.Node(0).Stats()
+		tokens = h.Node(0).Tokens()
+		bytesSent = h.BytesSent()
+		violations = len(h.AuditViolations())
+		if s, ok := h.App(0).(interface{ Seq() int64 }); ok {
+			seq = float64(s.Seq())
+		}
+	})
 
-	gauge(w, "tokennode_tokens", "Current token account balance.", float64(svc.Tokens()))
+	gauge(w, "tokennode_tokens", "Current token account balance.", float64(tokens))
 	counter(w, "tokennode_rounds_total", "Proactive rounds executed.", float64(st.Rounds))
 	fmt.Fprintf(w, "# HELP tokennode_sends_total Messages sent, by kind.\n# TYPE tokennode_sends_total counter\n")
 	fmt.Fprintf(w, "tokennode_sends_total{kind=\"proactive\"} %d\n", st.ProactiveSent)
 	fmt.Fprintf(w, "tokennode_sends_total{kind=\"reactive\"} %d\n", st.ReactiveSent)
+	counter(w, "tokennode_bytes_sent_total", "Modeled payload bytes handed to the transport (protocol sizer accounting).", float64(bytesSent))
+	gauge(w, "tokennode_audit_violations", "1 if the node ever sent more than ceil(t/delta) + max(C, initial tokens) messages in a window of length t, else 0.", float64(violations))
 	counter(w, "tokennode_received_total", "Messages received.", float64(st.Received))
 	counter(w, "tokennode_useful_received_total", "Received messages the application classified as useful.", float64(st.UsefulReceived))
 	counter(w, "tokennode_tokens_banked_total", "Rounds whose token was banked instead of spent.", float64(st.TokensBanked))
-	counter(w, "tokennode_dropped_incoming_total", "Incoming messages lost to a full queue or an offline node.", float64(svc.DroppedIncoming()))
-	gauge(w, "tokennode_queue_depth", "Incoming messages waiting for the service goroutine.", float64(svc.QueueDepth()))
+	counter(w, "tokennode_dropped_incoming_total", "Incoming messages lost to a full queue or an offline node.", float64(d.DroppedIncoming()))
+	gauge(w, "tokennode_queue_depth", "Incoming messages waiting for the run loop.", float64(d.QueueDepth()))
 	gauge(w, "tokennode_peers", "Peers in the membership table.", float64(d.NumPeers()))
-
-	var seq float64 = -1
-	svc.WithApplication(func(app protocol.Application) {
-		if s, ok := app.(interface{ Seq() int64 }); ok {
-			seq = float64(s.Seq())
-		}
-	})
 	if seq >= 0 {
 		gauge(w, "tokennode_app_seq", "Latest application update sequence number.", seq)
 	}

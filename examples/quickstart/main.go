@@ -1,82 +1,97 @@
-// The quickstart example runs a small in-process cluster of live token
-// account nodes executing the push gossip broadcast application. It shows the
-// essential workflow of the library:
+// The quickstart example runs a small in-process network of token account
+// nodes in real time, executing the push gossip broadcast application. It
+// shows the essential workflow of the library:
 //
 //  1. pick a token account strategy (here the generalized strategy with
 //     A = 1, C = 10, i.e. react aggressively but never hold more than 10
 //     tokens),
 //  2. implement or reuse an application (pushgossip.State),
-//  3. run the nodes with the live runtime over a transport,
+//  3. assemble the nodes with runtime.NewHost over an environment — the
+//     wall-clock live.Env here; the very same assembly runs on the simulated
+//     simnet.Env, and one-node-per-process on the tokennode daemon,
 //  4. inject application events and watch them propagate while the traffic
 //     stays within the ceil(t/Δ)+C rate-limit envelope.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"time"
+	"os"
 
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/live"
+	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/runtime"
 )
 
 func main() {
 	const (
-		nodes = 24
-		delta = 10 * time.Millisecond // the paper uses minutes; we compress time
+		nodes   = 24
+		delta   = 0.010 // seconds; the paper uses minutes, we compress time
+		warmup  = 20 * delta
+		horizon = warmup + 60*delta
 	)
 	strategy := core.MustGeneralized(1, 10)
 
-	cluster, err := live.NewCluster(live.ClusterConfig{
-		N:        nodes,
+	graph, err := overlay.Complete(nodes)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// In-process memory bus with 1 ms latency; live.NewTCPEnv would put the
+	// same nodes on loopback sockets.
+	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1, Latency: 0.001})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer env.Close()
+	host, err := runtime.NewHost(env, runtime.Config{
+		Graph:    graph,
 		Strategy: func(int) core.Strategy { return strategy },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
-		Latency:  time.Millisecond,
-		Seed:     1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cluster.Start(ctx)
 
 	// Give every node a moment to bank a few tokens, then publish an update
-	// at node 0 and measure how quickly it covers the cluster.
-	time.Sleep(20 * delta)
-	start := time.Now()
-	cluster.Service(0).WithApplication(func(app protocol.Application) {
-		app.(*pushgossip.State).Inject(1)
+	// at node 0 and watch it cover the network.
+	covered := func() int {
+		count := 0
+		for i := 0; i < nodes; i++ {
+			if host.App(i).(*pushgossip.State).Seq() >= 1 {
+				count++
+			}
+		}
+		return count
+	}
+	env.At(warmup, func() {
+		host.App(0).(*pushgossip.State).Inject(1)
+		done := false
+		host.SamplePeriodic(0, 2*delta, func(t float64) {
+			if done {
+				return
+			}
+			c := covered()
+			fmt.Printf("t=%3.0f ms  update known by %d/%d nodes\n", (t-warmup)*1000, c, nodes)
+			done = c == nodes
+		})
 	})
-
-	for {
-		covered := 0
-		for i := 0; i < cluster.N(); i++ {
-			cluster.Service(i).WithApplication(func(app protocol.Application) {
-				if app.(*pushgossip.State).Seq() >= 1 {
-					covered++
-				}
-			})
-		}
-		fmt.Printf("t=%-8v update known by %d/%d nodes\n",
-			time.Since(start).Round(time.Millisecond), covered, cluster.N())
-		if covered == cluster.N() {
-			break
-		}
-		time.Sleep(2 * delta)
+	if err := host.Run(horizon); err != nil {
+		log.Fatal(err)
 	}
 
-	cluster.Stop()
-	stats := cluster.TotalStats()
-	rounds := stats.Rounds
+	stats := host.TotalStats()
 	fmt.Printf("\ntotal messages sent: %d (proactive %d, reactive %d)\n",
 		stats.TotalSent(), stats.ProactiveSent, stats.ReactiveSent)
-	fmt.Printf("total proactive rounds executed: %d\n", rounds)
+	fmt.Printf("total proactive rounds executed: %d\n", stats.Rounds)
 	fmt.Printf("messages per node per round: %.2f (rate-limited to ≤ 1 in the long run)\n",
-		float64(stats.TotalSent())/float64(rounds))
+		float64(stats.TotalSent())/float64(stats.Rounds))
 	fmt.Printf("strategy: %s, burst bound per node: %d tokens\n", strategy.Name(), strategy.Capacity())
+	if c := covered(); c != nodes {
+		fmt.Fprintf(os.Stderr, "quickstart: the update reached only %d of %d nodes\n", c, nodes)
+		os.Exit(1)
+	}
 }

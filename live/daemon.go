@@ -4,15 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"sync"
 	"time"
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/metrics"
+	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/transport"
 )
+
+// processNonce returns a value that is, with overwhelming probability,
+// unique to this process: start time mixed with the PID. It seasons the
+// default seed derivation so that distinct processes (and restarts of the
+// same one) never share random schedules.
+var processNonce = sync.OnceValue(func() uint64 {
+	return rng.Derive(uint64(time.Now().UnixNano()), uint64(os.Getpid()))
+})
 
 // Health is a daemon's lifecycle state, exposed on the tokennode /healthz
 // endpoint.
@@ -26,7 +38,7 @@ const (
 	// HealthDraining means the daemon announced its leave and is flushing
 	// outbound queues before stopping.
 	HealthDraining
-	// HealthStopped means the service loop has exited.
+	// HealthStopped means the run loop has exited.
 	HealthStopped
 )
 
@@ -76,7 +88,7 @@ func RegisterControl(r *transport.Registry) {
 
 // peerTable is the daemon's dynamic membership view. It implements
 // protocol.PeerSelector with a uniform draw over the current members, so the
-// protocol's SELECTPEER tracks join/leave without restarting the service.
+// protocol's SELECTPEER tracks join/leave without restarting the node.
 type peerTable struct {
 	mu    sync.Mutex
 	ids   []protocol.NodeID
@@ -153,16 +165,22 @@ type DaemonConfig struct {
 	Seeds []PeerAddr
 	// Strategy is the token account strategy (required).
 	Strategy core.Strategy
-	// Application provides CreateMessage/UpdateState (required).
+	// Application provides CreateMessage/UpdateState (required). It is only
+	// ever invoked under the daemon's mutex, so it needs no internal locking.
 	Application protocol.Application
-	// Delta is the proactive period (required).
+	// Delta is the proactive period (required). The paper uses minutes; tests
+	// use milliseconds.
 	Delta time.Duration
 	// InitialTokens is the starting balance (default 0).
 	InitialTokens int
-	// Seed pins the node's randomness; zero derives a process-unique seed
-	// (see Config.Seed).
+	// Seed pins the node's randomness. Zero means derive a seed from the node
+	// ID and a process-unique nonce, so two daemons with the same ID — one
+	// process restarted twice, or two processes started at once — follow
+	// different random schedules, at the cost of reproducibility.
 	Seed uint64
-	// QueueSize bounds the incoming queue (default 1024).
+	// QueueSize bounds the queue between the transport's read goroutines and
+	// the run loop (default: EnvConfig.QueueSize's). Messages arriving while
+	// it is full are dropped, which the protocol tolerates.
 	QueueSize int
 	// Registry carries the deployment's boxed payload types. Nil means a
 	// fresh registry; the control payloads are registered either way.
@@ -171,28 +189,40 @@ type DaemonConfig struct {
 	TransportOptions []transport.TCPOption
 }
 
-// Daemon is a deployable token account node: a Service over a managed TCP
-// endpoint, plus static-seed membership with join/leave announcements,
-// graceful drain and the health/latency state behind the tokennode ops
-// endpoint. Create it with NewDaemon, start it with Start, stop it with
-// Drain (graceful) or Close (immediate).
+// Daemon is a deployable token account node: a one-node runtime.Host over a
+// wall-clock Env whose transport is a managed TCP endpoint — the assembly
+// every experiment runs on, so the daemon ticks, receives, counts and audits
+// the §3.4 bound exactly as a simulated node does. What the daemon adds is
+// membership (static seeds plus join/leave announcements, in front of the
+// run loop's inbox), graceful drain, and the health/latency state behind the
+// tokennode ops endpoint. Create it with NewDaemon, start it with Start, stop
+// it with Drain (graceful) or Close (immediate).
+//
+// One mutex serializes everything that touches the host: the run loop's
+// callbacks (ticks and deliveries), the rejoin answers given on transport
+// read goroutines, and outside readers (WithHost).
 type Daemon struct {
 	cfg   DaemonConfig
 	ep    *transport.TCPEndpoint
-	svc   *Service
+	env   *Env
 	peers *peerTable
 
 	mu      sync.Mutex
+	host    *runtime.Host // nil until NewDaemon has assembled it
 	health  Health
+	done    chan struct{} // closed when the run loop exits; nil before Start
 	rnd     protocol.Rand
 	tickLat *metrics.Quantile
 }
 
-// NewDaemon builds the endpoint, the service and the membership table. The
-// daemon does not tick or announce itself until Start.
+// NewDaemon builds the endpoint, the environment, the host and the
+// membership table. The daemon does not tick or announce itself until Start.
 func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Listen == "" {
 		return nil, errors.New("live: DaemonConfig.Listen is empty")
+	}
+	if cfg.Delta <= 0 {
+		return nil, fmt.Errorf("live: DaemonConfig.Delta = %v, need > 0", cfg.Delta)
 	}
 	registry := cfg.Registry
 	if registry == nil {
@@ -203,6 +233,13 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	seed := cfg.Seed
+	if seed == 0 {
+		// Deriving from the ID alone would make every run of the same node
+		// replay the identical schedule of "random" decisions, synchronizing
+		// traffic across restarts.
+		seed = rng.Derive(rng.Derive(0x6c697665, processNonce()), uint64(cfg.ID)) // "live"
+	}
 	d := &Daemon{
 		cfg:     cfg,
 		ep:      ep,
@@ -211,26 +248,43 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		rnd:     rng.New(rng.Derive(0x746f6b656e6e6f64, uint64(cfg.ID))), // "tokennod"
 		tickLat: metrics.NewQuantile(),
 	}
-	svc, err := New(Config{
-		ID:            cfg.ID,
-		Strategy:      cfg.Strategy,
-		Application:   cfg.Application,
-		Peers:         d.peers,
-		Transport:     ep,
-		Delta:         cfg.Delta,
-		InitialTokens: cfg.InitialTokens,
-		Seed:          cfg.Seed,
-		QueueSize:     cfg.QueueSize,
-		TickObserver:  d.observeTick,
+	// The endpoint is listening already and the environment installs its
+	// handler through the filter, so from here on a join can arrive before
+	// the host exists: handleJoin checks.
+	d.env, err = NewEnv(EnvConfig{
+		N:            1,
+		Seed:         seed,
+		QueueSize:    cfg.QueueSize,
+		NewTransport: func(int) (transport.Transport, error) { return controlFilter{ep, d}, nil },
 	})
 	if err != nil {
 		_ = ep.Close()
 		return nil, err
 	}
-	d.svc = svc
-	// The service installed itself as the endpoint's payload handler;
-	// interpose the membership filter in front of it.
-	ep.SetPayloadHandler(d.incoming)
+	graph, err := overlay.NewFromOut(make([][]int, 1))
+	if err != nil {
+		_ = d.env.Close()
+		return nil, err
+	}
+	// The host knows its node as slot 0; the deployment-wide ID only exists on
+	// the wire, where the endpoint stamps it on outgoing frames and the peer
+	// table supplies the destinations.
+	host, err := runtime.NewHost(daemonEnv{d.env, d}, runtime.Config{
+		Graph:         graph,
+		Strategy:      func(int) core.Strategy { return cfg.Strategy },
+		NewApp:        func(int) protocol.Application { return cfg.Application },
+		Peers:         func(int) protocol.PeerSelector { return d.peers },
+		Delta:         cfg.Delta.Seconds(),
+		InitialTokens: cfg.InitialTokens,
+		AuditNodes:    []int{0},
+	})
+	if err != nil {
+		_ = d.env.Close()
+		return nil, err
+	}
+	d.mu.Lock()
+	d.host = host
+	d.mu.Unlock()
 	for _, p := range cfg.Seeds {
 		if p.ID == cfg.ID {
 			continue
@@ -241,21 +295,85 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	return d, nil
 }
 
-// incoming filters the membership control payloads out of the transport
-// stream; everything else flows to the service. It runs on transport read
-// goroutines.
-func (d *Daemon) incoming(from protocol.NodeID, p protocol.Payload) {
-	if p.Kind == protocol.KindBoxed {
-		switch m := p.Box.(type) {
-		case joinMsg:
-			d.handleJoin(m)
-			return
-		case leaveMsg:
-			d.handleLeave(protocol.NodeID(m.ID))
-			return
+// controlFilter is the daemon's endpoint as the environment sees it: the
+// membership control payloads are peeled off on the transport's read
+// goroutines, before anything reaches the run loop's inbox.
+type controlFilter struct {
+	*transport.TCPEndpoint
+	d *Daemon
+}
+
+var _ transport.PayloadReceiver = controlFilter{}
+
+func (f controlFilter) SetPayloadHandler(next transport.PayloadHandler) {
+	f.TCPEndpoint.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
+		if p.Kind == protocol.KindBoxed {
+			switch m := p.Box.(type) {
+			case joinMsg:
+				f.d.handleJoin(m)
+				return
+			case leaveMsg:
+				f.d.handleLeave(protocol.NodeID(m.ID))
+				return
+			}
+		}
+		next(from, p)
+	})
+}
+
+// daemonEnv is the environment as the daemon's host sees it. It puts every
+// run-loop callback under the daemon's mutex, and it replaces Env.Every's
+// tick policy: a repetition is re-armed one interval after the previous one
+// has *returned*, never on the nominal grid and never catching up. An
+// experiment wants the grid (runs are averaged sample by sample); a daemon
+// has no grid to stay on, and this way two consecutive token grants are at
+// least Δ apart on the wall clock however late a tick fires or however long
+// it takes — which is what makes the §3.4 bound hold exactly in real time,
+// where the grid's catch-up replay after a stall grants two tokens at once.
+type daemonEnv struct {
+	*Env
+	d *Daemon
+}
+
+func (e daemonEnv) locked(fn func()) func() {
+	return func() {
+		e.d.mu.Lock()
+		defer e.d.mu.Unlock()
+		fn()
+	}
+}
+
+func (e daemonEnv) At(t float64, fn func()) { e.Env.At(t, e.locked(fn)) }
+
+func (e daemonEnv) Schedule(delay float64, fn func()) { e.Env.Schedule(delay, e.locked(fn)) }
+
+func (e daemonEnv) SetDeliver(fn runtime.DeliverFunc) {
+	e.Env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
+		e.d.mu.Lock()
+		defer e.d.mu.Unlock()
+		fn(from, to, p)
+	})
+}
+
+// Every drives the host's proactive loop (its only periodic event) and feeds
+// the tick-latency reservoir with the duration of each tick of an online
+// node: application work plus sends.
+func (e daemonEnv) Every(phase, interval float64, fn func() bool) {
+	var tick func()
+	tick = func() {
+		e.d.mu.Lock()
+		online := e.Env.Online(0)
+		start := time.Now()
+		again := fn()
+		if online {
+			e.d.tickLat.Add(time.Since(start).Seconds())
+		}
+		e.d.mu.Unlock()
+		if again {
+			e.Env.At(e.Env.Now()+interval, tick)
 		}
 	}
-	d.svc.Deliver(from, p)
+	e.Env.At(e.Env.Now()+phase, tick)
 }
 
 // handleJoin admits a (re)joining peer and answers its pull: per §4.1.2 the
@@ -268,7 +386,11 @@ func (d *Daemon) handleJoin(m joinMsg) {
 	}
 	d.ep.AddPeer(id, m.Addr)
 	d.peers.add(id)
-	_ = d.svc.RespondDirect(id)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.host != nil && d.host.Online(0) {
+		_ = d.host.Node(0).RespondDirect(id)
+	}
 }
 
 // handleLeave forgets a departing peer.
@@ -277,19 +399,27 @@ func (d *Daemon) handleLeave(id protocol.NodeID) {
 	d.ep.RemovePeer(id)
 }
 
-// observeTick feeds the tick-latency reservoir (Config.TickObserver).
-func (d *Daemon) observeTick(elapsed time.Duration) {
-	d.mu.Lock()
-	d.tickLat.Add(elapsed.Seconds())
-	d.mu.Unlock()
-}
-
-// Start launches the service loop and announces the node to its seed peers.
-// The context cancels the service loop like Service.Start.
+// Start launches the run loop and announces the node to its seed peers.
+// Cancelling the context stops the run loop; Drain or Close still have to
+// follow to release the daemon. Start does nothing on a daemon that has
+// already been started or stopped.
 func (d *Daemon) Start(ctx context.Context) {
-	d.svc.Start(ctx)
+	d.mu.Lock()
+	if d.health != HealthStarting {
+		d.mu.Unlock()
+		return
+	}
+	d.health = HealthServing
+	done := make(chan struct{})
+	d.done = done
+	d.mu.Unlock()
+	go func() {
+		defer close(done)
+		unwatch := context.AfterFunc(ctx, d.env.Stop)
+		defer unwatch()
+		_ = d.env.Run(math.Inf(1)) // fails only on a closed environment
+	}()
 	d.announce()
-	d.setHealth(HealthServing)
 }
 
 // announce sends the join message to every known peer.
@@ -303,7 +433,7 @@ func (d *Daemon) announce() {
 // Rejoin re-announces the node to one randomly chosen peer — the rejoin pull
 // of §4.1.2: a node returning from churn asks a single neighbor for the
 // latest state, and the neighbor's answer is token-gated on its side. Call it
-// after SetOnline(true) brings a drained-out node back.
+// after WithHost has brought the node back online.
 func (d *Daemon) Rejoin() {
 	d.mu.Lock()
 	target, ok := d.peers.SelectPeer(d.rnd)
@@ -316,10 +446,16 @@ func (d *Daemon) Rejoin() {
 
 // Drain gracefully stops the daemon: it announces its leave to every peer,
 // waits (bounded by the context) for the outbound queues to flush, then stops
-// the service loop. The endpoint stays open so late answers still arrive
-// until Close.
+// the run loop. The endpoint stays open so late answers still arrive until
+// Close. Drain on a stopped daemon does nothing; it is safe before Start.
 func (d *Daemon) Drain(ctx context.Context) {
-	d.setHealth(HealthDraining)
+	d.mu.Lock()
+	if d.health == HealthStopped {
+		d.mu.Unlock()
+		return
+	}
+	d.health = HealthDraining
+	d.mu.Unlock()
 	msg := leaveMsg{ID: int64(d.cfg.ID)}
 	for _, id := range d.peers.list() {
 		_ = d.ep.Send(id, msg)
@@ -332,24 +468,27 @@ func (d *Daemon) Drain(ctx context.Context) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	d.svc.Stop()
-	<-d.svc.Done()
-	d.setHealth(HealthStopped)
+	d.stop()
 }
 
-// Close stops the service loop if it is still running and closes the
-// endpoint. For a graceful shutdown call Drain first.
-func (d *Daemon) Close() error {
-	d.svc.Stop()
-	<-d.svc.Done()
-	d.setHealth(HealthStopped)
-	return d.ep.Close()
-}
-
-func (d *Daemon) setHealth(h Health) {
+// stop ends the run loop, waiting for it only if Start ever launched it.
+func (d *Daemon) stop() {
+	d.env.Stop()
 	d.mu.Lock()
-	d.health = h
+	d.health = HealthStopped
+	done := d.done
 	d.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+}
+
+// Close stops the run loop if it is still running and closes the endpoint.
+// It is safe at any point of the lifecycle — before Start, after Drain, a
+// second time. For a graceful shutdown call Drain first.
+func (d *Daemon) Close() error {
+	d.stop()
+	return d.env.Close()
 }
 
 // Health returns the daemon's lifecycle state.
@@ -357,6 +496,18 @@ func (d *Daemon) Health() Health {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.health
+}
+
+// WithHost runs f with exclusive access to the daemon's host, serialized
+// against the run loop. Node 0 is the daemon's node: read h.Node(0) and the
+// host's counters, inject local events into h.App(0), take the node offline
+// and back with h.SetOffline(0)/h.SetOnline(0) (the churn of the paper's
+// availability traces: an offline node neither ticks nor receives). f must
+// not block, and must not call h.Run or close h.Env().
+func (d *Daemon) WithHost(f func(h *runtime.Host)) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	f(d.host)
 }
 
 // TickLatencyQuantile returns the p-quantile of observed tick durations in
@@ -374,8 +525,18 @@ func (d *Daemon) TickCount() int64 {
 	return d.tickLat.N()
 }
 
-// Service returns the underlying live service (tokens, stats, inject).
-func (d *Daemon) Service() *Service { return d.svc }
+// DroppedIncoming returns the number of incoming messages the daemon lost:
+// messages that arrived while the run loop's inbox was full, plus messages
+// delivered while the node was offline.
+func (d *Daemon) DroppedIncoming() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.env.DroppedDeliveries() + d.host.MessagesDropped()
+}
+
+// QueueDepth returns the number of incoming messages waiting in the run
+// loop's inbox.
+func (d *Daemon) QueueDepth() int { return len(d.env.inbox) }
 
 // Endpoint returns the managed TCP endpoint (address, transport stats).
 func (d *Daemon) Endpoint() *transport.TCPEndpoint { return d.ep }

@@ -1,9 +1,21 @@
+// Package live runs the token account protocol (Algorithm 4) in real time.
+// It is the deployable counterpart of the simulator in package simnet and
+// turns the framework into the "traffic shaping service" the paper proposes
+// for decentralized applications.
+//
+// Env is the wall-clock implementation of runtime.Env: one run loop
+// serializing timers and transport deliveries for a whole set of nodes, so
+// the runtime-neutral runtime.Host — and with it every experiment scenario
+// and metric probe — executes unchanged in real time. Daemon is the
+// deployable unit built from the same two parts: a one-node Host over an Env
+// whose transport is a managed TCP endpoint, plus membership and lifecycle.
 package live
 
 import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -68,6 +80,9 @@ type Env struct {
 
 	wake  chan struct{}
 	inbox chan envDelivery
+	// stopped is read once per turn of the run loop, so it is an atomic flag
+	// and not a channel: the per-delivery path pays a load, not a select case.
+	stopped atomic.Bool
 
 	// droppedInbox counts deliveries discarded because the run loop could
 	// not keep up with the transport.
@@ -191,14 +206,14 @@ const maxWallSeconds = 365 * 24 * 3600.0
 // wallSpan converts a span of run time to wall-clock seconds.
 func (e *Env) wallSpan(seconds float64) float64 { return seconds * e.cfg.TimeScale }
 
-// wallDuration converts a span of run time to wall time. Every span reaching
-// the scheduler is bounded by a horizon or latency already validated against
-// maxWallSeconds, so the clamp here is only a safety net against
-// time.Duration overflow.
+// wallDuration converts a span of run time to wall time. Horizons and
+// latencies are validated against maxWallSeconds; what a horizon-less run
+// (Run(+Inf)) schedules is bounded only by its uptime, so the clamp here is a
+// safety net against time.Duration overflow (≈ 292 years) and nothing else.
 func (e *Env) wallDuration(seconds float64) time.Duration {
 	wall := e.wallSpan(seconds)
-	if wall > maxWallSeconds {
-		wall = maxWallSeconds
+	if wall > 100*maxWallSeconds {
+		wall = 100 * maxWallSeconds
 	}
 	return time.Duration(wall * float64(time.Second))
 }
@@ -432,13 +447,27 @@ func (e *Env) dispatch(d envDelivery) {
 	}
 }
 
+// Stop makes Run return: a Run in progress returns nil once the callbacks
+// already due have run, leaving everything else pending, and every later Run
+// returns at once. It is how a process without a horizon (Run(+Inf), the
+// tokennode daemon) leaves the run loop. Stop may be called from any
+// goroutine, any number of times, before or during Run.
+func (e *Env) Stop() {
+	e.stopped.Store(true)
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+}
+
 // Run implements runtime.Env: it owns the run loop until the wall-clock
 // deadline corresponding to the horizon has passed, executing scheduled
 // callbacks at their deadlines and transport deliveries as they arrive.
 // Events scheduled past the horizon stay pending, mirroring the simulated
-// environment.
+// environment. A horizon of +Inf means no deadline (wallDuration's clamp puts
+// it a century away): Run then returns only through Stop.
 func (e *Env) Run(until float64) error {
-	if wall := e.wallSpan(until); wall > maxWallSeconds || wall != wall {
+	if wall := e.wallSpan(until); !math.IsInf(until, 1) && (wall > maxWallSeconds || wall != wall) {
 		return fmt.Errorf("live: Run horizon %g run-seconds spans %g wall-clock seconds at TimeScale %g, beyond the one-year scheduling limit (lower the horizon or the time scale)",
 			until, wall, e.cfg.TimeScale)
 	}
@@ -455,6 +484,9 @@ func (e *Env) Run(until float64) error {
 		<-timer.C
 	}
 	for {
+		if e.stopped.Load() {
+			return nil
+		}
 		// Execute everything due at the current run time.
 		for {
 			fn, ok := e.popDue(e.Now(), until)

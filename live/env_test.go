@@ -1,9 +1,11 @@
 package live_test
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
@@ -365,5 +367,67 @@ func TestEnvEveryFiresAllTicksUnderStall(t *testing.T) {
 	}
 	if len(ticks) != 8 {
 		t.Fatalf("got %d periodic ticks within the horizon, want 8 (%v)", len(ticks), ticks)
+	}
+}
+
+// TestEnvStop covers the way out of a run without a horizon: a Run blocked
+// with nothing to do returns on Stop, timers scheduled before the Stop fire
+// while it runs and none after, a later Run returns at once, and Stop is
+// idempotent.
+func TestEnvStop(t *testing.T) {
+	env, err := live.NewEnv(live.EnvConfig{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	var ticks atomic.Int64
+	env.Every(0.001, 0.001, func() bool { ticks.Add(1); return true })
+	finished := make(chan error, 1)
+	go func() { finished <- env.Run(math.Inf(1)) }()
+	for deadline := time.Now().Add(5 * time.Second); ticks.Load() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("the horizon-less run executed no timers")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	env.Stop()
+	env.Stop()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Errorf("Run = %v after Stop, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return on Stop")
+	}
+	frozen := ticks.Load()
+	begin := time.Now()
+	if err := env.Run(3600); err != nil {
+		t.Errorf("Run on a stopped environment = %v, want nil", err)
+	}
+	if elapsed := time.Since(begin); elapsed > time.Second {
+		t.Errorf("Run on a stopped environment took %v", elapsed)
+	}
+	if got := ticks.Load(); got != frozen {
+		t.Errorf("%d timers fired after Stop", got-frozen)
+	}
+}
+
+// TestEnvStopWhileIdle stops a run that sleeps with an empty timer heap: the
+// stop has to wake the loop, not wait for its next event.
+func TestEnvStopWhileIdle(t *testing.T) {
+	env, err := live.NewEnv(live.EnvConfig{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	finished := make(chan error, 1)
+	go func() { finished <- env.Run(math.Inf(1)) }()
+	time.Sleep(20 * time.Millisecond)
+	env.Stop()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Second):
+		t.Fatal("an idle Run did not return on Stop")
 	}
 }

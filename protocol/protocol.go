@@ -4,9 +4,9 @@
 // A Node combines a core.Strategy with an application (Application), a peer
 // sampling service (PeerSelector) and an outgoing message sink (Sender). The
 // surrounding runtime — a runtime.Host over the discrete-event environment
-// in simnet or the wall-clock environment in live, or a live.Service — is
-// responsible for calling Tick once per proactive period Δ and Receive for
-// every incoming message.
+// in simnet or the wall-clock environment in live — is responsible for
+// calling Tick once per proactive period Δ and Receive for every incoming
+// message.
 package protocol
 
 import (

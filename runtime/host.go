@@ -32,6 +32,11 @@ type Config struct {
 	Trace *trace.Trace
 	// InitialTokens is the starting account balance (0 in the paper).
 	InitialTokens int
+	// Peers returns the peer sampling service of node i. Nil selects the
+	// overlay sampler every experiment uses: a uniform draw over the node's
+	// online out-neighbours in Graph. A host whose membership is not a fixed
+	// overlay (the tokennode daemon's join/leave table) supplies its own.
+	Peers func(i int) protocol.PeerSelector
 	// OnRejoin, if non-nil, is invoked whenever a node transitions from
 	// offline to online during the run (not for nodes already online at time
 	// zero). The push gossip experiment uses it to issue the initial pull
@@ -141,9 +146,8 @@ type Host struct {
 	sizers    []func(word uint64) int
 	nodeBytes []int64
 
-	// envelopes is nil unless Config.AuditNodes requests rate-limit audits:
-	// audit buffers are strictly opt-in, so a plain run retains nothing
-	// per-node beyond the slabs and streaming accumulators.
+	// envelopes is nil unless Config.AuditNodes requests rate-limit audits;
+	// each audited node costs one constant-size core.Envelope.
 	envelopes map[int]*core.Envelope
 
 	// skippedInjections counts update injections that found no online node.
@@ -242,6 +246,12 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			return fmt.Errorf("runtime: Strategy(%d) returned nil", i)
 		}
 		h.samplers[i] = neighborSampler{h: h, self: int32(i)}
+		var peers protocol.PeerSelector = &h.samplers[i]
+		if cfg.Peers != nil {
+			if peers = cfg.Peers(i); peers == nil {
+				return fmt.Errorf("runtime: Peers(%d) returned nil", i)
+			}
+		}
 		var r protocol.Rand
 		if seeder != nil {
 			h.rngs[i] = rng.Seeded(seeder.StreamSeed(uint64(i)))
@@ -253,7 +263,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			ID:            protocol.NodeID(i),
 			Strategy:      strategy,
 			Application:   app,
-			Peers:         &h.samplers[i],
+			Peers:         peers,
 			Sender:        h,
 			RNG:           r,
 			InitialTokens: cfg.InitialTokens,
@@ -288,7 +298,9 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		if h.envelopes == nil {
 			h.envelopes = make(map[int]*core.Envelope)
 		}
-		h.envelopes[i] = core.NewEnvelope(cfg.Delta, capacity)
+		// A node that starts with a₀ > C tokens may spend them all at once:
+		// the bound is ⌈t/Δ⌉ + max(C, a₀).
+		h.envelopes[i] = core.NewEnvelope(cfg.Delta, max(capacity, cfg.InitialTokens))
 	}
 	env.SetDeliver(h.deliver)
 	h.scheduleRounds()

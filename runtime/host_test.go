@@ -113,6 +113,7 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 		func(c *runtime.Config) { c.Strategy = func(int) core.Strategy { return nil } },
+		func(c *runtime.Config) { c.Peers = func(int) protocol.PeerSelector { return nil } },
 		func(c *runtime.Config) { c.Trace = &trace.Trace{Duration: 1, Segments: make([]trace.Segment, 3)} },
 	}
 	for i, mutate := range broken {
@@ -560,5 +561,79 @@ func TestHostBytesAccounting(t *testing.T) {
 	if dropAll.BytesSent() != 99 || dropAll.MessagesDropped() != 1 {
 		t.Errorf("dropped send: bytes = %d (want 99), dropped = %d (want 1)",
 			dropAll.BytesSent(), dropAll.MessagesDropped())
+	}
+}
+
+// fixedPeer is a peer sampling service that always answers with one node.
+type fixedPeer protocol.NodeID
+
+func (p fixedPeer) SelectPeer(protocol.Rand) (protocol.NodeID, bool) { return protocol.NodeID(p), true }
+
+// TestHostCustomPeers checks Config.Peers: every node's sends go where its
+// own selector points, whatever the overlay says.
+func TestHostCustomPeers(t *testing.T) {
+	const n = 6
+	cfg := hostConfig(t, n)
+	cfg.Strategy = func(int) core.Strategy { return core.PurelyProactive{} }
+	cfg.Peers = func(i int) protocol.PeerSelector { return fixedPeer((i + 1) % n) }
+	env := newSimEnv(t, n, 4)
+	host, err := runtime.NewHost(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Run(5 * delta); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		// Five periods, one proactive send each, all from the ring predecessor.
+		if got := host.Node(i).Stats().Received; got < 4 || got > 5 {
+			t.Errorf("node %d received %d messages, want one per period from its predecessor", i, got)
+		}
+	}
+}
+
+// TestAuditCountsInitialTokens is the regression test for the audit bound of
+// a node that starts with a₀ tokens: it may burst max(C, a₀) messages on top
+// of one per period, not C. Before the fix the envelope was sized with C
+// alone and flagged the legitimate start-up burst.
+func TestAuditCountsInitialTokens(t *testing.T) {
+	tests := []struct {
+		name          string
+		strategy      core.Strategy
+		initialTokens int
+		burst         int
+	}{
+		{"a0 above C = 0", core.PurelyProactive{}, 5, 5},
+		{"a0 above C", core.MustSimple(2), 4, 4},
+		{"a0 below C", core.MustSimple(3), 1, 1},
+		{"no initial tokens", core.MustSimple(3), 0, 0},
+	}
+	for _, tc := range tests {
+		cfg := hostConfig(t, 8)
+		cfg.Strategy = func(int) core.Strategy { return tc.strategy }
+		cfg.InitialTokens = tc.initialTokens
+		cfg.AuditNodes = []int{0}
+		env := newSimEnv(t, 8, 8)
+		host, err := runtime.NewHost(env, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Spend the whole initial balance in one instant, the way a daemon
+		// answers a burst of rejoin pulls.
+		sent := 0
+		env.At(delta/1000, func() {
+			for host.Node(0).RespondDirect(1) {
+				sent++
+			}
+		})
+		if err := host.Run(3 * delta); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sent != tc.burst {
+			t.Errorf("%s: burst of %d, want %d", tc.name, sent, tc.burst)
+		}
+		if got := host.AuditViolations(); len(got) != 0 {
+			t.Errorf("%s: audit violations %v on a legitimate start-up burst", tc.name, got)
+		}
 	}
 }
