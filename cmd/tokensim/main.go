@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/internal/profiling"
 	"github.com/szte-dcs/tokenaccount/metrics"
 	"github.com/szte-dcs/tokenaccount/sim"
 
@@ -34,7 +35,7 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("tokensim", flag.ContinueOnError)
 	var (
 		appName      = fs.String("app", "gossip-learning", "application: "+strings.Join(experiment.Applications(), ", "))
@@ -54,10 +55,21 @@ func run(args []string, w io.Writer) error {
 		tokens       = fs.Bool("tokens", false, "also print the average token balance series")
 		summaryOnly  = fs.Bool("summary", false, "print only the summary line, not the series")
 		list         = fs.Bool("list", false, "list the registered drivers of all six experiment dimensions and exit")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile   = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *list {
 		for _, dim := range []struct {
 			name    string

@@ -75,7 +75,7 @@ type Env struct {
 	start   time.Time
 	events  eventHeap
 	seq     uint64
-	online  []bool
+	online  runtime.Availability
 	closed  bool
 
 	wake  chan struct{}
@@ -90,8 +90,9 @@ type Env struct {
 }
 
 var (
-	_ runtime.Env           = (*Env)(nil)
-	_ runtime.DelayedSender = (*Env)(nil)
+	_ runtime.Env                = (*Env)(nil)
+	_ runtime.DelayedSender      = (*Env)(nil)
+	_ runtime.AvailabilitySource = (*Env)(nil)
 )
 
 type envDelivery struct {
@@ -125,12 +126,9 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	e := &Env{
 		cfg:    cfg,
 		trans:  make([]transport.Transport, cfg.N),
-		online: make([]bool, cfg.N),
+		online: runtime.NewAvailability(cfg.N),
 		wake:   make(chan struct{}, 1),
 		inbox:  make(chan envDelivery, cfg.QueueSize),
-	}
-	for i := range e.online {
-		e.online[i] = true
 	}
 	if cfg.NewTransport == nil {
 		latency := e.wallDuration(cfg.Latency)
@@ -370,28 +368,26 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) {
 }
 
 // N implements runtime.Env.
-func (e *Env) N() int { return len(e.online) }
+func (e *Env) N() int { return e.online.N() }
+
+// Availability implements runtime.AvailabilitySource. The Host reads the set
+// on the run loop without taking the environment's mutex, so lifecycle flips
+// during a run belong to dispatched callbacks, as the Env contract says.
+func (e *Env) Availability() *runtime.Availability { return &e.online }
 
 // Online implements runtime.Env. It may be called from any goroutine.
-// Out-of-range node ids report offline instead of panicking inside the
-// mutex, so a stray id from a trace or scenario degrades to a dropped
-// message.
+// Out-of-range node ids report offline, so a stray id from a trace or
+// scenario degrades to a dropped message.
 func (e *Env) Online(node int) bool {
-	if node < 0 || node >= len(e.online) {
-		return false
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.online[node]
+	return e.online.Online(node)
 }
 
 // SetOnline implements runtime.Env. Out-of-range node ids are a no-op.
 func (e *Env) SetOnline(node int) {
-	if node < 0 || node >= len(e.online) {
-		return
-	}
 	e.mu.Lock()
-	e.online[node] = true
+	e.online.Set(node, true)
 	e.mu.Unlock()
 }
 
@@ -399,11 +395,8 @@ func (e *Env) SetOnline(node int) {
 // are dropped at delivery time by the host's online check. Out-of-range node
 // ids are a no-op.
 func (e *Env) SetOffline(node int) {
-	if node < 0 || node >= len(e.online) {
-		return
-	}
 	e.mu.Lock()
-	e.online[node] = false
+	e.online.Set(node, false)
 	e.mu.Unlock()
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
 // NodeID identifies a node in the network. IDs are dense integers in the
@@ -53,6 +54,15 @@ type PeerSelector interface {
 	SelectPeer(rng Rand) (peer NodeID, ok bool)
 }
 
+// SharedPeerSelector is a peer sampling service serving every node of a
+// Slab: SelectPeerOf samples a peer for the node at slab index i. A runtime
+// whose peer sampling is a function of the node index (the Host's overlay
+// sampler) implements it once instead of materializing one PeerSelector per
+// node.
+type SharedPeerSelector interface {
+	SelectPeerOf(i int, rng Rand) (peer NodeID, ok bool)
+}
+
 // Sender delivers an outgoing payload to a peer. Implementations may drop the
 // message (offline peer, failure injection); the protocol does not expect
 // acknowledgements.
@@ -83,7 +93,10 @@ type Stats struct {
 // TotalSent returns the total number of messages sent by the node.
 func (s Stats) TotalSent() int { return s.ProactiveSent + s.ReactiveSent }
 
-// Config assembles the collaborators of a Node.
+// Config assembles the collaborators of one Node. Peers, Sender and RNG are
+// per-node collaborators: a Slab stores the ones it is given in side tables
+// and consults them before its slab-wide ones (see NewSharedSlab), so a node
+// may leave them nil exactly where its slab supplies a substitute.
 type Config struct {
 	// ID is the node's identity, passed to the Sender as the source.
 	ID NodeID
@@ -91,80 +104,81 @@ type Config struct {
 	Strategy core.Strategy
 	// Application provides CreateMessage/UpdateState (required).
 	Application Application
-	// Peers is the peer sampling service (required).
+	// Peers is the peer sampling service (required unless the slab shares
+	// one).
 	Peers PeerSelector
-	// Sender delivers outgoing messages (required).
+	// Sender delivers outgoing messages (required unless the slab shares
+	// one).
 	Sender Sender
-	// RNG is the node's private randomness source (required).
+	// RNG is the node's private randomness source (required unless the node
+	// is initialized with Slab.InitSeeded, which embeds a generator in the
+	// node's row).
 	RNG Rand
 	// InitialTokens is the starting balance (0 in the paper's experiments).
 	InitialTokens int
 }
 
-func (c Config) validate() error {
+// validate checks the configuration of a node whose slab supplies the
+// collaborators flagged true: whatever neither the Config nor the slab
+// provides is an error.
+func (c Config) validate(haveSender, havePeers, haveRNG bool) error {
 	switch {
 	case c.Strategy == nil:
 		return errors.New("protocol: Config.Strategy is nil")
 	case c.Application == nil:
 		return errors.New("protocol: Config.Application is nil")
-	case c.Peers == nil:
+	case c.Peers == nil && !havePeers:
 		return errors.New("protocol: Config.Peers is nil")
-	case c.Sender == nil:
+	case c.Sender == nil && !haveSender:
 		return errors.New("protocol: Config.Sender is nil")
-	case c.RNG == nil:
+	case c.RNG == nil && !haveRNG:
 		return errors.New("protocol: Config.RNG is nil")
+	case c.RNG != nil && haveRNG:
+		return errors.New("protocol: Config.RNG set for a node with an embedded generator")
 	case c.InitialTokens < 0:
 		return fmt.Errorf("protocol: negative initial token count %d", c.InitialTokens)
 	}
 	return nil
 }
 
-// Node executes Algorithm 4. It is not safe for concurrent use; the runtime
-// must serialize Tick and Receive calls (the simulator is single-threaded per
-// node, the live service uses one goroutine per node).
+// Node is the facade of one protocol node executing Algorithm 4: one 64-byte
+// row of its Slab's node array, holding what differs per node and is read on
+// every event — strategy, application, identity and the state of the node's
+// embedded SplitMix64 generator. The mutable account and counters live in
+// the slab's state array at the same index; everything else (Sender, shared
+// peer sampling, per-node overrides) is reached through the slab.
+//
+// It is not safe for concurrent use; the runtime must serialize Tick and
+// Receive calls (the simulator is single-threaded per node, the live runtime
+// runs every node on its run loop).
 type Node struct {
-	id       NodeID
 	strategy core.Strategy
 	app      Application
-	peers    PeerSelector
-	sender   Sender
-	rng      Rand
-	state    *NodeState
+	slab     *Slab
+	idx      int
+	id       NodeID
+	rng      rng.Source
 }
 
-// NewNode validates the configuration and returns a ready-to-run node with
-// privately allocated state. Runtimes that build many nodes at once should
-// use a Slab instead, which backs all node state with two contiguous arrays.
+// NewNode validates the configuration and returns a ready-to-run node backed
+// by a private one-node slab. Runtimes that build many nodes at once should
+// use a Slab directly, which backs all nodes with two contiguous arrays.
 func NewNode(cfg Config) (*Node, error) {
-	if err := cfg.validate(); err != nil {
+	s := NewSlab(1)
+	if err := s.Init(0, cfg); err != nil {
 		return nil, err
 	}
-	st := &NodeState{Account: core.MakeAccount(cfg.InitialTokens, core.AllowsOverspend(cfg.Strategy))}
-	n := makeNode(cfg, st)
-	return &n, nil
-}
-
-// makeNode assembles a Node value over already-initialized state.
-func makeNode(cfg Config, st *NodeState) Node {
-	return Node{
-		id:       cfg.ID,
-		strategy: cfg.Strategy,
-		app:      cfg.Application,
-		peers:    cfg.Peers,
-		sender:   cfg.Sender,
-		rng:      cfg.RNG,
-		state:    st,
-	}
+	return s.Node(0), nil
 }
 
 // ID returns the node's identity.
 func (n *Node) ID() NodeID { return n.id }
 
 // Tokens returns the current account balance.
-func (n *Node) Tokens() int { return n.state.Account.Balance() }
+func (n *Node) Tokens() int { return n.state().Account.Balance() }
 
 // Stats returns a snapshot of the node's activity counters.
-func (n *Node) Stats() Stats { return n.state.Stats }
+func (n *Node) Stats() Stats { return n.state().Stats }
 
 // Strategy returns the node's token account strategy.
 func (n *Node) Strategy() core.Strategy { return n.strategy }
@@ -172,45 +186,20 @@ func (n *Node) Strategy() core.Strategy { return n.strategy }
 // Application returns the node's application instance.
 func (n *Node) Application() Application { return n.app }
 
+// state returns the node's row of the slab's state array.
+func (n *Node) state() *NodeState { return &n.slab.states[n.idx] }
+
 // Tick executes one iteration of the proactive loop of Algorithm 4: with
 // probability PROACTIVE(a) the node sends a freshly created message to a
 // sampled peer, otherwise it banks the token granted for this period.
-func (n *Node) Tick() {
-	n.state.Stats.Rounds++
-	if core.Bernoulli(n.strategy.Proactive(n.state.Account.Balance()), n.rng) {
-		if n.sendOne() {
-			n.state.Stats.ProactiveSent++
-			return
-		}
-		// No peer was available: the round's token would otherwise be lost
-		// to a message that cannot be sent, so bank it instead. This keeps
-		// the node's long-run budget intact under churn.
-	}
-	n.state.Account.Deposit(1)
-	n.state.Stats.TokensBanked++
-}
+func (n *Node) Tick() { n.slab.tick(n, n.state()) }
 
 // Receive executes the ONMESSAGE handler of Algorithm 4: the application
 // updates its state, the reactive function determines the (randomly rounded)
 // number of response messages, tokens are spent accordingly and the messages
 // are sent to independently sampled peers.
 func (n *Node) Receive(from NodeID, payload Payload) {
-	n.state.Stats.Received++
-	useful := n.app.UpdateState(from, payload)
-	if useful {
-		n.state.Stats.UsefulReceived++
-	}
-	want := core.RandRound(n.strategy.Reactive(n.state.Account.Balance(), useful), n.rng)
-	spend := n.state.Account.SpendUpTo(want)
-	for i := 0; i < spend; i++ {
-		if !n.sendOne() {
-			// No reachable peer: refund the unused tokens.
-			n.state.Account.Deposit(spend - i)
-			n.state.Stats.TokensBanked += spend - i
-			return
-		}
-		n.state.Stats.ReactiveSent++
-	}
+	n.slab.receive(n, n.state(), from, payload)
 }
 
 // RespondDirect sends one freshly created message straight to the given peer
@@ -229,21 +218,11 @@ func (n *Node) RespondDirect(to NodeID) bool {
 // not CreateMessage — e.g. blockcast serving a full block in answer to a
 // pull — while keeping the response token-gated like every reactive send.
 func (n *Node) RespondPayload(to NodeID, payload Payload) bool {
-	if n.state.Account.SpendUpTo(1) == 0 {
+	st := n.state()
+	if st.Account.SpendUpTo(1) == 0 {
 		return false
 	}
-	n.sender.Send(n.id, to, payload)
-	n.state.Stats.ReactiveSent++
-	return true
-}
-
-// sendOne samples a peer and sends one freshly created message to it. It
-// reports whether a peer was available.
-func (n *Node) sendOne() bool {
-	peer, ok := n.peers.SelectPeer(n.rng)
-	if !ok {
-		return false
-	}
-	n.sender.Send(n.id, peer, n.app.CreateMessage())
+	n.slab.senderOf(n.idx).Send(n.id, to, payload)
+	st.Stats.ReactiveSent++
 	return true
 }

@@ -1,0 +1,135 @@
+package runtime
+
+import (
+	"testing"
+
+	"github.com/szte-dcs/tokenaccount/internal/rng"
+	"github.com/szte-dcs/tokenaccount/overlay"
+	"github.com/szte-dcs/tokenaccount/protocol"
+)
+
+// TestAvailabilityMatchesBoolOracle drives random Set sequences — repeated
+// sets of the same state and out-of-range ids included — against a []bool
+// oracle, over sizes on both sides of the 64-bit word boundary, and compares
+// every observable after every step.
+func TestAvailabilityMatchesBoolOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		a := NewAvailability(n)
+		oracle := make([]bool, n)
+		for i := range oracle {
+			oracle[i] = true
+		}
+		check := func(step int) {
+			t.Helper()
+			offline := 0
+			for i, on := range oracle {
+				if a.Online(i) != on {
+					t.Fatalf("n=%d step %d: Online(%d) = %v, oracle %v", n, step, i, a.Online(i), on)
+				}
+				if !on {
+					offline++
+				}
+			}
+			if a.N() != n || a.Offline() != offline || a.AllOnline() != (offline == 0) {
+				t.Fatalf("n=%d step %d: N = %d, Offline = %d, AllOnline = %v; oracle has %d of %d offline",
+					n, step, a.N(), a.Offline(), a.AllOnline(), offline, n)
+			}
+			for _, i := range []int{-1, -64, n, n + 1, n + 64, 1 << 40} {
+				if a.Online(i) {
+					t.Fatalf("n=%d step %d: out-of-range id %d reads online", n, step, i)
+				}
+			}
+		}
+		check(-1)
+		src := rng.New(uint64(n) + 1)
+		for step := 0; step < 2000; step++ {
+			i := src.Intn(n+8) - 4 // a few ids fall off either end
+			online := src.Intn(3) == 0
+			a.Set(i, online)
+			if i >= 0 && i < n {
+				oracle[i] = online
+			}
+			check(step)
+		}
+		for i := range oracle {
+			a.Set(i, true)
+		}
+		if !a.AllOnline() {
+			t.Fatalf("n=%d: not AllOnline after bringing every node back", n)
+		}
+	}
+}
+
+// referenceSelect is the historical two-pass peer sampler, kept as the oracle
+// for selectOnlineNeighbor: count the online out-neighbours, draw one Intn
+// over the count, select.
+func referenceSelect(nbrs []int32, online []bool, r protocol.Rand) (protocol.NodeID, bool) {
+	count := 0
+	for _, v := range nbrs {
+		if online[v] {
+			count++
+		}
+	}
+	if count == 0 {
+		return protocol.NoNode, false
+	}
+	j := r.Intn(count)
+	for _, v := range nbrs {
+		if !online[v] {
+			continue
+		}
+		if j == 0 {
+			return protocol.NodeID(v), true
+		}
+		j--
+	}
+	return protocol.NoNode, false
+}
+
+// TestSelectOnlineNeighborMatchesTwoPassReference checks, over random k-out
+// graphs and random availability — everyone online (the fast path), a random
+// subset, one survivor, nobody — plus a node without out-neighbours, that the
+// sampler returns the reference's peer and leaves the generator in the
+// reference's state, i.e. consumed the same draws.
+func TestSelectOnlineNeighborMatchesTwoPassReference(t *testing.T) {
+	const n = 60
+	src := rng.New(7)
+	for trial := 0; trial < 40; trial++ {
+		out := make([][]int, n)
+		for i := 1; i < n; i++ { // node 0 keeps out-degree zero
+			for k := 1 + src.Intn(8); k > 0; k-- {
+				if v := src.Intn(n); v != i {
+					out[i] = append(out[i], v)
+				}
+			}
+		}
+		g, err := overlay.NewFromOut(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avail := NewAvailability(n)
+		h := &Host{cfg: Config{Graph: g}, avail: &avail}
+		online := make([]bool, n)
+		for mode, pOnline := range []float64{1, 0.7, 0.2, 0, -1} {
+			survivor := src.Intn(n)
+			for i := range online {
+				online[i] = src.Float64() < pOnline || (pOnline < 0 && i == survivor)
+				avail.Set(i, online[i])
+			}
+			if mode == 0 && !avail.AllOnline() {
+				t.Fatal("mode 0 must exercise the all-online fast path")
+			}
+			got, want := rng.New(uint64(trial)), rng.New(uint64(trial))
+			for i := 0; i < n; i++ {
+				gp, gok := h.selectOnlineNeighbor(i, got)
+				wp, wok := referenceSelect(g.OutNeighbors(i), online, want)
+				if gp != wp || gok != wok {
+					t.Fatalf("trial %d mode %d node %d: got (%d, %v), reference (%d, %v)", trial, mode, i, gp, gok, wp, wok)
+				}
+				if *got != *want {
+					t.Fatalf("trial %d mode %d node %d: generator state diverged from the reference", trial, mode, i)
+				}
+			}
+		}
+	}
+}

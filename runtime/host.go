@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/szte-dcs/tokenaccount/core"
-	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -108,13 +107,17 @@ type Host struct {
 	cfg Config
 	env Env
 
-	// slab holds every node's facade and hot state in two contiguous arrays
-	// (struct of arrays); samplers and rngs are the companion slabs for peer
-	// sampling state and per-node generator state, so building n nodes costs
-	// a handful of allocations instead of several per node.
-	slab     *protocol.Slab
-	samplers []neighborSampler
-	rngs     []rng.Source
+	// slab holds every node's facade row and hot state in two contiguous
+	// arrays of 64 bytes per node (struct of arrays). The Host is the slab's
+	// Sender and its shared peer selector, and per-node generator state is
+	// embedded in the rows, so building n nodes costs a handful of
+	// allocations and no companion slab.
+	slab *protocol.Slab
+
+	// avail is the environment's online set, read directly on every tick,
+	// delivery and peer draw; nil where the environment lacks the
+	// AvailabilitySource capability, in which case Online asks Env.Online.
+	avail *Availability
 
 	// netRNG is the coordinator's StreamNet stream: random node and
 	// neighbour selection, and — in unsharded runs — every per-message draw.
@@ -194,12 +197,16 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	h := &Host{
 		cfg:       cfg,
 		env:       env,
-		slab:      protocol.NewSlab(n),
-		samplers:  make([]neighborSampler, n),
 		netRNG:    env.Rand(StreamNet),
 		network:   cfg.Network,
 		sizers:    protocol.PayloadSizerTable(),
 		nodeBytes: make([]int64, n),
+	}
+	// Nodes given their own selector by Config.Peers never reach the shared
+	// overlay sampler.
+	h.slab = protocol.NewSharedSlab(n, h, (*overlayPeers)(h))
+	if src, ok := env.(AvailabilitySource); ok {
+		h.avail = src.Availability()
 	}
 	h.hookEnv, _ = env.(HookScheduler)
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
@@ -230,12 +237,9 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.delayedSend = ds
 	}
 	seeder, _ := env.(StreamSeeder)
-	if seeder != nil {
-		h.rngs = make([]rng.Source, n)
-	}
 	// buildNode initializes node i in place. Construction consumes no shared
 	// randomness — each node's stream is derived from its index — and writes
-	// only slot i of the slabs, so disjoint index ranges build concurrently.
+	// only slot i of the slab, so disjoint index ranges build concurrently.
 	buildNode := func(i int) error {
 		app := cfg.NewApp(i)
 		if app == nil {
@@ -245,29 +249,25 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		if strategy == nil {
 			return fmt.Errorf("runtime: Strategy(%d) returned nil", i)
 		}
-		h.samplers[i] = neighborSampler{h: h, self: int32(i)}
-		var peers protocol.PeerSelector = &h.samplers[i]
-		if cfg.Peers != nil {
-			if peers = cfg.Peers(i); peers == nil {
-				return fmt.Errorf("runtime: Peers(%d) returned nil", i)
-			}
-		}
-		var r protocol.Rand
-		if seeder != nil {
-			h.rngs[i] = rng.Seeded(seeder.StreamSeed(uint64(i)))
-			r = &h.rngs[i]
-		} else {
-			r = env.Rand(uint64(i))
-		}
-		if err := h.slab.Init(i, protocol.Config{
+		nodeCfg := protocol.Config{
 			ID:            protocol.NodeID(i),
 			Strategy:      strategy,
 			Application:   app,
-			Peers:         peers,
-			Sender:        h,
-			RNG:           r,
 			InitialTokens: cfg.InitialTokens,
-		}); err != nil {
+		}
+		if cfg.Peers != nil {
+			if nodeCfg.Peers = cfg.Peers(i); nodeCfg.Peers == nil {
+				return fmt.Errorf("runtime: Peers(%d) returned nil", i)
+			}
+		}
+		var err error
+		if seeder != nil {
+			err = h.slab.InitSeeded(i, nodeCfg, seeder.StreamSeed(uint64(i)))
+		} else {
+			nodeCfg.RNG = env.Rand(uint64(i))
+			err = h.slab.Init(i, nodeCfg)
+		}
+		if err != nil {
 			return fmt.Errorf("runtime: node %d: %w", i, err)
 		}
 		return nil
@@ -379,8 +379,8 @@ func (h *Host) scheduleRounds() {
 			}
 			i := i
 			sched.Every(phase, h.cfg.Delta, func() bool {
-				if h.env.Online(i) {
-					h.slab.Node(i).Tick()
+				if h.Online(i) {
+					h.slab.Tick(i)
 				}
 				return true
 			})
@@ -392,8 +392,8 @@ func (h *Host) scheduleRounds() {
 		}
 		i := i
 		h.env.Every(phase, h.cfg.Delta, func() bool {
-			if h.env.Online(i) {
-				h.slab.Node(i).Tick()
+			if h.Online(i) {
+				h.slab.Tick(i)
 			}
 			return true
 		})
@@ -409,8 +409,8 @@ type tickHook Host
 
 func (t *tickHook) RunHook(node int32, _ uint64) {
 	h := (*Host)(t)
-	if h.env.Online(int(node)) {
-		h.slab.Node(int(node)).Tick()
+	if h.Online(int(node)) {
+		h.slab.Tick(int(node))
 	}
 	if h.sharded != nil {
 		s := int(h.shardOfNode[node])
@@ -468,34 +468,36 @@ func (h *Host) scheduleChurn() {
 	}
 }
 
-// neighborSampler is the Host-internal peer sampling service: a uniform draw
-// over the node's currently-online out-neighbours, stored as one 16-byte
-// slot in the samplers slab. The two-pass scan (count, draw, select) makes
-// the same single Intn call as the historical scratch-buffer implementation
-// — the count equals the buffer length it would have built — so peer choices
-// are bit-identical while the sampler itself holds no per-node buffer at
-// all. Double-scanning is safe: availability flags cannot change within one
-// SelectPeer call (callbacks are serialized; in sharded runs flips happen
-// only at barriers).
-type neighborSampler struct {
-	h    *Host
-	self int32
-}
+// overlayPeers is the Host as the slab's shared peer sampling service: a
+// uniform draw over the node's currently-online out-neighbours in the
+// overlay. It is the Host itself under a distinct method set, so the sampler
+// every node shares costs no memory per node.
+type overlayPeers Host
 
-var _ protocol.PeerSelector = (*neighborSampler)(nil)
+var _ protocol.SharedPeerSelector = (*overlayPeers)(nil)
 
-func (ns *neighborSampler) SelectPeer(r protocol.Rand) (protocol.NodeID, bool) {
-	return ns.h.selectOnlineNeighbor(int(ns.self), r)
+func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bool) {
+	return (*Host)(o).selectOnlineNeighbor(i, r)
 }
 
 // selectOnlineNeighbor returns a uniformly random online out-neighbour of
 // node i, drawing exactly one Intn from r, or false (and no draw) if none is
-// online.
+// online. With nobody offline that is one draw over the whole list; otherwise
+// a two-pass scan of the online set (count, draw, select) makes the same
+// single Intn call with the same bound, so peer choices are bit-identical
+// either way. Double-scanning is safe: the set cannot change within one call
+// (callbacks are serialized; in sharded runs flips happen only at barriers).
 func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bool) {
 	nbrs := h.cfg.Graph.OutNeighbors(i)
+	if h.avail != nil && h.avail.AllOnline() {
+		if len(nbrs) == 0 {
+			return protocol.NoNode, false
+		}
+		return protocol.NodeID(nbrs[r.Intn(len(nbrs))]), true
+	}
 	online := 0
 	for _, v := range nbrs {
-		if h.env.Online(int(v)) {
+		if h.Online(int(v)) {
 			online++
 		}
 	}
@@ -504,7 +506,7 @@ func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bo
 	}
 	j := r.Intn(online)
 	for _, v := range nbrs {
-		if !h.env.Online(int(v)) {
+		if !h.Online(int(v)) {
 			continue
 		}
 		if j == 0 {
@@ -512,7 +514,7 @@ func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bo
 		}
 		j--
 	}
-	return protocol.NoNode, false // unreachable: the flags cannot change mid-call
+	return protocol.NoNode, false // unreachable: the set cannot change mid-call
 }
 
 // Env exposes the underlying environment, e.g. to schedule update injections
@@ -532,14 +534,21 @@ func (h *Host) Node(i int) *protocol.Node { return h.slab.Node(i) }
 // App returns the application instance of node i.
 func (h *Host) App(i int) protocol.Application { return h.slab.Node(i).Application() }
 
-// Online reports whether node i is currently online.
-func (h *Host) Online(i int) bool { return h.env.Online(i) }
+// Online reports whether node i is currently online: a bit test on the
+// environment's online set where it exposes one, Env.Online otherwise. It is
+// the availability read of every hot path.
+func (h *Host) Online(i int) bool {
+	if h.avail != nil {
+		return h.avail.Online(i)
+	}
+	return h.env.Online(i)
+}
 
 // SetOnline brings node i online through the environment's lifecycle API and
 // fires the OnRejoin hook. It is a no-op for nodes already online, so the
 // hook only observes real offline→online transitions.
 func (h *Host) SetOnline(i int) {
-	if h.env.Online(i) {
+	if h.Online(i) {
 		return
 	}
 	h.env.SetOnline(i)
@@ -552,11 +561,17 @@ func (h *Host) SetOnline(i int) {
 // its proactive loop pauses and messages addressed to it are dropped.
 func (h *Host) SetOffline(i int) { h.env.SetOffline(i) }
 
-// OnlineCount returns the number of currently online nodes.
+// OnlineCount returns the number of currently online nodes: one subtraction
+// when the environment has exactly the host's node slots, a scan of the
+// host's prefix of the online set otherwise.
 func (h *Host) OnlineCount() int {
+	n := h.slab.Len()
+	if h.avail != nil && h.avail.N() == n {
+		return n - h.avail.Offline()
+	}
 	count := 0
-	for i, n := 0, h.slab.Len(); i < n; i++ {
-		if h.env.Online(i) {
+	for i := 0; i < n; i++ {
+		if h.Online(i) {
 			count++
 		}
 	}
@@ -572,14 +587,14 @@ func (h *Host) RandomOnlineNode() (int, bool) {
 	n := h.slab.Len()
 	for attempt := 0; attempt < 32; attempt++ {
 		i := h.netRNG.Intn(n)
-		if h.env.Online(i) {
+		if h.Online(i) {
 			return i, true
 		}
 	}
 	start := h.netRNG.Intn(n)
 	for d := 0; d < n; d++ {
 		i := (start + d) % n
-		if h.env.Online(i) {
+		if h.Online(i) {
 			return i, true
 		}
 	}
@@ -589,9 +604,8 @@ func (h *Host) RandomOnlineNode() (int, bool) {
 // RandomOnlineNeighbor returns a uniformly random online out-neighbour of the
 // given node, or false if none is online. Like RandomOnlineNode it is
 // coordinator-context only in sharded runs (it shares the coordinator
-// stream). It uses the same two-pass scan as the internal peer sampler: one
-// Intn draw when a neighbour is online, none otherwise, identical to the
-// historical scratch-buffer implementation.
+// stream). It is the nodes' own peer sampler on another stream: one Intn
+// draw when a neighbour is online, none otherwise.
 func (h *Host) RandomOnlineNeighbor(i int) (int, bool) {
 	peer, ok := h.selectOnlineNeighbor(i, h.netRNG)
 	if !ok {
@@ -711,12 +725,12 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 // into that shard's counters.
 func (h *Host) deliver(from, to protocol.NodeID, payload protocol.Payload) {
 	c := &h.counts[h.shardIdx(to)]
-	if !h.env.Online(int(to)) {
+	if !h.Online(int(to)) {
 		c.dropped++
 		return
 	}
 	c.delivered++
-	h.slab.Node(int(to)).Receive(from, payload)
+	h.slab.Receive(int(to), from, payload)
 }
 
 // MessagesSent returns the total number of messages handed to the host.
@@ -771,7 +785,7 @@ func (h *Host) AverageTokens(onlineOnly bool) float64 {
 	sum, count := 0, 0
 	states := h.slab.States()
 	for i := range states {
-		if onlineOnly && !h.env.Online(i) {
+		if onlineOnly && !h.Online(i) {
 			continue
 		}
 		sum += states[i].Account.Balance()

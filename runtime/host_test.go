@@ -299,6 +299,62 @@ func TestHostNetworkRequiresDelayedSender(t *testing.T) {
 	}
 }
 
+// TestHostOnPlainEnvMatchesCapableEnv runs the same churny assembly on the
+// discrete-event environment and on the same environment stripped to the bare
+// runtime.Env interface — no online set to read, no stream seeds to embed, no
+// typed hooks — and requires identical results: every optional capability is
+// an optimization of the plain path, never a different behaviour.
+func TestHostOnPlainEnvMatchesCapableEnv(t *testing.T) {
+	const n = 40
+	run := func(wrap func(*simnet.Env) runtime.Env) *runtime.Host {
+		host, err := runtime.NewHost(wrap(newSimEnv(t, n, 11)), hostConfig(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i += 3 {
+			i := i
+			host.Env().At(float64(2+i%5)*delta, func() { host.SetOffline(i) })
+			host.Env().At(float64(9+i%4)*delta, func() { host.SetOnline(i) })
+		}
+		seq := int64(0)
+		host.Env().Every(delta/2, delta, func() bool {
+			if node, ok := host.RandomOnlineNode(); ok {
+				seq++
+				host.App(node).(*pushgossip.State).Inject(seq)
+			}
+			return true
+		})
+		if err := host.Run(7 * delta); err != nil {
+			t.Fatal(err)
+		}
+		if got := host.OnlineCount(); got >= n || got < n/2 {
+			t.Fatalf("OnlineCount = %d mid-outage, want some but not most of %d nodes offline", got, n)
+		}
+		if err := host.Run(20 * delta); err != nil {
+			t.Fatal(err)
+		}
+		return host
+	}
+	capable := run(func(e *simnet.Env) runtime.Env { return e })
+	plain := run(func(e *simnet.Env) runtime.Env { return envWithoutDelays{e} })
+	if capable.TotalStats() != plain.TotalStats() || capable.MessagesDropped() != plain.MessagesDropped() {
+		t.Fatalf("stats differ: %+v, %d dropped (capable) vs %+v, %d dropped (plain)",
+			capable.TotalStats(), capable.MessagesDropped(), plain.TotalStats(), plain.MessagesDropped())
+	}
+	if st := capable.TotalStats(); st.ReactiveSent == 0 || st.Rounds >= 20*n {
+		t.Fatalf("the run exercised no reactive sends or skipped no offline node's rounds: %+v", st)
+	}
+	for i := 0; i < n; i++ {
+		if capable.Node(i).Tokens() != plain.Node(i).Tokens() || capable.Node(i).Stats() != plain.Node(i).Stats() {
+			t.Fatalf("node %d differs: %d tokens %+v (capable) vs %d tokens %+v (plain)", i,
+				capable.Node(i).Tokens(), capable.Node(i).Stats(), plain.Node(i).Tokens(), plain.Node(i).Stats())
+		}
+	}
+	if capable.OnlineCount() != n || plain.OnlineCount() != n {
+		t.Fatalf("OnlineCount = %d / %d after every node rejoined, want %d", capable.OnlineCount(), plain.OnlineCount(), n)
+	}
+}
+
 // TestSamplePeriodicMidRunMatchesVirtualTime registers the probe after the
 // run has already advanced and checks that the reported nominal times still
 // equal the virtual time of each firing bit-for-bit.

@@ -165,9 +165,9 @@ type HookScheduler interface {
 // StreamSeeder is an optional Env capability for environments whose Rand
 // streams are pure functions of a run seed: StreamSeed returns the derived
 // seed of one stream, such that a SplitMix64 generator seeded with it yields
-// exactly the Rand(stream) sequence. The Host uses it to keep all per-node
-// generator state in one contiguous slab (8 bytes per node) instead of
-// allocating one generator object per node.
+// exactly the Rand(stream) sequence. The Host uses it to embed each node's
+// generator state in the node's slab row (8 bytes) instead of allocating one
+// generator object per node.
 type StreamSeeder interface {
 	StreamSeed(stream uint64) uint64
 }

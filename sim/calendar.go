@@ -181,9 +181,9 @@ func (q *calendarQueue) locate() int {
 	return best
 }
 
-func (q *calendarQueue) Peek() event {
+func (q *calendarQueue) peekTime() float64 {
 	b := &q.buckets[q.locate()]
-	return q.slab[b.idx[b.head]]
+	return q.slab[b.idx[b.head]].time
 }
 
 func (q *calendarQueue) Pop() event {

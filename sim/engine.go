@@ -196,7 +196,7 @@ func (e *Engine) step(q queue) {
 func (e *Engine) RunUntil(horizon float64) {
 	q := e.queue()
 	for q.Len() > 0 && !e.stopped {
-		if q.Peek().time > horizon {
+		if q.peekTime() > horizon {
 			break
 		}
 		e.step(q)
@@ -214,7 +214,7 @@ func (e *Engine) RunUntil(horizon float64) {
 func (e *Engine) RunBefore(limit float64) {
 	q := e.queue()
 	for q.Len() > 0 && !e.stopped {
-		if q.Peek().time >= limit {
+		if q.peekTime() >= limit {
 			break
 		}
 		e.step(q)
@@ -231,7 +231,7 @@ func (e *Engine) NextTime() (float64, bool) {
 	if q.Len() == 0 {
 		return 0, false
 	}
-	return q.Peek().time, true
+	return q.peekTime(), true
 }
 
 // ScheduleDeliveryAt schedules a typed delivery event at the given absolute

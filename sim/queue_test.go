@@ -61,11 +61,10 @@ func TestQueueKindsAgree(t *testing.T) {
 			base += 500
 		}
 		if src.Float64() < 0.3 {
-			want := ref.Peek()
+			want := ref.peekTime()
 			for i, q := range queues {
-				if got := q.Peek(); got.time != want.time || got.seq != want.seq {
-					t.Fatalf("op %d: Peek diverged: %s (%v, %d), ref (%v, %d)",
-						op, allQueueKinds[i], got.time, got.seq, want.time, want.seq)
+				if got := q.peekTime(); got != want {
+					t.Fatalf("op %d: peekTime diverged: %s %v, ref %v", op, allQueueKinds[i], got, want)
 				}
 			}
 			continue
@@ -239,7 +238,7 @@ func TestCalendarQueueSteadyStateAllocs(t *testing.T) {
 // pending population only grows to a high-water mark): repeated grow/drain
 // cycles force the bucket ring through its halving resizes — interleaved
 // with pushes, so redistribution happens on a live mix of old and new days —
-// while every Pop and interleaved Peek is cross-checked against the slab
+// while every Pop and interleaved peekTime is cross-checked against the slab
 // queue. The cycle count and drain ratio are chosen so the ring demonstrably
 // both grows well past the minimum and halves back down multiple times.
 func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
@@ -296,10 +295,8 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 				continue
 			}
 			if src.Float64() < 0.1 {
-				w, g := ref.Peek(), cal.Peek()
-				if g.time != w.time || g.seq != w.seq {
-					t.Fatalf("cycle %d: Peek diverged: calendar (%v, %d), slab (%v, %d)",
-						cycle, g.time, g.seq, w.time, w.seq)
+				if w, g := ref.peekTime(), cal.peekTime(); g != w {
+					t.Fatalf("cycle %d: peekTime diverged: calendar %v, slab %v", cycle, g, w)
 				}
 			}
 			popCompare("drain")

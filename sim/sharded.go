@@ -68,7 +68,8 @@ type ShardedEngine struct {
 	outboxes [][]outMsg
 
 	work    []chan float64
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // one window's barrier
+	workers sync.WaitGroup // the worker goroutines themselves; Close waits on it
 	started bool
 	closed  bool
 }
@@ -278,7 +279,9 @@ func (se *ShardedEngine) start() {
 	for s := range se.engines {
 		ch := make(chan float64)
 		se.work[s] = ch
+		se.workers.Add(1)
 		go func(e *Engine) {
+			defer se.workers.Done()
 			for wEnd := range ch {
 				e.RunBefore(wEnd)
 				se.wg.Done()
@@ -307,16 +310,17 @@ func (se *ShardedEngine) drainOutboxes() {
 	}
 }
 
-// Close terminates the shard workers. It must not be called while RunUntil
-// is executing; the engine cannot run afterwards.
+// Close terminates the shard workers and returns once they have exited, so
+// nothing keeps the engine — and whatever its events reference — reachable
+// afterwards. It must not be called while RunUntil is executing; the engine
+// cannot run afterwards.
 func (se *ShardedEngine) Close() {
 	if se.closed {
 		return
 	}
 	se.closed = true
-	if se.started {
-		for _, ch := range se.work {
-			close(ch)
-		}
+	for _, ch := range se.work {
+		close(ch)
 	}
+	se.workers.Wait()
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -322,6 +323,33 @@ func TestShardedProcessedAndPending(t *testing.T) {
 	se.RunUntil(5)
 	if got, pend := se.Processed(), se.Pending(); got != 3 || pend != 0 {
 		t.Fatalf("after drain: Processed = %d, Pending = %d, want 3, 0", got, pend)
+	}
+}
+
+// TestShardedCloseWaitsForWorkers requires the shard workers to be gone when
+// Close returns — not merely told to stop — so a closed engine no longer
+// keeps its events, sink and whatever they reference reachable. No test of
+// this package runs in parallel, so the process goroutine count is exact.
+func TestShardedCloseWaitsForWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	se, err := NewShardedEngine(ShardedConfig{Shards: 4, ShardOf: evenOdd(8), Lookahead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se.SetSink(&shardTrace{})
+	se.RunUntil(3)
+	if got := runtime.NumGoroutine(); got != before+4 {
+		t.Fatalf("%d goroutines while running, want %d (one worker per shard)", got, before+4)
+	}
+	se.Close()
+	// A worker that has signalled its exit may still be a few instructions
+	// short of dead when Close's Wait returns; a handful of yields covers
+	// that window.
+	for i := 0; i < 10 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close returned, want the baseline %d", got, before)
 	}
 }
 

@@ -27,8 +27,8 @@ type EnvConfig struct {
 // Env is the discrete-event implementation of runtime.Env: virtual time and
 // timers come from a sim.Engine, the transport is a delayed in-engine
 // delivery, randomness streams are SplitMix64 generators derived from the
-// seed, and lifecycle state is a plain availability flag consulted at tick
-// and delivery time. It corresponds to the PeerSim experiment harness used
+// seed, and lifecycle state is a packed runtime.Availability set the Host
+// reads directly at tick, delivery and peer-sampling time. It corresponds to the PeerSim experiment harness used
 // in the paper's evaluation (§4.1).
 //
 // Env is not safe for concurrent use; everything runs on the goroutine
@@ -37,17 +37,18 @@ type Env struct {
 	engine        *sim.Engine
 	seed          uint64
 	transferDelay float64
-	online        []bool
+	online        runtime.Availability
 	deliver       runtime.DeliverFunc
 	hooks         hookRegistry
 }
 
 var (
-	_ runtime.Env           = (*Env)(nil)
-	_ runtime.DelayedSender = (*Env)(nil)
-	_ runtime.HookScheduler = (*Env)(nil)
-	_ runtime.StreamSeeder  = (*Env)(nil)
-	_ sim.DeliverySink      = (*Env)(nil)
+	_ runtime.Env                = (*Env)(nil)
+	_ runtime.DelayedSender      = (*Env)(nil)
+	_ runtime.HookScheduler      = (*Env)(nil)
+	_ runtime.StreamSeeder       = (*Env)(nil)
+	_ runtime.AvailabilitySource = (*Env)(nil)
+	_ sim.DeliverySink           = (*Env)(nil)
 )
 
 // NewEnv builds a discrete-event environment with every node online.
@@ -58,15 +59,11 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	case cfg.TransferDelay < 0:
 		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0", cfg.TransferDelay)
 	}
-	online := make([]bool, cfg.N)
-	for i := range online {
-		online[i] = true
-	}
 	return &Env{
 		engine:        sim.NewEngineWithQueue(cfg.Queue),
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
-		online:        online,
+		online:        runtime.NewAvailability(cfg.N),
 	}, nil
 }
 
@@ -92,7 +89,7 @@ func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.se
 
 // StreamSeed implements runtime.StreamSeeder: a SplitMix64 generator seeded
 // with the returned value yields exactly the Rand(stream) sequence, letting
-// the Host keep per-node generator state in one slab.
+// the Host embed per-node generator state in the node slab's rows.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
 // AtHook implements runtime.HookScheduler: the hook event is stored inline
@@ -146,28 +143,21 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 func (e *Env) Processed() uint64 { return e.engine.Processed() }
 
 // N implements runtime.Env.
-func (e *Env) N() int { return len(e.online) }
+func (e *Env) N() int { return e.online.N() }
+
+// Availability implements runtime.AvailabilitySource.
+func (e *Env) Availability() *runtime.Availability { return &e.online }
 
 // Online implements runtime.Env. Out-of-range node ids report offline
 // instead of panicking, so a stray id from a scenario or trace degrades to a
 // dropped message.
-func (e *Env) Online(node int) bool {
-	return node >= 0 && node < len(e.online) && e.online[node]
-}
+func (e *Env) Online(node int) bool { return e.online.Online(node) }
 
 // SetOnline implements runtime.Env. Out-of-range node ids are a no-op.
-func (e *Env) SetOnline(node int) {
-	if node >= 0 && node < len(e.online) {
-		e.online[node] = true
-	}
-}
+func (e *Env) SetOnline(node int) { e.online.Set(node, true) }
 
 // SetOffline implements runtime.Env. Out-of-range node ids are a no-op.
-func (e *Env) SetOffline(node int) {
-	if node >= 0 && node < len(e.online) {
-		e.online[node] = false
-	}
-}
+func (e *Env) SetOffline(node int) { e.online.Set(node, false) }
 
 // Run implements runtime.Env: events execute in (time, seq) order until
 // virtual time reaches the horizon; events past it stay pending.

@@ -38,7 +38,7 @@ type ShardedEnvConfig struct {
 // view — Now is the barrier clock, At/Schedule/Every enqueue run-global
 // events that execute single-threaded at barriers — while the
 // runtime.Sharded capability exposes the per-shard schedulers the Host puts
-// the proactive loops on. Lifecycle state is one shared availability array:
+// the proactive loops on. Lifecycle state is one shared runtime.Availability set:
 // it is only written by coordinator events (churn runs at barriers) and read
 // concurrently by the shard workers in between, which the window barrier
 // makes race-free.
@@ -50,19 +50,20 @@ type ShardedEnv struct {
 	engine        *sim.ShardedEngine
 	seed          uint64
 	transferDelay float64
-	online        []bool
+	online        runtime.Availability
 	deliver       runtime.DeliverFunc
 	facades       []shardFacade
 	hooks         hookRegistry
 }
 
 var (
-	_ runtime.Env           = (*ShardedEnv)(nil)
-	_ runtime.DelayedSender = (*ShardedEnv)(nil)
-	_ runtime.Sharded       = (*ShardedEnv)(nil)
-	_ runtime.HookScheduler = (*ShardedEnv)(nil)
-	_ runtime.StreamSeeder  = (*ShardedEnv)(nil)
-	_ sim.DeliverySink      = (*ShardedEnv)(nil)
+	_ runtime.Env                = (*ShardedEnv)(nil)
+	_ runtime.DelayedSender      = (*ShardedEnv)(nil)
+	_ runtime.Sharded            = (*ShardedEnv)(nil)
+	_ runtime.HookScheduler      = (*ShardedEnv)(nil)
+	_ runtime.StreamSeeder       = (*ShardedEnv)(nil)
+	_ runtime.AvailabilitySource = (*ShardedEnv)(nil)
+	_ sim.DeliverySink           = (*ShardedEnv)(nil)
 )
 
 // NewShardedEnv builds a sharded discrete-event environment with every node
@@ -85,15 +86,11 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	online := make([]bool, cfg.N)
-	for i := range online {
-		online[i] = true
-	}
 	e := &ShardedEnv{
 		engine:        engine,
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
-		online:        online,
+		online:        runtime.NewAvailability(cfg.N),
 		facades:       make([]shardFacade, cfg.Shards),
 	}
 	for s := range e.facades {
@@ -173,27 +170,21 @@ func (e *ShardedEnv) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 func (e *ShardedEnv) Processed() uint64 { return e.engine.Processed() }
 
 // N implements runtime.Env.
-func (e *ShardedEnv) N() int { return len(e.online) }
+func (e *ShardedEnv) N() int { return e.online.N() }
+
+// Availability implements runtime.AvailabilitySource. Shard workers read the
+// set during a window; it only changes at barriers.
+func (e *ShardedEnv) Availability() *runtime.Availability { return &e.online }
 
 // Online implements runtime.Env. It is safe to call from shard workers
-// during a window: the availability flags only change at barriers.
-func (e *ShardedEnv) Online(node int) bool {
-	return node >= 0 && node < len(e.online) && e.online[node]
-}
+// during a window: the availability set only changes at barriers.
+func (e *ShardedEnv) Online(node int) bool { return e.online.Online(node) }
 
 // SetOnline implements runtime.Env. Coordinator context only.
-func (e *ShardedEnv) SetOnline(node int) {
-	if node >= 0 && node < len(e.online) {
-		e.online[node] = true
-	}
-}
+func (e *ShardedEnv) SetOnline(node int) { e.online.Set(node, true) }
 
 // SetOffline implements runtime.Env. Coordinator context only.
-func (e *ShardedEnv) SetOffline(node int) {
-	if node >= 0 && node < len(e.online) {
-		e.online[node] = false
-	}
-}
+func (e *ShardedEnv) SetOffline(node int) { e.online.Set(node, false) }
 
 // NumShards implements runtime.Sharded.
 func (e *ShardedEnv) NumShards() int { return e.engine.NumShards() }
