@@ -35,11 +35,14 @@ import "sort"
 // instant) piles one day's bucket high; insertion stays O(1) amortized
 // because same-time events carry increasing seq and append at the back, and
 // the head cursor makes draining the burst O(1) per pop. The bucket count
-// tracks the pending-event population (doubling above 2×, halving below ½×)
-// and the width is re-estimated from a sample of queued events at each
-// resize. Slab slots and bucket arrays are recycled, so once the structure
-// has grown to the high-water mark of pending events the steady state
-// allocates nothing.
+// tracks the pending-event population (doubling above 2×, halving below ½×,
+// but never below calShrinkFloor) and the width is re-estimated from a
+// sample of queued events at each resize. Slab slots and bucket arrays are
+// recycled, so once the structure has grown to the high-water mark of
+// pending events the steady state allocates nothing — including a small
+// population that swings by more than 2× every round (the in-flight messages
+// of a run whose ticks live in hook lanes), which the floor keeps from
+// resizing at all.
 type calendarQueue struct {
 	slab []event // event storage; indices below point into it
 	free []int32 // recycled slab slots
@@ -65,6 +68,11 @@ type calBucket struct {
 
 const (
 	minCalBuckets = 4
+	// calShrinkFloor is the ring size below which the queue never shrinks:
+	// below it a resize would save less than it costs in allocations, and a
+	// population of a few dozen events would grow and shrink the ring every
+	// round.
+	calShrinkFloor = 64
 	// maxCalDay caps the day index so that extreme time/width ratios cannot
 	// overflow the int64 conversion. Events past the cap share one far-future
 	// day; they still live in a common bucket in sorted order, so the pop
@@ -181,9 +189,9 @@ func (q *calendarQueue) locate() int {
 	return best
 }
 
-func (q *calendarQueue) peekTime() float64 {
+func (q *calendarQueue) peek() *event {
 	b := &q.buckets[q.locate()]
-	return q.slab[b.idx[b.head]].time
+	return &q.slab[b.idx[b.head]]
 }
 
 func (q *calendarQueue) Pop() event {
@@ -211,7 +219,7 @@ func (q *calendarQueue) Pop() event {
 	default:
 		q.cacheOK = false
 	}
-	if q.count < len(q.buckets)/2 && len(q.buckets) > minCalBuckets {
+	if q.count < len(q.buckets)/2 && len(q.buckets) > calShrinkFloor {
 		q.resize(len(q.buckets) / 2)
 	}
 	return ev

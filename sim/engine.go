@@ -9,6 +9,9 @@
 // is an allocation-free index-slab heap, with the stdlib container/heap kept
 // as a reference implementation. Every queue implements the same strict
 // (time, seq) total order, so the choice never affects simulation results.
+// Hook events (ScheduleHookAt) that arrive in time order — periodic
+// re-arms, schedules built before the run — bypass the queue in per-sink
+// FIFO lanes merged under that same order.
 package sim
 
 import (
@@ -63,8 +66,16 @@ type DeliverySink interface {
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use: all events run on the goroutine that calls Run, RunUntil or
 // Step. The zero value is a valid engine backed by the default queue.
+//
+// Besides the queue, the engine keeps one hook lane per sink passed to
+// ScheduleHookAt: a (time, seq)-sorted FIFO ring that holds hook events
+// whose times arrive in order (periodic re-arms, a presorted schedule), so
+// only events that really need a priority queue pay for one. Every run
+// method pops the least of the queue head and the lane heads by (time, seq),
+// the same total order a single queue would produce.
 type Engine struct {
 	q         queue
+	lanes     []hookLane
 	now       float64
 	seq       uint64
 	processed uint64
@@ -95,8 +106,15 @@ func (e *Engine) queue() queue {
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled, not-yet-executed events.
-func (e *Engine) Pending() int { return e.queue().Len() }
+// Pending returns the number of scheduled, not-yet-executed events, hook
+// lanes included.
+func (e *Engine) Pending() int {
+	n := e.queue().Len()
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // Processed returns the number of executed events.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -167,18 +185,50 @@ func (e *Engine) Every(phase, interval float64, fn func() bool) {
 // Step executes the single earliest pending event and reports whether an
 // event was executed.
 func (e *Engine) Step() bool {
-	q := e.queue()
-	if q.Len() == 0 || e.stopped {
+	if e.stopped {
 		return false
 	}
-	e.step(q)
-	return true
+	q := e.queue()
+	l, _, ok := e.next(q)
+	if ok {
+		e.step(q, l)
+	}
+	return ok
 }
 
-// step pops and executes the earliest event of q. The queue is passed in so
-// the Run/RunUntil hot loops resolve the engine's queue field once instead of
-// re-running the lazy-init nil check per event.
-func (e *Engine) step(q queue) {
+// next locates the earliest pending event: the lane whose head it is, or nil
+// for the queue's head, and its time; ok is false when nothing is pending.
+// The queue is passed in so the Run/RunUntil hot loops resolve the engine's
+// queue field once instead of re-running the lazy-init nil check per event.
+func (e *Engine) next(q queue) (l *hookLane, t float64, ok bool) {
+	var seq uint64
+	if q.Len() > 0 {
+		h := q.peek()
+		t, seq, ok = h.time, h.seq, true
+	}
+	for i := range e.lanes {
+		c := &e.lanes[i]
+		if c.n == 0 {
+			continue
+		}
+		if h := c.front(); !ok || h.time < t || (h.time == t && h.seq < seq) {
+			l, t, seq, ok = c, h.time, h.seq, true
+		}
+	}
+	return l, t, ok
+}
+
+// step pops and executes the event next located: the head of lane l, or of
+// the queue when l is nil.
+func (e *Engine) step(q queue, l *hookLane) {
+	if l != nil {
+		sink := l.sink // a new lane registered by the callback may move l
+		h := l.pop()
+		e.now = h.time
+		e.processed++
+		sink.Deliver(Delivery{To: h.to, Word: h.word})
+		return
+	}
 	ev := q.Pop()
 	e.now = ev.time
 	e.processed++
@@ -195,11 +245,12 @@ func (e *Engine) step(q queue) {
 // RunUntil calls with increasing horizons behave like one long run.
 func (e *Engine) RunUntil(horizon float64) {
 	q := e.queue()
-	for q.Len() > 0 && !e.stopped {
-		if q.peekTime() > horizon {
+	for !e.stopped {
+		l, t, ok := e.next(q)
+		if !ok || t > horizon {
 			break
 		}
-		e.step(q)
+		e.step(q, l)
 	}
 	if !e.stopped && horizon > e.now {
 		e.now = horizon
@@ -213,25 +264,23 @@ func (e *Engine) RunUntil(horizon float64) {
 // the next window — but composes with the other run methods on any engine.
 func (e *Engine) RunBefore(limit float64) {
 	q := e.queue()
-	for q.Len() > 0 && !e.stopped {
-		if q.peekTime() >= limit {
+	for !e.stopped {
+		l, t, ok := e.next(q)
+		if !ok || t >= limit {
 			break
 		}
-		e.step(q)
+		e.step(q, l)
 	}
 	if !e.stopped && limit > e.now {
 		e.now = limit
 	}
 }
 
-// NextTime returns the time of the earliest pending event, or false when the
-// queue is empty.
+// NextTime returns the time of the earliest pending event, or false when
+// nothing is pending.
 func (e *Engine) NextTime() (float64, bool) {
-	q := e.queue()
-	if q.Len() == 0 {
-		return 0, false
-	}
-	return q.peekTime(), true
+	_, t, ok := e.next(e.queue())
+	return t, ok
 }
 
 // ScheduleDeliveryAt schedules a typed delivery event at the given absolute
@@ -250,11 +299,51 @@ func (e *Engine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
 	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: d})
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// ScheduleHookAt schedules sink.Deliver(Delivery{To: to, Word: word}) at the
+// given absolute virtual time, with exactly the clamping, sequence numbering
+// and (time, seq) position of ScheduleDeliveryAt. The event goes to sink's
+// hook lane (created on first use) when the lane can take it in order —
+// always before the lane is first inspected, and afterwards whenever t is not
+// earlier than the lane's tail — and into the queue otherwise. A sink that
+// re-arms itself at Now()+period, or one whose events are all scheduled
+// before the run starts, therefore never touches the queue. Sinks are meant
+// to be few and long-lived (the lanes are scanned on every event) and are
+// matched to their lane with ==, so a sink's dynamic type must be
+// comparable — a pointer, typically. It panics on a nil sink.
+func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
+	if sink == nil {
+		panic("sim: ScheduleHookAt with nil sink")
+	}
+	if t < e.now || math.IsNaN(t) {
+		t = e.now
+	}
+	e.seq++
+	if e.lane(sink).push(t, e.seq, to, word) {
+		return
+	}
+	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: Delivery{To: to, Word: word}})
+}
+
+// lane returns sink's hook lane, creating it on first use.
+func (e *Engine) lane(sink DeliverySink) *hookLane {
+	for i := range e.lanes {
+		if e.lanes[i].sink == sink {
+			return &e.lanes[i]
+		}
+	}
+	e.lanes = append(e.lanes, hookLane{sink: sink})
+	return &e.lanes[len(e.lanes)-1]
+}
+
+// Run executes events until nothing is pending or Stop is called.
 func (e *Engine) Run() {
 	q := e.queue()
-	for q.Len() > 0 && !e.stopped {
-		e.step(q)
+	for !e.stopped {
+		l, _, ok := e.next(q)
+		if !ok {
+			break
+		}
+		e.step(q, l)
 	}
 }
 

@@ -15,9 +15,10 @@ type queue interface {
 	Len() int
 	// Push inserts an event.
 	Push(ev event)
-	// peekTime returns the time of the minimum event without removing or
-	// copying it. It must only be called when Len() > 0.
-	peekTime() float64
+	// peek returns the minimum event without removing or copying it; the
+	// pointer is valid until the next Push or Pop. It must only be called
+	// when Len() > 0.
+	peek() *event
 	// Pop removes and returns the minimum event. It must only be called when
 	// Len() > 0.
 	Pop() event
@@ -123,7 +124,7 @@ func (q *slabQueue) Push(ev event) {
 	q.siftUp(len(q.heap) - 1)
 }
 
-func (q *slabQueue) peekTime() float64 { return q.slab[q.heap[0]].time }
+func (q *slabQueue) peek() *event { return &q.slab[q.heap[0]] }
 
 func (q *slabQueue) Pop() event {
 	idx := q.heap[0]
@@ -186,10 +187,10 @@ type heapQueue struct {
 	h eventHeap
 }
 
-func (q *heapQueue) Len() int          { return q.h.Len() }
-func (q *heapQueue) Push(ev event)     { heap.Push(&q.h, ev) }
-func (q *heapQueue) peekTime() float64 { return q.h[0].time }
-func (q *heapQueue) Pop() event        { return heap.Pop(&q.h).(event) }
+func (q *heapQueue) Len() int      { return q.h.Len() }
+func (q *heapQueue) Push(ev event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) peek() *event  { return &q.h[0] }
+func (q *heapQueue) Pop() event    { return heap.Pop(&q.h).(event) }
 
 type eventHeap []event
 

@@ -61,10 +61,11 @@ func TestQueueKindsAgree(t *testing.T) {
 			base += 500
 		}
 		if src.Float64() < 0.3 {
-			want := ref.peekTime()
+			want := ref.peek()
 			for i, q := range queues {
-				if got := q.peekTime(); got != want {
-					t.Fatalf("op %d: peekTime diverged: %s %v, ref %v", op, allQueueKinds[i], got, want)
+				if got := q.peek(); got.time != want.time || got.seq != want.seq {
+					t.Fatalf("op %d: peek diverged: %s (%v, %d), ref (%v, %d)",
+						op, allQueueKinds[i], got.time, got.seq, want.time, want.seq)
 				}
 			}
 			continue
@@ -238,7 +239,7 @@ func TestCalendarQueueSteadyStateAllocs(t *testing.T) {
 // pending population only grows to a high-water mark): repeated grow/drain
 // cycles force the bucket ring through its halving resizes — interleaved
 // with pushes, so redistribution happens on a live mix of old and new days —
-// while every Pop and interleaved peekTime is cross-checked against the slab
+// while every Pop and interleaved peek is cross-checked against the slab
 // queue. The cycle count and drain ratio are chosen so the ring demonstrably
 // both grows well past the minimum and halves back down multiple times.
 func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
@@ -295,8 +296,8 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 				continue
 			}
 			if src.Float64() < 0.1 {
-				if w, g := ref.peekTime(), cal.peekTime(); g != w {
-					t.Fatalf("cycle %d: peekTime diverged: calendar %v, slab %v", cycle, g, w)
+				if w, g := ref.peek().time, cal.peek().time; g != w {
+					t.Fatalf("cycle %d: peek diverged: calendar %v, slab %v", cycle, g, w)
 				}
 			}
 			popCompare("drain")
@@ -311,14 +312,14 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 	if cal.Len() != 0 {
 		t.Fatalf("calendar queue still holds %d events", cal.Len())
 	}
-	if maxBuckets < 8*minCalBuckets {
+	if maxBuckets < 8*calShrinkFloor {
 		t.Errorf("bucket ring only grew to %d buckets; the workload should force repeated doublings", maxBuckets)
 	}
 	if shrinks < 5 {
 		t.Errorf("only %d halving resizes observed; the drain phases should force repeated shrinks", shrinks)
 	}
-	if len(cal.buckets) != minCalBuckets {
-		t.Errorf("drained ring holds %d buckets, want the minimum %d", len(cal.buckets), minCalBuckets)
+	if len(cal.buckets) != calShrinkFloor {
+		t.Errorf("drained ring holds %d buckets, want the shrink floor %d", len(cal.buckets), calShrinkFloor)
 	}
 }
 

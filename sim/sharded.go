@@ -149,19 +149,19 @@ func (se *ShardedEngine) ShardEvery(s int, phase, interval float64, fn func() bo
 	se.engines[s].Every(phase, interval, fn)
 }
 
-// AtDelivery schedules a typed delivery event on the coordinator queue at
-// absolute time t (see Engine.ScheduleDeliveryAt): like At, it executes
-// single-threaded at a window barrier, but the event payload is stored
-// inline instead of in a closure.
-func (se *ShardedEngine) AtDelivery(t float64, d Delivery, sink DeliverySink) {
-	se.coord.ScheduleDeliveryAt(t, d, sink)
+// ScheduleHookAt schedules a hook event on the coordinator at absolute time
+// t (see Engine.ScheduleHookAt): like At, it executes single-threaded at a
+// window barrier, but without a closure, and in the sink's hook lane when it
+// arrives in order.
+func (se *ShardedEngine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
+	se.coord.ScheduleHookAt(t, to, word, sink)
 }
 
-// ShardAtDelivery schedules a typed delivery event on shard s's queue at
-// absolute shard-local time t. The sink runs on the shard's goroutine and
-// must only touch state owned by that shard.
-func (se *ShardedEngine) ShardAtDelivery(s int, t float64, d Delivery, sink DeliverySink) {
-	se.engines[s].ScheduleDeliveryAt(t, d, sink)
+// ShardScheduleHookAt schedules a hook event on shard s at absolute
+// shard-local time t (see Engine.ScheduleHookAt). The sink runs on the
+// shard's goroutine and must only touch state owned by that shard.
+func (se *ShardedEngine) ShardScheduleHookAt(s int, t float64, to int32, word uint64, sink DeliverySink) {
+	se.engines[s].ScheduleHookAt(t, to, word, sink)
 }
 
 // Send schedules the delivery d after the given delay, routed by the shards

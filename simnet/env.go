@@ -92,11 +92,12 @@ func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.se
 // the Host embed per-node generator state in the node slab's rows.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
-// AtHook implements runtime.HookScheduler: the hook event is stored inline
-// in the engine queue as a typed delivery, scheduled with the exact clamping
-// and sequence numbering of At.
+// AtHook implements runtime.HookScheduler: the hook event goes to the
+// hook's lane in the engine (see sim.Engine.ScheduleHookAt), scheduled with
+// the exact clamping and sequence numbering of At. The Host's periodic ticks
+// and its presorted churn transitions therefore never enter the event queue.
 func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.engine.ScheduleDeliveryAt(t, sim.Delivery{To: node, Word: word}, e.hooks.adapterFor(hook))
+	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
 }
 
 // Send implements runtime.Env: the payload is delivered after the transfer

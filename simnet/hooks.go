@@ -5,11 +5,10 @@ import (
 	"github.com/szte-dcs/tokenaccount/sim"
 )
 
-// hookAdapter bridges one runtime.Hook to the engine's typed delivery
-// events: a hook event is an ordinary Delivery whose To/Word carry the hook
-// arguments and whose sink is the adapter, so scheduling one goes through
-// the same queue slot — and the same (time, seq) ordering — as At would,
-// with no closure.
+// hookAdapter bridges one runtime.Hook to the engine's hook events: the
+// adapter is the sink of sim.Engine.ScheduleHookAt, so each hook gets its own
+// lane in every engine it is scheduled on, its events take the same
+// (time, seq) position as At would give them, and no closure is built.
 type hookAdapter struct {
 	hook runtime.Hook
 }

@@ -125,10 +125,11 @@ func (e *ShardedEnv) Rand(stream uint64) protocol.Rand { return rng.New(rng.Deri
 // StreamSeed implements runtime.StreamSeeder (see Env.StreamSeed).
 func (e *ShardedEnv) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
-// AtHook implements runtime.HookScheduler on the coordinator queue: the hook
-// event executes at a window barrier, like every coordinator event.
+// AtHook implements runtime.HookScheduler on the coordinator: the hook event
+// executes at a window barrier, like every coordinator event, from the
+// hook's lane (see sim.Engine.ScheduleHookAt).
 func (e *ShardedEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.engine.AtDelivery(t, sim.Delivery{To: node, Word: word}, e.hooks.adapterFor(hook))
+	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
 }
 
 // Send implements runtime.Env: the payload is delivered after the fixed
@@ -233,10 +234,10 @@ func (f *shardFacade) Every(phase, interval float64, fn func() bool) {
 	f.engine.ShardEvery(f.shard, phase, interval, fn)
 }
 
-// AtHook implements runtime.HookScheduler on the shard's own queue: the hook
+// AtHook implements runtime.HookScheduler on the shard's own engine: the hook
 // runs on the shard worker at shard-local time t. The adapter registry is
 // shared with the coordinator, so a hook registered at assembly reschedules
 // from any shard without allocation.
 func (f *shardFacade) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	f.engine.ShardAtDelivery(f.shard, t, sim.Delivery{To: node, Word: word}, f.env.hooks.adapterFor(hook))
+	f.engine.ShardScheduleHookAt(f.shard, t, node, word, f.env.hooks.adapterFor(hook))
 }
