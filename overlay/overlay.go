@@ -5,9 +5,12 @@
 // chaotic power iteration experiment), plus rings and complete graphs for
 // tests and examples.
 //
-// Graphs are stored in compressed sparse row (CSR) form for both the out- and
-// the in-adjacency so that a 500,000-node, 20-out network fits comfortably in
-// memory and neighbour scans are cache friendly.
+// Graphs are stored in compressed sparse row (CSR) form so that a
+// 500,000-node, 20-out network fits comfortably in memory and neighbour scans
+// are cache friendly. Constructors build the out-adjacency only; the
+// in-adjacency, which only a few readers need (chaotic power iteration,
+// connectivity checks), is built from it on the first InNeighbors or
+// InDegree call.
 package overlay
 
 import (
@@ -18,14 +21,16 @@ import (
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
-// Graph is a directed graph over nodes 0..N-1 with CSR adjacency in both
-// directions. Graphs are immutable after construction and therefore safe for
-// concurrent readers.
+// Graph is a directed graph over nodes 0..N-1 in CSR form. The out-adjacency
+// is built by the constructor; the in-adjacency is derived from it on first
+// use, under a sync.Once. Graphs never change after construction and are safe
+// for concurrent readers, including concurrent first use of the in-adjacency.
 type Graph struct {
 	n      int
 	outOff []int64
 	outAdj []int32
-	inOff  []int64
+	inOnce sync.Once
+	inOff  []int64 // nil until the first InNeighbors/InDegree call
 	inAdj  []int32
 }
 
@@ -42,6 +47,7 @@ func (g *Graph) OutDegree(i int) int {
 
 // InDegree returns the number of in-neighbours of node i.
 func (g *Graph) InDegree(i int) int {
+	g.inOnce.Do(g.buildIn)
 	return int(g.inOff[i+1] - g.inOff[i])
 }
 
@@ -54,6 +60,7 @@ func (g *Graph) OutNeighbors(i int) []int32 {
 // InNeighbors returns the in-neighbours of node i as a shared slice; the
 // caller must not modify it.
 func (g *Graph) InNeighbors(i int) []int32 {
+	g.inOnce.Do(g.buildIn)
 	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
 }
 
@@ -97,11 +104,13 @@ func NewFromOut(out [][]int) (*Graph, error) {
 			g.outAdj = append(g.outAdj, int32(v))
 		}
 	}
-	g.buildIn()
 	return g, nil
 }
 
-// buildIn derives the in-adjacency CSR from the out-adjacency.
+// buildIn derives the in-adjacency CSR from the out-adjacency. It runs once,
+// from InNeighbors or InDegree: most runs (push gossip, gossip learning,
+// blockcast) never read the in-adjacency, and at 500,000 × 20 edges its
+// scattered writes cost more than drawing the graph.
 func (g *Graph) buildIn() {
 	n := g.n
 	inDeg := make([]int64, n+1)
@@ -160,7 +169,6 @@ func RandomKOut(n, k int, seed uint64) (*Graph, error) {
 		}
 		g.outOff[i+1] = int64(idx)
 	}
-	g.buildIn()
 	return g, nil
 }
 
@@ -211,7 +219,6 @@ func RandomKOutParallel(n, k int, seed uint64, workers int) (*Graph, error) {
 			}
 		}
 	})
-	g.buildIn()
 	return g, nil
 }
 
@@ -333,7 +340,6 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 			insertionSortInt32(row)
 		}
 	})
-	g.buildIn()
 	return g, nil
 }
 
@@ -482,7 +488,6 @@ func Ring(n, k int) (*Graph, error) {
 			}
 		}
 	})
-	g.buildIn()
 	return g, nil
 }
 

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -384,6 +386,89 @@ func TestRandomKOutParallelValidation(t *testing.T) {
 	if _, err := RandomKOutParallel(10, 10, 0, 1); err == nil {
 		t.Fatal("k=n should fail")
 	}
+}
+
+// eagerIn returns the in-adjacency buildIn derives for g, built eagerly on a
+// twin that shares g's out-adjacency, so g's own lazy state is untouched.
+func eagerIn(g *Graph) *Graph {
+	ref := &Graph{n: g.n, outOff: g.outOff, outAdj: g.outAdj}
+	ref.buildIn()
+	return ref
+}
+
+// TestInAdjacencyBuiltOnFirstUse checks, for every constructor, that the
+// in-adjacency does not exist until it is first read and is then exactly what
+// an eager buildIn produces: same rows in the same order, each row the
+// sources of the node's in-edges in source order (duplicates and self-loops
+// included).
+func TestInAdjacencyBuiltOnFirstUse(t *testing.T) {
+	build := map[string]func() (*Graph, error){
+		"RandomKOut":         func() (*Graph, error) { return RandomKOut(300, 7, 1) },
+		"RandomKOutParallel": func() (*Graph, error) { return RandomKOutParallel(300, 7, 1, 3) },
+		"WattsStrogatz":      func() (*Graph, error) { return WattsStrogatz(300, 4, 0.2, 1) },
+		"Ring":               func() (*Graph, error) { return Ring(12, 3) },
+		"Complete":           func() (*Graph, error) { return Complete(6) },
+		"NewFromOut":         func() (*Graph, error) { return NewFromOut([][]int{{0, 1, 1}, {2, 2, 0}, {}, {3, 0, 3}}) },
+	}
+	for name, b := range build {
+		t.Run(name, func(t *testing.T) {
+			g, err := b()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.inOff != nil || g.inAdj != nil {
+				t.Fatal("constructor built the in-adjacency")
+			}
+			ref := eagerIn(g)
+			naive := make([][]int32, g.N())
+			for from := 0; from < g.N(); from++ {
+				for _, to := range g.OutNeighbors(from) {
+					naive[to] = append(naive[to], int32(from))
+				}
+			}
+			for i := 0; i < g.N(); i++ {
+				if got := g.InDegree(i); got != len(naive[i]) {
+					t.Fatalf("InDegree(%d) = %d, want %d", i, got, len(naive[i]))
+				}
+				if got := g.InNeighbors(i); !slices.Equal(got, naive[i]) || !slices.Equal(got, ref.InNeighbors(i)) {
+					t.Fatalf("InNeighbors(%d) = %v, want %v", i, got, naive[i])
+				}
+			}
+			if !slices.Equal(g.inOff, ref.inOff) || !slices.Equal(g.inAdj, ref.inAdj) {
+				t.Error("lazy in-adjacency arrays differ from the eager ones")
+			}
+		})
+	}
+}
+
+// TestInAdjacencyConcurrentFirstUse has 8 goroutines read a fresh graph's
+// in-adjacency at once (run it under -race): the first use must build it
+// exactly once, and every reader must see the complete arrays.
+func TestInAdjacencyConcurrentFirstUse(t *testing.T) {
+	g, err := RandomKOut(2000, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := eagerIn(g)
+	const readers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < g.N(); k++ {
+				i := (k + r*g.N()/readers) % g.N()
+				if g.InDegree(i) != ref.InDegree(i) || !slices.Equal(g.InNeighbors(i), ref.InNeighbors(i)) {
+					t.Errorf("reader %d: node %d in-adjacency differs from the eager one", r, i)
+					return
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
 }
 
 // TestWsAdjSpill exercises the spill path of the rewiring adjacency directly:

@@ -1,6 +1,6 @@
 package sim
 
-import "sort"
+import "slices"
 
 // calendarQueue is a calendar queue (R. Brown, "Calendar Queues: A Fast
 // O(1) Priority Queue Implementation for the Simulation Event Set Problem",
@@ -36,13 +36,13 @@ import "sort"
 // because same-time events carry increasing seq and append at the back, and
 // the head cursor makes draining the burst O(1) per pop. The bucket count
 // tracks the pending-event population (doubling above 2×, halving below ½×,
-// but never below calShrinkFloor) and the width is re-estimated from a
-// sample of queued events at each resize. Slab slots and bucket arrays are
-// recycled, so once the structure has grown to the high-water mark of
-// pending events the steady state allocates nothing — including a small
-// population that swings by more than 2× every round (the in-flight messages
-// of a run whose ticks live in hook lanes), which the floor keeps from
-// resizing at all.
+// but never below calShrinkFloor) and the width is re-estimated from the
+// half of the queued events nearest the head at each resize. Slab slots and
+// bucket arrays are recycled, so once the structure has grown to the
+// high-water mark of pending events the steady state allocates nothing —
+// including a small population that swings by more than 2× every round (the
+// in-flight messages of a run whose ticks live in hook lanes), which the
+// floor keeps from resizing at all.
 type calendarQueue struct {
 	slab []event // event storage; indices below point into it
 	free []int32 // recycled slab slots
@@ -55,7 +55,7 @@ type calendarQueue struct {
 	cur      int64 // day of the last popped event: the minimum scan starts here
 	cacheB   int   // bucket holding the minimum, when cacheOK
 	cacheOK  bool
-	scratch  []float64 // width-estimation sample buffer, reused across resizes
+	scratch  []float64 // event times for width estimation, reused across resizes
 }
 
 // calBucket holds one bucket's pending events as slab indices: idx[head:]
@@ -78,9 +78,6 @@ const (
 	// day; they still live in a common bucket in sorted order, so the pop
 	// order is unaffected.
 	maxCalDay = int64(1) << 53
-	// calWidthSample bounds the number of event times sampled for width
-	// estimation at each resize.
-	calWidthSample = 64
 )
 
 func (q *calendarQueue) Len() int { return q.count }
@@ -287,42 +284,28 @@ func calBucketCap(occ int32) int {
 	return c
 }
 
-// estimateWidth derives the bucket width from the gaps between a sample of
-// queued event times: 3× the average gap, with gaps more than twice the raw
-// average excluded from the second pass so a few large idle stretches cannot
-// blow up the width (Brown's heuristic). Degenerate samples keep the current
-// width.
+// estimateWidth derives the bucket width from the nearer half of the queued
+// events: 3× the mean gap between successive event times from the earliest
+// event to the median one (Brown's rule of about three events per day). The
+// half nearest the head is what the next pops reach and the next pushes land
+// among; bounding the sample by the median keeps a far-future tail
+// (periodic closures, a static schedule) from stretching the width, and
+// makes the estimate count every event of a burst delivered at one instant
+// without letting one burst make up the whole sample. A nearer half that
+// spans no time at all keeps the current width.
 func (q *calendarQueue) estimateWidth(old []calBucket) float64 {
 	s := q.scratch[:0]
-sample:
 	for oi := range old {
 		b := &old[oi]
 		for _, idx := range b.idx[b.head:] {
 			s = append(s, q.slab[idx].time)
-			if len(s) >= calWidthSample {
-				break sample
-			}
 		}
 	}
 	q.scratch = s
-	if len(s) < 2 {
+	slices.Sort(s)
+	m := len(s) / 2
+	if m < 1 || s[m] == s[0] {
 		return q.width
 	}
-	sort.Float64s(s)
-	span := s[len(s)-1] - s[0]
-	if !(span > 0) {
-		return q.width // all sampled events at one instant
-	}
-	avg := span / float64(len(s)-1)
-	sum, n := 0.0, 0
-	for i := 1; i < len(s); i++ {
-		if g := s[i] - s[i-1]; g <= 2*avg {
-			sum += g
-			n++
-		}
-	}
-	if n > 0 && sum > 0 {
-		return 3 * sum / float64(n)
-	}
-	return 3 * avg
+	return 3 * (s[m] - s[0]) / float64(m)
 }

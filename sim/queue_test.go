@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -320,6 +321,94 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 	}
 	if len(cal.buckets) != calShrinkFloor {
 		t.Errorf("drained ring holds %d buckets, want the shrink floor %d", len(cal.buckets), calShrinkFloor)
+	}
+}
+
+// TestCalendarWidthKeepsOperationsConstant is the calendar queue's structural
+// guard, a seeded hold model shaped like push gossip on the zones network:
+// every popped delivery fans out into a burst of deliveries at one instant,
+// 0.5 s (intra-zone, 1 in 8) or 3 s (inter-zone) ahead, so equal times pile
+// up on a lattice as the cascades compound; two periodic closures (injection
+// and sampling) sit far ahead; and the population swings between 3000 and
+// 12000 so the ring keeps doubling and halving. Whatever width each resize
+// picks, the mean insert walk (events a push shifts past in its bucket) and
+// the mean number of days a pop scans must stay O(1). A width estimated from
+// the first buckets' events rather than the head's can rest on one burst plus
+// a far closure: it comes out seconds wide, every pending event lands in a
+// few buckets, and the walk stays linear until the next resize.
+func TestCalendarWidthKeepsOperationsConstant(t *testing.T) {
+	const (
+		lo, hi   = 3000, 12000 // the pending population swings between these
+		swing    = 50.0        // seconds per swing
+		warmup   = 50_000
+		measured = 150_000
+		maxWalk  = 1.0 // mean events shifted past per push
+		maxScan  = 1.0 // mean days scanned per pop
+	)
+	periods := []float64{17.28, 172.8}
+	for seed := uint64(1); seed <= 3; seed++ {
+		q := &calendarQueue{}
+		src := rng.New(seed)
+		var seq uint64
+		walks, pushes, scans, pops := 0, 0, 0, 0
+		push := func(ev event, measure bool) {
+			seq++
+			ev.seq = seq
+			if measure {
+				b := &q.buckets[int(q.day(ev.time)&q.mask)]
+				for _, idx := range b.idx[b.head:] {
+					if ev.less(&q.slab[idx]) {
+						walks++
+					}
+				}
+				pushes++
+			}
+			q.Push(ev)
+		}
+		for k, p := range periods {
+			push(event{time: p, fn: func() {}, d: Delivery{Kind: uint32(k)}}, false)
+		}
+		for i := 0; i < 8; i++ {
+			push(event{time: src.Float64() * 3, sink: discardSink{}}, false)
+		}
+		for step := 0; step < warmup+measured; step++ {
+			measure := step >= warmup
+			if measure {
+				pops++
+				if !q.cacheOK {
+					// peek runs the scan Pop would run; Pop then reuses its answer.
+					cur := q.cur
+					days := int(q.day(q.peek().time) - cur + 1)
+					if days > len(q.buckets) {
+						days = 2 * len(q.buckets) // a year of empty days, then the overflow sweep
+					}
+					scans += days
+				}
+			}
+			ev := q.Pop()
+			if ev.fn != nil {
+				ev.time += periods[ev.d.Kind]
+				push(ev, measure)
+				continue
+			}
+			target := lo + int(float64(hi-lo)*(0.5+0.5*math.Sin(2*math.Pi*ev.time/swing)))
+			fan := src.Intn(4) // mean 1.5: the population grows ...
+			if q.Len() > target {
+				fan = src.Intn(2) // ... or shrinks (mean 0.5) towards the target
+			}
+			delay := 3.0
+			if src.Intn(8) == 0 {
+				delay = 0.5
+			}
+			for j := 0; j < fan; j++ {
+				push(event{time: ev.time + delay, sink: discardSink{}}, measure)
+			}
+		}
+		walk, scan := float64(walks)/float64(pushes), float64(scans)/float64(pops)
+		if walk > maxWalk || scan > maxScan {
+			t.Errorf("seed %d: mean insert walk %.2f, mean pop scan %.2f days (width %.3g s, %d buckets), want ≤ %g and ≤ %g",
+				seed, walk, scan, q.width, len(q.buckets), maxWalk, maxScan)
+		}
 	}
 }
 

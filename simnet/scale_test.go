@@ -78,13 +78,16 @@ func TestMillionNodeSmoke(t *testing.T) {
 	stdruntime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
 		t.Errorf("warmed-up 10^6-node period allocated %d objects, want 0", allocs)
+		logAllocWindow(t, &before, &after)
 	}
 
-	// The full standing network — 20-out CSR overlay, node/state/RNG slabs,
-	// walker slab, pending events — measured live; the bound is ~3× the
-	// expected footprint so real regressions (per-node objects creeping
-	// back) fail long before the container hurts.
-	const heapBound = 2 << 30
+	// The full standing network — the 20-out overlay's out-adjacency (the
+	// in-adjacency is built only if read, and nothing here reads it),
+	// node/state slabs, walker slab, pending events — measured live; the
+	// bound is 4× the measured 0.25 GiB so real regressions (per-node
+	// objects creeping back, an eager in-adjacency) fail long before the
+	// container hurts.
+	const heapBound = 1 << 30
 	heap := heapAlloc()
 	if heap > heapBound {
 		t.Errorf("10^6-node run holds %d bytes of live heap, want ≤ %d", heap, heapBound)
@@ -92,5 +95,24 @@ func TestMillionNodeSmoke(t *testing.T) {
 	t.Logf("10^6-node run: live heap %.2f GiB", float64(heap)/(1<<30))
 	if host.OnlineCount() != n {
 		t.Errorf("OnlineCount = %d, want %d", host.OnlineCount(), n)
+	}
+}
+
+// logAllocWindow reports what a measurement window allocated, so a failure of
+// the zero-allocation assertion, which fails intermittently for a reason not
+// yet known, comes with evidence: the collections that ran in the window (a GC cycle's own
+// bookkeeping is a suspect) and every size class whose malloc count grew.
+func logAllocWindow(t *testing.T, before, after *stdruntime.MemStats) {
+	t.Helper()
+	t.Logf("window: %d GC cycles, %d bytes allocated", after.NumGC-before.NumGC, after.TotalAlloc-before.TotalAlloc)
+	large := after.Mallocs - before.Mallocs
+	for i := range after.BySize {
+		if d := after.BySize[i].Mallocs - before.BySize[i].Mallocs; d > 0 {
+			t.Logf("window: size class %d B: %d mallocs", after.BySize[i].Size, d)
+			large -= d
+		}
+	}
+	if large > 0 {
+		t.Logf("window: %d mallocs above the largest size class", large)
 	}
 }
