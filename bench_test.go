@@ -21,6 +21,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/meanfield"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	hostrt "github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/simnet"
 	"github.com/szte-dcs/tokenaccount/trace"
@@ -294,30 +295,34 @@ func benchmarkThroughput(b *testing.B, kind sim.QueueKind, n, warmupRounds int) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := simnet.New(simnet.Config{
-		Graph:         g,
-		Strategy:      func(int) core.Strategy { return core.MustRandomized(5, 10) },
-		NewApp:        func(int) protocol.Application { return gossiplearning.NewWalker() },
-		Delta:         delta,
-		TransferDelay: 1.728,
-		Seed:          1,
-		Queue:         kind,
-	})
+	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1, TransferDelay: 1.728, Queue: kind})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := hostrt.NewHost(env, hostrt.Config{
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return core.MustRandomized(5, 10) },
+		NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
+		Delta:    delta,
+	}); err != nil {
 		b.Fatal(err)
 	}
 	// Warm up: grows the event slab, scratch buffers and token balances to
 	// their steady-state high-water marks.
 	horizon := float64(warmupRounds) * delta
-	net.Run(horizon)
+	if err := env.Run(horizon); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	start := net.Engine().Processed()
+	start := env.Processed()
 	for i := 0; i < b.N; i++ {
 		horizon += delta
-		net.Run(horizon)
+		if err := env.Run(horizon); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
-	events := float64(net.Engine().Processed() - start)
+	events := float64(env.Processed() - start)
 	b.ReportMetric(events/float64(b.N), "events/op")
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(events/s, "events/sec")

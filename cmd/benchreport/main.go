@@ -725,30 +725,34 @@ func throughputBench(kind sim.QueueKind, network netmodel.Model, short bool) fun
 		if err != nil {
 			b.Fatal(err)
 		}
-		net, err := simnet.New(simnet.Config{
-			Graph:         g,
-			Strategy:      func(int) core.Strategy { return core.MustRandomized(5, 10) },
-			NewApp:        func(int) protocol.Application { return gossiplearning.NewWalker() },
-			Delta:         delta,
-			TransferDelay: 1.728,
-			Seed:          1,
-			Queue:         kind,
-			Network:       network,
-		})
+		env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1, TransferDelay: 1.728, Queue: kind})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := hostrt.NewHost(env, hostrt.Config{
+			Graph:    g,
+			Strategy: func(int) core.Strategy { return core.MustRandomized(5, 10) },
+			NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
+			Delta:    delta,
+			Network:  network,
+		}); err != nil {
+			b.Fatal(err)
+		}
 		horizon := float64(warmup) * delta
-		net.Run(horizon)
+		if err := env.Run(horizon); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		start := net.Engine().Processed()
+		start := env.Processed()
 		for i := 0; i < b.N; i++ {
 			horizon += delta
-			net.Run(horizon)
+			if err := env.Run(horizon); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(net.Engine().Processed()-start)/float64(b.N), "events/op")
+		b.ReportMetric(float64(env.Processed()-start)/float64(b.N), "events/op")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
@@ -38,7 +39,11 @@ func main() {
 			log.Fatal(err)
 		}
 		learners := make([]*gossiplearning.SGDLearner, n)
-		net, err := simnet.New(simnet.Config{
+		env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 42, TransferDelay: transferDelay})
+		if err != nil {
+			log.Fatal(err)
+		}
+		host, err := runtime.NewHost(env, runtime.Config{
 			Graph:    graph,
 			Strategy: func(int) core.Strategy { return strategy },
 			NewApp: func(i int) protocol.Application {
@@ -49,14 +54,14 @@ func main() {
 				learners[i] = l
 				return l
 			},
-			Delta:         delta,
-			TransferDelay: transferDelay,
-			Seed:          42,
+			Delta: delta,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		net.Run(rounds * delta)
+		if err := host.Run(rounds * delta); err != nil {
+			log.Fatal(err)
+		}
 
 		totalAge := 0
 		for _, l := range learners {
@@ -65,7 +70,7 @@ func main() {
 				bestAcc = acc
 			}
 		}
-		return bestAcc, float64(totalAge) / n, net.MessagesSent()
+		return bestAcc, float64(totalAge) / n, host.MessagesSent()
 	}
 
 	fmt.Printf("gossip learning with real SGD: N=%d nodes, one example each, %d rounds\n\n", n, rounds)

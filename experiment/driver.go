@@ -149,10 +149,11 @@ type RunSummarizer interface {
 }
 
 // RuntimeDriver supplies the execution runtime of an experiment: it builds
-// the runtime.Env one repetition runs on. The two built-ins are SimRuntime
-// (the discrete-event engine in virtual time, the paper's setup) and
-// LiveRuntime (wall-clock timers and a real transport); external runtimes
-// plug in through RegisterRuntime.
+// the runtime.Env one repetition runs on. The three built-ins are SimRuntime
+// ("sim": the discrete-event engine in virtual time, the paper's setup, or
+// its sharded variant), LiveRuntime ("live": wall-clock timers over the
+// in-process memory bus) and LiveTCPRuntime ("live-tcp": the same over
+// loopback TCP sockets); external runtimes plug in through RegisterRuntime.
 type RuntimeDriver interface {
 	// Name is the canonical registry name, used by ParseRuntime.
 	Name() string

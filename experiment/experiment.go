@@ -8,16 +8,17 @@
 // (RegisterApplication, RegisterScenario, RegisterStrategy,
 // RegisterRuntime). The paper's three applications (gossip learning, push
 // gossip, chaotic power iteration), its two scenarios (failure-free,
-// smartphone trace), its five strategy kinds and the two runtimes (the
-// discrete-event simulator and the wall-clock live runtime) are
-// self-registering built-ins; external packages add new workloads through
-// the same entry points without modifying the generic run pipeline (see
-// scenarios/crashburst for a complete example).
+// smartphone trace), its five strategy kinds and the three runtimes (the
+// discrete-event simulator, the wall-clock live runtime and its TCP
+// variant) are self-registering built-ins; external packages add new
+// workloads through the same entry points without modifying the generic run
+// pipeline (see scenarios/crashburst for a complete example).
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/metrics"
@@ -169,14 +170,14 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: Rounds = %d, need ≥ 1", c.Rounds)
 	case c.Repetitions < 1:
 		return fmt.Errorf("experiment: Repetitions = %d, need ≥ 1", c.Repetitions)
-	case c.Delta <= 0:
-		return fmt.Errorf("experiment: Delta = %g, need > 0", c.Delta)
-	case c.TransferDelay <= 0:
-		return fmt.Errorf("experiment: TransferDelay = %g, need > 0", c.TransferDelay)
-	case c.SampleEvery <= 0:
-		return fmt.Errorf("experiment: SampleEvery = %g, need > 0", c.SampleEvery)
-	case c.InjectionInterval <= 0:
-		return fmt.Errorf("experiment: InjectionInterval = %g, need > 0", c.InjectionInterval)
+	case !positiveFinite(c.Delta):
+		return fmt.Errorf("experiment: Delta = %g, need > 0 and finite", c.Delta)
+	case !positiveFinite(c.TransferDelay):
+		return fmt.Errorf("experiment: TransferDelay = %g, need > 0 and finite", c.TransferDelay)
+	case !positiveFinite(c.SampleEvery):
+		return fmt.Errorf("experiment: SampleEvery = %g, need > 0 and finite", c.SampleEvery)
+	case !positiveFinite(c.InjectionInterval):
+		return fmt.Errorf("experiment: InjectionInterval = %g, need > 0 and finite", c.InjectionInterval)
 	case c.DropProbability < 0 || c.DropProbability > 1:
 		return fmt.Errorf("experiment: DropProbability = %g, need within [0, 1]", c.DropProbability)
 	}
@@ -200,6 +201,10 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable time span: NaN fails every
+// comparison, so a plain x <= 0 check would let it through.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Duration returns the simulated virtual time of the experiment.
 func (c Config) Duration() float64 { return float64(c.Rounds) * c.Delta }

@@ -39,6 +39,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFiniteTimes checks every time-span field against NaN
+// and ±Inf: NaN fails every comparison, so a plain "≤ 0" check let it
+// through. It calls validate directly so a regression cannot start a run.
+func TestConfigRejectsNonFiniteTimes(t *testing.T) {
+	fields := map[string]func(c *Config, v float64){
+		"Delta":             func(c *Config, v float64) { c.Delta = v },
+		"TransferDelay":     func(c *Config, v float64) { c.TransferDelay = v },
+		"SampleEvery":       func(c *Config, v float64) { c.SampleEvery = v },
+		"InjectionInterval": func(c *Config, v float64) { c.InjectionInterval = v },
+	}
+	base := quickConfig(PushGossip, Proactive()).WithDefaults()
+	if err := base.validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := base
+			set(&cfg, v)
+			if err := cfg.validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+	}
+}
+
 func TestWithDefaults(t *testing.T) {
 	cfg := Config{App: PushGossip, Strategy: Proactive(), N: 100}.WithDefaults()
 	if cfg.Delta != DefaultDelta || cfg.TransferDelay != DefaultTransferDelay {

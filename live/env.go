@@ -89,11 +89,7 @@ type Env struct {
 	droppedInbox int64
 }
 
-var (
-	_ runtime.Env                = (*Env)(nil)
-	_ runtime.DelayedSender      = (*Env)(nil)
-	_ runtime.AvailabilitySource = (*Env)(nil)
-)
+var _ runtime.Env = (*Env)(nil)
 
 type envDelivery struct {
 	from, to protocol.NodeID
@@ -307,6 +303,10 @@ func (e *Env) Every(phase, interval float64, fn func() bool) {
 // live run and a simulated run of the same seed draw from the same streams.
 func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.cfg.Seed, stream)) }
 
+// StreamSeed implements runtime.Env: a SplitMix64 generator seeded with the
+// returned value yields exactly the Rand(stream) sequence.
+func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.cfg.Seed, stream) }
+
 // Send implements runtime.Env: the payload enters the sender's transport
 // endpoint and re-surfaces on the run loop via the delivery queue. Typed
 // transports carry the payload as-is (word payloads cross TCP in the compact
@@ -335,10 +335,10 @@ func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 	_ = e.trans[from].Send(to, payload.Value())
 }
 
-// SendDelayed implements runtime.DelayedSender: the per-message delay
-// sampled by a network model is realized on the run loop's timer heap — the
-// payload reaches the sender's transport endpoint once the delay has elapsed
-// in run time, then traverses the transport as usual. Runtimes that drive a
+// SendDelayed implements runtime.Env: the per-message delay sampled by a
+// network model is realized on the run loop's timer heap — the payload
+// reaches the sender's transport endpoint once the delay has elapsed in run
+// time, then traverses the transport as usual. Runtimes that drive a
 // network model configure a zero base Latency so the model owns the whole
 // latency budget. Like Send, it may be called from any dispatched callback;
 // delays at or past the run horizon mean the message is never delivered,
@@ -370,14 +370,15 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) {
 // N implements runtime.Env.
 func (e *Env) N() int { return e.online.N() }
 
-// Availability implements runtime.AvailabilitySource. The Host reads the set
-// on the run loop without taking the environment's mutex, so lifecycle flips
-// during a run belong to dispatched callbacks, as the Env contract says.
+// Availability implements runtime.Env. The Host reads the set on the run
+// loop without taking the environment's mutex, so lifecycle flips during a
+// run belong to dispatched callbacks, as the Env contract says.
 func (e *Env) Availability() *runtime.Availability { return &e.online }
 
-// Online implements runtime.Env. It may be called from any goroutine.
-// Out-of-range node ids report offline, so a stray id from a trace or
-// scenario degrades to a dropped message.
+// Online reports whether the given node is online. Unlike a read of
+// Availability it may be called from any goroutine. Out-of-range node ids
+// report offline, so a stray id from a trace or scenario degrades to a
+// dropped message.
 func (e *Env) Online(node int) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()

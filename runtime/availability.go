@@ -7,8 +7,8 @@ package runtime
 // forty times per message — is one load.
 //
 // Environments own one in place of a flag array and expose it through
-// AvailabilitySource; the Host reads it directly on its hot paths instead of
-// calling Env.Online through the interface. Out-of-range ids read offline and
+// AvailabilitySource; the Host reads it directly on its hot paths, with no
+// interface call per question. Out-of-range ids read offline and
 // writes to them are no-ops, matching the Env lifecycle contract. The set is
 // not synchronized: writes belong to the environment's dispatch context
 // (coordinator events at barriers on a sharded environment), reads may come
@@ -63,14 +63,10 @@ func (a *Availability) AllOnline() bool { return a.offline == 0 }
 // Offline returns the number of offline node slots.
 func (a *Availability) Offline() int { return a.offline }
 
-// AvailabilitySource is the optional Env capability through which the Host
-// reaches the environment's online set: every lifecycle flip the environment
-// performs (SetOnline, SetOffline) must land in the returned set, which must
-// cover Env.N() slots and stay the same set for the environment's lifetime.
-// Like DelayedSender it is kept out of the Env interface, so a wrapper
-// embedding a concrete environment inherits it untouched; against an
-// environment without it the Host asks Env.Online instead, one interface call
-// per question.
+// AvailabilitySource is the Env method through which the Host reaches the
+// environment's online set: every lifecycle flip the environment performs
+// (SetOnline, SetOffline) must land in the returned set, which must cover
+// Env.N() slots and stay the same set for the environment's lifetime.
 type AvailabilitySource interface {
 	Availability() *Availability
 }

@@ -55,8 +55,7 @@ type Config struct {
 	// With a model set, every outgoing message that survives the loss
 	// lotteries is handed to the environment with a delay sampled from the
 	// model on the StreamNet stream (after the DropProbability draw, so the
-	// two knobs compose deterministically), which requires an environment
-	// implementing DelayedSender.
+	// two knobs compose deterministically) through Env.SendDelayed.
 	Network netmodel.Model
 	// BuildWorkers bounds the number of goroutines NewHost uses to initialize
 	// the node slab. 0 or 1 builds sequentially. With more workers, the
@@ -76,8 +75,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("runtime: Config.Strategy is nil")
 	case c.NewApp == nil:
 		return fmt.Errorf("runtime: Config.NewApp is nil")
-	case c.Delta <= 0:
-		return fmt.Errorf("runtime: Delta = %v, need > 0", c.Delta)
+	case !(c.Delta > 0) || math.IsInf(c.Delta, 1):
+		return fmt.Errorf("runtime: Delta = %v, need > 0 and finite", c.Delta)
 	case c.InitialTokens < 0:
 		return fmt.Errorf("runtime: InitialTokens = %v, need ≥ 0", c.InitialTokens)
 	case c.DropProbability < 0 || c.DropProbability > 1:
@@ -115,8 +114,7 @@ type Host struct {
 	slab *protocol.Slab
 
 	// avail is the environment's online set, read directly on every tick,
-	// delivery and peer draw; nil where the environment lacks the
-	// AvailabilitySource capability, in which case Online asks Env.Online.
+	// delivery and peer draw.
 	avail *Availability
 
 	// netRNG is the coordinator's StreamNet stream: random node and
@@ -134,11 +132,6 @@ type Host struct {
 	shardOfNode []int32
 	netRNGs     []protocol.Rand
 	counts      []shardCounters
-
-	// network and delayedSend are resolved once at assembly so the Send hot
-	// path pays one nil check, not a per-message type assertion.
-	network     netmodel.Model
-	delayedSend DelayedSender
 
 	// sizers is the payload sizer table snapshotted at assembly (see
 	// protocol.PayloadSizerTable): kinds without a sizer weigh one byte, so
@@ -197,17 +190,14 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	h := &Host{
 		cfg:       cfg,
 		env:       env,
+		avail:     env.Availability(),
 		netRNG:    env.Rand(StreamNet),
-		network:   cfg.Network,
 		sizers:    protocol.PayloadSizerTable(),
 		nodeBytes: make([]int64, n),
 	}
 	// Nodes given their own selector by Config.Peers never reach the shared
 	// overlay sampler.
 	h.slab = protocol.NewSharedSlab(n, h, (*overlayPeers)(h))
-	if src, ok := env.(AvailabilitySource); ok {
-		h.avail = src.Availability()
-	}
 	h.hookEnv, _ = env.(HookScheduler)
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
 		shards := sh.NumShards()
@@ -229,14 +219,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.netRNGs = []protocol.Rand{h.netRNG}
 		h.counts = make([]shardCounters, 1)
 	}
-	if cfg.Network != nil {
-		ds, ok := env.(DelayedSender)
-		if !ok {
-			return nil, fmt.Errorf("runtime: Config.Network set but environment %T does not implement runtime.DelayedSender", env)
-		}
-		h.delayedSend = ds
-	}
-	seeder, _ := env.(StreamSeeder)
 	// buildNode initializes node i in place. Construction consumes no shared
 	// randomness — each node's stream is derived from its index — and writes
 	// only slot i of the slab, so disjoint index ranges build concurrently.
@@ -260,14 +242,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 				return fmt.Errorf("runtime: Peers(%d) returned nil", i)
 			}
 		}
-		var err error
-		if seeder != nil {
-			err = h.slab.InitSeeded(i, nodeCfg, seeder.StreamSeed(uint64(i)))
-		} else {
-			nodeCfg.RNG = env.Rand(uint64(i))
-			err = h.slab.Init(i, nodeCfg)
-		}
-		if err != nil {
+		if err := h.slab.InitSeeded(i, nodeCfg, env.StreamSeed(uint64(i))); err != nil {
 			return fmt.Errorf("runtime: node %d: %w", i, err)
 		}
 		return nil
@@ -489,7 +464,7 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 // (callbacks are serialized; in sharded runs flips happen only at barriers).
 func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bool) {
 	nbrs := h.cfg.Graph.OutNeighbors(i)
-	if h.avail != nil && h.avail.AllOnline() {
+	if h.avail.AllOnline() {
 		if len(nbrs) == 0 {
 			return protocol.NoNode, false
 		}
@@ -535,14 +510,8 @@ func (h *Host) Node(i int) *protocol.Node { return h.slab.Node(i) }
 func (h *Host) App(i int) protocol.Application { return h.slab.Node(i).Application() }
 
 // Online reports whether node i is currently online: a bit test on the
-// environment's online set where it exposes one, Env.Online otherwise. It is
-// the availability read of every hot path.
-func (h *Host) Online(i int) bool {
-	if h.avail != nil {
-		return h.avail.Online(i)
-	}
-	return h.env.Online(i)
-}
+// environment's online set, the availability read of every hot path.
+func (h *Host) Online(i int) bool { return h.avail.Online(i) }
 
 // SetOnline brings node i online through the environment's lifecycle API and
 // fires the OnRejoin hook. It is a no-op for nodes already online, so the
@@ -566,7 +535,7 @@ func (h *Host) SetOffline(i int) { h.env.SetOffline(i) }
 // host's prefix of the online set otherwise.
 func (h *Host) OnlineCount() int {
 	n := h.slab.Len()
-	if h.avail != nil && h.avail.N() == n {
+	if h.avail.N() == n {
 		return n - h.avail.Offline()
 	}
 	count := 0
@@ -708,12 +677,12 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 		c.dropped++
 		return
 	}
-	if h.network != nil {
-		if h.network.Drop(from, to, r) {
+	if network := h.cfg.Network; network != nil {
+		if network.Drop(from, to, r) {
 			c.dropped++
 			return
 		}
-		h.delayedSend.SendDelayed(from, to, payload, h.network.Delay(from, to, r))
+		h.env.SendDelayed(from, to, payload, network.Delay(from, to, r))
 		return
 	}
 	h.env.Send(from, to, payload)

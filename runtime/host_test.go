@@ -44,60 +44,6 @@ func newSimEnv(t *testing.T, n int, seed uint64) *simnet.Env {
 	return env
 }
 
-// TestHostMatchesSimnetNetwork runs the identical assembly once through the
-// simnet.Network convenience wrapper and once through a hand-built
-// runtime.Host over the discrete-event environment, and checks that every
-// observable counter agrees — the wrapper must add nothing to the behaviour.
-func TestHostMatchesSimnetNetwork(t *testing.T) {
-	const n, seed = 60, 11
-	inject := func(every func(phase, interval float64, fn func() bool), random func() (int, bool), app func(int) protocol.Application) {
-		every(delta/10, delta/10, func() bool {
-			if node, ok := random(); ok {
-				app(node).(*pushgossip.State).Inject(1)
-			}
-			return true
-		})
-	}
-
-	net, err := simnet.New(simnet.Config{
-		Graph:         testGraph(t, n),
-		Strategy:      func(int) core.Strategy { return core.MustRandomized(2, 5) },
-		NewApp:        func(int) protocol.Application { return pushgossip.New() },
-		Delta:         delta,
-		TransferDelay: delta / 100,
-		Seed:          seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject(net.Engine().Every, net.RandomOnlineNode, net.App)
-	net.Run(40 * delta)
-
-	env := newSimEnv(t, n, seed)
-	host, err := runtime.NewHost(env, hostConfig(t, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject(env.Every, host.RandomOnlineNode, host.App)
-	if err := host.Run(40 * delta); err != nil {
-		t.Fatal(err)
-	}
-
-	if net.MessagesSent() != host.MessagesSent() ||
-		net.MessagesDelivered() != host.MessagesDelivered() ||
-		net.MessagesDropped() != host.MessagesDropped() {
-		t.Errorf("message counters differ: network (%d,%d,%d) vs host (%d,%d,%d)",
-			net.MessagesSent(), net.MessagesDelivered(), net.MessagesDropped(),
-			host.MessagesSent(), host.MessagesDelivered(), host.MessagesDropped())
-	}
-	if net.TotalStats() != host.TotalStats() {
-		t.Errorf("stats differ: %+v vs %+v", net.TotalStats(), host.TotalStats())
-	}
-	if net.AverageTokens(false) != host.AverageTokens(false) {
-		t.Errorf("average tokens differ: %v vs %v", net.AverageTokens(false), host.AverageTokens(false))
-	}
-}
-
 func TestHostConfigValidation(t *testing.T) {
 	valid := hostConfig(t, 20)
 	if _, err := runtime.NewHost(newSimEnv(t, 20, 1), valid); err != nil {
@@ -108,6 +54,8 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.Strategy = nil },
 		func(c *runtime.Config) { c.NewApp = nil },
 		func(c *runtime.Config) { c.Delta = 0 },
+		func(c *runtime.Config) { c.Delta = math.NaN() },
+		func(c *runtime.Config) { c.Delta = math.Inf(1) },
 		func(c *runtime.Config) { c.InitialTokens = -1 },
 		func(c *runtime.Config) { c.DropProbability = 1.5 },
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
@@ -279,35 +227,30 @@ func TestHostNetworkLossyDropsAreCounted(t *testing.T) {
 	}
 }
 
-// envWithoutDelays hides the environment's DelayedSender capability behind a
-// plain runtime.Env, modelling a custom environment that predates network
-// models.
-type envWithoutDelays struct{ runtime.Env }
+// envWithoutHooks hides the environment's HookScheduler capability: it
+// carries only the runtime.Env contract, as live.Env does.
+type envWithoutHooks struct{ runtime.Env }
 
-// TestHostNetworkRequiresDelayedSender pins the assembly-time error: a
-// network model against an environment that cannot apply per-message delays
-// must fail loudly instead of silently ignoring the model.
-func TestHostNetworkRequiresDelayedSender(t *testing.T) {
-	cfg := hostConfig(t, 20)
-	cfg.Network = netmodel.Exponential{Mean: 1.728}
-	if _, err := runtime.NewHost(envWithoutDelays{newSimEnv(t, 20, 1)}, cfg); err == nil {
-		t.Fatal("NewHost accepted a network model on an environment without DelayedSender")
-	}
-	cfg.Network = nil
-	if _, err := runtime.NewHost(envWithoutDelays{newSimEnv(t, 20, 1)}, cfg); err != nil {
-		t.Fatalf("nil network must not require the capability: %v", err)
-	}
-}
-
-// TestHostOnPlainEnvMatchesCapableEnv runs the same churny assembly on the
-// discrete-event environment and on the same environment stripped to the bare
-// runtime.Env interface — no online set to read, no stream seeds to embed, no
-// typed hooks — and requires identical results: every optional capability is
-// an optimization of the plain path, never a different behaviour.
-func TestHostOnPlainEnvMatchesCapableEnv(t *testing.T) {
+// TestHostClosurePathMatchesTypedHooks runs the same churny assembly on the
+// discrete-event environment and on the same environment without its
+// HookScheduler capability, so the Host drives ticks and trace churn through
+// Env closures instead of typed hook events, and requires identical results:
+// the typed hooks are an optimization of the closure path, never a different
+// behaviour.
+func TestHostClosurePathMatchesTypedHooks(t *testing.T) {
 	const n = 40
 	run := func(wrap func(*simnet.Env) runtime.Env) *runtime.Host {
-		host, err := runtime.NewHost(wrap(newSimEnv(t, n, 11)), hostConfig(t, n))
+		// Trace churn: every seventh node is away during [3Δ, 8Δ).
+		tr := trace.AlwaysOnline(n, 20*delta)
+		for i := 1; i < n; i += 7 {
+			tr.Segments[i] = trace.Segment{Intervals: []trace.Interval{
+				{Start: 0, End: 3 * delta},
+				{Start: 8 * delta, End: 20 * delta},
+			}}
+		}
+		cfg := hostConfig(t, n)
+		cfg.Trace = tr
+		host, err := runtime.NewHost(wrap(newSimEnv(t, n, 11)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,23 +278,23 @@ func TestHostOnPlainEnvMatchesCapableEnv(t *testing.T) {
 		}
 		return host
 	}
-	capable := run(func(e *simnet.Env) runtime.Env { return e })
-	plain := run(func(e *simnet.Env) runtime.Env { return envWithoutDelays{e} })
-	if capable.TotalStats() != plain.TotalStats() || capable.MessagesDropped() != plain.MessagesDropped() {
-		t.Fatalf("stats differ: %+v, %d dropped (capable) vs %+v, %d dropped (plain)",
-			capable.TotalStats(), capable.MessagesDropped(), plain.TotalStats(), plain.MessagesDropped())
+	typed := run(func(e *simnet.Env) runtime.Env { return e })
+	closures := run(func(e *simnet.Env) runtime.Env { return envWithoutHooks{e} })
+	if typed.TotalStats() != closures.TotalStats() || typed.MessagesDropped() != closures.MessagesDropped() {
+		t.Fatalf("stats differ: %+v, %d dropped (typed hooks) vs %+v, %d dropped (closures)",
+			typed.TotalStats(), typed.MessagesDropped(), closures.TotalStats(), closures.MessagesDropped())
 	}
-	if st := capable.TotalStats(); st.ReactiveSent == 0 || st.Rounds >= 20*n {
+	if st := typed.TotalStats(); st.ReactiveSent == 0 || st.Rounds >= 20*n {
 		t.Fatalf("the run exercised no reactive sends or skipped no offline node's rounds: %+v", st)
 	}
 	for i := 0; i < n; i++ {
-		if capable.Node(i).Tokens() != plain.Node(i).Tokens() || capable.Node(i).Stats() != plain.Node(i).Stats() {
-			t.Fatalf("node %d differs: %d tokens %+v (capable) vs %d tokens %+v (plain)", i,
-				capable.Node(i).Tokens(), capable.Node(i).Stats(), plain.Node(i).Tokens(), plain.Node(i).Stats())
+		if typed.Node(i).Tokens() != closures.Node(i).Tokens() || typed.Node(i).Stats() != closures.Node(i).Stats() {
+			t.Fatalf("node %d differs: %d tokens %+v (typed hooks) vs %d tokens %+v (closures)", i,
+				typed.Node(i).Tokens(), typed.Node(i).Stats(), closures.Node(i).Tokens(), closures.Node(i).Stats())
 		}
 	}
-	if capable.OnlineCount() != n || plain.OnlineCount() != n {
-		t.Fatalf("OnlineCount = %d / %d after every node rejoined, want %d", capable.OnlineCount(), plain.OnlineCount(), n)
+	if typed.OnlineCount() != n || closures.OnlineCount() != n {
+		t.Fatalf("OnlineCount = %d / %d after every node rejoined, want %d", typed.OnlineCount(), closures.OnlineCount(), n)
 	}
 }
 

@@ -5,16 +5,27 @@
 // node lifecycle — and the Host assembles the nodes of one run against any
 // Env.
 //
-// Two environments implement Env:
+// Three environments implement Env:
 //
 //   - simnet.Env drives the discrete-event engine (package sim) in virtual
-//     time, reproducing the paper's PeerSim-style evaluation setup, and
+//     time, reproducing the paper's PeerSim-style evaluation setup,
+//   - simnet.ShardedEnv runs the same model on a sharded engine, one worker
+//     per shard under a conservative time-window protocol, and
 //   - live.Env drives wall-clock timers and a real transport (package
 //     transport), turning the very same assembly into the deployable
 //     "traffic shaping service" the paper proposes.
 //
+// Everything all three provide is part of the Env contract, including the
+// packed online set (AvailabilitySource), per-message delays (DelayedSender)
+// and derivable randomness streams (StreamSeeder). Besides Sharded, which
+// marks the one parallel environment, HookScheduler is the only optional
+// capability, on purpose: the simulated environments implement it so
+// per-node ticks and churn transitions schedule without closures, while
+// live.Env keeps the closure Every path, which carries the live grid and the
+// daemon's re-arm-after-tick policy.
+//
 // Because scenario drivers, availability traces and metric probes only talk
-// to the Host and its Env, they run identically in both worlds: an
+// to the Host and its Env, they run identically in every world: an
 // experiment validated in simulation executes unchanged — just scaled to
 // real time — on the live runtime (see the experiment package's
 // RuntimeDriver dimension).
@@ -73,17 +84,14 @@ type Env interface {
 	// N returns the number of node slots managed by the environment.
 	N() int
 
-	// Online reports whether the given node is currently online.
-	Online(node int) bool
-
 	// SetOnline brings the given node online.
 	SetOnline(node int)
 
 	// SetOffline takes the given node offline. The flag is advisory: the
-	// Host consults it before ticking a node and before delivering to it,
-	// so an offline node neither runs its proactive loop nor receives
-	// messages — transports may keep accepting traffic for the node, which
-	// is then discarded at delivery time.
+	// Host consults the online set before ticking a node and before
+	// delivering to it, so an offline node neither runs its proactive loop
+	// nor receives messages — transports may keep accepting traffic for the
+	// node, which is then discarded at delivery time.
 	SetOffline(node int)
 
 	// Run drives the environment until the given run time: the simulated
@@ -95,16 +103,21 @@ type Env interface {
 	// Close releases environment resources (transport endpoints, timer
 	// goroutines). It must not be called while Run is executing.
 	Close() error
+
+	// The online set the Host reads on its hot paths, per-message delays
+	// for network models, and the seeds behind Rand (see each interface).
+	AvailabilitySource
+	DelayedSender
+	StreamSeeder
 }
 
-// DelayedSender is the optional Env capability behind heterogeneous network
-// models: SendDelayed is Send with an explicit per-message transfer latency
-// (in run-seconds) replacing the environment's fixed delay. The Host samples
-// the delay from Config.Network on its StreamNet stream and hands it here, so
-// the environment stays a pure executor — the discrete-event implementation
-// feeds the delay straight into the engine's per-event delivery slot (no
-// allocation), and the live one maps it onto its message scheduling. NewHost
-// rejects a Config.Network against an Env lacking this capability.
+// DelayedSender is the Env method behind heterogeneous network models:
+// SendDelayed is Send with an explicit per-message transfer latency (in
+// run-seconds) replacing the environment's fixed delay. The Host samples the
+// delay from Config.Network on its StreamNet stream and hands it here, so the
+// environment stays a pure executor — the discrete-event implementation feeds
+// the delay straight into the engine's per-event delivery slot (no
+// allocation), and the live one maps it onto its message scheduling.
 type DelayedSender interface {
 	SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64)
 }
@@ -129,8 +142,8 @@ type ShardScheduler interface {
 // rejoin hooks work unchanged. Per-node work (the proactive loops) must
 // instead be scheduled on the owning shard through Shard, which the Host
 // does when it detects the capability. Lifecycle flips (SetOnline,
-// SetOffline) are coordinator-only; Online is safe to read from any shard
-// during a window because flips only happen at barriers.
+// SetOffline) are coordinator-only; the online set is safe to read from any
+// shard during a window because flips only happen at barriers.
 type Sharded interface {
 	Env
 	// NumShards returns the number of worker shards (≥ 1).
@@ -162,12 +175,12 @@ type HookScheduler interface {
 	AtHook(t float64, hook Hook, node int32, word uint64)
 }
 
-// StreamSeeder is an optional Env capability for environments whose Rand
-// streams are pure functions of a run seed: StreamSeed returns the derived
-// seed of one stream, such that a SplitMix64 generator seeded with it yields
-// exactly the Rand(stream) sequence. The Host uses it to embed each node's
-// generator state in the node's slab row (8 bytes) instead of allocating one
-// generator object per node.
+// StreamSeeder is the Env method that exposes how Rand streams derive from
+// the run seed: StreamSeed returns the derived seed of one stream, such that
+// a SplitMix64 generator seeded with it yields exactly the Rand(stream)
+// sequence. The Host uses it to embed each node's generator state in the
+// node's slab row (8 bytes) instead of allocating one generator object per
+// node.
 type StreamSeeder interface {
 	StreamSeed(stream uint64) uint64
 }

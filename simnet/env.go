@@ -1,7 +1,19 @@
+// Package simnet is the discrete-event side of the runtime-neutral host API:
+// Env implements runtime.Env on top of the sim engine, ShardedEnv on top of
+// the sharded one. A simulated network — N token-account protocol nodes on a
+// fixed overlay with per-node unsynchronized proactive rounds, message
+// transfer delays and optional churn from an availability trace, the
+// PeerSim assembly of the paper's evaluation (§4.1) — is a runtime.Host built
+// against one of them:
+//
+//	env, err := simnet.NewEnv(simnet.EnvConfig{N: g.N(), Seed: seed, TransferDelay: 1.728})
+//	host, err := runtime.NewHost(env, runtime.Config{Graph: g, ...})
+//	err = host.Run(horizon)
 package simnet
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -28,8 +40,8 @@ type EnvConfig struct {
 // timers come from a sim.Engine, the transport is a delayed in-engine
 // delivery, randomness streams are SplitMix64 generators derived from the
 // seed, and lifecycle state is a packed runtime.Availability set the Host
-// reads directly at tick, delivery and peer-sampling time. It corresponds to the PeerSim experiment harness used
-// in the paper's evaluation (§4.1).
+// reads directly at tick, delivery and peer-sampling time. It corresponds to
+// the PeerSim experiment harness used in the paper's evaluation (§4.1).
 //
 // Env is not safe for concurrent use; everything runs on the goroutine
 // driving the engine.
@@ -43,12 +55,9 @@ type Env struct {
 }
 
 var (
-	_ runtime.Env                = (*Env)(nil)
-	_ runtime.DelayedSender      = (*Env)(nil)
-	_ runtime.HookScheduler      = (*Env)(nil)
-	_ runtime.StreamSeeder       = (*Env)(nil)
-	_ runtime.AvailabilitySource = (*Env)(nil)
-	_ sim.DeliverySink           = (*Env)(nil)
+	_ runtime.Env           = (*Env)(nil)
+	_ runtime.HookScheduler = (*Env)(nil)
+	_ sim.DeliverySink      = (*Env)(nil)
 )
 
 // NewEnv builds a discrete-event environment with every node online.
@@ -56,8 +65,8 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	switch {
 	case cfg.N < 1:
 		return nil, fmt.Errorf("simnet: EnvConfig.N = %d, need ≥ 1", cfg.N)
-	case cfg.TransferDelay < 0:
-		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0", cfg.TransferDelay)
+	case !validDelay(cfg.TransferDelay):
+		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	}
 	return &Env{
 		engine:        sim.NewEngineWithQueue(cfg.Queue),
@@ -87,7 +96,7 @@ func (e *Env) Every(phase, interval float64, fn func() bool) { e.engine.Every(ph
 // with rng.Derive(seed, s).
 func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.seed, stream)) }
 
-// StreamSeed implements runtime.StreamSeeder: a SplitMix64 generator seeded
+// StreamSeed implements runtime.Env: a SplitMix64 generator seeded
 // with the returned value yields exactly the Rand(stream) sequence, letting
 // the Host embed per-node generator state in the node slab's rows.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
@@ -109,7 +118,7 @@ func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.transferDelay)
 }
 
-// SendDelayed implements runtime.DelayedSender: like Send, but the message
+// SendDelayed implements runtime.Env: like Send, but the message
 // travels for the given per-message delay of virtual time instead of the
 // environment's fixed transfer delay. The delivery is still stored inline in
 // the engine's queue — a model-sampled delay costs exactly as much as the
@@ -146,13 +155,10 @@ func (e *Env) Processed() uint64 { return e.engine.Processed() }
 // N implements runtime.Env.
 func (e *Env) N() int { return e.online.N() }
 
-// Availability implements runtime.AvailabilitySource.
-func (e *Env) Availability() *runtime.Availability { return &e.online }
-
-// Online implements runtime.Env. Out-of-range node ids report offline
+// Availability implements runtime.Env. Out-of-range node ids read offline
 // instead of panicking, so a stray id from a scenario or trace degrades to a
 // dropped message.
-func (e *Env) Online(node int) bool { return e.online.Online(node) }
+func (e *Env) Availability() *runtime.Availability { return &e.online }
 
 // SetOnline implements runtime.Env. Out-of-range node ids are a no-op.
 func (e *Env) SetOnline(node int) { e.online.Set(node, true) }
@@ -170,3 +176,7 @@ func (e *Env) Run(until float64) error {
 // Close implements runtime.Env. The simulated environment holds no external
 // resources, so Close is a no-op.
 func (e *Env) Close() error { return nil }
+
+// validDelay reports whether d is a usable fixed transfer delay: finite and
+// not negative. The engine would read NaN as zero delay and +Inf as never.
+func validDelay(d float64) bool { return d >= 0 && !math.IsInf(d, 1) }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -14,23 +15,23 @@ func TestEnvLifecycleOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	online := env.Availability()
 	for _, node := range []int{-1, 4, 1 << 20} {
-		if env.Online(node) {
+		if online.Online(node) {
 			t.Errorf("Online(%d) = true for an out-of-range id", node)
 		}
 		env.SetOnline(node)  // must not panic
 		env.SetOffline(node) // must not panic
-		if env.Online(node) {
+		if online.Online(node) {
 			t.Errorf("SetOnline(%d) materialized an out-of-range node", node)
 		}
 	}
-	if !env.Online(0) || !env.Online(3) {
+	if !online.Online(0) || !online.Online(3) {
 		t.Error("in-range nodes must stay online")
 	}
 }
 
-// TestEnvSendDelayed checks that the per-message delay of the DelayedSender
-// capability lands the delivery at exactly now+delay of virtual time,
+// TestEnvSendDelayed checks that the per-message delay of SendDelayed lands the delivery at exactly now+delay of virtual time,
 // independently of the environment's fixed TransferDelay.
 func TestEnvSendDelayed(t *testing.T) {
 	env, err := NewEnv(EnvConfig{N: 2, Seed: 1, TransferDelay: 100})
@@ -71,5 +72,38 @@ func TestEnvSendUsesTransferDelay(t *testing.T) {
 	env.Engine().Run()
 	if at != 1.728 {
 		t.Errorf("delivery at %v, want 1.728", at)
+	}
+}
+
+// TestNewEnvTransferDelay checks that both discrete-event constructors accept
+// a finite non-negative transfer delay and reject anything else: the engine
+// would silently read NaN as zero delay and +Inf as a message never
+// delivered.
+func TestNewEnvTransferDelay(t *testing.T) {
+	tests := []struct {
+		delay float64
+		ok    bool
+	}{
+		{0, true},
+		{1.728, true},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	}
+	for _, tc := range tests {
+		_, err := NewEnv(EnvConfig{N: 2, TransferDelay: tc.delay})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewEnv(TransferDelay: %v): err = %v, want ok = %v", tc.delay, err, tc.ok)
+		}
+		sharded, err := NewShardedEnv(ShardedEnvConfig{
+			N: 2, TransferDelay: tc.delay, Shards: 2, ShardOf: []int32{0, 1}, Lookahead: 1,
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewShardedEnv(TransferDelay: %v): err = %v, want ok = %v", tc.delay, err, tc.ok)
+		}
+		if sharded != nil {
+			sharded.Close()
+		}
 	}
 }

@@ -7,28 +7,26 @@ import (
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	hostrt "github.com/szte-dcs/tokenaccount/runtime"
 )
 
 func TestDropProbabilityValidation(t *testing.T) {
-	cfg := walkerConfig(t, 20, core.PurelyProactive{}, 1)
+	envCfg, cfg := walkerConfig(t, 20, core.PurelyProactive{}, 1)
 	cfg.DropProbability = 1.5
-	if _, err := New(cfg); err == nil {
+	if _, _, err := assemble(envCfg, cfg); err == nil {
 		t.Error("DropProbability > 1 accepted")
 	}
 	cfg.DropProbability = -0.1
-	if _, err := New(cfg); err == nil {
+	if _, _, err := assemble(envCfg, cfg); err == nil {
 		t.Error("negative DropProbability accepted")
 	}
 }
 
 func TestDropProbabilityDropsRoughlyTheRequestedFraction(t *testing.T) {
-	cfg := walkerConfig(t, 50, core.PurelyProactive{}, 3)
+	envCfg, cfg := walkerConfig(t, 50, core.PurelyProactive{}, 3)
 	cfg.DropProbability = 0.3
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(40 * cfg.Delta)
+	_, net := mustAssemble(t, envCfg, cfg)
+	mustRun(t, net, 40*cfg.Delta)
 	sent := float64(net.MessagesSent())
 	dropped := float64(net.MessagesDropped())
 	if sent == 0 {
@@ -54,23 +52,18 @@ func TestProactiveComponentSurvivesMessageLoss(t *testing.T) {
 		rounds  = 80
 		dropPct = 0.5
 	)
-	build := func(strategy core.Strategy, seed uint64) *Network {
+	build := func(strategy core.Strategy, seed uint64) *hostrt.Host {
 		g, err := overlay.RandomKOut(n, 10, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, err := New(Config{
+		_, net := mustAssemble(t, EnvConfig{N: n, Seed: seed, TransferDelay: 1}, hostrt.Config{
 			Graph:           g,
 			Strategy:        func(int) core.Strategy { return strategy },
 			NewApp:          func(int) protocol.Application { return pushgossip.New() },
 			Delta:           100,
-			TransferDelay:   1,
-			Seed:            seed,
 			DropProbability: dropPct,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return net
 	}
 
@@ -84,7 +77,7 @@ func TestProactiveComponentSurvivesMessageLoss(t *testing.T) {
 			tokenNet.App(node).(*pushgossip.State).Inject(seq)
 		}
 	})
-	tokenNet.Run(rounds * 100)
+	mustRun(t, tokenNet, rounds*100)
 	tokenSent := tokenNet.MessagesSent()
 	// Sending never stalls: at least half the nominal proactive budget is
 	// used even though half of all messages evaporate.
@@ -109,7 +102,7 @@ func TestProactiveComponentSurvivesMessageLoss(t *testing.T) {
 		reactiveNet.App(i).(*pushgossip.State).Inject(int64(i + 1))
 		reactiveNet.Send(protocol.NodeID(i), protocol.NodeID((i+1)%n), pushgossip.Update{Seq: int64(i + 1)}.Payload())
 	}
-	reactiveNet.Run(rounds * 100)
+	mustRun(t, reactiveNet, rounds*100)
 	reactiveSent := reactiveNet.MessagesSent()
 	if reactiveSent > int64(n*rounds/4) {
 		t.Errorf("pure reactive system sent %d messages; expected starvation under 50%% loss", reactiveSent)

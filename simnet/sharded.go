@@ -57,13 +57,9 @@ type ShardedEnv struct {
 }
 
 var (
-	_ runtime.Env                = (*ShardedEnv)(nil)
-	_ runtime.DelayedSender      = (*ShardedEnv)(nil)
-	_ runtime.Sharded            = (*ShardedEnv)(nil)
-	_ runtime.HookScheduler      = (*ShardedEnv)(nil)
-	_ runtime.StreamSeeder       = (*ShardedEnv)(nil)
-	_ runtime.AvailabilitySource = (*ShardedEnv)(nil)
-	_ sim.DeliverySink           = (*ShardedEnv)(nil)
+	_ runtime.Sharded       = (*ShardedEnv)(nil)
+	_ runtime.HookScheduler = (*ShardedEnv)(nil)
+	_ sim.DeliverySink      = (*ShardedEnv)(nil)
 )
 
 // NewShardedEnv builds a sharded discrete-event environment with every node
@@ -72,8 +68,8 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	switch {
 	case cfg.N < 1:
 		return nil, fmt.Errorf("simnet: ShardedEnvConfig.N = %d, need ≥ 1", cfg.N)
-	case cfg.TransferDelay < 0:
-		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0", cfg.TransferDelay)
+	case !validDelay(cfg.TransferDelay):
+		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	case len(cfg.ShardOf) != cfg.N:
 		return nil, fmt.Errorf("simnet: ShardOf covers %d nodes, N = %d", len(cfg.ShardOf), cfg.N)
 	}
@@ -122,7 +118,7 @@ func (e *ShardedEnv) Every(phase, interval float64, fn func() bool) {
 // every shard count.
 func (e *ShardedEnv) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.seed, stream)) }
 
-// StreamSeed implements runtime.StreamSeeder (see Env.StreamSeed).
+// StreamSeed implements runtime.Env (see Env.StreamSeed).
 func (e *ShardedEnv) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
 // AtHook implements runtime.HookScheduler on the coordinator: the hook event
@@ -138,7 +134,7 @@ func (e *ShardedEnv) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.transferDelay)
 }
 
-// SendDelayed implements runtime.DelayedSender: the delivery is routed by
+// SendDelayed implements runtime.Env: the delivery is routed by
 // the shards of its endpoints — inline into the owning shard's queue when
 // they coincide, through the cross-shard outboxes otherwise. Both paths
 // store the delivery unboxed, so the steady-state message path allocates
@@ -173,13 +169,9 @@ func (e *ShardedEnv) Processed() uint64 { return e.engine.Processed() }
 // N implements runtime.Env.
 func (e *ShardedEnv) N() int { return e.online.N() }
 
-// Availability implements runtime.AvailabilitySource. Shard workers read the
-// set during a window; it only changes at barriers.
+// Availability implements runtime.Env. Shard workers read the set during a
+// window; it only changes at barriers.
 func (e *ShardedEnv) Availability() *runtime.Availability { return &e.online }
-
-// Online implements runtime.Env. It is safe to call from shard workers
-// during a window: the availability set only changes at barriers.
-func (e *ShardedEnv) Online(node int) bool { return e.online.Online(node) }
 
 // SetOnline implements runtime.Env. Coordinator context only.
 func (e *ShardedEnv) SetOnline(node int) { e.online.Set(node, true) }

@@ -9,60 +9,86 @@ import (
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	hostrt "github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
-func walkerConfig(t *testing.T, n int, strategy core.Strategy, seed uint64) Config {
+// walkerConfig is the assembly most tests here share: gossip learning
+// walkers on a random 10-out overlay, Δ = 100 and a transfer delay of 1.
+func walkerConfig(t *testing.T, n int, strategy core.Strategy, seed uint64) (EnvConfig, hostrt.Config) {
 	t.Helper()
 	g, err := overlay.RandomKOut(n, 10, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{
-		Graph:         g,
-		Strategy:      func(int) core.Strategy { return strategy },
-		NewApp:        func(int) protocol.Application { return gossiplearning.NewWalker() },
-		Delta:         100,
-		TransferDelay: 1,
-		Seed:          seed,
+	return EnvConfig{N: n, Seed: seed, TransferDelay: 1}, hostrt.Config{
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return strategy },
+		NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
+		Delta:    100,
+	}
+}
+
+// assemble builds a Host over a fresh discrete-event environment.
+func assemble(envCfg EnvConfig, cfg hostrt.Config) (*Env, *hostrt.Host, error) {
+	env, err := NewEnv(envCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	host, err := hostrt.NewHost(env, cfg)
+	return env, host, err
+}
+
+// mustAssemble is assemble for configurations that must be accepted.
+func mustAssemble(t *testing.T, envCfg EnvConfig, cfg hostrt.Config) (*Env, *hostrt.Host) {
+	t.Helper()
+	env, host, err := assemble(envCfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, host
+}
+
+// mustRun advances the host to the given time.
+func mustRun(t *testing.T, host *hostrt.Host, until float64) {
+	t.Helper()
+	if err := host.Run(until); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	valid := walkerConfig(t, 20, core.PurelyProactive{}, 1)
-	if _, err := New(valid); err != nil {
+	envCfg, valid := walkerConfig(t, 20, core.PurelyProactive{}, 1)
+	if _, _, err := assemble(envCfg, valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	mutations := []func(c *Config){
-		func(c *Config) { c.Graph = nil },
-		func(c *Config) { c.Strategy = nil },
-		func(c *Config) { c.NewApp = nil },
-		func(c *Config) { c.Delta = 0 },
-		func(c *Config) { c.TransferDelay = -1 },
-		func(c *Config) { c.InitialTokens = -1 },
-		func(c *Config) { c.Trace = trace.AlwaysOnline(5, 100) }, // too few nodes
-		func(c *Config) { c.AuditNodes = []int{99} },
-		func(c *Config) { c.Strategy = func(int) core.Strategy { return nil } },
-		func(c *Config) { c.NewApp = func(int) protocol.Application { return nil } },
+	mutations := []func(e *EnvConfig, c *hostrt.Config){
+		func(_ *EnvConfig, c *hostrt.Config) { c.Graph = nil },
+		func(_ *EnvConfig, c *hostrt.Config) { c.Strategy = nil },
+		func(_ *EnvConfig, c *hostrt.Config) { c.NewApp = nil },
+		func(_ *EnvConfig, c *hostrt.Config) { c.Delta = 0 },
+		func(e *EnvConfig, _ *hostrt.Config) { e.TransferDelay = -1 },
+		func(_ *EnvConfig, c *hostrt.Config) { c.InitialTokens = -1 },
+		func(_ *EnvConfig, c *hostrt.Config) { c.Trace = trace.AlwaysOnline(5, 100) }, // too few nodes
+		func(_ *EnvConfig, c *hostrt.Config) { c.AuditNodes = []int{99} },
+		func(_ *EnvConfig, c *hostrt.Config) { c.Strategy = func(int) core.Strategy { return nil } },
+		func(_ *EnvConfig, c *hostrt.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 	}
 	for i, mutate := range mutations {
-		cfg := walkerConfig(t, 20, core.PurelyProactive{}, 1)
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		envCfg, cfg := walkerConfig(t, 20, core.PurelyProactive{}, 1)
+		mutate(&envCfg, &cfg)
+		if _, _, err := assemble(envCfg, cfg); err == nil {
 			t.Errorf("broken config %d accepted", i)
 		}
 	}
 }
 
 func TestProactiveNetworkSendsOnePerRound(t *testing.T) {
-	cfg := walkerConfig(t, 50, core.PurelyProactive{}, 2)
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envCfg, cfg := walkerConfig(t, 50, core.PurelyProactive{}, 2)
+	_, net := mustAssemble(t, envCfg, cfg)
 	const rounds = 20
-	net.Run(rounds * cfg.Delta)
+	mustRun(t, net, rounds*cfg.Delta)
 	// Every node ticks once per Δ (random phase), so the total message count
 	// equals N × rounds exactly for the purely proactive strategy.
 	if got := net.MessagesSent(); got != 50*rounds {
@@ -95,12 +121,9 @@ func TestCommunicationBudgetIsStrategyIndependent(t *testing.T) {
 	}
 	budget := float64(n * rounds)
 	for _, s := range strategies {
-		cfg := walkerConfig(t, n, s, 3)
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.Run(rounds * cfg.Delta)
+		envCfg, cfg := walkerConfig(t, n, s, 3)
+		_, net := mustAssemble(t, envCfg, cfg)
+		mustRun(t, net, rounds*cfg.Delta)
 		sent := float64(net.MessagesSent())
 		// The budget can be undershot by at most C unspent tokens per node
 		// plus stochastic slack; it can never be exceeded.
@@ -119,18 +142,15 @@ func TestTokenAccountSpeedsUpGossipLearning(t *testing.T) {
 	// the same budget.
 	const n, rounds = 100, 50
 	run := func(s core.Strategy) float64 {
-		cfg := walkerConfig(t, n, s, 7)
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		envCfg, cfg := walkerConfig(t, n, s, 7)
+		_, net := mustAssemble(t, envCfg, cfg)
 		horizon := float64(rounds) * cfg.Delta
-		net.Run(horizon)
+		mustRun(t, net, horizon)
 		walkers := make([]*gossiplearning.Walker, n)
 		for i := 0; i < n; i++ {
 			walkers[i] = net.App(i).(*gossiplearning.Walker)
 		}
-		return gossiplearning.Progress(walkers, horizon, cfg.TransferDelay)
+		return gossiplearning.Progress(walkers, horizon, envCfg.TransferDelay)
 	}
 	proactive := run(core.PurelyProactive{})
 	randomized := run(core.MustRandomized(5, 10))
@@ -143,13 +163,10 @@ func TestTokenAccountSpeedsUpGossipLearning(t *testing.T) {
 }
 
 func TestRateLimitAuditAcrossNetwork(t *testing.T) {
-	cfg := walkerConfig(t, 40, core.MustGeneralized(1, 20), 11)
+	envCfg, cfg := walkerConfig(t, 40, core.MustGeneralized(1, 20), 11)
 	cfg.AuditNodes = []int{0, 1, 2, 3, 4}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(80 * cfg.Delta)
+	_, net := mustAssemble(t, envCfg, cfg)
+	mustRun(t, net, 80*cfg.Delta)
 	if violations := net.AuditViolations(); len(violations) != 0 {
 		t.Errorf("rate limit violations: %v", violations)
 	}
@@ -157,12 +174,9 @@ func TestRateLimitAuditAcrossNetwork(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (int64, float64) {
-		cfg := walkerConfig(t, 40, core.MustRandomized(5, 10), 13)
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.Run(30 * cfg.Delta)
+		envCfg, cfg := walkerConfig(t, 40, core.MustRandomized(5, 10), 13)
+		_, net := mustAssemble(t, envCfg, cfg)
+		mustRun(t, net, 30*cfg.Delta)
 		return net.MessagesSent(), net.AverageTokens(false)
 	}
 	sent1, tokens1 := run()
@@ -187,19 +201,13 @@ func TestChurnDropsMessagesAndTracksOnline(t *testing.T) {
 			tr.Segments[i].Intervals = []trace.Interval{{Start: 0, End: 500}}
 		}
 	}
-	cfg := Config{
-		Graph:         g,
-		Strategy:      func(int) core.Strategy { return core.MustSimple(5) },
-		NewApp:        func(int) protocol.Application { return pushgossip.New() },
-		Delta:         50,
-		TransferDelay: 1,
-		Trace:         tr,
-		Seed:          17,
-	}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, net := mustAssemble(t, EnvConfig{N: n, Seed: 17, TransferDelay: 1}, hostrt.Config{
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return core.MustSimple(5) },
+		NewApp:   func(int) protocol.Application { return pushgossip.New() },
+		Delta:    50,
+		Trace:    tr,
+	})
 	// Inject updates periodically at node 0 so there is reactive traffic.
 	seq := int64(0)
 	net.SamplePeriodic(10, 25, func(float64) {
@@ -208,10 +216,10 @@ func TestChurnDropsMessagesAndTracksOnline(t *testing.T) {
 	})
 	// Put a message in flight to node 1 just before it goes offline at t=500:
 	// it must be dropped at delivery time.
-	net.Engine().At(499.5, func() {
+	env.At(499.5, func() {
 		net.Send(0, 1, pushgossip.Update{Seq: 999}.Payload())
 	})
-	net.Run(1000)
+	mustRun(t, net, 1000)
 	if net.OnlineCount() != n/2 {
 		t.Errorf("OnlineCount = %d, want %d", net.OnlineCount(), n/2)
 	}
@@ -245,32 +253,23 @@ func TestOnRejoinHookFires(t *testing.T) {
 	// Node 3 joins late.
 	tr.Segments[3].Intervals = []trace.Interval{{Start: 100, End: 300}}
 	rejoined := []int{}
-	cfg := Config{
-		Graph:         g,
-		Strategy:      func(int) core.Strategy { return core.MustSimple(3) },
-		NewApp:        func(int) protocol.Application { return pushgossip.New() },
-		Delta:         10,
-		TransferDelay: 0.1,
-		Trace:         tr,
-		Seed:          19,
-		OnRejoin:      func(_ *Network, node int) { rejoined = append(rejoined, node) },
-	}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(300)
+	_, net := mustAssemble(t, EnvConfig{N: n, Seed: 19, TransferDelay: 0.1}, hostrt.Config{
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return core.MustSimple(3) },
+		NewApp:   func(int) protocol.Application { return pushgossip.New() },
+		Delta:    10,
+		Trace:    tr,
+		OnRejoin: func(_ *hostrt.Host, node int) { rejoined = append(rejoined, node) },
+	})
+	mustRun(t, net, 300)
 	if len(rejoined) != 1 || rejoined[0] != 3 {
 		t.Errorf("rejoined = %v, want [3]", rejoined)
 	}
 }
 
 func TestRandomOnlineHelpers(t *testing.T) {
-	cfg := walkerConfig(t, 20, core.PurelyProactive{}, 23)
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envCfg, cfg := walkerConfig(t, 20, core.PurelyProactive{}, 23)
+	_, net := mustAssemble(t, envCfg, cfg)
 	if _, ok := net.RandomOnlineNode(); !ok {
 		t.Error("RandomOnlineNode failed with everyone online")
 	}
@@ -298,12 +297,9 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 	// are useful.
 	const n = 80
 	a, c := 5, 10
-	cfg := walkerConfig(t, n, core.MustRandomized(a, c), 29)
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(300 * cfg.Delta)
+	envCfg, cfg := walkerConfig(t, n, core.MustRandomized(a, c), 29)
+	_, net := mustAssemble(t, envCfg, cfg)
+	mustRun(t, net, 300*cfg.Delta)
 	got := net.AverageTokens(false)
 	predicted := float64(a) * float64(c) / float64(c+1)
 	if math.Abs(got-predicted) > 2.5 {
@@ -320,17 +316,14 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 func TestSteadyStateMessagePathAllocs(t *testing.T) {
 	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := walkerConfig(t, 200, core.MustRandomized(5, 10), 4)
-			cfg.Queue = kind
-			net, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			envCfg, cfg := walkerConfig(t, 200, core.MustRandomized(5, 10), 4)
+			envCfg.Queue = kind
+			_, net := mustAssemble(t, envCfg, cfg)
 			horizon := 50 * cfg.Delta
-			net.Run(horizon) // warm up to the steady state
+			mustRun(t, net, horizon) // warm up to the steady state
 			allocs := testing.AllocsPerRun(30, func() {
 				horizon += cfg.Delta
-				net.Run(horizon)
+				mustRun(t, net, horizon)
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state round allocates %.1f with the %s queue, want 0", allocs, kind)
