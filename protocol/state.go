@@ -141,6 +141,14 @@ func (s *Slab) State(i int) *NodeState { return &s.states[i] }
 // not retain it beyond the slab's lifetime.
 func (s *Slab) States() []NodeState { return s.states }
 
+// Preload reads one word of node i's row and one of its state row and
+// returns their sum. It changes nothing: a runtime that knows which nodes
+// run next (see runtime.LookaheadHook) calls it to bring both lines into
+// cache ahead of use.
+func (s *Slab) Preload(i int) uint64 {
+	return uint64(s.nodes[i].id) + uint64(s.states[i].Account.Balance())
+}
+
 // Tick runs node i's proactive round (see Node.Tick).
 func (s *Slab) Tick(i int) { s.tick(&s.nodes[i], &s.states[i]) }
 

@@ -125,9 +125,11 @@ type Host struct {
 	// a run on a Sharded environment. Messages draw loss and latency
 	// randomness from the stream of the sending node's shard and count into
 	// that shard's counters, so concurrent shard workers never share mutable
-	// state. Unsharded runs degenerate to one shard: shardOfNode is nil,
-	// netRNGs[0] is netRNG itself (the historical single-stream draw order,
-	// bit-for-bit) and counts has a single element.
+	// state. shardOfNode is the environment's own ShardTable, not a copy, so
+	// the engine's routing and the Host's lookups read the same lines.
+	// Unsharded runs degenerate to one shard: shardOfNode is nil, netRNGs[0]
+	// is netRNG itself (the historical single-stream draw order, bit-for-bit)
+	// and counts has a single element.
 	sharded     Sharded
 	shardOfNode []int32
 	netRNGs     []protocol.Rand
@@ -202,9 +204,8 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
 		shards := sh.NumShards()
 		h.sharded = sh
-		h.shardOfNode = make([]int32, n)
-		for i := 0; i < n; i++ {
-			h.shardOfNode[i] = int32(sh.ShardOf(i))
+		if h.shardOfNode = sh.ShardTable(); len(h.shardOfNode) < n {
+			return nil, fmt.Errorf("runtime: shard table covers %d nodes, overlay has %d", len(h.shardOfNode), n)
 		}
 		h.netRNGs = make([]protocol.Rand, shards)
 		h.shardHooks = make([]HookScheduler, shards)
@@ -339,7 +340,9 @@ func buildParallel(n, workers int, build func(i int) error) error {
 // reschedules at exactly the points the closure-based Every would (one event
 // at assembly, one after each executed tick), so event (time, seq) order and
 // hence every golden output is unchanged. Environments without the
-// capability (the live runtime) keep the closure path.
+// capability (the live runtime) keep the closure path. tickHook is also a
+// LookaheadHook, so the simulated environments can announce the nodes that
+// tick next.
 func (h *Host) scheduleRounds() {
 	phaseRNG := h.env.Rand(StreamPhase)
 	n := h.slab.Len()
@@ -382,6 +385,8 @@ func (h *Host) scheduleRounds() {
 // allocation and hook identity is stable across the run.
 type tickHook Host
 
+var _ LookaheadHook = (*tickHook)(nil)
+
 func (t *tickHook) RunHook(node int32, _ uint64) {
 	h := (*Host)(t)
 	if h.Online(int(node)) {
@@ -393,6 +398,32 @@ func (t *tickHook) RunHook(node int32, _ uint64) {
 		return
 	}
 	h.hookEnv.AtHook(h.env.Now()+h.cfg.Delta, t, node, 0)
+}
+
+// Lookahead implements LookaheadHook for nodes about to tick. The first loop
+// loads what a tick reads first: the node row and state row, the node's
+// byte counter and, sharded, its shard-table entry. The second loop, once
+// those are under way, loads the node's CSR offsets and first out-neighbour,
+// where peer sampling starts. The loads within a loop are independent, so
+// their cache misses overlap instead of each tick paying its own. Nothing
+// is written, and everything read is either immutable (the overlay, the
+// shard table) or state of nodes the calling shard owns, so the loads are
+// safe on any shard worker.
+func (t *tickHook) Lookahead(nodes []int32) uint64 {
+	h := (*Host)(t)
+	var sum uint64
+	for _, i := range nodes {
+		sum += h.slab.Preload(int(i)) + uint64(h.nodeBytes[i])
+		if h.shardOfNode != nil {
+			sum += uint64(h.shardOfNode[i])
+		}
+	}
+	for _, i := range nodes {
+		if nbrs := h.cfg.Graph.OutNeighbors(int(i)); len(nbrs) > 0 {
+			sum += uint64(nbrs[0])
+		}
+	}
+	return sum
 }
 
 // churnHook applies one trace transition as a typed event: word 1 brings the

@@ -22,7 +22,8 @@
 // capability, on purpose: the simulated environments implement it so
 // per-node ticks and churn transitions schedule without closures, while
 // live.Env keeps the closure Every path, which carries the live grid and the
-// daemon's re-arm-after-tick policy.
+// daemon's re-arm-after-tick policy. On the hook side, LookaheadHook lets
+// the simulated environments tell the Host's tick which nodes tick next.
 //
 // Because scenario drivers, availability traces and metric probes only talk
 // to the Host and its Env, they run identically in every world: an
@@ -148,8 +149,11 @@ type Sharded interface {
 	Env
 	// NumShards returns the number of worker shards (≥ 1).
 	NumShards() int
-	// ShardOf returns the shard owning the given node.
-	ShardOf(node int) int
+	// ShardTable returns the shard owning each node, indexed by node (at
+	// least N() entries). It is the environment's own routing table, shared
+	// with the caller read-only: the Host indexes it directly instead of
+	// keeping a copy.
+	ShardTable() []int32
 	// Shard returns the scheduling surface of one shard.
 	Shard(s int) ShardScheduler
 }
@@ -161,6 +165,20 @@ type Sharded interface {
 // cost one long-lived closure per node per event.
 type Hook interface {
 	RunHook(node int32, word uint64)
+}
+
+// LookaheadHook is an optional capability of a Hook. An environment that
+// knows which of the hook's events come next — the simulated ones keep each
+// hook's events in a sorted lane (see sim.LookaheadSink) — calls Lookahead
+// with the node indices of some of them, a few events before they run, so
+// the hook can load what they will touch while earlier events still
+// execute. Lookahead runs on the goroutine that will run those events; it
+// must only read, and only state those events may touch. It returns any
+// value derived from the loaded words, which the caller keeps so the loads
+// are not discarded as dead code. The Host's proactive tick implements it.
+type LookaheadHook interface {
+	Hook
+	Lookahead(nodes []int32) uint64
 }
 
 // HookScheduler is an optional capability of Env and ShardScheduler. AtHook

@@ -72,7 +72,9 @@ type DeliverySink interface {
 // whose times arrive in order (periodic re-arms, a presorted schedule), so
 // only events that really need a priority queue pay for one. Every run
 // method pops the least of the queue head and the lane heads by (time, seq),
-// the same total order a single queue would produce.
+// the same total order a single queue would produce. A sink with the
+// LookaheadSink capability is also told, in batches, which of its lane's
+// events come next.
 type Engine struct {
 	q         queue
 	lanes     []hookLane
@@ -80,6 +82,16 @@ type Engine struct {
 	seq       uint64
 	processed uint64
 	stopped   bool
+
+	// ahead[i] is lanes[i]'s sink as a LookaheadSink, nil where the sink
+	// lacks the capability. batch carries the node indices of one lookahead
+	// call: engine-owned, because a stack array passed through the interface
+	// would escape and cost an allocation per batch. aheadSum collects the
+	// calls' results so their loads stay live; it is per engine, because
+	// shard engines run concurrently.
+	ahead    []LookaheadSink
+	batch    [LookaheadBatch]int32
+	aheadSum uint64
 }
 
 // NewEngine returns an engine with virtual time 0 and an empty event queue,
@@ -224,6 +236,9 @@ func (e *Engine) step(q queue, l *hookLane) {
 	if l != nil {
 		sink := l.sink // a new lane registered by the callback may move l
 		h := l.pop()
+		if l.lookaheadDue() {
+			e.lookahead(l)
+		}
 		e.now = h.time
 		e.processed++
 		sink.Deliver(Delivery{To: h.to, Word: h.word})
@@ -324,15 +339,40 @@ func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliveryS
 	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: Delivery{To: to, Word: word}})
 }
 
-// lane returns sink's hook lane, creating it on first use.
+// lane returns sink's hook lane, creating it on first use; creation also
+// resolves the sink's LookaheadSink capability, once.
 func (e *Engine) lane(sink DeliverySink) *hookLane {
 	for i := range e.lanes {
 		if e.lanes[i].sink == sink {
 			return &e.lanes[i]
 		}
 	}
+	la, _ := sink.(LookaheadSink)
+	e.ahead = append(e.ahead, la)
 	e.lanes = append(e.lanes, hookLane{sink: sink})
 	return &e.lanes[len(e.lanes)-1]
+}
+
+// lookahead hands lane l's LookaheadSink, if its sink has the capability,
+// the To of the entries [head+K, head+2K), K = LookaheadBatch. The lane holds
+// at least lookaheadMinLane ≥ 2K entries, so all of them exist. The
+// capability is looked up here, once per batch among a handful of lanes,
+// rather than carried into every pop.
+func (e *Engine) lookahead(l *hookLane) {
+	var la LookaheadSink
+	for i := range e.lanes {
+		if &e.lanes[i] == l {
+			la = e.ahead[i]
+		}
+	}
+	if la == nil {
+		return
+	}
+	mask := len(l.buf) - 1
+	for k := range e.batch {
+		e.batch[k] = l.buf[(l.head+LookaheadBatch+k)&mask].to
+	}
+	e.aheadSum += la.Lookahead(e.batch[:])
 }
 
 // Run executes events until nothing is pending or Stop is called.

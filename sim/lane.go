@@ -23,6 +23,12 @@ type hookEntry struct {
 // not earlier than its tail — the caller routes any other through the queue.
 // Because seq grows with every scheduling call, a tail-or-later time is
 // enough to keep (time, seq) order.
+//
+// A lane is exactly 64 bytes, one size class and one cache line: the lanes
+// of different shard engines are separate small heap objects, and a lane
+// grown past 64 bytes would share a line with its neighbour's. The sink's
+// LookaheadSink capability is therefore kept beside the lane, in
+// Engine.ahead, not in it.
 type hookLane struct {
 	sink   DeliverySink
 	buf    []hookEntry // ring; len(buf) is zero or a power of two
@@ -30,6 +36,28 @@ type hookLane struct {
 	n      int
 	sorted bool
 }
+
+// LookaheadBatch is K, the lookahead batch size: every K pops of a lane
+// holding more than lookaheadMinLane entries, the engine hands the lane's
+// LookaheadSink the To of the K entries that follow the next K, that is of
+// the entries [head+K, head+2K) counted after the pop. Each entry is thus
+// announced once, between K and 2K pops before it runs: far enough ahead for
+// its loads to arrive, near enough that they are still cached when it does.
+//
+// The period needs no counter: K divides every ring length, and grow keeps
+// head's offset modulo K, so a pop completes a period exactly when it leaves
+// head at a multiple of K.
+const LookaheadBatch = 16
+
+// lookaheadMinLane is the lane population above which the engine hands out
+// lookahead batches. A tick reads about 256 bytes of per-node state spread
+// over five lines (node row 64 B, state row 64 B, the CSR offset and
+// adjacency, the byte counter, the shard table entry); below 8192 nodes that
+// is at most 2 MiB, the L2 of a current server core, so the loads would hit
+// anyway and the batch would be pure overhead. The population is a property
+// of the run's input (its node count per engine), not a setting. It also
+// guarantees the 2K entries a batch reads exist.
+const lookaheadMinLane = 8192
 
 // push appends an entry and reports whether the lane took it.
 func (l *hookLane) push(t float64, seq uint64, to int32, word uint64) bool {
@@ -46,12 +74,15 @@ func (l *hookLane) push(t float64, seq uint64, to int32, word uint64) bool {
 	return true
 }
 
-// grow doubles the ring, unwrapping it so head lands at 0.
+// grow doubles the ring, unwrapping it so head lands at its old offset
+// modulo LookaheadBatch (below K, so the entries still fit unwrapped): the
+// lookahead period runs on across the move.
 func (l *hookLane) grow() {
 	buf := make([]hookEntry, max(16, 2*len(l.buf)))
-	k := copy(buf, l.buf[l.head:])
-	copy(buf[k:], l.buf[:l.head])
-	l.buf, l.head = buf, 0
+	o := l.head % LookaheadBatch
+	k := copy(buf[o:], l.buf[l.head:])
+	copy(buf[o+k:], l.buf[:l.head])
+	l.buf, l.head = buf, o
 }
 
 // front returns the lane's earliest entry, sorting the lane first if it has
@@ -78,4 +109,30 @@ func (l *hookLane) pop() hookEntry {
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	return h
+}
+
+// lookaheadDue reports whether the pop just made completes a batch period
+// (see LookaheadBatch) on a lane large enough to hand the next batch out.
+func (l *hookLane) lookaheadDue() bool {
+	return l.n >= lookaheadMinLane && l.head&(LookaheadBatch-1) == 0
+}
+
+// LookaheadSink is an optional capability of a hook sink (see
+// Engine.ScheduleHookAt). A lane is a sorted FIFO, so the engine knows which
+// of the sink's events run next; it tells a LookaheadSink, so the sink can
+// load the state those events will touch while earlier events still run.
+// The loads of one batch are independent, so their cache misses overlap
+// instead of each event paying its own.
+//
+// The engine resolves the capability once, when the sink's lane is created.
+// Lookahead runs on the engine's goroutine, between popping an event and
+// running it. It must only read — the batch is a hint, and the events it
+// names run later, in order, exactly as they would without it — and only
+// state that the engine's own events may touch (a shard's nodes, on a shard
+// engine). The slice is engine-owned and only valid during the call. The
+// return value is folded into an engine field, so the compiler cannot drop
+// the loads as dead code; any value derived from the loaded words will do.
+type LookaheadSink interface {
+	DeliverySink
+	Lookahead(to []int32) uint64
 }

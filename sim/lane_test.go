@@ -361,7 +361,7 @@ func (s *shardLaneSink) Deliver(d Delivery) {
 	switch s.kind {
 	case kindTick, kindChaos:
 		node := int(d.To)
-		sh := se.ShardOfNode(node)
+		sh := int(se.shardOf[node])
 		now := se.ShardNow(sh)
 		w.record(sh, now, d.To, d.Word|uint64(s.kind)<<56)
 		r := w.rngs[node]
@@ -387,7 +387,7 @@ func (s *shardLaneSink) Deliver(d Delivery) {
 type shardLaneDeliver struct{ w *shardLaneWorld }
 
 func (s shardLaneDeliver) Deliver(d Delivery) {
-	sh := s.w.se.ShardOfNode(int(d.To))
+	sh := int(s.w.se.shardOf[d.To])
 	s.w.record(sh, s.w.se.ShardNow(sh), d.To, d.Word|uint64(kindDeliver)<<56)
 }
 

@@ -1,0 +1,322 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"github.com/szte-dcs/tokenaccount/internal/rng"
+)
+
+// TestHookLaneSize pins the lane to its 64-byte size class: the lanes of
+// different shard engines are separate small heap objects, so a lane grown
+// past 64 bytes would share a cache line with a neighbouring shard's lane.
+func TestHookLaneSize(t *testing.T) {
+	if size := unsafe.Sizeof(hookLane{}); size != 64 {
+		t.Fatalf("hookLane is %d bytes, want 64", size)
+	}
+}
+
+// aheadCountSink is countSink with the LookaheadSink capability.
+type aheadCountSink struct {
+	countSink
+	batches int
+}
+
+func (s *aheadCountSink) Deliver(d Delivery) {
+	s.n++
+	s.e.ScheduleHookAt(s.e.Now()+s.period, d.To, d.Word, s)
+}
+
+func (s *aheadCountSink) Lookahead(to []int32) uint64 {
+	s.batches++
+	return uint64(to[len(to)-1])
+}
+
+// TestLookaheadAllocs guards the lookahead's steady state: on a lane above
+// lookaheadMinLane, a self-re-arming hook whose sink takes lookahead batches
+// allocates nothing — the batch travels in the engine's own array.
+func TestLookaheadAllocs(t *testing.T) {
+	for _, kind := range allQueueKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := NewEngineWithQueue(kind)
+			s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
+			r := rng.New(5)
+			for i := int32(0); i < 2*lookaheadMinLane; i++ {
+				e.ScheduleHookAt(r.Float64(), i, 0, s)
+			}
+			e.RunUntil(1.5) // sort once, settle
+			allocs := testing.AllocsPerRun(4000, func() { e.Step() })
+			if allocs != 0 {
+				t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
+			}
+			if s.batches == 0 {
+				t.Error("the sink received no lookahead batch")
+			}
+		})
+	}
+}
+
+// queueBit marks the words of events a lookWorld schedules through the
+// queue on purpose (deliveries).
+const queueBit = 1 << 63
+
+// lookWorld runs tick-shaped hook lanes of one sink on every shard — each
+// node re-arms one period after it ticks, always for the first two periods,
+// then with probability 0.9 up to its eighth — so each lane's population
+// first holds and then shrinks across lookaheadMinLane. With spawn > 0, a
+// tick of the first two periods also adds a second entry for its node with
+// that probability, so the lane grows, and its ring is reallocated, while
+// it is being popped. Ticks also schedule deliveries to the same sink
+// through the queue, and hooks behind the lane's tail that fall back to it.
+// Everything is logged per shard, by the shard's own goroutine.
+type lookWorld struct {
+	engines []*Engine // per shard; one for the sequential engine
+	shards  int
+	n       int
+	spawn   float64
+	self    DeliverySink // the sink every event targets: a lookSink, or a plainSink hiding the capability
+	hookAt  func(s int, t float64, to int32, word uint64)
+	send    func(s int, delay float64, from, to int32, word uint64)
+	logs    []lookLog
+}
+
+type lookLog struct {
+	r        *rng.Source
+	nextWord uint64
+	fallback map[uint64]bool // words of hooks that went to the queue
+
+	ringLen int      // the lane's ring length at the first pop
+	pops    []int32  // To of every lane pop, in order
+	after   []int    // the lane's population right after each lane pop
+	queued  []uint64 // words of queue events, in order
+	batches []lookBatch
+}
+
+// lookBatch is one Lookahead call: pop is the 1-based index of the lane pop
+// it was made for.
+type lookBatch struct {
+	pop int
+	to  [LookaheadBatch]int32
+}
+
+type lookSink struct{ w *lookWorld }
+
+func (s *lookSink) Deliver(d Delivery) { s.w.deliver(d) }
+
+func (s *lookSink) Lookahead(to []int32) uint64 {
+	w := s.w
+	l := &w.logs[w.shardOf(to[0])]
+	b := lookBatch{pop: len(l.pops) + 1}
+	copy(b.to[:], to)
+	l.batches = append(l.batches, b)
+	return uint64(to[0])
+}
+
+// plainSink is the same sink without the LookaheadSink capability.
+type plainSink struct{ w *lookWorld }
+
+func (s *plainSink) Deliver(d Delivery) { s.w.deliver(d) }
+
+func (w *lookWorld) shardOf(node int32) int { return int(node) % w.shards }
+
+func (w *lookWorld) lane(s int) *hookLane {
+	e := w.engines[s]
+	for i := range e.lanes {
+		if e.lanes[i].sink == w.self {
+			return &e.lanes[i]
+		}
+	}
+	panic("no lane for the sink")
+}
+
+func (l *lookLog) word(gen uint64) uint64 {
+	l.nextWord++
+	return gen<<32 | l.nextWord
+}
+
+func (w *lookWorld) deliver(d Delivery) {
+	s := w.shardOf(d.To)
+	l := &w.logs[s]
+	if d.Word&queueBit != 0 || l.fallback[d.Word] {
+		l.queued = append(l.queued, d.Word)
+		return
+	}
+	if len(l.pops) == 0 {
+		l.ringLen = len(w.lane(s).buf)
+	}
+	l.pops = append(l.pops, d.To)
+	l.after = append(l.after, w.lane(s).n)
+	e := w.engines[s]
+	now := e.Now()
+	gen := d.Word >> 32 & 0xff
+	if gen >= 8 || (gen >= 2 && l.r.Float64() >= 0.9) {
+		return
+	}
+	w.hookAt(s, now+1, d.To, l.word(gen+1))
+	if gen < 2 && l.r.Float64() < w.spawn {
+		w.hookAt(s, now+1, d.To, l.word(gen+1)) // at the tail's time: appended
+	}
+	switch x := l.r.Float64(); {
+	case x < 0.1:
+		to := int32(l.r.Intn(w.n))
+		delay := 1 + q(l.r.Float64()*2) // at least the sharded lookahead
+		w.send(s, delay, d.To, to, queueBit|l.word(0))
+	case x < 0.15:
+		// Behind the tail just re-armed at now+1: the queue fallback.
+		word := l.word(8)
+		before := e.queue().Len()
+		w.hookAt(s, now+l.r.Float64()*0.5, d.To, word)
+		if e.queue().Len() == before {
+			panic("a hook behind the lane's tail went to the lane")
+		}
+		l.fallback[word] = true
+	}
+}
+
+// runLookWorld builds and runs the world with perShard nodes per shard on a
+// plain engine (shards = 0) or a sharded one, with the sink's capability
+// exposed or hidden, and returns the logs and the accounting probes taken
+// between run calls.
+func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
+	t.Helper()
+	w := &lookWorld{shards: max(shards, 1), spawn: spawn}
+	if exposed {
+		w.self = &lookSink{w: w}
+	} else {
+		w.self = &plainSink{w: w}
+	}
+	w.logs = make([]lookLog, w.shards)
+	for s := range w.logs {
+		w.logs[s] = lookLog{r: rng.New(rng.Derive(seed, uint64(s))), fallback: map[uint64]bool{}}
+	}
+	n := w.shards * perShard
+	w.n = n
+	var probe func() string
+	var run func(h float64)
+	if shards == 0 {
+		e := NewEngineWithQueue(kind)
+		w.engines = []*Engine{e}
+		w.hookAt = func(_ int, t float64, to int32, word uint64) { e.ScheduleHookAt(t, to, word, w.self) }
+		w.send = func(_ int, delay float64, _, to int32, word uint64) {
+			e.ScheduleDelivery(delay, Delivery{To: to, Word: word}, w.self)
+		}
+		probe = func() string {
+			next, ok := e.NextTime()
+			return fmt.Sprintf("now %v next %v %v processed %d pending %d", e.Now(), next, ok, e.Processed(), e.Pending())
+		}
+		run = e.RunUntil
+	} else {
+		shardOf := make([]int32, n)
+		for i := range shardOf {
+			shardOf[i] = int32(w.shardOf(int32(i)))
+		}
+		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1, Queue: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer se.Close()
+		se.SetSink(w.self)
+		w.engines = se.engines
+		w.hookAt = func(s int, t float64, to int32, word uint64) { se.ShardScheduleHookAt(s, t, to, word, w.self) }
+		w.send = func(_ int, delay float64, from, to int32, word uint64) {
+			se.Send(delay, Delivery{From: from, To: to, Word: word})
+		}
+		probe = func() string {
+			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.Pending())
+		}
+		run = se.RunUntil
+	}
+	setup := rng.New(seed)
+	for i := 0; i < n; i++ {
+		s := w.shardOf(int32(i))
+		w.hookAt(s, setup.Float64(), int32(i), w.logs[s].word(0))
+	}
+	var probes []string
+	for _, h := range []float64{0.5, 1.75, 3, 4.5, 100} {
+		run(h)
+		probes = append(probes, probe())
+	}
+	for s := range w.logs {
+		if spawn > 0 && len(w.lane(s).buf) <= w.logs[s].ringLen {
+			t.Fatalf("shard %d: the lane's ring never grew while popped", s)
+		}
+	}
+	return w.logs, probes
+}
+
+// TestShardLookaheadContract checks the lookahead contract of hook lanes on
+// every queue kind, on the plain engine and on a sharded one: a
+// LookaheadSink receives, every LookaheadBatch pops of its lane, exactly the
+// To of the lane entries [head+K, head+2K) — checked against the pops that
+// follow — as long as the lane held more than lookaheadMinLane entries when
+// the pop began, and nothing otherwise; queue events (deliveries, and hooks
+// that fell back to the queue) neither count as pops nor trigger a batch.
+// Lanes of exactly lookaheadMinLane entries, one more, and a few batches
+// more all hold and then shrink across the constant; a fourth lane grows
+// past its ring's capacity while popped, so the batch period must survive
+// the ring's reallocation. The run itself — pop
+// order, Processed, Pending, NextTime — is the one of the same sink with the
+// capability hidden. Named …Shard… so CI's sharded race soak runs it.
+func TestShardLookaheadContract(t *testing.T) {
+	const k = LookaheadBatch
+	for _, kind := range allQueueKinds {
+		for _, shards := range []int{0, 2} {
+			for _, c := range []struct {
+				perShard int
+				spawn    float64
+			}{
+				{lookaheadMinLane, 0},
+				{lookaheadMinLane + 1, 0},
+				{lookaheadMinLane + 3*k + 7, 0},
+				{2*lookaheadMinLane - 3*k - 5, 0.01}, // just below a power of two
+			} {
+				perShard := c.perShard
+				name := fmt.Sprintf("%s/shards=%d/lane=%d", kind, shards, perShard)
+				t.Run(name, func(t *testing.T) {
+					got, gotProbes := runLookWorld(t, kind, shards, perShard, c.spawn, 5, true)
+					want, wantProbes := runLookWorld(t, kind, shards, perShard, c.spawn, 5, false)
+					if !reflect.DeepEqual(gotProbes, wantProbes) {
+						t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+					}
+					for s := range got {
+						g, h := &got[s], &want[s]
+						if !reflect.DeepEqual(g.pops, h.pops) || !reflect.DeepEqual(g.after, h.after) || !reflect.DeepEqual(g.queued, h.queued) {
+							t.Fatalf("shard %d: event order differs with the capability exposed", s)
+						}
+						if len(g.queued) == 0 || len(g.fallback) == 0 {
+							t.Fatalf("shard %d: %d queue events, %d fallbacks; want both paths exercised", s, len(g.queued), len(g.fallback))
+						}
+						var due []int
+						for p := k; p <= len(g.pops); p += k {
+							if g.after[p-1] >= lookaheadMinLane {
+								due = append(due, p)
+							}
+						}
+						if perShard > lookaheadMinLane && len(due) == 0 {
+							t.Fatalf("shard %d: the lane never held more than %d entries", s, lookaheadMinLane)
+						}
+						if perShard == lookaheadMinLane && len(due) != 0 {
+							t.Fatalf("shard %d: a lane that never exceeds %d entries is due a batch", s, lookaheadMinLane)
+						}
+						if len(g.batches) != len(due) {
+							t.Fatalf("shard %d: %d batches, want %d", s, len(g.batches), len(due))
+						}
+						for i, b := range g.batches {
+							if b.pop != due[i] {
+								t.Fatalf("shard %d: batch %d came at pop %d, want %d", s, i, b.pop, due[i])
+							}
+							if next := g.pops[b.pop+k : b.pop+2*k]; !reflect.DeepEqual(b.to[:], next) {
+								t.Fatalf("shard %d: batch at pop %d = %v, but the lane popped %v", s, b.pop, b.to, next)
+							}
+						}
+						if len(h.batches) != 0 {
+							t.Fatalf("shard %d: a sink without the capability got %d batches", s, len(h.batches))
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -45,10 +45,25 @@ type outMsg struct {
 //
 // Determinism: for a fixed (event content, shard count) the run is
 // bit-for-bit reproducible. Shard execution is sequential within a shard;
-// outboxes are drained in (dst, src) order with fresh destination sequence
-// numbers; coordinator events run single-threaded at barriers, before any
-// shard event sharing their timestamp. The schedule does not depend on
-// goroutine timing — only on the event content itself.
+// each destination shard deposits its outboxes in src order, drawing fresh
+// sequence numbers from its own engine; coordinator events run
+// single-threaded at barriers, after the deposits and before any shard event
+// sharing their timestamp. The schedule does not depend on goroutine timing
+// — only on the event content itself.
+//
+// Barrier protocol. The outboxes are double-buffered: windows append to one
+// S×S set while the other is drained, and every barrier swaps the two. The
+// destination workers drain in parallel, each its own column of the set just
+// filled, at the start of their next task: fused into the next window when
+// no coordinator event is due at the barrier, or as a drain-only task (a
+// window ending where it starts) before the coordinator events when one is,
+// so those still see every deposit. A source worker appending to the other
+// set meanwhile never touches the boxes being drained. The drain runs
+// sequentially on the coordinator instead before the workers have started,
+// with one shard, and at the horizon, where the inclusive sweep needs the
+// deposits. Because every engine draws its own sequence numbers and each
+// deposits in src order, every seq, and so every tie-break, is the one a
+// sequential (dst, src) drain on the coordinator assigns.
 //
 // All scheduling methods (At, Schedule, Every, Send, Shard*) must be called
 // either during assembly or from within executing events; RunUntil itself
@@ -60,12 +75,14 @@ type ShardedEngine struct {
 	lookahead float64
 	sink      DeliverySink
 
-	// outboxes is the flattened S×S matrix of cross-shard buffers, indexed
-	// src*S+dst. Each buffer has exactly one writer (shard src's goroutine
-	// during windows, the coordinator at barriers) and one reader (the
-	// coordinator's drain); the window barrier orders the two, so plain
+	// outboxes holds two flattened S×S matrices of cross-shard buffers,
+	// each indexed src*S+dst; Send appends to outboxes[fill], the drain reads
+	// outboxes[fill^1]. Each buffer has exactly one writer (shard src's
+	// goroutine during windows, the coordinator at barriers) and one reader
+	// (shard dst's drain); the swap at a barrier orders the two, so plain
 	// slices suffice and the steady state allocates nothing once grown.
-	outboxes [][]outMsg
+	outboxes [2][][]outMsg
+	fill     int
 
 	work    []chan float64
 	wg      sync.WaitGroup // one window's barrier
@@ -94,7 +111,9 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		coord:     NewEngineWithQueue(cfg.Queue),
 		shardOf:   cfg.ShardOf,
 		lookahead: cfg.Lookahead,
-		outboxes:  make([][]outMsg, cfg.Shards*cfg.Shards),
+	}
+	for i := range se.outboxes {
+		se.outboxes[i] = make([][]outMsg, cfg.Shards*cfg.Shards)
 	}
 	for s := range se.engines {
 		se.engines[s] = NewEngineWithQueue(cfg.Queue)
@@ -109,8 +128,10 @@ func (se *ShardedEngine) SetSink(sink DeliverySink) { se.sink = sink }
 // NumShards returns the number of shards.
 func (se *ShardedEngine) NumShards() int { return len(se.engines) }
 
-// ShardOfNode returns the shard owning the given node.
-func (se *ShardedEngine) ShardOfNode(node int) int { return int(se.shardOf[node]) }
+// ShardTable returns the node→shard table the engine routes by (see
+// ShardedConfig.ShardOf). It is the engine's own slice: callers must not
+// modify it.
+func (se *ShardedEngine) ShardTable() []int32 { return se.shardOf }
 
 // Now returns the coordinator's virtual time: the time of the last barrier.
 // During a window, shard-local time (ShardNow) runs ahead of it.
@@ -186,7 +207,7 @@ func (se *ShardedEngine) Send(delay float64, d Delivery) {
 		panic(fmt.Sprintf("sim: cross-shard delivery %d→%d with delay %g below the lookahead %g",
 			d.From, d.To, delay, se.lookahead))
 	}
-	ob := &se.outboxes[int(src)*len(se.engines)+int(dst)]
+	ob := &se.outboxes[se.fill][int(src)*len(se.engines)+int(dst)]
 	*ob = append(*ob, outMsg{time: se.engines[src].Now() + delay, d: d})
 }
 
@@ -201,14 +222,16 @@ func (se *ShardedEngine) Processed() uint64 {
 }
 
 // Pending returns the number of scheduled, not-yet-executed events,
-// including deliveries parked in outboxes.
+// including deliveries parked in either set of outboxes.
 func (se *ShardedEngine) Pending() int {
 	n := se.coord.Pending()
 	for _, e := range se.engines {
 		n += e.Pending()
 	}
-	for _, ob := range se.outboxes {
-		n += len(ob)
+	for _, set := range se.outboxes {
+		for _, ob := range set {
+			n += len(ob)
+		}
 	}
 	return n
 }
@@ -219,14 +242,26 @@ func (se *ShardedEngine) Pending() int {
 // the horizon), and execute all shards in parallel up to — exclusively — that
 // end. Events at exactly the horizon execute in a final sequential sweep, so
 // repeated calls with increasing horizons behave like one long run, matching
-// Engine.RunUntil.
+// Engine.RunUntil. Where each drain runs is the barrier protocol of the type
+// comment.
 func (se *ShardedEngine) RunUntil(horizon float64) {
 	if se.closed {
 		panic("sim: RunUntil on a closed ShardedEngine")
 	}
 	for {
 		t := se.coord.Now()
-		se.drainOutboxes()
+		if se.started && t < horizon {
+			// The destination workers drain the set just filled at the start
+			// of their next task. A coordinator event due now must see the
+			// deposits, so it gets a drain-only task of its own: a window
+			// ending at t runs no event.
+			se.fill ^= 1
+			if next, ok := se.coord.NextTime(); ok && next <= t {
+				se.runWindow(t)
+			}
+		} else {
+			se.drainOutboxes()
+		}
 		se.coord.RunUntil(t)
 		if t >= horizon {
 			break
@@ -253,7 +288,8 @@ func (se *ShardedEngine) RunUntil(horizon float64) {
 	se.drainOutboxes()
 }
 
-// runWindow executes every shard up to, exclusively, the window end.
+// runWindow executes every shard up to, exclusively, the window end; on the
+// workers, each shard first deposits its column of the drained outbox set.
 func (se *ShardedEngine) runWindow(wEnd float64) {
 	if len(se.engines) == 1 {
 		se.engines[0].RunBefore(wEnd)
@@ -280,33 +316,43 @@ func (se *ShardedEngine) start() {
 		ch := make(chan float64)
 		se.work[s] = ch
 		se.workers.Add(1)
-		go func(e *Engine) {
+		go func(s int, e *Engine) {
 			defer se.workers.Done()
 			for wEnd := range ch {
+				se.drainInto(s)
 				e.RunBefore(wEnd)
 				se.wg.Done()
 			}
-		}(se.engines[s])
+		}(s, se.engines[s])
 	}
 }
 
-// drainOutboxes deposits parked cross-shard deliveries into their
-// destination queues. The (dst, src) iteration order is fixed, and entries
-// within one outbox are in source execution order, so the destination
-// sequence numbers — and with them all tie-breaks — are deterministic.
+// drainOutboxes swaps the outbox sets and deposits every parked cross-shard
+// delivery on the calling goroutine, destination by destination.
 func (se *ShardedEngine) drainOutboxes() {
+	se.fill ^= 1
+	for dst := range se.engines {
+		se.drainInto(dst)
+	}
+}
+
+// drainInto deposits the deliveries parked for shard dst in the drained set
+// (the one Send is not filling) into dst's queue. Sources are taken in src
+// order and entries within one outbox are in source execution order, and dst
+// draws the sequence numbers from its own engine, so they — and with them
+// all tie-breaks — are deterministic whichever goroutine drains.
+func (se *ShardedEngine) drainInto(dst int) {
 	s := len(se.engines)
-	for dst := 0; dst < s; dst++ {
-		e := se.engines[dst]
-		for src := 0; src < s; src++ {
-			ob := &se.outboxes[src*s+dst]
-			for i := range *ob {
-				m := &(*ob)[i]
-				e.ScheduleDeliveryAt(m.time, m.d, se.sink)
-				m.d.Box = nil // release boxed payloads while the slot idles
-			}
-			*ob = (*ob)[:0]
+	e := se.engines[dst]
+	set := se.outboxes[se.fill^1]
+	for src := 0; src < s; src++ {
+		ob := &set[src*s+dst]
+		for i := range *ob {
+			m := &(*ob)[i]
+			e.ScheduleDeliveryAt(m.time, m.d, se.sink)
+			m.d.Box = nil // release boxed payloads while the slot idles
 		}
+		*ob = (*ob)[:0]
 	}
 }
 

@@ -39,7 +39,7 @@ type timedSink struct {
 }
 
 func (s *timedSink) Deliver(d Delivery) {
-	t := s.se.ShardNow(s.se.ShardOfNode(int(d.To)))
+	t := s.se.ShardNow(int(s.se.shardOf[d.To]))
 	s.mu.Lock()
 	s.entries = append(s.entries, shardEntry{time: t, from: d.From, to: d.To, word: d.Word})
 	s.mu.Unlock()
@@ -326,6 +326,32 @@ func TestShardedProcessedAndPending(t *testing.T) {
 	}
 }
 
+// TestShardedPendingCountsBothOutboxSets: a parked cross-shard delivery is
+// pending in the set Send fills and, after a barrier's swap, in the set the
+// destination drains.
+func TestShardedPendingCountsBothOutboxSets(t *testing.T) {
+	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer se.Close()
+	sink := &shardTrace{}
+	se.SetSink(sink)
+	se.Send(1.5, Delivery{From: 0, To: 1})
+	if got := se.Pending(); got != 1 {
+		t.Fatalf("Pending with the delivery in the filled outbox set = %d, want 1", got)
+	}
+	se.fill ^= 1
+	if got := se.Pending(); got != 1 {
+		t.Fatalf("Pending with the delivery in the drained outbox set = %d, want 1", got)
+	}
+	se.drainInto(1)
+	se.RunUntil(5)
+	if got, pend := len(sink.entries), se.Pending(); got != 1 || pend != 0 {
+		t.Fatalf("after the run: %d deliveries, Pending = %d, want 1, 0", got, pend)
+	}
+}
+
 // TestShardedCloseWaitsForWorkers requires the shard workers to be gone when
 // Close returns — not merely told to stop — so a closed engine no longer
 // keeps its events, sink and whatever they reference reachable. No test of
@@ -416,7 +442,10 @@ func TestShardedCrossShardAllocs(t *testing.T) {
 
 // TestShardedOutboxAllocs measures the cross-shard outbox round trip itself
 // with a 2-shard engine driven from the test goroutine: deliveries are
-// parked and drained via the internal APIs RunUntil uses at barriers.
+// parked and drained via the internal APIs RunUntil uses at barriers — the
+// swap of the double-buffered sets and the destination's own drain — so
+// each round fills one set and drains the other, and both sets have grown
+// before the measurement.
 func TestShardedOutboxAllocs(t *testing.T) {
 	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
 	if err != nil {
@@ -430,10 +459,17 @@ func TestShardedOutboxAllocs(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			se.Send(1.0+float64(i%5)*0.5, Delivery{From: 0, To: 1, Word: uint64(i)})
 		}
-		se.drainOutboxes()
+		se.fill ^= 1
+		se.drainInto(1)
 		se.engines[1].Run()
 	}
 	warm()
+	warm()
+	for set := range se.outboxes {
+		if cap(se.outboxes[set][0*2+1]) == 0 {
+			t.Fatalf("outbox set %d never used", set)
+		}
+	}
 	if avg := testing.AllocsPerRun(100, warm); avg != 0 {
 		t.Fatalf("cross-shard outbox round trip allocates %v per batch, want 0", avg)
 	}

@@ -17,22 +17,46 @@ var _ sim.DeliverySink = (*hookAdapter)(nil)
 
 func (a *hookAdapter) Deliver(d sim.Delivery) { a.hook.RunHook(d.To, d.Word) }
 
+// lookaheadAdapter is the adapter of a hook with the runtime.LookaheadHook
+// capability: it is a sim.LookaheadSink, so the engine hands the hook the
+// nodes its lane runs next. A hook without the capability gets a plain
+// hookAdapter, which the engine sees has none.
+type lookaheadAdapter struct {
+	hook runtime.LookaheadHook
+}
+
+var _ sim.LookaheadSink = (*lookaheadAdapter)(nil)
+
+func (a *lookaheadAdapter) Deliver(d sim.Delivery) { a.hook.RunHook(d.To, d.Word) }
+
+func (a *lookaheadAdapter) Lookahead(to []int32) uint64 { return a.hook.Lookahead(to) }
+
 // hookRegistry caches one adapter per registered hook so rescheduling a hook
 // from its own callback allocates nothing. Registration (the first AtHook
 // call for a hook) must happen during assembly or from coordinator context;
 // lookups of already-registered hooks are read-only and therefore safe from
 // shard workers mid-window, when coordinator events cannot run.
 type hookRegistry struct {
-	adapters []*hookAdapter
+	adapters []registeredHook
 }
 
-func (r *hookRegistry) adapterFor(h runtime.Hook) *hookAdapter {
+type registeredHook struct {
+	hook runtime.Hook
+	sink sim.DeliverySink
+}
+
+func (r *hookRegistry) adapterFor(h runtime.Hook) sim.DeliverySink {
 	for _, a := range r.adapters {
 		if a.hook == h {
-			return a
+			return a.sink
 		}
 	}
-	a := &hookAdapter{hook: h}
-	r.adapters = append(r.adapters, a)
-	return a
+	var sink sim.DeliverySink
+	if la, ok := h.(runtime.LookaheadHook); ok {
+		sink = &lookaheadAdapter{hook: la}
+	} else {
+		sink = &hookAdapter{hook: h}
+	}
+	r.adapters = append(r.adapters, registeredHook{hook: h, sink: sink})
+	return sink
 }

@@ -182,8 +182,8 @@ func (e *ShardedEnv) SetOffline(node int) { e.online.Set(node, false) }
 // NumShards implements runtime.Sharded.
 func (e *ShardedEnv) NumShards() int { return e.engine.NumShards() }
 
-// ShardOf implements runtime.Sharded.
-func (e *ShardedEnv) ShardOf(node int) int { return e.engine.ShardOfNode(node) }
+// ShardTable implements runtime.Sharded with the engine's own routing table.
+func (e *ShardedEnv) ShardTable() []int32 { return e.engine.ShardTable() }
 
 // Shard implements runtime.Sharded.
 func (e *ShardedEnv) Shard(s int) runtime.ShardScheduler { return &e.facades[s] }
