@@ -439,12 +439,11 @@ func BenchmarkSweepGridWorkers(b *testing.B) {
 // DESIGN.md queue choice: a classic hold-model workload (every executed event
 // schedules one successor at a random future offset) over a few thousand
 // pending events, comparing the default index-slab 4-ary heap and the
-// calendar queue against the container/heap reference. The slab and calendar
-// queues never box events into interfaces, so their steady states allocate
-// nothing.
+// calendar queue. Neither boxes events into interfaces, so their steady
+// states allocate nothing.
 func BenchmarkSchedulerQueues(b *testing.B) {
 	const pending = 4096
-	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueHeap, sim.QueueCalendar} {
+	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			e := sim.NewEngineWithQueue(kind)

@@ -558,13 +558,11 @@ func specs() []spec {
 			bench:         func(short bool) func(*testing.B) { return shardedThroughputBench(shards, short) },
 		})
 	}
-	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueHeap, sim.QueueCalendar} {
+	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 		kind := kind
 		out = append(out, spec{
-			name: "SchedulerQueue/" + kind.String(),
-			// The container/heap reference allocates by design; only the
-			// allocation-free kinds are guarded.
-			guarded: kind != sim.QueueHeap,
+			name:    "SchedulerQueue/" + kind.String(),
+			guarded: true,
 			bench:   func(short bool) func(*testing.B) { return schedulerBench(kind) },
 		})
 	}

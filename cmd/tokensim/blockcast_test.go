@@ -47,7 +47,7 @@ func TestBlockcastByteIdentity(t *testing.T) {
 			t.Errorf("blockcast output missing %q:\n%s", want, base)
 		}
 	}
-	for _, queue := range []string{"slab", "heap", "calendar"} {
+	for _, queue := range []string{"slab", "calendar"} {
 		if got := runBlockcastSim(t, "-queue", queue); got != base {
 			t.Errorf("queue=%s diverged from the default queue", queue)
 		}

@@ -44,7 +44,7 @@ func run(args []string, w io.Writer) (err error) {
 		runtimeName  = fs.String("runtime", "sim", "execution runtime (live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
 		networkName  = fs.String("network", "constant", "network latency/loss model (with :params, e.g. exponential:1.728, zones:4:0.5:3, lossy:0.01:uniform:1:2): "+strings.Join(experiment.Networks(), ", "))
 		workloadName = fs.String("workload", "interval", "update-injection arrival process (with :params, e.g. poisson:0.5, flashcrowd:3600:20:600:poisson:0.5, replay:arrivals.stream): "+strings.Join(experiment.Workloads(), ", "))
-		queueName    = fs.String("queue", "", "event queue of the sim runtime: slab, heap, calendar (defaults to the runtime's choice, calendar); all produce identical output")
+		queueName    = fs.String("queue", "", "event queue of the sim runtime: slab or calendar (defaults to the runtime's choice, calendar); all produce identical output")
 		shards       = fs.Int("shards", 0, "parallel worker shards of the sim runtime (1 = the sequential engine; >1 needs a network model with a positive minimum cross-shard delay, e.g. zones)")
 		n            = fs.Int("n", 1000, "number of nodes")
 		rounds       = fs.Int("rounds", 200, "number of proactive periods")

@@ -56,7 +56,7 @@ func TestWorkloadMatrixByteIdentity(t *testing.T) {
 			if !strings.Contains(base, "# injections skipped") {
 				t.Error("non-default workload output missing the skipped-injections line")
 			}
-			for _, queue := range []string{"slab", "heap", "calendar"} {
+			for _, queue := range []string{"slab", "calendar"} {
 				if got := runWorkloadSim(t, spec, "-queue", queue); got != base {
 					t.Errorf("queue=%s diverged from the default queue under workload %s", queue, spec)
 				}

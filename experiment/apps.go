@@ -130,14 +130,13 @@ func (r *pushGossipRun) NewApp(node int) protocol.Application {
 
 // Start installs the update injection: one new update per workload arrival
 // at a random online node — every InjectionInterval under the default
-// workload, whose legacy Every loop is kept verbatim so default runs stay
-// byte-identical to the paper setup. Injections that find the whole network
-// offline are counted rather than silently lost. It schedules through the
+// workload, the paper setup. Injections that find the whole network offline
+// are counted rather than silently lost. It schedules through the
 // runtime-neutral host, so injection works identically in the simulated and
 // the live runtime.
 func (r *pushGossipRun) Start(rc *RunContext) {
 	h := rc.Host
-	inject := func() bool {
+	h.ScheduleArrivals(rc.Arrivals, func() bool {
 		node, ok := h.RandomOnlineNode()
 		if !ok {
 			h.SkipInjection()
@@ -146,12 +145,7 @@ func (r *pushGossipRun) Start(rc *RunContext) {
 		r.latest++
 		r.states[node].Inject(r.latest)
 		return true
-	}
-	if rc.Arrivals != nil {
-		h.ScheduleArrivals(rc.Arrivals, inject)
-		return
-	}
-	h.Env().Every(r.cfg.InjectionInterval, r.cfg.InjectionInterval, inject)
+	})
 }
 
 // OnRejoin implements the §4.1.2 pull: a rejoining node issues one pull

@@ -166,8 +166,8 @@ func (r *blockcastRun) NewApp(node int) protocol.Application {
 }
 
 // Start wires the three run-global loops: transaction arrivals feed the
-// mempool (one per workload arrival; the default workload degenerates to the
-// paper's fixed InjectionInterval loop), commit checks scan the network four
+// mempool (one per workload arrival; the default workload is the paper's
+// fixed InjectionInterval drip), commit checks scan the network four
 // times per block interval, and the proposal loop rotates the proposer every
 // block interval. The commit loop is scheduled before the proposal loop, so
 // at a shared instant commits are scanned against the pre-proposal chain.
@@ -182,15 +182,10 @@ func (r *blockcastRun) Start(rc *RunContext) {
 		r.online = h.Online
 	}
 
-	submit := func() bool {
+	h.ScheduleArrivals(rc.Arrivals, func() bool {
 		r.chain.Submit(1)
 		return true
-	}
-	if rc.Arrivals != nil {
-		h.ScheduleArrivals(rc.Arrivals, submit)
-	} else {
-		h.Env().Every(r.cfg.InjectionInterval, r.cfg.InjectionInterval, submit)
-	}
+	})
 
 	checkEvery := r.interval / 4
 	h.Env().Every(checkEvery, checkEvery, func() bool {

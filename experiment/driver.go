@@ -91,9 +91,9 @@ type RunContext struct {
 	// Online reports whether a node is currently online.
 	Online func(node int) bool
 	// Arrivals is the workload's update-injection arrival process for this
-	// repetition, nil under the default fixed-interval workload (in which
-	// case arrival-driven applications fall back to their built-in
-	// InjectionInterval loop — the paper's traffic, byte-for-byte).
+	// repetition. It is never nil: the default workload yields one arrival
+	// every InjectionInterval, the paper's traffic. Arrival-driven
+	// applications hand it to Host.ScheduleArrivals.
 	Arrivals runtime.ArrivalSource
 	// OnlineOnly reports whether metrics should be computed over online
 	// nodes only (true exactly when the scenario supplied a trace).

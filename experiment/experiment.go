@@ -178,7 +178,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: SampleEvery = %g, need > 0 and finite", c.SampleEvery)
 	case !positiveFinite(c.InjectionInterval):
 		return fmt.Errorf("experiment: InjectionInterval = %g, need > 0 and finite", c.InjectionInterval)
-	case c.DropProbability < 0 || c.DropProbability > 1:
+	case !(c.DropProbability >= 0 && c.DropProbability <= 1): // NaN fails both comparisons
 		return fmt.Errorf("experiment: DropProbability = %g, need within [0, 1]", c.DropProbability)
 	}
 	if v, ok := c.App.(ConfigValidator); ok {
@@ -334,9 +334,12 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	// to trace presence for the built-ins; a churny scenario that returns no
 	// trace for some config keeps every node online, so the online-only
 	// computation degenerates to the all-nodes one).
-	arrivals, err := workloadArrivals(cfg, seed)
+	arrivals, err := cfg.Workload.Arrivals(cfg, seed)
 	if err != nil {
 		return nil, err
+	}
+	if arrivals == nil {
+		return nil, fmt.Errorf("experiment: workload %s returned no arrival process", DriverLabel(cfg.Workload))
 	}
 	rc := &RunContext{
 		Config:     cfg,

@@ -31,6 +31,9 @@ func TestConfigValidation(t *testing.T) {
 		{App: GossipLearning, Strategy: Proactive(), N: 10, InjectionInterval: -1},
 		{App: GossipLearning, Strategy: Proactive(), N: 10, DropProbability: -0.2},
 		{App: GossipLearning, Strategy: Proactive(), N: 10, DropProbability: 1.2},
+		// NaN fails both range comparisons; N is large enough that nothing
+		// else rejects this row.
+		{App: GossipLearning, Strategy: Proactive(), N: 120, Rounds: 5, DropProbability: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -226,11 +229,34 @@ func TestGossipLearningTraceScenarioRuns(t *testing.T) {
 	}
 }
 
+// TestAuditRateLimitPasses runs audited assemblies on every runtime: the
+// §3.4 envelope holds on the simulator and on both wall-clock runtimes,
+// whose ticks re-arm one Δ after they ran however late that was. The live
+// cases are CI's live-tcp smoke step, Δ lasting about 35 ms of wall time.
 func TestAuditRateLimitPasses(t *testing.T) {
-	cfg := quickConfig(GossipLearning, Generalized(1, 20))
-	cfg.AuditRateLimit = true
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("audited run failed: %v", err)
+	live := func(spec string) Config {
+		cfg := quickConfig(PushGossip, Randomized(5, 10))
+		cfg.N, cfg.Rounds = 30, 10
+		var err error
+		if cfg.Runtime, err = ParseRuntime(spec); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sim", quickConfig(GossipLearning, Generalized(1, 20))},
+		{"live", live("live:0.0002")},
+		{"live-tcp", live("live-tcp:0.0002")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.AuditRateLimit = true
+			if _, err := Run(c.cfg); err != nil {
+				t.Errorf("audited run failed: %v", err)
+			}
+		})
 	}
 }
 

@@ -146,7 +146,7 @@ func TestNetworkModelsDeterministicAcrossQueues(t *testing.T) {
 	for _, spec := range specs {
 		t.Run(strings.ReplaceAll(spec, ":", "_"), func(t *testing.T) {
 			var ref *Result
-			for _, kind := range []sim.QueueKind{sim.QueueHeap, sim.QueueSlab, sim.QueueCalendar} {
+			for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 				cfg := networkTestConfig(t)
 				var err error
 				cfg.Network, err = ParseNetwork(spec)

@@ -78,7 +78,7 @@ func TestParseWorkload(t *testing.T) {
 
 // TestDefaultWorkloadByteIdentical pins the acceptance criterion: an
 // unspecified workload, the parsed bare "interval" spec and a nil driver must
-// all reproduce the identical run — the legacy injection-loop path — and
+// all reproduce the identical run — the paper's fixed injection drip — and
 // their labels must not mention the workload dimension.
 func TestDefaultWorkloadByteIdentical(t *testing.T) {
 	base := runWorkload(t, workloadTestConfig())
@@ -106,9 +106,9 @@ func TestDefaultWorkloadByteIdentical(t *testing.T) {
 }
 
 // TestIntervalSpecMatchesDefaultPath requires the explicit
-// "interval:InjectionInterval" spec — which runs through the generic
-// ScheduleArrivals path — to reproduce the default Every-loop run exactly:
-// the arrival chain fires at bit-identical times.
+// "interval:InjectionInterval" spec to reproduce the default workload's run
+// exactly: both arrival chains fire at bit-identical times, the times the
+// applications' former Every injection loop used (the goldens pin those).
 func TestIntervalSpecMatchesDefaultPath(t *testing.T) {
 	base := runWorkload(t, workloadTestConfig())
 

@@ -12,18 +12,17 @@ import (
 // dimension next to applications, scenarios, strategies, runtimes and
 // networks. A WorkloadDriver turns a spec string such as "poisson:0.5" or
 // "flashcrowd:3600:20:600:poisson:0.5" into the update-injection arrival
-// process one repetition runs under; the default IntervalWorkload keeps the
-// paper's fixed InjectionInterval drip on the legacy Every path,
-// byte-identically. The availability side of the workload package plugs into
-// the scenario dimension instead (the "outage" scenario in scenarios.go), so
-// churn generators reuse the host's trace-driven lifecycle path unchanged.
+// process one repetition runs under; the default IntervalWorkload is the
+// paper's fixed InjectionInterval drip. The availability side of the workload
+// package plugs into the scenario dimension instead (the "outage" scenario in
+// scenarios.go), so churn generators reuse the host's trace-driven lifecycle
+// path unchanged.
 
 // IntervalWorkload is the default workload driver: one update injection every
-// Config.InjectionInterval, exactly as in the paper's evaluation. Its
-// Arrivals is nil, which selects the application's built-in injection loop —
-// the pre-workload code path, so default runs reproduce historical output
-// bit-for-bit. The spec form "interval:25" fixes the spacing and runs through
-// the generic arrival path instead.
+// Config.InjectionInterval, exactly as in the paper's evaluation. Its arrivals
+// are those of the spec "interval:<InjectionInterval>", so default runs and
+// the explicit spec inject at bit-identical times; the spec form
+// "interval:25" fixes the spacing independently of the config.
 var IntervalWorkload WorkloadDriver = intervalWorkload{}
 
 // IsDefaultWorkload reports whether d is the default fixed-interval workload,
@@ -80,9 +79,7 @@ type WorkloadDriver interface {
 	// Arrivals builds the arrival-process realization of one repetition. All
 	// randomness must be a pure function of seed (the repetition seed: wrap
 	// it with workload.ArrivalSeed to stay decorrelated from the runtime
-	// streams). A nil source selects the application's built-in
-	// fixed-interval injection loop — the paper's traffic, on the legacy
-	// zero-overhead path.
+	// streams). The source must not be nil.
 	Arrivals(cfg Config, seed uint64) (runtime.ArrivalSource, error)
 }
 
@@ -122,22 +119,13 @@ func (d specWorkload) Arrivals(_ Config, seed uint64) (runtime.ArrivalSource, er
 // Spec returns the wrapped arrival-process spec.
 func (d specWorkload) Spec() workload.Spec { return d.spec }
 
-// intervalWorkload is the parameter-free default: nil arrivals, application
-// injection loop.
+// intervalWorkload is the parameter-free default: arrivals every
+// Config.InjectionInterval.
 type intervalWorkload struct{}
 
 func (intervalWorkload) Name() string   { return "interval" }
 func (intervalWorkload) String() string { return "interval" }
 
-func (intervalWorkload) Arrivals(Config, uint64) (runtime.ArrivalSource, error) {
-	return nil, nil
-}
-
-// workloadArrivals resolves the config's workload driver to one repetition's
-// arrival source, treating a nil driver as the default interval workload.
-func workloadArrivals(cfg Config, seed uint64) (runtime.ArrivalSource, error) {
-	if cfg.Workload == nil {
-		return nil, nil
-	}
-	return cfg.Workload.Arrivals(cfg, seed)
+func (intervalWorkload) Arrivals(cfg Config, seed uint64) (runtime.ArrivalSource, error) {
+	return workload.Interval{Every: cfg.InjectionInterval}.New(seed), nil
 }

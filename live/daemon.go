@@ -321,15 +321,8 @@ func (f controlFilter) SetPayloadHandler(next transport.PayloadHandler) {
 	})
 }
 
-// daemonEnv is the environment as the daemon's host sees it. It puts every
-// run-loop callback under the daemon's mutex, and it replaces Env.Every's
-// tick policy: a repetition is re-armed one interval after the previous one
-// has *returned*, never on the nominal grid and never catching up. An
-// experiment wants the grid (runs are averaged sample by sample); a daemon
-// has no grid to stay on, and this way two consecutive token grants are at
-// least Δ apart on the wall clock however late a tick fires or however long
-// it takes — which is what makes the §3.4 bound hold exactly in real time,
-// where the grid's catch-up replay after a stall grants two tokens at once.
+// daemonEnv is the environment as the daemon's host sees it: it puts every
+// run-loop callback under the daemon's mutex.
 type daemonEnv struct {
 	*Env
 	d *Daemon
@@ -355,25 +348,21 @@ func (e daemonEnv) SetDeliver(fn runtime.DeliverFunc) {
 	})
 }
 
-// Every drives the host's proactive loop (its only periodic event) and feeds
-// the tick-latency reservoir with the duration of each tick of an online
-// node: application work plus sends.
-func (e daemonEnv) Every(phase, interval float64, fn func() bool) {
-	var tick func()
-	tick = func() {
+// AtHook carries the host's proactive tick (the daemon's host has no trace,
+// so it schedules no other hook) and feeds the tick-latency reservoir with
+// the duration of each tick of an online node: application work, sends and
+// the tick's re-arm.
+func (e daemonEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
+	e.Env.At(t, func() {
 		e.d.mu.Lock()
+		defer e.d.mu.Unlock()
 		online := e.Env.Online(0)
 		start := time.Now()
-		again := fn()
+		hook.RunHook(node, word)
 		if online {
 			e.d.tickLat.Add(time.Since(start).Seconds())
 		}
-		e.d.mu.Unlock()
-		if again {
-			e.Env.At(e.Env.Now()+interval, tick)
-		}
-	}
-	e.Env.At(e.Env.Now()+phase, tick)
+	})
 }
 
 // handleJoin admits a (re)joining peer and answers its pull: per §4.1.2 the

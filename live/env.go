@@ -247,10 +247,16 @@ func (e *Env) At(t float64, fn func()) {
 	e.scheduleAt(t, fn)
 }
 
+// AtHook implements runtime.Env as At(t, func() { hook.RunHook(node, word) }):
+// hook events share the timer heap, clamping and tie-break order of At.
+func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
+	e.At(t, func() { hook.RunHook(node, word) })
+}
+
 // scheduleAt pushes an event at exactly t, even if t already lies in the
 // past: a past event is immediately due and fires in nominal order. Every
 // uses it for re-arms so a periodic chain that fell behind the wall clock
-// still executes every tick within the horizon — most importantly during
+// still executes every repetition within the horizon — most importantly during
 // Run's deadline drain, where an At-clamped re-arm would land past the
 // horizon and silently drop the final on-grid metric sample, making the
 // sample count load-dependent instead of runtime-neutral.
@@ -501,13 +507,14 @@ func (e *Env) Run(until float64) error {
 			// The wall deadline has passed, so every event still pending
 			// within the horizon is due by definition — most importantly the
 			// final metric sample scheduled at exactly the horizon, which
-			// must not lose a race against the deadline check. Periodic
-			// re-arms land at their nominal times (scheduleAt, no clamping),
-			// so a chain that fell behind replays its remaining in-horizon
-			// ticks right here; each re-arm advances by a positive interval,
-			// so every chain leaves the horizon and the drain terminates.
-			// One-shot At callbacks cannot re-arm within the horizon: At
-			// clamps new events to the current run time, already past it.
+			// must not lose a race against the deadline check. Every re-arms
+			// land at their nominal times (scheduleAt, no clamping), so a
+			// chain that fell behind replays its remaining in-horizon
+			// repetitions right here; each re-arm advances by a positive
+			// interval, so every chain leaves the horizon and the drain
+			// terminates. At and AtHook callbacks — proactive ticks included —
+			// cannot re-arm within the horizon: At clamps new events to the
+			// current run time, already past it.
 			for {
 				fn, ok := e.popDue(until, until)
 				if !ok {

@@ -341,6 +341,76 @@ func TestHostOverLiveEnv(t *testing.T) {
 	}
 }
 
+// tickClock is a node's application with the run time of every message it
+// creates on record. Under the purely proactive strategy a node creates one
+// message per tick, so the record is the node's tick times.
+type tickClock struct {
+	protocol.Application
+	env   *live.Env
+	times []float64
+}
+
+func (a *tickClock) CreateMessage() protocol.Payload {
+	a.times = append(a.times, a.env.Now())
+	return a.Application.CreateMessage()
+}
+
+// TestLiveTicksNeverCatchUp stalls the run loop of a live host for about 6Δ
+// and requires the §3.4 rate bound to hold on every node anyway. A tick
+// re-arms one Δ after it has run, so ticks missed during the stall are
+// skipped, not replayed back to back once the loop resumes: consecutive
+// ticks of a node are at least Δ apart in run time, and the audit of every
+// node is clean. A tick schedule on the fixed grid replays them and breaks
+// the bound on every node.
+func TestLiveTicksNeverCatchUp(t *testing.T) {
+	const (
+		n     = 4
+		delta = 10.0  // run-seconds
+		scale = 1e-3  // Δ lasts 10 ms of wall time
+		stall = 60e-3 // wall seconds, about 6Δ
+	)
+	graph, err := overlay.RandomKOut(n, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := live.NewEnv(live.EnvConfig{N: n, Seed: 5, TimeScale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	apps := make([]*tickClock, n)
+	host, err := runtime.NewHost(env, runtime.Config{
+		Graph:    graph,
+		Strategy: func(int) core.Strategy { return core.PurelyProactive{} },
+		NewApp: func(i int) protocol.Application {
+			apps[i] = &tickClock{Application: pushgossip.New(), env: env}
+			return apps[i]
+		},
+		Delta:      delta,
+		AuditNodes: []int{0, 1, 2, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.At(3*delta, func() { time.Sleep(time.Duration(stall * float64(time.Second))) })
+	if err := host.Run(12 * delta); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range host.AuditViolations() {
+		t.Errorf("audit: %v", v)
+	}
+	for i, app := range apps {
+		if len(app.times) < 3 {
+			t.Fatalf("node %d ticked %d times in 12 periods", i, len(app.times))
+		}
+		for k := 1; k < len(app.times); k++ {
+			if gap := app.times[k] - app.times[k-1]; gap < delta*(1-1e-9) {
+				t.Errorf("node %d: ticks %d and %d are %.3g run-seconds apart, want ≥ Δ = %g", i, k-1, k, gap, delta)
+			}
+		}
+	}
+}
+
 // TestEnvEveryFiresAllTicksUnderStall is the regression test for the dropped
 // final metric sample: with an extreme time compression the wall deadline
 // passes before the run loop executes a single event, so every periodic tick

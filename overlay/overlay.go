@@ -266,7 +266,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	if k < 2 || k%2 != 0 || k > n-2 {
 		return nil, fmt.Errorf("overlay: WattsStrogatz k=%d must be even and in [2,%d]", k, n-2)
 	}
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("overlay: WattsStrogatz beta=%v out of [0,1]", beta)
 	}
 	src := rng.New(rng.Derive(seed, 0x77732d72696e67)) // "ws-ring"

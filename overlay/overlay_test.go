@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -195,6 +196,7 @@ func TestWattsStrogatzValidation(t *testing.T) {
 		{10, 0, 0.1},
 		{10, 4, -0.1},
 		{10, 4, 1.5},
+		{10, 4, math.NaN()},
 	}
 	for _, c := range cases {
 		if _, err := WattsStrogatz(c.n, c.k, c.beta, 0); err == nil {

@@ -9,37 +9,63 @@ import (
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
-// TestEnvContract checks, for every shipped environment, the parts of the
-// runtime.Env contract the Host relies on without asking: a generator seeded
-// with StreamSeed(s) yields exactly the Rand(s) sequence (the Host embeds
-// that state in each node's slab row), and the online set covers N() slots.
-func TestEnvContract(t *testing.T) {
-	const n, seed = 6, 42
-	envs := []struct {
-		name string
-		new  func() (runtime.Env, error)
-	}{
+// envCase is a constructor of one shipped environment.
+type envCase struct {
+	name string
+	new  func() (runtime.Env, error)
+}
+
+// shippedEnvs returns a constructor of every shipped environment with n node
+// slots: simnet.Env with the given transfer delay, ShardedEnv at two shards
+// with that delay as its lookahead, and live.Env at the given time scale.
+func shippedEnvs(n int, seed uint64, delay, scale float64) []envCase {
+	shardOf := make([]int32, n)
+	for i := range shardOf {
+		shardOf[i] = int32(i * 2 / n)
+	}
+	return []envCase{
 		{"simnet", func() (runtime.Env, error) {
-			return simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed, TransferDelay: 1})
+			return simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed, TransferDelay: delay})
 		}},
 		{"simnet-sharded", func() (runtime.Env, error) {
 			return simnet.NewShardedEnv(simnet.ShardedEnvConfig{
-				N: n, Seed: seed, TransferDelay: 1, Shards: 2,
-				ShardOf: []int32{0, 0, 0, 1, 1, 1}, Lookahead: 1,
+				N: n, Seed: seed, TransferDelay: delay, Shards: 2,
+				ShardOf: shardOf, Lookahead: delay,
 			})
 		}},
 		{"live", func() (runtime.Env, error) {
-			return live.NewEnv(live.EnvConfig{N: n, Seed: seed})
+			return live.NewEnv(live.EnvConfig{N: n, Seed: seed, TimeScale: scale})
 		}},
 	}
+}
+
+// open builds the environment and closes it when the test ends.
+func (c envCase) open(t *testing.T) runtime.Env {
+	t.Helper()
+	env, err := c.new()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { env.Close() })
+	return env
+}
+
+// TestEnvContract checks, for every shipped environment, the parts of the
+// runtime.Env contract the Host relies on without asking: a generator seeded
+// with StreamSeed(s) yields exactly the Rand(s) sequence (the Host embeds
+// that state in each node's slab row), the online set covers N() slots, and
+// AtHook behaves as At with the hook call in a closure — a hook scheduled in
+// the past runs at the present, and hooks and closures scheduled for the
+// same instant run in scheduling order.
+func TestEnvContract(t *testing.T) {
+	const n, seed = 6, 42
 	streams := []uint64{0, 1, n - 1, runtime.StreamNet, runtime.StreamPhase, runtime.ShardNetStream(1)}
-	for _, tc := range envs {
+	// On the live environment a run time unit lasts 20 ms: a callback that
+	// runs only after the horizon's wall deadline can schedule nothing
+	// within it, so the schedule needs slack against a busy host.
+	for _, tc := range shippedEnvs(n, seed, 1, 2e-2) {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := tc.new()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer env.Close()
+			env := tc.open(t)
 			if got := env.Availability().N(); got != env.N() {
 				t.Errorf("Availability().N() = %d, N() = %d", got, env.N())
 			}
@@ -54,6 +80,87 @@ func TestEnvContract(t *testing.T) {
 					}
 				}
 			}
+			t.Run("AtHook-in-the-past", func(t *testing.T) { checkAtHookInThePast(t, tc.open(t)) })
+			t.Run("AtHook-same-instant", func(t *testing.T) { checkAtHookSameInstant(t, tc.open(t)) })
 		})
 	}
+}
+
+// firing is one callback execution: which one, and the run time it saw.
+type firing struct {
+	id int
+	at float64
+}
+
+// logHook records its firings with the node index as the id.
+type logHook struct {
+	env runtime.Env
+	log *[]firing
+}
+
+func (h *logHook) RunHook(node int32, _ uint64) {
+	*h.log = append(*h.log, firing{int(node), h.env.Now()})
+}
+
+// runAtHookSchedule runs env to run time 3 after schedule has been called
+// from a callback at run time 1. schedule gets the time that callback ran at
+// and a hook and a closure constructor that both log to the returned firings.
+func runAtHookSchedule(t *testing.T, env runtime.Env, schedule func(now float64, hook runtime.Hook, closure func(id int) func())) []firing {
+	t.Helper()
+	var log []firing
+	hook := &logHook{env: env, log: &log}
+	closure := func(id int) func() {
+		return func() { log = append(log, firing{id, env.Now()}) }
+	}
+	env.At(1, func() { schedule(env.Now(), hook, closure) })
+	if err := env.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// checkFirings requires the callbacks with ids 1..len(notBefore) to have run
+// in id order, callback k no earlier than notBefore[k-1].
+func checkFirings(t *testing.T, log []firing, notBefore []float64) {
+	t.Helper()
+	if len(log) != len(notBefore) {
+		t.Fatalf("AtHook contract: %d callbacks ran, want %d: %v", len(log), len(notBefore), log)
+	}
+	for k, f := range log {
+		if f.id != k+1 {
+			t.Fatalf("AtHook contract: callbacks ran in order %v, want ids 1..%d in scheduling order", log, len(notBefore))
+		}
+		if f.at < notBefore[k] {
+			t.Errorf("AtHook contract: callback %d ran at %v, before %v", f.id, f.at, notBefore[k])
+		}
+	}
+}
+
+// checkAtHookInThePast schedules, from a callback at run time 1, a closure
+// and then a hook in the past, and then a closure for run time 2. The hook
+// runs second only if it was clamped to the present like the closure before
+// it.
+func checkAtHookInThePast(t *testing.T, env runtime.Env) {
+	var scheduledAt float64
+	log := runAtHookSchedule(t, env, func(now float64, hook runtime.Hook, closure func(int) func()) {
+		scheduledAt = now
+		env.At(0.5, closure(1))
+		env.AtHook(0.25, hook, 2, 0)
+		env.At(2, closure(3))
+	})
+	checkFirings(t, log, []float64{scheduledAt, scheduledAt, 2})
+}
+
+// checkAtHookSameInstant schedules, from a callback at run time 1, closures
+// and hooks alternating for run time 2, and requires them to run in
+// scheduling order.
+func checkAtHookSameInstant(t *testing.T, env runtime.Env) {
+	log := runAtHookSchedule(t, env, func(_ float64, hook runtime.Hook, closure func(int) func()) {
+		env.At(2, closure(1))
+		env.AtHook(2, hook, 2, 0)
+		env.At(2, closure(3))
+		env.AtHook(2, hook, 4, 0)
+		env.At(2, closure(5))
+	})
+	checkFirings(t, log, []float64{2, 2, 2, 2, 2})
 }

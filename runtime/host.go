@@ -79,7 +79,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("runtime: Delta = %v, need > 0 and finite", c.Delta)
 	case c.InitialTokens < 0:
 		return fmt.Errorf("runtime: InitialTokens = %v, need ≥ 0", c.InitialTokens)
-	case c.DropProbability < 0 || c.DropProbability > 1:
+	case !(c.DropProbability >= 0 && c.DropProbability <= 1): // NaN fails both comparisons
 		return fmt.Errorf("runtime: DropProbability = %v outside [0,1]", c.DropProbability)
 	}
 	if c.Trace != nil && c.Trace.N() < c.Graph.N() {
@@ -121,17 +121,18 @@ type Host struct {
 	// neighbour selection, and — in unsharded runs — every per-message draw.
 	netRNG protocol.Rand
 
-	// sharded, shardOfNode, netRNGs and counts carry the per-shard state of
-	// a run on a Sharded environment. Messages draw loss and latency
-	// randomness from the stream of the sending node's shard and count into
-	// that shard's counters, so concurrent shard workers never share mutable
-	// state. shardOfNode is the environment's own ShardTable, not a copy, so
-	// the engine's routing and the Host's lookups read the same lines.
-	// Unsharded runs degenerate to one shard: shardOfNode is nil, netRNGs[0]
-	// is netRNG itself (the historical single-stream draw order, bit-for-bit)
-	// and counts has a single element.
-	sharded     Sharded
+	// shardOfNode, scheds, netRNGs and counts carry the per-shard state of a
+	// run on a Sharded environment. A node's ticks are hook events on its
+	// shard's scheduler; messages draw loss and latency randomness from the
+	// stream of the sending node's shard and count into that shard's
+	// counters, so concurrent shard workers never share mutable state.
+	// shardOfNode is the environment's own ShardTable, not a copy, so the
+	// engine's routing and the Host's lookups read the same lines. Unsharded
+	// runs degenerate to one shard: shardOfNode is nil, scheds[0] is the
+	// environment itself, netRNGs[0] is netRNG (the historical single-stream
+	// draw order, bit-for-bit) and counts has a single element.
 	shardOfNode []int32
+	scheds      []ShardScheduler
 	netRNGs     []protocol.Rand
 	counts      []shardCounters
 
@@ -149,19 +150,9 @@ type Host struct {
 	envelopes map[int]*core.Envelope
 
 	// skippedInjections counts update injections that found no online node.
-	// Injection drivers run in coordinator context (the paper's Every loop and
-	// ScheduleArrivals chains both schedule run-global events), so a plain
-	// field suffices.
+	// Injection drivers run in coordinator context (ScheduleArrivals chains
+	// are run-global events), so a plain field suffices.
 	skippedInjections int64
-
-	// hookEnv and shardHooks are the environment's typed event schedulers
-	// (nil where the environment lacks the HookScheduler capability, in which
-	// case scheduling falls back to closures): hookEnv for coordinator events,
-	// shardHooks[s] for shard s. shardScheds caches the Shard(s) facades so
-	// per-tick rescheduling never re-fetches them.
-	hookEnv     HookScheduler
-	shardHooks  []HookScheduler
-	shardScheds []ShardScheduler
 }
 
 var _ protocol.Sender = (*Host)(nil)
@@ -200,23 +191,20 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	// Nodes given their own selector by Config.Peers never reach the shared
 	// overlay sampler.
 	h.slab = protocol.NewSharedSlab(n, h, (*overlayPeers)(h))
-	h.hookEnv, _ = env.(HookScheduler)
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
 		shards := sh.NumShards()
-		h.sharded = sh
 		if h.shardOfNode = sh.ShardTable(); len(h.shardOfNode) < n {
 			return nil, fmt.Errorf("runtime: shard table covers %d nodes, overlay has %d", len(h.shardOfNode), n)
 		}
+		h.scheds = make([]ShardScheduler, shards)
 		h.netRNGs = make([]protocol.Rand, shards)
-		h.shardHooks = make([]HookScheduler, shards)
-		h.shardScheds = make([]ShardScheduler, shards)
 		for s := range h.netRNGs {
+			h.scheds[s] = sh.Shard(s)
 			h.netRNGs[s] = env.Rand(ShardNetStream(s))
-			h.shardScheds[s] = sh.Shard(s)
-			h.shardHooks[s], _ = h.shardScheds[s].(HookScheduler)
 		}
 		h.counts = make([]shardCounters, shards)
 	} else {
+		h.scheds = []ShardScheduler{env}
 		h.netRNGs = []protocol.Rand{h.netRNG}
 		h.counts = make([]shardCounters, 1)
 	}
@@ -330,59 +318,32 @@ func buildParallel(n, workers int, build func(i int) error) error {
 	return nil
 }
 
-// scheduleRounds starts every node's proactive loop at a random phase. On a
-// sharded environment the loop is scheduled on the node's owning shard, so
-// ticks execute on the shard worker; the phase draws happen in node order
-// either way, so they are identical for every shard count.
-//
-// Where the environment supports typed hook events the loop is driven by
-// tickHook — one event per pending tick, no closures — which schedules and
-// reschedules at exactly the points the closure-based Every would (one event
-// at assembly, one after each executed tick), so event (time, seq) order and
-// hence every golden output is unchanged. Environments without the
-// capability (the live runtime) keep the closure path. tickHook is also a
-// LookaheadHook, so the simulated environments can announce the nodes that
-// tick next.
+// scheduleRounds starts every node's proactive loop at a random phase, as a
+// tickHook event on the node's shard — the environment itself unless it is
+// sharded, in which case ticks execute on the owning shard's worker. The
+// phase draws happen in node order either way, so they are identical for
+// every shard count.
 func (h *Host) scheduleRounds() {
 	phaseRNG := h.env.Rand(StreamPhase)
 	n := h.slab.Len()
 	for i := 0; i < n; i++ {
 		phase := phaseRNG.Float64() * h.cfg.Delta
-		if h.sharded != nil {
-			s := int(h.shardOfNode[i])
-			sched := h.shardScheds[s]
-			if hs := h.shardHooks[s]; hs != nil {
-				hs.AtHook(sched.Now()+phase, (*tickHook)(h), int32(i), 0)
-				continue
-			}
-			i := i
-			sched.Every(phase, h.cfg.Delta, func() bool {
-				if h.Online(i) {
-					h.slab.Tick(i)
-				}
-				return true
-			})
-			continue
-		}
-		if h.hookEnv != nil {
-			h.hookEnv.AtHook(h.env.Now()+phase, (*tickHook)(h), int32(i), 0)
-			continue
-		}
-		i := i
-		h.env.Every(phase, h.cfg.Delta, func() bool {
-			if h.Online(i) {
-				h.slab.Tick(i)
-			}
-			return true
-		})
+		sched := h.scheds[h.shardIdx(protocol.NodeID(i))]
+		sched.AtHook(sched.Now()+phase, (*tickHook)(h), int32(i), 0)
 	}
 }
 
 // tickHook drives one node's proactive loop as a typed event: tick the node
-// if it is online, then reschedule one period later — the exact behaviour of
-// the closure the Every-based path builds, without the closure. It is the
-// Host itself under a distinct method set, so scheduling it costs no
-// allocation and hook identity is stable across the run.
+// if it is online, then re-arm one period after the tick has returned. That
+// is the one tick policy of every runtime. In virtual time Now is the tick's
+// nominal time, so ticks stay on their phase grid; in wall-clock time two
+// consecutive token grants are at least Δ apart however late a tick fires or
+// however long it takes — a stalled run loop never replays missed ticks in a
+// burst, which is what keeps the §3.4 bound exact in real time. tickHook is
+// the Host itself under a distinct method set, so scheduling it costs no
+// allocation and hook identity is stable across the run. It is also a
+// LookaheadHook, so the simulated environments can announce the nodes that
+// tick next.
 type tickHook Host
 
 var _ LookaheadHook = (*tickHook)(nil)
@@ -392,12 +353,8 @@ func (t *tickHook) RunHook(node int32, _ uint64) {
 	if h.Online(int(node)) {
 		h.slab.Tick(int(node))
 	}
-	if h.sharded != nil {
-		s := int(h.shardOfNode[node])
-		h.shardHooks[s].AtHook(h.shardScheds[s].Now()+h.cfg.Delta, t, node, 0)
-		return
-	}
-	h.hookEnv.AtHook(h.env.Now()+h.cfg.Delta, t, node, 0)
+	sched := h.scheds[h.shardIdx(protocol.NodeID(node))]
+	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, 0)
 }
 
 // Lookahead implements LookaheadHook for nodes about to tick. The first loop
@@ -439,9 +396,8 @@ func (c *churnHook) RunHook(node int32, word uint64) {
 	}
 }
 
-// scheduleChurn schedules the online/offline transitions from the trace.
-// Transitions are coordinator events; with a HookScheduler environment each
-// one is a typed churnHook event instead of a closure.
+// scheduleChurn schedules the online/offline transitions from the trace, each
+// a churnHook event on the coordinator.
 func (h *Host) scheduleChurn() {
 	tr := h.cfg.Trace
 	if tr == nil {
@@ -451,24 +407,14 @@ func (h *Host) scheduleChurn() {
 	for i := 0; i < n && i < tr.N(); i++ {
 		for _, iv := range tr.Segments[i].Intervals {
 			if iv.Start > 0 {
-				if h.hookEnv != nil {
-					h.hookEnv.AtHook(iv.Start, (*churnHook)(h), int32(i), 1)
-				} else {
-					i := i
-					h.env.At(iv.Start, func() { h.SetOnline(i) })
-				}
+				h.env.AtHook(iv.Start, (*churnHook)(h), int32(i), 1)
 			}
 			if iv.End < tr.Duration {
 				// An interval reaching the end of the trace never transitions
 				// back to offline: the run ends there anyway, and scheduling
 				// the transition would make end-of-run metrics see an empty
 				// network.
-				if h.hookEnv != nil {
-					h.hookEnv.AtHook(iv.End, (*churnHook)(h), int32(i), 0)
-				} else {
-					i := i
-					h.env.At(iv.End, func() { h.SetOffline(i) })
-				}
+				h.env.AtHook(iv.End, (*churnHook)(h), int32(i), 0)
 			}
 		}
 	}
@@ -634,8 +580,8 @@ type ArrivalSource interface {
 // ScheduleArrivals drives fn from an arrival process: fn runs once at every
 // time the source yields, as a run-global (coordinator) event, until the
 // source is exhausted or fn returns false. Times in the past are clamped to
-// the present and ties execute in schedule order, matching the Every loop's
-// behaviour for an equivalent fixed-interval source. Only one event is
+// the present and ties execute in schedule order; in virtual time a
+// fixed-interval source fires exactly where Env.Every would. Only one event is
 // pending at a time — the next arrival is sampled after fn returns — so
 // arbitrarily long processes cost O(1) queue space.
 func (h *Host) ScheduleArrivals(src ArrivalSource, fn func() bool) {
@@ -672,12 +618,7 @@ func (h *Host) shardIdx(node protocol.NodeID) int32 {
 
 // shardNow returns the current time of the given shard's clock — the
 // environment's clock in unsharded runs.
-func (h *Host) shardNow(s int32) float64 {
-	if h.sharded != nil {
-		return h.sharded.Shard(int(s)).Now()
-	}
-	return h.env.Now()
-}
+func (h *Host) shardNow(s int32) float64 { return h.scheds[s].Now() }
 
 // Send implements protocol.Sender: after the host-level loss lotteries the
 // payload is handed to the environment's transport, which delivers it back

@@ -58,6 +58,7 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.Delta = math.Inf(1) },
 		func(c *runtime.Config) { c.InitialTokens = -1 },
 		func(c *runtime.Config) { c.DropProbability = 1.5 },
+		func(c *runtime.Config) { c.DropProbability = math.NaN() },
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 		func(c *runtime.Config) { c.Strategy = func(int) core.Strategy { return nil } },
@@ -107,38 +108,50 @@ func TestHostLifecycleRejoinHook(t *testing.T) {
 }
 
 // TestHostChurnTraceFiresRejoin replays a two-interval availability trace
-// and checks the scheduled transitions and the rejoin hook.
+// on every shipped environment and checks the scheduled transitions and the
+// rejoin hook. The transitions are churn hook events, so this is the
+// trace-churn path through each environment's AtHook.
 func TestHostChurnTraceFiresRejoin(t *testing.T) {
 	const n = 20
 	duration := 10 * delta
-	tr := trace.AlwaysOnline(n, duration)
-	// Node 7 crashes during [3Δ, 6Δ).
-	tr.Segments[7] = trace.Segment{Intervals: []trace.Interval{
-		{Start: 0, End: 3 * delta},
-		{Start: 6 * delta, End: duration},
-	}}
-	var rejoined []int
-	cfg := hostConfig(t, n)
-	cfg.Trace = tr
-	cfg.OnRejoin = func(_ *runtime.Host, node int) { rejoined = append(rejoined, node) }
-	host, err := runtime.NewHost(newSimEnv(t, n, 5), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := host.Run(4 * delta); err != nil {
-		t.Fatal(err)
-	}
-	if host.Online(7) {
-		t.Error("node 7 online during its outage")
-	}
-	if err := host.Run(10 * delta); err != nil {
-		t.Fatal(err)
-	}
-	if !host.Online(7) {
-		t.Error("node 7 still offline after its outage")
-	}
-	if len(rejoined) != 1 || rejoined[0] != 7 {
-		t.Errorf("rejoined = %v, want [7]", rejoined)
+	// 10Δ lasts about 17 ms of wall time on the live environment.
+	for _, tc := range shippedEnvs(n, 5, delta/100, 1e-5) {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.AlwaysOnline(n, duration)
+			// Node 7 crashes during [3Δ, 6Δ).
+			tr.Segments[7] = trace.Segment{Intervals: []trace.Interval{
+				{Start: 0, End: 3 * delta},
+				{Start: 6 * delta, End: duration},
+			}}
+			var rejoined []int
+			cfg := hostConfig(t, n)
+			cfg.Trace = tr
+			cfg.OnRejoin = func(_ *runtime.Host, node int) { rejoined = append(rejoined, node) }
+			host, err := runtime.NewHost(tc.open(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := host.Run(4 * delta); err != nil {
+				t.Fatal(err)
+			}
+			if host.Online(7) || host.OnlineCount() != n-1 {
+				t.Errorf("during node 7's outage: Online(7) = %v, OnlineCount = %d, want false and %d",
+					host.Online(7), host.OnlineCount(), n-1)
+			}
+			if err := host.Run(10 * delta); err != nil {
+				t.Fatal(err)
+			}
+			if !host.Online(7) || host.OnlineCount() != n {
+				t.Errorf("after node 7's outage: Online(7) = %v, OnlineCount = %d, want true and %d",
+					host.Online(7), host.OnlineCount(), n)
+			}
+			if len(rejoined) != 1 || rejoined[0] != 7 {
+				t.Errorf("rejoined = %v, want [7]", rejoined)
+			}
+			if host.TotalStats().Rounds == 0 {
+				t.Error("no proactive rounds ran")
+			}
+		})
 	}
 }
 
@@ -224,77 +237,6 @@ func TestHostNetworkLossyDropsAreCounted(t *testing.T) {
 	if host.MessagesSent() == 0 || host.MessagesDropped() != host.MessagesSent() {
 		t.Errorf("sent %d, dropped %d: every sent message should be dropped",
 			host.MessagesSent(), host.MessagesDropped())
-	}
-}
-
-// envWithoutHooks hides the environment's HookScheduler capability: it
-// carries only the runtime.Env contract, as live.Env does.
-type envWithoutHooks struct{ runtime.Env }
-
-// TestHostClosurePathMatchesTypedHooks runs the same churny assembly on the
-// discrete-event environment and on the same environment without its
-// HookScheduler capability, so the Host drives ticks and trace churn through
-// Env closures instead of typed hook events, and requires identical results:
-// the typed hooks are an optimization of the closure path, never a different
-// behaviour.
-func TestHostClosurePathMatchesTypedHooks(t *testing.T) {
-	const n = 40
-	run := func(wrap func(*simnet.Env) runtime.Env) *runtime.Host {
-		// Trace churn: every seventh node is away during [3Δ, 8Δ).
-		tr := trace.AlwaysOnline(n, 20*delta)
-		for i := 1; i < n; i += 7 {
-			tr.Segments[i] = trace.Segment{Intervals: []trace.Interval{
-				{Start: 0, End: 3 * delta},
-				{Start: 8 * delta, End: 20 * delta},
-			}}
-		}
-		cfg := hostConfig(t, n)
-		cfg.Trace = tr
-		host, err := runtime.NewHost(wrap(newSimEnv(t, n, 11)), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i += 3 {
-			i := i
-			host.Env().At(float64(2+i%5)*delta, func() { host.SetOffline(i) })
-			host.Env().At(float64(9+i%4)*delta, func() { host.SetOnline(i) })
-		}
-		seq := int64(0)
-		host.Env().Every(delta/2, delta, func() bool {
-			if node, ok := host.RandomOnlineNode(); ok {
-				seq++
-				host.App(node).(*pushgossip.State).Inject(seq)
-			}
-			return true
-		})
-		if err := host.Run(7 * delta); err != nil {
-			t.Fatal(err)
-		}
-		if got := host.OnlineCount(); got >= n || got < n/2 {
-			t.Fatalf("OnlineCount = %d mid-outage, want some but not most of %d nodes offline", got, n)
-		}
-		if err := host.Run(20 * delta); err != nil {
-			t.Fatal(err)
-		}
-		return host
-	}
-	typed := run(func(e *simnet.Env) runtime.Env { return e })
-	closures := run(func(e *simnet.Env) runtime.Env { return envWithoutHooks{e} })
-	if typed.TotalStats() != closures.TotalStats() || typed.MessagesDropped() != closures.MessagesDropped() {
-		t.Fatalf("stats differ: %+v, %d dropped (typed hooks) vs %+v, %d dropped (closures)",
-			typed.TotalStats(), typed.MessagesDropped(), closures.TotalStats(), closures.MessagesDropped())
-	}
-	if st := typed.TotalStats(); st.ReactiveSent == 0 || st.Rounds >= 20*n {
-		t.Fatalf("the run exercised no reactive sends or skipped no offline node's rounds: %+v", st)
-	}
-	for i := 0; i < n; i++ {
-		if typed.Node(i).Tokens() != closures.Node(i).Tokens() || typed.Node(i).Stats() != closures.Node(i).Stats() {
-			t.Fatalf("node %d differs: %d tokens %+v (typed hooks) vs %d tokens %+v (closures)", i,
-				typed.Node(i).Tokens(), typed.Node(i).Stats(), closures.Node(i).Tokens(), closures.Node(i).Stats())
-		}
-	}
-	if typed.OnlineCount() != n || closures.OnlineCount() != n {
-		t.Fatalf("OnlineCount = %d / %d after every node rejoined, want %d", typed.OnlineCount(), closures.OnlineCount(), n)
 	}
 }
 

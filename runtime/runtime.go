@@ -16,14 +16,14 @@
 //     "traffic shaping service" the paper proposes.
 //
 // Everything all three provide is part of the Env contract, including the
-// packed online set (AvailabilitySource), per-message delays (DelayedSender)
-// and derivable randomness streams (StreamSeeder). Besides Sharded, which
-// marks the one parallel environment, HookScheduler is the only optional
-// capability, on purpose: the simulated environments implement it so
-// per-node ticks and churn transitions schedule without closures, while
-// live.Env keeps the closure Every path, which carries the live grid and the
-// daemon's re-arm-after-tick policy. On the hook side, LookaheadHook lets
-// the simulated environments tell the Host's tick which nodes tick next.
+// packed online set (AvailabilitySource), per-message delays (DelayedSender),
+// derivable randomness streams (StreamSeeder) and typed hook events
+// (HookScheduler), which carry every node's proactive tick and every churn
+// transition of a trace. An Env implemented outside this module must provide
+// all of them; AtHook may simply wrap At, as live.Env's does. Sharded, which
+// marks the one parallel environment, is the one optional Env capability. On
+// the hook side, LookaheadHook is an optional capability too: it lets the
+// simulated environments tell the Host's tick which nodes tick next.
 //
 // Because scenario drivers, availability traces and metric probes only talk
 // to the Host and its Env, they run identically in every world: an
@@ -106,10 +106,12 @@ type Env interface {
 	Close() error
 
 	// The online set the Host reads on its hot paths, per-message delays
-	// for network models, and the seeds behind Rand (see each interface).
+	// for network models, the seeds behind Rand and the typed hook events of
+	// ticks and churn (see each interface).
 	AvailabilitySource
 	DelayedSender
 	StreamSeeder
+	HookScheduler
 }
 
 // DelayedSender is the Env method behind heterogeneous network models:
@@ -124,14 +126,13 @@ type DelayedSender interface {
 }
 
 // ShardScheduler is the per-shard scheduling surface of a Sharded
-// environment: shard-local virtual time plus timers whose callbacks run on
-// the shard's own worker and must only touch state owned by that shard's
-// nodes. During a window, Now runs ahead of the coordinator clock by up to
-// the lookahead.
+// environment: shard-local virtual time plus hook events that run on the
+// shard's own worker and must only touch state owned by that shard's nodes.
+// During a window, Now runs ahead of the coordinator clock by up to the
+// lookahead. Every Env is also the ShardScheduler of its one shard.
 type ShardScheduler interface {
 	Now() float64
-	Schedule(delay float64, fn func())
-	Every(phase, interval float64, fn func() bool)
+	HookScheduler
 }
 
 // Sharded is the optional Env capability behind parallel single-run
@@ -181,14 +182,15 @@ type LookaheadHook interface {
 	Lookahead(nodes []int32) uint64
 }
 
-// HookScheduler is an optional capability of Env and ShardScheduler. AtHook
-// behaves exactly like At(t, func() { hook.RunHook(node, word) }) — same
-// past-time clamping, same position in the environment's tie-break order —
-// but carries (hook, node, word) as plain event data, so per-node events
-// schedule without materializing closures. Implementations may key internal
-// state on the hook's identity; callers must register each distinct hook
-// (its first AtHook call) during assembly or from coordinator context, and
-// may then reschedule it freely from its own callbacks.
+// HookScheduler is part of Env and ShardScheduler. AtHook behaves exactly
+// like At(t, func() { hook.RunHook(node, word) }) — same past-time clamping,
+// same position in the environment's tie-break order — and may be
+// implemented as just that. The simulated environments instead carry
+// (hook, node, word) as plain event data, so per-node events schedule
+// without materializing closures. Implementations may key internal state on
+// the hook's identity; callers must register each distinct hook (its first
+// AtHook call) during assembly or from coordinator context, and may then
+// reschedule it freely from its own callbacks.
 type HookScheduler interface {
 	AtHook(t float64, hook Hook, node int32, word uint64)
 }

@@ -6,9 +6,10 @@
 // seed.
 //
 // The event queue behind the engine is pluggable (see QueueKind): the default
-// is an allocation-free index-slab heap, with the stdlib container/heap kept
-// as a reference implementation. Every queue implements the same strict
-// (time, seq) total order, so the choice never affects simulation results.
+// is an allocation-free index-slab heap, the alternative a calendar queue.
+// Every queue implements the same strict (time, seq) total order, so the
+// choice never affects simulation results; the tests hold both to a
+// container/heap reference.
 // Hook events (ScheduleHookAt) that arrive in time order — periodic
 // re-arms, schedules built before the run — bypass the queue in per-sink
 // FIFO lanes merged under that same order.

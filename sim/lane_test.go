@@ -189,15 +189,15 @@ func (w *laneWorld) run() {
 // same randomized schedule run once with hooks in lanes and once with every
 // hook in the queue (ScheduleDeliveryAt) must execute the same events in the
 // same (time, seq) order and report the same NextTime/Pending/Processed at
-// every probe, on every queue kind. The schedule pushes hooks unordered
+// every probe, on every queue kind and the reference. The schedule pushes hooks unordered
 // before the first pop, re-arms periodic hooks from their own callbacks,
 // pushes hooks behind their lane's tail after the first pop (the queue
 // fallback) and ties every event class at equal times.
 func TestHookLanesMatchQueue(t *testing.T) {
-	for _, kind := range allQueueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, c := range queueCases() {
+		t.Run(c.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
-				lanes := &laneWorld{e: NewEngineWithQueue(kind), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+				lanes := &laneWorld{e: c.engine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
 				lanes.hookAt = lanes.e.ScheduleHookAt
 				var fallbacks, taken int
 				hookAt := lanes.hookAt
@@ -212,7 +212,7 @@ func TestHookLanesMatchQueue(t *testing.T) {
 				}
 				lanes.run()
 
-				ref := &laneWorld{e: NewEngineWithQueue(kind), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+				ref := &laneWorld{e: c.engine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
 				ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
 					ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
 				}
@@ -269,9 +269,9 @@ func (s *countSink) Deliver(d Delivery) {
 // TestHookLaneRearmAllocs guards the lane's steady state: once the ring has
 // grown, a hook that re-arms from its own callback allocates nothing.
 func TestHookLaneRearmAllocs(t *testing.T) {
-	for _, kind := range allQueueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineWithQueue(kind)
+	for _, c := range queueCases() {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.engine()
 			s := &countSink{e: e, period: 1}
 			r := rng.New(5)
 			for i := int32(0); i < 100; i++ {
@@ -296,10 +296,10 @@ func TestHookLaneRearmAllocs(t *testing.T) {
 // first pop, in random order, the queue stays empty for the whole run — so
 // no queue kind ever sees that population.
 func TestHookLanesKeepQueueEmpty(t *testing.T) {
-	for _, kind := range allQueueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, c := range queueCases() {
+		t.Run(c.name, func(t *testing.T) {
 			const n = 10_000
-			e := NewEngineWithQueue(kind)
+			e := c.engine()
 			ticks := &countSink{e: e, period: 172.8}
 			far := &nullSink{}
 			r := rng.New(9)

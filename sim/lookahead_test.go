@@ -38,9 +38,9 @@ func (s *aheadCountSink) Lookahead(to []int32) uint64 {
 // lookaheadMinLane, a self-re-arming hook whose sink takes lookahead batches
 // allocates nothing — the batch travels in the engine's own array.
 func TestLookaheadAllocs(t *testing.T) {
-	for _, kind := range allQueueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineWithQueue(kind)
+	for _, c := range queueCases() {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.engine()
 			s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
 			r := rng.New(5)
 			for i := int32(0); i < 2*lookaheadMinLane; i++ {
@@ -179,7 +179,7 @@ func (w *lookWorld) deliver(d Delivery) {
 // plain engine (shards = 0) or a sharded one, with the sink's capability
 // exposed or hidden, and returns the logs and the accounting probes taken
 // between run calls.
-func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
+func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
 	t.Helper()
 	w := &lookWorld{shards: max(shards, 1), spawn: spawn}
 	if exposed {
@@ -196,7 +196,7 @@ func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn floa
 	var probe func() string
 	var run func(h float64)
 	if shards == 0 {
-		e := NewEngineWithQueue(kind)
+		e := qc.engine()
 		w.engines = []*Engine{e}
 		w.hookAt = func(_ int, t float64, to int32, word uint64) { e.ScheduleHookAt(t, to, word, w.self) }
 		w.send = func(_ int, delay float64, _, to int32, word uint64) {
@@ -212,7 +212,7 @@ func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn floa
 		for i := range shardOf {
 			shardOf[i] = int32(w.shardOf(int32(i)))
 		}
-		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1, Queue: kind})
+		se, err := qc.shardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn floa
 }
 
 // TestShardLookaheadContract checks the lookahead contract of hook lanes on
-// every queue kind, on the plain engine and on a sharded one: a
+// every queue kind and the reference, on the plain engine and on a sharded one: a
 // LookaheadSink receives, every LookaheadBatch pops of its lane, exactly the
 // To of the lane entries [head+K, head+2K) — checked against the pops that
 // follow — as long as the lane held more than lookaheadMinLane entries when
@@ -261,7 +261,7 @@ func runLookWorld(t *testing.T, kind QueueKind, shards, perShard int, spawn floa
 // capability hidden. Named …Shard… so CI's sharded race soak runs it.
 func TestShardLookaheadContract(t *testing.T) {
 	const k = LookaheadBatch
-	for _, kind := range allQueueKinds {
+	for _, qc := range queueCases() {
 		for _, shards := range []int{0, 2} {
 			for _, c := range []struct {
 				perShard int
@@ -273,10 +273,10 @@ func TestShardLookaheadContract(t *testing.T) {
 				{2*lookaheadMinLane - 3*k - 5, 0.01}, // just below a power of two
 			} {
 				perShard := c.perShard
-				name := fmt.Sprintf("%s/shards=%d/lane=%d", kind, shards, perShard)
+				name := fmt.Sprintf("%s/shards=%d/lane=%d", qc.name, shards, perShard)
 				t.Run(name, func(t *testing.T) {
-					got, gotProbes := runLookWorld(t, kind, shards, perShard, c.spawn, 5, true)
-					want, wantProbes := runLookWorld(t, kind, shards, perShard, c.spawn, 5, false)
+					got, gotProbes := runLookWorld(t, qc, shards, perShard, c.spawn, 5, true)
+					want, wantProbes := runLookWorld(t, qc, shards, perShard, c.spawn, 5, false)
 					if !reflect.DeepEqual(gotProbes, wantProbes) {
 						t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
 					}

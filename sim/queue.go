@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"strings"
 )
@@ -36,11 +35,6 @@ const (
 	// slots are recycled through a free list, so the steady-state hot path
 	// (Schedule/Step) allocates nothing.
 	QueueSlab QueueKind = iota
-	// QueueHeap is the reference implementation on container/heap. Each
-	// Push/Pop boxes the event into an interface value, costing one heap
-	// allocation per operation; it is kept for differential testing and as
-	// the baseline of the scheduler benchmarks.
-	QueueHeap
 	// QueueCalendar is a calendar queue (Brown 1988) tuned for the
 	// simulator's two dominant event classes — fixed-Δ periodic ticks and
 	// fixed-transfer-delay deliveries — whose inter-event gaps are almost
@@ -55,8 +49,6 @@ func (k QueueKind) String() string {
 	switch k {
 	case QueueSlab:
 		return "slab"
-	case QueueHeap:
-		return "container-heap"
 	case QueueCalendar:
 		return "calendar"
 	default:
@@ -72,19 +64,15 @@ func ParseQueueKind(name string) (QueueKind, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "slab":
 		return QueueSlab, nil
-	case "heap", "container-heap":
-		return QueueHeap, nil
 	case "calendar":
 		return QueueCalendar, nil
 	default:
-		return 0, fmt.Errorf("sim: unknown queue kind %q (want slab, heap or calendar)", name)
+		return 0, fmt.Errorf("sim: unknown queue kind %q (want slab or calendar)", name)
 	}
 }
 
 func newQueue(kind QueueKind) queue {
 	switch kind {
-	case QueueHeap:
-		return &heapQueue{}
 	case QueueCalendar:
 		return &calendarQueue{}
 	default:
@@ -180,33 +168,4 @@ func (q *slabQueue) siftDown(i int) {
 		i = best
 	}
 	h[i] = node
-}
-
-// heapQueue adapts the stdlib container/heap to the queue interface.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) Len() int      { return q.h.Len() }
-func (q *heapQueue) Push(ev event) { heap.Push(&q.h, ev) }
-func (q *heapQueue) peek() *event  { return &q.h[0] }
-func (q *heapQueue) Pop() event    { return heap.Pop(&q.h).(event) }
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool { return h[i].less(&h[j]) }
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return e
 }

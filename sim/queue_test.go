@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -9,21 +12,99 @@ import (
 
 // allQueueKinds lists every queue implementation; tests iterate it so a new
 // kind is automatically covered by the equivalence suite.
-var allQueueKinds = []QueueKind{QueueSlab, QueueHeap, QueueCalendar}
+var allQueueKinds = []QueueKind{QueueSlab, QueueCalendar}
 
-// TestQueueKindsAgree drives every queue implementation with an identical
-// randomized workload of interleaved pushes and pops — closure events and
-// typed delivery events alike — and requires them to produce the exact same
-// event order, which is what makes the queue choice invisible to simulation
-// results. The workload mixes continuous and heavily duplicated times (seq
-// tie-breaks), bursts, and long idle jumps (the calendar queue's overflow
-// path).
+// heapQueue is the reference queue the equivalence tests hold every kind to:
+// the stdlib container/heap, as plain as a (time, seq) min-queue gets.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) Len() int      { return q.h.Len() }
+func (q *heapQueue) Push(ev event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) peek() *event  { return &q.h[0] }
+func (q *heapQueue) Pop() event    { return heap.Pop(&q.h).(event) }
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool { return h[i].less(&h[j]) }
+
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = event{}
+	*h = old[:n-1]
+	return e
+}
+
+// queueCase is one queue the engine-level tests run on: a QueueKind, or the
+// heapQueue reference.
+type queueCase struct {
+	name string
+	kind QueueKind
+	ref  bool
+}
+
+// queueCases lists the heapQueue reference and every queue kind, so the hook
+// lanes and the lookahead are held to the same contract over the reference
+// as over the kinds it vouches for.
+func queueCases() []queueCase {
+	cases := []queueCase{{name: "container-heap", ref: true}}
+	for _, kind := range allQueueKinds {
+		cases = append(cases, queueCase{name: kind.String(), kind: kind})
+	}
+	return cases
+}
+
+func (c queueCase) queue() queue {
+	if c.ref {
+		return &heapQueue{}
+	}
+	return newQueue(c.kind)
+}
+
+// engine returns a fresh engine on the case's queue.
+func (c queueCase) engine() *Engine {
+	if c.ref {
+		return &Engine{q: &heapQueue{}}
+	}
+	return NewEngineWithQueue(c.kind)
+}
+
+// shardedEngine is NewShardedEngine with the case's queue under the
+// coordinator and every shard.
+func (c queueCase) shardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
+	cfg.Queue = c.kind
+	se, err := NewShardedEngine(cfg)
+	if err == nil && c.ref {
+		se.coord.q = &heapQueue{}
+		for _, e := range se.engines {
+			e.q = &heapQueue{}
+		}
+	}
+	return se, err
+}
+
+// TestQueueKindsAgree drives every queue implementation and the heapQueue
+// reference with an identical randomized workload of interleaved pushes and
+// pops — closure events and typed delivery events alike — and requires them
+// to produce the exact same event order, which is what makes the queue choice
+// invisible to simulation results. The workload mixes continuous and heavily
+// duplicated times (seq tie-breaks), bursts, and long idle jumps (the
+// calendar queue's overflow path).
 func TestQueueKindsAgree(t *testing.T) {
 	queues := make([]queue, len(allQueueKinds))
 	for i, kind := range allQueueKinds {
 		queues[i] = newQueue(kind)
 	}
-	ref := queues[1] // QueueHeap is the reference
+	ref := &heapQueue{}
 	src := rng.New(42)
 	var seq uint64
 	base := 0.0
@@ -51,6 +132,7 @@ func TestQueueKindsAgree(t *testing.T) {
 				ev.sink = discardSink{}
 				ev.d = Delivery{From: int32(seq % 7), To: int32(seq % 11), Word: seq}
 			}
+			ref.Push(ev)
 			for _, q := range queues {
 				q.Push(ev)
 			}
@@ -73,9 +155,6 @@ func TestQueueKindsAgree(t *testing.T) {
 		}
 		want := ref.Pop()
 		for i, q := range queues {
-			if i == 1 {
-				continue
-			}
 			got := q.Pop()
 			if got.time != want.time || got.seq != want.seq {
 				t.Fatalf("op %d: Pop diverged: %s (%v, %d), ref (%v, %d)",
@@ -86,9 +165,6 @@ func TestQueueKindsAgree(t *testing.T) {
 	for ref.Len() > 0 {
 		want := ref.Pop()
 		for i, q := range queues {
-			if i == 1 {
-				continue
-			}
 			got := q.Pop()
 			if got.time != want.time || got.seq != want.seq {
 				t.Fatalf("drain: Pop diverged: %s (%v, %d), ref (%v, %d)",
@@ -107,11 +183,12 @@ type discardSink struct{}
 
 func (discardSink) Deliver(Delivery) {}
 
-// TestQueuePopsSortedOrder checks the (time, seq) total order directly.
+// TestQueuePopsSortedOrder checks the (time, seq) total order directly, on
+// every kind and on the reference the other tests compare them to.
 func TestQueuePopsSortedOrder(t *testing.T) {
-	for _, kind := range allQueueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			q := newQueue(kind)
+	for _, c := range queueCases() {
+		t.Run(c.name, func(t *testing.T) {
+			q := c.queue()
 			src := rng.New(7)
 			for i := 0; i < 5000; i++ {
 				q.Push(event{time: float64(src.Intn(50)), seq: uint64(i), fn: func() {}})
@@ -129,12 +206,12 @@ func TestQueuePopsSortedOrder(t *testing.T) {
 }
 
 // TestEnginesAgreeAcrossQueues runs the same self-scheduling workload on
-// engines with different queues and compares the executed event traces. The
+// engines with every queue kind and with the heapQueue reference, and
+// compares the executed event traces. The
 // workload interleaves closure events with typed deliveries so both event
 // representations participate in the ordering.
 func TestEnginesAgreeAcrossQueues(t *testing.T) {
-	trace := func(kind QueueKind) []int {
-		e := NewEngineWithQueue(kind)
+	trace := func(e *Engine) []int {
 		src := rng.New(3)
 		var got []int
 		id := 0
@@ -161,10 +238,10 @@ func TestEnginesAgreeAcrossQueues(t *testing.T) {
 		e.RunUntil(1e6)
 		return got
 	}
-	ref := trace(QueueHeap)
-	for _, kind := range []QueueKind{QueueSlab, QueueCalendar} {
+	ref := trace(&Engine{q: &heapQueue{}})
+	for _, kind := range allQueueKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			got := trace(kind)
+			got := trace(NewEngineWithQueue(kind))
 			if len(got) != len(ref) {
 				t.Fatalf("trace lengths differ: %s %d, ref %d", kind, len(got), len(ref))
 			}
@@ -412,21 +489,32 @@ func TestCalendarWidthKeepsOperationsConstant(t *testing.T) {
 	}
 }
 
-// TestParseQueueKind checks the flag-facing name resolution.
+// TestParseQueueKind checks the flag-facing name resolution, one subtest per
+// name.
 func TestParseQueueKind(t *testing.T) {
-	for name, want := range map[string]QueueKind{
-		"":         QueueSlab,
-		"slab":     QueueSlab,
-		"heap":     QueueHeap,
-		" Heap ":   QueueHeap,
-		"calendar": QueueCalendar,
+	for _, c := range []struct {
+		name string
+		want QueueKind
+	}{
+		{"", QueueSlab},
+		{"slab", QueueSlab},
+		{"calendar", QueueCalendar},
+		{" Calendar ", QueueCalendar},
 	} {
-		got, err := ParseQueueKind(name)
-		if err != nil || got != want {
-			t.Errorf("ParseQueueKind(%q) = %v, %v; want %v", name, got, err, want)
-		}
+		t.Run(fmt.Sprintf("%q", c.name), func(t *testing.T) {
+			got, err := ParseQueueKind(c.name)
+			if err != nil || got != c.want {
+				t.Errorf("ParseQueueKind(%q) = %v, %v; want %v", c.name, got, err, c.want)
+			}
+		})
 	}
-	if _, err := ParseQueueKind("bogus"); err == nil {
-		t.Error("ParseQueueKind(bogus) succeeded")
+	// The container/heap queue is a test reference, not a kind.
+	for _, name := range []string{"bogus", "heap", "container-heap"} {
+		t.Run(fmt.Sprintf("%q", name), func(t *testing.T) {
+			_, err := ParseQueueKind(name)
+			if err == nil || !strings.Contains(err.Error(), "want slab or calendar") {
+				t.Errorf("ParseQueueKind(%q) error = %v, want one naming slab and calendar", name, err)
+			}
+		})
 	}
 }

@@ -55,9 +55,8 @@ type Env struct {
 }
 
 var (
-	_ runtime.Env           = (*Env)(nil)
-	_ runtime.HookScheduler = (*Env)(nil)
-	_ sim.DeliverySink      = (*Env)(nil)
+	_ runtime.Env      = (*Env)(nil)
+	_ sim.DeliverySink = (*Env)(nil)
 )
 
 // NewEnv builds a discrete-event environment with every node online.
@@ -101,7 +100,7 @@ func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.se
 // the Host embed per-node generator state in the node slab's rows.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
-// AtHook implements runtime.HookScheduler: the hook event goes to the
+// AtHook implements runtime.Env: the hook event goes to the
 // hook's lane in the engine (see sim.Engine.ScheduleHookAt), scheduled with
 // the exact clamping and sequence numbering of At. The Host's periodic ticks
 // and its presorted churn transitions therefore never enter the event queue.

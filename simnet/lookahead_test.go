@@ -86,7 +86,7 @@ type wrappingShard struct {
 }
 
 func (f *wrappingShard) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	f.ShardScheduler.(runtime.HookScheduler).AtHook(t, f.hooks.wrap(hook), node, word)
+	f.ShardScheduler.AtHook(t, f.hooks.wrap(hook), node, word)
 }
 
 // wrappingRuntime builds the inner runtime's environment and wraps every hook

@@ -57,9 +57,8 @@ type ShardedEnv struct {
 }
 
 var (
-	_ runtime.Sharded       = (*ShardedEnv)(nil)
-	_ runtime.HookScheduler = (*ShardedEnv)(nil)
-	_ sim.DeliverySink      = (*ShardedEnv)(nil)
+	_ runtime.Sharded  = (*ShardedEnv)(nil)
+	_ sim.DeliverySink = (*ShardedEnv)(nil)
 )
 
 // NewShardedEnv builds a sharded discrete-event environment with every node
@@ -121,7 +120,7 @@ func (e *ShardedEnv) Rand(stream uint64) protocol.Rand { return rng.New(rng.Deri
 // StreamSeed implements runtime.Env (see Env.StreamSeed).
 func (e *ShardedEnv) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
-// AtHook implements runtime.HookScheduler on the coordinator: the hook event
+// AtHook implements runtime.Env on the coordinator: the hook event
 // executes at a window barrier, like every coordinator event, from the
 // hook's lane (see sim.Engine.ScheduleHookAt).
 func (e *ShardedEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
@@ -211,22 +210,11 @@ type shardFacade struct {
 	shard  int
 }
 
-var (
-	_ runtime.ShardScheduler = (*shardFacade)(nil)
-	_ runtime.HookScheduler  = (*shardFacade)(nil)
-)
+var _ runtime.ShardScheduler = (*shardFacade)(nil)
 
 func (f *shardFacade) Now() float64 { return f.engine.ShardNow(f.shard) }
 
-func (f *shardFacade) Schedule(delay float64, fn func()) {
-	f.engine.ShardSchedule(f.shard, delay, fn)
-}
-
-func (f *shardFacade) Every(phase, interval float64, fn func() bool) {
-	f.engine.ShardEvery(f.shard, phase, interval, fn)
-}
-
-// AtHook implements runtime.HookScheduler on the shard's own engine: the hook
+// AtHook implements runtime.ShardScheduler on the shard's own engine: the hook
 // runs on the shard worker at shard-local time t. The adapter registry is
 // shared with the coordinator, so a hook registered at assembly reschedules
 // from any shard without allocation.

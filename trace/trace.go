@@ -402,15 +402,19 @@ func (c SmartphoneConfig) validate() error {
 	switch {
 	case c.Users < 1:
 		return fmt.Errorf("trace: SmartphoneConfig.Users = %d, need ≥ 1", c.Users)
-	case c.Duration <= 0:
-		return fmt.Errorf("trace: SmartphoneConfig.Duration = %v, need > 0", c.Duration)
-	case c.PermanentlyOffline < 0 || c.PermanentlyOffline > 1:
+	case !(c.Duration > 0) || math.IsInf(c.Duration, 1):
+		return fmt.Errorf("trace: SmartphoneConfig.Duration = %v, need > 0 and finite", c.Duration)
+	case !probability(c.PermanentlyOffline):
 		return fmt.Errorf("trace: PermanentlyOffline = %v outside [0,1]", c.PermanentlyOffline)
-	case c.NightOwlFraction < 0 || c.NightOwlFraction > 1:
+	case !probability(c.NightOwlFraction):
 		return fmt.Errorf("trace: NightOwlFraction = %v outside [0,1]", c.NightOwlFraction)
 	}
 	return nil
 }
+
+// probability reports whether p lies in [0, 1]; NaN fails both comparisons,
+// so a plain p < 0 || p > 1 check would let it through.
+func probability(p float64) bool { return p >= 0 && p <= 1 }
 
 // Smartphone generates a synthetic availability trace with the diurnal
 // charging pattern described in the paper (§4.1 and Figure 1): more phones

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,8 +221,12 @@ func TestSmartphoneConfigValidation(t *testing.T) {
 	bad := []SmartphoneConfig{
 		{Users: 0, Duration: Day},
 		{Users: 10, Duration: 0},
+		{Users: 10, Duration: math.NaN()},
+		{Users: 10, Duration: math.Inf(1)},
 		{Users: 10, Duration: Day, PermanentlyOffline: 1.5},
+		{Users: 10, Duration: Day, PermanentlyOffline: math.NaN()},
 		{Users: 10, Duration: Day, NightOwlFraction: -0.1},
+		{Users: 10, Duration: Day, NightOwlFraction: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Smartphone(cfg); err == nil {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -30,12 +31,16 @@ func TestMemoryBusDropProbabilityOne(t *testing.T) {
 }
 
 func TestMemoryBusDropProbabilityPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("WithDropProbability(1.5, ...) did not panic")
-		}
-	}()
-	WithDropProbability(1.5, 1)
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WithDropProbability(%v, ...) did not panic", p)
+				}
+			}()
+			WithDropProbability(p, 1)
+		}()
+	}
 }
 
 // TestMemoryBusDropPatternDeterministic sends the same single-threaded

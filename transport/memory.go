@@ -49,7 +49,7 @@ type BusOption func(*MemoryBus)
 // every run; under concurrent senders the per-message decisions interleave
 // with scheduling, but the drawn sequence itself is still fixed by the seed.
 func WithDropProbability(p float64, seed uint64) BusOption {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
 		panic(fmt.Sprintf("transport: drop probability %v outside [0,1]", p))
 	}
 	return func(b *MemoryBus) {
