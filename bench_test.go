@@ -273,8 +273,8 @@ func BenchmarkMeanFieldODE(b *testing.B) {
 // The network is assembled and warmed up outside the timed region, so the
 // loop measures exactly the Send → queue → deliver → Receive → reactive
 // Send cycle; one op advances virtual time by one proactive period Δ. In
-// steady state this path performs zero heap allocations (guarded by
-// cmd/benchreport in CI).
+// steady state this path performs zero heap allocations (pinned by
+// simnet's TestSteadyStateMessagePathAllocs).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 		b.Run(kind.String(), func(b *testing.B) {
@@ -285,9 +285,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // benchmarkThroughput runs the steady-state throughput loop on n nodes after
-// warming up for the given number of rounds. cmd/benchreport implements the
-// same harness for its tracked report; comparisons against BENCH.json
-// must use benchreport, not this benchmark.
+// warming up for the given number of rounds. Tracked end-to-end numbers come
+// from the repository benchmark (bench/run.sh), not from this loop.
 func benchmarkThroughput(b *testing.B, kind sim.QueueKind, n, warmupRounds int) {
 	b.Helper()
 	const delta = 172.8

@@ -269,7 +269,7 @@ type Result struct {
 	// EventsProcessed is the mean number of scheduler events executed per
 	// run, when the runtime can report it (the discrete-event runtime can;
 	// wall-clock runtimes report 0). It is the raw unit behind the
-	// events-per-second throughput numbers of cmd/benchreport.
+	// repository benchmark's events_per_sec on the simulator workloads.
 	EventsProcessed float64
 	// MessagesPerNodePerRound normalizes MessagesSent by N·Rounds, i.e. the
 	// realized communication budget relative to the proactive baseline's 1.

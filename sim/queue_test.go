@@ -312,6 +312,35 @@ func TestCalendarQueueSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestHoldModelSteadyStateAllocs is the engine-level hold model on every
+// queue kind: each executed closure event schedules itself again at a random
+// offset, over 4096 pending events. After a full turnover of the population
+// (slab and calendar at their high-water marks) a Step — pop, run the
+// closure, push its successor — allocates nothing.
+func TestHoldModelSteadyStateAllocs(t *testing.T) {
+	const pending = 4096
+	for _, kind := range allQueueKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := NewEngineWithQueue(kind)
+			src := rng.New(1)
+			var hold func()
+			hold = func() { e.Schedule(src.Float64()*100, hold) }
+			for i := 0; i < pending; i++ {
+				e.Schedule(src.Float64()*100, hold)
+			}
+			for i := 0; i < 4*pending; i++ {
+				e.Step()
+			}
+			if allocs := testing.AllocsPerRun(10*pending, func() { e.Step() }); allocs != 0 {
+				t.Errorf("hold model on the %s queue allocates %.1f per Step, want 0", kind, allocs)
+			}
+			if e.Pending() != pending {
+				t.Errorf("hold model holds %d pending events, want %d", e.Pending(), pending)
+			}
+		})
+	}
+}
+
 // TestCalendarQueueShrinkMatchesSlab exercises the calendar queue's shrink
 // path, which the self-scheduling simulation workloads never reach (their
 // pending population only grows to a high-water mark): repeated grow/drain

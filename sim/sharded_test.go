@@ -408,8 +408,9 @@ func (s *nullSink) Deliver(Delivery) { s.n++ }
 // cross-shard delivery path: once the outboxes and queues have grown, a
 // steady-state window cycle — send cross-shard, barrier, deposit, deliver —
 // performs no heap allocations. One shard keeps the measurement on the
-// calling goroutine (testing.AllocsPerRun cannot see other goroutines'
-// allocations, so a multi-worker measurement would be vacuous).
+// calling goroutine; the 2-shard path with its workers is pinned at Host
+// level by simnet's TestSteadyStateMessagePathAllocs (the malloc counter
+// testing.AllocsPerRun reads is process-wide, so worker allocations count).
 func TestShardedCrossShardAllocs(t *testing.T) {
 	se, err := NewShardedEngine(ShardedConfig{Shards: 1, ShardOf: []int32{0, 0}, Lookahead: 1})
 	if err != nil {

@@ -98,6 +98,112 @@ func TestMillionNodeSmoke(t *testing.T) {
 	}
 }
 
+// Build-path byte budgets: heap bytes allocated per node by one build at
+// 10^5 nodes, measured with go1.24 on linux/amd64 (GOMAXPROCS 1). The guard
+// allows buildBytesTolerance times these.
+const (
+	koutBuildBytesPerNode = 92  // overlay.RandomKOut(n, 20, 1)
+	wsBuildBytesPerNode   = 124 // overlay.WattsStrogatz(n, 10, 0.2, 1)
+	hostBuildBytesPerNode = 228 // simnet.NewEnv + walker slab + runtime.NewHost
+	buildBytesTolerance   = 1.2
+	// buildAllocHeadroom is how many more allocations a 10^5-node build may
+	// make than a 10^4-node one: a handful are runtime-internal (worker
+	// goroutines, GC metadata) and jitter between runs; anything per node
+	// shows up as tens of thousands.
+	buildAllocHeadroom = 16
+)
+
+// TestBuildPathIsConstantInN guards the struct-of-arrays build path: each
+// build costs O(1) allocations in n — at 10^5 nodes at most
+// buildAllocHeadroom more than at 10^4 — and stays within its byte budget
+// per node at 10^5; each case reports the two promises as its "allocs" and
+// "bytes" subtests, measured once. The overlays are the k-out graph of the gossip
+// experiments and a Watts–Strogatz small world rewired enough (β = 0.2) to
+// exercise the dedup path; the host build is the environment, the walker
+// slab and the whole Host over a pre-built k-out graph, with a fixed worker
+// count so the goroutines it starts do not depend on the machine. The
+// 10^6-node footprint is bounded by TestMillionNodeSmoke.
+func TestBuildPathIsConstantInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation and footprint assertions measure the plain runtime; see race_off_test.go")
+	}
+	strategy := core.Strategy(core.MustRandomized(5, 10))
+	hostBuild := func(t *testing.T, n int) func() {
+		g, err := overlay.RandomKOut(n, 20, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			env, err := NewEnv(EnvConfig{N: n, Seed: 1, TransferDelay: 1.728})
+			if err != nil {
+				t.Fatal(err)
+			}
+			walkers := make([]gossiplearning.Walker, n)
+			if _, err := hostrt.NewHost(env, hostrt.Config{
+				Graph:        g,
+				Strategy:     func(int) core.Strategy { return strategy },
+				NewApp:       func(i int) protocol.Application { return &walkers[i] },
+				Delta:        172.8,
+				BuildWorkers: 8,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	overlayBuild := func(build func(n int) (*overlay.Graph, error)) func(t *testing.T, n int) func() {
+		return func(t *testing.T, n int) func() {
+			return func() {
+				if _, err := build(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		// build does the set-up for n nodes and returns the build to measure.
+		build        func(t *testing.T, n int) func()
+		bytesPerNode float64
+	}{
+		{"overlay/kout", overlayBuild(func(n int) (*overlay.Graph, error) { return overlay.RandomKOut(n, 20, 1) }), koutBuildBytesPerNode},
+		{"overlay/ws", overlayBuild(func(n int) (*overlay.Graph, error) { return overlay.WattsStrogatz(n, 10, 0.2, 1) }), wsBuildBytesPerNode},
+		{"host", hostBuild, hostBuildBytesPerNode},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const small, large = 10_000, 100_000
+			smallAllocs := testing.AllocsPerRun(1, c.build(t, small))
+			build := c.build(t, large)
+			largeAllocs := testing.AllocsPerRun(1, build)
+			perNode := float64(allocatedBytes(build)) / large
+			t.Logf("%d nodes: %.0f allocs; %d nodes: %.0f allocs, %.1f B/node", small, smallAllocs, large, largeAllocs, perNode)
+			t.Run("allocs", func(t *testing.T) {
+				if largeAllocs > smallAllocs+buildAllocHeadroom {
+					t.Errorf("build allocates %.0f times at %d nodes and %.0f at %d, want at most %d more",
+						largeAllocs, large, smallAllocs, small, buildAllocHeadroom)
+				}
+			})
+			t.Run("bytes", func(t *testing.T) {
+				if limit := buildBytesTolerance * c.bytesPerNode; perNode > limit {
+					t.Errorf("build allocates %.1f B/node at %d nodes, want ≤ %.1f (%.0f measured × %g)",
+						perNode, large, limit, c.bytesPerNode, buildBytesTolerance)
+				}
+			})
+		})
+	}
+}
+
+// allocatedBytes returns the heap bytes one call of f allocates, measured
+// like testing.AllocsPerRun measures allocations: at GOMAXPROCS 1, so the
+// count does not depend on how many goroutines the machine would run.
+func allocatedBytes(f func()) uint64 {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	f()
+	stdruntime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // logAllocWindow reports what a measurement window allocated, so a failure of
 // the zero-allocation assertion, which fails intermittently for a reason not
 // yet known, comes with evidence: the collections that ran in the window (a GC cycle's own

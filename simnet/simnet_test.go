@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"github.com/szte-dcs/tokenaccount/apps/blockcast"
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
@@ -307,26 +309,168 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 	}
 }
 
-// TestSteadyStateMessagePathAllocs is the end-to-end allocation guard for
-// the tentpole optimization: once a network has warmed up (event slab,
-// scratch buffers and token balances at their high-water marks), advancing
-// the simulation — proactive ticks, typed deliveries, Receive handlers and
-// reactive sends included — must not allocate at all, for both
-// allocation-free queue kinds.
+// TestSteadyStateMessagePathAllocs is the end-to-end allocation guard of the
+// simulator: once a network has warmed up (event slab, scratch buffers and
+// token balances at their high-water marks), advancing the simulation —
+// proactive ticks, typed deliveries, Receive handlers and reactive sends
+// included — must not allocate at all, on both queue kinds. The rows add the
+// network models' sampled delays (exponential; the lossy lognormal of the
+// churn workload, whose Drop runs on every send; zones) and a 2-shard
+// ShardedEnv on zones, whose shard workers, outboxes and barriers run on
+// other goroutines (the malloc counter is process-wide, so they count). The
+// constant transfer delay's subtests are the queue kinds themselves.
 func TestSteadyStateMessagePathAllocs(t *testing.T) {
+	lossy := netmodel.Lossy{P: 0.01, Inner: netmodel.LogNormal{Mu: 0.547, Sigma: 0.5}}
+	zones := netmodel.Zones{K: 8, Intra: 0.5, Inter: 3}
+	rows := []struct {
+		name    string
+		network netmodel.Model
+		shards  int
+	}{
+		{"", nil, 1},
+		{"exponential:1", netmodel.Exponential{Mean: 1}, 1},
+		{lossy.String(), lossy, 1},
+		{zones.String(), zones, 1},
+		{zones.String() + "-shards=2", zones, 2},
+	}
+	for _, row := range rows {
+		run := func(t *testing.T) {
+			for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
+				t.Run(kind.String(), func(t *testing.T) {
+					envCfg, cfg := walkerConfig(t, 200, core.MustRandomized(5, 10), 4)
+					envCfg.Queue = kind
+					cfg.Network = row.network
+					net := steadyStateHost(t, envCfg, cfg, row.shards)
+					horizon := 50 * cfg.Delta
+					mustRun(t, net, horizon) // warm up to the steady state
+					sent := net.MessagesSent()
+					allocs := testing.AllocsPerRun(30, func() {
+						horizon += cfg.Delta
+						mustRun(t, net, horizon)
+					})
+					if allocs != 0 {
+						t.Errorf("steady-state round allocates %.1f with the %s queue, want 0", allocs, kind)
+					}
+					if net.MessagesSent() == sent {
+						t.Error("the measured rounds sent no message")
+					}
+				})
+			}
+		}
+		if row.name == "" {
+			run(t)
+		} else {
+			t.Run(row.name, run)
+		}
+	}
+}
+
+// steadyStateHost assembles a Host over a plain Env, or over a ShardedEnv
+// split by netmodel.PlanShards when shards > 1.
+func steadyStateHost(t *testing.T, envCfg EnvConfig, cfg hostrt.Config, shards int) *hostrt.Host {
+	t.Helper()
+	if shards == 1 {
+		_, host := mustAssemble(t, envCfg, cfg)
+		return host
+	}
+	shardOf, lookahead, err := netmodel.PlanShards(cfg.Network, envCfg.TransferDelay, envCfg.N, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewShardedEnv(ShardedEnvConfig{
+		N: envCfg.N, Seed: envCfg.Seed, TransferDelay: envCfg.TransferDelay, Queue: envCfg.Queue,
+		Shards: shards, ShardOf: shardOf, Lookahead: lookahead,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { env.Close() })
+	host, err := hostrt.NewHost(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return host
+}
+
+// blockcastNet backs blockcast.Net with a Host, as the experiment driver
+// does: pulls are free sends, block answers are token-gated responses.
+type blockcastNet struct{ host *hostrt.Host }
+
+func (n *blockcastNet) Send(from, to protocol.NodeID, p protocol.Payload) {
+	n.host.Send(from, to, p)
+}
+
+func (n *blockcastNet) Respond(from, to protocol.NodeID, p protocol.Payload) bool {
+	return n.host.Node(int(from)).RespondPayload(to, p)
+}
+
+// TestBlockcastMessagePathAllocs is the allocation guard of the blockcast
+// path over a real Host and Env: word-encoded announce/pull/block gossip,
+// token-gated block answers, per-kind byte accounting, and the run-global
+// loops of the experiment driver — ten transaction arrivals per period, a
+// rotating proposer each period, a commit scan every quarter period. After
+// warm-up a period allocates nothing, on both queue kinds.
+func TestBlockcastMessagePathAllocs(t *testing.T) {
+	const n = 200
 	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
 		t.Run(kind.String(), func(t *testing.T) {
-			envCfg, cfg := walkerConfig(t, 200, core.MustRandomized(5, 10), 4)
+			envCfg, cfg := walkerConfig(t, n, core.MustRandomized(5, 10), 4)
 			envCfg.Queue = kind
-			_, net := mustAssemble(t, envCfg, cfg)
-			horizon := 50 * cfg.Delta
-			mustRun(t, net, horizon) // warm up to the steady state
+			env, err := NewEnv(envCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := &blockcastNet{}
+			states := blockcast.NewStates(n, net)
+			cfg.NewApp = func(i int) protocol.Application { return &states[i] }
+			host, err := hostrt.NewHost(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.host = host
+			chain, err := blockcast.NewChain(64, 2.0/3.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := func(i int) uint64 {
+				h, _ := states[i].Head()
+				return h
+			}
+			delta := cfg.Delta
+			env.Every(delta/10, delta/10, func() bool {
+				chain.Submit(1)
+				return true
+			})
+			env.Every(delta/4, delta/4, func() bool {
+				chain.CheckCommits(env.Now(), n, head, nil)
+				return true
+			})
+			round := 0
+			env.Every(delta, delta, func() bool {
+				if !chain.TryPropose(env.Now(), &states[round%n]) {
+					chain.SkipProposal()
+				}
+				round++
+				return true
+			})
+			horizon := 50 * delta
+			mustRun(t, host, horizon)
+			committed, sent, bytes := chain.Committed(), host.MessagesSent(), host.BytesSent()
 			allocs := testing.AllocsPerRun(30, func() {
-				horizon += cfg.Delta
-				mustRun(t, net, horizon)
+				horizon += delta
+				mustRun(t, host, horizon)
 			})
 			if allocs != 0 {
-				t.Errorf("steady-state round allocates %.1f with the %s queue, want 0", allocs, kind)
+				t.Errorf("steady-state blockcast period allocates %.1f with the %s queue, want 0", allocs, kind)
+			}
+			if chain.Committed() == committed {
+				t.Error("no block committed in the measured periods")
+			}
+			// Pulls weigh 40 B, announces 96 B and block answers 200 B plus
+			// 250 B per transaction: a mean above an announce's weight needs
+			// both the sizer table and token-gated block answers.
+			if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= blockcast.AnnounceBytes*dm {
+				t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, blockcast.AnnounceBytes)
 			}
 		})
 	}
