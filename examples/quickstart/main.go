@@ -39,8 +39,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// In-process memory bus with 1 ms latency; live.NewTCPEnv would put the
-	// same nodes on loopback sockets.
+	// In-process memory bus; every message is held 1 ms on the run loop's
+	// scheduler before it enters the bus. live.NewTCPEnv would put the same
+	// nodes on loopback sockets.
 	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1, Latency: 0.001})
 	if err != nil {
 		log.Fatal(err)

@@ -218,7 +218,7 @@ func (l liveRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	} else if m != nil {
 		// A network model owns the whole latency budget: the Host schedules
 		// every message with a model-sampled delay (live.Env.SendDelayed),
-		// so the memory bus must not add the constant transfer delay on top.
+		// so the environment must not add the constant transfer delay on top.
 		latency = 0
 	}
 	return live.NewEnv(live.EnvConfig{
@@ -277,7 +277,7 @@ func (l liveTCPRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	if m, err := networkModel(cfg); err != nil {
 		return nil, err
 	} else if m != nil {
-		// As with the memory bus: a network model owns the latency budget and
+		// As in liveRuntime: a network model owns the latency budget and
 		// realizes it through SendDelayed, so the environment must not add
 		// the constant transfer delay in front of the sockets.
 		latency = 0

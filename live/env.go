@@ -6,7 +6,9 @@
 // Env is the wall-clock implementation of runtime.Env: one run loop
 // serializing timers and transport deliveries for a whole set of nodes, so
 // the runtime-neutral runtime.Host — and with it every experiment scenario
-// and metric probe — executes unchanged in real time. Daemon is the
+// and metric probe — executes unchanged in real time. Its timed events live
+// on a private sim.Engine, the scheduler of the simulated environments, so
+// both worlds order events by the same (time, seq) rule. Daemon is the
 // deployable unit built from the same two parts: a one-node Host over an Env
 // whose transport is a managed TCP endpoint, plus membership and lifecycle.
 package live
@@ -21,6 +23,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
+	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/transport"
 )
 
@@ -37,10 +40,9 @@ type EnvConfig struct {
 	// simulation-scale config finish a live run in seconds. Must be > 0.
 	TimeScale float64
 	// Latency is the per-message transport latency in run-seconds (scaled to
-	// wall time by TimeScale). The built-in memory bus realizes it in the
-	// transport; custom transports (NewTransport) realize it on the run
-	// loop's timer heap before the message enters the transport, so TCP
-	// endpoints keep the same constant-delay semantics.
+	// wall time by TimeScale). Every transport gets it the same way: Send
+	// holds each message on the run loop's scheduler for Latency, then hands
+	// it to the transport, so messages sent together arrive together.
 	Latency float64
 	// NewTransport optionally overrides the built-in in-process memory bus:
 	// it must return the transport endpoint of node i, whose Send(to, ...)
@@ -64,17 +66,20 @@ type Env struct {
 	cfg   EnvConfig
 	bus   *transport.MemoryBus
 	trans []transport.Transport
-	// sendLatency is the constant per-message delay realized on the timer
-	// heap for custom transports (the memory bus realizes EnvConfig.Latency
-	// itself).
-	sendLatency float64
 
+	// mu guards everything below it, the engine included. Callbacks never
+	// run under mu: the engine's sinks only record the event Step pops in
+	// due, and the run loop runs it once mu is released, so callbacks may
+	// re-enter the environment and any goroutine may schedule.
 	mu      sync.Mutex
+	engine  *sim.Engine
+	due     dueEvent
+	timers  envSink
+	sends   envSink
+	hooks   []*envSink
 	deliver runtime.DeliverFunc
 	started bool
 	start   time.Time
-	events  eventHeap
-	seq     uint64
 	online  runtime.Availability
 	closed  bool
 
@@ -94,6 +99,39 @@ var _ runtime.Env = (*Env)(nil)
 type envDelivery struct {
 	from, to protocol.NodeID
 	payload  protocol.Payload
+}
+
+// envSink is one of the engine's delivery sinks: the timer sink, whose
+// events carry their callback in Delivery.Box, the send sink, whose events
+// carry a payload inline, or the sink of one runtime.Hook. Events therefore
+// need no closure of their own, and every hook gets its own lane.
+type envSink struct {
+	env  *Env
+	send bool
+	hook runtime.Hook
+}
+
+// dueEvent is the event the engine popped last, as its sink recorded it.
+type dueEvent struct {
+	sink *envSink
+	d    sim.Delivery
+}
+
+// Deliver implements sim.DeliverySink. The engine calls it inside Step,
+// under mu, so it only records the event for the run loop.
+func (s *envSink) Deliver(d sim.Delivery) { s.env.due = dueEvent{sink: s, d: d} }
+
+// run executes a recorded event on the run loop, outside mu.
+func (s *envSink) run(d sim.Delivery) {
+	switch {
+	case s.hook != nil:
+		s.hook.RunHook(d.To, d.Word)
+	case s.send:
+		s.env.sendNow(protocol.NodeID(d.From), protocol.NodeID(d.To),
+			protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
+	default:
+		d.Box.(func())()
+	}
 }
 
 // NewEnv builds a wall-clock environment with every node online and one
@@ -122,15 +160,15 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	e := &Env{
 		cfg:    cfg,
 		trans:  make([]transport.Transport, cfg.N),
+		engine: sim.NewEngine(),
 		online: runtime.NewAvailability(cfg.N),
 		wake:   make(chan struct{}, 1),
 		inbox:  make(chan envDelivery, cfg.QueueSize),
 	}
+	e.timers = envSink{env: e}
+	e.sends = envSink{env: e, send: true}
 	if cfg.NewTransport == nil {
-		latency := e.wallDuration(cfg.Latency)
-		e.bus = transport.NewMemoryBus(latency)
-	} else {
-		e.sendLatency = cfg.Latency
+		e.bus = transport.NewMemoryBus()
 	}
 	for i := 0; i < cfg.N; i++ {
 		var (
@@ -168,7 +206,9 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 }
 
 // Bus returns the built-in memory bus, or nil when a custom transport is in
-// use. Tests use it to read delivery statistics and to inject faults.
+// use. Tests use it to read delivery statistics and to inject faults. The bus
+// itself adds no delay: EnvConfig.Latency is realized before a message
+// reaches it, as for every transport.
 func (e *Env) Bus() *transport.MemoryBus { return e.bus }
 
 // DroppedDeliveries returns the number of messages discarded because the run
@@ -200,8 +240,8 @@ const maxWallSeconds = 365 * 24 * 3600.0
 // wallSpan converts a span of run time to wall-clock seconds.
 func (e *Env) wallSpan(seconds float64) float64 { return seconds * e.cfg.TimeScale }
 
-// wallDuration converts a span of run time to wall time. Horizons and
-// latencies are validated against maxWallSeconds; what a horizon-less run
+// wallDuration converts a span of run time to wall time. Horizons and the
+// latency are validated against maxWallSeconds; what a horizon-less run
 // (Run(+Inf)) schedules is bounded only by its uptime, so the clamp here is a
 // safety net against time.Duration overflow (≈ 292 years) and nothing else.
 func (e *Env) wallDuration(seconds float64) time.Duration {
@@ -226,13 +266,16 @@ func (e *Env) ensureStarted() {
 // expressed in run-seconds. Before the run starts it returns 0.
 func (e *Env) Now() float64 {
 	e.mu.Lock()
-	started := e.started
-	start := e.start
-	e.mu.Unlock()
-	if !started {
+	defer e.mu.Unlock()
+	return e.nowLocked()
+}
+
+// nowLocked is Now for a caller holding mu.
+func (e *Env) nowLocked() float64 {
+	if !e.started {
 		return 0
 	}
-	return time.Since(start).Seconds() / e.cfg.TimeScale
+	return time.Since(e.start).Seconds() / e.cfg.TimeScale
 }
 
 // At implements runtime.Env. Unlike the simulated environment it may be
@@ -241,29 +284,53 @@ func (e *Env) At(t float64, fn func()) {
 	if fn == nil {
 		panic("live: At with nil callback")
 	}
-	if now := e.Now(); t < now || t != t {
-		t = now
-	}
-	e.scheduleAt(t, fn)
+	e.schedule(t, true, sim.Delivery{Box: fn}, &e.timers)
 }
 
-// AtHook implements runtime.Env as At(t, func() { hook.RunHook(node, word) }):
-// hook events share the timer heap, clamping and tie-break order of At.
+// AtHook implements runtime.Env: the hook event goes to the hook's lane in
+// the engine (see sim.Engine.ScheduleHookAt) with the clamping and tie-break
+// order of At, and without a closure. Like At, it may be called from any
+// goroutine.
 func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.At(t, func() { hook.RunHook(node, word) })
+	e.schedule(t, true, sim.Delivery{To: node, Word: word}, e.hookSink(hook))
 }
 
-// scheduleAt pushes an event at exactly t, even if t already lies in the
-// past: a past event is immediately due and fires in nominal order. Every
-// uses it for re-arms so a periodic chain that fell behind the wall clock
-// still executes every repetition within the horizon — most importantly during
-// Run's deadline drain, where an At-clamped re-arm would land past the
-// horizon and silently drop the final on-grid metric sample, making the
-// sample count load-dependent instead of runtime-neutral.
-func (e *Env) scheduleAt(t float64, fn func()) {
+// hookSink returns the sink of hook, registering it on first use.
+func (e *Env) hookSink(hook runtime.Hook) *envSink {
 	e.mu.Lock()
-	e.seq++
-	e.events.push(timedEvent{time: t, seq: e.seq, fn: fn})
+	defer e.mu.Unlock()
+	for _, s := range e.hooks {
+		if s.hook == hook {
+			return s
+		}
+	}
+	s := &envSink{env: e, hook: hook}
+	e.hooks = append(e.hooks, s)
+	return s
+}
+
+// schedule puts an event for sink on the engine at run time t and wakes the
+// run loop. With clamp set, a t in the past means the present (At, AtHook).
+// Without it the event keeps its time even in the past, where it is due at
+// once and fires in nominal order: Every re-arms that way, so a periodic
+// chain that fell behind the wall clock still executes every repetition
+// within the horizon — most importantly during Run's deadline drain, where a
+// clamped re-arm would land past the horizon and silently drop the final
+// on-grid metric sample, making the sample count load-dependent instead of
+// runtime-neutral. (The engine clamps to the time of the event it popped
+// last, which no re-arm precedes.)
+func (e *Env) schedule(t float64, clamp bool, d sim.Delivery, sink *envSink) {
+	e.mu.Lock()
+	if clamp {
+		if now := e.nowLocked(); t < now || t != t {
+			t = now
+		}
+	}
+	if sink.hook != nil {
+		e.engine.ScheduleHookAt(t, d.To, d.Word, sink)
+	} else {
+		e.engine.ScheduleDeliveryAt(t, d, sink)
+	}
 	e.mu.Unlock()
 	select {
 	case e.wake <- struct{}{}:
@@ -298,10 +365,10 @@ func (e *Env) Every(phase, interval float64, fn func() bool) {
 	tick = func() {
 		if fn() {
 			next += interval
-			e.scheduleAt(next, tick)
+			e.schedule(next, false, sim.Delivery{Box: tick}, &e.timers)
 		}
 	}
-	e.scheduleAt(next, tick)
+	e.schedule(next, false, sim.Delivery{Box: tick}, &e.timers)
 }
 
 // Rand implements runtime.Env: stream s is a SplitMix64 generator seeded
@@ -318,21 +385,15 @@ func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.cfg.Seed, s
 // transports carry the payload as-is (word payloads cross TCP in the compact
 // binary frame); plain transports carry the concrete value, decoded back
 // here (Payload.Value) at the cost of one boxing allocation per message.
-// With a custom transport and a base Latency, the delay is realized on the
-// timer heap before the transport sees the message.
+// A base Latency is SendDelayed's delay: the message waits on the run loop's
+// scheduler before the transport sees it.
 func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
-	if e.sendLatency > 0 {
-		e.SendDelayed(from, to, payload, e.sendLatency)
-		return
-	}
-	e.sendNow(from, to, payload)
+	e.SendDelayed(from, to, payload, e.cfg.Latency)
 }
 
-// sendNow pushes one payload into the sender's transport endpoint.
+// sendNow pushes one payload into the sender's transport endpoint; SendDelayed
+// has checked the sender.
 func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
-	if int(from) < 0 || int(from) >= len(e.trans) {
-		return
-	}
 	// Delivery failures are message loss, which the protocol tolerates.
 	if ps, ok := e.trans[from].(transport.PayloadSender); ok {
 		_ = ps.SendPayload(to, payload)
@@ -342,13 +403,14 @@ func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 }
 
 // SendDelayed implements runtime.Env: the per-message delay sampled by a
-// network model is realized on the run loop's timer heap — the payload
-// reaches the sender's transport endpoint once the delay has elapsed in run
-// time, then traverses the transport as usual. Runtimes that drive a
-// network model configure a zero base Latency so the model owns the whole
-// latency budget. Like Send, it may be called from any dispatched callback;
-// delays at or past the run horizon mean the message is never delivered,
-// mirroring the simulated environment.
+// network model is realized on the run loop's scheduler — the payload, held
+// inline in the engine's event like a simulated delivery, reaches the
+// sender's transport endpoint once the delay has elapsed in run time, then
+// traverses the transport as usual. Runtimes that drive a network model
+// configure a zero base Latency so the model owns the whole latency budget.
+// Like Send, it may be called from any dispatched callback; delays at or past
+// the run horizon mean the message is never delivered, mirroring the
+// simulated environment.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
 	if int(from) < 0 || int(from) >= len(e.trans) {
 		return
@@ -357,11 +419,13 @@ func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, de
 		e.sendNow(from, to, payload)
 		return
 	}
-	p := payload
-	e.At(e.Now()+delay, func() {
-		// Delivery failures are message loss, which the protocol tolerates.
-		e.sendNow(from, to, p)
-	})
+	e.schedule(e.Now()+delay, false, sim.Delivery{
+		From: int32(from),
+		To:   int32(to),
+		Kind: uint32(payload.Kind),
+		Word: payload.Word,
+		Box:  payload.Box,
+	}, &e.sends)
 }
 
 // SetDeliver implements runtime.Env. It may be called from any goroutine;
@@ -407,31 +471,23 @@ func (e *Env) SetOffline(node int) {
 	e.mu.Unlock()
 }
 
-// popDue removes and returns the earliest event that is due: scheduled at or
-// before both the current run time and the horizon.
-func (e *Env) popDue(now, until float64) (func(), bool) {
+// step runs the earliest pending event if it is due — within the horizon
+// and, unless the run is draining past its deadline, not after the current
+// run time — and reports whether it ran one. The engine pops the event under
+// mu and its sink records it; it runs after mu is released.
+func (e *Env) step(until float64, draining bool) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.events) == 0 {
-		return nil, false
+	t, ok := e.engine.NextTime()
+	if !ok || t > until || !draining && t > e.nowLocked() {
+		e.mu.Unlock()
+		return false
 	}
-	head := e.events[0]
-	if head.time > now || head.time > until {
-		return nil, false
-	}
-	e.events.pop()
-	return head.fn, true
-}
-
-// nextEventTime returns the run time of the earliest pending event within
-// the horizon.
-func (e *Env) nextEventTime(until float64) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.events) == 0 || e.events[0].time > until {
-		return 0, false
-	}
-	return e.events[0].time, true
+	e.engine.Step()
+	ev := e.due
+	e.due = dueEvent{}
+	e.mu.Unlock()
+	ev.sink.run(ev.d)
+	return true
 }
 
 // dispatch runs one transport delivery on the run loop. The callback is read
@@ -488,12 +544,7 @@ func (e *Env) Run(until float64) error {
 			return nil
 		}
 		// Execute everything due at the current run time.
-		for {
-			fn, ok := e.popDue(e.Now(), until)
-			if !ok {
-				break
-			}
-			fn()
+		for e.step(until, false) {
 		}
 		// Then drain pending deliveries.
 		select {
@@ -508,19 +559,14 @@ func (e *Env) Run(until float64) error {
 			// within the horizon is due by definition — most importantly the
 			// final metric sample scheduled at exactly the horizon, which
 			// must not lose a race against the deadline check. Every re-arms
-			// land at their nominal times (scheduleAt, no clamping), so a
+			// land at their nominal times (schedule, no clamping), so a
 			// chain that fell behind replays its remaining in-horizon
 			// repetitions right here; each re-arm advances by a positive
 			// interval, so every chain leaves the horizon and the drain
 			// terminates. At and AtHook callbacks — proactive ticks included —
 			// cannot re-arm within the horizon: At clamps new events to the
 			// current run time, already past it.
-			for {
-				fn, ok := e.popDue(until, until)
-				if !ok {
-					break
-				}
-				fn()
+			for e.step(until, true) {
 			}
 			for {
 				select {
@@ -536,7 +582,10 @@ func (e *Env) Run(until float64) error {
 		// Sleep until the next event, the deadline, a cross-goroutine
 		// schedule, or a delivery — whichever comes first.
 		next := deadline
-		if t, ok := e.nextEventTime(until); ok {
+		e.mu.Lock()
+		t, ok := e.engine.NextTime()
+		e.mu.Unlock()
+		if ok && t <= until {
 			if w := e.start.Add(e.wallDuration(t)); w.Before(next) {
 				next = w
 			}
@@ -592,60 +641,4 @@ func (e *Env) Close() error {
 		}
 	}
 	return first
-}
-
-// timedEvent is one scheduled callback, ordered by (time, seq).
-type timedEvent struct {
-	time float64
-	seq  uint64
-	fn   func()
-}
-
-// eventHeap is a binary min-heap of timedEvents.
-type eventHeap []timedEvent
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev timedEvent) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() timedEvent {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = timedEvent{}
-	*h = old[:n]
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && (*h).less(left, smallest) {
-			smallest = left
-		}
-		if right < n && (*h).less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/simnet"
+	"github.com/szte-dcs/tokenaccount/transport"
 )
 
 func TestEnvConfigValidation(t *testing.T) {
@@ -483,7 +484,7 @@ func TestEnvStop(t *testing.T) {
 	}
 }
 
-// TestEnvStopWhileIdle stops a run that sleeps with an empty timer heap: the
+// TestEnvStopWhileIdle stops a run that sleeps with nothing scheduled: the
 // stop has to wake the loop, not wait for its next event.
 func TestEnvStopWhileIdle(t *testing.T) {
 	env, err := live.NewEnv(live.EnvConfig{N: 1})
@@ -499,5 +500,240 @@ func TestEnvStopWhileIdle(t *testing.T) {
 	case <-finished:
 	case <-time.After(2 * time.Second):
 		t.Fatal("an idle Run did not return on Stop")
+	}
+}
+
+// TestEnvLatencyIsPerMessage requires EnvConfig.Latency to delay every
+// message by itself, on the memory bus and over TCP alike: 16 messages sent
+// in one callback all arrive one latency later, not one after another.
+func TestEnvLatencyIsPerMessage(t *testing.T) {
+	const (
+		latency = 1.0 // run-seconds: 20 ms of wall time
+		burst   = 16
+	)
+	for _, tc := range []struct {
+		name string
+		new  func(live.EnvConfig) (*live.Env, error)
+	}{
+		{"memory", live.NewEnv},
+		{"tcp", func(cfg live.EnvConfig) (*live.Env, error) { return live.NewTCPEnv(cfg, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := tc.new(live.EnvConfig{N: 2, TimeScale: 0.02, Latency: latency})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			var (
+				sentAt   float64
+				sent     bool
+				arrivals []float64
+			)
+			env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) {
+				if sent {
+					arrivals = append(arrivals, env.Now()-sentAt)
+				}
+			})
+			// A first message opens the TCP connection, so the burst measures
+			// latency, not a dial.
+			env.At(0, func() { env.Send(0, 1, protocol.WordPayload(protocol.KindUpdateSeq, 0)) })
+			env.At(2*latency, func() {
+				sentAt, sent = env.Now(), true
+				for i := 1; i <= burst; i++ {
+					env.Send(0, 1, protocol.WordPayload(protocol.KindUpdateSeq, uint64(i)))
+				}
+			})
+			if err := env.Run(4 * latency); err != nil {
+				t.Fatal(err)
+			}
+			if len(arrivals) != burst {
+				t.Fatalf("%d of %d messages arrived: %v", len(arrivals), burst, arrivals)
+			}
+			for i, a := range arrivals {
+				if a < latency || a > 1.5*latency {
+					t.Errorf("message %d arrived %.3g run-seconds after it was sent, want within [%g, %g]", i, a, latency, 1.5*latency)
+				}
+			}
+		})
+	}
+}
+
+// nopHook is a hook that does nothing.
+type nopHook struct{}
+
+func (*nopHook) RunHook(int32, uint64) {}
+
+// TestEnvSchedulingAllocs pins the closure-free scheduling paths: once the
+// engine's slab and the hook's lane have grown, AtHook and SendDelayed of a
+// word payload allocate nothing, and At nothing beyond its caller's closure.
+func TestEnvSchedulingAllocs(t *testing.T) {
+	const calls = 1000
+	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	hook := &nopHook{}
+	fn := func() {}
+	word := protocol.WordPayload(protocol.KindUpdateSeq, 7)
+	// Warm up: more events of each kind than a measurement leaves pending
+	// run through the engine, growing its slab and the hook's lane.
+	for i := 0; i < 2*calls; i++ {
+		env.At(0, fn)
+		env.AtHook(0, hook, 0, 0)
+		env.SendDelayed(0, 1, word, 1e-6)
+	}
+	if err := env.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	// Measured events lie an hour past the run, so they stay pending.
+	later := env.Now() + 3600
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"AtHook", func() { env.AtHook(later, hook, 0, 0) }},
+		{"SendDelayed", func() { env.SendDelayed(0, 1, word, 3600) }},
+		{"At", func() { env.At(later, fn) }},
+	} {
+		if allocs := testing.AllocsPerRun(calls, c.call); allocs != 0 {
+			t.Errorf("%s allocates %.2f times per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// firingLog records, on the run loop, which goroutine's call fired when,
+// and closes all once want calls have fired.
+type firingLog struct {
+	env   *live.Env
+	want  int
+	fired int
+	all   chan struct{}
+	calls [][]float64 // per goroutine: the scheduled time of each call
+	log   [][]firing  // per goroutine, in firing order
+}
+
+type firing struct {
+	call int
+	at   float64
+}
+
+func (l *firingLog) record(g, call int) {
+	l.log[g] = append(l.log[g], firing{call: call, at: l.env.Now()})
+	if l.fired++; l.fired == l.want {
+		close(l.all)
+	}
+}
+
+// RunHook makes the log a hook: node is the goroutine, word the call.
+func (l *firingLog) RunHook(node int32, word uint64) { l.record(int(node), int(word)) }
+
+// sendRecorder is node from's transport: it logs each typed send instead of
+// delivering it, so a delayed send fires when it enters the transport, on
+// the run loop.
+type sendRecorder struct {
+	log  *firingLog
+	from int
+}
+
+func (r sendRecorder) SendPayload(_ protocol.NodeID, p protocol.Payload) error {
+	r.log.record(r.from, int(p.Word))
+	return nil
+}
+func (sendRecorder) Send(protocol.NodeID, any) error { return nil }
+func (sendRecorder) SetHandler(transport.Handler)    {}
+func (sendRecorder) Close() error                    { return nil }
+
+// TestEnvSchedulesFromOtherGoroutines pins the contract the daemon relies on
+// when a request goroutine brings its node online (Host.SetOnline → AtHook):
+// while Run is active, goroutines schedule through At, AtHook, Schedule and
+// SendDelayed at strictly increasing times. Every event fires exactly once,
+// never before its run time, and in (time, call) order within each
+// goroutine, and Stop then ends the run.
+func TestEnvSchedulesFromOtherGoroutines(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 200  // calls of each method per goroutine
+		step       = 0.01 // run-seconds between one goroutine's events: 100 µs
+	)
+	l := &firingLog{
+		want:  goroutines * 4 * rounds,
+		all:   make(chan struct{}),
+		calls: make([][]float64, goroutines),
+		log:   make([][]firing, goroutines),
+	}
+	env, err := live.NewEnv(live.EnvConfig{N: goroutines, TimeScale: 1e-2,
+		NewTransport: func(i int) (transport.Transport, error) { return sendRecorder{log: l, from: i}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	l.env = env
+	running := make(chan struct{})
+	env.At(0, func() { close(running) })
+	finished := make(chan error, 1)
+	go func() { finished <- env.Run(math.Inf(1)) }()
+	<-running
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each call's event lies at or after next and at or before
+			// latest, which its successor's next exceeds by step, so the
+			// goroutine's events have strictly increasing times. A relative
+			// delay stays positive: a non-positive one would send from this
+			// goroutine at once.
+			times := make([]float64, 4*rounds)
+			next := env.Now() + 1
+			for c := range times {
+				times[c] = next
+				delay := max(next-env.Now(), 1e-9)
+				switch c % 4 {
+				case 0:
+					env.At(next, func() { l.record(g, c) })
+				case 1:
+					env.AtHook(next, l, int32(g), uint64(c))
+				case 2:
+					env.Schedule(delay, func() { l.record(g, c) })
+				case 3:
+					env.SendDelayed(protocol.NodeID(g), protocol.NodeID(g),
+						protocol.WordPayload(protocol.KindUpdateSeq, uint64(c)), delay)
+				}
+				latest := env.Now() + delay
+				next = latest + step
+			}
+			l.calls[g] = times
+		}(g)
+	}
+	wg.Wait()
+	select {
+	case <-l.all:
+	case <-time.After(10 * time.Second):
+		t.Fatal("not every event fired within 10 s")
+	}
+	env.Stop()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatalf("Run = %v after Stop", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return on Stop")
+	}
+	for g, log := range l.log {
+		if len(log) != 4*rounds {
+			t.Fatalf("goroutine %d: %d events fired, want %d", g, len(log), 4*rounds)
+		}
+		for i, f := range log {
+			if f.call != i {
+				t.Fatalf("goroutine %d: firing %d is call %d, want call order", g, i, f.call)
+			}
+			if want := l.calls[g][i]; f.at < want {
+				t.Errorf("goroutine %d: call %d fired at %v, before its time %v", g, i, f.at, want)
+			}
+		}
 	}
 }

@@ -20,10 +20,10 @@ const maxTCPEnvNodes = 512
 // boxed payload types through the optional callback. Closing the environment
 // closes every endpoint.
 //
-// cfg.NewTransport must be nil (the endpoints are the point). cfg.Latency is
-// realized on the run loop's timer heap before each message enters its
-// socket, on top of the real (microsecond-scale) loopback latency; network
-// models are realized through SendDelayed as usual.
+// cfg.NewTransport must be nil (the endpoints are the point). cfg.Latency
+// holds each message on the run loop's scheduler before it enters its socket,
+// as on the memory bus, on top of the real (microsecond-scale) loopback
+// latency; network models are realized through SendDelayed as usual.
 func NewTCPEnv(cfg EnvConfig, register func(*transport.Registry)) (*Env, error) {
 	if cfg.N > maxTCPEnvNodes {
 		return nil, fmt.Errorf("live: NewTCPEnv with %d nodes exceeds the %d-node mesh limit", cfg.N, maxTCPEnvNodes)

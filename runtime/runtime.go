@@ -20,7 +20,7 @@
 // derivable randomness streams (StreamSeeder) and typed hook events
 // (HookScheduler), which carry every node's proactive tick and every churn
 // transition of a trace. An Env implemented outside this module must provide
-// all of them; AtHook may simply wrap At, as live.Env's does. Sharded, which
+// all of them; AtHook may simply wrap At. Sharded, which
 // marks the one parallel environment, is the one optional Env capability. On
 // the hook side, LookaheadHook is an optional capability too: it lets the
 // simulated environments tell the Host's tick which nodes tick next.
@@ -185,9 +185,9 @@ type LookaheadHook interface {
 // HookScheduler is part of Env and ShardScheduler. AtHook behaves exactly
 // like At(t, func() { hook.RunHook(node, word) }) — same past-time clamping,
 // same position in the environment's tie-break order — and may be
-// implemented as just that. The simulated environments instead carry
-// (hook, node, word) as plain event data, so per-node events schedule
-// without materializing closures. Implementations may key internal state on
+// implemented as just that. The shipped environments instead carry
+// (hook, node, word) as plain event data in a sim.Engine hook lane, so
+// per-node events schedule without materializing closures. Implementations may key internal state on
 // the hook's identity; callers must register each distinct hook (its first
 // AtHook call) during assembly or from coordinator context, and may then
 // reschedule it freely from its own callbacks.

@@ -50,6 +50,7 @@ type drainWorld struct {
 	logs   [][]string // per shard, then the coordinator's
 	sent   []uint64   // per node: messages sent, for unique words
 	tick   drainTick
+	funcs  []*shardFuncs
 }
 
 type drainTick struct{ w *drainWorld }
@@ -97,7 +98,7 @@ func (w *drainWorld) coordinator() {
 	}
 	s := r.Intn(len(se.engines))
 	at := q(r.Float64() * 2)
-	se.ShardSchedule(s, at, func() {
+	w.funcs[s].at(at, func() {
 		w.logs[s] = append(w.logs[s], fmt.Sprintf("closure @%v", se.ShardNow(s)))
 	})
 	if now < 30 {
@@ -122,6 +123,7 @@ func runDrainWorld(t *testing.T, shards int, seed uint64, runUntil func(se *Shar
 	defer se.Close()
 	w := &drainWorld{se: se, n: n, coordR: rng.New(rng.Derive(seed, 1000)), logs: make([][]string, shards+1), sent: make([]uint64, n)}
 	w.tick = drainTick{w: w}
+	w.funcs = newShardFuncs(se)
 	se.SetSink(w)
 	setup := rng.New(seed)
 	w.rngs = make([]*rng.Source, n)

@@ -65,9 +65,9 @@ type outMsg struct {
 // deposits in src order, every seq, and so every tie-break, is the one a
 // sequential (dst, src) drain on the coordinator assigns.
 //
-// All scheduling methods (At, Schedule, Every, Send, Shard*) must be called
-// either during assembly or from within executing events; RunUntil itself
-// must be driven from a single goroutine.
+// All scheduling methods (At, Schedule, Every, Send, ScheduleHookAt,
+// ShardScheduleHookAt) must be called either during assembly or from within
+// executing events; RunUntil itself must be driven from a single goroutine.
 type ShardedEngine struct {
 	engines   []*Engine
 	coord     *Engine
@@ -155,20 +155,6 @@ func (se *ShardedEngine) Every(phase, interval float64, fn func() bool) {
 // ShardNow returns shard s's local virtual time: inside a window it runs up
 // to lookahead ahead of the last barrier.
 func (se *ShardedEngine) ShardNow(s int) float64 { return se.engines[s].Now() }
-
-// ShardSchedule schedules fn on shard s's queue after delay of shard-local
-// virtual time. The callback runs on the shard's goroutine and must only
-// touch state owned by that shard.
-func (se *ShardedEngine) ShardSchedule(s int, delay float64, fn func()) {
-	se.engines[s].Schedule(delay, fn)
-}
-
-// ShardEvery schedules a repeating event on shard s's queue (see
-// Engine.Every). The callback runs on the shard's goroutine and must only
-// touch state owned by that shard.
-func (se *ShardedEngine) ShardEvery(s int, phase, interval float64, fn func() bool) {
-	se.engines[s].Every(phase, interval, fn)
-}
 
 // ScheduleHookAt schedules a hook event on the coordinator at absolute time
 // t (see Engine.ScheduleHookAt): like At, it executes single-threaded at a

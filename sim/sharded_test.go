@@ -55,6 +55,45 @@ func perDestination(entries []shardEntry) map[int32][]shardEntry {
 	return out
 }
 
+// shardFuncs runs closures as hook events on one shard through
+// ShardScheduleHookAt, the path the Host's ticks take: the event's word
+// indexes fns. It is appended to only from its shard's goroutine or between
+// windows.
+type shardFuncs struct {
+	se  *ShardedEngine
+	s   int
+	fns []func()
+}
+
+func newShardFuncs(se *ShardedEngine) []*shardFuncs {
+	fs := make([]*shardFuncs, se.NumShards())
+	for s := range fs {
+		fs[s] = &shardFuncs{se: se, s: s}
+	}
+	return fs
+}
+
+func (f *shardFuncs) Deliver(d Delivery) { f.fns[d.Word]() }
+
+// at runs fn at shard-local time ShardNow+delay; it returns fn's word.
+func (f *shardFuncs) at(delay float64, fn func()) uint64 {
+	f.fns = append(f.fns, fn)
+	w := uint64(len(f.fns) - 1)
+	f.se.ShardScheduleHookAt(f.s, f.se.ShardNow(f.s)+delay, 0, w, f)
+	return w
+}
+
+// every is Engine.Every on the shard: fn runs at ShardNow+phase and then
+// every interval until it returns false.
+func (f *shardFuncs) every(phase, interval float64, fn func() bool) {
+	var w uint64
+	w = f.at(phase, func() {
+		if fn() {
+			f.se.ShardScheduleHookAt(f.s, f.se.ShardNow(f.s)+interval, 0, w, f)
+		}
+	})
+}
+
 func evenOdd(n int) []int32 {
 	shardOf := make([]int32, n)
 	for i := range shardOf {
@@ -134,8 +173,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 		sink := &shardTrace{}
 		se.SetSink(sink)
+		fs := newShardFuncs(se)
 		randomTraffic(n, seed,
-			func(node int, phase float64, fn func() bool) { se.ShardEvery(int(shardOf[node]), phase, 1, fn) },
+			func(node int, phase float64, fn func() bool) { fs[shardOf[node]].every(phase, 1, fn) },
 			se.Send,
 		)
 		se.RunUntil(50)
@@ -163,8 +203,9 @@ func shardedTrace(t *testing.T, n, shards int, seed uint64) map[int32][]shardEnt
 	defer se.Close()
 	sink := &timedSink{se: se}
 	se.SetSink(sink)
+	fs := newShardFuncs(se)
 	randomTraffic(n, seed,
-		func(node int, phase float64, fn func() bool) { se.ShardEvery(int(shardOf[node]), phase, 1, fn) },
+		func(node int, phase float64, fn func() bool) { fs[shardOf[node]].every(phase, 1, fn) },
 		se.Send,
 	)
 	se.RunUntil(50)
@@ -196,7 +237,7 @@ func TestShardedCrossShardTiming(t *testing.T) {
 	se.SetSink(sink)
 	// Node 0 (shard 0) sends to node 1 (shard 1) at t = 0.7 with delay 1.3:
 	// due at exactly 2.0 even though the window ending at 1.0 barriers first.
-	se.ShardSchedule(0, 0.7, func() {
+	newShardFuncs(se)[0].at(0.7, func() {
 		se.Send(1.3, Delivery{From: 0, To: 1, Word: 99})
 	})
 	se.RunUntil(10)
@@ -249,9 +290,8 @@ func TestShardedCoordinatorBarriers(t *testing.T) {
 		record(fmt.Sprintf("coord@%v", se.Now()))
 		return se.Now() < 6
 	})
-	for s := 0; s < 2; s++ {
-		s := s
-		se.ShardEvery(s, 2, 2, func() bool {
+	for s, f := range newShardFuncs(se) {
+		f.every(2, 2, func() bool {
 			record(fmt.Sprintf("shard%d@%v", s, se.ShardNow(s)))
 			return se.ShardNow(s) < 6
 		})
@@ -282,8 +322,9 @@ func TestShardedRepeatedRunUntil(t *testing.T) {
 		defer se.Close()
 		sink := &timedSink{se: se}
 		se.SetSink(sink)
+		fs := newShardFuncs(se)
 		randomTraffic(6, 3,
-			func(node int, phase float64, fn func() bool) { se.ShardEvery(node%2, phase, 1, fn) },
+			func(node int, phase float64, fn func() bool) { fs[node%2].every(phase, 1, fn) },
 			se.Send,
 		)
 		for _, h := range horizons {
@@ -306,7 +347,7 @@ func TestShardedProcessedAndPending(t *testing.T) {
 	}
 	defer se.Close()
 	se.SetSink(&shardTrace{})
-	se.ShardSchedule(0, 0.5, func() {
+	newShardFuncs(se)[0].at(0.5, func() {
 		se.Send(1.5, Delivery{From: 0, To: 1}) // cross-shard, parked in an outbox
 		se.Send(0.1, Delivery{From: 0, To: 2}) // intra-shard
 	})

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMemoryBusDropProbabilityOne(t *testing.T) {
-	bus := NewMemoryBus(0, WithDropProbability(1, 42))
+	bus := NewMemoryBus(WithDropProbability(1, 42))
 	defer bus.Close()
 	a, _ := bus.Endpoint(1)
 	b, _ := bus.Endpoint(2)
@@ -48,7 +48,7 @@ func TestMemoryBusDropProbabilityPanicsOutOfRange(t *testing.T) {
 // exactly the same messages survive.
 func TestMemoryBusDropPatternDeterministic(t *testing.T) {
 	run := func() []int {
-		bus := NewMemoryBus(0, WithDropProbability(0.5, 7))
+		bus := NewMemoryBus(WithDropProbability(0.5, 7))
 		defer bus.Close()
 		a, _ := bus.Endpoint(1)
 		b, _ := bus.Endpoint(2)
@@ -90,7 +90,7 @@ func TestMemoryBusDropPatternDeterministic(t *testing.T) {
 }
 
 func TestMemoryBusDirectedPartition(t *testing.T) {
-	bus := NewMemoryBus(0, WithPartition(1, 2))
+	bus := NewMemoryBus(WithPartition(1, 2))
 	defer bus.Close()
 	a, _ := bus.Endpoint(1)
 	b, _ := bus.Endpoint(2)

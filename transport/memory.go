@@ -3,19 +3,17 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
 // MemoryBus connects any number of in-process endpoints. Messages are
-// delivered asynchronously by a per-endpoint delivery goroutine, optionally
-// after a configurable artificial latency, so the timing behaviour resembles
-// a real network. The zero value is not usable; call NewMemoryBus.
+// delivered asynchronously by a per-endpoint delivery goroutine, in the order
+// they reach the endpoint and with no artificial delay: a caller that wants
+// latency (live.Env's EnvConfig.Latency) holds the message back before
+// sending it. The zero value is not usable; call NewMemoryBus.
 type MemoryBus struct {
-	latency time.Duration
-
 	mu        sync.RWMutex
 	endpoints map[protocol.NodeID]*MemoryEndpoint
 	closed    bool
@@ -64,12 +62,11 @@ func WithPartition(from, to protocol.NodeID) BusOption {
 	return func(b *MemoryBus) { b.blocked[link{from, to}] = struct{}{} }
 }
 
-// NewMemoryBus returns a bus that delays every delivery by the given latency
-// (zero means immediate delivery). Options inject deterministic faults; by
-// default the bus is reliable.
-func NewMemoryBus(latency time.Duration, opts ...BusOption) *MemoryBus {
+// NewMemoryBus returns a bus that delivers every message as soon as its
+// destination's delivery goroutine takes it. Options inject deterministic
+// faults; by default the bus is reliable.
+func NewMemoryBus(opts ...BusOption) *MemoryBus {
 	b := &MemoryBus{
-		latency:   latency,
 		endpoints: make(map[protocol.NodeID]*MemoryEndpoint),
 		blocked:   make(map[link]struct{}),
 	}
@@ -257,15 +254,6 @@ func (e *MemoryEndpoint) deliverLoop() {
 		case <-e.done:
 			return
 		case m := <-e.queue:
-			if e.bus.latency > 0 {
-				timer := time.NewTimer(e.bus.latency)
-				select {
-				case <-timer.C:
-				case <-e.done:
-					timer.Stop()
-					return
-				}
-			}
 			e.mu.RLock()
 			h := e.handler
 			e.mu.RUnlock()

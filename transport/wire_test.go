@@ -303,6 +303,9 @@ func TestTCPOversizeSendRejected(t *testing.T) {
 		t.Fatalf("send after the rejected one: %v", err)
 	}
 	got.waitFor(t, 2, 2*time.Second)
+	// The writer counts a frame after its write returns, which can be after
+	// the receiver has handled it.
+	waitUntil(t, 2*time.Second, "the second frame's count", func() bool { return a.Stats().FramesSent >= 2 })
 	s := a.Stats()
 	if s.Disconnects != 0 || s.Reconnects != 0 || s.Dials != 1 || s.SendErrors != 0 || s.FramesSent != 2 {
 		t.Errorf("after an oversize send: disconnects %d, reconnects %d, dials %d, send errors %d, frames sent %d; want 0, 0, 1, 0, 2",
