@@ -108,19 +108,13 @@ func MsgFromWord(word uint64) (Msg, bool) {
 	return m, true
 }
 
-// MsgFromPayload decodes a blockcast message from either payload
-// representation: the word form used inside the simulator, or the boxed Msg
-// an out-of-process transport reconstructs via Payload.Value.
+// MsgFromPayload decodes a blockcast message from its word form, which every
+// runtime and transport delivers unchanged.
 func MsgFromPayload(p protocol.Payload) (Msg, bool) {
-	switch p.Kind {
-	case protocol.KindBlockcast:
-		return MsgFromWord(p.Word)
-	case protocol.KindBoxed:
-		if m, ok := p.Box.(Msg); ok && m.valid() {
-			return m, true
-		}
+	if p.Kind != protocol.KindBlockcast {
+		return Msg{}, false
 	}
-	return Msg{}, false
+	return MsgFromWord(p.Word)
 }
 
 // The wire-size model, in bytes. The numbers follow the shape of a ByzCoin
@@ -158,15 +152,6 @@ func WireSize(word uint64) int {
 	return AnnounceBytes
 }
 
-func decodeMsg(word uint64) any {
-	m, ok := MsgFromWord(word)
-	if !ok {
-		return nil
-	}
-	return m
-}
-
 func init() {
-	protocol.RegisterPayloadDecoder(protocol.KindBlockcast, decodeMsg)
 	protocol.RegisterPayloadSizer(protocol.KindBlockcast, WireSize)
 }

@@ -25,20 +25,16 @@ func TestMsgWordRoundTrip(t *testing.T) {
 		if got, ok := MsgFromPayload(m.Payload()); !ok || got != m {
 			t.Errorf("payload round trip of %+v: got %+v, ok=%v", m, got, ok)
 		}
-		// The registered decoder must agree with MsgFromWord.
-		if v, ok := m.Payload().Value().(Msg); !ok || v != m {
-			t.Errorf("Value() of %+v = %#v", m, m.Payload().Value())
-		}
-		// The boxed form (a wire transport's reconstruction) decodes too.
-		if got, ok := MsgFromPayload(protocol.BoxPayload(m)); !ok || got != m {
-			t.Errorf("boxed round trip of %+v: got %+v, ok=%v", m, got, ok)
+		// No transport boxes a message, so a boxed payload is foreign.
+		if _, ok := MsgFromPayload(protocol.BoxPayload(m)); ok {
+			t.Errorf("boxed %+v decoded", m)
 		}
 	}
 }
 
 // TestMsgFromWordRejectsInvalid pins the fuzz-derived hardening contract:
-// structurally invalid words decode to ok=false (and a nil Value), never a
-// panic and never a half-valid message.
+// structurally invalid words decode to ok=false, never a panic and never a
+// half-valid message.
 func TestMsgFromWordRejectsInvalid(t *testing.T) {
 	invalid := map[string]uint64{
 		"unused kind 3":          3 << 62,
@@ -54,16 +50,9 @@ func TestMsgFromWordRejectsInvalid(t *testing.T) {
 		if m, ok := MsgFromWord(word); ok {
 			t.Errorf("%s (word %#x) decoded to %+v, want rejection", name, word, m)
 		}
-		if v := protocol.WordPayload(protocol.KindBlockcast, word).Value(); v != nil {
-			t.Errorf("%s: Value() = %#v, want nil", name, v)
+		if m, ok := MsgFromPayload(protocol.WordPayload(protocol.KindBlockcast, word)); ok {
+			t.Errorf("%s: payload of word %#x decoded to %+v, want rejection", name, word, m)
 		}
-	}
-	// A boxed message is validated the same way.
-	if _, ok := MsgFromPayload(protocol.BoxPayload(Msg{Kind: MsgPull, Height: 0})); ok {
-		t.Error("invalid boxed message decoded")
-	}
-	if _, ok := MsgFromPayload(protocol.BoxPayload("not a msg")); ok {
-		t.Error("foreign boxed value decoded")
 	}
 }
 
@@ -135,8 +124,8 @@ func FuzzMsgWord(f *testing.F) {
 		if size := WireSize(word); size < 1 {
 			t.Errorf("WireSize(%#x) = %d, want ≥ 1", word, size)
 		}
-		if v := protocol.WordPayload(protocol.KindBlockcast, word).Value(); (v != nil) != ok {
-			t.Errorf("Value() presence %v disagrees with decoder ok=%v for word %#x", v != nil, ok, word)
+		if pm, pok := MsgFromPayload(protocol.WordPayload(protocol.KindBlockcast, word)); pok != ok || pm != m {
+			t.Errorf("MsgFromPayload = %+v, %v disagrees with MsgFromWord = %+v, %v for word %#x", pm, pok, m, ok, word)
 		}
 	})
 }

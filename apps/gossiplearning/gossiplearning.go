@@ -77,9 +77,8 @@ func (m ModelMessage) Payload() protocol.Payload {
 }
 
 // ModelMessageFromPayload decodes a model message from either
-// representation: the word-encoded age-only form used inside the simulator,
-// or a boxed ModelMessage as produced by a wire transport, the SGD learner
-// or a custom sender.
+// representation: the word-encoded age-only form, or the boxed ModelMessage
+// that carries real weights (the SGD learner).
 func ModelMessageFromPayload(p protocol.Payload) (ModelMessage, bool) {
 	switch p.Kind {
 	case protocol.KindModelAge:
@@ -89,12 +88,6 @@ func ModelMessageFromPayload(p protocol.Payload) (ModelMessage, bool) {
 		return m, ok
 	}
 	return ModelMessage{}, false
-}
-
-func init() {
-	protocol.RegisterPayloadDecoder(protocol.KindModelAge, func(word uint64) any {
-		return ModelMessage{Age: int(word)}
-	})
 }
 
 // String returns a short description for logs.

@@ -31,24 +31,13 @@ func (m WeightMessage) Payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindWeight, math.Float64bits(m.X))
 }
 
-// WeightMessageFromPayload decodes a weight message from either
-// representation: the word-encoded form used inside the simulator, or a
-// boxed WeightMessage as produced by a wire transport or a custom sender.
+// WeightMessageFromPayload decodes a weight message from its word-encoded
+// form, which every runtime and transport delivers unchanged.
 func WeightMessageFromPayload(p protocol.Payload) (WeightMessage, bool) {
-	switch p.Kind {
-	case protocol.KindWeight:
-		return WeightMessage{X: math.Float64frombits(p.Word)}, true
-	case protocol.KindBoxed:
-		m, ok := p.Box.(WeightMessage)
-		return m, ok
+	if p.Kind != protocol.KindWeight {
+		return WeightMessage{}, false
 	}
-	return WeightMessage{}, false
-}
-
-func init() {
-	protocol.RegisterPayloadDecoder(protocol.KindWeight, func(word uint64) any {
-		return WeightMessage{X: math.Float64frombits(word)}
-	})
+	return WeightMessage{X: math.Float64frombits(p.Word)}, true
 }
 
 // State is the per-node state of the chaotic iteration. It implements

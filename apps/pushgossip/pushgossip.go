@@ -81,24 +81,13 @@ func (u Update) Payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindUpdateSeq, uint64(u.Seq))
 }
 
-// UpdateFromPayload decodes an update from either representation: the
-// word-encoded form used inside the simulator, or a boxed Update as produced
-// by a wire transport or a custom sender.
+// UpdateFromPayload decodes an update from its word-encoded form, which every
+// runtime and transport delivers unchanged.
 func UpdateFromPayload(p protocol.Payload) (Update, bool) {
-	switch p.Kind {
-	case protocol.KindUpdateSeq:
-		return Update{Seq: int64(p.Word)}, true
-	case protocol.KindBoxed:
-		u, ok := p.Box.(Update)
-		return u, ok
+	if p.Kind != protocol.KindUpdateSeq {
+		return Update{}, false
 	}
-	return Update{}, false
-}
-
-func init() {
-	protocol.RegisterPayloadDecoder(protocol.KindUpdateSeq, func(word uint64) any {
-		return Update{Seq: int64(word)}
-	})
+	return Update{Seq: int64(p.Word)}, true
 }
 
 // String returns a short description for logs.

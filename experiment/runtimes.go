@@ -287,5 +287,5 @@ func (l liveTCPRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 		Seed:      seed,
 		TimeScale: l.scale(),
 		Latency:   latency,
-	}, nil)
+	})
 }

@@ -78,9 +78,8 @@ type leaveMsg struct {
 
 // RegisterControl registers the daemon's membership control payloads in a
 // transport registry. Every process of a tokennode deployment must share a
-// registry with these (NewDaemon applies it to its own registry
-// automatically; tests that speak to a daemon over a raw endpoint call it
-// explicitly).
+// registry with these (NewDaemon builds its own; tests that speak to a
+// daemon over a raw endpoint call it explicitly).
 func RegisterControl(r *transport.Registry) {
 	transport.Register[joinMsg](r, "live.join")
 	transport.Register[leaveMsg](r, "live.leave")
@@ -182,9 +181,6 @@ type DaemonConfig struct {
 	// the run loop (default: EnvConfig.QueueSize's). Messages arriving while
 	// it is full are dropped, which the protocol tolerates.
 	QueueSize int
-	// Registry carries the deployment's boxed payload types. Nil means a
-	// fresh registry; the control payloads are registered either way.
-	Registry *transport.Registry
 	// TransportOptions tune the managed TCP endpoint.
 	TransportOptions []transport.TCPOption
 }
@@ -224,10 +220,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if cfg.Delta <= 0 {
 		return nil, fmt.Errorf("live: DaemonConfig.Delta = %v, need > 0", cfg.Delta)
 	}
-	registry := cfg.Registry
-	if registry == nil {
-		registry = transport.NewRegistry()
-	}
+	registry := transport.NewRegistry()
 	RegisterControl(registry)
 	ep, err := transport.NewTCPEndpoint(cfg.ID, cfg.Listen, registry, cfg.TransportOptions...)
 	if err != nil {
@@ -303,7 +296,7 @@ type controlFilter struct {
 	d *Daemon
 }
 
-var _ transport.PayloadReceiver = controlFilter{}
+var _ transport.Transport = controlFilter{}
 
 func (f controlFilter) SetPayloadHandler(next transport.PayloadHandler) {
 	f.TCPEndpoint.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
@@ -413,9 +406,9 @@ func (d *Daemon) Start(ctx context.Context) {
 
 // announce sends the join message to every known peer.
 func (d *Daemon) announce() {
-	msg := joinMsg{ID: int64(d.cfg.ID), Addr: d.ep.Addr()}
+	msg := protocol.BoxPayload(joinMsg{ID: int64(d.cfg.ID), Addr: d.ep.Addr()})
 	for _, id := range d.peers.list() {
-		_ = d.ep.Send(id, msg)
+		_ = d.ep.SendPayload(id, msg)
 	}
 }
 
@@ -430,7 +423,7 @@ func (d *Daemon) Rejoin() {
 	if !ok {
 		return
 	}
-	_ = d.ep.Send(target, joinMsg{ID: int64(d.cfg.ID), Addr: d.ep.Addr()})
+	_ = d.ep.SendPayload(target, protocol.BoxPayload(joinMsg{ID: int64(d.cfg.ID), Addr: d.ep.Addr()}))
 }
 
 // Drain gracefully stops the daemon: it announces its leave to every peer,
@@ -445,9 +438,9 @@ func (d *Daemon) Drain(ctx context.Context) {
 	}
 	d.health = HealthDraining
 	d.mu.Unlock()
-	msg := leaveMsg{ID: int64(d.cfg.ID)}
+	msg := protocol.BoxPayload(leaveMsg{ID: int64(d.cfg.ID)})
 	for _, id := range d.peers.list() {
-		_ = d.ep.Send(id, msg)
+		_ = d.ep.SendPayload(id, msg)
 	}
 	// Wait for the per-peer writers to flush the leave notices (and anything
 	// queued before them).

@@ -524,7 +524,7 @@ func TestDaemonJoinBeforeHostIsAssembled(t *testing.T) {
 
 	peer := rawPeer(t, 1)
 	peer.AddPeer(0, d.Endpoint().Addr())
-	if err := peer.Send(0, joinMsg{ID: 1, Addr: peer.Addr()}); err != nil {
+	if err := peer.SendPayload(0, protocol.BoxPayload(joinMsg{ID: 1, Addr: peer.Addr()})); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "the join to be admitted", func() bool { return d.NumPeers() == 1 })

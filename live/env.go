@@ -45,9 +45,10 @@ type EnvConfig struct {
 	// it to the transport, so messages sent together arrive together.
 	Latency float64
 	// NewTransport optionally overrides the built-in in-process memory bus:
-	// it must return the transport endpoint of node i, whose Send(to, ...)
-	// reaches the endpoint returned for node `to`. Use it to run the
-	// environment over TCP endpoints. Nil selects the memory bus.
+	// it must return the transport endpoint of node i, whose
+	// SendPayload(to, ...) reaches the endpoint returned for node `to`. Use
+	// it to run the environment over TCP endpoints. Nil selects the memory
+	// bus.
 	NewTransport func(i int) (transport.Transport, error)
 	// QueueSize bounds the delivery queue between the transport goroutines
 	// and the run loop (default 4096). When the queue is full further
@@ -189,17 +190,9 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 			return nil, fmt.Errorf("live: NewTransport(%d) returned nil", i)
 		}
 		to := protocol.NodeID(i)
-		// Typed transports (TCP) deliver payloads losslessly; plain ones
-		// deliver concrete values that are re-boxed at the edge.
-		if pr, ok := tr.(transport.PayloadReceiver); ok {
-			pr.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
-				e.enqueue(envDelivery{from: from, to: to, payload: p})
-			})
-		} else {
-			tr.SetHandler(func(from protocol.NodeID, payload any) {
-				e.enqueue(envDelivery{from: from, to: to, payload: protocol.BoxPayload(payload)})
-			})
-		}
+		tr.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
+			e.enqueue(envDelivery{from: from, to: to, payload: p})
+		})
 		e.trans[i] = tr
 	}
 	return e, nil
@@ -381,12 +374,10 @@ func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.cf
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.cfg.Seed, stream) }
 
 // Send implements runtime.Env: the payload enters the sender's transport
-// endpoint and re-surfaces on the run loop via the delivery queue. Typed
-// transports carry the payload as-is (word payloads cross TCP in the compact
-// binary frame); plain transports carry the concrete value, decoded back
-// here (Payload.Value) at the cost of one boxing allocation per message.
-// A base Latency is SendDelayed's delay: the message waits on the run loop's
-// scheduler before the transport sees it.
+// endpoint and re-surfaces on the run loop via the delivery queue, with the
+// Kind, Word and Box it was sent with (word payloads cross TCP in the compact
+// binary frame). A base Latency is SendDelayed's delay: the message waits on
+// the run loop's scheduler before the transport sees it.
 func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.cfg.Latency)
 }
@@ -395,11 +386,7 @@ func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 // has checked the sender.
 func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 	// Delivery failures are message loss, which the protocol tolerates.
-	if ps, ok := e.trans[from].(transport.PayloadSender); ok {
-		_ = ps.SendPayload(to, payload)
-		return
-	}
-	_ = e.trans[from].Send(to, payload.Value())
+	_ = e.trans[from].SendPayload(to, payload)
 }
 
 // SendDelayed implements runtime.Env: the per-message delay sampled by a

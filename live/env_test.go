@@ -508,7 +508,7 @@ func TestEnvStopWhileIdle(t *testing.T) {
 // in one callback all arrive one latency later, not one after another.
 func TestEnvLatencyIsPerMessage(t *testing.T) {
 	const (
-		latency = 1.0 // run-seconds: 20 ms of wall time
+		latency = 1.0 // run-seconds: 100 ms of wall time
 		burst   = 16
 	)
 	for _, tc := range []struct {
@@ -516,10 +516,10 @@ func TestEnvLatencyIsPerMessage(t *testing.T) {
 		new  func(live.EnvConfig) (*live.Env, error)
 	}{
 		{"memory", live.NewEnv},
-		{"tcp", func(cfg live.EnvConfig) (*live.Env, error) { return live.NewTCPEnv(cfg, nil) }},
+		{"tcp", live.NewTCPEnv},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := tc.new(live.EnvConfig{N: 2, TimeScale: 0.02, Latency: latency})
+			env, err := tc.new(live.EnvConfig{N: 2, TimeScale: 0.1, Latency: latency})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -602,6 +602,119 @@ func TestEnvSchedulingAllocs(t *testing.T) {
 	}
 }
 
+// TestEnvSendAllocs pins the memory bus path end to end: after warm-up, a
+// word payload goes from Send through the bus and the run loop's inbox to the
+// delivery callback without a heap allocation.
+func TestEnvSendAllocs(t *testing.T) {
+	const calls = 1000
+	env, err := live.NewEnv(live.EnvConfig{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	arrived := make(chan struct{}, 1)
+	env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) { arrived <- struct{}{} })
+	finished := make(chan error, 1)
+	go func() { finished <- env.Run(math.Inf(1)) }()
+	defer func() {
+		env.Stop()
+		<-finished
+	}()
+	// Go boxes integers below 256 without allocating, so a small word would
+	// hide a boxing step.
+	word := protocol.WordPayload(protocol.KindUpdateSeq, 1<<40)
+	send := func() {
+		env.Send(0, 1, word)
+		<-arrived
+	}
+	for i := 0; i < calls; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(calls, send); allocs != 0 {
+		t.Errorf("Send of a word payload over the memory bus allocates %.2f per message, want 0", allocs)
+	}
+}
+
+// note is a boxed payload type.
+type note struct {
+	Text string `json:"text"`
+}
+
+// tcpMesh returns an EnvConfig.NewTransport over n fully meshed loopback TCP
+// endpoints that share registry.
+func tcpMesh(t *testing.T, n int, registry *transport.Registry) func(int) (transport.Transport, error) {
+	t.Helper()
+	eps := make([]*transport.TCPEndpoint, n)
+	for i := range eps {
+		ep, err := transport.NewTCPEndpoint(protocol.NodeID(i), "127.0.0.1:0", registry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ep.Close() })
+		eps[i] = ep
+	}
+	for i, ep := range eps {
+		for j, peer := range eps {
+			if i != j {
+				ep.AddPeer(protocol.NodeID(j), peer.Addr())
+			}
+		}
+	}
+	return func(i int) (transport.Transport, error) { return eps[i], nil }
+}
+
+// TestEnvDeliversPayloadsUnchanged sends a word of a built-in kind, a word of
+// a kind no package claims and a boxed value: on the memory bus and over TCP,
+// each must reach the delivery callback with the Kind, Word and Box it was
+// sent with.
+func TestEnvDeliversPayloadsUnchanged(t *testing.T) {
+	sent := []protocol.Payload{
+		protocol.WordPayload(protocol.KindUpdateSeq, 1<<40+7),
+		protocol.WordPayload(protocol.PayloadKind(1001), 42),
+		protocol.BoxPayload(note{Text: "boxed"}),
+	}
+	registry := transport.NewRegistry()
+	transport.Register[note](registry, "note")
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"memory", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := live.EnvConfig{N: 2, TimeScale: 1e-3}
+			if tc.tcp {
+				cfg.NewTransport = tcpMesh(t, cfg.N, registry)
+			}
+			env, err := live.NewEnv(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			var got []protocol.Payload
+			env.SetDeliver(func(_, _ protocol.NodeID, p protocol.Payload) {
+				if got = append(got, p); len(got) == len(sent) {
+					env.Stop()
+				}
+			})
+			env.At(0, func() {
+				for _, p := range sent {
+					env.Send(0, 1, p)
+				}
+			})
+			if err := env.Run(5000); err != nil { // 5 s of wall time unless Stop ends it
+				t.Fatal(err)
+			}
+			if len(got) != len(sent) {
+				t.Fatalf("%d of %d payloads arrived: %+v", len(got), len(sent), got)
+			}
+			for i := range sent {
+				if got[i] != sent[i] {
+					t.Errorf("payload %d arrived as %+v, want %+v", i, got[i], sent[i])
+				}
+			}
+		})
+	}
+}
+
 // firingLog records, on the run loop, which goroutine's call fired when,
 // and closes all once want calls have fired.
 type firingLog struct {
@@ -640,9 +753,8 @@ func (r sendRecorder) SendPayload(_ protocol.NodeID, p protocol.Payload) error {
 	r.log.record(r.from, int(p.Word))
 	return nil
 }
-func (sendRecorder) Send(protocol.NodeID, any) error { return nil }
-func (sendRecorder) SetHandler(transport.Handler)    {}
-func (sendRecorder) Close() error                    { return nil }
+func (sendRecorder) SetPayloadHandler(transport.PayloadHandler) {}
+func (sendRecorder) Close() error                               { return nil }
 
 // TestEnvSchedulesFromOtherGoroutines pins the contract the daemon relies on
 // when a request goroutine brings its node online (Host.SetOnline → AtHook):

@@ -16,15 +16,15 @@ const maxTCPEnvNodes = 512
 // NewTCPEnv builds a wall-clock environment whose nodes talk over real TCP
 // sockets on the loopback interface: one managed endpoint per node, fully
 // meshed. The word-encoded payloads of the built-in applications cross the
-// wire in the compact binary frame and need no registration; register extra
-// boxed payload types through the optional callback. Closing the environment
-// closes every endpoint.
+// wire in the compact binary frame; the endpoints share an empty registry, so
+// a boxed payload fails to send. Closing the environment closes every
+// endpoint.
 //
 // cfg.NewTransport must be nil (the endpoints are the point). cfg.Latency
 // holds each message on the run loop's scheduler before it enters its socket,
 // as on the memory bus, on top of the real (microsecond-scale) loopback
 // latency; network models are realized through SendDelayed as usual.
-func NewTCPEnv(cfg EnvConfig, register func(*transport.Registry)) (*Env, error) {
+func NewTCPEnv(cfg EnvConfig) (*Env, error) {
 	if cfg.N > maxTCPEnvNodes {
 		return nil, fmt.Errorf("live: NewTCPEnv with %d nodes exceeds the %d-node mesh limit", cfg.N, maxTCPEnvNodes)
 	}
@@ -32,9 +32,6 @@ func NewTCPEnv(cfg EnvConfig, register func(*transport.Registry)) (*Env, error) 
 		return nil, fmt.Errorf("live: NewTCPEnv with a custom NewTransport")
 	}
 	registry := transport.NewRegistry()
-	if register != nil {
-		register(registry)
-	}
 	eps := make([]*transport.TCPEndpoint, cfg.N)
 	closeAll := func() {
 		for _, ep := range eps {

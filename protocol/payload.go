@@ -14,9 +14,9 @@ type PayloadKind uint32
 
 const (
 	// KindBoxed is the generic representation: the payload value lives in
-	// Payload.Box as an interface. Custom registry applications use this
-	// path; it costs one heap allocation per message, exactly like the
-	// pre-Payload `any` plumbing.
+	// Payload.Box as an interface. Custom applications and the daemon's
+	// control messages use this path; it costs one heap allocation per
+	// message, exactly like the pre-Payload `any` plumbing.
 	KindBoxed PayloadKind = iota
 	// KindModelAge is the gossip learning walker message: Word holds the
 	// model age (gossiplearning.ModelMessage.Age).
@@ -35,11 +35,11 @@ const (
 )
 
 // Payload is the message currency of the framework: what an Application
-// creates, a Sender transports and an Application consumes. It is a plain
-// value — for the word-encoded kinds it is pointer-free, so storing it in
-// the simulator's event queue or passing it through a Sender allocates
-// nothing. The invariant is that Box is non-nil exactly when Kind is
-// KindBoxed.
+// creates, a Sender and every transport carry unchanged, and an Application
+// consumes. It is a plain value — for the word-encoded kinds it is
+// pointer-free, so storing it in the simulator's event queue or passing it
+// through a Sender allocates nothing. The invariant is that Box is non-nil
+// exactly when Kind is KindBoxed.
 type Payload struct {
 	// Kind selects the representation.
 	Kind PayloadKind
@@ -58,67 +58,26 @@ func WordPayload(kind PayloadKind, word uint64) Payload {
 	return Payload{Kind: kind, Word: word}
 }
 
-// Value returns the payload as a plain value: the boxed value for KindBoxed,
-// or the decoded message for a word kind whose decoder has been registered
-// (the built-in applications register theirs in init). It allocates for word
-// kinds and is meant for boundaries that need an `any` — wire transports,
-// logging — not for the simulation hot path, where consumers switch on Kind
-// and read Word directly. It returns nil for a word kind with no registered
-// decoder.
-func (p Payload) Value() any {
-	if p.Kind == KindBoxed {
-		return p.Box
-	}
-	decoderMu.RLock()
-	dec := wordDecoders[p.Kind]
-	decoderMu.RUnlock()
-	if dec == nil {
-		return nil
-	}
-	return dec(p.Word)
-}
-
 var (
-	decoderMu    sync.RWMutex
-	wordDecoders = map[PayloadKind]func(word uint64) any{}
-	wordSizers   = map[PayloadKind]func(word uint64) int{}
+	sizerMu    sync.RWMutex
+	wordSizers = map[PayloadKind]func(word uint64) int{}
 )
-
-// RegisterPayloadDecoder installs the decoder turning a word of the given
-// kind back into its concrete message value (see Payload.Value). The
-// application owning a kind registers its decoder in init. A kind belongs to
-// exactly one owner: registering a *different* decoder for an already-claimed
-// kind panics, so a kind collision between two word-encoded applications
-// fails loudly at init instead of silently decoding each other's messages.
-// Re-registering the same decoder function is a no-op (the same init may run
-// again under -count=N test reruns).
-func RegisterPayloadDecoder(kind PayloadKind, dec func(word uint64) any) {
-	if kind == KindBoxed || dec == nil {
-		panic("protocol: RegisterPayloadDecoder needs a word kind and a non-nil decoder")
-	}
-	decoderMu.Lock()
-	defer decoderMu.Unlock()
-	if prev, ok := wordDecoders[kind]; ok {
-		if reflect.ValueOf(prev).Pointer() != reflect.ValueOf(dec).Pointer() {
-			panic("protocol: payload kind already claimed by a different decoder")
-		}
-		return
-	}
-	wordDecoders[kind] = dec
-}
 
 // RegisterPayloadSizer installs the wire-size hint of a word-encoded kind:
 // given a payload word, it returns the message's wire size in bytes. The
 // runtime's byte accounting uses it; kinds without a sizer count as one byte,
 // so the paper's one-word applications keep their historical (message-count)
-// numbers. Like decoders, a kind takes exactly one sizer: registering a
-// different function for a claimed kind panics, the same function is a no-op.
+// numbers. A kind belongs to exactly one owner: registering a different
+// sizer for an already-claimed kind panics, so a kind collision between two
+// word-encoded applications fails loudly at init. Re-registering the same
+// function is a no-op (the same init may run again under -count=N test
+// reruns).
 func RegisterPayloadSizer(kind PayloadKind, size func(word uint64) int) {
 	if kind == KindBoxed || size == nil {
 		panic("protocol: RegisterPayloadSizer needs a word kind and a non-nil sizer")
 	}
-	decoderMu.Lock()
-	defer decoderMu.Unlock()
+	sizerMu.Lock()
+	defer sizerMu.Unlock()
 	if prev, ok := wordSizers[kind]; ok {
 		if reflect.ValueOf(prev).Pointer() != reflect.ValueOf(size).Pointer() {
 			panic("protocol: payload kind already claimed by a different sizer")
@@ -133,8 +92,8 @@ func RegisterPayloadSizer(kind PayloadKind, size func(word uint64) int) {
 // table once at assembly so the per-message lookup on the send hot path is a
 // bounds check and an indexed load, with no lock and no map access.
 func PayloadSizerTable() []func(word uint64) int {
-	decoderMu.RLock()
-	defer decoderMu.RUnlock()
+	sizerMu.RLock()
+	defer sizerMu.RUnlock()
 	max := PayloadKind(0)
 	for kind := range wordSizers {
 		if kind > max {
@@ -156,9 +115,9 @@ func PayloadSizerTable() []func(word uint64) int {
 // (including every boxed payload). It is the slow-path twin of the Host's
 // snapshot table, for transports and tests.
 func PayloadSize(p Payload) int {
-	decoderMu.RLock()
+	sizerMu.RLock()
 	size := wordSizers[p.Kind]
-	decoderMu.RUnlock()
+	sizerMu.RUnlock()
 	if size == nil {
 		return 1
 	}

@@ -11,9 +11,6 @@ func TestBoxPayloadRoundTrip(t *testing.T) {
 	if got, ok := p.Box.(custom); !ok || got != (custom{1, 2}) {
 		t.Fatalf("Box = %#v", p.Box)
 	}
-	if v, ok := p.Value().(custom); !ok || v != (custom{1, 2}) {
-		t.Fatalf("Value() = %#v", p.Value())
-	}
 }
 
 func TestWordPayload(t *testing.T) {
@@ -21,51 +18,6 @@ func TestWordPayload(t *testing.T) {
 	if p.Kind != KindUpdateSeq || p.Word != 42 || p.Box != nil {
 		t.Fatalf("WordPayload = %+v", p)
 	}
-}
-
-func TestValueUsesRegisteredDecoder(t *testing.T) {
-	const kind = PayloadKind(1000) // private to this test
-	RegisterPayloadDecoder(kind, func(word uint64) any { return int(word) * 2 })
-	if v := WordPayload(kind, 21).Value(); v != 42 {
-		t.Errorf("decoded Value() = %v, want 42", v)
-	}
-	if v := WordPayload(PayloadKind(1001), 1).Value(); v != nil {
-		t.Errorf("Value() without decoder = %v, want nil", v)
-	}
-}
-
-func TestRegisterPayloadDecoderValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"boxed kind": func() { RegisterPayloadDecoder(KindBoxed, func(uint64) any { return nil }) },
-		"nil dec":    func() { RegisterPayloadDecoder(KindWeight, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// TestRegisterPayloadDecoderCollision pins the kind-ownership contract: a
-// second application claiming an already-registered kind with a different
-// decoder must panic (silent replacement would decode one app's words with
-// another app's decoder), while re-registering the owner's decoder — the same
-// init running again — stays a no-op.
-func TestRegisterPayloadDecoderCollision(t *testing.T) {
-	const kind = PayloadKind(1002) // private to this test
-	dec := func(word uint64) any { return word }
-	RegisterPayloadDecoder(kind, dec)
-	RegisterPayloadDecoder(kind, dec) // same decoder: no-op, no panic
-	defer func() {
-		if recover() == nil {
-			t.Error("registering a different decoder for a claimed kind did not panic")
-		}
-	}()
-	RegisterPayloadDecoder(kind, func(word uint64) any { return int(word) })
 }
 
 func TestRegisterPayloadSizer(t *testing.T) {

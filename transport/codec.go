@@ -10,10 +10,10 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// maxFrameSize bounds a single message on the wire (16 MiB). Send and
-// SendPayload refuse a larger frame before it is queued; a larger length
-// prefix arriving from a peer indicates a protocol error or an attack and
-// closes the connection.
+// maxFrameSize bounds a single message on the wire (16 MiB). SendPayload
+// refuses a larger frame before it is queued; a larger length prefix arriving
+// from a peer indicates a protocol error or an attack and closes the
+// connection.
 const maxFrameSize = 16 << 20
 
 // frameHeaderSize is the wire overhead of one frame: the 4-byte big-endian
@@ -142,24 +142,4 @@ func (r *Registry) decodeFrame(body []byte) (protocol.NodeID, protocol.Payload, 
 		return 0, protocol.Payload{}, err
 	}
 	return from, protocol.BoxPayload(v), nil
-}
-
-// PayloadSender is the optional Transport capability for typed payloads:
-// word-encoded payloads traverse the wire in the compact binary frame (no
-// registry, no JSON), boxed payloads fall back to the registry envelope. The
-// live environment and the daemon prefer this path when the transport offers
-// it, so the zero-alloc payload representation of the simulator survives onto
-// real sockets.
-type PayloadSender interface {
-	SendPayload(to protocol.NodeID, p protocol.Payload) error
-}
-
-// PayloadHandler consumes an incoming payload in its typed representation:
-// word frames arrive as word payloads, envelope frames as boxed values.
-type PayloadHandler func(from protocol.NodeID, p protocol.Payload)
-
-// PayloadReceiver is the receive-side counterpart of PayloadSender: installing
-// a PayloadHandler replaces the untyped Handler for all subsequent deliveries.
-type PayloadReceiver interface {
-	SetPayloadHandler(h PayloadHandler)
 }

@@ -14,9 +14,9 @@ func TestMemoryBusDropProbabilityOne(t *testing.T) {
 	a, _ := bus.Endpoint(1)
 	b, _ := bus.Endpoint(2)
 	var got collector
-	b.SetHandler(got.handler)
+	b.SetPayloadHandler(got.handler)
 	for i := 0; i < 20; i++ {
-		if err := a.Send(2, testPayload{Value: i}); err != nil {
+		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,9 +53,9 @@ func TestMemoryBusDropPatternDeterministic(t *testing.T) {
 		a, _ := bus.Endpoint(1)
 		b, _ := bus.Endpoint(2)
 		var got collector
-		b.SetHandler(got.handler)
+		b.SetPayloadHandler(got.handler)
 		for i := 0; i < 100; i++ {
-			if err := a.Send(2, testPayload{Value: i}); err != nil {
+			if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -71,7 +71,7 @@ func TestMemoryBusDropPatternDeterministic(t *testing.T) {
 		defer got.mu.Unlock()
 		values := make([]int, 0, len(got.msgs))
 		for _, m := range got.msgs {
-			values = append(values, m.(testPayload).Value)
+			values = append(values, m.Box.(testPayload).Value)
 		}
 		return values
 	}
@@ -95,14 +95,14 @@ func TestMemoryBusDirectedPartition(t *testing.T) {
 	a, _ := bus.Endpoint(1)
 	b, _ := bus.Endpoint(2)
 	var onA, onB collector
-	a.SetHandler(onA.handler)
-	b.SetHandler(onB.handler)
+	a.SetPayloadHandler(onA.handler)
+	b.SetPayloadHandler(onB.handler)
 
 	// 1→2 is cut, 2→1 still works: the partition is directed.
-	if err := a.Send(2, testPayload{Value: 1}); err != nil {
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send(1, testPayload{Value: 2}); err != nil {
+	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{Value: 2})); err != nil {
 		t.Fatal(err)
 	}
 	onA.waitFor(t, 1, time.Second)
@@ -117,10 +117,10 @@ func TestMemoryBusDirectedPartition(t *testing.T) {
 	// blocks it independently.
 	bus.Unblock(1, 2)
 	bus.Block(2, 1)
-	if err := a.Send(2, testPayload{Value: 3}); err != nil {
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 3})); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send(1, testPayload{Value: 4}); err != nil {
+	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{Value: 4})); err != nil {
 		t.Fatal(err)
 	}
 	onB.waitFor(t, 1, time.Second)
@@ -155,8 +155,8 @@ func TestTCPDestinationCrashMidStream(t *testing.T) {
 	a.AddPeer(3, c.Addr())
 
 	var onB, onC collector
-	b.SetHandler(onB.handler)
-	c.SetHandler(onC.handler)
+	b.SetPayloadHandler(onB.handler)
+	c.SetPayloadHandler(onC.handler)
 
 	// Stream from a separate goroutine, crashing B once a round trip's worth
 	// of messages has arrived.
@@ -167,7 +167,7 @@ func TestTCPDestinationCrashMidStream(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			// Errors are expected once B is gone; the endpoint must keep
 			// accepting sends regardless.
-			_ = a.Send(2, testPayload{Value: i})
+			_ = a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i}))
 			time.Sleep(time.Millisecond / 4)
 		}
 	}()
@@ -184,13 +184,13 @@ func TestTCPDestinationCrashMidStream(t *testing.T) {
 		t.Fatalf("only %d messages arrived before the crash", received)
 	}
 	// The sender must still reach a healthy peer over a fresh connection.
-	if err := a.Send(3, testPayload{Value: 1000}); err != nil {
+	if err := a.SendPayload(3, protocol.BoxPayload(testPayload{Value: 1000})); err != nil {
 		t.Fatalf("send to healthy peer after crash: %v", err)
 	}
 	onC.waitFor(t, 1, 2*time.Second)
 	onC.mu.Lock()
 	defer onC.mu.Unlock()
-	if onC.msgs[0].(testPayload).Value != 1000 || onC.from[0] != protocol.NodeID(1) {
+	if onC.msgs[0].Box.(testPayload).Value != 1000 || onC.from[0] != protocol.NodeID(1) {
 		t.Errorf("message on C = from %d %#v", onC.from[0], onC.msgs[0])
 	}
 }

@@ -78,14 +78,14 @@ func TestTCPSlowPeerDoesNotBlockOthers(t *testing.T) {
 	a.AddPeer(2, healthy.Addr())
 	a.AddPeer(3, slow.Addr().String())
 	var got collector
-	healthy.SetHandler(got.handler)
+	healthy.SetPayloadHandler(got.handler)
 
 	// Saturate the slow peer: large frames fill the kernel buffer, the
 	// writer blocks, the 2-slot queue fills, and everything beyond sheds.
 	pad := make([]byte, 512<<10)
 	for i := 0; i < 32; i++ {
 		start := time.Now()
-		if err := a.Send(3, bigPayload{Data: pad}); err != nil {
+		if err := a.SendPayload(3, protocol.BoxPayload(bigPayload{Data: pad})); err != nil {
 			t.Fatalf("send to slow peer errored: %v", err)
 		}
 		if d := time.Since(start); d > time.Second {
@@ -99,7 +99,7 @@ func TestTCPSlowPeerDoesNotBlockOthers(t *testing.T) {
 	// The healthy peer is unaffected by the saturated one. Sends are paced on
 	// delivery because the tiny test queue applies to every peer.
 	for i := 0; i < 10; i++ {
-		if err := a.Send(2, testPayload{Value: i}); err != nil {
+		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
 			t.Fatal(err)
 		}
 		got.waitFor(t, i+1, 2*time.Second)
@@ -133,8 +133,8 @@ func TestTCPReconnectDeliversFirstSend(t *testing.T) {
 	addr := b.Addr()
 	a.AddPeer(2, addr)
 	var got collector
-	b.SetHandler(got.handler)
-	if err := a.Send(2, testPayload{Value: 1}); err != nil {
+	b.SetPayloadHandler(got.handler)
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, 2*time.Second)
@@ -153,14 +153,14 @@ func TestTCPReconnectDeliversFirstSend(t *testing.T) {
 	}
 	defer b2.Close()
 	var got2 collector
-	b2.SetHandler(got2.handler)
-	if err := a.Send(2, testPayload{Value: 2}); err != nil {
+	b2.SetPayloadHandler(got2.handler)
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 2})); err != nil {
 		t.Fatalf("first send after peer restart: %v", err)
 	}
 	got2.waitFor(t, 1, 2*time.Second)
 	got2.mu.Lock()
 	defer got2.mu.Unlock()
-	if got2.msgs[0].(testPayload).Value != 2 {
+	if got2.msgs[0].Box.(testPayload).Value != 2 {
 		t.Errorf("message after restart = %#v, want Value 2", got2.msgs[0])
 	}
 }
@@ -177,7 +177,7 @@ func TestTCPDecodeErrorCounted(t *testing.T) {
 	}
 	defer e.Close()
 	var got collector
-	e.SetHandler(got.handler)
+	e.SetPayloadHandler(got.handler)
 
 	conn, err := net.Dial("tcp", e.Addr())
 	if err != nil {
@@ -286,8 +286,8 @@ func TestTCPRemovePeer(t *testing.T) {
 	defer b.Close()
 	a.AddPeer(2, b.Addr())
 	var got collector
-	b.SetHandler(got.handler)
-	if err := a.Send(2, testPayload{Value: 1}); err != nil {
+	b.SetPayloadHandler(got.handler)
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, 2*time.Second)
@@ -296,7 +296,7 @@ func TestTCPRemovePeer(t *testing.T) {
 	}
 
 	a.RemovePeer(2)
-	if err := a.Send(2, testPayload{Value: 2}); err == nil {
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 2})); err == nil {
 		t.Error("send to removed peer should error")
 	}
 	if n := len(a.Peers()); n != 0 {
@@ -338,7 +338,7 @@ func TestTCPAddPeerSendNoDeadlock(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				_ = a.Send(id, testPayload{Value: i}) // first send: the l.mu side
+				_ = a.SendPayload(id, protocol.BoxPayload(testPayload{Value: i})) // first send: the l.mu side
 			}()
 			wg.Wait()
 			_ = a.Stats() // Stats also needs e.mu; it must stay reachable

@@ -136,7 +136,7 @@ func (b *MemoryBus) Close() error {
 	return nil
 }
 
-func (b *MemoryBus) route(from, to protocol.NodeID, payload any) {
+func (b *MemoryBus) route(from, to protocol.NodeID, payload protocol.Payload) {
 	b.mu.RLock()
 	_, cut := b.blocked[link{from, to}]
 	lottery := b.dropProb > 0
@@ -177,11 +177,11 @@ func (b *MemoryBus) drawDrop() bool {
 
 type queuedMessage struct {
 	from    protocol.NodeID
-	payload any
+	payload protocol.Payload
 }
 
 // MemoryEndpoint is one node's attachment to a MemoryBus. It implements
-// Transport.
+// Transport: payloads reach the destination's handler as they were sent.
 type MemoryEndpoint struct {
 	bus   *MemoryBus
 	id    protocol.NodeID
@@ -189,7 +189,7 @@ type MemoryEndpoint struct {
 	done  chan struct{}
 
 	mu      sync.RWMutex
-	handler Handler
+	handler PayloadHandler
 	closed  bool
 }
 
@@ -198,16 +198,16 @@ var _ Transport = (*MemoryEndpoint)(nil)
 // ID returns the node ID of the endpoint.
 func (e *MemoryEndpoint) ID() protocol.NodeID { return e.id }
 
-// SetHandler implements Transport.
-func (e *MemoryEndpoint) SetHandler(h Handler) {
+// SetPayloadHandler implements Transport.
+func (e *MemoryEndpoint) SetPayloadHandler(h PayloadHandler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.handler = h
 }
 
-// Send implements Transport: the payload is routed through the bus to the
-// destination endpoint.
-func (e *MemoryEndpoint) Send(to protocol.NodeID, payload any) error {
+// SendPayload implements Transport: the payload is routed through the bus to
+// the destination endpoint.
+func (e *MemoryEndpoint) SendPayload(to protocol.NodeID, payload protocol.Payload) error {
 	e.mu.RLock()
 	closed := e.closed
 	e.mu.RUnlock()

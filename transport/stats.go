@@ -30,8 +30,8 @@ type Stats struct {
 	// PayloadBytesSent counts modeled payload bytes under the per-kind size
 	// hints of protocol.RegisterPayloadSizer, so the byte accounting the
 	// simulator applies to word-encoded payloads carries over to real
-	// sockets. Frames sent through the untyped Send path count one byte, the
-	// sizer table's convention for unregistered kinds.
+	// sockets. Boxed payloads count one byte, the sizer table's convention
+	// for kinds without a sizer.
 	PayloadBytesSent int64
 	// SendsShed counts outgoing messages discarded because the destination
 	// peer's bounded outbound queue was full: the transport sheds load
@@ -42,7 +42,7 @@ type Stats struct {
 	// abandoned while the peer's backoff window was open.
 	SendErrors int64
 	// DecodeErrors counts incoming frames that could not be decoded (corrupt
-	// envelope, unknown payload type or kind).
+	// envelope or word frame, unknown payload type).
 	DecodeErrors int64
 	// Disconnects counts connection teardowns observed outside Close: read
 	// loops ending on a peer hangup or decode error, and outgoing

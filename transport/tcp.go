@@ -88,9 +88,8 @@ func WithBackoff(min, max time.Duration) TCPOption {
 // redialed on the first send after the restart instead of losing it to a
 // stale socket.
 //
-// Payloads sent through the untyped Send path must be registered in a
-// Registry shared by all participating processes; word-encoded
-// protocol.Payload values sent through SendPayload travel in a compact binary
+// Boxed payloads must be of a type registered in a Registry shared by all
+// participating processes; word-encoded payloads travel in a compact binary
 // frame and need no registration (see codec.go).
 //
 // Delivery remains best-effort: if a peer cannot be reached the message is
@@ -102,23 +101,20 @@ type TCPEndpoint struct {
 	listener net.Listener
 	cfg      tcpConfig
 
-	mu             sync.Mutex
-	handler        Handler
-	payloadHandler PayloadHandler
-	links          map[protocol.NodeID]*peerLink
-	accepted       map[net.Conn]struct{}
-	closed         bool
-	closedCh       chan struct{}
-	wg             sync.WaitGroup
+	mu       sync.Mutex
+	handler  PayloadHandler
+	links    map[protocol.NodeID]*peerLink
+	accepted map[net.Conn]struct{}
+	closed   bool
+	closedCh chan struct{}
+	wg       sync.WaitGroup
 
 	stats counters
 }
 
 var (
-	_ Transport       = (*TCPEndpoint)(nil)
-	_ PayloadSender   = (*TCPEndpoint)(nil)
-	_ PayloadReceiver = (*TCPEndpoint)(nil)
-	_ StatsReporter   = (*TCPEndpoint)(nil)
+	_ Transport     = (*TCPEndpoint)(nil)
+	_ StatsReporter = (*TCPEndpoint)(nil)
 )
 
 // NewTCPEndpoint starts listening on addr (e.g. "127.0.0.1:0") and returns
@@ -228,40 +224,40 @@ func (e *TCPEndpoint) Peers() []protocol.NodeID {
 	return ids
 }
 
-// SetHandler implements Transport.
-func (e *TCPEndpoint) SetHandler(h Handler) {
+// SetPayloadHandler implements Transport: it replaces the handler for all
+// subsequent deliveries.
+func (e *TCPEndpoint) SetPayloadHandler(h PayloadHandler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.handler = h
 }
 
-// SetPayloadHandler implements PayloadReceiver: it replaces the untyped
-// handler for all subsequent deliveries.
-func (e *TCPEndpoint) SetPayloadHandler(h PayloadHandler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.payloadHandler = h
+// SetHandler installs h as the payload handler: a boxed payload reaches it as
+// its Box, a word payload as the protocol.Payload itself.
+func (e *TCPEndpoint) SetHandler(h Handler) {
+	e.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
+		if p.Kind == protocol.KindBoxed {
+			h(from, p.Box)
+		} else {
+			h(from, p)
+		}
+	})
 }
 
-// Send implements Transport: the payload is encoded through the registry and
+// Send is SendPayload of the boxed payload.
+func (e *TCPEndpoint) Send(to protocol.NodeID, payload any) error {
+	return e.SendPayload(to, protocol.BoxPayload(payload))
+}
+
+// SendPayload implements Transport: word-encoded payloads travel in the
+// compact binary frame, boxed ones in the registry envelope, and the frame is
 // enqueued on the destination peer's outbound queue. Errors are local only —
-// closed endpoint, unknown peer, unregistered payload, a frame above the
+// closed endpoint, unknown peer, unregistered payload type, a frame above the
 // 16 MiB limit, or a peer whose backoff window is open; a full queue sheds
 // the message (counted in Stats) and reports success, because shedding is the
-// designed response to a slow peer, not a caller error.
-func (e *TCPEndpoint) Send(to protocol.NodeID, payload any) error {
-	data, err := e.registry.encode(e.id, payload)
-	if err != nil {
-		return err
-	}
-	return e.enqueue(to, data, 1)
-}
-
-// SendPayload implements PayloadSender: word-encoded payloads travel in the
-// compact binary frame, boxed ones fall back to the registry envelope. The
-// modeled payload bytes (protocol.PayloadSize) accumulate in
-// Stats.PayloadBytesSent, carrying the simulator's byte accounting onto real
-// sockets.
+// designed response to a slow peer, not a caller error. The modeled payload
+// bytes (protocol.PayloadSize) accumulate in Stats.PayloadBytesSent, carrying
+// the simulator's byte accounting onto real sockets.
 func (e *TCPEndpoint) SendPayload(to protocol.NodeID, p protocol.Payload) error {
 	if p.Kind == protocol.KindBoxed {
 		data, err := e.registry.encode(e.id, p.Box)
@@ -392,31 +388,14 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// deliverIncoming hands a decoded payload to the installed handler: the
-// payload handler when set, otherwise the untyped handler (word payloads are
-// expanded through their registered decoder; a word kind without one counts
-// as a decode error and is dropped without disconnecting — the frame itself
-// was well-formed).
+// deliverIncoming hands a decoded payload to the installed handler.
 func (e *TCPEndpoint) deliverIncoming(from protocol.NodeID, p protocol.Payload) {
 	e.mu.Lock()
-	ph, h, closed := e.payloadHandler, e.handler, e.closed
+	h, closed := e.handler, e.closed
 	e.mu.Unlock()
-	if closed {
-		return
+	if h != nil && !closed {
+		h(from, p)
 	}
-	if ph != nil {
-		ph(from, p)
-		return
-	}
-	if h == nil {
-		return
-	}
-	v := p.Value()
-	if v == nil {
-		e.stats.decodeErrors.Add(1)
-		return
-	}
-	h(from, v)
 }
 
 // peerLink is the managed outgoing side of one peer: a bounded buffer of

@@ -5,11 +5,15 @@
 // shed load instead of blocking, on-demand dialling with capped exponential
 // backoff and jitter, and operational counters exported through Stats.
 //
-// The TCP wire carries length-prefixed frames in two families: JSON envelope
-// frames for payload types registered in a Registry, and compact binary word
-// frames for word-encoded protocol.Payload values (see codec.go), so the
-// simulator's zero-alloc payload representation and its byte accounting carry
-// over to real sockets.
+// Every transport carries protocol.Payload, the message currency of the
+// simulator, unchanged: what one endpoint's SendPayload takes, the
+// destination's PayloadHandler receives with the same Kind, Word and Box. The
+// memory bus hands the value over as it is. The TCP wire carries
+// length-prefixed frames in two families: compact binary word frames for
+// word-encoded payloads, and JSON envelope frames for boxed payloads whose
+// type is registered in a Registry (see codec.go), so the simulator's
+// zero-alloc payload representation and its byte accounting carry over to
+// real sockets.
 //
 // The system model of the paper assumes a reliable transfer protocol between
 // online nodes; both transports deliver messages reliably while the
@@ -26,25 +30,37 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// Handler consumes an incoming payload. Handlers are called sequentially per
-// endpoint, from the transport's delivery goroutine.
-type Handler func(from protocol.NodeID, payload any)
-
 // Transport delivers payloads between token account nodes.
 type Transport interface {
-	// Send delivers the payload to the node with the given ID. Errors are
-	// returned only for local problems (closed transport, unknown encoding);
-	// a missing or crashed destination is not an error, the message is
-	// silently dropped as the protocol expects.
-	Send(to protocol.NodeID, payload any) error
-
-	// SetHandler installs the callback invoked for every received payload.
-	// It must be called before any message is received.
-	SetHandler(h Handler)
+	PayloadSender
+	PayloadReceiver
 
 	// Close releases resources and stops delivery.
 	Close() error
 }
+
+// PayloadSender sends payloads. SendPayload delivers the payload to the node
+// with the given ID. Errors are returned only for local problems (closed
+// transport, unknown encoding); a missing or crashed destination is not an
+// error, the message is silently dropped as the protocol expects.
+type PayloadSender interface {
+	SendPayload(to protocol.NodeID, p protocol.Payload) error
+}
+
+// PayloadHandler consumes an incoming payload. It runs on the transport's
+// delivery goroutines: one per endpoint on the memory bus, one per incoming
+// connection over TCP.
+type PayloadHandler func(from protocol.NodeID, p protocol.Payload)
+
+// PayloadReceiver installs the callback invoked for every received payload.
+// It must be called before any message is received.
+type PayloadReceiver interface {
+	SetPayloadHandler(h PayloadHandler)
+}
+
+// Handler consumes an incoming payload as a plain value; see
+// TCPEndpoint.SetHandler.
+type Handler func(from protocol.NodeID, payload any)
 
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: closed")

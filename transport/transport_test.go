@@ -56,11 +56,11 @@ func TestRegistryErrors(t *testing.T) {
 // collector buffers received messages behind a mutex for test assertions.
 type collector struct {
 	mu   sync.Mutex
-	msgs []any
+	msgs []protocol.Payload
 	from []protocol.NodeID
 }
 
-func (c *collector) handler(from protocol.NodeID, payload any) {
+func (c *collector) handler(from protocol.NodeID, payload protocol.Payload) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.from = append(c.from, from)
@@ -97,9 +97,9 @@ func TestMemoryBusDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got collector
-	b.SetHandler(got.handler)
+	b.SetPayloadHandler(got.handler)
 	for i := 0; i < 10; i++ {
-		if err := a.Send(2, testPayload{Value: i}); err != nil {
+		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestMemoryBusDelivery(t *testing.T) {
 	got.mu.Lock()
 	defer got.mu.Unlock()
 	for i, m := range got.msgs {
-		if m.(testPayload).Value != i {
+		if m.Box.(testPayload).Value != i {
 			t.Errorf("message %d = %#v (out of order or corrupted)", i, m)
 		}
 		if got.from[i] != 1 {
@@ -130,7 +130,7 @@ func TestMemoryBusDropsToUnknownEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(99, testPayload{}); err != nil {
+	if err := a.SendPayload(99, protocol.BoxPayload(testPayload{})); err != nil {
 		t.Fatalf("Send to unknown endpoint should not error, got %v", err)
 	}
 	_, dropped := bus.Stats()
@@ -150,10 +150,10 @@ func TestMemoryEndpointClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal("second Close should be a no-op")
 	}
-	if err := b.Send(1, testPayload{}); err != ErrClosed {
+	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{})); err != ErrClosed {
 		t.Errorf("Send after Close = %v, want ErrClosed", err)
 	}
-	if err := a.Send(2, testPayload{}); err != nil {
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{})); err != nil {
 		t.Errorf("sending to a closed endpoint should not error: %v", err)
 	}
 	bus2 := NewMemoryBus()
@@ -184,22 +184,22 @@ func TestTCPEndpointRoundTrip(t *testing.T) {
 	b.AddPeer(1, a.Addr())
 
 	var onB, onA collector
-	b.SetHandler(onB.handler)
-	a.SetHandler(onA.handler)
+	b.SetPayloadHandler(onB.handler)
+	a.SetPayloadHandler(onA.handler)
 
 	for i := 0; i < 5; i++ {
-		if err := a.Send(2, testPayload{Value: i}); err != nil {
+		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	onB.waitFor(t, 5, 2*time.Second)
-	if err := b.Send(1, testPayload{Value: 99}); err != nil {
+	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{Value: 99})); err != nil {
 		t.Fatal(err)
 	}
 	onA.waitFor(t, 1, 2*time.Second)
 
 	onB.mu.Lock()
-	if onB.from[0] != 1 || onB.msgs[0].(testPayload).Value != 0 {
+	if onB.from[0] != 1 || onB.msgs[0].Box.(testPayload).Value != 0 {
 		t.Errorf("first message on B = from %d %#v", onB.from[0], onB.msgs[0])
 	}
 	onB.mu.Unlock()
@@ -221,10 +221,10 @@ func TestTCPEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Send(9, testPayload{}); err == nil {
+	if err := e.SendPayload(9, protocol.BoxPayload(testPayload{})); err == nil {
 		t.Error("send to unknown peer should error")
 	}
-	if err := e.Send(9, otherPayload{}); err == nil {
+	if err := e.SendPayload(9, protocol.BoxPayload(otherPayload{})); err == nil {
 		t.Error("unregistered payload should error")
 	}
 	e.AddPeer(9, "127.0.0.1:1") // nothing listens there
@@ -234,7 +234,7 @@ func TestTCPEndpointErrors(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var sendErr error
 	for time.Now().Before(deadline) && sendErr == nil {
-		sendErr = e.Send(9, testPayload{})
+		sendErr = e.SendPayload(9, protocol.BoxPayload(testPayload{}))
 		time.Sleep(2 * time.Millisecond)
 	}
 	if sendErr == nil {
@@ -246,7 +246,7 @@ func TestTCPEndpointErrors(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal("second close should be a no-op")
 	}
-	if err := e.Send(9, testPayload{}); err == nil {
+	if err := e.SendPayload(9, protocol.BoxPayload(testPayload{})); err == nil {
 		t.Error("send after close should error")
 	}
 }
@@ -266,8 +266,8 @@ func TestTCPEndpointSurvivesPeerRestart(t *testing.T) {
 	addr := b.Addr()
 	a.AddPeer(2, addr)
 	var got collector
-	b.SetHandler(got.handler)
-	if err := a.Send(2, testPayload{Value: 1}); err != nil {
+	b.SetPayloadHandler(got.handler)
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, 2*time.Second)
@@ -278,7 +278,7 @@ func TestTCPEndpointSurvivesPeerRestart(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := a.Send(2, testPayload{Value: 2}); err != nil {
+		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 2})); err != nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -289,13 +289,49 @@ func TestTCPEndpointSurvivesPeerRestart(t *testing.T) {
 	}
 	defer b2.Close()
 	var got2 collector
-	b2.SetHandler(got2.handler)
+	b2.SetPayloadHandler(got2.handler)
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && got2.count() == 0 {
-		_ = a.Send(2, testPayload{Value: 3})
+		_ = a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 3}))
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got2.count() == 0 {
 		t.Error("no message delivered after peer restart")
+	}
+}
+
+// TestTCPEndpointUntypedAdapters pins Send and SetHandler, the untyped
+// adapters over SendPayload and SetPayloadHandler: a value sent with Send
+// arrives as itself, a word payload as the protocol.Payload, undecoded.
+func TestTCPEndpointUntypedAdapters(t *testing.T) {
+	registry := NewRegistry()
+	Register[testPayload](registry, "test")
+	a, b := newTCPPair(t, registry)
+	var mu sync.Mutex
+	var got []any
+	b.SetHandler(func(from protocol.NodeID, v any) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, v)
+	})
+	word := protocol.WordPayload(protocol.PayloadKind(1001), 9)
+	if err := a.Send(2, testPayload{Value: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendPayload(2, word); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, "both messages", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if got[0] != (testPayload{Value: 5}) {
+		t.Errorf("Send delivered %#v, want testPayload{Value: 5}", got[0])
+	}
+	if got[1] != word {
+		t.Errorf("word payload delivered as %#v, want %#v", got[1], word)
 	}
 }

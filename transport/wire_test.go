@@ -285,21 +285,18 @@ func TestTCPOversizeSendRejected(t *testing.T) {
 	Register[bigPayload](registry, "big")
 	a, b := newTCPPair(t, registry)
 	var got collector
-	b.SetHandler(got.handler)
-	if err := a.Send(2, testPayload{Value: 1}); err != nil {
+	b.SetPayloadHandler(got.handler)
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, 2*time.Second)
 
 	huge := bigPayload{Data: make([]byte, maxFrameSize*3/4+1)} // base64 takes it past the limit
-	if err := a.Send(2, huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Errorf("Send of an oversize payload = %v, want a size-limit error", err)
-	}
 	if err := a.SendPayload(2, protocol.BoxPayload(huge)); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("SendPayload of an oversize payload = %v, want a size-limit error", err)
 	}
 
-	if err := a.Send(2, testPayload{Value: 2}); err != nil {
+	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 2})); err != nil {
 		t.Fatalf("send after the rejected one: %v", err)
 	}
 	got.waitFor(t, 2, 2*time.Second)
