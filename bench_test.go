@@ -19,6 +19,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/meanfield"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
@@ -294,7 +295,7 @@ func benchmarkThroughput(b *testing.B, kind sim.QueueKind, n, warmupRounds int) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1, TransferDelay: 1.728, Queue: kind})
+	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1, Queue: kind})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -303,6 +304,7 @@ func benchmarkThroughput(b *testing.B, kind sim.QueueKind, n, warmupRounds int) 
 		Strategy: func(int) core.Strategy { return core.MustRandomized(5, 10) },
 		NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
 		Delta:    delta,
+		Network:  netmodel.Constant{D: 1.728},
 	}); err != nil {
 		b.Fatal(err)
 	}

@@ -101,6 +101,35 @@ func TestShardedSelfDeterminism(t *testing.T) {
 	}
 }
 
+// goldenShardedCases maps each golden file under testdata/golden-sharded to
+// the tokensim arguments that produce it (runGolden adds the size, seed and
+// -tokens). The default constant network is covered at two shard counts,
+// since its contiguous shard plan and lookahead come from the network model;
+// zones and a churn scenario on zones cover the WAN plan.
+var goldenShardedCases = map[string][]string{
+	"push_constant_shards-2":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-shards", "2"},
+	"push_constant_shards-4":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-shards", "4"},
+	"push_zones_shards-2":            {"-app", "push-gossip", "-strategy", "generalized:1:10", "-network", "zones:4:0.5:3", "-shards", "2"},
+	"push_smartphone-zones_shards-2": {"-app", "push-gossip", "-strategy", "randomized:5:10", "-scenario", "smartphone-trace", "-network", "zones:4:0.5:3", "-shards", "2"},
+}
+
+// TestShardedGoldenByteIdentity pins sharded runs against recorded output,
+// not only against themselves: each case must reproduce its golden file
+// byte for byte.
+func TestShardedGoldenByteIdentity(t *testing.T) {
+	for name, args := range goldenShardedCases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden-sharded", name+".tsv"))
+			if err != nil {
+				t.Fatalf("missing golden file for %s: %v (regenerate with the args in goldenShardedCases)", name, err)
+			}
+			if got := runGolden(t, args); got != string(want) {
+				t.Errorf("sharded output diverged from golden-sharded file %s", name)
+			}
+		})
+	}
+}
+
 // TestShardedErrors covers the sharded flag and spec error paths.
 func TestShardedErrors(t *testing.T) {
 	cases := [][]string{

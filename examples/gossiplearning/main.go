@@ -16,6 +16,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
@@ -39,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 		learners := make([]*gossiplearning.SGDLearner, n)
-		env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 42, TransferDelay: transferDelay})
+		env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +55,8 @@ func main() {
 				learners[i] = l
 				return l
 			},
-			Delta: delta,
+			Delta:   delta,
+			Network: netmodel.Constant{D: transferDelay},
 		})
 		if err != nil {
 			log.Fatal(err)

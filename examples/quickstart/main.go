@@ -21,6 +21,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/live"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
@@ -39,10 +40,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// In-process memory bus; every message is held 1 ms on the run loop's
-	// scheduler before it enters the bus. live.NewTCPEnv would put the same
-	// nodes on loopback sockets.
-	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1, Latency: 0.001})
+	// In-process memory bus; live.NewTCPEnv would put the same nodes on
+	// loopback sockets.
+	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,6 +52,9 @@ func main() {
 		Strategy: func(int) core.Strategy { return strategy },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
+		// Every message is held 1 ms on the run loop's scheduler before it
+		// enters the bus.
+		Network: netmodel.Constant{D: 0.001},
 	})
 	if err != nil {
 		log.Fatal(err)

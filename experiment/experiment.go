@@ -64,7 +64,8 @@ type Config struct {
 	Runtime RuntimeDriver
 	// Network is the network model driver (ConstantNetwork, or any driver
 	// resolved through ParseNetwork). Nil means ConstantNetwork: every
-	// message delivered after TransferDelay, the paper's setup.
+	// message delivered after TransferDelay, the paper's setup. Message loss
+	// is a network too: "lossy:0.1:constant" drops one message in ten.
 	Network NetworkDriver
 	// Workload is the traffic workload driver (IntervalWorkload, or any
 	// driver resolved through ParseWorkload). Nil means IntervalWorkload: one
@@ -95,10 +96,6 @@ type Config struct {
 	// AuditRateLimit records and verifies the §3.4 envelope on a small sample
 	// of nodes and fails the run on a violation.
 	AuditRateLimit bool
-	// DropProbability injects independent message loss (0 in the paper's
-	// experiments, which assume reliable transfer). It exercises the
-	// fault-tolerance role of the proactive component.
-	DropProbability float64
 }
 
 // WithDefaults returns a copy of the config with unset fields replaced by the
@@ -178,8 +175,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: SampleEvery = %g, need > 0 and finite", c.SampleEvery)
 	case !positiveFinite(c.InjectionInterval):
 		return fmt.Errorf("experiment: InjectionInterval = %g, need > 0 and finite", c.InjectionInterval)
-	case !(c.DropProbability >= 0 && c.DropProbability <= 1): // NaN fails both comparisons
-		return fmt.Errorf("experiment: DropProbability = %g, need within [0, 1]", c.DropProbability)
 	}
 	if v, ok := c.App.(ConfigValidator); ok {
 		if err := v.Validate(c); err != nil {
@@ -289,11 +284,10 @@ type Result struct {
 
 // Run executes the experiment: Repetitions independent runs whose metric
 // series are averaged pointwise (as in the paper, which averages 10 runs).
-// Repetitions run sequentially on the calling goroutine; use a Runner or
-// RunParallel to spread them over a worker pool — the results are
-// bit-identical either way.
+// Repetitions run sequentially on the calling goroutine; use RunParallel to
+// spread them over a worker pool — the results are bit-identical either way.
 func Run(cfg Config) (*Result, error) {
-	return Runner{Workers: 1}.Run(context.Background(), cfg)
+	return RunParallel(context.Background(), cfg, 1)
 }
 
 // singleRun holds the raw output of one repetition.
@@ -361,13 +355,12 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 		return nil, err
 	}
 	hostCfg := runtime.Config{
-		Graph:           graph,
-		Strategy:        func(int) core.Strategy { return strategy },
-		NewApp:          appRun.NewApp,
-		Delta:           cfg.Delta,
-		Trace:           availability,
-		DropProbability: cfg.DropProbability,
-		Network:         network,
+		Graph:    graph,
+		Strategy: func(int) core.Strategy { return strategy },
+		NewApp:   appRun.NewApp,
+		Delta:    cfg.Delta,
+		Trace:    availability,
+		Network:  network,
 	}
 	if cfg.AuditRateLimit {
 		audit := cfg.N / 100

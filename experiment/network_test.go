@@ -99,8 +99,8 @@ func contains(list []string, s string) bool {
 }
 
 // TestDefaultNetworkByteIdentical pins the acceptance criterion: an
-// unspecified network, the parsed "constant" spec and a nil driver must all
-// reproduce the identical run — the legacy fixed-TransferDelay path.
+// unspecified network, the parsed "constant" spec and an explicit
+// "constant:1.728" must all reproduce the identical run.
 func TestDefaultNetworkByteIdentical(t *testing.T) {
 	base := runNetwork(t, networkTestConfig(t))
 
@@ -118,8 +118,8 @@ func TestDefaultNetworkByteIdentical(t *testing.T) {
 	if base.Config.Label() != parsed.Config.Label() {
 		t.Errorf("default label changed: %q vs %q", base.Config.Label(), parsed.Config.Label())
 	}
-	// An explicit constant model with the default TransferDelay travels the
-	// model path but must produce the same results (it draws no randomness).
+	// An explicit constant model with the default TransferDelay is the same
+	// model under another label, so it must produce the same results.
 	viaModel := networkTestConfig(t)
 	viaModel.Network, err = ParseNetwork("constant:1.728")
 	if err != nil {
@@ -127,7 +127,7 @@ func TestDefaultNetworkByteIdentical(t *testing.T) {
 	}
 	modeled := runNetwork(t, viaModel)
 	if base.MessagesSent != modeled.MessagesSent || !seriesEqual(base.Metric, modeled.Metric) {
-		t.Error("explicit constant:1.728 model diverged from the legacy fixed-delay path")
+		t.Error("explicit constant:1.728 model diverged from the default network")
 	}
 }
 
@@ -213,12 +213,17 @@ func TestLossyNetworkDropsTraffic(t *testing.T) {
 }
 
 // TestNetworkValidationInConfig checks that a driver whose model cannot be
-// built fails experiment validation with an "experiment:" error.
+// built, or that builds none, fails experiment validation with an
+// "experiment:" error.
 func TestNetworkValidationInConfig(t *testing.T) {
 	cfg := networkTestConfig(t)
 	cfg.Network = badNetwork{}
 	if _, err := Run(cfg); err == nil {
 		t.Error("config with a failing network driver accepted")
+	}
+	cfg.Network = ModelNetwork("none", nil)
+	if _, err := Run(cfg); err == nil || !strings.HasPrefix(err.Error(), "experiment:") {
+		t.Errorf("config with a driver that builds no model: err = %v, want an experiment: error", err)
 	}
 }
 

@@ -12,16 +12,14 @@ import (
 // The network models, as self-registering drivers — the fourth registry
 // dimension next to applications, scenarios/strategies and runtimes. A
 // NetworkDriver turns a spec string such as "exponential:1.728" or
-// "zones:4:0.5:3" into the netmodel.Model one repetition runs under; the
-// default ConstantNetwork keeps the paper's fixed TransferDelay and the
-// legacy transport path, byte-identically.
+// "zones:4:0.5:3" into the netmodel.Model one repetition runs under, and
+// every message of the run goes through that model; the default
+// ConstantNetwork is the paper's fixed TransferDelay.
 
 // ConstantNetwork is the default network driver: every message is delivered
 // after the configured TransferDelay, exactly as in the paper's evaluation.
-// Its Model is nil, which selects the environments' built-in fixed-delay
-// transport — the pre-netmodel code path, so default runs reproduce
-// historical output bit-for-bit. The spec form "constant:2.5" overrides the
-// delay and runs through the model path instead.
+// Its Model is netmodel.Constant{D: TransferDelay}, which draws no
+// randomness. The spec form "constant:2.5" fixes the delay instead.
 var ConstantNetwork NetworkDriver = constantNetwork{}
 
 // IsDefaultNetwork reports whether d is the default constant-TransferDelay
@@ -160,8 +158,8 @@ type NetworkDriver interface {
 	// Config.Label.
 	Name() string
 	// Model builds the latency/loss model for the given (defaulted) config.
-	// A nil model selects the environment's built-in constant-TransferDelay
-	// transport — the paper's network, on the legacy zero-overhead path.
+	// It must return a model: the run's Host draws every message's loss and
+	// delay from it, and no environment has a delay of its own.
 	Model(cfg Config) (netmodel.Model, error)
 }
 
@@ -189,13 +187,16 @@ func (d modelNetwork) String() string {
 
 func (d modelNetwork) Model(Config) (netmodel.Model, error) { return d.model, nil }
 
-// constantNetwork is the parameter-free default: nil model, environment
-// fixed delay.
+// constantNetwork is the parameter-free default: the config's TransferDelay
+// as a Constant model.
 type constantNetwork struct{}
 
-func (constantNetwork) Name() string                         { return "constant" }
-func (constantNetwork) String() string                       { return "constant" }
-func (constantNetwork) Model(Config) (netmodel.Model, error) { return nil, nil }
+func (constantNetwork) Name() string   { return "constant" }
+func (constantNetwork) String() string { return "constant" }
+
+func (constantNetwork) Model(cfg Config) (netmodel.Model, error) {
+	return netmodel.Constant{D: cfg.TransferDelay}, nil
+}
 
 // lossyNetwork composes an independent loss lottery with any inner network
 // driver. The inner model is built per config, so "lossy:0.01:constant"
@@ -214,16 +215,6 @@ func (d lossyNetwork) Model(cfg Config) (netmodel.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if inner == nil {
-		// The default constant driver defers to the environment's fixed
-		// delay; under a lossy wrapper the delay must come from the model,
-		// so materialize it from the config.
-		c, err := netmodel.NewConstant(cfg.TransferDelay)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		inner = c
-	}
 	m, err := netmodel.NewLossy(d.p, inner)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
@@ -231,11 +222,12 @@ func (d lossyNetwork) Model(cfg Config) (netmodel.Model, error) {
 	return m, nil
 }
 
-// networkModel resolves the config's network driver to its model, treating a
-// nil driver as the default constant network.
+// networkModel builds the network model of a (defaulted) config, rejecting a
+// driver that returns none.
 func networkModel(cfg Config) (netmodel.Model, error) {
-	if cfg.Network == nil {
-		return nil, nil
+	m, err := cfg.Network.Model(cfg)
+	if err == nil && m == nil {
+		err = fmt.Errorf("experiment: network %s returned no model", DriverLabel(cfg.Network))
 	}
-	return cfg.Network.Model(cfg)
+	return m, err
 }

@@ -10,51 +10,39 @@ import (
 	"github.com/szte-dcs/tokenaccount/metrics"
 )
 
-// Runner executes the repetitions of an experiment as an explicit
-// build → run → aggregate pipeline on a bounded worker pool. Build validates
-// the config and applies defaults; run simulates each repetition as an
-// independent job (repetition r derives its own seed Seed+r, so jobs share no
-// state); aggregate folds the per-repetition results into the running
-// averages in repetition order. Because aggregation order is fixed and
-// floating-point addition is performed in exactly the sequential order,
-// results are bit-identical for any worker count.
-type Runner struct {
-	// Workers bounds the number of repetitions simulated concurrently.
-	// Zero means runtime.NumCPU(); one runs everything on the calling
-	// goroutine with no pool at all (the sequential path used by Run).
-	Workers int
-}
-
-func (r Runner) workers(reps int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > reps {
-		w = reps
-	}
-	return w
-}
-
-// Run executes cfg under the runner's worker budget. The context cancels the
-// run between repetitions: a simulated repetition always completes, but no
-// new repetition starts once ctx is done, and ctx.Err is returned. If a
-// repetition fails, the remaining jobs are abandoned and the error of the
-// lowest-numbered failed repetition is returned.
-func (r Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
+// RunParallel executes the repetitions of cfg as an explicit
+// build → run → aggregate pipeline on at most workers goroutines (zero means
+// runtime.NumCPU(); one runs everything on the calling goroutine with no pool
+// at all, the sequential path of Run). Build validates the config and
+// applies defaults; run simulates each repetition as an independent job
+// (repetition r derives its own seed Seed+r, so jobs share no state);
+// aggregate folds the per-repetition results into the running averages in
+// repetition order. Because aggregation order is fixed and floating-point
+// addition is performed in exactly the sequential order, results are
+// bit-identical for any worker count.
+//
+// The context cancels the run between repetitions: a simulated repetition
+// always completes, but no new repetition starts once ctx is done, and
+// ctx.Err is returned. If a repetition fails, the remaining jobs are
+// abandoned and the error of the lowest-numbered failed repetition is
+// returned.
+func RunParallel(ctx context.Context, cfg Config, workers int) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
 	// The admission window is twice the worker count: wide enough that no
 	// worker ever idles waiting for the frontier while slots remain, tight
 	// enough that at most 2·workers−1 out-of-order results are ever buffered.
-	agg := newAggregator(cfg, 2*r.workers(cfg.Repetitions))
+	agg := newAggregator(cfg, 2*min(workers, cfg.Repetitions))
 	// A cancelled context must also wake admission waiters, or a stalled
 	// frontier repetition whose dispatch was cancelled would strand them.
 	stopWatch := context.AfterFunc(ctx, agg.abort)
 	defer stopWatch()
-	err := ForEach(ctx, r.Workers, cfg.Repetitions, func(rep int) error {
+	err := ForEach(ctx, workers, cfg.Repetitions, func(rep int) error {
 		if err := agg.admit(ctx, rep); err != nil {
 			return err
 		}
@@ -73,13 +61,6 @@ func (r Runner) Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return agg.finish()
-}
-
-// RunParallel is shorthand for running cfg on a Runner with the given worker
-// count (zero means all cores). It produces bit-identical results to the
-// sequential Run for the same config and seed.
-func RunParallel(ctx context.Context, cfg Config, workers int) (*Result, error) {
-	return Runner{Workers: workers}.Run(ctx, cfg)
 }
 
 // errAborted is returned to workers woken after another repetition failed;
@@ -255,7 +236,7 @@ func Collect[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers concurrent
 // goroutines (zero workers means runtime.NumCPU()). It is the shared pool
-// behind the Runner, the figure reproductions and cmd/sweep: callers write
+// behind RunParallel, the figure reproductions and cmd/sweep: callers write
 // results into slot i of a pre-sized slice, which keeps output order
 // deterministic regardless of completion order. Once any fn returns an error
 // no further indices are dispatched, in-flight calls finish, and the error of

@@ -69,12 +69,12 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunnerMoreRepetitionsThanWorkers hammers the runner with far more
+// TestRunParallelMoreRepetitionsThanWorkers hammers the pool with far more
 // repetitions than workers so jobs queue, complete out of order and exercise
 // the reorder buffer; under -race this doubles as the data-race test for the
 // whole build → run → aggregate pipeline. The result must still match the
 // sequential path exactly.
-func TestRunnerMoreRepetitionsThanWorkers(t *testing.T) {
+func TestRunParallelMoreRepetitionsThanWorkers(t *testing.T) {
 	cfg := Config{
 		App:         GossipLearning,
 		Strategy:    Generalized(5, 10),
@@ -87,7 +87,7 @@ func TestRunnerMoreRepetitionsThanWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Runner{Workers: 3}.Run(context.Background(), cfg)
+	par, err := RunParallel(context.Background(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestRunnerMoreRepetitionsThanWorkers(t *testing.T) {
 	}
 }
 
-// TestRunnerDefaultWorkers checks that the zero value uses the full worker
-// budget and still validates configs up front.
-func TestRunnerDefaultWorkers(t *testing.T) {
+// TestRunParallelDefaultWorkers checks that zero workers uses the full
+// worker budget and still validates configs up front.
+func TestRunParallelDefaultWorkers(t *testing.T) {
 	cfg := Config{
 		App:         PushGossip,
 		Strategy:    Simple(10),
@@ -107,19 +107,19 @@ func TestRunnerDefaultWorkers(t *testing.T) {
 		Repetitions: 3,
 		Seed:        1,
 	}
-	if _, err := (Runner{}).Run(context.Background(), cfg); err != nil {
+	if _, err := RunParallel(context.Background(), cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.N = 1
-	if _, err := (Runner{}).Run(context.Background(), bad); err == nil {
+	if _, err := RunParallel(context.Background(), bad, 0); err == nil {
 		t.Fatal("invalid config not rejected")
 	}
 }
 
-// TestRunnerContextCancellation checks that a done context aborts the run
+// TestRunParallelContextCancellation checks that a done context aborts the run
 // with ctx.Err instead of returning a partial aggregate.
-func TestRunnerContextCancellation(t *testing.T) {
+func TestRunParallelContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{
@@ -131,7 +131,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 		Seed:        1,
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := (Runner{Workers: workers}).Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+		if _, err := RunParallel(ctx, cfg, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}

@@ -143,29 +143,23 @@ func (d simRuntime) String() string {
 
 func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	if d.shards <= 1 {
-		return simnet.NewEnv(simnet.EnvConfig{
-			N:             cfg.N,
-			Seed:          seed,
-			TransferDelay: cfg.TransferDelay,
-			Queue:         d.queue,
-		})
+		return simnet.NewEnv(simnet.EnvConfig{N: cfg.N, Seed: seed, Queue: d.queue})
 	}
 	model, err := networkModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	shardOf, lookahead, err := netmodel.PlanShards(model, cfg.TransferDelay, cfg.N, d.shards)
+	shardOf, lookahead, err := netmodel.PlanShards(model, cfg.N, d.shards)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	return simnet.NewShardedEnv(simnet.ShardedEnvConfig{
-		N:             cfg.N,
-		Seed:          seed,
-		TransferDelay: cfg.TransferDelay,
-		Queue:         d.queue,
-		Shards:        d.shards,
-		ShardOf:       shardOf,
-		Lookahead:     lookahead,
+		N:         cfg.N,
+		Seed:      seed,
+		Queue:     d.queue,
+		Shards:    d.shards,
+		ShardOf:   shardOf,
+		Lookahead: lookahead,
 	})
 }
 
@@ -212,21 +206,7 @@ func (l liveRuntime) scale() float64 {
 }
 
 func (l liveRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
-	latency := cfg.TransferDelay
-	if m, err := networkModel(cfg); err != nil {
-		return nil, err
-	} else if m != nil {
-		// A network model owns the whole latency budget: the Host schedules
-		// every message with a model-sampled delay (live.Env.SendDelayed),
-		// so the environment must not add the constant transfer delay on top.
-		latency = 0
-	}
-	return live.NewEnv(live.EnvConfig{
-		N:         cfg.N,
-		Seed:      seed,
-		TimeScale: l.scale(),
-		Latency:   latency,
-	})
+	return live.NewEnv(live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()})
 }
 
 // liveTCPRuntime is the socket-backed wall-clock RuntimeDriver. The zero
@@ -273,19 +253,5 @@ func (l liveTCPRuntime) scale() float64 {
 }
 
 func (l liveTCPRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
-	latency := cfg.TransferDelay
-	if m, err := networkModel(cfg); err != nil {
-		return nil, err
-	} else if m != nil {
-		// As in liveRuntime: a network model owns the latency budget and
-		// realizes it through SendDelayed, so the environment must not add
-		// the constant transfer delay in front of the sockets.
-		latency = 0
-	}
-	return live.NewTCPEnv(live.EnvConfig{
-		N:         cfg.N,
-		Seed:      seed,
-		TimeScale: l.scale(),
-		Latency:   latency,
-	})
+	return live.NewTCPEnv(live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()})
 }

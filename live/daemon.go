@@ -12,6 +12,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/metrics"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
@@ -209,6 +210,7 @@ type Daemon struct {
 	done    chan struct{} // closed when the run loop exits; nil before Start
 	rnd     protocol.Rand
 	tickLat *metrics.Quantile
+	tick    daemonTick
 }
 
 // NewDaemon builds the endpoint, the environment, the host and the
@@ -241,6 +243,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		rnd:     rng.New(rng.Derive(0x746f6b656e6e6f64, uint64(cfg.ID))), // "tokennod"
 		tickLat: metrics.NewQuantile(),
 	}
+	d.tick.d = d
 	// The endpoint is listening already and the environment installs its
 	// handler through the filter, so from here on a join can arrive before
 	// the host exists: handleJoin checks.
@@ -261,7 +264,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	// The host knows its node as slot 0; the deployment-wide ID only exists on
 	// the wire, where the endpoint stamps it on outgoing frames and the peer
-	// table supplies the destinations.
+	// table supplies the destinations. Messages go out at once: the wire is
+	// the only delay.
 	host, err := runtime.NewHost(daemonEnv{d.env, d}, runtime.Config{
 		Graph:         graph,
 		Strategy:      func(int) core.Strategy { return cfg.Strategy },
@@ -270,6 +274,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Delta:         cfg.Delta.Seconds(),
 		InitialTokens: cfg.InitialTokens,
 		AuditNodes:    []int{0},
+		Network:       netmodel.Constant{},
 	})
 	if err != nil {
 		_ = d.env.Close()
@@ -341,21 +346,37 @@ func (e daemonEnv) SetDeliver(fn runtime.DeliverFunc) {
 	})
 }
 
-// AtHook carries the host's proactive tick (the daemon's host has no trace,
-// so it schedules no other hook) and feeds the tick-latency reservoir with
-// the duration of each tick of an online node: application work, sends and
-// the tick's re-arm.
+// AtHook carries the host's proactive tick — the daemon's host has no trace,
+// so it schedules no other hook — on the environment's hook lane, wrapped in
+// the daemon's one daemonTick.
 func (e daemonEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.Env.At(t, func() {
-		e.d.mu.Lock()
-		defer e.d.mu.Unlock()
-		online := e.Env.Online(0)
-		start := time.Now()
-		hook.RunHook(node, word)
-		if online {
-			e.d.tickLat.Add(time.Since(start).Seconds())
-		}
-	})
+	tick := &e.d.tick
+	if tick.inner == nil {
+		tick.inner = hook // the first call, during assembly
+	} else if tick.inner != hook {
+		panic("live: the daemon's host scheduled a second hook")
+	}
+	e.Env.AtHook(t, tick, node, word)
+}
+
+// daemonTick wraps the host's tick hook: it runs the tick under the daemon's
+// mutex and feeds the tick-latency reservoir with the duration of each tick
+// of an online node — application work, sends and the tick's re-arm.
+type daemonTick struct {
+	d     *Daemon
+	inner runtime.Hook
+}
+
+func (k *daemonTick) RunHook(node int32, word uint64) {
+	d := k.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	online := d.env.Online(0)
+	start := time.Now()
+	k.inner.RunHook(node, word)
+	if online {
+		d.tickLat.Add(time.Since(start).Seconds())
+	}
 }
 
 // handleJoin admits a (re)joining peer and answers its pull: per §4.1.2 the

@@ -536,3 +536,28 @@ func TestDaemonJoinBeforeHostIsAssembled(t *testing.T) {
 		t.Errorf("a daemon without a host answered a join: %+v", st)
 	}
 }
+
+// TestDaemonTickRearmAllocs pins the daemon's tick on the environment's hook
+// lane: once warmed up, a tick of the daemon's node — the daemon's lock, the
+// host's tick, the latency sample and the re-arm through the daemon's one
+// wrapper hook — allocates nothing. The daemon is not started, so the re-armed
+// ticks stay pending an hour ahead and nothing else runs meanwhile.
+func TestDaemonTickRearmAllocs(t *testing.T) {
+	const calls = 1000
+	cfg := daemonConfig(0, nil)
+	cfg.Delta = time.Hour
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 2*calls; i++ {
+		d.tick.RunHook(0, 0)
+	}
+	if allocs := testing.AllocsPerRun(calls, func() { d.tick.RunHook(0, 0) }); allocs != 0 {
+		t.Errorf("a daemon tick allocates %.2f times, want 0", allocs)
+	}
+	if n := d.TickCount(); n < 3*calls {
+		t.Errorf("%d ticks timed, want ≥ %d: the wrapper did not run the tick", n, 3*calls)
+	}
+}

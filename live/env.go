@@ -39,10 +39,10 @@ type EnvConfig struct {
 	// the paper's Δ = 172.8 s proactive period to 172.8 ms, letting a
 	// simulation-scale config finish a live run in seconds. Must be > 0.
 	TimeScale float64
-	// Latency is the per-message transport latency in run-seconds (scaled to
-	// wall time by TimeScale). Every transport gets it the same way: Send
-	// holds each message on the run loop's scheduler for Latency, then hands
-	// it to the transport, so messages sent together arrive together.
+	// Latency is the delay of Send in run-seconds (scaled to wall time by
+	// TimeScale): Send is SendDelayed with this delay. A Host never calls
+	// Send — its Config.Network samples every delay — so Latency only
+	// matters to code that sends straight through the environment.
 	Latency float64
 	// NewTransport optionally overrides the built-in in-process memory bus:
 	// it must return the transport endpoint of node i, whose
@@ -373,11 +373,9 @@ func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.cf
 // returned value yields exactly the Rand(stream) sequence.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.cfg.Seed, stream) }
 
-// Send implements runtime.Env: the payload enters the sender's transport
-// endpoint and re-surfaces on the run loop via the delivery queue, with the
-// Kind, Word and Box it was sent with (word payloads cross TCP in the compact
-// binary frame). A base Latency is SendDelayed's delay: the message waits on
-// the run loop's scheduler before the transport sees it.
+// Send is SendDelayed with the fixed EnvConfig.Latency as its delay. A Host
+// never calls it: it sends through SendDelayed with the delay its network
+// model sampled.
 func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.cfg.Latency)
 }
@@ -393,11 +391,12 @@ func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 // network model is realized on the run loop's scheduler — the payload, held
 // inline in the engine's event like a simulated delivery, reaches the
 // sender's transport endpoint once the delay has elapsed in run time, then
-// traverses the transport as usual. Runtimes that drive a network model
-// configure a zero base Latency so the model owns the whole latency budget.
-// Like Send, it may be called from any dispatched callback; delays at or past
-// the run horizon mean the message is never delivered, mirroring the
-// simulated environment.
+// traverses the transport as usual and re-surfaces on the run loop via the
+// delivery queue, with the Kind, Word and Box it was sent with (word
+// payloads cross TCP in the compact binary frame). Messages sent together
+// with equal delays arrive together. It may be called from any dispatched
+// callback; delays at or past the run horizon mean the message is never
+// delivered, mirroring the simulated environment.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
 	if int(from) < 0 || int(from) >= len(e.trans) {
 		return

@@ -284,7 +284,7 @@ func TestHostOverLiveEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := live.NewEnv(live.EnvConfig{N: n, Seed: 21, TimeScale: scale, Latency: delta / 100})
+	env, err := live.NewEnv(live.EnvConfig{N: n, Seed: 21, TimeScale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +294,7 @@ func TestHostOverLiveEnv(t *testing.T) {
 		Strategy: func(int) core.Strategy { return core.MustGeneralized(1, 5) },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
+		Network:  netmodel.Constant{D: delta / 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,6 +390,7 @@ func TestLiveTicksNeverCatchUp(t *testing.T) {
 		},
 		Delta:      delta,
 		AuditNodes: []int{0, 1, 2, 3},
+		Network:    netmodel.Constant{},
 	})
 	if err != nil {
 		t.Fatal(err)

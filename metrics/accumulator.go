@@ -13,7 +13,7 @@ import (
 // bit-identical to averaging the retained series after the fact. The zero
 // value is an empty accumulator ready for use. An Accumulator is not safe for
 // concurrent use; callers that fold from multiple goroutines must serialize
-// (see experiment.Runner).
+// (see experiment.RunParallel).
 type Accumulator struct {
 	times []float64
 	sums  []float64

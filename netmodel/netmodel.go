@@ -30,8 +30,8 @@ import (
 // methods must be deterministic functions of (from, to) and the draws they
 // take from r, so that a run is reproducible from its seed. Implementations
 // that need no randomness (Constant, Zones) must not draw from r at all —
-// that keeps the stream alignment of existing runs intact when such a model
-// replaces the legacy fixed delay.
+// the paper's fixed-delay network then leaves the StreamNet stream to the
+// protocol's own network-level draws, exactly as before models existed.
 type Model interface {
 	// Delay returns the transfer latency in seconds for one message. The
 	// result must be non-negative and finite.
@@ -43,8 +43,8 @@ type Model interface {
 }
 
 // Constant delivers every message after the same fixed delay — the paper's
-// network model, and the behaviour of the runtimes when no Model is
-// configured. It draws no randomness.
+// network model (D = 1.728 s, §4.1), and the experiments' default network.
+// It draws no randomness.
 type Constant struct {
 	D float64
 }

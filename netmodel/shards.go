@@ -88,26 +88,19 @@ func (l Lossy) PlanShards(n, shards int) ([]int32, float64) {
 }
 
 // PlanShards computes the node-to-shard assignment and the conservative
-// lookahead for executing a model across the given number of shards. A nil
-// model stands for the environments' fixed transfer delay: nodes are split
-// into contiguous blocks and every message, cross-shard ones included, takes
-// exactly transferDelay. Models offering a ShardPlanner plan (Zones) choose
-// their own boundaries; models offering only MinDelayer get contiguous
-// blocks with the global minimum as lookahead. Models whose minimum delay is
-// not positive (Exponential, LogNormal, or models without the capability)
-// cannot be executed conservatively in parallel and yield an error.
-func PlanShards(m Model, transferDelay float64, n, shards int) ([]int32, float64, error) {
+// lookahead for executing a model across the given number of shards. Models
+// offering a ShardPlanner plan (Zones) choose their own boundaries; models
+// offering only MinDelayer get contiguous blocks with the global minimum as
+// lookahead — for Constant, the paper's network, that is its one delay.
+// Models whose minimum delay is not positive (Exponential, LogNormal, or
+// models without the capability) cannot be executed conservatively in
+// parallel and yield an error.
+func PlanShards(m Model, n, shards int) ([]int32, float64, error) {
 	if shards < 2 {
 		return nil, 0, fmt.Errorf("netmodel: PlanShards with %d shards, need ≥ 2", shards)
 	}
 	if n < shards {
 		return nil, 0, fmt.Errorf("netmodel: %d shards for %d nodes, need shards ≤ n", shards, n)
-	}
-	if m == nil {
-		if transferDelay <= 0 {
-			return nil, 0, fmt.Errorf("netmodel: transfer delay %g gives no lookahead, need > 0", transferDelay)
-		}
-		return contiguousShards(n, shards), transferDelay, nil
 	}
 	if sp, ok := m.(ShardPlanner); ok {
 		if shardOf, lookahead := sp.PlanShards(n, shards); shardOf != nil {

@@ -43,22 +43,21 @@ func TestPlanShardsErrors(t *testing.T) {
 	cases := []struct {
 		name    string
 		model   Model
-		td      float64
 		n, s    int
 		wantErr string
 	}{
-		{"one shard", Constant{D: 1}, 1, 100, 1, "need ≥ 2"},
-		{"more shards than nodes", Constant{D: 1}, 1, 3, 4, "need shards ≤ n"},
-		{"nil model zero delay", nil, 0, 100, 2, "no lookahead"},
-		{"exponential", Exponential{Mean: 1.728}, 1, 100, 2, "minimum delay 0"},
-		{"lognormal", LogNormal{Mu: 0, Sigma: 1}, 1, 100, 2, "minimum delay 0"},
-		{"lossy over exponential", Lossy{P: 0.01, Inner: Exponential{Mean: 1}}, 1, 100, 2, "minimum delay 0"},
-		{"no capability", fixedDelay{d: 1}, 1, 100, 2, "MinDelayer"},
-		{"zones with zero inter", Zones{K: 4, Intra: 0, Inter: 0}, 1, 100, 2, "lookahead 0"},
+		{"one shard", Constant{D: 1}, 100, 1, "need ≥ 2"},
+		{"more shards than nodes", Constant{D: 1}, 3, 4, "need shards ≤ n"},
+		{"constant zero delay", Constant{D: 0}, 100, 2, "minimum delay 0"},
+		{"exponential", Exponential{Mean: 1.728}, 100, 2, "minimum delay 0"},
+		{"lognormal", LogNormal{Mu: 0, Sigma: 1}, 100, 2, "minimum delay 0"},
+		{"lossy over exponential", Lossy{P: 0.01, Inner: Exponential{Mean: 1}}, 100, 2, "minimum delay 0"},
+		{"no capability", fixedDelay{d: 1}, 100, 2, "MinDelayer"},
+		{"zones with zero inter", Zones{K: 4, Intra: 0, Inter: 0}, 100, 2, "lookahead 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, err := PlanShards(c.model, c.td, c.n, c.s)
+			_, _, err := PlanShards(c.model, c.n, c.s)
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("PlanShards err = %v, want containing %q", err, c.wantErr)
 			}
@@ -66,20 +65,19 @@ func TestPlanShardsErrors(t *testing.T) {
 	}
 }
 
-// TestPlanShardsContiguous covers the fallback plans: the nil model (fixed
-// transfer delay) and plain MinDelayer models split nodes into contiguous
-// near-equal blocks.
+// TestPlanShardsContiguous covers the fallback plans: plain MinDelayer
+// models, the paper's Constant network among them, split nodes into
+// contiguous near-equal blocks.
 func TestPlanShardsContiguous(t *testing.T) {
 	for _, c := range []struct {
 		model Model
-		td    float64
 		want  float64
 	}{
-		{nil, 1.728, 1.728},
-		{Constant{D: 2.5}, 1.728, 2.5},
-		{Uniform{Lo: 0.25, Hi: 1}, 1.728, 0.25},
+		{Constant{D: 1.728}, 1.728},
+		{Constant{D: 2.5}, 2.5},
+		{Uniform{Lo: 0.25, Hi: 1}, 0.25},
 	} {
-		shardOf, lookahead, err := PlanShards(c.model, c.td, 10, 4)
+		shardOf, lookahead, err := PlanShards(c.model, 10, 4)
 		if err != nil {
 			t.Fatalf("PlanShards(%v): %v", c.model, err)
 		}
@@ -114,7 +112,7 @@ func TestPlanShardsContiguous(t *testing.T) {
 func TestPlanShardsZones(t *testing.T) {
 	for _, shards := range []int{2, 3, 4, 8} {
 		z := Zones{K: 4, Intra: 0.5, Inter: 3}
-		shardOf, lookahead, err := PlanShards(z, 1.728, 200, shards)
+		shardOf, lookahead, err := PlanShards(z, 200, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -141,7 +139,7 @@ func TestPlanShardsZones(t *testing.T) {
 	}
 
 	// A lossy wrapper delegates the plan to the zones beneath it.
-	shardOf, lookahead, err := PlanShards(Lossy{P: 0.01, Inner: Zones{K: 4, Intra: 0.5, Inter: 3}}, 1.728, 100, 2)
+	shardOf, lookahead, err := PlanShards(Lossy{P: 0.01, Inner: Zones{K: 4, Intra: 0.5, Inter: 3}}, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestPlanShardsZones(t *testing.T) {
 
 	// A single zone offers no boundary: the planner falls back to MinDelayer
 	// with contiguous blocks and the intra latency.
-	_, lookahead, err = PlanShards(Zones{K: 1, Intra: 0.5, Inter: 3}, 1.728, 100, 2)
+	_, lookahead, err = PlanShards(Zones{K: 1, Intra: 0.5, Inter: 3}, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/runtime"
 )
@@ -96,6 +97,7 @@ func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 			Strategy:     func(int) core.Strategy { return strategy },
 			NewApp:       run.NewApp,
 			Delta:        cfg.Delta,
+			Network:      netmodel.Constant{D: cfg.TransferDelay},
 			BuildWorkers: workers,
 		}); err != nil {
 			t.Fatal(err)

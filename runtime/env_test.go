@@ -5,6 +5,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/live"
+	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
@@ -16,21 +17,21 @@ type envCase struct {
 }
 
 // shippedEnvs returns a constructor of every shipped environment with n node
-// slots: simnet.Env with the given transfer delay, ShardedEnv at two shards
-// with that delay as its lookahead, and live.Env at the given time scale.
-func shippedEnvs(n int, seed uint64, delay, scale float64) []envCase {
+// slots: simnet.Env, ShardedEnv at two shards with the given lookahead, and
+// live.Env at the given time scale.
+func shippedEnvs(n int, seed uint64, lookahead, scale float64) []envCase {
 	shardOf := make([]int32, n)
 	for i := range shardOf {
 		shardOf[i] = int32(i * 2 / n)
 	}
 	return []envCase{
 		{"simnet", func() (runtime.Env, error) {
-			return simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed, TransferDelay: delay})
+			return simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed})
 		}},
 		{"simnet-sharded", func() (runtime.Env, error) {
 			return simnet.NewShardedEnv(simnet.ShardedEnvConfig{
-				N: n, Seed: seed, TransferDelay: delay, Shards: 2,
-				ShardOf: shardOf, Lookahead: delay,
+				N: n, Seed: seed, Shards: 2,
+				ShardOf: shardOf, Lookahead: lookahead,
 			})
 		}},
 		{"live", func() (runtime.Env, error) {
@@ -56,7 +57,9 @@ func (c envCase) open(t *testing.T) runtime.Env {
 // that state in each node's slab row), the online set covers N() slots, and
 // AtHook behaves as At with the hook call in a closure — a hook scheduled in
 // the past runs at the present, and hooks and closures scheduled for the
-// same instant run in scheduling order.
+// same instant run in scheduling order — and SendDelayed, the one way a Host
+// sends, delivers no earlier than its delay and keeps equal-delay messages
+// in send order.
 func TestEnvContract(t *testing.T) {
 	const n, seed = 6, 42
 	streams := []uint64{0, 1, n - 1, runtime.StreamNet, runtime.StreamPhase, runtime.ShardNetStream(1)}
@@ -82,6 +85,7 @@ func TestEnvContract(t *testing.T) {
 			}
 			t.Run("AtHook-in-the-past", func(t *testing.T) { checkAtHookInThePast(t, tc.open(t)) })
 			t.Run("AtHook-same-instant", func(t *testing.T) { checkAtHookSameInstant(t, tc.open(t)) })
+			t.Run("SendDelayed", func(t *testing.T) { checkSendDelayed(t, tc.open(t)) })
 		})
 	}
 }
@@ -124,14 +128,14 @@ func runAtHookSchedule(t *testing.T, env runtime.Env, schedule func(now float64,
 func checkFirings(t *testing.T, log []firing, notBefore []float64) {
 	t.Helper()
 	if len(log) != len(notBefore) {
-		t.Fatalf("AtHook contract: %d callbacks ran, want %d: %v", len(log), len(notBefore), log)
+		t.Fatalf("%d callbacks ran, want %d: %v", len(log), len(notBefore), log)
 	}
 	for k, f := range log {
 		if f.id != k+1 {
-			t.Fatalf("AtHook contract: callbacks ran in order %v, want ids 1..%d in scheduling order", log, len(notBefore))
+			t.Fatalf("callbacks ran in order %v, want ids 1..%d in scheduling order", log, len(notBefore))
 		}
 		if f.at < notBefore[k] {
-			t.Errorf("AtHook contract: callback %d ran at %v, before %v", f.id, f.at, notBefore[k])
+			t.Errorf("callback %d ran at %v, before %v", f.id, f.at, notBefore[k])
 		}
 	}
 }
@@ -163,4 +167,34 @@ func checkAtHookSameInstant(t *testing.T, env runtime.Env) {
 		env.At(2, closure(5))
 	})
 	checkFirings(t, log, []float64{2, 2, 2, 2, 2})
+}
+
+// checkSendDelayed sends, from a callback at run time 1, three messages with
+// the same delay from node 0 to the last node, and requires them to arrive
+// in send order, none before its send time plus the delay. Arrivals are
+// timed on the destination's clock: on a sharded environment, its shard's.
+// The delay equals the sharded environment's lookahead, so the message may
+// cross shards.
+func checkSendDelayed(t *testing.T, env runtime.Env) {
+	const delay = 1
+	to := protocol.NodeID(env.N() - 1)
+	clock := env.Now
+	if sh, ok := env.(runtime.Sharded); ok {
+		clock = sh.Shard(int(sh.ShardTable()[to])).Now
+	}
+	var log []firing
+	env.SetDeliver(func(_, _ protocol.NodeID, p protocol.Payload) {
+		log = append(log, firing{int(p.Word), clock()})
+	})
+	var sentAt float64
+	env.At(1, func() {
+		sentAt = env.Now()
+		for k := 1; k <= 3; k++ {
+			env.SendDelayed(0, to, protocol.WordPayload(protocol.KindUpdateSeq, uint64(k)), delay)
+		}
+	})
+	if err := env.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	checkFirings(t, log, []float64{sentAt + delay, sentAt + delay, sentAt + delay})
 }

@@ -44,18 +44,11 @@ type Config struct {
 	// AuditNodes lists node indices whose outgoing message times are recorded
 	// in a rate-limit envelope for verification (§3.4). Empty means no audit.
 	AuditNodes []int
-	// DropProbability is the probability that any individual message is lost
-	// before it reaches the transport, independently of churn. The paper's
-	// experiments assume a reliable transfer protocol, but the protocols
-	// themselves do not (§2.1); this knob exercises the fault-tolerance role
-	// of the proactive component.
-	DropProbability float64
-	// Network is the per-message latency/loss model. Nil keeps the
-	// environment's fixed transfer delay — the paper's setup, bit-for-bit.
-	// With a model set, every outgoing message that survives the loss
-	// lotteries is handed to the environment with a delay sampled from the
-	// model on the StreamNet stream (after the DropProbability draw, so the
-	// two knobs compose deterministically) through Env.SendDelayed.
+	// Network is the per-message loss and latency model (required): every
+	// message the Host sends draws the model's Drop lottery and then its
+	// Delay on the sending shard's StreamNet stream, and is handed to the
+	// environment through Env.SendDelayed. The paper's network (§4.1) is
+	// netmodel.Constant{D: 1.728}; loss composes as netmodel.Lossy.
 	Network netmodel.Model
 	// BuildWorkers bounds the number of goroutines NewHost uses to initialize
 	// the node slab. 0 or 1 builds sequentially. With more workers, the
@@ -79,8 +72,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("runtime: Delta = %v, need > 0 and finite", c.Delta)
 	case c.InitialTokens < 0:
 		return fmt.Errorf("runtime: InitialTokens = %v, need ≥ 0", c.InitialTokens)
-	case !(c.DropProbability >= 0 && c.DropProbability <= 1): // NaN fails both comparisons
-		return fmt.Errorf("runtime: DropProbability = %v outside [0,1]", c.DropProbability)
+	case c.Network == nil:
+		return fmt.Errorf("runtime: Config.Network is nil (use netmodel.Constant for a fixed transfer delay)")
 	}
 	if c.Trace != nil && c.Trace.N() < c.Graph.N() {
 		return fmt.Errorf("runtime: trace covers %d nodes, overlay has %d", c.Trace.N(), c.Graph.N())
@@ -620,15 +613,14 @@ func (h *Host) shardIdx(node protocol.NodeID) int32 {
 // environment's clock in unsharded runs.
 func (h *Host) shardNow(s int32) float64 { return h.scheds[s].Now() }
 
-// Send implements protocol.Sender: after the host-level loss lotteries the
-// payload is handed to the environment's transport, which delivers it back
-// through deliver (or drops it in transit). With a network model configured,
-// the model's loss lottery runs after the DropProbability one and surviving
-// messages travel with a model-sampled delay. All draws come from the
-// sending shard's network stream in a fixed order — the single StreamNet
-// stream in unsharded runs — so runs stay deterministic, sharded ones
-// included: each node only ever sends from its owning shard's worker (or
-// from the coordinator while that worker is parked at a barrier).
+// Send implements protocol.Sender: the message is counted and sized, then
+// the network model decides its fate — a Drop lottery, then a sampled Delay
+// after which the environment delivers it back through deliver (or drops it
+// in transit). All draws come from the sending shard's network stream in a
+// fixed order — the single StreamNet stream in unsharded runs — so runs stay
+// deterministic, sharded ones included: each node only ever sends from its
+// owning shard's worker (or from the coordinator while that worker is parked
+// at a barrier).
 func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	s := h.shardIdx(from)
 	c := &h.counts[s]
@@ -644,20 +636,12 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	if env, ok := h.envelopes[int(from)]; ok {
 		env.Record(h.shardNow(s))
 	}
-	r := h.netRNGs[s]
-	if h.cfg.DropProbability > 0 && r.Float64() < h.cfg.DropProbability {
+	r, network := h.netRNGs[s], h.cfg.Network
+	if network.Drop(from, to, r) {
 		c.dropped++
 		return
 	}
-	if network := h.cfg.Network; network != nil {
-		if network.Drop(from, to, r) {
-			c.dropped++
-			return
-		}
-		h.env.SendDelayed(from, to, payload, network.Delay(from, to, r))
-		return
-	}
-	h.env.Send(from, to, payload)
+	h.env.SendDelayed(from, to, payload, network.Delay(from, to, r))
 }
 
 // deliver is the environment's delivery callback: messages to offline nodes
@@ -692,8 +676,8 @@ func (h *Host) MessagesDelivered() int64 {
 	return total
 }
 
-// MessagesDropped returns the number of messages dropped by the loss lottery
-// or because the target was offline at delivery time.
+// MessagesDropped returns the number of messages dropped by the network
+// model's loss lottery or because the target was offline at delivery time.
 func (h *Host) MessagesDropped() int64 {
 	var total int64
 	for i := range h.counts {
@@ -705,7 +689,7 @@ func (h *Host) MessagesDropped() int64 {
 // BytesSent returns the total wire bytes handed to the host, under the
 // per-kind size hints of protocol.RegisterPayloadSizer (kinds without a
 // sizer weigh one byte). Like MessagesSent it counts at send time, before
-// the loss lotteries: dropped traffic still loaded the sender's uplink.
+// the loss lottery: dropped traffic still loaded the sender's uplink.
 func (h *Host) BytesSent() int64 {
 	var total int64
 	for i := range h.counts {

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
@@ -32,12 +33,13 @@ func hostConfig(t *testing.T, n int) runtime.Config {
 		Strategy: func(int) core.Strategy { return core.MustRandomized(2, 5) },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
+		Network:  netmodel.Constant{D: delta / 100},
 	}
 }
 
 func newSimEnv(t *testing.T, n int, seed uint64) *simnet.Env {
 	t.Helper()
-	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed, TransferDelay: delta / 100})
+	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +59,6 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.Delta = math.NaN() },
 		func(c *runtime.Config) { c.Delta = math.Inf(1) },
 		func(c *runtime.Config) { c.InitialTokens = -1 },
-		func(c *runtime.Config) { c.DropProbability = 1.5 },
-		func(c *runtime.Config) { c.DropProbability = math.NaN() },
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 		func(c *runtime.Config) { c.Strategy = func(int) core.Strategy { return nil } },
@@ -155,9 +155,24 @@ func TestHostChurnTraceFiresRejoin(t *testing.T) {
 	}
 }
 
+// TestNewHostRequiresNetwork pins that the network model is the one source
+// of loss and delay: a Config without one is rejected, and the error names
+// the model that gives a fixed delay.
+func TestNewHostRequiresNetwork(t *testing.T) {
+	cfg := hostConfig(t, 20)
+	cfg.Network = nil
+	_, err := runtime.NewHost(newSimEnv(t, 20, 1), cfg)
+	if err == nil || !strings.Contains(err.Error(), "netmodel.Constant") {
+		t.Fatalf("NewHost without a network model: err = %v, want an error naming netmodel.Constant", err)
+	}
+}
+
+// TestHostDropProbabilityOne drops every message through a Lossy model. The
+// message count is the one a Host-level loss lottery of probability 1 gave
+// before Lossy was the only loss: the lottery takes the same draw.
 func TestHostDropProbabilityOne(t *testing.T) {
 	cfg := hostConfig(t, 20)
-	cfg.DropProbability = 1
+	cfg.Network = netmodel.Lossy{P: 1, Inner: netmodel.Constant{D: delta / 100}}
 	host, err := runtime.NewHost(newSimEnv(t, 20, 9), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,52 +184,41 @@ func TestHostDropProbabilityOne(t *testing.T) {
 	if host.MessagesDelivered() != 0 {
 		t.Errorf("%d messages delivered despite drop probability 1", host.MessagesDelivered())
 	}
-	if host.MessagesSent() == 0 || host.MessagesDropped() != host.MessagesSent() {
-		t.Errorf("sent %d, dropped %d: every sent message should be dropped",
+	if host.MessagesSent() != 500 || host.MessagesDropped() != host.MessagesSent() {
+		t.Errorf("sent %d, dropped %d: want 500 sent, every one dropped",
 			host.MessagesSent(), host.MessagesDropped())
 	}
 }
 
-// TestHostNetworkConstantModelMatchesDefault runs the identical assembly
-// once on the legacy fixed-transfer-delay path (Config.Network nil) and once
-// through an explicit constant network model with the same delay, and checks
-// that every observable counter agrees: the constant model draws no
-// randomness, so the model path is behaviour-preserving.
+// TestHostNetworkConstantModelMatchesDefault pins the paper's network on the
+// model path to the numbers the environment's own fixed transfer delay gave
+// before every message went through a model: the constant model draws no
+// randomness, so the counters, protocol stats and balances are unchanged.
 func TestHostNetworkConstantModelMatchesDefault(t *testing.T) {
 	const n, seed = 60, 13
-	run := func(network netmodel.Model) *runtime.Host {
-		env := newSimEnv(t, n, seed)
-		cfg := hostConfig(t, n)
-		cfg.Network = network
-		host, err := runtime.NewHost(env, cfg)
-		if err != nil {
-			t.Fatal(err)
+	env := newSimEnv(t, n, seed)
+	host, err := runtime.NewHost(env, hostConfig(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Every(delta/10, delta/10, func() bool {
+		if node, ok := host.RandomOnlineNode(); ok {
+			host.App(node).(*pushgossip.State).Inject(1)
 		}
-		env.Every(delta/10, delta/10, func() bool {
-			if node, ok := host.RandomOnlineNode(); ok {
-				host.App(node).(*pushgossip.State).Inject(1)
-			}
-			return true
-		})
-		if err := host.Run(30 * delta); err != nil {
-			t.Fatal(err)
-		}
-		return host
+		return true
+	})
+	if err := host.Run(30 * delta); err != nil {
+		t.Fatal(err)
 	}
-	legacy := run(nil)
-	model := run(netmodel.Constant{D: delta / 100})
-	if legacy.MessagesSent() != model.MessagesSent() ||
-		legacy.MessagesDelivered() != model.MessagesDelivered() ||
-		legacy.MessagesDropped() != model.MessagesDropped() {
-		t.Errorf("message counters differ: legacy (%d,%d,%d) vs model (%d,%d,%d)",
-			legacy.MessagesSent(), legacy.MessagesDelivered(), legacy.MessagesDropped(),
-			model.MessagesSent(), model.MessagesDelivered(), model.MessagesDropped())
+	if sent, delivered, dropped := host.MessagesSent(), host.MessagesDelivered(), host.MessagesDropped(); sent != 1500 || delivered != 1499 || dropped != 0 {
+		t.Errorf("messages (sent, delivered, dropped) = (%d, %d, %d), want (1500, 1499, 0)", sent, delivered, dropped)
 	}
-	if legacy.TotalStats() != model.TotalStats() {
-		t.Errorf("stats differ: %+v vs %+v", legacy.TotalStats(), model.TotalStats())
+	want := protocol.Stats{ProactiveSent: 1458, ReactiveSent: 42, Received: 1499, UsefulReceived: 30, TokensBanked: 342, Rounds: 1800}
+	if got := host.TotalStats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	if legacy.AverageTokens(false) != model.AverageTokens(false) {
-		t.Errorf("average tokens differ: %v vs %v", legacy.AverageTokens(false), model.AverageTokens(false))
+	if got := host.AverageTokens(false); got != 5 {
+		t.Errorf("average tokens = %v, want 5", got)
 	}
 }
 
@@ -493,7 +497,7 @@ func TestHostBytesAccounting(t *testing.T) {
 
 	// A host that drops everything still counts the bytes as sent.
 	cfg := hostConfig(t, 20)
-	cfg.DropProbability = 1
+	cfg.Network = netmodel.Lossy{P: 1, Inner: cfg.Network}
 	dropAll, err := runtime.NewHost(newSimEnv(t, 20, 6), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@
 // protocol nodes needs from its surroundings — a clock (virtual or wall),
 // timer/scheduling primitives, per-node randomness, a message transport and
 // node lifecycle — and the Host assembles the nodes of one run against any
-// Env.
+// Env. The Host's network model (Config.Network, a netmodel.Model) is the one
+// source of message loss and delay: the environment only carries each
+// message for the delay the model sampled (DelayedSender).
 //
 // Three environments implement Env:
 //
@@ -16,7 +18,7 @@
 //     "traffic shaping service" the paper proposes.
 //
 // Everything all three provide is part of the Env contract, including the
-// packed online set (AvailabilitySource), per-message delays (DelayedSender),
+// packed online set (AvailabilitySource), the delayed transport (DelayedSender),
 // derivable randomness streams (StreamSeeder) and typed hook events
 // (HookScheduler), which carry every node's proactive tick and every churn
 // transition of a trace. An Env implemented outside this module must provide
@@ -70,14 +72,6 @@ type Env interface {
 	// and phase randomness.
 	Rand(stream uint64) protocol.Rand
 
-	// Send hands a payload to the environment's transport for delivery from
-	// one node to another. The transport applies the environment's latency
-	// and loss model and eventually invokes the DeliverFunc installed with
-	// SetDeliver (or drops the message). Word-encoded payloads must traverse
-	// the transport without boxing where the implementation permits (the
-	// discrete-event environment stores them inline in its event queue).
-	Send(from, to protocol.NodeID, payload protocol.Payload)
-
 	// SetDeliver installs the delivery callback. The Host installs itself
 	// here during assembly; environments must not deliver before it is set.
 	SetDeliver(fn DeliverFunc)
@@ -105,22 +99,24 @@ type Env interface {
 	// goroutines). It must not be called while Run is executing.
 	Close() error
 
-	// The online set the Host reads on its hot paths, per-message delays
-	// for network models, the seeds behind Rand and the typed hook events of
-	// ticks and churn (see each interface).
+	// The online set the Host reads on its hot paths, the transport every
+	// message takes with its model-sampled delay, the seeds behind Rand and
+	// the typed hook events of ticks and churn (see each interface).
 	AvailabilitySource
 	DelayedSender
 	StreamSeeder
 	HookScheduler
 }
 
-// DelayedSender is the Env method behind heterogeneous network models:
-// SendDelayed is Send with an explicit per-message transfer latency (in
-// run-seconds) replacing the environment's fixed delay. The Host samples the
-// delay from Config.Network on its StreamNet stream and hands it here, so the
-// environment stays a pure executor — the discrete-event implementation feeds
-// the delay straight into the engine's per-event delivery slot (no
-// allocation), and the live one maps it onto its message scheduling.
+// DelayedSender is the Env's transport: SendDelayed hands a payload to the
+// environment for delivery from one node to another after the given transfer
+// latency (in run-seconds), and the environment eventually invokes the
+// DeliverFunc installed with SetDeliver. The Host draws loss and delay from
+// Config.Network on its StreamNet stream and calls SendDelayed for every
+// message that survives, so the environment stays a pure executor — the
+// discrete-event implementation feeds the delay straight into the engine's
+// per-event delivery slot (no allocation, word payloads never boxed), and the
+// live one maps it onto its message scheduling.
 type DelayedSender interface {
 	SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64)
 }

@@ -6,8 +6,8 @@
 // PeerSim assembly of the paper's evaluation (§4.1) — is a runtime.Host built
 // against one of them:
 //
-//	env, err := simnet.NewEnv(simnet.EnvConfig{N: g.N(), Seed: seed, TransferDelay: 1.728})
-//	host, err := runtime.NewHost(env, runtime.Config{Graph: g, ...})
+//	env, err := simnet.NewEnv(simnet.EnvConfig{N: g.N(), Seed: seed})
+//	host, err := runtime.NewHost(env, runtime.Config{Graph: g, Network: netmodel.Constant{D: 1.728}, ...})
 //	err = host.Run(horizon)
 package simnet
 
@@ -27,8 +27,9 @@ type EnvConfig struct {
 	N int
 	// Seed drives every randomness stream of the run (see Env.Rand).
 	Seed uint64
-	// TransferDelay is the virtual time needed to deliver one message
-	// (1.728 s in the paper, one hundredth of the period).
+	// TransferDelay is the virtual time Send takes to deliver one message. A
+	// Host never calls Send — its Config.Network samples every delay — so
+	// this only matters to code that sends straight through the environment.
 	TransferDelay float64
 	// Queue selects the event queue implementation backing the engine; the
 	// zero value is the default allocation-free slab heap. Every kind yields
@@ -108,21 +109,19 @@ func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
 	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
 }
 
-// Send implements runtime.Env: the payload is delivered after the transfer
-// delay of virtual time. The message travels as a typed delivery event
-// stored inline in the engine's queue — no closure is materialized and a
-// word-encoded payload is never boxed, so the steady-state message path
-// allocates nothing.
+// Send delivers the payload after the fixed TransferDelay of virtual time
+// (see SendDelayed). A Host never calls it: it sends through SendDelayed
+// with the delay its network model sampled.
 func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.transferDelay)
 }
 
-// SendDelayed implements runtime.Env: like Send, but the message
-// travels for the given per-message delay of virtual time instead of the
-// environment's fixed transfer delay. The delivery is still stored inline in
-// the engine's queue — a model-sampled delay costs exactly as much as the
-// constant one, zero allocations. Negative and NaN delays are treated as
-// zero by the engine.
+// SendDelayed implements runtime.Env: the payload is delivered after the
+// given delay of virtual time. The message travels as a typed delivery event
+// stored inline in the engine's queue — no closure is materialized and a
+// word-encoded payload is never boxed, so the steady-state message path
+// allocates nothing. Negative and NaN delays are treated as zero by the
+// engine.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
 	e.engine.ScheduleDelivery(delay, sim.Delivery{
 		From: int32(from),

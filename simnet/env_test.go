@@ -11,7 +11,7 @@ import (
 // a stray node id (from a buggy scenario or an oversized trace) must degrade
 // to "offline, no-op" instead of panicking mid-run.
 func TestEnvLifecycleOutOfRange(t *testing.T) {
-	env, err := NewEnv(EnvConfig{N: 4, Seed: 1, TransferDelay: 1})
+	env, err := NewEnv(EnvConfig{N: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,9 @@ func TestEnvSendUsesTransferDelay(t *testing.T) {
 	}
 }
 
-// TestNewEnvTransferDelay checks that both discrete-event constructors accept
-// a finite non-negative transfer delay and reject anything else: the engine
-// would silently read NaN as zero delay and +Inf as a message never
-// delivered.
+// TestNewEnvTransferDelay checks that NewEnv accepts a finite non-negative
+// transfer delay and rejects anything else: the engine would silently read
+// NaN as zero delay and +Inf as a message never delivered.
 func TestNewEnvTransferDelay(t *testing.T) {
 	tests := []struct {
 		delay float64
@@ -95,15 +94,6 @@ func TestNewEnvTransferDelay(t *testing.T) {
 		_, err := NewEnv(EnvConfig{N: 2, TransferDelay: tc.delay})
 		if (err == nil) != tc.ok {
 			t.Errorf("NewEnv(TransferDelay: %v): err = %v, want ok = %v", tc.delay, err, tc.ok)
-		}
-		sharded, err := NewShardedEnv(ShardedEnvConfig{
-			N: 2, TransferDelay: tc.delay, Shards: 2, ShardOf: []int32{0, 1}, Lookahead: 1,
-		})
-		if (err == nil) != tc.ok {
-			t.Errorf("NewShardedEnv(TransferDelay: %v): err = %v, want ok = %v", tc.delay, err, tc.ok)
-		}
-		if sharded != nil {
-			sharded.Close()
 		}
 	}
 }

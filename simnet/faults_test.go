@@ -5,32 +5,25 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
 )
 
-func TestDropProbabilityValidation(t *testing.T) {
-	envCfg, cfg := walkerConfig(t, 20, core.PurelyProactive{}, 1)
-	cfg.DropProbability = 1.5
-	if _, _, err := assemble(envCfg, cfg); err == nil {
-		t.Error("DropProbability > 1 accepted")
-	}
-	cfg.DropProbability = -0.1
-	if _, _, err := assemble(envCfg, cfg); err == nil {
-		t.Error("negative DropProbability accepted")
-	}
-}
-
+// TestDropProbabilityDropsRoughlyTheRequestedFraction runs a Lossy network
+// of probability 0.3. Its counts are the ones a Host-level loss lottery of
+// the same probability gave before Lossy was the only loss: the lottery
+// takes the same draw.
 func TestDropProbabilityDropsRoughlyTheRequestedFraction(t *testing.T) {
 	envCfg, cfg := walkerConfig(t, 50, core.PurelyProactive{}, 3)
-	cfg.DropProbability = 0.3
+	cfg.Network = netmodel.Lossy{P: 0.3, Inner: cfg.Network}
 	_, net := mustAssemble(t, envCfg, cfg)
 	mustRun(t, net, 40*cfg.Delta)
 	sent := float64(net.MessagesSent())
 	dropped := float64(net.MessagesDropped())
-	if sent == 0 {
-		t.Fatal("no messages sent")
+	if net.MessagesSent() != 2000 || net.MessagesDropped() != 585 {
+		t.Errorf("sent %d, dropped %d, want 2000 and 585", net.MessagesSent(), net.MessagesDropped())
 	}
 	if ratio := dropped / sent; ratio < 0.2 || ratio > 0.4 {
 		t.Errorf("drop ratio = %v, want ≈ 0.3", ratio)
@@ -57,12 +50,12 @@ func TestProactiveComponentSurvivesMessageLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, net := mustAssemble(t, EnvConfig{N: n, Seed: seed, TransferDelay: 1}, hostrt.Config{
-			Graph:           g,
-			Strategy:        func(int) core.Strategy { return strategy },
-			NewApp:          func(int) protocol.Application { return pushgossip.New() },
-			Delta:           100,
-			DropProbability: dropPct,
+		_, net := mustAssemble(t, EnvConfig{N: n, Seed: seed}, hostrt.Config{
+			Graph:    g,
+			Strategy: func(int) core.Strategy { return strategy },
+			NewApp:   func(int) protocol.Application { return pushgossip.New() },
+			Delta:    100,
+			Network:  netmodel.Lossy{P: dropPct, Inner: netmodel.Constant{D: 1}},
 		})
 		return net
 	}

@@ -38,12 +38,12 @@ func TestTenMillionNodeShardedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := netmodel.Zones{K: 8, Intra: 0.5, Inter: 3}
-	shardOf, lookahead, err := netmodel.PlanShards(model, 1.728, n, shards)
+	shardOf, lookahead, err := netmodel.PlanShards(model, n, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env, err := NewShardedEnv(ShardedEnvConfig{
-		N: n, Seed: 1, TransferDelay: 1.728, Queue: sim.QueueCalendar,
+		N: n, Seed: 1, Queue: sim.QueueCalendar,
 		Shards: shards, ShardOf: shardOf, Lookahead: lookahead,
 	})
 	if err != nil {

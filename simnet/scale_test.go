@@ -6,6 +6,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
@@ -39,7 +40,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(EnvConfig{N: n, Seed: 1, TransferDelay: 1.728})
+	env, err := NewEnv(EnvConfig{N: n, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +52,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 		Strategy:     func(int) core.Strategy { return strategy },
 		NewApp:       func(i int) protocol.Application { return &walkers[i] },
 		Delta:        delta,
+		Network:      netmodel.Constant{D: 1.728},
 		BuildWorkers: stdruntime.GOMAXPROCS(0),
 	})
 	if err != nil {
@@ -134,7 +136,7 @@ func TestBuildPathIsConstantInN(t *testing.T) {
 			t.Fatal(err)
 		}
 		return func() {
-			env, err := NewEnv(EnvConfig{N: n, Seed: 1, TransferDelay: 1.728})
+			env, err := NewEnv(EnvConfig{N: n, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,6 +146,7 @@ func TestBuildPathIsConstantInN(t *testing.T) {
 				Strategy:     func(int) core.Strategy { return strategy },
 				NewApp:       func(i int) protocol.Application { return &walkers[i] },
 				Delta:        172.8,
+				Network:      netmodel.Constant{D: 1.728},
 				BuildWorkers: 8,
 			}); err != nil {
 				t.Fatal(err)

@@ -17,8 +17,6 @@ type ShardedEnvConfig struct {
 	// Seed drives every randomness stream of the run, with the same stream
 	// derivation as the plain environment (see Env.Rand).
 	Seed uint64
-	// TransferDelay is the fixed transfer delay of Send (see EnvConfig).
-	TransferDelay float64
 	// Queue selects the event queue implementation backing every shard's
 	// engine and the coordinator queue.
 	Queue sim.QueueKind
@@ -47,13 +45,12 @@ type ShardedEnvConfig struct {
 // different shard counts are different (equally valid) event interleavings
 // of the same model.
 type ShardedEnv struct {
-	engine        *sim.ShardedEngine
-	seed          uint64
-	transferDelay float64
-	online        runtime.Availability
-	deliver       runtime.DeliverFunc
-	facades       []shardFacade
-	hooks         hookRegistry
+	engine  *sim.ShardedEngine
+	seed    uint64
+	online  runtime.Availability
+	deliver runtime.DeliverFunc
+	facades []shardFacade
+	hooks   hookRegistry
 }
 
 var (
@@ -67,8 +64,6 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	switch {
 	case cfg.N < 1:
 		return nil, fmt.Errorf("simnet: ShardedEnvConfig.N = %d, need ≥ 1", cfg.N)
-	case !validDelay(cfg.TransferDelay):
-		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	case len(cfg.ShardOf) != cfg.N:
 		return nil, fmt.Errorf("simnet: ShardOf covers %d nodes, N = %d", len(cfg.ShardOf), cfg.N)
 	}
@@ -82,11 +77,10 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 		return nil, err
 	}
 	e := &ShardedEnv{
-		engine:        engine,
-		seed:          cfg.Seed,
-		transferDelay: cfg.TransferDelay,
-		online:        runtime.NewAvailability(cfg.N),
-		facades:       make([]shardFacade, cfg.Shards),
+		engine:  engine,
+		seed:    cfg.Seed,
+		online:  runtime.NewAvailability(cfg.N),
+		facades: make([]shardFacade, cfg.Shards),
 	}
 	for s := range e.facades {
 		e.facades[s] = shardFacade{env: e, engine: engine, shard: s}
@@ -127,13 +121,8 @@ func (e *ShardedEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint6
 	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
 }
 
-// Send implements runtime.Env: the payload is delivered after the fixed
-// transfer delay (see SendDelayed).
-func (e *ShardedEnv) Send(from, to protocol.NodeID, payload protocol.Payload) {
-	e.SendDelayed(from, to, payload, e.transferDelay)
-}
-
-// SendDelayed implements runtime.Env: the delivery is routed by
+// SendDelayed implements runtime.Env: the payload is delivered after the
+// given delay of virtual time (the Host's network model samples it), routed by
 // the shards of its endpoints — inline into the owning shard's queue when
 // they coincide, through the cross-shard outboxes otherwise. Both paths
 // store the delivery unboxed, so the steady-state message path allocates

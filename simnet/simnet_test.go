@@ -16,19 +16,24 @@ import (
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
+// walkerDelay is the transfer delay of walkerConfig's network.
+const walkerDelay = 1
+
 // walkerConfig is the assembly most tests here share: gossip learning
-// walkers on a random 10-out overlay, Δ = 100 and a transfer delay of 1.
+// walkers on a random 10-out overlay, Δ = 100 and a transfer delay of
+// walkerDelay.
 func walkerConfig(t *testing.T, n int, strategy core.Strategy, seed uint64) (EnvConfig, hostrt.Config) {
 	t.Helper()
 	g, err := overlay.RandomKOut(n, 10, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return EnvConfig{N: n, Seed: seed, TransferDelay: 1}, hostrt.Config{
+	return EnvConfig{N: n, Seed: seed}, hostrt.Config{
 		Graph:    g,
 		Strategy: func(int) core.Strategy { return strategy },
 		NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
 		Delta:    100,
+		Network:  netmodel.Constant{D: walkerDelay},
 	}
 }
 
@@ -152,7 +157,7 @@ func TestTokenAccountSpeedsUpGossipLearning(t *testing.T) {
 		for i := 0; i < n; i++ {
 			walkers[i] = net.App(i).(*gossiplearning.Walker)
 		}
-		return gossiplearning.Progress(walkers, horizon, envCfg.TransferDelay)
+		return gossiplearning.Progress(walkers, horizon, walkerDelay)
 	}
 	proactive := run(core.PurelyProactive{})
 	randomized := run(core.MustRandomized(5, 10))
@@ -203,12 +208,13 @@ func TestChurnDropsMessagesAndTracksOnline(t *testing.T) {
 			tr.Segments[i].Intervals = []trace.Interval{{Start: 0, End: 500}}
 		}
 	}
-	env, net := mustAssemble(t, EnvConfig{N: n, Seed: 17, TransferDelay: 1}, hostrt.Config{
+	env, net := mustAssemble(t, EnvConfig{N: n, Seed: 17}, hostrt.Config{
 		Graph:    g,
 		Strategy: func(int) core.Strategy { return core.MustSimple(5) },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    50,
 		Trace:    tr,
+		Network:  netmodel.Constant{D: 1},
 	})
 	// Inject updates periodically at node 0 so there is reactive traffic.
 	seq := int64(0)
@@ -255,13 +261,14 @@ func TestOnRejoinHookFires(t *testing.T) {
 	// Node 3 joins late.
 	tr.Segments[3].Intervals = []trace.Interval{{Start: 100, End: 300}}
 	rejoined := []int{}
-	_, net := mustAssemble(t, EnvConfig{N: n, Seed: 19, TransferDelay: 0.1}, hostrt.Config{
+	_, net := mustAssemble(t, EnvConfig{N: n, Seed: 19}, hostrt.Config{
 		Graph:    g,
 		Strategy: func(int) core.Strategy { return core.MustSimple(3) },
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    10,
 		Trace:    tr,
 		OnRejoin: func(_ *hostrt.Host, node int) { rejoined = append(rejoined, node) },
+		Network:  netmodel.Constant{D: 0.1},
 	})
 	mustRun(t, net, 300)
 	if len(rejoined) != 1 || rejoined[0] != 3 {
@@ -318,7 +325,7 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 // churn workload, whose Drop runs on every send; zones) and a 2-shard
 // ShardedEnv on zones, whose shard workers, outboxes and barriers run on
 // other goroutines (the malloc counter is process-wide, so they count). The
-// constant transfer delay's subtests are the queue kinds themselves.
+// paper's constant network's subtests are the queue kinds themselves.
 func TestSteadyStateMessagePathAllocs(t *testing.T) {
 	lossy := netmodel.Lossy{P: 0.01, Inner: netmodel.LogNormal{Mu: 0.547, Sigma: 0.5}}
 	zones := netmodel.Zones{K: 8, Intra: 0.5, Inter: 3}
@@ -327,7 +334,7 @@ func TestSteadyStateMessagePathAllocs(t *testing.T) {
 		network netmodel.Model
 		shards  int
 	}{
-		{"", nil, 1},
+		{"", netmodel.Constant{D: walkerDelay}, 1},
 		{"exponential:1", netmodel.Exponential{Mean: 1}, 1},
 		{lossy.String(), lossy, 1},
 		{zones.String(), zones, 1},
@@ -373,12 +380,12 @@ func steadyStateHost(t *testing.T, envCfg EnvConfig, cfg hostrt.Config, shards i
 		_, host := mustAssemble(t, envCfg, cfg)
 		return host
 	}
-	shardOf, lookahead, err := netmodel.PlanShards(cfg.Network, envCfg.TransferDelay, envCfg.N, shards)
+	shardOf, lookahead, err := netmodel.PlanShards(cfg.Network, envCfg.N, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env, err := NewShardedEnv(ShardedEnvConfig{
-		N: envCfg.N, Seed: envCfg.Seed, TransferDelay: envCfg.TransferDelay, Queue: envCfg.Queue,
+		N: envCfg.N, Seed: envCfg.Seed, Queue: envCfg.Queue,
 		Shards: shards, ShardOf: shardOf, Lookahead: lookahead,
 	})
 	if err != nil {
