@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/live"
 )
 
 func TestParseLiveTCPRuntime(t *testing.T) {
@@ -27,6 +28,39 @@ func TestParseLiveTCPRuntime(t *testing.T) {
 		if _, err := experiment.ParseRuntime(bad); err == nil {
 			t.Errorf("ParseRuntime(%q) accepted", bad)
 		}
+	}
+}
+
+// TestLiveRuntimesPickTheirTransport checks that the one live driver type
+// builds the environment its name promises: "live" runs on the in-process
+// memory bus, "live-tcp" on loopback sockets (an Env without a bus), each
+// with the configured number of node slots, parameterized or not.
+func TestLiveRuntimesPickTheirTransport(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		bus  bool
+	}{{"live:0.5", true}, {"live-tcp:0.5", false}} {
+		t.Run(c.spec, func(t *testing.T) {
+			d, err := experiment.ParseRuntime(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := d.NewEnv(experiment.Config{N: 4}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			le, ok := env.(*live.Env)
+			if !ok {
+				t.Fatalf("NewEnv returned %T, want *live.Env", env)
+			}
+			defer le.Close()
+			if got := le.Bus() != nil; got != c.bus {
+				t.Errorf("memory bus present = %v, want %v", got, c.bus)
+			}
+			if le.N() != 4 {
+				t.Errorf("env has %d node slots, want 4", le.N())
+			}
+		})
 	}
 }
 

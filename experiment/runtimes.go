@@ -29,14 +29,14 @@ var (
 	// transport endpoint per node over the in-process memory bus, and the
 	// default time compression of DefaultLiveTimeScale. It turns the same
 	// experiment spec into a scaled-down deployment rehearsal.
-	LiveRuntime RuntimeDriver = liveRuntime{}
+	LiveRuntime RuntimeDriver = liveRuntime{name: "live"}
 	// LiveTCPRuntime executes repetitions in real time over real TCP sockets:
 	// one managed endpoint per node on the loopback interface, fully meshed,
 	// with word-encoded payload frames on the wire. It is the cross-check
 	// runtime — the same experiment spec runs on sockets instead of the
 	// simulator's abstractions — and is bounded to modest node counts
 	// (every node holds a listening socket and N−1 peer registrations).
-	LiveTCPRuntime RuntimeDriver = liveTCPRuntime{}
+	LiveTCPRuntime RuntimeDriver = liveRuntime{name: "live-tcp"}
 )
 
 // IsDefaultRuntime reports whether d is (an instance of) the default
@@ -63,8 +63,8 @@ const DefaultLiveTimeScale = 1e-4
 
 func init() {
 	MustRegisterRuntime("sim", simRuntimeFactory, "simnet", "virtual")
-	MustRegisterRuntime("live", liveRuntimeFactory, "real", "wall")
-	MustRegisterRuntime("live-tcp", liveTCPRuntimeFactory, "tcp")
+	MustRegisterRuntime("live", liveRuntimeFactory("live"), "real", "wall")
+	MustRegisterRuntime("live-tcp", liveRuntimeFactory("live-tcp"), "tcp")
 }
 
 // simRuntimeFactory parses "sim[:queue][:shards=N]" specs such as
@@ -163,39 +163,45 @@ func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	})
 }
 
-// liveRuntime is the wall-clock RuntimeDriver. The zero value uses the
-// default time compression.
+// liveRuntime is the wall-clock RuntimeDriver, named after its transport:
+// "live" runs every node on the in-process memory bus, "live-tcp" on a
+// loopback TCP socket. A zero TimeScale uses the default time compression.
 type liveRuntime struct {
+	name string
 	// TimeScale is the wall-clock duration of one run-second; 0 selects
 	// DefaultLiveTimeScale.
 	TimeScale float64
 }
 
-// liveRuntimeFactory parses "live[:timescale]" specs such as "live:0.001".
-func liveRuntimeFactory(args []string) (RuntimeDriver, error) {
-	r := liveRuntime{}
-	if len(args) > 1 {
-		return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want live[:timescale])", args[1:])
-	}
-	if len(args) == 1 {
-		scale, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
-			return nil, fmt.Errorf("experiment: bad live timescale %q (want a positive, finite number of wall-seconds per run-second)", args[0])
+// liveRuntimeFactory returns the factory of the named live runtime, which
+// parses "<name>[:timescale]" specs such as "live:0.001" or
+// "live-tcp:0.001".
+func liveRuntimeFactory(name string) RuntimeFactory {
+	return func(args []string) (RuntimeDriver, error) {
+		r := liveRuntime{name: name}
+		if len(args) > 1 {
+			return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want %s[:timescale])", args[1:], name)
 		}
-		r.TimeScale = scale
+		if len(args) == 1 {
+			scale, err := strconv.ParseFloat(args[0], 64)
+			if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
+				return nil, fmt.Errorf("experiment: bad %s timescale %q (want a positive, finite number of wall-seconds per run-second)", name, args[0])
+			}
+			r.TimeScale = scale
+		}
+		return r, nil
 	}
-	return r, nil
 }
 
-func (liveRuntime) Name() string { return "live" }
+func (l liveRuntime) Name() string { return l.name }
 
 // String renders the runtime with its effective time scale, so differently
 // compressed instances stay distinguishable in labels.
 func (l liveRuntime) String() string {
 	if l.TimeScale == 0 {
-		return "live"
+		return l.name
 	}
-	return fmt.Sprintf("live(x%g)", l.TimeScale)
+	return fmt.Sprintf("%s(x%g)", l.name, l.TimeScale)
 }
 
 func (l liveRuntime) scale() float64 {
@@ -206,52 +212,9 @@ func (l liveRuntime) scale() float64 {
 }
 
 func (l liveRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
-	return live.NewEnv(live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()})
-}
-
-// liveTCPRuntime is the socket-backed wall-clock RuntimeDriver. The zero
-// value uses the default time compression.
-type liveTCPRuntime struct {
-	// TimeScale is the wall-clock duration of one run-second; 0 selects
-	// DefaultLiveTimeScale.
-	TimeScale float64
-}
-
-// liveTCPRuntimeFactory parses "live-tcp[:timescale]" specs such as
-// "live-tcp:0.001".
-func liveTCPRuntimeFactory(args []string) (RuntimeDriver, error) {
-	r := liveTCPRuntime{}
-	if len(args) > 1 {
-		return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want live-tcp[:timescale])", args[1:])
+	envCfg := live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()}
+	if l.name == "live-tcp" {
+		return live.NewTCPEnv(envCfg)
 	}
-	if len(args) == 1 {
-		scale, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
-			return nil, fmt.Errorf("experiment: bad live-tcp timescale %q (want a positive, finite number of wall-seconds per run-second)", args[0])
-		}
-		r.TimeScale = scale
-	}
-	return r, nil
-}
-
-func (liveTCPRuntime) Name() string { return "live-tcp" }
-
-// String renders the runtime with its effective time scale, so differently
-// compressed instances stay distinguishable in labels.
-func (l liveTCPRuntime) String() string {
-	if l.TimeScale == 0 {
-		return "live-tcp"
-	}
-	return fmt.Sprintf("live-tcp(x%g)", l.TimeScale)
-}
-
-func (l liveTCPRuntime) scale() float64 {
-	if l.TimeScale == 0 {
-		return DefaultLiveTimeScale
-	}
-	return l.TimeScale
-}
-
-func (l liveTCPRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
-	return live.NewTCPEnv(live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()})
+	return live.NewEnv(envCfg)
 }

@@ -87,8 +87,8 @@ func RegisterControl(r *transport.Registry) {
 }
 
 // peerTable is the daemon's dynamic membership view. It implements
-// protocol.PeerSelector with a uniform draw over the current members, so the
-// protocol's SELECTPEER tracks join/leave without restarting the node.
+// protocol.SharedPeerSelector with a uniform draw over the current members,
+// so the protocol's SELECTPEER tracks join/leave without restarting the node.
 type peerTable struct {
 	mu    sync.Mutex
 	ids   []protocol.NodeID
@@ -142,9 +142,9 @@ func (t *peerTable) size() int {
 	return len(t.ids)
 }
 
-// SelectPeer implements protocol.PeerSelector: a uniform draw over the
-// current members.
-func (t *peerTable) SelectPeer(r protocol.Rand) (protocol.NodeID, bool) {
+// SelectPeerOf implements protocol.SharedPeerSelector for the daemon's one
+// node: a uniform draw over the current members.
+func (t *peerTable) SelectPeerOf(_ int, r protocol.Rand) (protocol.NodeID, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.ids) == 0 {
@@ -270,7 +270,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Graph:         graph,
 		Strategy:      func(int) core.Strategy { return cfg.Strategy },
 		NewApp:        func(int) protocol.Application { return cfg.Application },
-		Peers:         func(int) protocol.PeerSelector { return d.peers },
+		Peers:         d.peers,
 		Delta:         cfg.Delta.Seconds(),
 		InitialTokens: cfg.InitialTokens,
 		AuditNodes:    []int{0},
@@ -439,7 +439,7 @@ func (d *Daemon) announce() {
 // after WithHost has brought the node back online.
 func (d *Daemon) Rejoin() {
 	d.mu.Lock()
-	target, ok := d.peers.SelectPeer(d.rnd)
+	target, ok := d.peers.SelectPeerOf(0, d.rnd)
 	d.mu.Unlock()
 	if !ok {
 		return

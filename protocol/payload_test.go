@@ -22,6 +22,12 @@ func TestWordPayload(t *testing.T) {
 
 func TestRegisterPayloadSizer(t *testing.T) {
 	const kind = PayloadKind(1003) // private to this test
+	// Unregister the kind afterwards, so a rerun (-count=2) starts without it.
+	t.Cleanup(func() {
+		sizerMu.Lock()
+		delete(wordSizers, kind)
+		sizerMu.Unlock()
+	})
 	if got := PayloadSize(WordPayload(kind, 9)); got != 1 {
 		t.Errorf("PayloadSize without sizer = %d, want 1", got)
 	}

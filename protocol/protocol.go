@@ -1,12 +1,13 @@
 // Package protocol implements the token account protocol node (Algorithm 4
 // of the paper) independently of any particular transport or scheduler.
 //
-// A Node combines a core.Strategy with an application (Application), a peer
-// sampling service (PeerSelector) and an outgoing message sink (Sender). The
-// surrounding runtime — a runtime.Host over the discrete-event environment
-// in simnet or the wall-clock environment in live — is responsible for
-// calling Tick once per proactive period Δ and Receive for every incoming
-// message.
+// A Node combines a core.Strategy with an application (Application) and an
+// embedded random generator; it lives in a Slab, whose one peer sampling
+// service (SharedPeerSelector) and one outgoing message sink (Sender) serve
+// every node. The surrounding runtime — a runtime.Host over the
+// discrete-event environment in simnet or the wall-clock environment in
+// live — is responsible for calling Tick once per proactive period Δ and
+// Receive for every incoming message.
 package protocol
 
 import (
@@ -48,17 +49,10 @@ type Application interface {
 	UpdateState(from NodeID, payload Payload) (useful bool)
 }
 
-// PeerSelector is the peer sampling service (SELECTPEER in the paper). The ok
-// result is false when no suitable (e.g. online) peer exists.
-type PeerSelector interface {
-	SelectPeer(rng Rand) (peer NodeID, ok bool)
-}
-
-// SharedPeerSelector is a peer sampling service serving every node of a
-// Slab: SelectPeerOf samples a peer for the node at slab index i. A runtime
-// whose peer sampling is a function of the node index (the Host's overlay
-// sampler) implements it once instead of materializing one PeerSelector per
-// node.
+// SharedPeerSelector is the peer sampling service (SELECTPEER in the paper)
+// of every node of a Slab: SelectPeerOf samples a peer for the node at slab
+// index i, drawing from that node's generator r. The ok result is false when
+// no suitable (e.g. online) peer exists.
 type SharedPeerSelector interface {
 	SelectPeerOf(i int, rng Rand) (peer NodeID, ok bool)
 }
@@ -93,10 +87,9 @@ type Stats struct {
 // TotalSent returns the total number of messages sent by the node.
 func (s Stats) TotalSent() int { return s.ProactiveSent + s.ReactiveSent }
 
-// Config assembles the collaborators of one Node. Peers, Sender and RNG are
-// per-node collaborators: a Slab stores the ones it is given in side tables
-// and consults them before its slab-wide ones (see NewSharedSlab), so a node
-// may leave them nil exactly where its slab supplies a substitute.
+// Config is what differs between the nodes of one Slab. Peer sampling and
+// the Sender are the slab's (see NewSlab); the random generator is embedded
+// in the node's row (see Slab.InitSeeded).
 type Config struct {
 	// ID is the node's identity, passed to the Sender as the source.
 	ID NodeID
@@ -104,37 +97,16 @@ type Config struct {
 	Strategy core.Strategy
 	// Application provides CreateMessage/UpdateState (required).
 	Application Application
-	// Peers is the peer sampling service (required unless the slab shares
-	// one).
-	Peers PeerSelector
-	// Sender delivers outgoing messages (required unless the slab shares
-	// one).
-	Sender Sender
-	// RNG is the node's private randomness source (required unless the node
-	// is initialized with Slab.InitSeeded, which embeds a generator in the
-	// node's row).
-	RNG Rand
 	// InitialTokens is the starting balance (0 in the paper's experiments).
 	InitialTokens int
 }
 
-// validate checks the configuration of a node whose slab supplies the
-// collaborators flagged true: whatever neither the Config nor the slab
-// provides is an error.
-func (c Config) validate(haveSender, havePeers, haveRNG bool) error {
+func (c Config) validate() error {
 	switch {
 	case c.Strategy == nil:
 		return errors.New("protocol: Config.Strategy is nil")
 	case c.Application == nil:
 		return errors.New("protocol: Config.Application is nil")
-	case c.Peers == nil && !havePeers:
-		return errors.New("protocol: Config.Peers is nil")
-	case c.Sender == nil && !haveSender:
-		return errors.New("protocol: Config.Sender is nil")
-	case c.RNG == nil && !haveRNG:
-		return errors.New("protocol: Config.RNG is nil")
-	case c.RNG != nil && haveRNG:
-		return errors.New("protocol: Config.RNG set for a node with an embedded generator")
 	case c.InitialTokens < 0:
 		return fmt.Errorf("protocol: negative initial token count %d", c.InitialTokens)
 	}
@@ -145,8 +117,8 @@ func (c Config) validate(haveSender, havePeers, haveRNG bool) error {
 // row of its Slab's node array, holding what differs per node and is read on
 // every event — strategy, application, identity and the state of the node's
 // embedded SplitMix64 generator. The mutable account and counters live in
-// the slab's state array at the same index; everything else (Sender, shared
-// peer sampling, per-node overrides) is reached through the slab.
+// the slab's state array at the same index; the Sender and the peer sampler
+// are reached through the slab.
 //
 // It is not safe for concurrent use; the runtime must serialize Tick and
 // Receive calls (the simulator is single-threaded per node, the live runtime
@@ -158,17 +130,6 @@ type Node struct {
 	idx      int
 	id       NodeID
 	rng      rng.Source
-}
-
-// NewNode validates the configuration and returns a ready-to-run node backed
-// by a private one-node slab. Runtimes that build many nodes at once should
-// use a Slab directly, which backs all nodes with two contiguous arrays.
-func NewNode(cfg Config) (*Node, error) {
-	s := NewSlab(1)
-	if err := s.Init(0, cfg); err != nil {
-		return nil, err
-	}
-	return s.Node(0), nil
 }
 
 // ID returns the node's identity.
@@ -222,7 +183,7 @@ func (n *Node) RespondPayload(to NodeID, payload Payload) bool {
 	if st.Account.SpendUpTo(1) == 0 {
 		return false
 	}
-	n.slab.senderOf(n.idx).Send(n.id, to, payload)
+	n.slab.sender.Send(n.id, to, payload)
 	st.Stats.ReactiveSent++
 	return true
 }

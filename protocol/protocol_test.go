@@ -27,7 +27,7 @@ type staticPeers struct {
 	ok   bool
 }
 
-func (s staticPeers) SelectPeer(Rand) (NodeID, bool) { return s.peer, s.ok }
+func (s staticPeers) SelectPeerOf(int, Rand) (NodeID, bool) { return s.peer, s.ok }
 
 // countingApp marks messages useful according to a toggle and counts calls.
 type countingApp struct {
@@ -47,48 +47,18 @@ func (a *countingApp) UpdateState(from NodeID, payload Payload) bool {
 	return a.useful
 }
 
-func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers PeerSelector) *Node {
+// newTestNode builds node 1 as the only row of a slab, on a generator seeded
+// with 42.
+func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers SharedPeerSelector) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
-		ID:          1,
-		Strategy:    s,
-		Application: app,
-		Peers:       peers,
-		Sender:      sender,
-		RNG:         rng.New(42),
-	})
+	slab, err := NewSlab(1, sender, peers)
 	if err != nil {
-		t.Fatalf("NewNode: %v", err)
+		t.Fatalf("NewSlab: %v", err)
 	}
-	return n
-}
-
-func TestNewNodeValidation(t *testing.T) {
-	valid := Config{
-		Strategy:    core.PurelyProactive{},
-		Application: &countingApp{},
-		Peers:       staticPeers{peer: 2, ok: true},
-		Sender:      &collectingSender{},
-		RNG:         rng.New(1),
+	if err := slab.InitSeeded(0, Config{ID: 1, Strategy: s, Application: app}, 42); err != nil {
+		t.Fatalf("InitSeeded: %v", err)
 	}
-	if _, err := NewNode(valid); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	broken := []func(c *Config){
-		func(c *Config) { c.Strategy = nil },
-		func(c *Config) { c.Application = nil },
-		func(c *Config) { c.Peers = nil },
-		func(c *Config) { c.Sender = nil },
-		func(c *Config) { c.RNG = nil },
-		func(c *Config) { c.InitialTokens = -1 },
-	}
-	for i, mutate := range broken {
-		cfg := valid
-		mutate(&cfg)
-		if _, err := NewNode(cfg); err == nil {
-			t.Errorf("broken config %d accepted", i)
-		}
-	}
+	return slab.Node(0)
 }
 
 func TestProactiveNodeSendsEveryRound(t *testing.T) {
@@ -227,7 +197,7 @@ type togglePeers struct {
 	ok   bool
 }
 
-func (p *togglePeers) SelectPeer(Rand) (NodeID, bool) { return p.peer, p.ok }
+func (p *togglePeers) SelectPeerOf(int, Rand) (NodeID, bool) { return p.peer, p.ok }
 
 func TestPureReactiveNodeFloods(t *testing.T) {
 	sender := &collectingSender{}
@@ -325,13 +295,7 @@ func TestRateLimitInvariantUnderRandomTraffic(t *testing.T) {
 			recorder := senderFunc(func(from, to NodeID, payload Payload) { env.Record(now) })
 			source := rng.New(987)
 			app := &countingApp{useful: true}
-			n, err := NewNode(Config{
-				ID: 1, Strategy: s, Application: app,
-				Peers: staticPeers{peer: 2, ok: true}, Sender: recorder, RNG: source,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			n := newTestNode(t, s, app, recorder, staticPeers{peer: 2, ok: true})
 			for round := 0; round < 400; round++ {
 				now = float64(round) * delta
 				n.Tick()

@@ -1,8 +1,8 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -27,84 +27,51 @@ type NodeState struct {
 // Slab.Receive, computes both addresses from the index up front, so the two
 // loads overlap instead of chaining.
 //
-// What every node has in common is held once, slab-wide: the Sender and a
-// SharedPeerSelector (see NewSharedSlab). Per-node collaborators supplied in
-// a Config — a PeerSelector, a Sender, a Rand — go to side tables that are
-// only allocated by the first Init that brings one, and take precedence over
-// the slab-wide ones; a slab whose nodes all run on shared collaborators and
-// embedded generators (InitSeeded) carries no side table at all.
+// What every node has in common is held once, slab-wide: the Sender and the
+// SharedPeerSelector. Each node's random generator is embedded in its row.
 //
-// Init or InitSeeded must be called exactly once per index before the node
-// is used. Node pointers returned by Node remain valid for the lifetime of
-// the slab; the backing arrays are never reallocated.
+// InitSeeded must be called exactly once per index before the node is used.
+// Node pointers returned by Node remain valid for the lifetime of the slab;
+// the backing arrays are never reallocated.
 type Slab struct {
 	nodes  []Node
 	states []NodeState
 
 	sender Sender
 	peers  SharedPeerSelector
-
-	// mu guards the allocation of the side tables during the (possibly
-	// concurrent) build; they are read-only once the nodes run.
-	mu         sync.Mutex
-	nodeSender []Sender
-	nodePeers  []PeerSelector
-	nodeRand   []Rand
 }
 
-// NewSlab returns a slab with capacity for n nodes, all uninitialized, with
-// no shared collaborators: every Config must bring its own.
-func NewSlab(n int) *Slab { return NewSharedSlab(n, nil, nil) }
-
-// NewSharedSlab returns a slab with capacity for n nodes, all uninitialized,
-// whose nodes send through sender and sample peers through peers unless
-// their Config overrides them. Either may be nil.
-func NewSharedSlab(n int, sender Sender, peers SharedPeerSelector) *Slab {
-	if n < 0 {
-		panic(fmt.Sprintf("protocol: NewSlab(%d): negative size", n))
+// NewSlab returns a slab with capacity for n nodes, all uninitialized, whose
+// nodes send through sender and sample peers through peers. Both are
+// required.
+func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
+	switch {
+	case n < 0:
+		return nil, fmt.Errorf("protocol: NewSlab(%d): negative size", n)
+	case sender == nil:
+		return nil, errors.New("protocol: NewSlab: nil Sender")
+	case peers == nil:
+		return nil, errors.New("protocol: NewSlab: nil peer selector")
 	}
 	return &Slab{
 		nodes:  make([]Node, n),
 		states: make([]NodeState, n),
 		sender: sender,
 		peers:  peers,
-	}
+	}, nil
 }
 
 // Len returns the slab's capacity in nodes.
 func (s *Slab) Len() int { return len(s.nodes) }
 
-// Init validates cfg and initializes node i in place, drawing randomness
-// from cfg.RNG. It is safe to call concurrently for distinct indices, which
-// is what the runtime's parallel build loop does.
-func (s *Slab) Init(i int, cfg Config) error {
-	return s.init(i, cfg, rng.Source{}, false)
-}
-
-// InitSeeded is Init for a node whose randomness source is a SplitMix64
-// generator seeded with seed and embedded in the node's row — the same
-// stream as rng.New(seed), without a generator object or a side-table slot.
-// cfg.RNG must be nil.
+// InitSeeded validates cfg and initializes node i in place, with a
+// SplitMix64 generator seeded with seed embedded in the node's row — the
+// same stream as rng.New(seed), without a generator object. It writes only
+// row i, so it is safe to call concurrently for distinct indices, which is
+// what the runtime's parallel build loop does.
 func (s *Slab) InitSeeded(i int, cfg Config, seed uint64) error {
-	return s.init(i, cfg, rng.Seeded(seed), true)
-}
-
-func (s *Slab) init(i int, cfg Config, src rng.Source, seeded bool) error {
-	if err := cfg.validate(s.sender != nil, s.peers != nil, seeded); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
-	}
-	if cfg.Sender != nil || cfg.Peers != nil || cfg.RNG != nil {
-		s.mu.Lock()
-		if cfg.Sender != nil {
-			setSlot(&s.nodeSender, len(s.nodes), i, cfg.Sender)
-		}
-		if cfg.Peers != nil {
-			setSlot(&s.nodePeers, len(s.nodes), i, cfg.Peers)
-		}
-		if cfg.RNG != nil {
-			setSlot(&s.nodeRand, len(s.nodes), i, cfg.RNG)
-		}
-		s.mu.Unlock()
 	}
 	s.states[i] = NodeState{Account: core.MakeAccount(cfg.InitialTokens, core.AllowsOverspend(cfg.Strategy))}
 	s.nodes[i] = Node{
@@ -113,18 +80,9 @@ func (s *Slab) init(i int, cfg Config, src rng.Source, seeded bool) error {
 		slab:     s,
 		idx:      i,
 		id:       cfg.ID,
-		rng:      src,
+		rng:      rng.Seeded(seed),
 	}
 	return nil
-}
-
-// setSlot stores v in slot i of a side table of n slots, allocating the table
-// on first use.
-func setSlot[T any](table *[]T, n, i int, v T) {
-	if *table == nil {
-		*table = make([]T, n)
-	}
-	(*table)[i] = v
 }
 
 // Node returns the facade for node i. The pointer is stable for the slab's
@@ -159,7 +117,7 @@ func (s *Slab) Receive(i int, from NodeID, payload Payload) {
 
 func (s *Slab) tick(n *Node, st *NodeState) {
 	st.Stats.Rounds++
-	r := s.randOf(n)
+	r := &n.rng
 	if core.Bernoulli(n.strategy.Proactive(st.Account.Balance()), r) {
 		if s.sendOne(n, r) {
 			st.Stats.ProactiveSent++
@@ -179,7 +137,7 @@ func (s *Slab) receive(n *Node, st *NodeState, from NodeID, payload Payload) {
 	if useful {
 		st.Stats.UsefulReceived++
 	}
-	r := s.randOf(n)
+	r := &n.rng
 	want := core.RandRound(n.strategy.Reactive(st.Account.Balance(), useful), r)
 	spend := st.Account.SpendUpTo(want)
 	for i := 0; i < spend; i++ {
@@ -196,34 +154,10 @@ func (s *Slab) receive(n *Node, st *NodeState, from NodeID, payload Payload) {
 // sendOne samples a peer for the node and sends one freshly created message
 // to it. It reports whether a peer was available.
 func (s *Slab) sendOne(n *Node, r Rand) bool {
-	var peer NodeID
-	var ok bool
-	if s.nodePeers != nil && s.nodePeers[n.idx] != nil {
-		peer, ok = s.nodePeers[n.idx].SelectPeer(r)
-	} else {
-		peer, ok = s.peers.SelectPeerOf(n.idx, r)
-	}
+	peer, ok := s.peers.SelectPeerOf(n.idx, r)
 	if !ok {
 		return false
 	}
-	s.senderOf(n.idx).Send(n.id, peer, n.app.CreateMessage())
+	s.sender.Send(n.id, peer, n.app.CreateMessage())
 	return true
-}
-
-// randOf returns the node's randomness source: the one its Config supplied,
-// or the generator embedded in its row.
-func (s *Slab) randOf(n *Node) Rand {
-	if s.nodeRand != nil && s.nodeRand[n.idx] != nil {
-		return s.nodeRand[n.idx]
-	}
-	return &n.rng
-}
-
-// senderOf returns the Sender of node i: the one its Config supplied, or
-// the slab-wide one.
-func (s *Slab) senderOf(i int) Sender {
-	if s.nodeSender != nil && s.nodeSender[i] != nil {
-		return s.nodeSender[i]
-	}
-	return s.sender
 }

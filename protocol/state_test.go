@@ -22,144 +22,183 @@ func TestNodeRowsAreOneCacheLine(t *testing.T) {
 	}
 }
 
-// indexPeers is a shared selector pointing node i at i+offset.
+// indexPeers is a selector pointing node i at i+offset.
 type indexPeers struct{ offset int }
 
 func (p indexPeers) SelectPeerOf(i int, _ Rand) (NodeID, bool) { return NodeID(i + p.offset), true }
 
-// TestSharedSlabCollaborators checks the resolution order of a slab's
-// collaborators: nodes run on the slab-wide Sender and selector and on their
-// embedded generator unless their Config brings its own, and the two entry
-// points — by index and through the facade — are the same code.
+// TestSharedSlabCollaborators checks that every node runs on the slab's one
+// Sender and one selector, and that the selector sees the node's own index
+// through both entry points — by index and through the facade.
 func TestSharedSlabCollaborators(t *testing.T) {
-	shared, private := &collectingSender{}, &collectingSender{}
-	s := NewSharedSlab(3, shared, indexPeers{offset: 100})
-	base := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
-	for i := 0; i < 2; i++ {
-		cfg := base
-		cfg.ID = NodeID(10 + i)
+	sender := &collectingSender{}
+	s, err := NewSlab(3, sender, indexPeers{offset: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cfg := Config{ID: NodeID(10 + i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
 		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	override := base
-	override.ID, override.Sender, override.Peers, override.RNG = 12, private, staticPeers{peer: 7, ok: true}, rng.New(5)
-	if err := s.Init(2, override); err != nil {
-		t.Fatal(err)
-	}
 	s.Tick(0)
 	s.Node(1).Tick()
 	s.Tick(2)
+	s.Node(2).Tick()
 	s.Receive(2, 1, Payload{})
-	want := []sentMsg{{from: 10, to: 100}, {from: 11, to: 101}}
-	if len(shared.msgs) != 2 || shared.msgs[0].from != want[0].from || shared.msgs[0].to != want[0].to ||
-		shared.msgs[1].from != want[1].from || shared.msgs[1].to != want[1].to {
-		t.Errorf("shared sender saw %+v, want %+v", shared.msgs, want)
+	want := []sentMsg{{from: 10, to: 100}, {from: 11, to: 101}, {from: 12, to: 102}, {from: 12, to: 102}}
+	if len(sender.msgs) != len(want) {
+		t.Fatalf("sender saw %+v, want %+v", sender.msgs, want)
 	}
-	if len(private.msgs) != 1 || private.msgs[0].from != 12 || private.msgs[0].to != 7 {
-		t.Errorf("overriding sender saw %+v, want one message 12→7", private.msgs)
+	for i, m := range sender.msgs {
+		if m.from != want[i].from || m.to != want[i].to {
+			t.Errorf("message %d went %d→%d, want %d→%d", i, m.from, m.to, want[i].from, want[i].to)
+		}
 	}
-	if got := s.State(2).Stats; got.Rounds != 1 || got.Received != 1 {
-		t.Errorf("node 2 stats = %+v, want one round and one receive", got)
+	if got := s.State(2).Stats; got.Rounds != 2 || got.Received != 1 {
+		t.Errorf("node 2 stats = %+v, want two rounds and one receive", got)
 	}
 }
 
-// TestInitSeededMatchesExternalGenerator drives a node on an embedded
-// generator and one on rng.New of the same seed through one schedule under a
-// randomized strategy: the embedded stream is the external one, draw for
-// draw.
+// drawingPeers points every node at node 0 and records, per selection, one
+// Intn draw from the generator it is handed.
+type drawingPeers struct{ draws []int }
+
+func (d *drawingPeers) SelectPeerOf(_ int, r Rand) (NodeID, bool) {
+	d.draws = append(d.draws, r.Intn(1<<30))
+	return 0, true
+}
+
+// TestInitSeededMatchesExternalGenerator checks that the generator InitSeeded
+// embeds in a node's row is rng.New(seed): the row starts in that state, and
+// the draws its selector makes are that generator's stream, with two rows
+// interleaved and receives (which draw nothing under a proactive strategy)
+// in between.
 func TestInitSeededMatchesExternalGenerator(t *testing.T) {
 	const seed = 77
-	senders := [2]*collectingSender{{}, {}}
-	s := NewSlab(2)
-	cfg := Config{Strategy: core.MustRandomized(3, 8), Peers: flakyPeers{}}
-	cfg.Application, cfg.Sender = &countingApp{useful: true}, senders[0]
-	if err := s.InitSeeded(0, cfg, seed); err != nil {
+	peers := &drawingPeers{}
+	s, err := NewSlab(2, &collectingSender{}, peers)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Application, cfg.Sender, cfg.RNG = &countingApp{useful: true}, senders[1], rng.New(seed)
-	if err := s.Init(1, cfg); err != nil {
-		t.Fatal(err)
+	external := [2]*rng.Source{rng.New(seed), rng.New(seed + 1)}
+	for i := range external {
+		cfg := Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+		if err := s.InitSeeded(i, cfg, seed+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if s.Node(i).rng != *external[i] {
+			t.Fatalf("row %d starts at %+v, want rng.New(%d) = %+v", i, s.Node(i).rng, seed+i, *external[i])
+		}
 	}
 	for step := 0; step < 300; step++ {
-		for i := 0; i < 2; i++ {
-			if step%3 == 0 {
-				s.Tick(i)
-			} else {
-				s.Receive(i, 5, Payload{})
-			}
+		i := step % 2
+		if step%3 == 0 {
+			s.Receive(i, 5, Payload{})
+			continue
 		}
-		if *s.State(0) != *s.State(1) {
-			t.Fatalf("step %d: embedded %+v, external %+v", step, *s.State(0), *s.State(1))
+		peers.draws = peers.draws[:0]
+		s.Tick(i)
+		if want := external[i].Intn(1 << 30); len(peers.draws) != 1 || peers.draws[0] != want {
+			t.Fatalf("step %d: row %d drew %v, want [%d]", step, i, peers.draws, want)
 		}
 	}
-	if len(senders[0].msgs) == 0 || len(senders[0].msgs) != len(senders[1].msgs) {
-		t.Fatalf("sent %d (embedded) vs %d (external) messages", len(senders[0].msgs), len(senders[1].msgs))
-	}
-	for i := range senders[0].msgs {
-		if senders[0].msgs[i].to != senders[1].msgs[i].to {
-			t.Fatalf("message %d went to %d (embedded) vs %d (external)", i, senders[0].msgs[i].to, senders[1].msgs[i].to)
+	for i := range external {
+		if s.Node(i).rng != *external[i] {
+			t.Errorf("row %d ends at %+v, external generator at %+v", i, s.Node(i).rng, *external[i])
 		}
 	}
 }
 
-// flakyPeers draws its peer — and, one time in four, its failure — from the
-// node's generator.
-type flakyPeers struct{}
+// wordApp sends one fixed word payload and finds every message useful.
+type wordApp struct{}
 
-func (flakyPeers) SelectPeer(r Rand) (NodeID, bool) {
-	if r.Intn(4) == 0 {
-		return NoNode, false
+func (wordApp) CreateMessage() Payload           { return WordPayload(KindBoxed+1, 1<<40) }
+func (wordApp) UpdateState(NodeID, Payload) bool { return true }
+
+// countingSender counts messages and keeps nothing.
+type countingSender struct{ n int }
+
+func (c *countingSender) Send(NodeID, NodeID, Payload) { c.n++ }
+
+// TestSlabMessagePathAllocs guards the node's own share of the simulator's
+// hot path: with a word payload and a sender that keeps nothing, a round and
+// a delivery — by index and through the facade — allocate nothing.
+func TestSlabMessagePathAllocs(t *testing.T) {
+	sender := &countingSender{}
+	s, err := NewSlab(2, sender, indexPeers{offset: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return NodeID(r.Intn(50)), true
+	for i := 0; i < 2; i++ {
+		cfg := Config{ID: NodeID(i), Strategy: core.MustRandomized(5, 10), Application: wordApp{}}
+		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := WordPayload(KindBoxed+1, 1<<40)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Tick(0)
+		s.Receive(0, 1, p)
+		s.Node(1).Tick()
+		s.Node(1).Receive(0, p)
+	})
+	if allocs != 0 {
+		t.Errorf("tick and receive allocate %.2f per call, want 0", allocs)
+	}
+	if sender.n == 0 {
+		t.Fatal("no message was sent: the path under test never ran")
+	}
 }
 
-// TestSlabValidation pins which collaborators a slab may stand in for: a
-// node still needs a Sender, a peer selector and a randomness source from
-// somewhere, and cannot have two generators.
+// TestSlabValidation pins what a slab and its nodes must be given: NewSlab
+// needs a Sender and a peer selector, and a node needs a strategy, an
+// application and a non-negative starting balance.
 func TestSlabValidation(t *testing.T) {
-	full := Config{
-		Strategy:    core.PurelyProactive{},
-		Application: &countingApp{},
-		Peers:       staticPeers{peer: 2, ok: true},
-		Sender:      &collectingSender{},
+	sender, peers := &collectingSender{}, indexPeers{}
+	if _, err := NewSlab(1, nil, peers); err == nil {
+		t.Error("NewSlab accepted a nil Sender")
 	}
-	bare := Config{Strategy: full.Strategy, Application: full.Application}
-	cases := []struct {
-		name   string
-		slab   *Slab
-		cfg    Config
-		seeded bool
-		ok     bool
-	}{
-		{"own collaborators, embedded generator", NewSlab(1), full, true, true},
-		{"shared collaborators, embedded generator", NewSharedSlab(1, full.Sender, indexPeers{}), bare, true, true},
-		{"no generator", NewSharedSlab(1, full.Sender, indexPeers{}), bare, false, false},
-		{"no sender anywhere", NewSharedSlab(1, nil, indexPeers{}), bare, true, false},
-		{"no selector anywhere", NewSharedSlab(1, full.Sender, nil), bare, true, false},
-		{"two generators", NewSlab(1), func() Config { c := full; c.RNG = rng.New(1); return c }(), true, false},
+	if _, err := NewSlab(1, sender, nil); err == nil {
+		t.Error("NewSlab accepted a nil peer selector")
 	}
-	for _, c := range cases {
-		var err error
-		if c.seeded {
-			err = c.slab.InitSeeded(0, c.cfg, 1)
-		} else {
-			err = c.slab.Init(0, c.cfg)
-		}
-		if (err == nil) != c.ok {
-			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+	if _, err := NewSlab(-1, sender, peers); err == nil {
+		t.Error("NewSlab accepted a negative size")
+	}
+	s, err := NewSlab(1, sender, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}, InitialTokens: 3}
+	if err := s.InitSeeded(0, valid, 1); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	broken := map[string]func(c *Config){
+		"no strategy":     func(c *Config) { c.Strategy = nil },
+		"no application":  func(c *Config) { c.Application = nil },
+		"negative tokens": func(c *Config) { c.InitialTokens = -1 },
+	}
+	for name, mutate := range broken {
+		cfg := valid
+		mutate(&cfg)
+		if err := s.InitSeeded(0, cfg, 1); err == nil {
+			t.Errorf("%s: config accepted", name)
 		}
 	}
 }
 
-// TestSlabConcurrentInit builds a slab from several goroutines with a mix of
-// shared and per-node collaborators — the side tables are allocated by
-// whichever Init gets there first — and checks every node landed. Under
-// -race it is the data-race check on that allocation.
+// TestSlabConcurrentInit builds a slab from several goroutines, each
+// initializing its own indices — the runtime's BuildWorkers path — and
+// checks every node landed on the slab's Sender and selector. Under -race it
+// is the check that InitSeeded on distinct indices shares no write.
 func TestSlabConcurrentInit(t *testing.T) {
 	const n = 256
 	sender := &collectingSender{}
-	s := NewSharedSlab(n, sender, indexPeers{offset: 1})
+	s, err := NewSlab(n, sender, indexPeers{offset: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -167,14 +206,7 @@ func TestSlabConcurrentInit(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < n; i += 8 {
 				cfg := Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
-				var err error
-				if i%2 == 0 {
-					cfg.Peers, cfg.RNG = staticPeers{peer: NodeID(-i), ok: true}, rng.New(uint64(i))
-					err = s.Init(i, cfg)
-				} else {
-					err = s.InitSeeded(i, cfg, uint64(i))
-				}
-				if err != nil {
+				if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -183,12 +215,8 @@ func TestSlabConcurrentInit(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		s.Tick(i)
-		want := NodeID(i + 1)
-		if i%2 == 0 {
-			want = NodeID(-i)
-		}
-		if got := sender.msgs[i]; got.from != NodeID(i) || got.to != want {
-			t.Fatalf("node %d sent %d→%d, want %d→%d", i, got.from, got.to, i, want)
+		if got := sender.msgs[i]; got.from != NodeID(i) || got.to != NodeID(i+1) {
+			t.Fatalf("node %d sent %d→%d, want %d→%d", i, got.from, got.to, i, i+1)
 		}
 	}
 }

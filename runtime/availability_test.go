@@ -133,3 +133,63 @@ func TestSelectOnlineNeighborMatchesTwoPassReference(t *testing.T) {
 		}
 	}
 }
+
+// TestOverlaySelectsOnlyNeighbors checks the Host's overlay sampler — the
+// slab's peer selector whenever Config.Peers is nil — on an all-online
+// network: every draw is an out-neighbour, and the neighbours are hit
+// roughly uniformly.
+func TestOverlaySelectsOnlyNeighbors(t *testing.T) {
+	g, _ := overlay.RandomKOut(50, 5, 3)
+	avail := NewAvailability(50)
+	var peers protocol.SharedPeerSelector = (*overlayPeers)(&Host{cfg: Config{Graph: g}, avail: &avail})
+	neighbors := map[protocol.NodeID]bool{}
+	for _, v := range g.OutNeighbors(7) {
+		neighbors[protocol.NodeID(v)] = true
+	}
+	src := rng.New(9)
+	counts := map[protocol.NodeID]int{}
+	for i := 0; i < 5000; i++ {
+		p, ok := peers.SelectPeerOf(7, src)
+		if !ok {
+			t.Fatal("SelectPeerOf failed")
+		}
+		if !neighbors[p] {
+			t.Fatalf("selected %d which is not a neighbour", p)
+		}
+		counts[p]++
+	}
+	// All 5 neighbours should be hit roughly uniformly (expected 1000 each).
+	if len(counts) != 5 {
+		t.Fatalf("only %d distinct neighbours selected, want 5", len(counts))
+	}
+	for p, c := range counts {
+		if c < 700 || c > 1300 {
+			t.Errorf("neighbour %d selected %d times, want ≈ 1000", p, c)
+		}
+	}
+}
+
+// TestOverlayRespectsLiveness checks that the overlay sampler only returns
+// online neighbours: with one survivor it returns that one every time, and
+// with every neighbour offline it reports failure.
+func TestOverlayRespectsLiveness(t *testing.T) {
+	g, _ := overlay.RandomKOut(20, 4, 5)
+	avail := NewAvailability(20)
+	var peers protocol.SharedPeerSelector = (*overlayPeers)(&Host{cfg: Config{Graph: g}, avail: &avail})
+	nbrs := g.OutNeighbors(0)
+	onlyAlive := protocol.NodeID(nbrs[2])
+	for i := 0; i < 20; i++ {
+		avail.Set(i, protocol.NodeID(i) == onlyAlive)
+	}
+	src := rng.New(1)
+	for i := 0; i < 100; i++ {
+		p, ok := peers.SelectPeerOf(0, src)
+		if !ok || p != onlyAlive {
+			t.Fatalf("SelectPeerOf = (%d, %v), want (%d, true)", p, ok, onlyAlive)
+		}
+	}
+	avail.Set(int(onlyAlive), false)
+	if _, ok := peers.SelectPeerOf(0, src); ok {
+		t.Error("SelectPeerOf succeeded with all neighbours offline")
+	}
+}

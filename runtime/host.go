@@ -31,11 +31,11 @@ type Config struct {
 	Trace *trace.Trace
 	// InitialTokens is the starting account balance (0 in the paper).
 	InitialTokens int
-	// Peers returns the peer sampling service of node i. Nil selects the
-	// overlay sampler every experiment uses: a uniform draw over the node's
-	// online out-neighbours in Graph. A host whose membership is not a fixed
-	// overlay (the tokennode daemon's join/leave table) supplies its own.
-	Peers func(i int) protocol.PeerSelector
+	// Peers is the peer sampling service of every node, given the node's
+	// index. Nil selects the overlay sampler every experiment uses: a uniform
+	// draw over the node's online out-neighbours in Graph. The tokennode
+	// daemon, whose membership is not a fixed overlay, passes its peer table.
+	Peers protocol.SharedPeerSelector
 	// OnRejoin, if non-nil, is invoked whenever a node transitions from
 	// offline to online during the run (not for nodes already online at time
 	// zero). The push gossip experiment uses it to issue the initial pull
@@ -101,9 +101,9 @@ type Host struct {
 
 	// slab holds every node's facade row and hot state in two contiguous
 	// arrays of 64 bytes per node (struct of arrays). The Host is the slab's
-	// Sender and its shared peer selector, and per-node generator state is
-	// embedded in the rows, so building n nodes costs a handful of
-	// allocations and no companion slab.
+	// Sender and, unless Config.Peers replaces it, its peer selector, and
+	// per-node generator state is embedded in the rows, so building n nodes
+	// costs a handful of allocations and no companion slab.
 	slab *protocol.Slab
 
 	// avail is the environment's online set, read directly on every tick,
@@ -181,9 +181,15 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		sizers:    protocol.PayloadSizerTable(),
 		nodeBytes: make([]int64, n),
 	}
-	// Nodes given their own selector by Config.Peers never reach the shared
-	// overlay sampler.
-	h.slab = protocol.NewSharedSlab(n, h, (*overlayPeers)(h))
+	peers := cfg.Peers
+	if peers == nil {
+		peers = (*overlayPeers)(h)
+	}
+	slab, err := protocol.NewSlab(n, h, peers)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	h.slab = slab
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
 		shards := sh.NumShards()
 		if h.shardOfNode = sh.ShardTable(); len(h.shardOfNode) < n {
@@ -218,11 +224,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			Strategy:      strategy,
 			Application:   app,
 			InitialTokens: cfg.InitialTokens,
-		}
-		if cfg.Peers != nil {
-			if nodeCfg.Peers = cfg.Peers(i); nodeCfg.Peers == nil {
-				return fmt.Errorf("runtime: Peers(%d) returned nil", i)
-			}
 		}
 		if err := h.slab.InitSeeded(i, nodeCfg, env.StreamSeed(uint64(i))); err != nil {
 			return fmt.Errorf("runtime: node %d: %w", i, err)

@@ -62,7 +62,6 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 		func(c *runtime.Config) { c.Strategy = func(int) core.Strategy { return nil } },
-		func(c *runtime.Config) { c.Peers = func(int) protocol.PeerSelector { return nil } },
 		func(c *runtime.Config) { c.Trace = &trace.Trace{Duration: 1, Segments: make([]trace.Segment, 3)} },
 	}
 	for i, mutate := range broken {
@@ -509,18 +508,20 @@ func TestHostBytesAccounting(t *testing.T) {
 	}
 }
 
-// fixedPeer is a peer sampling service that always answers with one node.
-type fixedPeer protocol.NodeID
+// ringPeers is a peer sampling service pointing node i at its ring successor.
+type ringPeers int
 
-func (p fixedPeer) SelectPeer(protocol.Rand) (protocol.NodeID, bool) { return protocol.NodeID(p), true }
+func (n ringPeers) SelectPeerOf(i int, _ protocol.Rand) (protocol.NodeID, bool) {
+	return protocol.NodeID((i + 1) % int(n)), true
+}
 
-// TestHostCustomPeers checks Config.Peers: every node's sends go where its
-// own selector points, whatever the overlay says.
+// TestHostCustomPeers checks Config.Peers: every node's sends go where the
+// selector points it, whatever the overlay says.
 func TestHostCustomPeers(t *testing.T) {
 	const n = 6
 	cfg := hostConfig(t, n)
 	cfg.Strategy = func(int) core.Strategy { return core.PurelyProactive{} }
-	cfg.Peers = func(i int) protocol.PeerSelector { return fixedPeer((i + 1) % n) }
+	cfg.Peers = ringPeers(n)
 	env := newSimEnv(t, n, 4)
 	host, err := runtime.NewHost(env, cfg)
 	if err != nil {
@@ -534,6 +535,47 @@ func TestHostCustomPeers(t *testing.T) {
 		if got := host.Node(i).Stats().Received; got < 4 || got > 5 {
 			t.Errorf("node %d received %d messages, want one per period from its predecessor", i, got)
 		}
+	}
+}
+
+// edgeApp checks, on every delivery, that the message travelled an edge of
+// the overlay; it sends a fixed word.
+type edgeApp struct {
+	t    *testing.T
+	g    *overlay.Graph
+	self int
+	got  *int
+}
+
+func (a edgeApp) CreateMessage() protocol.Payload {
+	return protocol.WordPayload(protocol.KindBoxed+1, 1)
+}
+
+func (a edgeApp) UpdateState(from protocol.NodeID, _ protocol.Payload) bool {
+	if !a.g.HasEdge(int(from), a.self) {
+		a.t.Errorf("node %d received from %d, which is not an in-neighbour", a.self, from)
+	}
+	*a.got++
+	return true
+}
+
+// TestHostDefaultPeersFollowOverlay checks that a nil Config.Peers means the
+// overlay sampler: every message a node sends, proactive or reactive, goes
+// to one of its out-neighbours.
+func TestHostDefaultPeersFollowOverlay(t *testing.T) {
+	const n = 30
+	cfg := hostConfig(t, n)
+	got := 0
+	cfg.NewApp = func(i int) protocol.Application { return edgeApp{t: t, g: cfg.Graph, self: i, got: &got} }
+	host, err := runtime.NewHost(newSimEnv(t, n, 6), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Run(10 * delta); err != nil {
+		t.Fatal(err)
+	}
+	if got == 0 || int64(got) != host.MessagesDelivered() {
+		t.Errorf("apps saw %d deliveries, host counted %d", got, host.MessagesDelivered())
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
-// The slab refactor's contract is behavioural transparency: a node whose
-// state lives in a shared struct-of-arrays slab must be indistinguishable
-// from one whose state is privately allocated (the pre-refactor layout,
-// still exercised by protocol.NewNode), and a host built by parallel
-// workers must be indistinguishable from one built sequentially. The tests
-// below check both on randomized schedules; the CI soak reruns them under
-// -race, which additionally validates the concurrent slab initialization.
+// The slab's contract is behavioural transparency: a node whose row shares a
+// struct-of-arrays slab with busy neighbours must be indistinguishable from
+// one that has a slab to itself, and a host built by parallel workers must be
+// indistinguishable from one built sequentially. The tests below check both
+// on randomized schedules; the CI soak reruns them under -race, which
+// additionally validates the concurrent slab initialization.
 
 // sentMsg is one recorded outgoing message.
 type sentMsg struct {
@@ -34,26 +33,39 @@ func (s *recordingSender) Send(from, to protocol.NodeID, p protocol.Payload) {
 	s.log = append(s.log, sentMsg{from, to, p.Kind, p.Word})
 }
 
-// flakySelector samples peers from the node's own RNG and fails one draw in
-// four, modelling the all-neighbours-offline outcome of churn. Both node
-// variants carry identical RNG streams, so the selectors make identical
-// draws.
+// from returns the messages node id sent, in order.
+func (s *recordingSender) from(id protocol.NodeID) []sentMsg {
+	var out []sentMsg
+	for _, m := range s.log {
+		if m.from == id {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// flakySelector samples peers from the node's own generator and fails one
+// draw in four, modelling the all-neighbours-offline outcome of churn. Both
+// node variants carry identical generators, so the selector makes identical
+// draws for them.
 type flakySelector struct{ n int }
 
-func (f flakySelector) SelectPeer(r protocol.Rand) (protocol.NodeID, bool) {
+func (f flakySelector) SelectPeerOf(_ int, r protocol.Rand) (protocol.NodeID, bool) {
 	if r.Intn(4) == 0 {
 		return protocol.NoNode, false
 	}
 	return protocol.NodeID(r.Intn(f.n)), true
 }
 
-// TestSlabNodeMatchesPerObjectNode drives a privately-allocated node
-// (protocol.NewNode — the pre-refactor per-object layout) and a slab-backed
-// node (protocol.Slab) through identical randomized schedules of ticks,
-// receives and direct responses, for every strategy family of the golden
-// configurations, and requires identical balances, stats and outgoing
-// traffic at every step.
+// TestSlabNodeMatchesPerObjectNode drives a node that has a one-row slab to
+// itself (the per-object build the protocol unit tests use) and the same node
+// as row 3 of a six-row slab, whose other rows tick and receive between its
+// steps, through identical randomized schedules of ticks, receives and direct
+// responses, for every strategy family of the golden configurations, and
+// requires identical balances, stats and outgoing traffic at every step: a
+// row's generator, account and application are its own.
 func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
+	const rows, row, id = 6, 3, protocol.NodeID(3)
 	strategies := map[string]core.Strategy{
 		"simple":      core.MustSimple(10),
 		"generalized": core.MustGeneralized(5, 10),
@@ -63,38 +75,47 @@ func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 	for name, strat := range strategies {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				newCfg := func(app protocol.Application, sender protocol.Sender, r protocol.Rand) protocol.Config {
-					return protocol.Config{
-						ID:          3,
-						Strategy:    strat,
-						Application: app,
-						Peers:       flakySelector{n: 50},
-						Sender:      sender,
-						RNG:         r,
-					}
-				}
+				peers := flakySelector{n: 50}
 				objSender, slabSender := &recordingSender{}, &recordingSender{}
-				objRNG, slabRNG := rng.New(seed), rng.New(seed)
-
-				obj, err := protocol.NewNode(newCfg(pushgossip.New(), objSender, objRNG))
+				objSlab, err := protocol.NewSlab(1, objSender, peers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				slab := protocol.NewSlab(1)
-				if err := slab.Init(0, newCfg(pushgossip.New(), slabSender, slabRNG)); err != nil {
+				cfg := protocol.Config{ID: id, Strategy: strat, Application: pushgossip.New()}
+				if err := objSlab.InitSeeded(0, cfg, seed); err != nil {
 					t.Fatal(err)
 				}
-				sn := slab.Node(0)
+				obj := objSlab.Node(0)
+				slab, err := protocol.NewSlab(rows, slabSender, peers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < rows; i++ {
+					cfg := protocol.Config{ID: protocol.NodeID(i), Strategy: strat, Application: pushgossip.New()}
+					// The neighbours get the same seed, so a shared
+					// generator would show up as a shifted stream.
+					if err := slab.InitSeeded(i, cfg, seed); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sn := slab.Node(row)
 
 				sched := rng.New(seed + 1000)
 				for step := 0; step < 400; step++ {
+					p := pushgossip.Update{Seq: int64(sched.Intn(40))}.Payload()
+					if other := sched.Intn(rows); other != row {
+						if sched.Intn(2) == 0 {
+							slab.Tick(other)
+						} else {
+							slab.Receive(other, id, p)
+						}
+					}
 					switch sched.Intn(3) {
 					case 0:
 						obj.Tick()
 						sn.Tick()
 					case 1:
 						from := protocol.NodeID(sched.Intn(50))
-						p := pushgossip.Update{Seq: int64(sched.Intn(40))}.Payload()
 						obj.Receive(from, p)
 						sn.Receive(from, p)
 					case 2:
@@ -110,12 +131,13 @@ func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 						t.Fatalf("step %d: stats %+v (per-object) vs %+v (slab)", step, obj.Stats(), sn.Stats())
 					}
 				}
-				if len(objSender.log) != len(slabSender.log) {
-					t.Fatalf("sent %d messages (per-object) vs %d (slab)", len(objSender.log), len(slabSender.log))
+				objLog, slabLog := objSender.log, slabSender.from(id)
+				if len(objLog) != len(slabLog) {
+					t.Fatalf("sent %d messages (per-object) vs %d (slab)", len(objLog), len(slabLog))
 				}
-				for i := range objSender.log {
-					if objSender.log[i] != slabSender.log[i] {
-						t.Fatalf("message %d differs: %+v (per-object) vs %+v (slab)", i, objSender.log[i], slabSender.log[i])
+				for i := range objLog {
+					if objLog[i] != slabLog[i] {
+						t.Fatalf("message %d differs: %+v (per-object) vs %+v (slab)", i, objLog[i], slabLog[i])
 					}
 				}
 			})
