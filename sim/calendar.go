@@ -27,22 +27,27 @@ import "slices"
 // RunUntil parks virtual time at a horizon before the next event) can never
 // be skipped.
 //
-// The structure is tuned for the simulator's event mix: fixed-Δ proactive
-// ticks and fixed-transfer-delay deliveries produce near-constant
-// inter-event gaps, so with width ≈ 3× the mean gap each bucket holds O(1)
-// events and both Push and Pop touch a handful of slots, with no sift paths
-// at all. Burst traffic (a reactive cascade delivering many messages at one
-// instant) piles one day's bucket high; insertion stays O(1) amortized
-// because same-time events carry increasing seq and append at the back, and
-// the head cursor makes draining the burst O(1) per pop. The bucket count
-// tracks the pending-event population (doubling above 2×, halving below ½×,
-// but never below calShrinkFloor) and the width is re-estimated from the
-// half of the queued events nearest the head at each resize. Slab slots and
+// The structure is tuned for what still reaches it once the engine's lanes
+// have taken every in-order event (ticks, fixed-delay deliveries, in-order
+// deposits): closures, deliveries under continuous delay models, and the
+// deposits a sharded barrier hands over out of order. Those arrive spread
+// over a bounded horizon, so with width ≈ 3× the mean gap each bucket holds
+// O(1) events and both Push and Pop touch a handful of slots, with no sift
+// paths at all. Burst traffic (a reactive cascade delivering many messages
+// at one instant) piles one day's bucket high; insertion stays O(1)
+// amortized because same-time events carry increasing seq and append at the
+// back, and the head cursor makes draining the burst O(1) per pop. The
+// bucket count tracks the pending-event population's high-water mark: it
+// doubles above 2×, and halves only once a full ring's worth of pops has
+// found the population below 1/8 (never below calShrinkFloor). The width is
+// re-estimated from the half of the queued events nearest the head at each
+// resize. A population that swings widely every cycle — the out-of-order
+// deposits a shard engine receives at each barrier and drains to zero
+// before the next — therefore resizes O(log peak) times in all, not twice
+// per cycle; a population that has really fallen still gets a smaller ring,
+// so a pop never scans a year of mostly empty days for long. Slab slots and
 // bucket arrays are recycled, so once the structure has grown to the
-// high-water mark of pending events the steady state allocates nothing —
-// including a small population that swings by more than 2× every round (the
-// in-flight messages of a run whose ticks live in hook lanes), which the
-// floor keeps from resizing at all.
+// high-water mark of pending events the steady state allocates nothing.
 type calendarQueue struct {
 	slab []event // event storage; indices below point into it
 	free []int32 // recycled slab slots
@@ -56,6 +61,9 @@ type calendarQueue struct {
 	cacheB   int   // bucket holding the minimum, when cacheOK
 	cacheOK  bool
 	scratch  []float64 // event times for width estimation, reused across resizes
+	// lowPops counts the pops in a row that left the population below 1/8
+	// of the ring; the ring halves when it reaches the ring size.
+	lowPops int
 }
 
 // calBucket holds one bucket's pending events as slab indices: idx[head:]
@@ -69,9 +77,7 @@ type calBucket struct {
 const (
 	minCalBuckets = 4
 	// calShrinkFloor is the ring size below which the queue never shrinks:
-	// below it a resize would save less than it costs in allocations, and a
-	// population of a few dozen events would grow and shrink the ring every
-	// round.
+	// below it a resize would save less than it costs in allocations.
 	calShrinkFloor = 64
 	// maxCalDay caps the day index so that extreme time/width ratios cannot
 	// overflow the int64 conversion. Events past the cap share one far-future
@@ -216,7 +222,9 @@ func (q *calendarQueue) Pop() event {
 	default:
 		q.cacheOK = false
 	}
-	if q.count < len(q.buckets)/2 && len(q.buckets) > calShrinkFloor {
+	if q.count >= len(q.buckets)/8 || len(q.buckets) <= calShrinkFloor {
+		q.lowPops = 0
+	} else if q.lowPops++; q.lowPops >= len(q.buckets) {
 		q.resize(len(q.buckets) / 2)
 	}
 	return ev
@@ -233,6 +241,7 @@ func (q *calendarQueue) Pop() event {
 // appends into a private array. Resizing happens O(log n) times on the way
 // to the high-water mark and then never again in steady state.
 func (q *calendarQueue) resize(n int) {
+	q.lowPops = 0
 	old := q.buckets
 	q.width = q.estimateWidth(old)
 	q.invWidth = 1 / q.width

@@ -10,9 +10,12 @@
 // Every queue implements the same strict (time, seq) total order, so the
 // choice never affects simulation results; the tests hold both to a
 // container/heap reference.
-// Hook events (ScheduleHookAt) that arrive in time order — periodic
-// re-arms, schedules built before the run — bypass the queue in per-sink
-// FIFO lanes merged under that same order.
+// Events that arrive in time order bypass the queue in FIFO lanes merged
+// under that same order: hook events (ScheduleHookAt) in one lane per sink —
+// periodic re-arms, schedules built before the run — and word-payload
+// deliveries in one lane per sink and fixed delay, so the paper's network,
+// where every message takes the same time, schedules no delivery through the
+// queue at all.
 package sim
 
 import (
@@ -68,17 +71,21 @@ type DeliverySink interface {
 // concurrent use: all events run on the goroutine that calls Run, RunUntil or
 // Step. The zero value is a valid engine backed by the default queue.
 //
-// Besides the queue, the engine keeps one hook lane per sink passed to
-// ScheduleHookAt: a (time, seq)-sorted FIFO ring that holds hook events
-// whose times arrive in order (periodic re-arms, a presorted schedule), so
-// only events that really need a priority queue pay for one. Every run
-// method pops the least of the queue head and the lane heads by (time, seq),
-// the same total order a single queue would produce. A sink with the
-// LookaheadSink capability is also told, in batches, which of its lane's
-// events come next.
+// Besides the queue, the engine keeps (time, seq)-sorted FIFO rings, lanes,
+// for events whose times arrive in order, so only events that really need a
+// priority queue pay for one. There is one hook lane per sink passed to
+// ScheduleHookAt (periodic re-arms, a presorted schedule) and up to
+// maxDeliveryLanes delivery lanes, each for one sink and one fixed delay of
+// ScheduleDelivery, or for the deposits of ScheduleDeliveryAt (see
+// ScheduleDelivery). Every run method pops the least of the queue head and
+// the lane heads by (time, seq), the same total order a single queue would
+// produce. A hook sink with the LookaheadSink capability is also told, in
+// batches, which of its lane's events come next.
 type Engine struct {
 	q         queue
 	lanes     []hookLane
+	dlanes    [maxDeliveryLanes]deliveryLane
+	ndl       int // delivery lanes in use: dlanes[:ndl]
 	now       float64
 	seq       uint64
 	processed uint64
@@ -93,6 +100,12 @@ type Engine struct {
 	ahead    []LookaheadSink
 	batch    [LookaheadBatch]int32
 	aheadSum uint64
+
+	// missSink and missKey are the sink and key of the last word delivery
+	// that found no lane; a second miss in a row with the same pair opens
+	// one.
+	missSink DeliverySink
+	missKey  float64
 }
 
 // NewEngine returns an engine with virtual time 0 and an empty event queue,
@@ -119,12 +132,15 @@ func (e *Engine) queue() queue {
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled, not-yet-executed events, hook
-// lanes included.
+// Pending returns the number of scheduled, not-yet-executed events, lanes
+// included.
 func (e *Engine) Pending() int {
 	n := e.queue().Len()
 	for i := range e.lanes {
 		n += e.lanes[i].n
+	}
+	for i := range e.dlanes[:e.ndl] {
+		n += e.dlanes[i].n
 	}
 	return n
 }
@@ -161,19 +177,50 @@ func (e *Engine) At(t float64, fn func()) {
 // ScheduleDelivery schedules a typed delivery event after the given delay of
 // virtual time: when the event comes due, sink.Deliver(d) runs with virtual
 // time advanced to the delivery time. It is the allocation-free counterpart
-// of Schedule for message traffic — the delivery is stored inline in the
-// event queue, so no closure is created. A non-positive or NaN delay is
-// treated as zero. It panics on a nil sink.
+// of Schedule for message traffic — the delivery is stored inline, so no
+// closure is created. A non-positive or NaN delay is treated as zero. It
+// panics on a nil sink.
+//
+// A word payload (Box nil) goes to the delivery lane of its sink and delay
+// when it is not earlier than that lane's tail, which a fixed delay always
+// guarantees; anything else goes to the queue. A (sink, delay) pair gets a
+// lane when two word deliveries in a row find no lane and share it, up to
+// maxDeliveryLanes lanes, so a continuous delay distribution never opens one.
 func (e *Engine) ScheduleDelivery(delay float64, d Delivery, sink DeliverySink) {
 	if sink == nil {
 		panic("sim: ScheduleDelivery with nil sink")
 	}
-	t := e.now
-	if delay > 0 && !math.IsNaN(delay) {
-		t += delay
+	if !(delay > 0) { // also NaN
+		delay = 0
 	}
+	t := e.now + delay
 	e.seq++
+	if d.Box == nil && e.toLane(delay, t, &d, sink) {
+		return
+	}
 	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: d})
+}
+
+// toLane puts the word delivery d, due at t and just numbered e.seq, into
+// the delivery lane of (sink, key), opening the lane on the second miss in a
+// row, and reports whether a lane took it.
+func (e *Engine) toLane(key, t float64, d *Delivery, sink DeliverySink) bool {
+	for i := range e.dlanes[:e.ndl] {
+		if l := &e.dlanes[i]; l.key == key && l.sink == sink {
+			return l.push(t, e.seq, d)
+		}
+	}
+	if key != e.missKey || sink != e.missSink {
+		e.missKey, e.missSink = key, sink
+		return false
+	}
+	if e.ndl == maxDeliveryLanes {
+		return false
+	}
+	l := &e.dlanes[e.ndl]
+	e.ndl++
+	l.sink, l.key = sink, key
+	return l.push(t, e.seq, d)
 }
 
 // Every schedules fn to run now+phase, now+phase+interval, ... until the
@@ -202,18 +249,19 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	q := e.queue()
-	l, _, ok := e.next(q)
+	l, dl, _, ok := e.next(q)
 	if ok {
-		e.step(q, l)
+		e.step(q, l, dl)
 	}
 	return ok
 }
 
-// next locates the earliest pending event: the lane whose head it is, or nil
-// for the queue's head, and its time; ok is false when nothing is pending.
-// The queue is passed in so the Run/RunUntil hot loops resolve the engine's
-// queue field once instead of re-running the lazy-init nil check per event.
-func (e *Engine) next(q queue) (l *hookLane, t float64, ok bool) {
+// next locates the earliest pending event: the hook lane or delivery lane
+// whose head it is, both nil for the queue's head, and its time; ok is false
+// when nothing is pending. The queue is passed in so the Run/RunUntil hot
+// loops resolve the engine's queue field once instead of re-running the
+// lazy-init nil check per event.
+func (e *Engine) next(q queue) (l *hookLane, dl *deliveryLane, t float64, ok bool) {
 	var seq uint64
 	if q.Len() > 0 {
 		h := q.peek()
@@ -228,12 +276,28 @@ func (e *Engine) next(q queue) (l *hookLane, t float64, ok bool) {
 			l, t, seq, ok = c, h.time, h.seq, true
 		}
 	}
-	return l, t, ok
+	for i := range e.dlanes[:e.ndl] {
+		c := &e.dlanes[i]
+		if c.n == 0 {
+			continue
+		}
+		if h := &c.buf[c.head]; !ok || h.time < t || (h.time == t && h.seq < seq) {
+			l, dl, t, seq, ok = nil, c, h.time, h.seq, true
+		}
+	}
+	return l, dl, t, ok
 }
 
-// step pops and executes the event next located: the head of lane l, or of
-// the queue when l is nil.
-func (e *Engine) step(q queue, l *hookLane) {
+// step pops and executes the event next located: the head of hook lane l,
+// of delivery lane dl, or of the queue when both are nil.
+func (e *Engine) step(q queue, l *hookLane, dl *deliveryLane) {
+	if dl != nil {
+		t, d := dl.pop()
+		e.now = t
+		e.processed++
+		dl.sink.Deliver(d)
+		return
+	}
 	if l != nil {
 		sink := l.sink // a new lane registered by the callback may move l
 		h := l.pop()
@@ -262,11 +326,11 @@ func (e *Engine) step(q queue, l *hookLane) {
 func (e *Engine) RunUntil(horizon float64) {
 	q := e.queue()
 	for !e.stopped {
-		l, t, ok := e.next(q)
+		l, dl, t, ok := e.next(q)
 		if !ok || t > horizon {
 			break
 		}
-		e.step(q, l)
+		e.step(q, l, dl)
 	}
 	if !e.stopped && horizon > e.now {
 		e.now = horizon
@@ -281,11 +345,11 @@ func (e *Engine) RunUntil(horizon float64) {
 func (e *Engine) RunBefore(limit float64) {
 	q := e.queue()
 	for !e.stopped {
-		l, t, ok := e.next(q)
+		l, dl, t, ok := e.next(q)
 		if !ok || t >= limit {
 			break
 		}
-		e.step(q, l)
+		e.step(q, l, dl)
 	}
 	if !e.stopped && limit > e.now {
 		e.now = limit
@@ -295,15 +359,17 @@ func (e *Engine) RunBefore(limit float64) {
 // NextTime returns the time of the earliest pending event, or false when
 // nothing is pending.
 func (e *Engine) NextTime() (float64, bool) {
-	_, t, ok := e.next(e.queue())
+	_, _, t, ok := e.next(e.queue())
 	return t, ok
 }
 
 // ScheduleDeliveryAt schedules a typed delivery event at the given absolute
 // virtual time (see ScheduleDelivery). Times in the past and NaN are clamped
 // to the current time. The sharded engine uses it to move cross-shard
-// deliveries between engines without re-deriving their relative delay. It
-// panics on a nil sink.
+// deliveries between engines without re-deriving their relative delay. Its
+// word payloads share one lane key per sink, depositKey, and ride that lane
+// under ScheduleDelivery's rules: a barrier's deposits from one source shard
+// arrive in time order. It panics on a nil sink.
 func (e *Engine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
 	if sink == nil {
 		panic("sim: ScheduleDeliveryAt with nil sink")
@@ -312,6 +378,9 @@ func (e *Engine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
 		t = e.now
 	}
 	e.seq++
+	if d.Box == nil && e.toLane(depositKey, t, &d, sink) {
+		return
+	}
 	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: d})
 }
 
@@ -380,11 +449,11 @@ func (e *Engine) lookahead(l *hookLane) {
 func (e *Engine) Run() {
 	q := e.queue()
 	for !e.stopped {
-		l, _, ok := e.next(q)
+		l, dl, _, ok := e.next(q)
 		if !ok {
 			break
 		}
-		e.step(q, l)
+		e.step(q, l, dl)
 	}
 }
 

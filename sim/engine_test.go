@@ -282,7 +282,7 @@ func TestScheduleDeliveryNilSinkPanics(t *testing.T) {
 
 // TestScheduleDeliveryAllocs guards the zero-allocation claim at the engine
 // level: scheduling and executing a word-encoded delivery allocates nothing
-// once the slab has grown.
+// once its delivery lane has grown.
 func TestScheduleDeliveryAllocs(t *testing.T) {
 	e := NewEngine()
 	sink := &recordingSink{e: e}
@@ -296,5 +296,8 @@ func TestScheduleDeliveryAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ScheduleDelivery+Step allocates %.1f, want 0", allocs)
+	}
+	if e.ndl != 1 {
+		t.Errorf("%d delivery lanes open, want the fixed delay's one", e.ndl)
 	}
 }

@@ -136,3 +136,62 @@ type LookaheadSink interface {
 	DeliverySink
 	Lookahead(to []int32) uint64
 }
+
+// maxDeliveryLanes caps an engine's delivery lanes. A run's deliveries fall
+// into a few fixed delays at most — one for the paper's network, two for
+// zones, plus the shared key of absolute-time deposits — and every lane
+// costs a compare on every event, so the cap is a constant, not a setting.
+const maxDeliveryLanes = 4
+
+// depositKey is the lane key of ScheduleDeliveryAt. Relative delays are
+// clamped to ≥ 0, so no ScheduleDelivery key can collide with it.
+const depositKey = -1.0
+
+// deliveryEntry is one pending word-payload delivery held in a delivery
+// lane: the (time, seq) key plus the Delivery fields other than Box.
+// 40 bytes, against the queue's 80-byte event.
+type deliveryEntry struct {
+	time     float64
+	seq      uint64
+	word     uint64
+	to, from int32
+	kind     uint32
+}
+
+// deliveryLane is the FIFO ring of one (sink, key) pair's deliveries (see
+// Engine.ScheduleDelivery). It only accepts an entry that is not earlier
+// than its tail, so buf, read from head, is always sorted by (time, seq):
+// seq grows with every scheduling call.
+type deliveryLane struct {
+	sink    DeliverySink
+	key     float64
+	buf     []deliveryEntry // ring; len(buf) is zero or a power of two
+	head, n int
+}
+
+// push appends d at time t and reports whether the lane took it.
+func (l *deliveryLane) push(t float64, seq uint64, d *Delivery) bool {
+	mask := len(l.buf) - 1
+	if l.n > 0 && t < l.buf[(l.head+l.n-1)&mask].time {
+		return false
+	}
+	if l.n == len(l.buf) {
+		buf := make([]deliveryEntry, max(16, 2*len(l.buf)))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+		mask = len(buf) - 1
+	}
+	l.buf[(l.head+l.n)&mask] = deliveryEntry{time: t, seq: seq, word: d.Word, to: d.To, from: d.From, kind: d.Kind}
+	l.n++
+	return true
+}
+
+// pop removes the front entry and returns it as a Delivery, with its time.
+// The lane must be non-empty.
+func (l *deliveryLane) pop() (float64, Delivery) {
+	h := &l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return h.time, Delivery{From: h.from, To: h.to, Kind: h.kind, Word: h.word}
+}

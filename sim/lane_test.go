@@ -23,7 +23,8 @@ type laneRecord struct {
 // deliveries and three kinds of hook events, logging every executed event
 // and every probe of the engine's accounting. hookAt is the scheduling path
 // under test: ScheduleHookAt for the lane engine, ScheduleDeliveryAt for the
-// reference, which keeps every event in the queue.
+// reference, whose delivery lanes are disabled so it keeps every event in
+// the queue.
 type laneWorld struct {
 	e      *Engine
 	hookAt func(t float64, to int32, word uint64, sink DeliverySink)
@@ -187,8 +188,8 @@ func (w *laneWorld) run() {
 
 // TestHookLanesMatchQueue is the differential test of the hook lanes: the
 // same randomized schedule run once with hooks in lanes and once with every
-// hook in the queue (ScheduleDeliveryAt) must execute the same events in the
-// same (time, seq) order and report the same NextTime/Pending/Processed at
+// hook in the queue (ScheduleDeliveryAt on an engine without delivery lanes)
+// must execute the same events in the same (time, seq) order and report the same NextTime/Pending/Processed at
 // every probe, on every queue kind and the reference. The schedule pushes hooks unordered
 // before the first pop, re-arms periodic hooks from their own callbacks,
 // pushes hooks behind their lane's tail after the first pop (the queue
@@ -212,7 +213,7 @@ func TestHookLanesMatchQueue(t *testing.T) {
 				}
 				lanes.run()
 
-				ref := &laneWorld{e: c.engine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+				ref := &laneWorld{e: noDeliveryLanes(c.engine()), r: rng.New(seed), seqOf: map[uint64]uint64{}}
 				ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
 					ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
 				}
@@ -428,6 +429,10 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 			}
 		}
 	} else {
+		noDeliveryLanes(se.coord)
+		for _, e := range se.engines {
+			noDeliveryLanes(e)
+		}
 		w.hookAt = func(s int, t float64, to int32, word uint64, sink DeliverySink) {
 			e := se.coord
 			if s >= 0 {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -343,12 +344,13 @@ func TestHoldModelSteadyStateAllocs(t *testing.T) {
 
 // TestCalendarQueueShrinkMatchesSlab exercises the calendar queue's shrink
 // path, which the self-scheduling simulation workloads never reach (their
-// pending population only grows to a high-water mark): repeated grow/drain
-// cycles force the bucket ring through its halving resizes — interleaved
-// with pushes, so redistribution happens on a live mix of old and new days —
-// while every Pop and interleaved peek is cross-checked against the slab
-// queue. The cycle count and drain ratio are chosen so the ring demonstrably
-// both grows well past the minimum and halves back down multiple times.
+// pending population only grows to a high-water mark): repeated cycles grow
+// the population, drain it, and then hold it small for long enough that the
+// bucket ring halves down to the floor — with pushes interleaved, so
+// redistribution happens on a live mix of old and new days — while every Pop
+// and interleaved peek is cross-checked against the slab queue. The cycle
+// count and phase lengths are chosen so the ring demonstrably both grows
+// well past the minimum and halves back down multiple times.
 func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 	cal := &calendarQueue{}
 	ref := newQueue(QueueSlab)
@@ -409,6 +411,16 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 			}
 			popCompare("drain")
 		}
+		// Hold the population small: a ring's worth of pops below 1/8
+		// occupancy halves the ring, so the ring walks down to the floor.
+		for i := 0; i < 8000; i++ {
+			push()
+			popCompare("hold")
+		}
+		if len(cal.buckets) != calShrinkFloor {
+			t.Fatalf("cycle %d: a held small population left %d buckets, want the shrink floor %d",
+				cycle, len(cal.buckets), calShrinkFloor)
+		}
 		// Advance the time base between cycles so regrowth lands in fresh
 		// calendar days and the width re-estimation sees new gaps.
 		base += 1000
@@ -427,6 +439,53 @@ func TestCalendarQueueShrinkMatchesSlab(t *testing.T) {
 	}
 	if len(cal.buckets) != calShrinkFloor {
 		t.Errorf("drained ring holds %d buckets, want the shrink floor %d", len(cal.buckets), calShrinkFloor)
+	}
+}
+
+// TestCalendarQueueSwingDoesNotResize is the guard against resize thrash: a
+// population that swings by far more than the grow/shrink ratio every cycle
+// — the out-of-order deposits of a shard engine, which arrive at a barrier
+// and drain before the next, down to zero or to an eighth — may resize the
+// ring only on its way to the peak, O(log peak) times over 1 000 cycles, and
+// after warm-up a whole cycle allocates nothing.
+func TestCalendarQueueSwingDoesNotResize(t *testing.T) {
+	const peak, cycles = 4096, 1000
+	for _, trough := range []int{0, peak / 8} {
+		t.Run(fmt.Sprintf("trough=%d", trough), func(t *testing.T) {
+			q := &calendarQueue{}
+			var seq uint64
+			next := 0.0
+			resizes, buckets := 0, 0
+			cycle := func() {
+				for q.Len() < peak {
+					seq++
+					next += 0.01
+					q.Push(event{time: next, seq: seq, sink: discardSink{}})
+					if len(q.buckets) != buckets {
+						resizes, buckets = resizes+1, len(q.buckets)
+					}
+				}
+				for q.Len() > trough {
+					q.Pop()
+					if len(q.buckets) != buckets {
+						resizes, buckets = resizes+1, len(q.buckets)
+					}
+				}
+			}
+			for i := 0; i < 20; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				t.Errorf("a swing cycle allocates %.1f after warm-up, want 0", allocs)
+			}
+			for i := 41; i < cycles; i++ {
+				cycle()
+			}
+			if max := bits.Len(peak); resizes > max {
+				t.Errorf("%d cycles swinging %d → %d resized the ring %d times, want at most %d (log₂ peak)",
+					cycles, peak, trough, resizes, max)
+			}
+		})
 	}
 }
 
