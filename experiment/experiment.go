@@ -96,6 +96,9 @@ type Config struct {
 	// AuditRateLimit records and verifies the §3.4 envelope on a small sample
 	// of nodes and fails the run on a violation.
 	AuditRateLimit bool
+	// AuditAllNodes widens AuditRateLimit's sample to every node, at one
+	// constant-size envelope per node.
+	AuditAllNodes bool
 }
 
 // WithDefaults returns a copy of the config with unset fields replaced by the
@@ -369,6 +372,9 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 		}
 		if audit > 50 {
 			audit = 50
+		}
+		if cfg.AuditAllNodes {
+			audit = cfg.N
 		}
 		for i := 0; i < audit && i < cfg.N; i++ {
 			hostCfg.AuditNodes = append(hostCfg.AuditNodes, i)

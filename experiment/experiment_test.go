@@ -255,6 +255,22 @@ func TestAuditRateLimitPasses(t *testing.T) {
 	}
 }
 
+// TestRateLimitHoldsUnderChurn audits every node of a churn run against
+// the §3.4 bound for the three bounded families. A node that finds no peer
+// online banks the round's token only up to C; banking past it let such a
+// node later spend C + 1 tokens in one burst, one send over the bound.
+func TestRateLimitHoldsUnderChurn(t *testing.T) {
+	for _, spec := range []StrategySpec{Simple(10), Generalized(5, 10), Randomized(5, 10)} {
+		cfg := quickConfig(PushGossip, spec)
+		cfg.Scenario = SmartphoneTrace
+		cfg.N, cfg.Rounds, cfg.Seed = 1000, 1000, 300
+		cfg.AuditRateLimit, cfg.AuditAllNodes = true, true
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+}
+
 func TestRepetitionsAreAveraged(t *testing.T) {
 	cfg := quickConfig(GossipLearning, Randomized(5, 10))
 	cfg.N = 60

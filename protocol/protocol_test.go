@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/core"
@@ -51,11 +52,17 @@ func (a *countingApp) UpdateState(from NodeID, payload Payload) bool {
 // with 42.
 func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers SharedPeerSelector) *Node {
 	t.Helper()
+	return newTestNodeWith(t, Config{ID: 1, Strategy: s, Application: app}, sender, peers)
+}
+
+// newTestNodeWith is newTestNode for a full node Config.
+func newTestNodeWith(t *testing.T, cfg Config, sender Sender, peers SharedPeerSelector) *Node {
+	t.Helper()
 	slab, err := NewSlab(1, sender, peers)
 	if err != nil {
 		t.Fatalf("NewSlab: %v", err)
 	}
-	if err := slab.InitSeeded(0, Config{ID: 1, Strategy: s, Application: app}, 42); err != nil {
+	if err := slab.InitSeeded(0, cfg, 42); err != nil {
 		t.Fatalf("InitSeeded: %v", err)
 	}
 	return slab.Node(0)
@@ -158,17 +165,88 @@ func TestUselessMessagesSpendNothingWhenScarce(t *testing.T) {
 	}
 }
 
+// TestNoPeerAvailableBanksToken: with no peer to send to, a node banks the
+// round's token instead of losing it, but never past its capacity C — a
+// fuller account could spend more than C tokens in one burst once peers
+// return, breaking the §3.4 bound. Every bounded family therefore stops at
+// C, an unbounded strategy keeps banking, and a node that starts above C
+// never banks.
 func TestNoPeerAvailableBanksToken(t *testing.T) {
-	sender := &collectingSender{}
-	n := newTestNode(t, core.PurelyProactive{}, &countingApp{}, sender, staticPeers{ok: false})
-	for i := 0; i < 5; i++ {
-		n.Tick()
+	const rounds = 30
+	for _, c := range []struct {
+		s       core.Strategy
+		initial int
+		want    int
+	}{
+		{core.PurelyProactive{}, 0, 0},
+		{core.MustSimple(10), 0, 10},
+		{core.MustGeneralized(5, 10), 0, 10},
+		{core.MustRandomized(5, 10), 0, 10},
+		{core.MustRandomized(5, 10), 13, 13},
+		{core.MustPureReactive(2, false), 0, rounds},
+	} {
+		t.Run(fmt.Sprintf("%s/a0=%d", c.s.Name(), c.initial), func(t *testing.T) {
+			sender := &collectingSender{}
+			n := newTestNodeWith(t, Config{ID: 1, Strategy: c.s, Application: &countingApp{}, InitialTokens: c.initial},
+				sender, staticPeers{ok: false})
+			limit := max(c.s.Capacity(), c.initial)
+			for i := 0; i < rounds; i++ {
+				n.Tick()
+				if capacity := c.s.Capacity(); capacity != core.UnboundedCapacity && n.Tokens() > limit {
+					t.Fatalf("round %d: balance %d above max(C, a0) = %d", i, n.Tokens(), limit)
+				}
+			}
+			if len(sender.msgs) != 0 {
+				t.Errorf("sent %d messages with no peers, want 0", len(sender.msgs))
+			}
+			if n.Tokens() != c.want {
+				t.Errorf("balance = %d after %d peerless rounds, want %d", n.Tokens(), rounds, c.want)
+			}
+			if got, want := n.Stats().TokensBanked, c.want-c.initial; got != want {
+				t.Errorf("TokensBanked = %d, want %d", got, want)
+			}
+		})
 	}
-	if len(sender.msgs) != 0 {
-		t.Errorf("sent %d messages with no peers, want 0", len(sender.msgs))
+}
+
+// budgetPeers answers the first ok draws with a peer and every later one
+// with none: peers that vanish partway through a reactive burst.
+type budgetPeers struct{ ok int }
+
+func (p *budgetPeers) SelectPeerOf(int, Rand) (NodeID, bool) {
+	if p.ok == 0 {
+		return NoNode, false
 	}
-	if n.Tokens() != 5 {
-		t.Errorf("balance = %d, want 5 (tokens banked when no peer available)", n.Tokens())
+	p.ok--
+	return 2, true
+}
+
+// TestReactiveRefundNeverExceedsSpend pins the refund in Slab.receive: when
+// peers vanish partway through a reactive burst, the node gets back exactly
+// the tokens it did not send, so its balance never rises above the balance
+// before the spend — the refund cannot mint tokens past C.
+func TestReactiveRefundNeverExceedsSpend(t *testing.T) {
+	for _, s := range []core.Strategy{
+		core.MustSimple(10), core.MustGeneralized(1, 10), core.MustGeneralized(5, 10),
+		core.MustRandomized(5, 10), core.MustPureReactive(3, false),
+	} {
+		for before := 0; before <= 12; before++ {
+			for ok := 0; ok <= 4; ok++ {
+				sender := &collectingSender{}
+				peers := &budgetPeers{ok: ok}
+				n := newTestNodeWith(t, Config{ID: 1, Strategy: s, Application: &countingApp{useful: true}, InitialTokens: before},
+					sender, peers)
+				n.Receive(4, Payload{})
+				sent := len(sender.msgs)
+				if after := n.Tokens(); after != before-sent || after > before {
+					t.Fatalf("%s, balance %d, %d peers answering: sent %d, balance after %d; want %d",
+						s.Name(), before, ok, sent, after, before-sent)
+				}
+				if st := n.Stats(); st.ReactiveSent != sent {
+					t.Fatalf("%s, balance %d, %d peers answering: ReactiveSent = %d after %d sends", s.Name(), before, ok, st.ReactiveSent, sent)
+				}
+			}
+		}
 	}
 }
 

@@ -125,7 +125,13 @@ func (s *Slab) tick(n *Node, st *NodeState) {
 		}
 		// No peer was available: the round's token would otherwise be lost
 		// to a message that cannot be sent, so bank it instead. This keeps
-		// the node's long-run budget intact under churn.
+		// the node's long-run budget intact under churn — but never past
+		// the capacity, or a node that saw no peer for a while could spend
+		// more than C tokens in one burst, breaking the §3.4 bound.
+		// Unbounded strategies keep banking.
+		if c := n.strategy.Capacity(); c != core.UnboundedCapacity && st.Account.Balance() >= c {
+			return
+		}
 	}
 	st.Account.Deposit(1)
 	st.Stats.TokensBanked++
