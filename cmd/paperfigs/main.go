@@ -13,7 +13,7 @@
 // Without -full the figures are reproduced at a reduced scale (smaller N,
 // fewer rounds, one repetition) so that the whole set completes in minutes on
 // a laptop; the qualitative shape — which strategy wins and by roughly what
-// factor — is preserved. See EXPERIMENTS.md for recorded results.
+// factor — is preserved. README.md lists the commands per figure.
 package main
 
 import (

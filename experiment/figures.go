@@ -11,8 +11,8 @@ import (
 
 // Options scales a figure reproduction. The paper's full-size settings
 // (N = 5000 or 500,000, 1000 rounds, 10 repetitions) take hours on a laptop,
-// so the defaults used by the benchmarks and EXPERIMENTS.md are smaller; pass
-// FullScale to reproduce the exact published setup.
+// so the defaults used by the benchmarks and README's commands are smaller;
+// pass FullScale to reproduce the exact published setup.
 type Options struct {
 	// N overrides the network size (0 = figure default).
 	N int

@@ -546,6 +546,3 @@ func (d *Daemon) Endpoint() *transport.TCPEndpoint { return d.ep }
 
 // NumPeers returns the current size of the membership table.
 func (d *Daemon) NumPeers() int { return d.peers.size() }
-
-// PeerIDs returns the current membership.
-func (d *Daemon) PeerIDs() []protocol.NodeID { return d.peers.list() }

@@ -47,15 +47,6 @@ func WithPeerQueueSize(n int) TCPOption {
 	}
 }
 
-// WithDialTimeout bounds a single dial attempt (default 2 s).
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(c *tcpConfig) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
 // WithBackoff sets the reconnect backoff window: after a failed dial the
 // peer's link fast-fails sends for a jittered, exponentially growing span
 // between min and max (defaults 50 ms and 1 s). A max below min is ignored,
