@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
@@ -19,25 +18,6 @@ func noDeliveryLanes(e *Engine) *Engine {
 	}
 	e.ndl = maxDeliveryLanes
 	return e
-}
-
-// TestLaneEntrySizes pins what a lane stores per event: 32 bytes for a hook
-// (To and Word), 40 for a delivery (From, To, Kind and Word), against the
-// queue's 80-byte event; and a delivery lane, held inline in the engine,
-// fills one 64-byte line.
-func TestLaneEntrySizes(t *testing.T) {
-	for _, c := range []struct {
-		name       string
-		size, want uintptr
-	}{
-		{"hookEntry", unsafe.Sizeof(hookEntry{}), 32},
-		{"deliveryEntry", unsafe.Sizeof(deliveryEntry{}), 40},
-		{"deliveryLane", unsafe.Sizeof(deliveryLane{}), 64},
-	} {
-		if c.size != c.want {
-			t.Errorf("%s is %d bytes, want %d", c.name, c.size, c.want)
-		}
-	}
 }
 
 // dlaneCase is one delivery pattern of the differential test. delay draws

@@ -84,7 +84,6 @@ type DeliverySink interface {
 type Engine struct {
 	q         queue
 	lanes     []hookLane
-	dlanes    [maxDeliveryLanes]deliveryLane
 	ndl       int // delivery lanes in use: dlanes[:ndl]
 	now       float64
 	seq       uint64
@@ -101,11 +100,11 @@ type Engine struct {
 	batch    [LookaheadBatch]int32
 	aheadSum uint64
 
-	// missSink and missKey are the sink and key of the last word delivery
-	// that found no lane; a second miss in a row with the same pair opens
-	// one.
-	missSink DeliverySink
-	missKey  float64
+	// missKey is the key of the last word delivery that found no lane (0
+	// before the first); a second miss in a row with the same key opens a
+	// lane.
+	missKey float64
+	dlanes  [maxDeliveryLanes]deliveryLane
 }
 
 // NewEngine returns an engine with virtual time 0 and an empty event queue,
@@ -183,9 +182,10 @@ func (e *Engine) At(t float64, fn func()) {
 //
 // A word payload (Box nil) goes to the delivery lane of its sink and delay
 // when it is not earlier than that lane's tail, which a fixed delay always
-// guarantees; anything else goes to the queue. A (sink, delay) pair gets a
-// lane when two word deliveries in a row find no lane and share it, up to
-// maxDeliveryLanes lanes, so a continuous delay distribution never opens one.
+// guarantees; anything else goes to the queue. A delay gets a lane (for the
+// sink at hand) when two word deliveries in a row find no lane and share it,
+// up to maxDeliveryLanes lanes, so a continuous delay distribution never
+// opens one.
 func (e *Engine) ScheduleDelivery(delay float64, d Delivery, sink DeliverySink) {
 	if sink == nil {
 		panic("sim: ScheduleDelivery with nil sink")
@@ -203,15 +203,15 @@ func (e *Engine) ScheduleDelivery(delay float64, d Delivery, sink DeliverySink) 
 
 // toLane puts the word delivery d, due at t and just numbered e.seq, into
 // the delivery lane of (sink, key), opening the lane on the second miss in a
-// row, and reports whether a lane took it.
+// row with key, and reports whether a lane took it.
 func (e *Engine) toLane(key, t float64, d *Delivery, sink DeliverySink) bool {
 	for i := range e.dlanes[:e.ndl] {
 		if l := &e.dlanes[i]; l.key == key && l.sink == sink {
 			return l.push(t, e.seq, d)
 		}
 	}
-	if key != e.missKey || sink != e.missSink {
-		e.missKey, e.missSink = key, sink
+	if key != e.missKey {
+		e.missKey = key
 		return false
 	}
 	if e.ndl == maxDeliveryLanes {

@@ -9,12 +9,25 @@ import (
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
-// TestHookLaneSize pins the lane to its 64-byte size class: the lanes of
-// different shard engines are separate small heap objects, so a lane grown
-// past 64 bytes would share a cache line with a neighbouring shard's lane.
+// TestHookLaneSize pins the hook lane to its 64-byte size class: the lanes
+// of different shard engines are separate small heap objects, so a lane
+// grown past 64 bytes would share a cache line with a neighbouring shard's
+// lane. It also pins what a lane stores per event — 32 bytes for a hook,
+// 40 for a delivery, against the queue's 80-byte event — and the delivery
+// lane, held inline in the engine, to one 64-byte line.
 func TestHookLaneSize(t *testing.T) {
-	if size := unsafe.Sizeof(hookLane{}); size != 64 {
-		t.Fatalf("hookLane is %d bytes, want 64", size)
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"hookLane", unsafe.Sizeof(hookLane{}), 64},
+		{"hookEntry", unsafe.Sizeof(hookEntry{}), 32},
+		{"deliveryEntry", unsafe.Sizeof(deliveryEntry{}), 40},
+		{"deliveryLane", unsafe.Sizeof(deliveryLane{}), 64},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.size, c.want)
+		}
 	}
 }
 

@@ -172,10 +172,10 @@ func (se *ShardedEngine) ShardScheduleHookAt(s int, t float64, to int32, word ui
 }
 
 // Send schedules the delivery d after the given delay, routed by the shards
-// of its endpoints: an intra-shard delivery goes straight into the owning
-// shard's queue (the same zero-allocation path as Engine.ScheduleDelivery),
-// a cross-shard one is parked in the (src, dst) outbox and deposited into
-// the destination queue at the next barrier. The delay is measured from the
+// of its endpoints: an intra-shard delivery goes straight to the owning
+// shard's engine (Engine.ScheduleDelivery, so a fixed delay rides a
+// delivery lane), a cross-shard one is parked in the (src, dst) outbox and
+// deposited into the destination engine at the next barrier. The delay is measured from the
 // source shard's local time — the shard's own goroutine during a window, the
 // common barrier time in coordinator context — and a negative or NaN delay
 // counts as zero. Cross-shard delays below the lookahead violate the
@@ -323,10 +323,13 @@ func (se *ShardedEngine) drainOutboxes() {
 }
 
 // drainInto deposits the deliveries parked for shard dst in the drained set
-// (the one Send is not filling) into dst's queue. Sources are taken in src
+// (the one Send is not filling) into dst's engine. Sources are taken in src
 // order and entries within one outbox are in source execution order, and dst
 // draws the sequence numbers from its own engine, so they — and with them
-// all tie-breaks — are deterministic whichever goroutine drains.
+// all tie-breaks — are deterministic whichever goroutine drains. Each
+// source's entries arrive in time order, so they ride dst's deposit lane
+// (see Engine.ScheduleDeliveryAt) as long as they are not earlier than its
+// tail; with two shards and one cross-shard delay that is every deposit.
 func (se *ShardedEngine) drainInto(dst int) {
 	s := len(se.engines)
 	e := se.engines[dst]
