@@ -51,7 +51,7 @@ func run(args []string, w io.Writer) (err error) {
 		reps         = fs.Int("reps", 1, "independent repetitions to average")
 		workers      = fs.Int("workers", 0, "repetitions simulated concurrently (0 = all cores)")
 		seed         = fs.Uint64("seed", 1, "random seed")
-		audit        = fs.Bool("audit", false, "verify the rate-limit envelope on sampled nodes")
+		audit        = fs.Bool("audit", false, "verify the rate-limit envelope on every node")
 		tokens       = fs.Bool("tokens", false, "also print the average token balance series")
 		summaryOnly  = fs.Bool("summary", false, "print only the summary line, not the series")
 		list         = fs.Bool("list", false, "list the registered drivers of all six experiment dimensions and exit")

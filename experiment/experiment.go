@@ -93,12 +93,9 @@ type Config struct {
 	// TrackTokens additionally records the average account balance over time
 	// (used by Figure 5).
 	TrackTokens bool
-	// AuditRateLimit records and verifies the §3.4 envelope on a small sample
-	// of nodes and fails the run on a violation.
+	// AuditRateLimit records and verifies the §3.4 envelope on every node
+	// and fails the run on a violation.
 	AuditRateLimit bool
-	// AuditAllNodes widens AuditRateLimit's sample to every node, at one
-	// constant-size envelope per node.
-	AuditAllNodes bool
 }
 
 // WithDefaults returns a copy of the config with unset fields replaced by the
@@ -366,18 +363,9 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 		Network:  network,
 	}
 	if cfg.AuditRateLimit {
-		audit := cfg.N / 100
-		if audit < 5 {
-			audit = 5
-		}
-		if audit > 50 {
-			audit = 50
-		}
-		if cfg.AuditAllNodes {
-			audit = cfg.N
-		}
-		for i := 0; i < audit && i < cfg.N; i++ {
-			hostCfg.AuditNodes = append(hostCfg.AuditNodes, i)
+		hostCfg.AuditNodes = make([]int, graph.N())
+		for i := range hostCfg.AuditNodes {
+			hostCfg.AuditNodes[i] = i
 		}
 	}
 	// Rejoin hooks can only fire under churn, so they are wired up only when

@@ -264,7 +264,7 @@ func TestRateLimitHoldsUnderChurn(t *testing.T) {
 		cfg := quickConfig(PushGossip, spec)
 		cfg.Scenario = SmartphoneTrace
 		cfg.N, cfg.Rounds, cfg.Seed = 1000, 1000, 300
-		cfg.AuditRateLimit, cfg.AuditAllNodes = true, true
+		cfg.AuditRateLimit = true
 		if _, err := Run(cfg); err != nil {
 			t.Errorf("%s: %v", spec, err)
 		}

@@ -139,8 +139,9 @@ type Host struct {
 	nodeBytes []int64
 
 	// envelopes is nil unless Config.AuditNodes requests rate-limit audits;
-	// each audited node costs one constant-size core.Envelope.
-	envelopes map[int]*core.Envelope
+	// then it is indexed by node, nil for a node not audited, and each
+	// audited node costs one constant-size core.Envelope.
+	envelopes []*core.Envelope
 
 	// skippedInjections counts update injections that found no online node.
 	// Injection drivers run in coordinator context (ScheduleArrivals chains
@@ -248,17 +249,20 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			}
 		}
 	}
+	var audited []core.Envelope
 	for _, i := range cfg.AuditNodes {
 		capacity := h.slab.Node(i).Strategy().Capacity()
 		if capacity == core.UnboundedCapacity {
 			continue // nothing to audit for unbounded strategies
 		}
 		if h.envelopes == nil {
-			h.envelopes = make(map[int]*core.Envelope)
+			h.envelopes = make([]*core.Envelope, n)
+			audited = make([]core.Envelope, 0, len(cfg.AuditNodes))
 		}
 		// A node that starts with a₀ > C tokens may spend them all at once:
 		// the bound is ⌈t/Δ⌉ + max(C, a₀).
-		h.envelopes[i] = core.NewEnvelope(cfg.Delta, max(capacity, cfg.InitialTokens))
+		audited = append(audited, *core.NewEnvelope(cfg.Delta, max(capacity, cfg.InitialTokens)))
+		h.envelopes[i] = &audited[len(audited)-1]
 	}
 	env.SetDeliver(h.deliver)
 	h.scheduleRounds()
@@ -634,8 +638,10 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	}
 	c.bytes += size
 	h.nodeBytes[from] += size
-	if env, ok := h.envelopes[int(from)]; ok {
-		env.Record(h.shardNow(s))
+	if h.envelopes != nil {
+		if env := h.envelopes[from]; env != nil {
+			env.Record(h.shardNow(s))
+		}
 	}
 	r, network := h.netRNGs[s], h.cfg.Network
 	if network.Drop(from, to, r) {
@@ -758,10 +764,14 @@ func (h *Host) SamplePeriodic(phase, interval float64, fn func(t float64)) {
 }
 
 // AuditViolations verifies the §3.4 rate bound for every audited node and
-// returns the violations found (nil if all audited nodes complied).
+// returns the violations found in node order (nil if all audited nodes
+// complied).
 func (h *Host) AuditViolations() []*core.Violation {
 	var out []*core.Violation
 	for _, env := range h.envelopes {
+		if env == nil {
+			continue
+		}
 		if v := env.Verify(); v != nil {
 			out = append(out, v)
 		}

@@ -118,8 +118,9 @@ func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 
 // SendDelayed implements runtime.Env: the payload is delivered after the
 // given delay of virtual time. The message travels as a typed delivery event
-// stored inline in the engine's queue — no closure is materialized and a
-// word-encoded payload is never boxed, so the steady-state message path
+// stored inline in the engine — in a delivery lane or in the queue, see
+// sim.Engine.ScheduleDelivery — so no closure is materialized and a
+// word-encoded payload is never boxed: the steady-state message path
 // allocates nothing. Negative and NaN delays are treated as zero by the
 // engine.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
