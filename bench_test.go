@@ -277,25 +277,21 @@ func BenchmarkMeanFieldODE(b *testing.B) {
 // steady state this path performs zero heap allocations (pinned by
 // simnet's TestSteadyStateMessagePathAllocs).
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			benchmarkThroughput(b, kind, 1000, 20)
-		})
-	}
+	b.ReportAllocs()
+	benchmarkThroughput(b, 1000, 20)
 }
 
 // benchmarkThroughput runs the steady-state throughput loop on n nodes after
 // warming up for the given number of rounds. Tracked end-to-end numbers come
 // from the repository benchmark (bench/run.sh), not from this loop.
-func benchmarkThroughput(b *testing.B, kind sim.QueueKind, n, warmupRounds int) {
+func benchmarkThroughput(b *testing.B, n, warmupRounds int) {
 	b.Helper()
 	const delta = 172.8
 	g, err := overlay.RandomKOut(n, 20, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1, Queue: kind})
+	env, err := simnet.NewEnv(simnet.EnvConfig{N: n, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,27 +433,22 @@ func BenchmarkSweepGridWorkers(b *testing.B) {
 }
 
 // BenchmarkSchedulerQueues is the scheduler micro-benchmark behind the
-// DESIGN.md queue choice: a classic hold-model workload (every executed event
-// schedules one successor at a random future offset) over a few thousand
-// pending events, comparing the default index-slab 4-ary heap and the
-// calendar queue. Neither boxes events into interfaces, so their steady
-// states allocate nothing.
+// DESIGN.md queue numbers: a classic hold-model workload (every executed
+// event schedules one successor at a random future offset) over a few
+// thousand pending events, all of them in the engine's heap. Its steady state
+// allocates nothing.
 func BenchmarkSchedulerQueues(b *testing.B) {
 	const pending = 4096
-	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			e := sim.NewEngineWithQueue(kind)
-			src := rand.New(rand.NewPCG(1, 1))
-			var hold func()
-			hold = func() { e.Schedule(src.Float64()*100, hold) }
-			for i := 0; i < pending; i++ {
-				e.Schedule(src.Float64()*100, hold)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	src := rand.New(rand.NewPCG(1, 1))
+	var hold func()
+	hold = func() { e.Schedule(src.Float64()*100, hold) }
+	for i := 0; i < pending; i++ {
+		e.Schedule(src.Float64()*100, hold)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

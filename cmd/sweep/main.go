@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
-	"github.com/szte-dcs/tokenaccount/sim"
 
 	// Registered scenarios beyond the paper built-ins.
 	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
@@ -77,7 +76,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if *shards != 0 {
-		// Like tokensim's -queue/-shards: only upgrade the plain sim runtime,
+		// Like tokensim's -shards: only upgrade the plain sim runtime,
 		// never override a spec that already carries its own parameters.
 		if !experiment.IsDefaultRuntime(rt) || strings.Contains(*runtimeName, ":") {
 			return fmt.Errorf("-shards applies to the plain sim runtime only (got -runtime %s)", *runtimeName)
@@ -85,7 +84,7 @@ func run(args []string, w io.Writer) error {
 		if *shards < 0 {
 			return fmt.Errorf("-shards = %d, want ≥ 1", *shards)
 		}
-		rt = experiment.SimRuntimeWithOptions(sim.QueueCalendar, *shards)
+		rt = experiment.SimRuntimeWithOptions(*shards)
 	}
 	var nets []experiment.NetworkDriver
 	for _, spec := range strings.Split(*networkList, ",") {

@@ -30,8 +30,7 @@ func runBlockcastSim(t *testing.T, extra ...string) string {
 }
 
 // TestBlockcastByteIdentity extends the golden matrix to the blockcast
-// application: output must be byte-identical under every event queue kind,
-// and -shards 1 must route through the exact sequential engine. The summary
+// application: -shards 1 must route through the exact sequential engine. The summary
 // surface (byte totals, commit latency quantiles, peak burst) is part of the
 // pinned output.
 func TestBlockcastByteIdentity(t *testing.T) {
@@ -45,11 +44,6 @@ func TestBlockcastByteIdentity(t *testing.T) {
 	} {
 		if !strings.Contains(base, want) {
 			t.Errorf("blockcast output missing %q:\n%s", want, base)
-		}
-	}
-	for _, queue := range []string{"slab", "calendar"} {
-		if got := runBlockcastSim(t, "-queue", queue); got != base {
-			t.Errorf("queue=%s diverged from the default queue", queue)
 		}
 	}
 	if got := runBlockcastSim(t, "-shards", "1"); got != base {

@@ -20,7 +20,6 @@ import (
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/internal/profiling"
 	"github.com/szte-dcs/tokenaccount/metrics"
-	"github.com/szte-dcs/tokenaccount/sim"
 
 	// Registered scenarios beyond the paper built-ins. Adding a workload is
 	// one blank import here plus a RegisterScenario call in its package — the
@@ -44,7 +43,6 @@ func run(args []string, w io.Writer) (err error) {
 		runtimeName  = fs.String("runtime", "sim", "execution runtime (live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
 		networkName  = fs.String("network", "constant", "network latency/loss model (with :params, e.g. exponential:1.728, zones:4:0.5:3, lossy:0.01:uniform:1:2): "+strings.Join(experiment.Networks(), ", "))
 		workloadName = fs.String("workload", "interval", "update-injection arrival process (with :params, e.g. poisson:0.5, flashcrowd:3600:20:600:poisson:0.5, replay:arrivals.stream): "+strings.Join(experiment.Workloads(), ", "))
-		queueName    = fs.String("queue", "", "event queue of the sim runtime: slab or calendar (defaults to the runtime's choice, calendar); all produce identical output")
 		shards       = fs.Int("shards", 0, "parallel worker shards of the sim runtime (1 = the sequential engine; >1 needs a network model with a positive minimum cross-shard delay, e.g. zones)")
 		n            = fs.Int("n", 1000, "number of nodes")
 		rounds       = fs.Int("rounds", 200, "number of proactive periods")
@@ -110,25 +108,17 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *queueName != "" || *shards != 0 {
+	if *shards != 0 {
 		// Reject both non-sim runtimes and runtime specs that already carry
-		// their own parameters (e.g. sim:slab, sim:shards=4), so -queue and
-		// -shards never silently override an explicit choice.
+		// their own parameters (e.g. sim:shards=4), so -shards never silently
+		// overrides an explicit choice.
 		if !experiment.IsDefaultRuntime(rt) || strings.Contains(*runtimeName, ":") {
-			return fmt.Errorf("-queue and -shards apply to the plain sim runtime only (got -runtime %s)", *runtimeName)
+			return fmt.Errorf("-shards applies to the plain sim runtime only (got -runtime %s)", *runtimeName)
 		}
 		if *shards < 0 {
 			return fmt.Errorf("-shards = %d, want ≥ 1", *shards)
 		}
-		kind := sim.QueueCalendar
-		if *queueName != "" {
-			var err error
-			kind, err = sim.ParseQueueKind(*queueName)
-			if err != nil {
-				return err
-			}
-		}
-		rt = experiment.SimRuntimeWithOptions(kind, *shards)
+		rt = experiment.SimRuntimeWithOptions(*shards)
 	}
 	cfg := experiment.Config{
 		App:            app,

@@ -10,10 +10,9 @@ import (
 // TestGoldenMatrixByteIdentity pins the simulator's output bit-for-bit: each
 // golden file under testdata/golden was produced by the pre-typed-event
 // implementation (closure deliveries, boxed `any` payloads, slab queue
-// only), and every app × strategy × scenario cell must reproduce it exactly
-// under every event queue implementation. This is the end-to-end guarantee
-// that the zero-allocation message path and the calendar queue are pure
-// optimizations.
+// only), and every app × strategy × scenario cell must reproduce it exactly.
+// This is the end-to-end guarantee that the zero-allocation message path,
+// the lanes and the inline-key heap are pure optimizations.
 func TestGoldenMatrixByteIdentity(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.tsv"))
 	if err != nil || len(files) == 0 {
@@ -33,67 +32,63 @@ func TestGoldenMatrixByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, queue := range []string{"slab", "calendar"} {
-			t.Run(name+"/"+queue, func(t *testing.T) {
-				var out strings.Builder
-				err := run([]string{
-					"-app", app,
-					"-strategy", strategy,
-					"-scenario", scenario,
-					"-queue", queue,
-					"-n", "60",
-					"-rounds", "20",
-					"-reps", "2",
-					"-seed", "7",
-					"-tokens",
-				}, &out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != string(want) {
-					t.Errorf("output diverged from golden file %s (queue=%s)", file, queue)
-				}
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			var out strings.Builder
+			err := run([]string{
+				"-app", app,
+				"-strategy", strategy,
+				"-scenario", scenario,
+				"-n", "60",
+				"-rounds", "20",
+				"-reps", "2",
+				"-seed", "7",
+				"-tokens",
+			}, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("output diverged from golden file %s", file)
+			}
+		})
 	}
 }
 
 // goldenNetworkCases maps each golden file under testdata/golden-network to
-// the tokensim arguments that produce it. The configs cover the non-constant
-// latency families (variable gaps, zoned WAN delays, composed loss), so the
-// calendar queue's behaviour under non-constant inter-event gaps is pinned
-// end to end.
+// the tokensim arguments that produce it; they follow the shared size, seed
+// and -tokens arguments, so a case may override those. The configs cover the
+// non-constant latency families (variable gaps, zoned WAN delays, composed
+// loss), so the event queue's behaviour under non-constant inter-event gaps
+// is pinned end to end. push_simple-10_smartphone-trace runs long enough
+// (150 rounds: into the trace's night) for full-balance nodes to find no
+// online neighbour, the branch of the §3.4 deposit cap; without the cap its
+// last 30 rows change.
 var goldenNetworkCases = map[string][]string{
-	"gossip_exponential": {"-app", "gossip-learning", "-strategy", "randomized:5:10", "-network", "exponential:1.728"},
-	"push_zones":         {"-app", "push-gossip", "-strategy", "generalized:1:10", "-network", "zones:4:0.5:3"},
-	"gossip_lossy":       {"-app", "gossip-learning", "-strategy", "randomized:5:10", "-network", "lossy:0.1:uniform:0.5:3"},
+	"gossip_exponential":              {"-app", "gossip-learning", "-strategy", "randomized:5:10", "-network", "exponential:1.728"},
+	"push_zones":                      {"-app", "push-gossip", "-strategy", "generalized:1:10", "-network", "zones:4:0.5:3"},
+	"gossip_lossy":                    {"-app", "gossip-learning", "-strategy", "randomized:5:10", "-network", "lossy:0.1:uniform:0.5:3"},
+	"push_simple-10_smartphone-trace": {"-app", "push-gossip", "-strategy", "simple:10", "-scenario", "smartphone-trace", "-rounds", "150"},
 }
 
 // TestGoldenNetworkModelsByteIdentity extends the golden matrix to
-// heterogeneous network models: each case must reproduce its golden file
-// byte-for-byte under every event queue implementation, which simultaneously
-// pins determinism across repeated runs and queue equivalence on
-// variable-gap event streams (where the calendar queue's width estimation
-// actually matters).
+// heterogeneous network models and churn: each case must reproduce its
+// golden file byte-for-byte.
 func TestGoldenNetworkModelsByteIdentity(t *testing.T) {
 	for name, args := range goldenNetworkCases {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden-network", name+".tsv"))
 		if err != nil {
 			t.Fatalf("missing golden file for %s: %v (regenerate with the args in goldenNetworkCases)", name, err)
 		}
-		for _, queue := range []string{"slab", "calendar"} {
-			t.Run(name+"/"+queue, func(t *testing.T) {
-				var out strings.Builder
-				full := append(append([]string{}, args...),
-					"-queue", queue, "-n", "60", "-rounds", "20", "-reps", "2", "-seed", "7", "-tokens")
-				if err := run(full, &out); err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != string(want) {
-					t.Errorf("output diverged from golden-network file %s (queue=%s)", name, queue)
-				}
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			var out strings.Builder
+			full := append([]string{"-n", "60", "-rounds", "20", "-reps", "2", "-seed", "7", "-tokens"}, args...)
+			if err := run(full, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("output diverged from golden-network file %s", name)
+			}
+		})
 	}
 }
 
@@ -193,10 +188,9 @@ func TestRunErrors(t *testing.T) {
 		{"-network", "exponential:0"},
 		{"-network", "zones:4:1"},
 		{"-network", "lossy:1.5:constant"},
-		{"-queue", "bogus"},
-		{"-queue", "calendar", "-runtime", "live:0.001"},
-		{"-queue", "calendar", "-runtime", "sim:slab"}, // conflicting explicit choices
-		{"-queue", "heap"},                             // container/heap is a test reference, not a queue kind
+		{"-queue", "slab"}, // the one queue has no flag
+		{"-queue", "calendar"},
+		{"-runtime", "sim:calendar"},
 		{"-runtime", "sim:heap"},
 		{"-runtime", "sim:bogus"},
 		{"-app", "chaotic-iteration", "-scenario", "smartphone-trace", "-n", "50", "-rounds", "5"},

@@ -43,7 +43,7 @@ func runWorkloadSim(t *testing.T, spec string, extra ...string) string {
 
 // TestWorkloadMatrixByteIdentity is the workload golden matrix: every
 // built-in generator family must be run-to-run byte-identical on the
-// sequential engine, under every event queue kind, and -shards 1 must route
+// sequential engine, and -shards 1 must route
 // through the exact sequential engine — the same guarantees the app × strategy
 // × scenario golden matrix pins for the default workload.
 func TestWorkloadMatrixByteIdentity(t *testing.T) {
@@ -55,11 +55,6 @@ func TestWorkloadMatrixByteIdentity(t *testing.T) {
 			}
 			if !strings.Contains(base, "# injections skipped") {
 				t.Error("non-default workload output missing the skipped-injections line")
-			}
-			for _, queue := range []string{"slab", "calendar"} {
-				if got := runWorkloadSim(t, spec, "-queue", queue); got != base {
-					t.Errorf("queue=%s diverged from the default queue under workload %s", queue, spec)
-				}
 			}
 			if got := runWorkloadSim(t, spec, "-shards", "1"); got != base {
 				t.Errorf("-shards 1 diverged from the sequential engine under workload %s", spec)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/metrics"
 	"github.com/szte-dcs/tokenaccount/netmodel"
-	"github.com/szte-dcs/tokenaccount/sim"
 )
 
 // networkTestConfig is a small, fast experiment used by the network-model
@@ -131,11 +130,10 @@ func TestDefaultNetworkByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNetworkModelsDeterministicAcrossQueues runs every non-constant model
-// family under all three event queue implementations and twice per queue:
-// results must be bit-identical across queues and repetitions, extending the
-// queue-equivalence guarantee to variable-gap event streams.
-func TestNetworkModelsDeterministicAcrossQueues(t *testing.T) {
+// TestNetworkModelsDeterministic runs every non-constant model family twice:
+// the results must be bit-identical, extending the determinism guarantee to
+// variable-gap event streams.
+func TestNetworkModelsDeterministic(t *testing.T) {
 	specs := []string{
 		"uniform:0.5:3",
 		"exponential:1.728",
@@ -145,27 +143,16 @@ func TestNetworkModelsDeterministicAcrossQueues(t *testing.T) {
 	}
 	for _, spec := range specs {
 		t.Run(strings.ReplaceAll(spec, ":", "_"), func(t *testing.T) {
-			var ref *Result
-			for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
-				cfg := networkTestConfig(t)
-				var err error
-				cfg.Network, err = ParseNetwork(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Runtime = SimRuntimeWithQueue(kind)
-				res := runNetwork(t, cfg)
-				again := runNetwork(t, cfg)
-				if res.MessagesSent != again.MessagesSent || !seriesEqual(res.Metric, again.Metric) {
-					t.Fatalf("queue %s: repeated run diverged", kind)
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				if res.MessagesSent != ref.MessagesSent || !seriesEqual(res.Metric, ref.Metric) {
-					t.Fatalf("queue %s diverged from the reference queue", kind)
-				}
+			cfg := networkTestConfig(t)
+			var err error
+			cfg.Network, err = ParseNetwork(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runNetwork(t, cfg)
+			again := runNetwork(t, cfg)
+			if res.MessagesSent != again.MessagesSent || !seriesEqual(res.Metric, again.Metric) {
+				t.Fatal("repeated run diverged")
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 func TestParseRuntime(t *testing.T) {
-	for _, spec := range []string{"sim", "simnet", "virtual"} {
+	for _, spec := range []string{"sim", "simnet", "virtual", "sim:slab"} {
 		d, err := experiment.ParseRuntime(spec)
 		if err != nil {
 			t.Fatalf("ParseRuntime(%q): %v", spec, err)
@@ -35,7 +35,7 @@ func TestParseRuntime(t *testing.T) {
 	if experiment.DriverLabel(d) != "live(x0.001)" {
 		t.Errorf("parameterized live runtime renders as %q", experiment.DriverLabel(d))
 	}
-	for _, bad := range []string{"nope", "sim:1", "live:0", "live:-2", "live:abc", "live:1:2", "live:Inf", "live:NaN"} {
+	for _, bad := range []string{"nope", "sim:1", "sim:calendar", "sim:heap", "sim:slab:slab", "live:0", "live:-2", "live:abc", "live:1:2", "live:Inf", "live:NaN"} {
 		if _, err := experiment.ParseRuntime(bad); err == nil {
 			t.Errorf("ParseRuntime(%q) accepted", bad)
 		}

@@ -9,7 +9,6 @@ import (
 	"github.com/szte-dcs/tokenaccount/live"
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/runtime"
-	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
@@ -19,12 +18,10 @@ import (
 var (
 	// SimRuntime executes repetitions on the discrete-event engine in
 	// virtual time — the paper's evaluation setup, deterministic and as fast
-	// as the hardware allows. It runs on the calendar event queue, which is
-	// the fastest kind for the experiment workloads' event mix (fixed-Δ
-	// ticks and fixed-delay deliveries); every queue kind produces
-	// bit-identical output, so this is purely a speed choice —
-	// SimRuntimeWithQueue (or the "sim:slab" spec) selects another kind.
-	SimRuntime RuntimeDriver = simRuntime{queue: sim.QueueCalendar}
+	// as the hardware allows. It runs the sequential engine;
+	// SimRuntimeWithOptions (or the "sim:shards=N" spec) selects the sharded
+	// one.
+	SimRuntime RuntimeDriver = simRuntime{}
 	// LiveRuntime executes repetitions in real time: wall-clock timers, one
 	// transport endpoint per node over the in-process memory bus, and the
 	// default time compression of DefaultLiveTimeScale. It turns the same
@@ -67,8 +64,9 @@ func init() {
 	MustRegisterRuntime("live-tcp", liveRuntimeFactory("live-tcp"), "tcp")
 }
 
-// simRuntimeFactory parses "sim[:queue][:shards=N]" specs such as
-// "sim:calendar", "sim:shards=4" or "sim:slab:shards=2".
+// simRuntimeFactory parses "sim[:shards=N]" specs such as "sim:shards=4". The
+// parameter "slab", the name of the engine's one event queue, is accepted and
+// changes nothing; any other queue name is an error.
 func simRuntimeFactory(args []string) (RuntimeDriver, error) {
 	r := SimRuntime.(simRuntime)
 	sawQueue := false
@@ -84,66 +82,45 @@ func simRuntimeFactory(args []string) (RuntimeDriver, error) {
 			r.shards = shards
 			continue
 		}
-		if sawQueue {
-			return nil, fmt.Errorf("experiment: unexpected parameter %q (want sim[:queue][:shards=N])", arg)
+		if q := strings.ToLower(strings.TrimSpace(arg)); sawQueue || (q != "" && q != "slab") {
+			return nil, fmt.Errorf("experiment: unexpected parameter %q (want sim[:shards=N])", arg)
 		}
-		kind, err := sim.ParseQueueKind(arg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		r.queue = kind
 		sawQueue = true
 	}
 	return r, nil
 }
 
-// SimRuntimeWithQueue returns the discrete-event runtime backed by the given
-// event queue implementation. Every queue kind produces bit-identical
-// simulation output (see sim.QueueKind); the choice only affects speed and
-// allocation behaviour. The spec form "sim:calendar" parses to the same
-// driver.
-func SimRuntimeWithQueue(kind sim.QueueKind) RuntimeDriver { return simRuntime{queue: kind} }
-
-// SimRuntimeWithOptions returns the discrete-event runtime backed by the
-// given event queue and shard count. Shards ≤ 1 selects the sequential
+// SimRuntimeWithOptions returns the discrete-event runtime with the given
+// shard count. Shards ≤ 1 selects the sequential
 // engine; shards > 1 partitions every repetition's node space across that
 // many parallel worker shards under the conservative time-window protocol
 // (see sim.ShardedEngine). The sharded runtime requires a network model with
 // a positive minimum cross-shard delay — NewEnv rejects configurations
 // without one (see netmodel.PlanShards). The spec form "sim:shards=4" parses
 // to the same driver.
-func SimRuntimeWithOptions(kind sim.QueueKind, shards int) RuntimeDriver {
-	return simRuntime{queue: kind, shards: shards}
-}
+func SimRuntimeWithOptions(shards int) RuntimeDriver { return simRuntime{shards: shards} }
 
-// simRuntime is the discrete-event RuntimeDriver. The zero value uses the
-// engine's default event queue; SimRuntime overrides it with the calendar
-// queue. shards ≤ 1 (the default) runs the sequential engine.
+// simRuntime is the discrete-event RuntimeDriver. shards ≤ 1 (the zero
+// value, SimRuntime) runs the sequential engine.
 type simRuntime struct {
-	queue  sim.QueueKind
 	shards int
 }
 
 func (simRuntime) Name() string { return "sim" }
 
-// String renders non-default instances with their queue kind and shard count
-// for debugging and experiment labels; sharded instances must stay
-// distinguishable because their event interleaving differs from the
-// sequential engine's (see IsDefaultRuntime).
+// String renders sharded instances with their shard count for debugging and
+// experiment labels: their event interleaving differs from the sequential
+// engine's, so they must stay distinguishable (see IsDefaultRuntime).
 func (d simRuntime) String() string {
-	switch {
-	case RuntimeDriver(d) == SimRuntime:
-		return d.Name()
-	case d.shards > 1:
-		return fmt.Sprintf("sim(queue=%s,shards=%d)", d.queue, d.shards)
-	default:
-		return fmt.Sprintf("sim(queue=%s)", d.queue)
+	if d.shards > 1 {
+		return fmt.Sprintf("sim(shards=%d)", d.shards)
 	}
+	return d.Name()
 }
 
 func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	if d.shards <= 1 {
-		return simnet.NewEnv(simnet.EnvConfig{N: cfg.N, Seed: seed, Queue: d.queue})
+		return simnet.NewEnv(simnet.EnvConfig{N: cfg.N, Seed: seed})
 	}
 	model, err := networkModel(cfg)
 	if err != nil {
@@ -156,7 +133,6 @@ func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	return simnet.NewShardedEnv(simnet.ShardedEnvConfig{
 		N:         cfg.N,
 		Seed:      seed,
-		Queue:     d.queue,
 		Shards:    d.shards,
 		ShardOf:   shardOf,
 		Lookahead: lookahead,

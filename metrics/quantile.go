@@ -20,7 +20,7 @@ const DefaultQuantileCap = 4096
 // construction — so for a fixed insertion order the state, and therefore
 // every query, is a pure function of the inputs. Determinism is the design
 // constraint here: experiment repetitions must stay byte-identical across
-// queue kinds, shard counts and reruns, which rules out rand.Rand (global,
+// shard counts and reruns, which rules out rand.Rand (global,
 // order-fragile) and sampling sketches with platform-dependent behaviour.
 //
 // The zero value is not ready for use; construct with NewQuantile. A Quantile

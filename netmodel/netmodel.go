@@ -98,10 +98,9 @@ func (Uniform) Drop(_, _ protocol.NodeID, _ protocol.Rand) bool { return false }
 func (u Uniform) String() string { return fmt.Sprintf("uniform:%g:%g", u.Lo, u.Hi) }
 
 // Exponential samples the delay from an exponential distribution with the
-// given mean — the classic memoryless link, and the heaviest practical
-// stress for the calendar queue's width estimation because inter-delivery
-// gaps lose the near-constant structure the paper's setup produces. One
-// uniform draw per message.
+// given mean — the classic memoryless link: inter-delivery gaps lose the
+// near-constant structure the paper's setup produces, so every delivery goes
+// through the engine's heap rather than a lane. One uniform draw per message.
 type Exponential struct {
 	Mean float64
 }

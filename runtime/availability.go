@@ -39,6 +39,16 @@ func (a *Availability) Online(i int) bool {
 	return uint(i) < uint(a.n) && a.words[uint(i)/64]&(1<<(uint(i)%64)) != 0
 }
 
+// bit returns 1 if node i is online and 0 otherwise, a number to add rather
+// than a bit to branch on: a scan over random neighbours mispredicts a branch
+// on their online bits about every other neighbour. Out-of-range ids read 0.
+func (a *Availability) bit(i int32) int {
+	if uint(i) >= uint(a.n) {
+		return 0
+	}
+	return int(a.words[uint(i)/64] >> (uint(i) % 64) & 1)
+}
+
 // Set marks node i online or offline. Setting a node to the state it is
 // already in changes nothing; out-of-range ids are ignored.
 func (a *Availability) Set(i int, online bool) {

@@ -134,6 +134,99 @@ func TestSelectOnlineNeighborMatchesTwoPassReference(t *testing.T) {
 	}
 }
 
+// countingRand wraps a generator and records every Intn bound and the
+// number of Float64 calls, so a test can pin how a sampler draws.
+type countingRand struct {
+	src    *rng.Source
+	bounds []int
+	floats int
+}
+
+func (c *countingRand) Intn(n int) int {
+	c.bounds = append(c.bounds, n)
+	return c.src.Intn(n)
+}
+
+func (c *countingRand) Float64() float64 {
+	c.floats++
+	return c.src.Float64()
+}
+
+// TestSelectOnlineNeighborDrawsLikeNaiveReference is the property test of
+// the branch-free draw: over random graphs with out-degrees 0–40 and random
+// online sets — everyone, nobody, a random share, one survivor, and a set
+// shorter than the graph, whose last ids read offline — every node's draw
+// returns the reference's peer from one Intn whose bound is the number of
+// online neighbours, and draws nothing when that number is zero.
+func TestSelectOnlineNeighborDrawsLikeNaiveReference(t *testing.T) {
+	const n = 120
+	src := rng.New(11)
+	perm := make([]int, n)
+	for trial := 0; trial < 60; trial++ {
+		out := make([][]int, n)
+		for i := range out {
+			for j := range perm {
+				perm[j] = j
+			}
+			for j := n - 1; j > 0; j-- {
+				r := src.Intn(j + 1)
+				perm[j], perm[r] = perm[r], perm[j]
+			}
+			degree := src.Intn(41)
+			for _, v := range perm {
+				if len(out[i]) == degree {
+					break
+				}
+				if v != i {
+					out[i] = append(out[i], v)
+				}
+			}
+		}
+		g, err := overlay.NewFromOut(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, pOnline := range []float64{1, 0, 0.5, 0.1, 0.9, -1, 2} {
+			slots := n
+			if pOnline == 2 {
+				slots, pOnline = n-7, 0.5
+			}
+			avail := NewAvailability(slots)
+			h := &Host{cfg: Config{Graph: g}, avail: &avail}
+			online := make([]bool, n)
+			survivor := src.Intn(n)
+			for i := range online {
+				online[i] = i < slots && (src.Float64() < pOnline || (pOnline < 0 && i == survivor))
+				avail.Set(i, online[i])
+			}
+			got := &countingRand{src: rng.New(uint64(trial))}
+			want := rng.New(uint64(trial))
+			for i := 0; i < n; i++ {
+				count := 0
+				for _, v := range g.OutNeighbors(i) {
+					if online[v] {
+						count++
+					}
+				}
+				got.bounds = got.bounds[:0]
+				gp, gok := h.selectOnlineNeighbor(i, got)
+				wp, wok := referenceSelect(g.OutNeighbors(i), online, want)
+				if gp != wp || gok != wok {
+					t.Fatalf("trial %d mode %d node %d: got (%d, %v), reference (%d, %v)", trial, mode, i, gp, gok, wp, wok)
+				}
+				switch {
+				case got.floats != 0:
+					t.Fatalf("trial %d mode %d node %d: %d Float64 draws, want none", trial, mode, i, got.floats)
+				case count == 0 && len(got.bounds) != 0:
+					t.Fatalf("trial %d mode %d node %d: no online neighbour, but drew Intn%v", trial, mode, i, got.bounds)
+				case count > 0 && (len(got.bounds) != 1 || got.bounds[0] != count):
+					t.Fatalf("trial %d mode %d node %d: drew Intn%v, want one Intn(%d)", trial, mode, i, got.bounds, count)
+				}
+			}
+		}
+	}
+}
+
 // TestOverlaySelectsOnlyNeighbors checks the Host's overlay sampler — the
 // slab's peer selector whenever Config.Peers is nil — on an all-online
 // network: every draw is an out-neighbour, and the neighbours are hit

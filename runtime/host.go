@@ -435,8 +435,10 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 // online. With nobody offline that is one draw over the whole list; otherwise
 // a two-pass scan of the online set (count, draw, select) makes the same
 // single Intn call with the same bound, so peer choices are bit-identical
-// either way. Double-scanning is safe: the set cannot change within one call
-// (callbacks are serialized; in sharded runs flips happen only at barriers).
+// either way. Both passes add online bits instead of branching on them; the
+// select pass stops at the online neighbour that takes j below zero.
+// Double-scanning is safe: the set cannot change within one call (callbacks
+// are serialized; in sharded runs flips happen only at barriers).
 func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bool) {
 	nbrs := h.cfg.Graph.OutNeighbors(i)
 	if h.avail.AllOnline() {
@@ -447,22 +449,16 @@ func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bo
 	}
 	online := 0
 	for _, v := range nbrs {
-		if h.Online(int(v)) {
-			online++
-		}
+		online += h.avail.bit(v)
 	}
 	if online == 0 {
 		return protocol.NoNode, false
 	}
 	j := r.Intn(online)
 	for _, v := range nbrs {
-		if !h.Online(int(v)) {
-			continue
-		}
-		if j == 0 {
+		if j -= h.avail.bit(v); j < 0 {
 			return protocol.NodeID(v), true
 		}
-		j--
 	}
 	return protocol.NoNode, false // unreachable: the set cannot change mid-call
 }

@@ -192,45 +192,42 @@ func (w *dlaneWorld) run() {
 }
 
 // TestDeliveryLanesMatchHeap is the differential test of the delivery
-// lanes: each delivery pattern, run on every queue kind with lanes, must
-// execute the same events in the same order and report the same
-// NextTime/Pending/Processed at every probe as a container/heap engine that
-// keeps every event in its queue.
+// lanes: each delivery pattern, run with lanes, must execute the same events
+// in the same order and report the same NextTime/Pending/Processed at every
+// probe as an engine that keeps every delivery in its heap.
 func TestDeliveryLanesMatchHeap(t *testing.T) {
 	for _, c := range dlaneCases {
-		for _, qc := range queueCases() {
-			t.Run(c.name+"/"+qc.name, func(t *testing.T) {
-				for seed := uint64(1); seed <= 3; seed++ {
-					got := &dlaneWorld{c: c, e: qc.engine(), r: rng.New(seed)}
-					got.run()
-					want := &dlaneWorld{c: c, e: noDeliveryLanes(&Engine{q: &heapQueue{}}), ref: true, r: rng.New(seed)}
-					want.run()
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				got := &dlaneWorld{c: c, e: NewEngine(), r: rng.New(seed)}
+				got.run()
+				want := &dlaneWorld{c: c, e: noDeliveryLanes(NewEngine()), ref: true, r: rng.New(seed)}
+				want.run()
 
-					if len(want.log) < 5000 {
-						t.Fatalf("seed %d: only %d events executed; the cascade should run thousands", seed, len(want.log))
-					}
-					for i := range want.log {
-						if i >= len(got.log) || got.log[i] != want.log[i] {
-							t.Fatalf("seed %d: event %d differs: lanes %+v, heap %+v", seed, i, at(got.log, i), want.log[i])
-						}
-					}
-					if len(got.log) != len(want.log) {
-						t.Fatalf("seed %d: lanes executed %d events, heap %d", seed, len(got.log), len(want.log))
-					}
-					if !reflect.DeepEqual(got.probes, want.probes) {
-						for i := range want.probes {
-							if i >= len(got.probes) || got.probes[i] != want.probes[i] {
-								t.Fatalf("seed %d: probe %d differs:\nlanes %s\nheap  %s", seed, i, at(got.probes, i), want.probes[i])
-							}
-						}
-						t.Fatalf("seed %d: lanes took %d probes, heap %d", seed, len(got.probes), len(want.probes))
-					}
-					if opened := got.e.ndl > 0; opened != c.lanes {
-						t.Fatalf("seed %d: %d delivery lanes opened, want lanes = %v", seed, got.e.ndl, c.lanes)
+				if len(want.log) < 5000 {
+					t.Fatalf("seed %d: only %d events executed; the cascade should run thousands", seed, len(want.log))
+				}
+				for i := range want.log {
+					if i >= len(got.log) || got.log[i] != want.log[i] {
+						t.Fatalf("seed %d: event %d differs: lanes %+v, heap %+v", seed, i, at(got.log, i), want.log[i])
 					}
 				}
-			})
-		}
+				if len(got.log) != len(want.log) {
+					t.Fatalf("seed %d: lanes executed %d events, heap %d", seed, len(got.log), len(want.log))
+				}
+				if !reflect.DeepEqual(got.probes, want.probes) {
+					for i := range want.probes {
+						if i >= len(got.probes) || got.probes[i] != want.probes[i] {
+							t.Fatalf("seed %d: probe %d differs:\nlanes %s\nheap  %s", seed, i, at(got.probes, i), want.probes[i])
+						}
+					}
+					t.Fatalf("seed %d: lanes took %d probes, heap %d", seed, len(got.probes), len(want.probes))
+				}
+				if opened := got.e.ndl > 0; opened != c.lanes {
+					t.Fatalf("seed %d: %d delivery lanes opened, want lanes = %v", seed, got.e.ndl, c.lanes)
+				}
+			}
+		})
 	}
 }
 
@@ -247,22 +244,22 @@ func TestContinuousDelaysOpenNoLane(t *testing.T) {
 		e.ScheduleDelivery(r.ExpFloat64()*1.728, Delivery{Word: uint64(i)}, sink)
 		e.Step()
 	}
-	if e.ndl != 0 || e.queue().Len() != e.Pending() {
-		t.Fatalf("continuous delays opened %d lanes; the queue holds %d of %d pending", e.ndl, e.queue().Len(), e.Pending())
+	if e.ndl != 0 || e.q.Len() != e.Pending() {
+		t.Fatalf("continuous delays opened %d lanes; the queue holds %d of %d pending", e.ndl, e.q.Len(), e.Pending())
 	}
 	e.Run()
 
 	e.ScheduleDelivery(1.728, Delivery{}, sink)
 	e.ScheduleDelivery(1.728, Delivery{}, sink)
-	if e.ndl != 1 || e.queue().Len() != 1 {
-		t.Fatalf("two fixed-delay deliveries in a row: %d lanes, %d queued; want the second in a new lane", e.ndl, e.queue().Len())
+	if e.ndl != 1 || e.q.Len() != 1 {
+		t.Fatalf("two fixed-delay deliveries in a row: %d lanes, %d queued; want the second in a new lane", e.ndl, e.q.Len())
 	}
 	for i := 0; i < 1000; i++ {
 		e.ScheduleDelivery(1.728, Delivery{Word: uint64(i)}, sink)
 		e.Step()
 	}
-	if e.queue().Len() != 0 {
-		t.Fatalf("fixed-delay deliveries left %d events in the queue, want 0", e.queue().Len())
+	if e.q.Len() != 0 {
+		t.Fatalf("fixed-delay deliveries left %d events in the queue, want 0", e.q.Len())
 	}
 }
 
@@ -344,7 +341,7 @@ func (s shardDLaneDeliver) Deliver(d Delivery) {
 	w.logs[sh] = append(w.logs[sh], laneRecord{time: now, to: d.To, word: d.Word | uint64(d.From)<<40})
 	if now > 10 {
 		// By now the first misses that open the lanes have run.
-		w.maxQ[sh] = max(w.maxQ[sh], w.se.engines[sh].queue().Len())
+		w.maxQ[sh] = max(w.maxQ[sh], w.se.engines[sh].q.Len())
 	}
 }
 
@@ -355,11 +352,7 @@ func runShardDLaneWorld(t *testing.T, shards int, seed uint64, mixed, lanes bool
 	for i := range shardOf {
 		shardOf[i] = int32(i % dlaneZones % shards)
 	}
-	qc := queueCase{name: "calendar", kind: QueueCalendar}
-	if !lanes {
-		qc = queueCase{name: "container-heap", ref: true}
-	}
-	se, err := qc.shardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 3})
+	se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +380,7 @@ func runShardDLaneWorld(t *testing.T, shards int, seed uint64, mixed, lanes bool
 // TestShardDeliveryLanesMatchHeap is the sharded differential test of the
 // delivery lanes, for 2 and 4 shards: every shard's delivery log, with
 // intra-shard sends and barrier deposits in lanes, must equal the log of
-// the same run with every delivery in a container/heap queue. With fixed
+// the same run with every delivery in the heap. With fixed
 // delays only, two shards keep their queues empty once the lanes are open:
 // each receives deposits from one source, in time order. Named …Shard…Lane… so CI's sharded race
 // soak runs it.

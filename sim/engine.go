@@ -5,17 +5,14 @@
 // broken by scheduling order, so a run is fully reproducible for a given
 // seed.
 //
-// The event queue behind the engine is pluggable (see QueueKind): the default
-// is an allocation-free index-slab heap, the alternative a calendar queue.
-// Every queue implements the same strict (time, seq) total order, so the
-// choice never affects simulation results; the tests hold both to a
-// container/heap reference.
 // Events that arrive in time order bypass the queue in FIFO lanes merged
-// under that same order: hook events (ScheduleHookAt) in one lane per sink —
-// periodic re-arms, schedules built before the run — and word-payload
-// deliveries in one lane per sink and fixed delay, so the paper's network,
-// where every message takes the same time, schedules no delivery through the
-// queue at all.
+// under the same (time, seq) order: hook events (ScheduleHookAt) in one lane
+// per sink — periodic re-arms, schedules built before the run — and
+// word-payload deliveries in one lane per sink and fixed delay, so the
+// paper's network, where every message takes the same time, schedules no
+// delivery through the queue at all. The rest wait in one 4-ary heap whose
+// keys carry (time, seq) inline; the tests hold it to a container/heap
+// reference.
 package sim
 
 import (
@@ -23,27 +20,17 @@ import (
 	"math"
 )
 
-// event is one scheduled entry of the queue. Two representations share the
-// (time, seq) ordering key: a closure event (fn non-nil) runs an arbitrary
-// callback, while a typed delivery event (fn nil) carries a Delivery struct
-// inline and hands it to its sink. The typed form exists so that the
+// event is the payload of one queued entry; its (time, seq) ordering key lives
+// in the queue's heap. Two representations share it: a closure event (fn
+// non-nil) runs an arbitrary callback, while a typed delivery event (fn nil)
+// carries a Delivery struct inline and hands it to its sink. The typed form exists so that the
 // dominant event class of the simulator — message deliveries — never
 // materializes a closure: scheduling a delivery copies a pointer-free struct
 // into the queue's slab instead of allocating a capture on the heap.
 type event struct {
-	time float64
-	seq  uint64
 	fn   func()       // closure event; nil for deliveries
 	sink DeliverySink // delivery event; nil for closures
 	d    Delivery
-}
-
-// less orders events by (time, seq); seq is unique, so the order is total.
-func (e *event) less(o *event) bool {
-	if e.time != o.time {
-		return e.time < o.time
-	}
-	return e.seq < o.seq
 }
 
 // Delivery is a typed message-delivery event: a payload travelling from one
@@ -69,7 +56,7 @@ type DeliverySink interface {
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use: all events run on the goroutine that calls Run, RunUntil or
-// Step. The zero value is a valid engine backed by the default queue.
+// Step. The zero value is a valid engine.
 //
 // Besides the queue, the engine keeps (time, seq)-sorted FIFO rings, lanes,
 // for events whose times arrive in order, so only events that really need a
@@ -107,26 +94,8 @@ type Engine struct {
 	dlanes  [maxDeliveryLanes]deliveryLane
 }
 
-// NewEngine returns an engine with virtual time 0 and an empty event queue,
-// backed by the default queue implementation (QueueSlab).
-func NewEngine() *Engine {
-	return NewEngineWithQueue(QueueSlab)
-}
-
-// NewEngineWithQueue returns an engine backed by the given queue
-// implementation. All kinds produce identical event orderings; see QueueKind.
-func NewEngineWithQueue(kind QueueKind) *Engine {
-	return &Engine{q: newQueue(kind)}
-}
-
-// queue returns the engine's event queue, lazily initializing the default
-// kind so the zero-value Engine stays usable.
-func (e *Engine) queue() queue {
-	if e.q == nil {
-		e.q = newQueue(QueueSlab)
-	}
-	return e.q
-}
+// NewEngine returns an engine with virtual time 0 and nothing pending.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
@@ -134,7 +103,7 @@ func (e *Engine) Now() float64 { return e.now }
 // Pending returns the number of scheduled, not-yet-executed events, lanes
 // included.
 func (e *Engine) Pending() int {
-	n := e.queue().Len()
+	n := e.q.Len()
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
@@ -170,7 +139,7 @@ func (e *Engine) At(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	e.queue().Push(event{time: t, seq: e.seq, fn: fn})
+	e.q.push(t, e.seq, event{fn: fn})
 }
 
 // ScheduleDelivery schedules a typed delivery event after the given delay of
@@ -198,7 +167,7 @@ func (e *Engine) ScheduleDelivery(delay float64, d Delivery, sink DeliverySink) 
 	if d.Box == nil && e.toLane(delay, t, &d, sink) {
 		return
 	}
-	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: d})
+	e.q.push(t, e.seq, event{sink: sink, d: d})
 }
 
 // toLane puts the word delivery d, due at t and just numbered e.seq, into
@@ -248,23 +217,20 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	q := e.queue()
-	l, dl, _, ok := e.next(q)
+	l, dl, _, ok := e.next()
 	if ok {
-		e.step(q, l, dl)
+		e.step(l, dl)
 	}
 	return ok
 }
 
 // next locates the earliest pending event: the hook lane or delivery lane
 // whose head it is, both nil for the queue's head, and its time; ok is false
-// when nothing is pending. The queue is passed in so the Run/RunUntil hot
-// loops resolve the engine's queue field once instead of re-running the
-// lazy-init nil check per event.
-func (e *Engine) next(q queue) (l *hookLane, dl *deliveryLane, t float64, ok bool) {
+// when nothing is pending.
+func (e *Engine) next() (l *hookLane, dl *deliveryLane, t float64, ok bool) {
 	var seq uint64
-	if q.Len() > 0 {
-		h := q.peek()
+	if len(e.q.keys) > 0 {
+		h := &e.q.keys[0]
 		t, seq, ok = h.time, h.seq, true
 	}
 	for i := range e.lanes {
@@ -290,7 +256,7 @@ func (e *Engine) next(q queue) (l *hookLane, dl *deliveryLane, t float64, ok boo
 
 // step pops and executes the event next located: the head of hook lane l,
 // of delivery lane dl, or of the queue when both are nil.
-func (e *Engine) step(q queue, l *hookLane, dl *deliveryLane) {
+func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 	if dl != nil {
 		t, d := dl.pop()
 		e.now = t
@@ -309,8 +275,8 @@ func (e *Engine) step(q queue, l *hookLane, dl *deliveryLane) {
 		sink.Deliver(Delivery{To: h.to, Word: h.word})
 		return
 	}
-	ev := q.Pop()
-	e.now = ev.time
+	t, ev := e.q.pop()
+	e.now = t
 	e.processed++
 	if ev.fn != nil {
 		ev.fn()
@@ -324,13 +290,12 @@ func (e *Engine) step(q queue, l *hookLane, dl *deliveryLane) {
 // is advanced to the horizon on return (unless stopped earlier), so repeated
 // RunUntil calls with increasing horizons behave like one long run.
 func (e *Engine) RunUntil(horizon float64) {
-	q := e.queue()
 	for !e.stopped {
-		l, dl, t, ok := e.next(q)
+		l, dl, t, ok := e.next()
 		if !ok || t > horizon {
 			break
 		}
-		e.step(q, l, dl)
+		e.step(l, dl)
 	}
 	if !e.stopped && horizon > e.now {
 		e.now = horizon
@@ -343,13 +308,12 @@ func (e *Engine) RunUntil(horizon float64) {
 // half-open interval [now, limit) and events at exactly the limit belong to
 // the next window — but composes with the other run methods on any engine.
 func (e *Engine) RunBefore(limit float64) {
-	q := e.queue()
 	for !e.stopped {
-		l, dl, t, ok := e.next(q)
+		l, dl, t, ok := e.next()
 		if !ok || t >= limit {
 			break
 		}
-		e.step(q, l, dl)
+		e.step(l, dl)
 	}
 	if !e.stopped && limit > e.now {
 		e.now = limit
@@ -359,7 +323,7 @@ func (e *Engine) RunBefore(limit float64) {
 // NextTime returns the time of the earliest pending event, or false when
 // nothing is pending.
 func (e *Engine) NextTime() (float64, bool) {
-	_, _, t, ok := e.next(e.queue())
+	_, _, t, ok := e.next()
 	return t, ok
 }
 
@@ -381,7 +345,7 @@ func (e *Engine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
 	if d.Box == nil && e.toLane(depositKey, t, &d, sink) {
 		return
 	}
-	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: d})
+	e.q.push(t, e.seq, event{sink: sink, d: d})
 }
 
 // ScheduleHookAt schedules sink.Deliver(Delivery{To: to, Word: word}) at the
@@ -406,7 +370,7 @@ func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliveryS
 	if e.lane(sink).push(t, e.seq, to, word) {
 		return
 	}
-	e.queue().Push(event{time: t, seq: e.seq, sink: sink, d: Delivery{To: to, Word: word}})
+	e.q.push(t, e.seq, event{sink: sink, d: Delivery{To: to, Word: word}})
 }
 
 // lane returns sink's hook lane, creating it on first use; creation also
@@ -447,13 +411,12 @@ func (e *Engine) lookahead(l *hookLane) {
 
 // Run executes events until nothing is pending or Stop is called.
 func (e *Engine) Run() {
-	q := e.queue()
 	for !e.stopped {
-		l, dl, _, ok := e.next(q)
+		l, dl, _, ok := e.next()
 		if !ok {
 			break
 		}
-		e.step(q, l, dl)
+		e.step(l, dl)
 	}
 }
 

@@ -194,8 +194,8 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 }
 
 // TestZeroValueEngine guards the zero value's usability: sim.Engine{} must
-// schedule and run events exactly like NewEngine() (the queue is initialized
-// lazily).
+// schedule and run events exactly like NewEngine() (the heap is held by
+// value, so an empty one is ready to use).
 func TestZeroValueEngine(t *testing.T) {
 	var e Engine
 	if e.Pending() != 0 {

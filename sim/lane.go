@@ -7,7 +7,8 @@ import (
 
 // hookEntry is one pending hook event held outside the queue: the
 // (time, seq) key every event carries, plus the To/Word pair the hook's
-// sink receives. 32 bytes, against the queue's 80-byte event.
+// sink receives. 32 bytes, against the queue's 24-byte key plus 64-byte
+// event.
 type hookEntry struct {
 	time float64
 	seq  uint64
@@ -149,7 +150,7 @@ const depositKey = -1.0
 
 // deliveryEntry is one pending word-payload delivery held in a delivery
 // lane: the (time, seq) key plus the Delivery fields other than Box.
-// 40 bytes, against the queue's 80-byte event.
+// 40 bytes, against the queue's 24-byte key plus 64-byte event.
 type deliveryEntry struct {
 	time     float64
 	seq      uint64

@@ -189,61 +189,57 @@ func (w *laneWorld) run() {
 // TestHookLanesMatchQueue is the differential test of the hook lanes: the
 // same randomized schedule run once with hooks in lanes and once with every
 // hook in the queue (ScheduleDeliveryAt on an engine without delivery lanes)
-// must execute the same events in the same (time, seq) order and report the same NextTime/Pending/Processed at
-// every probe, on every queue kind and the reference. The schedule pushes hooks unordered
+// must execute the same events in the same (time, seq) order and report the
+// same NextTime/Pending/Processed at every probe. The schedule pushes hooks unordered
 // before the first pop, re-arms periodic hooks from their own callbacks,
 // pushes hooks behind their lane's tail after the first pop (the queue
 // fallback) and ties every event class at equal times.
 func TestHookLanesMatchQueue(t *testing.T) {
-	for _, c := range queueCases() {
-		t.Run(c.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
-				lanes := &laneWorld{e: c.engine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
-				lanes.hookAt = lanes.e.ScheduleHookAt
-				var fallbacks, taken int
-				hookAt := lanes.hookAt
-				lanes.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
-					before := lanes.e.queue().Len()
-					hookAt(t, to, word, sink)
-					if lanes.e.queue().Len() > before {
-						fallbacks++
-					} else {
-						taken++
-					}
-				}
-				lanes.run()
+	for seed := uint64(1); seed <= 4; seed++ {
+		lanes := &laneWorld{e: NewEngine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+		lanes.hookAt = lanes.e.ScheduleHookAt
+		var fallbacks, taken int
+		hookAt := lanes.hookAt
+		lanes.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+			before := lanes.e.q.Len()
+			hookAt(t, to, word, sink)
+			if lanes.e.q.Len() > before {
+				fallbacks++
+			} else {
+				taken++
+			}
+		}
+		lanes.run()
 
-				ref := &laneWorld{e: noDeliveryLanes(c.engine()), r: rng.New(seed), seqOf: map[uint64]uint64{}}
-				ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
-					ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
-				}
-				ref.run()
+		ref := &laneWorld{e: noDeliveryLanes(NewEngine()), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+		ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+			ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
+		}
+		ref.run()
 
-				if len(lanes.log) < 5000 {
-					t.Fatalf("seed %d: only %d events executed; the schedule should run thousands", seed, len(lanes.log))
-				}
-				for i := range ref.log {
-					if i >= len(lanes.log) || lanes.log[i] != ref.log[i] {
-						t.Fatalf("seed %d: event %d differs: lanes %+v, queue-only %+v", seed, i, at(lanes.log, i), ref.log[i])
-					}
-				}
-				if len(lanes.log) != len(ref.log) {
-					t.Fatalf("seed %d: lanes executed %d events, queue-only %d", seed, len(lanes.log), len(ref.log))
-				}
-				if !reflect.DeepEqual(lanes.probes, ref.probes) {
-					for i := range ref.probes {
-						if i >= len(lanes.probes) || lanes.probes[i] != ref.probes[i] {
-							t.Fatalf("seed %d: probe %d differs:\nlanes     %s\nqueue-only %s", seed, i, at(lanes.probes, i), ref.probes[i])
-						}
-					}
-					t.Fatalf("seed %d: lanes took %d probes, queue-only %d", seed, len(lanes.probes), len(ref.probes))
-				}
-				if fallbacks < 100 || taken < 300 {
-					t.Fatalf("seed %d: %d hooks in lanes, %d fell back to the queue; want both paths exercised",
-						seed, taken, fallbacks)
+		if len(lanes.log) < 5000 {
+			t.Fatalf("seed %d: only %d events executed; the schedule should run thousands", seed, len(lanes.log))
+		}
+		for i := range ref.log {
+			if i >= len(lanes.log) || lanes.log[i] != ref.log[i] {
+				t.Fatalf("seed %d: event %d differs: lanes %+v, queue-only %+v", seed, i, at(lanes.log, i), ref.log[i])
+			}
+		}
+		if len(lanes.log) != len(ref.log) {
+			t.Fatalf("seed %d: lanes executed %d events, queue-only %d", seed, len(lanes.log), len(ref.log))
+		}
+		if !reflect.DeepEqual(lanes.probes, ref.probes) {
+			for i := range ref.probes {
+				if i >= len(lanes.probes) || lanes.probes[i] != ref.probes[i] {
+					t.Fatalf("seed %d: probe %d differs:\nlanes     %s\nqueue-only %s", seed, i, at(lanes.probes, i), ref.probes[i])
 				}
 			}
-		})
+			t.Fatalf("seed %d: lanes took %d probes, queue-only %d", seed, len(lanes.probes), len(ref.probes))
+		}
+		if fallbacks < 100 || taken < 300 {
+			t.Fatalf("seed %d: %d hooks in lanes, %d fell back to the queue; want both paths exercised",
+				seed, taken, fallbacks)
+		}
 	}
 }
 
@@ -270,62 +266,53 @@ func (s *countSink) Deliver(d Delivery) {
 // TestHookLaneRearmAllocs guards the lane's steady state: once the ring has
 // grown, a hook that re-arms from its own callback allocates nothing.
 func TestHookLaneRearmAllocs(t *testing.T) {
-	for _, c := range queueCases() {
-		t.Run(c.name, func(t *testing.T) {
-			e := c.engine()
-			s := &countSink{e: e, period: 1}
-			r := rng.New(5)
-			for i := int32(0); i < 100; i++ {
-				e.ScheduleHookAt(r.Float64(), i, 0, s)
-			}
-			e.RunUntil(3) // sort once, settle
-			allocs := testing.AllocsPerRun(1000, func() { e.Step() })
-			if allocs != 0 {
-				t.Errorf("self-re-arming hook allocates %.1f per event, want 0", allocs)
-			}
-			if e.queue().Len() != 0 {
-				t.Errorf("queue holds %d events; every re-arm should append to the lane", e.queue().Len())
-			}
-		})
+	e := NewEngine()
+	s := &countSink{e: e, period: 1}
+	r := rng.New(5)
+	for i := int32(0); i < 100; i++ {
+		e.ScheduleHookAt(r.Float64(), i, 0, s)
+	}
+	e.RunUntil(3) // sort once, settle
+	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("self-re-arming hook allocates %.1f per event, want 0", allocs)
+	}
+	if e.q.Len() != 0 {
+		t.Errorf("queue holds %d events; every re-arm should append to the lane", e.q.Len())
 	}
 }
 
-// TestHookLanesKeepQueueEmpty is the structural guard for the event
-// population that made the calendar queue degrade (a large static
-// far-future schedule beside a dense periodic band, ROADMAP item 4): with
-// 10^4 self-re-arming hooks and 10^4 far-future hooks scheduled before the
-// first pop, in random order, the queue stays empty for the whole run — so
-// no queue kind ever sees that population.
+// TestHookLanesKeepQueueEmpty is the structural guard for the hook event
+// population (a large static far-future schedule beside a dense periodic
+// band): with 10^4 self-re-arming hooks and 10^4 far-future hooks scheduled
+// before the first pop, in random order, the queue stays empty for the whole
+// run, so the heap never sifts that population.
 func TestHookLanesKeepQueueEmpty(t *testing.T) {
-	for _, c := range queueCases() {
-		t.Run(c.name, func(t *testing.T) {
-			const n = 10_000
-			e := c.engine()
-			ticks := &countSink{e: e, period: 172.8}
-			far := &nullSink{}
-			r := rng.New(9)
-			for i := int32(0); i < n; i++ {
-				e.ScheduleHookAt(r.Float64()*172.8, i, 0, ticks)
-				// One to two days of transitions ahead, the shape of a churn
-				// trace scheduled at assembly.
-				e.ScheduleHookAt(86400*(1+r.Float64()), i, 1, far)
-			}
-			for e.Now() < 5*172.8 {
-				if !e.Step() {
-					t.Fatal("engine ran dry")
-				}
-				if l := e.queue().Len(); l != 0 {
-					t.Fatalf("after %d events the queue holds %d; hook events belong in lanes", e.Processed(), l)
-				}
-			}
-			if e.Pending() != 2*n {
-				t.Fatalf("Pending = %d, want %d (one tick and one far-future hook per node)", e.Pending(), 2*n)
-			}
-			e.RunUntil(3 * 86400)
-			if far.n != n || e.queue().Len() != 0 {
-				t.Fatalf("far-future hooks delivered %d of %d, queue holds %d", far.n, n, e.queue().Len())
-			}
-		})
+	const n = 10_000
+	e := NewEngine()
+	ticks := &countSink{e: e, period: 172.8}
+	far := &nullSink{}
+	r := rng.New(9)
+	for i := int32(0); i < n; i++ {
+		e.ScheduleHookAt(r.Float64()*172.8, i, 0, ticks)
+		// One to two days of transitions ahead, the shape of a churn
+		// trace scheduled at assembly.
+		e.ScheduleHookAt(86400*(1+r.Float64()), i, 1, far)
+	}
+	for e.Now() < 5*172.8 {
+		if !e.Step() {
+			t.Fatal("engine ran dry")
+		}
+		if l := e.q.Len(); l != 0 {
+			t.Fatalf("after %d events the queue holds %d; hook events belong in lanes", e.Processed(), l)
+		}
+	}
+	if e.Pending() != 2*n {
+		t.Fatalf("Pending = %d, want %d (one tick and one far-future hook per node)", e.Pending(), 2*n)
+	}
+	e.RunUntil(3 * 86400)
+	if far.n != n || e.q.Len() != 0 {
+		t.Fatalf("far-future hooks delivered %d of %d, queue holds %d", far.n, n, e.q.Len())
 	}
 }
 
@@ -418,13 +405,13 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 			if s >= 0 {
 				e, log = se.engines[s], s
 			}
-			before := e.queue().Len()
+			before := e.q.Len()
 			if s < 0 {
 				se.ScheduleHookAt(t, to, word, sink)
 			} else {
 				se.ShardScheduleHookAt(s, t, to, word, sink)
 			}
-			if e.queue().Len() > before {
+			if e.q.Len() > before {
 				w.fallbacks[log]++
 			}
 		}

@@ -13,8 +13,9 @@ import (
 // of different shard engines are separate small heap objects, so a lane
 // grown past 64 bytes would share a cache line with a neighbouring shard's
 // lane. It also pins what a lane stores per event — 32 bytes for a hook,
-// 40 for a delivery, against the queue's 80-byte event — and the delivery
-// lane, held inline in the engine, to one 64-byte line.
+// 40 for a delivery, against the queue's 24-byte heap key plus 64-byte slab
+// event — and the delivery lane, held inline in the engine, to one 64-byte
+// line.
 func TestHookLaneSize(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -24,6 +25,8 @@ func TestHookLaneSize(t *testing.T) {
 		{"hookEntry", unsafe.Sizeof(hookEntry{}), 32},
 		{"deliveryEntry", unsafe.Sizeof(deliveryEntry{}), 40},
 		{"deliveryLane", unsafe.Sizeof(deliveryLane{}), 64},
+		{"key", unsafe.Sizeof(key{}), 24},
+		{"event", unsafe.Sizeof(event{}), 64},
 	} {
 		if c.size != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.size, c.want)
@@ -51,23 +54,19 @@ func (s *aheadCountSink) Lookahead(to []int32) uint64 {
 // lookaheadMinLane, a self-re-arming hook whose sink takes lookahead batches
 // allocates nothing — the batch travels in the engine's own array.
 func TestLookaheadAllocs(t *testing.T) {
-	for _, c := range queueCases() {
-		t.Run(c.name, func(t *testing.T) {
-			e := c.engine()
-			s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
-			r := rng.New(5)
-			for i := int32(0); i < 2*lookaheadMinLane; i++ {
-				e.ScheduleHookAt(r.Float64(), i, 0, s)
-			}
-			e.RunUntil(1.5) // sort once, settle
-			allocs := testing.AllocsPerRun(4000, func() { e.Step() })
-			if allocs != 0 {
-				t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
-			}
-			if s.batches == 0 {
-				t.Error("the sink received no lookahead batch")
-			}
-		})
+	e := NewEngine()
+	s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
+	r := rng.New(5)
+	for i := int32(0); i < 2*lookaheadMinLane; i++ {
+		e.ScheduleHookAt(r.Float64(), i, 0, s)
+	}
+	e.RunUntil(1.5) // sort once, settle
+	allocs := testing.AllocsPerRun(4000, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
+	}
+	if s.batches == 0 {
+		t.Error("the sink received no lookahead batch")
 	}
 }
 
@@ -179,9 +178,9 @@ func (w *lookWorld) deliver(d Delivery) {
 	case x < 0.15:
 		// Behind the tail just re-armed at now+1: the queue fallback.
 		word := l.word(8)
-		before := e.queue().Len()
+		before := e.q.Len()
 		w.hookAt(s, now+l.r.Float64()*0.5, d.To, word)
-		if e.queue().Len() == before {
+		if e.q.Len() == before {
 			panic("a hook behind the lane's tail went to the lane")
 		}
 		l.fallback[word] = true
@@ -192,7 +191,7 @@ func (w *lookWorld) deliver(d Delivery) {
 // plain engine (shards = 0) or a sharded one, with the sink's capability
 // exposed or hidden, and returns the logs and the accounting probes taken
 // between run calls.
-func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
+func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
 	t.Helper()
 	w := &lookWorld{shards: max(shards, 1), spawn: spawn}
 	if exposed {
@@ -209,7 +208,7 @@ func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float6
 	var probe func() string
 	var run func(h float64)
 	if shards == 0 {
-		e := qc.engine()
+		e := NewEngine()
 		w.engines = []*Engine{e}
 		w.hookAt = func(_ int, t float64, to int32, word uint64) { e.ScheduleHookAt(t, to, word, w.self) }
 		w.send = func(_ int, delay float64, _, to int32, word uint64) {
@@ -225,7 +224,7 @@ func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float6
 		for i := range shardOf {
 			shardOf[i] = int32(w.shardOf(int32(i)))
 		}
-		se, err := qc.shardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +259,7 @@ func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float6
 }
 
 // TestShardLookaheadContract checks the lookahead contract of hook lanes on
-// every queue kind and the reference, on the plain engine and on a sharded one: a
+// the plain engine and on a sharded one: a
 // LookaheadSink receives, every LookaheadBatch pops of its lane, exactly the
 // To of the lane entries [head+K, head+2K) — checked against the pops that
 // follow — as long as the lane held more than lookaheadMinLane entries when
@@ -274,62 +273,60 @@ func runLookWorld(t *testing.T, qc queueCase, shards, perShard int, spawn float6
 // capability hidden. Named …Shard… so CI's sharded race soak runs it.
 func TestShardLookaheadContract(t *testing.T) {
 	const k = LookaheadBatch
-	for _, qc := range queueCases() {
-		for _, shards := range []int{0, 2} {
-			for _, c := range []struct {
-				perShard int
-				spawn    float64
-			}{
-				{lookaheadMinLane, 0},
-				{lookaheadMinLane + 1, 0},
-				{lookaheadMinLane + 3*k + 7, 0},
-				{2*lookaheadMinLane - 3*k - 5, 0.01}, // just below a power of two
-			} {
-				perShard := c.perShard
-				name := fmt.Sprintf("%s/shards=%d/lane=%d", qc.name, shards, perShard)
-				t.Run(name, func(t *testing.T) {
-					got, gotProbes := runLookWorld(t, qc, shards, perShard, c.spawn, 5, true)
-					want, wantProbes := runLookWorld(t, qc, shards, perShard, c.spawn, 5, false)
-					if !reflect.DeepEqual(gotProbes, wantProbes) {
-						t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+	for _, shards := range []int{0, 2} {
+		for _, c := range []struct {
+			perShard int
+			spawn    float64
+		}{
+			{lookaheadMinLane, 0},
+			{lookaheadMinLane + 1, 0},
+			{lookaheadMinLane + 3*k + 7, 0},
+			{2*lookaheadMinLane - 3*k - 5, 0.01}, // just below a power of two
+		} {
+			perShard := c.perShard
+			name := fmt.Sprintf("shards=%d/lane=%d", shards, perShard)
+			t.Run(name, func(t *testing.T) {
+				got, gotProbes := runLookWorld(t, shards, perShard, c.spawn, 5, true)
+				want, wantProbes := runLookWorld(t, shards, perShard, c.spawn, 5, false)
+				if !reflect.DeepEqual(gotProbes, wantProbes) {
+					t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+				}
+				for s := range got {
+					g, h := &got[s], &want[s]
+					if !reflect.DeepEqual(g.pops, h.pops) || !reflect.DeepEqual(g.after, h.after) || !reflect.DeepEqual(g.queued, h.queued) {
+						t.Fatalf("shard %d: event order differs with the capability exposed", s)
 					}
-					for s := range got {
-						g, h := &got[s], &want[s]
-						if !reflect.DeepEqual(g.pops, h.pops) || !reflect.DeepEqual(g.after, h.after) || !reflect.DeepEqual(g.queued, h.queued) {
-							t.Fatalf("shard %d: event order differs with the capability exposed", s)
-						}
-						if len(g.queued) == 0 || len(g.fallback) == 0 {
-							t.Fatalf("shard %d: %d queue events, %d fallbacks; want both paths exercised", s, len(g.queued), len(g.fallback))
-						}
-						var due []int
-						for p := k; p <= len(g.pops); p += k {
-							if g.after[p-1] >= lookaheadMinLane {
-								due = append(due, p)
-							}
-						}
-						if perShard > lookaheadMinLane && len(due) == 0 {
-							t.Fatalf("shard %d: the lane never held more than %d entries", s, lookaheadMinLane)
-						}
-						if perShard == lookaheadMinLane && len(due) != 0 {
-							t.Fatalf("shard %d: a lane that never exceeds %d entries is due a batch", s, lookaheadMinLane)
-						}
-						if len(g.batches) != len(due) {
-							t.Fatalf("shard %d: %d batches, want %d", s, len(g.batches), len(due))
-						}
-						for i, b := range g.batches {
-							if b.pop != due[i] {
-								t.Fatalf("shard %d: batch %d came at pop %d, want %d", s, i, b.pop, due[i])
-							}
-							if next := g.pops[b.pop+k : b.pop+2*k]; !reflect.DeepEqual(b.to[:], next) {
-								t.Fatalf("shard %d: batch at pop %d = %v, but the lane popped %v", s, b.pop, b.to, next)
-							}
-						}
-						if len(h.batches) != 0 {
-							t.Fatalf("shard %d: a sink without the capability got %d batches", s, len(h.batches))
+					if len(g.queued) == 0 || len(g.fallback) == 0 {
+						t.Fatalf("shard %d: %d queue events, %d fallbacks; want both paths exercised", s, len(g.queued), len(g.fallback))
+					}
+					var due []int
+					for p := k; p <= len(g.pops); p += k {
+						if g.after[p-1] >= lookaheadMinLane {
+							due = append(due, p)
 						}
 					}
-				})
-			}
+					if perShard > lookaheadMinLane && len(due) == 0 {
+						t.Fatalf("shard %d: the lane never held more than %d entries", s, lookaheadMinLane)
+					}
+					if perShard == lookaheadMinLane && len(due) != 0 {
+						t.Fatalf("shard %d: a lane that never exceeds %d entries is due a batch", s, lookaheadMinLane)
+					}
+					if len(g.batches) != len(due) {
+						t.Fatalf("shard %d: %d batches, want %d", s, len(g.batches), len(due))
+					}
+					for i, b := range g.batches {
+						if b.pop != due[i] {
+							t.Fatalf("shard %d: batch %d came at pop %d, want %d", s, i, b.pop, due[i])
+						}
+						if next := g.pops[b.pop+k : b.pop+2*k]; !reflect.DeepEqual(b.to[:], next) {
+							t.Fatalf("shard %d: batch at pop %d = %v, but the lane popped %v", s, b.pop, b.to, next)
+						}
+					}
+					if len(h.batches) != 0 {
+						t.Fatalf("shard %d: a sink without the capability got %d batches", s, len(h.batches))
+					}
+				}
+			})
 		}
 	}
 }

@@ -18,9 +18,6 @@ type ShardedConfig struct {
 	// Shards execute independently for windows of this length; a smaller
 	// cross-shard delay would violate causality, so Send panics on one.
 	Lookahead float64
-	// Queue selects the event queue implementation backing every per-shard
-	// engine and the coordinator queue (see QueueKind).
-	Queue QueueKind
 }
 
 // outMsg is one cross-shard delivery parked in an outbox between windows:
@@ -108,7 +105,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	}
 	se := &ShardedEngine{
 		engines:   make([]*Engine, cfg.Shards),
-		coord:     NewEngineWithQueue(cfg.Queue),
+		coord:     NewEngine(),
 		shardOf:   cfg.ShardOf,
 		lookahead: cfg.Lookahead,
 	}
@@ -116,7 +113,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		se.outboxes[i] = make([][]outMsg, cfg.Shards*cfg.Shards)
 	}
 	for s := range se.engines {
-		se.engines[s] = NewEngineWithQueue(cfg.Queue)
+		se.engines[s] = NewEngine()
 	}
 	return se, nil
 }

@@ -31,10 +31,6 @@ type EnvConfig struct {
 	// Host never calls Send — its Config.Network samples every delay — so
 	// this only matters to code that sends straight through the environment.
 	TransferDelay float64
-	// Queue selects the event queue implementation backing the engine; the
-	// zero value is the default allocation-free slab heap. Every kind yields
-	// identical event orderings (see sim.QueueKind).
-	Queue sim.QueueKind
 }
 
 // Env is the discrete-event implementation of runtime.Env: virtual time and
@@ -69,7 +65,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	}
 	return &Env{
-		engine:        sim.NewEngineWithQueue(cfg.Queue),
+		engine:        sim.NewEngine(),
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
 		online:        runtime.NewAvailability(cfg.N),

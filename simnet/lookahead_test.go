@@ -10,7 +10,6 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/runtime"
-	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
@@ -145,7 +144,7 @@ func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		rt := experiment.SimRuntimeWithOptions(sim.QueueCalendar, shards)
+		rt := experiment.SimRuntimeWithOptions(shards)
 		run := func(rt experiment.RuntimeDriver) *experiment.Result {
 			t.Helper()
 			res, err := experiment.Run(experiment.Config{

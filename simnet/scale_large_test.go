@@ -12,7 +12,6 @@ import (
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
-	"github.com/szte-dcs/tokenaccount/sim"
 )
 
 // TestTenMillionNodeShardedRun demonstrates the 10^7-node scale record: one
@@ -43,7 +42,7 @@ func TestTenMillionNodeShardedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	env, err := NewShardedEnv(ShardedEnvConfig{
-		N: n, Seed: 1, Queue: sim.QueueCalendar,
+		N: n, Seed: 1,
 		Shards: shards, ShardOf: shardOf, Lookahead: lookahead,
 	})
 	if err != nil {

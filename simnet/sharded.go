@@ -17,9 +17,6 @@ type ShardedEnvConfig struct {
 	// Seed drives every randomness stream of the run, with the same stream
 	// derivation as the plain environment (see Env.Rand).
 	Seed uint64
-	// Queue selects the event queue implementation backing every shard's
-	// engine and the coordinator queue.
-	Queue sim.QueueKind
 	// Shards is the number of worker shards (≥ 1).
 	Shards int
 	// ShardOf maps every node to its owning shard (length N, values in
@@ -71,7 +68,6 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 		Shards:    cfg.Shards,
 		ShardOf:   cfg.ShardOf,
 		Lookahead: cfg.Lookahead,
-		Queue:     cfg.Queue,
 	})
 	if err != nil {
 		return nil, err

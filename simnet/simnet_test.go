@@ -12,7 +12,6 @@ import (
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
 	hostrt "github.com/szte-dcs/tokenaccount/runtime"
-	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
@@ -320,12 +319,13 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 // simulator: once a network has warmed up (event slab, scratch buffers and
 // token balances at their high-water marks), advancing the simulation —
 // proactive ticks, typed deliveries, Receive handlers and reactive sends
-// included — must not allocate at all, on both queue kinds. The rows add the
-// network models' sampled delays (exponential; the lossy lognormal of the
-// churn workload, whose Drop runs on every send; zones) and a 2-shard
+// included — must not allocate at all. The rows add the network models'
+// sampled delays (exponential; the lossy lognormal of the churn workload,
+// whose Drop runs on every send; zones), that lossy network under a
+// smartphone churn trace, so peers are drawn among online neighbours only
+// and nodes leave and rejoin during the measured rounds, and a 2-shard
 // ShardedEnv on zones, whose shard workers, outboxes and barriers run on
-// other goroutines (the malloc counter is process-wide, so they count). The
-// paper's constant network's subtests are the queue kinds themselves.
+// other goroutines (the malloc counter is process-wide, so they count).
 func TestSteadyStateMessagePathAllocs(t *testing.T) {
 	lossy := netmodel.Lossy{P: 0.01, Inner: netmodel.LogNormal{Mu: 0.547, Sigma: 0.5}}
 	zones := netmodel.Zones{K: 8, Intra: 0.5, Inter: 3}
@@ -333,42 +333,49 @@ func TestSteadyStateMessagePathAllocs(t *testing.T) {
 		name    string
 		network netmodel.Model
 		shards  int
+		churn   bool
 	}{
-		{"", netmodel.Constant{D: walkerDelay}, 1},
-		{"exponential:1", netmodel.Exponential{Mean: 1}, 1},
-		{lossy.String(), lossy, 1},
-		{zones.String(), zones, 1},
-		{zones.String() + "-shards=2", zones, 2},
+		{"constant", netmodel.Constant{D: walkerDelay}, 1, false},
+		{"exponential:1", netmodel.Exponential{Mean: 1}, 1, false},
+		{lossy.String(), lossy, 1, false},
+		{lossy.String() + "-churn", lossy, 1, true},
+		{zones.String(), zones, 1, false},
+		{zones.String() + "-shards=2", zones, 2, false},
 	}
 	for _, row := range rows {
-		run := func(t *testing.T) {
-			for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
-				t.Run(kind.String(), func(t *testing.T) {
-					envCfg, cfg := walkerConfig(t, 200, core.MustRandomized(5, 10), 4)
-					envCfg.Queue = kind
-					cfg.Network = row.network
-					net := steadyStateHost(t, envCfg, cfg, row.shards)
-					horizon := 50 * cfg.Delta
-					mustRun(t, net, horizon) // warm up to the steady state
-					sent := net.MessagesSent()
-					allocs := testing.AllocsPerRun(30, func() {
-						horizon += cfg.Delta
-						mustRun(t, net, horizon)
-					})
-					if allocs != 0 {
-						t.Errorf("steady-state round allocates %.1f with the %s queue, want 0", allocs, kind)
-					}
-					if net.MessagesSent() == sent {
-						t.Error("the measured rounds sent no message")
-					}
-				})
+		t.Run(row.name, func(t *testing.T) {
+			const n = 200
+			envCfg, cfg := walkerConfig(t, n, core.MustRandomized(5, 10), 4)
+			cfg.Network = row.network
+			if row.churn {
+				tr, err := trace.Smartphone(trace.DefaultSmartphoneConfig(n, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Trace = tr
 			}
-		}
-		if row.name == "" {
-			run(t)
-		} else {
-			t.Run(row.name, run)
-		}
+			net := steadyStateHost(t, envCfg, cfg, row.shards)
+			horizon := 50 * cfg.Delta
+			mustRun(t, net, horizon) // warm up to the steady state
+			sent, online := net.MessagesSent(), net.OnlineCount()
+			flips := 0
+			allocs := testing.AllocsPerRun(30, func() {
+				horizon += cfg.Delta
+				mustRun(t, net, horizon)
+				if c := net.OnlineCount(); c != online {
+					flips, online = flips+1, c
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state round allocates %.1f, want 0", allocs)
+			}
+			if net.MessagesSent() == sent {
+				t.Error("the measured rounds sent no message")
+			}
+			if row.churn && (online == n || flips == 0) {
+				t.Errorf("churn row: %d of %d online after the run, online count changed in %d rounds; want churn", online, n, flips)
+			}
+		})
 	}
 }
 
@@ -385,7 +392,7 @@ func steadyStateHost(t *testing.T, envCfg EnvConfig, cfg hostrt.Config, shards i
 		t.Fatal(err)
 	}
 	env, err := NewShardedEnv(ShardedEnvConfig{
-		N: envCfg.N, Seed: envCfg.Seed, Queue: envCfg.Queue,
+		N: envCfg.N, Seed: envCfg.Seed,
 		Shards: shards, ShardOf: shardOf, Lookahead: lookahead,
 	})
 	if err != nil {
@@ -416,69 +423,64 @@ func (n *blockcastNet) Respond(from, to protocol.NodeID, p protocol.Payload) boo
 // token-gated block answers, per-kind byte accounting, and the run-global
 // loops of the experiment driver — ten transaction arrivals per period, a
 // rotating proposer each period, a commit scan every quarter period. After
-// warm-up a period allocates nothing, on both queue kinds.
+// warm-up a period allocates nothing.
 func TestBlockcastMessagePathAllocs(t *testing.T) {
 	const n = 200
-	for _, kind := range []sim.QueueKind{sim.QueueSlab, sim.QueueCalendar} {
-		t.Run(kind.String(), func(t *testing.T) {
-			envCfg, cfg := walkerConfig(t, n, core.MustRandomized(5, 10), 4)
-			envCfg.Queue = kind
-			env, err := NewEnv(envCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := &blockcastNet{}
-			states := blockcast.NewStates(n, net)
-			cfg.NewApp = func(i int) protocol.Application { return &states[i] }
-			host, err := hostrt.NewHost(env, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net.host = host
-			chain, err := blockcast.NewChain(64, 2.0/3.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			head := func(i int) uint64 {
-				h, _ := states[i].Head()
-				return h
-			}
-			delta := cfg.Delta
-			env.Every(delta/10, delta/10, func() bool {
-				chain.Submit(1)
-				return true
-			})
-			env.Every(delta/4, delta/4, func() bool {
-				chain.CheckCommits(env.Now(), n, head, nil)
-				return true
-			})
-			round := 0
-			env.Every(delta, delta, func() bool {
-				if !chain.TryPropose(env.Now(), &states[round%n]) {
-					chain.SkipProposal()
-				}
-				round++
-				return true
-			})
-			horizon := 50 * delta
-			mustRun(t, host, horizon)
-			committed, sent, bytes := chain.Committed(), host.MessagesSent(), host.BytesSent()
-			allocs := testing.AllocsPerRun(30, func() {
-				horizon += delta
-				mustRun(t, host, horizon)
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state blockcast period allocates %.1f with the %s queue, want 0", allocs, kind)
-			}
-			if chain.Committed() == committed {
-				t.Error("no block committed in the measured periods")
-			}
-			// Pulls weigh 40 B, announces 96 B and block answers 200 B plus
-			// 250 B per transaction: a mean above an announce's weight needs
-			// both the sizer table and token-gated block answers.
-			if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= blockcast.AnnounceBytes*dm {
-				t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, blockcast.AnnounceBytes)
-			}
-		})
+	envCfg, cfg := walkerConfig(t, n, core.MustRandomized(5, 10), 4)
+	env, err := NewEnv(envCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &blockcastNet{}
+	states := blockcast.NewStates(n, net)
+	cfg.NewApp = func(i int) protocol.Application { return &states[i] }
+	host, err := hostrt.NewHost(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.host = host
+	chain, err := blockcast.NewChain(64, 2.0/3.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := func(i int) uint64 {
+		h, _ := states[i].Head()
+		return h
+	}
+	delta := cfg.Delta
+	env.Every(delta/10, delta/10, func() bool {
+		chain.Submit(1)
+		return true
+	})
+	env.Every(delta/4, delta/4, func() bool {
+		chain.CheckCommits(env.Now(), n, head, nil)
+		return true
+	})
+	round := 0
+	env.Every(delta, delta, func() bool {
+		if !chain.TryPropose(env.Now(), &states[round%n]) {
+			chain.SkipProposal()
+		}
+		round++
+		return true
+	})
+	horizon := 50 * delta
+	mustRun(t, host, horizon)
+	committed, sent, bytes := chain.Committed(), host.MessagesSent(), host.BytesSent()
+	allocs := testing.AllocsPerRun(30, func() {
+		horizon += delta
+		mustRun(t, host, horizon)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state blockcast period allocates %.1f, want 0", allocs)
+	}
+	if chain.Committed() == committed {
+		t.Error("no block committed in the measured periods")
+	}
+	// Pulls weigh 40 B, announces 96 B and block answers 200 B plus
+	// 250 B per transaction: a mean above an announce's weight needs
+	// both the sizer table and token-gated block answers.
+	if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= blockcast.AnnounceBytes*dm {
+		t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, blockcast.AnnounceBytes)
 	}
 }
