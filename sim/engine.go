@@ -56,7 +56,8 @@ type DeliverySink interface {
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use: all events run on the goroutine that calls Run, RunUntil or
-// Step. The zero value is a valid engine.
+// Step. The zero value is a valid engine: its event queue, a 4-ary heap, is
+// held by value and ready empty.
 //
 // Besides the queue, the engine keeps (time, seq)-sorted FIFO rings, lanes,
 // for events whose times arrive in order, so only events that really need a
