@@ -7,12 +7,19 @@ import (
 	"testing"
 )
 
+// goldenWorkers are the -workers values every golden case runs with: its two
+// repetitions one after the other, and both at once. The output must not
+// depend on how the repetitions are scheduled, whatever the machine's core
+// count.
+var goldenWorkers = []string{"1", "2"}
+
 // TestGoldenMatrixByteIdentity pins the simulator's output bit-for-bit: each
 // golden file under testdata/golden was produced by the pre-typed-event
 // implementation (closure deliveries, boxed `any` payloads, slab queue
-// only), and every app × strategy × scenario cell must reproduce it exactly.
-// This is the end-to-end guarantee that the zero-allocation message path,
-// the lanes and the inline-key heap are pure optimizations.
+// only), and every app × strategy × scenario cell must reproduce it exactly,
+// under each of goldenWorkers. This is the end-to-end guarantee that the
+// zero-allocation message path, the lanes and the inline-key heap are pure
+// optimizations.
 func TestGoldenMatrixByteIdentity(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.tsv"))
 	if err != nil || len(files) == 0 {
@@ -33,22 +40,27 @@ func TestGoldenMatrixByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			var out strings.Builder
-			err := run([]string{
-				"-app", app,
-				"-strategy", strategy,
-				"-scenario", scenario,
-				"-n", "60",
-				"-rounds", "20",
-				"-reps", "2",
-				"-seed", "7",
-				"-tokens",
-			}, &out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.String() != string(want) {
-				t.Errorf("output diverged from golden file %s", file)
+			for _, workers := range goldenWorkers {
+				t.Run("workers="+workers, func(t *testing.T) {
+					var out strings.Builder
+					err := run([]string{
+						"-app", app,
+						"-strategy", strategy,
+						"-scenario", scenario,
+						"-n", "60",
+						"-rounds", "20",
+						"-reps", "2",
+						"-seed", "7",
+						"-tokens",
+						"-workers", workers,
+					}, &out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.String() != string(want) {
+						t.Errorf("output diverged from golden file %s (workers=%s)", file, workers)
+					}
+				})
 			}
 		})
 	}
@@ -72,7 +84,7 @@ var goldenNetworkCases = map[string][]string{
 
 // TestGoldenNetworkModelsByteIdentity extends the golden matrix to
 // heterogeneous network models and churn: each case must reproduce its
-// golden file byte-for-byte.
+// golden file byte-for-byte under each of goldenWorkers.
 func TestGoldenNetworkModelsByteIdentity(t *testing.T) {
 	for name, args := range goldenNetworkCases {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden-network", name+".tsv"))
@@ -80,13 +92,17 @@ func TestGoldenNetworkModelsByteIdentity(t *testing.T) {
 			t.Fatalf("missing golden file for %s: %v (regenerate with the args in goldenNetworkCases)", name, err)
 		}
 		t.Run(name, func(t *testing.T) {
-			var out strings.Builder
-			full := append([]string{"-n", "60", "-rounds", "20", "-reps", "2", "-seed", "7", "-tokens"}, args...)
-			if err := run(full, &out); err != nil {
-				t.Fatal(err)
-			}
-			if out.String() != string(want) {
-				t.Errorf("output diverged from golden-network file %s", name)
+			for _, workers := range goldenWorkers {
+				t.Run("workers="+workers, func(t *testing.T) {
+					var out strings.Builder
+					full := append([]string{"-n", "60", "-rounds", "20", "-reps", "2", "-seed", "7", "-tokens", "-workers", workers}, args...)
+					if err := run(full, &out); err != nil {
+						t.Fatal(err)
+					}
+					if out.String() != string(want) {
+						t.Errorf("output diverged from golden-network file %s (workers=%s)", name, workers)
+					}
+				})
 			}
 		})
 	}

@@ -11,15 +11,20 @@ import (
 	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
 )
 
+// TestParseRuntime checks every spelling of the simulator runtime, one
+// subtest per accepted or rejected spec, among them sim:slab, the one
+// queue's name, and the removed queue kinds sim:calendar and sim:heap.
 func TestParseRuntime(t *testing.T) {
 	for _, spec := range []string{"sim", "simnet", "virtual", "sim:slab"} {
-		d, err := experiment.ParseRuntime(spec)
-		if err != nil {
-			t.Fatalf("ParseRuntime(%q): %v", spec, err)
-		}
-		if d != experiment.SimRuntime {
-			t.Errorf("ParseRuntime(%q) = %v, want SimRuntime", spec, d)
-		}
+		t.Run(spec, func(t *testing.T) {
+			d, err := experiment.ParseRuntime(spec)
+			if err != nil {
+				t.Fatalf("ParseRuntime(%q): %v", spec, err)
+			}
+			if d != experiment.SimRuntime {
+				t.Errorf("ParseRuntime(%q) = %v, want SimRuntime", spec, d)
+			}
+		})
 	}
 	d, err := experiment.ParseRuntime("live")
 	if err != nil {
@@ -36,9 +41,11 @@ func TestParseRuntime(t *testing.T) {
 		t.Errorf("parameterized live runtime renders as %q", experiment.DriverLabel(d))
 	}
 	for _, bad := range []string{"nope", "sim:1", "sim:calendar", "sim:heap", "sim:slab:slab", "live:0", "live:-2", "live:abc", "live:1:2", "live:Inf", "live:NaN"} {
-		if _, err := experiment.ParseRuntime(bad); err == nil {
-			t.Errorf("ParseRuntime(%q) accepted", bad)
-		}
+		t.Run(bad, func(t *testing.T) {
+			if _, err := experiment.ParseRuntime(bad); err == nil {
+				t.Errorf("ParseRuntime(%q) accepted", bad)
+			}
+		})
 	}
 	names := experiment.Runtimes()
 	if len(names) < 3 || names[0] != "live" || names[1] != "live-tcp" || names[2] != "sim" {

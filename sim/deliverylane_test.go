@@ -63,8 +63,8 @@ var dlaneCases = []dlaneCase{
 // and every probe of the engine's accounting.
 type dlaneWorld struct {
 	c      dlaneCase
-	e      *Engine
-	ref    bool // the queue-only reference: hooks go through ScheduleDeliveryAt
+	e      scheduler
+	ref    bool // a reference: hooks go through ScheduleDeliveryAt
 	r      *rng.Source
 	calls  int
 	nextID uint64
@@ -191,41 +191,59 @@ func (w *dlaneWorld) run() {
 		w.e.Pending(), w.e.Processed(), w.e.Now()))
 }
 
+// laneReferences are the schedulers the lane differential tests hold the
+// lane engine to: the engine itself with its delivery lanes disabled, so
+// every delivery (and every hook the world schedules as a delivery) waits in
+// its heap, and refEngine, one container/heap holding every event, which
+// shares no scheduling code with Engine.
+var laneReferences = []struct {
+	name string
+	new  func() scheduler
+}{
+	{"heap", func() scheduler { return noDeliveryLanes(NewEngine()) }},
+	{"container-heap", func() scheduler { return &refEngine{} }},
+}
+
 // TestDeliveryLanesMatchHeap is the differential test of the delivery
 // lanes: each delivery pattern, run with lanes, must execute the same events
 // in the same order and report the same NextTime/Pending/Processed at every
-// probe as an engine that keeps every delivery in its heap.
+// probe as each of the laneReferences, one subtest per reference.
 func TestDeliveryLanesMatchHeap(t *testing.T) {
 	for _, c := range dlaneCases {
 		t.Run(c.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				got := &dlaneWorld{c: c, e: NewEngine(), r: rng.New(seed)}
-				got.run()
-				want := &dlaneWorld{c: c, e: noDeliveryLanes(NewEngine()), ref: true, r: rng.New(seed)}
-				want.run()
+			for _, ref := range laneReferences {
+				t.Run(ref.name, func(t *testing.T) {
+					for seed := uint64(1); seed <= 3; seed++ {
+						e := NewEngine()
+						got := &dlaneWorld{c: c, e: e, r: rng.New(seed)}
+						got.run()
+						want := &dlaneWorld{c: c, e: ref.new(), ref: true, r: rng.New(seed)}
+						want.run()
 
-				if len(want.log) < 5000 {
-					t.Fatalf("seed %d: only %d events executed; the cascade should run thousands", seed, len(want.log))
-				}
-				for i := range want.log {
-					if i >= len(got.log) || got.log[i] != want.log[i] {
-						t.Fatalf("seed %d: event %d differs: lanes %+v, heap %+v", seed, i, at(got.log, i), want.log[i])
-					}
-				}
-				if len(got.log) != len(want.log) {
-					t.Fatalf("seed %d: lanes executed %d events, heap %d", seed, len(got.log), len(want.log))
-				}
-				if !reflect.DeepEqual(got.probes, want.probes) {
-					for i := range want.probes {
-						if i >= len(got.probes) || got.probes[i] != want.probes[i] {
-							t.Fatalf("seed %d: probe %d differs:\nlanes %s\nheap  %s", seed, i, at(got.probes, i), want.probes[i])
+						if len(want.log) < 5000 {
+							t.Fatalf("seed %d: only %d events executed; the cascade should run thousands", seed, len(want.log))
+						}
+						for i := range want.log {
+							if i >= len(got.log) || got.log[i] != want.log[i] {
+								t.Fatalf("seed %d: event %d differs: lanes %+v, %s %+v", seed, i, at(got.log, i), ref.name, want.log[i])
+							}
+						}
+						if len(got.log) != len(want.log) {
+							t.Fatalf("seed %d: lanes executed %d events, %s %d", seed, len(got.log), ref.name, len(want.log))
+						}
+						if !reflect.DeepEqual(got.probes, want.probes) {
+							for i := range want.probes {
+								if i >= len(got.probes) || got.probes[i] != want.probes[i] {
+									t.Fatalf("seed %d: probe %d differs:\nlanes %s\n%s %s", seed, i, at(got.probes, i), ref.name, want.probes[i])
+								}
+							}
+							t.Fatalf("seed %d: lanes took %d probes, %s %d", seed, len(got.probes), ref.name, len(want.probes))
+						}
+						if opened := e.ndl > 0; opened != c.lanes {
+							t.Fatalf("seed %d: %d delivery lanes opened, want lanes = %v", seed, e.ndl, c.lanes)
 						}
 					}
-					t.Fatalf("seed %d: lanes took %d probes, heap %d", seed, len(got.probes), len(want.probes))
-				}
-				if opened := got.e.ndl > 0; opened != c.lanes {
-					t.Fatalf("seed %d: %d delivery lanes opened, want lanes = %v", seed, got.e.ndl, c.lanes)
-				}
+				})
 			}
 		})
 	}
@@ -386,35 +404,37 @@ func runShardDLaneWorld(t *testing.T, shards int, seed uint64, mixed, lanes bool
 // soak runs it.
 func TestShardDeliveryLanesMatchHeap(t *testing.T) {
 	for _, shards := range []int{2, 4} {
-		for _, mixed := range []bool{false, true} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				got := runShardDLaneWorld(t, shards, seed, mixed, true)
-				want := runShardDLaneWorld(t, shards, seed, mixed, false)
-				total := 0
-				for s := range want.logs {
-					total += len(want.logs[s])
-					if !reflect.DeepEqual(got.logs[s], want.logs[s]) {
-						for i := range want.logs[s] {
-							if i >= len(got.logs[s]) || got.logs[s][i] != want.logs[s][i] {
-								t.Fatalf("shards=%d mixed=%v seed %d shard %d: delivery %d differs: lanes %+v, heap %+v",
-									shards, mixed, seed, s, i, at(got.logs[s], i), want.logs[s][i])
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for _, mixed := range []bool{false, true} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					got := runShardDLaneWorld(t, shards, seed, mixed, true)
+					want := runShardDLaneWorld(t, shards, seed, mixed, false)
+					total := 0
+					for s := range want.logs {
+						total += len(want.logs[s])
+						if !reflect.DeepEqual(got.logs[s], want.logs[s]) {
+							for i := range want.logs[s] {
+								if i >= len(got.logs[s]) || got.logs[s][i] != want.logs[s][i] {
+									t.Fatalf("shards=%d mixed=%v seed %d shard %d: delivery %d differs: lanes %+v, heap %+v",
+										shards, mixed, seed, s, i, at(got.logs[s], i), want.logs[s][i])
+								}
 							}
+							t.Fatalf("shards=%d mixed=%v seed %d shard %d: lanes logged %d deliveries, heap %d",
+								shards, mixed, seed, s, len(got.logs[s]), len(want.logs[s]))
 						}
-						t.Fatalf("shards=%d mixed=%v seed %d shard %d: lanes logged %d deliveries, heap %d",
-							shards, mixed, seed, s, len(got.logs[s]), len(want.logs[s]))
+						if got.se.engines[s].ndl == 0 {
+							t.Fatalf("shards=%d mixed=%v seed %d: shard %d opened no delivery lane", shards, mixed, seed, s)
+						}
+						if shards == 2 && !mixed && got.maxQ[s] != 0 {
+							t.Fatalf("seed %d: shard %d's queue held %d events; fixed delays on two shards belong in lanes",
+								seed, s, got.maxQ[s])
+						}
 					}
-					if got.se.engines[s].ndl == 0 {
-						t.Fatalf("shards=%d mixed=%v seed %d: shard %d opened no delivery lane", shards, mixed, seed, s)
+					if total < 2000 {
+						t.Fatalf("shards=%d mixed=%v seed %d: only %d deliveries logged", shards, mixed, seed, total)
 					}
-					if shards == 2 && !mixed && got.maxQ[s] != 0 {
-						t.Fatalf("seed %d: shard %d's queue held %d events; fixed delays on two shards belong in lanes",
-							seed, s, got.maxQ[s])
-					}
-				}
-				if total < 2000 {
-					t.Fatalf("shards=%d mixed=%v seed %d: only %d deliveries logged", shards, mixed, seed, total)
 				}
 			}
-		}
+		})
 	}
 }

@@ -153,28 +153,30 @@ func runDrainWorld(t *testing.T, shards int, seed uint64, runUntil func(se *Shar
 // sharded race soak runs it.
 func TestShardParallelDrainMatchesCoordinatorDrain(t *testing.T) {
 	for _, shards := range []int{2, 4} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			got, gotProbes := runDrainWorld(t, shards, seed, (*ShardedEngine).RunUntil)
-			want, wantProbes := runDrainWorld(t, shards, seed, runUntilCoordinatorDrain)
-			if !reflect.DeepEqual(gotProbes, wantProbes) {
-				t.Fatalf("shards=%d seed %d: probes differ:\nparallel    %q\ncoordinator %q", shards, seed, gotProbes, wantProbes)
-			}
-			total := 0
-			for s := range want {
-				total += len(want[s])
-				for i := range want[s] {
-					if i >= len(got[s]) || got[s][i] != want[s][i] {
-						t.Fatalf("shards=%d seed %d log %d: entry %d differs: parallel %v, coordinator %q",
-							shards, seed, s, i, at(got[s], i), want[s][i])
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				got, gotProbes := runDrainWorld(t, shards, seed, (*ShardedEngine).RunUntil)
+				want, wantProbes := runDrainWorld(t, shards, seed, runUntilCoordinatorDrain)
+				if !reflect.DeepEqual(gotProbes, wantProbes) {
+					t.Fatalf("shards=%d seed %d: probes differ:\nparallel    %q\ncoordinator %q", shards, seed, gotProbes, wantProbes)
+				}
+				total := 0
+				for s := range want {
+					total += len(want[s])
+					for i := range want[s] {
+						if i >= len(got[s]) || got[s][i] != want[s][i] {
+							t.Fatalf("shards=%d seed %d log %d: entry %d differs: parallel %v, coordinator %q",
+								shards, seed, s, i, at(got[s], i), want[s][i])
+						}
+					}
+					if len(got[s]) != len(want[s]) {
+						t.Fatalf("shards=%d seed %d log %d: parallel logged %d entries, coordinator %d", shards, seed, s, len(got[s]), len(want[s]))
 					}
 				}
-				if len(got[s]) != len(want[s]) {
-					t.Fatalf("shards=%d seed %d log %d: parallel logged %d entries, coordinator %d", shards, seed, s, len(got[s]), len(want[s]))
+				if coord := len(want[shards]); total < 2000 || coord < 10 {
+					t.Fatalf("shards=%d seed %d: %d entries, %d coordinator events; want thousands and some", shards, seed, total, coord)
 				}
 			}
-			if coord := len(want[shards]); total < 2000 || coord < 10 {
-				t.Fatalf("shards=%d seed %d: %d entries, %d coordinator events; want thousands and some", shards, seed, total, coord)
-			}
-		}
+		})
 	}
 }

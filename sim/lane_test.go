@@ -22,11 +22,10 @@ type laneRecord struct {
 // laneWorld drives one engine through a randomized schedule of closures,
 // deliveries and three kinds of hook events, logging every executed event
 // and every probe of the engine's accounting. hookAt is the scheduling path
-// under test: ScheduleHookAt for the lane engine, ScheduleDeliveryAt for the
-// reference, whose delivery lanes are disabled so it keeps every event in
-// the queue.
+// under test: ScheduleHookAt for the lane engine, ScheduleDeliveryAt for a
+// reference of laneReferences, which keeps every event in its queue.
 type laneWorld struct {
-	e      *Engine
+	e      scheduler
 	hookAt func(t float64, to int32, word uint64, sink DeliverySink)
 	r      *rng.Source
 	seqOf  map[uint64]uint64 // word → seq at scheduling
@@ -61,7 +60,7 @@ func (w *laneWorld) id() uint64 {
 	return w.nextID
 }
 
-func (w *laneWorld) note(word uint64) { w.seqOf[word] = w.e.seq }
+func (w *laneWorld) note(word uint64) { w.seqOf[word] = w.e.lastSeq() }
 
 func (w *laneWorld) record(to int32, word uint64) {
 	w.log = append(w.log, laneRecord{time: w.e.Now(), seq: w.seqOf[word], to: to, word: word})
@@ -188,58 +187,62 @@ func (w *laneWorld) run() {
 
 // TestHookLanesMatchQueue is the differential test of the hook lanes: the
 // same randomized schedule run once with hooks in lanes and once with every
-// hook in the queue (ScheduleDeliveryAt on an engine without delivery lanes)
-// must execute the same events in the same (time, seq) order and report the
-// same NextTime/Pending/Processed at every probe. The schedule pushes hooks unordered
-// before the first pop, re-arms periodic hooks from their own callbacks,
-// pushes hooks behind their lane's tail after the first pop (the queue
-// fallback) and ties every event class at equal times.
+// hook in the queue (ScheduleDeliveryAt on each of the laneReferences, one
+// subtest per reference) must execute the same events in the same
+// (time, seq) order and report the same NextTime/Pending/Processed at every
+// probe. The schedule pushes hooks unordered before the first pop, re-arms
+// periodic hooks from their own callbacks, pushes hooks behind their lane's
+// tail after the first pop (the queue fallback) and ties every event class
+// at equal times.
 func TestHookLanesMatchQueue(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		lanes := &laneWorld{e: NewEngine(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
-		lanes.hookAt = lanes.e.ScheduleHookAt
-		var fallbacks, taken int
-		hookAt := lanes.hookAt
-		lanes.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
-			before := lanes.e.q.Len()
-			hookAt(t, to, word, sink)
-			if lanes.e.q.Len() > before {
-				fallbacks++
-			} else {
-				taken++
-			}
-		}
-		lanes.run()
+	for _, rc := range laneReferences {
+		t.Run(rc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				e := NewEngine()
+				lanes := &laneWorld{e: e, r: rng.New(seed), seqOf: map[uint64]uint64{}}
+				var fallbacks, taken int
+				lanes.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+					before := e.q.Len()
+					e.ScheduleHookAt(t, to, word, sink)
+					if e.q.Len() > before {
+						fallbacks++
+					} else {
+						taken++
+					}
+				}
+				lanes.run()
 
-		ref := &laneWorld{e: noDeliveryLanes(NewEngine()), r: rng.New(seed), seqOf: map[uint64]uint64{}}
-		ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
-			ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
-		}
-		ref.run()
+				ref := &laneWorld{e: rc.new(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
+				ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+					ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
+				}
+				ref.run()
 
-		if len(lanes.log) < 5000 {
-			t.Fatalf("seed %d: only %d events executed; the schedule should run thousands", seed, len(lanes.log))
-		}
-		for i := range ref.log {
-			if i >= len(lanes.log) || lanes.log[i] != ref.log[i] {
-				t.Fatalf("seed %d: event %d differs: lanes %+v, queue-only %+v", seed, i, at(lanes.log, i), ref.log[i])
-			}
-		}
-		if len(lanes.log) != len(ref.log) {
-			t.Fatalf("seed %d: lanes executed %d events, queue-only %d", seed, len(lanes.log), len(ref.log))
-		}
-		if !reflect.DeepEqual(lanes.probes, ref.probes) {
-			for i := range ref.probes {
-				if i >= len(lanes.probes) || lanes.probes[i] != ref.probes[i] {
-					t.Fatalf("seed %d: probe %d differs:\nlanes     %s\nqueue-only %s", seed, i, at(lanes.probes, i), ref.probes[i])
+				if len(lanes.log) < 5000 {
+					t.Fatalf("seed %d: only %d events executed; the schedule should run thousands", seed, len(lanes.log))
+				}
+				for i := range ref.log {
+					if i >= len(lanes.log) || lanes.log[i] != ref.log[i] {
+						t.Fatalf("seed %d: event %d differs: lanes %+v, %s %+v", seed, i, at(lanes.log, i), rc.name, ref.log[i])
+					}
+				}
+				if len(lanes.log) != len(ref.log) {
+					t.Fatalf("seed %d: lanes executed %d events, %s %d", seed, len(lanes.log), rc.name, len(ref.log))
+				}
+				if !reflect.DeepEqual(lanes.probes, ref.probes) {
+					for i := range ref.probes {
+						if i >= len(lanes.probes) || lanes.probes[i] != ref.probes[i] {
+							t.Fatalf("seed %d: probe %d differs:\nlanes %s\n%s %s", seed, i, at(lanes.probes, i), rc.name, ref.probes[i])
+						}
+					}
+					t.Fatalf("seed %d: lanes took %d probes, %s %d", seed, len(lanes.probes), rc.name, len(ref.probes))
+				}
+				if fallbacks < 100 || taken < 300 {
+					t.Fatalf("seed %d: %d hooks in lanes, %d fell back to the queue; want both paths exercised",
+						seed, taken, fallbacks)
 				}
 			}
-			t.Fatalf("seed %d: lanes took %d probes, queue-only %d", seed, len(lanes.probes), len(ref.probes))
-		}
-		if fallbacks < 100 || taken < 300 {
-			t.Fatalf("seed %d: %d hooks in lanes, %d fell back to the queue; want both paths exercised",
-				seed, taken, fallbacks)
-		}
+		})
 	}
 }
 
@@ -452,31 +455,33 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 // shards. Named …Shard… so CI's sharded race soak runs it.
 func TestShardHookLanesMatchQueue(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			got, fallbacks := runShardLaneWorld(t, shards, seed, true)
-			want, _ := runShardLaneWorld(t, shards, seed, false)
-			total := 0
-			for s := range want {
-				total += len(want[s])
-				if !reflect.DeepEqual(got[s], want[s]) {
-					for i := range want[s] {
-						if i >= len(got[s]) || got[s][i] != want[s][i] {
-							t.Fatalf("shards=%d seed %d log %d: event %d differs: lanes %+v, queue-only %+v",
-								shards, seed, s, i, at(got[s], i), want[s][i])
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				got, fallbacks := runShardLaneWorld(t, shards, seed, true)
+				want, _ := runShardLaneWorld(t, shards, seed, false)
+				total := 0
+				for s := range want {
+					total += len(want[s])
+					if !reflect.DeepEqual(got[s], want[s]) {
+						for i := range want[s] {
+							if i >= len(got[s]) || got[s][i] != want[s][i] {
+								t.Fatalf("shards=%d seed %d log %d: event %d differs: lanes %+v, queue-only %+v",
+									shards, seed, s, i, at(got[s], i), want[s][i])
+							}
 						}
+						t.Fatalf("shards=%d seed %d log %d: lanes logged %d events, queue-only %d",
+							shards, seed, s, len(got[s]), len(want[s]))
 					}
-					t.Fatalf("shards=%d seed %d log %d: lanes logged %d events, queue-only %d",
-						shards, seed, s, len(got[s]), len(want[s]))
+				}
+				if total < 1500 {
+					t.Fatalf("shards=%d seed %d: only %d events logged", shards, seed, total)
+				}
+				for s, f := range fallbacks[:shards] {
+					if f == 0 {
+						t.Fatalf("shards=%d seed %d: no hook on shard %d fell back to the queue", shards, seed, s)
+					}
 				}
 			}
-			if total < 1500 {
-				t.Fatalf("shards=%d seed %d: only %d events logged", shards, seed, total)
-			}
-			for s, f := range fallbacks[:shards] {
-				if f == 0 {
-					t.Fatalf("shards=%d seed %d: no hook on shard %d fell back to the queue", shards, seed, s)
-				}
-			}
-		}
+		})
 	}
 }

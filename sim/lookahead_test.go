@@ -259,7 +259,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 }
 
 // TestShardLookaheadContract checks the lookahead contract of hook lanes on
-// the plain engine and on a sharded one: a
+// the plain engine and on sharded ones of 2 and 4 shards: a
 // LookaheadSink receives, every LookaheadBatch pops of its lane, exactly the
 // To of the lane entries [head+K, head+2K) — checked against the pops that
 // follow — as long as the lane held more than lookaheadMinLane entries when
@@ -273,7 +273,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 // capability hidden. Named …Shard… so CI's sharded race soak runs it.
 func TestShardLookaheadContract(t *testing.T) {
 	const k = LookaheadBatch
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{0, 2, 4} {
 		for _, c := range []struct {
 			perShard int
 			spawn    float64

@@ -48,101 +48,183 @@ type discardSink struct{}
 
 func (discardSink) Deliver(Delivery) {}
 
+// heapWorkload is one shape of TestHeapMatchesContainerHeap's operation
+// stream: push is the probability that operation op pushes (otherwise it
+// peeks or pops), and at draws a pushed event's time from the current time
+// base and its seq.
+type heapWorkload struct {
+	name string
+	push func(op int) float64
+	at   func(src *rng.Source, base float64, seq uint64) float64
+}
+
+var heapWorkloads = []heapWorkload{
+	// Continuous and heavily duplicated times (seq tie-breaks) and
+	// far-future events.
+	{"mixed", func(int) float64 { return 0.55 }, func(src *rng.Source, base float64, _ uint64) float64 {
+		at := base + src.Float64()*100
+		switch {
+		case src.Float64() < 0.2:
+			at = base + float64(src.Intn(10)) // duplicate times exercise the seq tie-break
+		case src.Float64() < 0.1:
+			at = base + 1e4 + src.Float64()*1e4
+		}
+		return at
+	}},
+	// Three distinct times: nearly every compare is decided by seq.
+	{"ties", func(int) float64 { return 0.55 }, func(src *rng.Source, base float64, _ uint64) float64 {
+		return base + float64(src.Intn(3))
+	}},
+	// Times rising with seq, the fixed-delay pattern: every push stays a leaf.
+	{"ascending", func(int) float64 { return 0.55 }, func(_ *rng.Source, base float64, seq uint64) float64 {
+		return base + float64(seq)/4
+	}},
+	// Times falling with seq: every push sifts up to the root.
+	{"descending", func(int) float64 { return 0.55 }, func(_ *rng.Source, base float64, seq uint64) float64 {
+		return base + 1e6 - float64(seq)/4
+	}},
+	// Alternating phases that grow the heap to thousands of keys and drain
+	// it to empty, so sift-downs run over every depth and slots recycle.
+	{"grow-drain", func(op int) float64 {
+		if op/3000%2 == 0 {
+			return 0.9
+		}
+		return 0.1
+	}, func(src *rng.Source, base float64, _ uint64) float64 {
+		return base + src.Float64()*100
+	}},
+	// Two clusters far apart, the shape of ticks beside a churn schedule.
+	{"bimodal", func(int) float64 { return 0.55 }, func(src *rng.Source, base float64, _ uint64) float64 {
+		if src.Float64() < 0.5 {
+			return base + src.Float64()
+		}
+		return base + 86400*(1+src.Float64())
+	}},
+}
+
 // TestHeapMatchesContainerHeap drives the heap and the container/heap
-// reference with one randomized workload of interleaved pushes, peeks and
-// pops, and requires the same event at every step: same key, same payload.
-// The workload mixes continuous and heavily duplicated times (seq
-// tie-breaks), far-future events, idle jumps of the time base, and all three
-// event forms: closures, word deliveries and boxed deliveries.
+// reference with randomized workloads of interleaved pushes, peeks and pops,
+// one subtest per heapWorkload shape, and requires the same event at every
+// step: same key, same payload. Every shape has idle jumps of the time base
+// and all three event forms: closures, word deliveries and boxed deliveries.
 func TestHeapMatchesContainerHeap(t *testing.T) {
-	var q queue
-	ref := &refHeap{}
-	src := rng.New(42)
-	var seq uint64
-	base := 0.0
-	check := func(op int, gotT float64, got event, want refEvent) {
-		t.Helper()
-		if gotT != want.time || got.d != want.ev.d || (got.fn == nil) != (want.ev.fn == nil) || got.sink != want.ev.sink {
-			t.Fatalf("op %d: pop diverged: heap (%v, %+v), ref (%v, %+v)", op, gotT, got.d, want.time, want.ev.d)
-		}
-	}
-	for op := 0; op < 30000; op++ {
-		if q.Len() != ref.Len() {
-			t.Fatalf("op %d: lengths diverged: heap %d, ref %d", op, q.Len(), ref.Len())
-		}
-		if ref.Len() == 0 || src.Float64() < 0.55 {
-			seq++
-			at := base + src.Float64()*100
-			switch {
-			case src.Float64() < 0.2:
-				at = base + float64(src.Intn(10)) // duplicate times exercise the seq tie-break
-			case src.Float64() < 0.1:
-				at = base + 1e4 + src.Float64()*1e4
+	for _, w := range heapWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			var q queue
+			ref := &refHeap{}
+			src := rng.New(42)
+			var seq uint64
+			base := 0.0
+			check := func(op int, gotT float64, got event, want refEvent) {
+				t.Helper()
+				if gotT != want.time || got.d != want.ev.d || (got.fn == nil) != (want.ev.fn == nil) || got.sink != want.ev.sink {
+					t.Fatalf("op %d: pop diverged: heap (%v, %+v), ref (%v, %+v)", op, gotT, got.d, want.time, want.ev.d)
+				}
 			}
-			// Every form carries its seq in d.Word, so a pop identifies it.
-			ev := event{d: Delivery{From: int32(seq % 7), To: int32(seq % 11), Word: seq}}
-			switch x := src.Float64(); {
-			case x < 0.4:
-				ev.fn = func() {}
-			case x < 0.7:
-				ev.sink = discardSink{}
-			default:
-				ev.sink, ev.d.Box = discardSink{}, seq
+			maxLen := 0
+			for op := 0; op < 30000; op++ {
+				if q.Len() != ref.Len() {
+					t.Fatalf("op %d: lengths diverged: heap %d, ref %d", op, q.Len(), ref.Len())
+				}
+				maxLen = max(maxLen, q.Len())
+				if ref.Len() == 0 || src.Float64() < w.push(op) {
+					seq++
+					at := w.at(src, base, seq)
+					// Every form carries its seq in d.Word, so a pop identifies it.
+					ev := event{d: Delivery{From: int32(seq % 7), To: int32(seq % 11), Word: seq}}
+					switch x := src.Float64(); {
+					case x < 0.4:
+						ev.fn = func() {}
+					case x < 0.7:
+						ev.sink = discardSink{}
+					default:
+						ev.sink, ev.d.Box = discardSink{}, seq
+					}
+					heap.Push(ref, refEvent{time: at, seq: seq, ev: ev})
+					q.push(at, seq, ev)
+					continue
+				}
+				if src.Float64() < 0.05 {
+					base += 500
+				}
+				if src.Float64() < 0.3 {
+					if got, want := q.keys[0], (*ref)[0]; got.time != want.time || got.seq != want.seq {
+						t.Fatalf("op %d: head diverged: heap (%v, %d), ref (%v, %d)", op, got.time, got.seq, want.time, want.seq)
+					}
+					continue
+				}
+				gotT, got := q.pop()
+				check(op, gotT, got, heap.Pop(ref).(refEvent))
 			}
-			heap.Push(ref, refEvent{time: at, seq: seq, ev: ev})
-			q.push(at, seq, ev)
-			continue
-		}
-		if src.Float64() < 0.05 {
-			base += 500
-		}
-		if src.Float64() < 0.3 {
-			if got, want := q.keys[0], (*ref)[0]; got.time != want.time || got.seq != want.seq {
-				t.Fatalf("op %d: head diverged: heap (%v, %d), ref (%v, %d)", op, got.time, got.seq, want.time, want.seq)
+			for op := 0; ref.Len() > 0; op++ {
+				gotT, got := q.pop()
+				check(op, gotT, got, heap.Pop(ref).(refEvent))
 			}
-			continue
-		}
-		gotT, got := q.pop()
-		check(op, gotT, got, heap.Pop(ref).(refEvent))
-	}
-	for op := 0; ref.Len() > 0; op++ {
-		gotT, got := q.pop()
-		check(op, gotT, got, heap.Pop(ref).(refEvent))
-	}
-	if q.Len() != 0 {
-		t.Fatalf("heap still holds %d events", q.Len())
+			if q.Len() != 0 {
+				t.Fatalf("heap still holds %d events", q.Len())
+			}
+			if maxLen < 64 {
+				t.Fatalf("the heap never held more than %d keys; the workload should build a deep heap", maxLen)
+			}
+		})
 	}
 }
 
-// TestQueuePopsSortedOrder checks the (time, seq) total order directly.
+// TestQueuePopsSortedOrder checks the (time, seq) total order directly, for
+// push orders whose times are duplicated, continuous, falling and all equal.
 func TestQueuePopsSortedOrder(t *testing.T) {
-	var q queue
-	src := rng.New(7)
-	for i := 0; i < 5000; i++ {
-		q.push(float64(src.Intn(50)), uint64(i), event{d: Delivery{Word: uint64(i)}})
-	}
-	prevT, prevSeq := -1.0, uint64(0)
-	for q.Len() > 0 {
-		at, ev := q.pop()
-		if at < prevT || (at == prevT && ev.d.Word < prevSeq) {
-			t.Fatalf("event (%v, %d) popped after (%v, %d)", at, ev.d.Word, prevT, prevSeq)
-		}
-		prevT, prevSeq = at, ev.d.Word
+	for _, c := range []struct {
+		name string
+		at   func(src *rng.Source, i int) float64
+	}{
+		{"ties", func(src *rng.Source, _ int) float64 { return float64(src.Intn(50)) }},
+		{"continuous", func(src *rng.Source, _ int) float64 { return src.Float64() * 1e3 }},
+		{"descending", func(_ *rng.Source, i int) float64 { return float64(5000 - i) }},
+		{"equal", func(*rng.Source, int) float64 { return 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var q queue
+			src := rng.New(7)
+			for i := 0; i < 5000; i++ {
+				q.push(c.at(src, i), uint64(i), event{d: Delivery{Word: uint64(i)}})
+			}
+			prevT, prevSeq, popped := -1.0, uint64(0), 0
+			for q.Len() > 0 {
+				at, ev := q.pop()
+				if at < prevT || (at == prevT && ev.d.Word < prevSeq) {
+					t.Fatalf("event (%v, %d) popped after (%v, %d)", at, ev.d.Word, prevT, prevSeq)
+				}
+				prevT, prevSeq = at, ev.d.Word
+				popped++
+			}
+			if popped != 5000 {
+				t.Fatalf("popped %d of 5000 events", popped)
+			}
+		})
 	}
 }
 
-// scheduler is the part of Engine's surface TestEngineMatchesContainerHeap
-// drives, so one workload runs on Engine and on refEngine alike.
+// scheduler is the part of Engine's surface the differential tests drive,
+// so one workload runs on Engine and on refEngine alike. lastSeq is the
+// sequence number the latest scheduled event got.
 type scheduler interface {
 	Now() float64
 	Processed() uint64
 	Pending() int
 	NextTime() (float64, bool)
 	Schedule(delay float64, fn func())
+	At(t float64, fn func())
 	ScheduleDelivery(delay float64, d Delivery, sink DeliverySink)
+	ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink)
 	ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink)
+	Step() bool
 	RunUntil(horizon float64)
+	RunBefore(limit float64)
+	Run()
+	lastSeq() uint64
 }
+
+func (e *Engine) lastSeq() uint64 { return e.seq }
 
 // refEngine is the scheduler Engine is held to: every event — closure,
 // delivery or hook — waits in one container/heap over (time, seq), numbered
@@ -165,6 +247,7 @@ func (r *refEngine) at(t float64, ev event) {
 func (r *refEngine) Now() float64      { return r.now }
 func (r *refEngine) Processed() uint64 { return r.processed }
 func (r *refEngine) Pending() int      { return r.h.Len() }
+func (r *refEngine) lastSeq() uint64   { return r.seq }
 
 func (r *refEngine) NextTime() (float64, bool) {
 	if r.h.Len() == 0 {
@@ -177,27 +260,61 @@ func (r *refEngine) Schedule(delay float64, fn func()) {
 	r.at(r.now+max(delay, 0), event{fn: fn})
 }
 
+func (r *refEngine) At(t float64, fn func()) { r.at(t, event{fn: fn}) }
+
 func (r *refEngine) ScheduleDelivery(delay float64, d Delivery, sink DeliverySink) {
 	r.at(r.now+max(delay, 0), event{sink: sink, d: d})
+}
+
+func (r *refEngine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
+	r.at(t, event{sink: sink, d: d})
 }
 
 func (r *refEngine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
 	r.at(t, event{sink: sink, d: Delivery{To: to, Word: word}})
 }
 
+// pop runs the earliest event.
+func (r *refEngine) pop() {
+	e := heap.Pop(&r.h).(refEvent)
+	r.now = e.time
+	r.processed++
+	if e.ev.fn != nil {
+		e.ev.fn()
+	} else {
+		e.ev.sink.Deliver(e.ev.d)
+	}
+}
+
+func (r *refEngine) Step() bool {
+	if r.h.Len() == 0 {
+		return false
+	}
+	r.pop()
+	return true
+}
+
 func (r *refEngine) RunUntil(horizon float64) {
 	for r.h.Len() > 0 && r.h[0].time <= horizon {
-		e := heap.Pop(&r.h).(refEvent)
-		r.now = e.time
-		r.processed++
-		if e.ev.fn != nil {
-			e.ev.fn()
-		} else {
-			e.ev.sink.Deliver(e.ev.d)
-		}
+		r.pop()
 	}
 	if horizon > r.now {
 		r.now = horizon
+	}
+}
+
+func (r *refEngine) RunBefore(limit float64) {
+	for r.h.Len() > 0 && r.h[0].time < limit {
+		r.pop()
+	}
+	if limit > r.now {
+		r.now = limit
+	}
+}
+
+func (r *refEngine) Run() {
+	for r.h.Len() > 0 {
+		r.pop()
 	}
 }
 
@@ -359,26 +476,30 @@ func TestQueueRecyclesSlots(t *testing.T) {
 }
 
 // TestHoldModelSteadyStateAllocs is the engine-level hold model: each
-// executed closure event schedules itself again at a random offset, over 4096
-// pending events. After a full turnover of the population (slab at its
-// high-water mark) a Step — pop, run the closure, push its successor —
-// allocates nothing.
+// executed closure event schedules itself again at a random offset, over a
+// population of pending events, one subtest per population size, from a
+// heap of a few levels to one of tens of thousands of keys. After a full turnover of the population
+// (slab at its high-water mark) a Step — pop, run the closure, push its
+// successor — allocates nothing.
 func TestHoldModelSteadyStateAllocs(t *testing.T) {
-	const pending = 4096
-	e := NewEngine()
-	src := rng.New(1)
-	var hold func()
-	hold = func() { e.Schedule(src.Float64()*100, hold) }
-	for i := 0; i < pending; i++ {
-		e.Schedule(src.Float64()*100, hold)
-	}
-	for i := 0; i < 4*pending; i++ {
-		e.Step()
-	}
-	if allocs := testing.AllocsPerRun(10*pending, func() { e.Step() }); allocs != 0 {
-		t.Errorf("hold model allocates %.1f per Step, want 0", allocs)
-	}
-	if e.Pending() != pending {
-		t.Errorf("hold model holds %d pending events, want %d", e.Pending(), pending)
+	for _, pending := range []int{16, 4096, 32768} {
+		t.Run(fmt.Sprintf("pending=%d", pending), func(t *testing.T) {
+			e := NewEngine()
+			src := rng.New(1)
+			var hold func()
+			hold = func() { e.Schedule(src.Float64()*100, hold) }
+			for i := 0; i < pending; i++ {
+				e.Schedule(src.Float64()*100, hold)
+			}
+			for i := 0; i < 4*pending; i++ {
+				e.Step()
+			}
+			if allocs := testing.AllocsPerRun(max(10*pending, 10000), func() { e.Step() }); allocs != 0 {
+				t.Errorf("hold model allocates %.1f per Step, want 0", allocs)
+			}
+			if e.Pending() != pending {
+				t.Errorf("hold model holds %d pending events, want %d", e.Pending(), pending)
+			}
+		})
 	}
 }

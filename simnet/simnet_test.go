@@ -321,11 +321,11 @@ func TestAverageTokensApproachesPrediction(t *testing.T) {
 // proactive ticks, typed deliveries, Receive handlers and reactive sends
 // included — must not allocate at all. The rows add the network models'
 // sampled delays (exponential; the lossy lognormal of the churn workload,
-// whose Drop runs on every send; zones), that lossy network under a
-// smartphone churn trace, so peers are drawn among online neighbours only
-// and nodes leave and rejoin during the measured rounds, and a 2-shard
-// ShardedEnv on zones, whose shard workers, outboxes and barriers run on
-// other goroutines (the malloc counter is process-wide, so they count).
+// whose Drop runs on every send; zones) and a 2-shard ShardedEnv on zones,
+// whose shard workers, outboxes and barriers run on other goroutines (the
+// malloc counter is process-wide, so they count). Every row runs once more
+// under a smartphone churn trace (-churn), so peers are drawn among online
+// neighbours only and nodes leave and rejoin during the measured rounds.
 func TestSteadyStateMessagePathAllocs(t *testing.T) {
 	lossy := netmodel.Lossy{P: 0.01, Inner: netmodel.LogNormal{Mu: 0.547, Sigma: 0.5}}
 	zones := netmodel.Zones{K: 8, Intra: 0.5, Inter: 3}
@@ -336,11 +336,15 @@ func TestSteadyStateMessagePathAllocs(t *testing.T) {
 		churn   bool
 	}{
 		{"constant", netmodel.Constant{D: walkerDelay}, 1, false},
+		{"constant-churn", netmodel.Constant{D: walkerDelay}, 1, true},
 		{"exponential:1", netmodel.Exponential{Mean: 1}, 1, false},
+		{"exponential:1-churn", netmodel.Exponential{Mean: 1}, 1, true},
 		{lossy.String(), lossy, 1, false},
 		{lossy.String() + "-churn", lossy, 1, true},
 		{zones.String(), zones, 1, false},
+		{zones.String() + "-churn", zones, 1, true},
 		{zones.String() + "-shards=2", zones, 2, false},
+		{zones.String() + "-shards=2-churn", zones, 2, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
