@@ -57,6 +57,19 @@ func (g *Graph) OutNeighbors(i int) []int32 {
 	return g.outAdj[g.outOff[i]:g.outOff[i+1]]
 }
 
+// OutHead returns the CSR head of node i: the offset of its first
+// out-neighbour in OutAdjacency and its out-degree, so OutNeighbors(i) is
+// OutAdjacency()[off : off+deg]. A caller that keeps the head beside other
+// per-node state reaches the neighbours without reading the offsets.
+func (g *Graph) OutHead(i int) (off int64, deg int) {
+	return g.outOff[i], int(g.outOff[i+1] - g.outOff[i])
+}
+
+// OutAdjacency returns every node's out-neighbours, concatenated in node
+// order (the CSR adjacency array), as a shared slice; the caller must not
+// modify it.
+func (g *Graph) OutAdjacency() []int32 { return g.outAdj }
+
 // InNeighbors returns the in-neighbours of node i as a shared slice; the
 // caller must not modify it.
 func (g *Graph) InNeighbors(i int) []int32 {

@@ -35,6 +35,26 @@ func TestNewFromOut(t *testing.T) {
 	}
 }
 
+// TestOutHeadLocatesOutNeighbors checks that a node's CSR head, applied to
+// the shared adjacency, yields exactly its out-neighbours, degree-0 nodes
+// included.
+func TestOutHeadLocatesOutNeighbors(t *testing.T) {
+	g, err := NewFromOut([][]int{{1, 2}, {}, {0, 1, 2}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := g.OutAdjacency()
+	if len(adj) != g.Edges() {
+		t.Fatalf("adjacency holds %d entries, want %d", len(adj), g.Edges())
+	}
+	for i := 0; i < g.N(); i++ {
+		off, deg := g.OutHead(i)
+		if deg != g.OutDegree(i) || !slices.Equal(adj[off:off+int64(deg)], g.OutNeighbors(i)) {
+			t.Errorf("node %d: head (%d, %d) gives %v, want %v", i, off, deg, adj[off:off+int64(deg)], g.OutNeighbors(i))
+		}
+	}
+}
+
 func TestNewFromOutRejectsOutOfRange(t *testing.T) {
 	if _, err := NewFromOut([][]int{{5}}); err == nil {
 		t.Error("out-of-range neighbour accepted")

@@ -139,7 +139,7 @@ func (n *Node) ID() NodeID { return n.id }
 func (n *Node) Tokens() int { return n.state().Account.Balance() }
 
 // Stats returns a snapshot of the node's activity counters.
-func (n *Node) Stats() Stats { return n.state().Stats }
+func (n *Node) Stats() Stats { return n.state().Stats() }
 
 // Strategy returns the node's token account strategy.
 func (n *Node) Strategy() core.Strategy { return n.strategy }
@@ -184,6 +184,6 @@ func (n *Node) RespondPayload(to NodeID, payload Payload) bool {
 		return false
 	}
 	n.slab.sender.Send(n.id, to, payload)
-	st.Stats.ReactiveSent++
+	n.slab.count(&st.counts.reactiveSent, 1)
 	return true
 }

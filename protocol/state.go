@@ -3,21 +3,74 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
-// NodeState is the hot mutable per-node state of Algorithm 4: the token
-// account and the activity counters. It is deliberately small and
-// pointer-free — exactly one 64-byte cache line — so a whole network's state
-// packs into one contiguous slab (struct of arrays) instead of one heap
-// object per node.
+// NodeState is the hot mutable per-node state of Algorithm 4 — the token
+// account and the activity counters — plus the two per-node words the
+// runtime reads on every send. It is deliberately small and pointer-free —
+// exactly one 64-byte cache line — so a whole network's state packs into one
+// contiguous slab (struct of arrays) instead of one heap object per node,
+// and everything a tick or a delivery needs of the node outside its facade
+// row arrives with one line.
 type NodeState struct {
 	// Account is the node's token account, stored by value.
 	Account core.Account
-	// Stats are the node's activity counters.
-	Stats Stats
+	// counts are the node's activity counters, 32 bits each (see Stats).
+	counts counters
+	// Egress is the node's wire bytes sent so far. The protocol never
+	// touches it: the runtime's Sender adds each message's size.
+	Egress int64
+	// PeerOff and PeerDeg are the node's CSR head in the runtime's overlay:
+	// its out-neighbours are the PeerDeg adjacency entries from PeerOff on.
+	// The protocol never reads them; the runtime fills them at assembly, so
+	// its peer draw starts from the line the node's event already holds.
+	PeerOff, PeerDeg uint32
+	_                [8]byte // pad to the 64-byte line
+}
+
+// counters holds a node's activity counters in the slab, 32 bits each; Stats
+// widens them. Each holds at most MaxCount events: a node counts one round
+// per period Δ, sends at most one message per round plus max(C, a₀) under a
+// bounded strategy (§3.4), and can receive at most every message the network
+// sends, so a run of R rounds over N nodes stays within range when
+// N·(R + max(C, a₀)) ≤ MaxCount: at the paper's N = 500 000, for up to
+// 8 589 − max(C, a₀) rounds. A count that would pass MaxCount stays at
+// MaxCount instead of wrapping, and marks the slab (see Slab.Saturated).
+type counters struct {
+	proactiveSent, reactiveSent, received, usefulReceived, tokensBanked, rounds uint32
+}
+
+// MaxCount is the largest value a per-node activity counter holds (see
+// Stats).
+const MaxCount = math.MaxUint32
+
+// count adds k ≥ 0 to the counter c, a counter of one of the slab's rows.
+func (s *Slab) count(c *uint32, k int) {
+	v := uint64(*c) + uint64(k)
+	if v > MaxCount {
+		v = MaxCount
+		s.saturated.Store(true)
+	}
+	*c = uint32(v)
+}
+
+// Stats returns the node's activity counters.
+func (st *NodeState) Stats() Stats {
+	c := &st.counts
+	return Stats{
+		ProactiveSent:  int(c.proactiveSent),
+		ReactiveSent:   int(c.reactiveSent),
+		Received:       int(c.received),
+		UsefulReceived: int(c.usefulReceived),
+		TokensBanked:   int(c.tokensBanked),
+		Rounds:         int(c.rounds),
+	}
 }
 
 // Slab is a struct-of-arrays allocation of protocol nodes: all Node rows
@@ -39,6 +92,11 @@ type Slab struct {
 
 	sender Sender
 	peers  SharedPeerSelector
+
+	// saturated is set once any node's counter has stopped at MaxCount.
+	// Shards count concurrently, hence the atomic; it is only written on
+	// that cold path.
+	saturated atomic.Bool
 }
 
 // NewSlab returns a slab with capacity for n nodes, all uninitialized, whose
@@ -60,6 +118,10 @@ func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
 		peers:  peers,
 	}, nil
 }
+
+// Saturated reports whether any node's activity counter has reached
+// MaxCount with more to count, so its Stats are short from then on.
+func (s *Slab) Saturated() bool { return s.saturated.Load() }
 
 // Len returns the slab's capacity in nodes.
 func (s *Slab) Len() int { return len(s.nodes) }
@@ -107,6 +169,21 @@ func (s *Slab) Preload(i int) uint64 {
 	return uint64(s.nodes[i].id) + uint64(s.states[i].Account.Balance())
 }
 
+// PreloadApp reads the first byte of node i's application value and returns
+// it, changing nothing, to bring that line into cache ahead of use. Its
+// address is in node i's row, so a runtime calls it once Preload has had
+// time to load the row.
+func (s *Slab) PreloadApp(i int) uint64 {
+	// The data word of the interface: a pointer to the value, or the value
+	// itself where that is pointer-shaped (a pointer, map, chan or func),
+	// which then points at the runtime's object behind it.
+	p := (*[2]unsafe.Pointer)(unsafe.Pointer(&s.nodes[i].app))[1]
+	if p == nil {
+		return 0
+	}
+	return uint64(*(*byte)(p))
+}
+
 // Tick runs node i's proactive round (see Node.Tick).
 func (s *Slab) Tick(i int) { s.tick(&s.nodes[i], &s.states[i]) }
 
@@ -116,11 +193,11 @@ func (s *Slab) Receive(i int, from NodeID, payload Payload) {
 }
 
 func (s *Slab) tick(n *Node, st *NodeState) {
-	st.Stats.Rounds++
+	s.count(&st.counts.rounds, 1)
 	r := &n.rng
 	if core.Bernoulli(n.strategy.Proactive(st.Account.Balance()), r) {
 		if s.sendOne(n, r) {
-			st.Stats.ProactiveSent++
+			s.count(&st.counts.proactiveSent, 1)
 			return
 		}
 		// No peer was available: the round's token would otherwise be lost
@@ -134,14 +211,14 @@ func (s *Slab) tick(n *Node, st *NodeState) {
 		}
 	}
 	st.Account.Deposit(1)
-	st.Stats.TokensBanked++
+	s.count(&st.counts.tokensBanked, 1)
 }
 
 func (s *Slab) receive(n *Node, st *NodeState, from NodeID, payload Payload) {
-	st.Stats.Received++
+	s.count(&st.counts.received, 1)
 	useful := n.app.UpdateState(from, payload)
 	if useful {
-		st.Stats.UsefulReceived++
+		s.count(&st.counts.usefulReceived, 1)
 	}
 	r := &n.rng
 	want := core.RandRound(n.strategy.Reactive(st.Account.Balance(), useful), r)
@@ -150,10 +227,10 @@ func (s *Slab) receive(n *Node, st *NodeState, from NodeID, payload Payload) {
 		if !s.sendOne(n, r) {
 			// No reachable peer: refund the unused tokens.
 			st.Account.Deposit(spend - i)
-			st.Stats.TokensBanked += spend - i
+			s.count(&st.counts.tokensBanked, spend-i)
 			return
 		}
-		st.Stats.ReactiveSent++
+		s.count(&st.counts.reactiveSent, 1)
 	}
 }
 

@@ -20,6 +20,72 @@ func TestNodeRowsAreOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(NodeState{}); size != 64 {
 		t.Errorf("NodeState is %d bytes, want exactly 64", size)
 	}
+	// The folded runtime words share the line with the account and the
+	// 32-bit counters; none of them may be pushed past it.
+	var st NodeState
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"Account", unsafe.Offsetof(st.Account), unsafe.Sizeof(st.Account)},
+		{"counts", unsafe.Offsetof(st.counts), unsafe.Sizeof(st.counts)},
+		{"Egress", unsafe.Offsetof(st.Egress), unsafe.Sizeof(st.Egress)},
+		{"PeerOff", unsafe.Offsetof(st.PeerOff), unsafe.Sizeof(st.PeerOff)},
+		{"PeerDeg", unsafe.Offsetof(st.PeerDeg), unsafe.Sizeof(st.PeerDeg)},
+	} {
+		if f.off+f.size > 64 {
+			t.Errorf("NodeState.%s spans bytes [%d, %d), past the 64-byte line", f.name, f.off, f.off+f.size)
+		}
+	}
+	if size := unsafe.Sizeof(st.counts); size != 24 {
+		t.Errorf("the counters take %d bytes, want six 32-bit counts", size)
+	}
+}
+
+// TestCounterSaturationIsReported trips the guard on the 32-bit counters: a
+// count may end exactly at MaxCount and is read back in full by Stats; a
+// node whose count stands at MaxCount keeps it there on the next event it
+// would count — a round from Tick, a receive from Receive, a batch of
+// refunded tokens — instead of wrapping to zero, and the slab reports it.
+func TestCounterSaturationIsReported(t *testing.T) {
+	newNode := func(t *testing.T) *Slab {
+		t.Helper()
+		s, err := NewSlab(1, &collectingSender{}, indexPeers{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InitSeeded(0, Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := newNode(t)
+	s.State(0).counts.rounds = MaxCount - 1
+	s.Tick(0)
+	if got := s.State(0).Stats().Rounds; got != MaxCount || s.Saturated() {
+		t.Fatalf("Rounds = %d, saturated %v; want MaxCount = %d, not saturated", got, s.Saturated(), uint64(MaxCount))
+	}
+	s.Tick(0)
+	if got := s.State(0).Stats().Rounds; got != MaxCount || !s.Saturated() {
+		t.Fatalf("Tick past MaxCount: Rounds = %d, saturated %v; want MaxCount, saturated", got, s.Saturated())
+	}
+
+	s = newNode(t)
+	s.State(0).counts.received = MaxCount
+	s.Receive(0, 0, Payload{})
+	if got := s.State(0).Stats().Received; got != MaxCount || !s.Saturated() {
+		t.Fatalf("Receive past MaxCount: Received = %d, saturated %v; want MaxCount, saturated", got, s.Saturated())
+	}
+
+	s = newNode(t)
+	c := uint32(MaxCount - 2)
+	if s.count(&c, 2); c != MaxCount || s.Saturated() {
+		t.Fatalf("count reached %d, saturated %v; want MaxCount, not saturated", c, s.Saturated())
+	}
+	c = MaxCount - 2
+	if s.count(&c, 3); c != MaxCount || !s.Saturated() {
+		t.Fatalf("a batch of 3 past MaxCount − 2 left %d, saturated %v; want MaxCount, saturated", c, s.Saturated())
+	}
 }
 
 // indexPeers is a selector pointing node i at i+offset.
@@ -56,7 +122,7 @@ func TestSharedSlabCollaborators(t *testing.T) {
 			t.Errorf("message %d went %d→%d, want %d→%d", i, m.from, m.to, want[i].from, want[i].to)
 		}
 	}
-	if got := s.State(2).Stats; got.Rounds != 2 || got.Received != 1 {
+	if got := s.State(2).Stats(); got.Rounds != 2 || got.Received != 1 {
 		t.Errorf("node 2 stats = %+v, want two rounds and one receive", got)
 	}
 }
@@ -217,6 +283,43 @@ func TestSlabConcurrentInit(t *testing.T) {
 		s.Tick(i)
 		if got := sender.msgs[i]; got.from != NodeID(i) || got.to != NodeID(i+1) {
 			t.Fatalf("node %d sent %d→%d, want %d→%d", i, got.from, got.to, i, i+1)
+		}
+	}
+}
+
+// TestPreloadsOnlyRead checks that the two preloads read what they name and
+// change nothing: PreloadApp returns the first byte of the value behind the
+// application interface — a pointer's pointee, or the boxed copy of a value —
+// and reads nothing for a zero-size value, and neither preload alters the
+// node's rows.
+func TestPreloadsOnlyRead(t *testing.T) {
+	apps := []struct {
+		app  Application
+		want uint64
+	}{
+		{&countingApp{useful: true}, 1},
+		{&countingApp{}, 0},
+		{wordApp{}, 0},
+	}
+	s, err := NewSlab(len(apps), &collectingSender{}, indexPeers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range apps {
+		if err := s.InitSeeded(i, Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: a.app, InitialTokens: 3}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, a := range apps {
+		node, state := *s.Node(i), *s.State(i)
+		if got := s.PreloadApp(i); got != a.want {
+			t.Errorf("node %d: PreloadApp = %d, want %d", i, got, a.want)
+		}
+		if got := s.Preload(i); got != uint64(i)+3 {
+			t.Errorf("node %d: Preload = %d, want id + balance = %d", i, got, i+3)
+		}
+		if *s.Node(i) != node || *s.State(i) != state {
+			t.Errorf("node %d: a preload changed its rows", i)
 		}
 	}
 }

@@ -86,6 +86,23 @@ func referenceSelect(nbrs []int32, online []bool, r protocol.Rand) (protocol.Nod
 	return protocol.NoNode, false
 }
 
+// peerHost is the part of a Host the overlay sampler reads: the graph's
+// adjacency, every node's CSR head in its state row, filled as NewHost's
+// build loop fills it, and the online set.
+func peerHost(t *testing.T, g *overlay.Graph, avail *Availability) *Host {
+	t.Helper()
+	h := &Host{cfg: Config{Graph: g}, avail: avail, adj: g.OutAdjacency()}
+	slab, err := protocol.NewSlab(g.N(), h, (*overlayPeers)(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.slab = slab
+	for i := 0; i < g.N(); i++ {
+		h.setPeerHead(i)
+	}
+	return h
+}
+
 // TestSelectOnlineNeighborMatchesTwoPassReference checks, over random k-out
 // graphs and random availability — everyone online (the fast path), a random
 // subset, one survivor, nobody — plus a node without out-neighbours, that the
@@ -108,7 +125,7 @@ func TestSelectOnlineNeighborMatchesTwoPassReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		avail := NewAvailability(n)
-		h := &Host{cfg: Config{Graph: g}, avail: &avail}
+		h := peerHost(t, g, &avail)
 		online := make([]bool, n)
 		for mode, pOnline := range []float64{1, 0.7, 0.2, 0, -1} {
 			survivor := src.Intn(n)
@@ -192,7 +209,7 @@ func TestSelectOnlineNeighborDrawsLikeNaiveReference(t *testing.T) {
 				slots, pOnline = n-7, 0.5
 			}
 			avail := NewAvailability(slots)
-			h := &Host{cfg: Config{Graph: g}, avail: &avail}
+			h := peerHost(t, g, &avail)
 			online := make([]bool, n)
 			survivor := src.Intn(n)
 			for i := range online {
@@ -234,7 +251,7 @@ func TestSelectOnlineNeighborDrawsLikeNaiveReference(t *testing.T) {
 func TestOverlaySelectsOnlyNeighbors(t *testing.T) {
 	g, _ := overlay.RandomKOut(50, 5, 3)
 	avail := NewAvailability(50)
-	var peers protocol.SharedPeerSelector = (*overlayPeers)(&Host{cfg: Config{Graph: g}, avail: &avail})
+	var peers protocol.SharedPeerSelector = (*overlayPeers)(peerHost(t, g, &avail))
 	neighbors := map[protocol.NodeID]bool{}
 	for _, v := range g.OutNeighbors(7) {
 		neighbors[protocol.NodeID(v)] = true
@@ -268,7 +285,7 @@ func TestOverlaySelectsOnlyNeighbors(t *testing.T) {
 func TestOverlayRespectsLiveness(t *testing.T) {
 	g, _ := overlay.RandomKOut(20, 4, 5)
 	avail := NewAvailability(20)
-	var peers protocol.SharedPeerSelector = (*overlayPeers)(&Host{cfg: Config{Graph: g}, avail: &avail})
+	var peers protocol.SharedPeerSelector = (*overlayPeers)(peerHost(t, g, &avail))
 	nbrs := g.OutNeighbors(0)
 	onlyAlive := protocol.NodeID(nbrs[2])
 	for i := 0; i < 20; i++ {

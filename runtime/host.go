@@ -132,11 +132,17 @@ type Host struct {
 	// sizers is the payload sizer table snapshotted at assembly (see
 	// protocol.PayloadSizerTable): kinds without a sizer weigh one byte, so
 	// the paper's one-word applications read byte counts equal to their
-	// historical message counts. nodeBytes accumulates each node's egress;
-	// a node only ever sends from its owning shard's worker (see Send), so
-	// the per-node slots are never written concurrently.
-	sizers    []func(word uint64) int
-	nodeBytes []int64
+	// historical message counts. Each node's egress accumulates in its state
+	// row (protocol.NodeState.Egress); a node only ever sends from its
+	// owning shard's worker (see Send), so the rows are never written
+	// concurrently.
+	sizers []func(word uint64) int
+
+	// adj is the overlay's out-adjacency (overlay.Graph.OutAdjacency). Each
+	// node's state row holds its CSR head into it, so a peer draw reads the
+	// neighbours from the row the node's event already touched instead of
+	// from the graph's offsets.
+	adj []int32
 
 	// envelopes is nil unless Config.AuditNodes requests rate-limit audits;
 	// then it is indexed by node, nil for a node not audited, and each
@@ -174,13 +180,16 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	if env.N() < n {
 		return nil, fmt.Errorf("runtime: environment has %d node slots, overlay has %d", env.N(), n)
 	}
+	if cfg.Graph.Edges() > math.MaxUint32 {
+		return nil, fmt.Errorf("runtime: overlay has %d edges; a node's CSR head holds offsets up to %d", cfg.Graph.Edges(), uint64(math.MaxUint32))
+	}
 	h := &Host{
-		cfg:       cfg,
-		env:       env,
-		avail:     env.Availability(),
-		netRNG:    env.Rand(StreamNet),
-		sizers:    protocol.PayloadSizerTable(),
-		nodeBytes: make([]int64, n),
+		cfg:    cfg,
+		env:    env,
+		avail:  env.Availability(),
+		netRNG: env.Rand(StreamNet),
+		sizers: protocol.PayloadSizerTable(),
+		adj:    cfg.Graph.OutAdjacency(),
 	}
 	peers := cfg.Peers
 	if peers == nil {
@@ -229,6 +238,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		if err := h.slab.InitSeeded(i, nodeCfg, env.StreamSeed(uint64(i))); err != nil {
 			return fmt.Errorf("runtime: node %d: %w", i, err)
 		}
+		h.setPeerHead(i)
 		return nil
 	}
 	if workers := cfg.BuildWorkers; workers > 1 {
@@ -265,6 +275,9 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.envelopes[i] = &audited[len(audited)-1]
 	}
 	env.SetDeliver(h.deliver)
+	if dl, ok := env.(DeliveryLookahead); ok {
+		dl.SetDeliveryPreloader(h)
+	}
 	h.scheduleRounds()
 	h.scheduleChurn()
 	return h, nil
@@ -355,27 +368,37 @@ func (t *tickHook) RunHook(node int32, _ uint64) {
 	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, 0)
 }
 
-// Lookahead implements LookaheadHook for nodes about to tick. The first loop
-// loads what a tick reads first: the node row and state row, the node's
-// byte counter and, sharded, its shard-table entry. The second loop, once
-// those are under way, loads the node's CSR offsets and first out-neighbour,
-// where peer sampling starts. The loads within a loop are independent, so
-// their cache misses overlap instead of each tick paying its own. Nothing
-// is written, and everything read is either immutable (the overlay, the
-// shard table) or state of nodes the calling shard owns, so the loads are
-// safe on any shard worker.
-func (t *tickHook) Lookahead(nodes []int32) uint64 {
-	h := (*Host)(t)
+// Lookahead implements LookaheadHook for nodes about to tick (see preload).
+func (t *tickHook) Lookahead(nodes []int32) uint64 { return (*Host)(t).preload(nodes) }
+
+// PreloadDeliveries implements DeliveryPreloader for the receivers of
+// deliveries about to run (see preload). The environment calls it on the
+// goroutine that runs those deliveries.
+func (h *Host) PreloadDeliveries(to []int32) uint64 { return h.preload(to) }
+
+// preload loads what a tick or a delivery of the given nodes reads, ahead
+// of it. The first loop loads the lines the event reads first: the node row
+// and the state row — which also hold the byte counter and the CSR head —
+// and, sharded, the shard-table entry. The second loop, once those are under
+// way, follows them: the application's row, whose address is in the node
+// row, and the first and last out-neighbour, whose place is in the state
+// row, so both lines of a 20-neighbour list. The loads within a loop are
+// independent, so their cache misses overlap instead of each event paying
+// its own. Nothing is written, and everything read is either immutable (the
+// overlay, the shard table) or state of nodes the calling shard owns, so
+// the loads are safe on any shard worker.
+func (h *Host) preload(nodes []int32) uint64 {
 	var sum uint64
 	for _, i := range nodes {
-		sum += h.slab.Preload(int(i)) + uint64(h.nodeBytes[i])
+		sum += h.slab.Preload(int(i))
 		if h.shardOfNode != nil {
 			sum += uint64(h.shardOfNode[i])
 		}
 	}
 	for _, i := range nodes {
-		if nbrs := h.cfg.Graph.OutNeighbors(int(i)); len(nbrs) > 0 {
-			sum += uint64(nbrs[0])
+		sum += h.slab.PreloadApp(int(i))
+		if st := h.slab.State(int(i)); st.PeerDeg > 0 {
+			sum += uint64(h.adj[st.PeerOff]) + uint64(h.adj[st.PeerOff+st.PeerDeg-1])
 		}
 	}
 	return sum
@@ -430,6 +453,14 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 	return (*Host)(o).selectOnlineNeighbor(i, r)
 }
 
+// setPeerHead copies node i's CSR head from the overlay into its state row,
+// where selectOnlineNeighbor and preload read it.
+func (h *Host) setPeerHead(i int) {
+	off, deg := h.cfg.Graph.OutHead(i)
+	st := h.slab.State(i)
+	st.PeerOff, st.PeerDeg = uint32(off), uint32(deg)
+}
+
 // selectOnlineNeighbor returns a uniformly random online out-neighbour of
 // node i, drawing exactly one Intn from r, or false (and no draw) if none is
 // online. With nobody offline that is one draw over the whole list; otherwise
@@ -440,7 +471,8 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 // Double-scanning is safe: the set cannot change within one call (callbacks
 // are serialized; in sharded runs flips happen only at barriers).
 func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bool) {
-	nbrs := h.cfg.Graph.OutNeighbors(i)
+	st := h.slab.State(i)
+	nbrs := h.adj[st.PeerOff : st.PeerOff+st.PeerDeg]
 	if h.avail.AllOnline() {
 		if len(nbrs) == 0 {
 			return protocol.NoNode, false
@@ -467,8 +499,18 @@ func (h *Host) selectOnlineNeighbor(i int, r protocol.Rand) (protocol.NodeID, bo
 // or metric probes.
 func (h *Host) Env() Env { return h.env }
 
-// Run advances the run to the given time (see Env.Run).
-func (h *Host) Run(until float64) error { return h.env.Run(until) }
+// Run advances the run to the given time (see Env.Run). It fails if a
+// node's activity counter reached protocol.MaxCount with more to count: the
+// run is longer than its per-node counters hold.
+func (h *Host) Run(until float64) error {
+	if err := h.env.Run(until); err != nil {
+		return err
+	}
+	if h.slab.Saturated() {
+		return fmt.Errorf("runtime: a node's activity counter reached protocol.MaxCount = %d, so its counts stop there", uint64(protocol.MaxCount))
+	}
+	return nil
+}
 
 // N returns the number of nodes.
 func (h *Host) N() int { return h.slab.Len() }
@@ -633,7 +675,7 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 		}
 	}
 	c.bytes += size
-	h.nodeBytes[from] += size
+	h.slab.State(int(from)).Egress += size
 	if h.envelopes != nil {
 		if env := h.envelopes[from]; env != nil {
 			env.Record(h.shardNow(s))
@@ -704,7 +746,7 @@ func (h *Host) BytesSent() int64 {
 // NodeBytes returns the wire bytes node i has sent so far. Reading it from
 // coordinator context (metric probes, end-of-run reporting) is safe: shard
 // workers are parked at a barrier whenever coordinator events run.
-func (h *Host) NodeBytes(i int) int64 { return h.nodeBytes[i] }
+func (h *Host) NodeBytes(i int) int64 { return h.slab.State(i).Egress }
 
 // AverageTokens returns the mean account balance. With onlineOnly set, only
 // online nodes are considered (the churn scenario's convention). The scan
@@ -731,7 +773,7 @@ func (h *Host) TotalStats() protocol.Stats {
 	var total protocol.Stats
 	states := h.slab.States()
 	for i := range states {
-		s := &states[i].Stats
+		s := states[i].Stats()
 		total.ProactiveSent += s.ProactiveSent
 		total.ReactiveSent += s.ReactiveSent
 		total.Received += s.Received

@@ -23,9 +23,11 @@
 // (HookScheduler), which carry every node's proactive tick and every churn
 // transition of a trace. An Env implemented outside this module must provide
 // all of them; AtHook may simply wrap At. Sharded, which
-// marks the one parallel environment, is the one optional Env capability. On
-// the hook side, LookaheadHook is an optional capability too: it lets the
-// simulated environments tell the Host's tick which nodes tick next.
+// marks the one parallel environment, is one optional Env capability;
+// DeliveryLookahead, which lets the simulated environments tell the Host
+// which nodes receive next, is the other. On the hook side, LookaheadHook is
+// an optional capability too: it lets them tell the Host's tick which nodes
+// tick next.
 //
 // Because scenario drivers, availability traces and metric probes only talk
 // to the Host and its Env, they run identically in every world: an
@@ -176,6 +178,22 @@ type Hook interface {
 type LookaheadHook interface {
 	Hook
 	Lookahead(nodes []int32) uint64
+}
+
+// DeliveryLookahead is an optional Env capability, the delivery-side twin
+// of LookaheadHook. An environment that knows which deliveries come next —
+// the simulated ones keep fixed-delay deliveries in sorted lanes (see
+// sim.LookaheadSink) — hands the receivers of some of them, a few
+// deliveries before they run, to the preloader installed here, under the
+// rules of LookaheadHook.Lookahead. The Host installs itself at assembly.
+type DeliveryLookahead interface {
+	SetDeliveryPreloader(p DeliveryPreloader)
+}
+
+// DeliveryPreloader loads what deliveries to the given nodes will touch and
+// returns a value derived from the loaded words (see DeliveryLookahead).
+type DeliveryPreloader interface {
+	PreloadDeliveries(to []int32) uint64
 }
 
 // HookScheduler is part of Env and ShardScheduler. AtHook behaves exactly

@@ -67,8 +67,10 @@ type DeliverySink interface {
 // ScheduleDelivery, or for the deposits of ScheduleDeliveryAt (see
 // ScheduleDelivery). Every run method pops the least of the queue head and
 // the lane heads by (time, seq), the same total order a single queue would
-// produce. A hook sink with the LookaheadSink capability is also told, in
-// batches, which of its lane's events come next.
+// produce. A sink with the LookaheadSink capability is also told, in
+// batches, which of its lane's events come next: a hook sink once its lane
+// holds more than lookaheadMinLane entries, a delivery sink when the engine
+// runs more than lookaheadMinLane nodes (see NewEngineFor).
 type Engine struct {
 	q         queue
 	lanes     []hookLane
@@ -93,10 +95,26 @@ type Engine struct {
 	// lane.
 	missKey float64
 	dlanes  [maxDeliveryLanes]deliveryLane
+	// dahead[i] is dlanes[i]'s sink as a LookaheadSink, resolved when the
+	// lane opens: nil where the sink lacks the capability or the engine's
+	// nodes (see NewEngineFor), the working set of its deliveries, are at
+	// most lookaheadMinLane.
+	dahead [maxDeliveryLanes]LookaheadSink
+	nodes  int
 }
 
-// NewEngine returns an engine with virtual time 0 and nothing pending.
+// NewEngine returns an engine with virtual time 0 and nothing pending. It is
+// NewEngineFor(0): its delivery lanes hand out no lookahead batches.
 func NewEngine() *Engine { return &Engine{} }
+
+// NewEngineFor returns an engine with virtual time 0 and nothing pending
+// whose events act on the given number of nodes. The count only gates the
+// delivery lookahead: a delivery lane's population is the messages in
+// flight, which says nothing about how many nodes' state they touch, so
+// above lookaheadMinLane nodes the engine hands a delivery sink with the
+// LookaheadSink capability the receivers of the lane's next deliveries, and
+// otherwise never does.
+func NewEngineFor(nodes int) *Engine { return &Engine{nodes: nodes} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
@@ -188,6 +206,9 @@ func (e *Engine) toLane(key, t float64, d *Delivery, sink DeliverySink) bool {
 		return false
 	}
 	l := &e.dlanes[e.ndl]
+	if e.nodes > lookaheadMinLane {
+		e.dahead[e.ndl], _ = sink.(LookaheadSink)
+	}
 	e.ndl++
 	l.sink, l.key = sink, key
 	return l.push(t, e.seq, d)
@@ -260,6 +281,9 @@ func (e *Engine) next() (l *hookLane, dl *deliveryLane, t float64, ok bool) {
 func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 	if dl != nil {
 		t, d := dl.pop()
+		if dl.lookaheadDue() {
+			e.deliveryLookahead(dl)
+		}
 		e.now = t
 		e.processed++
 		dl.sink.Deliver(d)
@@ -406,6 +430,26 @@ func (e *Engine) lookahead(l *hookLane) {
 	mask := len(l.buf) - 1
 	for k := range e.batch {
 		e.batch[k] = l.buf[(l.head+LookaheadBatch+k)&mask].to
+	}
+	e.aheadSum += la.Lookahead(e.batch[:])
+}
+
+// deliveryLookahead is lookahead for delivery lane dl: its LookaheadSink, if
+// the lane has one, gets the To of the entries [head+K, head+2K), which
+// lookaheadDue has checked exist.
+func (e *Engine) deliveryLookahead(dl *deliveryLane) {
+	var la LookaheadSink
+	for i := range e.dlanes[:e.ndl] {
+		if &e.dlanes[i] == dl {
+			la = e.dahead[i]
+		}
+	}
+	if la == nil {
+		return
+	}
+	mask := len(dl.buf) - 1
+	for k := range e.batch {
+		e.batch[k] = dl.buf[(dl.head+LookaheadBatch+k)&mask].to
 	}
 	e.aheadSum += la.Lookahead(e.batch[:])
 }

@@ -50,14 +50,17 @@ type hookLane struct {
 // head at a multiple of K.
 const LookaheadBatch = 16
 
-// lookaheadMinLane is the lane population above which the engine hands out
-// lookahead batches. A tick reads about 256 bytes of per-node state spread
-// over five lines (node row 64 B, state row 64 B, the CSR offset and
-// adjacency, the byte counter, the shard table entry); below 8192 nodes that
-// is at most 2 MiB, the L2 of a current server core, so the loads would hit
-// anyway and the batch would be pure overhead. The population is a property
-// of the run's input (its node count per engine), not a setting. It also
-// guarantees the 2K entries a batch reads exist.
+// lookaheadMinLane is the working set, in nodes per engine, above which the
+// engine hands out lookahead batches. An event reads about 256 bytes of
+// per-node state spread over four lines (node row 64 B, state row 64 B, the
+// application's row and the adjacency), plus the shard table entry; below
+// 8192 nodes that is at most 2 MiB, the L2 of a current server core, so the
+// loads would hit anyway and the batch would be pure overhead. A hook lane
+// measures it by its population, since a tick lane holds one entry per node
+// (which also guarantees the 2K entries a batch reads exist); a delivery
+// lane, which holds the messages in flight, by the engine's node count (see
+// NewEngineFor). Either way it is a property of the run's input, not a
+// setting.
 const lookaheadMinLane = 8192
 
 // push appends an entry and reports whether the lane took it.
@@ -75,15 +78,19 @@ func (l *hookLane) push(t float64, seq uint64, to int32, word uint64) bool {
 	return true
 }
 
-// grow doubles the ring, unwrapping it so head lands at its old offset
-// modulo LookaheadBatch (below K, so the entries still fit unwrapped): the
-// lookahead period runs on across the move.
-func (l *hookLane) grow() {
-	buf := make([]hookEntry, max(16, 2*len(l.buf)))
-	o := l.head % LookaheadBatch
-	k := copy(buf[o:], l.buf[l.head:])
-	copy(buf[o+k:], l.buf[:l.head])
-	l.buf, l.head = buf, o
+// grow doubles the ring (see growRing).
+func (l *hookLane) grow() { l.buf, l.head = growRing(l.buf, l.head) }
+
+// growRing returns a full ring of twice the length, at least 16, and its
+// head: the entries are unwrapped so head lands at its old offset modulo
+// LookaheadBatch (below K, so they still fit unwrapped), and the lookahead
+// period runs on across the move.
+func growRing[E any](buf []E, head int) ([]E, int) {
+	grown := make([]E, max(16, 2*len(buf)))
+	o := head % LookaheadBatch
+	k := copy(grown[o:], buf[head:])
+	copy(grown[o+k:], buf[:head])
+	return grown, o
 }
 
 // front returns the lane's earliest entry, sorting the lane first if it has
@@ -119,11 +126,13 @@ func (l *hookLane) lookaheadDue() bool {
 }
 
 // LookaheadSink is an optional capability of a hook sink (see
-// Engine.ScheduleHookAt). A lane is a sorted FIFO, so the engine knows which
-// of the sink's events run next; it tells a LookaheadSink, so the sink can
-// load the state those events will touch while earlier events still run.
-// The loads of one batch are independent, so their cache misses overlap
-// instead of each event paying its own.
+// Engine.ScheduleHookAt) or a delivery sink (see Engine.ScheduleDelivery).
+// A lane is a sorted FIFO, so the engine knows which of the sink's events
+// run next; it tells a LookaheadSink, so the sink can load the state those
+// events will touch while earlier events still run. The loads of one batch
+// are independent, so their cache misses overlap instead of each event
+// paying its own. Deliveries held in the queue (boxed payloads, and those
+// that arrive out of order) are never announced.
 //
 // The engine resolves the capability once, when the sink's lane is created.
 // Lookahead runs on the engine's goroutine, between popping an event and
@@ -162,7 +171,9 @@ type deliveryEntry struct {
 // deliveryLane is the FIFO ring of one (sink, key) pair's deliveries (see
 // Engine.ScheduleDelivery). It only accepts an entry that is not earlier
 // than its tail, so buf, read from head, is always sorted by (time, seq):
-// seq grows with every scheduling call.
+// seq grows with every scheduling call. Like a hook lane it is 64 bytes,
+// and its sink's LookaheadSink capability is kept beside it, in
+// Engine.dahead.
 type deliveryLane struct {
 	sink    DeliverySink
 	key     float64
@@ -177,11 +188,8 @@ func (l *deliveryLane) push(t float64, seq uint64, d *Delivery) bool {
 		return false
 	}
 	if l.n == len(l.buf) {
-		buf := make([]deliveryEntry, max(16, 2*len(l.buf)))
-		k := copy(buf, l.buf[l.head:])
-		copy(buf[k:], l.buf[:l.head])
-		l.buf, l.head = buf, 0
-		mask = len(buf) - 1
+		l.buf, l.head = growRing(l.buf, l.head)
+		mask = len(l.buf) - 1
 	}
 	l.buf[(l.head+l.n)&mask] = deliveryEntry{time: t, seq: seq, word: d.Word, to: d.To, from: d.From, kind: d.Kind}
 	l.n++
@@ -195,4 +203,11 @@ func (l *deliveryLane) pop() (float64, Delivery) {
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	return h.time, Delivery{From: h.from, To: h.to, Kind: h.kind, Word: h.word}
+}
+
+// lookaheadDue reports whether the pop just made completes a batch period
+// (see LookaheadBatch) with the 2K entries a batch reads in the lane. The
+// engine's node count gates the batch itself (see Engine.dahead).
+func (l *deliveryLane) lookaheadDue() bool {
+	return l.head&(LookaheadBatch-1) == 0 && l.n >= 2*LookaheadBatch
 }

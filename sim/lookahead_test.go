@@ -50,24 +50,63 @@ func (s *aheadCountSink) Lookahead(to []int32) uint64 {
 	return uint64(to[len(to)-1])
 }
 
-// TestLookaheadAllocs guards the lookahead's steady state: on a lane above
-// lookaheadMinLane, a self-re-arming hook whose sink takes lookahead batches
-// allocates nothing — the batch travels in the engine's own array.
+// aheadResendSink re-sends every delivery to its receiver one period later
+// and counts the lookahead batches it takes.
+type aheadResendSink struct {
+	e       *Engine
+	batches int
+}
+
+func (s *aheadResendSink) Deliver(d Delivery) { s.e.ScheduleDelivery(1, d, s) }
+
+func (s *aheadResendSink) Lookahead(to []int32) uint64 {
+	s.batches++
+	return uint64(to[len(to)-1])
+}
+
+// TestLookaheadAllocs guards the lookahead's steady state, on a hook lane
+// above lookaheadMinLane and on a delivery lane of an engine above
+// lookaheadMinLane nodes: a self-re-arming hook, or a self-re-sending
+// delivery, whose sink takes lookahead batches allocates nothing — the
+// batch travels in the engine's own array.
 func TestLookaheadAllocs(t *testing.T) {
-	e := NewEngine()
-	s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
-	r := rng.New(5)
-	for i := int32(0); i < 2*lookaheadMinLane; i++ {
-		e.ScheduleHookAt(r.Float64(), i, 0, s)
-	}
-	e.RunUntil(1.5) // sort once, settle
-	allocs := testing.AllocsPerRun(4000, func() { e.Step() })
-	if allocs != 0 {
-		t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
-	}
-	if s.batches == 0 {
-		t.Error("the sink received no lookahead batch")
-	}
+	t.Run("hook", func(t *testing.T) {
+		e := NewEngine()
+		s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
+		r := rng.New(5)
+		for i := int32(0); i < 2*lookaheadMinLane; i++ {
+			e.ScheduleHookAt(r.Float64(), i, 0, s)
+		}
+		e.RunUntil(1.5) // sort once, settle
+		allocs := testing.AllocsPerRun(4000, func() { e.Step() })
+		if allocs != 0 {
+			t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
+		}
+		if s.batches == 0 {
+			t.Error("the sink received no lookahead batch")
+		}
+	})
+	t.Run("delivery", func(t *testing.T) {
+		const nodes = 2 * lookaheadMinLane
+		e := NewEngineFor(nodes)
+		s := &aheadResendSink{e: e}
+		r := rng.New(5)
+		for i := int32(0); i < nodes; i++ {
+			e.ScheduleDelivery(r.Float64(), Delivery{From: i, To: i}, s)
+		}
+		e.RunUntil(1.5) // open the lane, grow its ring, settle
+		if e.ndl != 1 {
+			t.Fatalf("%d delivery lanes, want the delay-1 lane", e.ndl)
+		}
+		before := s.batches
+		allocs := testing.AllocsPerRun(4000, func() { e.Step() })
+		if allocs != 0 {
+			t.Errorf("self-re-sending delivery with lookahead allocates %.3f per event, want 0", allocs)
+		}
+		if s.batches == before {
+			t.Error("the sink received no lookahead batch")
+		}
+	})
 }
 
 // queueBit marks the words of events a lookWorld schedules through the
@@ -82,7 +121,10 @@ const queueBit = 1 << 63
 // that probability, so the lane grows, and its ring is reallocated, while
 // it is being popped. Ticks also schedule deliveries to the same sink
 // through the queue, and hooks behind the lane's tail that fall back to it.
-// Everything is logged per shard, by the shard's own goroutine.
+// The deliveries go to a sink without the LookaheadSink capability, so every
+// batch the world sees comes from a hook lane (TestShardDeliveryLookahead-
+// Contract covers delivery lanes). Everything is logged per shard, by the
+// shard's own goroutine.
 type lookWorld struct {
 	engines []*Engine // per shard; one for the sequential engine
 	shards  int
@@ -212,7 +254,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 		w.engines = []*Engine{e}
 		w.hookAt = func(_ int, t float64, to int32, word uint64) { e.ScheduleHookAt(t, to, word, w.self) }
 		w.send = func(_ int, delay float64, _, to int32, word uint64) {
-			e.ScheduleDelivery(delay, Delivery{To: to, Word: word}, w.self)
+			e.ScheduleDelivery(delay, Delivery{To: to, Word: word}, &plainSink{w: w})
 		}
 		probe = func() string {
 			next, ok := e.NextTime()
@@ -229,7 +271,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 			t.Fatal(err)
 		}
 		defer se.Close()
-		se.SetSink(w.self)
+		se.SetSink(&plainSink{w: w})
 		w.engines = se.engines
 		w.hookAt = func(s int, t float64, to int32, word uint64) { se.ShardScheduleHookAt(s, t, to, word, w.self) }
 		w.send = func(_ int, delay float64, from, to int32, word uint64) {
@@ -325,6 +367,294 @@ func TestShardLookaheadContract(t *testing.T) {
 					if len(h.batches) != 0 {
 						t.Fatalf("shard %d: a sink without the capability got %d batches", s, len(h.batches))
 					}
+				}
+			})
+		}
+	}
+}
+
+// Word bits of a dlookWorld's deliveries: sideBit marks one-off side
+// traffic, which is delivered but never re-sent; the shard that numbered the
+// word sits above bit 40, so words are unique across shards.
+const (
+	sideBit    = 1 << 62
+	shardShift = 40
+)
+
+// dlookWorld is lookWorld's delivery-lane twin. Every node starts with one
+// message to itself at a random time, and each delivery re-sends it to its
+// node one period (delay 1) later — always for the first two periods, then
+// with probability 0.9 up to the eighth — so each engine's lane of delay 1
+// holds about one entry per node and then shrinks; with spawn > 0, a
+// delivery of the first two periods also sends a second message with that
+// probability, so the lane grows, and its ring is reallocated, while it is
+// being popped. Deliveries also send side traffic: boxed payloads (always
+// queue-held), messages to random nodes with delay 1.5 (their own lane, or
+// cross-shard deposits on a sharded engine) and absolute-time deliveries on
+// the node's own engine up to half a period behind the deposit lane's tail,
+// which fall back to the queue.
+type dlookWorld struct {
+	engines []*Engine
+	shards  int
+	n       int
+	spawn   float64
+	self    DeliverySink // a dlookSink, or a dplainSink hiding the capability
+	send    func(delay float64, from, to int32, word uint64, box any)
+	logs    []dlookLog
+}
+
+type dlookLog struct {
+	r        *rng.Source
+	nextWord uint64
+	fallback int       // absolute-time deliveries that went to the queue
+	queued   []uint64  // words of queue-held deliveries, in order
+	lanes    []laneLog // per delivery lane, by lane index
+	pending  *lookBatch
+	ringLen  int // the delay-1 lane's ring length at its first pop
+}
+
+type laneLog struct {
+	pops    []int32 // To of every pop, in order
+	after   []int   // the lane's population right after each pop
+	batches []lookBatch
+}
+
+type dlookSink struct{ w *dlookWorld }
+
+func (s *dlookSink) Deliver(d Delivery) { s.w.deliver(d) }
+
+func (s *dlookSink) Lookahead(to []int32) uint64 {
+	l := &s.w.logs[s.w.shardOf(to[0])]
+	if l.pending != nil {
+		panic("two lookahead batches without a delivery in between")
+	}
+	l.pending = &lookBatch{}
+	copy(l.pending.to[:], to)
+	return uint64(to[0])
+}
+
+// dplainSink is the same sink without the LookaheadSink capability.
+type dplainSink struct{ w *dlookWorld }
+
+func (s *dplainSink) Deliver(d Delivery) { s.w.deliver(d) }
+
+func (w *dlookWorld) shardOf(node int32) int { return int(node) % w.shards }
+
+func (l *dlookLog) word(s int, gen uint64) uint64 {
+	l.nextWord++
+	return uint64(s)<<shardShift | gen<<32 | l.nextWord
+}
+
+// lanePopped returns the index of the delivery lane of e whose pop d just
+// was, or -1 for a queue-held delivery: the slot before a lane's head holds
+// its last pop, and words are unique.
+func lanePopped(e *Engine, d Delivery) int {
+	for i := range e.dlanes[:e.ndl] {
+		l := &e.dlanes[i]
+		if p := &l.buf[(l.head-1)&(len(l.buf)-1)]; p.word == d.Word && p.to == d.To {
+			return i
+		}
+	}
+	return -1
+}
+
+func (w *dlookWorld) deliver(d Delivery) {
+	s := w.shardOf(d.To)
+	l := &w.logs[s]
+	e := w.engines[s]
+	i := lanePopped(e, d)
+	if i < 0 {
+		if l.pending != nil {
+			panic("a queue-held delivery got a lookahead batch")
+		}
+		l.queued = append(l.queued, d.Word)
+	} else {
+		for len(l.lanes) <= i {
+			l.lanes = append(l.lanes, laneLog{})
+		}
+		ll := &l.lanes[i]
+		if i == 0 && len(ll.pops) == 0 {
+			l.ringLen = len(e.dlanes[0].buf)
+		}
+		ll.pops = append(ll.pops, d.To)
+		ll.after = append(ll.after, e.dlanes[i].n)
+		if b := l.pending; b != nil {
+			b.pop = len(ll.pops)
+			ll.batches = append(ll.batches, *b)
+			l.pending = nil
+		}
+	}
+	if d.Word&sideBit != 0 {
+		return
+	}
+	now := e.Now()
+	gen := d.Word >> 32 & 0xff
+	if gen >= 8 || (gen >= 2 && l.r.Float64() >= 0.9) {
+		return
+	}
+	w.send(1, d.To, d.To, l.word(s, gen+1), nil)
+	if gen < 2 && l.r.Float64() < w.spawn {
+		w.send(1, d.To, d.To, l.word(s, gen+1), nil)
+	}
+	switch x := l.r.Float64(); {
+	case x < 0.05:
+		w.send(1, d.To, d.To, sideBit|l.word(s, 0), "boxed")
+	case x < 0.15:
+		w.send(1.5, d.To, int32(l.r.Intn(w.n)), sideBit|l.word(s, 0), nil)
+	case x < 0.2:
+		before := e.q.Len()
+		e.ScheduleDeliveryAt(now+1-l.r.Float64()*0.5, Delivery{From: d.To, To: d.To, Word: sideBit | l.word(s, 0)}, w.self)
+		if e.q.Len() != before {
+			l.fallback++
+		}
+	}
+}
+
+// runDeliveryLookWorld builds and runs the world with perShard nodes per
+// shard on a plain engine for that many nodes (shards = 0) or a sharded
+// one, with the sink's capability exposed or hidden, and returns the logs
+// and the accounting probes taken between run calls.
+func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]dlookLog, []string) {
+	t.Helper()
+	w := &dlookWorld{shards: max(shards, 1), spawn: spawn}
+	if exposed {
+		w.self = &dlookSink{w: w}
+	} else {
+		w.self = &dplainSink{w: w}
+	}
+	w.logs = make([]dlookLog, w.shards)
+	for s := range w.logs {
+		w.logs[s] = dlookLog{r: rng.New(rng.Derive(seed, uint64(s)))}
+	}
+	w.n = w.shards * perShard
+	var probe func() string
+	var run func(h float64)
+	if shards == 0 {
+		e := NewEngineFor(w.n)
+		w.engines = []*Engine{e}
+		w.send = func(delay float64, from, to int32, word uint64, box any) {
+			e.ScheduleDelivery(delay, Delivery{From: from, To: to, Word: word, Box: box}, w.self)
+		}
+		probe = func() string {
+			next, ok := e.NextTime()
+			return fmt.Sprintf("now %v next %v %v processed %d pending %d", e.Now(), next, ok, e.Processed(), e.Pending())
+		}
+		run = e.RunUntil
+	} else {
+		shardOf := make([]int32, w.n)
+		for i := range shardOf {
+			shardOf[i] = int32(w.shardOf(int32(i)))
+		}
+		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer se.Close()
+		se.SetSink(w.self)
+		w.engines = se.engines
+		w.send = func(delay float64, from, to int32, word uint64, box any) {
+			se.Send(delay, Delivery{From: from, To: to, Word: word, Box: box})
+		}
+		probe = func() string {
+			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.Pending())
+		}
+		run = se.RunUntil
+	}
+	setup := rng.New(seed)
+	for i := int32(0); i < int32(w.n); i++ {
+		s := w.shardOf(i)
+		w.send(setup.Float64(), i, i, w.logs[s].word(s, 0), nil)
+	}
+	var probes []string
+	for _, h := range []float64{0.5, 1.75, 3, 4.5, 100} {
+		run(h)
+		probes = append(probes, probe())
+	}
+	for s := range w.logs {
+		if spawn > 0 && len(w.engines[s].dlanes[0].buf) <= w.logs[s].ringLen {
+			t.Fatalf("shard %d: the delay-1 lane's ring never grew while popped", s)
+		}
+	}
+	return w.logs, probes
+}
+
+// TestShardDeliveryLookaheadContract checks the lookahead contract of
+// delivery lanes on the plain engine and on sharded ones of 2 and 4 shards:
+// on an engine of more than lookaheadMinLane nodes, a LookaheadSink
+// receives, every LookaheadBatch pops of one of its delivery lanes that
+// leave at least 2K entries, exactly the To of the lane entries
+// [head+K, head+2K) — checked against the lane's pops that follow — and
+// nothing otherwise; an engine of exactly lookaheadMinLane nodes hands out
+// none, however full its lanes. Queue-held deliveries (boxed payloads,
+// absolute-time deliveries behind their lane's tail) neither count as pops
+// nor get a batch. Engines of one more node and a few batches more hold and
+// then shrink their lanes across 2K; a fourth lane grows past its ring's
+// capacity while popped, so the batch period must survive the ring's
+// reallocation. The run itself — every lane's pops, the queue-held order,
+// Processed, Pending, NextTime — is the one of the same sink with the
+// capability hidden. Named …Shard… so CI's sharded race soak runs it.
+func TestShardDeliveryLookaheadContract(t *testing.T) {
+	const k = LookaheadBatch
+	for _, shards := range []int{0, 2, 4} {
+		for _, c := range []struct {
+			perShard int
+			spawn    float64
+		}{
+			{lookaheadMinLane, 0},
+			{lookaheadMinLane + 1, 0},
+			{lookaheadMinLane + 3*k + 7, 0},
+			// Below a power of two by less than the first two periods' spawns
+			// and more than the first's, so the ring grows after the lane's
+			// first pop.
+			{2*lookaheadMinLane - lookaheadMinLane/32, 0.01},
+		} {
+			perShard := c.perShard
+			t.Run(fmt.Sprintf("shards=%d/nodes=%d", shards, perShard), func(t *testing.T) {
+				got, gotProbes := runDeliveryLookWorld(t, shards, perShard, c.spawn, 7, true)
+				want, wantProbes := runDeliveryLookWorld(t, shards, perShard, c.spawn, 7, false)
+				if !reflect.DeepEqual(gotProbes, wantProbes) {
+					t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+				}
+				batches := 0
+				for s := range got {
+					g, h := &got[s], &want[s]
+					if !reflect.DeepEqual(g.queued, h.queued) || len(g.lanes) != len(h.lanes) {
+						t.Fatalf("shard %d: event order differs with the capability exposed", s)
+					}
+					if len(g.queued) == 0 || g.fallback == 0 || len(g.lanes) < 2 {
+						t.Fatalf("shard %d: %d queue-held deliveries, %d fallbacks, %d lanes; want the queue, the fallback and two lanes exercised",
+							s, len(g.queued), g.fallback, len(g.lanes))
+					}
+					for i := range g.lanes {
+						gl, hl := &g.lanes[i], &h.lanes[i]
+						if !reflect.DeepEqual(gl.pops, hl.pops) || !reflect.DeepEqual(gl.after, hl.after) {
+							t.Fatalf("shard %d lane %d: pop order differs with the capability exposed", s, i)
+						}
+						if len(hl.batches) != 0 {
+							t.Fatalf("shard %d lane %d: a sink without the capability got %d batches", s, i, len(hl.batches))
+						}
+						var due []int
+						for p := k; p <= len(gl.pops) && perShard > lookaheadMinLane; p += k {
+							if gl.after[p-1] >= 2*k {
+								due = append(due, p)
+							}
+						}
+						if len(gl.batches) != len(due) {
+							t.Fatalf("shard %d lane %d: %d batches, want %d", s, i, len(gl.batches), len(due))
+						}
+						for j, b := range gl.batches {
+							if b.pop != due[j] {
+								t.Fatalf("shard %d lane %d: batch %d came at pop %d, want %d", s, i, j, b.pop, due[j])
+							}
+							if next := gl.pops[b.pop+k : b.pop+2*k]; !reflect.DeepEqual(b.to[:], next) {
+								t.Fatalf("shard %d lane %d: batch at pop %d = %v, but the lane popped %v", s, i, b.pop, b.to, next)
+							}
+						}
+						batches += len(gl.batches)
+					}
+				}
+				if perShard > lookaheadMinLane && batches == 0 {
+					t.Fatal("no delivery lane got a batch")
 				}
 			})
 		}

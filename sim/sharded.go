@@ -112,8 +112,12 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	for i := range se.outboxes {
 		se.outboxes[i] = make([][]outMsg, cfg.Shards*cfg.Shards)
 	}
+	nodes := make([]int, cfg.Shards)
+	for _, s := range cfg.ShardOf {
+		nodes[s]++
+	}
 	for s := range se.engines {
-		se.engines[s] = NewEngine()
+		se.engines[s] = NewEngineFor(nodes[s])
 	}
 	return se, nil
 }

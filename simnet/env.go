@@ -48,12 +48,14 @@ type Env struct {
 	transferDelay float64
 	online        runtime.Availability
 	deliver       runtime.DeliverFunc
+	preload       runtime.DeliveryPreloader
 	hooks         hookRegistry
 }
 
 var (
-	_ runtime.Env      = (*Env)(nil)
-	_ sim.DeliverySink = (*Env)(nil)
+	_ runtime.Env               = (*Env)(nil)
+	_ runtime.DeliveryLookahead = (*Env)(nil)
+	_ sim.LookaheadSink         = (*Env)(nil)
 )
 
 // NewEnv builds a discrete-event environment with every node online.
@@ -65,7 +67,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	}
 	return &Env{
-		engine:        sim.NewEngine(),
+		engine:        sim.NewEngineFor(cfg.N),
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
 		online:        runtime.NewAvailability(cfg.N),
@@ -143,6 +145,24 @@ func (e *Env) Deliver(d sim.Delivery) {
 
 // SetDeliver implements runtime.Env.
 func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
+
+// SetDeliveryPreloader implements runtime.DeliveryLookahead.
+func (e *Env) SetDeliveryPreloader(p runtime.DeliveryPreloader) { e.preload = p }
+
+// Lookahead implements sim.LookaheadSink: the engine's delivery lanes name
+// the receivers of upcoming deliveries, which go to the installed
+// preloader. The engine only calls it when it runs more nodes than fit in
+// cache (see sim.NewEngineFor).
+func (e *Env) Lookahead(to []int32) uint64 { return preloadDeliveries(e.preload, to) }
+
+// preloadDeliveries hands a lookahead batch to the preloader, if one is
+// installed.
+func preloadDeliveries(p runtime.DeliveryPreloader, to []int32) uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.PreloadDeliveries(to)
+}
 
 // Processed returns the number of events the underlying engine has executed.
 func (e *Env) Processed() uint64 { return e.engine.Processed() }

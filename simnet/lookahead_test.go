@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/protocol"
 	"github.com/szte-dcs/tokenaccount/runtime"
+	"github.com/szte-dcs/tokenaccount/sim"
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
@@ -17,59 +19,119 @@ import (
 // runtime.LookaheadHook capability.
 type plainHook struct{ runtime.Hook }
 
-// aheadHook forwards both RunHook and Lookahead, counting the batches.
+// aheadHook forwards both RunHook and Lookahead, counting the batches and
+// checking that each leaves the nodes it names unchanged.
 type aheadHook struct {
 	runtime.LookaheadHook
-	calls *atomic.Int64
+	w *lookWrapper
 }
 
 func (h *aheadHook) Lookahead(nodes []int32) uint64 {
-	h.calls.Add(1)
-	return h.LookaheadHook.Lookahead(nodes)
+	h.w.tickCalls.Add(1)
+	return h.w.readOnly(nodes, h.LookaheadHook.Lookahead)
 }
 
-// hookWrapper hands out one wrapper per hook, so the environment sees a
-// stable hook identity: an aheadHook where expose is set and the hook has
-// the lookahead capability, a plainHook otherwise. Hooks register during
+// aheadPreloader forwards the Host's delivery preload the same way.
+type aheadPreloader struct{ w *lookWrapper }
+
+func (p *aheadPreloader) PreloadDeliveries(to []int32) uint64 {
+	p.w.deliveryCalls.Add(1)
+	return p.w.readOnly(to, p.w.host.PreloadDeliveries)
+}
+
+// lookWrapper exposes or hides, independently, the lookahead capability of
+// the Host's hooks and its delivery preloader. It hands out one wrapper per
+// hook, so the environment sees a stable hook identity: an aheadHook where
+// exposeTicks is set and the hook has the lookahead capability, a plainHook
+// otherwise. The preloader is installed behind an aheadPreloader where
+// exposeDeliveries is set, and not at all otherwise. Hooks register during
 // assembly; shard workers look them up concurrently afterwards.
-type hookWrapper struct {
-	expose bool
-	calls  atomic.Int64
+type lookWrapper struct {
+	exposeTicks, exposeDeliveries bool
+	tickCalls, deliveryCalls      atomic.Int64
+
+	host *runtime.Host // the preloader the Host installs: the Host itself
 
 	mu    sync.Mutex
 	hooks map[runtime.Hook]runtime.Hook
 }
 
-func (p *hookWrapper) wrap(h runtime.Hook) runtime.Hook {
+func newLookWrapper(ticks, deliveries bool) *lookWrapper {
+	return &lookWrapper{exposeTicks: ticks, exposeDeliveries: deliveries, hooks: map[runtime.Hook]runtime.Hook{}}
+}
+
+func (p *lookWrapper) wrap(h runtime.Hook) runtime.Hook {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w, ok := p.hooks[h]
 	if !ok {
 		w = &plainHook{h}
-		if la, ok := h.(runtime.LookaheadHook); ok && p.expose {
-			w = &aheadHook{LookaheadHook: la, calls: &p.calls}
+		if la, ok := h.(runtime.LookaheadHook); ok && p.exposeTicks {
+			w = &aheadHook{LookaheadHook: la, w: p}
 		}
 		p.hooks[h] = w
 	}
 	return w
 }
 
-// wrappingEnv is the sequential environment with every hook behind a
-// wrapper.
+// install takes the preloader the Host installs and returns what the
+// environment gets instead: nil when deliveries are hidden.
+func (p *lookWrapper) install(pl runtime.DeliveryPreloader) runtime.DeliveryPreloader {
+	p.host = pl.(*runtime.Host)
+	if !p.exposeDeliveries {
+		return nil
+	}
+	return &aheadPreloader{w: p}
+}
+
+// nodeView is what a node's events read and write, as the Host shows it.
+type nodeView struct {
+	tokens int
+	stats  protocol.Stats
+	bytes  int64
+}
+
+// readOnly runs a lookahead call and panics if it changed any node it names.
+// The nodes belong to the calling shard, so reading them here is safe.
+func (p *lookWrapper) readOnly(nodes []int32, load func([]int32) uint64) uint64 {
+	view := func(i int32) nodeView {
+		n := p.host.Node(int(i))
+		return nodeView{n.Tokens(), n.Stats(), p.host.NodeBytes(int(i))}
+	}
+	var before [sim.LookaheadBatch]nodeView
+	for k, i := range nodes {
+		before[k] = view(i)
+	}
+	sum := load(nodes)
+	for k, i := range nodes {
+		if view(i) != before[k] {
+			panic(fmt.Sprintf("a lookahead call changed node %d: %+v, then %+v", i, before[k], view(i)))
+		}
+	}
+	return sum
+}
+
+// wrappingEnv is the sequential environment with every hook and the
+// delivery preloader behind a wrapper.
 type wrappingEnv struct {
 	*simnet.Env
-	hooks *hookWrapper
+	hooks *lookWrapper
 }
 
 func (e *wrappingEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
 	e.Env.AtHook(t, e.hooks.wrap(hook), node, word)
 }
 
+func (e *wrappingEnv) SetDeliveryPreloader(p runtime.DeliveryPreloader) {
+	e.Env.SetDeliveryPreloader(e.hooks.install(p))
+}
+
 // wrappingShardedEnv is the sharded environment with every hook, on the
-// coordinator and on the shards, behind a wrapper.
+// coordinator and on the shards, and the delivery preloader behind a
+// wrapper.
 type wrappingShardedEnv struct {
 	*simnet.ShardedEnv
-	hooks  *hookWrapper
+	hooks  *lookWrapper
 	shards []wrappingShard
 }
 
@@ -77,11 +139,15 @@ func (e *wrappingShardedEnv) AtHook(t float64, hook runtime.Hook, node int32, wo
 	e.ShardedEnv.AtHook(t, e.hooks.wrap(hook), node, word)
 }
 
+func (e *wrappingShardedEnv) SetDeliveryPreloader(p runtime.DeliveryPreloader) {
+	e.ShardedEnv.SetDeliveryPreloader(e.hooks.install(p))
+}
+
 func (e *wrappingShardedEnv) Shard(s int) runtime.ShardScheduler { return &e.shards[s] }
 
 type wrappingShard struct {
 	runtime.ShardScheduler
-	hooks *hookWrapper
+	hooks *lookWrapper
 }
 
 func (f *wrappingShard) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
@@ -89,10 +155,11 @@ func (f *wrappingShard) AtHook(t float64, hook runtime.Hook, node int32, word ui
 }
 
 // wrappingRuntime builds the inner runtime's environment and wraps every hook
-// scheduled on it: exposing its lookahead capability, or hiding it.
+// scheduled on it and the delivery preloader installed in it: exposing each
+// lookahead capability, or hiding it.
 type wrappingRuntime struct {
 	experiment.RuntimeDriver
-	hooks *hookWrapper
+	hooks *lookWrapper
 }
 
 func (d wrappingRuntime) NewEnv(cfg experiment.Config, seed uint64) (runtime.Env, error) {
@@ -117,12 +184,14 @@ func (d wrappingRuntime) NewEnv(cfg experiment.Config, seed uint64) (runtime.Env
 
 // TestShardLookaheadHiddenMatchesExposed runs a churny 40 000-node push
 // gossip experiment on zones — every engine's tick lane is above the
-// lookahead threshold — at 1, 2 and 4 shards, once with the Host's tick
-// hook's lookahead capability exposed by a wrapping hook (which counts the
-// batches) and once hidden by one, and requires identical results: metric
-// series, message and byte counts, event counts. The lookahead only loads;
-// it must never change a run. Named …Shard… so CI's sharded race soak runs
-// it.
+// lookahead threshold, and so is every engine's node count — at 1, 2 and 4
+// shards, under every combination of the Host's two lookahead capabilities
+// exposed or hidden by wrappers: its tick hook's and its delivery
+// preloader's. The wrappers count the batches and check that each leaves
+// the nodes it names unchanged. All four runs must give identical results:
+// metric series, message and byte counts, event counts. The lookahead only
+// loads; it must never change a run. Named …Shard… so CI's sharded race
+// soak runs it.
 func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 000-node runs")
@@ -145,35 +214,98 @@ func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		rt := experiment.SimRuntimeWithOptions(shards)
-		run := func(rt experiment.RuntimeDriver) *experiment.Result {
+		run := func(w *lookWrapper) *experiment.Result {
 			t.Helper()
 			res, err := experiment.Run(experiment.Config{
-				App: app, Strategy: strategy, Scenario: scenario, Network: network, Runtime: rt,
+				App: app, Strategy: strategy, Scenario: scenario, Network: network, Runtime: wrappingRuntime{rt, w},
 				N: 40_000, Rounds: 8, Repetitions: 1, Seed: 11,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, c := range []struct {
+				name    string
+				exposed bool
+				calls   int64
+			}{
+				{"tick", w.exposeTicks, w.tickCalls.Load()},
+				{"delivery", w.exposeDeliveries, w.deliveryCalls.Load()},
+			} {
+				if c.exposed != (c.calls > 0) {
+					t.Fatalf("shards=%d: %d %s lookahead batches with the capability exposed=%v", shards, c.calls, c.name, c.exposed)
+				}
+			}
 			return res
 		}
-		expose := &hookWrapper{expose: true, hooks: map[runtime.Hook]runtime.Hook{}}
-		hide := &hookWrapper{hooks: map[runtime.Hook]runtime.Hook{}}
-		exposed, hidden := run(wrappingRuntime{rt, expose}), run(wrappingRuntime{rt, hide})
-		if exposed.EventsProcessed == 0 || exposed.MessagesSent == 0 {
+		hidden := run(newLookWrapper(false, false))
+		if hidden.EventsProcessed == 0 || hidden.MessagesSent == 0 {
 			t.Fatalf("shards=%d: the run did no work", shards)
 		}
-		if expose.calls.Load() == 0 || hide.calls.Load() != 0 {
-			t.Fatalf("shards=%d: %d lookahead batches exposed, %d hidden; want some and none", shards, expose.calls.Load(), hide.calls.Load())
+		for _, w := range []*lookWrapper{newLookWrapper(true, false), newLookWrapper(false, true), newLookWrapper(true, true)} {
+			exposed := run(w)
+			if exposed.EventsProcessed != hidden.EventsProcessed || exposed.MessagesSent != hidden.MessagesSent ||
+				exposed.BytesSent != hidden.BytesSent || exposed.InjectionsSkipped != hidden.InjectionsSkipped {
+				t.Fatalf("shards=%d ticks=%v deliveries=%v: exposed %v events, %v messages, %v bytes, %v skipped; hidden %v, %v, %v, %v",
+					shards, w.exposeTicks, w.exposeDeliveries,
+					exposed.EventsProcessed, exposed.MessagesSent, exposed.BytesSent, exposed.InjectionsSkipped,
+					hidden.EventsProcessed, hidden.MessagesSent, hidden.BytesSent, hidden.InjectionsSkipped)
+			}
+			if !reflect.DeepEqual(exposed.Metric, hidden.Metric) ||
+				math.Float64bits(exposed.FinalMetric) != math.Float64bits(hidden.FinalMetric) {
+				t.Fatalf("shards=%d ticks=%v deliveries=%v: metric series differ from the hidden run", shards, w.exposeTicks, w.exposeDeliveries)
+			}
 		}
-		if exposed.EventsProcessed != hidden.EventsProcessed || exposed.MessagesSent != hidden.MessagesSent ||
-			exposed.BytesSent != hidden.BytesSent || exposed.InjectionsSkipped != hidden.InjectionsSkipped {
-			t.Fatalf("shards=%d: exposed %v events, %v messages, %v bytes, %v skipped; hidden %v, %v, %v, %v", shards,
-				exposed.EventsProcessed, exposed.MessagesSent, exposed.BytesSent, exposed.InjectionsSkipped,
-				hidden.EventsProcessed, hidden.MessagesSent, hidden.BytesSent, hidden.InjectionsSkipped)
+	}
+}
+
+// TestLookaheadSkipsCacheResidentNetworks runs the two 5 000-node benchmark
+// configurations — the paper's Fig. 2 row on the constant network, and
+// smartphone churn with lossy lognormal delays and Poisson arrivals —
+// shortened to 30 rounds, with both of the Host's lookahead capabilities
+// exposed, and requires that neither gets a batch: 5 000 nodes fit in
+// cache, so the engine hands out none.
+func TestLookaheadSkipsCacheResidentNetworks(t *testing.T) {
+	for _, c := range []struct{ strategy, scenario, network, workload, runtime string }{
+		{"randomized:5:10", "failure-free", "constant", "interval", "sim"},
+		{"generalized:5:10", "smartphone-trace", "lossy:0.01:lognormal:0.547:0.5", "poisson:0.0579", "sim:slab"},
+	} {
+		app, err := experiment.ParseApplication("push-gossip")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(exposed.Metric, hidden.Metric) ||
-			math.Float64bits(exposed.FinalMetric) != math.Float64bits(hidden.FinalMetric) {
-			t.Fatalf("shards=%d: metric series differ with the lookahead hidden", shards)
+		strategy, err := experiment.ParseStrategySpec(c.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenario, err := experiment.ParseScenario(c.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		network, err := experiment.ParseNetwork(c.network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload, err := experiment.ParseWorkload(c.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := experiment.ParseRuntime(c.runtime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newLookWrapper(true, true)
+		res, err := experiment.Run(experiment.Config{
+			App: app, Strategy: strategy, Scenario: scenario, Network: network, Workload: workload,
+			Runtime: wrappingRuntime{rt, w}, N: 5000, Rounds: 30, Repetitions: 1, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MessagesSent == 0 {
+			t.Fatalf("%s: the run sent no message", c.network)
+		}
+		if ticks, deliveries := w.tickCalls.Load(), w.deliveryCalls.Load(); ticks != 0 || deliveries != 0 {
+			t.Errorf("%s: %d tick and %d delivery lookahead batches at 5 000 nodes, want none", c.network, ticks, deliveries)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 const (
 	koutBuildBytesPerNode = 92  // overlay.RandomKOut(n, 20, 1)
 	wsBuildBytesPerNode   = 124 // overlay.WattsStrogatz(n, 10, 0.2, 1)
-	hostBuildBytesPerNode = 228 // simnet.NewEnv + walker slab + runtime.NewHost
+	hostBuildBytesPerNode = 220 // simnet.NewEnv + walker slab + runtime.NewHost
 	buildBytesTolerance   = 1.2
 	// buildAllocHeadroom is how many more allocations a 10^5-node build may
 	// make than a 10^4-node one: a handful are runtime-internal (worker
