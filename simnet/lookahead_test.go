@@ -52,8 +52,9 @@ type lookWrapper struct {
 
 	host *runtime.Host // the preloader the Host installs: the Host itself
 
-	mu    sync.Mutex
-	hooks map[runtime.Hook]runtime.Hook
+	mu      sync.Mutex
+	hooks   map[runtime.Hook]runtime.Hook
+	changed string // the first node a lookahead call changed, described
 }
 
 func newLookWrapper(ticks, deliveries bool) *lookWrapper {
@@ -91,8 +92,9 @@ type nodeView struct {
 	bytes  int64
 }
 
-// readOnly runs a lookahead call and panics if it changed any node it names.
-// The nodes belong to the calling shard, so reading them here is safe.
+// readOnly runs a lookahead call and records the first node it names that
+// the call changed. The nodes belong to the calling shard, so reading them
+// here is safe.
 func (p *lookWrapper) readOnly(nodes []int32, load func([]int32) uint64) uint64 {
 	view := func(i int32) nodeView {
 		n := p.host.Node(int(i))
@@ -104,8 +106,12 @@ func (p *lookWrapper) readOnly(nodes []int32, load func([]int32) uint64) uint64 
 	}
 	sum := load(nodes)
 	for k, i := range nodes {
-		if view(i) != before[k] {
-			panic(fmt.Sprintf("a lookahead call changed node %d: %+v, then %+v", i, before[k], view(i)))
+		if after := view(i); after != before[k] {
+			p.mu.Lock()
+			if p.changed == "" {
+				p.changed = fmt.Sprintf("node %d: %+v, then %+v", i, before[k], after)
+			}
+			p.mu.Unlock()
 		}
 	}
 	return sum
@@ -222,6 +228,9 @@ func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if w.changed != "" {
+				t.Fatalf("shards=%d: a lookahead call changed %s", shards, w.changed)
 			}
 			for _, c := range []struct {
 				name    string
