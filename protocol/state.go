@@ -163,7 +163,7 @@ func (s *Slab) States() []NodeState { return s.states }
 
 // Preload reads one word of node i's row and one of its state row and
 // returns their sum. It changes nothing: a runtime that knows which nodes
-// run next (see runtime.LookaheadHook) calls it to bring both lines into
+// run next (see runtime.Preloader) calls it to bring both lines into
 // cache ahead of use.
 func (s *Slab) Preload(i int) uint64 {
 	return uint64(s.nodes[i].id) + uint64(s.states[i].Account.Balance())

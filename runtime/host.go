@@ -275,8 +275,8 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.envelopes[i] = &audited[len(audited)-1]
 	}
 	env.SetDeliver(h.deliver)
-	if dl, ok := env.(DeliveryLookahead); ok {
-		dl.SetDeliveryPreloader(h)
+	if p, ok := env.(Preloading); ok {
+		p.SetPreloader(h)
 	}
 	h.scheduleRounds()
 	h.scheduleChurn()
@@ -352,12 +352,8 @@ func (h *Host) scheduleRounds() {
 // however long it takes — a stalled run loop never replays missed ticks in a
 // burst, which is what keeps the §3.4 bound exact in real time. tickHook is
 // the Host itself under a distinct method set, so scheduling it costs no
-// allocation and hook identity is stable across the run. It is also a
-// LookaheadHook, so the simulated environments can announce the nodes that
-// tick next.
+// allocation and hook identity is stable across the run.
 type tickHook Host
-
-var _ LookaheadHook = (*tickHook)(nil)
 
 func (t *tickHook) RunHook(node int32, _ uint64) {
 	h := (*Host)(t)
@@ -368,26 +364,21 @@ func (t *tickHook) RunHook(node int32, _ uint64) {
 	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, 0)
 }
 
-// Lookahead implements LookaheadHook for nodes about to tick (see preload).
-func (t *tickHook) Lookahead(nodes []int32) uint64 { return (*Host)(t).preload(nodes) }
+var _ Preloader = (*Host)(nil)
 
-// PreloadDeliveries implements DeliveryPreloader for the receivers of
-// deliveries about to run (see preload). The environment calls it on the
-// goroutine that runs those deliveries.
-func (h *Host) PreloadDeliveries(to []int32) uint64 { return h.preload(to) }
-
-// preload loads what a tick or a delivery of the given nodes reads, ahead
-// of it. The first loop loads the lines the event reads first: the node row
-// and the state row — which also hold the byte counter and the CSR head —
-// and, sharded, the shard-table entry. The second loop, once those are under
-// way, follows them: the application's row, whose address is in the node
-// row, and the first and last out-neighbour, whose place is in the state
-// row, so both lines of a 20-neighbour list. The loads within a loop are
-// independent, so their cache misses overlap instead of each event paying
-// its own. Nothing is written, and everything read is either immutable (the
-// overlay, the shard table) or state of nodes the calling shard owns, so
-// the loads are safe on any shard worker.
-func (h *Host) preload(nodes []int32) uint64 {
+// Preload implements Preloader: it loads what a tick, a churn transition
+// or a delivery of the given nodes reads, ahead of it. The first loop loads
+// the lines the event reads first: the node row and the state row — which
+// also hold the byte counter and the CSR head — and, sharded, the
+// shard-table entry. The second loop, once those are under way, follows
+// them: the application's row, whose address is in the node row, and the
+// first and last out-neighbour, whose place is in the state row, so both
+// lines of a 20-neighbour list. The loads within a loop are independent, so
+// their cache misses overlap instead of each event paying its own. Nothing
+// is written, and everything read is either immutable (the overlay, the
+// shard table) or state of nodes the calling shard owns, so the loads are
+// safe on any shard worker.
+func (h *Host) Preload(nodes []int32) uint64 {
 	var sum uint64
 	for _, i := range nodes {
 		sum += h.slab.Preload(int(i))
@@ -454,7 +445,7 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 }
 
 // setPeerHead copies node i's CSR head from the overlay into its state row,
-// where selectOnlineNeighbor and preload read it.
+// where selectOnlineNeighbor and Preload read it.
 func (h *Host) setPeerHead(i int) {
 	off, deg := h.cfg.Graph.OutHead(i)
 	st := h.slab.State(i)

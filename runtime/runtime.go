@@ -24,10 +24,9 @@
 // transition of a trace. An Env implemented outside this module must provide
 // all of them; AtHook may simply wrap At. Sharded, which
 // marks the one parallel environment, is one optional Env capability;
-// DeliveryLookahead, which lets the simulated environments tell the Host
-// which nodes receive next, is the other. On the hook side, LookaheadHook is
-// an optional capability too: it lets them tell the Host's tick which nodes
-// tick next.
+// Preloading, which lets the simulated environments tell the Host which
+// nodes' events run next, whether ticks, churn transitions or deliveries, is
+// the other.
 //
 // Because scenario drivers, availability traces and metric probes only talk
 // to the Host and its Env, they run identically in every world: an
@@ -166,34 +165,23 @@ type Hook interface {
 	RunHook(node int32, word uint64)
 }
 
-// LookaheadHook is an optional capability of a Hook. An environment that
-// knows which of the hook's events come next — the simulated ones keep each
-// hook's events in a sorted lane (see sim.LookaheadSink) — calls Lookahead
-// with the node indices of some of them, a few events before they run, so
-// the hook can load what they will touch while earlier events still
-// execute. Lookahead runs on the goroutine that will run those events; it
-// must only read, and only state those events may touch. It returns any
-// value derived from the loaded words, which the caller keeps so the loads
-// are not discarded as dead code. The Host's proactive tick implements it.
-type LookaheadHook interface {
-	Hook
-	Lookahead(nodes []int32) uint64
+// Preloading is an optional Env capability. An environment that knows
+// which nodes' events come next — the simulated ones keep hook events and
+// fixed-delay deliveries in sorted lanes (see sim.Engine.SetPreloader) —
+// hands some of those nodes, a few events before they run, to the Preloader
+// installed here, on the goroutine that will run those events. Every hook
+// event's node must therefore be a node index, as HookScheduler defines it.
+// The Host installs itself at assembly.
+type Preloading interface {
+	SetPreloader(p Preloader)
 }
 
-// DeliveryLookahead is an optional Env capability, the delivery-side twin
-// of LookaheadHook. An environment that knows which deliveries come next —
-// the simulated ones keep fixed-delay deliveries in sorted lanes (see
-// sim.LookaheadSink) — hands the receivers of some of them, a few
-// deliveries before they run, to the preloader installed here, under the
-// rules of LookaheadHook.Lookahead. The Host installs itself at assembly.
-type DeliveryLookahead interface {
-	SetDeliveryPreloader(p DeliveryPreloader)
-}
-
-// DeliveryPreloader loads what deliveries to the given nodes will touch and
-// returns a value derived from the loaded words (see DeliveryLookahead).
-type DeliveryPreloader interface {
-	PreloadDeliveries(to []int32) uint64
+// Preloader loads what events of the given nodes will touch, ahead of them.
+// Preload must only read, and only state those events may touch. It returns
+// any value derived from the loaded words, which the caller keeps so the
+// loads are not discarded as dead code. Its method set is sim.Preloader's.
+type Preloader interface {
+	Preload(nodes []int32) uint64
 }
 
 // HookScheduler is part of Env and ShardScheduler. AtHook behaves exactly

@@ -67,10 +67,9 @@ type DeliverySink interface {
 // ScheduleDelivery, or for the deposits of ScheduleDeliveryAt (see
 // ScheduleDelivery). Every run method pops the least of the queue head and
 // the lane heads by (time, seq), the same total order a single queue would
-// produce. A sink with the LookaheadSink capability is also told, in
-// batches, which of its lane's events come next: a hook sink once its lane
-// holds more than lookaheadMinLane entries, a delivery sink when the engine
-// runs more than lookaheadMinLane nodes (see NewEngineFor).
+// produce. An engine of more than lookaheadMinLane nodes with a Preloader
+// (see SetPreloader) also tells it, in batches, which nodes its lanes' events
+// act on next.
 type Engine struct {
 	q         queue
 	lanes     []hookLane
@@ -80,41 +79,40 @@ type Engine struct {
 	processed uint64
 	stopped   bool
 
-	// ahead[i] is lanes[i]'s sink as a LookaheadSink, nil where the sink
-	// lacks the capability. batch carries the node indices of one lookahead
-	// call: engine-owned, because a stack array passed through the interface
-	// would escape and cost an allocation per batch. aheadSum collects the
-	// calls' results so their loads stay live; it is per engine, because
-	// shard engines run concurrently.
-	ahead    []LookaheadSink
-	batch    [LookaheadBatch]int32
-	aheadSum uint64
+	// preload is the preloader SetPreloader kept, nil for none. batch
+	// carries the node indices of one Preload call: engine-owned, because a
+	// stack array passed through the interface would escape and cost an
+	// allocation per batch. preloadSum collects the calls' results so their
+	// loads stay live; it is per engine, because shard engines run
+	// concurrently.
+	preload    Preloader
+	batch      [LookaheadBatch]int32
+	preloadSum uint64
 
 	// missKey is the key of the last word delivery that found no lane (0
 	// before the first); a second miss in a row with the same key opens a
 	// lane.
 	missKey float64
 	dlanes  [maxDeliveryLanes]deliveryLane
-	// dahead[i] is dlanes[i]'s sink as a LookaheadSink, resolved when the
-	// lane opens: nil where the sink lacks the capability or the engine's
-	// nodes (see NewEngineFor), the working set of its deliveries, are at
-	// most lookaheadMinLane.
-	dahead [maxDeliveryLanes]LookaheadSink
-	nodes  int
 }
 
-// NewEngine returns an engine with virtual time 0 and nothing pending. It is
-// NewEngineFor(0): its delivery lanes hand out no lookahead batches.
+// NewEngine returns an engine with virtual time 0 and nothing pending.
 func NewEngine() *Engine { return &Engine{} }
 
-// NewEngineFor returns an engine with virtual time 0 and nothing pending
-// whose events act on the given number of nodes. The count only gates the
-// delivery lookahead: a delivery lane's population is the messages in
-// flight, which says nothing about how many nodes' state they touch, so
-// above lookaheadMinLane nodes the engine hands a delivery sink with the
-// LookaheadSink capability the receivers of the lane's next deliveries, and
-// otherwise never does.
-func NewEngineFor(nodes int) *Engine { return &Engine{nodes: nodes} }
+// SetPreloader installs p as the engine's preloader if nodes, the number of
+// nodes the engine's events act on, is more than lookaheadMinLane, and
+// removes any preloader otherwise, so one gate covers every lane. From then
+// on, every LookaheadBatch pops of a lane that leave at least 2K entries in
+// it, the engine hands p the To of the lane's entries [head+K, head+2K) (see
+// LookaheadBatch), whether the lane holds hook events or word deliveries.
+// The To of every hook event and lane delivery must therefore name one of
+// those nodes. Events held in the queue are never announced.
+func (e *Engine) SetPreloader(p Preloader, nodes int) {
+	e.preload = nil
+	if nodes > lookaheadMinLane {
+		e.preload = p
+	}
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
@@ -206,9 +204,6 @@ func (e *Engine) toLane(key, t float64, d *Delivery, sink DeliverySink) bool {
 		return false
 	}
 	l := &e.dlanes[e.ndl]
-	if e.nodes > lookaheadMinLane {
-		e.dahead[e.ndl], _ = sink.(LookaheadSink)
-	}
 	e.ndl++
 	l.sink, l.key = sink, key
 	return l.push(t, e.seq, d)
@@ -281,8 +276,8 @@ func (e *Engine) next() (l *hookLane, dl *deliveryLane, t float64, ok bool) {
 func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 	if dl != nil {
 		t, d := dl.pop()
-		if dl.lookaheadDue() {
-			e.deliveryLookahead(dl)
+		if e.preload != nil && lookaheadDue(dl.head, dl.n) {
+			e.lookahead(nil, dl)
 		}
 		e.now = t
 		e.processed++
@@ -292,8 +287,8 @@ func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 	if l != nil {
 		sink := l.sink // a new lane registered by the callback may move l
 		h := l.pop()
-		if l.lookaheadDue() {
-			e.lookahead(l)
+		if e.preload != nil && lookaheadDue(l.head, l.n) {
+			e.lookahead(l, nil)
 		}
 		e.now = h.time
 		e.processed++
@@ -398,60 +393,29 @@ func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliveryS
 	e.q.push(t, e.seq, event{sink: sink, d: Delivery{To: to, Word: word}})
 }
 
-// lane returns sink's hook lane, creating it on first use; creation also
-// resolves the sink's LookaheadSink capability, once.
+// lane returns sink's hook lane, creating it on first use.
 func (e *Engine) lane(sink DeliverySink) *hookLane {
 	for i := range e.lanes {
 		if e.lanes[i].sink == sink {
 			return &e.lanes[i]
 		}
 	}
-	la, _ := sink.(LookaheadSink)
-	e.ahead = append(e.ahead, la)
 	e.lanes = append(e.lanes, hookLane{sink: sink})
 	return &e.lanes[len(e.lanes)-1]
 }
 
-// lookahead hands lane l's LookaheadSink, if its sink has the capability,
-// the To of the entries [head+K, head+2K), K = LookaheadBatch. The lane holds
-// at least lookaheadMinLane ≥ 2K entries, so all of them exist. The
-// capability is looked up here, once per batch among a handful of lanes,
-// rather than carried into every pop.
-func (e *Engine) lookahead(l *hookLane) {
-	var la LookaheadSink
-	for i := range e.lanes {
-		if &e.lanes[i] == l {
-			la = e.ahead[i]
+// lookahead hands the preloader the To of the entries [head+K, head+2K) of
+// the lane just popped — hook lane l, or delivery lane dl when l is nil —
+// which lookaheadDue has checked exist.
+func (e *Engine) lookahead(l *hookLane, dl *deliveryLane) {
+	for k := range e.batch {
+		if l != nil {
+			e.batch[k] = l.buf[(l.head+LookaheadBatch+k)&(len(l.buf)-1)].to
+		} else {
+			e.batch[k] = dl.buf[(dl.head+LookaheadBatch+k)&(len(dl.buf)-1)].to
 		}
 	}
-	if la == nil {
-		return
-	}
-	mask := len(l.buf) - 1
-	for k := range e.batch {
-		e.batch[k] = l.buf[(l.head+LookaheadBatch+k)&mask].to
-	}
-	e.aheadSum += la.Lookahead(e.batch[:])
-}
-
-// deliveryLookahead is lookahead for delivery lane dl: its LookaheadSink, if
-// the lane has one, gets the To of the entries [head+K, head+2K), which
-// lookaheadDue has checked exist.
-func (e *Engine) deliveryLookahead(dl *deliveryLane) {
-	var la LookaheadSink
-	for i := range e.dlanes[:e.ndl] {
-		if &e.dlanes[i] == dl {
-			la = e.dahead[i]
-		}
-	}
-	if la == nil {
-		return
-	}
-	mask := len(dl.buf) - 1
-	for k := range e.batch {
-		e.batch[k] = dl.buf[(dl.head+LookaheadBatch+k)&mask].to
-	}
-	e.aheadSum += la.Lookahead(e.batch[:])
+	e.preloadSum += e.preload.Preload(e.batch[:])
 }
 
 // Run executes events until nothing is pending or Stop is called.

@@ -27,9 +27,7 @@ type hookEntry struct {
 //
 // A lane is exactly 64 bytes, one size class and one cache line: the lanes
 // of different shard engines are separate small heap objects, and a lane
-// grown past 64 bytes would share a line with its neighbour's. The sink's
-// LookaheadSink capability is therefore kept beside the lane, in
-// Engine.ahead, not in it.
+// grown past 64 bytes would share a line with its neighbour's.
 type hookLane struct {
 	sink   DeliverySink
 	buf    []hookEntry // ring; len(buf) is zero or a power of two
@@ -39,11 +37,11 @@ type hookLane struct {
 }
 
 // LookaheadBatch is K, the lookahead batch size: every K pops of a lane
-// holding more than lookaheadMinLane entries, the engine hands the lane's
-// LookaheadSink the To of the K entries that follow the next K, that is of
-// the entries [head+K, head+2K) counted after the pop. Each entry is thus
-// announced once, between K and 2K pops before it runs: far enough ahead for
-// its loads to arrive, near enough that they are still cached when it does.
+// that leave at least 2K entries in it, an engine with a Preloader hands it
+// the To of the K entries that follow the next K, that is of the entries
+// [head+K, head+2K) counted after the pop. Each entry is thus announced
+// once, between K and 2K pops before it runs: far enough ahead for its
+// loads to arrive, near enough that they are still cached when it does.
 //
 // The period needs no counter: K divides every ring length, and grow keeps
 // head's offset modulo K, so a pop completes a period exactly when it leaves
@@ -51,17 +49,23 @@ type hookLane struct {
 const LookaheadBatch = 16
 
 // lookaheadMinLane is the working set, in nodes per engine, above which the
-// engine hands out lookahead batches. An event reads about 256 bytes of
-// per-node state spread over four lines (node row 64 B, state row 64 B, the
-// application's row and the adjacency), plus the shard table entry; below
-// 8192 nodes that is at most 2 MiB, the L2 of a current server core, so the
-// loads would hit anyway and the batch would be pure overhead. A hook lane
-// measures it by its population, since a tick lane holds one entry per node
-// (which also guarantees the 2K entries a batch reads exist); a delivery
-// lane, which holds the messages in flight, by the engine's node count (see
-// NewEngineFor). Either way it is a property of the run's input, not a
+// engine hands out lookahead batches (see Engine.SetPreloader). An event
+// reads about 256 bytes of per-node state spread over four lines (node row
+// 64 B, state row 64 B, the application's row and the adjacency), plus the
+// shard table entry; below 8192 nodes that is at most 2 MiB, the L2 of a
+// current server core, so the loads would hit anyway and the batch would be
+// pure overhead. It is the engine's node count, not a lane's population: a
+// delivery lane holds the messages in flight, which says nothing about how
+// many nodes' state they touch. It is a property of the run's input, not a
 // setting.
 const lookaheadMinLane = 8192
+
+// lookaheadDue reports whether a pop that left a lane's ring at head with n
+// entries completes a batch period (see LookaheadBatch) with the 2K entries
+// a batch reads in the lane. It is the one due rule of both lane kinds.
+func lookaheadDue(head, n int) bool {
+	return head&(LookaheadBatch-1) == 0 && n >= 2*LookaheadBatch
+}
 
 // push appends an entry and reports whether the lane took it.
 func (l *hookLane) push(t float64, seq uint64, to int32, word uint64) bool {
@@ -119,32 +123,22 @@ func (l *hookLane) pop() hookEntry {
 	return h
 }
 
-// lookaheadDue reports whether the pop just made completes a batch period
-// (see LookaheadBatch) on a lane large enough to hand the next batch out.
-func (l *hookLane) lookaheadDue() bool {
-	return l.n >= lookaheadMinLane && l.head&(LookaheadBatch-1) == 0
-}
-
-// LookaheadSink is an optional capability of a hook sink (see
-// Engine.ScheduleHookAt) or a delivery sink (see Engine.ScheduleDelivery).
-// A lane is a sorted FIFO, so the engine knows which of the sink's events
-// run next; it tells a LookaheadSink, so the sink can load the state those
-// events will touch while earlier events still run. The loads of one batch
-// are independent, so their cache misses overlap instead of each event
-// paying its own. Deliveries held in the queue (boxed payloads, and those
-// that arrive out of order) are never announced.
+// Preloader loads the state that events acting on the given nodes will
+// touch. A lane is a sorted FIFO, so the engine knows which of its events
+// run next; it tells the Preloader installed with Engine.SetPreloader, so the
+// state those events will touch loads while earlier events still run. The
+// loads of one batch are independent, so their cache misses overlap instead
+// of each event paying its own.
 //
-// The engine resolves the capability once, when the sink's lane is created.
-// Lookahead runs on the engine's goroutine, between popping an event and
+// Preload runs on the engine's goroutine, between popping an event and
 // running it. It must only read — the batch is a hint, and the events it
 // names run later, in order, exactly as they would without it — and only
 // state that the engine's own events may touch (a shard's nodes, on a shard
 // engine). The slice is engine-owned and only valid during the call. The
 // return value is folded into an engine field, so the compiler cannot drop
 // the loads as dead code; any value derived from the loaded words will do.
-type LookaheadSink interface {
-	DeliverySink
-	Lookahead(to []int32) uint64
+type Preloader interface {
+	Preload(to []int32) uint64
 }
 
 // maxDeliveryLanes caps an engine's delivery lanes. A run's deliveries fall
@@ -171,9 +165,7 @@ type deliveryEntry struct {
 // deliveryLane is the FIFO ring of one (sink, key) pair's deliveries (see
 // Engine.ScheduleDelivery). It only accepts an entry that is not earlier
 // than its tail, so buf, read from head, is always sorted by (time, seq):
-// seq grows with every scheduling call. Like a hook lane it is 64 bytes,
-// and its sink's LookaheadSink capability is kept beside it, in
-// Engine.dahead.
+// seq grows with every scheduling call. Like a hook lane it is 64 bytes.
 type deliveryLane struct {
 	sink    DeliverySink
 	key     float64
@@ -203,11 +195,4 @@ func (l *deliveryLane) pop() (float64, Delivery) {
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	return h.time, Delivery{From: h.from, To: h.to, Kind: h.kind, Word: h.word}
-}
-
-// lookaheadDue reports whether the pop just made completes a batch period
-// (see LookaheadBatch) with the 2K entries a batch reads in the lane. The
-// engine's node count gates the batch itself (see Engine.dahead).
-func (l *deliveryLane) lookaheadDue() bool {
-	return l.head&(LookaheadBatch-1) == 0 && l.n >= 2*LookaheadBatch
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -34,62 +35,51 @@ func TestHookLaneSize(t *testing.T) {
 	}
 }
 
-// aheadCountSink is countSink with the LookaheadSink capability.
-type aheadCountSink struct {
-	countSink
-	batches int
-}
+// countPreloader counts the batches it takes; shard workers may call it
+// concurrently.
+type countPreloader struct{ batches atomic.Int64 }
 
-func (s *aheadCountSink) Deliver(d Delivery) {
-	s.n++
-	s.e.ScheduleHookAt(s.e.Now()+s.period, d.To, d.Word, s)
-}
-
-func (s *aheadCountSink) Lookahead(to []int32) uint64 {
-	s.batches++
+func (p *countPreloader) Preload(to []int32) uint64 {
+	p.batches.Add(1)
 	return uint64(to[len(to)-1])
 }
 
-// aheadResendSink re-sends every delivery to its receiver one period later
-// and counts the lookahead batches it takes.
-type aheadResendSink struct {
-	e       *Engine
-	batches int
-}
+// resendSink re-sends every delivery to its receiver one period later.
+type resendSink struct{ e *Engine }
 
-func (s *aheadResendSink) Deliver(d Delivery) { s.e.ScheduleDelivery(1, d, s) }
+func (s *resendSink) Deliver(d Delivery) { s.e.ScheduleDelivery(1, d, s) }
 
-func (s *aheadResendSink) Lookahead(to []int32) uint64 {
-	s.batches++
-	return uint64(to[len(to)-1])
-}
-
-// TestLookaheadAllocs guards the lookahead's steady state, on a hook lane
-// above lookaheadMinLane and on a delivery lane of an engine above
-// lookaheadMinLane nodes: a self-re-arming hook, or a self-re-sending
-// delivery, whose sink takes lookahead batches allocates nothing — the
-// batch travels in the engine's own array.
+// TestLookaheadAllocs guards the lookahead's steady state on an engine
+// above lookaheadMinLane nodes with a preloader, on a hook lane and on a
+// delivery lane: a self-re-arming hook, or a self-re-sending delivery,
+// allocates nothing while the preloader takes batches — the batch travels
+// in the engine's own array.
 func TestLookaheadAllocs(t *testing.T) {
+	const nodes = 2 * lookaheadMinLane
 	t.Run("hook", func(t *testing.T) {
 		e := NewEngine()
-		s := &aheadCountSink{countSink: countSink{e: e, period: 1}}
+		p := &countPreloader{}
+		e.SetPreloader(p, nodes)
+		s := &countSink{e: e, period: 1}
 		r := rng.New(5)
-		for i := int32(0); i < 2*lookaheadMinLane; i++ {
+		for i := int32(0); i < nodes; i++ {
 			e.ScheduleHookAt(r.Float64(), i, 0, s)
 		}
 		e.RunUntil(1.5) // sort once, settle
+		before := p.batches.Load()
 		allocs := testing.AllocsPerRun(4000, func() { e.Step() })
 		if allocs != 0 {
 			t.Errorf("self-re-arming hook with lookahead allocates %.3f per event, want 0", allocs)
 		}
-		if s.batches == 0 {
-			t.Error("the sink received no lookahead batch")
+		if p.batches.Load() == before {
+			t.Error("the preloader received no lookahead batch")
 		}
 	})
 	t.Run("delivery", func(t *testing.T) {
-		const nodes = 2 * lookaheadMinLane
-		e := NewEngineFor(nodes)
-		s := &aheadResendSink{e: e}
+		e := NewEngine()
+		p := &countPreloader{}
+		e.SetPreloader(p, nodes)
+		s := &resendSink{e: e}
 		r := rng.New(5)
 		for i := int32(0); i < nodes; i++ {
 			e.ScheduleDelivery(r.Float64(), Delivery{From: i, To: i}, s)
@@ -98,30 +88,132 @@ func TestLookaheadAllocs(t *testing.T) {
 		if e.ndl != 1 {
 			t.Fatalf("%d delivery lanes, want the delay-1 lane", e.ndl)
 		}
-		before := s.batches
+		before := p.batches.Load()
 		allocs := testing.AllocsPerRun(4000, func() { e.Step() })
 		if allocs != 0 {
 			t.Errorf("self-re-sending delivery with lookahead allocates %.3f per event, want 0", allocs)
 		}
-		if s.batches == before {
-			t.Error("the sink received no lookahead batch")
+		if p.batches.Load() == before {
+			t.Error("the preloader received no lookahead batch")
 		}
 	})
 }
 
+// TestLookaheadGateBelongsToTheEngine checks that the node count given with
+// the preloader is the one gate of both lane kinds: an engine of at most
+// lookaheadMinLane nodes, or of none, hands its preloader no batch from a
+// hook lane or a delivery lane, however full, while one more node makes
+// both batch; installing again with too few nodes removes the preloader. On
+// a sharded engine the gate is each shard's own node count, and hook events
+// on the coordinator never reach the preloader.
+func TestLookaheadGateBelongsToTheEngine(t *testing.T) {
+	const lane = 4 * lookaheadMinLane // entries per lane, far above 2K
+	run := func(nodes int, hooks bool, reinstall int) int64 {
+		e := NewEngine()
+		p := &countPreloader{}
+		e.SetPreloader(p, nodes)
+		if reinstall >= 0 {
+			e.SetPreloader(p, reinstall)
+		}
+		r := rng.New(3)
+		hs, ds := &countSink{e: e, period: 1}, &resendSink{e: e}
+		for i := int32(0); i < lane; i++ {
+			if hooks {
+				e.ScheduleHookAt(r.Float64(), i, 0, hs)
+			} else {
+				e.ScheduleDelivery(r.Float64(), Delivery{From: i, To: i}, ds)
+			}
+		}
+		e.RunUntil(3)
+		return p.batches.Load()
+	}
+	for _, hooks := range []bool{true, false} {
+		kind := map[bool]string{true: "hook", false: "delivery"}[hooks]
+		for _, c := range []struct{ nodes, reinstall int }{
+			{0, -1},
+			{lookaheadMinLane, -1},
+			{lookaheadMinLane + 1, lookaheadMinLane},
+		} {
+			if got := run(c.nodes, hooks, c.reinstall); got != 0 {
+				t.Errorf("%s lane, nodes %d then %d: %d batches, want none", kind, c.nodes, c.reinstall, got)
+			}
+		}
+		if got := run(lookaheadMinLane+1, hooks, -1); got == 0 {
+			t.Errorf("%s lane, nodes %d: no batch", kind, lookaheadMinLane+1)
+		}
+	}
+
+	// sharded runs 2 shards of perShard nodes each, with a self-re-arming
+	// hook of coordLane entries on the coordinator and, if onShards, one of
+	// perShard entries on every shard, and returns the preloader's batches.
+	// Every coordinator event is a barrier, so its lane is the smaller one.
+	const coordLane = 2 * lookaheadMinLane
+	sharded := func(perShard int, onShards bool) int64 {
+		shardOf := make([]int32, 2*perShard)
+		for i := range shardOf {
+			shardOf[i] = int32(i % 2)
+		}
+		se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: shardOf, Lookahead: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer se.Close()
+		p := &countPreloader{}
+		se.SetPreloader(p)
+		coord := &coordSink{se: se}
+		r := rng.New(4)
+		for i := 0; i < coordLane; i++ {
+			se.ScheduleHookAt(r.Float64(), int32(i%len(shardOf)), 0, coord)
+		}
+		if onShards {
+			for s := range se.engines {
+				sink := &countSink{e: se.engines[s], period: 1}
+				for i := s; i < len(shardOf); i += 2 {
+					se.ShardScheduleHookAt(s, r.Float64(), int32(i), 0, sink)
+				}
+			}
+		}
+		se.RunUntil(1.5)
+		if coord.n <= coordLane {
+			t.Fatalf("the coordinator ran %d hook events, want more than %d", coord.n, coordLane)
+		}
+		return p.batches.Load()
+	}
+	if got := sharded(lookaheadMinLane+1, false); got != 0 {
+		t.Errorf("coordinator hook lane of %d entries: %d batches, want none", coordLane, got)
+	}
+	if got := sharded(lookaheadMinLane, true); got != 0 {
+		t.Errorf("shards of %d nodes each: %d batches, want none", lookaheadMinLane, got)
+	}
+	if got := sharded(lookaheadMinLane+1, true); got == 0 {
+		t.Errorf("shards of %d nodes each: no batch", lookaheadMinLane+1)
+	}
+}
+
+// coordSink is countSink for a sharded engine's coordinator.
+type coordSink struct {
+	se *ShardedEngine
+	n  int
+}
+
+func (s *coordSink) Deliver(d Delivery) {
+	s.n++
+	s.se.ScheduleHookAt(s.se.Now()+1, d.To, d.Word, s)
+}
+
 // queueBit marks the words of events a lookWorld schedules through the
-// queue on purpose (deliveries).
+// queue on purpose (boxed deliveries).
 const queueBit = 1 << 63
 
 // lookWorld runs tick-shaped hook lanes of one sink on every shard — each
 // node re-arms one period after it ticks, always for the first two periods,
 // then with probability 0.9 up to its eighth — so each lane's population
-// first holds and then shrinks across lookaheadMinLane. With spawn > 0, a
-// tick of the first two periods also adds a second entry for its node with
-// that probability, so the lane grows, and its ring is reallocated, while
-// it is being popped. Ticks also schedule deliveries to the same sink
-// through the queue, and hooks behind the lane's tail that fall back to it.
-// The deliveries go to a sink without the LookaheadSink capability, so every
+// first holds and then shrinks across 2K. With spawn > 0, a tick of the
+// first two periods also adds a second entry for its node with that
+// probability, so the lane grows, and its ring is reallocated, while it is
+// being popped. Ticks also schedule deliveries to the same sink through the
+// queue, and hooks behind the lane's tail that fall back to it. The
+// deliveries carry boxed payloads, which no delivery lane takes, so every
 // batch the world sees comes from a hook lane (TestShardDeliveryLookahead-
 // Contract covers delivery lanes). Everything is logged per shard, by the
 // shard's own goroutine.
@@ -130,9 +222,9 @@ type lookWorld struct {
 	shards  int
 	n       int
 	spawn   float64
-	self    DeliverySink // the sink every event targets: a lookSink, or a plainSink hiding the capability
+	self    *lookSink // the sink every event targets
 	hookAt  func(s int, t float64, to int32, word uint64)
-	send    func(s int, delay float64, from, to int32, word uint64)
+	send    func(s int, delay float64, from, to int32, word uint64) // boxed, so queue-held
 	logs    []lookLog
 }
 
@@ -148,7 +240,7 @@ type lookLog struct {
 	batches []lookBatch
 }
 
-// lookBatch is one Lookahead call: pop is the 1-based index of the lane pop
+// lookBatch is one Preload call: pop is the 1-based index of the lane pop
 // it was made for.
 type lookBatch struct {
 	pop int
@@ -159,19 +251,17 @@ type lookSink struct{ w *lookWorld }
 
 func (s *lookSink) Deliver(d Delivery) { s.w.deliver(d) }
 
-func (s *lookSink) Lookahead(to []int32) uint64 {
-	w := s.w
+// lookPreloader logs every batch for the lane pop that follows it.
+type lookPreloader struct{ w *lookWorld }
+
+func (p *lookPreloader) Preload(to []int32) uint64 {
+	w := p.w
 	l := &w.logs[w.shardOf(to[0])]
 	b := lookBatch{pop: len(l.pops) + 1}
 	copy(b.to[:], to)
 	l.batches = append(l.batches, b)
 	return uint64(to[0])
 }
-
-// plainSink is the same sink without the LookaheadSink capability.
-type plainSink struct{ w *lookWorld }
-
-func (s *plainSink) Deliver(d Delivery) { s.w.deliver(d) }
 
 func (w *lookWorld) shardOf(node int32) int { return int(node) % w.shards }
 
@@ -230,17 +320,13 @@ func (w *lookWorld) deliver(d Delivery) {
 }
 
 // runLookWorld builds and runs the world with perShard nodes per shard on a
-// plain engine (shards = 0) or a sharded one, with the sink's capability
-// exposed or hidden, and returns the logs and the accounting probes taken
-// between run calls.
-func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]lookLog, []string) {
+// plain engine (shards = 0) or a sharded one, with a preloader installed or
+// not, and returns the logs and the accounting probes taken between run
+// calls.
+func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, preload bool) ([]lookLog, []string) {
 	t.Helper()
 	w := &lookWorld{shards: max(shards, 1), spawn: spawn}
-	if exposed {
-		w.self = &lookSink{w: w}
-	} else {
-		w.self = &plainSink{w: w}
-	}
+	w.self = &lookSink{w: w}
 	w.logs = make([]lookLog, w.shards)
 	for s := range w.logs {
 		w.logs[s] = lookLog{r: rng.New(rng.Derive(seed, uint64(s))), fallback: map[uint64]bool{}}
@@ -251,10 +337,13 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 	var run func(h float64)
 	if shards == 0 {
 		e := NewEngine()
+		if preload {
+			e.SetPreloader(&lookPreloader{w: w}, n)
+		}
 		w.engines = []*Engine{e}
 		w.hookAt = func(_ int, t float64, to int32, word uint64) { e.ScheduleHookAt(t, to, word, w.self) }
 		w.send = func(_ int, delay float64, _, to int32, word uint64) {
-			e.ScheduleDelivery(delay, Delivery{To: to, Word: word}, &plainSink{w: w})
+			e.ScheduleDelivery(delay, Delivery{To: to, Word: word, Box: word}, w.self)
 		}
 		probe = func() string {
 			next, ok := e.NextTime()
@@ -271,11 +360,14 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 			t.Fatal(err)
 		}
 		defer se.Close()
-		se.SetSink(&plainSink{w: w})
+		se.SetSink(w.self)
+		if preload {
+			se.SetPreloader(&lookPreloader{w: w})
+		}
 		w.engines = se.engines
 		w.hookAt = func(s int, t float64, to int32, word uint64) { se.ShardScheduleHookAt(s, t, to, word, w.self) }
 		w.send = func(_ int, delay float64, from, to int32, word uint64) {
-			se.Send(delay, Delivery{From: from, To: to, Word: word})
+			se.Send(delay, Delivery{From: from, To: to, Word: word, Box: word})
 		}
 		probe = func() string {
 			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.Pending())
@@ -296,23 +388,26 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 		if spawn > 0 && len(w.lane(s).buf) <= w.logs[s].ringLen {
 			t.Fatalf("shard %d: the lane's ring never grew while popped", s)
 		}
+		if ndl := w.engines[s].ndl; ndl != 0 {
+			t.Fatalf("shard %d: %d delivery lanes, want none", s, ndl)
+		}
 	}
 	return w.logs, probes
 }
 
 // TestShardLookaheadContract checks the lookahead contract of hook lanes on
-// the plain engine and on sharded ones of 2 and 4 shards: a
-// LookaheadSink receives, every LookaheadBatch pops of its lane, exactly the
+// the plain engine and on sharded ones of 2 and 4 shards: on an engine of
+// more than lookaheadMinLane nodes, the preloader receives, every
+// LookaheadBatch pops of a lane that leave at least 2K entries, exactly the
 // To of the lane entries [head+K, head+2K) — checked against the pops that
-// follow — as long as the lane held more than lookaheadMinLane entries when
-// the pop began, and nothing otherwise; queue events (deliveries, and hooks
-// that fell back to the queue) neither count as pops nor trigger a batch.
-// Lanes of exactly lookaheadMinLane entries, one more, and a few batches
-// more all hold and then shrink across the constant; a fourth lane grows
-// past its ring's capacity while popped, so the batch period must survive
-// the ring's reallocation. The run itself — pop
-// order, Processed, Pending, NextTime — is the one of the same sink with the
-// capability hidden. Named …Shard… so CI's sharded race soak runs it.
+// follow — and nothing otherwise; an engine of exactly lookaheadMinLane
+// nodes hands out none. Queue events (deliveries, and hooks that fell back
+// to the queue) neither count as pops nor trigger a batch. Engines of one
+// more node and a few batches more hold and then shrink their lanes across
+// 2K; a fourth lane grows past its ring's capacity while popped, so the
+// batch period must survive the ring's reallocation. The run itself — pop
+// order, Processed, Pending, NextTime — is the one without a preloader.
+// Named …Shard… so CI's sharded race soak runs it.
 func TestShardLookaheadContract(t *testing.T) {
 	const k = LookaheadBatch
 	for _, shards := range []int{0, 2, 4} {
@@ -326,32 +421,32 @@ func TestShardLookaheadContract(t *testing.T) {
 			{2*lookaheadMinLane - 3*k - 5, 0.01}, // just below a power of two
 		} {
 			perShard := c.perShard
-			name := fmt.Sprintf("shards=%d/lane=%d", shards, perShard)
+			name := fmt.Sprintf("shards=%d/nodes=%d", shards, perShard)
 			t.Run(name, func(t *testing.T) {
 				got, gotProbes := runLookWorld(t, shards, perShard, c.spawn, 5, true)
 				want, wantProbes := runLookWorld(t, shards, perShard, c.spawn, 5, false)
 				if !reflect.DeepEqual(gotProbes, wantProbes) {
-					t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+					t.Fatalf("probes differ:\ninstalled %q\nnone      %q", gotProbes, wantProbes)
 				}
 				for s := range got {
 					g, h := &got[s], &want[s]
 					if !reflect.DeepEqual(g.pops, h.pops) || !reflect.DeepEqual(g.after, h.after) || !reflect.DeepEqual(g.queued, h.queued) {
-						t.Fatalf("shard %d: event order differs with the capability exposed", s)
+						t.Fatalf("shard %d: event order differs with the preloader installed", s)
 					}
 					if len(g.queued) == 0 || len(g.fallback) == 0 {
 						t.Fatalf("shard %d: %d queue events, %d fallbacks; want both paths exercised", s, len(g.queued), len(g.fallback))
 					}
 					var due []int
-					for p := k; p <= len(g.pops); p += k {
-						if g.after[p-1] >= lookaheadMinLane {
+					for p := k; p <= len(g.pops) && perShard > lookaheadMinLane; p += k {
+						if g.after[p-1] >= 2*k {
 							due = append(due, p)
 						}
 					}
 					if perShard > lookaheadMinLane && len(due) == 0 {
-						t.Fatalf("shard %d: the lane never held more than %d entries", s, lookaheadMinLane)
+						t.Fatalf("shard %d: the lane never held %d entries after a period's pop", s, 2*k)
 					}
-					if perShard == lookaheadMinLane && len(due) != 0 {
-						t.Fatalf("shard %d: a lane that never exceeds %d entries is due a batch", s, lookaheadMinLane)
+					if perShard == lookaheadMinLane && len(g.batches) != 0 {
+						t.Fatalf("shard %d: an engine of %d nodes handed out %d batches", s, lookaheadMinLane, len(g.batches))
 					}
 					if len(g.batches) != len(due) {
 						t.Fatalf("shard %d: %d batches, want %d", s, len(g.batches), len(due))
@@ -365,7 +460,7 @@ func TestShardLookaheadContract(t *testing.T) {
 						}
 					}
 					if len(h.batches) != 0 {
-						t.Fatalf("shard %d: a sink without the capability got %d batches", s, len(h.batches))
+						t.Fatalf("shard %d: %d batches with no preloader installed", s, len(h.batches))
 					}
 				}
 			})
@@ -398,7 +493,7 @@ type dlookWorld struct {
 	shards  int
 	n       int
 	spawn   float64
-	self    DeliverySink // a dlookSink, or a dplainSink hiding the capability
+	self    *dlookSink // the sink of every delivery
 	send    func(delay float64, from, to int32, word uint64, box any)
 	logs    []dlookLog
 }
@@ -424,8 +519,11 @@ type dlookSink struct{ w *dlookWorld }
 
 func (s *dlookSink) Deliver(d Delivery) { s.w.deliver(d) }
 
-func (s *dlookSink) Lookahead(to []int32) uint64 {
-	l := &s.w.logs[s.w.shardOf(to[0])]
+// dlookPreloader holds every batch for the delivery that follows it.
+type dlookPreloader struct{ w *dlookWorld }
+
+func (p *dlookPreloader) Preload(to []int32) uint64 {
+	l := &p.w.logs[p.w.shardOf(to[0])]
 	if l.pending != nil && l.broken == "" {
 		l.broken = "two lookahead batches without a delivery in between"
 	}
@@ -433,11 +531,6 @@ func (s *dlookSink) Lookahead(to []int32) uint64 {
 	copy(l.pending.to[:], to)
 	return uint64(to[0])
 }
-
-// dplainSink is the same sink without the LookaheadSink capability.
-type dplainSink struct{ w *dlookWorld }
-
-func (s *dplainSink) Deliver(d Delivery) { s.w.deliver(d) }
 
 func (w *dlookWorld) shardOf(node int32) int { return int(node) % w.shards }
 
@@ -513,17 +606,13 @@ func (w *dlookWorld) deliver(d Delivery) {
 }
 
 // runDeliveryLookWorld builds and runs the world with perShard nodes per
-// shard on a plain engine for that many nodes (shards = 0) or a sharded
-// one, with the sink's capability exposed or hidden, and returns the logs
-// and the accounting probes taken between run calls.
-func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, exposed bool) ([]dlookLog, []string) {
+// shard on a plain engine (shards = 0) or a sharded one, with a preloader
+// installed or not, and returns the logs and the accounting probes taken
+// between run calls.
+func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64, preload bool) ([]dlookLog, []string) {
 	t.Helper()
 	w := &dlookWorld{shards: max(shards, 1), spawn: spawn}
-	if exposed {
-		w.self = &dlookSink{w: w}
-	} else {
-		w.self = &dplainSink{w: w}
-	}
+	w.self = &dlookSink{w: w}
 	w.logs = make([]dlookLog, w.shards)
 	for s := range w.logs {
 		w.logs[s] = dlookLog{r: rng.New(rng.Derive(seed, uint64(s)))}
@@ -532,7 +621,10 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 	var probe func() string
 	var run func(h float64)
 	if shards == 0 {
-		e := NewEngineFor(w.n)
+		e := NewEngine()
+		if preload {
+			e.SetPreloader(&dlookPreloader{w: w}, w.n)
+		}
 		w.engines = []*Engine{e}
 		w.send = func(delay float64, from, to int32, word uint64, box any) {
 			e.ScheduleDelivery(delay, Delivery{From: from, To: to, Word: word, Box: box}, w.self)
@@ -553,6 +645,9 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 		}
 		defer se.Close()
 		se.SetSink(w.self)
+		if preload {
+			se.SetPreloader(&dlookPreloader{w: w})
+		}
 		w.engines = se.engines
 		w.send = func(delay float64, from, to int32, word uint64, box any) {
 			se.Send(delay, Delivery{From: from, To: to, Word: word, Box: box})
@@ -582,7 +677,7 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 
 // TestShardDeliveryLookaheadContract checks the lookahead contract of
 // delivery lanes on the plain engine and on sharded ones of 2 and 4 shards:
-// on an engine of more than lookaheadMinLane nodes, a LookaheadSink
+// on an engine of more than lookaheadMinLane nodes, the preloader
 // receives, every LookaheadBatch pops of one of its delivery lanes that
 // leave at least 2K entries, exactly the To of the lane entries
 // [head+K, head+2K) — checked against the lane's pops that follow — and
@@ -593,8 +688,8 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 // then shrink their lanes across 2K; a fourth lane grows past its ring's
 // capacity while popped, so the batch period must survive the ring's
 // reallocation. The run itself — every lane's pops, the queue-held order,
-// Processed, Pending, NextTime — is the one of the same sink with the
-// capability hidden. Named …Shard… so CI's sharded race soak runs it.
+// Processed, Pending, NextTime — is the one without a preloader. Named
+// …Shard… so CI's sharded race soak runs it.
 func TestShardDeliveryLookaheadContract(t *testing.T) {
 	const k = LookaheadBatch
 	for _, shards := range []int{0, 2, 4} {
@@ -615,7 +710,7 @@ func TestShardDeliveryLookaheadContract(t *testing.T) {
 				got, gotProbes := runDeliveryLookWorld(t, shards, perShard, c.spawn, 7, true)
 				want, wantProbes := runDeliveryLookWorld(t, shards, perShard, c.spawn, 7, false)
 				if !reflect.DeepEqual(gotProbes, wantProbes) {
-					t.Fatalf("probes differ:\nexposed %q\nhidden  %q", gotProbes, wantProbes)
+					t.Fatalf("probes differ:\ninstalled %q\nnone      %q", gotProbes, wantProbes)
 				}
 				batches := 0
 				for s := range got {
@@ -624,7 +719,7 @@ func TestShardDeliveryLookaheadContract(t *testing.T) {
 						t.Fatalf("shard %d: %s", s, g.broken)
 					}
 					if !reflect.DeepEqual(g.queued, h.queued) || len(g.lanes) != len(h.lanes) {
-						t.Fatalf("shard %d: event order differs with the capability exposed", s)
+						t.Fatalf("shard %d: event order differs with the preloader installed", s)
 					}
 					if len(g.queued) == 0 || g.fallback == 0 || len(g.lanes) < 2 {
 						t.Fatalf("shard %d: %d queue-held deliveries, %d fallbacks, %d lanes; want the queue, the fallback and two lanes exercised",
@@ -633,10 +728,10 @@ func TestShardDeliveryLookaheadContract(t *testing.T) {
 					for i := range g.lanes {
 						gl, hl := &g.lanes[i], &h.lanes[i]
 						if !reflect.DeepEqual(gl.pops, hl.pops) || !reflect.DeepEqual(gl.after, hl.after) {
-							t.Fatalf("shard %d lane %d: pop order differs with the capability exposed", s, i)
+							t.Fatalf("shard %d lane %d: pop order differs with the preloader installed", s, i)
 						}
 						if len(hl.batches) != 0 {
-							t.Fatalf("shard %d lane %d: a sink without the capability got %d batches", s, i, len(hl.batches))
+							t.Fatalf("shard %d lane %d: %d batches with no preloader installed", s, i, len(hl.batches))
 						}
 						var due []int
 						for p := k; p <= len(gl.pops) && perShard > lookaheadMinLane; p += k {

@@ -112,14 +112,25 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	for i := range se.outboxes {
 		se.outboxes[i] = make([][]outMsg, cfg.Shards*cfg.Shards)
 	}
-	nodes := make([]int, cfg.Shards)
-	for _, s := range cfg.ShardOf {
-		nodes[s]++
-	}
 	for s := range se.engines {
-		se.engines[s] = NewEngineFor(nodes[s])
+		se.engines[s] = NewEngine()
 	}
 	return se, nil
+}
+
+// SetPreloader installs p on every shard engine with the number of nodes
+// the shard owns (see Engine.SetPreloader), and never on the coordinator:
+// its events run at barriers, whole windows of shard events apart, so what a
+// batch loaded for them would be evicted before they ran. It must be called
+// during assembly.
+func (se *ShardedEngine) SetPreloader(p Preloader) {
+	nodes := make([]int, len(se.engines))
+	for _, s := range se.shardOf {
+		nodes[s]++
+	}
+	for s, e := range se.engines {
+		e.SetPreloader(p, nodes[s])
+	}
 }
 
 // SetSink installs the delivery sink every delivery event is handed to. It

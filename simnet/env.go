@@ -48,14 +48,12 @@ type Env struct {
 	transferDelay float64
 	online        runtime.Availability
 	deliver       runtime.DeliverFunc
-	preload       runtime.DeliveryPreloader
 	hooks         hookRegistry
 }
 
 var (
-	_ runtime.Env               = (*Env)(nil)
-	_ runtime.DeliveryLookahead = (*Env)(nil)
-	_ sim.LookaheadSink         = (*Env)(nil)
+	_ runtime.Env        = (*Env)(nil)
+	_ runtime.Preloading = (*Env)(nil)
 )
 
 // NewEnv builds a discrete-event environment with every node online.
@@ -67,7 +65,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		return nil, fmt.Errorf("simnet: TransferDelay = %v, need ≥ 0 and finite", cfg.TransferDelay)
 	}
 	return &Env{
-		engine:        sim.NewEngineFor(cfg.N),
+		engine:        sim.NewEngine(),
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
 		online:        runtime.NewAvailability(cfg.N),
@@ -146,23 +144,9 @@ func (e *Env) Deliver(d sim.Delivery) {
 // SetDeliver implements runtime.Env.
 func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 
-// SetDeliveryPreloader implements runtime.DeliveryLookahead.
-func (e *Env) SetDeliveryPreloader(p runtime.DeliveryPreloader) { e.preload = p }
-
-// Lookahead implements sim.LookaheadSink: the engine's delivery lanes name
-// the receivers of upcoming deliveries, which go to the installed
-// preloader. The engine only calls it when it runs more nodes than fit in
-// cache (see sim.NewEngineFor).
-func (e *Env) Lookahead(to []int32) uint64 { return preloadDeliveries(e.preload, to) }
-
-// preloadDeliveries hands a lookahead batch to the preloader, if one is
-// installed.
-func preloadDeliveries(p runtime.DeliveryPreloader, to []int32) uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.PreloadDeliveries(to)
-}
+// SetPreloader implements runtime.Preloading on the engine, gated on N (see
+// sim.Engine.SetPreloader).
+func (e *Env) SetPreloader(p runtime.Preloader) { e.engine.SetPreloader(p, e.N()) }
 
 // Processed returns the number of events the underlying engine has executed.
 func (e *Env) Processed() uint64 { return e.engine.Processed() }

@@ -17,20 +17,6 @@ var _ sim.DeliverySink = (*hookAdapter)(nil)
 
 func (a *hookAdapter) Deliver(d sim.Delivery) { a.hook.RunHook(d.To, d.Word) }
 
-// lookaheadAdapter is the adapter of a hook with the runtime.LookaheadHook
-// capability: it is a sim.LookaheadSink, so the engine hands the hook the
-// nodes its lane runs next. A hook without the capability gets a plain
-// hookAdapter, which the engine sees has none.
-type lookaheadAdapter struct {
-	hook runtime.LookaheadHook
-}
-
-var _ sim.LookaheadSink = (*lookaheadAdapter)(nil)
-
-func (a *lookaheadAdapter) Deliver(d sim.Delivery) { a.hook.RunHook(d.To, d.Word) }
-
-func (a *lookaheadAdapter) Lookahead(to []int32) uint64 { return a.hook.Lookahead(to) }
-
 // hookRegistry caches one adapter per registered hook so rescheduling a hook
 // from its own callback allocates nothing. Registration (the first AtHook
 // call for a hook) must happen during assembly or from coordinator context;
@@ -51,12 +37,7 @@ func (r *hookRegistry) adapterFor(h runtime.Hook) sim.DeliverySink {
 			return a.sink
 		}
 	}
-	var sink sim.DeliverySink
-	if la, ok := h.(runtime.LookaheadHook); ok {
-		sink = &lookaheadAdapter{hook: la}
-	} else {
-		sink = &hookAdapter{hook: h}
-	}
+	sink := &hookAdapter{hook: h}
 	r.adapters = append(r.adapters, registeredHook{hook: h, sink: sink})
 	return sink
 }

@@ -46,15 +46,13 @@ type ShardedEnv struct {
 	seed    uint64
 	online  runtime.Availability
 	deliver runtime.DeliverFunc
-	preload runtime.DeliveryPreloader
 	facades []shardFacade
 	hooks   hookRegistry
 }
 
 var (
-	_ runtime.Sharded           = (*ShardedEnv)(nil)
-	_ runtime.DeliveryLookahead = (*ShardedEnv)(nil)
-	_ sim.LookaheadSink         = (*ShardedEnv)(nil)
+	_ runtime.Sharded    = (*ShardedEnv)(nil)
+	_ runtime.Preloading = (*ShardedEnv)(nil)
 )
 
 // NewShardedEnv builds a sharded discrete-event environment with every node
@@ -148,13 +146,9 @@ func (e *ShardedEnv) Deliver(d sim.Delivery) {
 // SetDeliver implements runtime.Env.
 func (e *ShardedEnv) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 
-// SetDeliveryPreloader implements runtime.DeliveryLookahead.
-func (e *ShardedEnv) SetDeliveryPreloader(p runtime.DeliveryPreloader) { e.preload = p }
-
-// Lookahead implements sim.LookaheadSink (see Env.Lookahead). It runs on the
-// worker of the shard whose deliveries it names, for shards of more nodes
-// than fit in cache.
-func (e *ShardedEnv) Lookahead(to []int32) uint64 { return preloadDeliveries(e.preload, to) }
+// SetPreloader implements runtime.Preloading on every shard engine (see
+// sim.ShardedEngine.SetPreloader).
+func (e *ShardedEnv) SetPreloader(p runtime.Preloader) { e.engine.SetPreloader(p) }
 
 // Processed returns the number of events executed across all shards and the
 // coordinator.
