@@ -9,9 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"github.com/szte-dcs/tokenaccount/metrics"
 )
 
 // TestRunParallelMatchesSequential is the determinism contract of the
@@ -70,9 +67,9 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 }
 
 // TestRunParallelMoreRepetitionsThanWorkers hammers the pool with far more
-// repetitions than workers so jobs queue, complete out of order and exercise
-// the reorder buffer; under -race this doubles as the data-race test for the
-// whole build → run → aggregate pipeline. The result must still match the
+// repetitions than workers so jobs queue and complete out of order before
+// Collect puts them back in repetition order; under -race this doubles as the
+// data-race test for the whole build → run → average pipeline. The result must still match the
 // sequential path exactly.
 func TestRunParallelMoreRepetitionsThanWorkers(t *testing.T) {
 	cfg := Config{
@@ -237,53 +234,6 @@ func TestFigureWorkersDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(seqFig.Results[i], parFig.Results[i]) {
 			t.Fatalf("figure column %d differs between worker counts", i)
 		}
-	}
-}
-
-// TestAggregatorAdmissionWindow pins the memory bound of the reorder buffer:
-// a repetition beyond the admission window must wait until the aggregation
-// frontier advances, while the frontier repetition itself is always admitted.
-func TestAggregatorAdmissionWindow(t *testing.T) {
-	cfg := Config{App: GossipLearning, Strategy: Randomized(5, 10), N: 10, Repetitions: 4}.WithDefaults()
-	agg := newAggregator(cfg, 2)
-	ctx := context.Background()
-
-	if err := agg.admit(ctx, 0); err != nil { // frontier: immediate
-		t.Fatal(err)
-	}
-	if err := agg.admit(ctx, 1); err != nil { // within window
-		t.Fatal(err)
-	}
-	admitted := make(chan error, 1)
-	go func() { admitted <- agg.admit(ctx, 2) }() // beyond window: must park
-	select {
-	case err := <-admitted:
-		t.Fatalf("repetition 2 admitted before the frontier advanced (err = %v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if err := agg.add(0, &singleRun{metric: &metrics.Series{Times: []float64{0}, Values: []float64{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-admitted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("repetition 2 still blocked after the frontier advanced")
-	}
-
-	// An abort must release waiters with an error rather than stranding them.
-	blocked := make(chan error, 1)
-	go func() { blocked <- agg.admit(ctx, 5) }()
-	agg.abort()
-	select {
-	case err := <-blocked:
-		if err == nil {
-			t.Fatal("aborted admit returned nil")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("abort did not wake the admission waiter")
 	}
 }
 

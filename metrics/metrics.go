@@ -154,6 +154,38 @@ func (s *Series) Clone() *Series {
 	}
 }
 
+// Average combines repeated runs sampled at identical times into their
+// pointwise mean, as the paper averages 10 independent runs per parameter
+// combination. Each sample's sum is accumulated in run order, starting from
+// zero, so the mean is a pure function of the runs and their order: callers
+// that gather runs in repetition order get bit-identical means however the
+// runs were produced. It returns an error if there are no runs or if a run's
+// sampling times differ from the first run's by more than 1e-9.
+func Average(runs []*Series) (*Series, error) {
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("metrics: no runs to average")
+	}
+	times := runs[0].Times
+	sums := make([]float64, len(times))
+	for _, r := range runs {
+		if r.Len() != len(times) {
+			return nil, fmt.Errorf("metrics: run has %d samples, expected %d", r.Len(), len(times))
+		}
+		for i, t := range r.Times {
+			if math.Abs(t-times[i]) > 1e-9 {
+				return nil, fmt.Errorf("metrics: sample %d at time %v, expected %v", i, t, times[i])
+			}
+		}
+		for i, v := range r.Values {
+			sums[i] += v
+		}
+	}
+	for i := range sums {
+		sums[i] /= float64(len(runs))
+	}
+	return &Series{Times: append([]float64(nil), times...), Values: sums}, nil
+}
+
 // Table is a named collection of series sharing a sampling grid, used to
 // print one paper figure (several curves over the same x axis).
 type Table struct {
@@ -220,14 +252,3 @@ func formatFloat(v float64) string {
 	}
 	return fmt.Sprintf("%g", v)
 }
-
-// Counter is a simple monotone counter usable from simulation callbacks.
-type Counter struct {
-	n int64
-}
-
-// Inc adds d to the counter.
-func (c *Counter) Inc(d int64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }

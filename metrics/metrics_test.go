@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -128,14 +129,60 @@ func TestAverage(t *testing.T) {
 			t.Errorf("avg[%d] = %v, want %v", i, avg.Values[i], want[i])
 		}
 	}
-	if _, err := Average(nil); err == nil {
-		t.Error("Average(nil) accepted")
+}
+
+// TestAverageRejectsMismatchedGrids requires every run to share the first
+// run's sampling grid: a different length or a time more than 1e-9 off is an
+// error, a time within 1e-9 is the same sample, and there must be a run.
+func TestAverageRejectsMismatchedGrids(t *testing.T) {
+	a := &Series{Times: []float64{0, 1, 2}, Values: []float64{1, 2, 3}}
+	short := &Series{Times: []float64{0, 1}, Values: []float64{1, 2}}
+	shifted := &Series{Times: []float64{0, 1 + 2e-9, 2}, Values: []float64{1, 2, 3}}
+	jittered := &Series{Times: []float64{0, 1 + 5e-10, 2}, Values: []float64{3, 4, 5}}
+
+	if _, err := Average(nil); err == nil || !strings.Contains(err.Error(), "no runs") {
+		t.Errorf("no runs: err = %v", err)
 	}
-	if _, err := Average([]*Series{a, {Times: []float64{0}, Values: []float64{1}}}); err == nil {
-		t.Error("length mismatch accepted")
+	if _, err := Average([]*Series{a, short}); err == nil || !strings.Contains(err.Error(), "samples") {
+		t.Errorf("length mismatch: err = %v", err)
 	}
-	if _, err := Average([]*Series{a, {Times: []float64{0, 1, 99}, Values: []float64{1, 2, 3}}}); err == nil {
-		t.Error("time mismatch accepted")
+	if _, err := Average([]*Series{a, shifted}); err == nil || !strings.Contains(err.Error(), "expected") {
+		t.Errorf("time mismatch above 1e-9: err = %v", err)
+	}
+	avg, err := Average([]*Series{a, jittered})
+	if err != nil {
+		t.Fatalf("time mismatch within 1e-9: err = %v", err)
+	}
+	if !reflect.DeepEqual(avg.Times, a.Times) || !reflect.DeepEqual(avg.Values, []float64{2, 3, 4}) {
+		t.Errorf("average = %v at %v, want [2 3 4] at the first run's times", avg.Values, avg.Times)
+	}
+}
+
+// TestAverageSumsInRunOrder pins the order of the additions: each sample is
+// summed from zero in run order, so runs whose sum depends on the order give
+// exactly the in-order result. RunParallel's bit-identity for any worker
+// count rests on this.
+func TestAverageSumsInRunOrder(t *testing.T) {
+	run := func(v float64) *Series { return &Series{Times: []float64{0}, Values: []float64{v}} }
+	for _, tc := range []struct {
+		values []float64
+		want   float64
+	}{
+		{[]float64{1e16, 1, -1e16}, 0},       // 1e16 + 1 rounds back to 1e16
+		{[]float64{1e16, -1e16, 1}, 1.0 / 3}, // the 1 survives
+		{[]float64{math.Copysign(0, -1)}, 0}, // the sum starts from +0
+	} {
+		runs := make([]*Series, len(tc.values))
+		for i, v := range tc.values {
+			runs[i] = run(v)
+		}
+		avg, err := Average(runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := avg.Values[0]; math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("Average of %v = %v, want exactly %v", tc.values, got, tc.want)
+		}
 	}
 }
 
@@ -175,15 +222,6 @@ func TestTableTSVEmpty(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "x") {
 		t.Errorf("output = %q", buf.String())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc(3)
-	c.Inc(4)
-	if c.Value() != 7 {
-		t.Errorf("Value = %d", c.Value())
 	}
 }
 

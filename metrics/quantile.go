@@ -24,8 +24,8 @@ const DefaultQuantileCap = 4096
 // order-fragile) and sampling sketches with platform-dependent behaviour.
 //
 // The zero value is not ready for use; construct with NewQuantile. A Quantile
-// is not safe for concurrent use — like Accumulator, callers folding from
-// multiple goroutines must serialize.
+// is not safe for concurrent use: callers adding from multiple goroutines
+// must serialize.
 type Quantile struct {
 	cap     int
 	n       int64 // samples offered, including evicted ones
@@ -76,20 +76,6 @@ func (q *Quantile) Add(v float64) {
 
 // N returns the number of samples offered so far (not the retained count).
 func (q *Quantile) N() int64 { return q.n }
-
-// Merge folds every sample retained in o into q, preserving order: the result
-// is exactly what q would hold had o's retained samples been added after q's
-// own, and the offered counts add. Like Accumulator.Merge it lets shard- or
-// repetition-local quantiles combine at a synchronization point: for a fixed
-// partition of the stream the merged state is deterministic, and as long as
-// the combined count stays within capacity it is exact (no sample is ever
-// dropped). o is not modified; merging an empty o is a no-op.
-func (q *Quantile) Merge(o *Quantile) {
-	for _, v := range o.samples {
-		q.Add(v)
-	}
-	q.n += o.n - int64(len(o.samples)) // Add counted the retained ones
-}
 
 // Query returns the p-quantile (p in [0, 1]) of the retained samples using
 // the nearest-rank definition: the smallest retained value v such that at

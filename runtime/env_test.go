@@ -1,7 +1,10 @@
 package runtime_test
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/live"
@@ -59,7 +62,7 @@ func (c envCase) open(t *testing.T) runtime.Env {
 // the past runs at the present, and hooks and closures scheduled for the
 // same instant run in scheduling order — and SendDelayed, the one way a Host
 // sends, delivers no earlier than its delay and keeps equal-delay messages
-// in send order.
+// in send order — and Run(NaN) is an error, not a run without end.
 func TestEnvContract(t *testing.T) {
 	const n, seed = 6, 42
 	streams := []uint64{0, 1, n - 1, runtime.StreamNet, runtime.StreamPhase, runtime.ShardNetStream(1)}
@@ -86,6 +89,7 @@ func TestEnvContract(t *testing.T) {
 			t.Run("AtHook-in-the-past", func(t *testing.T) { checkAtHookInThePast(t, tc.open(t)) })
 			t.Run("AtHook-same-instant", func(t *testing.T) { checkAtHookSameInstant(t, tc.open(t)) })
 			t.Run("SendDelayed", func(t *testing.T) { checkSendDelayed(t, tc.open(t)) })
+			t.Run("Run-NaN", func(t *testing.T) { checkRunNaN(t, tc.open(t)) })
 		})
 	}
 }
@@ -197,4 +201,25 @@ func checkSendDelayed(t *testing.T, env runtime.Env) {
 		t.Fatal(err)
 	}
 	checkFirings(t, log, []float64{sentAt + delay, sentAt + delay, sentAt + delay})
+}
+
+// checkRunNaN schedules one Every chain and requires Run(NaN) to return an
+// error. No event time lies past a NaN horizon, so an environment that
+// accepts it re-arms the chain forever; the watchdog then ends the chain so
+// that Run returns and the failure is reported.
+func checkRunNaN(t *testing.T, env runtime.Env) {
+	var stop atomic.Bool
+	env.Every(0, 1, func() bool { return !stop.Load() })
+	done := make(chan error, 1)
+	go func() { done <- env.Run(math.NaN()) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run(NaN) returned nil")
+		}
+	case <-time.After(2 * time.Second):
+		stop.Store(true)
+		<-done
+		t.Fatal("Run(NaN) did not return within 2 s")
+	}
 }

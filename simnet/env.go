@@ -166,8 +166,13 @@ func (e *Env) SetOnline(node int) { e.online.Set(node, true) }
 func (e *Env) SetOffline(node int) { e.online.Set(node, false) }
 
 // Run implements runtime.Env: events execute in (time, seq) order until
-// virtual time reaches the horizon; events past it stay pending.
+// virtual time reaches the horizon; events past it stay pending. A NaN
+// horizon is an error: no event time lies past it, so periodic chains would
+// re-arm forever.
 func (e *Env) Run(until float64) error {
+	if math.IsNaN(until) {
+		return fmt.Errorf("simnet: Run(NaN)")
+	}
 	e.engine.RunUntil(until)
 	return nil
 }
