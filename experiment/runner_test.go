@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/szte-dcs/tokenaccount/metrics"
 )
 
 // TestRunParallelMatchesSequential is the determinism contract of the
@@ -260,5 +262,71 @@ func TestCollectGathersInIndexOrder(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// averageRuns builds the repetition outputs the fold tests share: three runs
+// on one two-sample grid, the middle one without a token series.
+func averageRuns() []*singleRun {
+	series := func(a, b float64) *metrics.Series {
+		return &metrics.Series{Times: []float64{0, 1}, Values: []float64{a, b}}
+	}
+	return []*singleRun{
+		{metric: series(1, 3), tokens: series(2, 2), sent: 3, bytes: 30, events: 7, skipped: 1, summary: []float64{1, 10}},
+		{metric: series(3, 5), sent: 4, bytes: 40, events: 8, skipped: 0, summary: []float64{2, 20}},
+		{metric: series(5, 7), tokens: series(4, 6), sent: 5, bytes: 50, events: 9, skipped: 2, summary: []float64{3, 30}},
+	}
+}
+
+// TestAverageFoldsRepetitions checks the fold behind RunParallel: series are
+// averaged pointwise, counts and summary values are per-repetition means, and
+// the token series averages only the repetitions that recorded one.
+func TestAverageFoldsRepetitions(t *testing.T) {
+	cfg := Config{App: GossipLearning, Strategy: Randomized(5, 10), N: 10, Rounds: 4, Repetitions: 3}.WithDefaults()
+	res, err := average(cfg, averageRuns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Metric.Values, []float64{3, 5}) || res.FinalMetric != 5 {
+		t.Errorf("metric = %v (final %v), want [3 5] (final 5)", res.Metric.Values, res.FinalMetric)
+	}
+	if res.Tokens == nil || !reflect.DeepEqual(res.Tokens.Values, []float64{3, 4}) {
+		t.Errorf("tokens = %v, want [3 4] over the two runs that tracked them", res.Tokens)
+	}
+	if res.MessagesSent != 4 || res.BytesSent != 40 || res.EventsProcessed != 8 || res.InjectionsSkipped != 1 {
+		t.Errorf("means: sent %v bytes %v events %v skipped %v, want 4 40 8 1",
+			res.MessagesSent, res.BytesSent, res.EventsProcessed, res.InjectionsSkipped)
+	}
+	if want := 4.0 / 10 / 4; res.MessagesPerNodePerRound != want {
+		t.Errorf("MessagesPerNodePerRound = %v, want %v", res.MessagesPerNodePerRound, want)
+	}
+	if !reflect.DeepEqual(res.Summary, []float64{2, 20}) {
+		t.Errorf("summary = %v, want [2 20]", res.Summary)
+	}
+}
+
+// TestAverageRejectsMismatchedSummary requires every repetition's summary to
+// have the same number of values; a mismatch is an internal error, never a
+// partial average.
+func TestAverageRejectsMismatchedSummary(t *testing.T) {
+	cfg := Config{App: GossipLearning, Strategy: Randomized(5, 10), N: 10, Rounds: 4, Repetitions: 3}.WithDefaults()
+	runs := averageRuns()
+	runs[2].summary = []float64{3}
+	res, err := average(cfg, runs)
+	if err == nil || !strings.Contains(err.Error(), "summary") || res != nil {
+		t.Fatalf("average = %v, %v; want a summary error and no result", res, err)
+	}
+}
+
+// TestAverageRejectsMismatchedMetricGrids passes metrics.Average's grid check
+// through: repetitions sampled on different grids are an error, never a
+// partial average.
+func TestAverageRejectsMismatchedMetricGrids(t *testing.T) {
+	cfg := Config{App: GossipLearning, Strategy: Randomized(5, 10), N: 10, Rounds: 4, Repetitions: 3}.WithDefaults()
+	runs := averageRuns()
+	runs[1].metric = &metrics.Series{Times: []float64{0}, Values: []float64{3}}
+	res, err := average(cfg, runs)
+	if err == nil || !strings.Contains(err.Error(), "averaging runs") || res != nil {
+		t.Fatalf("average = %v, %v; want a grid error and no result", res, err)
 	}
 }

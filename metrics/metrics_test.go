@@ -131,31 +131,42 @@ func TestAverage(t *testing.T) {
 	}
 }
 
+// TestAverageRejectsNoRuns requires at least one run: there is no grid to
+// average onto without one.
+func TestAverageRejectsNoRuns(t *testing.T) {
+	if _, err := Average(nil); err == nil || !strings.Contains(err.Error(), "no runs") {
+		t.Errorf("no runs: err = %v", err)
+	}
+}
+
 // TestAverageRejectsMismatchedGrids requires every run to share the first
 // run's sampling grid: a different length or a time more than 1e-9 off is an
-// error, a time within 1e-9 is the same sample, and there must be a run.
+// error, and a time within 1e-9 is the same sample.
 func TestAverageRejectsMismatchedGrids(t *testing.T) {
 	a := &Series{Times: []float64{0, 1, 2}, Values: []float64{1, 2, 3}}
 	short := &Series{Times: []float64{0, 1}, Values: []float64{1, 2}}
 	shifted := &Series{Times: []float64{0, 1 + 2e-9, 2}, Values: []float64{1, 2, 3}}
 	jittered := &Series{Times: []float64{0, 1 + 5e-10, 2}, Values: []float64{3, 4, 5}}
 
-	if _, err := Average(nil); err == nil || !strings.Contains(err.Error(), "no runs") {
-		t.Errorf("no runs: err = %v", err)
-	}
-	if _, err := Average([]*Series{a, short}); err == nil || !strings.Contains(err.Error(), "samples") {
-		t.Errorf("length mismatch: err = %v", err)
-	}
-	if _, err := Average([]*Series{a, shifted}); err == nil || !strings.Contains(err.Error(), "expected") {
-		t.Errorf("time mismatch above 1e-9: err = %v", err)
-	}
-	avg, err := Average([]*Series{a, jittered})
-	if err != nil {
-		t.Fatalf("time mismatch within 1e-9: err = %v", err)
-	}
-	if !reflect.DeepEqual(avg.Times, a.Times) || !reflect.DeepEqual(avg.Values, []float64{2, 3, 4}) {
-		t.Errorf("average = %v at %v, want [2 3 4] at the first run's times", avg.Values, avg.Times)
-	}
+	t.Run("length-mismatch", func(t *testing.T) {
+		if _, err := Average([]*Series{a, short}); err == nil || !strings.Contains(err.Error(), "samples") {
+			t.Errorf("err = %v", err)
+		}
+	})
+	t.Run("time-mismatch-above-1e-9", func(t *testing.T) {
+		if _, err := Average([]*Series{a, shifted}); err == nil || !strings.Contains(err.Error(), "expected") {
+			t.Errorf("err = %v", err)
+		}
+	})
+	t.Run("time-mismatch-within-1e-9", func(t *testing.T) {
+		avg, err := Average([]*Series{a, jittered})
+		if err != nil {
+			t.Fatalf("err = %v", err)
+		}
+		if !reflect.DeepEqual(avg.Times, a.Times) || !reflect.DeepEqual(avg.Values, []float64{2, 3, 4}) {
+			t.Errorf("average = %v at %v, want [2 3 4] at the first run's times", avg.Values, avg.Times)
+		}
+	})
 }
 
 // TestAverageSumsInRunOrder pins the order of the additions: each sample is
