@@ -99,23 +99,23 @@ func (s *State) String() string { return fmt.Sprintf("pushgossip(seq=%d)", s.seq
 // seen any update count as lagging behind the full injected history
 // (local sequence −1, i.e. a lag of latest+1), which matches the metric's
 // behaviour at the start of an experiment.
-func Lag(states []*State, latest int64) float64 {
+func Lag(states []State, latest int64) float64 {
 	return LagOnline(states, nil, latest)
 }
 
 // LagOnline is Lag restricted to the nodes for which online reports true (the
 // churn scenario only considers online nodes). It returns 0 when no node is
 // online or no update has been injected yet.
-func LagOnline(states []*State, online func(i int) bool, latest int64) float64 {
+func LagOnline(states []State, online func(i int) bool, latest int64) float64 {
 	if latest < 0 || len(states) == 0 {
 		return 0
 	}
 	sum, count := 0.0, 0
-	for i, s := range states {
+	for i := range states {
 		if online != nil && !online(i) {
 			continue
 		}
-		sum += float64(latest - s.seq)
+		sum += float64(latest - states[i].seq)
 		count++
 	}
 	if count == 0 {
@@ -127,14 +127,14 @@ func LagOnline(states []*State, online func(i int) bool, latest int64) float64 {
 // Coverage returns the fraction of considered nodes whose known update is at
 // least minSeq. It is an auxiliary metric used in tests and examples (e.g. to
 // measure how quickly a single broadcast reaches the network).
-func Coverage(states []*State, online func(i int) bool, minSeq int64) float64 {
+func Coverage(states []State, online func(i int) bool, minSeq int64) float64 {
 	count, total := 0, 0
-	for i, s := range states {
+	for i := range states {
 		if online != nil && !online(i) {
 			continue
 		}
 		total++
-		if s.seq >= minSeq {
+		if states[i].seq >= minSeq {
 			count++
 		}
 	}

@@ -56,7 +56,7 @@ func TestInject(t *testing.T) {
 }
 
 func TestLag(t *testing.T) {
-	states := []*State{{seq: 10}, {seq: 8}, {seq: NoUpdate}}
+	states := []State{{seq: 10}, {seq: 8}, {seq: NoUpdate}}
 	// latest = 10: lags are 0, 2, 11 => mean 13/3.
 	if got := Lag(states, 10); math.Abs(got-13.0/3) > 1e-12 {
 		t.Errorf("Lag = %v, want %v", got, 13.0/3)
@@ -70,7 +70,7 @@ func TestLag(t *testing.T) {
 }
 
 func TestLagOnline(t *testing.T) {
-	states := []*State{{seq: 10}, {seq: 0}, {seq: 4}}
+	states := []State{{seq: 10}, {seq: 0}, {seq: 4}}
 	online := func(i int) bool { return i != 1 }
 	// Nodes 0 and 2: lags 0 and 6 => 3.
 	if got := LagOnline(states, online, 10); got != 3 {
@@ -82,7 +82,7 @@ func TestLagOnline(t *testing.T) {
 }
 
 func TestCoverage(t *testing.T) {
-	states := []*State{{seq: 5}, {seq: 2}, {seq: NoUpdate}, {seq: 7}}
+	states := []State{{seq: 5}, {seq: 2}, {seq: NoUpdate}, {seq: 7}}
 	if got := Coverage(states, nil, 5); got != 0.5 {
 		t.Errorf("Coverage = %v, want 0.5", got)
 	}

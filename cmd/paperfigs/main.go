@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/internal/profiling"
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
 	var (
 		fig     = fs.String("fig", "all", "figure to regenerate: 1, 2, 3, 4, 5, 6 or all")
@@ -45,9 +46,19 @@ func run(args []string, w io.Writer) error {
 		users   = fs.Int("users", 1191, "number of trace users for Figure 1")
 		workers = fs.Int("workers", 0, "figure configurations simulated concurrently (0 = all cores)")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	opt := experiment.Options{N: *n, Rounds: *round, Repetitions: *reps, Seed: *seed, FullScale: *full, Workers: *workers}
 	runners := map[string]func() error{
 		"1": func() error { return figure1(w, *users, *seed) },

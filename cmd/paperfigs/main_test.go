@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"github.com/szte-dcs/tokenaccount/internal/profiling/proftest"
 )
 
 func TestFigure1Output(t *testing.T) {
@@ -76,4 +78,11 @@ func TestUnknownFigure(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
+}
+
+// TestProfileFlags checks that -cpuprofile, -memprofile and -trace leave
+// non-empty files behind without touching the paperfigs output, and that an
+// unwritable path is an error rather than a silently missing file.
+func TestProfileFlags(t *testing.T) {
+	proftest.CheckFlags(t, run, []string{"-fig", "2", "-n", "40", "-rounds", "10", "-workers", "2"})
 }

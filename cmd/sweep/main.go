@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/internal/profiling"
 
 	// Registered scenarios beyond the paper built-ins.
 	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
@@ -44,7 +45,7 @@ func sweepableKinds() []string {
 	return kinds
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
 		appName      = fs.String("app", "gossip-learning", "application to sweep: "+strings.Join(experiment.Applications(), ", "))
@@ -60,9 +61,19 @@ func run(args []string, w io.Writer) error {
 		workers      = fs.Int("workers", 0, "grid settings simulated concurrently (0 = all cores)")
 		seed         = fs.Uint64("seed", 1, "random seed")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	app, err := experiment.ParseApplication(*appName)
 	if err != nil {
 		return err

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"github.com/szte-dcs/tokenaccount/internal/profiling/proftest"
 )
 
 func TestSweepSimpleGrid(t *testing.T) {
@@ -181,4 +183,11 @@ func TestSweepWorkloadRequiresArrivalConsumer(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not consume arrival workloads") {
 		t.Errorf("err = %v, want arrival-consumer rejection", err)
 	}
+}
+
+// TestProfileFlags checks that -cpuprofile, -memprofile and -trace leave
+// non-empty files behind without touching the sweep output, and that an
+// unwritable path is an error rather than a silently missing file.
+func TestProfileFlags(t *testing.T) {
+	proftest.CheckFlags(t, run, []string{"-app", "push-gossip", "-kind", "simple", "-n", "40", "-rounds", "10", "-workers", "2"})
 }

@@ -53,13 +53,12 @@ func run(args []string, w io.Writer) (err error) {
 		tokens       = fs.Bool("tokens", false, "also print the average token balance series")
 		summaryOnly  = fs.Bool("summary", false, "print only the summary line, not the series")
 		list         = fs.Bool("list", false, "list the registered drivers of all six experiment dimensions and exit")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile   = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
+	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := profiles.Start()
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/szte-dcs/tokenaccount/internal/profiling/proftest"
 )
 
 // goldenWorkers are the -workers values every golden case runs with: its two
@@ -221,29 +223,9 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestProfileFlags checks that -cpuprofile and -memprofile leave non-empty
-// profiles behind without touching the run's output, and that an unwritable
-// path is an error rather than a silently missing profile.
+// TestProfileFlags checks that -cpuprofile, -memprofile and -trace leave
+// non-empty files behind without touching the run's output, and that an
+// unwritable path is an error rather than a silently missing file.
 func TestProfileFlags(t *testing.T) {
-	args := []string{"-app", "push-gossip", "-strategy", "simple:10", "-n", "60", "-rounds", "20", "-seed", "7"}
-	var plain, profiled strings.Builder
-	if err := run(args, &plain); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
-		t.Fatal(err)
-	}
-	if profiled.String() != plain.String() {
-		t.Error("profiling changed the run's output")
-	}
-	for _, path := range []string{cpu, mem} {
-		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
-			t.Errorf("profile %s missing or empty: %v", path, err)
-		}
-	}
-	if err := run(append(args, "-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")), &profiled); err == nil {
-		t.Error("an unwritable -cpuprofile path was accepted")
-	}
+	proftest.CheckFlags(t, run, []string{"-app", "push-gossip", "-strategy", "simple:10", "-n", "60", "-rounds", "20", "-seed", "7"})
 }

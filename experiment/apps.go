@@ -100,12 +100,7 @@ func (pushGossipDriver) BuildOverlay(cfg Config, seed uint64) (*overlay.Graph, e
 }
 
 func (pushGossipDriver) NewRun(cfg Config, graph *overlay.Graph) (AppRun, error) {
-	r := &pushGossipRun{cfg: cfg, stateSlab: pushgossip.NewStates(cfg.N), latest: -1}
-	r.states = make([]*pushgossip.State, cfg.N)
-	for i := range r.states {
-		r.states[i] = &r.stateSlab[i]
-	}
-	return r, nil
+	return &pushGossipRun{cfg: cfg, states: pushgossip.NewStates(cfg.N), latest: -1}, nil
 }
 
 // FinishMetric applies the paper's smoothing window to the averaged lag
@@ -118,14 +113,13 @@ func (pushGossipDriver) FinishMetric(cfg Config, avg *metrics.Series) *metrics.S
 }
 
 type pushGossipRun struct {
-	cfg       Config
-	stateSlab []pushgossip.State
-	states    []*pushgossip.State
-	latest    int64 // sequence number of the freshest injected update
+	cfg    Config
+	states []pushgossip.State // every node's application, in one slab
+	latest int64              // sequence number of the freshest injected update
 }
 
 func (r *pushGossipRun) NewApp(node int) protocol.Application {
-	return r.states[node]
+	return &r.states[node]
 }
 
 // Start installs the update injection: one new update per workload arrival

@@ -1,23 +1,41 @@
-// Package profiling implements the -cpuprofile and -memprofile flags of the
-// repo's commands in one place.
+// Package profiling implements the -cpuprofile, -memprofile and -trace flags
+// of the repo's commands in one place.
 package profiling
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 )
 
-// Start begins a CPU profile written to cpuPath and returns the function
-// that ends it and then writes a heap profile to memPath; the caller runs it
-// once, after the work to be profiled. An empty path skips that profile, so
-// with both empty Start and stop do nothing.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
+// Flags holds the paths the profiling flags name; an empty path skips that
+// output.
+type Flags struct {
+	cpu, mem, trace string
+}
+
+// Register adds -cpuprofile, -memprofile and -trace to fs and returns the
+// Flags they set.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&f.mem, "memprofile", "", "write a heap profile to this file when the run ends")
+	fs.StringVar(&f.trace, "trace", "", "write an execution trace of the run to this file (read it with go tool trace)")
+	return f
+}
+
+// Start begins the CPU profile and the execution trace the flags name and
+// returns the function that ends both and then writes the heap profile; the
+// caller runs it once, after the work to be profiled. With no path set,
+// Start and stop do nothing.
+func (f *Flags) Start() (stop func() error, err error) {
+	var cpu, tr *os.File
+	if f.cpu != "" {
+		if cpu, err = os.Create(f.cpu); err != nil {
 			return nil, fmt.Errorf("cpu profile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(cpu); err != nil {
@@ -25,15 +43,34 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			return nil, fmt.Errorf("cpu profile: %w", err)
 		}
 	}
+	stopCPU := func() error {
+		if cpu == nil {
+			return nil
+		}
+		pprof.StopCPUProfile()
+		if err := cpu.Close(); err != nil {
+			return fmt.Errorf("cpu profile: %w", err)
+		}
+		return nil
+	}
+	if f.trace != "" {
+		if tr, err = os.Create(f.trace); err != nil {
+			return nil, errors.Join(stopCPU(), fmt.Errorf("trace: %w", err))
+		}
+		if err := trace.Start(tr); err != nil {
+			_ = tr.Close()
+			return nil, errors.Join(stopCPU(), fmt.Errorf("trace: %w", err))
+		}
+	}
 	return func() error {
-		var cpuErr error
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if cpuErr = cpu.Close(); cpuErr != nil {
-				cpuErr = fmt.Errorf("cpu profile: %w", cpuErr)
+		var traceErr error
+		if tr != nil {
+			trace.Stop()
+			if traceErr = tr.Close(); traceErr != nil {
+				traceErr = fmt.Errorf("trace: %w", traceErr)
 			}
 		}
-		return errors.Join(cpuErr, writeHeap(memPath))
+		return errors.Join(stopCPU(), traceErr, writeHeap(f.mem))
 	}, nil
 }
 

@@ -7,15 +7,18 @@
 //
 // Graphs are stored in compressed sparse row (CSR) form so that a
 // 500,000-node, 20-out network fits comfortably in memory and neighbour scans
-// are cache friendly. Constructors build the out-adjacency only; the
-// in-adjacency, which only a few readers need (chaotic power iteration,
-// connectivity checks), is built from it on the first InNeighbors or
-// InDegree call.
+// are cache friendly. Offsets are 32-bit, so a graph holds at most 2³²−1
+// edges; every constructor rejects a larger one. Constructors build the
+// out-adjacency only; the in-adjacency, which only a few readers need
+// (chaotic power iteration, connectivity checks), is built from it on the
+// first InNeighbors or InDegree call.
 package overlay
 
 import (
 	"fmt"
+	"math"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -27,11 +30,23 @@ import (
 // for concurrent readers, including concurrent first use of the in-adjacency.
 type Graph struct {
 	n      int
-	outOff []int64
+	outOff []uint32
 	outAdj []int32
 	inOnce sync.Once
-	inOff  []int64 // nil until the first InNeighbors/InDegree call
+	inOff  []uint32 // nil until the first InNeighbors/InDegree call
 	inAdj  []int32
+}
+
+// maxEdges is the most edges a Graph holds: the largest 32-bit offset.
+const maxEdges = math.MaxUint32
+
+// checkEdges rejects n nodes of k out-neighbours each when their n·k edges
+// do not fit the 32-bit offsets, before anything of that size is allocated.
+func checkEdges(name string, n, k int) error {
+	if k > 0 && n > maxEdges/k {
+		return fmt.Errorf("overlay: %s: %d nodes × %d edges exceed the %d edges a graph holds", name, n, k, uint64(maxEdges))
+	}
+	return nil
 }
 
 // N returns the number of nodes.
@@ -61,8 +76,8 @@ func (g *Graph) OutNeighbors(i int) []int32 {
 // out-neighbour in OutAdjacency and its out-degree, so OutNeighbors(i) is
 // OutAdjacency()[off : off+deg]. A caller that keeps the head beside other
 // per-node state reaches the neighbours without reading the offsets.
-func (g *Graph) OutHead(i int) (off int64, deg int) {
-	return g.outOff[i], int(g.outOff[i+1] - g.outOff[i])
+func (g *Graph) OutHead(i int) (off, deg uint32) {
+	return g.outOff[i], g.outOff[i+1] - g.outOff[i]
 }
 
 // OutAdjacency returns every node's out-neighbours, concatenated in node
@@ -96,12 +111,19 @@ func (g *Graph) AvgOutDegree() float64 {
 }
 
 // NewFromOut builds a graph from explicit out-adjacency lists. Entries out of
-// range cause an error; duplicate edges and self-loops are kept as given.
+// range, or more than 2³²−1 of them, cause an error; duplicate edges and
+// self-loops are kept as given.
 func NewFromOut(out [][]int) (*Graph, error) {
 	n := len(out)
-	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
 	total := 0
+	for _, nbrs := range out {
+		if total += len(nbrs); total > maxEdges {
+			return nil, fmt.Errorf("overlay: NewFromOut: more than the %d edges a graph holds", uint64(maxEdges))
+		}
+	}
+	g := &Graph{n: n}
+	g.outOff = make([]uint32, n+1)
+	total = 0
 	for i, nbrs := range out {
 		for _, v := range nbrs {
 			if v < 0 || v >= n {
@@ -109,7 +131,7 @@ func NewFromOut(out [][]int) (*Graph, error) {
 			}
 		}
 		total += len(nbrs)
-		g.outOff[i+1] = int64(total)
+		g.outOff[i+1] = uint32(total)
 	}
 	g.outAdj = make([]int32, 0, total)
 	for _, nbrs := range out {
@@ -126,16 +148,16 @@ func NewFromOut(out [][]int) (*Graph, error) {
 // scattered writes cost more than drawing the graph.
 func (g *Graph) buildIn() {
 	n := g.n
-	inDeg := make([]int64, n+1)
+	inDeg := make([]uint32, n+1)
 	for _, to := range g.outAdj {
 		inDeg[to+1]++
 	}
-	g.inOff = make([]int64, n+1)
+	g.inOff = make([]uint32, n+1)
 	for i := 0; i < n; i++ {
 		g.inOff[i+1] = g.inOff[i] + inDeg[i+1]
 	}
 	g.inAdj = make([]int32, len(g.outAdj))
-	cursor := make([]int64, n)
+	cursor := make([]uint32, n)
 	copy(cursor, g.inOff[:n])
 	for from := 0; from < n; from++ {
 		for _, to := range g.OutNeighbors(from) {
@@ -149,7 +171,9 @@ func (g *Graph) buildIn() {
 // draws k distinct out-neighbours uniformly at random (excluding itself). The
 // overlay is fixed for the lifetime of an experiment; the paper motivates it
 // as "perhaps the simplest practical approximation of uniform peer sampling",
-// implementable with k long-lived TCP connections per node.
+// implementable with k long-lived TCP connections per node. One stream draws
+// every node's picks in node order, so the graph is a pure function of
+// (n, k, seed), built sequentially.
 func RandomKOut(n, k int, seed uint64) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("overlay: RandomKOut needs at least 2 nodes, got %d", n)
@@ -157,91 +181,49 @@ func RandomKOut(n, k int, seed uint64) (*Graph, error) {
 	if k < 1 || k > n-1 {
 		return nil, fmt.Errorf("overlay: RandomKOut k=%d out of range [1,%d]", k, n-1)
 	}
+	if err := checkEdges("RandomKOut", n, k); err != nil {
+		return nil, err
+	}
 	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
+	g.outOff = make([]uint32, n+1)
 	g.outAdj = make([]int32, n*k)
 	src := rng.New(rng.Derive(seed, 0x6f75742d6b)) // "out-k"
-	// Epoch-stamped scratch instead of a per-node map: mark[v] == i+1 means v
-	// was already picked for node i, so dedup is O(1) with one reusable array
-	// and degree-k sampling allocates nothing per node. The accept/reject
-	// sequence is identical to the historical map-based construction, keeping
-	// the graph (and every golden output derived from it) byte-identical.
-	mark := make([]int32, n)
-	idx := 0
+	// A node's picks so far are its row itself, summarized by a filter of at
+	// least 16k bits over their low bits, cleared per node. A draw whose bit
+	// is clear is new; one whose bit is set — at most one in 16 — is looked
+	// up in the row. Dedup so costs O(k) memory instead of a mark per node
+	// of the graph, and rejects a draw exactly when it is the node itself or
+	// already picked: the accept/reject sequence — and the graph, and every
+	// golden output derived from it — is that of the historical map-based
+	// construction.
+	bits := 256
+	for bits < 16*k {
+		bits <<= 1
+	}
+	seen, mask := make([]uint64, bits/64), int32(bits-1)
 	for i := 0; i < n; i++ {
-		epoch := int32(i) + 1
-		for picked := 0; picked < k; {
+		row := g.outAdj[i*k : (i+1)*k]
+		clear(seen)
+		for j := 0; j < k; {
 			v := int32(src.Intn(n))
-			if int(v) == i || mark[v] == epoch {
+			w, bit := (v&mask)>>6, uint64(1)<<(v&63)
+			if int(v) == i || seen[w]&bit != 0 && slices.Contains(row[:j], v) {
 				continue
 			}
-			mark[v] = epoch
-			g.outAdj[idx] = v
-			idx++
-			picked++
+			seen[w] |= bit
+			row[j] = v
+			j++
 		}
-		g.outOff[i+1] = int64(idx)
+		g.outOff[i+1] = uint32((i + 1) * k)
 	}
-	return g, nil
-}
-
-// RandomKOutParallel builds a random k-out overlay like RandomKOut, but each
-// node draws its neighbours from an independent stream derived from (seed,
-// node), so contiguous node ranges can be generated concurrently. The graph
-// is a pure function of (n, k, seed) — workers only bounds the fan-out and
-// never changes the result — but it differs from RandomKOut's single-stream
-// graph for the same seed, so the two constructors are distinct rather than
-// one replacing the other. Use this for very large networks (10^6–10^7
-// nodes) where single-stream generation dominates build time. workers ≤ 0
-// uses GOMAXPROCS.
-func RandomKOutParallel(n, k int, seed uint64, workers int) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("overlay: RandomKOutParallel needs at least 2 nodes, got %d", n)
-	}
-	if k < 1 || k > n-1 {
-		return nil, fmt.Errorf("overlay: RandomKOutParallel k=%d out of range [1,%d]", k, n-1)
-	}
-	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
-	g.outAdj = make([]int32, n*k)
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] = int64((i + 1) * k)
-	}
-	base := rng.Derive(seed, 0x6f75742d6b70) // "out-kp"
-	forRanges(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := rng.New(rng.Derive(base, uint64(i)))
-			row := g.outAdj[i*k : (i+1)*k]
-			for picked := 0; picked < k; {
-				v := int32(src.Intn(n))
-				if int(v) == i {
-					continue
-				}
-				dup := false
-				for _, u := range row[:picked] {
-					if u == v {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				row[picked] = v
-				picked++
-			}
-		}
-	})
 	return g, nil
 }
 
 // forRanges splits [0,n) into contiguous chunks and runs fn on each, using up
-// to workers goroutines (GOMAXPROCS when workers ≤ 0). fn must be safe to run
-// concurrently on disjoint ranges. workers == 1 runs inline.
-func forRanges(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = stdruntime.GOMAXPROCS(0)
-	}
+// to GOMAXPROCS goroutines. fn must be safe to run concurrently on disjoint
+// ranges. One worker runs inline.
+func forRanges(n int, fn func(lo, hi int)) {
+	workers := stdruntime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -282,6 +264,11 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	if !(beta >= 0 && beta <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("overlay: WattsStrogatz beta=%v out of [0,1]", beta)
 	}
+	// Rewiring moves edges but never adds one: the graph keeps the lattice's
+	// n·k directed edges.
+	if err := checkEdges("WattsStrogatz", n, k); err != nil {
+		return nil, err
+	}
 	src := rng.New(rng.Derive(seed, 0x77732d72696e67)) // "ws-ring"
 	// The evolving adjacency lives in a fixed-capacity slab (k + slack slots
 	// per node) with a rare spill list for nodes whose degree grows past the
@@ -294,7 +281,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	// (k/2) values are distinct (d < n/2), so every node starts at degree k,
 	// which the slab holds without spilling. Ranges are independent, so the
 	// fill runs in parallel.
-	forRanges(n, 0, func(lo, hi int) {
+	forRanges(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := i * adj.capPer
 			idx := 0
@@ -340,12 +327,12 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	// sort them in place (adjacency order must be a pure function of the
 	// seed). Rows are disjoint, so the copy+sort fans out across ranges.
 	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
+	g.outOff = make([]uint32, n+1)
 	for i := 0; i < n; i++ {
-		g.outOff[i+1] = g.outOff[i] + int64(adj.deg[i])
+		g.outOff[i+1] = g.outOff[i] + uint32(adj.deg[i])
 	}
 	g.outAdj = make([]int32, g.outOff[n])
-	forRanges(n, 0, func(lo, hi int) {
+	forRanges(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := g.outAdj[g.outOff[i]:g.outOff[i+1]]
 			m := copy(row, adj.slab[i*adj.capPer:i*adj.capPer+min(int(adj.deg[i]), adj.capPer)])
@@ -487,13 +474,16 @@ func Ring(n, k int) (*Graph, error) {
 	if k < 1 || k >= n {
 		return nil, fmt.Errorf("overlay: Ring k=%d out of range [1,%d)", k, n)
 	}
+	if err := checkEdges("Ring", n, k); err != nil {
+		return nil, err
+	}
 	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
+	g.outOff = make([]uint32, n+1)
 	g.outAdj = make([]int32, n*k)
 	for i := 0; i < n; i++ {
-		g.outOff[i+1] = int64((i + 1) * k)
+		g.outOff[i+1] = uint32((i + 1) * k)
 	}
-	forRanges(n, 0, func(lo, hi int) {
+	forRanges(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := i * k
 			for d := 1; d <= k; d++ {
@@ -509,6 +499,9 @@ func Ring(n, k int) (*Graph, error) {
 func Complete(n int) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("overlay: Complete needs at least 2 nodes, got %d", n)
+	}
+	if err := checkEdges("Complete", n, n-1); err != nil {
+		return nil, err
 	}
 	out := make([][]int, n)
 	for i := 0; i < n; i++ {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
 func TestNewFromOut(t *testing.T) {
@@ -49,8 +51,8 @@ func TestOutHeadLocatesOutNeighbors(t *testing.T) {
 	}
 	for i := 0; i < g.N(); i++ {
 		off, deg := g.OutHead(i)
-		if deg != g.OutDegree(i) || !slices.Equal(adj[off:off+int64(deg)], g.OutNeighbors(i)) {
-			t.Errorf("node %d: head (%d, %d) gives %v, want %v", i, off, deg, adj[off:off+int64(deg)], g.OutNeighbors(i))
+		if int(deg) != g.OutDegree(i) || !slices.Equal(adj[off:off+deg], g.OutNeighbors(i)) {
+			t.Errorf("node %d: head (%d, %d) gives %v, want %v", i, off, deg, adj[off:off+deg], g.OutNeighbors(i))
 		}
 	}
 }
@@ -349,67 +351,6 @@ func TestWattsStrogatzDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestRandomKOutParallelWorkerIndependence(t *testing.T) {
-	const n, k = 500, 7
-	base, err := RandomKOutParallel(n, k, 99, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		g, err := RandomKOutParallel(n, k, 99, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			av, bv := base.OutNeighbors(i), g.OutNeighbors(i)
-			if len(av) != len(bv) {
-				t.Fatalf("workers=%d node %d: degree %d vs %d", workers, i, len(bv), len(av))
-			}
-			for j := range av {
-				if av[j] != bv[j] {
-					t.Fatalf("workers=%d node %d: neighbour %d is %d vs %d", workers, i, j, bv[j], av[j])
-				}
-			}
-		}
-	}
-}
-
-func TestRandomKOutParallelProperties(t *testing.T) {
-	const n, k = 300, 20
-	g, err := RandomKOutParallel(n, k, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Edges() != n*k {
-		t.Fatalf("edges = %d, want %d", g.Edges(), n*k)
-	}
-	for i := 0; i < n; i++ {
-		nbrs := g.OutNeighbors(i)
-		if len(nbrs) != k {
-			t.Fatalf("node %d: degree %d, want %d", i, len(nbrs), k)
-		}
-		seen := make(map[int32]bool, k)
-		for _, v := range nbrs {
-			if int(v) == i {
-				t.Fatalf("node %d: self-loop", i)
-			}
-			if seen[v] {
-				t.Fatalf("node %d: duplicate neighbour %d", i, v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestRandomKOutParallelValidation(t *testing.T) {
-	if _, err := RandomKOutParallel(1, 1, 0, 1); err == nil {
-		t.Fatal("n=1 should fail")
-	}
-	if _, err := RandomKOutParallel(10, 10, 0, 1); err == nil {
-		t.Fatal("k=n should fail")
-	}
-}
-
 // eagerIn returns the in-adjacency buildIn derives for g, built eagerly on a
 // twin that shares g's out-adjacency, so g's own lazy state is untouched.
 func eagerIn(g *Graph) *Graph {
@@ -425,12 +366,11 @@ func eagerIn(g *Graph) *Graph {
 // included).
 func TestInAdjacencyBuiltOnFirstUse(t *testing.T) {
 	build := map[string]func() (*Graph, error){
-		"RandomKOut":         func() (*Graph, error) { return RandomKOut(300, 7, 1) },
-		"RandomKOutParallel": func() (*Graph, error) { return RandomKOutParallel(300, 7, 1, 3) },
-		"WattsStrogatz":      func() (*Graph, error) { return WattsStrogatz(300, 4, 0.2, 1) },
-		"Ring":               func() (*Graph, error) { return Ring(12, 3) },
-		"Complete":           func() (*Graph, error) { return Complete(6) },
-		"NewFromOut":         func() (*Graph, error) { return NewFromOut([][]int{{0, 1, 1}, {2, 2, 0}, {}, {3, 0, 3}}) },
+		"RandomKOut":    func() (*Graph, error) { return RandomKOut(300, 7, 1) },
+		"WattsStrogatz": func() (*Graph, error) { return WattsStrogatz(300, 4, 0.2, 1) },
+		"Ring":          func() (*Graph, error) { return Ring(12, 3) },
+		"Complete":      func() (*Graph, error) { return Complete(6) },
+		"NewFromOut":    func() (*Graph, error) { return NewFromOut([][]int{{0, 1, 1}, {2, 2, 0}, {}, {3, 0, 3}}) },
 	}
 	for name, b := range build {
 		t.Run(name, func(t *testing.T) {
@@ -528,5 +468,87 @@ func TestWsAdjSpill(t *testing.T) {
 	}
 	if int(a.deg[u]) != total-4 {
 		t.Fatalf("deg after removals = %d, want %d", a.deg[u], total-4)
+	}
+}
+
+// epochKOut is the historical RandomKOut, kept as the reference the
+// pick-set construction must reproduce: the same stream, with a mark per
+// node of the graph stamped with the picking node's epoch for dedup.
+func epochKOut(n, k int, seed uint64) (off []int64, adj []int32) {
+	off = make([]int64, n+1)
+	adj = make([]int32, n*k)
+	src := rng.New(rng.Derive(seed, 0x6f75742d6b)) // "out-k"
+	mark := make([]int32, n)
+	idx := 0
+	for i := 0; i < n; i++ {
+		epoch := int32(i) + 1
+		for picked := 0; picked < k; {
+			v := int32(src.Intn(n))
+			if int(v) == i || mark[v] == epoch {
+				continue
+			}
+			mark[v] = epoch
+			adj[idx] = v
+			idx++
+			picked++
+		}
+		off[i+1] = int64(idx)
+	}
+	return off, adj
+}
+
+// TestRandomKOutMatchesEpochReference pins RandomKOut to the graph every
+// recorded output was produced on: its CSR arrays equal the epoch-stamped
+// reference's exactly, over sizes from the smallest graph to 10^5 nodes,
+// the paper's k = 20 among the degrees, and the complete k = n−1 where the
+// dedup rejects most draws.
+func TestRandomKOutMatchesEpochReference(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 300, 5_000, 100_000} {
+		ks := []int{1, 7, 20}
+		if n <= 300 {
+			ks = append(ks, n-1)
+		}
+		for _, k := range ks {
+			if k > n-1 {
+				continue
+			}
+			for seed := uint64(1); seed <= 5; seed++ {
+				g, err := RandomKOut(n, k, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off, adj := epochKOut(n, k, seed)
+				if !slices.Equal(g.outAdj, adj) {
+					t.Fatalf("n=%d k=%d seed=%d: adjacency differs from the epoch reference", n, k, seed)
+				}
+				for i, o := range off {
+					if int64(g.outOff[i]) != o {
+						t.Fatalf("n=%d k=%d seed=%d: offset %d is %d, reference %d", n, k, seed, i, g.outOff[i], o)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConstructorsRejectMoreEdgesThanOffsetsHold checks that a graph past
+// 2³²−1 edges is refused by its constructor, before it is allocated.
+func TestConstructorsRejectMoreEdgesThanOffsetsHold(t *testing.T) {
+	// 2^16+1 rows sharing one 2^16-entry row: 2^32 + 2^16 edges, 2 MB.
+	row := make([]int, 1<<16)
+	out := make([][]int, 1<<16+1)
+	for i := range out {
+		out[i] = row
+	}
+	for name, build := range map[string]func() (*Graph, error){
+		"RandomKOut":    func() (*Graph, error) { return RandomKOut(1<<28, 16, 1) },
+		"WattsStrogatz": func() (*Graph, error) { return WattsStrogatz(1<<28, 16, 0.1, 1) },
+		"Ring":          func() (*Graph, error) { return Ring(1<<28, 16) },
+		"Complete":      func() (*Graph, error) { return Complete(1<<16 + 1) },
+		"NewFromOut":    func() (*Graph, error) { return NewFromOut(out) },
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("%s accepted more than %d edges", name, uint64(maxEdges))
+		}
 	}
 }

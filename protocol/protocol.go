@@ -1,13 +1,14 @@
 // Package protocol implements the token account protocol node (Algorithm 4
 // of the paper) independently of any particular transport or scheduler.
 //
-// A Node combines a core.Strategy with an application (Application) and an
-// embedded random generator; it lives in a Slab, whose one peer sampling
-// service (SharedPeerSelector) and one outgoing message sink (Sender) serve
-// every node. The surrounding runtime — a runtime.Host over the
-// discrete-event environment in simnet or the wall-clock environment in
-// live — is responsible for calling Tick once per proactive period Δ and
-// Receive for every incoming message.
+// A node combines a core.Strategy with an application (Application) and a
+// random generator embedded in its state row; it lives in a Slab, whose one
+// peer sampling service (SharedPeerSelector) and one outgoing message sink
+// (Sender) serve every node, and its identity is its index in the slab. The
+// surrounding runtime — a runtime.Host over the discrete-event environment
+// in simnet or the wall-clock environment in live — is responsible for
+// calling Tick once per proactive period Δ and Receive for every incoming
+// message.
 package protocol
 
 import (
@@ -15,7 +16,6 @@ import (
 	"fmt"
 
 	"github.com/szte-dcs/tokenaccount/core"
-	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
 // NodeID identifies a node in the network. IDs are dense integers in the
@@ -89,10 +89,9 @@ func (s Stats) TotalSent() int { return s.ProactiveSent + s.ReactiveSent }
 
 // Config is what differs between the nodes of one Slab. Peer sampling and
 // the Sender are the slab's (see NewSlab); the random generator is embedded
-// in the node's row (see Slab.InitSeeded).
+// in the node's state row (see Slab.InitSeeded); the node's identity, passed
+// to the Sender as the source, is its index in the slab.
 type Config struct {
-	// ID is the node's identity, passed to the Sender as the source.
-	ID NodeID
 	// Strategy is the token account strategy (required).
 	Strategy core.Strategy
 	// Application provides CreateMessage/UpdateState (required).
@@ -113,55 +112,49 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Node is the facade of one protocol node executing Algorithm 4: one 64-byte
-// row of its Slab's node array, holding what differs per node and is read on
-// every event — strategy, application, identity and the state of the node's
-// embedded SplitMix64 generator. The mutable account and counters live in
-// the slab's state array at the same index; the Sender and the peer sampler
-// are reached through the slab.
+// Node is the facade of one protocol node executing Algorithm 4: a slab and
+// an index, passed by value. What differs per node and is read on every
+// event lives in the slab at that index — the strategy and the application
+// in a 32-byte row, the account, the counters and the state of the node's
+// embedded SplitMix64 generator in its state row; the Sender and the peer
+// sampler are the slab's. A Node is valid for the lifetime of its slab.
 //
 // It is not safe for concurrent use; the runtime must serialize Tick and
 // Receive calls (the simulator is single-threaded per node, the live runtime
 // runs every node on its run loop).
 type Node struct {
-	strategy core.Strategy
-	app      Application
-	slab     *Slab
-	idx      int
-	id       NodeID
-	rng      rng.Source
+	slab *Slab
+	idx  int
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() NodeID { return n.id }
+// ID returns the node's identity: its index in the slab.
+func (n Node) ID() NodeID { return NodeID(n.idx) }
 
 // Tokens returns the current account balance.
-func (n *Node) Tokens() int { return n.state().Account.Balance() }
+func (n Node) Tokens() int { return n.state().Account.Balance() }
 
 // Stats returns a snapshot of the node's activity counters.
-func (n *Node) Stats() Stats { return n.state().Stats() }
+func (n Node) Stats() Stats { return n.state().Stats() }
 
 // Strategy returns the node's token account strategy.
-func (n *Node) Strategy() core.Strategy { return n.strategy }
+func (n Node) Strategy() core.Strategy { return n.slab.rows[n.idx].strategy }
 
 // Application returns the node's application instance.
-func (n *Node) Application() Application { return n.app }
+func (n Node) Application() Application { return n.slab.rows[n.idx].app }
 
 // state returns the node's row of the slab's state array.
-func (n *Node) state() *NodeState { return &n.slab.states[n.idx] }
+func (n Node) state() *NodeState { return &n.slab.states[n.idx] }
 
 // Tick executes one iteration of the proactive loop of Algorithm 4: with
 // probability PROACTIVE(a) the node sends a freshly created message to a
 // sampled peer, otherwise it banks the token granted for this period.
-func (n *Node) Tick() { n.slab.tick(n, n.state()) }
+func (n Node) Tick() { n.slab.Tick(n.idx) }
 
 // Receive executes the ONMESSAGE handler of Algorithm 4: the application
 // updates its state, the reactive function determines the (randomly rounded)
 // number of response messages, tokens are spent accordingly and the messages
 // are sent to independently sampled peers.
-func (n *Node) Receive(from NodeID, payload Payload) {
-	n.slab.receive(n, n.state(), from, payload)
-}
+func (n Node) Receive(from NodeID, payload Payload) { n.slab.Receive(n.idx, from, payload) }
 
 // RespondDirect sends one freshly created message straight to the given peer
 // if a token is available, spending that token. It returns true if the
@@ -169,8 +162,8 @@ func (n *Node) Receive(from NodeID, payload Payload) {
 // the push gossip churn scenario (§4.1.2): "If this neighbor has tokens, a
 // message is sent back with the latest update (burning a token). Otherwise,
 // no answer is given."
-func (n *Node) RespondDirect(to NodeID) bool {
-	return n.RespondPayload(to, n.app.CreateMessage())
+func (n Node) RespondDirect(to NodeID) bool {
+	return n.RespondPayload(to, n.Application().CreateMessage())
 }
 
 // RespondPayload sends the given payload straight to the peer if a token is
@@ -178,12 +171,12 @@ func (n *Node) RespondDirect(to NodeID) bool {
 // It generalizes RespondDirect for applications whose direct responses are
 // not CreateMessage — e.g. blockcast serving a full block in answer to a
 // pull — while keeping the response token-gated like every reactive send.
-func (n *Node) RespondPayload(to NodeID, payload Payload) bool {
+func (n Node) RespondPayload(to NodeID, payload Payload) bool {
 	st := n.state()
 	if st.Account.SpendUpTo(1) == 0 {
 		return false
 	}
-	n.slab.sender.Send(n.id, to, payload)
+	n.slab.sender.Send(n.ID(), to, payload)
 	n.slab.count(&st.counts.reactiveSent, 1)
 	return true
 }

@@ -48,24 +48,24 @@ func (a *countingApp) UpdateState(from NodeID, payload Payload) bool {
 	return a.useful
 }
 
-// newTestNode builds node 1 as the only row of a slab, on a generator seeded
-// with 42.
-func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers SharedPeerSelector) *Node {
+// newTestNode builds node 1 as the only initialized row of a two-row slab,
+// on a generator seeded with 42.
+func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers SharedPeerSelector) Node {
 	t.Helper()
-	return newTestNodeWith(t, Config{ID: 1, Strategy: s, Application: app}, sender, peers)
+	return newTestNodeWith(t, Config{Strategy: s, Application: app}, sender, peers)
 }
 
 // newTestNodeWith is newTestNode for a full node Config.
-func newTestNodeWith(t *testing.T, cfg Config, sender Sender, peers SharedPeerSelector) *Node {
+func newTestNodeWith(t *testing.T, cfg Config, sender Sender, peers SharedPeerSelector) Node {
 	t.Helper()
-	slab, err := NewSlab(1, sender, peers)
+	slab, err := NewSlab(2, sender, peers)
 	if err != nil {
 		t.Fatalf("NewSlab: %v", err)
 	}
-	if err := slab.InitSeeded(0, cfg, 42); err != nil {
+	if err := slab.InitSeeded(1, cfg, 42); err != nil {
 		t.Fatalf("InitSeeded: %v", err)
 	}
-	return slab.Node(0)
+	return slab.Node(1)
 }
 
 func TestProactiveNodeSendsEveryRound(t *testing.T) {
@@ -187,7 +187,7 @@ func TestNoPeerAvailableBanksToken(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s/a0=%d", c.s.Name(), c.initial), func(t *testing.T) {
 			sender := &collectingSender{}
-			n := newTestNodeWith(t, Config{ID: 1, Strategy: c.s, Application: &countingApp{}, InitialTokens: c.initial},
+			n := newTestNodeWith(t, Config{Strategy: c.s, Application: &countingApp{}, InitialTokens: c.initial},
 				sender, staticPeers{ok: false})
 			limit := max(c.s.Capacity(), c.initial)
 			for i := 0; i < rounds; i++ {
@@ -234,7 +234,7 @@ func TestReactiveRefundNeverExceedsSpend(t *testing.T) {
 			for ok := 0; ok <= 4; ok++ {
 				sender := &collectingSender{}
 				peers := &budgetPeers{ok: ok}
-				n := newTestNodeWith(t, Config{ID: 1, Strategy: s, Application: &countingApp{useful: true}, InitialTokens: before},
+				n := newTestNodeWith(t, Config{Strategy: s, Application: &countingApp{useful: true}, InitialTokens: before},
 					sender, peers)
 				n.Receive(4, Payload{})
 				sent := len(sender.msgs)

@@ -12,11 +12,12 @@ import (
 )
 
 // NodeState is the hot mutable per-node state of Algorithm 4 — the token
-// account and the activity counters — plus the two per-node words the
-// runtime reads on every send. It is deliberately small and pointer-free —
-// exactly one 64-byte cache line — so a whole network's state packs into one
-// contiguous slab (struct of arrays) instead of one heap object per node,
-// and everything a tick or a delivery needs of the node outside its facade
+// account, the activity counters and the state of the node's SplitMix64
+// generator — plus the two per-node words the runtime reads on every send.
+// It is deliberately small and pointer-free — exactly one 64-byte cache line
+// — so a whole network's state packs into one contiguous slab (struct of
+// arrays) instead of one heap object per node, and everything a tick or a
+// delivery needs of the node outside its 32-byte strategy and application
 // row arrives with one line.
 type NodeState struct {
 	// Account is the node's token account, stored by value.
@@ -31,7 +32,17 @@ type NodeState struct {
 	// The protocol never reads them; the runtime fills them at assembly, so
 	// its peer draw starts from the line the node's event already holds.
 	PeerOff, PeerDeg uint32
-	_                [8]byte // pad to the 64-byte line
+	// rng is the node's generator (see Slab.InitSeeded): every draw of its
+	// ticks, receives and peer samples.
+	rng rng.Source
+}
+
+// row is what differs per node and is read on every event outside the state
+// row: the node's strategy and application, two interface words each, so two
+// nodes share a 64-byte line.
+type row struct {
+	strategy core.Strategy
+	app      Application
 }
 
 // counters holds a node's activity counters in the slab, 32 bits each; Stats
@@ -73,21 +84,21 @@ func (st *NodeState) Stats() Stats {
 	}
 }
 
-// Slab is a struct-of-arrays allocation of protocol nodes: all Node rows
-// live in one contiguous array and all mutable NodeState values in another,
-// both addressed by dense node index and both 64 bytes per node, so one Tick
-// or Receive touches one line of each — and, entered through Slab.Tick or
-// Slab.Receive, computes both addresses from the index up front, so the two
-// loads overlap instead of chaining.
+// Slab is a struct-of-arrays allocation of protocol nodes: all strategy and
+// application rows live in one contiguous array (32 bytes per node) and all
+// mutable NodeState values in another (64 bytes per node), both addressed by
+// dense node index, so one Tick or Receive touches one line of each — and,
+// entered through Slab.Tick or Slab.Receive, computes both addresses from
+// the index up front, so the two loads overlap instead of chaining.
 //
 // What every node has in common is held once, slab-wide: the Sender and the
-// SharedPeerSelector. Each node's random generator is embedded in its row.
+// SharedPeerSelector. Each node's random generator is embedded in its state
+// row, and its identity is its index.
 //
 // InitSeeded must be called exactly once per index before the node is used.
-// Node pointers returned by Node remain valid for the lifetime of the slab;
-// the backing arrays are never reallocated.
+// The backing arrays are never reallocated.
 type Slab struct {
-	nodes  []Node
+	rows   []row
 	states []NodeState
 
 	sender Sender
@@ -112,7 +123,7 @@ func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
 		return nil, errors.New("protocol: NewSlab: nil peer selector")
 	}
 	return &Slab{
-		nodes:  make([]Node, n),
+		rows:   make([]row, n),
 		states: make([]NodeState, n),
 		sender: sender,
 		peers:  peers,
@@ -124,32 +135,27 @@ func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
 func (s *Slab) Saturated() bool { return s.saturated.Load() }
 
 // Len returns the slab's capacity in nodes.
-func (s *Slab) Len() int { return len(s.nodes) }
+func (s *Slab) Len() int { return len(s.rows) }
 
 // InitSeeded validates cfg and initializes node i in place, with a
-// SplitMix64 generator seeded with seed embedded in the node's row — the
-// same stream as rng.New(seed), without a generator object. It writes only
-// row i, so it is safe to call concurrently for distinct indices, which is
-// what the runtime's parallel build loop does.
+// SplitMix64 generator seeded with seed embedded in the node's state row —
+// the same stream as rng.New(seed), without a generator object. It writes
+// only node i's rows, so it is safe to call concurrently for distinct
+// indices, which is what the runtime's parallel build loop does.
 func (s *Slab) InitSeeded(i int, cfg Config, seed uint64) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	s.states[i] = NodeState{Account: core.MakeAccount(cfg.InitialTokens, core.AllowsOverspend(cfg.Strategy))}
-	s.nodes[i] = Node{
-		strategy: cfg.Strategy,
-		app:      cfg.Application,
-		slab:     s,
-		idx:      i,
-		id:       cfg.ID,
-		rng:      rng.Seeded(seed),
+	s.states[i] = NodeState{
+		Account: core.MakeAccount(cfg.InitialTokens, core.AllowsOverspend(cfg.Strategy)),
+		rng:     rng.Seeded(seed),
 	}
+	s.rows[i] = row{strategy: cfg.Strategy, app: cfg.Application}
 	return nil
 }
 
-// Node returns the facade for node i. The pointer is stable for the slab's
-// lifetime.
-func (s *Slab) Node(i int) *Node { return &s.nodes[i] }
+// Node returns the facade for node i.
+func (s *Slab) Node(i int) Node { return Node{slab: s, idx: i} }
 
 // State returns the mutable state of node i. The pointer aliases the state
 // used by the Node facade: reads and writes through either view observe the
@@ -161,12 +167,17 @@ func (s *Slab) State(i int) *NodeState { return &s.states[i] }
 // not retain it beyond the slab's lifetime.
 func (s *Slab) States() []NodeState { return s.states }
 
-// Preload reads one word of node i's row and one of its state row and
-// returns their sum. It changes nothing: a runtime that knows which nodes
-// run next (see runtime.Preloader) calls it to bring both lines into
+// Preload reads the application's type word from node i's row and the
+// balance from its state row and returns the balance, plus one if the row
+// holds an application. It changes nothing: a runtime that knows which
+// nodes run next (see runtime.Preloader) calls it to bring both lines into
 // cache ahead of use.
 func (s *Slab) Preload(i int) uint64 {
-	return uint64(s.nodes[i].id) + uint64(s.states[i].Account.Balance())
+	sum := uint64(s.states[i].Account.Balance())
+	if s.rows[i].app != nil {
+		sum++
+	}
+	return sum
 }
 
 // PreloadApp reads the first byte of node i's application value and returns
@@ -177,7 +188,7 @@ func (s *Slab) PreloadApp(i int) uint64 {
 	// The data word of the interface: a pointer to the value, or the value
 	// itself where that is pointer-shaped (a pointer, map, chan or func),
 	// which then points at the runtime's object behind it.
-	p := (*[2]unsafe.Pointer)(unsafe.Pointer(&s.nodes[i].app))[1]
+	p := (*[2]unsafe.Pointer)(unsafe.Pointer(&s.rows[i].app))[1]
 	if p == nil {
 		return 0
 	}
@@ -185,18 +196,18 @@ func (s *Slab) PreloadApp(i int) uint64 {
 }
 
 // Tick runs node i's proactive round (see Node.Tick).
-func (s *Slab) Tick(i int) { s.tick(&s.nodes[i], &s.states[i]) }
+func (s *Slab) Tick(i int) { s.tick(i, &s.rows[i], &s.states[i]) }
 
 // Receive runs node i's message handler (see Node.Receive).
 func (s *Slab) Receive(i int, from NodeID, payload Payload) {
-	s.receive(&s.nodes[i], &s.states[i], from, payload)
+	s.receive(i, &s.rows[i], &s.states[i], from, payload)
 }
 
-func (s *Slab) tick(n *Node, st *NodeState) {
+func (s *Slab) tick(i int, n *row, st *NodeState) {
 	s.count(&st.counts.rounds, 1)
-	r := &n.rng
+	r := &st.rng
 	if core.Bernoulli(n.strategy.Proactive(st.Account.Balance()), r) {
-		if s.sendOne(n, r) {
+		if s.sendOne(i, n, r) {
 			s.count(&st.counts.proactiveSent, 1)
 			return
 		}
@@ -214,33 +225,33 @@ func (s *Slab) tick(n *Node, st *NodeState) {
 	s.count(&st.counts.tokensBanked, 1)
 }
 
-func (s *Slab) receive(n *Node, st *NodeState, from NodeID, payload Payload) {
+func (s *Slab) receive(i int, n *row, st *NodeState, from NodeID, payload Payload) {
 	s.count(&st.counts.received, 1)
 	useful := n.app.UpdateState(from, payload)
 	if useful {
 		s.count(&st.counts.usefulReceived, 1)
 	}
-	r := &n.rng
+	r := &st.rng
 	want := core.RandRound(n.strategy.Reactive(st.Account.Balance(), useful), r)
 	spend := st.Account.SpendUpTo(want)
-	for i := 0; i < spend; i++ {
-		if !s.sendOne(n, r) {
+	for k := 0; k < spend; k++ {
+		if !s.sendOne(i, n, r) {
 			// No reachable peer: refund the unused tokens.
-			st.Account.Deposit(spend - i)
-			s.count(&st.counts.tokensBanked, spend-i)
+			st.Account.Deposit(spend - k)
+			s.count(&st.counts.tokensBanked, spend-k)
 			return
 		}
 		s.count(&st.counts.reactiveSent, 1)
 	}
 }
 
-// sendOne samples a peer for the node and sends one freshly created message
-// to it. It reports whether a peer was available.
-func (s *Slab) sendOne(n *Node, r Rand) bool {
-	peer, ok := s.peers.SelectPeerOf(n.idx, r)
+// sendOne samples a peer for node i, whose row is n, and sends one freshly
+// created message to it. It reports whether a peer was available.
+func (s *Slab) sendOne(i int, n *row, r Rand) bool {
+	peer, ok := s.peers.SelectPeerOf(i, r)
 	if !ok {
 		return false
 	}
-	s.sender.Send(n.id, peer, n.app.CreateMessage())
+	s.sender.Send(NodeID(i), peer, n.app.CreateMessage())
 	return true
 }

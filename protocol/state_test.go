@@ -10,18 +10,19 @@ import (
 )
 
 // TestNodeRowsAreOneCacheLine guards the layout the simulator's hot path is
-// sized for: one event touches one 64-byte facade row and one 64-byte state
-// row. A field added to either shows up here, not as a slow regression at
-// 500 000 nodes.
+// sized for: one event touches one 32-byte strategy and application row and
+// one 64-byte state row that also holds the node's generator. A field added
+// to either shows up here, not as a slow regression — or 500 000 nodes'
+// worth of bytes — at scale.
 func TestNodeRowsAreOneCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); size > 64 {
-		t.Errorf("Node is %d bytes, want ≤ 64", size)
+	if size := unsafe.Sizeof(row{}); size != 32 {
+		t.Errorf("a node row is %d bytes, want exactly 32", size)
 	}
 	if size := unsafe.Sizeof(NodeState{}); size != 64 {
 		t.Errorf("NodeState is %d bytes, want exactly 64", size)
 	}
-	// The folded runtime words share the line with the account and the
-	// 32-bit counters; none of them may be pushed past it.
+	// The generator and the folded runtime words share the line with the
+	// account and the 32-bit counters; none of them may be pushed past it.
 	var st NodeState
 	for _, f := range []struct {
 		name      string
@@ -32,6 +33,7 @@ func TestNodeRowsAreOneCacheLine(t *testing.T) {
 		{"Egress", unsafe.Offsetof(st.Egress), unsafe.Sizeof(st.Egress)},
 		{"PeerOff", unsafe.Offsetof(st.PeerOff), unsafe.Sizeof(st.PeerOff)},
 		{"PeerDeg", unsafe.Offsetof(st.PeerDeg), unsafe.Sizeof(st.PeerDeg)},
+		{"rng", unsafe.Offsetof(st.rng), unsafe.Sizeof(st.rng)},
 	} {
 		if f.off+f.size > 64 {
 			t.Errorf("NodeState.%s spans bytes [%d, %d), past the 64-byte line", f.name, f.off, f.off+f.size)
@@ -39,6 +41,9 @@ func TestNodeRowsAreOneCacheLine(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(st.counts); size != 24 {
 		t.Errorf("the counters take %d bytes, want six 32-bit counts", size)
+	}
+	if size := unsafe.Sizeof(st.rng); size != 8 {
+		t.Errorf("the generator takes %d bytes, want one SplitMix64 word", size)
 	}
 }
 
@@ -94,8 +99,9 @@ type indexPeers struct{ offset int }
 func (p indexPeers) SelectPeerOf(i int, _ Rand) (NodeID, bool) { return NodeID(i + p.offset), true }
 
 // TestSharedSlabCollaborators checks that every node runs on the slab's one
-// Sender and one selector, and that the selector sees the node's own index
-// through both entry points — by index and through the facade.
+// Sender and one selector, and that both see the node's own index — the
+// selector as the node to sample for, the Sender as the source — through
+// both entry points — by index and through the facade.
 func TestSharedSlabCollaborators(t *testing.T) {
 	sender := &collectingSender{}
 	s, err := NewSlab(3, sender, indexPeers{offset: 100})
@@ -103,7 +109,7 @@ func TestSharedSlabCollaborators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		cfg := Config{ID: NodeID(10 + i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+		cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
 		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +119,7 @@ func TestSharedSlabCollaborators(t *testing.T) {
 	s.Tick(2)
 	s.Node(2).Tick()
 	s.Receive(2, 1, Payload{})
-	want := []sentMsg{{from: 10, to: 100}, {from: 11, to: 101}, {from: 12, to: 102}, {from: 12, to: 102}}
+	want := []sentMsg{{from: 0, to: 100}, {from: 1, to: 101}, {from: 2, to: 102}, {from: 2, to: 102}}
 	if len(sender.msgs) != len(want) {
 		t.Fatalf("sender saw %+v, want %+v", sender.msgs, want)
 	}
@@ -150,12 +156,12 @@ func TestInitSeededMatchesExternalGenerator(t *testing.T) {
 	}
 	external := [2]*rng.Source{rng.New(seed), rng.New(seed + 1)}
 	for i := range external {
-		cfg := Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+		cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
 		if err := s.InitSeeded(i, cfg, seed+uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if s.Node(i).rng != *external[i] {
-			t.Fatalf("row %d starts at %+v, want rng.New(%d) = %+v", i, s.Node(i).rng, seed+i, *external[i])
+		if s.State(i).rng != *external[i] {
+			t.Fatalf("row %d starts at %+v, want rng.New(%d) = %+v", i, s.State(i).rng, seed+i, *external[i])
 		}
 	}
 	for step := 0; step < 300; step++ {
@@ -171,8 +177,8 @@ func TestInitSeededMatchesExternalGenerator(t *testing.T) {
 		}
 	}
 	for i := range external {
-		if s.Node(i).rng != *external[i] {
-			t.Errorf("row %d ends at %+v, external generator at %+v", i, s.Node(i).rng, *external[i])
+		if s.State(i).rng != *external[i] {
+			t.Errorf("row %d ends at %+v, external generator at %+v", i, s.State(i).rng, *external[i])
 		}
 	}
 }
@@ -198,7 +204,7 @@ func TestSlabMessagePathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		cfg := Config{ID: NodeID(i), Strategy: core.MustRandomized(5, 10), Application: wordApp{}}
+		cfg := Config{Strategy: core.MustRandomized(5, 10), Application: wordApp{}}
 		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +277,7 @@ func TestSlabConcurrentInit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 8 {
-				cfg := Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+				cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
 				if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 					t.Error(err)
 				}
@@ -306,19 +312,19 @@ func TestPreloadsOnlyRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range apps {
-		if err := s.InitSeeded(i, Config{ID: NodeID(i), Strategy: core.PurelyProactive{}, Application: a.app, InitialTokens: 3}, 1); err != nil {
+		if err := s.InitSeeded(i, Config{Strategy: core.PurelyProactive{}, Application: a.app, InitialTokens: 3}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, a := range apps {
-		node, state := *s.Node(i), *s.State(i)
+		node, state := s.rows[i], *s.State(i)
 		if got := s.PreloadApp(i); got != a.want {
 			t.Errorf("node %d: PreloadApp = %d, want %d", i, got, a.want)
 		}
-		if got := s.Preload(i); got != uint64(i)+3 {
-			t.Errorf("node %d: Preload = %d, want id + balance = %d", i, got, i+3)
+		if got := s.Preload(i); got != 3+1 {
+			t.Errorf("node %d: Preload = %d, want balance + 1 for the application = 4", i, got)
 		}
-		if *s.Node(i) != node || *s.State(i) != state {
+		if s.rows[i] != node || *s.State(i) != state {
 			t.Errorf("node %d: a preload changed its rows", i)
 		}
 	}

@@ -99,11 +99,12 @@ type Host struct {
 	cfg Config
 	env Env
 
-	// slab holds every node's facade row and hot state in two contiguous
-	// arrays of 64 bytes per node (struct of arrays). The Host is the slab's
-	// Sender and, unless Config.Peers replaces it, its peer selector, and
-	// per-node generator state is embedded in the rows, so building n nodes
-	// costs a handful of allocations and no companion slab.
+	// slab holds every node's strategy and application row (32 bytes) and
+	// hot state row (64 bytes) in two contiguous arrays (struct of arrays).
+	// The Host is the slab's Sender and, unless Config.Peers replaces it, its
+	// peer selector, and per-node generator state is embedded in the state
+	// rows, so building n nodes costs a handful of allocations and no
+	// companion slab.
 	slab *protocol.Slab
 
 	// avail is the environment's online set, read directly on every tick,
@@ -180,9 +181,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	if env.N() < n {
 		return nil, fmt.Errorf("runtime: environment has %d node slots, overlay has %d", env.N(), n)
 	}
-	if cfg.Graph.Edges() > math.MaxUint32 {
-		return nil, fmt.Errorf("runtime: overlay has %d edges; a node's CSR head holds offsets up to %d", cfg.Graph.Edges(), uint64(math.MaxUint32))
-	}
 	h := &Host{
 		cfg:    cfg,
 		env:    env,
@@ -230,7 +228,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			return fmt.Errorf("runtime: Strategy(%d) returned nil", i)
 		}
 		nodeCfg := protocol.Config{
-			ID:            protocol.NodeID(i),
 			Strategy:      strategy,
 			Application:   app,
 			InitialTokens: cfg.InitialTokens,
@@ -369,11 +366,11 @@ var _ Preloader = (*Host)(nil)
 // Preload implements Preloader: it loads what a tick, a churn transition
 // or a delivery of the given nodes reads, ahead of it. The first loop loads
 // the lines the event reads first: the node row and the state row — which
-// also hold the byte counter and the CSR head — and, sharded, the
-// shard-table entry. The second loop, once those are under way, follows
-// them: the application's row, whose address is in the node row, and the
-// first and last out-neighbour, whose place is in the state row, so both
-// lines of a 20-neighbour list. The loads within a loop are independent, so
+// also holds the generator, the byte counter and the CSR head — and,
+// sharded, the shard-table entry. The second loop, once those are under
+// way, follows them: the application's row, whose address is in the node
+// row, and the first and last out-neighbour, whose place is in the state
+// row, so both lines of a 20-neighbour list. The loads within a loop are independent, so
 // their cache misses overlap instead of each event paying its own. Nothing
 // is written, and everything read is either immutable (the overlay, the
 // shard table) or state of nodes the calling shard owns, so the loads are
@@ -447,9 +444,8 @@ func (o *overlayPeers) SelectPeerOf(i int, r protocol.Rand) (protocol.NodeID, bo
 // setPeerHead copies node i's CSR head from the overlay into its state row,
 // where selectOnlineNeighbor and Preload read it.
 func (h *Host) setPeerHead(i int) {
-	off, deg := h.cfg.Graph.OutHead(i)
 	st := h.slab.State(i)
-	st.PeerOff, st.PeerDeg = uint32(off), uint32(deg)
+	st.PeerOff, st.PeerDeg = h.cfg.Graph.OutHead(i)
 }
 
 // selectOnlineNeighbor returns a uniformly random online out-neighbour of
@@ -506,9 +502,9 @@ func (h *Host) Run(until float64) error {
 // N returns the number of nodes.
 func (h *Host) N() int { return h.slab.Len() }
 
-// Node returns the protocol node with index i. The pointer is a facade over
-// the host's state slab, stable for the host's lifetime.
-func (h *Host) Node(i int) *protocol.Node { return h.slab.Node(i) }
+// Node returns the protocol node with index i: a by-value facade over the
+// host's slab, valid for the host's lifetime.
+func (h *Host) Node(i int) protocol.Node { return h.slab.Node(i) }
 
 // App returns the application instance of node i.
 func (h *Host) App(i int) protocol.Application { return h.slab.Node(i).Application() }

@@ -57,13 +57,14 @@ func (f flakySelector) SelectPeerOf(_ int, r protocol.Rand) (protocol.NodeID, bo
 	return protocol.NodeID(r.Intn(f.n)), true
 }
 
-// TestSlabNodeMatchesPerObjectNode drives a node that has a one-row slab to
-// itself (the per-object build the protocol unit tests use) and the same node
-// as row 3 of a six-row slab, whose other rows tick and receive between its
-// steps, through identical randomized schedules of ticks, receives and direct
-// responses, for every strategy family of the golden configurations, and
-// requires identical balances, stats and outgoing traffic at every step: a
-// row's generator, account and application are its own.
+// TestSlabNodeMatchesPerObjectNode drives a node that has a slab to itself
+// (row 3 of a slab whose other rows are never initialized, the per-object
+// build the protocol unit tests use) and the same node as row 3 of a six-row
+// slab, whose other rows tick and receive between its steps, through
+// identical randomized schedules of ticks, receives and direct responses,
+// for every strategy family of the golden configurations, and requires
+// identical balances, stats and outgoing traffic at every step: a row's
+// generator, account and application are its own.
 func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 	const rows, row, id = 6, 3, protocol.NodeID(3)
 	strategies := map[string]core.Strategy{
@@ -77,21 +78,21 @@ func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				peers := flakySelector{n: 50}
 				objSender, slabSender := &recordingSender{}, &recordingSender{}
-				objSlab, err := protocol.NewSlab(1, objSender, peers)
+				objSlab, err := protocol.NewSlab(row+1, objSender, peers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := protocol.Config{ID: id, Strategy: strat, Application: pushgossip.New()}
-				if err := objSlab.InitSeeded(0, cfg, seed); err != nil {
+				cfg := protocol.Config{Strategy: strat, Application: pushgossip.New()}
+				if err := objSlab.InitSeeded(row, cfg, seed); err != nil {
 					t.Fatal(err)
 				}
-				obj := objSlab.Node(0)
+				obj := objSlab.Node(row)
 				slab, err := protocol.NewSlab(rows, slabSender, peers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < rows; i++ {
-					cfg := protocol.Config{ID: protocol.NodeID(i), Strategy: strat, Application: pushgossip.New()}
+					cfg := protocol.Config{Strategy: strat, Application: pushgossip.New()}
 					// The neighbours get the same seed, so a shared
 					// generator would show up as a shifted stream.
 					if err := slab.InitSeeded(i, cfg, seed); err != nil {

@@ -104,9 +104,9 @@ func TestMillionNodeSmoke(t *testing.T) {
 // 10^5 nodes, measured with go1.24 on linux/amd64 (GOMAXPROCS 1). The guard
 // allows buildBytesTolerance times these.
 const (
-	koutBuildBytesPerNode = 92  // overlay.RandomKOut(n, 20, 1)
-	wsBuildBytesPerNode   = 124 // overlay.WattsStrogatz(n, 10, 0.2, 1)
-	hostBuildBytesPerNode = 220 // simnet.NewEnv + walker slab + runtime.NewHost
+	koutBuildBytesPerNode = 84  // overlay.RandomKOut(n, 20, 1)
+	wsBuildBytesPerNode   = 120 // overlay.WattsStrogatz(n, 10, 0.2, 1)
+	hostBuildBytesPerNode = 188 // simnet.NewEnv + walker slab + runtime.NewHost
 	buildBytesTolerance   = 1.2
 	// buildAllocHeadroom is how many more allocations a 10^5-node build may
 	// make than a 10^4-node one: a handful are runtime-internal (worker
