@@ -23,7 +23,7 @@
 // Unlike the paper's one-word demonstrator applications, message size
 // matters here: a block weighs a header plus its batched transactions, so
 // the strategies are compared on wire bytes and burst load, not just
-// message counts (see WireSize and the runtime's byte accounting).
+// message counts (see wireSize and the runtime's byte accounting).
 //
 // The chain is content-free on purpose: blocks carry height and batch size,
 // not transactions or hashes, because the experiment measures dissemination
@@ -64,11 +64,6 @@ type State struct {
 	batch  uint32
 }
 
-// NewState returns the state of one node, sending through net.
-func NewState(id protocol.NodeID, net Net) *State {
-	return &State{id: id, net: net}
-}
-
 // NewStates returns a slab of n states for nodes 0..n-1, all sending through
 // net: the whole network's application state in one allocation.
 func NewStates(n int, net Net) []State {
@@ -83,9 +78,9 @@ func NewStates(n int, net Net) []State {
 // (0, 0 before the first block arrives).
 func (s *State) Head() (height uint64, batch uint32) { return s.height, s.batch }
 
-// Adopt installs a block as the node's new head. The proposer seeds its own
+// adopt installs a block as the node's new head. The proposer seeds its own
 // freshly built block this way; receivers adopt through UpdateState.
-func (s *State) Adopt(height uint64, batch uint32) {
+func (s *State) adopt(height uint64, batch uint32) {
 	s.height, s.batch = height, batch
 }
 
@@ -122,7 +117,7 @@ func (s *State) UpdateState(from protocol.NodeID, payload protocol.Payload) bool
 		return false
 	case MsgBlock:
 		if m.Height > s.height {
-			s.Adopt(m.Height, m.Batch)
+			s.adopt(m.Height, m.Batch)
 			return true
 		}
 		return false
@@ -141,7 +136,6 @@ type Chain struct {
 	pending   int64  // transactions submitted but not yet batched
 	proposed  uint64 // height of the newest proposed block
 	committed uint64 // highest height that reached quorum
-	skipped   int64  // proposal slots that could not produce a block
 
 	// proposeTimes[h-1] is the proposal time of height h; batches[h-1] its
 	// batch size. Grown by append; pre-sized so steady-state proposing stays
@@ -180,23 +174,10 @@ func (c *Chain) Submit(n int) { c.pending += int64(n) }
 // Pending returns the mempool depth.
 func (c *Chain) Pending() int64 { return c.pending }
 
-// Proposed returns the height of the newest proposed block.
-func (c *Chain) Proposed() uint64 { return c.proposed }
-
-// Committed returns the highest committed height.
-func (c *Chain) Committed() uint64 { return c.committed }
-
 // Backlog returns the number of proposed-but-uncommitted blocks — the
 // application metric: it grows when dissemination falls behind the offered
 // transaction load.
 func (c *Chain) Backlog() uint64 { return c.proposed - c.committed }
-
-// SkipProposal records a proposal slot that produced no block (empty mempool
-// or no online proposer).
-func (c *Chain) SkipProposal() { c.skipped++ }
-
-// SkippedProposals returns the number of recorded empty proposal slots.
-func (c *Chain) SkippedProposals() int64 { return c.skipped }
 
 // TryPropose builds the next block at time now if the mempool is non-empty:
 // it batches up to the cap, extends the chain and seeds the proposer's state
@@ -214,7 +195,7 @@ func (c *Chain) TryPropose(now float64, proposer *State) bool {
 	c.proposed++
 	c.proposeTimes = append(c.proposeTimes, now)
 	c.batches = append(c.batches, uint32(batch))
-	proposer.Adopt(c.proposed, uint32(batch))
+	proposer.adopt(c.proposed, uint32(batch))
 	return true
 }
 

@@ -13,6 +13,9 @@ type fakeNet struct {
 	hasToken bool
 }
 
+// newState returns the state of node id, sending through net.
+func newState(id protocol.NodeID, net Net) *State { return &State{id: id, net: net} }
+
 type fakeMsg struct {
 	from, to protocol.NodeID
 	msg      Msg
@@ -40,7 +43,7 @@ func (n *fakeNet) Respond(from, to protocol.NodeID, p protocol.Payload) bool {
 
 func TestStateGossip(t *testing.T) {
 	net := &fakeNet{hasToken: true}
-	s := NewState(3, net)
+	s := newState(3, net)
 
 	// A fresh node announces the empty chain.
 	if m, _ := MsgFromPayload(s.CreateMessage()); m != (Msg{Kind: MsgAnnounce}) {
@@ -84,13 +87,13 @@ func TestStateGossip(t *testing.T) {
 
 func TestStateServesPulls(t *testing.T) {
 	net := &fakeNet{hasToken: true}
-	s := NewState(1, net)
+	s := newState(1, net)
 	// An empty node cannot serve.
 	s.UpdateState(2, (Msg{Kind: MsgPull, Height: 1}).Payload())
 	if len(net.resps) != 0 {
 		t.Fatal("empty node served a block")
 	}
-	s.Adopt(4, 8)
+	s.adopt(4, 8)
 	// A pull for a height we have is answered with our head block.
 	s.UpdateState(2, (Msg{Kind: MsgPull, Height: 3}).Payload())
 	if len(net.resps) != 1 || net.resps[0] != (fakeMsg{1, 2, Msg{Kind: MsgBlock, Height: 4, Batch: 8}}) {
@@ -115,7 +118,7 @@ func TestChainProposeAndCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := &fakeNet{}
-	proposer := NewState(0, net)
+	proposer := newState(0, net)
 
 	// An empty mempool proposes nothing.
 	if c.TryPropose(10, proposer) {
@@ -128,8 +131,8 @@ func TestChainProposeAndCommit(t *testing.T) {
 	if h, b := proposer.Head(); h != 1 || b != 3 {
 		t.Errorf("proposer head = (%d, %d), want (1, 3): the batch cap binds", h, b)
 	}
-	if c.Pending() != 2 || c.Proposed() != 1 || c.Backlog() != 1 {
-		t.Errorf("chain after proposal: pending=%d proposed=%d backlog=%d", c.Pending(), c.Proposed(), c.Backlog())
+	if c.Pending() != 2 || c.proposed != 1 || c.Backlog() != 1 {
+		t.Errorf("chain after proposal: pending=%d proposed=%d backlog=%d", c.Pending(), c.proposed, c.Backlog())
 	}
 	if !c.TryPropose(20, proposer) {
 		t.Fatal("second proposal failed")
@@ -147,8 +150,8 @@ func TestChainProposeAndCommit(t *testing.T) {
 	if got := c.CheckCommits(30, len(heads), head, nil); got != 2 {
 		t.Fatalf("committed %d heights, want 2", got)
 	}
-	if c.Committed() != 2 || c.Backlog() != 0 {
-		t.Errorf("committed=%d backlog=%d", c.Committed(), c.Backlog())
+	if c.committed != 2 || c.Backlog() != 0 {
+		t.Errorf("committed=%d backlog=%d", c.committed, c.Backlog())
 	}
 	// Latencies: height 1 proposed at 10, height 2 at 20, both committed at 30.
 	if c.Latency.N() != 2 {
@@ -169,7 +172,7 @@ func TestChainCommitRespectsOnlineQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := &fakeNet{}
-	proposer := NewState(0, net)
+	proposer := newState(0, net)
 	c.Submit(1)
 	if !c.TryPropose(0, proposer) {
 		t.Fatal("proposal failed")
@@ -191,18 +194,6 @@ func TestChainCommitRespectsOnlineQuorum(t *testing.T) {
 	c.TryPropose(3, proposer)
 	if c.CheckCommits(4, len(heads), head, allOff) != 0 {
 		t.Error("committed with the whole network offline")
-	}
-}
-
-func TestChainSkippedProposals(t *testing.T) {
-	c, err := NewChain(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SkipProposal()
-	c.SkipProposal()
-	if c.SkippedProposals() != 2 {
-		t.Errorf("SkippedProposals = %d, want 2", c.SkippedProposals())
 	}
 }
 
@@ -231,7 +222,7 @@ func TestSteadyStatePathAllocationFree(t *testing.T) {
 	}
 	states := make([]*State, 8)
 	for i := range states {
-		states[i] = NewState(protocol.NodeID(i), nopNet{})
+		states[i] = newState(protocol.NodeID(i), nopNet{})
 	}
 	_ = net
 	head := func(i int) uint64 { h, _ := states[i].Head(); return h }

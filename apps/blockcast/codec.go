@@ -92,11 +92,11 @@ func (m Msg) Payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindBlockcast, m.Word())
 }
 
-// MsgFromWord decodes a wire word. It rejects structurally invalid words —
+// msgFromWord decodes a wire word. It rejects structurally invalid words —
 // the unused kind, out-of-range combinations like a pull with a batch or a
 // block without one — by returning ok=false; it never panics, whatever the
 // word (the fuzz target pins this).
-func MsgFromWord(word uint64) (Msg, bool) {
+func msgFromWord(word uint64) (Msg, bool) {
 	m := Msg{
 		Kind:   MsgKind(word >> 62),
 		Batch:  uint32(word >> heightBits & MaxBatch),
@@ -114,7 +114,7 @@ func MsgFromPayload(p protocol.Payload) (Msg, bool) {
 	if p.Kind != protocol.KindBlockcast {
 		return Msg{}, false
 	}
-	return MsgFromWord(p.Word)
+	return msgFromWord(p.Word)
 }
 
 // The wire-size model, in bytes. The numbers follow the shape of a ByzCoin
@@ -135,11 +135,11 @@ const (
 	TxBytes = 250
 )
 
-// WireSize returns the modeled wire size in bytes of the message encoded in
+// wireSize returns the modeled wire size in bytes of the message encoded in
 // word. Invalid words weigh one byte (the protocol never sends them; the
 // floor only keeps the accounting total monotone for arbitrary input).
-func WireSize(word uint64) int {
-	m, ok := MsgFromWord(word)
+func wireSize(word uint64) int {
+	m, ok := msgFromWord(word)
 	if !ok {
 		return 1
 	}
@@ -153,5 +153,5 @@ func WireSize(word uint64) int {
 }
 
 func init() {
-	protocol.RegisterPayloadSizer(protocol.KindBlockcast, WireSize)
+	protocol.RegisterPayloadSizer(protocol.KindBlockcast, wireSize)
 }

@@ -18,7 +18,7 @@ func TestMsgWordRoundTrip(t *testing.T) {
 		{Kind: MsgBlock, Height: 999, Batch: MaxBatch},
 	}
 	for _, m := range cases {
-		got, ok := MsgFromWord(m.Word())
+		got, ok := msgFromWord(m.Word())
 		if !ok || got != m {
 			t.Errorf("round trip of %+v: got %+v, ok=%v", m, got, ok)
 		}
@@ -47,7 +47,7 @@ func TestMsgFromWordRejectsInvalid(t *testing.T) {
 		"announce without batch": Msg{Kind: MsgAnnounce, Height: 9, Batch: 2}.Word() &^ (uint64(MaxBatch) << heightBits),
 	}
 	for name, word := range invalid {
-		if m, ok := MsgFromWord(word); ok {
+		if m, ok := msgFromWord(word); ok {
 			t.Errorf("%s (word %#x) decoded to %+v, want rejection", name, word, m)
 		}
 		if m, ok := MsgFromPayload(protocol.WordPayload(protocol.KindBlockcast, word)); ok {
@@ -77,8 +77,8 @@ func TestWireSize(t *testing.T) {
 		{Msg{Kind: MsgBlock, Height: 5, Batch: 64}, BlockHeaderBytes + 64*TxBytes},
 	}
 	for _, c := range cases {
-		if got := WireSize(c.m.Word()); got != c.want {
-			t.Errorf("WireSize(%+v) = %d, want %d", c.m, got, c.want)
+		if got := wireSize(c.m.Word()); got != c.want {
+			t.Errorf("wireSize(%+v) = %d, want %d", c.m, got, c.want)
 		}
 		// The registered sizer is the same function, reachable through the
 		// protocol's slow-path lookup.
@@ -86,8 +86,8 @@ func TestWireSize(t *testing.T) {
 			t.Errorf("PayloadSize(%+v) = %d, want %d", c.m, got, c.want)
 		}
 	}
-	if got := WireSize(3 << 62); got != 1 {
-		t.Errorf("WireSize of an invalid word = %d, want 1", got)
+	if got := wireSize(3 << 62); got != 1 {
+		t.Errorf("wireSize of an invalid word = %d, want 1", got)
 	}
 }
 
@@ -113,7 +113,7 @@ func FuzzMsgWord(f *testing.F) {
 	f.Add(uint64(3) << 62)
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, word uint64) {
-		m, ok := MsgFromWord(word)
+		m, ok := msgFromWord(word)
 		if ok {
 			if m.Word() != word {
 				t.Errorf("accepted word %#x re-encodes to %#x", word, m.Word())
@@ -121,11 +121,11 @@ func FuzzMsgWord(f *testing.F) {
 		} else if m != (Msg{}) {
 			t.Errorf("rejected word %#x left a partial message %+v", word, m)
 		}
-		if size := WireSize(word); size < 1 {
-			t.Errorf("WireSize(%#x) = %d, want ≥ 1", word, size)
+		if size := wireSize(word); size < 1 {
+			t.Errorf("wireSize(%#x) = %d, want ≥ 1", word, size)
 		}
 		if pm, pok := MsgFromPayload(protocol.WordPayload(protocol.KindBlockcast, word)); pok != ok || pm != m {
-			t.Errorf("MsgFromPayload = %+v, %v disagrees with MsgFromWord = %+v, %v for word %#x", pm, pok, m, ok, word)
+			t.Errorf("MsgFromPayload = %+v, %v disagrees with msgFromWord = %+v, %v for word %#x", pm, pok, m, ok, word)
 		}
 	})
 }

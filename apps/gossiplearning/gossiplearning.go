@@ -30,16 +30,13 @@ type ModelMessage struct {
 }
 
 // Walker is the age-only gossip learning application used by the paper's
-// evaluation. It implements protocol.Application.
+// evaluation. It implements protocol.Application. The zero value is a node
+// holding a fresh model of age zero.
 type Walker struct {
 	age int
 }
 
 var _ protocol.Application = (*Walker)(nil)
-
-// NewWalker returns a gossip learning node state with a freshly initialized
-// model of age zero.
-func NewWalker() *Walker { return &Walker{} }
 
 // Age returns the age (number of visited nodes) of the locally stored model.
 func (w *Walker) Age() int { return w.age }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWalkerUsefulness(t *testing.T) {
-	w := NewWalker()
+	w := &Walker{}
 	if w.Age() != 0 {
 		t.Fatalf("initial age = %d", w.Age())
 	}
@@ -36,7 +36,7 @@ func TestWalkerUsefulness(t *testing.T) {
 }
 
 func TestWalkerIgnoresForeignPayloads(t *testing.T) {
-	w := NewWalker()
+	w := &Walker{}
 	if w.UpdateState(1, protocol.BoxPayload("not a model")) {
 		t.Error("foreign payload reported useful")
 	}
@@ -46,7 +46,7 @@ func TestWalkerIgnoresForeignPayloads(t *testing.T) {
 }
 
 func TestWalkerCreateMessage(t *testing.T) {
-	w := NewWalker()
+	w := &Walker{}
 	w.UpdateState(1, ModelMessage{Age: 4}.Payload())
 	m, ok := ModelMessageFromPayload(w.CreateMessage())
 	if !ok || m.Age != 5 {
@@ -89,7 +89,7 @@ func TestWalkerChainModelsIdealWalk(t *testing.T) {
 	const hops = 50
 	nodes := make([]*Walker, hops+1)
 	for i := range nodes {
-		nodes[i] = NewWalker()
+		nodes[i] = &Walker{}
 	}
 	for i := 0; i < hops; i++ {
 		msg := nodes[i].CreateMessage()

@@ -24,19 +24,14 @@ type LogisticModel struct {
 	Age int
 }
 
-// NewLogisticModel returns a zero-initialized model for the given feature
+// newLogisticModel returns a zero-initialized model for the given feature
 // dimension.
-func NewLogisticModel(dim int) *LogisticModel {
+func newLogisticModel(dim int) *LogisticModel {
 	return &LogisticModel{Weights: make([]float64, dim+1)}
 }
 
-// Clone returns a deep copy of the model.
-func (m *LogisticModel) Clone() *LogisticModel {
-	return &LogisticModel{Weights: append([]float64(nil), m.Weights...), Age: m.Age}
-}
-
-// Predict returns the probability that the example has label +1.
-func (m *LogisticModel) Predict(features []float64) float64 {
+// predict returns the probability that the example has label +1.
+func (m *LogisticModel) predict(features []float64) float64 {
 	return sigmoid(m.score(features))
 }
 
@@ -76,7 +71,7 @@ func (m *LogisticModel) Accuracy(examples []Example) float64 {
 	}
 	correct := 0
 	for _, ex := range examples {
-		p := m.Predict(ex.Features)
+		p := m.predict(ex.Features)
 		if (p >= 0.5 && ex.Label > 0) || (p < 0.5 && ex.Label < 0) {
 			correct++
 		}
@@ -104,7 +99,7 @@ func NewSGDLearner(dim int, example Example, eta float64) (*SGDLearner, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("gossiplearning: non-positive learning rate %v", eta)
 	}
-	return &SGDLearner{model: NewLogisticModel(dim), example: example, eta: eta}, nil
+	return &SGDLearner{model: newLogisticModel(dim), example: example, eta: eta}, nil
 }
 
 // Model returns the locally stored model.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLogisticModelUpdateValidation(t *testing.T) {
-	m := NewLogisticModel(3)
+	m := newLogisticModel(3)
 	if err := m.Update(Example{Features: []float64{1, 2}, Label: 1}, 0.1); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
@@ -23,7 +23,7 @@ func TestLogisticModelUpdateValidation(t *testing.T) {
 func TestLogisticModelLearnsSeparableData(t *testing.T) {
 	const dim = 5
 	data := SyntheticDataset(2000, dim, 0, 42)
-	m := NewLogisticModel(dim)
+	m := newLogisticModel(dim)
 	for epoch := 0; epoch < 5; epoch++ {
 		for _, ex := range data {
 			if err := m.Update(ex, 1.0); err != nil {
@@ -36,34 +36,21 @@ func TestLogisticModelLearnsSeparableData(t *testing.T) {
 	}
 }
 
-func TestLogisticModelClone(t *testing.T) {
-	m := NewLogisticModel(2)
-	if err := m.Update(Example{Features: []float64{1, -1}, Label: 1}, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	c := m.Clone()
-	c.Weights[0] = 99
-	c.Age = 42
-	if m.Weights[0] == 99 || m.Age == 42 {
-		t.Error("Clone shares state with the original")
-	}
-}
-
 func TestPredictRange(t *testing.T) {
-	m := NewLogisticModel(2)
+	m := newLogisticModel(2)
 	m.Weights = []float64{10, -10, 0}
-	p := m.Predict([]float64{1, 0})
+	p := m.predict([]float64{1, 0})
 	if p <= 0.5 || p > 1 {
 		t.Errorf("Predict = %v, want in (0.5, 1]", p)
 	}
-	q := m.Predict([]float64{0, 1})
+	q := m.predict([]float64{0, 1})
 	if q >= 0.5 || q < 0 {
 		t.Errorf("Predict = %v, want in [0, 0.5)", q)
 	}
 }
 
 func TestAccuracyEmpty(t *testing.T) {
-	if NewLogisticModel(2).Accuracy(nil) != 0 {
+	if newLogisticModel(2).Accuracy(nil) != 0 {
 		t.Error("Accuracy(nil) != 0")
 	}
 }

@@ -31,9 +31,9 @@ func (m WeightMessage) Payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindWeight, math.Float64bits(m.X))
 }
 
-// WeightMessageFromPayload decodes a weight message from its word-encoded
+// weightMessageFromPayload decodes a weight message from its word-encoded
 // form, which every runtime and transport delivers unchanged.
-func WeightMessageFromPayload(p protocol.Payload) (WeightMessage, bool) {
+func weightMessageFromPayload(p protocol.Payload) (WeightMessage, bool) {
 	if p.Kind != protocol.KindWeight {
 		return WeightMessage{}, false
 	}
@@ -97,10 +97,10 @@ func (s *State) refresh() {
 	s.recompute = false
 }
 
-// Value returns the node's current eigenvector-element approximation,
+// current returns the node's current eigenvector-element approximation,
 // recomputing it from the buffers if a fresh weight arrived since the last
 // read.
-func (s *State) Value() float64 {
+func (s *State) current() float64 {
 	if s.recompute {
 		s.refresh()
 	}
@@ -110,7 +110,7 @@ func (s *State) Value() float64 {
 // CreateMessage copies the current value, recomputing it from the buffered
 // in-neighbour values first (line 4 of Algorithm 3).
 func (s *State) CreateMessage() protocol.Payload {
-	return WeightMessage{X: s.Value()}.Payload()
+	return WeightMessage{X: s.current()}.Payload()
 }
 
 // UpdateState implements ONWEIGHT: store the received value in the buffer of
@@ -119,7 +119,7 @@ func (s *State) CreateMessage() protocol.Payload {
 // in the local state"). Messages from nodes that are not in-neighbours (which
 // cannot happen over a fixed overlay) are ignored.
 func (s *State) UpdateState(from protocol.NodeID, payload protocol.Payload) bool {
-	m, ok := WeightMessageFromPayload(payload)
+	m, ok := weightMessageFromPayload(payload)
 	if !ok {
 		return false
 	}
@@ -136,13 +136,13 @@ func (s *State) UpdateState(from protocol.NodeID, payload protocol.Payload) bool
 }
 
 // String returns a short description for logs.
-func (s *State) String() string { return fmt.Sprintf("poweriter(node=%d,x=%g)", s.self, s.Value()) }
+func (s *State) String() string { return fmt.Sprintf("poweriter(node=%d,x=%g)", s.self, s.current()) }
 
 // Vector collects the current value of every node into a dense vector.
 func Vector(states []*State) []float64 {
 	v := make([]float64, len(states))
 	for i, s := range states {
-		v[i] = s.Value()
+		v[i] = s.current()
 	}
 	return v
 }

@@ -9,8 +9,20 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
+// ring returns the directed ring in which node i links to the k nodes that
+// follow it.
+func ring(n, k int) (*overlay.Graph, error) {
+	out := make([][]int, n)
+	for i := range out {
+		for d := 1; d <= k; d++ {
+			out[i] = append(out[i], (i+d)%n)
+		}
+	}
+	return overlay.NewFromOut(out)
+}
+
 func TestNewValidation(t *testing.T) {
-	g, _ := overlay.Ring(5, 1)
+	g, _ := ring(5, 1)
 	if _, err := New(nil, 0); err == nil {
 		t.Error("nil graph accepted")
 	}
@@ -23,24 +35,24 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestInitialValueFromBuffers(t *testing.T) {
-	// Ring(4,1): node i has exactly one in-neighbour with out-degree 1, so
+	// ring(4,1): node i has exactly one in-neighbour with out-degree 1, so
 	// the initial value is 1·InitialBufferValue.
-	g, _ := overlay.Ring(4, 1)
+	g, _ := ring(4, 1)
 	s, err := New(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Value() != InitialBufferValue {
-		t.Errorf("initial value = %v, want %v", s.Value(), InitialBufferValue)
+	if s.current() != InitialBufferValue {
+		t.Errorf("initial value = %v, want %v", s.current(), InitialBufferValue)
 	}
-	m, ok := WeightMessageFromPayload(s.CreateMessage())
+	m, ok := weightMessageFromPayload(s.CreateMessage())
 	if !ok || m.X != InitialBufferValue {
 		t.Errorf("CreateMessage = %#v", m)
 	}
 }
 
 func TestUpdateStateUsefulness(t *testing.T) {
-	g, _ := overlay.Ring(4, 2) // node 0 has in-neighbours 2 and 3
+	g, _ := ring(4, 2) // node 0 has in-neighbours 2 and 3
 	s, err := New(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +64,11 @@ func TestUpdateStateUsefulness(t *testing.T) {
 		t.Error("unchanged value reported useful")
 	}
 	// A different value is useful and changes the local value.
-	before := s.Value()
+	before := s.current()
 	if !s.UpdateState(from, WeightMessage{X: 3}.Payload()) {
 		t.Error("changed value not reported useful")
 	}
-	if s.Value() == before {
+	if s.current() == before {
 		t.Error("value did not change after buffer update")
 	}
 	// Messages from non-in-neighbours are ignored.
@@ -75,7 +87,7 @@ func TestUpdateStateUsefulness(t *testing.T) {
 func TestValueRecomputation(t *testing.T) {
 	// Node 0 in Ring(4,2) has in-neighbours 2 and 3, each with out-degree 2,
 	// so x_0 = (b_2 + b_3)/2.
-	g, _ := overlay.Ring(4, 2)
+	g, _ := ring(4, 2)
 	s, err := New(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +95,7 @@ func TestValueRecomputation(t *testing.T) {
 	in := g.InNeighbors(0)
 	s.UpdateState(protocol.NodeID(in[0]), WeightMessage{X: 4}.Payload())
 	s.UpdateState(protocol.NodeID(in[1]), WeightMessage{X: 2}.Payload())
-	if got := s.Value(); math.Abs(got-3) > 1e-12 {
+	if got := s.current(); math.Abs(got-3) > 1e-12 {
 		t.Errorf("Value = %v, want 3", got)
 	}
 }
@@ -208,7 +220,7 @@ func TestAsynchronousRandomGossipConverges(t *testing.T) {
 }
 
 func TestVectorHelper(t *testing.T) {
-	g, _ := overlay.Ring(5, 1)
+	g, _ := ring(5, 1)
 	states := make([]*State, 5)
 	for i := range states {
 		st, err := New(g, i)
@@ -231,7 +243,7 @@ func TestVectorHelper(t *testing.T) {
 func TestWeightPayloadRoundTrip(t *testing.T) {
 	for _, x := range []float64{0, 1, -3.25, 1e-300} {
 		m := WeightMessage{X: x}
-		got, ok := WeightMessageFromPayload(m.Payload())
+		got, ok := weightMessageFromPayload(m.Payload())
 		if !ok || got != m {
 			t.Errorf("round trip of %+v = %+v, %v", m, got, ok)
 		}

@@ -63,7 +63,7 @@ func (s *State) CreateMessage() protocol.Payload { return Update{Seq: s.seq}.Pay
 // and reports usefulness accordingly ("usefulness is 1 if and only if the
 // received message contains a newer update than the locally stored update").
 func (s *State) UpdateState(_ protocol.NodeID, payload protocol.Payload) bool {
-	u, ok := UpdateFromPayload(payload)
+	u, ok := updateFromPayload(payload)
 	if !ok {
 		return false
 	}
@@ -81,9 +81,9 @@ func (u Update) Payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindUpdateSeq, uint64(u.Seq))
 }
 
-// UpdateFromPayload decodes an update from its word-encoded form, which every
+// updateFromPayload decodes an update from its word-encoded form, which every
 // runtime and transport delivers unchanged.
-func UpdateFromPayload(p protocol.Payload) (Update, bool) {
+func updateFromPayload(p protocol.Payload) (Update, bool) {
 	if p.Kind != protocol.KindUpdateSeq {
 		return Update{}, false
 	}
@@ -122,24 +122,4 @@ func LagOnline(states []State, online func(i int) bool, latest int64) float64 {
 		return 0
 	}
 	return sum / float64(count)
-}
-
-// Coverage returns the fraction of considered nodes whose known update is at
-// least minSeq. It is an auxiliary metric used in tests and examples (e.g. to
-// measure how quickly a single broadcast reaches the network).
-func Coverage(states []State, online func(i int) bool, minSeq int64) float64 {
-	count, total := 0, 0
-	for i := range states {
-		if online != nil && !online(i) {
-			continue
-		}
-		total++
-		if states[i].seq >= minSeq {
-			count++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(count) / float64(total)
 }

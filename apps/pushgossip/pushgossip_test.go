@@ -46,7 +46,7 @@ func TestInject(t *testing.T) {
 	if s.Seq() != 3 {
 		t.Errorf("seq = %d, want 3", s.Seq())
 	}
-	m, ok := UpdateFromPayload(s.CreateMessage())
+	m, ok := updateFromPayload(s.CreateMessage())
 	if !ok || m.Seq != 3 {
 		t.Errorf("CreateMessage = %#v", m)
 	}
@@ -78,20 +78,6 @@ func TestLagOnline(t *testing.T) {
 	}
 	if got := LagOnline(states, func(int) bool { return false }, 10); got != 0 {
 		t.Errorf("LagOnline with everyone offline = %v, want 0", got)
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	states := []State{{seq: 5}, {seq: 2}, {seq: NoUpdate}, {seq: 7}}
-	if got := Coverage(states, nil, 5); got != 0.5 {
-		t.Errorf("Coverage = %v, want 0.5", got)
-	}
-	online := func(i int) bool { return i < 2 }
-	if got := Coverage(states, online, 3); got != 0.5 {
-		t.Errorf("Coverage online = %v, want 0.5", got)
-	}
-	if got := Coverage(nil, nil, 0); got != 0 {
-		t.Errorf("Coverage of empty = %v", got)
 	}
 }
 
@@ -128,13 +114,13 @@ func TestPayloadRoundTrip(t *testing.T) {
 	// Seq may be negative (NoUpdate): the two's-complement word must round-trip.
 	for _, seq := range []int64{NoUpdate, 0, 7, 1 << 40} {
 		u := Update{Seq: seq}
-		got, ok := UpdateFromPayload(u.Payload())
+		got, ok := updateFromPayload(u.Payload())
 		if !ok || got != u {
 			t.Errorf("round trip of %+v = %+v, %v", u, got, ok)
 		}
 	}
 	// No transport boxes an update, so a boxed payload is foreign.
-	if _, ok := UpdateFromPayload(protocol.BoxPayload(Update{Seq: 3})); ok {
+	if _, ok := updateFromPayload(protocol.BoxPayload(Update{Seq: 3})); ok {
 		t.Error("boxed payload decoded")
 	}
 }

@@ -65,6 +65,14 @@ func run(args []string, w io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Config.WithDefaults reads a zero as unset, so -rounds 0 would run the
+	// paper's 1000 rounds: reject it here, where zero is an explicit value.
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds = %d, want ≥ 1", *rounds)
+	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps = %d, want ≥ 1", *reps)
+	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		return err
@@ -211,7 +219,7 @@ func run(args []string, w io.Writer) (err error) {
 			fmt.Fprintf(w, "\t%g", res.InjectionsSkipped)
 		}
 		if summaryCols != nil {
-			fmt.Fprintf(w, "\t%.3f", res.BytesSent/float64(*n)/float64(*rounds))
+			fmt.Fprintf(w, "\t%.3f", res.BytesSent/float64(*n)/float64(res.Config.Rounds))
 			for k := range summaryCols {
 				v := 0.0
 				if k < len(res.Summary) {

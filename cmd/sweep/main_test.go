@@ -1,6 +1,9 @@
 package main
 
 import (
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +30,44 @@ func TestSweepSimpleGrid(t *testing.T) {
 	}
 	if !strings.Contains(got, "simple(C=") {
 		t.Error("missing simple strategy rows")
+	}
+}
+
+// TestSweepBytesPerRoundIsFinite runs a blockcast sweep, the one app whose
+// rows carry bytes_per_node_per_round, and requires every row's value to be
+// a finite number, positive on the proactive baseline row (strategies with a
+// large capacity may not spend a token in 20 rounds): the column is divided
+// by the rounds the run actually simulated, which -rounds 0 once left at
+// zero (+Inf).
+func TestSweepBytesPerRoundIsFinite(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-app", "blockcast", "-kind", "simple", "-n", "40", "-rounds", "20"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	col, rows := -1, 0
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Split(line, "\t")
+		if col < 0 {
+			col = slices.Index(fields, "bytes_per_node_per_round")
+			if col < 0 {
+				t.Fatalf("no bytes_per_node_per_round column in header %q", line)
+			}
+			continue
+		}
+		rows++
+		v, err := strconv.ParseFloat(fields[col], 64)
+		if err != nil || !(v >= 0) || math.IsInf(v, 0) {
+			t.Errorf("row %q: bytes_per_node_per_round = %q, want a finite number", line, fields[col])
+		}
+		if fields[0] == "proactive" && !(v > 0) {
+			t.Errorf("proactive row %q: bytes_per_node_per_round = %q, want > 0", line, fields[col])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no rows")
 	}
 }
 
@@ -182,6 +223,24 @@ func TestSweepWorkloadRequiresArrivalConsumer(t *testing.T) {
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "does not consume arrival workloads") {
 		t.Errorf("err = %v, want arrival-consumer rejection", err)
+	}
+}
+
+// TestRoundsAndRepsMustBePositive pins that -rounds and -reps below 1 are
+// flag errors: -rounds 0 used to run the paper's 1000 rounds under a header
+// that said 0, because the experiment layer reads a zero as unset.
+func TestRoundsAndRepsMustBePositive(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-rounds", "0"}, {"-rounds", "-1"}, {"-reps", "0"}, {"-reps", "-2"},
+	} {
+		var out strings.Builder
+		err := run([]string{"-app", "blockcast", "-kind", "simple", "-n", "40", c.flag, c.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s %s: got error %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s printed %q before failing", c.flag, c.value, out.String())
+		}
 	}
 }
 

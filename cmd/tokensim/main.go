@@ -22,7 +22,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/metrics"
 
 	// Registered scenarios beyond the paper built-ins. Adding a workload is
-	// one blank import here plus a RegisterScenario call in its package — the
+	// one blank import here plus a MustRegisterScenario call in its package — the
 	// experiment pipeline itself never changes.
 	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
 )
@@ -57,6 +57,14 @@ func run(args []string, w io.Writer) (err error) {
 	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Config.WithDefaults reads a zero as unset, so -rounds 0 would run the
+	// paper's 1000 rounds: reject it here, where zero is an explicit value.
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds = %d, want ≥ 1", *rounds)
+	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps = %d, want ≥ 1", *reps)
 	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {

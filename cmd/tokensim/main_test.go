@@ -223,6 +223,24 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRoundsAndRepsMustBePositive pins that -rounds and -reps below 1 are
+// flag errors: -rounds 0 used to run the paper's 1000 rounds under a header
+// that said 0, because the experiment layer reads a zero as unset.
+func TestRoundsAndRepsMustBePositive(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-rounds", "0"}, {"-rounds", "-1"}, {"-reps", "0"}, {"-reps", "-2"},
+	} {
+		var out strings.Builder
+		err := run([]string{"-app", "push-gossip", "-n", "40", c.flag, c.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s %s: got error %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s printed %q before failing", c.flag, c.value, out.String())
+		}
+	}
+}
+
 // TestProfileFlags checks that -cpuprofile, -memprofile and -trace leave
 // non-empty files behind without touching the run's output, and that an
 // unwritable path is an error rather than a silently missing file.

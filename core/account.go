@@ -1,13 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrOverspend is returned by Account.Spend when the requested amount exceeds
-// the balance and overspending is not allowed.
-var ErrOverspend = errors.New("core: token account overspend")
+import "fmt"
 
 // Account is a node-local token account: a (normally non-negative) integer
 // balance that is credited once per proactive period and debited when
@@ -20,16 +13,9 @@ type Account struct {
 	allowOverspend bool
 }
 
-// NewAccount returns an account holding initial tokens. If allowOverspend is
-// true the balance may go negative (needed only by the pure reactive
-// strategy).
-func NewAccount(initial int, allowOverspend bool) *Account {
-	a := MakeAccount(initial, allowOverspend)
-	return &a
-}
-
-// MakeAccount returns an account value holding initial tokens. It is the
-// value-typed counterpart of NewAccount for callers that embed accounts in
+// MakeAccount returns an account value holding initial tokens. If
+// allowOverspend is true the balance may go negative (needed only by the pure
+// reactive strategy). Accounts are values so that callers embed them in
 // larger structures (the protocol state slab) instead of allocating one heap
 // object per node.
 func MakeAccount(initial int, allowOverspend bool) Account {
@@ -46,19 +32,6 @@ func (a *Account) Deposit(n int) {
 		panic(fmt.Sprintf("core: Deposit(%d): negative amount", n))
 	}
 	a.balance += n
-}
-
-// Spend debits n ≥ 0 tokens. If n exceeds the balance and overspending is
-// forbidden, no tokens are spent and ErrOverspend is returned.
-func (a *Account) Spend(n int) error {
-	if n < 0 {
-		panic(fmt.Sprintf("core: Spend(%d): negative amount", n))
-	}
-	if !a.allowOverspend && n > a.balance {
-		return fmt.Errorf("spend %d with balance %d: %w", n, a.balance, ErrOverspend)
-	}
-	a.balance -= n
-	return nil
 }
 
 // SpendUpTo debits min(n, balance) tokens (or n when overspending is

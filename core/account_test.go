@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -14,38 +13,32 @@ func TestAccountZeroValue(t *testing.T) {
 	if a.AllowsOverspend() {
 		t.Error("zero-value account must forbid overspending")
 	}
-	if err := a.Spend(1); !errors.Is(err, ErrOverspend) {
-		t.Errorf("Spend(1) on empty account = %v, want ErrOverspend", err)
+	if got := a.SpendUpTo(1); got != 0 {
+		t.Errorf("SpendUpTo(1) on empty account = %d, want 0", got)
 	}
 	if a.Balance() != 0 {
-		t.Errorf("failed spend must not change balance; got %d", a.Balance())
+		t.Errorf("an empty spend must not change the balance; got %d", a.Balance())
 	}
 }
 
 func TestAccountDepositSpend(t *testing.T) {
-	a := NewAccount(3, false)
+	a := MakeAccount(3, false)
 	a.Deposit(2)
 	if a.Balance() != 5 {
 		t.Fatalf("balance = %d, want 5", a.Balance())
 	}
-	if err := a.Spend(4); err != nil {
-		t.Fatalf("Spend(4): %v", err)
+	if got := a.SpendUpTo(4); got != 4 {
+		t.Fatalf("SpendUpTo(4) with balance 5 = %d, want 4", got)
 	}
 	if a.Balance() != 1 {
 		t.Fatalf("balance = %d, want 1", a.Balance())
 	}
-	if err := a.Spend(2); !errors.Is(err, ErrOverspend) {
-		t.Fatalf("Spend(2) with balance 1: err = %v, want ErrOverspend", err)
-	}
-	if a.Balance() != 1 {
-		t.Fatalf("balance after failed spend = %d, want 1", a.Balance())
-	}
 }
 
 func TestAccountOverspendAllowed(t *testing.T) {
-	a := NewAccount(0, true)
-	if err := a.Spend(3); err != nil {
-		t.Fatalf("Spend with overspend allowed: %v", err)
+	a := MakeAccount(0, true)
+	if got := a.SpendUpTo(3); got != 3 {
+		t.Fatalf("SpendUpTo(3) with overspend allowed = %d, want 3", got)
 	}
 	if a.Balance() != -3 {
 		t.Fatalf("balance = %d, want -3", a.Balance())
@@ -53,7 +46,7 @@ func TestAccountOverspendAllowed(t *testing.T) {
 }
 
 func TestAccountSpendUpTo(t *testing.T) {
-	a := NewAccount(2, false)
+	a := MakeAccount(2, false)
 	if got := a.SpendUpTo(5); got != 2 {
 		t.Errorf("SpendUpTo(5) = %d, want 2", got)
 	}
@@ -64,7 +57,7 @@ func TestAccountSpendUpTo(t *testing.T) {
 		t.Errorf("SpendUpTo(1) on empty = %d, want 0", got)
 	}
 
-	b := NewAccount(1, true)
+	b := MakeAccount(1, true)
 	if got := b.SpendUpTo(4); got != 4 {
 		t.Errorf("SpendUpTo(4) with overspend = %d, want 4", got)
 	}
@@ -83,15 +76,14 @@ func TestAccountNegativeAmountsPanic(t *testing.T) {
 		}()
 		f()
 	}
-	a := NewAccount(0, false)
+	a := MakeAccount(0, false)
 	assertPanics("Deposit(-1)", func() { a.Deposit(-1) })
-	assertPanics("Spend(-1)", func() { _ = a.Spend(-1) })
 	assertPanics("SpendUpTo(-1)", func() { a.SpendUpTo(-1) })
 }
 
 func TestQuickAccountNeverNegativeWithoutOverspend(t *testing.T) {
 	f := func(ops []int16) bool {
-		a := NewAccount(0, false)
+		a := MakeAccount(0, false)
 		for _, op := range ops {
 			amount := int(op)
 			if amount >= 0 {
@@ -113,7 +105,7 @@ func TestQuickAccountNeverNegativeWithoutOverspend(t *testing.T) {
 func TestQuickAccountConservation(t *testing.T) {
 	// Deposited minus successfully spent tokens equals the balance.
 	f := func(ops []int16) bool {
-		a := NewAccount(0, false)
+		a := MakeAccount(0, false)
 		deposited, spent := 0, 0
 		for _, op := range ops {
 			amount := int(op)

@@ -79,21 +79,18 @@ func (e *Envelope) Record(t float64) {
 			Start:   e.startTime,
 			End:     t,
 			Sent:    j - e.startIndex + 1,
-			Allowed: e.Bound(t - e.startTime),
+			Allowed: e.bound(t - e.startTime),
 		}
 	}
 }
 
-// Count returns the number of recorded sends.
-func (e *Envelope) Count() int { return e.count }
-
-// Bound returns the maximum number of messages permitted in a closed window
+// bound returns the maximum number of messages permitted in a closed window
 // of length t: floor(t/Δ) + 1 + C. This is the closed-interval form of the
 // paper's ⌈t/Δ⌉ + C bound: a closed window of length t can contain at most
 // floor(t/Δ)+1 proactive-period boundaries (token grants), and at most C
 // banked tokens can be spent on top of those. For window lengths that are not
 // exact multiples of Δ the two forms coincide.
-func (e *Envelope) Bound(t float64) int {
+func (e *Envelope) bound(t float64) int {
 	if t < 0 {
 		t = 0
 	}

@@ -21,7 +21,7 @@ func TestEnvelopeBound(t *testing.T) {
 		{-1, 4},
 	}
 	for _, tc := range tests {
-		if got := e.Bound(tc.window); got != tc.want {
+		if got := e.bound(tc.window); got != tc.want {
 			t.Errorf("Bound(%v) = %d, want %d", tc.window, got, tc.want)
 		}
 	}
@@ -38,8 +38,8 @@ func TestEnvelopeVerifyCompliant(t *testing.T) {
 	if v := e.Verify(); v != nil {
 		t.Errorf("Verify() = %v, want nil", v)
 	}
-	if e.Count() != 22 {
-		t.Errorf("Count() = %d, want 22", e.Count())
+	if e.count != 22 {
+		t.Errorf("count = %d, want 22", e.count)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestEnvelopeTokenAccountSimulation(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1234))
-			acct := NewAccount(0, false)
+			acct := MakeAccount(0, false)
 			env := NewEnvelope(delta, s.Capacity())
 			now := 0.0
 			for round := 0; round < 500; round++ {
@@ -146,7 +146,7 @@ func verifyPairwise(delta float64, capacity int, sends []float64) (v *Violation,
 				}
 			}
 			sent := j - i + 1
-			if allowed := e.Bound(window); sent > allowed && v == nil {
+			if allowed := e.bound(window); sent > allowed && v == nil {
 				v = &Violation{Start: sends[i], End: sends[j], Sent: sent, Allowed: allowed}
 			}
 		}
@@ -196,9 +196,9 @@ func TestEnvelopeMatchesPairwiseScan(t *testing.T) {
 				inWindow++
 			}
 		}
-		if inWindow != got.Sent || got.Sent <= got.Allowed || got.Allowed != e.Bound(got.End-got.Start) {
+		if inWindow != got.Sent || got.Sent <= got.Allowed || got.Allowed != e.bound(got.End-got.Start) {
 			t.Fatalf("trial %d: reported %+v, but the window holds %d sends and allows %d",
-				trial, got, inWindow, e.Bound(got.End-got.Start))
+				trial, got, inWindow, e.bound(got.End-got.Start))
 		}
 	}
 	if compared < 2000 || violating < 200 || compared-violating < 200 {
@@ -288,8 +288,8 @@ func TestEnvelopeConstantSize(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Record allocates %v times per call", allocs)
 	}
-	if e.Count() < 1_000_000 {
-		t.Fatalf("Count() = %d", e.Count())
+	if e.count < 1_000_000 {
+		t.Fatalf("count = %d", e.count)
 	}
 	if v := e.Verify(); v != nil {
 		t.Errorf("Verify() = %v on a compliant trace", v)

@@ -279,6 +279,9 @@ func NewPureReactive(k int, onlyUseful bool) (PureReactive, error) {
 }
 
 // MustPureReactive is like NewPureReactive but panics on invalid parameters.
+// Only tests call it (protocol, runtime, simnet), to build the flooding
+// reference with fixed, valid parameters; it stays exported as that fixture,
+// beside the Must constructors of the other strategy families.
 func MustPureReactive(k int, onlyUseful bool) PureReactive {
 	s, err := NewPureReactive(k, onlyUseful)
 	if err != nil {

@@ -16,7 +16,7 @@
 //     reproduction of every figure of the paper's evaluation. The experiment
 //     layer is a registry-based plugin architecture: applications, failure
 //     scenarios and strategy families are drivers registered by name
-//     (experiment.RegisterApplication, RegisterScenario, RegisterStrategy),
+//     (experiment.MustRegisterApplication, MustRegisterScenario, MustRegisterStrategy),
 //     and the paper's workloads are self-registering built-ins;
 //   - scenarios/crashburst: a correlated-failure scenario added purely
 //     through the registry, as the model for external extensions;

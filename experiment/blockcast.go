@@ -204,7 +204,7 @@ func (r *blockcastRun) Start(rc *RunContext) {
 // propose runs one proposal slot: the slot belongs to node round mod N, and
 // under churn it advances deterministically to the next online node so an
 // offline leader costs nothing but the scan. A slot with no online proposer
-// or an empty mempool is recorded as skipped.
+// or an empty mempool produces no block.
 func (r *blockcastRun) propose(h *runtime.Host, round int) {
 	n := len(r.states)
 	start := round % n
@@ -213,12 +213,9 @@ func (r *blockcastRun) propose(h *runtime.Host, round int) {
 		if !h.Online(p) {
 			continue
 		}
-		if !r.chain.TryPropose(h.Env().Now(), r.states[p]) {
-			r.chain.SkipProposal()
-		}
+		r.chain.TryPropose(h.Env().Now(), r.states[p])
 		return
 	}
-	r.chain.SkipProposal()
 }
 
 // OnRejoin is the §4.1.2 catch-up for blockcast: a rejoining node sends one

@@ -12,7 +12,7 @@ import (
 // runs on, constructs per-run state, and samples the application performance
 // metric. The three paper applications are built-in drivers registered under
 // their names ("gossip-learning", "push-gossip", "chaotic-iteration");
-// external workloads plug in through RegisterApplication without touching the
+// external workloads plug in through MustRegisterApplication without touching the
 // generic run pipeline.
 //
 // A driver may additionally implement ConfigValidator and MetricFinisher to
@@ -54,7 +54,7 @@ type AppRun interface {
 // operation) and, through the trace, the lifecycle events — most importantly
 // the rejoin transitions that feed RejoinHandler hooks such as the push
 // gossip pull. The two paper scenarios are built-ins; external scenarios
-// plug in through RegisterScenario.
+// plug in through MustRegisterScenario.
 type ScenarioDriver interface {
 	// Name is the canonical registry name, used by ParseScenario and in
 	// Config.Label.
@@ -153,7 +153,7 @@ type RunSummarizer interface {
 // ("sim": the discrete-event engine in virtual time, the paper's setup, or
 // its sharded variant), LiveRuntime ("live": wall-clock timers over the
 // in-process memory bus) and LiveTCPRuntime ("live-tcp": the same over
-// loopback TCP sockets); external runtimes plug in through RegisterRuntime.
+// loopback TCP sockets); external runtimes plug in through MustRegisterRuntime.
 type RuntimeDriver interface {
 	// Name is the canonical registry name, used by ParseRuntime.
 	Name() string

@@ -5,8 +5,8 @@
 //
 // The experiment layer is open: applications, scenarios, strategy families
 // and execution runtimes are drivers resolved through name-keyed registries
-// (RegisterApplication, RegisterScenario, RegisterStrategy,
-// RegisterRuntime). The paper's three applications (gossip learning, push
+// (MustRegisterApplication, MustRegisterScenario, MustRegisterStrategy,
+// MustRegisterRuntime). The paper's three applications (gossip learning, push
 // gossip, chaotic power iteration), its two scenarios (failure-free,
 // smartphone trace), its five strategy kinds and the three runtimes (the
 // discrete-event simulator, the wall-clock live runtime and its TCP

@@ -61,12 +61,12 @@ func (o Options) reps(def int) int {
 	return def
 }
 
-// RepresentativeStrategies returns the strategy selection plotted in Figures
+// representativeStrategies returns the strategy selection plotted in Figures
 // 2–4: the proactive baseline plus representative simple, generalized and
 // randomized parameterizations covering the behaviours discussed in §4.2
 // (aggressive A = 1 variants, the robust A = 5, C = 10 and A = 10, C = 20
 // settings, and the A = C corner case).
-func RepresentativeStrategies() []StrategySpec {
+func representativeStrategies() []StrategySpec {
 	return []StrategySpec{
 		Proactive(),
 		Simple(10),
@@ -99,7 +99,7 @@ type FigureResult struct {
 // scheduling.
 func figureCurves(id string, app AppDriver, scenario ScenarioDriver, n, rounds, reps int, seed uint64, workers int) (*FigureResult, error) {
 	yLabel := app.MetricLabel()
-	specs := RepresentativeStrategies()
+	specs := representativeStrategies()
 	results, err := Collect(context.Background(), workers, len(specs), func(i int) (*Result, error) {
 		cfg := Config{
 			App:         app,

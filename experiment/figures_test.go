@@ -2,7 +2,10 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"github.com/szte-dcs/tokenaccount/metrics"
 )
 
 // tinyOptions keeps figure reproductions fast enough for unit tests.
@@ -35,10 +38,10 @@ func TestFigure2GossipLearningShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Results) != len(RepresentativeStrategies()) {
-		t.Fatalf("got %d curves, want %d", len(res.Results), len(RepresentativeStrategies()))
+	if len(res.Results) != len(representativeStrategies()) {
+		t.Fatalf("got %d curves, want %d", len(res.Results), len(representativeStrategies()))
 	}
-	if got := len(res.Table.Columns()); got != len(res.Results) {
+	if got := len(tableColumns(t, res.Table)); got != len(res.Results) {
 		t.Fatalf("table has %d columns", got)
 	}
 	// The proactive baseline (first column) must be the slowest or close to
@@ -109,7 +112,7 @@ func TestFigure5PredictionMatchesMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(settings) == 0 || len(table.Columns()) != len(settings) {
+	if len(settings) == 0 || len(tableColumns(t, table)) != len(settings) {
 		t.Fatal("missing Figure 5 curves")
 	}
 	for _, s := range settings {
@@ -147,4 +150,15 @@ func TestOptionsScaling(t *testing.T) {
 	if full.n(500, 5000) != 5000 || full.rounds(200) != DefaultRounds || full.reps(1) != 10 {
 		t.Error("full-scale dimensions not used")
 	}
+}
+
+// tableColumns returns the curve names of table, read from its TSV header.
+func tableColumns(t *testing.T, table *metrics.Table) []string {
+	t.Helper()
+	var buf strings.Builder
+	if err := table.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	return strings.Split(header, "\t")[1:]
 }

@@ -183,7 +183,7 @@ func TestNetworkChangesResults(t *testing.T) {
 func TestLossyNetworkDropsTraffic(t *testing.T) {
 	base := runNetwork(t, networkTestConfig(t))
 	cfg := networkTestConfig(t)
-	cfg.Network = ModelNetwork("lossy", netmodel.Lossy{P: 1, Inner: netmodel.Constant{D: 1}})
+	cfg.Network = newModelNetwork("lossy", netmodel.Lossy{P: 1, Inner: netmodel.Constant{D: 1}})
 	res := runNetwork(t, cfg)
 	if res.MessagesSent == 0 {
 		t.Fatal("no messages sent")
@@ -208,7 +208,7 @@ func TestNetworkValidationInConfig(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("config with a failing network driver accepted")
 	}
-	cfg.Network = ModelNetwork("none", nil)
+	cfg.Network = newModelNetwork("none", nil)
 	if _, err := Run(cfg); err == nil || !strings.HasPrefix(err.Error(), "experiment:") {
 		t.Errorf("config with a driver that builds no model: err = %v, want an experiment: error", err)
 	}

@@ -46,7 +46,7 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		return ModelNetwork("constant", m), nil
+		return newModelNetwork("constant", m), nil
 	}, "fixed")
 	MustRegisterNetwork("uniform", func(args []string) (NetworkDriver, error) {
 		if len(args) != 2 {
@@ -64,7 +64,7 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		return ModelNetwork("uniform", m), nil
+		return newModelNetwork("uniform", m), nil
 	}, "jitter")
 	MustRegisterNetwork("exponential", func(args []string) (NetworkDriver, error) {
 		if len(args) != 1 {
@@ -78,7 +78,7 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		return ModelNetwork("exponential", m), nil
+		return newModelNetwork("exponential", m), nil
 	}, "exp")
 	MustRegisterNetwork("lognormal", func(args []string) (NetworkDriver, error) {
 		if len(args) != 2 {
@@ -96,7 +96,7 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		return ModelNetwork("lognormal", m), nil
+		return newModelNetwork("lognormal", m), nil
 	})
 	MustRegisterNetwork("zones", func(args []string) (NetworkDriver, error) {
 		if len(args) != 3 {
@@ -118,7 +118,7 @@ func init() {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		return ModelNetwork("zones", m), nil
+		return newModelNetwork("zones", m), nil
 	}, "wan")
 	MustRegisterNetwork("lossy", func(args []string) (NetworkDriver, error) {
 		if len(args) < 2 {
@@ -152,7 +152,7 @@ func parseNetFloat(model, field, s string) (float64, error) {
 // latency and loss behaviour one repetition runs under. The built-ins are
 // registered under "constant" (the default), "uniform", "exponential",
 // "lognormal", "zones" and "lossy"; external models plug in through
-// RegisterNetwork.
+// MustRegisterNetwork.
 type NetworkDriver interface {
 	// Name is the canonical registry name, used by ParseNetwork and in
 	// Config.Label.
@@ -163,11 +163,10 @@ type NetworkDriver interface {
 	Model(cfg Config) (netmodel.Model, error)
 }
 
-// ModelNetwork wraps a fixed netmodel.Model as a NetworkDriver, registered
-// or used directly in Config.Network. The driver's label is the model's
-// String form when it has one, so parameterized models stay distinguishable
-// in experiment labels.
-func ModelNetwork(name string, m netmodel.Model) NetworkDriver {
+// newModelNetwork wraps a fixed netmodel.Model as a NetworkDriver. The
+// driver's label is the model's String form when it has one, so
+// parameterized models stay distinguishable in experiment labels.
+func newModelNetwork(name string, m netmodel.Model) NetworkDriver {
 	return modelNetwork{name: name, model: m}
 }
 

@@ -71,6 +71,14 @@ func (r *registry[T]) list() []string {
 	return out
 }
 
+// mustRegister registers v under name and aliases in r, panicking if any of
+// the names is already taken.
+func mustRegister[T any](r *registry[T], name string, v T, aliases []string) {
+	if err := r.register(name, v, aliases...); err != nil {
+		panic(err)
+	}
+}
+
 var (
 	applications = newRegistry[AppDriver]("application")
 	scenarios    = newRegistry[ScenarioFactory]("scenario")
@@ -80,19 +88,12 @@ var (
 	workloads    = newRegistry[WorkloadFactory]("workload")
 )
 
-// RegisterApplication adds an application driver to the registry under
-// driver.Name() and any aliases. It fails if any of the names is already
-// taken.
-func RegisterApplication(driver AppDriver, aliases ...string) error {
-	return applications.register(driver.Name(), driver, aliases...)
-}
-
-// MustRegisterApplication is RegisterApplication, panicking on error. It is
-// meant for init-time registration of package-level drivers.
+// MustRegisterApplication adds an application driver to the registry under
+// driver.Name() and any aliases. It panics if any of the names is already
+// taken: it is meant for init-time registration of package-level drivers,
+// where a clash is a programming error.
 func MustRegisterApplication(driver AppDriver, aliases ...string) {
-	if err := RegisterApplication(driver, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(applications, driver.Name(), driver, aliases)
 }
 
 // ParseApplication resolves an application spec string of the form
@@ -127,27 +128,20 @@ func Applications() []string { return applications.list() }
 // slice.
 type ScenarioFactory func(args []string) (ScenarioDriver, error)
 
-// RegisterScenario adds a scenario factory to the registry. The factory is
-// invoked by ParseScenario with the parameters following the name, so a
+// MustRegisterScenario adds a scenario factory to the registry. The factory
+// is invoked by ParseScenario with the parameters following the name, so a
 // single registered name can serve a parameterized family of scenarios. It
-// fails if any of the names is already taken.
-func RegisterScenario(name string, factory ScenarioFactory, aliases ...string) error {
-	return scenarios.register(name, factory, aliases...)
-}
-
-// MustRegisterScenario is RegisterScenario, panicking on error.
+// panics if any of the names is already taken.
 func MustRegisterScenario(name string, factory ScenarioFactory, aliases ...string) {
-	if err := RegisterScenario(name, factory, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(scenarios, name, factory, aliases)
 }
 
-// RegisterScenarioDriver registers a fixed, parameter-free scenario driver
-// under driver.Name(). It is shorthand for RegisterScenario with a factory
-// that rejects parameters.
-func RegisterScenarioDriver(driver ScenarioDriver, aliases ...string) error {
+// registerScenarioDriver registers a fixed, parameter-free scenario driver
+// under driver.Name(), with a factory that rejects parameters. It fails if
+// any of the names is already taken.
+func registerScenarioDriver(driver ScenarioDriver, aliases ...string) error {
 	name := driver.Name()
-	return RegisterScenario(name, func(args []string) (ScenarioDriver, error) {
+	return scenarios.register(name, func(args []string) (ScenarioDriver, error) {
 		if len(args) > 0 {
 			return nil, fmt.Errorf("experiment: scenario %q takes no parameters, got %q",
 				name, strings.Join(args, ":"))
@@ -172,18 +166,11 @@ func ParseScenario(spec string) (ScenarioDriver, error) {
 // sorted order.
 func Scenarios() []string { return scenarios.list() }
 
-// RegisterStrategy adds a strategy family driver to the registry under
-// driver.Kind() and any aliases. It fails if any of the names is already
+// MustRegisterStrategy adds a strategy family driver to the registry under
+// driver.Kind() and any aliases. It panics if any of the names is already
 // taken.
-func RegisterStrategy(driver StrategyDriver, aliases ...string) error {
-	return strategies.register(string(driver.Kind()), driver, aliases...)
-}
-
-// MustRegisterStrategy is RegisterStrategy, panicking on error.
 func MustRegisterStrategy(driver StrategyDriver, aliases ...string) {
-	if err := RegisterStrategy(driver, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(strategies, string(driver.Kind()), driver, aliases)
 }
 
 // StrategyKinds returns the canonical names of all registered strategy
@@ -195,19 +182,12 @@ func StrategyKinds() []string { return strategies.list() }
 // Parameter-free runtimes must reject a non-empty args slice.
 type RuntimeFactory func(args []string) (RuntimeDriver, error)
 
-// RegisterRuntime adds a runtime factory to the registry. The factory is
+// MustRegisterRuntime adds a runtime factory to the registry. The factory is
 // invoked by ParseRuntime with the parameters following the name, so a
 // single registered name can serve a parameterized family of runtimes. It
-// fails if any of the names is already taken.
-func RegisterRuntime(name string, factory RuntimeFactory, aliases ...string) error {
-	return runtimes.register(name, factory, aliases...)
-}
-
-// MustRegisterRuntime is RegisterRuntime, panicking on error.
+// panics if any of the names is already taken.
 func MustRegisterRuntime(name string, factory RuntimeFactory, aliases ...string) {
-	if err := RegisterRuntime(name, factory, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(runtimes, name, factory, aliases)
 }
 
 // ParseRuntime resolves a runtime spec string of the form
@@ -231,19 +211,12 @@ func Runtimes() []string { return runtimes.list() }
 // Parameter-free networks must reject a non-empty args slice.
 type NetworkFactory func(args []string) (NetworkDriver, error)
 
-// RegisterNetwork adds a network factory to the registry. The factory is
+// MustRegisterNetwork adds a network factory to the registry. The factory is
 // invoked by ParseNetwork with the parameters following the name, so a
 // single registered name can serve a parameterized family of network models.
-// It fails if any of the names is already taken.
-func RegisterNetwork(name string, factory NetworkFactory, aliases ...string) error {
-	return networks.register(name, factory, aliases...)
-}
-
-// MustRegisterNetwork is RegisterNetwork, panicking on error.
+// It panics if any of the names is already taken.
 func MustRegisterNetwork(name string, factory NetworkFactory, aliases ...string) {
-	if err := RegisterNetwork(name, factory, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(networks, name, factory, aliases)
 }
 
 // ParseNetwork resolves a network spec string of the form
@@ -268,19 +241,12 @@ func Networks() []string { return networks.list() }
 // a non-empty args slice.
 type WorkloadFactory func(args []string) (WorkloadDriver, error)
 
-// RegisterWorkload adds a workload factory to the registry. The factory is
-// invoked by ParseWorkload with the parameters following the name, so a
+// MustRegisterWorkload adds a workload factory to the registry. The factory
+// is invoked by ParseWorkload with the parameters following the name, so a
 // single registered name can serve a parameterized family of arrival
-// processes. It fails if any of the names is already taken.
-func RegisterWorkload(name string, factory WorkloadFactory, aliases ...string) error {
-	return workloads.register(name, factory, aliases...)
-}
-
-// MustRegisterWorkload is RegisterWorkload, panicking on error.
+// processes. It panics if any of the names is already taken.
 func MustRegisterWorkload(name string, factory WorkloadFactory, aliases ...string) {
-	if err := RegisterWorkload(name, factory, aliases...); err != nil {
-		panic(err)
-	}
+	mustRegister(workloads, name, factory, aliases)
 }
 
 // ParseWorkload resolves a workload spec string of the form

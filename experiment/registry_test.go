@@ -149,22 +149,22 @@ func (s stubDriver) Grid() []StrategySpec                      { return nil }
 // TestRegistryErrors: duplicate names, duplicate aliases and unknown lookups
 // all fail cleanly instead of clobbering existing entries.
 func TestRegistryErrors(t *testing.T) {
-	if err := RegisterApplication(stubDriver{name: "gossip-learning"}); err == nil {
+	if err := applications.register("gossip-learning", stubDriver{name: "gossip-learning"}); err == nil {
 		t.Error("duplicate application name accepted")
 	}
-	if err := RegisterApplication(stubDriver{name: "registry-test-app"}, "pg"); err == nil {
+	if err := applications.register("registry-test-app", stubDriver{name: "registry-test-app"}, "pg"); err == nil {
 		t.Error("duplicate application alias accepted")
 	} else if _, lookupErr := ParseApplication("registry-test-app"); lookupErr == nil {
 		t.Error("failed registration still installed the canonical name")
 	}
-	if err := RegisterApplication(stubDriver{name: ""}); err == nil {
+	if err := applications.register("", stubDriver{name: ""}); err == nil {
 		t.Error("empty application name accepted")
 	}
 
-	if err := RegisterScenarioDriver(stubDriver{name: "failure-free"}); err == nil {
+	if err := registerScenarioDriver(stubDriver{name: "failure-free"}); err == nil {
 		t.Error("duplicate scenario name accepted")
 	}
-	if err := RegisterStrategy(stubDriver{name: "simple"}); err == nil {
+	if err := strategies.register("simple", stubDriver{name: "simple"}); err == nil {
 		t.Error("duplicate strategy kind accepted")
 	}
 
@@ -178,7 +178,7 @@ func TestRegistryErrors(t *testing.T) {
 		t.Errorf("unknown strategy error = %v", err)
 	}
 
-	if err := RegisterNetwork("constant", func([]string) (NetworkDriver, error) { return ConstantNetwork, nil }); err == nil {
+	if err := networks.register("constant", func([]string) (NetworkDriver, error) { return ConstantNetwork, nil }); err == nil {
 		t.Error("duplicate network name accepted")
 	}
 	if _, err := ParseNetwork("no-such-network"); err == nil || !strings.Contains(err.Error(), "unknown network") {
@@ -212,7 +212,7 @@ func TestRegisteredExtensionRunsThroughGenericPipeline(t *testing.T) {
 	}
 	// The global registry survives across test invocations in one process
 	// (-count=2), so tolerate the duplicate on re-registration.
-	if err := RegisterScenarioDriver(blackout); err != nil && !strings.Contains(err.Error(), "already registered") {
+	if err := registerScenarioDriver(blackout); err != nil && !strings.Contains(err.Error(), "already registered") {
 		t.Fatal(err)
 	}
 	sc, err := ParseScenario("test-blackout")

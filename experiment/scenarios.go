@@ -18,8 +18,8 @@ var (
 )
 
 func init() {
-	MustRegisterScenarioDriver(FailureFree, "ff")
-	MustRegisterScenarioDriver(SmartphoneTrace, "trace", "churn")
+	mustRegisterScenarioDriver(FailureFree, "ff")
+	mustRegisterScenarioDriver(SmartphoneTrace, "trace", "churn")
 	MustRegisterScenario("outage", func(args []string) (ScenarioDriver, error) {
 		if len(args) == 0 {
 			// Bare "outage" means the default parameterization: four zones,
@@ -34,9 +34,9 @@ func init() {
 	}, "outages")
 }
 
-// MustRegisterScenarioDriver is RegisterScenarioDriver, panicking on error.
-func MustRegisterScenarioDriver(driver ScenarioDriver, aliases ...string) {
-	if err := RegisterScenarioDriver(driver, aliases...); err != nil {
+// mustRegisterScenarioDriver is registerScenarioDriver, panicking on error.
+func mustRegisterScenarioDriver(driver ScenarioDriver, aliases ...string) {
+	if err := registerScenarioDriver(driver, aliases...); err != nil {
 		panic(err)
 	}
 }

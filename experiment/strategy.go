@@ -39,7 +39,7 @@ type StrategySpec struct {
 // form and into a human-readable label, how to build the core.Strategy, and
 // the family's §4.2 parameter exploration grid. The five paper kinds are
 // self-registering built-ins; external families plug in through
-// RegisterStrategy.
+// MustRegisterStrategy.
 type StrategyDriver interface {
 	// Kind is the canonical registry name of the family.
 	Kind() StrategyKind

@@ -64,14 +64,14 @@ func specWorkloadFromArgs(name string, args []string) (WorkloadDriver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	return SpecWorkload(spec), nil
+	return newSpecWorkload(spec), nil
 }
 
 // WorkloadDriver supplies the traffic workload of an experiment: the arrival
 // process driving update injections. The built-ins are registered under
 // "interval" (the default), "poisson", "pareto-onoff", "diurnal",
 // "flashcrowd" and "replay"; external arrival processes plug in through
-// RegisterWorkload.
+// MustRegisterWorkload.
 type WorkloadDriver interface {
 	// Name is the canonical registry name, used by ParseWorkload and in
 	// Config.Label.
@@ -92,11 +92,10 @@ type ArrivalConsumer interface {
 	ArrivalDriven() bool
 }
 
-// SpecWorkload wraps an arrival-process spec as a WorkloadDriver, registered
-// or used directly in Config.Workload. The driver's label is the spec's
-// parseable String form, so parameterized workloads stay distinguishable in
-// experiment labels and sweep rows.
-func SpecWorkload(spec workload.Spec) WorkloadDriver {
+// newSpecWorkload wraps an arrival-process spec as a WorkloadDriver. The
+// driver's label is the spec's parseable String form, so parameterized
+// workloads stay distinguishable in experiment labels and sweep rows.
+func newSpecWorkload(spec workload.Spec) WorkloadDriver {
 	name := spec.String()
 	if i := strings.IndexByte(name, ':'); i >= 0 {
 		name = name[:i]

@@ -23,18 +23,15 @@ type Sparse struct {
 // N returns the dimension of the (square) matrix.
 func (m *Sparse) N() int { return m.n }
 
-// NNZ returns the number of stored (non-zero) entries.
-func (m *Sparse) NNZ() int { return len(m.values) }
-
-// Row returns the column indices and values of row i as shared slices; the
+// row returns the column indices and values of row i as shared slices; the
 // caller must not modify them.
-func (m *Sparse) Row(i int) ([]int32, []float64) {
+func (m *Sparse) row(i int) ([]int32, []float64) {
 	return m.colIdx[m.rowOff[i]:m.rowOff[i+1]], m.values[m.rowOff[i]:m.rowOff[i+1]]
 }
 
 // At returns the entry at (i, j), or 0 if it is not stored.
 func (m *Sparse) At(i, j int) float64 {
-	cols, vals := m.Row(i)
+	cols, vals := m.row(i)
 	for k, c := range cols {
 		if int(c) == j {
 			return vals[k]
@@ -43,8 +40,8 @@ func (m *Sparse) At(i, j int) float64 {
 	return 0
 }
 
-// NewSparseFromRows builds a CSR matrix from per-row (column, value) pairs.
-func NewSparseFromRows(n int, cols [][]int, vals [][]float64) (*Sparse, error) {
+// newSparseFromRows builds a CSR matrix from per-row (column, value) pairs.
+func newSparseFromRows(n int, cols [][]int, vals [][]float64) (*Sparse, error) {
 	if len(cols) != n || len(vals) != n {
 		return nil, fmt.Errorf("linalg: expected %d rows, got %d column lists and %d value lists", n, len(cols), len(vals))
 	}
@@ -93,16 +90,16 @@ func ColumnStochasticFromGraph(g *overlay.Graph) (*Sparse, error) {
 			vals[i] = append(vals[i], w)
 		}
 	}
-	return NewSparseFromRows(n, cols, vals)
+	return newSparseFromRows(n, cols, vals)
 }
 
-// MulVec computes dst = M·x. dst and x must have length N and must not alias.
-func (m *Sparse) MulVec(dst, x []float64) {
+// mulVec computes dst = M·x. dst and x must have length N and must not alias.
+func (m *Sparse) mulVec(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: dst=%d x=%d n=%d", len(dst), len(x), m.n))
+		panic(fmt.Sprintf("linalg: mulVec dimension mismatch: dst=%d x=%d n=%d", len(dst), len(x), m.n))
 	}
 	for i := 0; i < m.n; i++ {
-		cols, vals := m.Row(i)
+		cols, vals := m.row(i)
 		sum := 0.0
 		for k, c := range cols {
 			sum += vals[k] * x[c]
@@ -111,8 +108,8 @@ func (m *Sparse) MulVec(dst, x []float64) {
 	}
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
+// dot returns the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
@@ -123,13 +120,13 @@ func Dot(a, b []float64) float64 {
 	return sum
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
+// norm2 returns the Euclidean norm of v.
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
-// Normalize scales v in place to unit Euclidean norm and returns the original
+// normalize scales v in place to unit Euclidean norm and returns the original
 // norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(v []float64) float64 {
-	n := Norm2(v)
+func normalize(v []float64) float64 {
+	n := norm2(v)
 	if n == 0 {
 		return 0
 	}
@@ -143,28 +140,15 @@ func Normalize(v []float64) float64 {
 // direction is ignored because an eigenvector is only defined up to sign.
 // It returns π/2 if either vector is zero.
 func Angle(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
+	na, nb := norm2(a), norm2(b)
 	if na == 0 || nb == 0 {
 		return math.Pi / 2
 	}
-	cos := math.Abs(Dot(a, b)) / (na * nb)
+	cos := math.Abs(dot(a, b)) / (na * nb)
 	if cos > 1 {
 		cos = 1
 	}
 	return math.Acos(cos)
-}
-
-// CosineDistance returns 1 − |cos θ| between two vectors.
-func CosineDistance(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	cos := math.Abs(Dot(a, b)) / (na * nb)
-	if cos > 1 {
-		cos = 1
-	}
-	return 1 - cos
 }
 
 // PowerIterationResult holds the output of the reference power iteration.
@@ -190,13 +174,13 @@ func PowerIteration(m *Sparse, maxIter int, tol float64) PowerIterationResult {
 	for i := range x {
 		x[i] = 1
 	}
-	Normalize(x)
+	normalize(x)
 	next := make([]float64, n)
 	res := PowerIterationResult{}
 	for iter := 1; iter <= maxIter; iter++ {
-		m.MulVec(next, x)
-		res.Eigenvalue = Dot(x, next)
-		if Normalize(next) == 0 {
+		m.mulVec(next, x)
+		res.Eigenvalue = dot(x, next)
+		if normalize(next) == 0 {
 			// The iterate vanished (nilpotent-like behaviour); return what we
 			// have rather than dividing by zero.
 			res.Vector = x

@@ -9,70 +9,70 @@ import (
 )
 
 func TestNewSparseFromRowsValidation(t *testing.T) {
-	if _, err := NewSparseFromRows(2, [][]int{{0}}, [][]float64{{1}}); err == nil {
+	if _, err := newSparseFromRows(2, [][]int{{0}}, [][]float64{{1}}); err == nil {
 		t.Error("row count mismatch accepted")
 	}
-	if _, err := NewSparseFromRows(1, [][]int{{0, 0}}, [][]float64{{1}}); err == nil {
+	if _, err := newSparseFromRows(1, [][]int{{0, 0}}, [][]float64{{1}}); err == nil {
 		t.Error("column/value length mismatch accepted")
 	}
-	if _, err := NewSparseFromRows(1, [][]int{{3}}, [][]float64{{1}}); err == nil {
+	if _, err := newSparseFromRows(1, [][]int{{3}}, [][]float64{{1}}); err == nil {
 		t.Error("out-of-range column accepted")
 	}
 }
 
 func TestSparseAtAndMulVec(t *testing.T) {
 	// M = [[2 0 1], [0 3 0], [4 0 0]]
-	m, err := NewSparseFromRows(3,
+	m, err := newSparseFromRows(3,
 		[][]int{{0, 2}, {1}, {0}},
 		[][]float64{{2, 1}, {3}, {4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NNZ() != 4 || m.N() != 3 {
-		t.Fatalf("NNZ=%d N=%d", m.NNZ(), m.N())
+	if len(m.values) != 4 || m.N() != 3 {
+		t.Fatalf("stored entries=%d N=%d", len(m.values), m.N())
 	}
 	if m.At(0, 2) != 1 || m.At(2, 0) != 4 || m.At(1, 0) != 0 {
 		t.Error("At returned wrong values")
 	}
 	x := []float64{1, 2, 3}
 	dst := make([]float64, 3)
-	m.MulVec(dst, x)
+	m.mulVec(dst, x)
 	want := []float64{5, 6, 4}
 	for i := range want {
 		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Errorf("MulVec[%d] = %v, want %v", i, dst[i], want[i])
+			t.Errorf("mulVec[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
 }
 
 func TestMulVecDimensionPanics(t *testing.T) {
-	m, _ := NewSparseFromRows(2, [][]int{{0}, {1}}, [][]float64{{1}, {1}})
+	m, _ := newSparseFromRows(2, [][]int{{0}, {1}}, [][]float64{{1}, {1}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on dimension mismatch")
 		}
 	}()
-	m.MulVec(make([]float64, 3), make([]float64, 2))
+	m.mulVec(make([]float64, 3), make([]float64, 2))
 }
 
 func TestVectorHelpers(t *testing.T) {
 	a := []float64{3, 4}
-	if Norm2(a) != 5 {
-		t.Errorf("Norm2 = %v, want 5", Norm2(a))
+	if norm2(a) != 5 {
+		t.Errorf("norm2 = %v, want 5", norm2(a))
 	}
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
+	if dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("Dot wrong")
 	}
 	v := []float64{3, 4}
-	if n := Normalize(v); n != 5 {
-		t.Errorf("Normalize returned %v, want 5", n)
+	if n := normalize(v); n != 5 {
+		t.Errorf("normalize returned %v, want 5", n)
 	}
-	if math.Abs(Norm2(v)-1) > 1e-12 {
-		t.Errorf("normalized norm = %v", Norm2(v))
+	if math.Abs(norm2(v)-1) > 1e-12 {
+		t.Errorf("normalized norm = %v", norm2(v))
 	}
 	zero := []float64{0, 0}
-	if Normalize(zero) != 0 {
-		t.Error("Normalize of zero vector should return 0")
+	if normalize(zero) != 0 {
+		t.Error("normalize of zero vector should return 0")
 	}
 }
 
@@ -90,12 +90,6 @@ func TestAngle(t *testing.T) {
 	if got := Angle([]float64{0, 0}, []float64{1, 0}); math.Abs(got-math.Pi/2) > 1e-12 {
 		t.Errorf("Angle with zero vector = %v, want π/2", got)
 	}
-	if got := CosineDistance([]float64{1, 1}, []float64{1, 1}); got > 1e-12 {
-		t.Errorf("CosineDistance(identical) = %v", got)
-	}
-	if got := CosineDistance([]float64{0, 0}, []float64{1, 1}); got != 1 {
-		t.Errorf("CosineDistance with zero vector = %v, want 1", got)
-	}
 }
 
 func TestDotLengthMismatchPanics(t *testing.T) {
@@ -104,7 +98,7 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Dot([]float64{1}, []float64{1, 2})
+	dot([]float64{1}, []float64{1, 2})
 }
 
 func TestColumnStochasticFromGraph(t *testing.T) {
@@ -144,7 +138,7 @@ func TestColumnStochasticRejectsSinks(t *testing.T) {
 
 func TestPowerIterationOnKnownMatrix(t *testing.T) {
 	// M = [[2 1], [1 2]] has dominant eigenvalue 3 with eigenvector (1,1)/√2.
-	m, err := NewSparseFromRows(2, [][]int{{0, 1}, {0, 1}}, [][]float64{{2, 1}, {1, 2}})
+	m, err := newSparseFromRows(2, [][]int{{0, 1}, {0, 1}}, [][]float64{{2, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +175,7 @@ func TestPowerIterationOnColumnStochasticGraph(t *testing.T) {
 	}
 	// The eigenvector is a fixed point: ‖Mv − v‖ small.
 	mv := make([]float64, m.N())
-	m.MulVec(mv, res.Vector)
+	m.mulVec(mv, res.Vector)
 	if angle := Angle(mv, res.Vector); angle > 1e-6 {
 		t.Errorf("Mv deviates from v by angle %v", angle)
 	}

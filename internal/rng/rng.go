@@ -114,12 +114,3 @@ func (s *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

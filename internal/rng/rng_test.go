@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -144,29 +143,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid or duplicate element %d", v)
 		}
 		seen[v] = true
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%50) + 1
-		s := New(seed)
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-		}
-		s.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		seen := make([]bool, n)
-		for _, v := range vals {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -77,11 +77,11 @@ type leaveMsg struct {
 	ID int64 `json:"id"`
 }
 
-// RegisterControl registers the daemon's membership control payloads in a
+// registerControl registers the daemon's membership control payloads in a
 // transport registry. Every process of a tokennode deployment must share a
 // registry with these (NewDaemon builds its own; tests that speak to a
 // daemon over a raw endpoint call it explicitly).
-func RegisterControl(r *transport.Registry) {
+func registerControl(r *transport.Registry) {
 	transport.Register[joinMsg](r, "live.join")
 	transport.Register[leaveMsg](r, "live.leave")
 }
@@ -182,8 +182,6 @@ type DaemonConfig struct {
 	// the run loop (default: EnvConfig.QueueSize's). Messages arriving while
 	// it is full are dropped, which the protocol tolerates.
 	QueueSize int
-	// TransportOptions tune the managed TCP endpoint.
-	TransportOptions []transport.TCPOption
 }
 
 // Daemon is a deployable token account node: a one-node runtime.Host over a
@@ -223,8 +221,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		return nil, fmt.Errorf("live: DaemonConfig.Delta = %v, need > 0", cfg.Delta)
 	}
 	registry := transport.NewRegistry()
-	RegisterControl(registry)
-	ep, err := transport.NewTCPEndpoint(cfg.ID, cfg.Listen, registry, cfg.TransportOptions...)
+	registerControl(registry)
+	ep, err := transport.NewTCPEndpoint(cfg.ID, cfg.Listen, registry)
 	if err != nil {
 		return nil, err
 	}
@@ -433,11 +431,12 @@ func (d *Daemon) announce() {
 	}
 }
 
-// Rejoin re-announces the node to one randomly chosen peer — the rejoin pull
+// rejoin re-announces the node to one randomly chosen peer — the rejoin pull
 // of §4.1.2: a node returning from churn asks a single neighbor for the
-// latest state, and the neighbor's answer is token-gated on its side. Call it
-// after WithHost has brought the node back online.
-func (d *Daemon) Rejoin() {
+// latest state, and the neighbor's answer is token-gated on its side. It is
+// called after WithHost has brought the node back online; no command takes a
+// daemon offline and back, so only the tests do.
+func (d *Daemon) rejoin() {
 	d.mu.Lock()
 	target, ok := d.peers.SelectPeerOf(0, d.rnd)
 	d.mu.Unlock()

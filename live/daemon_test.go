@@ -85,7 +85,7 @@ func assertNoViolations(t *testing.T, d *Daemon) {
 func rawPeer(t *testing.T, id protocol.NodeID) *transport.TCPEndpoint {
 	t.Helper()
 	registry := transport.NewRegistry()
-	RegisterControl(registry)
+	registerControl(registry)
 	ep, err := transport.NewTCPEndpoint(id, "127.0.0.1:0", registry)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestDaemonRejoinPull(t *testing.T) {
 	daemonInject(a, 7)
 
 	b.WithHost(func(h *runtime.Host) { h.SetOnline(0) })
-	b.Rejoin()
+	b.rejoin()
 	waitUntil(t, 5*time.Second, "B to pull the latest update", func() bool {
 		return daemonSeq(b) == 7
 	})
@@ -413,7 +413,7 @@ func TestDaemonOnlineFlipsUnderLoad(t *testing.T) {
 		daemonInject(daemons[(round+1)%n], int64(round+1))
 		time.Sleep(500 * time.Microsecond)
 		d.WithHost(func(h *runtime.Host) { h.SetOnline(0) })
-		d.Rejoin()
+		d.rejoin()
 	}
 	for _, d := range daemons {
 		d.WithHost(func(h *runtime.Host) {

@@ -102,10 +102,12 @@ type envDelivery struct {
 	payload  protocol.Payload
 }
 
-// envSink is one of the engine's delivery sinks: the timer sink, whose
-// events carry their callback in Delivery.Box, the send sink, whose events
-// carry a payload inline, or the sink of one runtime.Hook. Events therefore
-// need no closure of their own, and every hook gets its own lane.
+// envSink is what the engine hands an event to: as a sim.DeliverySink, the
+// timer sink, whose events carry their callback in Delivery.Box, or the send
+// sink, whose events carry a payload inline; as a sim.Hook, the sink of one
+// runtime.Hook. Events therefore need no closure of their own, and every hook
+// gets its own lane. The hook itself is not handed to the engine, because
+// the engine runs under mu and the hook must run outside it.
 type envSink struct {
 	env  *Env
 	send bool
@@ -121,6 +123,12 @@ type dueEvent struct {
 // Deliver implements sim.DeliverySink. The engine calls it inside Step,
 // under mu, so it only records the event for the run loop.
 func (s *envSink) Deliver(d sim.Delivery) { s.env.due = dueEvent{sink: s, d: d} }
+
+// RunHook implements sim.Hook for a hook's sink, and records the event like
+// Deliver: the hook itself runs on the run loop, outside mu.
+func (s *envSink) RunHook(to int32, word uint64) {
+	s.env.due = dueEvent{sink: s, d: sim.Delivery{To: to, Word: word}}
+}
 
 // run executes a recorded event on the run loop, outside mu.
 func (s *envSink) run(d sim.Delivery) {
@@ -199,9 +207,11 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 }
 
 // Bus returns the built-in memory bus, or nil when a custom transport is in
-// use. Tests use it to read delivery statistics and to inject faults. The bus
-// itself adds no delay: EnvConfig.Latency is realized before a message
-// reaches it, as for every transport.
+// use. The bus itself adds no delay: EnvConfig.Latency is realized before a
+// message reaches it, as for every transport. Only tests call Bus, to read
+// delivery statistics and to inject faults; it stays exported as the one
+// handle on the bus's fault options (see transport.BusOption) from outside
+// this package.
 func (e *Env) Bus() *transport.MemoryBus { return e.bus }
 
 // DroppedDeliveries returns the number of messages discarded because the run

@@ -116,7 +116,8 @@ func PredictedRandomizedBalance(a, c int) float64 {
 // balance a by bisection over [0, Capacity]. It returns an error if the
 // equation has no root in that range (e.g. for the purely proactive model
 // whose left side is constant 1 only at a = 0 — in that degenerate case 0 is
-// returned).
+// returned). Only tests call it today; it stays exported as the oracle that
+// simulated balances are compared with.
 func Equilibrium(m Model) (float64, error) {
 	f := func(a float64) float64 { return m.Reactive(a) + m.Proactive(a) - 1 }
 	lo, hi := 0.0, m.Capacity
@@ -160,7 +161,8 @@ type Trajectory struct {
 // Simulate integrates eqs. (8)–(9) with explicit Euler steps of size dt over
 // the given duration, starting from a(0) = a0 and dw/dt(0) = r0. The paper's
 // experiments start with empty accounts, i.e. a0 = 0, and an initial rate of
-// one message per period, r0 = 1/Δ.
+// one message per period, r0 = 1/Δ. Only tests and a benchmark call it
+// today; like Equilibrium it stays exported as an oracle for simulated runs.
 func Simulate(m Model, delta, a0, r0, dt, duration float64) (*Trajectory, error) {
 	if delta <= 0 || dt <= 0 || duration <= 0 {
 		return nil, fmt.Errorf("meanfield: non-positive delta/dt/duration")

@@ -2,6 +2,7 @@ package meanfield
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -83,8 +84,8 @@ func TestSimulateConvergesToEquilibrium(t *testing.T) {
 		t.Errorf("final rate = %v, want ≈ %v", finalRate, 1/delta)
 	}
 	// The balance must stay within [0, C] throughout.
-	if tr.Balance.Min() < 0 || tr.Balance.Max() > 10 {
-		t.Errorf("balance left [0, C]: min %v max %v", tr.Balance.Min(), tr.Balance.Max())
+	if lo := slices.Min(tr.Balance.Values); lo < 0 || tr.Balance.Max() > 10 {
+		t.Errorf("balance left [0, C]: min %v max %v", lo, tr.Balance.Max())
 	}
 }
 

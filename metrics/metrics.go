@@ -74,20 +74,6 @@ func (s *Series) MeanAfter(t0 float64) float64 {
 	return sum / float64(count)
 }
 
-// Min and Max return the extreme values (NaN for empty series).
-func (s *Series) Min() float64 {
-	if s.Len() == 0 {
-		return math.NaN()
-	}
-	m := s.Values[0]
-	for _, v := range s.Values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest value (NaN for empty series).
 func (s *Series) Max() float64 {
 	if s.Len() == 0 {
@@ -102,9 +88,9 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// ValueAt returns the value of the most recent sample at or before time t
+// valueAt returns the value of the most recent sample at or before time t
 // (step interpolation). It returns NaN if t precedes the first sample.
-func (s *Series) ValueAt(t float64) float64 {
+func (s *Series) valueAt(t float64) float64 {
 	idx := sort.SearchFloat64s(s.Times, t)
 	// idx is the first index with Times[idx] >= t.
 	if idx < s.Len() && s.Times[idx] == t {
@@ -122,7 +108,7 @@ func (s *Series) ValueAt(t float64) float64 {
 // preserved.
 func (s *Series) Smooth(window float64) *Series {
 	if window <= 0 || s.Len() == 0 {
-		return s.Clone()
+		return s.clone()
 	}
 	half := window / 2
 	out := &Series{Times: append([]float64(nil), s.Times...), Values: make([]float64, s.Len())}
@@ -146,8 +132,8 @@ func (s *Series) Smooth(window float64) *Series {
 	return out
 }
 
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
+// clone returns a deep copy of the series.
+func (s *Series) clone() *Series {
 	return &Series{
 		Times:  append([]float64(nil), s.Times...),
 		Values: append([]float64(nil), s.Values...),
@@ -206,19 +192,6 @@ func (t *Table) AddColumn(name string, s *Series) {
 	t.series = append(t.series, s)
 }
 
-// Columns returns the column names in insertion order.
-func (t *Table) Columns() []string { return append([]string(nil), t.columns...) }
-
-// Column returns the series stored under the given name, or nil.
-func (t *Table) Column(name string) *Series {
-	for i, c := range t.columns {
-		if c == name {
-			return t.series[i]
-		}
-	}
-	return nil
-}
-
 // WriteTSV writes the table as tab-separated values: a header line followed
 // by one line per sample time of the first column. Curves sampled on a
 // different grid are resampled with step interpolation.
@@ -237,7 +210,7 @@ func (t *Table) WriteTSV(w io.Writer) error {
 		row := make([]string, 0, len(t.series)+1)
 		row = append(row, formatFloat(x))
 		for _, s := range t.series {
-			row = append(row, formatFloat(s.ValueAt(x)))
+			row = append(row, formatFloat(s.valueAt(x)))
 		}
 		if _, err := fmt.Fprintln(bw, strings.Join(row, "\t")); err != nil {
 			return err

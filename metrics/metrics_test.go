@@ -25,8 +25,8 @@ func TestSeriesAddAndAccessors(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Errorf("Mean = %v", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Errorf("Max = %v", s.Max())
 	}
 	if got := s.MeanAfter(1); got != 4 {
 		t.Errorf("MeanAfter(1) = %v, want 4", got)
@@ -41,7 +41,7 @@ func TestSeriesEmptyAccessors(t *testing.T) {
 	if _, v := s.Last(); !math.IsNaN(v) {
 		t.Error("Last of empty series should be NaN")
 	}
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
+	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Max()) {
 		t.Error("aggregates of empty series should be NaN")
 	}
 }
@@ -62,13 +62,13 @@ func TestValueAt(t *testing.T) {
 	s.Add(10, 1)
 	s.Add(20, 2)
 	s.Add(30, 3)
-	if !math.IsNaN(s.ValueAt(5)) {
-		t.Error("ValueAt before first sample should be NaN")
+	if !math.IsNaN(s.valueAt(5)) {
+		t.Error("valueAt before first sample should be NaN")
 	}
 	cases := []struct{ t, want float64 }{{10, 1}, {15, 1}, {20, 2}, {29.9, 2}, {30, 3}, {100, 3}}
 	for _, c := range cases {
-		if got := s.ValueAt(c.t); got != c.want {
-			t.Errorf("ValueAt(%v) = %v, want %v", c.t, got, c.want)
+		if got := s.valueAt(c.t); got != c.want {
+			t.Errorf("valueAt(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestSmooth(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	var s Series
 	s.Add(1, 2)
-	c := s.Clone()
+	c := s.clone()
 	c.Values[0] = 99
 	if s.Values[0] != 2 {
 		t.Error("Clone shares storage")
@@ -203,12 +203,6 @@ func TestTableTSV(t *testing.T) {
 	s2 := &Series{Times: []float64{0, 1}, Values: []float64{30, 40}}
 	ta.AddColumn("proactive", s1)
 	ta.AddColumn("simple", s2)
-	if got := ta.Columns(); len(got) != 2 || got[0] != "proactive" {
-		t.Errorf("Columns = %v", got)
-	}
-	if ta.Column("simple") != s2 || ta.Column("missing") != nil {
-		t.Error("Column lookup wrong")
-	}
 	var buf bytes.Buffer
 	if err := ta.WriteTSV(&buf); err != nil {
 		t.Fatal(err)

@@ -35,13 +35,13 @@ type Quantile struct {
 }
 
 // NewQuantile returns an empty accumulator with the default capacity.
-func NewQuantile() *Quantile { return NewQuantileCap(DefaultQuantileCap) }
+func NewQuantile() *Quantile { return newQuantileCap(DefaultQuantileCap) }
 
-// NewQuantileCap returns an empty accumulator retaining at most cap samples.
+// newQuantileCap returns an empty accumulator retaining at most cap samples.
 // It panics if cap < 1.
-func NewQuantileCap(cap int) *Quantile {
+func newQuantileCap(cap int) *Quantile {
 	if cap < 1 {
-		panic("metrics: NewQuantileCap needs a capacity ≥ 1")
+		panic("metrics: newQuantileCap needs a capacity ≥ 1")
 	}
 	return &Quantile{
 		cap:     cap,

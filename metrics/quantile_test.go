@@ -38,10 +38,10 @@ func TestQuantileEmpty(t *testing.T) {
 func TestQuantileCapValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewQuantileCap(0) did not panic")
+			t.Error("newQuantileCap(0) did not panic")
 		}
 	}()
-	NewQuantileCap(0)
+	newQuantileCap(0)
 }
 
 // TestQuantileExactWithinCapacity is the property test of the acceptance
@@ -54,7 +54,7 @@ func TestQuantileExactWithinCapacity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(500)
 		values := make([]float64, n)
-		q := NewQuantileCap(500)
+		q := newQuantileCap(500)
 		for i := range values {
 			values[i] = rng.NormFloat64() * 100
 			q.Add(values[i])
@@ -78,7 +78,7 @@ func TestQuantileExactWithinCapacity(t *testing.T) {
 func TestQuantileDeterminismPastCapacity(t *testing.T) {
 	build := func() *Quantile {
 		rng := rand.New(rand.NewSource(3))
-		q := NewQuantileCap(64)
+		q := newQuantileCap(64)
 		for i := 0; i < 2000; i++ {
 			q.Add(rng.Float64())
 		}

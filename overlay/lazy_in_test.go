@@ -1,6 +1,7 @@
 package overlay_test
 
 import (
+	stdruntime "runtime"
 	"slices"
 	"testing"
 
@@ -61,9 +62,10 @@ func TestRunsLeaveUnreadInAdjacencyUnbuilt(t *testing.T) {
 }
 
 // TestChaoticIterationParallelBuildFirstUse assembles the chaotic-iteration
-// application with 8 build workers, so the first reads of a fresh overlay's
-// in-adjacency come from poweriter.New on 8 goroutines at once (run it under
-// -race). The assembled states must equal a sequential build's.
+// application at GOMAXPROCS 8, so NewHost builds over 8 ranges and the first
+// reads of a fresh overlay's in-adjacency come from poweriter.New on 8
+// goroutines at once (run it under -race). The assembled states must equal
+// those of a build at GOMAXPROCS 1.
 func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 	cfg := experiment.Config{
 		App:      experiment.ChaoticIteration,
@@ -71,7 +73,8 @@ func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 		N:        2000,
 		Seed:     3,
 	}.WithDefaults()
-	angle := func(workers int) float64 {
+	angle := func(procs int) float64 {
+		defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(procs))
 		g, err := cfg.App.BuildOverlay(cfg, cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
@@ -93,12 +96,11 @@ func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := runtime.NewHost(env, runtime.Config{
-			Graph:        g,
-			Strategy:     func(int) core.Strategy { return strategy },
-			NewApp:       run.NewApp,
-			Delta:        cfg.Delta,
-			Network:      netmodel.Constant{D: cfg.TransferDelay},
-			BuildWorkers: workers,
+			Graph:    g,
+			Strategy: func(int) core.Strategy { return strategy },
+			NewApp:   run.NewApp,
+			Delta:    cfg.Delta,
+			Network:  netmodel.Constant{D: cfg.TransferDelay},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -108,12 +110,12 @@ func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 		}
 		for i := 0; i < g.N(); i++ {
 			if !slices.Equal(g.InNeighbors(i), twin.InNeighbors(i)) {
-				t.Fatalf("workers=%d: node %d in-neighbours differ from a fresh build's", workers, i)
+				t.Fatalf("GOMAXPROCS=%d: node %d in-neighbours differ from a fresh build's", procs, i)
 			}
 		}
 		return run.Sample(0, &experiment.RunContext{})
 	}
 	if par, seq := angle(8), angle(1); par != seq {
-		t.Errorf("8-worker build angle %v, sequential %v", par, seq)
+		t.Errorf("build at GOMAXPROCS 8: angle %v, at GOMAXPROCS 1: %v", par, seq)
 	}
 }

@@ -2,25 +2,24 @@
 // the paper's evaluation: fixed random k-out networks (each node keeps k
 // random out-neighbours for the lifetime of the experiment, the paper's
 // default with k = 20), Watts–Strogatz small-world networks (used for the
-// chaotic power iteration experiment), plus rings and complete graphs for
-// tests and examples.
+// chaotic power iteration experiment), plus complete graphs for tests and
+// examples.
 //
 // Graphs are stored in compressed sparse row (CSR) form so that a
 // 500,000-node, 20-out network fits comfortably in memory and neighbour scans
 // are cache friendly. Offsets are 32-bit, so a graph holds at most 2³²−1
 // edges; every constructor rejects a larger one. Constructors build the
-// out-adjacency only; the in-adjacency, which only a few readers need
-// (chaotic power iteration, connectivity checks), is built from it on the
-// first InNeighbors or InDegree call.
+// out-adjacency only; the in-adjacency, which only chaotic power iteration
+// reads, is built from it on the first InNeighbors call.
 package overlay
 
 import (
 	"fmt"
 	"math"
-	stdruntime "runtime"
 	"slices"
 	"sync"
 
+	"github.com/szte-dcs/tokenaccount/internal/parallel"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
 
@@ -33,7 +32,7 @@ type Graph struct {
 	outOff []uint32
 	outAdj []int32
 	inOnce sync.Once
-	inOff  []uint32 // nil until the first InNeighbors/InDegree call
+	inOff  []uint32 // nil until the first InNeighbors call
 	inAdj  []int32
 }
 
@@ -52,18 +51,9 @@ func checkEdges(name string, n, k int) error {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// Edges returns the number of directed edges.
-func (g *Graph) Edges() int { return len(g.outAdj) }
-
 // OutDegree returns the number of out-neighbours of node i.
 func (g *Graph) OutDegree(i int) int {
 	return int(g.outOff[i+1] - g.outOff[i])
-}
-
-// InDegree returns the number of in-neighbours of node i.
-func (g *Graph) InDegree(i int) int {
-	g.inOnce.Do(g.buildIn)
-	return int(g.inOff[i+1] - g.inOff[i])
 }
 
 // OutNeighbors returns the out-neighbours of node i as a shared slice; the
@@ -90,24 +80,6 @@ func (g *Graph) OutAdjacency() []int32 { return g.outAdj }
 func (g *Graph) InNeighbors(i int) []int32 {
 	g.inOnce.Do(g.buildIn)
 	return g.inAdj[g.inOff[i]:g.inOff[i+1]]
-}
-
-// HasEdge reports whether the directed edge from -> to exists.
-func (g *Graph) HasEdge(from, to int) bool {
-	for _, v := range g.OutNeighbors(from) {
-		if int(v) == to {
-			return true
-		}
-	}
-	return false
-}
-
-// AvgOutDegree returns the mean out-degree.
-func (g *Graph) AvgOutDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return float64(len(g.outAdj)) / float64(g.n)
 }
 
 // NewFromOut builds a graph from explicit out-adjacency lists. Entries out of
@@ -143,9 +115,9 @@ func NewFromOut(out [][]int) (*Graph, error) {
 }
 
 // buildIn derives the in-adjacency CSR from the out-adjacency. It runs once,
-// from InNeighbors or InDegree: most runs (push gossip, gossip learning,
-// blockcast) never read the in-adjacency, and at 500,000 × 20 edges its
-// scattered writes cost more than drawing the graph.
+// from InNeighbors: most runs (push gossip, gossip learning, blockcast)
+// never read the in-adjacency, and at 500,000 × 20 edges its scattered
+// writes cost more than drawing the graph.
 func (g *Graph) buildIn() {
 	n := g.n
 	inDeg := make([]uint32, n+1)
@@ -219,34 +191,6 @@ func RandomKOut(n, k int, seed uint64) (*Graph, error) {
 	return g, nil
 }
 
-// forRanges splits [0,n) into contiguous chunks and runs fn on each, using up
-// to GOMAXPROCS goroutines. fn must be safe to run concurrently on disjoint
-// ranges. One worker runs inline.
-func forRanges(n int, fn func(lo, hi int)) {
-	workers := stdruntime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // WattsStrogatz builds an undirected small-world network following Watts and
 // Strogatz: a ring where every node is connected to its k nearest neighbours
 // (k/2 on each side), with every edge rewired to a uniformly random target
@@ -281,7 +225,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 	// (k/2) values are distinct (d < n/2), so every node starts at degree k,
 	// which the slab holds without spilling. Ranges are independent, so the
 	// fill runs in parallel.
-	forRanges(n, func(lo, hi int) {
+	_ = parallel.Ranges(n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			base := i * adj.capPer
 			idx := 0
@@ -293,6 +237,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 			}
 			adj.deg[i] = int32(k)
 		}
+		return nil
 	})
 	// Rewire each lattice edge (i, i+d) with probability beta. This phase is
 	// inherently sequential: every decision consumes draws from the single
@@ -332,13 +277,14 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) (*Graph, error) {
 		g.outOff[i+1] = g.outOff[i] + uint32(adj.deg[i])
 	}
 	g.outAdj = make([]int32, g.outOff[n])
-	forRanges(n, func(lo, hi int) {
+	_ = parallel.Ranges(n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			row := g.outAdj[g.outOff[i]:g.outOff[i+1]]
 			m := copy(row, adj.slab[i*adj.capPer:i*adj.capPer+min(int(adj.deg[i]), adj.capPer)])
 			copy(row[m:], adj.spill[i])
 			insertionSortInt32(row)
 		}
+		return nil
 	})
 	return g, nil
 }
@@ -466,34 +412,6 @@ func insertionSortInt32(row []int32) {
 	}
 }
 
-// Ring builds a directed ring where node i links to the k nodes following it.
-func Ring(n, k int) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("overlay: Ring needs at least 2 nodes, got %d", n)
-	}
-	if k < 1 || k >= n {
-		return nil, fmt.Errorf("overlay: Ring k=%d out of range [1,%d)", k, n)
-	}
-	if err := checkEdges("Ring", n, k); err != nil {
-		return nil, err
-	}
-	g := &Graph{n: n}
-	g.outOff = make([]uint32, n+1)
-	g.outAdj = make([]int32, n*k)
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] = uint32((i + 1) * k)
-	}
-	forRanges(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := i * k
-			for d := 1; d <= k; d++ {
-				g.outAdj[base+d-1] = int32((i + d) % n)
-			}
-		}
-	})
-	return g, nil
-}
-
 // Complete builds a complete directed graph (every node links to every other
 // node). Intended for small tests only.
 func Complete(n int) (*Graph, error) {
@@ -512,100 +430,4 @@ func Complete(n int) (*Graph, error) {
 		}
 	}
 	return NewFromOut(out)
-}
-
-// IsWeaklyConnected reports whether the graph is connected when edge
-// directions are ignored.
-func (g *Graph) IsWeaklyConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	visited := make([]bool, g.n)
-	queue := make([]int32, 0, g.n)
-	queue = append(queue, 0)
-	visited[0] = true
-	seen := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(int(u)) {
-			if !visited[v] {
-				visited[v] = true
-				seen++
-				queue = append(queue, v)
-			}
-		}
-		for _, v := range g.InNeighbors(int(u)) {
-			if !visited[v] {
-				visited[v] = true
-				seen++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return seen == g.n
-}
-
-// IsStronglyConnected reports whether every node can reach every other node
-// following edge directions. It runs two BFS traversals (forward and
-// backward) from node 0, which decides strong connectivity for the graph
-// sizes used here.
-func (g *Graph) IsStronglyConnected() bool {
-	if g.n == 0 {
-		return true
-	}
-	reach := func(neighbors func(int) []int32) int {
-		visited := make([]bool, g.n)
-		queue := []int32{0}
-		visited[0] = true
-		seen := 1
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range neighbors(int(u)) {
-				if !visited[v] {
-					visited[v] = true
-					seen++
-					queue = append(queue, v)
-				}
-			}
-		}
-		return seen
-	}
-	return reach(g.OutNeighbors) == g.n && reach(g.InNeighbors) == g.n
-}
-
-// Diameter returns the longest shortest-path length between any pair of
-// nodes, following edge directions, computed by BFS from every node. It is
-// exponential in nothing but costs O(N·E); use it only on small graphs (tests
-// and examples). Unreachable pairs yield -1.
-func (g *Graph) Diameter() int {
-	diameter := 0
-	dist := make([]int, g.n)
-	for s := 0; s < g.n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int32{int32(s)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.OutNeighbors(int(u)) {
-				if dist[v] == -1 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d == -1 {
-				return -1
-			}
-			if d > diameter {
-				diameter = d
-			}
-		}
-	}
-	return diameter
 }

@@ -15,16 +15,16 @@ func TestNewFromOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 3 || g.Edges() != 4 {
-		t.Fatalf("N=%d Edges=%d, want 3, 4", g.N(), g.Edges())
+	if g.N() != 3 || g.edges() != 4 {
+		t.Fatalf("N=%d Edges=%d, want 3, 4", g.N(), g.edges())
 	}
 	if g.OutDegree(0) != 2 || g.OutDegree(1) != 1 || g.OutDegree(2) != 1 {
 		t.Errorf("out-degrees wrong")
 	}
-	if g.InDegree(2) != 2 {
-		t.Errorf("InDegree(2) = %d, want 2", g.InDegree(2))
+	if g.inDegree(2) != 2 {
+		t.Errorf("InDegree(2) = %d, want 2", g.inDegree(2))
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
+	if !g.hasEdge(0, 1) || g.hasEdge(1, 0) {
 		t.Error("HasEdge mismatch")
 	}
 	in := g.InNeighbors(2)
@@ -46,8 +46,8 @@ func TestOutHeadLocatesOutNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj := g.OutAdjacency()
-	if len(adj) != g.Edges() {
-		t.Fatalf("adjacency holds %d entries, want %d", len(adj), g.Edges())
+	if len(adj) != g.edges() {
+		t.Fatalf("adjacency holds %d entries, want %d", len(adj), g.edges())
 	}
 	for i := 0; i < g.N(); i++ {
 		off, deg := g.OutHead(i)
@@ -72,8 +72,8 @@ func TestRandomKOutProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != n || g.Edges() != n*k {
-		t.Fatalf("N=%d Edges=%d, want %d, %d", g.N(), g.Edges(), n, n*k)
+	if g.N() != n || g.edges() != n*k {
+		t.Fatalf("N=%d Edges=%d, want %d, %d", g.N(), g.edges(), n, n*k)
 	}
 	for i := 0; i < n; i++ {
 		if g.OutDegree(i) != k {
@@ -90,10 +90,10 @@ func TestRandomKOutProperties(t *testing.T) {
 			seen[v] = true
 		}
 	}
-	if !g.IsWeaklyConnected() {
+	if !g.isWeaklyConnected() {
 		t.Error("20-out graph with 500 nodes should be weakly connected")
 	}
-	if !g.IsStronglyConnected() {
+	if !g.isStronglyConnected() {
 		t.Error("20-out graph with 500 nodes should be strongly connected")
 	}
 }
@@ -103,7 +103,7 @@ func TestRandomKOutDeterministicBySeed(t *testing.T) {
 	b, _ := RandomKOut(100, 5, 7)
 	c, _ := RandomKOut(100, 5, 8)
 	same := func(x, y *Graph) bool {
-		if x.Edges() != y.Edges() {
+		if x.edges() != y.edges() {
 			return false
 		}
 		for i := 0; i < x.N(); i++ {
@@ -151,15 +151,15 @@ func TestWattsStrogatzNoRewiring(t *testing.T) {
 			t.Fatalf("OutDegree(%d) = %d, want 4", i, g.OutDegree(i))
 		}
 		for _, v := range g.OutNeighbors(i) {
-			if !g.HasEdge(int(v), i) {
+			if !g.hasEdge(int(v), i) {
 				t.Fatalf("edge %d->%d not symmetric", i, v)
 			}
 		}
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(0, 2) || !g.HasEdge(0, 19) || !g.HasEdge(0, 18) {
+	if !g.hasEdge(0, 1) || !g.hasEdge(0, 2) || !g.hasEdge(0, 19) || !g.hasEdge(0, 18) {
 		t.Error("ring lattice neighbours missing")
 	}
-	if g.HasEdge(0, 3) {
+	if g.hasEdge(0, 3) {
 		t.Error("unexpected edge 0->3 in lattice with k=4")
 	}
 }
@@ -172,7 +172,7 @@ func TestWattsStrogatzRewiringKeepsSymmetryAndConnectivity(t *testing.T) {
 	edges := 0
 	for i := 0; i < g.N(); i++ {
 		for _, v := range g.OutNeighbors(i) {
-			if !g.HasEdge(int(v), i) {
+			if !g.hasEdge(int(v), i) {
 				t.Fatalf("edge %d->%d not symmetric after rewiring", i, v)
 			}
 			if int(v) == i {
@@ -185,7 +185,7 @@ func TestWattsStrogatzRewiringKeepsSymmetryAndConnectivity(t *testing.T) {
 	if edges != 5000*4 {
 		t.Errorf("directed edge count = %d, want %d", edges, 5000*4)
 	}
-	if !g.IsWeaklyConnected() {
+	if !g.isWeaklyConnected() {
 		t.Error("Watts-Strogatz graph should remain connected at beta=0.01")
 	}
 }
@@ -199,7 +199,7 @@ func TestWattsStrogatzSmallWorldShortensDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, dr := lattice.Diameter(), rewired.Diameter()
+	dl, dr := lattice.diameter(), rewired.diameter()
 	if dl <= 0 || dr <= 0 {
 		t.Fatalf("diameters %d, %d should be positive", dl, dr)
 	}
@@ -227,35 +227,16 @@ func TestWattsStrogatzValidation(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	g, err := Ring(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasEdge(5, 0) || !g.HasEdge(5, 1) || g.HasEdge(5, 2) {
-		t.Error("ring edges wrong")
-	}
-	if !g.IsStronglyConnected() {
-		t.Error("ring should be strongly connected")
-	}
-	if _, err := Ring(5, 5); err == nil {
-		t.Error("Ring(5,5) accepted")
-	}
-	if _, err := Ring(1, 1); err == nil {
-		t.Error("Ring(1,1) accepted")
-	}
-}
-
 func TestComplete(t *testing.T) {
 	g, err := Complete(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Edges() != 20 {
-		t.Errorf("Edges = %d, want 20", g.Edges())
+	if g.edges() != 20 {
+		t.Errorf("Edges = %d, want 20", g.edges())
 	}
-	if g.Diameter() != 1 {
-		t.Errorf("Diameter = %d, want 1", g.Diameter())
+	if g.diameter() != 1 {
+		t.Errorf("Diameter = %d, want 1", g.diameter())
 	}
 	if _, err := Complete(1); err == nil {
 		t.Error("Complete(1) accepted")
@@ -267,22 +248,11 @@ func TestDiameterUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := g.Diameter(); d != -1 {
+	if d := g.diameter(); d != -1 {
 		t.Errorf("Diameter = %d, want -1 for disconnected graph", d)
 	}
-	if g.IsStronglyConnected() {
+	if g.isStronglyConnected() {
 		t.Error("disconnected graph reported strongly connected")
-	}
-}
-
-func TestAvgOutDegree(t *testing.T) {
-	g, _ := RandomKOut(50, 7, 1)
-	if got := g.AvgOutDegree(); got != 7 {
-		t.Errorf("AvgOutDegree = %v, want 7", got)
-	}
-	empty := &Graph{}
-	if empty.AvgOutDegree() != 0 {
-		t.Error("empty graph AvgOutDegree != 0")
 	}
 }
 
@@ -298,7 +268,7 @@ func TestQuickInOutEdgeCountsMatch(t *testing.T) {
 		// out-edge appears exactly once as an in-edge.
 		inSum := 0
 		for i := 0; i < n; i++ {
-			inSum += g.InDegree(i)
+			inSum += g.inDegree(i)
 		}
 		if inSum != n*k {
 			return false
@@ -368,7 +338,6 @@ func TestInAdjacencyBuiltOnFirstUse(t *testing.T) {
 	build := map[string]func() (*Graph, error){
 		"RandomKOut":    func() (*Graph, error) { return RandomKOut(300, 7, 1) },
 		"WattsStrogatz": func() (*Graph, error) { return WattsStrogatz(300, 4, 0.2, 1) },
-		"Ring":          func() (*Graph, error) { return Ring(12, 3) },
 		"Complete":      func() (*Graph, error) { return Complete(6) },
 		"NewFromOut":    func() (*Graph, error) { return NewFromOut([][]int{{0, 1, 1}, {2, 2, 0}, {}, {3, 0, 3}}) },
 	}
@@ -389,7 +358,7 @@ func TestInAdjacencyBuiltOnFirstUse(t *testing.T) {
 				}
 			}
 			for i := 0; i < g.N(); i++ {
-				if got := g.InDegree(i); got != len(naive[i]) {
+				if got := g.inDegree(i); got != len(naive[i]) {
 					t.Fatalf("InDegree(%d) = %d, want %d", i, got, len(naive[i]))
 				}
 				if got := g.InNeighbors(i); !slices.Equal(got, naive[i]) || !slices.Equal(got, ref.InNeighbors(i)) {
@@ -422,7 +391,7 @@ func TestInAdjacencyConcurrentFirstUse(t *testing.T) {
 			<-start
 			for k := 0; k < g.N(); k++ {
 				i := (k + r*g.N()/readers) % g.N()
-				if g.InDegree(i) != ref.InDegree(i) || !slices.Equal(g.InNeighbors(i), ref.InNeighbors(i)) {
+				if g.inDegree(i) != ref.inDegree(i) || !slices.Equal(g.InNeighbors(i), ref.InNeighbors(i)) {
 					t.Errorf("reader %d: node %d in-adjacency differs from the eager one", r, i)
 					return
 				}
@@ -543,7 +512,6 @@ func TestConstructorsRejectMoreEdgesThanOffsetsHold(t *testing.T) {
 	for name, build := range map[string]func() (*Graph, error){
 		"RandomKOut":    func() (*Graph, error) { return RandomKOut(1<<28, 16, 1) },
 		"WattsStrogatz": func() (*Graph, error) { return WattsStrogatz(1<<28, 16, 0.1, 1) },
-		"Ring":          func() (*Graph, error) { return Ring(1<<28, 16) },
 		"Complete":      func() (*Graph, error) { return Complete(1<<16 + 1) },
 		"NewFromOut":    func() (*Graph, error) { return NewFromOut(out) },
 	} {

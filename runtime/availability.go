@@ -70,9 +70,6 @@ func (a *Availability) Set(i int, online bool) {
 // AllOnline reports whether every node slot is online.
 func (a *Availability) AllOnline() bool { return a.offline == 0 }
 
-// Offline returns the number of offline node slots.
-func (a *Availability) Offline() int { return a.offline }
-
 // AvailabilitySource is the Env method through which the Host reaches the
 // environment's online set: every lifecycle flip the environment performs
 // (SetOnline, SetOffline) must land in the returned set, which must cover

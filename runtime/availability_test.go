@@ -30,9 +30,9 @@ func TestAvailabilityMatchesBoolOracle(t *testing.T) {
 					offline++
 				}
 			}
-			if a.N() != n || a.Offline() != offline || a.AllOnline() != (offline == 0) {
+			if a.N() != n || a.offline != offline || a.AllOnline() != (offline == 0) {
 				t.Fatalf("n=%d step %d: N = %d, Offline = %d, AllOnline = %v; oracle has %d of %d offline",
-					n, step, a.N(), a.Offline(), a.AllOnline(), offline, n)
+					n, step, a.N(), a.offline, a.AllOnline(), offline, n)
 			}
 			for _, i := range []int{-1, -64, n, n + 1, n + 64, 1 << 40} {
 				if a.Online(i) {

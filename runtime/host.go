@@ -3,9 +3,9 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/szte-dcs/tokenaccount/core"
+	"github.com/szte-dcs/tokenaccount/internal/parallel"
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -20,9 +20,11 @@ type Config struct {
 	// Graph is the fixed communication overlay (required).
 	Graph *overlay.Graph
 	// Strategy returns the token account strategy of node i (required). Most
-	// experiments use the same strategy for every node.
+	// experiments use the same strategy for every node. NewHost calls it
+	// concurrently for distinct indices (see NewHost).
 	Strategy func(i int) core.Strategy
-	// NewApp returns the application instance of node i (required).
+	// NewApp returns the application instance of node i (required). NewHost
+	// calls it concurrently for distinct indices (see NewHost).
 	NewApp func(i int) protocol.Application
 	// Delta is the proactive period Δ in seconds (the paper uses 172.80 s).
 	Delta float64
@@ -50,14 +52,6 @@ type Config struct {
 	// environment through Env.SendDelayed. The paper's network (§4.1) is
 	// netmodel.Constant{D: 1.728}; loss composes as netmodel.Lossy.
 	Network netmodel.Model
-	// BuildWorkers bounds the number of goroutines NewHost uses to initialize
-	// the node slab. 0 or 1 builds sequentially. With more workers, the
-	// Strategy and NewApp callbacks must be safe to call concurrently for
-	// distinct node indices (true for all built-in experiment apps, which only
-	// write per-node slots of preallocated slices). The assembled host is
-	// identical for every worker count: node construction consumes no
-	// randomness — every stream is derived per node, not drawn in sequence.
-	BuildWorkers int
 }
 
 func (c Config) validate() error {
@@ -170,6 +164,16 @@ type shardCounters struct {
 // the unsynchronized proactive rounds (each node starts at a uniformly
 // random phase within [0, Δ)), applies the availability trace's initial
 // state and schedules its churn transitions.
+//
+// The nodes are built over GOMAXPROCS contiguous index ranges at once, so
+// Config.Strategy and Config.NewApp must be safe to call concurrently for
+// distinct node indices: the built-in experiment apps and the examples only
+// write per-node slots of preallocated slices, and chaotic iteration's lazy
+// in-adjacency is built under a sync.Once. The assembled host is the same
+// for every GOMAXPROCS: node construction draws no shared randomness, since
+// every stream is derived from the node's index. If several nodes fail to
+// build, NewHost returns the error of the lowest index, as a sequential
+// build would.
 func NewHost(env Env, cfg Config) (*Host, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -238,16 +242,15 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.setPeerHead(i)
 		return nil
 	}
-	if workers := cfg.BuildWorkers; workers > 1 {
-		if err := buildParallel(n, workers, buildNode); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < n; i++ {
+	if err := parallel.Ranges(n, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
 			if err := buildNode(i); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if cfg.Trace != nil {
 		for i := 0; i < n; i++ {
@@ -278,52 +281,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	h.scheduleRounds()
 	h.scheduleChurn()
 	return h, nil
-}
-
-// buildParallel runs build(i) for every i in [0, n) using up to workers
-// goroutines over contiguous index ranges. If several nodes fail, the error
-// of the lowest index is returned, matching the sequential order.
-func buildParallel(n, workers int, build func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	type rangeErr struct {
-		i   int
-		err error
-	}
-	errs := make([]rangeErr, 0, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if err := build(i); err != nil {
-					mu.Lock()
-					errs = append(errs, rangeErr{i: i, err: err})
-					mu.Unlock()
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	var first *rangeErr
-	for j := range errs {
-		if first == nil || errs[j].i < first.i {
-			first = &errs[j]
-		}
-	}
-	if first != nil {
-		return first.err
-	}
-	return nil
 }
 
 // scheduleRounds starts every node's proactive loop at a random phase, as a
@@ -530,23 +487,6 @@ func (h *Host) SetOnline(i int) {
 // its proactive loop pauses and messages addressed to it are dropped.
 func (h *Host) SetOffline(i int) { h.env.SetOffline(i) }
 
-// OnlineCount returns the number of currently online nodes: one subtraction
-// when the environment has exactly the host's node slots, a scan of the
-// host's prefix of the online set otherwise.
-func (h *Host) OnlineCount() int {
-	n := h.slab.Len()
-	if h.avail.N() == n {
-		return n - h.avail.Offline()
-	}
-	count := 0
-	for i := 0; i < n; i++ {
-		if h.Online(i) {
-			count++
-		}
-	}
-	return count
-}
-
 // RandomOnlineNode returns a uniformly random online node, or false if every
 // node is offline. It uses rejection sampling with a fallback scan so that it
 // stays cheap when most of the network is online. It draws from the
@@ -700,6 +640,8 @@ func (h *Host) MessagesSent() int64 {
 }
 
 // MessagesDelivered returns the number of messages delivered to online nodes.
+// No command reports it; it stays exported for the tests that check every
+// sent message was delivered or dropped.
 func (h *Host) MessagesDelivered() int64 {
 	var total int64
 	for i := range h.counts {

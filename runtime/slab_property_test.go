@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
@@ -147,8 +148,8 @@ func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 }
 
 // TestParallelBuildMatchesSequentialUnderChurn builds the same churny,
-// audited configuration with the sequential loop and with eight build
-// workers, runs both to the same horizon, and requires every observable —
+// audited configuration at GOMAXPROCS 1 (one build range, run inline) and at
+// GOMAXPROCS 8 (eight ranges on their own goroutines), runs both to the same horizon, and requires every observable —
 // per-node balances and stats, message counters, online flags, rejoin
 // sequence and audit envelopes — to agree. Under -race (the CI soak) this
 // doubles as the data-race check on concurrent slab initialization.
@@ -175,10 +176,10 @@ func TestParallelBuildMatchesSequentialUnderChurn(t *testing.T) {
 		delivered int64
 		audits    int
 	}
-	build := func(workers int) result {
+	build := func(procs int) result {
+		defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(procs))
 		cfg := hostConfig(t, n)
 		cfg.Trace = tr
-		cfg.BuildWorkers = workers
 		cfg.AuditNodes = []int{0, 5, 33}
 		var rejoined []int
 		cfg.OnRejoin = func(_ *runtime.Host, node int) { rejoined = append(rejoined, node) }

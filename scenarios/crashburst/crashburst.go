@@ -26,7 +26,7 @@ import (
 )
 
 func init() {
-	experiment.MustRegisterScenario("crash-burst", Factory, "crashburst", "burst")
+	experiment.MustRegisterScenario("crash-burst", factory, "crashburst", "burst")
 }
 
 // Scenario is the crash-burst scenario driver. The zero value uses the
@@ -44,10 +44,10 @@ type Scenario struct {
 	DownRounds int
 }
 
-// Factory builds a Scenario from the colon-separated parameters of a spec
+// factory builds a Scenario from the colon-separated parameters of a spec
 // string such as "crash-burst:0.4:500:100". All parameters are optional;
 // trailing unconsumed parameters are rejected.
-func Factory(args []string) (experiment.ScenarioDriver, error) {
+func factory(args []string) (experiment.ScenarioDriver, error) {
 	s := &Scenario{}
 	if len(args) > 3 {
 		return nil, fmt.Errorf("crashburst: unexpected trailing parameter(s) %v (want crash-burst[:fraction[:crashRound[:downRounds]]])", args[3:])
@@ -120,7 +120,7 @@ func (s *Scenario) window(rounds int) (crashRound, downRounds int) {
 // [CrashRound·Δ, (CrashRound+DownRounds)·Δ). The crashed subset is drawn
 // deterministically from the repetition seed.
 func (s *Scenario) BuildTrace(cfg experiment.Config, seed uint64) (*trace.Trace, error) {
-	// Directly constructed Scenario values bypass Factory's parsing, so the
+	// Directly constructed Scenario values bypass factory's parsing, so the
 	// range check must live here too.
 	if f := s.fraction(); f <= 0 || f > 1 {
 		return nil, fmt.Errorf("crashburst: fraction %g outside (0, 1]", s.Fraction)

@@ -154,6 +154,8 @@ func (s *dlaneSink) Deliver(d Delivery) {
 	w.react()
 }
 
+func (s *dlaneSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // run seeds the cascade, then drives it with a random interleaving of the
 // engine's run methods and accounting probes.
 func (w *dlaneWorld) run() {
@@ -346,6 +348,8 @@ func (s *shardDLaneTick) Deliver(d Delivery) {
 		se.ShardScheduleHookAt(sh, now+1, d.To, d.Word+1, s)
 	}
 }
+
+func (s *shardDLaneTick) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
 
 type shardDLaneDeliver struct{ w *shardDLaneWorld }
 

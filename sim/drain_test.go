@@ -65,6 +65,8 @@ func (k drainTick) Deliver(d Delivery) {
 	se.ShardScheduleHookAt(s, now+1, d.To, 0, k)
 }
 
+func (k drainTick) RunHook(to int32, word uint64) { k.Deliver(Delivery{To: to, Word: word}) }
+
 // send makes node from send one message with a delay the conservative
 // contract allows.
 func (w *drainWorld) send(from int, r *rng.Source, now float64) {
@@ -137,7 +139,7 @@ func runDrainWorld(t *testing.T, shards int, seed uint64, runUntil func(se *Shar
 	var probes []string
 	for _, h := range []float64{3, 7.5, 11, 11, 16.25, 24, 40} {
 		runUntil(se, h)
-		probes = append(probes, fmt.Sprintf("@%v processed %d pending %d", se.Now(), se.Processed(), se.Pending()))
+		probes = append(probes, fmt.Sprintf("@%v processed %d pending %d", se.Now(), se.Processed(), se.pending()))
 	}
 	return w.logs, probes
 }

@@ -7,7 +7,7 @@
 //
 // Events that arrive in time order bypass the queue in FIFO lanes merged
 // under the same (time, seq) order: hook events (ScheduleHookAt) in one lane
-// per sink — periodic re-arms, schedules built before the run — and
+// per hook — periodic re-arms, schedules built before the run — and
 // word-payload deliveries in one lane per sink and fixed delay, so the
 // paper's network, where every message takes the same time, schedules no
 // delivery through the queue at all. The rest wait in one 4-ary heap whose
@@ -54,6 +54,22 @@ type DeliverySink interface {
 	Deliver(d Delivery)
 }
 
+// Hook consumes hook events (see Engine.ScheduleHookAt) when they come due.
+// The engine calls RunHook with virtual time already advanced to the event's
+// time and the node index and word given at schedule time. Its method set is
+// runtime.Hook's, so an environment passes a runtime.Hook straight through.
+type Hook interface {
+	RunHook(to int32, word uint64)
+}
+
+// hookThunk is the sink of a hook event that could not ride its hook's lane
+// and waits in the queue instead: the hook travels in Delivery.Box. It is
+// zero-size, so the queued event stays as small as any delivery's and the
+// conversion to DeliverySink allocates nothing.
+type hookThunk struct{}
+
+func (hookThunk) Deliver(d Delivery) { d.Box.(Hook).RunHook(d.To, d.Word) }
+
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use: all events run on the goroutine that calls Run, RunUntil or
 // Step. The zero value is a valid engine: its event queue, a 4-ary heap, is
@@ -61,7 +77,7 @@ type DeliverySink interface {
 //
 // Besides the queue, the engine keeps (time, seq)-sorted FIFO rings, lanes,
 // for events whose times arrive in order, so only events that really need a
-// priority queue pay for one. There is one hook lane per sink passed to
+// priority queue pay for one. There is one hook lane per hook passed to
 // ScheduleHookAt (periodic re-arms, a presorted schedule) and up to
 // maxDeliveryLanes delivery lanes, each for one sink and one fixed delay of
 // ScheduleDelivery, or for the deposits of ScheduleDeliveryAt (see
@@ -285,14 +301,14 @@ func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 		return
 	}
 	if l != nil {
-		sink := l.sink // a new lane registered by the callback may move l
+		hook := l.hook // a new lane registered by the callback may move l
 		h := l.pop()
 		if e.preload != nil && lookaheadDue(l.head, l.n) {
 			e.lookahead(l, nil)
 		}
 		e.now = h.time
 		e.processed++
-		sink.Deliver(Delivery{To: h.to, Word: h.word})
+		hook.RunHook(h.to, h.word)
 		return
 	}
 	t, ev := e.q.pop()
@@ -368,39 +384,39 @@ func (e *Engine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink) {
 	e.q.push(t, e.seq, event{sink: sink, d: d})
 }
 
-// ScheduleHookAt schedules sink.Deliver(Delivery{To: to, Word: word}) at the
-// given absolute virtual time, with exactly the clamping, sequence numbering
-// and (time, seq) position of ScheduleDeliveryAt. The event goes to sink's
-// hook lane (created on first use) when the lane can take it in order —
-// always before the lane is first inspected, and afterwards whenever t is not
-// earlier than the lane's tail — and into the queue otherwise. A sink that
-// re-arms itself at Now()+period, or one whose events are all scheduled
-// before the run starts, therefore never touches the queue. Sinks are meant
-// to be few and long-lived (the lanes are scanned on every event) and are
-// matched to their lane with ==, so a sink's dynamic type must be
-// comparable — a pointer, typically. It panics on a nil sink.
-func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
-	if sink == nil {
-		panic("sim: ScheduleHookAt with nil sink")
+// ScheduleHookAt schedules hook.RunHook(to, word) at the given absolute
+// virtual time, with exactly the clamping, sequence numbering and (time, seq)
+// position of ScheduleDeliveryAt. The event goes to hook's lane (created on
+// first use) when the lane can take it in order — always before the lane is
+// first inspected, and afterwards whenever t is not earlier than the lane's
+// tail — and into the queue otherwise. A hook that re-arms itself at
+// Now()+period, or one whose events are all scheduled before the run starts,
+// therefore never touches the queue. Hooks are meant to be few and
+// long-lived (the lanes are scanned on every event) and are matched to their
+// lane with ==, so a hook's dynamic type must be comparable — a pointer,
+// typically. It panics on a nil hook.
+func (e *Engine) ScheduleHookAt(t float64, to int32, word uint64, hook Hook) {
+	if hook == nil {
+		panic("sim: ScheduleHookAt with nil hook")
 	}
 	if t < e.now || math.IsNaN(t) {
 		t = e.now
 	}
 	e.seq++
-	if e.lane(sink).push(t, e.seq, to, word) {
+	if e.lane(hook).push(t, e.seq, to, word) {
 		return
 	}
-	e.q.push(t, e.seq, event{sink: sink, d: Delivery{To: to, Word: word}})
+	e.q.push(t, e.seq, event{sink: hookThunk{}, d: Delivery{To: to, Word: word, Box: hook}})
 }
 
-// lane returns sink's hook lane, creating it on first use.
-func (e *Engine) lane(sink DeliverySink) *hookLane {
+// lane returns hook's lane, creating it on first use.
+func (e *Engine) lane(hook Hook) *hookLane {
 	for i := range e.lanes {
-		if e.lanes[i].sink == sink {
+		if e.lanes[i].hook == hook {
 			return &e.lanes[i]
 		}
 	}
-	e.lanes = append(e.lanes, hookLane{sink: sink})
+	e.lanes = append(e.lanes, hookLane{hook: hook})
 	return &e.lanes[len(e.lanes)-1]
 }
 
@@ -432,6 +448,3 @@ func (e *Engine) Run() {
 // Stop makes the engine refuse to execute further events. Pending events
 // remain queued (Pending still reports them) but will not run.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }

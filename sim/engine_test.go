@@ -129,8 +129,8 @@ func TestStopPreventsFurtherEvents(t *testing.T) {
 	if count != 3 {
 		t.Errorf("count = %d, want 3", count)
 	}
-	if !e.Stopped() {
-		t.Error("Stopped() = false")
+	if !e.stopped {
+		t.Error("stopped = false after Stop")
 	}
 	if e.Pending() == 0 {
 		t.Error("pending events should remain queued after Stop")

@@ -16,7 +16,7 @@ type hookEntry struct {
 	to   int32
 }
 
-// hookLane is the FIFO ring of one hook sink's events (see
+// hookLane is the FIFO ring of one hook's events (see
 // Engine.ScheduleHookAt). Its invariant is that buf, read from head, is
 // sorted by (time, seq) whenever the engine looks at it: entries pushed
 // before the lane is first inspected are appended unordered and sorted once
@@ -29,7 +29,7 @@ type hookEntry struct {
 // of different shard engines are separate small heap objects, and a lane
 // grown past 64 bytes would share a line with its neighbour's.
 type hookLane struct {
-	sink   DeliverySink
+	hook   Hook
 	buf    []hookEntry // ring; len(buf) is zero or a power of two
 	head   int
 	n      int

@@ -26,7 +26,7 @@ type laneRecord struct {
 // reference of laneReferences, which keeps every event in its queue.
 type laneWorld struct {
 	e      scheduler
-	hookAt func(t float64, to int32, word uint64, sink DeliverySink)
+	hookAt func(t float64, to int32, word uint64, sink testSink)
 	r      *rng.Source
 	seqOf  map[uint64]uint64 // word → seq at scheduling
 	nextID uint64
@@ -136,6 +136,8 @@ func (s *laneSink) Deliver(d Delivery) {
 	}
 }
 
+func (s *laneSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // run builds the schedule, then drives it with a random interleaving of the
 // engine's run methods and accounting probes.
 func (w *laneWorld) run() {
@@ -201,7 +203,7 @@ func TestHookLanesMatchQueue(t *testing.T) {
 				e := NewEngine()
 				lanes := &laneWorld{e: e, r: rng.New(seed), seqOf: map[uint64]uint64{}}
 				var fallbacks, taken int
-				lanes.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+				lanes.hookAt = func(t float64, to int32, word uint64, sink testSink) {
 					before := e.q.Len()
 					e.ScheduleHookAt(t, to, word, sink)
 					if e.q.Len() > before {
@@ -213,7 +215,7 @@ func TestHookLanesMatchQueue(t *testing.T) {
 				lanes.run()
 
 				ref := &laneWorld{e: rc.new(), r: rng.New(seed), seqOf: map[uint64]uint64{}}
-				ref.hookAt = func(t float64, to int32, word uint64, sink DeliverySink) {
+				ref.hookAt = func(t float64, to int32, word uint64, sink testSink) {
 					ref.e.ScheduleDeliveryAt(t, Delivery{To: to, Word: word}, sink)
 				}
 				ref.run()
@@ -266,6 +268,8 @@ func (s *countSink) Deliver(d Delivery) {
 	s.e.ScheduleHookAt(s.e.Now()+s.period, d.To, d.Word, s)
 }
 
+func (s *countSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // TestHookLaneRearmAllocs guards the lane's steady state: once the ring has
 // grown, a hook that re-arms from its own callback allocates nothing.
 func TestHookLaneRearmAllocs(t *testing.T) {
@@ -282,6 +286,50 @@ func TestHookLaneRearmAllocs(t *testing.T) {
 	}
 	if e.q.Len() != 0 {
 		t.Errorf("queue holds %d events; every re-arm should append to the lane", e.q.Len())
+	}
+}
+
+// behindHook re-arms one period later from every event, but its lane's tail
+// lies far in the future, so every re-arm takes the queue fallback.
+type behindHook struct {
+	e         *Engine
+	n         int
+	lastTo    int32
+	lastWord  uint64
+	wordsSeen bool // every word so far was its predecessor's + 1
+}
+
+func (h *behindHook) RunHook(to int32, word uint64) {
+	if h.n > 0 && word != h.lastWord+1 {
+		h.wordsSeen = false
+	}
+	h.n++
+	h.lastTo, h.lastWord = to, word
+	h.e.ScheduleHookAt(h.e.Now()+1, to, word+1, h)
+}
+
+// TestHookQueueFallbackAllocs guards the queue path of hook events: an event
+// behind its lane's tail waits in the heap as a delivery to the zero-size
+// thunk sink, with the hook in Delivery.Box. It must reach the hook with the
+// node and word it was scheduled with, and cost no allocation once the heap
+// has grown.
+func TestHookQueueFallbackAllocs(t *testing.T) {
+	e := NewEngine()
+	h := &behindHook{e: e, wordsSeen: true}
+	e.ScheduleHookAt(1e9, 0, 0, h) // the lane's tail: everything else falls behind it
+	e.RunUntil(0)                  // inspect the lane, so it only takes in-order entries
+	e.ScheduleHookAt(1, 7, 100, h)
+	if e.q.Len() != 1 {
+		t.Fatalf("queue holds %d events after a hook behind its lane's tail, want 1", e.q.Len())
+	}
+	e.RunUntil(10)
+	allocs := testing.AllocsPerRun(1000, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("queued hook event allocates %.1f per event, want 0", allocs)
+	}
+	if h.n < 1000 || h.lastTo != 7 || !h.wordsSeen || h.lastWord != 100+uint64(h.n)-1 {
+		t.Errorf("hook ran %d times, last (to %d, word %d), consecutive words %v; want ≥ 1000 runs on node 7 with words 100, 101, ...",
+			h.n, h.lastTo, h.lastWord, h.wordsSeen)
 	}
 }
 
@@ -328,8 +376,8 @@ func TestHookLanesKeepQueueEmpty(t *testing.T) {
 type shardLaneWorld struct {
 	se     *ShardedEngine
 	n      int
-	hookAt func(s int, t float64, to int32, word uint64, sink DeliverySink) // s < 0: coordinator
-	rngs   []*rng.Source                                                    // per node, shard-owned
+	hookAt func(s int, t float64, to int32, word uint64, sink testSink) // s < 0: coordinator
+	rngs   []*rng.Source                                                // per node, shard-owned
 	coordR *rng.Source
 	logs   [][]laneRecord // per shard, then the coordinator's
 	// fallbacks counts, per engine in the same layout, lane-path hooks that
@@ -373,6 +421,8 @@ func (s *shardLaneSink) Deliver(d Delivery) {
 	}
 }
 
+func (s *shardLaneSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // deliverSink logs cross- and intra-shard deliveries on the destination
 // shard's log.
 type shardLaneDeliver struct{ w *shardLaneWorld }
@@ -403,7 +453,7 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 	w.sinks.churn = shardLaneSink{w: w, kind: kindChurn}
 	if lanes {
 		w.fallbacks = make([]int, shards+1)
-		w.hookAt = func(s int, t float64, to int32, word uint64, sink DeliverySink) {
+		w.hookAt = func(s int, t float64, to int32, word uint64, sink testSink) {
 			e, log := se.coord, shards
 			if s >= 0 {
 				e, log = se.engines[s], s
@@ -423,7 +473,7 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 		for _, e := range se.engines {
 			noDeliveryLanes(e)
 		}
-		w.hookAt = func(s int, t float64, to int32, word uint64, sink DeliverySink) {
+		w.hookAt = func(s int, t float64, to int32, word uint64, sink testSink) {
 			e := se.coord
 			if s >= 0 {
 				e = se.engines[s]

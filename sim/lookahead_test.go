@@ -201,6 +201,8 @@ func (s *coordSink) Deliver(d Delivery) {
 	s.se.ScheduleHookAt(s.se.Now()+1, d.To, d.Word, s)
 }
 
+func (s *coordSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // queueBit marks the words of events a lookWorld schedules through the
 // queue on purpose (boxed deliveries).
 const queueBit = 1 << 63
@@ -251,6 +253,8 @@ type lookSink struct{ w *lookWorld }
 
 func (s *lookSink) Deliver(d Delivery) { s.w.deliver(d) }
 
+func (s *lookSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
+
 // lookPreloader logs every batch for the lane pop that follows it.
 type lookPreloader struct{ w *lookWorld }
 
@@ -268,11 +272,11 @@ func (w *lookWorld) shardOf(node int32) int { return int(node) % w.shards }
 func (w *lookWorld) lane(s int) *hookLane {
 	e := w.engines[s]
 	for i := range e.lanes {
-		if e.lanes[i].sink == w.self {
+		if e.lanes[i].hook == w.self {
 			return &e.lanes[i]
 		}
 	}
-	panic("no lane for the sink")
+	panic("no lane for the hook")
 }
 
 func (l *lookLog) word(gen uint64) uint64 {
@@ -370,7 +374,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 			se.Send(delay, Delivery{From: from, To: to, Word: word, Box: word})
 		}
 		probe = func() string {
-			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.Pending())
+			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.pending())
 		}
 		run = se.RunUntil
 	}
@@ -653,7 +657,7 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 			se.Send(delay, Delivery{From: from, To: to, Word: word, Box: box})
 		}
 		probe = func() string {
-			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.Pending())
+			return fmt.Sprintf("now %v processed %d pending %d", se.Now(), se.Processed(), se.pending())
 		}
 		run = se.RunUntil
 	}

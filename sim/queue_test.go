@@ -216,7 +216,7 @@ type scheduler interface {
 	At(t float64, fn func())
 	ScheduleDelivery(delay float64, d Delivery, sink DeliverySink)
 	ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink)
-	ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink)
+	ScheduleHookAt(t float64, to int32, word uint64, hook Hook)
 	Step() bool
 	RunUntil(horizon float64)
 	RunBefore(limit float64)
@@ -225,6 +225,13 @@ type scheduler interface {
 }
 
 func (e *Engine) lastSeq() uint64 { return e.seq }
+
+// testSink is a test target that is scheduled both as a hook and as a
+// delivery sink, so a lane schedule and its queue-only reference share it.
+type testSink interface {
+	Hook
+	DeliverySink
+}
 
 // refEngine is the scheduler Engine is held to: every event — closure,
 // delivery or hook — waits in one container/heap over (time, seq), numbered
@@ -270,8 +277,8 @@ func (r *refEngine) ScheduleDeliveryAt(t float64, d Delivery, sink DeliverySink)
 	r.at(t, event{sink: sink, d: d})
 }
 
-func (r *refEngine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
-	r.at(t, event{sink: sink, d: Delivery{To: to, Word: word}})
+func (r *refEngine) ScheduleHookAt(t float64, to int32, word uint64, hook Hook) {
+	r.at(t, event{sink: hookThunk{}, d: Delivery{To: to, Word: word, Box: hook}})
 }
 
 // pop runs the earliest event.
@@ -365,6 +372,8 @@ func (s *diffSink) Deliver(d Delivery) {
 	}
 	w.spawn()
 }
+
+func (s *diffSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: to, Word: word}) }
 
 func (w *diffWorld) spawn() {
 	if w.s.Processed() >= diffBudget {

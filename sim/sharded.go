@@ -170,17 +170,17 @@ func (se *ShardedEngine) ShardNow(s int) float64 { return se.engines[s].Now() }
 
 // ScheduleHookAt schedules a hook event on the coordinator at absolute time
 // t (see Engine.ScheduleHookAt): like At, it executes single-threaded at a
-// window barrier, but without a closure, and in the sink's hook lane when it
+// window barrier, but without a closure, and in the hook's lane when it
 // arrives in order.
-func (se *ShardedEngine) ScheduleHookAt(t float64, to int32, word uint64, sink DeliverySink) {
-	se.coord.ScheduleHookAt(t, to, word, sink)
+func (se *ShardedEngine) ScheduleHookAt(t float64, to int32, word uint64, hook Hook) {
+	se.coord.ScheduleHookAt(t, to, word, hook)
 }
 
 // ShardScheduleHookAt schedules a hook event on shard s at absolute
-// shard-local time t (see Engine.ScheduleHookAt). The sink runs on the
+// shard-local time t (see Engine.ScheduleHookAt). The hook runs on the
 // shard's goroutine and must only touch state owned by that shard.
-func (se *ShardedEngine) ShardScheduleHookAt(s int, t float64, to int32, word uint64, sink DeliverySink) {
-	se.engines[s].ScheduleHookAt(t, to, word, sink)
+func (se *ShardedEngine) ShardScheduleHookAt(s int, t float64, to int32, word uint64, hook Hook) {
+	se.engines[s].ScheduleHookAt(t, to, word, hook)
 }
 
 // Send schedules the delivery d after the given delay, routed by the shards
@@ -219,9 +219,9 @@ func (se *ShardedEngine) Processed() uint64 {
 	return total
 }
 
-// Pending returns the number of scheduled, not-yet-executed events,
+// pending returns the number of scheduled, not-yet-executed events,
 // including deliveries parked in either set of outboxes.
-func (se *ShardedEngine) Pending() int {
+func (se *ShardedEngine) pending() int {
 	n := se.coord.Pending()
 	for _, e := range se.engines {
 		n += e.Pending()

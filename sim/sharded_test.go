@@ -73,7 +73,7 @@ func newShardFuncs(se *ShardedEngine) []*shardFuncs {
 	return fs
 }
 
-func (f *shardFuncs) Deliver(d Delivery) { f.fns[d.Word]() }
+func (f *shardFuncs) RunHook(_ int32, word uint64) { f.fns[word]() }
 
 // at runs fn at shard-local time ShardNow+delay; it returns fn's word.
 func (f *shardFuncs) at(delay float64, fn func()) uint64 {
@@ -351,18 +351,18 @@ func TestShardedProcessedAndPending(t *testing.T) {
 		se.Send(1.5, Delivery{From: 0, To: 1}) // cross-shard, parked in an outbox
 		se.Send(0.1, Delivery{From: 0, To: 2}) // intra-shard
 	})
-	if se.Pending() != 1 {
-		t.Fatalf("Pending before run = %d, want 1", se.Pending())
+	if se.pending() != 1 {
+		t.Fatalf("Pending before run = %d, want 1", se.pending())
 	}
 	se.RunUntil(1) // the window [0,1) executes the closure and the intra-shard delivery
 	if got := se.Processed(); got != 2 {
 		t.Fatalf("Processed after first window = %d, want 2", got)
 	}
-	if se.Pending() != 1 {
-		t.Fatalf("Pending with a parked cross-shard delivery = %d, want 1", se.Pending())
+	if se.pending() != 1 {
+		t.Fatalf("Pending with a parked cross-shard delivery = %d, want 1", se.pending())
 	}
 	se.RunUntil(5)
-	if got, pend := se.Processed(), se.Pending(); got != 3 || pend != 0 {
+	if got, pend := se.Processed(), se.pending(); got != 3 || pend != 0 {
 		t.Fatalf("after drain: Processed = %d, Pending = %d, want 3, 0", got, pend)
 	}
 }
@@ -379,16 +379,16 @@ func TestShardedPendingCountsBothOutboxSets(t *testing.T) {
 	sink := &shardTrace{}
 	se.SetSink(sink)
 	se.Send(1.5, Delivery{From: 0, To: 1})
-	if got := se.Pending(); got != 1 {
+	if got := se.pending(); got != 1 {
 		t.Fatalf("Pending with the delivery in the filled outbox set = %d, want 1", got)
 	}
 	se.fill ^= 1
-	if got := se.Pending(); got != 1 {
+	if got := se.pending(); got != 1 {
 		t.Fatalf("Pending with the delivery in the drained outbox set = %d, want 1", got)
 	}
 	se.drainInto(1)
 	se.RunUntil(5)
-	if got, pend := len(sink.entries), se.Pending(); got != 1 || pend != 0 {
+	if got, pend := len(sink.entries), se.pending(); got != 1 || pend != 0 {
 		t.Fatalf("after the run: %d deliveries, Pending = %d, want 1, 0", got, pend)
 	}
 }
@@ -439,11 +439,13 @@ func TestShardedClose(t *testing.T) {
 	se.RunUntil(2)
 }
 
-// nullSink discards deliveries; the allocation guards must not measure the
+// nullSink discards deliveries and hook events; the allocation guards must not measure the
 // sink's own bookkeeping.
 type nullSink struct{ n int }
 
 func (s *nullSink) Deliver(Delivery) { s.n++ }
+
+func (s *nullSink) RunHook(int32, uint64) { s.n++ }
 
 // TestShardedCrossShardAllocs locks in the zero-allocation property of the
 // cross-shard delivery path: once the outboxes and queues have grown, a

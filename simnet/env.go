@@ -48,7 +48,6 @@ type Env struct {
 	transferDelay float64
 	online        runtime.Availability
 	deliver       runtime.DeliverFunc
-	hooks         hookRegistry
 }
 
 var (
@@ -102,7 +101,7 @@ func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, strea
 // the exact clamping and sequence numbering of At. The Host's periodic ticks
 // and its presorted churn transitions therefore never enter the event queue.
 func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
+	e.engine.ScheduleHookAt(t, node, word, hook)
 }
 
 // Send delivers the payload after the fixed TransferDelay of virtual time

@@ -3,7 +3,6 @@
 package simnet
 
 import (
-	stdruntime "runtime"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
@@ -52,12 +51,11 @@ func TestTenMillionNodeShardedRun(t *testing.T) {
 	walkers := make([]gossiplearning.Walker, n)
 	strategy := core.Strategy(core.MustRandomized(5, 10))
 	host, err := hostrt.NewHost(env, hostrt.Config{
-		Graph:        g,
-		Strategy:     func(int) core.Strategy { return strategy },
-		NewApp:       func(i int) protocol.Application { return &walkers[i] },
-		Delta:        delta,
-		Network:      model,
-		BuildWorkers: stdruntime.GOMAXPROCS(0),
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return strategy },
+		NewApp:   func(i int) protocol.Application { return &walkers[i] },
+		Delta:    delta,
+		Network:  model,
 		// Seed the accounts at the randomized strategy's spending threshold
 		// A so cross-shard traffic flows from the first period instead of
 		// after ~A banking rounds.
@@ -69,8 +67,8 @@ func TestTenMillionNodeShardedRun(t *testing.T) {
 	if err := host.Run(3 * delta); err != nil {
 		t.Fatal(err)
 	}
-	if host.OnlineCount() != n {
-		t.Errorf("OnlineCount = %d, want %d", host.OnlineCount(), n)
+	if onlineCount(host) != n {
+		t.Errorf("online nodes: %d, want %d", onlineCount(host), n)
 	}
 	if stats := host.TotalStats(); stats.Rounds == 0 || stats.Received == 0 {
 		t.Errorf("run advanced no rounds or delivered nothing: %+v", stats)

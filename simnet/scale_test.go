@@ -48,12 +48,11 @@ func TestMillionNodeSmoke(t *testing.T) {
 	walkers := make([]gossiplearning.Walker, n)
 	strategy := core.Strategy(core.MustRandomized(5, 10))
 	host, err := hostrt.NewHost(env, hostrt.Config{
-		Graph:        g,
-		Strategy:     func(int) core.Strategy { return strategy },
-		NewApp:       func(i int) protocol.Application { return &walkers[i] },
-		Delta:        delta,
-		Network:      netmodel.Constant{D: 1.728},
-		BuildWorkers: stdruntime.GOMAXPROCS(0),
+		Graph:    g,
+		Strategy: func(int) core.Strategy { return strategy },
+		NewApp:   func(i int) protocol.Application { return &walkers[i] },
+		Delta:    delta,
+		Network:  netmodel.Constant{D: 1.728},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +94,8 @@ func TestMillionNodeSmoke(t *testing.T) {
 		t.Errorf("10^6-node run holds %d bytes of live heap, want ≤ %d", heap, heapBound)
 	}
 	t.Logf("10^6-node run: live heap %.2f GiB", float64(heap)/(1<<30))
-	if host.OnlineCount() != n {
-		t.Errorf("OnlineCount = %d, want %d", host.OnlineCount(), n)
+	if onlineCount(host) != n {
+		t.Errorf("online nodes: %d, want %d", onlineCount(host), n)
 	}
 }
 
@@ -122,8 +121,8 @@ const (
 // "bytes" subtests, measured once. The overlays are the k-out graph of the gossip
 // experiments and a Watts–Strogatz small world rewired enough (β = 0.2) to
 // exercise the dedup path; the host build is the environment, the walker
-// slab and the whole Host over a pre-built k-out graph, with a fixed worker
-// count so the goroutines it starts do not depend on the machine. The
+// slab and the whole Host over a pre-built k-out graph, at GOMAXPROCS 8 so the
+// build ranges and goroutines it starts do not depend on the machine. The
 // 10^6-node footprint is bounded by TestMillionNodeSmoke.
 func TestBuildPathIsConstantInN(t *testing.T) {
 	if raceEnabled {
@@ -141,13 +140,13 @@ func TestBuildPathIsConstantInN(t *testing.T) {
 				t.Fatal(err)
 			}
 			walkers := make([]gossiplearning.Walker, n)
+			defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(8))
 			if _, err := hostrt.NewHost(env, hostrt.Config{
-				Graph:        g,
-				Strategy:     func(int) core.Strategy { return strategy },
-				NewApp:       func(i int) protocol.Application { return &walkers[i] },
-				Delta:        172.8,
-				Network:      netmodel.Constant{D: 1.728},
-				BuildWorkers: 8,
+				Graph:    g,
+				Strategy: func(int) core.Strategy { return strategy },
+				NewApp:   func(i int) protocol.Application { return &walkers[i] },
+				Delta:    172.8,
+				Network:  netmodel.Constant{D: 1.728},
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,6 @@ type ShardedEnv struct {
 	online  runtime.Availability
 	deliver runtime.DeliverFunc
 	facades []shardFacade
-	hooks   hookRegistry
 }
 
 var (
@@ -79,7 +78,7 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 		facades: make([]shardFacade, cfg.Shards),
 	}
 	for s := range e.facades {
-		e.facades[s] = shardFacade{env: e, engine: engine, shard: s}
+		e.facades[s] = shardFacade{engine: engine, shard: s}
 	}
 	engine.SetSink(e)
 	return e, nil
@@ -114,7 +113,7 @@ func (e *ShardedEnv) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed
 // executes at a window barrier, like every coordinator event, from the
 // hook's lane (see sim.Engine.ScheduleHookAt).
 func (e *ShardedEnv) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.engine.ScheduleHookAt(t, node, word, e.hooks.adapterFor(hook))
+	e.engine.ScheduleHookAt(t, node, word, hook)
 }
 
 // SendDelayed implements runtime.Env: the payload is delivered after the
@@ -194,7 +193,6 @@ func (e *ShardedEnv) Close() error {
 
 // shardFacade adapts one shard of the engine to runtime.ShardScheduler.
 type shardFacade struct {
-	env    *ShardedEnv
 	engine *sim.ShardedEngine
 	shard  int
 }
@@ -204,9 +202,8 @@ var _ runtime.ShardScheduler = (*shardFacade)(nil)
 func (f *shardFacade) Now() float64 { return f.engine.ShardNow(f.shard) }
 
 // AtHook implements runtime.ShardScheduler on the shard's own engine: the hook
-// runs on the shard worker at shard-local time t. The adapter registry is
-// shared with the coordinator, so a hook registered at assembly reschedules
-// from any shard without allocation.
+// runs on the shard worker at shard-local time t, from its lane in the
+// shard's engine.
 func (f *shardFacade) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	f.engine.ShardScheduleHookAt(f.shard, t, node, word, f.env.hooks.adapterFor(hook))
+	f.engine.ShardScheduleHookAt(f.shard, t, node, word, hook)
 }

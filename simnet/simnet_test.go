@@ -30,7 +30,7 @@ func walkerConfig(t *testing.T, n int, strategy core.Strategy, seed uint64) (Env
 	return EnvConfig{N: n, Seed: seed}, hostrt.Config{
 		Graph:    g,
 		Strategy: func(int) core.Strategy { return strategy },
-		NewApp:   func(int) protocol.Application { return gossiplearning.NewWalker() },
+		NewApp:   func(int) protocol.Application { return &gossiplearning.Walker{} },
 		Delta:    100,
 		Network:  netmodel.Constant{D: walkerDelay},
 	}
@@ -110,8 +110,8 @@ func TestProactiveNetworkSendsOnePerRound(t *testing.T) {
 	if stats.ProactiveSent != 50*rounds || stats.ReactiveSent != 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if net.OnlineCount() != 50 {
-		t.Errorf("OnlineCount = %d", net.OnlineCount())
+	if onlineCount(net) != 50 {
+		t.Errorf("online nodes: %d", onlineCount(net))
 	}
 }
 
@@ -227,8 +227,8 @@ func TestChurnDropsMessagesAndTracksOnline(t *testing.T) {
 		net.Send(0, 1, pushgossip.Update{Seq: 999}.Payload())
 	})
 	mustRun(t, net, 1000)
-	if net.OnlineCount() != n/2 {
-		t.Errorf("OnlineCount = %d, want %d", net.OnlineCount(), n/2)
+	if onlineCount(net) != n/2 {
+		t.Errorf("online nodes: %d, want %d", onlineCount(net), n/2)
 	}
 	if !net.Online(0) || net.Online(1) {
 		t.Error("online flags wrong after churn")
@@ -361,12 +361,12 @@ func TestSteadyStateMessagePathAllocs(t *testing.T) {
 			net := steadyStateHost(t, envCfg, cfg, row.shards)
 			horizon := 50 * cfg.Delta
 			mustRun(t, net, horizon) // warm up to the steady state
-			sent, online := net.MessagesSent(), net.OnlineCount()
+			sent, online := net.MessagesSent(), onlineCount(net)
 			flips := 0
 			allocs := testing.AllocsPerRun(30, func() {
 				horizon += cfg.Delta
 				mustRun(t, net, horizon)
-				if c := net.OnlineCount(); c != online {
+				if c := onlineCount(net); c != online {
 					flips, online = flips+1, c
 				}
 			})
@@ -462,15 +462,13 @@ func TestBlockcastMessagePathAllocs(t *testing.T) {
 	})
 	round := 0
 	env.Every(delta, delta, func() bool {
-		if !chain.TryPropose(env.Now(), &states[round%n]) {
-			chain.SkipProposal()
-		}
+		chain.TryPropose(env.Now(), &states[round%n])
 		round++
 		return true
 	})
 	horizon := 50 * delta
 	mustRun(t, host, horizon)
-	committed, sent, bytes := chain.Committed(), host.MessagesSent(), host.BytesSent()
+	commits, sent, bytes := chain.Latency.N(), host.MessagesSent(), host.BytesSent()
 	allocs := testing.AllocsPerRun(30, func() {
 		horizon += delta
 		mustRun(t, host, horizon)
@@ -478,7 +476,7 @@ func TestBlockcastMessagePathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state blockcast period allocates %.1f, want 0", allocs)
 	}
-	if chain.Committed() == committed {
+	if chain.Latency.N() == commits {
 		t.Error("no block committed in the measured periods")
 	}
 	// Pulls weigh 40 B, announces 96 B and block answers 200 B plus
@@ -487,4 +485,15 @@ func TestBlockcastMessagePathAllocs(t *testing.T) {
 	if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= blockcast.AnnounceBytes*dm {
 		t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, blockcast.AnnounceBytes)
 	}
+}
+
+// onlineCount counts the host's online nodes.
+func onlineCount(h *hostrt.Host) int {
+	count := 0
+	for i := 0; i < h.N(); i++ {
+		if h.Online(i) {
+			count++
+		}
+	}
+	return count
 }

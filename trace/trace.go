@@ -57,28 +57,10 @@ func (s *Segment) Online(t float64) bool {
 	return idx < len(s.Intervals) && s.Intervals[idx].Start <= t
 }
 
-// EverOnlineBy reports whether the segment has been online at any point up to
+// everOnlineBy reports whether the segment has been online at any point up to
 // and including time t.
-func (s *Segment) EverOnlineBy(t float64) bool {
+func (s *Segment) everOnlineBy(t float64) bool {
 	return len(s.Intervals) > 0 && s.Intervals[0].Start <= t
-}
-
-// OnlineTime returns the total online time of the segment.
-func (s *Segment) OnlineTime() float64 {
-	total := 0.0
-	for _, iv := range s.Intervals {
-		total += iv.End - iv.Start
-	}
-	return total
-}
-
-// Transitions returns the login and logout times of the segment.
-func (s *Segment) Transitions() (logins, logouts []float64) {
-	for _, iv := range s.Intervals {
-		logins = append(logins, iv.Start)
-		logouts = append(logouts, iv.End)
-	}
-	return logins, logouts
 }
 
 // normalize sorts the intervals, drops empty ones and merges overlaps.
@@ -131,29 +113,15 @@ func (tr *Trace) Online(node int, t float64) bool {
 }
 
 // AlwaysOnline returns a trace in which every one of n nodes is online for
-// the whole duration. It represents the paper's failure-free scenario.
+// the whole duration. It represents the paper's failure-free scenario, which
+// runs pass as a nil Trace; it stays exported as a fixture, the base that
+// tests in runtime and simnet edit into churn schedules.
 func AlwaysOnline(n int, duration float64) *Trace {
 	tr := &Trace{Duration: duration, Segments: make([]Segment, n)}
 	for i := range tr.Segments {
 		tr.Segments[i].Intervals = []Interval{{Start: 0, End: duration}}
 	}
 	return tr
-}
-
-// Stretch returns a trace with the same number of nodes built by cycling the
-// receiver's segments. It is used to assign a (synthetic or real) user
-// segment to each of n simulated nodes, as the paper assigns a different
-// 2-day segment to each node.
-func (tr *Trace) Stretch(n int) *Trace {
-	if tr.N() == 0 {
-		return &Trace{Duration: tr.Duration, Segments: make([]Segment, n)}
-	}
-	out := &Trace{Duration: tr.Duration, Segments: make([]Segment, n)}
-	for i := 0; i < n; i++ {
-		src := tr.Segments[i%tr.N()]
-		out.Segments[i] = Segment{Intervals: append([]Interval(nil), src.Intervals...)}
-	}
-	return out
 }
 
 // Bin is one time bucket of aggregate trace statistics (Figure 1 of the
@@ -197,7 +165,7 @@ func (tr *Trace) Stats(binWidth float64) ([]Bin, error) {
 			if tr.Segments[i].Online(t) {
 				online++
 			}
-			if tr.Segments[i].EverOnlineBy(t) {
+			if tr.Segments[i].everOnlineBy(t) {
 				ever++
 			}
 		}
@@ -205,14 +173,14 @@ func (tr *Trace) Stats(binWidth float64) ([]Bin, error) {
 		bins[b].EverOnlineFrac = float64(ever) / n
 	}
 	for i := range tr.Segments {
-		logins, logouts := tr.Segments[i].Transitions()
-		for _, t := range logins {
-			if b := int(t / binWidth); b >= 0 && b < nBins {
+		// Every interval starts with a login and ends with a logout.
+		for _, iv := range tr.Segments[i].Intervals {
+			if b := int(iv.Start / binWidth); b >= 0 && b < nBins {
 				bins[b].LoginFrac += 1 / n
 			}
 		}
-		for _, t := range logouts {
-			if b := int(t / binWidth); b >= 0 && b < nBins {
+		for _, iv := range tr.Segments[i].Intervals {
+			if b := int(iv.End / binWidth); b >= 0 && b < nBins {
 				bins[b].LogoutFrac += 1 / n
 			}
 		}
@@ -259,7 +227,9 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 // to the same format). n is the number of nodes; intervals referring to nodes
 // ≥ n are rejected, as are malformed intervals — a negative start, an end not
 // after the start, or an end past the declared duration — each with the line
-// number, rather than silently normalizing bad data away.
+// number, rather than silently normalizing bad data away. No command reads a
+// trace back yet; it stays exported as the fuzzed half of the CSV round trip
+// (FuzzCSVRoundTrip) and as the way tracegen's tests read its output.
 func ReadCSV(r io.Reader, n int) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -22,11 +22,8 @@ func TestSegmentOnline(t *testing.T) {
 			t.Errorf("Online(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
-	if s.OnlineTime() != 20 {
-		t.Errorf("OnlineTime = %v, want 20", s.OnlineTime())
-	}
-	if !s.EverOnlineBy(10) || s.EverOnlineBy(9) {
-		t.Error("EverOnlineBy wrong")
+	if !s.everOnlineBy(10) || s.everOnlineBy(9) {
+		t.Error("everOnlineBy wrong")
 	}
 }
 
@@ -59,32 +56,6 @@ func TestAlwaysOnline(t *testing.T) {
 	}
 	if tr.PermanentlyOfflineFraction() != 0 {
 		t.Error("always-online trace has offline nodes")
-	}
-}
-
-func TestStretch(t *testing.T) {
-	tr := &Trace{Duration: 50, Segments: []Segment{
-		{Intervals: []Interval{{0, 10}}},
-		{Intervals: []Interval{{20, 30}}},
-	}}
-	big := tr.Stretch(5)
-	if big.N() != 5 {
-		t.Fatalf("N = %d, want 5", big.N())
-	}
-	if !big.Online(0, 5) || !big.Online(2, 5) || !big.Online(4, 5) {
-		t.Error("stretched segments not cycled correctly")
-	}
-	if !big.Online(1, 25) || !big.Online(3, 25) {
-		t.Error("stretched segments not cycled correctly for node 1 pattern")
-	}
-	// Mutating the copy must not affect the original.
-	big.Segments[0].Intervals[0].End = 1
-	if tr.Segments[0].Intervals[0].End != 10 {
-		t.Error("Stretch shares interval storage with the source trace")
-	}
-	empty := (&Trace{Duration: 10}).Stretch(3)
-	if empty.N() != 3 {
-		t.Error("Stretch of empty trace should still produce n segments")
 	}
 }
 

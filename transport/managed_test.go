@@ -37,7 +37,7 @@ func TestTCPSlowPeerDoesNotBlockOthers(t *testing.T) {
 	Register[testPayload](registry, "test")
 	Register[bigPayload](registry, "big")
 
-	a, err := NewTCPEndpoint(1, "127.0.0.1:0", registry, WithPeerQueueSize(2))
+	a, err := newTCPEndpoint(1, "127.0.0.1:0", registry, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,10 @@ type link struct {
 }
 
 // BusOption configures fault injection on a MemoryBus. The zero
-// configuration (no options) is a fully reliable bus, as before.
+// configuration (no options) is a fully reliable bus, as before. No command
+// injects faults yet: the options, Block and Unblock stay exported as
+// fixtures for seeded loss and partition testing of the live stack, which the
+// transport tests drive today.
 type BusOption func(*MemoryBus)
 
 // WithDropProbability makes the bus lose each message independently with

@@ -10,60 +10,24 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// Managed-connection defaults. They are deliberately LAN-flavoured: the
-// deployment target is a localhost or datacenter fleet of tokennode daemons.
+// The managed endpoint's fixed tunables. They are deliberately LAN-flavoured:
+// the deployment target is a localhost or datacenter fleet of tokennode
+// daemons. A peer's outbound queue holds up to peerQueueSize frames
+// accepted and not yet written to its socket; when it is full, further sends
+// to that peer are shed, never blocking the caller, and counted in
+// Stats.SendsShed. After a failed dial the peer's link fast-fails sends for a
+// jittered, exponentially growing span between backoffMin and backoffMax.
 const (
-	defaultPeerQueue   = 256
-	defaultDialTimeout = 2 * time.Second
-	defaultBackoffMin  = 50 * time.Millisecond
-	defaultBackoffMax  = 1 * time.Second
+	peerQueueSize = 256
+	dialTimeout   = 2 * time.Second
+	backoffMin    = 50 * time.Millisecond
+	backoffMax    = 1 * time.Second
 )
 
 // maxIdleBuf is the largest frame buffer a link keeps between batches; one
 // that grew beyond it (a burst of large envelope frames) is released once
 // written instead of staying pinned to the peer.
 const maxIdleBuf = 64 << 10
-
-// tcpConfig carries the tunables of a TCPEndpoint.
-type tcpConfig struct {
-	peerQueue   int
-	dialTimeout time.Duration
-	backoffMin  time.Duration
-	backoffMax  time.Duration
-}
-
-// TCPOption configures a TCPEndpoint beyond its required parameters.
-type TCPOption func(*tcpConfig)
-
-// WithPeerQueueSize bounds the per-peer outbound queue (default 256 frames):
-// the frames accepted for a peer and not yet written to its socket. When a
-// peer's queue is full further sends to it are shed, never blocking the
-// caller; the shed count is visible in Stats.SendsShed.
-func WithPeerQueueSize(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n > 0 {
-			c.peerQueue = n
-		}
-	}
-}
-
-// WithBackoff sets the reconnect backoff window: after a failed dial the
-// peer's link fast-fails sends for a jittered, exponentially growing span
-// between min and max (defaults 50 ms and 1 s). A max below min is ignored,
-// and the window's upper end is never left below its lower end.
-func WithBackoff(min, max time.Duration) TCPOption {
-	return func(c *tcpConfig) {
-		if min > 0 {
-			c.backoffMin = min
-		}
-		if max >= c.backoffMin {
-			c.backoffMax = max
-		}
-		if c.backoffMax < c.backoffMin {
-			c.backoffMax = c.backoffMin
-		}
-	}
-}
 
 // TCPEndpoint is a Transport over TCP with managed per-peer connections: each
 // peer gets its own bounded outbound queue drained by a dedicated writer, so
@@ -90,7 +54,8 @@ type TCPEndpoint struct {
 	id       protocol.NodeID
 	registry *Registry
 	listener net.Listener
-	cfg      tcpConfig
+	// peerQueue is the per-peer queue bound: peerQueueSize, except in tests.
+	peerQueue int
 
 	mu       sync.Mutex
 	handler  PayloadHandler
@@ -111,31 +76,27 @@ var (
 // NewTCPEndpoint starts listening on addr (e.g. "127.0.0.1:0") and returns
 // the endpoint. The registry must contain every boxed payload type that will
 // be sent or received; word-encoded payloads bypass it.
-func NewTCPEndpoint(id protocol.NodeID, addr string, registry *Registry, opts ...TCPOption) (*TCPEndpoint, error) {
+func NewTCPEndpoint(id protocol.NodeID, addr string, registry *Registry) (*TCPEndpoint, error) {
+	return newTCPEndpoint(id, addr, registry, peerQueueSize)
+}
+
+// newTCPEndpoint is NewTCPEndpoint with a per-peer queue bound of its own.
+func newTCPEndpoint(id protocol.NodeID, addr string, registry *Registry, peerQueue int) (*TCPEndpoint, error) {
 	if registry == nil {
 		return nil, fmt.Errorf("transport: nil registry")
-	}
-	cfg := tcpConfig{
-		peerQueue:   defaultPeerQueue,
-		dialTimeout: defaultDialTimeout,
-		backoffMin:  defaultBackoffMin,
-		backoffMax:  defaultBackoffMax,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	e := &TCPEndpoint{
-		id:       id,
-		registry: registry,
-		listener: ln,
-		cfg:      cfg,
-		links:    make(map[protocol.NodeID]*peerLink),
-		accepted: make(map[net.Conn]struct{}),
-		closedCh: make(chan struct{}),
+		id:        id,
+		registry:  registry,
+		listener:  ln,
+		peerQueue: peerQueue,
+		links:     make(map[protocol.NodeID]*peerLink),
+		accepted:  make(map[net.Conn]struct{}),
+		closedCh:  make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go e.acceptLoop()
@@ -224,7 +185,9 @@ func (e *TCPEndpoint) SetPayloadHandler(h PayloadHandler) {
 }
 
 // SetHandler installs h as the payload handler: a boxed payload reaches it as
-// its Box, a word payload as the protocol.Payload itself.
+// its Box, a word payload as the protocol.Payload itself. Only the benchmark
+// module (bench/) calls it; it goes once the benchmark moves to
+// SetPayloadHandler.
 func (e *TCPEndpoint) SetHandler(h Handler) {
 	e.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
 		if p.Kind == protocol.KindBoxed {
@@ -455,7 +418,7 @@ func (l *peerLink) enqueue(body []byte, payloadBytes int64) error {
 		l.ep.stats.sendErrors.Add(1)
 		return fmt.Errorf("transport: peer %d unreachable, backing off", l.id)
 	}
-	if l.queued >= l.ep.cfg.peerQueue {
+	if l.queued >= l.ep.peerQueue {
 		// The peer is slower than the offered load; shed rather than block
 		// the caller (the protocol tick must never stall behind one peer).
 		l.mu.Unlock()
@@ -600,7 +563,7 @@ func (l *peerLink) dial(force bool) net.Conn {
 	if stopped || l.ep.isClosed() {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, l.ep.cfg.dialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		l.ep.stats.dialFailures.Add(1)
 		l.noteDialFailure()
@@ -634,11 +597,11 @@ func (l *peerLink) noteDialFailure() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.backoff == 0 {
-		l.backoff = l.ep.cfg.backoffMin
+		l.backoff = backoffMin
 	} else {
 		l.backoff *= 2
-		if l.backoff > l.ep.cfg.backoffMax {
-			l.backoff = l.ep.cfg.backoffMax
+		if l.backoff > backoffMax {
+			l.backoff = backoffMax
 		}
 	}
 	window := l.backoff/2 + time.Duration(rand.Int63n(int64(l.backoff/2)+1))

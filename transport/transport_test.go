@@ -306,7 +306,7 @@ func TestTCPEndpointSurvivesPeerRestart(t *testing.T) {
 func TestTCPEndpointUntypedAdapters(t *testing.T) {
 	registry := NewRegistry()
 	Register[testPayload](registry, "test")
-	a, b := newTCPPair(t, registry)
+	a, b := newTCPPair(t, registry, peerQueueSize)
 	var mu sync.Mutex
 	var got []any
 	b.SetHandler(func(from protocol.NodeID, v any) {

@@ -18,10 +18,11 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// newTCPPair returns endpoint 1 with endpoint 2 registered as its peer.
-func newTCPPair(t *testing.T, registry *Registry, opts ...TCPOption) (a, b *TCPEndpoint) {
+// newTCPPair returns endpoint 1, whose per-peer queues hold peerQueue
+// frames, with endpoint 2 registered as its peer.
+func newTCPPair(t *testing.T, registry *Registry, peerQueue int) (a, b *TCPEndpoint) {
 	t.Helper()
-	a, err := NewTCPEndpoint(1, "127.0.0.1:0", registry, opts...)
+	a, err := newTCPEndpoint(1, "127.0.0.1:0", registry, peerQueue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func newTCPPair(t *testing.T, registry *Registry, opts ...TCPOption) (a, b *TCPE
 // the destination's side can.
 func TestTCPWriterCoalesces(t *testing.T) {
 	const k = 64
-	a, b := newTCPPair(t, NewRegistry(), WithPeerQueueSize(k))
+	a, b := newTCPPair(t, NewRegistry(), k)
 	var mu sync.Mutex
 	var words []uint64
 	b.SetPayloadHandler(func(from protocol.NodeID, p protocol.Payload) {
@@ -246,7 +247,7 @@ func TestWordFrameReceiveAllocs(t *testing.T) {
 // the socket and the peer's read loop to its handler without a heap
 // allocation anywhere in the process.
 func TestSendPayloadAllocs(t *testing.T) {
-	a, b := newTCPPair(t, NewRegistry())
+	a, b := newTCPPair(t, NewRegistry(), peerQueueSize)
 	var got atomic.Int64
 	b.SetPayloadHandler(func(protocol.NodeID, protocol.Payload) { got.Add(1) })
 	sent := int64(0)
@@ -259,14 +260,14 @@ func TestSendPayloadAllocs(t *testing.T) {
 	arrived := func() bool { return got.Load() == sent }
 	// Warm up in bursts, so that both of the link's buffers have grown.
 	for burst := 0; burst < 4; burst++ {
-		for i := 0; i < defaultPeerQueue/2; i++ {
+		for i := 0; i < peerQueueSize/2; i++ {
 			send()
 		}
 		waitUntil(t, 2*time.Second, "the warm-up frames", arrived)
 	}
 	// AllocsPerRun counts the whole process and rounds the mean down, so a
 	// stray allocation elsewhere is forgiven and one per send is not.
-	if allocs := testing.AllocsPerRun(defaultPeerQueue/2, send); allocs != 0 {
+	if allocs := testing.AllocsPerRun(peerQueueSize/2, send); allocs != 0 {
 		t.Errorf("SendPayload of a word payload allocates %.1f, want 0", allocs)
 	}
 	waitUntil(t, 2*time.Second, "the measured frames", arrived)
@@ -283,7 +284,7 @@ func TestTCPOversizeSendRejected(t *testing.T) {
 	registry := NewRegistry()
 	Register[testPayload](registry, "test")
 	Register[bigPayload](registry, "big")
-	a, b := newTCPPair(t, registry)
+	a, b := newTCPPair(t, registry, peerQueueSize)
 	var got collector
 	b.SetPayloadHandler(got.handler)
 	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
@@ -362,30 +363,5 @@ func TestTCPStalledLargeFrameStaysSmall(t *testing.T) {
 	}
 	if s := e.Stats(); s.Disconnects != 0 {
 		t.Errorf("%d disconnects: a stalled connection was dropped, not held", s.Disconnects)
-	}
-}
-
-// TestWithBackoffKeepsWindowOrdered covers the option's corner: a min above
-// the current max with a max below it used to leave max < min, so that the
-// second failed dial shrank the backoff.
-func TestWithBackoffKeepsWindowOrdered(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		min, max         time.Duration
-		wantMin, wantMax time.Duration
-	}{
-		{"both", 10 * time.Millisecond, 40 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond},
-		{"equal", 30 * time.Millisecond, 30 * time.Millisecond, 30 * time.Millisecond, 30 * time.Millisecond},
-		{"zero values keep the defaults", 0, 0, defaultBackoffMin, defaultBackoffMax},
-		{"max below min is ignored", 100 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond, defaultBackoffMax},
-		{"min above the default max, max below min", 5 * time.Second, 2 * time.Second, 5 * time.Second, 5 * time.Second},
-		{"min above the default max, no max", 5 * time.Second, 0, 5 * time.Second, 5 * time.Second},
-	} {
-		cfg := tcpConfig{backoffMin: defaultBackoffMin, backoffMax: defaultBackoffMax}
-		WithBackoff(tc.min, tc.max)(&cfg)
-		if cfg.backoffMin != tc.wantMin || cfg.backoffMax != tc.wantMax {
-			t.Errorf("%s: WithBackoff(%v, %v) = [%v, %v], want [%v, %v]",
-				tc.name, tc.min, tc.max, cfg.backoffMin, cfg.backoffMax, tc.wantMin, tc.wantMax)
-		}
 	}
 }

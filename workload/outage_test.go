@@ -6,6 +6,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/protocol"
+	"github.com/szte-dcs/tokenaccount/trace"
 )
 
 func TestOutageTraceDeterministic(t *testing.T) {
@@ -112,8 +113,8 @@ func TestOutageZeroAndFullProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if got := tr.Segments[i].OnlineTime(); got != 10000 {
-			t.Fatalf("node %d online %v of 10000 with P=0", i, got)
+		if got := tr.Segments[i].Intervals; len(got) != 1 || got[0] != (trace.Interval{Start: 0, End: 10000}) {
+			t.Fatalf("node %d online %v with P=0, want all of [0, 10000]", i, got)
 		}
 	}
 	never, _ := NewOutages(4, 1, 300)
@@ -122,8 +123,8 @@ func TestOutageZeroAndFullProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if got := tr.Segments[i].OnlineTime(); got != 0 {
-			t.Fatalf("node %d online %v of 10000 with P=1", i, got)
+		if got := tr.Segments[i].Intervals; len(got) != 0 {
+			t.Fatalf("node %d online %v with P=1, want never", i, got)
 		}
 	}
 }

@@ -93,7 +93,10 @@ func (s *Stream) Write(w io.Writer) error {
 
 // ReadStream parses a stream previously emitted by Write. Malformed lines,
 // negative or decreasing times, and a missing magic header are rejected with
-// line-numbered errors.
+// line-numbered errors. Only OpenReplay reads a stream in production; it
+// stays exported as the fuzzed half of the Write round trip
+// (FuzzStreamRoundTrip, FuzzReadStream) and as the way tracegen's tests read
+// its output.
 func ReadStream(r io.Reader) (*Stream, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -190,14 +193,11 @@ func NewReplay(path string) (Replay, error) {
 	return Replay{Path: path, stream: s}, nil
 }
 
-// ReplayStream wraps an in-memory stream for replay; label stands in for the
+// replayStream wraps an in-memory stream for replay; label stands in for the
 // file path in the spec form.
-func ReplayStream(s *Stream, label string) Replay {
+func replayStream(s *Stream, label string) Replay {
 	return Replay{Path: label, stream: s}
 }
-
-// Stream returns the wrapped recorded stream.
-func (r Replay) Stream() *Stream { return r.stream }
 
 // New implements Spec. The seed is ignored: a replayed stream is the same
 // realization under every seed, which is the point.

@@ -49,7 +49,7 @@ func TestReplayMatchesLiveSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := spec.New(13)
-	replayed := ReplayStream(rec, "mem").New(999) // seed must be ignored
+	replayed := replayStream(rec, "mem").New(999) // seed must be ignored
 	for i := range rec.Times {
 		l, r := live.Next(), replayed.Next()
 		if l != r {

@@ -333,7 +333,7 @@ func TestSamplingDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ReplayStream(rec, "mem").New(0)
+	a := replayStream(rec, "mem").New(0)
 	if allocs := testing.AllocsPerRun(1000, func() { a.Next() }); allocs != 0 {
 		t.Errorf("replay: Next allocates %v/op, want 0", allocs)
 	}
