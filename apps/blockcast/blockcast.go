@@ -171,9 +171,6 @@ func NewChain(batchCap int, quorum float64) (*Chain, error) {
 // Submit adds n transactions to the mempool.
 func (c *Chain) Submit(n int) { c.pending += int64(n) }
 
-// Pending returns the mempool depth.
-func (c *Chain) Pending() int64 { return c.pending }
-
 // Backlog returns the number of proposed-but-uncommitted blocks — the
 // application metric: it grows when dissemination falls behind the offered
 // transaction load.

@@ -131,8 +131,8 @@ func TestChainProposeAndCommit(t *testing.T) {
 	if h, b := proposer.Head(); h != 1 || b != 3 {
 		t.Errorf("proposer head = (%d, %d), want (1, 3): the batch cap binds", h, b)
 	}
-	if c.Pending() != 2 || c.proposed != 1 || c.Backlog() != 1 {
-		t.Errorf("chain after proposal: pending=%d proposed=%d backlog=%d", c.Pending(), c.proposed, c.Backlog())
+	if c.pending != 2 || c.proposed != 1 || c.Backlog() != 1 {
+		t.Errorf("chain after proposal: pending=%d proposed=%d backlog=%d", c.pending, c.proposed, c.Backlog())
 	}
 	if !c.TryPropose(20, proposer) {
 		t.Fatal("second proposal failed")

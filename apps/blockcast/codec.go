@@ -77,10 +77,10 @@ func (m Msg) valid() bool {
 	return false
 }
 
-// Word encodes the message. It panics on a structurally invalid message —
+// word encodes the message. It panics on a structurally invalid message —
 // out-of-range fields or a kind/field combination the protocol never sends —
 // because only the package's own code builds messages.
-func (m Msg) Word() uint64 {
+func (m Msg) word() uint64 {
 	if !m.valid() {
 		panic("blockcast: encoding an invalid message")
 	}
@@ -89,7 +89,7 @@ func (m Msg) Word() uint64 {
 
 // Payload wraps the message as a word-encoded protocol payload.
 func (m Msg) Payload() protocol.Payload {
-	return protocol.WordPayload(protocol.KindBlockcast, m.Word())
+	return protocol.WordPayload(protocol.KindBlockcast, m.word())
 }
 
 // msgFromWord decodes a wire word. It rejects structurally invalid words —

@@ -18,7 +18,7 @@ func TestMsgWordRoundTrip(t *testing.T) {
 		{Kind: MsgBlock, Height: 999, Batch: MaxBatch},
 	}
 	for _, m := range cases {
-		got, ok := msgFromWord(m.Word())
+		got, ok := msgFromWord(m.word())
 		if !ok || got != m {
 			t.Errorf("round trip of %+v: got %+v, ok=%v", m, got, ok)
 		}
@@ -39,12 +39,12 @@ func TestMsgFromWordRejectsInvalid(t *testing.T) {
 	invalid := map[string]uint64{
 		"unused kind 3":          3 << 62,
 		"unused kind, max field": 3<<62 | MaxHeight,
-		"pull with batch":        Msg{Kind: MsgPull, Height: 1}.Word() | 1<<heightBits,
+		"pull with batch":        Msg{Kind: MsgPull, Height: 1}.word() | 1<<heightBits,
 		"pull of height 0":       1 << 62,
-		"block of height 0":      Msg{Kind: MsgBlock, Height: 1, Batch: 1}.Word() &^ uint64(MaxHeight),
-		"block without batch":    Msg{Kind: MsgBlock, Height: 7, Batch: 1}.Word() &^ (uint64(MaxBatch) << heightBits),
-		"genesis announce+batch": Msg{Kind: MsgAnnounce, Height: 1, Batch: 1}.Word() &^ uint64(MaxHeight),
-		"announce without batch": Msg{Kind: MsgAnnounce, Height: 9, Batch: 2}.Word() &^ (uint64(MaxBatch) << heightBits),
+		"block of height 0":      Msg{Kind: MsgBlock, Height: 1, Batch: 1}.word() &^ uint64(MaxHeight),
+		"block without batch":    Msg{Kind: MsgBlock, Height: 7, Batch: 1}.word() &^ (uint64(MaxBatch) << heightBits),
+		"genesis announce+batch": Msg{Kind: MsgAnnounce, Height: 1, Batch: 1}.word() &^ uint64(MaxHeight),
+		"announce without batch": Msg{Kind: MsgAnnounce, Height: 9, Batch: 2}.word() &^ (uint64(MaxBatch) << heightBits),
 	}
 	for name, word := range invalid {
 		if m, ok := msgFromWord(word); ok {
@@ -62,7 +62,7 @@ func TestMsgWordPanicsOnInvalid(t *testing.T) {
 			t.Error("encoding an invalid message did not panic")
 		}
 	}()
-	Msg{Kind: MsgPull, Height: 1, Batch: 1}.Word()
+	Msg{Kind: MsgPull, Height: 1, Batch: 1}.word()
 }
 
 func TestWireSize(t *testing.T) {
@@ -77,7 +77,7 @@ func TestWireSize(t *testing.T) {
 		{Msg{Kind: MsgBlock, Height: 5, Batch: 64}, BlockHeaderBytes + 64*TxBytes},
 	}
 	for _, c := range cases {
-		if got := wireSize(c.m.Word()); got != c.want {
+		if got := wireSize(c.m.word()); got != c.want {
 			t.Errorf("wireSize(%+v) = %d, want %d", c.m, got, c.want)
 		}
 		// The registered sizer is the same function, reachable through the
@@ -107,16 +107,16 @@ func TestMsgKindString(t *testing.T) {
 // words and valid messages). The size model must stay positive either way.
 func FuzzMsgWord(f *testing.F) {
 	f.Add(uint64(0))
-	f.Add(Msg{Kind: MsgAnnounce, Height: 12345, Batch: 64}.Word())
-	f.Add(Msg{Kind: MsgPull, Height: 1}.Word())
-	f.Add(Msg{Kind: MsgBlock, Height: MaxHeight, Batch: MaxBatch}.Word())
+	f.Add(Msg{Kind: MsgAnnounce, Height: 12345, Batch: 64}.word())
+	f.Add(Msg{Kind: MsgPull, Height: 1}.word())
+	f.Add(Msg{Kind: MsgBlock, Height: MaxHeight, Batch: MaxBatch}.word())
 	f.Add(uint64(3) << 62)
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, word uint64) {
 		m, ok := msgFromWord(word)
 		if ok {
-			if m.Word() != word {
-				t.Errorf("accepted word %#x re-encodes to %#x", word, m.Word())
+			if m.word() != word {
+				t.Errorf("accepted word %#x re-encodes to %#x", word, m.word())
 			}
 		} else if m != (Msg{}) {
 			t.Errorf("rejected word %#x left a partial message %+v", word, m)

@@ -38,9 +38,6 @@ type Walker struct {
 
 var _ protocol.Application = (*Walker)(nil)
 
-// Age returns the age (number of visited nodes) of the locally stored model.
-func (w *Walker) Age() int { return w.age }
-
 // CreateMessage copies the current model, word-encoded so the simulator's
 // message path stays allocation-free (see ModelMessage.Payload).
 func (w *Walker) CreateMessage() protocol.Payload { return ModelMessage{Age: w.age}.Payload() }
@@ -105,7 +102,7 @@ func Progress(apps []*Walker, t, transferTime float64) float64 {
 	}
 	sum := 0.0
 	for _, w := range apps {
-		sum += float64(w.Age())
+		sum += float64(w.age)
 	}
 	return sum / (float64(len(apps)) * ideal)
 }
@@ -123,7 +120,7 @@ func ProgressOnline(apps []*Walker, online func(i int) bool, t, transferTime flo
 		if online != nil && !online(i) {
 			continue
 		}
-		sum += float64(w.Age())
+		sum += float64(w.age)
 		count++
 	}
 	if count == 0 {

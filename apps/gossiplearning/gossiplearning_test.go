@@ -9,29 +9,29 @@ import (
 
 func TestWalkerUsefulness(t *testing.T) {
 	w := &Walker{}
-	if w.Age() != 0 {
-		t.Fatalf("initial age = %d", w.Age())
+	if w.age != 0 {
+		t.Fatalf("initial age = %d", w.age)
 	}
 	// Equal age is useful: the received model gets trained and adopted.
 	if !w.UpdateState(1, ModelMessage{Age: 0}.Payload()) {
 		t.Error("equal-age model should be useful")
 	}
-	if w.Age() != 1 {
-		t.Errorf("age after update = %d, want 1", w.Age())
+	if w.age != 1 {
+		t.Errorf("age after update = %d, want 1", w.age)
 	}
 	// Older (smaller age) received model is not useful and leaves state.
 	if w.UpdateState(2, ModelMessage{Age: 0}.Payload()) {
 		t.Error("stale model should not be useful")
 	}
-	if w.Age() != 1 {
-		t.Errorf("age changed on stale model: %d", w.Age())
+	if w.age != 1 {
+		t.Errorf("age changed on stale model: %d", w.age)
 	}
 	// Fresher model is adopted with age+1.
 	if !w.UpdateState(3, ModelMessage{Age: 10}.Payload()) {
 		t.Error("fresher model should be useful")
 	}
-	if w.Age() != 11 {
-		t.Errorf("age = %d, want 11", w.Age())
+	if w.age != 11 {
+		t.Errorf("age = %d, want 11", w.age)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestWalkerIgnoresForeignPayloads(t *testing.T) {
 	if w.UpdateState(1, protocol.BoxPayload("not a model")) {
 		t.Error("foreign payload reported useful")
 	}
-	if w.Age() != 0 {
+	if w.age != 0 {
 		t.Error("foreign payload changed state")
 	}
 }
@@ -97,8 +97,8 @@ func TestWalkerChainModelsIdealWalk(t *testing.T) {
 			t.Fatalf("hop %d was not useful", i)
 		}
 	}
-	if nodes[hops].Age() != hops {
-		t.Errorf("final age = %d, want %d", nodes[hops].Age(), hops)
+	if nodes[hops].age != hops {
+		t.Errorf("final age = %d, want %d", nodes[hops].age, hops)
 	}
 }
 

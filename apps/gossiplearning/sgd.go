@@ -46,7 +46,7 @@ func (m *LogisticModel) score(features []float64) float64 {
 // Update applies one SGD step on the example with learning rate
 // eta/sqrt(age+1) (a standard decaying schedule for non-strongly-convex
 // objectives) and increments the age.
-func (m *LogisticModel) Update(ex Example, eta float64) error {
+func (m *LogisticModel) update(ex Example, eta float64) error {
 	if len(ex.Features) != len(m.Weights)-1 {
 		return fmt.Errorf("gossiplearning: example has %d features, model expects %d", len(ex.Features), len(m.Weights)-1)
 	}
@@ -124,7 +124,7 @@ func (l *SGDLearner) UpdateState(_ protocol.NodeID, payload protocol.Payload) bo
 		return false
 	}
 	adopted := &LogisticModel{Weights: append([]float64(nil), m.Weights...), Age: m.Age}
-	if err := adopted.Update(l.example, l.eta); err != nil {
+	if err := adopted.update(l.example, l.eta); err != nil {
 		return false
 	}
 	l.model = adopted

@@ -9,10 +9,10 @@ import (
 
 func TestLogisticModelUpdateValidation(t *testing.T) {
 	m := newLogisticModel(3)
-	if err := m.Update(Example{Features: []float64{1, 2}, Label: 1}, 0.1); err == nil {
+	if err := m.update(Example{Features: []float64{1, 2}, Label: 1}, 0.1); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if err := m.Update(Example{Features: []float64{1, 2, 3}, Label: 1}, 0.1); err != nil {
+	if err := m.update(Example{Features: []float64{1, 2, 3}, Label: 1}, 0.1); err != nil {
 		t.Errorf("valid update rejected: %v", err)
 	}
 	if m.Age != 1 {
@@ -26,7 +26,7 @@ func TestLogisticModelLearnsSeparableData(t *testing.T) {
 	m := newLogisticModel(dim)
 	for epoch := 0; epoch < 5; epoch++ {
 		for _, ex := range data {
-			if err := m.Update(ex, 1.0); err != nil {
+			if err := m.update(ex, 1.0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -27,7 +27,7 @@ type WeightMessage struct {
 // Payload word-encodes the message: the IEEE-754 bits of x fit in the
 // payload word, so the message never needs boxing and the simulator's
 // message path stays allocation-free.
-func (m WeightMessage) Payload() protocol.Payload {
+func (m WeightMessage) payload() protocol.Payload {
 	return protocol.WordPayload(protocol.KindWeight, math.Float64bits(m.X))
 }
 
@@ -110,7 +110,7 @@ func (s *State) current() float64 {
 // CreateMessage copies the current value, recomputing it from the buffered
 // in-neighbour values first (line 4 of Algorithm 3).
 func (s *State) CreateMessage() protocol.Payload {
-	return WeightMessage{X: s.current()}.Payload()
+	return WeightMessage{X: s.current()}.payload()
 }
 
 // UpdateState implements ONWEIGHT: store the received value in the buffer of
@@ -139,7 +139,7 @@ func (s *State) UpdateState(from protocol.NodeID, payload protocol.Payload) bool
 func (s *State) String() string { return fmt.Sprintf("poweriter(node=%d,x=%g)", s.self, s.current()) }
 
 // Vector collects the current value of every node into a dense vector.
-func Vector(states []*State) []float64 {
+func vector(states []*State) []float64 {
 	v := make([]float64, len(states))
 	for i, s := range states {
 		v[i] = s.current()
@@ -165,5 +165,5 @@ func Reference(g *overlay.Graph, maxIter int, tol float64) ([]float64, error) {
 // Angle returns the paper's convergence metric: the angle between the current
 // decentralized approximation and the reference eigenvector, in radians.
 func Angle(states []*State, reference []float64) float64 {
-	return linalg.Angle(Vector(states), reference)
+	return linalg.Angle(vector(states), reference)
 }

@@ -60,19 +60,19 @@ func TestUpdateStateUsefulness(t *testing.T) {
 	inNbrs := g.InNeighbors(0)
 	from := protocol.NodeID(inNbrs[0])
 	// Sending the same value as the buffer (1.0) changes nothing: not useful.
-	if s.UpdateState(from, WeightMessage{X: InitialBufferValue}.Payload()) {
+	if s.UpdateState(from, WeightMessage{X: InitialBufferValue}.payload()) {
 		t.Error("unchanged value reported useful")
 	}
 	// A different value is useful and changes the local value.
 	before := s.current()
-	if !s.UpdateState(from, WeightMessage{X: 3}.Payload()) {
+	if !s.UpdateState(from, WeightMessage{X: 3}.payload()) {
 		t.Error("changed value not reported useful")
 	}
 	if s.current() == before {
 		t.Error("value did not change after buffer update")
 	}
 	// Messages from non-in-neighbours are ignored.
-	if s.UpdateState(protocol.NodeID(1), WeightMessage{X: 5}.Payload()) {
+	if s.UpdateState(protocol.NodeID(1), WeightMessage{X: 5}.payload()) {
 		t.Error("message from non-in-neighbour accepted")
 	}
 	// Foreign payloads are ignored.
@@ -93,8 +93,8 @@ func TestValueRecomputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := g.InNeighbors(0)
-	s.UpdateState(protocol.NodeID(in[0]), WeightMessage{X: 4}.Payload())
-	s.UpdateState(protocol.NodeID(in[1]), WeightMessage{X: 2}.Payload())
+	s.UpdateState(protocol.NodeID(in[0]), WeightMessage{X: 4}.payload())
+	s.UpdateState(protocol.NodeID(in[1]), WeightMessage{X: 2}.payload())
 	if got := s.current(); math.Abs(got-3) > 1e-12 {
 		t.Errorf("Value = %v, want 3", got)
 	}
@@ -229,7 +229,7 @@ func TestVectorHelper(t *testing.T) {
 		}
 		states[i] = st
 	}
-	v := Vector(states)
+	v := vector(states)
 	if len(v) != 5 {
 		t.Fatalf("len = %d", len(v))
 	}
@@ -243,7 +243,7 @@ func TestVectorHelper(t *testing.T) {
 func TestWeightPayloadRoundTrip(t *testing.T) {
 	for _, x := range []float64{0, 1, -3.25, 1e-300} {
 		m := WeightMessage{X: x}
-		got, ok := weightMessageFromPayload(m.Payload())
+		got, ok := weightMessageFromPayload(m.payload())
 		if !ok || got != m {
 			t.Errorf("round trip of %+v = %+v, %v", m, got, ok)
 		}

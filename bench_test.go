@@ -297,7 +297,7 @@ func benchmarkThroughput(b *testing.B, n, warmupRounds int) {
 	}
 	if _, err := hostrt.NewHost(env, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return core.MustRandomized(5, 10) },
+		Strategy: core.MustRandomized(5, 10),
 		NewApp:   func(int) protocol.Application { return &gossiplearning.Walker{} },
 		Delta:    delta,
 		Network:  netmodel.Constant{D: 1.728},

@@ -49,6 +49,3 @@ func (a *Account) SpendUpTo(n int) int {
 	a.balance -= n
 	return n
 }
-
-// AllowsOverspend reports whether the balance may go negative.
-func (a *Account) AllowsOverspend() bool { return a.allowOverspend }

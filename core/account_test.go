@@ -10,7 +10,7 @@ func TestAccountZeroValue(t *testing.T) {
 	if a.Balance() != 0 {
 		t.Errorf("zero-value balance = %d, want 0", a.Balance())
 	}
-	if a.AllowsOverspend() {
+	if a.allowOverspend {
 		t.Error("zero-value account must forbid overspending")
 	}
 	if got := a.SpendUpTo(1); got != 0 {

@@ -138,7 +138,9 @@ var _ Strategy = Generalized{}
 
 // NewGeneralized returns a generalized token account strategy with spending
 // parameter A and capacity C. A must be a positive integer and C ≥ A. A = C
-// reduces the reactive function to the simple strategy's.
+// reduces the reactive function to the simple strategy's for useful messages
+// only: for a useless one and a balance 1 ≤ a ≤ C, floor((C−1+a)/(2C)) is 0
+// where the simple strategy returns 1.
 func NewGeneralized(a, c int) (Generalized, error) {
 	if a < 1 {
 		return Generalized{}, fmt.Errorf("NewGeneralized(A=%d,C=%d): %w", a, c, ErrNonPositiveA)
@@ -180,9 +182,6 @@ func (g Generalized) Reactive(a int, useful bool) float64 {
 
 // Capacity returns C.
 func (g Generalized) Capacity() int { return g.c }
-
-// A returns the spending parameter.
-func (g Generalized) A() int { return g.a }
 
 // Name implements Strategy.
 func (g Generalized) Name() string { return fmt.Sprintf("generalized(A=%d,C=%d)", g.a, g.c) }
@@ -248,9 +247,6 @@ func (r Randomized) Reactive(a int, useful bool) float64 {
 
 // Capacity returns C.
 func (r Randomized) Capacity() int { return r.c }
-
-// A returns the spending parameter.
-func (r Randomized) A() int { return r.a }
 
 // Name implements Strategy.
 func (r Randomized) Name() string { return fmt.Sprintf("randomized(A=%d,C=%d)", r.a, r.c) }

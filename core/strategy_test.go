@@ -145,6 +145,14 @@ func TestGeneralizedAEqualsCMatchesSimple(t *testing.T) {
 			t.Errorf("a=%d: proactive mismatch", a)
 		}
 	}
+	// For useless messages the two differ: floor((C−1+a)/(2C)) is 0 for
+	// every balance up to C, where the simple strategy answers every message
+	// while it has a token.
+	for a := 1; a <= 10; a++ {
+		if got, simple := g.Reactive(a, false), s.Reactive(a, false); got != 0 || simple != 1 {
+			t.Errorf("a=%d, useless: generalized(A=C) = %v, simple = %v, want 0 and 1", a, got, simple)
+		}
+	}
 }
 
 func TestRandomizedProactiveValues(t *testing.T) {

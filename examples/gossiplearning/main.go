@@ -46,7 +46,7 @@ func main() {
 		}
 		host, err := runtime.NewHost(env, runtime.Config{
 			Graph:    graph,
-			Strategy: func(int) core.Strategy { return strategy },
+			Strategy: strategy,
 			NewApp: func(i int) protocol.Application {
 				l, err := gossiplearning.NewSGDLearner(dim, dataset[i], learningRate)
 				if err != nil {

@@ -49,7 +49,7 @@ func main() {
 	defer env.Close()
 	host, err := runtime.NewHost(env, runtime.Config{
 		Graph:    graph,
-		Strategy: func(int) core.Strategy { return strategy },
+		Strategy: strategy,
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
 		// Every message is held 1 ms on the run loop's scheduler before it

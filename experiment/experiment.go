@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/metrics"
 	"github.com/szte-dcs/tokenaccount/runtime"
 )
@@ -356,7 +355,7 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	}
 	hostCfg := runtime.Config{
 		Graph:    graph,
-		Strategy: func(int) core.Strategy { return strategy },
+		Strategy: strategy,
 		NewApp:   appRun.NewApp,
 		Delta:    cfg.Delta,
 		Trace:    availability,

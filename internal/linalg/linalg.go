@@ -20,24 +20,10 @@ type Sparse struct {
 	values []float64
 }
 
-// N returns the dimension of the (square) matrix.
-func (m *Sparse) N() int { return m.n }
-
 // row returns the column indices and values of row i as shared slices; the
 // caller must not modify them.
 func (m *Sparse) row(i int) ([]int32, []float64) {
 	return m.colIdx[m.rowOff[i]:m.rowOff[i+1]], m.values[m.rowOff[i]:m.rowOff[i+1]]
-}
-
-// At returns the entry at (i, j), or 0 if it is not stored.
-func (m *Sparse) At(i, j int) float64 {
-	cols, vals := m.row(i)
-	for k, c := range cols {
-		if int(c) == j {
-			return vals[k]
-		}
-	}
-	return 0
 }
 
 // newSparseFromRows builds a CSR matrix from per-row (column, value) pairs.
@@ -169,7 +155,7 @@ type PowerIterationResult struct {
 // after maxIter iterations. It is used as the ground truth against which the
 // decentralized chaotic iteration is measured.
 func PowerIteration(m *Sparse, maxIter int, tol float64) PowerIterationResult {
-	n := m.N()
+	n := m.n
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1

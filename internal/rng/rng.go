@@ -71,15 +71,6 @@ func (s *Source) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63n returns a pseudo-random int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	hi, _ := bits.Mul64(s.Uint64(), uint64(n))
-	return int64(hi)
-}
-
 // NormFloat64 returns a normally distributed float64 with mean 0 and standard
 // deviation 1, using the Box–Muller transform.
 func (s *Source) NormFloat64() float64 {
@@ -102,15 +93,4 @@ func (s *Source) ExpFloat64() float64 {
 		}
 		return -math.Log(u)
 	}
-}
-
-// Perm returns a pseudo-random permutation of the integers [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -92,17 +92,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestInt63n(t *testing.T) {
-	s := New(5)
-	const bound = int64(1) << 40
-	for i := 0; i < 10000; i++ {
-		v := s.Int63n(bound)
-		if v < 0 || v >= bound {
-			t.Fatalf("Int63n = %d out of range", v)
-		}
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(11)
 	const n = 200000
@@ -131,18 +120,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("exponential mean = %v, want ≈ 1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(17)
-	p := s.Perm(1000)
-	seen := make([]bool, 1000)
-	for _, v := range p {
-		if v < 0 || v >= 1000 || seen[v] {
-			t.Fatalf("Perm produced invalid or duplicate element %d", v)
-		}
-		seen[v] = true
 	}
 }
 

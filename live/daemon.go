@@ -266,7 +266,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	// the only delay.
 	host, err := runtime.NewHost(daemonEnv{d.env, d}, runtime.Config{
 		Graph:         graph,
-		Strategy:      func(int) core.Strategy { return cfg.Strategy },
+		Strategy:      cfg.Strategy,
 		NewApp:        func(int) protocol.Application { return cfg.Application },
 		Peers:         d.peers,
 		Delta:         cfg.Delta.Seconds(),

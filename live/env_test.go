@@ -247,7 +247,7 @@ func TestHostOverLiveEnvWithNetworkModel(t *testing.T) {
 	defer env.Close()
 	host, err := runtime.NewHost(env, runtime.Config{
 		Graph:    graph,
-		Strategy: func(int) core.Strategy { return core.MustGeneralized(1, 5) },
+		Strategy: core.MustGeneralized(1, 5),
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
 		Network:  netmodel.Zones{K: 2, Intra: delta / 200, Inter: delta / 20},
@@ -291,7 +291,7 @@ func TestHostOverLiveEnv(t *testing.T) {
 	defer env.Close()
 	host, err := runtime.NewHost(env, runtime.Config{
 		Graph:    graph,
-		Strategy: func(int) core.Strategy { return core.MustGeneralized(1, 5) },
+		Strategy: core.MustGeneralized(1, 5),
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
 		Network:  netmodel.Constant{D: delta / 100},
@@ -383,7 +383,7 @@ func TestLiveTicksNeverCatchUp(t *testing.T) {
 	apps := make([]*tickClock, n)
 	host, err := runtime.NewHost(env, runtime.Config{
 		Graph:    graph,
-		Strategy: func(int) core.Strategy { return core.PurelyProactive{} },
+		Strategy: core.PurelyProactive{},
 		NewApp: func(i int) protocol.Application {
 			apps[i] = &tickClock{Application: pushgossip.New(), env: env}
 			return apps[i]

@@ -84,15 +84,13 @@ func TestPlanShardsContiguous(t *testing.T) {
 		if lookahead != c.want {
 			t.Errorf("PlanShards(%v) lookahead = %g, want %g", c.model, lookahead, c.want)
 		}
-		if len(shardOf) != 10 {
-			t.Fatalf("len(shardOf) = %d, want 10", len(shardOf))
-		}
 		counts := make([]int, 4)
-		for i, s := range shardOf {
+		for i := int32(0); i < 10; i++ {
+			s := shardOf(i)
 			if s < 0 || s >= 4 {
-				t.Fatalf("shardOf[%d] = %d outside [0, 4)", i, s)
+				t.Fatalf("shardOf(%d) = %d outside [0, 4)", i, s)
 			}
-			if i > 0 && s < shardOf[i-1] {
+			if i > 0 && s < shardOf(i-1) {
 				t.Fatalf("shardOf not monotone at %d", i)
 			}
 			counts[s]++
@@ -119,17 +117,17 @@ func TestPlanShardsZones(t *testing.T) {
 		if lookahead != z.Inter {
 			t.Errorf("shards=%d: lookahead = %g, want inter-zone %g", shards, lookahead, z.Inter)
 		}
-		for i, s := range shardOf {
+		for i := int32(0); i < 200; i++ {
 			want := int32(z.Zone(protocol.NodeID(i)) % shards)
-			if s != want {
-				t.Fatalf("shards=%d: shardOf[%d] = %d, want zone%%shards = %d", shards, i, s, want)
+			if s := shardOf(i); s != want {
+				t.Fatalf("shards=%d: shardOf(%d) = %d, want zone%%shards = %d", shards, i, s, want)
 			}
 		}
 		// The invariant the conservative window protocol rests on: the delay
 		// of every cross-shard pair is at least the lookahead.
-		for i := 0; i < 50; i++ {
-			for j := 0; j < 50; j++ {
-				if shardOf[i] != shardOf[j] {
+		for i := int32(0); i < 50; i++ {
+			for j := int32(0); j < 50; j++ {
+				if shardOf(i) != shardOf(j) {
 					if d := z.Delay(protocol.NodeID(i), protocol.NodeID(j), nil); d < lookahead {
 						t.Fatalf("cross-shard pair (%d,%d) has delay %g < lookahead %g", i, j, d, lookahead)
 					}
@@ -155,5 +153,70 @@ func TestPlanShardsZones(t *testing.T) {
 	}
 	if lookahead != 0.5 {
 		t.Fatalf("single-zone fallback lookahead = %g, want 0.5", lookahead)
+	}
+}
+
+// zonesTable and contiguousTable are the node-to-shard tables PlanShards
+// used to fill before it computed the shard per lookup; they stay here as
+// the reference the computed routing must match.
+func zonesTable(z Zones, n, shards int) []int32 {
+	shardOf := make([]int32, n)
+	for i := range shardOf {
+		shardOf[i] = int32(z.Zone(protocol.NodeID(i)) % shards)
+	}
+	return shardOf
+}
+
+func contiguousTable(n, shards int) []int32 {
+	shardOf := make([]int32, n)
+	for i := range shardOf {
+		shardOf[i] = int32(i * shards / n)
+	}
+	return shardOf
+}
+
+// TestComputedRoutingMatchesTable requires the routing function PlanShards
+// returns to give every node the shard the reference table gives it, for
+// zone plans and contiguous blocks alike, so a sharded run routes — and its
+// golden output reads — as before.
+func TestComputedRoutingMatchesTable(t *testing.T) {
+	check := func(t *testing.T, m Model, n, shards int, table []int32) {
+		t.Helper()
+		shardOf, _, err := PlanShards(m, n, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range table {
+			if got := shardOf(int32(i)); got != want {
+				t.Fatalf("%v, n=%d, shards=%d: node %d in shard %d, table says %d", m, n, shards, i, got, want)
+			}
+		}
+	}
+	for _, n := range []int{2, 7, 5_000, 100_003} {
+		for _, k := range []int{2, 3, 8} {
+			for _, shards := range []int{2, 3, 4} {
+				if shards > n {
+					continue
+				}
+				z := Zones{K: k, Intra: 0.5, Inter: 3}
+				check(t, z, n, shards, zonesTable(z, n, shards))
+				check(t, Lossy{P: 0.1, Inner: z}, n, shards, zonesTable(z, n, shards))
+			}
+		}
+	}
+	// Every contiguous split up to one node per shard, except at 100 003
+	// nodes, where that would be 10^10 lookups: there, the splits into up
+	// to 64 shards and a few wide ones.
+	for _, n := range []int{2, 7, 5_000} {
+		for shards := 2; shards <= n; shards++ {
+			check(t, Constant{D: 1}, n, shards, contiguousTable(n, shards))
+		}
+	}
+	const n = 100_003
+	for shards := 2; shards <= 64; shards++ {
+		check(t, Constant{D: 1}, n, shards, contiguousTable(n, shards))
+	}
+	for _, shards := range []int{1_000, 4_096, n - 1, n} {
+		check(t, Constant{D: 1}, n, shards, contiguousTable(n, shards))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
@@ -97,7 +96,7 @@ func TestChaoticIterationParallelBuildFirstUse(t *testing.T) {
 		}
 		if _, err := runtime.NewHost(env, runtime.Config{
 			Graph:    g,
-			Strategy: func(int) core.Strategy { return strategy },
+			Strategy: strategy,
 			NewApp:   run.NewApp,
 			Delta:    cfg.Delta,
 			Network:  netmodel.Constant{D: cfg.TransferDelay},

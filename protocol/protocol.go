@@ -1,10 +1,10 @@
 // Package protocol implements the token account protocol node (Algorithm 4
 // of the paper) independently of any particular transport or scheduler.
 //
-// A node combines a core.Strategy with an application (Application) and a
-// random generator embedded in its state row; it lives in a Slab, whose one
-// peer sampling service (SharedPeerSelector) and one outgoing message sink
-// (Sender) serve every node, and its identity is its index in the slab. The
+// A node combines an application (Application) with a random generator
+// embedded in its state row; it lives in a Slab, whose one core.Strategy,
+// one peer sampling service (SharedPeerSelector) and one outgoing message
+// sink (Sender) serve every node, and its identity is its index in the slab. The
 // surrounding runtime — a runtime.Host over the discrete-event environment
 // in simnet or the wall-clock environment in live — is responsible for
 // calling Tick once per proactive period Δ and Receive for every incoming
@@ -87,13 +87,11 @@ type Stats struct {
 // TotalSent returns the total number of messages sent by the node.
 func (s Stats) TotalSent() int { return s.ProactiveSent + s.ReactiveSent }
 
-// Config is what differs between the nodes of one Slab. Peer sampling and
-// the Sender are the slab's (see NewSlab); the random generator is embedded
-// in the node's state row (see Slab.InitSeeded); the node's identity, passed
-// to the Sender as the source, is its index in the slab.
+// Config is what differs between the nodes of one Slab. The strategy, peer
+// sampling and the Sender are the slab's (see NewSlab); the random generator
+// is embedded in the node's state row (see Slab.InitSeeded); the node's
+// identity, passed to the Sender as the source, is its index in the slab.
 type Config struct {
-	// Strategy is the token account strategy (required).
-	Strategy core.Strategy
 	// Application provides CreateMessage/UpdateState (required).
 	Application Application
 	// InitialTokens is the starting balance (0 in the paper's experiments).
@@ -102,8 +100,6 @@ type Config struct {
 
 func (c Config) validate() error {
 	switch {
-	case c.Strategy == nil:
-		return errors.New("protocol: Config.Strategy is nil")
 	case c.Application == nil:
 		return errors.New("protocol: Config.Application is nil")
 	case c.InitialTokens < 0:
@@ -113,11 +109,10 @@ func (c Config) validate() error {
 }
 
 // Node is the facade of one protocol node executing Algorithm 4: a slab and
-// an index, passed by value. What differs per node and is read on every
-// event lives in the slab at that index — the strategy and the application
-// in a 32-byte row, the account, the counters and the state of the node's
-// embedded SplitMix64 generator in its state row; the Sender and the peer
-// sampler are the slab's. A Node is valid for the lifetime of its slab.
+// an index, passed by value. What differs per node lives in the slab at
+// that index — the application in a 16-byte row, the account, the counters
+// and the state of the node's embedded SplitMix64 generator in its state
+// row; the strategy, the Sender and the peer sampler are the slab's. A Node is valid for the lifetime of its slab.
 //
 // It is not safe for concurrent use; the runtime must serialize Tick and
 // Receive calls (the simulator is single-threaded per node, the live runtime
@@ -127,20 +122,17 @@ type Node struct {
 	idx  int
 }
 
-// ID returns the node's identity: its index in the slab.
-func (n Node) ID() NodeID { return NodeID(n.idx) }
-
 // Tokens returns the current account balance.
 func (n Node) Tokens() int { return n.state().Account.Balance() }
 
 // Stats returns a snapshot of the node's activity counters.
 func (n Node) Stats() Stats { return n.state().Stats() }
 
-// Strategy returns the node's token account strategy.
-func (n Node) Strategy() core.Strategy { return n.slab.rows[n.idx].strategy }
+// Strategy returns the token account strategy of the node's slab.
+func (n Node) Strategy() core.Strategy { return n.slab.strategy }
 
 // Application returns the node's application instance.
-func (n Node) Application() Application { return n.slab.rows[n.idx].app }
+func (n Node) Application() Application { return n.slab.apps[n.idx] }
 
 // state returns the node's row of the slab's state array.
 func (n Node) state() *NodeState { return &n.slab.states[n.idx] }
@@ -176,7 +168,7 @@ func (n Node) RespondPayload(to NodeID, payload Payload) bool {
 	if st.Account.SpendUpTo(1) == 0 {
 		return false
 	}
-	n.slab.sender.Send(n.ID(), to, payload)
+	n.slab.sender.Send(NodeID(n.idx), to, payload)
 	n.slab.count(&st.counts.reactiveSent, 1)
 	return true
 }

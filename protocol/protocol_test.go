@@ -52,13 +52,13 @@ func (a *countingApp) UpdateState(from NodeID, payload Payload) bool {
 // on a generator seeded with 42.
 func newTestNode(t *testing.T, s core.Strategy, app Application, sender Sender, peers SharedPeerSelector) Node {
 	t.Helper()
-	return newTestNodeWith(t, Config{Strategy: s, Application: app}, sender, peers)
+	return newTestNodeWith(t, s, Config{Application: app}, sender, peers)
 }
 
 // newTestNodeWith is newTestNode for a full node Config.
-func newTestNodeWith(t *testing.T, cfg Config, sender Sender, peers SharedPeerSelector) Node {
+func newTestNodeWith(t *testing.T, s core.Strategy, cfg Config, sender Sender, peers SharedPeerSelector) Node {
 	t.Helper()
-	slab, err := NewSlab(2, sender, peers)
+	slab, err := NewSlab(2, s, sender, peers)
 	if err != nil {
 		t.Fatalf("NewSlab: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestNoPeerAvailableBanksToken(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s/a0=%d", c.s.Name(), c.initial), func(t *testing.T) {
 			sender := &collectingSender{}
-			n := newTestNodeWith(t, Config{Strategy: c.s, Application: &countingApp{}, InitialTokens: c.initial},
+			n := newTestNodeWith(t, c.s, Config{Application: &countingApp{}, InitialTokens: c.initial},
 				sender, staticPeers{ok: false})
 			limit := max(c.s.Capacity(), c.initial)
 			for i := 0; i < rounds; i++ {
@@ -234,7 +234,7 @@ func TestReactiveRefundNeverExceedsSpend(t *testing.T) {
 			for ok := 0; ok <= 4; ok++ {
 				sender := &collectingSender{}
 				peers := &budgetPeers{ok: ok}
-				n := newTestNodeWith(t, Config{Strategy: s, Application: &countingApp{useful: true}, InitialTokens: before},
+				n := newTestNodeWith(t, s, Config{Application: &countingApp{useful: true}, InitialTokens: before},
 					sender, peers)
 				n.Receive(4, Payload{})
 				sent := len(sender.msgs)
@@ -339,8 +339,8 @@ func TestAccessors(t *testing.T) {
 	app := &countingApp{}
 	strategy := core.MustRandomized(2, 4)
 	n := newTestNode(t, strategy, app, &collectingSender{}, staticPeers{peer: 2, ok: true})
-	if n.ID() != 1 {
-		t.Errorf("ID() = %d, want 1", n.ID())
+	if n.idx != 1 {
+		t.Errorf("ID() = %d, want 1", n.idx)
 	}
 	if n.Strategy() != strategy {
 		t.Error("Strategy() does not return the configured strategy")

@@ -17,8 +17,8 @@ import (
 // It is deliberately small and pointer-free — exactly one 64-byte cache line
 // — so a whole network's state packs into one contiguous slab (struct of
 // arrays) instead of one heap object per node, and everything a tick or a
-// delivery needs of the node outside its 32-byte strategy and application
-// row arrives with one line.
+// delivery needs of the node outside its 16-byte application row arrives
+// with one line: a tick that sends nothing reads this row alone.
 type NodeState struct {
 	// Account is the node's token account, stored by value.
 	Account core.Account
@@ -35,14 +35,6 @@ type NodeState struct {
 	// rng is the node's generator (see Slab.InitSeeded): every draw of its
 	// ticks, receives and peer samples.
 	rng rng.Source
-}
-
-// row is what differs per node and is read on every event outside the state
-// row: the node's strategy and application, two interface words each, so two
-// nodes share a 64-byte line.
-type row struct {
-	strategy core.Strategy
-	app      Application
 }
 
 // counters holds a node's activity counters in the slab, 32 bits each; Stats
@@ -84,25 +76,28 @@ func (st *NodeState) Stats() Stats {
 	}
 }
 
-// Slab is a struct-of-arrays allocation of protocol nodes: all strategy and
-// application rows live in one contiguous array (32 bytes per node) and all
-// mutable NodeState values in another (64 bytes per node), both addressed by
-// dense node index, so one Tick or Receive touches one line of each — and,
-// entered through Slab.Tick or Slab.Receive, computes both addresses from
-// the index up front, so the two loads overlap instead of chaining.
+// Slab is a struct-of-arrays allocation of protocol nodes: all applications
+// live in one contiguous array (one 16-byte interface per node, four to a
+// 64-byte line) and all mutable NodeState values in another (64 bytes per
+// node), both addressed by dense node index. A Tick reads the node's state
+// row, and its application only when it sends; a Receive reads both, and,
+// entered through Slab.Receive, computes both addresses from the index up
+// front, so the two loads overlap instead of chaining.
 //
-// What every node has in common is held once, slab-wide: the Sender and the
-// SharedPeerSelector. Each node's random generator is embedded in its state
-// row, and its identity is its index.
+// What every node has in common is held once, slab-wide: the strategy, the
+// Sender and the SharedPeerSelector. Each node's random generator is
+// embedded in its state row, and its identity is its index.
 //
 // InitSeeded must be called exactly once per index before the node is used.
 // The backing arrays are never reallocated.
 type Slab struct {
-	rows   []row
+	apps   []Application
 	states []NodeState
 
-	sender Sender
-	peers  SharedPeerSelector
+	strategy  core.Strategy
+	overspend bool // core.AllowsOverspend(strategy), for every new account
+	sender    Sender
+	peers     SharedPeerSelector
 
 	// saturated is set once any node's counter has stopped at MaxCount.
 	// Shards count concurrently, hence the atomic; it is only written on
@@ -111,22 +106,26 @@ type Slab struct {
 }
 
 // NewSlab returns a slab with capacity for n nodes, all uninitialized, whose
-// nodes send through sender and sample peers through peers. Both are
-// required.
-func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
+// nodes follow strategy, send through sender and sample peers through peers.
+// All three are required.
+func NewSlab(n int, strategy core.Strategy, sender Sender, peers SharedPeerSelector) (*Slab, error) {
 	switch {
 	case n < 0:
 		return nil, fmt.Errorf("protocol: NewSlab(%d): negative size", n)
+	case strategy == nil:
+		return nil, errors.New("protocol: NewSlab: nil strategy")
 	case sender == nil:
 		return nil, errors.New("protocol: NewSlab: nil Sender")
 	case peers == nil:
 		return nil, errors.New("protocol: NewSlab: nil peer selector")
 	}
 	return &Slab{
-		rows:   make([]row, n),
-		states: make([]NodeState, n),
-		sender: sender,
-		peers:  peers,
+		apps:      make([]Application, n),
+		states:    make([]NodeState, n),
+		strategy:  strategy,
+		overspend: core.AllowsOverspend(strategy),
+		sender:    sender,
+		peers:     peers,
 	}, nil
 }
 
@@ -135,7 +134,7 @@ func NewSlab(n int, sender Sender, peers SharedPeerSelector) (*Slab, error) {
 func (s *Slab) Saturated() bool { return s.saturated.Load() }
 
 // Len returns the slab's capacity in nodes.
-func (s *Slab) Len() int { return len(s.rows) }
+func (s *Slab) Len() int { return len(s.apps) }
 
 // InitSeeded validates cfg and initializes node i in place, with a
 // SplitMix64 generator seeded with seed embedded in the node's state row —
@@ -147,10 +146,10 @@ func (s *Slab) InitSeeded(i int, cfg Config, seed uint64) error {
 		return err
 	}
 	s.states[i] = NodeState{
-		Account: core.MakeAccount(cfg.InitialTokens, core.AllowsOverspend(cfg.Strategy)),
+		Account: core.MakeAccount(cfg.InitialTokens, s.overspend),
 		rng:     rng.Seeded(seed),
 	}
-	s.rows[i] = row{strategy: cfg.Strategy, app: cfg.Application}
+	s.apps[i] = cfg.Application
 	return nil
 }
 
@@ -174,7 +173,7 @@ func (s *Slab) States() []NodeState { return s.states }
 // cache ahead of use.
 func (s *Slab) Preload(i int) uint64 {
 	sum := uint64(s.states[i].Account.Balance())
-	if s.rows[i].app != nil {
+	if s.apps[i] != nil {
 		sum++
 	}
 	return sum
@@ -188,7 +187,7 @@ func (s *Slab) PreloadApp(i int) uint64 {
 	// The data word of the interface: a pointer to the value, or the value
 	// itself where that is pointer-shaped (a pointer, map, chan or func),
 	// which then points at the runtime's object behind it.
-	p := (*[2]unsafe.Pointer)(unsafe.Pointer(&s.rows[i].app))[1]
+	p := (*[2]unsafe.Pointer)(unsafe.Pointer(&s.apps[i]))[1]
 	if p == nil {
 		return 0
 	}
@@ -196,18 +195,18 @@ func (s *Slab) PreloadApp(i int) uint64 {
 }
 
 // Tick runs node i's proactive round (see Node.Tick).
-func (s *Slab) Tick(i int) { s.tick(i, &s.rows[i], &s.states[i]) }
+func (s *Slab) Tick(i int) { s.tick(i, &s.states[i]) }
 
 // Receive runs node i's message handler (see Node.Receive).
 func (s *Slab) Receive(i int, from NodeID, payload Payload) {
-	s.receive(i, &s.rows[i], &s.states[i], from, payload)
+	s.receive(i, &s.apps[i], &s.states[i], from, payload)
 }
 
-func (s *Slab) tick(i int, n *row, st *NodeState) {
+func (s *Slab) tick(i int, st *NodeState) {
 	s.count(&st.counts.rounds, 1)
 	r := &st.rng
-	if core.Bernoulli(n.strategy.Proactive(st.Account.Balance()), r) {
-		if s.sendOne(i, n, r) {
+	if core.Bernoulli(s.strategy.Proactive(st.Account.Balance()), r) {
+		if s.sendOne(i, s.apps[i], r) {
 			s.count(&st.counts.proactiveSent, 1)
 			return
 		}
@@ -217,7 +216,7 @@ func (s *Slab) tick(i int, n *row, st *NodeState) {
 		// the capacity, or a node that saw no peer for a while could spend
 		// more than C tokens in one burst, breaking the §3.4 bound.
 		// Unbounded strategies keep banking.
-		if c := n.strategy.Capacity(); c != core.UnboundedCapacity && st.Account.Balance() >= c {
+		if c := s.strategy.Capacity(); c != core.UnboundedCapacity && st.Account.Balance() >= c {
 			return
 		}
 	}
@@ -225,17 +224,17 @@ func (s *Slab) tick(i int, n *row, st *NodeState) {
 	s.count(&st.counts.tokensBanked, 1)
 }
 
-func (s *Slab) receive(i int, n *row, st *NodeState, from NodeID, payload Payload) {
+func (s *Slab) receive(i int, app *Application, st *NodeState, from NodeID, payload Payload) {
 	s.count(&st.counts.received, 1)
-	useful := n.app.UpdateState(from, payload)
+	useful := (*app).UpdateState(from, payload)
 	if useful {
 		s.count(&st.counts.usefulReceived, 1)
 	}
 	r := &st.rng
-	want := core.RandRound(n.strategy.Reactive(st.Account.Balance(), useful), r)
+	want := core.RandRound(s.strategy.Reactive(st.Account.Balance(), useful), r)
 	spend := st.Account.SpendUpTo(want)
 	for k := 0; k < spend; k++ {
-		if !s.sendOne(i, n, r) {
+		if !s.sendOne(i, *app, r) {
 			// No reachable peer: refund the unused tokens.
 			st.Account.Deposit(spend - k)
 			s.count(&st.counts.tokensBanked, spend-k)
@@ -245,13 +244,14 @@ func (s *Slab) receive(i int, n *row, st *NodeState, from NodeID, payload Payloa
 	}
 }
 
-// sendOne samples a peer for node i, whose row is n, and sends one freshly
-// created message to it. It reports whether a peer was available.
-func (s *Slab) sendOne(i int, n *row, r Rand) bool {
+// sendOne samples a peer for node i, whose application is app, and sends
+// one freshly created message to it. It reports whether a peer was
+// available.
+func (s *Slab) sendOne(i int, app Application, r Rand) bool {
 	peer, ok := s.peers.SelectPeerOf(i, r)
 	if !ok {
 		return false
 	}
-	s.sender.Send(NodeID(i), peer, n.app.CreateMessage())
+	s.sender.Send(NodeID(i), peer, app.CreateMessage())
 	return true
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // TestNodeRowsAreOneCacheLine guards the layout the simulator's hot path is
-// sized for: one event touches one 32-byte strategy and application row and
-// one 64-byte state row that also holds the node's generator. A field added
-// to either shows up here, not as a slow regression — or 500 000 nodes'
-// worth of bytes — at scale.
+// sized for: one event touches one 16-byte application row and one 64-byte
+// state row that also holds the node's generator; the strategy is the
+// slab's. A field added to either shows up here, not as a slow regression —
+// or 500 000 nodes' worth of bytes — at scale.
 func TestNodeRowsAreOneCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(row{}); size != 32 {
-		t.Errorf("a node row is %d bytes, want exactly 32", size)
+	var s Slab
+	if size := unsafe.Sizeof(s.apps[0]); size != 16 {
+		t.Errorf("a node row is %d bytes, want exactly 16", size)
 	}
 	if size := unsafe.Sizeof(NodeState{}); size != 64 {
 		t.Errorf("NodeState is %d bytes, want exactly 64", size)
@@ -55,11 +56,11 @@ func TestNodeRowsAreOneCacheLine(t *testing.T) {
 func TestCounterSaturationIsReported(t *testing.T) {
 	newNode := func(t *testing.T) *Slab {
 		t.Helper()
-		s, err := NewSlab(1, &collectingSender{}, indexPeers{})
+		s, err := NewSlab(1, core.PurelyProactive{}, &collectingSender{}, indexPeers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.InitSeeded(0, Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}, 1); err != nil {
+		if err := s.InitSeeded(0, Config{Application: &countingApp{}}, 1); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -104,12 +105,12 @@ func (p indexPeers) SelectPeerOf(i int, _ Rand) (NodeID, bool) { return NodeID(i
 // both entry points — by index and through the facade.
 func TestSharedSlabCollaborators(t *testing.T) {
 	sender := &collectingSender{}
-	s, err := NewSlab(3, sender, indexPeers{offset: 100})
+	s, err := NewSlab(3, core.PurelyProactive{}, sender, indexPeers{offset: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+		cfg := Config{Application: &countingApp{}}
 		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -150,13 +151,13 @@ func (d *drawingPeers) SelectPeerOf(_ int, r Rand) (NodeID, bool) {
 func TestInitSeededMatchesExternalGenerator(t *testing.T) {
 	const seed = 77
 	peers := &drawingPeers{}
-	s, err := NewSlab(2, &collectingSender{}, peers)
+	s, err := NewSlab(2, core.PurelyProactive{}, &collectingSender{}, peers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	external := [2]*rng.Source{rng.New(seed), rng.New(seed + 1)}
 	for i := range external {
-		cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+		cfg := Config{Application: &countingApp{}}
 		if err := s.InitSeeded(i, cfg, seed+uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +200,12 @@ func (c *countingSender) Send(NodeID, NodeID, Payload) { c.n++ }
 // a delivery — by index and through the facade — allocate nothing.
 func TestSlabMessagePathAllocs(t *testing.T) {
 	sender := &countingSender{}
-	s, err := NewSlab(2, sender, indexPeers{offset: 1})
+	s, err := NewSlab(2, core.MustRandomized(5, 10), sender, indexPeers{offset: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		cfg := Config{Strategy: core.MustRandomized(5, 10), Application: wordApp{}}
+		cfg := Config{Application: wordApp{}}
 		if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -225,29 +226,31 @@ func TestSlabMessagePathAllocs(t *testing.T) {
 }
 
 // TestSlabValidation pins what a slab and its nodes must be given: NewSlab
-// needs a Sender and a peer selector, and a node needs a strategy, an
+// needs a strategy, a Sender and a peer selector, and a node needs an
 // application and a non-negative starting balance.
 func TestSlabValidation(t *testing.T) {
 	sender, peers := &collectingSender{}, indexPeers{}
-	if _, err := NewSlab(1, nil, peers); err == nil {
+	if _, err := NewSlab(1, nil, sender, peers); err == nil {
+		t.Error("NewSlab accepted a nil strategy")
+	}
+	if _, err := NewSlab(1, core.PurelyProactive{}, nil, peers); err == nil {
 		t.Error("NewSlab accepted a nil Sender")
 	}
-	if _, err := NewSlab(1, sender, nil); err == nil {
+	if _, err := NewSlab(1, core.PurelyProactive{}, sender, nil); err == nil {
 		t.Error("NewSlab accepted a nil peer selector")
 	}
-	if _, err := NewSlab(-1, sender, peers); err == nil {
+	if _, err := NewSlab(-1, core.PurelyProactive{}, sender, peers); err == nil {
 		t.Error("NewSlab accepted a negative size")
 	}
-	s, err := NewSlab(1, sender, peers)
+	s, err := NewSlab(1, core.PurelyProactive{}, sender, peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}, InitialTokens: 3}
+	valid := Config{Application: &countingApp{}, InitialTokens: 3}
 	if err := s.InitSeeded(0, valid, 1); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	broken := map[string]func(c *Config){
-		"no strategy":     func(c *Config) { c.Strategy = nil },
 		"no application":  func(c *Config) { c.Application = nil },
 		"negative tokens": func(c *Config) { c.InitialTokens = -1 },
 	}
@@ -267,7 +270,7 @@ func TestSlabValidation(t *testing.T) {
 func TestSlabConcurrentInit(t *testing.T) {
 	const n = 256
 	sender := &collectingSender{}
-	s, err := NewSlab(n, sender, indexPeers{offset: 1})
+	s, err := NewSlab(n, core.PurelyProactive{}, sender, indexPeers{offset: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,7 @@ func TestSlabConcurrentInit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += 8 {
-				cfg := Config{Strategy: core.PurelyProactive{}, Application: &countingApp{}}
+				cfg := Config{Application: &countingApp{}}
 				if err := s.InitSeeded(i, cfg, uint64(i)); err != nil {
 					t.Error(err)
 				}
@@ -307,24 +310,24 @@ func TestPreloadsOnlyRead(t *testing.T) {
 		{&countingApp{}, 0},
 		{wordApp{}, 0},
 	}
-	s, err := NewSlab(len(apps), &collectingSender{}, indexPeers{})
+	s, err := NewSlab(len(apps), core.PurelyProactive{}, &collectingSender{}, indexPeers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range apps {
-		if err := s.InitSeeded(i, Config{Strategy: core.PurelyProactive{}, Application: a.app, InitialTokens: 3}, 1); err != nil {
+		if err := s.InitSeeded(i, Config{Application: a.app, InitialTokens: 3}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, a := range apps {
-		node, state := s.rows[i], *s.State(i)
+		app, state := s.apps[i], *s.State(i)
 		if got := s.PreloadApp(i); got != a.want {
 			t.Errorf("node %d: PreloadApp = %d, want %d", i, got, a.want)
 		}
 		if got := s.Preload(i); got != 3+1 {
 			t.Errorf("node %d: Preload = %d, want balance + 1 for the application = 4", i, got)
 		}
-		if s.rows[i] != node || *s.State(i) != state {
+		if s.apps[i] != app || *s.State(i) != state {
 			t.Errorf("node %d: a preload changed its rows", i)
 		}
 	}

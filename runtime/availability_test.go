@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -92,7 +93,7 @@ func referenceSelect(nbrs []int32, online []bool, r protocol.Rand) (protocol.Nod
 func peerHost(t *testing.T, g *overlay.Graph, avail *Availability) *Host {
 	t.Helper()
 	h := &Host{cfg: Config{Graph: g}, avail: avail, adj: g.OutAdjacency()}
-	slab, err := protocol.NewSlab(g.N(), h, (*overlayPeers)(h))
+	slab, err := protocol.NewSlab(g.N(), core.PurelyProactive{}, h, (*overlayPeers)(h))
 	if err != nil {
 		t.Fatal(err)
 	}

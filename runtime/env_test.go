@@ -23,10 +23,7 @@ type envCase struct {
 // slots: simnet.Env, ShardedEnv at two shards with the given lookahead, and
 // live.Env at the given time scale.
 func shippedEnvs(n int, seed uint64, lookahead, scale float64) []envCase {
-	shardOf := make([]int32, n)
-	for i := range shardOf {
-		shardOf[i] = int32(i * 2 / n)
-	}
+	halves := func(node int32) int32 { return int32(int(node) * 2 / n) }
 	return []envCase{
 		{"simnet", func() (runtime.Env, error) {
 			return simnet.NewEnv(simnet.EnvConfig{N: n, Seed: seed})
@@ -34,7 +31,7 @@ func shippedEnvs(n int, seed uint64, lookahead, scale float64) []envCase {
 		{"simnet-sharded", func() (runtime.Env, error) {
 			return simnet.NewShardedEnv(simnet.ShardedEnvConfig{
 				N: n, Seed: seed, Shards: 2,
-				ShardOf: shardOf, Lookahead: lookahead,
+				ShardOf: halves, Lookahead: lookahead,
 			})
 		}},
 		{"live", func() (runtime.Env, error) {
@@ -184,7 +181,7 @@ func checkSendDelayed(t *testing.T, env runtime.Env) {
 	to := protocol.NodeID(env.N() - 1)
 	clock := env.Now
 	if sh, ok := env.(runtime.Sharded); ok {
-		clock = sh.Shard(int(sh.ShardTable()[to])).Now
+		clock = sh.Shard(int(sh.ShardFunc()(int32(to)))).Now
 	}
 	var log []firing
 	env.SetDeliver(func(_, _ protocol.NodeID, p protocol.Payload) {

@@ -12,17 +12,16 @@ import (
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
-// Config describes the assembly of one run: the overlay, the per-node
-// strategy and application, the proactive period, and the availability
-// model. It is runtime-neutral — the same Config builds against the
-// discrete-event environment and the wall-clock one.
+// Config describes the assembly of one run: the overlay, the strategy every
+// node follows, the per-node application, the proactive period, and the
+// availability model. It is runtime-neutral — the same Config builds
+// against the discrete-event environment and the wall-clock one.
 type Config struct {
 	// Graph is the fixed communication overlay (required).
 	Graph *overlay.Graph
-	// Strategy returns the token account strategy of node i (required). Most
-	// experiments use the same strategy for every node. NewHost calls it
-	// concurrently for distinct indices (see NewHost).
-	Strategy func(i int) core.Strategy
+	// Strategy is the token account strategy of every node (required). The
+	// slab holds it once, not per node (see protocol.NewSlab).
+	Strategy core.Strategy
 	// NewApp returns the application instance of node i (required). NewHost
 	// calls it concurrently for distinct indices (see NewHost).
 	NewApp func(i int) protocol.Application
@@ -93,8 +92,9 @@ type Host struct {
 	cfg Config
 	env Env
 
-	// slab holds every node's strategy and application row (32 bytes) and
-	// hot state row (64 bytes) in two contiguous arrays (struct of arrays).
+	// slab holds every node's application row (16 bytes) and hot state row
+	// (64 bytes) in two contiguous arrays (struct of arrays), and the one
+	// strategy of Config.Strategy.
 	// The Host is the slab's Sender and, unless Config.Peers replaces it, its
 	// peer selector, and per-node generator state is embedded in the state
 	// rows, so building n nodes costs a handful of allocations and no
@@ -109,20 +109,21 @@ type Host struct {
 	// neighbour selection, and — in unsharded runs — every per-message draw.
 	netRNG protocol.Rand
 
-	// shardOfNode, scheds, netRNGs and counts carry the per-shard state of a
-	// run on a Sharded environment. A node's ticks are hook events on its
+	// shardOf, scheds, netRNGs and counts carry the per-shard state of a run
+	// on a Sharded environment. A node's ticks are hook events on its
 	// shard's scheduler; messages draw loss and latency randomness from the
 	// stream of the sending node's shard and count into that shard's
 	// counters, so concurrent shard workers never share mutable state.
-	// shardOfNode is the environment's own ShardTable, not a copy, so the
-	// engine's routing and the Host's lookups read the same lines. Unsharded
-	// runs degenerate to one shard: shardOfNode is nil, scheds[0] is the
-	// environment itself, netRNGs[0] is netRNG (the historical single-stream
-	// draw order, bit-for-bit) and counts has a single element.
-	shardOfNode []int32
-	scheds      []ShardScheduler
-	netRNGs     []protocol.Rand
-	counts      []shardCounters
+	// shardOf is the environment's own routing function (ShardFunc), which
+	// computes the shard from the node index, so no lookup of it touches a
+	// per-node line. Unsharded runs degenerate to one shard: shardOf is nil,
+	// scheds[0] is the environment itself, netRNGs[0] is netRNG (the
+	// historical single-stream draw order, bit-for-bit) and counts has a
+	// single element.
+	shardOf func(node int32) int32
+	scheds  []ShardScheduler
+	netRNGs []protocol.Rand
+	counts  []shardCounters
 
 	// sizers is the payload sizer table snapshotted at assembly (see
 	// protocol.PayloadSizerTable): kinds without a sizer weigh one byte, so
@@ -166,9 +167,9 @@ type shardCounters struct {
 // state and schedules its churn transitions.
 //
 // The nodes are built over GOMAXPROCS contiguous index ranges at once, so
-// Config.Strategy and Config.NewApp must be safe to call concurrently for
-// distinct node indices: the built-in experiment apps and the examples only
-// write per-node slots of preallocated slices, and chaotic iteration's lazy
+// Config.NewApp must be safe to call concurrently for distinct node
+// indices: the built-in experiment apps and the examples only write
+// per-node slots of preallocated slices, and chaotic iteration's lazy
 // in-adjacency is built under a sync.Once. The assembled host is the same
 // for every GOMAXPROCS: node construction draws no shared randomness, since
 // every stream is derived from the node's index. If several nodes fail to
@@ -197,16 +198,14 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	if peers == nil {
 		peers = (*overlayPeers)(h)
 	}
-	slab, err := protocol.NewSlab(n, h, peers)
+	slab, err := protocol.NewSlab(n, cfg.Strategy, h, peers)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	h.slab = slab
 	if sh, ok := env.(Sharded); ok && sh.NumShards() > 1 {
 		shards := sh.NumShards()
-		if h.shardOfNode = sh.ShardTable(); len(h.shardOfNode) < n {
-			return nil, fmt.Errorf("runtime: shard table covers %d nodes, overlay has %d", len(h.shardOfNode), n)
-		}
+		h.shardOf = sh.ShardFunc()
 		h.scheds = make([]ShardScheduler, shards)
 		h.netRNGs = make([]protocol.Rand, shards)
 		for s := range h.netRNGs {
@@ -227,12 +226,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		if app == nil {
 			return fmt.Errorf("runtime: NewApp(%d) returned nil", i)
 		}
-		strategy := cfg.Strategy(i)
-		if strategy == nil {
-			return fmt.Errorf("runtime: Strategy(%d) returned nil", i)
-		}
 		nodeCfg := protocol.Config{
-			Strategy:      strategy,
 			Application:   app,
 			InitialTokens: cfg.InitialTokens,
 		}
@@ -286,15 +280,17 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 // scheduleRounds starts every node's proactive loop at a random phase, as a
 // tickHook event on the node's shard — the environment itself unless it is
 // sharded, in which case ticks execute on the owning shard's worker. The
-// phase draws happen in node order either way, so they are identical for
-// every shard count.
+// event's word is that shard, so a tick re-arms without asking for it again.
+// The phase draws happen in node order either way, so they are identical
+// for every shard count.
 func (h *Host) scheduleRounds() {
 	phaseRNG := h.env.Rand(StreamPhase)
 	n := h.slab.Len()
 	for i := 0; i < n; i++ {
 		phase := phaseRNG.Float64() * h.cfg.Delta
-		sched := h.scheds[h.shardIdx(protocol.NodeID(i))]
-		sched.AtHook(sched.Now()+phase, (*tickHook)(h), int32(i), 0)
+		s := h.shardIdx(protocol.NodeID(i))
+		sched := h.scheds[s]
+		sched.AtHook(sched.Now()+phase, (*tickHook)(h), int32(i), uint64(s))
 	}
 }
 
@@ -309,13 +305,13 @@ func (h *Host) scheduleRounds() {
 // allocation and hook identity is stable across the run.
 type tickHook Host
 
-func (t *tickHook) RunHook(node int32, _ uint64) {
+func (t *tickHook) RunHook(node int32, shard uint64) {
 	h := (*Host)(t)
 	if h.Online(int(node)) {
 		h.slab.Tick(int(node))
 	}
-	sched := h.scheds[h.shardIdx(protocol.NodeID(node))]
-	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, 0)
+	sched := h.scheds[shard]
+	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, shard)
 }
 
 var _ Preloader = (*Host)(nil)
@@ -323,22 +319,18 @@ var _ Preloader = (*Host)(nil)
 // Preload implements Preloader: it loads what a tick, a churn transition
 // or a delivery of the given nodes reads, ahead of it. The first loop loads
 // the lines the event reads first: the node row and the state row — which
-// also holds the generator, the byte counter and the CSR head — and,
-// sharded, the shard-table entry. The second loop, once those are under
-// way, follows them: the application's row, whose address is in the node
-// row, and the first and last out-neighbour, whose place is in the state
-// row, so both lines of a 20-neighbour list. The loads within a loop are independent, so
-// their cache misses overlap instead of each event paying its own. Nothing
-// is written, and everything read is either immutable (the overlay, the
-// shard table) or state of nodes the calling shard owns, so the loads are
-// safe on any shard worker.
+// also holds the generator, the byte counter and the CSR head. The second
+// loop, once those are under way, follows them: the application's row,
+// whose address is in the node row, and the first and last out-neighbour,
+// whose place is in the state row, so both lines of a 20-neighbour list.
+// The loads within a loop are independent, so their cache misses overlap
+// instead of each event paying its own. Nothing is written, and everything
+// read is either immutable (the overlay) or state of nodes the calling
+// shard owns, so the loads are safe on any shard worker.
 func (h *Host) Preload(nodes []int32) uint64 {
 	var sum uint64
 	for _, i := range nodes {
 		sum += h.slab.Preload(int(i))
-		if h.shardOfNode != nil {
-			sum += uint64(h.shardOfNode[i])
-		}
 	}
 	for _, i := range nodes {
 		sum += h.slab.PreloadApp(int(i))
@@ -573,10 +565,10 @@ func (h *Host) ScheduleArrivals(src ArrivalSource, fn func() bool) {
 
 // shardIdx returns the shard owning the given node (always 0 unsharded).
 func (h *Host) shardIdx(node protocol.NodeID) int32 {
-	if h.shardOfNode == nil {
+	if h.shardOf == nil {
 		return 0
 	}
-	return h.shardOfNode[node]
+	return h.shardOf(int32(node))
 }
 
 // shardNow returns the current time of the given shard's clock — the

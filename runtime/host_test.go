@@ -31,7 +31,7 @@ func hostConfig(t *testing.T, n int) runtime.Config {
 	t.Helper()
 	return runtime.Config{
 		Graph:    testGraph(t, n),
-		Strategy: func(int) core.Strategy { return core.MustRandomized(2, 5) },
+		Strategy: core.MustRandomized(2, 5),
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
 		Network:  netmodel.Constant{D: delta / 100},
@@ -62,7 +62,6 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.InitialTokens = -1 },
 		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
-		func(c *runtime.Config) { c.Strategy = func(int) core.Strategy { return nil } },
 		func(c *runtime.Config) { c.Trace = &trace.Trace{Duration: 1, Segments: make([]trace.Segment, 3)} },
 	}
 	for i, mutate := range broken {
@@ -521,7 +520,7 @@ func (n ringPeers) SelectPeerOf(i int, _ protocol.Rand) (protocol.NodeID, bool) 
 func TestHostCustomPeers(t *testing.T) {
 	const n = 6
 	cfg := hostConfig(t, n)
-	cfg.Strategy = func(int) core.Strategy { return core.PurelyProactive{} }
+	cfg.Strategy = core.PurelyProactive{}
 	cfg.Peers = ringPeers(n)
 	env := newSimEnv(t, n, 4)
 	host, err := runtime.NewHost(env, cfg)
@@ -598,7 +597,7 @@ func TestAuditCountsInitialTokens(t *testing.T) {
 	}
 	for _, tc := range tests {
 		cfg := hostConfig(t, 8)
-		cfg.Strategy = func(int) core.Strategy { return tc.strategy }
+		cfg.Strategy = tc.strategy
 		cfg.InitialTokens = tc.initialTokens
 		cfg.AuditNodes = []int{0}
 		env := newSimEnv(t, 8, 8)

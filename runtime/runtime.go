@@ -147,11 +147,10 @@ type Sharded interface {
 	Env
 	// NumShards returns the number of worker shards (≥ 1).
 	NumShards() int
-	// ShardTable returns the shard owning each node, indexed by node (at
-	// least N() entries). It is the environment's own routing table, shared
-	// with the caller read-only: the Host indexes it directly instead of
-	// keeping a copy.
-	ShardTable() []int32
+	// ShardFunc returns the function the environment routes by: the shard
+	// owning a node, for every node in [0, N()). It is pure and safe for
+	// concurrent use, so the Host calls it from any shard worker.
+	ShardFunc() func(node int32) int32
 	// Shard returns the scheduling surface of one shard.
 	Shard(s int) ShardScheduler
 }

@@ -79,21 +79,21 @@ func TestSlabNodeMatchesPerObjectNode(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				peers := flakySelector{n: 50}
 				objSender, slabSender := &recordingSender{}, &recordingSender{}
-				objSlab, err := protocol.NewSlab(row+1, objSender, peers)
+				objSlab, err := protocol.NewSlab(row+1, strat, objSender, peers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := protocol.Config{Strategy: strat, Application: pushgossip.New()}
+				cfg := protocol.Config{Application: pushgossip.New()}
 				if err := objSlab.InitSeeded(row, cfg, seed); err != nil {
 					t.Fatal(err)
 				}
 				obj := objSlab.Node(row)
-				slab, err := protocol.NewSlab(rows, slabSender, peers)
+				slab, err := protocol.NewSlab(rows, strat, slabSender, peers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 0; i < rows; i++ {
-					cfg := protocol.Config{Strategy: strat, Application: pushgossip.New()}
+					cfg := protocol.Config{Application: pushgossip.New()}
 					// The neighbours get the same seed, so a shared
 					// generator would show up as a shifted stream.
 					if err := slab.InitSeeded(i, cfg, seed); err != nil {

@@ -188,7 +188,7 @@ func (w *dlaneWorld) run() {
 			w.e.RunBefore(horizon)
 		}
 	}
-	w.e.Run()
+	w.e.run()
 	w.probes = append(w.probes, fmt.Sprintf("end pending %d processed %d now %v",
 		w.e.Pending(), w.e.Processed(), w.e.Now()))
 }
@@ -267,7 +267,7 @@ func TestContinuousDelaysOpenNoLane(t *testing.T) {
 	if e.ndl != 0 || e.q.Len() != e.Pending() {
 		t.Fatalf("continuous delays opened %d lanes; the queue holds %d of %d pending", e.ndl, e.q.Len(), e.Pending())
 	}
-	e.Run()
+	e.run()
 
 	e.ScheduleDelivery(1.728, Delivery{}, sink)
 	e.ScheduleDelivery(1.728, Delivery{}, sink)
@@ -298,7 +298,7 @@ func TestDeliveryLaneCap(t *testing.T) {
 	if e.ndl != maxDeliveryLanes {
 		t.Fatalf("%d fixed delays opened %d lanes, want the cap %d", 2*maxDeliveryLanes, e.ndl, maxDeliveryLanes)
 	}
-	e.Run()
+	e.run()
 	for i := 1; i < len(sink.got); i++ {
 		if sink.got[i].Word < sink.got[i-1].Word {
 			t.Fatalf("deliveries ran out of order: %v", sink.got)
@@ -327,7 +327,7 @@ type shardDLaneTick struct{ w *shardDLaneWorld }
 func (s *shardDLaneTick) Deliver(d Delivery) {
 	w, se := s.w, s.w.se
 	node := int(d.To)
-	sh := int(se.shardOf[node])
+	sh := int(se.shardOf(d.To))
 	r := w.rngs[node]
 	to := r.Intn(w.n)
 	delay := 3.0
@@ -355,7 +355,7 @@ type shardDLaneDeliver struct{ w *shardDLaneWorld }
 
 func (s shardDLaneDeliver) Deliver(d Delivery) {
 	w := s.w
-	sh := int(w.se.shardOf[d.To])
+	sh := int(w.se.shardOf(d.To))
 	if d.Box != nil && d.Box != d.Word {
 		panic(fmt.Sprintf("corrupted boxed delivery %+v", d))
 	}
@@ -374,7 +374,7 @@ func runShardDLaneWorld(t *testing.T, shards int, seed uint64, mixed, lanes bool
 	for i := range shardOf {
 		shardOf[i] = int32(i % dlaneZones % shards)
 	}
-	se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 3})
+	se, err := NewShardedEngine(byTable(shards, shardOf, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ type drainTick struct{ w *drainWorld }
 func (k drainTick) Deliver(d Delivery) {
 	w, se := k.w, k.w.se
 	node := int(d.To)
-	s := int(se.shardOf[node])
+	s := int(se.shardOf(d.To))
 	now := se.ShardNow(s)
 	w.logs[s] = append(w.logs[s], fmt.Sprintf("tick %d @%v", node, now))
 	w.send(node, w.rngs[node], now)
@@ -72,7 +72,7 @@ func (k drainTick) RunHook(to int32, word uint64) { k.Deliver(Delivery{To: to, W
 func (w *drainWorld) send(from int, r *rng.Source, now float64) {
 	to := r.Intn(w.n)
 	delay := q(r.Float64() * 2)
-	if w.se.shardOf[from] != w.se.shardOf[to] {
+	if w.se.shardOf(int32(from)) != w.se.shardOf(int32(to)) {
 		delay = 1 + q(r.Float64()) // the lookahead exactly, a quarter of the time
 	}
 	w.sent[from]++
@@ -80,7 +80,7 @@ func (w *drainWorld) send(from int, r *rng.Source, now float64) {
 }
 
 func (w *drainWorld) Deliver(d Delivery) {
-	s := int(w.se.shardOf[d.To])
+	s := int(w.se.shardOf(d.To))
 	w.logs[s] = append(w.logs[s], fmt.Sprintf("deliver %d→%d #%x @%v", d.From, d.To, d.Word, w.se.ShardNow(s)))
 }
 
@@ -118,7 +118,7 @@ func runDrainWorld(t *testing.T, shards int, seed uint64, runUntil func(se *Shar
 	for i := range shardOf {
 		shardOf[i] = int32(i % shards)
 	}
-	se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+	se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

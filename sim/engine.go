@@ -93,7 +93,6 @@ type Engine struct {
 	now       float64
 	seq       uint64
 	processed uint64
-	stopped   bool
 
 	// preload is the preloader SetPreloader kept, nil for none. batch
 	// carries the node indices of one Preload call: engine-owned, because a
@@ -247,9 +246,6 @@ func (e *Engine) Every(phase, interval float64, fn func() bool) {
 // Step executes the single earliest pending event and reports whether an
 // event was executed.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	l, dl, _, ok := e.next()
 	if ok {
 		e.step(l, dl)
@@ -321,19 +317,19 @@ func (e *Engine) step(l *hookLane, dl *deliveryLane) {
 	}
 }
 
-// RunUntil executes events in time order until the queue is exhausted, Stop
-// is called, or the next event lies strictly after the horizon. Virtual time
-// is advanced to the horizon on return (unless stopped earlier), so repeated
-// RunUntil calls with increasing horizons behave like one long run.
+// RunUntil executes events in time order until the queue is exhausted or
+// the next event lies strictly after the horizon. Virtual time is advanced
+// to the horizon on return, so repeated RunUntil calls with increasing
+// horizons behave like one long run.
 func (e *Engine) RunUntil(horizon float64) {
-	for !e.stopped {
+	for {
 		l, dl, t, ok := e.next()
 		if !ok || t > horizon {
 			break
 		}
 		e.step(l, dl)
 	}
-	if !e.stopped && horizon > e.now {
+	if horizon > e.now {
 		e.now = horizon
 	}
 }
@@ -344,14 +340,14 @@ func (e *Engine) RunUntil(horizon float64) {
 // half-open interval [now, limit) and events at exactly the limit belong to
 // the next window — but composes with the other run methods on any engine.
 func (e *Engine) RunBefore(limit float64) {
-	for !e.stopped {
+	for {
 		l, dl, t, ok := e.next()
 		if !ok || t >= limit {
 			break
 		}
 		e.step(l, dl)
 	}
-	if !e.stopped && limit > e.now {
+	if limit > e.now {
 		e.now = limit
 	}
 }
@@ -433,18 +429,3 @@ func (e *Engine) lookahead(l *hookLane, dl *deliveryLane) {
 	}
 	e.preloadSum += e.preload.Preload(e.batch[:])
 }
-
-// Run executes events until nothing is pending or Stop is called.
-func (e *Engine) Run() {
-	for !e.stopped {
-		l, dl, _, ok := e.next()
-		if !ok {
-			break
-		}
-		e.step(l, dl)
-	}
-}
-
-// Stop makes the engine refuse to execute further events. Pending events
-// remain queued (Pending still reports them) but will not run.
-func (e *Engine) Stop() { e.stopped = true }

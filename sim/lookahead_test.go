@@ -153,7 +153,7 @@ func TestLookaheadGateBelongsToTheEngine(t *testing.T) {
 		for i := range shardOf {
 			shardOf[i] = int32(i % 2)
 		}
-		se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: shardOf, Lookahead: 1})
+		se, err := NewShardedEngine(byTable(2, shardOf, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func runLookWorld(t *testing.T, shards, perShard int, spawn float64, seed uint64
 		for i := range shardOf {
 			shardOf[i] = int32(w.shardOf(int32(i)))
 		}
-		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+		se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +643,7 @@ func runDeliveryLookWorld(t *testing.T, shards, perShard int, spawn float64, see
 		for i := range shardOf {
 			shardOf[i] = int32(w.shardOf(int32(i)))
 		}
-		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+		se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,7 +220,7 @@ type scheduler interface {
 	Step() bool
 	RunUntil(horizon float64)
 	RunBefore(limit float64)
-	Run()
+	run()
 	lastSeq() uint64
 }
 
@@ -319,7 +319,7 @@ func (r *refEngine) RunBefore(limit float64) {
 	}
 }
 
-func (r *refEngine) Run() {
+func (r *refEngine) run() {
 	for r.h.Len() > 0 {
 		r.pop()
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // ShardedConfig parameterizes a sharded engine.
@@ -11,9 +12,15 @@ type ShardedConfig struct {
 	// Shards is the number of worker shards (≥ 1). Each shard owns one
 	// Engine and executes its nodes' events on its own goroutine.
 	Shards int
-	// ShardOf maps every node index to the shard that owns it. Values must
-	// lie in [0, Shards). Its length fixes the node count.
-	ShardOf []int32
+	// Nodes is the number of nodes (≥ 1): node indices are [0, Nodes).
+	Nodes int
+	// ShardOf returns the shard that owns a node, in [0, Shards) (required).
+	// The engine calls it on every Send, from every shard worker, so it must
+	// be a pure function of the node, safe for concurrent use — and cheap:
+	// netmodel.PlanShards computes it from the node index instead of
+	// storing a per-node table, whose entry for a random destination is a
+	// cache miss at scale.
+	ShardOf func(node int32) int32
 	// Lookahead is the minimum delay of any cross-shard delivery (> 0).
 	// Shards execute independently for windows of this length; a smaller
 	// cross-shard delay would violate causality, so Send panics on one.
@@ -25,6 +32,19 @@ type ShardedConfig struct {
 type outMsg struct {
 	time float64
 	d    Delivery
+}
+
+// outbox is one (src, dst) buffer of cross-shard deliveries, padded to a
+// 64-byte cache line: its slice header is written by shard src's worker on
+// every cross-shard append and by shard dst's worker when it drains, so two
+// headers sharing a line would make the workers appending to different
+// outboxes invalidate each other's line (false sharing). An array of S²
+// outboxes is 64-byte aligned: Go's allocator rounds 64·S² bytes up to a
+// size class that is itself a multiple of 64 and places objects of that
+// class at multiples of their size within a page-aligned span.
+type outbox struct {
+	msgs []outMsg
+	_    [64 - unsafe.Sizeof([]outMsg{})]byte
 }
 
 // ShardedEngine executes one simulation run across several shards under the
@@ -68,7 +88,8 @@ type outMsg struct {
 type ShardedEngine struct {
 	engines   []*Engine
 	coord     *Engine
-	shardOf   []int32
+	shardOf   func(node int32) int32
+	nodes     []int // nodes owned per shard, for SetPreloader
 	lookahead float64
 	sink      DeliverySink
 
@@ -78,7 +99,7 @@ type ShardedEngine struct {
 	// goroutine during windows, the coordinator at barriers) and one reader
 	// (shard dst's drain); the swap at a barrier orders the two, so plain
 	// slices suffice and the steady state allocates nothing once grown.
-	outboxes [2][][]outMsg
+	outboxes [2][]outbox
 	fill     int
 
 	work    []chan float64
@@ -88,29 +109,37 @@ type ShardedEngine struct {
 	closed  bool
 }
 
-// NewShardedEngine validates the configuration and builds the engine.
+// NewShardedEngine validates the configuration and builds the engine. It
+// calls ShardOf once for every node, to check its range and to count the
+// nodes each shard owns.
 func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 	switch {
 	case cfg.Shards < 1:
 		return nil, fmt.Errorf("sim: ShardedConfig.Shards = %d, need ≥ 1", cfg.Shards)
-	case len(cfg.ShardOf) == 0:
-		return nil, fmt.Errorf("sim: ShardedConfig.ShardOf is empty")
+	case cfg.Nodes < 1 || cfg.Nodes > math.MaxInt32:
+		return nil, fmt.Errorf("sim: ShardedConfig.Nodes = %d, need in [1, %d]", cfg.Nodes, math.MaxInt32)
+	case cfg.ShardOf == nil:
+		return nil, fmt.Errorf("sim: ShardedConfig.ShardOf is nil")
 	case cfg.Lookahead <= 0 || math.IsNaN(cfg.Lookahead) || math.IsInf(cfg.Lookahead, 0):
 		return nil, fmt.Errorf("sim: ShardedConfig.Lookahead = %g, need > 0 and finite", cfg.Lookahead)
 	}
-	for i, s := range cfg.ShardOf {
+	nodes := make([]int, cfg.Shards)
+	for i := int32(0); int(i) < cfg.Nodes; i++ {
+		s := cfg.ShardOf(i)
 		if s < 0 || int(s) >= cfg.Shards {
-			return nil, fmt.Errorf("sim: ShardOf[%d] = %d outside [0, %d)", i, s, cfg.Shards)
+			return nil, fmt.Errorf("sim: ShardOf(%d) = %d outside [0, %d)", i, s, cfg.Shards)
 		}
+		nodes[s]++
 	}
 	se := &ShardedEngine{
 		engines:   make([]*Engine, cfg.Shards),
 		coord:     NewEngine(),
 		shardOf:   cfg.ShardOf,
+		nodes:     nodes,
 		lookahead: cfg.Lookahead,
 	}
 	for i := range se.outboxes {
-		se.outboxes[i] = make([][]outMsg, cfg.Shards*cfg.Shards)
+		se.outboxes[i] = make([]outbox, cfg.Shards*cfg.Shards)
 	}
 	for s := range se.engines {
 		se.engines[s] = NewEngine()
@@ -124,12 +153,8 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 // batch loaded for them would be evicted before they ran. It must be called
 // during assembly.
 func (se *ShardedEngine) SetPreloader(p Preloader) {
-	nodes := make([]int, len(se.engines))
-	for _, s := range se.shardOf {
-		nodes[s]++
-	}
 	for s, e := range se.engines {
-		e.SetPreloader(p, nodes[s])
+		e.SetPreloader(p, se.nodes[s])
 	}
 }
 
@@ -139,11 +164,6 @@ func (se *ShardedEngine) SetSink(sink DeliverySink) { se.sink = sink }
 
 // NumShards returns the number of shards.
 func (se *ShardedEngine) NumShards() int { return len(se.engines) }
-
-// ShardTable returns the node→shard table the engine routes by (see
-// ShardedConfig.ShardOf). It is the engine's own slice: callers must not
-// modify it.
-func (se *ShardedEngine) ShardTable() []int32 { return se.shardOf }
 
 // Now returns the coordinator's virtual time: the time of the last barrier.
 // During a window, shard-local time (ShardNow) runs ahead of it.
@@ -184,19 +204,20 @@ func (se *ShardedEngine) ShardScheduleHookAt(s int, t float64, to int32, word ui
 }
 
 // Send schedules the delivery d after the given delay, routed by the shards
-// of its endpoints: an intra-shard delivery goes straight to the owning
-// shard's engine (Engine.ScheduleDelivery, so a fixed delay rides a
-// delivery lane), a cross-shard one is parked in the (src, dst) outbox and
-// deposited into the destination engine at the next barrier. The delay is measured from the
-// source shard's local time — the shard's own goroutine during a window, the
-// common barrier time in coordinator context — and a negative or NaN delay
-// counts as zero. Cross-shard delays below the lookahead violate the
-// conservative contract and panic.
+// of its endpoints (ShardedConfig.ShardOf): an intra-shard delivery goes
+// straight to the owning shard's engine (Engine.ScheduleDelivery, so a
+// fixed delay rides a delivery lane), a cross-shard one is parked in the
+// (src, dst) outbox and deposited into the destination engine at the next
+// barrier. The delay is measured from the source shard's local time — the
+// shard's own goroutine during a window, the common barrier time in
+// coordinator context — and a negative or NaN delay counts as zero.
+// Cross-shard delays below the lookahead violate the conservative contract
+// and panic.
 func (se *ShardedEngine) Send(delay float64, d Delivery) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	src, dst := se.shardOf[d.From], se.shardOf[d.To]
+	src, dst := se.shardOf(d.From), se.shardOf(d.To)
 	if src == dst {
 		se.engines[src].ScheduleDelivery(delay, d, se.sink)
 		return
@@ -205,7 +226,7 @@ func (se *ShardedEngine) Send(delay float64, d Delivery) {
 		panic(fmt.Sprintf("sim: cross-shard delivery %d→%d with delay %g below the lookahead %g",
 			d.From, d.To, delay, se.lookahead))
 	}
-	ob := &se.outboxes[se.fill][int(src)*len(se.engines)+int(dst)]
+	ob := &se.outboxes[se.fill][int(src)*len(se.engines)+int(dst)].msgs
 	*ob = append(*ob, outMsg{time: se.engines[src].Now() + delay, d: d})
 }
 
@@ -227,8 +248,8 @@ func (se *ShardedEngine) pending() int {
 		n += e.Pending()
 	}
 	for _, set := range se.outboxes {
-		for _, ob := range set {
-			n += len(ob)
+		for i := range set {
+			n += len(set[i].msgs)
 		}
 	}
 	return n
@@ -347,7 +368,7 @@ func (se *ShardedEngine) drainInto(dst int) {
 	e := se.engines[dst]
 	set := se.outboxes[se.fill^1]
 	for src := 0; src < s; src++ {
-		ob := &set[src*s+dst]
+		ob := &set[src*s+dst].msgs
 		for i := range *ob {
 			m := &(*ob)[i]
 			e.ScheduleDeliveryAt(m.time, m.d, se.sink)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
 )
@@ -39,7 +40,7 @@ type timedSink struct {
 }
 
 func (s *timedSink) Deliver(d Delivery) {
-	t := s.se.ShardNow(int(s.se.shardOf[d.To]))
+	t := s.se.ShardNow(int(s.se.shardOf(d.To)))
 	s.mu.Lock()
 	s.entries = append(s.entries, shardEntry{time: t, from: d.From, to: d.To, word: d.Word})
 	s.mu.Unlock()
@@ -94,6 +95,17 @@ func (f *shardFuncs) every(phase, interval float64, fn func() bool) {
 	})
 }
 
+// byTable configures an engine of the given shard count routing by a
+// node→shard table.
+func byTable(shards int, table []int32, lookahead float64) ShardedConfig {
+	return ShardedConfig{
+		Shards:    shards,
+		Nodes:     len(table),
+		ShardOf:   func(node int32) int32 { return table[node] },
+		Lookahead: lookahead,
+	}
+}
+
 func evenOdd(n int) []int32 {
 	shardOf := make([]int32, n)
 	for i := range shardOf {
@@ -108,11 +120,12 @@ func TestNewShardedEngineValidation(t *testing.T) {
 		cfg  ShardedConfig
 		want string
 	}{
-		{"zero shards", ShardedConfig{Shards: 0, ShardOf: []int32{0}, Lookahead: 1}, "Shards"},
-		{"empty shardOf", ShardedConfig{Shards: 1, Lookahead: 1}, "ShardOf"},
-		{"zero lookahead", ShardedConfig{Shards: 1, ShardOf: []int32{0}, Lookahead: 0}, "Lookahead"},
-		{"out of range", ShardedConfig{Shards: 2, ShardOf: []int32{0, 2}, Lookahead: 1}, "outside"},
-		{"negative", ShardedConfig{Shards: 2, ShardOf: []int32{0, -1}, Lookahead: 1}, "outside"},
+		{"zero shards", byTable(0, []int32{0}, 1), "Shards"},
+		{"no nodes", byTable(1, nil, 1), "Nodes"},
+		{"empty shardOf", ShardedConfig{Shards: 1, Nodes: 1, Lookahead: 1}, "ShardOf"},
+		{"zero lookahead", byTable(1, []int32{0}, 0), "Lookahead"},
+		{"out of range", byTable(2, []int32{0, 2}, 1), "outside"},
+		{"negative", byTable(2, []int32{0, -1}, 1), "outside"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -167,7 +180,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		for i := range shardOf {
 			shardOf[i] = int32(i % shards)
 		}
-		se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+		se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +209,7 @@ func shardedTrace(t *testing.T, n, shards int, seed uint64) map[int32][]shardEnt
 	for i := range shardOf {
 		shardOf[i] = int32(i % shards)
 	}
-	se, err := NewShardedEngine(ShardedConfig{Shards: shards, ShardOf: shardOf, Lookahead: 1})
+	se, err := NewShardedEngine(byTable(shards, shardOf, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +241,7 @@ func TestShardedDeterminism(t *testing.T) {
 // exactly send-time + delay on the destination shard's clock — parking a
 // message in an outbox across a barrier must never distort its timing.
 func TestShardedCrossShardTiming(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +265,7 @@ func TestShardedCrossShardTiming(t *testing.T) {
 // TestShardedLookaheadViolationPanics requires Send to reject a cross-shard
 // delay below the lookahead instead of silently corrupting causality.
 func TestShardedLookaheadViolationPanics(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +283,7 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 // shard synchronized to the event's own timestamp, and to run before shard
 // events sharing it.
 func TestShardedCoordinatorBarriers(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 10})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +328,7 @@ func TestShardedCoordinatorBarriers(t *testing.T) {
 // one long run, matching Engine.RunUntil's inclusive-horizon semantics.
 func TestShardedRepeatedRunUntil(t *testing.T) {
 	run := func(horizons ...float64) map[int32][]shardEntry {
-		se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(6), Lookahead: 1})
+		se, err := NewShardedEngine(byTable(2, evenOdd(6), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +354,7 @@ func TestShardedRepeatedRunUntil(t *testing.T) {
 // TestShardedProcessedAndPending checks the event accounting across queues
 // and outboxes.
 func TestShardedProcessedAndPending(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +384,7 @@ func TestShardedProcessedAndPending(t *testing.T) {
 // pending in the set Send fills and, after a barrier's swap, in the set the
 // destination drains.
 func TestShardedPendingCountsBothOutboxSets(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +412,7 @@ func TestShardedPendingCountsBothOutboxSets(t *testing.T) {
 // this package runs in parallel, so the process goroutine count is exact.
 func TestShardedCloseWaitsForWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	se, err := NewShardedEngine(ShardedConfig{Shards: 4, ShardOf: evenOdd(8), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(4, evenOdd(8), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +436,7 @@ func TestShardedCloseWaitsForWorkers(t *testing.T) {
 // TestShardedClose requires Close to be idempotent and RunUntil to refuse a
 // closed engine.
 func TestShardedClose(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +468,7 @@ func (s *nullSink) RunHook(int32, uint64) { s.n++ }
 // level by simnet's TestSteadyStateMessagePathAllocs (the malloc counter
 // testing.AllocsPerRun reads is process-wide, so worker allocations count).
 func TestShardedCrossShardAllocs(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 1, ShardOf: []int32{0, 0}, Lookahead: 1})
+	se, err := NewShardedEngine(byTable(1, []int32{0, 0}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +504,7 @@ func TestShardedCrossShardAllocs(t *testing.T) {
 // each round fills one set and drains the other, and both sets have grown
 // before the measurement.
 func TestShardedOutboxAllocs(t *testing.T) {
-	se, err := NewShardedEngine(ShardedConfig{Shards: 2, ShardOf: evenOdd(4), Lookahead: 1})
+	se, err := NewShardedEngine(byTable(2, evenOdd(4), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +518,12 @@ func TestShardedOutboxAllocs(t *testing.T) {
 		}
 		se.fill ^= 1
 		se.drainInto(1)
-		se.engines[1].Run()
+		se.engines[1].run()
 	}
 	warm()
 	warm()
 	for set := range se.outboxes {
-		if cap(se.outboxes[set][0*2+1]) == 0 {
+		if cap(se.outboxes[set][0*2+1].msgs) == 0 {
 			t.Fatalf("outbox set %d never used", set)
 		}
 	}
@@ -519,5 +532,40 @@ func TestShardedOutboxAllocs(t *testing.T) {
 	}
 	if sink.n == 0 {
 		t.Fatal("no deliveries reached the sink")
+	}
+}
+
+// TestOutboxHeadersDoNotShareLines requires every outbox slice header of a
+// sharded engine to sit in cache lines of its own. Shard src's worker
+// writes header (src, dst) on every cross-shard append during a window, and
+// shard dst's worker writes it when it drains the set, so two headers on
+// one line would be written by two workers at once: unpadded, with two
+// shards, the headers of outboxes (0, 1) and (1, 0) are 24 bytes apart.
+func TestOutboxHeadersDoNotShareLines(t *testing.T) {
+	const line = 64
+	for shards := 1; shards <= 9; shards++ {
+		table := make([]int32, shards)
+		for i := range table {
+			table[i] = int32(i)
+		}
+		se, err := NewShardedEngine(byTable(shards, table, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := map[uintptr]string{} // cache line -> the header on it
+		for set := range se.outboxes {
+			for i := range se.outboxes[set] {
+				name := fmt.Sprintf("set %d outbox (%d, %d)", set, i/shards, i%shards)
+				start := uintptr(unsafe.Pointer(&se.outboxes[set][i].msgs))
+				end := start + unsafe.Sizeof(se.outboxes[set][i].msgs)
+				for l := start / line; l <= (end-1)/line; l++ {
+					if other, ok := owner[l]; ok {
+						t.Errorf("shards=%d: %s shares a cache line with %s", shards, name, other)
+					}
+					owner[l] = name
+				}
+			}
+		}
+		se.Close()
 	}
 }

@@ -71,10 +71,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}, nil
 }
 
-// Engine exposes the underlying discrete-event engine, e.g. for tests that
-// need to single-step virtual time.
-func (e *Env) Engine() *sim.Engine { return e.engine }
-
 // Now implements runtime.Env with the engine's virtual time.
 func (e *Env) Now() float64 { return e.engine.Now() }
 

@@ -46,14 +46,14 @@ func TestEnvSendDelayed(t *testing.T) {
 	env.SendDelayed(0, 1, payload, 5)
 	env.SendDelayed(0, 1, payload, 2.5)
 	env.SendDelayed(0, 1, payload, -3) // negative delays clamp to "now"
-	env.Engine().RunUntil(4)
+	env.engine.RunUntil(4)
 	if len(deliveredAt) != 2 {
 		t.Fatalf("delivered %d messages before t=4, want 2 (clamped + 2.5s)", len(deliveredAt))
 	}
 	if deliveredAt[0] != 0 || deliveredAt[1] != 2.5 {
 		t.Errorf("deliveries at %v, want [0 2.5]", deliveredAt)
 	}
-	env.Engine().RunUntil(10)
+	env.engine.RunUntil(10)
 	if len(deliveredAt) != 3 || deliveredAt[2] != 5 {
 		t.Errorf("deliveries at %v, want third at exactly 5", deliveredAt)
 	}
@@ -69,7 +69,7 @@ func TestEnvSendUsesTransferDelay(t *testing.T) {
 	var at float64
 	env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) { at = env.Now() })
 	env.Send(0, 1, protocol.BoxPayload("m"))
-	env.Engine().Run()
+	env.engine.RunUntil(math.Inf(1))
 	if at != 1.728 {
 		t.Errorf("delivery at %v, want 1.728", at)
 	}

@@ -52,7 +52,7 @@ func TestProactiveComponentSurvivesMessageLoss(t *testing.T) {
 		}
 		_, net := mustAssemble(t, EnvConfig{N: n, Seed: seed}, hostrt.Config{
 			Graph:    g,
-			Strategy: func(int) core.Strategy { return strategy },
+			Strategy: strategy,
 			NewApp:   func(int) protocol.Application { return pushgossip.New() },
 			Delta:    100,
 			Network:  netmodel.Lossy{P: dropPct, Inner: netmodel.Constant{D: 1}},

@@ -52,7 +52,7 @@ func TestTenMillionNodeShardedRun(t *testing.T) {
 	strategy := core.Strategy(core.MustRandomized(5, 10))
 	host, err := hostrt.NewHost(env, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return strategy },
+		Strategy: strategy,
 		NewApp:   func(i int) protocol.Application { return &walkers[i] },
 		Delta:    delta,
 		Network:  model,

@@ -49,7 +49,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 	strategy := core.Strategy(core.MustRandomized(5, 10))
 	host, err := hostrt.NewHost(env, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return strategy },
+		Strategy: strategy,
 		NewApp:   func(i int) protocol.Application { return &walkers[i] },
 		Delta:    delta,
 		Network:  netmodel.Constant{D: 1.728},
@@ -105,7 +105,7 @@ func TestMillionNodeSmoke(t *testing.T) {
 const (
 	koutBuildBytesPerNode = 84  // overlay.RandomKOut(n, 20, 1)
 	wsBuildBytesPerNode   = 120 // overlay.WattsStrogatz(n, 10, 0.2, 1)
-	hostBuildBytesPerNode = 188 // simnet.NewEnv + walker slab + runtime.NewHost
+	hostBuildBytesPerNode = 172 // simnet.NewEnv + walker slab + runtime.NewHost
 	buildBytesTolerance   = 1.2
 	// buildAllocHeadroom is how many more allocations a 10^5-node build may
 	// make than a 10^4-node one: a handful are runtime-internal (worker
@@ -143,7 +143,7 @@ func TestBuildPathIsConstantInN(t *testing.T) {
 			defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(8))
 			if _, err := hostrt.NewHost(env, hostrt.Config{
 				Graph:    g,
-				Strategy: func(int) core.Strategy { return strategy },
+				Strategy: strategy,
 				NewApp:   func(i int) protocol.Application { return &walkers[i] },
 				Delta:    172.8,
 				Network:  netmodel.Constant{D: 1.728},

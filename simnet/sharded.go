@@ -19,9 +19,10 @@ type ShardedEnvConfig struct {
 	Seed uint64
 	// Shards is the number of worker shards (≥ 1).
 	Shards int
-	// ShardOf maps every node to its owning shard (length N, values in
-	// [0, Shards)). netmodel.PlanShards derives it together with Lookahead.
-	ShardOf []int32
+	// ShardOf returns the shard owning a node, in [0, Shards), for every
+	// node in [0, N) (required; see sim.ShardedConfig.ShardOf).
+	// netmodel.PlanShards derives it together with Lookahead.
+	ShardOf func(node int32) int32
 	// Lookahead is the minimum cross-shard delivery delay (> 0); see
 	// sim.ShardedConfig.
 	Lookahead float64
@@ -43,6 +44,7 @@ type ShardedEnvConfig struct {
 // of the same model.
 type ShardedEnv struct {
 	engine  *sim.ShardedEngine
+	shardOf func(node int32) int32
 	seed    uint64
 	online  runtime.Availability
 	deliver runtime.DeliverFunc
@@ -60,11 +62,10 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	switch {
 	case cfg.N < 1:
 		return nil, fmt.Errorf("simnet: ShardedEnvConfig.N = %d, need ≥ 1", cfg.N)
-	case len(cfg.ShardOf) != cfg.N:
-		return nil, fmt.Errorf("simnet: ShardOf covers %d nodes, N = %d", len(cfg.ShardOf), cfg.N)
 	}
 	engine, err := sim.NewShardedEngine(sim.ShardedConfig{
 		Shards:    cfg.Shards,
+		Nodes:     cfg.N,
 		ShardOf:   cfg.ShardOf,
 		Lookahead: cfg.Lookahead,
 	})
@@ -73,6 +74,7 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	}
 	e := &ShardedEnv{
 		engine:  engine,
+		shardOf: cfg.ShardOf,
 		seed:    cfg.Seed,
 		online:  runtime.NewAvailability(cfg.N),
 		facades: make([]shardFacade, cfg.Shards),
@@ -83,9 +85,6 @@ func NewShardedEnv(cfg ShardedEnvConfig) (*ShardedEnv, error) {
 	engine.SetSink(e)
 	return e, nil
 }
-
-// Engine exposes the underlying sharded engine, e.g. for tests.
-func (e *ShardedEnv) Engine() *sim.ShardedEngine { return e.engine }
 
 // Now implements runtime.Env with the coordinator's barrier clock.
 func (e *ShardedEnv) Now() float64 { return e.engine.Now() }
@@ -169,8 +168,9 @@ func (e *ShardedEnv) SetOffline(node int) { e.online.Set(node, false) }
 // NumShards implements runtime.Sharded.
 func (e *ShardedEnv) NumShards() int { return e.engine.NumShards() }
 
-// ShardTable implements runtime.Sharded with the engine's own routing table.
-func (e *ShardedEnv) ShardTable() []int32 { return e.engine.ShardTable() }
+// ShardFunc implements runtime.Sharded with the function the engine routes
+// by (ShardedEnvConfig.ShardOf).
+func (e *ShardedEnv) ShardFunc() func(node int32) int32 { return e.shardOf }
 
 // Shard implements runtime.Sharded.
 func (e *ShardedEnv) Shard(s int) runtime.ShardScheduler { return &e.facades[s] }

@@ -29,7 +29,7 @@ func walkerConfig(t *testing.T, n int, strategy core.Strategy, seed uint64) (Env
 	}
 	return EnvConfig{N: n, Seed: seed}, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return strategy },
+		Strategy: strategy,
 		NewApp:   func(int) protocol.Application { return &gossiplearning.Walker{} },
 		Delta:    100,
 		Network:  netmodel.Constant{D: walkerDelay},
@@ -78,7 +78,6 @@ func TestConfigValidation(t *testing.T) {
 		func(_ *EnvConfig, c *hostrt.Config) { c.InitialTokens = -1 },
 		func(_ *EnvConfig, c *hostrt.Config) { c.Trace = trace.AlwaysOnline(5, 100) }, // too few nodes
 		func(_ *EnvConfig, c *hostrt.Config) { c.AuditNodes = []int{99} },
-		func(_ *EnvConfig, c *hostrt.Config) { c.Strategy = func(int) core.Strategy { return nil } },
 		func(_ *EnvConfig, c *hostrt.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 	}
 	for i, mutate := range mutations {
@@ -209,7 +208,7 @@ func TestChurnDropsMessagesAndTracksOnline(t *testing.T) {
 	}
 	env, net := mustAssemble(t, EnvConfig{N: n, Seed: 17}, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return core.MustSimple(5) },
+		Strategy: core.MustSimple(5),
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    50,
 		Trace:    tr,
@@ -262,7 +261,7 @@ func TestOnRejoinHookFires(t *testing.T) {
 	rejoined := []int{}
 	_, net := mustAssemble(t, EnvConfig{N: n, Seed: 19}, hostrt.Config{
 		Graph:    g,
-		Strategy: func(int) core.Strategy { return core.MustSimple(3) },
+		Strategy: core.MustSimple(3),
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    10,
 		Trace:    tr,

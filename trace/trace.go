@@ -50,8 +50,8 @@ type Segment struct {
 	Intervals []Interval
 }
 
-// Online reports whether the segment is online at time t.
-func (s *Segment) Online(t float64) bool {
+// online reports whether the segment is online at time t.
+func (s *Segment) online(t float64) bool {
 	// Binary search for the first interval ending after t.
 	idx := sort.Search(len(s.Intervals), func(i int) bool { return s.Intervals[i].End > t })
 	return idx < len(s.Intervals) && s.Intervals[idx].Start <= t
@@ -109,7 +109,7 @@ func (tr *Trace) Online(node int, t float64) bool {
 	if node < 0 || node >= len(tr.Segments) {
 		return false
 	}
-	return tr.Segments[node].Online(t)
+	return tr.Segments[node].online(t)
 }
 
 // AlwaysOnline returns a trace in which every one of n nodes is online for
@@ -162,7 +162,7 @@ func (tr *Trace) Stats(binWidth float64) ([]Bin, error) {
 		bins[b].Time = t
 		online, ever := 0, 0
 		for i := range tr.Segments {
-			if tr.Segments[i].Online(t) {
+			if tr.Segments[i].online(t) {
 				online++
 			}
 			if tr.Segments[i].everOnlineBy(t) {

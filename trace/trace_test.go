@@ -18,7 +18,7 @@ func TestSegmentOnline(t *testing.T) {
 		{30, true}, {39.9, true}, {40, false}, {100, false},
 	}
 	for _, tc := range tests {
-		if got := s.Online(tc.t); got != tc.want {
+		if got := s.online(tc.t); got != tc.want {
 			t.Errorf("Online(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}

@@ -24,7 +24,7 @@ func TestMemoryBusDropProbabilityOne(t *testing.T) {
 	if got.count() != 0 {
 		t.Errorf("%d messages delivered despite drop probability 1", got.count())
 	}
-	delivered, dropped := bus.Stats()
+	delivered, dropped := bus.stats()
 	if delivered != 0 || dropped != 20 {
 		t.Errorf("Stats = (%d, %d), want (0, 20)", delivered, dropped)
 	}
@@ -61,7 +61,7 @@ func TestMemoryBusDropPatternDeterministic(t *testing.T) {
 		}
 		deadline := time.Now().Add(time.Second)
 		for time.Now().Before(deadline) {
-			delivered, dropped := bus.Stats()
+			delivered, dropped := bus.stats()
 			if delivered+dropped == 100 && got.count() == int(delivered) {
 				break
 			}
@@ -109,7 +109,7 @@ func TestMemoryBusDirectedPartition(t *testing.T) {
 	if onB.count() != 0 {
 		t.Error("message crossed the blocked 1→2 link")
 	}
-	if _, dropped := bus.Stats(); dropped != 1 {
+	if _, dropped := bus.stats(); dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
 

@@ -291,7 +291,7 @@ func TestTCPRemovePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.waitFor(t, 1, 2*time.Second)
-	if n := len(a.Peers()); n != 1 {
+	if n := len(a.peers()); n != 1 {
 		t.Fatalf("Peers() = %d entries, want 1", n)
 	}
 
@@ -299,7 +299,7 @@ func TestTCPRemovePeer(t *testing.T) {
 	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 2})); err == nil {
 		t.Error("send to removed peer should error")
 	}
-	if n := len(a.Peers()); n != 0 {
+	if n := len(a.peers()); n != 0 {
 		t.Fatalf("Peers() after remove = %d entries, want 0", n)
 	}
 }

@@ -117,8 +117,8 @@ func (b *MemoryBus) Endpoint(id protocol.NodeID) (*MemoryEndpoint, error) {
 	return ep, nil
 }
 
-// Stats returns the number of delivered and dropped messages so far.
-func (b *MemoryBus) Stats() (delivered, dropped int64) {
+// stats returns the number of delivered and dropped messages so far.
+func (b *MemoryBus) stats() (delivered, dropped int64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.delivered, b.dropped
@@ -197,9 +197,6 @@ type MemoryEndpoint struct {
 }
 
 var _ Transport = (*MemoryEndpoint)(nil)
-
-// ID returns the node ID of the endpoint.
-func (e *MemoryEndpoint) ID() protocol.NodeID { return e.id }
 
 // SetPayloadHandler implements Transport.
 func (e *MemoryEndpoint) SetPayloadHandler(h PayloadHandler) {

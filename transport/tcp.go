@@ -106,9 +106,6 @@ func newTCPEndpoint(id protocol.NodeID, addr string, registry *Registry, peerQue
 // Addr returns the actual listening address (useful with ":0").
 func (e *TCPEndpoint) Addr() string { return e.listener.Addr().String() }
 
-// ID returns the endpoint's node ID.
-func (e *TCPEndpoint) ID() protocol.NodeID { return e.id }
-
 // Stats returns a snapshot of the endpoint's operational counters plus the
 // current queue-depth and connected-peer gauges.
 func (e *TCPEndpoint) Stats() Stats {
@@ -165,8 +162,8 @@ func (e *TCPEndpoint) RemovePeer(id protocol.NodeID) {
 	}
 }
 
-// Peers returns the IDs of the currently registered peers.
-func (e *TCPEndpoint) Peers() []protocol.NodeID {
+// peers returns the IDs of the currently registered peers.
+func (e *TCPEndpoint) peers() []protocol.NodeID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ids := make([]protocol.NodeID, 0, len(e.links))

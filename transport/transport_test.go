@@ -114,11 +114,11 @@ func TestMemoryBusDelivery(t *testing.T) {
 			t.Errorf("from = %d, want 1", got.from[i])
 		}
 	}
-	delivered, dropped := bus.Stats()
+	delivered, dropped := bus.stats()
 	if delivered != 10 || dropped != 0 {
 		t.Errorf("Stats = (%d, %d), want (10, 0)", delivered, dropped)
 	}
-	if a.ID() != 1 || a.String() == "" {
+	if a.id != 1 || a.String() == "" {
 		t.Error("endpoint identity accessors wrong")
 	}
 }
@@ -133,7 +133,7 @@ func TestMemoryBusDropsToUnknownEndpoint(t *testing.T) {
 	if err := a.SendPayload(99, protocol.BoxPayload(testPayload{})); err != nil {
 		t.Fatalf("Send to unknown endpoint should not error, got %v", err)
 	}
-	_, dropped := bus.Stats()
+	_, dropped := bus.stats()
 	if dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
@@ -203,7 +203,7 @@ func TestTCPEndpointRoundTrip(t *testing.T) {
 		t.Errorf("first message on B = from %d %#v", onB.from[0], onB.msgs[0])
 	}
 	onB.mu.Unlock()
-	if a.ID() != 1 {
+	if a.id != 1 {
 		t.Error("ID accessor wrong")
 	}
 }
