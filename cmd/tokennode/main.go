@@ -11,7 +11,7 @@
 //	tokennode -id 1 -listen 127.0.0.1:7001 -http 127.0.0.1:8001 -peers 0=127.0.0.1:7000,2=127.0.0.1:7002 -cluster-size 3
 //	tokennode -id 2 -listen 127.0.0.1:7002 -http 127.0.0.1:8002 -peers 0=127.0.0.1:7000,1=127.0.0.1:7001 -cluster-size 3
 //
-// Applications and strategies come from the experiment registries, so the
+// Applications and strategies come from the experiment parsers, so the
 // same specs the simulator accepts ("push-gossip", "randomized:8:40", ...)
 // describe a deployment.
 package main

@@ -77,31 +77,6 @@ func TestBlockcastChurnDeterminism(t *testing.T) {
 	}
 }
 
-// TestListFlag checks that -list prints all six registry dimensions (and
-// nothing else: no run happens).
-func TestListFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-list"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"applications: blockcast, chaotic-iteration, gossip-learning, push-gossip",
-		"scenarios: ",
-		"strategies: generalized, proactive, randomized, reactive, simple",
-		"runtimes: live, live-tcp, sim",
-		"networks: ",
-		"workloads: ",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("-list output missing %q:\n%s", want, got)
-		}
-	}
-	if strings.Contains(got, "#") {
-		t.Errorf("-list ran an experiment:\n%s", got)
-	}
-}
-
 // TestBlockcastParamsAndErrors covers the parameterized application spec and
 // its error paths.
 func TestBlockcastParamsAndErrors(t *testing.T) {

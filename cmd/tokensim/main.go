@@ -52,7 +52,7 @@ func run(args []string, w io.Writer) (err error) {
 		audit        = fs.Bool("audit", false, "verify the rate-limit envelope on every node")
 		tokens       = fs.Bool("tokens", false, "also print the average token balance series")
 		summaryOnly  = fs.Bool("summary", false, "print only the summary line, not the series")
-		list         = fs.Bool("list", false, "list the registered drivers of all six experiment dimensions and exit")
+		list         = fs.Bool("list", false, "list the driver names of all six experiment dimensions and exit")
 	)
 	profiles := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/internal/profiling/proftest"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/list.txt from the current -list output")
 
 // goldenWorkers are the -workers values every golden case runs with: its two
 // repetitions one after the other, and both at once. The output must not
@@ -246,4 +249,27 @@ func TestRoundsAndRepsMustBePositive(t *testing.T) {
 // unwritable path is an error rather than a silently missing file.
 func TestProfileFlags(t *testing.T) {
 	proftest.CheckFlags(t, run, []string{"-app", "push-gossip", "-strategy", "simple:10", "-n", "60", "-rounds", "20", "-seed", "7"})
+}
+
+// TestListGolden pins the -list output: the names of every experiment
+// dimension, in the order the flag help and the docs show them. Regenerate
+// with go test -run TestListGolden -update.
+func TestListGolden(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-list"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "list.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("-list output diverged from %s:\n%s", path, out.String())
+	}
 }

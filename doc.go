@@ -13,11 +13,12 @@
 //     and reactive extremes);
 //   - protocol: the transport-agnostic protocol node (Algorithm 4);
 //   - simnet and experiment: the discrete-event simulation substrate and the
-//     reproduction of every figure of the paper's evaluation. The experiment
-//     layer is a registry-based plugin architecture: applications, failure
-//     scenarios and strategy families are drivers registered by name
-//     (experiment.MustRegisterApplication, MustRegisterScenario, MustRegisterStrategy),
-//     and the paper's workloads are self-registering built-ins;
+//     reproduction of every figure of the paper's evaluation. Applications
+//     and failure scenarios are drivers registered by name
+//     (experiment.MustRegisterApplication, MustRegisterScenario), with the
+//     paper's as self-registering built-ins; strategy families, runtimes,
+//     network models and workloads are fixed sets, each parsed by one
+//     function;
 //   - scenarios/crashburst: a correlated-failure scenario added purely
 //     through the registry, as the model for external extensions;
 //   - live and transport: a real-time runtime (goroutines, tickers,

@@ -149,13 +149,13 @@ type RunSummarizer interface {
 }
 
 // RuntimeDriver supplies the execution runtime of an experiment: it builds
-// the runtime.Env one repetition runs on. The three built-ins are SimRuntime
+// the runtime.Env one repetition runs on. The three runtimes are SimRuntime
 // ("sim": the discrete-event engine in virtual time, the paper's setup, or
 // its sharded variant), LiveRuntime ("live": wall-clock timers over the
 // in-process memory bus) and LiveTCPRuntime ("live-tcp": the same over
-// loopback TCP sockets); external runtimes plug in through MustRegisterRuntime.
+// loopback TCP sockets). ParseRuntime resolves their spec strings.
 type RuntimeDriver interface {
-	// Name is the canonical registry name, used by ParseRuntime.
+	// Name is the canonical runtime name, used by ParseRuntime.
 	Name() string
 	// NewEnv constructs the environment of one repetition. The environment
 	// must provide at least cfg.N node slots, all initially online.

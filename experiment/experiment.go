@@ -3,16 +3,18 @@
 // strategy, an overlay, a failure scenario, the paper's timing parameters,
 // repeated runs and metric time series.
 //
-// The experiment layer is open: applications, scenarios, strategy families
-// and execution runtimes are drivers resolved through name-keyed registries
-// (MustRegisterApplication, MustRegisterScenario, MustRegisterStrategy,
-// MustRegisterRuntime). The paper's three applications (gossip learning, push
-// gossip, chaotic power iteration), its two scenarios (failure-free,
-// smartphone trace), its five strategy kinds and the three runtimes (the
-// discrete-event simulator, the wall-clock live runtime and its TCP
-// variant) are self-registering built-ins; external packages add new
-// workloads through the same entry points without modifying the generic run
-// pipeline (see scenarios/crashburst for a complete example).
+// Applications and scenarios are open: they are drivers resolved through
+// name-keyed registries (MustRegisterApplication, MustRegisterScenario). The
+// paper's applications (gossip learning, push gossip, chaotic power
+// iteration, plus blockcast) and its two scenarios (failure-free, smartphone
+// trace) are self-registering built-ins, and external packages add new ones
+// through the same entry points without modifying the generic run pipeline
+// (see scenarios/crashburst for a complete example). The other four
+// dimensions are fixed sets, each resolved by one parser: the five strategy
+// kinds (ParseStrategySpec), the three runtimes — the discrete-event
+// simulator, the wall-clock live runtime and its TCP variant —
+// (ParseRuntime), the network models (ParseNetwork) and the workloads
+// (ParseWorkload).
 package experiment
 
 import (
@@ -303,8 +305,8 @@ type singleRun struct {
 // runOnce executes one repetition. It is fully generic: everything
 // application-, scenario- or runtime-specific goes through the AppDriver,
 // ScenarioDriver and RuntimeDriver interfaces (and the optional capabilities
-// of driver.go), so registered extensions run through exactly the same code
-// path as the paper built-ins — and the same repetition assembly runs on the
+// of driver.go), so registered applications and scenarios run through exactly
+// the same code path as the paper built-ins — and the same repetition assembly runs on the
 // discrete-event engine and on the wall-clock runtime alike.
 func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	strategy, err := cfg.Strategy.Build()

@@ -9,12 +9,11 @@ import (
 	"github.com/szte-dcs/tokenaccount/netmodel"
 )
 
-// The network models, as self-registering drivers — the fourth registry
-// dimension next to applications, scenarios/strategies and runtimes. A
-// NetworkDriver turns a spec string such as "exponential:1.728" or
-// "zones:4:0.5:3" into the netmodel.Model one repetition runs under, and
-// every message of the run goes through that model; the default
-// ConstantNetwork is the paper's fixed TransferDelay.
+// The network models, a fixed set resolved by ParseNetwork. A NetworkDriver
+// turns a spec string such as "exponential:1.728" or "zones:4:0.5:3" into the
+// netmodel.Model one repetition runs under, and every message of the run goes
+// through that model; the default ConstantNetwork is the paper's fixed
+// TransferDelay.
 
 // ConstantNetwork is the default network driver: every message is delivered
 // after the configured TransferDelay, exactly as in the paper's evaluation.
@@ -30,131 +29,124 @@ func IsDefaultNetwork(d NetworkDriver) bool {
 	return d == nil || d == ConstantNetwork
 }
 
-func init() {
-	MustRegisterNetwork("constant", func(args []string) (NetworkDriver, error) {
+// ParseNetwork resolves a network spec string "constant[:delay]",
+// "uniform:lo:hi", "exponential:mean", "lognormal:mu:sigma",
+// "zones:k:intra:inter" or "lossy:p:<network spec>"; "fixed", "jitter",
+// "exp" and "wan" name constant, uniform, exponential and zones.
+func ParseNetwork(spec string) (NetworkDriver, error) {
+	parts := strings.Split(strings.TrimSpace(spec), ":")
+	name, args := parts[0], parts[1:]
+	var (
+		f   []float64
+		m   netmodel.Model
+		err error
+	)
+	switch name {
+	case "constant", "fixed":
+		name = "constant"
 		if len(args) == 0 {
 			return ConstantNetwork, nil
 		}
 		if len(args) > 1 {
 			return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want constant[:delay])", args[1:])
 		}
-		d, err := parseNetFloat("constant", "delay", args[0])
-		if err != nil {
+		if f, err = netFloats(name, args, "delay"); err != nil {
 			return nil, err
 		}
-		m, err := netmodel.NewConstant(d)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		return newModelNetwork("constant", m), nil
-	}, "fixed")
-	MustRegisterNetwork("uniform", func(args []string) (NetworkDriver, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("experiment: network uniform takes exactly two parameters (uniform:lo:hi), got %v", args)
-		}
-		lo, err := parseNetFloat("uniform", "lo", args[0])
-		if err != nil {
+		m, err = netmodel.NewConstant(f[0])
+	case "uniform", "jitter":
+		name = "uniform"
+		if f, err = netFloats(name, args, "lo", "hi"); err != nil {
 			return nil, err
 		}
-		hi, err := parseNetFloat("uniform", "hi", args[1])
-		if err != nil {
+		m, err = netmodel.NewUniform(f[0], f[1])
+	case "exponential", "exp":
+		name = "exponential"
+		if f, err = netFloats(name, args, "mean"); err != nil {
 			return nil, err
 		}
-		m, err := netmodel.NewUniform(lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		return newModelNetwork("uniform", m), nil
-	}, "jitter")
-	MustRegisterNetwork("exponential", func(args []string) (NetworkDriver, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("experiment: network exponential takes exactly one parameter (exponential:mean), got %v", args)
-		}
-		mean, err := parseNetFloat("exponential", "mean", args[0])
-		if err != nil {
+		m, err = netmodel.NewExponential(f[0])
+	case "lognormal":
+		if f, err = netFloats(name, args, "mu", "sigma"); err != nil {
 			return nil, err
 		}
-		m, err := netmodel.NewExponential(mean)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		return newModelNetwork("exponential", m), nil
-	}, "exp")
-	MustRegisterNetwork("lognormal", func(args []string) (NetworkDriver, error) {
-		if len(args) != 2 {
-			return nil, fmt.Errorf("experiment: network lognormal takes exactly two parameters (lognormal:mu:sigma), got %v", args)
-		}
-		mu, err := parseNetFloat("lognormal", "mu", args[0])
-		if err != nil {
+		m, err = netmodel.NewLogNormal(f[0], f[1])
+	case "zones", "wan":
+		name = "zones"
+		if err = netArity(name, args, "k", "intra", "inter"); err != nil {
 			return nil, err
 		}
-		sigma, err := parseNetFloat("lognormal", "sigma", args[1])
-		if err != nil {
+		k, kerr := strconv.Atoi(strings.TrimSpace(args[0]))
+		if kerr != nil {
+			return nil, fmt.Errorf("experiment: bad zones count %q: %v", args[0], kerr)
+		}
+		if f, err = netFloats(name, args[1:], "intra", "inter"); err != nil {
 			return nil, err
 		}
-		m, err := netmodel.NewLogNormal(mu, sigma)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		return newModelNetwork("lognormal", m), nil
-	})
-	MustRegisterNetwork("zones", func(args []string) (NetworkDriver, error) {
-		if len(args) != 3 {
-			return nil, fmt.Errorf("experiment: network zones takes exactly three parameters (zones:k:intra:inter), got %v", args)
-		}
-		k, err := strconv.Atoi(strings.TrimSpace(args[0]))
-		if err != nil {
-			return nil, fmt.Errorf("experiment: bad zones count %q: %v", args[0], err)
-		}
-		intra, err := parseNetFloat("zones", "intra", args[1])
-		if err != nil {
-			return nil, err
-		}
-		inter, err := parseNetFloat("zones", "inter", args[2])
-		if err != nil {
-			return nil, err
-		}
-		m, err := netmodel.NewZones(k, intra, inter)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		return newModelNetwork("zones", m), nil
-	}, "wan")
-	MustRegisterNetwork("lossy", func(args []string) (NetworkDriver, error) {
+		m, err = netmodel.NewZones(k, f[0], f[1])
+	case "lossy":
 		if len(args) < 2 {
 			return nil, fmt.Errorf("experiment: network lossy takes a probability and an inner spec (lossy:p:model[:params]), got %v", args)
 		}
-		p, err := parseNetFloat("lossy", "probability", args[0])
-		if err != nil {
+		if f, err = netFloats(name, args[:1], "probability"); err != nil {
 			return nil, err
 		}
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("experiment: network lossy probability %g outside [0,1]", p)
+		if f[0] < 0 || f[0] > 1 {
+			return nil, fmt.Errorf("experiment: network lossy probability %g outside [0,1]", f[0])
 		}
 		inner, err := ParseNetwork(strings.Join(args[1:], ":"))
 		if err != nil {
 			return nil, err
 		}
-		return lossyNetwork{p: p, inner: inner}, nil
-	})
+		return lossyNetwork{p: f[0], inner: inner}, nil
+	default:
+		return nil, fmt.Errorf("experiment: unknown network %q (registered: %s)",
+			spec, strings.Join(Networks(), ", "))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	return newModelNetwork(name, m), nil
 }
 
-// parseNetFloat parses one spec parameter as a finite float.
-func parseNetFloat(model, field, s string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("experiment: bad network %s %s %q (want a finite number)", model, field, s)
+// Networks returns the names of the six network models in sorted order.
+func Networks() []string {
+	return []string{"constant", "exponential", "lognormal", "lossy", "uniform", "zones"}
+}
+
+var paramCounts = [...]string{1: "one parameter", 2: "two parameters", 3: "three parameters"}
+
+// netArity checks that args holds exactly the named parameters of model.
+func netArity(model string, args []string, names ...string) error {
+	if len(args) != len(names) {
+		return fmt.Errorf("experiment: network %s takes exactly %s (%s:%s), got %v",
+			model, paramCounts[len(names)], model, strings.Join(names, ":"), args)
 	}
-	return v, nil
+	return nil
+}
+
+// netFloats checks that args holds exactly the named parameters of model and
+// parses each as a finite float.
+func netFloats(model string, args []string, names ...string) ([]float64, error) {
+	if err := netArity(model, args, names...); err != nil {
+		return nil, err
+	}
+	f := make([]float64, len(args))
+	for i, arg := range args {
+		v, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("experiment: bad network %s %s %q (want a finite number)", model, names[i], arg)
+		}
+		f[i] = v
+	}
+	return f, nil
 }
 
 // NetworkDriver supplies the network model of an experiment: the per-message
-// latency and loss behaviour one repetition runs under. The built-ins are
-// registered under "constant" (the default), "uniform", "exponential",
-// "lognormal", "zones" and "lossy"; external models plug in through
-// MustRegisterNetwork.
+// latency and loss behaviour one repetition runs under: "constant" (the
+// default), "uniform", "exponential", "lognormal", "zones" or "lossy".
 type NetworkDriver interface {
-	// Name is the canonical registry name, used by ParseNetwork and in
+	// Name is the canonical model name, used by ParseNetwork and in
 	// Config.Label.
 	Name() string
 	// Model builds the latency/loss model for the given (defaulted) config.

@@ -7,19 +7,20 @@ import (
 	"sync"
 )
 
-// The experiment package keeps six name-keyed registries — applications,
-// scenarios, strategy families, runtimes, network models and workloads — so
-// that new experiment dimensions plug in additively: registering a driver
-// makes it reachable from ParseApplication / ParseScenario /
-// ParseStrategySpec / ParseRuntime / ParseNetwork / ParseWorkload (and
-// therefore from the CLI tools) without any change to the generic run
-// pipeline. The paper's built-ins along every dimension are registered by
-// this package's init functions through the same public entry points.
+// Applications and scenarios are the two open experiment dimensions: each is
+// a name-keyed registry, so a new driver plugs in additively — registering it
+// makes it reachable from ParseApplication / ParseScenario (and therefore
+// from the CLI tools) without any change to the generic run pipeline. The
+// paper's built-ins are registered by this package's init functions through
+// the same public entry points, and scenarios/crashburst registers a
+// scenario from outside the package. Strategy families, runtimes, network
+// models and workloads are fixed sets, each resolved by one parser
+// (ParseStrategySpec, ParseRuntime, ParseNetwork, ParseWorkload).
 
 // registry is a concurrency-safe name → value map with alias support and
 // deterministic listing order.
 type registry[T any] struct {
-	what string // "application", "scenario", "strategy kind" — for error messages
+	what string // "application" or "scenario", for error messages
 
 	mu     sync.RWMutex
 	byName map[string]T // canonical names and aliases
@@ -82,10 +83,6 @@ func mustRegister[T any](r *registry[T], name string, v T, aliases []string) {
 var (
 	applications = newRegistry[AppDriver]("application")
 	scenarios    = newRegistry[ScenarioFactory]("scenario")
-	strategies   = newRegistry[StrategyDriver]("strategy kind")
-	runtimes     = newRegistry[RuntimeFactory]("runtime")
-	networks     = newRegistry[NetworkFactory]("network")
-	workloads    = newRegistry[WorkloadFactory]("workload")
 )
 
 // MustRegisterApplication adds an application driver to the registry under
@@ -165,110 +162,3 @@ func ParseScenario(spec string) (ScenarioDriver, error) {
 // Scenarios returns the canonical names of all registered scenarios in
 // sorted order.
 func Scenarios() []string { return scenarios.list() }
-
-// MustRegisterStrategy adds a strategy family driver to the registry under
-// driver.Kind() and any aliases. It panics if any of the names is already
-// taken.
-func MustRegisterStrategy(driver StrategyDriver, aliases ...string) {
-	mustRegister(strategies, string(driver.Kind()), driver, aliases)
-}
-
-// StrategyKinds returns the canonical names of all registered strategy
-// families in sorted order.
-func StrategyKinds() []string { return strategies.list() }
-
-// RuntimeFactory builds a RuntimeDriver from the colon-separated parameters
-// following the runtime name in a spec string such as "live:0.001".
-// Parameter-free runtimes must reject a non-empty args slice.
-type RuntimeFactory func(args []string) (RuntimeDriver, error)
-
-// MustRegisterRuntime adds a runtime factory to the registry. The factory is
-// invoked by ParseRuntime with the parameters following the name, so a
-// single registered name can serve a parameterized family of runtimes. It
-// panics if any of the names is already taken.
-func MustRegisterRuntime(name string, factory RuntimeFactory, aliases ...string) {
-	mustRegister(runtimes, name, factory, aliases)
-}
-
-// ParseRuntime resolves a runtime spec string of the form
-// "name[:param[:param...]]" against the registry: the name (or alias)
-// selects the factory, which receives the remaining parts.
-func ParseRuntime(spec string) (RuntimeDriver, error) {
-	parts := strings.Split(strings.TrimSpace(spec), ":")
-	if f, ok := runtimes.lookup(parts[0]); ok {
-		return f(parts[1:])
-	}
-	return nil, fmt.Errorf("experiment: unknown runtime %q (registered: %s)",
-		spec, strings.Join(Runtimes(), ", "))
-}
-
-// Runtimes returns the canonical names of all registered runtimes in sorted
-// order.
-func Runtimes() []string { return runtimes.list() }
-
-// NetworkFactory builds a NetworkDriver from the colon-separated parameters
-// following the network name in a spec string such as "exponential:1.728".
-// Parameter-free networks must reject a non-empty args slice.
-type NetworkFactory func(args []string) (NetworkDriver, error)
-
-// MustRegisterNetwork adds a network factory to the registry. The factory is
-// invoked by ParseNetwork with the parameters following the name, so a
-// single registered name can serve a parameterized family of network models.
-// It panics if any of the names is already taken.
-func MustRegisterNetwork(name string, factory NetworkFactory, aliases ...string) {
-	mustRegister(networks, name, factory, aliases)
-}
-
-// ParseNetwork resolves a network spec string of the form
-// "name[:param[:param...]]" against the registry: the name (or alias)
-// selects the factory, which receives the remaining parts.
-func ParseNetwork(spec string) (NetworkDriver, error) {
-	parts := strings.Split(strings.TrimSpace(spec), ":")
-	if f, ok := networks.lookup(parts[0]); ok {
-		return f(parts[1:])
-	}
-	return nil, fmt.Errorf("experiment: unknown network %q (registered: %s)",
-		spec, strings.Join(Networks(), ", "))
-}
-
-// Networks returns the canonical names of all registered network models in
-// sorted order.
-func Networks() []string { return networks.list() }
-
-// WorkloadFactory builds a WorkloadDriver from the colon-separated parameters
-// following the workload name in a spec string such as "poisson:0.5" or
-// "flashcrowd:3600:20:600:poisson:0.5". Parameter-free workloads must reject
-// a non-empty args slice.
-type WorkloadFactory func(args []string) (WorkloadDriver, error)
-
-// MustRegisterWorkload adds a workload factory to the registry. The factory
-// is invoked by ParseWorkload with the parameters following the name, so a
-// single registered name can serve a parameterized family of arrival
-// processes. It panics if any of the names is already taken.
-func MustRegisterWorkload(name string, factory WorkloadFactory, aliases ...string) {
-	mustRegister(workloads, name, factory, aliases)
-}
-
-// ParseWorkload resolves a workload spec string of the form
-// "name[:param[:param...]]" against the registry: the name (or alias)
-// selects the factory, which receives the remaining parts.
-func ParseWorkload(spec string) (WorkloadDriver, error) {
-	parts := strings.Split(strings.TrimSpace(spec), ":")
-	if f, ok := workloads.lookup(parts[0]); ok {
-		return f(parts[1:])
-	}
-	return nil, fmt.Errorf("experiment: unknown workload %q (registered: %s)",
-		spec, strings.Join(Workloads(), ", "))
-}
-
-// Workloads returns the canonical names of all registered workloads in sorted
-// order.
-func Workloads() []string { return workloads.list() }
-
-func strategyDriver(kind StrategyKind) (StrategyDriver, error) {
-	if d, ok := strategies.lookup(string(kind)); ok {
-		return d, nil
-	}
-	return nil, fmt.Errorf("experiment: unknown strategy kind %q (registered: %s)",
-		kind, strings.Join(StrategyKinds(), ", "))
-}

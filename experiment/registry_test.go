@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/trace"
 )
@@ -73,7 +72,7 @@ func TestScenarioNameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestStrategySpecRoundTrips: for every registered family, specs render
+// TestStrategySpecRoundTrips: for every family, specs render
 // through String() into exactly the colon form ParseStrategySpec accepts.
 func TestStrategySpecRoundTrips(t *testing.T) {
 	specs := []StrategySpec{
@@ -122,7 +121,7 @@ func TestParseStrategySpecRejectsTrailingParameters(t *testing.T) {
 	}
 }
 
-// stubDriver is a minimal AppDriver/ScenarioDriver/StrategyDriver used to
+// stubDriver is a minimal AppDriver/ScenarioDriver used to
 // exercise registration errors without polluting the global registries with
 // anything runnable.
 type stubDriver struct{ name string }
@@ -139,15 +138,9 @@ func (s stubDriver) BuildTrace(cfg Config, seed uint64) (*trace.Trace, error) {
 	return nil, nil
 }
 
-func (s stubDriver) Kind() StrategyKind                        { return StrategyKind(s.name) }
-func (s stubDriver) Parse(args []string) (StrategySpec, error) { return StrategySpec{}, nil }
-func (s stubDriver) Format(StrategySpec) string                { return s.name }
-func (s stubDriver) Label(StrategySpec) string                 { return s.name }
-func (s stubDriver) Build(StrategySpec) (core.Strategy, error) { return nil, nil }
-func (s stubDriver) Grid() []StrategySpec                      { return nil }
-
 // TestRegistryErrors: duplicate names, duplicate aliases and unknown lookups
-// all fail cleanly instead of clobbering existing entries.
+// all fail cleanly instead of clobbering existing entries; unknown names of
+// the fixed dimensions fail too.
 func TestRegistryErrors(t *testing.T) {
 	if err := applications.register("gossip-learning", stubDriver{name: "gossip-learning"}); err == nil {
 		t.Error("duplicate application name accepted")
@@ -164,9 +157,6 @@ func TestRegistryErrors(t *testing.T) {
 	if err := registerScenarioDriver(stubDriver{name: "failure-free"}); err == nil {
 		t.Error("duplicate scenario name accepted")
 	}
-	if err := strategies.register("simple", stubDriver{name: "simple"}); err == nil {
-		t.Error("duplicate strategy kind accepted")
-	}
 
 	if _, err := ParseApplication("no-such-app"); err == nil || !strings.Contains(err.Error(), "unknown application") {
 		t.Errorf("unknown application error = %v", err)
@@ -178,9 +168,6 @@ func TestRegistryErrors(t *testing.T) {
 		t.Errorf("unknown strategy error = %v", err)
 	}
 
-	if err := networks.register("constant", func([]string) (NetworkDriver, error) { return ConstantNetwork, nil }); err == nil {
-		t.Error("duplicate network name accepted")
-	}
 	if _, err := ParseNetwork("no-such-network"); err == nil || !strings.Contains(err.Error(), "unknown network") {
 		t.Errorf("unknown network error = %v", err)
 	}

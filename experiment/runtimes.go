@@ -12,9 +12,9 @@ import (
 	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
-// The execution runtimes, as self-registering drivers. They are ordinary
-// RuntimeDriver values: comparing against them (cfg.Runtime ==
-// experiment.SimRuntime) identifies the built-ins.
+// The execution runtimes, a fixed set resolved by ParseRuntime. They are
+// ordinary RuntimeDriver values: comparing against them (cfg.Runtime ==
+// experiment.SimRuntime) identifies them.
 var (
 	// SimRuntime executes repetitions on the discrete-event engine in
 	// virtual time — the paper's evaluation setup, deterministic and as fast
@@ -58,17 +58,31 @@ func IsDefaultRuntime(d RuntimeDriver) bool {
 // so a few hundred rounds complete in seconds of real time.
 const DefaultLiveTimeScale = 1e-4
 
-func init() {
-	MustRegisterRuntime("sim", simRuntimeFactory, "simnet", "virtual")
-	MustRegisterRuntime("live", liveRuntimeFactory("live"), "real", "wall")
-	MustRegisterRuntime("live-tcp", liveRuntimeFactory("live-tcp"), "tcp")
+// ParseRuntime resolves a runtime spec string "sim[:shards=N]",
+// "live[:timescale]" or "live-tcp[:timescale]"; "simnet" and "virtual" name
+// sim, "real" and "wall" live, and "tcp" live-tcp.
+func ParseRuntime(spec string) (RuntimeDriver, error) {
+	parts := strings.Split(strings.TrimSpace(spec), ":")
+	switch parts[0] {
+	case "sim", "simnet", "virtual":
+		return parseSimRuntime(parts[1:])
+	case "live", "real", "wall":
+		return parseLiveRuntime("live", parts[1:])
+	case "live-tcp", "tcp":
+		return parseLiveRuntime("live-tcp", parts[1:])
+	}
+	return nil, fmt.Errorf("experiment: unknown runtime %q (registered: %s)",
+		spec, strings.Join(Runtimes(), ", "))
 }
 
-// simRuntimeFactory parses "sim[:shards=N]" specs such as "sim:shards=4". The
-// parameter "slab", the name of the engine's one event queue, is accepted and
-// changes nothing; any other queue name is an error.
-func simRuntimeFactory(args []string) (RuntimeDriver, error) {
-	r := SimRuntime.(simRuntime)
+// Runtimes returns the names of the three runtimes in sorted order.
+func Runtimes() []string { return []string{"live", "live-tcp", "sim"} }
+
+// parseSimRuntime parses the parameters of "sim[:shards=N]" specs such as
+// "sim:shards=4". The parameter "slab", the name of the engine's one event
+// queue, is accepted and changes nothing; any other queue name is an error.
+func parseSimRuntime(args []string) (RuntimeDriver, error) {
+	var r simRuntime
 	sawQueue := false
 	for _, arg := range args {
 		if n, ok := strings.CutPrefix(arg, "shards="); ok {
@@ -149,24 +163,21 @@ type liveRuntime struct {
 	TimeScale float64
 }
 
-// liveRuntimeFactory returns the factory of the named live runtime, which
-// parses "<name>[:timescale]" specs such as "live:0.001" or
-// "live-tcp:0.001".
-func liveRuntimeFactory(name string) RuntimeFactory {
-	return func(args []string) (RuntimeDriver, error) {
-		r := liveRuntime{name: name}
-		if len(args) > 1 {
-			return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want %s[:timescale])", args[1:], name)
-		}
-		if len(args) == 1 {
-			scale, err := strconv.ParseFloat(args[0], 64)
-			if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
-				return nil, fmt.Errorf("experiment: bad %s timescale %q (want a positive, finite number of wall-seconds per run-second)", name, args[0])
-			}
-			r.TimeScale = scale
-		}
-		return r, nil
+// parseLiveRuntime parses the parameters of the named live runtime's
+// "<name>[:timescale]" specs such as "live:0.001" or "live-tcp:0.001".
+func parseLiveRuntime(name string, args []string) (RuntimeDriver, error) {
+	r := liveRuntime{name: name}
+	if len(args) > 1 {
+		return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want %s[:timescale])", args[1:], name)
 	}
+	if len(args) == 1 {
+		scale, err := strconv.ParseFloat(args[0], 64)
+		if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
+			return nil, fmt.Errorf("experiment: bad %s timescale %q (want a positive, finite number of wall-seconds per run-second)", name, args[0])
+		}
+		r.TimeScale = scale
+	}
+	return r, nil
 }
 
 func (l liveRuntime) Name() string { return l.name }

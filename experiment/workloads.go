@@ -8,9 +8,8 @@ import (
 	"github.com/szte-dcs/tokenaccount/workload"
 )
 
-// The traffic workloads, as self-registering drivers — the sixth registry
-// dimension next to applications, scenarios, strategies, runtimes and
-// networks. A WorkloadDriver turns a spec string such as "poisson:0.5" or
+// The traffic workloads, a fixed set resolved by ParseWorkload. A
+// WorkloadDriver turns a spec string such as "poisson:0.5" or
 // "flashcrowd:3600:20:600:poisson:0.5" into the update-injection arrival
 // process one repetition runs under; the default IntervalWorkload is the
 // paper's fixed InjectionInterval drip. The availability side of the workload
@@ -33,47 +32,46 @@ func IsDefaultWorkload(d WorkloadDriver) bool {
 	return d == nil || d == IntervalWorkload
 }
 
-func init() {
-	MustRegisterWorkload("interval", func(args []string) (WorkloadDriver, error) {
-		if len(args) == 0 {
+// ParseWorkload resolves a workload spec string in the workload package's
+// grammar (workload.ParseSpec): "interval:every", "poisson:rate",
+// "pareto-onoff:rate:on:off:alpha", "diurnal:period:amplitude:<inner>",
+// "flashcrowd:at:peak:decay:<inner>" or "replay:path". A bare "interval" is
+// the default IntervalWorkload; "drip", "onoff", "selfsimilar" and "flash"
+// name interval, pareto-onoff and flashcrowd at the top level.
+func ParseWorkload(spec string) (WorkloadDriver, error) {
+	name, params, hasParams := strings.Cut(strings.TrimSpace(spec), ":")
+	switch name {
+	case "interval", "drip":
+		if !hasParams {
 			return IntervalWorkload, nil
 		}
-		return specWorkloadFromArgs("interval", args)
-	}, "drip")
-	MustRegisterWorkload("poisson", func(args []string) (WorkloadDriver, error) {
-		return specWorkloadFromArgs("poisson", args)
-	})
-	MustRegisterWorkload("pareto-onoff", func(args []string) (WorkloadDriver, error) {
-		return specWorkloadFromArgs("pareto-onoff", args)
-	}, "onoff", "selfsimilar")
-	MustRegisterWorkload("diurnal", func(args []string) (WorkloadDriver, error) {
-		return specWorkloadFromArgs("diurnal", args)
-	})
-	MustRegisterWorkload("flashcrowd", func(args []string) (WorkloadDriver, error) {
-		return specWorkloadFromArgs("flashcrowd", args)
-	}, "flash")
-	MustRegisterWorkload("replay", func(args []string) (WorkloadDriver, error) {
-		return specWorkloadFromArgs("replay", args)
-	})
-}
-
-// specWorkloadFromArgs reassembles a registry lookup into the workload
-// package's spec grammar and wraps the parsed spec as a driver.
-func specWorkloadFromArgs(name string, args []string) (WorkloadDriver, error) {
-	spec, err := workload.ParseSpec(name + ":" + strings.Join(args, ":"))
+		name = "interval"
+	case "pareto-onoff", "onoff", "selfsimilar":
+		name = "pareto-onoff"
+	case "flashcrowd", "flash":
+		name = "flashcrowd"
+	case "poisson", "diurnal", "replay":
+	default:
+		return nil, fmt.Errorf("experiment: unknown workload %q (registered: %s)",
+			spec, strings.Join(Workloads(), ", "))
+	}
+	ws, err := workload.ParseSpec(name + ":" + params)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	return newSpecWorkload(spec), nil
+	return newSpecWorkload(ws), nil
+}
+
+// Workloads returns the names of the six workloads in sorted order.
+func Workloads() []string {
+	return []string{"diurnal", "flashcrowd", "interval", "pareto-onoff", "poisson", "replay"}
 }
 
 // WorkloadDriver supplies the traffic workload of an experiment: the arrival
-// process driving update injections. The built-ins are registered under
-// "interval" (the default), "poisson", "pareto-onoff", "diurnal",
-// "flashcrowd" and "replay"; external arrival processes plug in through
-// MustRegisterWorkload.
+// process driving update injections: "interval" (the default), "poisson",
+// "pareto-onoff", "diurnal", "flashcrowd" or "replay".
 type WorkloadDriver interface {
-	// Name is the canonical registry name, used by ParseWorkload and in
+	// Name is the canonical workload name, used by ParseWorkload and in
 	// Config.Label.
 	Name() string
 	// Arrivals builds the arrival-process realization of one repetition. All

@@ -112,8 +112,9 @@ type Host struct {
 	// shardOf, scheds, netRNGs and counts carry the per-shard state of a run
 	// on a Sharded environment. A node's ticks are hook events on its
 	// shard's scheduler; messages draw loss and latency randomness from the
-	// stream of the sending node's shard and count into that shard's
-	// counters, so concurrent shard workers never share mutable state.
+	// stream of the sending node's shard, and sends and drops count into the
+	// counters of the shard that handles them, so concurrent shard workers
+	// never share mutable state.
 	// shardOf is the environment's own routing function (ShardFunc), which
 	// computes the shard from the node index, so no lookup of it touches a
 	// per-node line. Unsharded runs degenerate to one shard: shardOf is nil,
@@ -153,11 +154,13 @@ type Host struct {
 
 var _ protocol.Sender = (*Host)(nil)
 
-// shardCounters holds one shard's message counters, padded to a full cache
-// line so concurrent shard workers do not false-share.
+// shardCounters holds one shard's send and drop counters, padded to a full
+// cache line so concurrent shard workers do not false-share. Deliveries and
+// bytes need no counter of their own: each is already counted in the
+// receiving or sending node's state row (Stats().Received, Egress).
 type shardCounters struct {
-	sent, delivered, dropped, bytes int64
-	_                               [4]int64
+	sent, dropped int64
+	_             [6]int64
 }
 
 // NewHost assembles a run against the environment: it instantiates one
@@ -593,7 +596,6 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 			size = int64(f(payload.Word))
 		}
 	}
-	c.bytes += size
 	h.slab.State(int(from)).Egress += size
 	if h.envelopes != nil {
 		if env := h.envelopes[from]; env != nil {
@@ -609,16 +611,14 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 }
 
 // deliver is the environment's delivery callback: messages to offline nodes
-// are dropped, everything else reaches the destination's Receive handler. It
-// executes on the destination's shard worker in sharded runs, so it counts
-// into that shard's counters.
+// are dropped, everything else reaches the destination's Receive handler,
+// which counts it in the node's state row. It executes on the destination's
+// shard worker in sharded runs, so a drop counts into that shard's counters.
 func (h *Host) deliver(from, to protocol.NodeID, payload protocol.Payload) {
-	c := &h.counts[h.shardIdx(to)]
 	if !h.Online(int(to)) {
-		c.dropped++
+		h.counts[h.shardIdx(to)].dropped++
 		return
 	}
-	c.delivered++
 	h.slab.Receive(int(to), from, payload)
 }
 
@@ -631,16 +631,12 @@ func (h *Host) MessagesSent() int64 {
 	return total
 }
 
-// MessagesDelivered returns the number of messages delivered to online nodes.
-// No command reports it; it stays exported for the tests that check every
-// sent message was delivered or dropped.
-func (h *Host) MessagesDelivered() int64 {
-	var total int64
-	for i := range h.counts {
-		total += h.counts[i].delivered
-	}
-	return total
-}
+// MessagesDelivered returns the number of messages delivered to online nodes:
+// the nodes' received counts, summed over the state rows (exact unless the
+// slab saturated, see protocol.Slab.Saturated). No command reports it; it
+// stays exported for the tests that check every sent message was delivered
+// or dropped.
+func (h *Host) MessagesDelivered() int64 { return int64(h.TotalStats().Received) }
 
 // MessagesDropped returns the number of messages dropped by the network
 // model's loss lottery or because the target was offline at delivery time.
@@ -655,11 +651,13 @@ func (h *Host) MessagesDropped() int64 {
 // BytesSent returns the total wire bytes handed to the host, under the
 // per-kind size hints of protocol.RegisterPayloadSizer (kinds without a
 // sizer weigh one byte). Like MessagesSent it counts at send time, before
-// the loss lottery: dropped traffic still loaded the sender's uplink.
+// the loss lottery: dropped traffic still loaded the sender's uplink. It sums
+// the nodes' egress over the state rows.
 func (h *Host) BytesSent() int64 {
 	var total int64
-	for i := range h.counts {
-		total += h.counts[i].bytes
+	states := h.slab.States()
+	for i := range states {
+		total += states[i].Egress
 	}
 	return total
 }
