@@ -16,9 +16,6 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/internal/profiling"
-
-	// Registered scenarios beyond the paper built-ins.
-	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
 )
 
 func main() {
@@ -28,10 +25,10 @@ func main() {
 	}
 }
 
-// sweepableKinds lists the registered strategy families with a parameter
-// grid worth exploring: the pure reactive reference has none, and the
-// proactive baseline's one-point grid is already printed as the anchor row
-// of every sweep.
+// sweepableKinds lists the strategy families with a parameter grid worth
+// exploring: the pure reactive reference has none, and the proactive
+// baseline's one-point grid is already printed as the anchor row of every
+// sweep.
 func sweepableKinds() []string {
 	var kinds []string
 	for _, kind := range experiment.StrategyKinds() {

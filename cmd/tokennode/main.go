@@ -75,8 +75,8 @@ func defineFlags(fs *flag.FlagSet, o *nodeOptions) *string {
 	fs.StringVar(&o.Listen, "listen", o.Listen, "TCP listen address for the protocol")
 	fs.StringVar(&o.HTTP, "http", o.HTTP, "HTTP ops listen address (empty disables the ops endpoint)")
 	fs.StringVar(&o.Peers, "peers", o.Peers, "seed peers as comma-separated id=host:port entries")
-	fs.StringVar(&o.App, "app", o.App, "application spec (experiment registry, e.g. push-gossip)")
-	fs.StringVar(&o.Strategy, "strategy", o.Strategy, "strategy spec (experiment registry, e.g. randomized:8:40)")
+	fs.StringVar(&o.App, "app", o.App, "application spec (as tokensim -app, e.g. push-gossip)")
+	fs.StringVar(&o.Strategy, "strategy", o.Strategy, "strategy spec (as tokensim -strategy, e.g. randomized:8:40)")
 	fs.IntVar(&o.ClusterSize, "cluster-size", o.ClusterSize, "total nodes in the deployment (default: peers+1)")
 	fs.StringVar(&o.Delta, "delta", o.Delta, "proactive period Δ (Go duration)")
 	fs.IntVar(&o.Tokens, "tokens", o.Tokens, "initial token balance")
@@ -173,10 +173,11 @@ func parsePeers(s string) ([]live.PeerAddr, error) {
 	return peers, nil
 }
 
-// buildApplication resolves an application spec through the experiment
-// registry and instantiates this node's application. The driver's run is
-// built over the whole cluster (NewApp's contract is one call per node in
-// node order), and the instance of the daemon's own slot is kept.
+// buildApplication resolves an application spec through
+// experiment.ParseApplication and instantiates this node's application. The
+// driver's run is built over the whole cluster (NewApp's contract is one
+// call per node in node order), and the instance of the daemon's own slot is
+// kept.
 //
 // overlaySeed must be the deployment-wide -overlay-seed, NOT the node's own
 // -seed: every node rebuilds the same overlay graph locally, so a per-node

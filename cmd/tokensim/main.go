@@ -20,11 +20,6 @@ import (
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/internal/profiling"
 	"github.com/szte-dcs/tokenaccount/metrics"
-
-	// Registered scenarios beyond the paper built-ins. Adding a workload is
-	// one blank import here plus a MustRegisterScenario call in its package — the
-	// experiment pipeline itself never changes.
-	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
 )
 
 func main() {

@@ -13,14 +13,11 @@
 //     and reactive extremes);
 //   - protocol: the transport-agnostic protocol node (Algorithm 4);
 //   - simnet and experiment: the discrete-event simulation substrate and the
-//     reproduction of every figure of the paper's evaluation. Applications
-//     and failure scenarios are drivers registered by name
-//     (experiment.MustRegisterApplication, MustRegisterScenario), with the
-//     paper's as self-registering built-ins; strategy families, runtimes,
-//     network models and workloads are fixed sets, each parsed by one
-//     function;
-//   - scenarios/crashburst: a correlated-failure scenario added purely
-//     through the registry, as the model for external extensions;
+//     reproduction of every figure of the paper's evaluation. Every
+//     experiment dimension (applications, failure scenarios, strategy
+//     families, runtimes, network models, workloads) is a fixed set parsed
+//     by one function; a caller's own application or scenario driver runs
+//     through the same pipeline when set in experiment.Config;
 //   - live and transport: a real-time runtime (goroutines, tickers,
 //     in-memory or TCP transports) that turns the framework into a
 //     deployable service;

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
 	"github.com/szte-dcs/tokenaccount/apps/poweriter"
@@ -13,9 +14,9 @@ import (
 	"github.com/szte-dcs/tokenaccount/runtime"
 )
 
-// The demonstrator applications of §2, as self-registering drivers. They are
-// ordinary AppDriver values: comparing against them (cfg.App ==
-// experiment.PushGossip) identifies the built-ins.
+// The demonstrator applications of §2, plus Blockcast: a fixed set resolved
+// by ParseApplication. They are ordinary AppDriver values: comparing against
+// them (cfg.App == experiment.PushGossip) identifies the built-ins.
 var (
 	// GossipLearning is the model random-walk application of §2: models
 	// perform random walks over the overlay and the metric is the relative
@@ -29,10 +30,41 @@ var (
 	ChaoticIteration AppDriver = chaoticIterationDriver{}
 )
 
-func init() {
-	MustRegisterApplication(GossipLearning, "learning", "gl")
-	MustRegisterApplication(PushGossip, "broadcast", "pg")
-	MustRegisterApplication(ChaoticIteration, "poweriter", "ci")
+// ParseApplication resolves an application spec string "name[:param...]":
+// "gossip-learning" ("learning", "gl"), "push-gossip" ("broadcast", "pg"),
+// "chaotic-iteration" ("poweriter", "ci") or
+// "blockcast[:batchCap[:blockInterval]]" ("bc"). Parameters are handed to the
+// driver's AppConfigurer capability; parameter-free applications reject them.
+func ParseApplication(spec string) (AppDriver, error) {
+	parts := strings.Split(strings.TrimSpace(spec), ":")
+	var d AppDriver
+	switch parts[0] {
+	case "gossip-learning", "learning", "gl":
+		d = GossipLearning
+	case "push-gossip", "broadcast", "pg":
+		d = PushGossip
+	case "chaotic-iteration", "poweriter", "ci":
+		d = ChaoticIteration
+	case "blockcast", "bc":
+		d = Blockcast
+	default:
+		return nil, fmt.Errorf("experiment: unknown application %q (registered: %s)",
+			spec, strings.Join(Applications(), ", "))
+	}
+	if len(parts) == 1 {
+		return d, nil
+	}
+	c, ok := d.(AppConfigurer)
+	if !ok {
+		return nil, fmt.Errorf("experiment: application %q takes no parameters, got %q",
+			parts[0], strings.Join(parts[1:], ":"))
+	}
+	return c.WithParams(parts[1:])
+}
+
+// Applications returns the names of the four applications in sorted order.
+func Applications() []string {
+	return []string{"blockcast", "chaotic-iteration", "gossip-learning", "push-gossip"}
 }
 
 // randomKOutOverlay is the overlay of the gossip learning and push gossip
@@ -106,10 +138,7 @@ func (pushGossipDriver) NewRun(cfg Config, graph *overlay.Graph) (AppRun, error)
 // FinishMetric applies the paper's smoothing window to the averaged lag
 // curve.
 func (pushGossipDriver) FinishMetric(cfg Config, avg *metrics.Series) *metrics.Series {
-	if cfg.SmoothWindow > 0 {
-		return avg.Smooth(cfg.SmoothWindow)
-	}
-	return avg
+	return avg.Smooth(DefaultSmoothWindow)
 }
 
 type pushGossipRun struct {
@@ -123,7 +152,7 @@ func (r *pushGossipRun) NewApp(node int) protocol.Application {
 }
 
 // Start installs the update injection: one new update per workload arrival
-// at a random online node — every InjectionInterval under the default
+// at a random online node — every DefaultInjectionInterval under the default
 // workload, the paper setup. Injections that find the whole network offline
 // are counted rather than silently lost. It schedules through the
 // runtime-neutral host, so injection works identically in the simulated and
@@ -180,7 +209,7 @@ func (chaoticIterationDriver) MetricLabel() string {
 func (chaoticIterationDriver) BuildOverlay(cfg Config, seed uint64) (*overlay.Graph, error) {
 	// The 20-out overlay mixes too well for power iteration (§4.1.3); the
 	// paper uses a Watts–Strogatz small world instead.
-	return overlay.WattsStrogatz(cfg.N, cfg.WSNeighbors, cfg.WSBeta, rng.Derive(seed, 0x7773))
+	return overlay.WattsStrogatz(cfg.N, DefaultWSNeighbors, DefaultWSBeta, rng.Derive(seed, 0x7773))
 }
 
 // Validate rejects churny scenarios: the angle metric needs every node's

@@ -27,12 +27,8 @@ const (
 // transactions, block interval in seconds (default one proactive period Δ).
 var Blockcast AppDriver = blockcastDriver{}
 
-func init() {
-	MustRegisterApplication(Blockcast, "bc")
-}
-
 // blockcastDriver configures the blockcast family. The zero value is the
-// registered default: batch cap DefaultBlockcastBatchCap, block interval Δ.
+// default: batch cap DefaultBlockcastBatchCap, block interval Δ.
 type blockcastDriver struct {
 	batchCap      int     // 0 → DefaultBlockcastBatchCap
 	blockInterval float64 // 0 → cfg.Delta
@@ -167,7 +163,7 @@ func (r *blockcastRun) NewApp(node int) protocol.Application {
 
 // Start wires the three run-global loops: transaction arrivals feed the
 // mempool (one per workload arrival; the default workload is the paper's
-// fixed InjectionInterval drip), commit checks scan the network four
+// fixed DefaultInjectionInterval drip), commit checks scan the network four
 // times per block interval, and the proposal loop rotates the proposer every
 // block interval. The commit loop is scheduled before the proposal loop, so
 // at a shared instant commits are scanned against the pre-proposal chain.

@@ -10,15 +10,14 @@ import (
 
 // AppDriver describes one workload: it builds the overlay the application
 // runs on, constructs per-run state, and samples the application performance
-// metric. The three paper applications are built-in drivers registered under
-// their names ("gossip-learning", "push-gossip", "chaotic-iteration");
-// external workloads plug in through MustRegisterApplication without touching the
-// generic run pipeline.
+// metric. ParseApplication resolves the names of the four built-in drivers
+// (the three paper applications and blockcast); any other driver runs
+// through the same generic pipeline when it is passed as Config.App.
 //
 // A driver may additionally implement ConfigValidator and MetricFinisher to
 // participate in config validation and metric post-processing.
 type AppDriver interface {
-	// Name is the canonical registry name, used by ParseApplication and in
+	// Name is the canonical name, used by ParseApplication and in
 	// Config.Label. It must be stable and non-empty.
 	Name() string
 	// MetricLabel is the y-axis label of the application metric, used by the
@@ -53,10 +52,11 @@ type AppRun interface {
 // availability trace that takes nodes on- and offline (nil for failure-free
 // operation) and, through the trace, the lifecycle events — most importantly
 // the rejoin transitions that feed RejoinHandler hooks such as the push
-// gossip pull. The two paper scenarios are built-ins; external scenarios
-// plug in through MustRegisterScenario.
+// gossip pull. ParseScenario resolves the names of the four built-in
+// scenarios; any other driver runs through the same generic pipeline when it
+// is passed as Config.Scenario.
 type ScenarioDriver interface {
-	// Name is the canonical registry name, used by ParseScenario and in
+	// Name is the canonical name, used by ParseScenario and in
 	// Config.Label.
 	Name() string
 	// Churny reports whether the scenario ever takes nodes offline. Metrics
@@ -92,7 +92,7 @@ type RunContext struct {
 	Online func(node int) bool
 	// Arrivals is the workload's update-injection arrival process for this
 	// repetition. It is never nil: the default workload yields one arrival
-	// every InjectionInterval, the paper's traffic. Arrival-driven
+	// every DefaultInjectionInterval, the paper's traffic. Arrival-driven
 	// applications hand it to Host.ScheduleArrivals.
 	Arrivals runtime.ArrivalSource
 	// OnlineOnly reports whether metrics should be computed over online
@@ -127,7 +127,7 @@ type RejoinHandler interface {
 // application families: WithParams returns a driver configured with the
 // colon-separated parameters following the application name in a
 // ParseApplication spec such as "blockcast:64:172.8". The receiver is the
-// registered (default-configured) driver and must not be mutated.
+// default-configured driver and must not be mutated.
 type AppConfigurer interface {
 	WithParams(args []string) (AppDriver, error)
 }

@@ -3,18 +3,16 @@
 // strategy, an overlay, a failure scenario, the paper's timing parameters,
 // repeated runs and metric time series.
 //
-// Applications and scenarios are open: they are drivers resolved through
-// name-keyed registries (MustRegisterApplication, MustRegisterScenario). The
-// paper's applications (gossip learning, push gossip, chaotic power
-// iteration, plus blockcast) and its two scenarios (failure-free, smartphone
-// trace) are self-registering built-ins, and external packages add new ones
-// through the same entry points without modifying the generic run pipeline
-// (see scenarios/crashburst for a complete example). The other four
-// dimensions are fixed sets, each resolved by one parser: the five strategy
-// kinds (ParseStrategySpec), the three runtimes — the discrete-event
-// simulator, the wall-clock live runtime and its TCP variant —
-// (ParseRuntime), the network models (ParseNetwork) and the workloads
-// (ParseWorkload).
+// Every dimension is a fixed set resolved by one parser: the applications —
+// gossip learning, push gossip, chaotic power iteration, plus blockcast —
+// (ParseApplication), the failure scenarios — the paper's failure-free and
+// smartphone trace, plus regional outages and a crash burst —
+// (ParseScenario), the five strategy kinds (ParseStrategySpec), the three
+// runtimes — the discrete-event simulator, the wall-clock live runtime and
+// its TCP variant — (ParseRuntime), the network models (ParseNetwork) and
+// the workloads (ParseWorkload). The run pipeline itself only sees the
+// driver interfaces of driver.go, so a caller's own AppDriver or
+// ScenarioDriver runs through it unchanged when set in Config.
 package experiment
 
 import (
@@ -28,7 +26,8 @@ import (
 
 // Paper-default timing parameters (§4.1): a virtual two-day period divided
 // into 1000 proactive rounds, a transfer time of one hundredth of a round,
-// and one update injection every tenth of a round for push gossip.
+// and one update injection every tenth of a round for push gossip. The
+// metric is sampled once per round.
 const (
 	DefaultDelta             = 172.80
 	DefaultTransferDelay     = 1.728
@@ -70,27 +69,16 @@ type Config struct {
 	Network NetworkDriver
 	// Workload is the traffic workload driver (IntervalWorkload, or any
 	// driver resolved through ParseWorkload). Nil means IntervalWorkload: one
-	// update injection every InjectionInterval, the paper's traffic.
+	// update injection every DefaultInjectionInterval, the paper's traffic.
 	Workload WorkloadDriver
 	// Seed drives all randomness; repetition r uses Seed+r.
 	Seed uint64
 	// Repetitions is the number of independent runs to average (the paper
 	// uses 10).
 	Repetitions int
-	// SampleEvery is the metric sampling interval in seconds; 0 means once
-	// per Δ.
-	SampleEvery float64
-	// InjectionInterval is the push gossip update injection period.
-	InjectionInterval float64
-	// SmoothWindow is the smoothing window applied to the push gossip metric.
-	SmoothWindow float64
 	// OverlayK is the out-degree of the random overlay (gossip learning and
 	// push gossip).
 	OverlayK int
-	// WSNeighbors and WSBeta parameterize the Watts–Strogatz overlay of the
-	// chaotic iteration experiment.
-	WSNeighbors int
-	WSBeta      float64
 	// TrackTokens additionally records the average account balance over time
 	// (used by Figure 5).
 	TrackTokens bool
@@ -126,23 +114,8 @@ func (c Config) WithDefaults() Config {
 	if c.Repetitions == 0 {
 		c.Repetitions = 1
 	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = c.Delta
-	}
-	if c.InjectionInterval == 0 {
-		c.InjectionInterval = DefaultInjectionInterval
-	}
-	if c.SmoothWindow == 0 {
-		c.SmoothWindow = DefaultSmoothWindow
-	}
 	if c.OverlayK == 0 {
 		c.OverlayK = DefaultOverlayK
-	}
-	if c.WSNeighbors == 0 {
-		c.WSNeighbors = DefaultWSNeighbors
-	}
-	if c.WSBeta == 0 {
-		c.WSBeta = DefaultWSBeta
 	}
 	return c
 }
@@ -172,10 +145,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: Delta = %g, need > 0 and finite", c.Delta)
 	case !positiveFinite(c.TransferDelay):
 		return fmt.Errorf("experiment: TransferDelay = %g, need > 0 and finite", c.TransferDelay)
-	case !positiveFinite(c.SampleEvery):
-		return fmt.Errorf("experiment: SampleEvery = %g, need > 0 and finite", c.SampleEvery)
-	case !positiveFinite(c.InjectionInterval):
-		return fmt.Errorf("experiment: InjectionInterval = %g, need > 0 and finite", c.InjectionInterval)
 	}
 	if v, ok := c.App.(ConfigValidator); ok {
 		if err := v.Validate(c); err != nil {
@@ -305,9 +274,10 @@ type singleRun struct {
 // runOnce executes one repetition. It is fully generic: everything
 // application-, scenario- or runtime-specific goes through the AppDriver,
 // ScenarioDriver and RuntimeDriver interfaces (and the optional capabilities
-// of driver.go), so registered applications and scenarios run through exactly
-// the same code path as the paper built-ins — and the same repetition assembly runs on the
-// discrete-event engine and on the wall-clock runtime alike.
+// of driver.go), so a caller's own applications and scenarios run through
+// exactly the same code path as the paper built-ins — and the same
+// repetition assembly runs on the discrete-event engine and on the
+// wall-clock runtime alike.
 func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	strategy, err := cfg.Strategy.Build()
 	if err != nil {
@@ -396,7 +366,7 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 			run.tokens.Add(t, host.AverageTokens(rc.OnlineOnly))
 		}
 	}
-	host.SamplePeriodic(cfg.SampleEvery, cfg.SampleEvery, sample)
+	host.SamplePeriodic(cfg.Delta, cfg.Delta, sample)
 
 	if err := host.Run(cfg.Duration()); err != nil {
 		return nil, fmt.Errorf("experiment: runtime %s: %w", DriverLabel(cfg.Runtime), err)

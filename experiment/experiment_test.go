@@ -27,8 +27,6 @@ func TestConfigValidation(t *testing.T) {
 		{App: GossipLearning, Strategy: Generalized(5, 2), N: 10},
 		{App: GossipLearning, Strategy: Proactive(), N: 10, Delta: -1},
 		{App: GossipLearning, Strategy: Proactive(), N: 10, TransferDelay: -0.5},
-		{App: GossipLearning, Strategy: Proactive(), N: 10, SampleEvery: -10},
-		{App: GossipLearning, Strategy: Proactive(), N: 10, InjectionInterval: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -42,10 +40,8 @@ func TestConfigValidation(t *testing.T) {
 // through. It calls validate directly so a regression cannot start a run.
 func TestConfigRejectsNonFiniteTimes(t *testing.T) {
 	fields := map[string]func(c *Config, v float64){
-		"Delta":             func(c *Config, v float64) { c.Delta = v },
-		"TransferDelay":     func(c *Config, v float64) { c.TransferDelay = v },
-		"SampleEvery":       func(c *Config, v float64) { c.SampleEvery = v },
-		"InjectionInterval": func(c *Config, v float64) { c.InjectionInterval = v },
+		"Delta":         func(c *Config, v float64) { c.Delta = v },
+		"TransferDelay": func(c *Config, v float64) { c.TransferDelay = v },
 	}
 	base := quickConfig(PushGossip, Proactive()).WithDefaults()
 	if err := base.validate(); err != nil {
@@ -70,14 +66,11 @@ func TestWithDefaults(t *testing.T) {
 	if cfg.Rounds != DefaultRounds || cfg.Repetitions != 1 {
 		t.Error("rounds/repetition defaults not applied")
 	}
-	if cfg.Scenario != FailureFree || cfg.SampleEvery != DefaultDelta {
-		t.Error("scenario/sampling defaults not applied")
+	if cfg.Scenario != FailureFree {
+		t.Error("scenario default not applied")
 	}
-	if cfg.InjectionInterval != DefaultInjectionInterval || cfg.SmoothWindow != DefaultSmoothWindow {
-		t.Error("push gossip defaults not applied")
-	}
-	if cfg.OverlayK != DefaultOverlayK || cfg.WSNeighbors != DefaultWSNeighbors || cfg.WSBeta != DefaultWSBeta {
-		t.Error("overlay defaults not applied")
+	if cfg.OverlayK != DefaultOverlayK {
+		t.Error("overlay default not applied")
 	}
 	if cfg.Duration() != DefaultDelta*DefaultRounds {
 		t.Errorf("Duration = %v", cfg.Duration())

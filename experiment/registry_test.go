@@ -4,12 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/trace"
 )
 
-// TestApplicationNameRoundTrips: every registered application parses back to
-// itself from its canonical name.
+// TestApplicationNameRoundTrips: every application parses back to itself
+// from its canonical name.
 func TestApplicationNameRoundTrips(t *testing.T) {
 	names := Applications()
 	if len(names) < 3 {
@@ -40,8 +39,8 @@ func TestApplicationNameRoundTrips(t *testing.T) {
 	}
 }
 
-// TestScenarioNameRoundTrips: every registered scenario parses from its
-// canonical name and reports it back.
+// TestScenarioNameRoundTrips: every scenario parses from its canonical name
+// and reports it back.
 func TestScenarioNameRoundTrips(t *testing.T) {
 	names := Scenarios()
 	if len(names) < 2 {
@@ -121,43 +120,8 @@ func TestParseStrategySpecRejectsTrailingParameters(t *testing.T) {
 	}
 }
 
-// stubDriver is a minimal AppDriver/ScenarioDriver used to
-// exercise registration errors without polluting the global registries with
-// anything runnable.
-type stubDriver struct{ name string }
-
-func (s stubDriver) Name() string        { return s.name }
-func (s stubDriver) MetricLabel() string { return "stub" }
-func (s stubDriver) BuildOverlay(cfg Config, seed uint64) (*overlay.Graph, error) {
-	return nil, nil
-}
-func (s stubDriver) NewRun(cfg Config, graph *overlay.Graph) (AppRun, error) { return nil, nil }
-
-func (s stubDriver) Churny() bool { return false }
-func (s stubDriver) BuildTrace(cfg Config, seed uint64) (*trace.Trace, error) {
-	return nil, nil
-}
-
-// TestRegistryErrors: duplicate names, duplicate aliases and unknown lookups
-// all fail cleanly instead of clobbering existing entries; unknown names of
-// the fixed dimensions fail too.
+// TestRegistryErrors: unknown names fail cleanly in every dimension.
 func TestRegistryErrors(t *testing.T) {
-	if err := applications.register("gossip-learning", stubDriver{name: "gossip-learning"}); err == nil {
-		t.Error("duplicate application name accepted")
-	}
-	if err := applications.register("registry-test-app", stubDriver{name: "registry-test-app"}, "pg"); err == nil {
-		t.Error("duplicate application alias accepted")
-	} else if _, lookupErr := ParseApplication("registry-test-app"); lookupErr == nil {
-		t.Error("failed registration still installed the canonical name")
-	}
-	if err := applications.register("", stubDriver{name: ""}); err == nil {
-		t.Error("empty application name accepted")
-	}
-
-	if err := registerScenarioDriver(stubDriver{name: "failure-free"}); err == nil {
-		t.Error("duplicate scenario name accepted")
-	}
-
 	if _, err := ParseApplication("no-such-app"); err == nil || !strings.Contains(err.Error(), "unknown application") {
 		t.Errorf("unknown application error = %v", err)
 	}
@@ -173,10 +137,10 @@ func TestRegistryErrors(t *testing.T) {
 	}
 }
 
-// TestRegisteredExtensionRunsThroughGenericPipeline registers a fresh
-// scenario through the public API only and runs it end to end, mirroring
-// what an external package does (see scenarios/crashburst for the
-// out-of-tree version).
+// TestRegisteredExtensionRunsThroughGenericPipeline runs a caller's own
+// application and scenario drivers end to end: neither has a name
+// ParseApplication or ParseScenario knows, so they go into Config directly,
+// as a program outside this package would set them.
 func TestRegisteredExtensionRunsThroughGenericPipeline(t *testing.T) {
 	blackout := scenarioFunc{
 		name: "test-blackout",
@@ -197,19 +161,10 @@ func TestRegisteredExtensionRunsThroughGenericPipeline(t *testing.T) {
 			return &trace.Trace{Duration: duration, Segments: segments}, nil
 		},
 	}
-	// The global registry survives across test invocations in one process
-	// (-count=2), so tolerate the duplicate on re-registration.
-	if err := registerScenarioDriver(blackout); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	sc, err := ParseScenario("test-blackout")
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(Config{
-		App:      PushGossip,
+		App:      ownApp{AppDriver: PushGossip},
 		Strategy: Randomized(5, 10),
-		Scenario: sc,
+		Scenario: blackout,
 		N:        80,
 		Rounds:   30,
 		Seed:     1,
@@ -218,9 +173,18 @@ func TestRegisteredExtensionRunsThroughGenericPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Metric.Len() == 0 {
-		t.Fatal("no samples from the registered scenario")
+		t.Fatal("no samples from the caller's drivers")
+	}
+	if got := res.Config.Label(); got != "test-app/randomized(A=5,C=10)/test-blackout/N=80" {
+		t.Errorf("label %q does not name the caller's drivers", got)
 	}
 }
+
+// ownApp is an application driver outside the fixed set: push gossip's
+// overlay and runs under another name, without its driver capabilities.
+type ownApp struct{ AppDriver }
+
+func (ownApp) Name() string { return "test-app" }
 
 type scenarioFunc struct {
 	name  string

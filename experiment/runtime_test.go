@@ -5,10 +5,6 @@ import (
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
-
-	// Registers the crash-burst scenario with the registry, mirroring how
-	// cmd/tokensim links it.
-	_ "github.com/szte-dcs/tokenaccount/scenarios/crashburst"
 )
 
 // TestParseRuntime checks every spelling of the simulator runtime, one

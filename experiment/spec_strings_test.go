@@ -8,8 +8,8 @@ import (
 
 // specOutcome is what one spec string parses to: the driver's Name, its
 // String form and its label (StrategySpec.Label, or DriverLabel for the
-// driver dimensions), and whether it is the dimension's default driver — or
-// the parse error.
+// driver dimensions), and whether it is the dimension's default driver (only
+// networks, runtimes and workloads have one) — or the parse error.
 type specOutcome struct {
 	name, str, label string
 	dflt             bool
@@ -49,6 +49,10 @@ func describeSpec(dim, spec string) specOutcome {
 		var w WorkloadDriver
 		w, err = ParseWorkload(spec)
 		d, dflt = w, IsDefaultWorkload(w)
+	case "application":
+		d, err = ParseApplication(spec)
+	case "scenario":
+		d, err = ParseScenario(spec)
 	default:
 		panic("unknown dimension " + dim)
 	}
@@ -58,8 +62,8 @@ func describeSpec(dim, spec string) specOutcome {
 	return accepted(d.Name(), fmt.Sprint(d), DriverLabel(d), dflt)
 }
 
-// specStringCases holds every canonical name and alias of the strategy,
-// network, runtime and workload dimensions, plus malformed specs: trailing
+// specStringCases holds every canonical name and alias of the six
+// dimensions, plus malformed specs: trailing
 // parameters, empty and missing parameters, bad numbers, letter case and
 // unknown names. An accepted spec pins its driver's Name, String and label
 // and whether it is the default; a rejected one pins its error (a prefix
@@ -74,6 +78,7 @@ var specStringCases = []struct {
 	{"strategy", "randomized:5:10", accepted("randomized", "randomized:5:10", "randomized(A=5,C=10)", false)},
 	{"strategy", "reactive:3", accepted("reactive", "reactive:3", "reactive(k=3)", false)},
 	{"strategy", "reactive:0", accepted("reactive", "reactive:0", "reactive(k=1)", false)},
+	{"strategy", "reactive:1", accepted("reactive", "reactive:1", "reactive(k=1)", false)},
 	{"strategy", "PROACTIVE", accepted("proactive", "proactive", "proactive", false)},
 	{"strategy", "Simple:7", accepted("simple", "simple:7", "simple(C=7)", false)},
 	{"strategy", "RANDOMIZED:1:5", accepted("randomized", "randomized:1:5", "randomized(A=1,C=5)", false)},
@@ -86,6 +91,8 @@ var specStringCases = []struct {
 	{"strategy", "simple:5:9", rejected("experiment: strategy \"simple:5:9\": unexpected trailing parameter(s) \"9\" (want simple:C)")},
 	{"strategy", "generalized:1:2:3", rejected("experiment: strategy \"generalized:1:2:3\": unexpected trailing parameter(s) \"3\" (want generalized:A:C)")},
 	{"strategy", "randomized:5:10:15", rejected("experiment: strategy \"randomized:5:10:15\": unexpected trailing parameter(s) \"15\" (want randomized:A:C)")},
+	{"strategy", "reactive:-1", rejected("experiment: strategy \"reactive:-1\": fanout k = -1, need ≥ 0 (0 means 1)")},
+	{"strategy", "REACTIVE:-7", rejected("experiment: strategy \"REACTIVE:-7\": fanout k = -7, need ≥ 0 (0 means 1)")},
 	{"strategy", "reactive:2:3", rejected("experiment: strategy \"reactive:2:3\": unexpected trailing parameter(s) \"3\" (want reactive:k)")},
 	{"strategy", "simple", rejected("experiment: strategy \"simple\": missing parameter C (want simple:C)")},
 	{"strategy", "generalized:5", rejected("experiment: strategy \"generalized:5\": missing parameter C (want generalized:A:C)")},
@@ -215,10 +222,92 @@ var specStringCases = []struct {
 	{"workload", "bogus", rejected("experiment: unknown workload \"bogus\" (registered: diurnal, flashcrowd, interval, pareto-onoff, poisson, replay)")},
 	{"workload", "Poisson:0.5", rejected("experiment: unknown workload \"Poisson:0.5\" (registered: diurnal, flashcrowd, interval, pareto-onoff, poisson, replay)")},
 	{"workload", "interval:30:1", rejected("experiment: workload: interval spec needs 1 parameter(s), got \"30:1\"")},
+
+	{"application", "gossip-learning", accepted("gossip-learning", "gossip-learning", "gossip-learning", false)},
+	{"application", "learning", accepted("gossip-learning", "gossip-learning", "gossip-learning", false)},
+	{"application", "gl", accepted("gossip-learning", "gossip-learning", "gossip-learning", false)},
+	{"application", "push-gossip", accepted("push-gossip", "push-gossip", "push-gossip", false)},
+	{"application", "broadcast", accepted("push-gossip", "push-gossip", "push-gossip", false)},
+	{"application", "pg", accepted("push-gossip", "push-gossip", "push-gossip", false)},
+	{"application", "chaotic-iteration", accepted("chaotic-iteration", "chaotic-iteration", "chaotic-iteration", false)},
+	{"application", "poweriter", accepted("chaotic-iteration", "chaotic-iteration", "chaotic-iteration", false)},
+	{"application", "ci", accepted("chaotic-iteration", "chaotic-iteration", "chaotic-iteration", false)},
+	{"application", "blockcast", accepted("blockcast", "blockcast", "blockcast", false)},
+	{"application", "bc", accepted("blockcast", "blockcast", "blockcast", false)},
+	{"application", "blockcast:32", accepted("blockcast", "blockcast:32", "blockcast:32", false)},
+	{"application", "bc:32", accepted("blockcast", "blockcast:32", "blockcast:32", false)},
+	{"application", "blockcast:32:86.4", accepted("blockcast", "blockcast:32:86.4", "blockcast:32:86.4", false)},
+	{"application", "blockcast:64", accepted("blockcast", "blockcast:64", "blockcast:64", false)},
+	{"application", "blockcast:4194303", accepted("blockcast", "blockcast:4194303", "blockcast:4194303", false)},
+	{"application", " blockcast:8 ", accepted("blockcast", "blockcast:8", "blockcast:8", false)},
+	{"application", " pg ", accepted("push-gossip", "push-gossip", "push-gossip", false)},
+	{"application", "blockcast:0", rejected("experiment: blockcast batch cap \"0\": need an integer in [1, 4194303]")},
+	{"application", "blockcast:4194304", rejected("experiment: blockcast batch cap \"4194304\": need an integer in [1, 4194303]")},
+	{"application", "blockcast:x", rejected("experiment: blockcast batch cap \"x\": need an integer in [1, 4194303]")},
+	{"application", "blockcast:", rejected("experiment: blockcast batch cap \"\": need an integer in [1, 4194303]")},
+	{"application", "blockcast:32:0", rejected("experiment: blockcast block interval \"0\": need a positive number of seconds")},
+	{"application", "blockcast:32:x", rejected("experiment: blockcast block interval \"x\": need a positive number of seconds")},
+	{"application", "blockcast:32:-1", rejected("experiment: blockcast block interval \"-1\": need a positive number of seconds")},
+	{"application", "blockcast:1:2:3", rejected("experiment: blockcast takes at most 2 parameters (batchCap[:blockInterval]), got \"1:2:3\"")},
+	{"application", "push-gossip:1", rejected("experiment: application \"push-gossip\" takes no parameters, got \"1\"")},
+	{"application", "gl:x", rejected("experiment: application \"gl\" takes no parameters, got \"x\"")},
+	{"application", "chaotic-iteration:", rejected("experiment: application \"chaotic-iteration\" takes no parameters, got \"\"")},
+	{"application", "", rejected("experiment: unknown application \"\" (registered: blockcast, chaotic-iteration, gossip-learning, push-gossip)")},
+	{"application", "nope", rejected("experiment: unknown application \"nope\" (registered: blockcast, chaotic-iteration, gossip-learning, push-gossip)")},
+	{"application", "Push-Gossip", rejected("experiment: unknown application \"Push-Gossip\" (registered: blockcast, chaotic-iteration, gossip-learning, push-gossip)")},
+	{"application", "gossip_learning", rejected("experiment: unknown application \"gossip_learning\" (registered: blockcast, chaotic-iteration, gossip-learning, push-gossip)")},
+
+	{"scenario", "failure-free", accepted("failure-free", "failure-free", "failure-free", false)},
+	{"scenario", "ff", accepted("failure-free", "failure-free", "failure-free", false)},
+	{"scenario", " ff ", accepted("failure-free", "failure-free", "failure-free", false)},
+	{"scenario", "smartphone-trace", accepted("smartphone-trace", "smartphone-trace", "smartphone-trace", false)},
+	{"scenario", "trace", accepted("smartphone-trace", "smartphone-trace", "smartphone-trace", false)},
+	{"scenario", "churn", accepted("smartphone-trace", "smartphone-trace", "smartphone-trace", false)},
+	{"scenario", "outage", accepted("outage", "outage:4:0.1:900", "outage:4:0.1:900", false)},
+	{"scenario", "outages", accepted("outage", "outage:4:0.1:900", "outage:4:0.1:900", false)},
+	{"scenario", "outage:2:0.5:600", accepted("outage", "outage:2:0.5:600", "outage:2:0.5:600", false)},
+	{"scenario", "outages:8:0.1:900", accepted("outage", "outage:8:0.1:900", "outage:8:0.1:900", false)},
+	{"scenario", " outage:2:0.5:600 ", accepted("outage", "outage:2:0.5:600", "outage:2:0.5:600", false)},
+	{"scenario", "crash-burst", accepted("crash-burst", "crash-burst(f=0.3)", "crash-burst(f=0.3)", false)},
+	{"scenario", "crashburst", accepted("crash-burst", "crash-burst(f=0.3)", "crash-burst(f=0.3)", false)},
+	{"scenario", "burst", accepted("crash-burst", "crash-burst(f=0.3)", "crash-burst(f=0.3)", false)},
+	{"scenario", "crash-burst:0.4", accepted("crash-burst", "crash-burst(f=0.4)", "crash-burst(f=0.4)", false)},
+	{"scenario", "crash-burst:1", accepted("crash-burst", "crash-burst(f=1)", "crash-burst(f=1)", false)},
+	{"scenario", "crash-burst:0.4:30", accepted("crash-burst", "crash-burst(f=0.4,at=30)", "crash-burst(f=0.4,at=30)", false)},
+	{"scenario", "crash-burst:0.4:30:10", accepted("crash-burst", "crash-burst(f=0.4,at=30,down=10)", "crash-burst(f=0.4,at=30,down=10)", false)},
+	{"scenario", "crashburst:0.25:40:20", accepted("crash-burst", "crash-burst(f=0.25,at=40,down=20)", "crash-burst(f=0.25,at=40,down=20)", false)},
+	{"scenario", "outage:x:0.5:600", rejected("workload: outage zones: bad integer \"x\"")},
+	{"scenario", "outage:2:x:600", rejected("workload: outage probability: bad number \"x\"")},
+	{"scenario", "outage:2:0.5:x", rejected("workload: outage duration: bad number \"x\"")},
+	{"scenario", "outage:2", rejected("workload: outage scenario needs zones:p:duration, got 1 argument(s)")},
+	{"scenario", "outage:", rejected("workload: outage scenario needs zones:p:duration, got 1 argument(s)")},
+	{"scenario", "outage:2:0.5:600:1", rejected("workload: outage scenario needs zones:p:duration, got 4 argument(s)")},
+	{"scenario", "outage:0:0.5:600", rejected("workload: outage zones = 0, need ≥ 1")},
+	{"scenario", "outage:2:1.5:600", rejected("workload: outage probability = 1.5 outside [0, 1]")},
+	{"scenario", "outage:2:0.5:0", rejected("workload: outage duration = 0, need > 0 and finite")},
+	{"scenario", "crash-burst:0", rejected("crashburst: bad fraction \"0\" (want a number in (0, 1])")},
+	{"scenario", "crash-burst:1.5", rejected("crashburst: bad fraction \"1.5\" (want a number in (0, 1])")},
+	{"scenario", "crash-burst:-0.5", rejected("crashburst: bad fraction \"-0.5\" (want a number in (0, 1])")},
+	{"scenario", "crash-burst:x", rejected("crashburst: bad fraction \"x\" (want a number in (0, 1])")},
+	{"scenario", "crash-burst:", rejected("crashburst: bad fraction \"\" (want a number in (0, 1])")},
+	{"scenario", "crash-burst:0.4:0", rejected("crashburst: bad round count \"0\" (want a positive integer)")},
+	{"scenario", "crash-burst:0.4:x", rejected("crashburst: bad round count \"x\" (want a positive integer)")},
+	{"scenario", "burst:0.5::", rejected("crashburst: bad round count \"\" (want a positive integer)")},
+	{"scenario", "crash-burst:0.4:30:-1", rejected("crashburst: bad round count \"-1\" (want a positive integer)")},
+	{"scenario", "crash-burst:0.4:30:0", rejected("crashburst: bad round count \"0\" (want a positive integer)")},
+	{"scenario", "crash-burst:0.4:30:10:7", rejected("crashburst: unexpected trailing parameter(s) [7] (want crash-burst[:fraction[:crashRound[:downRounds]]])")},
+	{"scenario", "failure-free:1", rejected("experiment: scenario \"failure-free\" takes no parameters, got \"1\"")},
+	{"scenario", "ff:1", rejected("experiment: scenario \"failure-free\" takes no parameters, got \"1\"")},
+	{"scenario", "smartphone-trace:x", rejected("experiment: scenario \"smartphone-trace\" takes no parameters, got \"x\"")},
+	{"scenario", "churn:", rejected("experiment: scenario \"smartphone-trace\" takes no parameters, got \"\"")},
+	{"scenario", "", rejected("experiment: unknown scenario \"\" (registered: crash-burst, failure-free, outage, smartphone-trace)")},
+	{"scenario", "nope", rejected("experiment: unknown scenario \"nope\" (registered: crash-burst, failure-free, outage, smartphone-trace)")},
+	{"scenario", "Failure-Free", rejected("experiment: unknown scenario \"Failure-Free\" (registered: crash-burst, failure-free, outage, smartphone-trace)")},
+	{"scenario", "crash_burst", rejected("experiment: unknown scenario \"crash_burst\" (registered: crash-burst, failure-free, outage, smartphone-trace)")},
 }
 
-// TestSpecStringsParseAsBefore pins what every spec string of the four
-// fixed dimensions parses to, so the parsers can be restructured without a
+// TestSpecStringsParseAsBefore pins what every spec string of the six
+// dimensions parses to, so the parsers can be restructured without a
 // spec changing its driver, its labels or its error.
 func TestSpecStringsParseAsBefore(t *testing.T) {
 	for _, tc := range specStringCases {
@@ -246,7 +335,7 @@ func TestSpecStringsParseAsBefore(t *testing.T) {
 		{Simple(-3), "simple:-3", "simple(C=-3)", "error NewSimple(C=-3): core: capacity C must be non-negative"},
 		{Generalized(5, 3), "generalized:5:3", "generalized(A=5,C=3)", "error NewGeneralized(A=5,C=3): core: capacity C must be at least A"},
 		{StrategySpec{Kind: KindReactive}, "reactive:0", "reactive(k=1)", "reactive(k=1,useful-only)"},
-		{StrategySpec{Kind: KindReactive, A: -1}, "reactive:-1", "reactive(k=1)", "error NewPureReactive(k=-1): core: reactive fanout k must be a positive integer"},
+		{StrategySpec{Kind: KindReactive, A: -1}, "reactive:-1", "reactive(k=-1)", "error NewPureReactive(k=-1): core: reactive fanout k must be a positive integer"},
 		{StrategySpec{Kind: KindProactive, A: 4, C: 9}, "proactive", "proactive", "proactive"},
 		{StrategySpec{Kind: "wat", A: 1, C: 2}, "wat:1:2", "wat(A=1,C=2)", `error experiment: unknown strategy kind "wat" ` + unknown},
 		{StrategySpec{Kind: "Simple", C: 3}, "Simple:0:3", "Simple(A=0,C=3)", `error experiment: unknown strategy kind "Simple" ` + unknown},

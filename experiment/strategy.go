@@ -53,14 +53,18 @@ func (s StrategySpec) Build() (core.Strategy, error) {
 	case KindRandomized:
 		return core.NewRandomized(s.A, s.C)
 	case KindReactive:
-		fanout := s.A
-		if fanout == 0 {
-			fanout = 1
-		}
-		return core.NewPureReactive(fanout, true)
+		return core.NewPureReactive(s.fanout(), true)
 	}
 	return nil, fmt.Errorf("experiment: unknown strategy kind %q (registered: %s)",
 		s.Kind, strings.Join(StrategyKinds(), ", "))
+}
+
+// fanout is the pure reactive strategy's fanout k: A, where 0 means 1.
+func (s StrategySpec) fanout() int {
+	if s.A == 0 {
+		return 1
+	}
+	return s.A
 }
 
 // Label returns a compact identifier such as "randomized(A=5,C=10)", used in
@@ -72,7 +76,7 @@ func (s StrategySpec) Label() string {
 	case KindSimple:
 		return fmt.Sprintf("simple(C=%d)", s.C)
 	case KindReactive:
-		return fmt.Sprintf("reactive(k=%d)", max(1, s.A))
+		return fmt.Sprintf("reactive(k=%d)", s.fanout())
 	}
 	return fmt.Sprintf("%s(A=%d,C=%d)", s.Kind, s.A, s.C)
 }
@@ -94,7 +98,7 @@ func (s StrategySpec) String() string {
 // ParseStrategySpec parses strings of the forms "proactive", "simple:C",
 // "generalized:A:C", "randomized:A:C" and "reactive:k", as used by the CLI
 // tools. The kind is case-insensitive; trailing parameters beyond what the
-// family takes are rejected.
+// family takes are rejected, and so is a negative fanout k (0 means 1).
 func ParseStrategySpec(s string) (StrategySpec, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
 	spec := StrategySpec{Kind: StrategyKind(strings.ToLower(parts[0]))}
@@ -121,6 +125,9 @@ func ParseStrategySpec(s string) (StrategySpec, error) {
 		} else {
 			spec.A = v[i]
 		}
+	}
+	if spec.Kind == KindReactive && spec.A < 0 {
+		return StrategySpec{}, fmt.Errorf("experiment: strategy %q: fanout k = %d, need ≥ 0 (0 means 1)", s, spec.A)
 	}
 	return spec, nil
 }

@@ -106,7 +106,7 @@ func TestDefaultWorkloadByteIdentical(t *testing.T) {
 }
 
 // TestIntervalSpecMatchesDefaultPath requires the explicit
-// "interval:InjectionInterval" spec to reproduce the default workload's run
+// "interval:DefaultInjectionInterval" spec to reproduce the default workload's run
 // exactly: both arrival chains fire at bit-identical times, the times the
 // applications' former Every injection loop used (the goldens pin those).
 func TestIntervalSpecMatchesDefaultPath(t *testing.T) {
@@ -117,8 +117,8 @@ func TestIntervalSpecMatchesDefaultPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.InjectionInterval != 17.28 {
-		t.Fatalf("default injection interval changed to %v; update the spec above", cfg.InjectionInterval)
+	if DefaultInjectionInterval != 17.28 {
+		t.Fatalf("default injection interval changed to %v; update the spec above", DefaultInjectionInterval)
 	}
 	cfg.Workload = wl
 	explicit := runWorkload(t, cfg)

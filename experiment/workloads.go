@@ -12,16 +12,16 @@ import (
 // WorkloadDriver turns a spec string such as "poisson:0.5" or
 // "flashcrowd:3600:20:600:poisson:0.5" into the update-injection arrival
 // process one repetition runs under; the default IntervalWorkload is the
-// paper's fixed InjectionInterval drip. The availability side of the workload
-// package plugs into the scenario dimension instead (the "outage" scenario in
-// scenarios.go), so churn generators reuse the host's trace-driven lifecycle
-// path unchanged.
+// paper's fixed DefaultInjectionInterval drip. The availability side of the
+// workload package plugs into the scenario dimension instead (the "outage"
+// scenario in scenarios.go), so churn generators reuse the host's
+// trace-driven lifecycle path unchanged.
 
 // IntervalWorkload is the default workload driver: one update injection every
-// Config.InjectionInterval, exactly as in the paper's evaluation. Its arrivals
-// are those of the spec "interval:<InjectionInterval>", so default runs and
-// the explicit spec inject at bit-identical times; the spec form
-// "interval:25" fixes the spacing independently of the config.
+// DefaultInjectionInterval, exactly as in the paper's evaluation. Its
+// arrivals are those of the spec "interval:17.28", so default runs and the
+// explicit spec inject at bit-identical times; the spec form "interval:25"
+// sets another spacing.
 var IntervalWorkload WorkloadDriver = intervalWorkload{}
 
 // IsDefaultWorkload reports whether d is the default fixed-interval workload,
@@ -117,12 +117,12 @@ func (d specWorkload) Arrivals(_ Config, seed uint64) (runtime.ArrivalSource, er
 func (d specWorkload) Spec() workload.Spec { return d.spec }
 
 // intervalWorkload is the parameter-free default: arrivals every
-// Config.InjectionInterval.
+// DefaultInjectionInterval.
 type intervalWorkload struct{}
 
 func (intervalWorkload) Name() string   { return "interval" }
 func (intervalWorkload) String() string { return "interval" }
 
-func (intervalWorkload) Arrivals(cfg Config, seed uint64) (runtime.ArrivalSource, error) {
-	return workload.Interval{Every: cfg.InjectionInterval}.New(seed), nil
+func (intervalWorkload) Arrivals(_ Config, seed uint64) (runtime.ArrivalSource, error) {
+	return workload.Interval{Every: DefaultInjectionInterval}.New(seed), nil
 }

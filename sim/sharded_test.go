@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -423,10 +424,11 @@ func TestShardedCloseWaitsForWorkers(t *testing.T) {
 	}
 	se.Close()
 	// A worker that has signalled its exit may still be a few instructions
-	// short of dead when Close's Wait returns; a handful of yields covers
-	// that window.
-	for i := 0; i < 10 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	// short of dead when Close's Wait returns, and on a loaded host it may
+	// not be scheduled again for a while: poll the count for up to a second.
+	// A worker that never exits still fails.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("%d goroutines after Close returned, want the baseline %d", got, before)
