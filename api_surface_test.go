@@ -29,6 +29,7 @@ var surfaceAllowed = map[string]string{
 	"core.MustPureReactive":                  "test fixture: the flooding reference strategy of the protocol, runtime and simnet tests",
 	"internal/profiling/proftest.CheckFlags": "test helper package: the profiling-flag check shared by the tokensim, sweep and paperfigs tests",
 	"live.Env.Bus":                           "fault-injection fixture: the one handle on the memory bus's fault options",
+	"live.Env.Rand":                          "bench-only: the benchmark module's live relay draws from it",
 	"meanfield.Equilibrium":                  "oracle: the mean-field equilibrium simulated balances are compared with",
 	"meanfield.Generalized":                  "oracle: the mean-field model of the generalized strategy, which the experiment tests and root benchmarks compare with",
 	"meanfield.Randomized":                   "oracle: the mean-field model of the randomized strategy, which the experiment tests and root benchmarks compare with",
@@ -43,6 +44,8 @@ var surfaceAllowed = map[string]string{
 	"runtime.Host.N":                         "accessor: the runtime, simnet and live tests size their loops over a Host with it",
 	"runtime.Host.SetOffline":                "churn API: the Host's trace hook calls it in its own file, the runtime, simnet and live tests drive churn by hand with it",
 	"runtime.Host.SetOnline":                 "churn API: the Host's trace hook calls it in its own file, the runtime, simnet and live tests drive churn by hand with it",
+	"simnet.Env.Rand":                        "bench-only: the benchmark module's engine workloads draw from it",
+	"simnet.Env.Schedule":                    "bench-only: the benchmark module's traced environment still calls it",
 	"trace.AlwaysOnline":                     "test fixture: the failure-free trace the runtime and simnet tests edit into churn schedules",
 	"trace.ReadCSV":                          "fuzzed (FuzzCSVRoundTrip); the tracegen tests read its output with it",
 	"transport.MemoryBus.Block":              "fault-injection fixture of the memory bus",

@@ -171,3 +171,46 @@ func TestShardedRuntimeSpec(t *testing.T) {
 		t.Errorf("label does not mention the sharded runtime:\n%s", got)
 	}
 }
+
+// TestShardCountInvariantConfigs checks the shard relation where it holds:
+// for these configurations the output below the label line is the same at
+// 1, 2 and 4 shards. The one randomness a sharded run draws per shard is the
+// network model's, and the constant and zones models draw none; phases,
+// node streams and the coordinator's draws do not depend on the shard
+// count. So a schedule or routing change that alters which events run, or
+// in what order a node sees them, shows here. The smartphone-trace cases run
+// the coordinator's churn and rejoin pulls, the -tokens case the token
+// balance series as well.
+func TestShardCountInvariantConfigs(t *testing.T) {
+	zones := []string{"-network", "zones:8:0.5:3"}
+	cases := map[string][]string{
+		"push/randomized/zones":               append([]string{"-app", "push-gossip", "-strategy", "randomized:5:10"}, zones...),
+		"push/randomized/zones/smartphone":    append([]string{"-app", "push-gossip", "-strategy", "randomized:5:10", "-scenario", "smartphone-trace", "-tokens"}, zones...),
+		"push/simple/constant":                {"-app", "push-gossip", "-strategy", "simple:10", "-network", "constant"},
+		"gossip-learning/simple/zones":        append([]string{"-app", "gossip-learning", "-strategy", "simple:10"}, zones...),
+		"chaotic-iteration/simple/zones":      append([]string{"-app", "chaotic-iteration", "-strategy", "simple:10"}, zones...),
+		"gossip-learning/randomized/constant": {"-app", "gossip-learning", "-strategy", "randomized:5:10", "-network", "constant"},
+		"gossip-learning/simple/smartphone":   {"-app", "gossip-learning", "-strategy", "simple:10", "-scenario", "smartphone-trace"},
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			var first string
+			for _, shards := range []string{"1", "2", "4"} {
+				var out strings.Builder
+				full := append([]string{"-n", "600", "-rounds", "30", "-shards", shards}, args...)
+				if err := run(full, &out); err != nil {
+					t.Fatal(err)
+				}
+				_, body, _ := strings.Cut(out.String(), "\n")
+				switch {
+				case body == "":
+					t.Fatalf("-shards %s: empty output below the label line", shards)
+				case first == "":
+					first = body
+				case body != first:
+					t.Errorf("-shards %s diverged from -shards 1 below the label line:\n%s\nvs\n%s", shards, body, first)
+				}
+			}
+		})
+	}
+}

@@ -181,7 +181,7 @@ func (r *pushGossipRun) OnRejoin(h *runtime.Host, node int) {
 	}
 	// The pull request itself travels one transfer delay; the answer
 	// (if any) travels another via RespondDirect -> Send.
-	h.Env().Schedule(r.cfg.TransferDelay, func() {
+	h.Env().At(h.Env().Now()+r.cfg.TransferDelay, func() {
 		if !h.Online(responder) || !h.Online(node) {
 			return
 		}

@@ -57,8 +57,8 @@ func TestLiveRuntimesPickTheirTransport(t *testing.T) {
 			if got := le.Bus() != nil; got != c.bus {
 				t.Errorf("memory bus present = %v, want %v", got, c.bus)
 			}
-			if le.N() != 4 {
-				t.Errorf("env has %d node slots, want 4", le.N())
+			if n := le.Availability().N(); n != 4 {
+				t.Errorf("env has %d node slots, want 4", n)
 			}
 		})
 	}

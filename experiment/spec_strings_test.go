@@ -85,8 +85,11 @@ var specStringCases = []struct {
 	{"strategy", "Generalized:2:9", accepted("generalized", "generalized:2:9", "generalized(A=2,C=9)", false)},
 	{"strategy", "REACTIVE:2", accepted("reactive", "reactive:2", "reactive(k=2)", false)},
 	{"strategy", " simple:4 ", accepted("simple", "simple:4", "simple(C=4)", false)},
-	{"strategy", "simple:-3", accepted("simple", "simple:-3", "simple(C=-3)", false)},
-	{"strategy", "generalized:0:5", accepted("generalized", "generalized:0:5", "generalized(A=0,C=5)", false)},
+	{"strategy", "simple:-3", rejected("experiment: strategy \"simple:-3\": NewSimple(C=-3): core: capacity C must be non-negative")},
+	{"strategy", "generalized:0:5", rejected("experiment: strategy \"generalized:0:5\": NewGeneralized(A=0,C=5): core: parameter A must be a positive integer")},
+	{"strategy", "generalized:-2:5", rejected("experiment: strategy \"generalized:-2:5\": NewGeneralized(A=-2,C=5): core: parameter A must be a positive integer")},
+	{"strategy", "randomized:0:5", rejected("experiment: strategy \"randomized:0:5\": NewRandomized(A=0,C=5): core: parameter A must be a positive integer")},
+	{"strategy", "randomized:5:3", rejected("experiment: strategy \"randomized:5:3\": NewRandomized(A=5,C=3): core: capacity C must be at least A")},
 	{"strategy", "proactive:1", rejected("experiment: strategy \"proactive:1\": unexpected trailing parameter(s) \"1\" (want proactive)")},
 	{"strategy", "simple:5:9", rejected("experiment: strategy \"simple:5:9\": unexpected trailing parameter(s) \"9\" (want simple:C)")},
 	{"strategy", "generalized:1:2:3", rejected("experiment: strategy \"generalized:1:2:3\": unexpected trailing parameter(s) \"3\" (want generalized:A:C)")},
@@ -320,6 +323,20 @@ func TestSpecStringsParseAsBefore(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%s %q: got %+v, want %+v", tc.dim, tc.spec, got, tc.want)
+		}
+	}
+	// A strategy the parser accepts must build: Build's errors are parse
+	// errors, not run-time surprises.
+	for _, tc := range specStringCases {
+		if tc.dim != "strategy" || tc.want.err != "" {
+			continue
+		}
+		spec, err := ParseStrategySpec(tc.spec)
+		if err == nil {
+			_, err = spec.Build()
+		}
+		if err != nil {
+			t.Errorf("strategy %q is accepted but does not build: %v", tc.spec, err)
 		}
 	}
 

@@ -129,6 +129,9 @@ func ParseStrategySpec(s string) (StrategySpec, error) {
 	if spec.Kind == KindReactive && spec.A < 0 {
 		return StrategySpec{}, fmt.Errorf("experiment: strategy %q: fanout k = %d, need ≥ 0 (0 means 1)", s, spec.A)
 	}
+	if _, err := spec.Build(); err != nil {
+		return StrategySpec{}, fmt.Errorf("experiment: strategy %q: %w", s, err)
+	}
 	return spec, nil
 }
 

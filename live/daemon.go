@@ -334,8 +334,6 @@ func (e daemonEnv) locked(fn func()) func() {
 
 func (e daemonEnv) At(t float64, fn func()) { e.Env.At(t, e.locked(fn)) }
 
-func (e daemonEnv) Schedule(delay float64, fn func()) { e.Env.Schedule(delay, e.locked(fn)) }
-
 func (e daemonEnv) SetDeliver(fn runtime.DeliverFunc) {
 	e.Env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
 		e.d.mu.Lock()
@@ -369,7 +367,7 @@ func (k *daemonTick) RunHook(node int32, word uint64) {
 	d := k.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	online := d.env.Online(0)
+	online := d.host.Online(0)
 	start := time.Now()
 	k.inner.RunHook(node, word)
 	if online {

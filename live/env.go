@@ -32,7 +32,7 @@ type EnvConfig struct {
 	// N is the number of node slots (required, 1 ≤ N ≤ 65536). All nodes
 	// start online.
 	N int
-	// Seed drives every randomness stream of the run (see Env.Rand).
+	// Seed drives every randomness stream of the run (see Env.StreamSeed).
 	Seed uint64
 	// TimeScale compresses run time: one run-second lasts TimeScale
 	// wall-clock seconds. The default 1 runs in real time; 0.001 compresses
@@ -68,10 +68,12 @@ type Env struct {
 	bus   *transport.MemoryBus
 	trans []transport.Transport
 
-	// mu guards everything below it, the engine included. Callbacks never
-	// run under mu: the engine's sinks only record the event Step pops in
-	// due, and the run loop runs it once mu is released, so callbacks may
-	// re-enter the environment and any goroutine may schedule.
+	// mu guards everything below it but online, the engine included.
+	// Callbacks never run under mu: the engine's sinks only record the
+	// event Step pops in due, and the run loop runs it once mu is released,
+	// so callbacks may re-enter the environment and any goroutine may
+	// schedule. online is read and flipped without mu, during assembly and
+	// by dispatched callbacks only (see Availability).
 	mu      sync.Mutex
 	engine  *sim.Engine
 	due     dueEvent
@@ -341,14 +343,6 @@ func (e *Env) schedule(t float64, clamp bool, d sim.Delivery, sink *envSink) {
 	}
 }
 
-// Schedule implements runtime.Env.
-func (e *Env) Schedule(delay float64, fn func()) {
-	if delay < 0 || delay != delay {
-		delay = 0
-	}
-	e.At(e.Now()+delay, fn)
-}
-
 // Every implements runtime.Env. Repetitions re-arm on the nominal grid
 // now+phase+k·interval rather than relative to the (slightly late) wall time
 // of each firing, so a periodic event keeps the cadence the simulated
@@ -374,13 +368,13 @@ func (e *Env) Every(phase, interval float64, fn func() bool) {
 	e.schedule(next, false, sim.Delivery{Box: tick}, &e.timers)
 }
 
-// Rand implements runtime.Env: stream s is a SplitMix64 generator seeded
-// with rng.Derive(seed, s), exactly as in the simulated environment, so a
-// live run and a simulated run of the same seed draw from the same streams.
-func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.cfg.Seed, stream)) }
+// Rand returns randomness stream s: a SplitMix64 generator seeded with
+// StreamSeed(s).
+func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(e.StreamSeed(stream)) }
 
-// StreamSeed implements runtime.Env: a SplitMix64 generator seeded with the
-// returned value yields exactly the Rand(stream) sequence.
+// StreamSeed implements runtime.Env: stream s is seeded with
+// rng.Derive(seed, s), exactly as in the simulated environment, so a live
+// run and a simulated run of the same seed draw from the same streams.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.cfg.Seed, stream) }
 
 // Send is SendDelayed with the fixed EnvConfig.Latency as its delay. A Host
@@ -433,39 +427,12 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) {
 	e.mu.Unlock()
 }
 
-// N implements runtime.Env.
-func (e *Env) N() int { return e.online.N() }
-
-// Availability implements runtime.Env. The Host reads the set on the run
-// loop without taking the environment's mutex, so lifecycle flips during a
-// run belong to dispatched callbacks, as the Env contract says.
+// Availability implements runtime.Env. The Host reads and flips the set on
+// the run loop without taking the environment's mutex, so lifecycle flips
+// during a run belong to dispatched callbacks, as the Env contract says.
+// Messages already queued for a node taken offline are dropped at delivery
+// time by the host's online check.
 func (e *Env) Availability() *runtime.Availability { return &e.online }
-
-// Online reports whether the given node is online. Unlike a read of
-// Availability it may be called from any goroutine. Out-of-range node ids
-// report offline, so a stray id from a trace or scenario degrades to a
-// dropped message.
-func (e *Env) Online(node int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.online.Online(node)
-}
-
-// SetOnline implements runtime.Env. Out-of-range node ids are a no-op.
-func (e *Env) SetOnline(node int) {
-	e.mu.Lock()
-	e.online.Set(node, true)
-	e.mu.Unlock()
-}
-
-// SetOffline implements runtime.Env. Messages already queued for the node
-// are dropped at delivery time by the host's online check. Out-of-range node
-// ids are a no-op.
-func (e *Env) SetOffline(node int) {
-	e.mu.Lock()
-	e.online.Set(node, false)
-	e.mu.Unlock()
-}
 
 // step runs the earliest pending event if it is due — within the horizon
 // and, unless the run is draining past its deadline, not after the current

@@ -38,7 +38,7 @@ func TestEnvConfigValidation(t *testing.T) {
 	}
 }
 
-// TestEnvTimersFireInOrder schedules a mix of At/Schedule/Every callbacks
+// TestEnvTimersFireInOrder schedules a mix of At and Every callbacks
 // and checks they run in run-time order at roughly the right wall times.
 func TestEnvTimersFireInOrder(t *testing.T) {
 	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001}) // 1 run-second = 1 ms
@@ -50,7 +50,7 @@ func TestEnvTimersFireInOrder(t *testing.T) {
 	env.At(30, func() { order = append(order, 2) })
 	env.At(10, func() { order = append(order, 1) })
 	env.Every(45, 20, func() bool { order = append(order, 3); return len(order) < 6 })
-	env.Schedule(120, func() { order = append(order, 4) })
+	env.At(env.Now()+120, func() { order = append(order, 4) })
 	env.At(300, func() { order = append(order, 9) }) // beyond the horizon: must not run
 	if err := env.Run(150); err != nil {
 		t.Fatal(err)
@@ -75,16 +75,9 @@ func TestEnvLifecycleAndRand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	if env.N() != 3 || !env.Online(1) {
+	online := env.Availability()
+	if online.N() != 3 || !online.AllOnline() {
 		t.Fatal("fresh env should have every node online")
-	}
-	env.SetOffline(1)
-	if env.Online(1) {
-		t.Error("SetOffline had no effect")
-	}
-	env.SetOnline(1)
-	if !env.Online(1) {
-		t.Error("SetOnline had no effect")
 	}
 	// The live environment derives the same random streams as the simulated
 	// one for the same seed — the documented cross-runtime property.
@@ -92,10 +85,9 @@ func TestEnvLifecycleAndRand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := env.Rand(runtime.StreamNet), sim.Rand(runtime.StreamNet)
-	for i := 0; i < 10; i++ {
-		if x, y := a.Float64(), b.Float64(); x != y {
-			t.Fatalf("stream diverged at draw %d: %v vs %v", i, x, y)
+	for _, s := range []uint64{0, 2, runtime.StreamNet, runtime.StreamPhase} {
+		if a, b := env.StreamSeed(s), sim.StreamSeed(s); a != b {
+			t.Fatalf("stream %#x: live seed %#x, simulated seed %#x", s, a, b)
 		}
 	}
 }
@@ -140,23 +132,24 @@ func TestEnvRunHorizonBeyondYearFails(t *testing.T) {
 	}
 }
 
-// TestEnvLifecycleOutOfRange pins the bounds behaviour of the lifecycle API:
-// a stray node id must report offline / no-op instead of panicking inside
-// the environment mutex.
+// TestEnvLifecycleOutOfRange pins the bounds behaviour of the online set: a
+// stray node id must report offline / no-op instead of panicking on the run
+// loop.
 func TestEnvLifecycleOutOfRange(t *testing.T) {
 	env, err := live.NewEnv(live.EnvConfig{N: 3, TimeScale: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
+	online := env.Availability()
 	for _, node := range []int{-1, 3, 1 << 20} {
-		if env.Online(node) {
+		if online.Online(node) {
 			t.Errorf("Online(%d) = true for an out-of-range id", node)
 		}
-		env.SetOnline(node)  // must not panic
-		env.SetOffline(node) // must not panic
+		online.Set(node, true)  // must not panic
+		online.Set(node, false) // must not panic
 	}
-	if !env.Online(0) || !env.Online(2) {
+	if !online.Online(0) || !online.Online(2) {
 		t.Error("in-range nodes must stay online")
 	}
 }
@@ -209,7 +202,7 @@ func TestEnvSendDelayed(t *testing.T) {
 	env.SetDeliver(func(from, to protocol.NodeID, payload protocol.Payload) {
 		arrivals = append(arrivals, arrival{at: env.Now()})
 	})
-	env.Schedule(0, func() {
+	env.At(0, func() {
 		env.SendDelayed(0, 1, protocol.BoxPayload("slow"), 60)
 		env.SendDelayed(0, 1, protocol.BoxPayload("fast"), 0)
 	})
@@ -760,8 +753,9 @@ func (sendRecorder) Close() error                               { return nil }
 
 // TestEnvSchedulesFromOtherGoroutines pins the contract the daemon relies on
 // when a request goroutine brings its node online (Host.SetOnline → AtHook):
-// while Run is active, goroutines schedule through At, AtHook, Schedule and
-// SendDelayed at strictly increasing times. Every event fires exactly once,
+// while Run is active, goroutines schedule through At (at an absolute time
+// and at a delay from Now), AtHook and SendDelayed at strictly increasing
+// times. Every event fires exactly once,
 // never before its run time, and in (time, call) order within each
 // goroutine, and Stop then ends the run.
 func TestEnvSchedulesFromOtherGoroutines(t *testing.T) {
@@ -811,7 +805,7 @@ func TestEnvSchedulesFromOtherGoroutines(t *testing.T) {
 				case 1:
 					env.AtHook(next, l, int32(g), uint64(c))
 				case 2:
-					env.Schedule(delay, func() { l.record(g, c) })
+					env.At(env.Now()+delay, func() { l.record(g, c) })
 				case 3:
 					env.SendDelayed(protocol.NodeID(g), protocol.NodeID(g),
 						protocol.WordPayload(protocol.KindUpdateSeq, uint64(c)), delay)

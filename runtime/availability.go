@@ -7,12 +7,13 @@ package runtime
 // forty times per message — is one load.
 //
 // Environments own one in place of a flag array and expose it through
-// AvailabilitySource; the Host reads it directly on its hot paths, with no
-// interface call per question. Out-of-range ids read offline and
-// writes to them are no-ops, matching the Env lifecycle contract. The set is
-// not synchronized: writes belong to the environment's dispatch context
-// (coordinator events at barriers on a sharded environment), reads may come
-// from any goroutine the environment orders after them.
+// Env.Availability; the Host flips and reads it directly, with no interface
+// call per question. Out-of-range ids read offline and writes to them are
+// no-ops, so a stray id from a scenario or trace degrades to a dropped
+// message. The set is not synchronized: writes belong to the environment's
+// dispatch context (coordinator events at barriers on a sharded
+// environment), reads may come from any goroutine the environment orders
+// after them.
 type Availability struct {
 	words   []uint64
 	n       int
@@ -69,11 +70,3 @@ func (a *Availability) Set(i int, online bool) {
 
 // AllOnline reports whether every node slot is online.
 func (a *Availability) AllOnline() bool { return a.offline == 0 }
-
-// AvailabilitySource is the Env method through which the Host reaches the
-// environment's online set: every lifecycle flip the environment performs
-// (SetOnline, SetOffline) must land in the returned set, which must cover
-// Env.N() slots and stay the same set for the environment's lifetime.
-type AvailabilitySource interface {
-	Availability() *Availability
-}

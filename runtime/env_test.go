@@ -53,8 +53,10 @@ func (c envCase) open(t *testing.T) runtime.Env {
 
 // TestEnvContract checks, for every shipped environment, the parts of the
 // runtime.Env contract the Host relies on without asking: a generator seeded
-// with StreamSeed(s) yields exactly the Rand(s) sequence (the Host embeds
-// that state in each node's slab row), the online set covers N() slots, and
+// with StreamSeed(s) yields exactly the stream rng.Derive(seed, s) seeds, on
+// every environment alike (the Host builds its generators from StreamSeed
+// and embeds the per-node ones in the slab rows), the online set covers the
+// environment's node slots, and
 // AtHook behaves as At with the hook call in a closure — a hook scheduled in
 // the past runs at the present, and hooks and closures scheduled for the
 // same instant run in scheduling order — and SendDelayed, the one way a Host
@@ -69,17 +71,17 @@ func TestEnvContract(t *testing.T) {
 	for _, tc := range shippedEnvs(n, seed, 1, 2e-2) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := tc.open(t)
-			if got := env.Availability().N(); got != env.N() {
-				t.Errorf("Availability().N() = %d, N() = %d", got, env.N())
+			if got := env.Availability().N(); got != n {
+				t.Errorf("Availability().N() = %d, want %d", got, n)
 			}
 			for _, s := range streams {
-				want, got := env.Rand(s), rng.New(env.StreamSeed(s))
+				want, got := rng.New(rng.Derive(seed, s)), rng.New(env.StreamSeed(s))
 				for k := 0; k < 8; k++ {
 					if w, g := want.Float64(), got.Float64(); w != g {
-						t.Fatalf("stream %#x draw %d: StreamSeed generator gave %v, Rand gave %v", s, k, g, w)
+						t.Fatalf("stream %#x draw %d: StreamSeed generator gave %v, rng.Derive gave %v", s, k, g, w)
 					}
 					if w, g := want.Intn(1000), got.Intn(1000); w != g {
-						t.Fatalf("stream %#x draw %d: StreamSeed generator gave Intn %d, Rand gave %d", s, k, g, w)
+						t.Fatalf("stream %#x draw %d: StreamSeed generator gave Intn %d, rng.Derive gave %d", s, k, g, w)
 					}
 				}
 			}
@@ -178,7 +180,7 @@ func checkAtHookSameInstant(t *testing.T, env runtime.Env) {
 // cross shards.
 func checkSendDelayed(t *testing.T, env runtime.Env) {
 	const delay = 1
-	to := protocol.NodeID(env.N() - 1)
+	to := protocol.NodeID(env.Availability().N() - 1)
 	clock := env.Now
 	if sh, ok := env.(runtime.Sharded); ok {
 		clock = sh.Shard(int(sh.ShardFunc()(int32(to)))).Now

@@ -6,6 +6,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/internal/parallel"
+	"github.com/szte-dcs/tokenaccount/internal/rng"
 	"github.com/szte-dcs/tokenaccount/netmodel"
 	"github.com/szte-dcs/tokenaccount/overlay"
 	"github.com/szte-dcs/tokenaccount/protocol"
@@ -186,14 +187,15 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		return nil, fmt.Errorf("runtime: nil Env")
 	}
 	n := cfg.Graph.N()
-	if env.N() < n {
-		return nil, fmt.Errorf("runtime: environment has %d node slots, overlay has %d", env.N(), n)
+	avail := env.Availability()
+	if avail.N() < n {
+		return nil, fmt.Errorf("runtime: environment has %d node slots, overlay has %d", avail.N(), n)
 	}
 	h := &Host{
 		cfg:    cfg,
 		env:    env,
-		avail:  env.Availability(),
-		netRNG: env.Rand(StreamNet),
+		avail:  avail,
+		netRNG: rng.New(env.StreamSeed(StreamNet)),
 		sizers: protocol.PayloadSizerTable(),
 		adj:    cfg.Graph.OutAdjacency(),
 	}
@@ -213,7 +215,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		h.netRNGs = make([]protocol.Rand, shards)
 		for s := range h.netRNGs {
 			h.scheds[s] = sh.Shard(s)
-			h.netRNGs[s] = env.Rand(ShardNetStream(s))
+			h.netRNGs[s] = rng.New(env.StreamSeed(ShardNetStream(s)))
 		}
 		h.counts = make([]shardCounters, shards)
 	} else {
@@ -252,7 +254,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 	if cfg.Trace != nil {
 		for i := 0; i < n; i++ {
 			if !cfg.Trace.Online(i, 0) {
-				env.SetOffline(i)
+				h.avail.Set(i, false)
 			}
 		}
 	}
@@ -287,7 +289,7 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 // The phase draws happen in node order either way, so they are identical
 // for every shard count.
 func (h *Host) scheduleRounds() {
-	phaseRNG := h.env.Rand(StreamPhase)
+	phaseRNG := rng.New(h.env.StreamSeed(StreamPhase))
 	n := h.slab.Len()
 	for i := 0; i < n; i++ {
 		phase := phaseRNG.Float64() * h.cfg.Delta
@@ -465,22 +467,22 @@ func (h *Host) App(i int) protocol.Application { return h.slab.Node(i).Applicati
 // environment's online set, the availability read of every hot path.
 func (h *Host) Online(i int) bool { return h.avail.Online(i) }
 
-// SetOnline brings node i online through the environment's lifecycle API and
-// fires the OnRejoin hook. It is a no-op for nodes already online, so the
+// SetOnline brings node i online in the environment's online set and fires
+// the OnRejoin hook. It is a no-op for nodes already online, so the
 // hook only observes real offline→online transitions.
 func (h *Host) SetOnline(i int) {
 	if h.Online(i) {
 		return
 	}
-	h.env.SetOnline(i)
+	h.avail.Set(i, true)
 	if h.cfg.OnRejoin != nil {
 		h.cfg.OnRejoin(h, i)
 	}
 }
 
-// SetOffline takes node i offline through the environment's lifecycle API:
-// its proactive loop pauses and messages addressed to it are dropped.
-func (h *Host) SetOffline(i int) { h.env.SetOffline(i) }
+// SetOffline takes node i offline in the environment's online set: its
+// proactive loop pauses and messages addressed to it are dropped.
+func (h *Host) SetOffline(i int) { h.avail.Set(i, false) }
 
 // RandomOnlineNode returns a uniformly random online node, or false if every
 // node is offline. It uses rejection sampling with a fallback scan so that it

@@ -1,10 +1,10 @@
 // Package runtime defines the runtime-neutral host environment API of the
 // framework: the Env interface abstracts everything a set of token account
-// protocol nodes needs from its surroundings — a clock (virtual or wall),
-// timer/scheduling primitives, per-node randomness, a message transport and
-// node lifecycle — and the Host assembles the nodes of one run against any
-// Env. The Host's network model (Config.Network, a netmodel.Model) is the one
-// source of message loss and delay: the environment only carries each
+// protocol nodes needs from its surroundings — a clock (virtual or wall) with
+// timers, a message transport, per-node randomness streams and the online
+// set that churn flips — and the Host assembles the nodes of one run against
+// any Env. The Host's network model (Config.Network, a netmodel.Model) is the
+// one source of message loss and delay: the environment only carries each
 // message for the delay the model sampled (DelayedSender).
 //
 // Three environments implement Env:
@@ -18,8 +18,8 @@
 //     "traffic shaping service" the paper proposes.
 //
 // Everything all three provide is part of the Env contract, including the
-// packed online set (AvailabilitySource), the delayed transport (DelayedSender),
-// derivable randomness streams (StreamSeeder) and typed hook events
+// packed online set (Availability), the delayed transport (DelayedSender),
+// the seeds of the randomness streams (StreamSeeder) and typed hook events
 // (HookScheduler), which carry every node's proactive tick and every churn
 // transition of a trace. An Env implemented outside this module must provide
 // all of them; AtHook may simply wrap At. Sharded, which
@@ -56,39 +56,26 @@ type Env interface {
 	Now() float64
 
 	// At schedules fn at the given absolute run time. Times in the past are
-	// clamped to the present.
+	// clamped to the present, so At(Now()+d, fn) runs fn after a delay d.
 	At(t float64, fn func())
-
-	// Schedule runs fn after the given delay in seconds. Non-positive delays
-	// mean "as soon as possible, after everything already due".
-	Schedule(delay float64, fn func())
 
 	// Every schedules fn at phase, phase+interval, phase+2·interval, ...
 	// until the run ends or fn returns false.
 	Every(phase, interval float64, fn func() bool)
 
-	// Rand returns a deterministic random stream for the given stream index.
-	// Streams derived from distinct indices are statistically independent;
-	// the Host uses one stream per node plus dedicated streams for network
-	// and phase randomness.
-	Rand(stream uint64) protocol.Rand
-
 	// SetDeliver installs the delivery callback. The Host installs itself
 	// here during assembly; environments must not deliver before it is set.
 	SetDeliver(fn DeliverFunc)
 
-	// N returns the number of node slots managed by the environment.
-	N() int
-
-	// SetOnline brings the given node online.
-	SetOnline(node int)
-
-	// SetOffline takes the given node offline. The flag is advisory: the
-	// Host consults the online set before ticking a node and before
-	// delivering to it, so an offline node neither runs its proactive loop
-	// nor receives messages — transports may keep accepting traffic for the
-	// node, which is then discarded at delivery time.
-	SetOffline(node int)
+	// Availability returns the online set of the environment's node slots.
+	// Its size is the number of slots; it stays the same set for the
+	// environment's lifetime. The Host flips nodes in it and reads it
+	// directly on its hot paths. The flags are advisory: the Host consults
+	// the set before ticking a node and before delivering to it, so an
+	// offline node neither runs its proactive loop nor receives messages —
+	// transports may keep accepting traffic for the node, which is then
+	// discarded at delivery time.
+	Availability() *Availability
 
 	// Run drives the environment until the given run time: the simulated
 	// environment executes events until virtual time reaches the horizon,
@@ -100,10 +87,9 @@ type Env interface {
 	// goroutines). It must not be called while Run is executing.
 	Close() error
 
-	// The online set the Host reads on its hot paths, the transport every
-	// message takes with its model-sampled delay, the seeds behind Rand and
-	// the typed hook events of ticks and churn (see each interface).
-	AvailabilitySource
+	// The transport every message takes with its model-sampled delay, the
+	// seeds of the randomness streams and the typed hook events of ticks and
+	// churn (see each interface).
 	DelayedSender
 	StreamSeeder
 	HookScheduler
@@ -140,15 +126,15 @@ type ShardScheduler interface {
 // every shard synchronized, so existing scenario drivers, metric probes and
 // rejoin hooks work unchanged. Per-node work (the proactive loops) must
 // instead be scheduled on the owning shard through Shard, which the Host
-// does when it detects the capability. Lifecycle flips (SetOnline,
-// SetOffline) are coordinator-only; the online set is safe to read from any
-// shard during a window because flips only happen at barriers.
+// does when it detects the capability. Flips of the online set are
+// coordinator-only; the set is safe to read from any shard during a window
+// because flips only happen at barriers.
 type Sharded interface {
 	Env
 	// NumShards returns the number of worker shards (≥ 1).
 	NumShards() int
 	// ShardFunc returns the function the environment routes by: the shard
-	// owning a node, for every node in [0, N()). It is pure and safe for
+	// owning a node, for every node slot of Availability. It is pure and safe for
 	// concurrent use, so the Host calls it from any shard worker.
 	ShardFunc() func(node int32) int32
 	// Shard returns the scheduling surface of one shard.
@@ -196,12 +182,12 @@ type HookScheduler interface {
 	AtHook(t float64, hook Hook, node int32, word uint64)
 }
 
-// StreamSeeder is the Env method that exposes how Rand streams derive from
-// the run seed: StreamSeed returns the derived seed of one stream, such that
-// a SplitMix64 generator seeded with it yields exactly the Rand(stream)
-// sequence. The Host uses it to embed each node's generator state in the
-// node's slab row (8 bytes) instead of allocating one generator object per
-// node.
+// StreamSeeder is the Env's source of randomness: StreamSeed returns the
+// seed of one randomness stream, derived from the run seed, and a SplitMix64
+// generator seeded with it (rng.New) is that stream. Streams of distinct
+// indices are statistically independent. The Host builds its net and phase
+// generators that way and embeds each node's generator state in the node's
+// slab row (8 bytes) instead of allocating one generator object per node.
 type StreamSeeder interface {
 	StreamSeed(stream uint64) uint64
 }

@@ -82,7 +82,7 @@ type outbox struct {
 // deposits in src order, every seq, and so every tie-break, is the one a
 // sequential (dst, src) drain on the coordinator assigns.
 //
-// All scheduling methods (At, Schedule, Every, Send, ScheduleHookAt,
+// All scheduling methods (At, Every, Send, ScheduleHookAt,
 // ShardScheduleHookAt) must be called either during assembly or from within
 // executing events; RunUntil itself must be driven from a single goroutine.
 type ShardedEngine struct {
@@ -174,9 +174,6 @@ func (se *ShardedEngine) Now() float64 { return se.coord.Now() }
 // barriers, with every shard synchronized to their timestamp, so they may
 // touch state of any shard.
 func (se *ShardedEngine) At(t float64, fn func()) { se.coord.At(t, fn) }
-
-// Schedule is At relative to the coordinator's current time.
-func (se *ShardedEngine) Schedule(delay float64, fn func()) { se.coord.Schedule(delay, fn) }
 
 // Every schedules a repeating run-global event on the coordinator queue
 // (see Engine.Every).

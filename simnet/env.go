@@ -25,7 +25,7 @@ import (
 type EnvConfig struct {
 	// N is the number of node slots (required, ≥ 1). All nodes start online.
 	N int
-	// Seed drives every randomness stream of the run (see Env.Rand).
+	// Seed drives every randomness stream of the run (see Env.StreamSeed).
 	Seed uint64
 	// TransferDelay is the virtual time Send takes to deliver one message. A
 	// Host never calls Send — its Config.Network samples every delay — so
@@ -77,19 +77,20 @@ func (e *Env) Now() float64 { return e.engine.Now() }
 // At implements runtime.Env.
 func (e *Env) At(t float64, fn func()) { e.engine.At(t, fn) }
 
-// Schedule implements runtime.Env.
+// Schedule runs fn after the given delay of virtual time, as At(Now()+delay,
+// fn) would.
 func (e *Env) Schedule(delay float64, fn func()) { e.engine.Schedule(delay, fn) }
 
 // Every implements runtime.Env.
 func (e *Env) Every(phase, interval float64, fn func() bool) { e.engine.Every(phase, interval, fn) }
 
-// Rand implements runtime.Env: stream s is a SplitMix64 generator seeded
-// with rng.Derive(seed, s).
-func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.seed, stream)) }
+// Rand returns randomness stream s: a SplitMix64 generator seeded with
+// StreamSeed(s).
+func (e *Env) Rand(stream uint64) protocol.Rand { return rng.New(e.StreamSeed(stream)) }
 
-// StreamSeed implements runtime.Env: a SplitMix64 generator seeded
-// with the returned value yields exactly the Rand(stream) sequence, letting
-// the Host embed per-node generator state in the node slab's rows.
+// StreamSeed implements runtime.Env: stream s is seeded with
+// rng.Derive(seed, s), which lets the Host embed per-node generator state in
+// the node slab's rows.
 func (e *Env) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
 // AtHook implements runtime.Env: the hook event goes to the
@@ -141,24 +142,15 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 
 // SetPreloader implements runtime.Preloading on the engine, gated on N (see
 // sim.Engine.SetPreloader).
-func (e *Env) SetPreloader(p runtime.Preloader) { e.engine.SetPreloader(p, e.N()) }
+func (e *Env) SetPreloader(p runtime.Preloader) { e.engine.SetPreloader(p, e.online.N()) }
 
 // Processed returns the number of events the underlying engine has executed.
 func (e *Env) Processed() uint64 { return e.engine.Processed() }
-
-// N implements runtime.Env.
-func (e *Env) N() int { return e.online.N() }
 
 // Availability implements runtime.Env. Out-of-range node ids read offline
 // instead of panicking, so a stray id from a scenario or trace degrades to a
 // dropped message.
 func (e *Env) Availability() *runtime.Availability { return &e.online }
-
-// SetOnline implements runtime.Env. Out-of-range node ids are a no-op.
-func (e *Env) SetOnline(node int) { e.online.Set(node, true) }
-
-// SetOffline implements runtime.Env. Out-of-range node ids are a no-op.
-func (e *Env) SetOffline(node int) { e.online.Set(node, false) }
 
 // Run implements runtime.Env: events execute in (time, seq) order until
 // virtual time reaches the horizon; events past it stay pending. A NaN

@@ -7,7 +7,7 @@ import (
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-// TestEnvLifecycleOutOfRange pins the bounds behaviour of the lifecycle API:
+// TestEnvLifecycleOutOfRange pins the bounds behaviour of the online set:
 // a stray node id (from a buggy scenario or an oversized trace) must degrade
 // to "offline, no-op" instead of panicking mid-run.
 func TestEnvLifecycleOutOfRange(t *testing.T) {
@@ -20,10 +20,10 @@ func TestEnvLifecycleOutOfRange(t *testing.T) {
 		if online.Online(node) {
 			t.Errorf("Online(%d) = true for an out-of-range id", node)
 		}
-		env.SetOnline(node)  // must not panic
-		env.SetOffline(node) // must not panic
+		online.Set(node, true)  // must not panic
+		online.Set(node, false) // must not panic
 		if online.Online(node) {
-			t.Errorf("SetOnline(%d) materialized an out-of-range node", node)
+			t.Errorf("Set(%d, true) materialized an out-of-range node", node)
 		}
 	}
 	if !online.Online(0) || !online.Online(3) {

@@ -15,7 +15,7 @@ type ShardedEnvConfig struct {
 	// N is the number of node slots (required, ≥ 1). All nodes start online.
 	N int
 	// Seed drives every randomness stream of the run, with the same stream
-	// derivation as the plain environment (see Env.Rand).
+	// derivation as the plain environment (see Env.StreamSeed).
 	Seed uint64
 	// Shards is the number of worker shards (≥ 1).
 	Shards int
@@ -31,11 +31,11 @@ type ShardedEnvConfig struct {
 // ShardedEnv is the sharded discrete-event implementation of runtime.Env:
 // the same contract as Env, executed by a sim.ShardedEngine under the
 // conservative time-window protocol. The Env surface is the coordinator
-// view — Now is the barrier clock, At/Schedule/Every enqueue run-global
+// view — Now is the barrier clock, At and Every enqueue run-global
 // events that execute single-threaded at barriers — while the
 // runtime.Sharded capability exposes the per-shard schedulers the Host puts
-// the proactive loops on. Lifecycle state is one shared runtime.Availability set:
-// it is only written by coordinator events (churn runs at barriers) and read
+// the proactive loops on. Lifecycle state is one shared runtime.Availability
+// set: it is only written by coordinator events (churn runs at barriers) and read
 // concurrently by the shard workers in between, which the window barrier
 // makes race-free.
 //
@@ -92,20 +92,14 @@ func (e *ShardedEnv) Now() float64 { return e.engine.Now() }
 // At implements runtime.Env on the coordinator queue.
 func (e *ShardedEnv) At(t float64, fn func()) { e.engine.At(t, fn) }
 
-// Schedule implements runtime.Env on the coordinator queue.
-func (e *ShardedEnv) Schedule(delay float64, fn func()) { e.engine.Schedule(delay, fn) }
-
 // Every implements runtime.Env on the coordinator queue.
 func (e *ShardedEnv) Every(phase, interval float64, fn func() bool) {
 	e.engine.Every(phase, interval, fn)
 }
 
-// Rand implements runtime.Env with the exact same stream derivation as the
-// plain environment, so per-node and phase randomness are identical for
-// every shard count.
-func (e *ShardedEnv) Rand(stream uint64) protocol.Rand { return rng.New(rng.Derive(e.seed, stream)) }
-
-// StreamSeed implements runtime.Env (see Env.StreamSeed).
+// StreamSeed implements runtime.Env with the exact same stream derivation as
+// the plain environment (see Env.StreamSeed), so per-node and phase
+// randomness are identical for every shard count.
 func (e *ShardedEnv) StreamSeed(stream uint64) uint64 { return rng.Derive(e.seed, stream) }
 
 // AtHook implements runtime.Env on the coordinator: the hook event
@@ -152,18 +146,9 @@ func (e *ShardedEnv) SetPreloader(p runtime.Preloader) { e.engine.SetPreloader(p
 // coordinator.
 func (e *ShardedEnv) Processed() uint64 { return e.engine.Processed() }
 
-// N implements runtime.Env.
-func (e *ShardedEnv) N() int { return e.online.N() }
-
 // Availability implements runtime.Env. Shard workers read the set during a
-// window; it only changes at barriers.
+// window; it only changes at barriers, since only coordinator events flip it.
 func (e *ShardedEnv) Availability() *runtime.Availability { return &e.online }
-
-// SetOnline implements runtime.Env. Coordinator context only.
-func (e *ShardedEnv) SetOnline(node int) { e.online.Set(node, true) }
-
-// SetOffline implements runtime.Env. Coordinator context only.
-func (e *ShardedEnv) SetOffline(node int) { e.online.Set(node, false) }
 
 // NumShards implements runtime.Sharded.
 func (e *ShardedEnv) NumShards() int { return e.engine.NumShards() }

@@ -11,17 +11,17 @@ import (
 // answers at every probe point (WriteCSV emits normalized intervals with
 // %g-formatted times, which parse back to the identical float64).
 func FuzzCSVRoundTrip(f *testing.F) {
-	f.Add(uint64(1), 10, 0.3, 1.2)
+	f.Add(uint64(1), 10, 0.3, 2.0)
 	f.Add(uint64(42), 3, 0.0, 0.1)
-	f.Add(uint64(7), 25, 0.9, 3.0)
-	f.Fuzz(func(t *testing.T, seed uint64, users int, permOffline, sessions float64) {
+	f.Add(uint64(7), 25, 0.9, 7.5)
+	f.Fuzz(func(t *testing.T, seed uint64, users int, permOffline, days float64) {
 		if users < 1 || users > 64 || permOffline < 0 || permOffline > 1 ||
-			sessions < 0 || sessions > 10 {
+			!(days > 0) || days > 10 {
 			t.Skip()
 		}
 		cfg := DefaultSmartphoneConfig(users, seed)
 		cfg.PermanentlyOffline = permOffline
-		cfg.DaySessionsPerDay = sessions
+		cfg.Duration = days * Day
 		tr, err := Smartphone(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -314,8 +314,8 @@ func ReadCSV(r io.Reader, n int) (*Trace, error) {
 }
 
 // SmartphoneConfig parameterizes the synthetic smartphone trace generator.
-// The defaults (DefaultSmartphoneConfig) are tuned so that the aggregate
-// statistics resemble Figure 1 of the paper.
+// The charging behaviour itself is fixed (see the smartphone* constants),
+// tuned so that the aggregate statistics resemble Figure 1 of the paper.
 type SmartphoneConfig struct {
 	// Users is the number of users (segments) to generate.
 	Users int
@@ -324,47 +324,42 @@ type SmartphoneConfig struct {
 	// PermanentlyOffline is the fraction of users that never satisfy the
 	// online definition during the window (~30% in the paper).
 	PermanentlyOffline float64
-	// NightOwlFraction is the fraction of (active) users that reliably charge
-	// their phone overnight.
-	NightOwlFraction float64
-	// NightStartMeanHour and NightStartStdHour describe when overnight
-	// charging begins (GMT hours; the paper's users are mostly European).
-	NightStartMeanHour float64
-	NightStartStdHour  float64
-	// NightDurationMeanHours and NightDurationStdHours describe how long the
-	// overnight charging session lasts.
-	NightDurationMeanHours float64
-	NightDurationStdHours  float64
-	// DaySessionsPerDay is the expected number of extra daytime charging
-	// sessions per day per active user.
-	DaySessionsPerDay float64
-	// DaySessionMeanHours is the mean length of a daytime session
-	// (exponentially distributed).
-	DaySessionMeanHours float64
-	// MinSessionSeconds drops sessions shorter than this (the paper requires
-	// at least one minute on the charger).
-	MinSessionSeconds float64
 	// Seed drives the deterministic generator.
 	Seed uint64
 }
 
+// The charging behaviour of the smartphone trace's active users.
+const (
+	// nightOwlFraction is the fraction of (active) users that reliably
+	// charge their phone overnight.
+	nightOwlFraction = 0.75
+	// nightStartMeanHour and nightStartStdHour describe when overnight
+	// charging begins (GMT hours; the paper's users are mostly European).
+	nightStartMeanHour = 21.5
+	nightStartStdHour  = 1.5
+	// nightDurationMeanHours and nightDurationStdHours describe how long
+	// the overnight charging session lasts.
+	nightDurationMeanHours = 8.5
+	nightDurationStdHours  = 2.0
+	// daySessionsPerDay is the expected number of extra daytime charging
+	// sessions per day per active user.
+	daySessionsPerDay = 1.2
+	// daySessionMeanHours is the mean length of a daytime session
+	// (exponentially distributed).
+	daySessionMeanHours = 1.0
+	// minSessionSeconds drops sessions shorter than this (the paper
+	// requires at least one minute on the charger).
+	minSessionSeconds = 60
+)
+
 // DefaultSmartphoneConfig returns the configuration used by the experiments:
-// a 2-day window with ~30% permanently offline users, a strong diurnal
-// night-charging pattern and a moderate number of daytime charging sessions.
+// a 2-day window with ~30% permanently offline users.
 func DefaultSmartphoneConfig(users int, seed uint64) SmartphoneConfig {
 	return SmartphoneConfig{
-		Users:                  users,
-		Duration:               2 * Day,
-		PermanentlyOffline:     0.30,
-		NightOwlFraction:       0.75,
-		NightStartMeanHour:     21.5,
-		NightStartStdHour:      1.5,
-		NightDurationMeanHours: 8.5,
-		NightDurationStdHours:  2.0,
-		DaySessionsPerDay:      1.2,
-		DaySessionMeanHours:    1.0,
-		MinSessionSeconds:      60,
-		Seed:                   seed,
+		Users:              users,
+		Duration:           2 * Day,
+		PermanentlyOffline: 0.30,
+		Seed:               seed,
 	}
 }
 
@@ -376,8 +371,6 @@ func (c SmartphoneConfig) validate() error {
 		return fmt.Errorf("trace: SmartphoneConfig.Duration = %v, need > 0 and finite", c.Duration)
 	case !probability(c.PermanentlyOffline):
 		return fmt.Errorf("trace: PermanentlyOffline = %v outside [0,1]", c.PermanentlyOffline)
-	case !probability(c.NightOwlFraction):
-		return fmt.Errorf("trace: NightOwlFraction = %v outside [0,1]", c.NightOwlFraction)
 	}
 	return nil
 }
@@ -402,25 +395,25 @@ func Smartphone(cfg SmartphoneConfig) (*Trace, error) {
 			continue // this user never comes online in the window
 		}
 		seg := &tr.Segments[u]
-		nightOwl := src.Float64() < cfg.NightOwlFraction
+		nightOwl := src.Float64() < nightOwlFraction
 		// Per-user jitter of the nightly schedule, stable across the days of
 		// the segment (people are creatures of habit).
-		personalStart := cfg.NightStartMeanHour + src.NormFloat64()*cfg.NightStartStdHour
-		personalLen := cfg.NightDurationMeanHours + src.NormFloat64()*cfg.NightDurationStdHours
+		personalStart := nightStartMeanHour + src.NormFloat64()*nightStartStdHour
+		personalLen := nightDurationMeanHours + src.NormFloat64()*nightDurationStdHours
 		for d := -1; d < days; d++ { // d = -1 catches sessions spilling in from before the window
 			if nightOwl {
 				start := float64(d)*Day + personalStart*Hour + src.NormFloat64()*0.5*Hour
 				length := (personalLen + src.NormFloat64()*0.5) * Hour
-				if length > cfg.MinSessionSeconds {
+				if length > minSessionSeconds {
 					seg.Intervals = append(seg.Intervals, Interval{Start: start, End: start + length})
 				}
 			}
 			// Daytime charging sessions: Poisson-ish count via thinning.
-			sessions := poisson(src, cfg.DaySessionsPerDay)
+			sessions := poisson(src, daySessionsPerDay)
 			for s := 0; s < sessions; s++ {
 				start := float64(d)*Day + (7+11*src.Float64())*Hour // between 07:00 and 18:00
-				length := src.ExpFloat64() * cfg.DaySessionMeanHours * Hour
-				if length > cfg.MinSessionSeconds {
+				length := src.ExpFloat64() * daySessionMeanHours * Hour
+				if length > minSessionSeconds {
 					seg.Intervals = append(seg.Intervals, Interval{Start: start, End: start + length})
 				}
 			}

@@ -196,8 +196,6 @@ func TestSmartphoneConfigValidation(t *testing.T) {
 		{Users: 10, Duration: math.Inf(1)},
 		{Users: 10, Duration: Day, PermanentlyOffline: 1.5},
 		{Users: 10, Duration: Day, PermanentlyOffline: math.NaN()},
-		{Users: 10, Duration: Day, NightOwlFraction: -0.1},
-		{Users: 10, Duration: Day, NightOwlFraction: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Smartphone(cfg); err == nil {
