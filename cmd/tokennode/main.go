@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -87,61 +88,28 @@ func defineFlags(fs *flag.FlagSet, o *nodeOptions) *string {
 	return configPath
 }
 
-// loadConfigFile overlays o with the values of a JSON config file, keeping
-// every field named in set (explicit flags win over the file).
-func loadConfigFile(path string, o *nodeOptions, set map[string]bool) error {
-	data, err := os.ReadFile(path)
+// parseOptions reads the command line over the defaults. With -config, the
+// file is decoded into the defaults and the command line parsed again on
+// top, so explicit flags win over the file.
+func parseOptions(args []string, stderr io.Writer) (nodeOptions, error) {
+	o := defaultOptions()
+	fs := flag.NewFlagSet("tokennode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	configPath := defineFlags(fs, &o)
+	if err := fs.Parse(args); err != nil || *configPath == "" {
+		return o, err
+	}
+	data, err := os.ReadFile(*configPath)
 	if err != nil {
-		return err
+		return o, err
 	}
-	fromFile := *o
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	o = defaultOptions()
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fromFile); err != nil {
-		return fmt.Errorf("config %s: %w", path, err)
+	if err := dec.Decode(&o); err != nil {
+		return o, fmt.Errorf("config %s: %w", *configPath, err)
 	}
-	keep := *o
-	*o = fromFile
-	if set["id"] {
-		o.ID = keep.ID
-	}
-	if set["listen"] {
-		o.Listen = keep.Listen
-	}
-	if set["http"] {
-		o.HTTP = keep.HTTP
-	}
-	if set["peers"] {
-		o.Peers = keep.Peers
-	}
-	if set["app"] {
-		o.App = keep.App
-	}
-	if set["strategy"] {
-		o.Strategy = keep.Strategy
-	}
-	if set["cluster-size"] {
-		o.ClusterSize = keep.ClusterSize
-	}
-	if set["delta"] {
-		o.Delta = keep.Delta
-	}
-	if set["tokens"] {
-		o.Tokens = keep.Tokens
-	}
-	if set["seed"] {
-		o.Seed = keep.Seed
-	}
-	if set["overlay-seed"] {
-		o.OverlaySeed = keep.OverlaySeed
-	}
-	if set["queue"] {
-		o.Queue = keep.Queue
-	}
-	if set["overlay-k"] {
-		o.OverlayK = keep.OverlayK
-	}
-	return nil
+	return o, fs.Parse(args)
 }
 
 // parsePeers parses "1=127.0.0.1:7001,2=host:7002" into peer addresses.
@@ -259,19 +227,9 @@ func buildDaemon(o nodeOptions) (*live.Daemon, error) {
 
 // run is main without os.Exit, for tests.
 func run(args []string, stdout, stderr io.Writer) error {
-	o := defaultOptions()
-	fs := flag.NewFlagSet("tokennode", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	configPath := defineFlags(fs, &o)
-	if err := fs.Parse(args); err != nil {
+	o, err := parseOptions(args, stderr)
+	if err != nil {
 		return err
-	}
-	if *configPath != "" {
-		set := make(map[string]bool)
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if err := loadConfigFile(*configPath, &o, set); err != nil {
-			return err
-		}
 	}
 	d, err := buildDaemon(o)
 	if err != nil {

@@ -37,9 +37,8 @@ func TestLoadConfigFileOverride(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"id": 7, "delta": "250ms", "strategy": "simple:10"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := defaultOptions()
-	o.ID = 3 // explicitly set on the command line
-	if err := loadConfigFile(path, &o, map[string]bool{"id": true}); err != nil {
+	o, err := parseOptions([]string{"-config", path, "-id", "3"}, io.Discard)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if o.ID != 3 {
@@ -51,14 +50,37 @@ func TestLoadConfigFileOverride(t *testing.T) {
 	if o.App != "push-gossip" {
 		t.Errorf("default lost: app = %q", o.App)
 	}
-	if err := loadConfigFile(path+".missing", &o, nil); err == nil {
+	if _, err := parseOptions([]string{"-config", path + ".missing"}, io.Discard); err == nil {
 		t.Error("missing config file accepted")
 	}
 	if err := os.WriteFile(path, []byte(`{"nope": 1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := loadConfigFile(path, &o, nil); err == nil {
+	if _, err := parseOptions([]string{"-config", path}, io.Discard); err == nil {
 		t.Error("unknown config key accepted")
+	}
+}
+
+// TestConfigFileLosesToExplicitDefaults checks the cases the second parse of
+// the command line has to get right: a flag given before -config wins over
+// the file too, and so does a flag set explicitly to its default value.
+func TestConfigFileLosesToExplicitDefaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.json")
+	if err := os.WriteFile(path, []byte(`{"id": 7, "strategy": "simple:10", "delta": "250ms"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseOptions([]string{"-id", "3", "-strategy", "randomized:8:40", "-config", path}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.ID != 3 {
+		t.Errorf("flag before -config lost to the file: id = %d", o.ID)
+	}
+	if o.Strategy != defaultOptions().Strategy {
+		t.Errorf("explicit default lost to the file: strategy = %q", o.Strategy)
+	}
+	if o.Delta != "250ms" {
+		t.Errorf("file value not applied: delta = %q", o.Delta)
 	}
 }
 

@@ -65,7 +65,8 @@ type PeerAddr struct {
 
 // joinMsg announces a node to a peer. It doubles as the rejoin pull of
 // §4.1.2: the receiver adds the sender to its peer table and, if it has a
-// token, answers with its latest application message (RespondDirect).
+// token, answers with its latest application message (RespondDirect) on its
+// run loop.
 type joinMsg struct {
 	ID   int64  `json:"id"`
 	Addr string `json:"addr"`
@@ -194,8 +195,8 @@ type DaemonConfig struct {
 // it with Drain (graceful) or Close (immediate).
 //
 // One mutex serializes everything that touches the host: the run loop's
-// callbacks (ticks and deliveries), the rejoin answers given on transport
-// read goroutines, and outside readers (WithHost).
+// callbacks (ticks, deliveries and join answers) and outside readers
+// (WithHost).
 type Daemon struct {
 	cfg   DaemonConfig
 	ep    *transport.TCPEndpoint
@@ -244,7 +245,8 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	d.tick.d = d
 	// The endpoint is listening already and the environment installs its
 	// handler through the filter, so from here on a join can arrive before
-	// the host exists: handleJoin checks.
+	// the host exists: it waits in the run loop's queue, which only Start
+	// begins to drain.
 	d.env, err = NewEnv(EnvConfig{
 		N:            1,
 		Seed:         seed,
@@ -278,9 +280,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		_ = d.env.Close()
 		return nil, err
 	}
-	d.mu.Lock()
 	d.host = host
-	d.mu.Unlock()
 	for _, p := range cfg.Seeds {
 		if p.ID == cfg.ID {
 			continue
@@ -292,8 +292,10 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 }
 
 // controlFilter is the daemon's endpoint as the environment sees it: the
-// membership control payloads are peeled off on the transport's read
-// goroutines, before anything reaches the run loop's inbox.
+// membership changes of the control payloads happen on the transport's read
+// goroutines, before anything reaches the run loop's inbox. A leave ends
+// there; a join from another node goes on to the inbox, where the run loop
+// answers its pull (see daemonEnv.SetDeliver).
 type controlFilter struct {
 	*transport.TCPEndpoint
 	d *Daemon
@@ -306,8 +308,9 @@ func (f controlFilter) SetPayloadHandler(next transport.PayloadHandler) {
 		if p.Kind == protocol.KindBoxed {
 			switch m := p.Box.(type) {
 			case joinMsg:
-				f.d.handleJoin(m)
-				return
+				if !f.d.admit(m) {
+					return
+				}
 			case leaveMsg:
 				f.d.handleLeave(protocol.NodeID(m.ID))
 				return
@@ -334,10 +337,21 @@ func (e daemonEnv) locked(fn func()) func() {
 
 func (e daemonEnv) At(t float64, fn func()) { e.Env.At(t, e.locked(fn)) }
 
+// SetDeliver wraps the host's delivery callback: a join is the rejoin pull
+// of §4.1.2, which the daemon answers with its latest update if it has a
+// token to spend and stays silent otherwise; everything else goes to the
+// host.
 func (e daemonEnv) SetDeliver(fn runtime.DeliverFunc) {
+	d := e.d
 	e.Env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
-		e.d.mu.Lock()
-		defer e.d.mu.Unlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if m, ok := p.Box.(joinMsg); ok {
+			if d.host.Online(0) {
+				_ = d.host.Node(0).RespondDirect(protocol.NodeID(m.ID))
+			}
+			return
+		}
 		fn(from, to, p)
 	})
 }
@@ -375,21 +389,16 @@ func (k *daemonTick) RunHook(node int32, word uint64) {
 	}
 }
 
-// handleJoin admits a (re)joining peer and answers its pull: per §4.1.2 the
-// contacted neighbor sends back its latest update if it has a token to spend,
-// and stays silent otherwise.
-func (d *Daemon) handleJoin(m joinMsg) {
+// admit adds a (re)joining peer to the membership, reporting whether the
+// join came from another node.
+func (d *Daemon) admit(m joinMsg) bool {
 	id := protocol.NodeID(m.ID)
 	if id == d.cfg.ID {
-		return
+		return false
 	}
 	d.ep.AddPeer(id, m.Addr)
 	d.peers.add(id)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.host != nil && d.host.Online(0) {
-		_ = d.host.Node(0).RespondDirect(id)
-	}
+	return true
 }
 
 // handleLeave forgets a departing peer.

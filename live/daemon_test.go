@@ -509,8 +509,9 @@ func TestDaemonsSaturatedHoldRateBound(t *testing.T) {
 
 // TestDaemonJoinBeforeHostIsAssembled covers the construction window: the
 // endpoint listens before NewDaemon has built the host, so a join can arrive
-// on a daemon without one. It must be admitted to the membership and get no
-// answer, not crash the process.
+// on a daemon without one. It must be admitted to the membership at once and
+// get no answer, not crash the process: the join waits in the run loop's
+// queue, which nothing drains before Start.
 func TestDaemonJoinBeforeHostIsAssembled(t *testing.T) {
 	d, err := NewDaemon(daemonConfig(0, nil))
 	if err != nil {
@@ -534,6 +535,50 @@ func TestDaemonJoinBeforeHostIsAssembled(t *testing.T) {
 	d.mu.Unlock()
 	if st := daemonStats(d); st.ReactiveSent != 0 {
 		t.Errorf("a daemon without a host answered a join: %+v", st)
+	}
+}
+
+// TestDaemonAnswersJoinOnRunLoop pins where a join is handled: the read
+// goroutine admits the peer at once, and the run loop answers its rejoin
+// pull, so a daemon that has not been started answers only after Start.
+func TestDaemonAnswersJoinOnRunLoop(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := daemonConfig(0, nil)
+	cfg.Delta = time.Hour // no proactive send during the test
+	cfg.InitialTokens = 1
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	answers := make(chan protocol.Payload, 4)
+	peer := rawPeer(t, 1)
+	peer.SetPayloadHandler(func(_ protocol.NodeID, p protocol.Payload) {
+		if p.Kind != protocol.KindBoxed { // not the daemon's own join
+			answers <- p
+		}
+	})
+	peer.AddPeer(0, d.Endpoint().Addr())
+	if err := peer.SendPayload(0, protocol.BoxPayload(joinMsg{ID: 1, Addr: peer.Addr()})); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the join to be admitted", func() bool { return d.NumPeers() == 1 })
+	select {
+	case p := <-answers:
+		t.Fatalf("a daemon that was not started answered the join with %+v", p)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	d.Start(ctx)
+	select {
+	case <-answers:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the started daemon did not answer the join")
+	}
+	if st := daemonStats(d); st.ReactiveSent != 1 {
+		t.Errorf("%d reactive sends, want the one join answer", st.ReactiveSent)
 	}
 }
 

@@ -16,7 +16,6 @@ package live
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,30 +62,23 @@ type EnvConfig struct {
 // serialized on the run loop goroutine inside Run, so hosts and protocol
 // nodes need no locking. It is the deployable counterpart of simnet.Env and
 // turns the same assembly into the paper's "traffic shaping service".
+//
+// Like every runtime.Env, it is single-goroutine: its methods are called
+// during assembly, between runs, or from dispatched callbacks. Only the
+// transport's delivery queue, Stop and DroppedDeliveries are reached from
+// other goroutines.
 type Env struct {
 	cfg   EnvConfig
 	bus   *transport.MemoryBus
 	trans []transport.Transport
 
-	// mu guards everything below it but online, the engine included.
-	// Callbacks never run under mu: the engine's sinks only record the
-	// event Step pops in due, and the run loop runs it once mu is released,
-	// so callbacks may re-enter the environment and any goroutine may
-	// schedule. online is read and flipped without mu, during assembly and
-	// by dispatched callbacks only (see Availability).
-	mu      sync.Mutex
 	engine  *sim.Engine
-	due     dueEvent
-	timers  envSink
-	sends   envSink
-	hooks   []*envSink
 	deliver runtime.DeliverFunc
-	started bool
-	start   time.Time
+	start   time.Time // the run's wall-clock origin; zero until the first Run
 	online  runtime.Availability
 	closed  bool
 
-	wake  chan struct{}
+	wake  chan struct{} // wakes a sleeping run loop on Stop
 	inbox chan envDelivery
 	// stopped is read once per turn of the run loop, so it is an atomic flag
 	// and not a channel: the per-delivery path pays a load, not a select case.
@@ -94,7 +86,7 @@ type Env struct {
 
 	// droppedInbox counts deliveries discarded because the run loop could
 	// not keep up with the transport.
-	droppedInbox int64
+	droppedInbox atomic.Int64
 }
 
 var _ runtime.Env = (*Env)(nil)
@@ -102,47 +94,6 @@ var _ runtime.Env = (*Env)(nil)
 type envDelivery struct {
 	from, to protocol.NodeID
 	payload  protocol.Payload
-}
-
-// envSink is what the engine hands an event to: as a sim.DeliverySink, the
-// timer sink, whose events carry their callback in Delivery.Box, or the send
-// sink, whose events carry a payload inline; as a sim.Hook, the sink of one
-// runtime.Hook. Events therefore need no closure of their own, and every hook
-// gets its own lane. The hook itself is not handed to the engine, because
-// the engine runs under mu and the hook must run outside it.
-type envSink struct {
-	env  *Env
-	send bool
-	hook runtime.Hook
-}
-
-// dueEvent is the event the engine popped last, as its sink recorded it.
-type dueEvent struct {
-	sink *envSink
-	d    sim.Delivery
-}
-
-// Deliver implements sim.DeliverySink. The engine calls it inside Step,
-// under mu, so it only records the event for the run loop.
-func (s *envSink) Deliver(d sim.Delivery) { s.env.due = dueEvent{sink: s, d: d} }
-
-// RunHook implements sim.Hook for a hook's sink, and records the event like
-// Deliver: the hook itself runs on the run loop, outside mu.
-func (s *envSink) RunHook(to int32, word uint64) {
-	s.env.due = dueEvent{sink: s, d: sim.Delivery{To: to, Word: word}}
-}
-
-// run executes a recorded event on the run loop, outside mu.
-func (s *envSink) run(d sim.Delivery) {
-	switch {
-	case s.hook != nil:
-		s.hook.RunHook(d.To, d.Word)
-	case s.send:
-		s.env.sendNow(protocol.NodeID(d.From), protocol.NodeID(d.To),
-			protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
-	default:
-		d.Box.(func())()
-	}
 }
 
 // NewEnv builds a wall-clock environment with every node online and one
@@ -176,8 +127,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		wake:   make(chan struct{}, 1),
 		inbox:  make(chan envDelivery, cfg.QueueSize),
 	}
-	e.timers = envSink{env: e}
-	e.sends = envSink{env: e, send: true}
 	if cfg.NewTransport == nil {
 		e.bus = transport.NewMemoryBus()
 	}
@@ -218,11 +167,7 @@ func (e *Env) Bus() *transport.MemoryBus { return e.bus }
 
 // DroppedDeliveries returns the number of messages discarded because the run
 // loop's delivery queue was full.
-func (e *Env) DroppedDeliveries() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.droppedInbox
-}
+func (e *Env) DroppedDeliveries() int64 { return e.droppedInbox.Load() }
 
 // enqueue hands a transport delivery to the run loop, dropping it if the
 // loop cannot keep up.
@@ -230,9 +175,7 @@ func (e *Env) enqueue(d envDelivery) {
 	select {
 	case e.inbox <- d:
 	default:
-		e.mu.Lock()
-		e.droppedInbox++
-		e.mu.Unlock()
+		e.droppedInbox.Add(1)
 	}
 }
 
@@ -257,96 +200,50 @@ func (e *Env) wallDuration(seconds float64) time.Duration {
 	return time.Duration(wall * float64(time.Second))
 }
 
-// ensureStarted pins the run's wall-clock origin on first use.
-func (e *Env) ensureStarted() {
-	e.mu.Lock()
-	if !e.started {
-		e.started = true
-		e.start = time.Now()
-	}
-	e.mu.Unlock()
-}
-
 // Now implements runtime.Env: wall time since the start of the run,
 // expressed in run-seconds. Before the run starts it returns 0.
 func (e *Env) Now() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.nowLocked()
-}
-
-// nowLocked is Now for a caller holding mu.
-func (e *Env) nowLocked() float64 {
-	if !e.started {
+	if e.start.IsZero() {
 		return 0
 	}
 	return time.Since(e.start).Seconds() / e.cfg.TimeScale
 }
 
-// At implements runtime.Env. Unlike the simulated environment it may be
-// called from any goroutine; the callback still runs on the run loop.
+// clamp maps a run time in the past, or NaN, to the present.
+func (e *Env) clamp(t float64) float64 {
+	if now := e.Now(); t < now || t != t {
+		return now
+	}
+	return t
+}
+
+// At implements runtime.Env: the callback goes to the engine at t, clamped
+// to the wall clock.
 func (e *Env) At(t float64, fn func()) {
 	if fn == nil {
 		panic("live: At with nil callback")
 	}
-	e.schedule(t, true, sim.Delivery{Box: fn}, &e.timers)
+	e.engine.At(e.clamp(t), fn)
 }
 
 // AtHook implements runtime.Env: the hook event goes to the hook's lane in
 // the engine (see sim.Engine.ScheduleHookAt) with the clamping and tie-break
-// order of At, and without a closure. Like At, it may be called from any
-// goroutine.
+// order of At, and without a closure.
 func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
-	e.schedule(t, true, sim.Delivery{To: node, Word: word}, e.hookSink(hook))
-}
-
-// hookSink returns the sink of hook, registering it on first use.
-func (e *Env) hookSink(hook runtime.Hook) *envSink {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range e.hooks {
-		if s.hook == hook {
-			return s
-		}
-	}
-	s := &envSink{env: e, hook: hook}
-	e.hooks = append(e.hooks, s)
-	return s
-}
-
-// schedule puts an event for sink on the engine at run time t and wakes the
-// run loop. With clamp set, a t in the past means the present (At, AtHook).
-// Without it the event keeps its time even in the past, where it is due at
-// once and fires in nominal order: Every re-arms that way, so a periodic
-// chain that fell behind the wall clock still executes every repetition
-// within the horizon — most importantly during Run's deadline drain, where a
-// clamped re-arm would land past the horizon and silently drop the final
-// on-grid metric sample, making the sample count load-dependent instead of
-// runtime-neutral. (The engine clamps to the time of the event it popped
-// last, which no re-arm precedes.)
-func (e *Env) schedule(t float64, clamp bool, d sim.Delivery, sink *envSink) {
-	e.mu.Lock()
-	if clamp {
-		if now := e.nowLocked(); t < now || t != t {
-			t = now
-		}
-	}
-	if sink.hook != nil {
-		e.engine.ScheduleHookAt(t, d.To, d.Word, sink)
-	} else {
-		e.engine.ScheduleDeliveryAt(t, d, sink)
-	}
-	e.mu.Unlock()
-	select {
-	case e.wake <- struct{}{}:
-	default:
-	}
+	e.engine.ScheduleHookAt(e.clamp(t), node, word, hook)
 }
 
 // Every implements runtime.Env. Repetitions re-arm on the nominal grid
 // now+phase+k·interval rather than relative to the (slightly late) wall time
 // of each firing, so a periodic event keeps the cadence the simulated
-// environment would produce instead of accumulating scheduling drift.
+// environment would produce instead of accumulating scheduling drift. A
+// re-arm is not clamped to the wall clock: in the past it is due at once and
+// fires in nominal order, so a chain that fell behind still executes every
+// repetition within the horizon — most importantly during Run's deadline
+// drain, where a clamped re-arm would land past the horizon and silently drop
+// the final on-grid metric sample, making the sample count load-dependent
+// instead of runtime-neutral. (The engine clamps to the time of the event it
+// popped last, which no re-arm precedes.)
 func (e *Env) Every(phase, interval float64, fn func() bool) {
 	if fn == nil {
 		panic("live: Every with nil callback")
@@ -362,10 +259,10 @@ func (e *Env) Every(phase, interval float64, fn func() bool) {
 	tick = func() {
 		if fn() {
 			next += interval
-			e.schedule(next, false, sim.Delivery{Box: tick}, &e.timers)
+			e.engine.At(next, tick)
 		}
 	}
-	e.schedule(next, false, sim.Delivery{Box: tick}, &e.timers)
+	e.engine.At(next, tick)
 }
 
 // Rand returns randomness stream s: a SplitMix64 generator seeded with
@@ -391,6 +288,14 @@ func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 	_ = e.trans[from].SendPayload(to, payload)
 }
 
+// Deliver implements sim.DeliverySink for the events of SendDelayed: once a
+// message's delay has elapsed, the run loop hands its payload to the
+// sender's transport.
+func (e *Env) Deliver(d sim.Delivery) {
+	e.sendNow(protocol.NodeID(d.From), protocol.NodeID(d.To),
+		protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
+}
+
 // SendDelayed implements runtime.Env: the per-message delay sampled by a
 // network model is realized on the run loop's scheduler — the payload, held
 // inline in the engine's event like a simulated delivery, reaches the
@@ -398,9 +303,8 @@ func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
 // traverses the transport as usual and re-surfaces on the run loop via the
 // delivery queue, with the Kind, Word and Box it was sent with (word
 // payloads cross TCP in the compact binary frame). Messages sent together
-// with equal delays arrive together. It may be called from any dispatched
-// callback; delays at or past the run horizon mean the message is never
-// delivered, mirroring the simulated environment.
+// with equal delays arrive together. Delays at or past the run horizon mean
+// the message is never delivered, mirroring the simulated environment.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
 	if int(from) < 0 || int(from) >= len(e.trans) {
 		return
@@ -409,60 +313,38 @@ func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, de
 		e.sendNow(from, to, payload)
 		return
 	}
-	e.schedule(e.Now()+delay, false, sim.Delivery{
+	e.engine.ScheduleDeliveryAt(e.Now()+delay, sim.Delivery{
 		From: int32(from),
 		To:   int32(to),
 		Kind: uint32(payload.Kind),
 		Word: payload.Word,
 		Box:  payload.Box,
-	}, &e.sends)
+	}, e)
 }
 
-// SetDeliver implements runtime.Env. It may be called from any goroutine;
-// the run loop reads the callback under the same mutex, so a mid-run swap is
-// race-free (each delivery sees either the old or the new callback).
-func (e *Env) SetDeliver(fn runtime.DeliverFunc) {
-	e.mu.Lock()
-	e.deliver = fn
-	e.mu.Unlock()
-}
+// SetDeliver implements runtime.Env.
+func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.deliver = fn }
 
-// Availability implements runtime.Env. The Host reads and flips the set on
-// the run loop without taking the environment's mutex, so lifecycle flips
-// during a run belong to dispatched callbacks, as the Env contract says.
-// Messages already queued for a node taken offline are dropped at delivery
-// time by the host's online check.
+// Availability implements runtime.Env. Messages already queued for a node
+// taken offline are dropped at delivery time by the host's online check.
 func (e *Env) Availability() *runtime.Availability { return &e.online }
 
 // step runs the earliest pending event if it is due — within the horizon
 // and, unless the run is draining past its deadline, not after the current
-// run time — and reports whether it ran one. The engine pops the event under
-// mu and its sink records it; it runs after mu is released.
+// run time — and reports whether it ran one.
 func (e *Env) step(until float64, draining bool) bool {
-	e.mu.Lock()
 	t, ok := e.engine.NextTime()
-	if !ok || t > until || !draining && t > e.nowLocked() {
-		e.mu.Unlock()
+	if !ok || t > until || !draining && t > e.Now() {
 		return false
 	}
 	e.engine.Step()
-	ev := e.due
-	e.due = dueEvent{}
-	e.mu.Unlock()
-	ev.sink.run(ev.d)
 	return true
 }
 
-// dispatch runs one transport delivery on the run loop. The callback is read
-// under mu (it may be swapped from another goroutine, see SetDeliver) but
-// invoked outside it: delivery handlers re-enter the environment (Send, At,
-// the inbox overflow counter), all of which take mu.
+// dispatch runs one transport delivery on the run loop.
 func (e *Env) dispatch(d envDelivery) {
-	e.mu.Lock()
-	deliver := e.deliver
-	e.mu.Unlock()
-	if deliver != nil {
-		deliver(d.from, d.to, d.payload)
+	if e.deliver != nil {
+		e.deliver(d.from, d.to, d.payload)
 	}
 }
 
@@ -490,14 +372,13 @@ func (e *Env) Run(until float64) error {
 		return fmt.Errorf("live: Run horizon %g run-seconds spans %g wall-clock seconds at TimeScale %g, beyond the one-year scheduling limit (lower the horizon or the time scale)",
 			until, wall, e.cfg.TimeScale)
 	}
-	e.ensureStarted()
-	e.mu.Lock()
-	closed := e.closed
-	deadline := e.start.Add(e.wallDuration(until))
-	e.mu.Unlock()
-	if closed {
+	if e.closed {
 		return transport.ErrClosed
 	}
+	if e.start.IsZero() {
+		e.start = time.Now()
+	}
+	deadline := e.start.Add(e.wallDuration(until))
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -522,7 +403,7 @@ func (e *Env) Run(until float64) error {
 			// within the horizon is due by definition — most importantly the
 			// final metric sample scheduled at exactly the horizon, which
 			// must not lose a race against the deadline check. Every re-arms
-			// land at their nominal times (schedule, no clamping), so a
+			// land at their nominal times (no clamping, see Every), so a
 			// chain that fell behind replays its remaining in-horizon
 			// repetitions right here; each re-arm advances by a positive
 			// interval, so every chain leaves the horizon and the drain
@@ -542,13 +423,10 @@ func (e *Env) Run(until float64) error {
 			}
 			return nil
 		}
-		// Sleep until the next event, the deadline, a cross-goroutine
-		// schedule, or a delivery — whichever comes first.
+		// Sleep until the next event, the deadline, a Stop, or a delivery —
+		// whichever comes first.
 		next := deadline
-		e.mu.Lock()
-		t, ok := e.engine.NextTime()
-		e.mu.Unlock()
-		if ok && t <= until {
+		if t, ok := e.engine.NextTime(); ok && t <= until {
 			if w := e.start.Add(e.wallDuration(t)); w.Before(next) {
 				next = w
 			}
@@ -582,13 +460,10 @@ func stopTimer(t *time.Timer) {
 // Close implements runtime.Env: it shuts down every transport endpoint.
 // Pending timers and undelivered messages are discarded.
 func (e *Env) Close() error {
-	e.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
 		return nil
 	}
 	e.closed = true
-	e.mu.Unlock()
 	var first error
 	for _, tr := range e.trans {
 		if tr == nil {

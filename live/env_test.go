@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,41 +150,6 @@ func TestEnvLifecycleOutOfRange(t *testing.T) {
 	}
 	if !online.Online(0) || !online.Online(2) {
 		t.Error("in-range nodes must stay online")
-	}
-}
-
-// TestEnvSetDeliverConcurrentWithDispatch is the regression test for the
-// SetDeliver data race: the delivery callback is swapped from another
-// goroutine while the run loop dispatches transport deliveries. Under -race
-// this flagged the unguarded write to Env.deliver.
-func TestEnvSetDeliverConcurrentWithDispatch(t *testing.T) {
-	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.0005})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	var delivered atomic.Int64
-	count := func(protocol.NodeID, protocol.NodeID, protocol.Payload) { delivered.Add(1) }
-	env.SetDeliver(count)
-	// Generate a steady delivery stream on the run loop.
-	env.Every(1, 1, func() bool {
-		env.Send(0, 1, protocol.BoxPayload("m"))
-		return true
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			env.SetDeliver(count)
-		}
-	}()
-	if err := env.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if delivered.Load() == 0 {
-		t.Error("no deliveries dispatched during the race window")
 	}
 }
 
@@ -498,6 +462,48 @@ func TestEnvStopWhileIdle(t *testing.T) {
 	}
 }
 
+// TestEnvDropsDeliveriesWhenQueueIsFull fills a one-slot delivery queue
+// while the run loop is busy in a callback: the transport goroutine drops
+// the surplus and counts it, another goroutine reads the count while Run
+// executes, and the one message that fit is delivered once the loop is free.
+func TestEnvDropsDeliveriesWhenQueueIsFull(t *testing.T) {
+	const sent = 5
+	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001, QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	delivered := 0
+	env.SetDeliver(func(from, to protocol.NodeID, payload protocol.Payload) { delivered++ })
+	observed := make(chan int64, 1)
+	go func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for env.DroppedDeliveries() < sent-1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		observed <- env.DroppedDeliveries()
+	}()
+	var seen int64 = -1
+	env.At(0, func() {
+		for i := 0; i < sent; i++ {
+			env.Send(0, 1, protocol.BoxPayload(i))
+		}
+		seen = <-observed
+	})
+	if err := env.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if seen != sent-1 {
+		t.Errorf("DroppedDeliveries read %d from another goroutine during Run, want %d", seen, sent-1)
+	}
+	if got := env.DroppedDeliveries(); got != sent-1 {
+		t.Errorf("DroppedDeliveries = %d after Run, want %d", got, sent-1)
+	}
+	if delivered != 1 {
+		t.Errorf("%d deliveries, want the 1 that fit the queue", delivered)
+	}
+}
+
 // TestEnvLatencyIsPerMessage requires EnvConfig.Latency to delay every
 // message by itself, on the memory bus and over TCP alike: 16 messages sent
 // in one callback all arrive one latency later, not one after another.
@@ -707,141 +713,5 @@ func TestEnvDeliversPayloadsUnchanged(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// firingLog records, on the run loop, which goroutine's call fired when,
-// and closes all once want calls have fired.
-type firingLog struct {
-	env   *live.Env
-	want  int
-	fired int
-	all   chan struct{}
-	calls [][]float64 // per goroutine: the scheduled time of each call
-	log   [][]firing  // per goroutine, in firing order
-}
-
-type firing struct {
-	call int
-	at   float64
-}
-
-func (l *firingLog) record(g, call int) {
-	l.log[g] = append(l.log[g], firing{call: call, at: l.env.Now()})
-	if l.fired++; l.fired == l.want {
-		close(l.all)
-	}
-}
-
-// RunHook makes the log a hook: node is the goroutine, word the call.
-func (l *firingLog) RunHook(node int32, word uint64) { l.record(int(node), int(word)) }
-
-// sendRecorder is node from's transport: it logs each typed send instead of
-// delivering it, so a delayed send fires when it enters the transport, on
-// the run loop.
-type sendRecorder struct {
-	log  *firingLog
-	from int
-}
-
-func (r sendRecorder) SendPayload(_ protocol.NodeID, p protocol.Payload) error {
-	r.log.record(r.from, int(p.Word))
-	return nil
-}
-func (sendRecorder) SetPayloadHandler(transport.PayloadHandler) {}
-func (sendRecorder) Close() error                               { return nil }
-
-// TestEnvSchedulesFromOtherGoroutines pins the contract the daemon relies on
-// when a request goroutine brings its node online (Host.SetOnline → AtHook):
-// while Run is active, goroutines schedule through At (at an absolute time
-// and at a delay from Now), AtHook and SendDelayed at strictly increasing
-// times. Every event fires exactly once,
-// never before its run time, and in (time, call) order within each
-// goroutine, and Stop then ends the run.
-func TestEnvSchedulesFromOtherGoroutines(t *testing.T) {
-	const (
-		goroutines = 8
-		rounds     = 200  // calls of each method per goroutine
-		step       = 0.01 // run-seconds between one goroutine's events: 100 µs
-	)
-	l := &firingLog{
-		want:  goroutines * 4 * rounds,
-		all:   make(chan struct{}),
-		calls: make([][]float64, goroutines),
-		log:   make([][]firing, goroutines),
-	}
-	env, err := live.NewEnv(live.EnvConfig{N: goroutines, TimeScale: 1e-2,
-		NewTransport: func(i int) (transport.Transport, error) { return sendRecorder{log: l, from: i}, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	l.env = env
-	running := make(chan struct{})
-	env.At(0, func() { close(running) })
-	finished := make(chan error, 1)
-	go func() { finished <- env.Run(math.Inf(1)) }()
-	<-running
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Each call's event lies at or after next and at or before
-			// latest, which its successor's next exceeds by step, so the
-			// goroutine's events have strictly increasing times. A relative
-			// delay stays positive: a non-positive one would send from this
-			// goroutine at once.
-			times := make([]float64, 4*rounds)
-			next := env.Now() + 1
-			for c := range times {
-				times[c] = next
-				delay := max(next-env.Now(), 1e-9)
-				switch c % 4 {
-				case 0:
-					env.At(next, func() { l.record(g, c) })
-				case 1:
-					env.AtHook(next, l, int32(g), uint64(c))
-				case 2:
-					env.At(env.Now()+delay, func() { l.record(g, c) })
-				case 3:
-					env.SendDelayed(protocol.NodeID(g), protocol.NodeID(g),
-						protocol.WordPayload(protocol.KindUpdateSeq, uint64(c)), delay)
-				}
-				latest := env.Now() + delay
-				next = latest + step
-			}
-			l.calls[g] = times
-		}(g)
-	}
-	wg.Wait()
-	select {
-	case <-l.all:
-	case <-time.After(10 * time.Second):
-		t.Fatal("not every event fired within 10 s")
-	}
-	env.Stop()
-	select {
-	case err := <-finished:
-		if err != nil {
-			t.Fatalf("Run = %v after Stop", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return on Stop")
-	}
-	for g, log := range l.log {
-		if len(log) != 4*rounds {
-			t.Fatalf("goroutine %d: %d events fired, want %d", g, len(log), 4*rounds)
-		}
-		for i, f := range log {
-			if f.call != i {
-				t.Fatalf("goroutine %d: firing %d is call %d, want call order", g, i, f.call)
-			}
-			if want := l.calls[g][i]; f.at < want {
-				t.Errorf("goroutine %d: call %d fired at %v, before its time %v", g, i, f.at, want)
-			}
-		}
 	}
 }

@@ -49,8 +49,7 @@ type DeliverFunc func(from, to protocol.NodeID, payload protocol.Payload)
 // Environments serialize all callbacks — scheduled timers, repeating events
 // and message deliveries — on a single dispatch goroutine, so Host state and
 // protocol nodes need no locking. Env methods themselves must only be called
-// during assembly (before Run) or from within dispatched callbacks, except
-// where an implementation documents otherwise.
+// during assembly (before Run) or from within dispatched callbacks.
 type Env interface {
 	// Now returns the current run time in seconds.
 	Now() float64
