@@ -28,7 +28,6 @@ var surfaceAllowed = map[string]string{
 	"apps/pushgossip.Update.Payload":         "test fixture: the update payload the runtime, simnet and live tests deliver by hand",
 	"core.MustPureReactive":                  "test fixture: the flooding reference strategy of the protocol, runtime and simnet tests",
 	"internal/profiling/proftest.CheckFlags": "test helper package: the profiling-flag check shared by the tokensim, sweep and paperfigs tests",
-	"live.Env.Bus":                           "fault-injection fixture: the one handle on the memory bus's fault options",
 	"live.Env.Rand":                          "bench-only: the benchmark module's live relay draws from it",
 	"meanfield.Equilibrium":                  "oracle: the mean-field equilibrium simulated balances are compared with",
 	"meanfield.Generalized":                  "oracle: the mean-field model of the generalized strategy, which the experiment tests and root benchmarks compare with",
@@ -48,12 +47,8 @@ var surfaceAllowed = map[string]string{
 	"simnet.Env.Schedule":                    "bench-only: the benchmark module's traced environment still calls it",
 	"trace.AlwaysOnline":                     "test fixture: the failure-free trace the runtime and simnet tests edit into churn schedules",
 	"trace.ReadCSV":                          "fuzzed (FuzzCSVRoundTrip); the tracegen tests read its output with it",
-	"transport.MemoryBus.Block":              "fault-injection fixture of the memory bus",
-	"transport.MemoryBus.Unblock":            "fault-injection fixture of the memory bus",
 	"transport.TCPEndpoint.Send":             "bench-only: the benchmark module's traced transport still calls it",
 	"transport.TCPEndpoint.SetHandler":       "bench-only: the benchmark module still calls it",
-	"transport.WithDropProbability":          "fault-injection fixture of the memory bus",
-	"transport.WithPartition":                "fault-injection fixture of the memory bus",
 	"workload.ReadStream":                    "fuzzed (FuzzStreamRoundTrip, FuzzReadStream); the tracegen tests read its output with it",
 }
 

@@ -40,8 +40,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// In-process memory bus; live.NewTCPEnv would put the same nodes on
-	// loopback sockets.
+	// In process: the run loop delivers every message itself;
+	// live.NewTCPEnv would put the same nodes on loopback sockets.
 	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -53,7 +53,7 @@ func main() {
 		NewApp:   func(int) protocol.Application { return pushgossip.New() },
 		Delta:    delta,
 		// Every message is held 1 ms on the run loop's scheduler before it
-		// enters the bus.
+		// is delivered.
 		Network: netmodel.Constant{D: 0.001},
 	})
 	if err != nil {

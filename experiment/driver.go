@@ -151,8 +151,8 @@ type RunSummarizer interface {
 // RuntimeDriver supplies the execution runtime of an experiment: it builds
 // the runtime.Env one repetition runs on. The three runtimes are SimRuntime
 // ("sim": the discrete-event engine in virtual time, the paper's setup, or
-// its sharded variant), LiveRuntime ("live": wall-clock timers over the
-// in-process memory bus) and LiveTCPRuntime ("live-tcp": the same over
+// its sharded variant), LiveRuntime ("live": wall-clock timers, messages
+// delivered in process) and LiveTCPRuntime ("live-tcp": the same over
 // loopback TCP sockets). ParseRuntime resolves their spec strings.
 type RuntimeDriver interface {
 	// Name is the canonical runtime name, used by ParseRuntime.

@@ -1,6 +1,7 @@
 package experiment_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
@@ -32,20 +33,23 @@ func TestParseLiveTCPRuntime(t *testing.T) {
 }
 
 // TestLiveRuntimesPickTheirTransport checks that the one live driver type
-// builds the environment its name promises: "live" runs on the in-process
-// memory bus, "live-tcp" on loopback sockets (an Env without a bus), each
-// with the configured number of node slots, parameterized or not.
+// builds the environment its name promises: "live" delivers in process and
+// starts no goroutine, "live-tcp" runs on loopback sockets and starts at
+// least one accept loop per node, each with the configured number of node
+// slots, parameterized or not.
 func TestLiveRuntimesPickTheirTransport(t *testing.T) {
 	for _, c := range []struct {
 		spec string
-		bus  bool
-	}{{"live:0.5", true}, {"live-tcp:0.5", false}} {
+		tcp  bool
+	}{{"live:0.5", false}, {"live-tcp:0.5", true}} {
 		t.Run(c.spec, func(t *testing.T) {
 			d, err := experiment.ParseRuntime(c.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			goroutines := runtime.NumGoroutine()
 			env, err := d.NewEnv(experiment.Config{N: 4}, 1)
+			started := runtime.NumGoroutine() - goroutines
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,8 +58,11 @@ func TestLiveRuntimesPickTheirTransport(t *testing.T) {
 				t.Fatalf("NewEnv returned %T, want *live.Env", env)
 			}
 			defer le.Close()
-			if got := le.Bus() != nil; got != c.bus {
-				t.Errorf("memory bus present = %v, want %v", got, c.bus)
+			if c.tcp && started < 4 {
+				t.Errorf("NewEnv started %d goroutines for 4 TCP nodes, want ≥ 4", started)
+			}
+			if !c.tcp && started > 0 {
+				t.Errorf("NewEnv started %d goroutines in process, want 0", started)
 			}
 			if n := le.Availability().N(); n != 4 {
 				t.Errorf("env has %d node slots, want 4", n)

@@ -22,8 +22,8 @@ var (
 	// SimRuntimeWithOptions (or the "sim:shards=N" spec) selects the sharded
 	// one.
 	SimRuntime RuntimeDriver = simRuntime{}
-	// LiveRuntime executes repetitions in real time: wall-clock timers, one
-	// transport endpoint per node over the in-process memory bus, and the
+	// LiveRuntime executes repetitions in real time: wall-clock timers,
+	// messages delivered in process on the run loop's scheduler, and the
 	// default time compression of DefaultLiveTimeScale. It turns the same
 	// experiment spec into a scaled-down deployment rehearsal.
 	LiveRuntime RuntimeDriver = liveRuntime{name: "live"}
@@ -154,8 +154,8 @@ func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 }
 
 // liveRuntime is the wall-clock RuntimeDriver, named after its transport:
-// "live" runs every node on the in-process memory bus, "live-tcp" on a
-// loopback TCP socket. A zero TimeScale uses the default time compression.
+// "live" delivers every message in process, "live-tcp" over a loopback TCP
+// socket per node. A zero TimeScale uses the default time compression.
 type liveRuntime struct {
 	name string
 	// TimeScale is the wall-clock duration of one run-second; 0 selects

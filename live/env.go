@@ -4,7 +4,7 @@
 // for decentralized applications.
 //
 // Env is the wall-clock implementation of runtime.Env: one run loop
-// serializing timers and transport deliveries for a whole set of nodes, so
+// serializing timers and message deliveries for a whole set of nodes, so
 // the runtime-neutral runtime.Host — and with it every experiment scenario
 // and metric probe — executes unchanged in real time. Its timed events live
 // on a private sim.Engine, the scheduler of the simulated environments, so
@@ -43,34 +43,39 @@ type EnvConfig struct {
 	// Send — its Config.Network samples every delay — so Latency only
 	// matters to code that sends straight through the environment.
 	Latency float64
-	// NewTransport optionally overrides the built-in in-process memory bus:
-	// it must return the transport endpoint of node i, whose
+	// NewTransport optionally runs the environment over an external
+	// transport: it must return the transport endpoint of node i, whose
 	// SendPayload(to, ...) reaches the endpoint returned for node `to`. Use
-	// it to run the environment over TCP endpoints. Nil selects the memory
-	// bus.
+	// it to run the environment over TCP endpoints. Nil keeps every message
+	// in process: a due delivery calls the delivery callback straight from
+	// the run loop, as in simnet.Env, with no transport, goroutine or queue.
 	NewTransport func(i int) (transport.Transport, error)
-	// QueueSize bounds the delivery queue between the transport goroutines
-	// and the run loop (default 4096). When the queue is full further
-	// messages are dropped, which the protocol tolerates.
+	// QueueSize bounds the delivery queue between an external transport's
+	// goroutines and the run loop (default 4096). When the queue is full
+	// further messages are dropped, which the protocol tolerates. An
+	// in-process Env has no queue.
 	QueueSize int
 }
 
 // Env is the wall-clock implementation of runtime.Env: timers fire at real
-// deadlines (optionally compressed by TimeScale), messages travel over a
-// real transport (the in-process memory bus by default, TCP via
-// NewTransport), and all callbacks — timers and deliveries alike — are
-// serialized on the run loop goroutine inside Run, so hosts and protocol
-// nodes need no locking. It is the deployable counterpart of simnet.Env and
-// turns the same assembly into the paper's "traffic shaping service".
+// deadlines (optionally compressed by TimeScale), messages are delivered on
+// the Env's own scheduler (in process, the default) or travel over an
+// external transport (TCP via NewTransport), and all callbacks — timers and
+// deliveries alike — are serialized on the run loop goroutine inside Run, so
+// hosts and protocol nodes need no locking. It is the deployable counterpart
+// of simnet.Env and turns the same assembly into the paper's "traffic
+// shaping service".
 //
 // Like every runtime.Env, it is single-goroutine: its methods are called
-// during assembly, between runs, or from dispatched callbacks. Only the
-// transport's delivery queue, Stop and DroppedDeliveries are reached from
-// other goroutines.
+// during assembly, between runs, or from dispatched callbacks. Only an
+// external transport's delivery queue, Stop and DroppedDeliveries are
+// reached from other goroutines.
 type Env struct {
 	cfg   EnvConfig
-	bus   *transport.MemoryBus
-	trans []transport.Transport
+	trans []transport.Transport // nil in process
+	// sink receives the due events of SendDelayed: the Env itself in
+	// process, its transportSink over an external transport.
+	sink sim.DeliverySink
 
 	engine  *sim.Engine
 	deliver runtime.DeliverFunc
@@ -78,8 +83,8 @@ type Env struct {
 	online  runtime.Availability
 	closed  bool
 
-	wake  chan struct{} // wakes a sleeping run loop on Stop
-	inbox chan envDelivery
+	wake  chan struct{}    // wakes a sleeping run loop on Stop
+	inbox chan envDelivery // nil in process, so the run loop never selects it
 	// stopped is read once per turn of the run loop, so it is an atomic flag
 	// and not a channel: the per-delivery path pays a load, not a select case.
 	stopped atomic.Bool
@@ -96,8 +101,8 @@ type envDelivery struct {
 	payload  protocol.Payload
 }
 
-// NewEnv builds a wall-clock environment with every node online and one
-// transport endpoint per node.
+// NewEnv builds a wall-clock environment with every node online and, with
+// EnvConfig.NewTransport, one transport endpoint per node.
 func NewEnv(cfg EnvConfig) (*Env, error) {
 	switch {
 	case cfg.N < 1 || cfg.N > 65536:
@@ -121,25 +126,19 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 	e := &Env{
 		cfg:    cfg,
-		trans:  make([]transport.Transport, cfg.N),
 		engine: sim.NewEngine(),
 		online: runtime.NewAvailability(cfg.N),
 		wake:   make(chan struct{}, 1),
-		inbox:  make(chan envDelivery, cfg.QueueSize),
 	}
 	if cfg.NewTransport == nil {
-		e.bus = transport.NewMemoryBus()
+		e.sink = e
+		return e, nil
 	}
+	e.sink = (*transportSink)(e)
+	e.trans = make([]transport.Transport, cfg.N)
+	e.inbox = make(chan envDelivery, cfg.QueueSize)
 	for i := 0; i < cfg.N; i++ {
-		var (
-			tr  transport.Transport
-			err error
-		)
-		if cfg.NewTransport != nil {
-			tr, err = cfg.NewTransport(i)
-		} else {
-			tr, err = e.bus.Endpoint(protocol.NodeID(i))
-		}
+		tr, err := cfg.NewTransport(i)
 		if err != nil {
 			_ = e.Close()
 			return nil, fmt.Errorf("live: transport for node %d: %w", i, err)
@@ -157,16 +156,8 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	return e, nil
 }
 
-// Bus returns the built-in memory bus, or nil when a custom transport is in
-// use. The bus itself adds no delay: EnvConfig.Latency is realized before a
-// message reaches it, as for every transport. Only tests call Bus, to read
-// delivery statistics and to inject faults; it stays exported as the one
-// handle on the bus's fault options (see transport.BusOption) from outside
-// this package.
-func (e *Env) Bus() *transport.MemoryBus { return e.bus }
-
 // DroppedDeliveries returns the number of messages discarded because the run
-// loop's delivery queue was full.
+// loop's delivery queue was full; it stays 0 in process.
 func (e *Env) DroppedDeliveries() int64 { return e.droppedInbox.Load() }
 
 // enqueue hands a transport delivery to the run loop, dropping it if the
@@ -281,37 +272,28 @@ func (e *Env) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	e.SendDelayed(from, to, payload, e.cfg.Latency)
 }
 
-// sendNow pushes one payload into the sender's transport endpoint; SendDelayed
-// has checked the sender.
-func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
-	// Delivery failures are message loss, which the protocol tolerates.
-	_ = e.trans[from].SendPayload(to, payload)
-}
-
-// Deliver implements sim.DeliverySink for the events of SendDelayed: once a
-// message's delay has elapsed, the run loop hands its payload to the
-// sender's transport.
-func (e *Env) Deliver(d sim.Delivery) {
-	e.sendNow(protocol.NodeID(d.From), protocol.NodeID(d.To),
-		protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
-}
-
 // SendDelayed implements runtime.Env: the per-message delay sampled by a
-// network model is realized on the run loop's scheduler — the payload, held
-// inline in the engine's event like a simulated delivery, reaches the
-// sender's transport endpoint once the delay has elapsed in run time, then
-// traverses the transport as usual and re-surfaces on the run loop via the
-// delivery queue, with the Kind, Word and Box it was sent with (word
-// payloads cross TCP in the compact binary frame). Messages sent together
-// with equal delays arrive together. Delays at or past the run horizon mean
-// the message is never delivered, mirroring the simulated environment.
+// network model is realized on the run loop's scheduler, the payload held
+// inline in the engine's event like a simulated delivery. In process, the
+// event is due at Now()+delay (Now() for a zero or NaN delay) and hands the
+// payload to the delivery callback (see Deliver). Over an external transport
+// the due event, or SendDelayed itself for a zero or NaN delay, puts the
+// payload into the sender's endpoint; it traverses the transport and
+// re-surfaces on the run loop via the delivery queue, with the Kind, Word and
+// Box it was sent with (word payloads cross TCP in the compact binary frame).
+// Messages sent together with equal delays arrive together. Delays at or
+// past the run horizon mean the message is never delivered, mirroring the
+// simulated environment.
 func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, delay float64) {
-	if int(from) < 0 || int(from) >= len(e.trans) {
+	if int(from) < 0 || int(from) >= e.cfg.N {
 		return
 	}
-	if delay <= 0 || delay != delay {
-		e.sendNow(from, to, payload)
-		return
+	if !(delay > 0) { // also NaN
+		if e.trans != nil {
+			e.sendNow(from, to, payload)
+			return
+		}
+		delay = 0
 	}
 	e.engine.ScheduleDeliveryAt(e.Now()+delay, sim.Delivery{
 		From: int32(from),
@@ -319,7 +301,34 @@ func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, de
 		Kind: uint32(payload.Kind),
 		Word: payload.Word,
 		Box:  payload.Box,
-	}, e)
+	}, e.sink)
+}
+
+// Deliver implements sim.DeliverySink for an in-process Env: a due delivery
+// calls the delivery callback stored by SetDeliver straight from the run
+// loop, as in simnet.Env.
+func (e *Env) Deliver(d sim.Delivery) {
+	if e.deliver != nil {
+		e.deliver(protocol.NodeID(d.From), protocol.NodeID(d.To),
+			protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
+	}
+}
+
+// transportSink is the sim.DeliverySink of an Env over an external
+// transport: once a message's delay has elapsed, the run loop hands its
+// payload to the sender's endpoint.
+type transportSink Env
+
+func (s *transportSink) Deliver(d sim.Delivery) {
+	(*Env)(s).sendNow(protocol.NodeID(d.From), protocol.NodeID(d.To),
+		protocol.Payload{Kind: protocol.PayloadKind(d.Kind), Word: d.Word, Box: d.Box})
+}
+
+// sendNow pushes one payload into the sender's transport endpoint; SendDelayed
+// has checked the sender.
+func (e *Env) sendNow(from, to protocol.NodeID, payload protocol.Payload) {
+	// Delivery failures are message loss, which the protocol tolerates.
+	_ = e.trans[from].SendPayload(to, payload)
 }
 
 // SetDeliver implements runtime.Env.
@@ -390,7 +399,7 @@ func (e *Env) Run(until float64) error {
 		// Execute everything due at the current run time.
 		for e.step(until, false) {
 		}
-		// Then drain pending deliveries.
+		// Then drain an external transport's pending deliveries.
 		select {
 		case d := <-e.inbox:
 			e.dispatch(d)
@@ -470,11 +479,6 @@ func (e *Env) Close() error {
 			continue
 		}
 		if err := tr.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if e.bus != nil {
-		if err := e.bus.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"math"
+	stdruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -184,6 +185,122 @@ func TestEnvSendDelayed(t *testing.T) {
 	}
 }
 
+// TestEnvSendDelayedNonPositiveDelayDeliversNow sends in process with a zero,
+// NaN and negative delay: each message is due at the run time it was sent,
+// so it arrives after the sending callback has returned — never inside Send
+// — and before a timer set for a moment later.
+func TestEnvSendDelayedNonPositiveDelayDeliversNow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delay float64
+	}{{"zero", 0}, {"NaN", math.NaN()}, {"negative", -5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			var (
+				sending, markerFired bool
+				sentAt               float64
+				arrivals             []float64
+			)
+			env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) {
+				if sending {
+					t.Error("message delivered inside SendDelayed")
+				}
+				if markerFired {
+					t.Error("message delivered after a timer set 50 run-seconds past its send")
+				}
+				arrivals = append(arrivals, env.Now())
+			})
+			env.At(0, func() {
+				sending = true
+				sentAt = env.Now()
+				env.SendDelayed(0, 1, protocol.WordPayload(protocol.KindUpdateSeq, 1), tc.delay)
+				sending = false
+				env.At(env.Now()+50, func() { markerFired = true })
+			})
+			if err := env.Run(100); err != nil {
+				t.Fatal(err)
+			}
+			if len(arrivals) != 1 {
+				t.Fatalf("%d deliveries, want 1", len(arrivals))
+			}
+			if arrivals[0] < sentAt {
+				t.Errorf("message sent at run time %v arrived at %v, before it was sent", sentAt, arrivals[0])
+			}
+		})
+	}
+}
+
+// TestEnvInProcessDeliveriesKeepSendOrder sends 64 messages with one delay
+// from two senders in one callback: in process they all fall due at the
+// same run time, and the engine's (time, seq) order delivers them in the
+// order they were sent.
+func TestEnvInProcessDeliveriesKeepSendOrder(t *testing.T) {
+	const burst = 64
+	env, err := live.NewEnv(live.EnvConfig{N: 3, TimeScale: 0.001, Latency: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	var got []uint64
+	env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
+		if to != 2 {
+			t.Errorf("message from %d delivered to %d, want 2", from, to)
+		}
+		got = append(got, p.Word)
+	})
+	env.At(0, func() {
+		for i := 0; i < burst; i++ {
+			env.Send(protocol.NodeID(i%2), 2, protocol.WordPayload(protocol.KindUpdateSeq, uint64(i)))
+		}
+	})
+	if err := env.Run(50); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != burst {
+		t.Fatalf("%d of %d messages arrived", len(got), burst)
+	}
+	for i, w := range got {
+		if w != uint64(i) {
+			t.Fatalf("delivery %d carried message %d, want send order: %v", i, w, got)
+		}
+	}
+}
+
+// TestEnvDeliveryPastHorizonStaysPending sends in process with a delay that
+// lands past the run's horizon: the run does not deliver it, as in the
+// simulated environment, and a later run whose horizon covers it does.
+func TestEnvDeliveryPastHorizonStaysPending(t *testing.T) {
+	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	var arrivals []float64
+	env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) {
+		arrivals = append(arrivals, env.Now())
+	})
+	env.At(0, func() { env.SendDelayed(0, 1, protocol.BoxPayload("late"), 20) })
+	if err := env.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) != 0 {
+		t.Fatalf("message due at run time 20 delivered within a horizon of 10, at %v", arrivals)
+	}
+	if err := env.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) != 1 {
+		t.Fatalf("%d deliveries after the horizon passed the message, want 1", len(arrivals))
+	}
+	if arrivals[0] < 20 {
+		t.Errorf("message due at run time 20 arrived at %v", arrivals[0])
+	}
+}
+
 // TestHostOverLiveEnvWithNetworkModel runs a full host on the wall-clock
 // environment under a heterogeneous network model: traffic must still flow
 // and the model delays must not break the run loop.
@@ -226,11 +343,63 @@ func TestHostOverLiveEnvWithNetworkModel(t *testing.T) {
 	}
 }
 
+// oddHalfCut is a directed partition: every message into an odd node is
+// lost, and every other message arrives after a fixed delay.
+type oddHalfCut struct{ d float64 }
+
+func (c oddHalfCut) Delay(_, _ protocol.NodeID, _ protocol.Rand) float64 { return c.d }
+
+func (oddHalfCut) Drop(_, to protocol.NodeID, _ protocol.Rand) bool { return to%2 == 1 }
+
+// TestHostOverLiveEnvLosesOnlyThroughNetworkModel runs a host in process
+// under a directed partition given as its network model, the one source of
+// message loss: no odd node ever receives the update injected at node 0, the
+// cut messages count as dropped, and traffic among the even nodes flows.
+func TestHostOverLiveEnvLosesOnlyThroughNetworkModel(t *testing.T) {
+	const (
+		n     = 12
+		delta = 100.0
+		scale = 1e-4
+	)
+	graph, err := overlay.RandomKOut(n, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := live.NewEnv(live.EnvConfig{N: n, Seed: 21, TimeScale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	host, err := runtime.NewHost(env, runtime.Config{
+		Graph:    graph,
+		Strategy: core.MustGeneralized(1, 5),
+		NewApp:   func(int) protocol.Application { return pushgossip.New() },
+		Delta:    delta,
+		Network:  oddHalfCut{d: delta / 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.At(delta/2, func() { host.App(0).(*pushgossip.State).Inject(1) })
+	if err := host.Run(8 * delta); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i += 2 {
+		if seq := host.App(i).(*pushgossip.State).Seq(); seq >= 1 {
+			t.Errorf("node %d behind the cut holds update %d", i, seq)
+		}
+	}
+	if host.MessagesDropped() == 0 || host.MessagesDelivered() == 0 {
+		t.Errorf("dropped %d and delivered %d messages, want both > 0",
+			host.MessagesDropped(), host.MessagesDelivered())
+	}
+}
+
 // TestHostOverLiveEnv assembles a full runtime.Host against the wall-clock
 // environment and checks that real traffic flows: proactive rounds fire on
-// wall timers, messages traverse the memory bus, and churn scheduled through
-// the environment takes effect. This is the live half of the "one assembly,
-// two runtimes" contract.
+// wall timers, messages travel through the run loop, and churn scheduled
+// through the environment takes effect. This is the live half of the "one
+// assembly, two runtimes" contract.
 func TestHostOverLiveEnv(t *testing.T) {
 	const (
 		n     = 12
@@ -462,13 +631,42 @@ func TestEnvStopWhileIdle(t *testing.T) {
 	}
 }
 
-// TestEnvDropsDeliveriesWhenQueueIsFull fills a one-slot delivery queue
-// while the run loop is busy in a callback: the transport goroutine drops
-// the surplus and counts it, another goroutine reads the count while Run
-// executes, and the one message that fit is delivered once the loop is free.
+// loopback is an external transport for tests: SendPayload hands the payload
+// to the destination endpoint's handler on the sending goroutine.
+type loopback struct {
+	id    protocol.NodeID
+	peers []*loopback
+	h     transport.PayloadHandler
+}
+
+func (l *loopback) SendPayload(to protocol.NodeID, p protocol.Payload) error {
+	if int(to) < len(l.peers) {
+		l.peers[to].h(l.id, p)
+	}
+	return nil
+}
+
+func (l *loopback) SetPayloadHandler(h transport.PayloadHandler) { l.h = h }
+
+func (l *loopback) Close() error { return nil }
+
+// loopbackMesh returns an EnvConfig.NewTransport over n loopback endpoints.
+func loopbackMesh(n int) func(int) (transport.Transport, error) {
+	peers := make([]*loopback, n)
+	for i := range peers {
+		peers[i] = &loopback{id: protocol.NodeID(i), peers: peers}
+	}
+	return func(i int) (transport.Transport, error) { return peers[i], nil }
+}
+
+// TestEnvDropsDeliveriesWhenQueueIsFull fills the one-slot delivery queue of
+// an Env over an external transport while the run loop is busy in a
+// callback: the transport's handler drops the surplus and counts it, another
+// goroutine reads the count while Run executes, and the one message that fit
+// is delivered once the loop is free.
 func TestEnvDropsDeliveriesWhenQueueIsFull(t *testing.T) {
 	const sent = 5
-	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001, QueueSize: 1})
+	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.001, QueueSize: 1, NewTransport: loopbackMesh(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,8 +702,45 @@ func TestEnvDropsDeliveriesWhenQueueIsFull(t *testing.T) {
 	}
 }
 
+// TestEnvDropsSendsFromUnknownNodes sends from node ids outside [0, N), with
+// and without a delay, in process and over an external transport: each such
+// message is dropped at the send without a panic, and a message from a real
+// node in the same callback still arrives.
+func TestEnvDropsSendsFromUnknownNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  live.EnvConfig
+	}{
+		{"memory", live.EnvConfig{N: 2, TimeScale: 0.001}},
+		{"loopback", live.EnvConfig{N: 2, TimeScale: 0.001, NewTransport: loopbackMesh(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, err := live.NewEnv(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			var from []protocol.NodeID
+			env.SetDeliver(func(f, _ protocol.NodeID, _ protocol.Payload) { from = append(from, f) })
+			env.At(0, func() {
+				for _, bad := range []protocol.NodeID{-1, 2, 1000} {
+					env.SendDelayed(bad, 0, protocol.BoxPayload("stray"), 0)
+					env.SendDelayed(bad, 0, protocol.BoxPayload("stray"), 1)
+				}
+				env.SendDelayed(1, 0, protocol.BoxPayload("real"), 1)
+			})
+			if err := env.Run(20); err != nil {
+				t.Fatal(err)
+			}
+			if len(from) != 1 || from[0] != 1 {
+				t.Errorf("deliveries came from %v, want only node 1", from)
+			}
+		})
+	}
+}
+
 // TestEnvLatencyIsPerMessage requires EnvConfig.Latency to delay every
-// message by itself, on the memory bus and over TCP alike: 16 messages sent
+// message by itself, in process and over TCP alike: 16 messages sent
 // in one callback all arrive one latency later, not one after another.
 func TestEnvLatencyIsPerMessage(t *testing.T) {
 	const (
@@ -603,36 +838,105 @@ func TestEnvSchedulingAllocs(t *testing.T) {
 	}
 }
 
-// TestEnvSendAllocs pins the memory bus path end to end: after warm-up, a
-// word payload goes from Send through the bus and the run loop's inbox to the
-// delivery callback without a heap allocation.
+// TestEnvSendAllocs pins the in-process message path end to end: after
+// warm-up, a word payload relayed between two nodes from inside the run
+// loop's callbacks — Send, the engine's delivery event, the delivery
+// callback — allocates nothing per message.
 func TestEnvSendAllocs(t *testing.T) {
-	const calls = 1000
-	env, err := live.NewEnv(live.EnvConfig{N: 2})
+	const hops = 1000
+	env, err := live.NewEnv(live.EnvConfig{N: 2, TimeScale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	arrived := make(chan struct{}, 1)
-	env.SetDeliver(func(protocol.NodeID, protocol.NodeID, protocol.Payload) { arrived <- struct{}{} })
-	finished := make(chan error, 1)
-	go func() { finished <- env.Run(math.Inf(1)) }()
-	defer func() {
-		env.Stop()
-		<-finished
-	}()
+	var (
+		left          int
+		before, after stdruntime.MemStats
+	)
+	env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
+		if left--; left > 0 {
+			env.Send(to, from, p)
+		} else {
+			stdruntime.ReadMemStats(&after)
+		}
+	})
 	// Go boxes integers below 256 without allocating, so a small word would
 	// hide a boxing step.
 	word := protocol.WordPayload(protocol.KindUpdateSeq, 1<<40)
-	send := func() {
+	relay := func() {
+		left = hops
+		stdruntime.ReadMemStats(&before)
 		env.Send(0, 1, word)
-		<-arrived
 	}
-	for i := 0; i < calls; i++ {
-		send()
+	// The first relay warms the engine's delivery lane up; the second is
+	// measured. Each ends within a run of one run-second (100 ms of wall
+	// time).
+	for horizon := 1.0; horizon <= 2; horizon++ {
+		env.At(0, relay)
+		if err := env.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if left != 0 {
+			t.Fatalf("relay stopped with %d of %d hops left", left, hops)
+		}
 	}
-	if allocs := testing.AllocsPerRun(calls, send); allocs != 0 {
-		t.Errorf("Send of a word payload over the memory bus allocates %.2f per message, want 0", allocs)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs/hops != 0 {
+		t.Errorf("a relayed word payload allocates %.2f times per message in process, want 0", float64(mallocs)/hops)
+	}
+}
+
+// TestInProcessEnvHasNoPerNodeCost builds a 4 096-node in-process Env: it
+// starts no goroutine and allocates under 1 MB, because nodes that share the
+// process need no transport endpoint, delivery goroutine or channel.
+func TestInProcessEnvHasNoPerNodeCost(t *testing.T) {
+	const n = 4096
+	var before, after stdruntime.MemStats
+	goroutines := stdruntime.NumGoroutine()
+	stdruntime.ReadMemStats(&before)
+	env, err := live.NewEnv(live.EnvConfig{N: n})
+	stdruntime.ReadMemStats(&after)
+	started := stdruntime.NumGoroutine() - goroutines
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	if started > 0 {
+		t.Errorf("NewEnv with %d nodes started %d goroutines, want 0", n, started)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Errorf("NewEnv with %d nodes allocated %d bytes, want < 1 MB", n, grown)
+	}
+}
+
+// TestInProcessRunStartsNoGoroutine relays messages among the nodes of an
+// in-process Env and reads the goroutine count in every delivery: Run
+// delivers on the goroutine that called it and starts none of its own.
+func TestInProcessRunStartsNoGoroutine(t *testing.T) {
+	const n, hops = 64, 256
+	env, err := live.NewEnv(live.EnvConfig{N: n, TimeScale: 0.001, Latency: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	before := stdruntime.NumGoroutine()
+	most, left := 0, hops
+	env.SetDeliver(func(_, to protocol.NodeID, p protocol.Payload) {
+		most = max(most, stdruntime.NumGoroutine())
+		if left--; left > 0 {
+			env.Send(to, (to+1)%n, p)
+		} else {
+			env.Stop()
+		}
+	})
+	env.At(0, func() { env.Send(0, 1, protocol.WordPayload(protocol.KindUpdateSeq, 1)) })
+	if err := env.Run(5000); err != nil { // 5 s of wall time unless Stop ends it
+		t.Fatal(err)
+	}
+	if left != 0 {
+		t.Fatalf("relay stopped with %d of %d hops left", left, hops)
+	}
+	if most > before {
+		t.Errorf("%d goroutines during the run, %d before it: Run started goroutines", most, before)
 	}
 }
 
@@ -665,7 +969,7 @@ func tcpMesh(t *testing.T, n int, registry *transport.Registry) func(int) (trans
 }
 
 // TestEnvDeliversPayloadsUnchanged sends a word of a built-in kind, a word of
-// a kind no package claims and a boxed value: on the memory bus and over TCP,
+// a kind no package claims and a boxed value: in process and over TCP,
 // each must reach the delivery callback with the Kind, Word and Box it was
 // sent with.
 func TestEnvDeliversPayloadsUnchanged(t *testing.T) {

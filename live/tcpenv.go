@@ -22,8 +22,8 @@ const maxTCPEnvNodes = 512
 //
 // cfg.NewTransport must be nil (the endpoints are the point). cfg.Latency
 // holds each message on the run loop's scheduler before it enters its socket,
-// as on the memory bus, on top of the real (microsecond-scale) loopback
-// latency; network models are realized through SendDelayed as usual.
+// on top of the real (microsecond-scale) loopback latency; network models
+// are realized through SendDelayed as usual.
 func NewTCPEnv(cfg EnvConfig) (*Env, error) {
 	if cfg.N > maxTCPEnvNodes {
 		return nil, fmt.Errorf("live: NewTCPEnv with %d nodes exceeds the %d-node mesh limit", cfg.N, maxTCPEnvNodes)

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/apps/gossiplearning"
@@ -70,16 +72,28 @@ func TestMillionNodeSmoke(t *testing.T) {
 	if err := host.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
+	// The window records every allocation's stack in the memory profile
+	// (MemProfileRate 1), so a failure names what allocated; recording
+	// allocates nothing, and a clean window has nothing to record.
 	var before, after stdruntime.MemStats
+	base := memProfile()
+	rate := stdruntime.MemProfileRate
+	stdruntime.MemProfileRate = 1
 	stdruntime.ReadMemStats(&before)
 	horizon += delta
-	if err := host.Run(horizon); err != nil {
+	err = host.Run(horizon)
+	stdruntime.ReadMemStats(&after)
+	stdruntime.MemProfileRate = rate
+	if err != nil {
 		t.Fatal(err)
 	}
-	stdruntime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		sites := allocSites(base, &before, &after) // before the report allocates
 		t.Errorf("warmed-up 10^6-node period allocated %d objects, want 0", allocs)
 		logAllocWindow(t, &before, &after)
+		for _, site := range sites {
+			t.Log(site)
+		}
 	}
 
 	// The full standing network — the 20-out overlay's out-adjacency (the
@@ -223,4 +237,70 @@ func logAllocWindow(t *testing.T, before, after *stdruntime.MemStats) {
 	if large > 0 {
 		t.Logf("window: %d mallocs above the largest size class", large)
 	}
+}
+
+// memProfile returns the records of the memory profile, which holds the
+// allocations sampled up to the last completed collection.
+func memProfile() []stdruntime.MemProfileRecord {
+	n, _ := stdruntime.MemProfile(nil, true)
+	for {
+		recs := make([]stdruntime.MemProfileRecord, n+64)
+		m, ok := stdruntime.MemProfile(recs, true)
+		if ok {
+			return recs[:m]
+		}
+		n = m
+	}
+}
+
+// allocSites describes the stacks that allocated in the window between the
+// two MemStats, base being the memory profile read just before it: a
+// collection publishes the allocations sampled since the last one, and each
+// stack and object size whose count grew past base is listed with its
+// frames, if the window allocated objects of that size. The window samples
+// every allocation (MemProfileRate 1); the size filter drops most of what the
+// default rate sampled between the last collection and the window.
+func allocSites(base []stdruntime.MemProfileRecord, before, after *stdruntime.MemStats) []string {
+	grew := map[int64]bool{}
+	large := after.Mallocs - before.Mallocs
+	for i := range after.BySize {
+		if d := after.BySize[i].Mallocs - before.BySize[i].Mallocs; d > 0 {
+			grew[int64(after.BySize[i].Size)] = true
+			large -= d
+		}
+	}
+	largest := int64(after.BySize[len(after.BySize)-1].Size)
+	total := int64(after.TotalAlloc - before.TotalAlloc)
+	stdruntime.GC()
+	type site struct {
+		stack [32]uintptr
+		size  int64
+	}
+	objects := map[site]int64{}
+	count := func(recs []stdruntime.MemProfileRecord, sign int64) {
+		for _, r := range recs {
+			if r.AllocObjects > 0 {
+				objects[site{r.Stack0, r.AllocBytes / r.AllocObjects}] += sign * r.AllocObjects
+			}
+		}
+	}
+	count(memProfile(), 1)
+	count(base, -1)
+	var out []string
+	for s, n := range objects {
+		if n <= 0 || s.size > total || !grew[s.size] && (s.size <= largest || large == 0) {
+			continue
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "window: %d objects of %d B allocated at:", n, s.size)
+		r := stdruntime.MemProfileRecord{Stack0: s.stack}
+		frames := stdruntime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f stdruntime.Frame
+			f, more = frames.Next()
+			fmt.Fprintf(&b, "\n    %s\n        %s:%d", f.Function, f.File, f.Line)
+		}
+		out = append(out, b.String())
+	}
+	return out
 }

@@ -1,133 +1,11 @@
 package transport
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
-
-func TestMemoryBusDropProbabilityOne(t *testing.T) {
-	bus := NewMemoryBus(WithDropProbability(1, 42))
-	defer bus.Close()
-	a, _ := bus.Endpoint(1)
-	b, _ := bus.Endpoint(2)
-	var got collector
-	b.SetPayloadHandler(got.handler)
-	for i := 0; i < 20; i++ {
-		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got.count() != 0 {
-		t.Errorf("%d messages delivered despite drop probability 1", got.count())
-	}
-	delivered, dropped := bus.stats()
-	if delivered != 0 || dropped != 20 {
-		t.Errorf("Stats = (%d, %d), want (0, 20)", delivered, dropped)
-	}
-}
-
-func TestMemoryBusDropProbabilityPanicsOutOfRange(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("WithDropProbability(%v, ...) did not panic", p)
-				}
-			}()
-			WithDropProbability(p, 1)
-		}()
-	}
-}
-
-// TestMemoryBusDropPatternDeterministic sends the same single-threaded
-// message sequence over two buses with the same drop seed and checks that
-// exactly the same messages survive.
-func TestMemoryBusDropPatternDeterministic(t *testing.T) {
-	run := func() []int {
-		bus := NewMemoryBus(WithDropProbability(0.5, 7))
-		defer bus.Close()
-		a, _ := bus.Endpoint(1)
-		b, _ := bus.Endpoint(2)
-		var got collector
-		b.SetPayloadHandler(got.handler)
-		for i := 0; i < 100; i++ {
-			if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
-				t.Fatal(err)
-			}
-		}
-		deadline := time.Now().Add(time.Second)
-		for time.Now().Before(deadline) {
-			delivered, dropped := bus.stats()
-			if delivered+dropped == 100 && got.count() == int(delivered) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		got.mu.Lock()
-		defer got.mu.Unlock()
-		values := make([]int, 0, len(got.msgs))
-		for _, m := range got.msgs {
-			values = append(values, m.Box.(testPayload).Value)
-		}
-		return values
-	}
-	first, second := run(), run()
-	if len(first) == 0 || len(first) == 100 {
-		t.Fatalf("drop lottery at p=0.5 delivered %d of 100 messages", len(first))
-	}
-	if len(first) != len(second) {
-		t.Fatalf("two identical runs delivered %d vs %d messages", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("survivor %d differs: %d vs %d", i, first[i], second[i])
-		}
-	}
-}
-
-func TestMemoryBusDirectedPartition(t *testing.T) {
-	bus := NewMemoryBus(WithPartition(1, 2))
-	defer bus.Close()
-	a, _ := bus.Endpoint(1)
-	b, _ := bus.Endpoint(2)
-	var onA, onB collector
-	a.SetPayloadHandler(onA.handler)
-	b.SetPayloadHandler(onB.handler)
-
-	// 1→2 is cut, 2→1 still works: the partition is directed.
-	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{Value: 2})); err != nil {
-		t.Fatal(err)
-	}
-	onA.waitFor(t, 1, time.Second)
-	if onB.count() != 0 {
-		t.Error("message crossed the blocked 1→2 link")
-	}
-	if _, dropped := bus.stats(); dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-
-	// Healing the link restores delivery; cutting the reverse direction
-	// blocks it independently.
-	bus.Unblock(1, 2)
-	bus.Block(2, 1)
-	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: 3})); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{Value: 4})); err != nil {
-		t.Fatal(err)
-	}
-	onB.waitFor(t, 1, time.Second)
-	if onA.count() != 1 {
-		t.Errorf("messages on A = %d, want 1 (2→1 is cut)", onA.count())
-	}
-}
 
 // TestTCPDestinationCrashMidStream streams messages at a TCP peer that
 // closes mid-stream and checks that the sender survives: sends before the

@@ -84,11 +84,3 @@ func (c *counters) snapshot() Stats {
 		Disconnects:      c.disconnects.Load(),
 	}
 }
-
-// StatsReporter is the optional Transport capability behind the ops surface:
-// endpoints that keep operational counters expose them as a Stats snapshot.
-// TCPEndpoint implements it; the memory bus keeps its simpler
-// delivered/dropped pair.
-type StatsReporter interface {
-	Stats() Stats
-}

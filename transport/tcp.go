@@ -68,10 +68,7 @@ type TCPEndpoint struct {
 	stats counters
 }
 
-var (
-	_ Transport     = (*TCPEndpoint)(nil)
-	_ StatsReporter = (*TCPEndpoint)(nil)
-)
+var _ Transport = (*TCPEndpoint)(nil)
 
 // NewTCPEndpoint starts listening on addr (e.g. "127.0.0.1:0") and returns
 // the endpoint. The registry must contain every boxed payload type that will

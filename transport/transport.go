@@ -1,23 +1,22 @@
-// Package transport provides message transports for the real-time token
-// account service (live): an in-process transport backed by channels,
-// suitable for tests, examples and single-process deployments, and a TCP
-// transport with managed per-peer connections — bounded outbound queues that
-// shed load instead of blocking, on-demand dialling with capped exponential
-// backoff and jitter, and operational counters exported through Stats.
+// Package transport provides the message transport of the real-time token
+// account service (live): a TCP transport with managed per-peer connections —
+// bounded outbound queues that shed load instead of blocking, on-demand
+// dialling with capped exponential backoff and jitter, and operational
+// counters exported through Stats. (Nodes that share one process need no
+// transport: live.Env delivers their messages on its own scheduler.)
 //
 // Every transport carries protocol.Payload, the message currency of the
 // simulator, unchanged: what one endpoint's SendPayload takes, the
 // destination's PayloadHandler receives with the same Kind, Word and Box. The
-// memory bus hands the value over as it is. The TCP wire carries
-// length-prefixed frames in two families: compact binary word frames for
-// word-encoded payloads, and JSON envelope frames for boxed payloads whose
-// type is registered in a Registry (see codec.go), so the simulator's
-// zero-alloc payload representation and its byte accounting carry over to
-// real sockets.
+// TCP wire carries length-prefixed frames in two families: compact binary
+// word frames for word-encoded payloads, and JSON envelope frames for boxed
+// payloads whose type is registered in a Registry (see codec.go), so the
+// simulator's zero-alloc payload representation and its byte accounting
+// carry over to real sockets.
 //
 // The system model of the paper assumes a reliable transfer protocol between
-// online nodes; both transports deliver messages reliably while the
-// destination endpoint is open and drop them otherwise (the token account
+// online nodes; the TCP transport delivers messages reliably while the
+// destination endpoint is open and drops them otherwise (the token account
 // protocol tolerates drops by design).
 package transport
 
@@ -48,8 +47,7 @@ type PayloadSender interface {
 }
 
 // PayloadHandler consumes an incoming payload. It runs on the transport's
-// delivery goroutines: one per endpoint on the memory bus, one per incoming
-// connection over TCP.
+// delivery goroutines: over TCP, one per incoming connection.
 type PayloadHandler func(from protocol.NodeID, p protocol.Payload)
 
 // PayloadReceiver installs the callback invoked for every received payload.

@@ -85,86 +85,6 @@ func (c *collector) waitFor(t *testing.T, n int, timeout time.Duration) {
 	t.Fatalf("timed out waiting for %d messages (have %d)", n, c.count())
 }
 
-func TestMemoryBusDelivery(t *testing.T) {
-	bus := NewMemoryBus()
-	defer bus.Close()
-	a, err := bus.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bus.Endpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got collector
-	b.SetPayloadHandler(got.handler)
-	for i := 0; i < 10; i++ {
-		if err := a.SendPayload(2, protocol.BoxPayload(testPayload{Value: i})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got.waitFor(t, 10, time.Second)
-	got.mu.Lock()
-	defer got.mu.Unlock()
-	for i, m := range got.msgs {
-		if m.Box.(testPayload).Value != i {
-			t.Errorf("message %d = %#v (out of order or corrupted)", i, m)
-		}
-		if got.from[i] != 1 {
-			t.Errorf("from = %d, want 1", got.from[i])
-		}
-	}
-	delivered, dropped := bus.stats()
-	if delivered != 10 || dropped != 0 {
-		t.Errorf("Stats = (%d, %d), want (10, 0)", delivered, dropped)
-	}
-	if a.id != 1 || a.String() == "" {
-		t.Error("endpoint identity accessors wrong")
-	}
-}
-
-func TestMemoryBusDropsToUnknownEndpoint(t *testing.T) {
-	bus := NewMemoryBus()
-	defer bus.Close()
-	a, err := bus.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendPayload(99, protocol.BoxPayload(testPayload{})); err != nil {
-		t.Fatalf("Send to unknown endpoint should not error, got %v", err)
-	}
-	_, dropped := bus.stats()
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-}
-
-func TestMemoryEndpointClose(t *testing.T) {
-	bus := NewMemoryBus()
-	defer bus.Close()
-	a, _ := bus.Endpoint(1)
-	b, _ := bus.Endpoint(2)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal("second Close should be a no-op")
-	}
-	if err := b.SendPayload(1, protocol.BoxPayload(testPayload{})); err != ErrClosed {
-		t.Errorf("Send after Close = %v, want ErrClosed", err)
-	}
-	if err := a.SendPayload(2, protocol.BoxPayload(testPayload{})); err != nil {
-		t.Errorf("sending to a closed endpoint should not error: %v", err)
-	}
-	bus2 := NewMemoryBus()
-	if err := bus2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus2.Endpoint(1); err != ErrClosed {
-		t.Errorf("Endpoint after Close = %v, want ErrClosed", err)
-	}
-}
-
 func TestTCPEndpointRoundTrip(t *testing.T) {
 	registry := NewRegistry()
 	Register[testPayload](registry, "test")
