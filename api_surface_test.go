@@ -43,7 +43,6 @@ var surfaceAllowed = map[string]string{
 	"runtime.Host.N":                         "accessor: the runtime, simnet and live tests size their loops over a Host with it",
 	"runtime.Host.SetOffline":                "churn API: the Host's trace hook calls it in its own file, the runtime, simnet and live tests drive churn by hand with it",
 	"runtime.Host.SetOnline":                 "churn API: the Host's trace hook calls it in its own file, the runtime, simnet and live tests drive churn by hand with it",
-	"simnet.Env.Rand":                        "bench-only: the benchmark module's engine workloads draw from it",
 	"simnet.Env.Schedule":                    "bench-only: the benchmark module's traced environment still calls it",
 	"trace.AlwaysOnline":                     "test fixture: the failure-free trace the runtime and simnet tests edit into churn schedules",
 	"trace.ReadCSV":                          "fuzzed (FuzzCSVRoundTrip); the tracegen tests read its output with it",

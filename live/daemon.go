@@ -337,6 +337,14 @@ func (e daemonEnv) locked(fn func()) func() {
 
 func (e daemonEnv) At(t float64, fn func()) { e.Env.At(t, e.locked(fn)) }
 
+func (e daemonEnv) Every(phase, interval float64, fn func() bool) {
+	e.Env.Every(phase, interval, func() bool {
+		e.d.mu.Lock()
+		defer e.d.mu.Unlock()
+		return fn()
+	})
+}
+
 // SetDeliver wraps the host's delivery callback: a join is the rejoin pull
 // of §4.1.2, which the daemon answers with its latest update if it has a
 // token to spend and stays silent otherwise; everything else goes to the

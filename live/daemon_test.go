@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -579,6 +580,37 @@ func TestDaemonAnswersJoinOnRunLoop(t *testing.T) {
 	}
 	if st := daemonStats(d); st.ReactiveSent != 1 {
 		t.Errorf("%d reactive sends, want the one join answer", st.ReactiveSent)
+	}
+}
+
+// TestDaemonEveryRunsUnderLock pins that a periodic callback scheduled
+// through the daemon's host runs under Daemon.mu, like its At callbacks and
+// ticks, so it cannot race a WithHost reader.
+func TestDaemonEveryRunsUnderLock(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := daemonConfig(0, nil)
+	cfg.Delta = time.Hour // no tick during the test
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const want = 20
+	var runs, unlocked atomic.Int32
+	d.WithHost(func(h *runtime.Host) {
+		h.Env().Every(0, 0.001, func() bool {
+			if d.mu.TryLock() {
+				d.mu.Unlock()
+				unlocked.Add(1)
+			}
+			return runs.Add(1) < want
+		})
+	})
+	d.Start(ctx)
+	waitUntil(t, 5*time.Second, "the periodic callbacks", func() bool { return runs.Load() == want })
+	if n := unlocked.Load(); n > 0 {
+		t.Errorf("%d of %d periodic callbacks ran without the daemon's lock", n, want)
 	}
 }
 

@@ -13,9 +13,9 @@
 //     time, reproducing the paper's PeerSim-style evaluation setup,
 //   - simnet.ShardedEnv runs the same model on a sharded engine, one worker
 //     per shard under a conservative time-window protocol, and
-//   - live.Env drives wall-clock timers and a real transport (package
-//     transport), turning the very same assembly into the deployable
-//     "traffic shaping service" the paper proposes.
+//   - live.Env is a simnet.Env paced by the wall clock, over an optional
+//     real transport (package transport), turning the very same assembly
+//     into the deployable "traffic shaping service" the paper proposes.
 //
 // Everything all three provide is part of the Env contract, including the
 // packed online set (Availability), the delayed transport (DelayedSender),

@@ -68,8 +68,13 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		seed:          cfg.Seed,
 		transferDelay: cfg.TransferDelay,
 		online:        runtime.NewAvailability(cfg.N),
+		deliver:       func(protocol.NodeID, protocol.NodeID, protocol.Payload) {},
 	}, nil
 }
+
+// Engine returns the engine the environment schedules on, for an
+// environment that paces it against another clock (see live.Env).
+func (e *Env) Engine() *sim.Engine { return e.engine }
 
 // Now implements runtime.Env with the engine's virtual time.
 func (e *Env) Now() float64 { return e.engine.Now() }
@@ -126,9 +131,9 @@ func (e *Env) SendDelayed(from, to protocol.NodeID, payload protocol.Payload, de
 }
 
 // Deliver implements sim.DeliverySink: a due delivery event re-enters the
-// host through the delivery callback stored by SetDeliver. The environment
-// itself is the sink for every delivery it schedules, so no per-message
-// state is captured anywhere.
+// host through the delivery callback stored by SetDeliver, a no-op until
+// then. The environment itself is the sink for every delivery it schedules,
+// so no per-message state is captured anywhere.
 func (e *Env) Deliver(d sim.Delivery) {
 	e.deliver(protocol.NodeID(d.From), protocol.NodeID(d.To), protocol.Payload{
 		Kind: protocol.PayloadKind(d.Kind),
