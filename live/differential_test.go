@@ -242,3 +242,33 @@ func TestVirtualLiveMatchesSimPerNode(t *testing.T) {
 		}
 	}
 }
+
+// TestVirtualLiveEveryBetweenRunsMatchesSim starts a periodic event between
+// two runs, after the engine's last event: it must fire at the same run
+// times in both environments, one interval after the clock and not a burst
+// of catch-up repetitions from the engine's last event.
+func TestVirtualLiveEveryBetweenRunsMatchesSim(t *testing.T) {
+	fires := func(env runtime.Env) []float64 {
+		defer env.Close()
+		var got []float64
+		env.At(1, func() {})
+		if err := env.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		env.Every(1, 1, func() bool { got = append(got, env.Now()); return true })
+		if err := env.Run(15); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := fires(must(simnet.NewEnv(simnet.EnvConfig{N: 1})))
+	got := fires(must(live.NewVirtualEnv(live.EnvConfig{N: 1})))
+	if len(want) != 5 || len(got) != len(want) {
+		t.Fatalf("live fired at %v, sim at %v; want 5 firings each", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("live fired at %v, sim at %v", got, want)
+		}
+	}
+}

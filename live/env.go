@@ -194,14 +194,18 @@ func (e *Env) AtHook(t float64, hook runtime.Hook, node int32, word uint64) {
 	e.core.AtHook(e.clamp(t), hook, node, word)
 }
 
-// Every implements runtime.Env with the engine's Every: a repetition re-arms
+// Every implements runtime.Env with the engine's Every, its first repetition
+// due at Now()+phase: the engine's own time can trail the clock, since a
+// transport delivery runs without stepping the engine. A repetition re-arms
 // one interval after the nominal time of the last, not after the (slightly
 // late) clock reading, so a periodic event keeps the simulated cadence. A
 // re-arm in the past is due at once, so a chain that fell behind still runs
 // every repetition within the horizon — in Run's deadline drain too, where
 // a re-arm clamped to the clock would land past the horizon and drop the
 // final on-grid metric sample.
-func (e *Env) Every(phase, interval float64, fn func() bool) { e.core.Every(phase, interval, fn) }
+func (e *Env) Every(phase, interval float64, fn func() bool) {
+	e.core.Every(e.Now()-e.core.Now()+phase, interval, fn)
+}
 
 // Rand returns randomness stream s: a SplitMix64 generator seeded with
 // StreamSeed(s).
@@ -270,12 +274,11 @@ func (e *Env) SetDeliver(fn runtime.DeliverFunc) { e.core.SetDeliver(fn) }
 func (e *Env) Availability() *runtime.Availability { return e.core.Availability() }
 
 // step runs the earliest pending event if it is due — within the horizon
-// and, unless the run is draining past its deadline, not after the current
-// run time — and reports whether it ran one.
-func (e *Env) step(until float64, draining bool) bool {
+// and not after the current run time — and reports whether it ran one.
+func (e *Env) step(until float64) bool {
 	engine := e.core.Engine()
 	t, ok := engine.NextTime()
-	if !ok || t > until || !draining && t > e.Now() {
+	if !ok || t > until || t > e.Now() {
 		return false
 	}
 	engine.Step()
@@ -315,7 +318,7 @@ func (e *Env) Run(until float64) error {
 		}
 		// Execute everything due at the current run time, then one pending
 		// delivery of an external transport.
-		for e.step(until, false) {
+		for e.step(until) {
 		}
 		if len(e.inbox) > 0 {
 			e.core.Deliver(<-e.inbox)
@@ -332,9 +335,9 @@ func (e *Env) Run(until float64) error {
 			// chain leaves the horizon and the drain terminates. At and
 			// AtHook callbacks — proactive ticks included — cannot re-arm
 			// within the horizon: At clamps new events to the current run
-			// time, already past it.
-			for e.step(until, true) {
-			}
+			// time, already past it. The engine then stands at the horizon,
+			// as simnet.Env's does between runs.
+			e.core.Engine().RunUntil(until)
 			for len(e.inbox) > 0 {
 				e.core.Deliver(<-e.inbox)
 			}
