@@ -12,8 +12,9 @@
 //	tokennode -id 2 -listen 127.0.0.1:7002 -http 127.0.0.1:8002 -peers 0=127.0.0.1:7000,1=127.0.0.1:7001 -cluster-size 3
 //
 // Applications and strategies come from the experiment parsers, so the
-// same specs the simulator accepts ("push-gossip", "randomized:8:40", ...)
-// describe a deployment.
+// simulator's specs ("push-gossip", "randomized:8:40", ...) describe a
+// deployment. Every application spec but blockcast's runs: blockcast's chain
+// is run-global and a one-node daemon has none (see buildApplication).
 package main
 
 import (
@@ -150,10 +151,18 @@ func parsePeers(s string) ([]live.PeerAddr, error) {
 // overlaySeed must be the deployment-wide -overlay-seed, NOT the node's own
 // -seed: every node rebuilds the same overlay graph locally, so a per-node
 // seed would give each process a different neighbor structure.
+//
+// Blockcast is refused: its chain, proposer rotation and commit check run in
+// the experiment run's Start over the whole node set, which a daemon never
+// calls, so a blockcast daemon would gossip announces of blocks nobody
+// proposes.
 func buildApplication(spec string, clusterSize int, node int64, overlaySeed uint64, overlayK int) (protocol.Application, error) {
 	driver, err := experiment.ParseApplication(spec)
 	if err != nil {
 		return nil, err
+	}
+	if driver.Name() == experiment.Blockcast.Name() {
+		return nil, fmt.Errorf("application %s cannot run on a daemon: blockcast's chain is run-global, and a one-node daemon has none", spec)
 	}
 	if node < 0 || node >= int64(clusterSize) {
 		return nil, fmt.Errorf("node id %d outside the cluster [0, %d)", node, clusterSize)

@@ -84,13 +84,23 @@ func TestConfigFileLosesToExplicitDefaults(t *testing.T) {
 	}
 }
 
+// TestBuildApplication builds every application a daemon can run and
+// refuses blockcast, whose chain no daemon runs, with the reason.
 func TestBuildApplication(t *testing.T) {
-	app, err := buildApplication("push-gossip", 4, 2, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{"push-gossip", "gossip-learning", "chaotic-iteration"} {
+		app, err := buildApplication(spec, 8, 2, 1, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if app == nil {
+			t.Fatalf("%s: nil application", spec)
+		}
 	}
-	if app == nil {
-		t.Fatal("nil application")
+	for _, spec := range []string{"blockcast", "bc:32"} {
+		_, err := buildApplication(spec, 8, 2, 1, 0)
+		if err == nil || !strings.Contains(err.Error(), "run-global") {
+			t.Errorf("buildApplication(%q) = %v, want the run-global chain refusal", spec, err)
+		}
 	}
 	if _, err := buildApplication("no-such-app", 4, 0, 1, 0); err == nil {
 		t.Error("unknown application accepted")

@@ -40,8 +40,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// In process: the run loop delivers every message itself;
-	// live.NewTCPEnv would put the same nodes on loopback sockets.
+	// In process: the run loop delivers every message itself. Over sockets,
+	// each node is a daemon of its own (live.Daemon, cmd/tokennode).
 	env, err := live.NewEnv(live.EnvConfig{N: nodes, Seed: 1})
 	if err != nil {
 		log.Fatal(err)

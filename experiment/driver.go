@@ -149,11 +149,12 @@ type RunSummarizer interface {
 }
 
 // RuntimeDriver supplies the execution runtime of an experiment: it builds
-// the runtime.Env one repetition runs on. The three runtimes are SimRuntime
+// the runtime.Env one repetition runs on. The two runtimes are SimRuntime
 // ("sim": the discrete-event engine in virtual time, the paper's setup, or
-// its sharded variant), LiveRuntime ("live": wall-clock timers, messages
-// delivered in process) and LiveTCPRuntime ("live-tcp": the same over
-// loopback TCP sockets). ParseRuntime resolves their spec strings.
+// its sharded variant) and LiveRuntime ("live": wall-clock timers, messages
+// delivered in process). ParseRuntime resolves their spec strings. Sockets
+// are the deployed daemon's business (live.Daemon, cmd/tokennode), not a
+// runtime's.
 type RuntimeDriver interface {
 	// Name is the canonical runtime name, used by ParseRuntime.
 	Name() string

@@ -217,10 +217,11 @@ func TestGossipLearningTraceScenarioRuns(t *testing.T) {
 	}
 }
 
-// TestAuditRateLimitPasses runs audited assemblies on every runtime: the
-// §3.4 envelope holds on the simulator and on both wall-clock runtimes,
-// whose ticks re-arm one Δ after they ran however late that was. The live
-// cases are CI's live-tcp smoke step, Δ lasting about 35 ms of wall time.
+// TestAuditRateLimitPasses runs audited assemblies on both runtimes: the
+// §3.4 envelope holds on the simulator and on the wall-clock runtime, whose
+// ticks re-arm one Δ after they ran however late that was, Δ lasting about
+// 35 ms of wall time. The audited socket fleets are the daemon tests and
+// TestMultiProcessCluster (cmd/tokennode).
 func TestAuditRateLimitPasses(t *testing.T) {
 	live := func(spec string) Config {
 		cfg := quickConfig(PushGossip, Randomized(5, 10))
@@ -237,7 +238,6 @@ func TestAuditRateLimitPasses(t *testing.T) {
 	}{
 		{"sim", quickConfig(GossipLearning, Generalized(1, 20))},
 		{"live", live("live:0.0002")},
-		{"live-tcp", live("live-tcp:0.0002")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.AuditRateLimit = true

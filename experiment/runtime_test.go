@@ -1,10 +1,12 @@
 package experiment_test
 
 import (
+	goruntime "runtime"
 	"strings"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/experiment"
+	"github.com/szte-dcs/tokenaccount/live"
 )
 
 // TestParseRuntime checks every spelling of the simulator runtime, one
@@ -43,9 +45,39 @@ func TestParseRuntime(t *testing.T) {
 			}
 		})
 	}
-	names := experiment.Runtimes()
-	if len(names) < 3 || names[0] != "live" || names[1] != "live-tcp" || names[2] != "sim" {
-		t.Errorf("Runtimes() = %v, want at least [live live-tcp sim]", names)
+	if names := experiment.Runtimes(); len(names) != 2 || names[0] != "live" || names[1] != "sim" {
+		t.Errorf("Runtimes() = %v, want [live sim]", names)
+	}
+}
+
+// TestLiveRuntimeBuildsInProcessEnv checks that the live driver, parameterized
+// or not, builds a *live.Env with the configured number of node slots that
+// delivers in process: building it starts no goroutine.
+func TestLiveRuntimeBuildsInProcessEnv(t *testing.T) {
+	for _, spec := range []string{"live", "live:0.5"} {
+		t.Run(spec, func(t *testing.T) {
+			d, err := experiment.ParseRuntime(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goroutines := goruntime.NumGoroutine()
+			env, err := d.NewEnv(experiment.Config{N: 4}, 1)
+			started := goruntime.NumGoroutine() - goroutines
+			if err != nil {
+				t.Fatal(err)
+			}
+			le, ok := env.(*live.Env)
+			if !ok {
+				t.Fatalf("NewEnv returned %T, want *live.Env", env)
+			}
+			defer le.Close()
+			if started > 0 {
+				t.Errorf("NewEnv started %d goroutines, want 0", started)
+			}
+			if n := le.Availability().N(); n != 4 {
+				t.Errorf("env has %d node slots, want 4", n)
+			}
+		})
 	}
 }
 

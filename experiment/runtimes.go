@@ -26,14 +26,7 @@ var (
 	// messages delivered in process on the run loop's scheduler, and the
 	// default time compression of DefaultLiveTimeScale. It turns the same
 	// experiment spec into a scaled-down deployment rehearsal.
-	LiveRuntime RuntimeDriver = liveRuntime{name: "live"}
-	// LiveTCPRuntime executes repetitions in real time over real TCP sockets:
-	// one managed endpoint per node on the loopback interface, fully meshed,
-	// with word-encoded payload frames on the wire. It is the cross-check
-	// runtime — the same experiment spec runs on sockets instead of the
-	// simulator's abstractions — and is bounded to modest node counts
-	// (every node holds a listening socket and N−1 peer registrations).
-	LiveTCPRuntime RuntimeDriver = liveRuntime{name: "live-tcp"}
+	LiveRuntime RuntimeDriver = liveRuntime{}
 )
 
 // IsDefaultRuntime reports whether d is (an instance of) the default
@@ -58,25 +51,23 @@ func IsDefaultRuntime(d RuntimeDriver) bool {
 // so a few hundred rounds complete in seconds of real time.
 const DefaultLiveTimeScale = 1e-4
 
-// ParseRuntime resolves a runtime spec string "sim[:shards=N]",
-// "live[:timescale]" or "live-tcp[:timescale]"; "simnet" and "virtual" name
-// sim, "real" and "wall" live, and "tcp" live-tcp.
+// ParseRuntime resolves a runtime spec string "sim[:shards=N]" or
+// "live[:timescale]"; "simnet" and "virtual" name sim, "real" and "wall"
+// live.
 func ParseRuntime(spec string) (RuntimeDriver, error) {
 	parts := strings.Split(strings.TrimSpace(spec), ":")
 	switch parts[0] {
 	case "sim", "simnet", "virtual":
 		return parseSimRuntime(parts[1:])
 	case "live", "real", "wall":
-		return parseLiveRuntime("live", parts[1:])
-	case "live-tcp", "tcp":
-		return parseLiveRuntime("live-tcp", parts[1:])
+		return parseLiveRuntime(parts[1:])
 	}
 	return nil, fmt.Errorf("experiment: unknown runtime %q (registered: %s)",
 		spec, strings.Join(Runtimes(), ", "))
 }
 
-// Runtimes returns the names of the three runtimes in sorted order.
-func Runtimes() []string { return []string{"live", "live-tcp", "sim"} }
+// Runtimes returns the names of the two runtimes in sorted order.
+func Runtimes() []string { return []string{"live", "sim"} }
 
 // parseSimRuntime parses the parameters of "sim[:shards=N]" specs such as
 // "sim:shards=4". The parameter "slab", the name of the engine's one event
@@ -153,42 +144,41 @@ func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	})
 }
 
-// liveRuntime is the wall-clock RuntimeDriver, named after its transport:
-// "live" delivers every message in process, "live-tcp" over a loopback TCP
-// socket per node. A zero TimeScale uses the default time compression.
+// liveRuntime is the wall-clock RuntimeDriver: every message is delivered in
+// process on the run loop. A zero TimeScale uses the default time
+// compression.
 type liveRuntime struct {
-	name string
 	// TimeScale is the wall-clock duration of one run-second; 0 selects
 	// DefaultLiveTimeScale.
 	TimeScale float64
 }
 
-// parseLiveRuntime parses the parameters of the named live runtime's
-// "<name>[:timescale]" specs such as "live:0.001" or "live-tcp:0.001".
-func parseLiveRuntime(name string, args []string) (RuntimeDriver, error) {
-	r := liveRuntime{name: name}
+// parseLiveRuntime parses the parameters of "live[:timescale]" specs such as
+// "live:0.001".
+func parseLiveRuntime(args []string) (RuntimeDriver, error) {
+	var r liveRuntime
 	if len(args) > 1 {
-		return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want %s[:timescale])", args[1:], name)
+		return nil, fmt.Errorf("experiment: unexpected trailing parameter(s) %v (want live[:timescale])", args[1:])
 	}
 	if len(args) == 1 {
 		scale, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || scale <= 0 || math.IsInf(scale, 1) || math.IsNaN(scale) {
-			return nil, fmt.Errorf("experiment: bad %s timescale %q (want a positive, finite number of wall-seconds per run-second)", name, args[0])
+			return nil, fmt.Errorf("experiment: bad live timescale %q (want a positive, finite number of wall-seconds per run-second)", args[0])
 		}
 		r.TimeScale = scale
 	}
 	return r, nil
 }
 
-func (l liveRuntime) Name() string { return l.name }
+func (liveRuntime) Name() string { return "live" }
 
 // String renders the runtime with its effective time scale, so differently
 // compressed instances stay distinguishable in labels.
 func (l liveRuntime) String() string {
 	if l.TimeScale == 0 {
-		return l.name
+		return "live"
 	}
-	return fmt.Sprintf("%s(x%g)", l.name, l.TimeScale)
+	return fmt.Sprintf("live(x%g)", l.TimeScale)
 }
 
 func (l liveRuntime) scale() float64 {
@@ -199,9 +189,5 @@ func (l liveRuntime) scale() float64 {
 }
 
 func (l liveRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
-	envCfg := live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()}
-	if l.name == "live-tcp" {
-		return live.NewTCPEnv(envCfg)
-	}
-	return live.NewEnv(envCfg)
+	return live.NewEnv(live.EnvConfig{N: cfg.N, Seed: seed, TimeScale: l.scale()})
 }

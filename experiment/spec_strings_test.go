@@ -169,9 +169,6 @@ var specStringCases = []struct {
 	{"runtime", "wall", accepted("live", "live", "live", false)},
 	{"runtime", "live:0.001", accepted("live", "live(x0.001)", "live(x0.001)", false)},
 	{"runtime", "wall:0.5", accepted("live", "live(x0.5)", "live(x0.5)", false)},
-	{"runtime", "live-tcp", accepted("live-tcp", "live-tcp", "live-tcp", false)},
-	{"runtime", "tcp", accepted("live-tcp", "live-tcp", "live-tcp", false)},
-	{"runtime", "live-tcp:0.5", accepted("live-tcp", "live-tcp(x0.5)", "live-tcp(x0.5)", false)},
 	{"runtime", "sim:shards=0", rejected("experiment: bad shard count \"0\" (want a positive integer)")},
 	{"runtime", "sim:shards=x", rejected("experiment: bad shard count \"x\" (want a positive integer)")},
 	{"runtime", "sim:shards=-1", rejected("experiment: bad shard count \"-1\" (want a positive integer)")},
@@ -185,12 +182,11 @@ var specStringCases = []struct {
 	{"runtime", "live:inf", rejected("experiment: bad live timescale \"inf\" (want a positive, finite number of wall-seconds per run-second)")},
 	{"runtime", "live:NaN", rejected("experiment: bad live timescale \"NaN\" (want a positive, finite number of wall-seconds per run-second)")},
 	{"runtime", "live:1:2", rejected("experiment: unexpected trailing parameter(s) [2] (want live[:timescale])")},
-	{"runtime", "tcp:0", rejected("experiment: bad live-tcp timescale \"0\" (want a positive, finite number of wall-seconds per run-second)")},
-	{"runtime", "live-tcp:1:2", rejected("experiment: unexpected trailing parameter(s) [2] (want live-tcp[:timescale])")},
-	{"runtime", "", rejected("experiment: unknown runtime \"\" (registered: live, live-tcp, sim)")},
-	{"runtime", "nope", rejected("experiment: unknown runtime \"nope\" (registered: live, live-tcp, sim)")},
-	{"runtime", "Sim", rejected("experiment: unknown runtime \"Sim\" (registered: live, live-tcp, sim)")},
-	{"runtime", "live-udp", rejected("experiment: unknown runtime \"live-udp\" (registered: live, live-tcp, sim)")},
+	{"runtime", "live-tcp", rejected("experiment: unknown runtime \"live-tcp\" (registered: live, sim)")},
+	{"runtime", "", rejected("experiment: unknown runtime \"\" (registered: live, sim)")},
+	{"runtime", "nope", rejected("experiment: unknown runtime \"nope\" (registered: live, sim)")},
+	{"runtime", "Sim", rejected("experiment: unknown runtime \"Sim\" (registered: live, sim)")},
+	{"runtime", "live-udp", rejected("experiment: unknown runtime \"live-udp\" (registered: live, sim)")},
 
 	{"workload", "interval", accepted("interval", "interval", "interval", true)},
 	{"workload", "drip", accepted("interval", "interval", "interval", true)},

@@ -10,7 +10,8 @@
 // executes unchanged in real time, and both worlds order events by the same
 // (time, seq) rule. Daemon is the deployable unit built from the same two
 // parts: a one-node Host over an Env whose transport is a managed TCP
-// endpoint, plus membership and lifecycle.
+// endpoint, plus membership and lifecycle. It is the package's one socket
+// assembly.
 package live
 
 import (
@@ -45,10 +46,11 @@ type EnvConfig struct {
 	Latency float64
 	// NewTransport optionally runs the environment over an external
 	// transport: it must return the transport endpoint of node i, whose
-	// SendPayload(to, ...) reaches the endpoint returned for node `to`. Use
-	// it to run the environment over TCP endpoints. Nil keeps every message
-	// in process: a due delivery calls the delivery callback straight from
-	// the run loop, as in simnet.Env, with no transport, goroutine or queue.
+	// SendPayload(to, ...) reaches the endpoint returned for node `to`. The
+	// Daemon passes its one TCP endpoint; a mesh of N endpoints is for tests
+	// and benchmarks of the socket path. Nil keeps every message in process:
+	// a due delivery calls the delivery callback straight from the run loop,
+	// as in simnet.Env, with no transport, goroutine or queue.
 	NewTransport func(i int) (transport.Transport, error)
 	// QueueSize bounds the delivery queue between an external transport's
 	// goroutines and the run loop (default 4096). When the queue is full
@@ -62,11 +64,11 @@ type EnvConfig struct {
 // simulator — whose run loop steps the engine once the clock reaches each
 // event's time (optionally compressed by TimeScale). Messages are delivered
 // on that engine (in process, the default) or travel over an external
-// transport (TCP via NewTransport), and all callbacks — timers and
-// deliveries alike — are serialized on the run loop goroutine inside Run, so
-// hosts and protocol nodes need no locking. It is the deployable counterpart
-// of simnet.Env and turns the same assembly into the paper's "traffic
-// shaping service".
+// transport (the Daemon's TCP endpoint, via NewTransport), and all
+// callbacks — timers and deliveries alike — are serialized on the run loop
+// goroutine inside Run, so hosts and protocol nodes need no locking. It is
+// the deployable counterpart of simnet.Env and turns the same assembly into
+// the paper's "traffic shaping service".
 //
 // Like every runtime.Env, it is single-goroutine: its methods are called
 // during assembly, between runs, or from dispatched callbacks. Only an
@@ -102,7 +104,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	case cfg.N < 1 || cfg.N > 65536:
 		return nil, fmt.Errorf("live: EnvConfig.N = %d outside [1, 65536]", cfg.N)
 	case cfg.TimeScale < 0 || math.IsInf(cfg.TimeScale, 1) || math.IsNaN(cfg.TimeScale):
-		return nil, fmt.Errorf("live: TimeScale = %v, need a positive finite value", cfg.TimeScale)
+		return nil, fmt.Errorf("live: TimeScale = %v, need ≥ 0 and finite (0 means 1)", cfg.TimeScale)
 	case cfg.Latency < 0 || math.IsInf(cfg.Latency, 1) || math.IsNaN(cfg.Latency):
 		return nil, fmt.Errorf("live: Latency = %v, need ≥ 0 and finite", cfg.Latency)
 	case cfg.QueueSize < 0:

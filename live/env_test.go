@@ -749,13 +749,14 @@ func TestEnvLatencyIsPerMessage(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name string
-		new  func(live.EnvConfig) (*live.Env, error)
-	}{
-		{"memory", live.NewEnv},
-		{"tcp", live.NewTCPEnv},
-	} {
+		tcp  bool
+	}{{"memory", false}, {"tcp", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, err := tc.new(live.EnvConfig{N: 2, TimeScale: 0.1, Latency: latency})
+			cfg := live.EnvConfig{N: 2, TimeScale: 0.1, Latency: latency}
+			if tc.tcp {
+				cfg.NewTransport = tcpMesh(t, cfg.N, transport.NewRegistry())
+			}
+			env, err := live.NewEnv(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

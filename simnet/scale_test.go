@@ -74,7 +74,10 @@ func TestMillionNodeSmoke(t *testing.T) {
 	}
 	// The window records every allocation's stack in the memory profile
 	// (MemProfileRate 1), so a failure names what allocated; recording
-	// allocates nothing, and a clean window has nothing to record.
+	// allocates nothing, and a clean window has nothing to record. The window
+	// counts every malloc of the process, and the Go runtime sometimes starts
+	// an OS thread inside it (runtime.newm allocates the thread's m, g and
+	// profiling stack); those allocations are logged, and any other fails.
 	var before, after stdruntime.MemStats
 	base := memProfile()
 	rate := stdruntime.MemProfileRate
@@ -88,8 +91,13 @@ func TestMillionNodeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		sites := allocSites(base, &before, &after) // before the report allocates
-		t.Errorf("warmed-up 10^6-node period allocated %d objects, want 0", allocs)
+		sites, threadStart := allocSites(base, &before, &after) // before the report allocates
+		if allocs > threadStart {
+			t.Errorf("warmed-up 10^6-node period allocated %d objects, %d of them starting an OS thread, want 0 others",
+				allocs, threadStart)
+		} else {
+			t.Logf("warmed-up 10^6-node period allocated %d objects, all of them starting an OS thread", allocs)
+		}
 		logAllocWindow(t, &before, &after)
 		for _, site := range sites {
 			t.Log(site)
@@ -221,9 +229,8 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // logAllocWindow reports what a measurement window allocated, so a failure of
-// the zero-allocation assertion, which fails intermittently for a reason not
-// yet known, comes with evidence: the collections that ran in the window (a GC cycle's own
-// bookkeeping is a suspect) and every size class whose malloc count grew.
+// the zero-allocation assertion comes with evidence: the collections that ran
+// in the window and every size class whose malloc count grew.
 func logAllocWindow(t *testing.T, before, after *stdruntime.MemStats) {
 	t.Helper()
 	t.Logf("window: %d GC cycles, %d bytes allocated", after.NumGC-before.NumGC, after.TotalAlloc-before.TotalAlloc)
@@ -260,7 +267,10 @@ func memProfile() []stdruntime.MemProfileRecord {
 // frames, if the window allocated objects of that size. The window samples
 // every allocation (MemProfileRate 1); the size filter drops most of what the
 // default rate sampled between the last collection and the window.
-func allocSites(base []stdruntime.MemProfileRecord, before, after *stdruntime.MemStats) []string {
+// threadStart counts the listed objects whose stack runs through
+// runtime.newm: the Go runtime starting an OS thread, not the code under
+// test.
+func allocSites(base []stdruntime.MemProfileRecord, before, after *stdruntime.MemStats) (sites []string, threadStart uint64) {
 	grew := map[int64]bool{}
 	large := after.Mallocs - before.Mallocs
 	for i := range after.BySize {
@@ -286,7 +296,6 @@ func allocSites(base []stdruntime.MemProfileRecord, before, after *stdruntime.Me
 	}
 	count(memProfile(), 1)
 	count(base, -1)
-	var out []string
 	for s, n := range objects {
 		if n <= 0 || s.size > total || !grew[s.size] && (s.size <= largest || large == 0) {
 			continue
@@ -295,12 +304,19 @@ func allocSites(base []stdruntime.MemProfileRecord, before, after *stdruntime.Me
 		fmt.Fprintf(&b, "window: %d objects of %d B allocated at:", n, s.size)
 		r := stdruntime.MemProfileRecord{Stack0: s.stack}
 		frames := stdruntime.CallersFrames(r.Stack())
+		newm := false
 		for more := true; more; {
 			var f stdruntime.Frame
 			f, more = frames.Next()
+			if f.Function == "runtime.newm" {
+				newm = true
+			}
 			fmt.Fprintf(&b, "\n    %s\n        %s:%d", f.Function, f.File, f.Line)
 		}
-		out = append(out, b.String())
+		sites = append(sites, b.String())
+		if newm {
+			threadStart += uint64(n)
+		}
 	}
-	return out
+	return sites, threadStart
 }
