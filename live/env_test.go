@@ -969,6 +969,68 @@ func tcpMesh(t *testing.T, n int, registry *transport.Registry) func(int) (trans
 	return func(i int) (transport.Transport, error) { return eps[i], nil }
 }
 
+// TestEnvAddressesEveryPair sends two messages along every ordered pair of
+// three nodes, one undelayed and one delayed (the two ways into a
+// transport), each carrying its own pair in the word: in process and over
+// TCP, each must reach its addressee, naming its sender. With three nodes a
+// delivery addressed to the sender, or a receiver named as the sender,
+// cannot pass for a correct one.
+func TestEnvAddressesEveryPair(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"memory", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := live.EnvConfig{N: n, TimeScale: 1e-3}
+			if tc.tcp {
+				cfg.NewTransport = tcpMesh(t, cfg.N, transport.NewRegistry())
+			}
+			env, err := live.NewEnv(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			var seen [n * n]int
+			arrived := 0
+			env.SetDeliver(func(from, to protocol.NodeID, p protocol.Payload) {
+				if want := uint64(from)*n + uint64(to); p.Word != want {
+					t.Errorf("message of pair %d→%d delivered as %d→%d", p.Word/n, p.Word%n, from, to)
+				}
+				seen[p.Word%(n*n)]++
+				if arrived++; arrived == 2*n*(n-1) {
+					env.Stop()
+				}
+			})
+			env.At(0, func() {
+				for from := 0; from < n; from++ {
+					for to := 0; to < n; to++ {
+						if from == to {
+							continue
+						}
+						p := protocol.WordPayload(protocol.KindUpdateSeq, uint64(from*n+to))
+						for _, delay := range []float64{0, 1} {
+							env.SendDelayed(protocol.NodeID(from), protocol.NodeID(to), p, delay)
+						}
+					}
+				}
+			})
+			if err := env.Run(5000); err != nil { // 5 s of wall time unless Stop ends it
+				t.Fatal(err)
+			}
+			for pair, count := range seen {
+				want := 2
+				if pair/n == pair%n {
+					want = 0 // no node sends to itself
+				}
+				if count != want {
+					t.Errorf("pair %d→%d delivered %d times, want %d", pair/n, pair%n, count, want)
+				}
+			}
+		})
+	}
+}
+
 // TestEnvDeliversPayloadsUnchanged sends a word of a built-in kind, a word of
 // a kind no package claims and a boxed value: in process and over TCP,
 // each must reach the delivery callback with the Kind, Word and Box it was

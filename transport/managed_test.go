@@ -165,6 +165,51 @@ func TestTCPReconnectDeliversFirstSend(t *testing.T) {
 	}
 }
 
+// TestTCPRetriesStaleConnectionOnce plants a cached connection whose write
+// fails and that no monitor will clear: the case of a peer that died between
+// the monitor's read and the writer's write. peerLink.deliver must drop it,
+// dial afresh and resend the batch, so the message arrives and nothing is
+// counted lost.
+func TestTCPRetriesStaleConnectionOnce(t *testing.T) {
+	registry := NewRegistry()
+	a, err := NewTCPEndpoint(1, "127.0.0.1:0", registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCPEndpoint(2, "127.0.0.1:0", registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var got collector
+	b.SetPayloadHandler(got.handler)
+	a.AddPeer(2, b.Addr())
+
+	stale, other := net.Pipe()
+	_ = other.Close()
+	_ = stale.Close() // every write on it fails
+	a.mu.Lock()
+	l := a.links[2]
+	a.mu.Unlock()
+	l.mu.Lock()
+	l.conn = stale
+	l.mu.Unlock()
+
+	if err := a.SendPayload(2, protocol.WordPayload(protocol.KindUpdateSeq, 7)); err != nil {
+		t.Fatal(err)
+	}
+	got.waitFor(t, 1, 2*time.Second)
+	got.mu.Lock()
+	if got.msgs[0].Word != 7 || got.from[0] != 1 {
+		t.Errorf("retried message arrived as %+v from %d, want word 7 from 1", got.msgs[0], got.from[0])
+	}
+	got.mu.Unlock()
+	if s := a.Stats(); s.SendErrors != 0 || s.Disconnects != 1 || s.Dials != 1 {
+		t.Errorf("stats after one stale write = %+v, want 0 send errors, 1 disconnect, 1 dial", s)
+	}
+}
+
 // TestTCPDecodeErrorCounted feeds the endpoint a syntactically framed but
 // undecodable message: the read loop must count both the decode failure and
 // the disconnect it entails instead of silently dropping the peer.
