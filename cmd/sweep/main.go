@@ -48,10 +48,9 @@ func run(args []string, w io.Writer) (err error) {
 		appName      = fs.String("app", "gossip-learning", "application to sweep: "+strings.Join(experiment.Applications(), ", "))
 		kindName     = fs.String("kind", "randomized", "strategy family: "+strings.Join(sweepableKinds(), ", "))
 		scenarioName = fs.String("scenario", "failure-free", "failure scenario: "+strings.Join(experiment.Scenarios(), ", "))
-		runtimeName  = fs.String("runtime", "sim", "execution runtime (live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
+		runtimeName  = fs.String("runtime", "sim", "execution runtime (sim takes :shards=N for N parallel worker shards, which needs a network model with a positive minimum cross-shard delay, e.g. zones; live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
 		networkList  = fs.String("network", "constant", "comma-separated network model specs swept as an extra axis (e.g. constant,exponential:1.728,zones:4:0.5:3): "+strings.Join(experiment.Networks(), ", "))
 		workloadList = fs.String("workload", "interval", "comma-separated update-injection arrival process specs swept as an extra axis (e.g. interval,poisson:0.5,pareto-onoff:2:30:90:1.5): "+strings.Join(experiment.Workloads(), ", "))
-		shards       = fs.Int("shards", 0, "parallel worker shards of the sim runtime (1 = the sequential engine; >1 needs a network model with a positive minimum cross-shard delay, e.g. zones)")
 		n            = fs.Int("n", 500, "number of nodes")
 		rounds       = fs.Int("rounds", 200, "number of proactive periods")
 		reps         = fs.Int("reps", 1, "repetitions per setting")
@@ -90,17 +89,6 @@ func run(args []string, w io.Writer) (err error) {
 	rt, err := experiment.ParseRuntime(*runtimeName)
 	if err != nil {
 		return err
-	}
-	if *shards != 0 {
-		// Like tokensim's -shards: only upgrade the plain sim runtime,
-		// never override a spec that already carries its own parameters.
-		if !experiment.IsDefaultRuntime(rt) || strings.Contains(*runtimeName, ":") {
-			return fmt.Errorf("-shards applies to the plain sim runtime only (got -runtime %s)", *runtimeName)
-		}
-		if *shards < 0 {
-			return fmt.Errorf("-shards = %d, want ≥ 1", *shards)
-		}
-		rt = experiment.SimRuntimeWithOptions(*shards)
 	}
 	var nets []experiment.NetworkDriver
 	for _, spec := range strings.Split(*networkList, ",") {

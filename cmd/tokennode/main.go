@@ -79,7 +79,7 @@ func defineFlags(fs *flag.FlagSet, o *nodeOptions) *string {
 	fs.StringVar(&o.Peers, "peers", o.Peers, "seed peers as comma-separated id=host:port entries")
 	fs.StringVar(&o.App, "app", o.App, "application spec (as tokensim -app, e.g. push-gossip)")
 	fs.StringVar(&o.Strategy, "strategy", o.Strategy, "strategy spec (as tokensim -strategy, e.g. randomized:8:40)")
-	fs.IntVar(&o.ClusterSize, "cluster-size", o.ClusterSize, "total nodes in the deployment (default: peers+1)")
+	fs.IntVar(&o.ClusterSize, "cluster-size", o.ClusterSize, "total nodes in the deployment (default: the distinct ids of -peers and -id)")
 	fs.StringVar(&o.Delta, "delta", o.Delta, "proactive period Δ (Go duration)")
 	fs.IntVar(&o.Tokens, "tokens", o.Tokens, "initial token balance")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "this node's random seed (0 derives a process-unique seed)")
@@ -195,15 +195,25 @@ func buildApplication(spec string, clusterSize int, node int64, overlaySeed uint
 	return own, nil
 }
 
+// clusterSize returns -cluster-size, or by default the number of distinct
+// ids among the peers and the node itself: a whole fleet may share one peer
+// list, whose entry for the node itself the daemon skips.
+func clusterSize(o nodeOptions, peers []live.PeerAddr) int {
+	if o.ClusterSize != 0 {
+		return o.ClusterSize
+	}
+	ids := map[protocol.NodeID]bool{protocol.NodeID(o.ID): true}
+	for _, p := range peers {
+		ids[p.ID] = true
+	}
+	return len(ids)
+}
+
 // buildDaemon assembles the live daemon from the resolved options.
 func buildDaemon(o nodeOptions) (*live.Daemon, error) {
 	peers, err := parsePeers(o.Peers)
 	if err != nil {
 		return nil, err
-	}
-	clusterSize := o.ClusterSize
-	if clusterSize == 0 {
-		clusterSize = len(peers) + 1
 	}
 	delta, err := time.ParseDuration(o.Delta)
 	if err != nil {
@@ -217,7 +227,7 @@ func buildDaemon(o nodeOptions) (*live.Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	app, err := buildApplication(o.App, clusterSize, o.ID, o.OverlaySeed, o.OverlayK)
+	app, err := buildApplication(o.App, clusterSize(o, peers), o.ID, o.OverlaySeed, o.OverlayK)
 	if err != nil {
 		return nil, err
 	}

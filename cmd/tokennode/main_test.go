@@ -110,6 +110,35 @@ func TestBuildApplication(t *testing.T) {
 	}
 }
 
+// TestDefaultClusterSize counts the distinct ids of -peers and -id: a peer
+// list shared by the whole fleet names the node itself, and a repeated id
+// is one node.
+func TestDefaultClusterSize(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		id    int64
+		peers string
+		size  int
+		want  int
+	}{
+		{"own peers only", 0, "1=a:1,2=b:2", 0, 3},
+		{"shared list", 1, "0=a:1,1=b:2,2=c:3", 0, 3},
+		{"duplicate id", 0, "1=a:1,1=b:2,2=c:3", 0, 3},
+		{"no peers", 0, "", 0, 1},
+		{"explicit", 1, "0=a:1,1=b:2", 5, 5},
+	} {
+		peers, err := parsePeers(c.peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := defaultOptions()
+		o.ID, o.ClusterSize = c.id, c.size
+		if got := clusterSize(o, peers); got != c.want {
+			t.Errorf("%s: clusterSize = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestBuildDaemonErrors(t *testing.T) {
 	o := defaultOptions()
 	o.Delta = "not-a-duration"

@@ -30,7 +30,7 @@ func runBlockcastSim(t *testing.T, extra ...string) string {
 }
 
 // TestBlockcastByteIdentity extends the golden matrix to the blockcast
-// application: -shards 1 must route through the exact sequential engine. The summary
+// application: sim:shards=1 must route through the exact sequential engine. The summary
 // surface (byte totals, commit latency quantiles, peak burst) is part of the
 // pinned output.
 func TestBlockcastByteIdentity(t *testing.T) {
@@ -46,8 +46,8 @@ func TestBlockcastByteIdentity(t *testing.T) {
 			t.Errorf("blockcast output missing %q:\n%s", want, base)
 		}
 	}
-	if got := runBlockcastSim(t, "-shards", "1"); got != base {
-		t.Error("-shards 1 diverged from the sequential engine")
+	if got := runBlockcastSim(t, "-runtime", "sim:shards=1"); got != base {
+		t.Error("sim:shards=1 diverged from the sequential engine")
 	}
 }
 
@@ -56,8 +56,8 @@ func TestBlockcastByteIdentity(t *testing.T) {
 // token-gated block path, byte accounting) must stay a pure function of the
 // seed under parallel execution.
 func TestBlockcastShardedSelfDeterminism(t *testing.T) {
-	a := runBlockcastSim(t, "-shards", "2")
-	b := runBlockcastSim(t, "-shards", "2")
+	a := runBlockcastSim(t, "-runtime", "sim:shards=2")
+	b := runBlockcastSim(t, "-runtime", "sim:shards=2")
 	if a != b {
 		t.Error("two identical sharded blockcast runs diverged")
 	}

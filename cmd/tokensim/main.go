@@ -35,10 +35,9 @@ func run(args []string, w io.Writer) (err error) {
 		appName      = fs.String("app", "gossip-learning", "application: "+strings.Join(experiment.Applications(), ", "))
 		strategyName = fs.String("strategy", "randomized:5:10", "strategy kind (with :params, e.g. simple:C, randomized:A:C): "+strings.Join(experiment.StrategyKinds(), ", "))
 		scenarioName = fs.String("scenario", "failure-free", "scenario: "+strings.Join(experiment.Scenarios(), ", "))
-		runtimeName  = fs.String("runtime", "sim", "execution runtime (live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
+		runtimeName  = fs.String("runtime", "sim", "execution runtime (sim takes :shards=N for N parallel worker shards, which needs a network model with a positive minimum cross-shard delay, e.g. zones; live takes :timescale, e.g. live:0.001): "+strings.Join(experiment.Runtimes(), ", "))
 		networkName  = fs.String("network", "constant", "network latency/loss model (with :params, e.g. exponential:1.728, zones:4:0.5:3, lossy:0.01:uniform:1:2): "+strings.Join(experiment.Networks(), ", "))
 		workloadName = fs.String("workload", "interval", "update-injection arrival process (with :params, e.g. poisson:0.5, flashcrowd:3600:20:600:poisson:0.5, replay:arrivals.stream): "+strings.Join(experiment.Workloads(), ", "))
-		shards       = fs.Int("shards", 0, "parallel worker shards of the sim runtime (1 = the sequential engine; >1 needs a network model with a positive minimum cross-shard delay, e.g. zones)")
 		n            = fs.Int("n", 1000, "number of nodes")
 		rounds       = fs.Int("rounds", 200, "number of proactive periods")
 		reps         = fs.Int("reps", 1, "independent repetitions to average")
@@ -109,18 +108,6 @@ func run(args []string, w io.Writer) (err error) {
 	workload, err := experiment.ParseWorkload(*workloadName)
 	if err != nil {
 		return err
-	}
-	if *shards != 0 {
-		// Reject both non-sim runtimes and runtime specs that already carry
-		// their own parameters (e.g. sim:shards=4), so -shards never silently
-		// overrides an explicit choice.
-		if !experiment.IsDefaultRuntime(rt) || strings.Contains(*runtimeName, ":") {
-			return fmt.Errorf("-shards applies to the plain sim runtime only (got -runtime %s)", *runtimeName)
-		}
-		if *shards < 0 {
-			return fmt.Errorf("-shards = %d, want ≥ 1", *shards)
-		}
-		rt = experiment.SimRuntimeWithOptions(*shards)
 	}
 	cfg := experiment.Config{
 		App:            app,

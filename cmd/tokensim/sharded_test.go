@@ -55,7 +55,7 @@ func runGolden(t *testing.T, args []string, extra ...string) string {
 	return out.String()
 }
 
-// TestShardsOneByteIdentity requires -shards 1 to reproduce every golden
+// TestShardsOneByteIdentity requires sim:shards=1 to reproduce every golden
 // configuration byte-for-byte: a single shard must route through the exact
 // sequential engine, making sharding a pure opt-in.
 func TestShardsOneByteIdentity(t *testing.T) {
@@ -69,8 +69,8 @@ func TestShardsOneByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := runGolden(t, args, "-shards", "1"); got != string(want) {
-				t.Errorf("-shards 1 output diverged from golden file %s/%s", dir, file)
+			if got := runGolden(t, args, "-runtime", "sim:shards=1"); got != string(want) {
+				t.Errorf("sim:shards=1 output diverged from golden file %s/%s", dir, file)
 			}
 		})
 	}
@@ -88,8 +88,8 @@ func TestShardedSelfDeterminism(t *testing.T) {
 		}
 		for _, shards := range []string{"2", "4", "8"} {
 			t.Run(name+"/shards="+shards, func(t *testing.T) {
-				a := runGolden(t, args, "-shards", shards)
-				b := runGolden(t, args, "-shards", shards)
+				a := runGolden(t, args, "-runtime", "sim:shards="+shards)
+				b := runGolden(t, args, "-runtime", "sim:shards="+shards)
 				if a != b {
 					t.Errorf("two identical sharded runs diverged (shards=%s)", shards)
 				}
@@ -107,10 +107,10 @@ func TestShardedSelfDeterminism(t *testing.T) {
 // since its contiguous shard plan and lookahead come from the network model;
 // zones and a churn scenario on zones cover the WAN plan.
 var goldenShardedCases = map[string][]string{
-	"push_constant_shards-2":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-shards", "2"},
-	"push_constant_shards-4":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-shards", "4"},
-	"push_zones_shards-2":            {"-app", "push-gossip", "-strategy", "generalized:1:10", "-network", "zones:4:0.5:3", "-shards", "2"},
-	"push_smartphone-zones_shards-2": {"-app", "push-gossip", "-strategy", "randomized:5:10", "-scenario", "smartphone-trace", "-network", "zones:4:0.5:3", "-shards", "2"},
+	"push_constant_shards-2":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-runtime", "sim:shards=2"},
+	"push_constant_shards-4":         {"-app", "push-gossip", "-strategy", "randomized:5:10", "-runtime", "sim:shards=4"},
+	"push_zones_shards-2":            {"-app", "push-gossip", "-strategy", "generalized:1:10", "-network", "zones:4:0.5:3", "-runtime", "sim:shards=2"},
+	"push_smartphone-zones_shards-2": {"-app", "push-gossip", "-strategy", "randomized:5:10", "-scenario", "smartphone-trace", "-network", "zones:4:0.5:3", "-runtime", "sim:shards=2"},
 }
 
 // TestShardedGoldenByteIdentity pins sharded runs against recorded output,
@@ -130,13 +130,10 @@ func TestShardedGoldenByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedErrors covers the sharded flag and spec error paths.
+// TestShardedErrors covers the sharded spec error paths.
 func TestShardedErrors(t *testing.T) {
 	cases := [][]string{
-		{"-shards", "-1"},
-		{"-shards", "2", "-network", "exponential:1.728"}, // no positive lookahead
-		{"-shards", "2", "-runtime", "live:0.001"},
-		{"-shards", "2", "-runtime", "sim:shards=4"}, // conflicting explicit choices
+		{"-runtime", "sim:shards=2", "-network", "exponential:1.728"}, // no positive lookahead
 		{"-runtime", "sim:shards=0"},
 		{"-runtime", "sim:shards=x"},
 		{"-runtime", "sim:shards=2:shards=4"},
@@ -197,18 +194,18 @@ func TestShardCountInvariantConfigs(t *testing.T) {
 			var first string
 			for _, shards := range []string{"1", "2", "4"} {
 				var out strings.Builder
-				full := append([]string{"-n", "600", "-rounds", "30", "-shards", shards}, args...)
+				full := append([]string{"-n", "600", "-rounds", "30", "-runtime", "sim:shards=" + shards}, args...)
 				if err := run(full, &out); err != nil {
 					t.Fatal(err)
 				}
 				_, body, _ := strings.Cut(out.String(), "\n")
 				switch {
 				case body == "":
-					t.Fatalf("-shards %s: empty output below the label line", shards)
+					t.Fatalf("sim:shards=%s: empty output below the label line", shards)
 				case first == "":
 					first = body
 				case body != first:
-					t.Errorf("-shards %s diverged from -shards 1 below the label line:\n%s\nvs\n%s", shards, body, first)
+					t.Errorf("sim:shards=%s diverged from sim:shards=1 below the label line:\n%s\nvs\n%s", shards, body, first)
 				}
 			}
 		})

@@ -43,7 +43,7 @@ func runWorkloadSim(t *testing.T, spec string, extra ...string) string {
 
 // TestWorkloadMatrixByteIdentity is the workload golden matrix: every
 // built-in generator family must be run-to-run byte-identical on the
-// sequential engine, and -shards 1 must route
+// sequential engine, and sim:shards=1 must route
 // through the exact sequential engine — the same guarantees the app × strategy
 // × scenario golden matrix pins for the default workload.
 func TestWorkloadMatrixByteIdentity(t *testing.T) {
@@ -56,8 +56,8 @@ func TestWorkloadMatrixByteIdentity(t *testing.T) {
 			if !strings.Contains(base, "# injections skipped") {
 				t.Error("non-default workload output missing the skipped-injections line")
 			}
-			if got := runWorkloadSim(t, spec, "-shards", "1"); got != base {
-				t.Errorf("-shards 1 diverged from the sequential engine under workload %s", spec)
+			if got := runWorkloadSim(t, spec, "-runtime", "sim:shards=1"); got != base {
+				t.Errorf("sim:shards=1 diverged from the sequential engine under workload %s", spec)
 			}
 		})
 	}
@@ -70,8 +70,8 @@ func TestWorkloadMatrixByteIdentity(t *testing.T) {
 func TestWorkloadShardedSelfDeterminism(t *testing.T) {
 	for name, spec := range workloadCases {
 		t.Run(name, func(t *testing.T) {
-			a := runWorkloadSim(t, spec, "-network", "zones:4:0.5:3", "-shards", "2")
-			b := runWorkloadSim(t, spec, "-network", "zones:4:0.5:3", "-shards", "2")
+			a := runWorkloadSim(t, spec, "-network", "zones:4:0.5:3", "-runtime", "sim:shards=2")
+			b := runWorkloadSim(t, spec, "-network", "zones:4:0.5:3", "-runtime", "sim:shards=2")
 			if a != b {
 				t.Errorf("two identical sharded runs diverged under workload %s", spec)
 			}

@@ -7,12 +7,12 @@
 // gossip learning, push gossip, chaotic power iteration, plus blockcast —
 // (ParseApplication), the failure scenarios — the paper's failure-free and
 // smartphone trace, plus regional outages and a crash burst —
-// (ParseScenario), the five strategy kinds (ParseStrategySpec), the three
-// runtimes — the discrete-event simulator, the wall-clock live runtime and
-// its TCP variant — (ParseRuntime), the network models (ParseNetwork) and
-// the workloads (ParseWorkload). The run pipeline itself only sees the
-// driver interfaces of driver.go, so a caller's own AppDriver or
-// ScenarioDriver runs through it unchanged when set in Config.
+// (ParseScenario), the five strategy kinds (ParseStrategySpec), the two
+// runtimes — the discrete-event simulator, sequential or sharded, and the
+// wall-clock live runtime — (ParseRuntime), the network models
+// (ParseNetwork) and the workloads (ParseWorkload). The run pipeline itself
+// only sees the driver interfaces of driver.go, so a caller's own AppDriver
+// or ScenarioDriver runs through it unchanged when set in Config.
 package experiment
 
 import (

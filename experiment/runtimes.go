@@ -18,9 +18,8 @@ import (
 var (
 	// SimRuntime executes repetitions on the discrete-event engine in
 	// virtual time — the paper's evaluation setup, deterministic and as fast
-	// as the hardware allows. It runs the sequential engine;
-	// SimRuntimeWithOptions (or the "sim:shards=N" spec) selects the sharded
-	// one.
+	// as the hardware allows. It runs the sequential engine; the
+	// "sim:shards=N" spec selects the sharded one.
 	SimRuntime RuntimeDriver = simRuntime{}
 	// LiveRuntime executes repetitions in real time: wall-clock timers,
 	// messages delivered in process on the run loop's scheduler, and the
@@ -95,18 +94,13 @@ func parseSimRuntime(args []string) (RuntimeDriver, error) {
 	return r, nil
 }
 
-// SimRuntimeWithOptions returns the discrete-event runtime with the given
-// shard count. Shards ≤ 1 selects the sequential
-// engine; shards > 1 partitions every repetition's node space across that
-// many parallel worker shards under the conservative time-window protocol
-// (see sim.ShardedEngine). The sharded runtime requires a network model with
-// a positive minimum cross-shard delay — NewEnv rejects configurations
-// without one (see netmodel.PlanShards). The spec form "sim:shards=4" parses
-// to the same driver.
-func SimRuntimeWithOptions(shards int) RuntimeDriver { return simRuntime{shards: shards} }
-
 // simRuntime is the discrete-event RuntimeDriver. shards ≤ 1 (the zero
-// value, SimRuntime) runs the sequential engine.
+// value, SimRuntime) runs the sequential engine; shards > 1 ("sim:shards=N")
+// partitions every repetition's node space across that many parallel worker
+// shards under the conservative time-window protocol (see
+// sim.ShardedEngine), which needs a network model with a positive minimum
+// cross-shard delay: NewEnv rejects configurations without one (see
+// netmodel.PlanShards).
 type simRuntime struct {
 	shards int
 }

@@ -275,6 +275,15 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		InitialTokens: cfg.InitialTokens,
 		AuditNodes:    []int{0},
 		Network:       netmodel.Constant{},
+		// The rejoin pull of §4.1.2: a node returning from churn re-announces
+		// itself to one random peer, whose answer is token-gated on its side.
+		// SetOnline runs under d.mu (WithHost or a run-loop callback), which
+		// guards d.rnd; the peer table's and the endpoint's locks come after.
+		OnRejoin: func(*runtime.Host, int) {
+			if target, ok := d.peers.SelectPeerOf(0, d.rnd); ok {
+				_ = ep.SendPayload(target, protocol.BoxPayload(joinMsg{ID: int64(cfg.ID), Addr: ep.Addr()}))
+			}
+		},
 	})
 	if err != nil {
 		_ = d.env.Close()
@@ -444,21 +453,6 @@ func (d *Daemon) announce() {
 	for _, id := range d.peers.list() {
 		_ = d.ep.SendPayload(id, msg)
 	}
-}
-
-// rejoin re-announces the node to one randomly chosen peer — the rejoin pull
-// of §4.1.2: a node returning from churn asks a single neighbor for the
-// latest state, and the neighbor's answer is token-gated on its side. It is
-// called after WithHost has brought the node back online; no command takes a
-// daemon offline and back, so only the tests do.
-func (d *Daemon) rejoin() {
-	d.mu.Lock()
-	target, ok := d.peers.SelectPeerOf(0, d.rnd)
-	d.mu.Unlock()
-	if !ok {
-		return
-	}
-	_ = d.ep.SendPayload(target, protocol.BoxPayload(joinMsg{ID: int64(d.cfg.ID), Addr: d.ep.Addr()}))
 }
 
 // Drain gracefully stops the daemon: it announces its leave to every peer,

@@ -228,7 +228,6 @@ func TestDaemonRejoinPull(t *testing.T) {
 	daemonInject(a, 7)
 
 	b.WithHost(func(h *runtime.Host) { h.SetOnline(0) })
-	b.rejoin()
 	waitUntil(t, 5*time.Second, "B to pull the latest update", func() bool {
 		return daemonSeq(b) == 7
 	})
@@ -414,7 +413,6 @@ func TestDaemonOnlineFlipsUnderLoad(t *testing.T) {
 		daemonInject(daemons[(round+1)%n], int64(round+1))
 		time.Sleep(500 * time.Microsecond)
 		d.WithHost(func(h *runtime.Host) { h.SetOnline(0) })
-		d.rejoin()
 	}
 	for _, d := range daemons {
 		d.WithHost(func(h *runtime.Host) {

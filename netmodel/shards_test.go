@@ -1,39 +1,136 @@
 package netmodel
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/protocol"
 )
 
-func TestMinDelay(t *testing.T) {
-	cases := []struct {
-		model Model
-		want  float64
-	}{
-		{Constant{D: 1.728}, 1.728},
-		{Uniform{Lo: 0.5, Hi: 2}, 0.5},
-		{Exponential{Mean: 1.728}, 0},
-		{LogNormal{Mu: 0, Sigma: 1}, 0},
-		{Zones{K: 4, Intra: 0.5, Inter: 3}, 0.5},
-		{Zones{K: 4, Intra: 5, Inter: 3}, 3},
-		{Zones{K: 1, Intra: 0.5, Inter: 3}, 0.5}, // single zone: every message is intra
-		{Lossy{P: 0.1, Inner: Constant{D: 2}}, 2},
-		{Lossy{P: 0.1, Inner: Exponential{Mean: 1}}, 0},
+// pinnedModels is the closed model set as PlanShards sees it: every model
+// bare, under Lossy, and zones under Lossy twice.
+func pinnedModels() []Model {
+	bare := []Model{
+		Constant{D: 1.728},
+		Uniform{Lo: 0.5, Hi: 2},
+		Exponential{Mean: 1.728},
+		LogNormal{Mu: 0, Sigma: 1},
+		Zones{K: 1, Intra: 0.5, Inter: 3},
+		Zones{K: 4, Intra: 0.5, Inter: 3},
+		Zones{K: 4, Intra: 5, Inter: 3},
 	}
-	for _, c := range cases {
-		md, ok := c.model.(MinDelayer)
-		if !ok {
-			t.Fatalf("%v does not implement MinDelayer", c.model)
-		}
-		if got := md.MinDelay(); got != c.want {
-			t.Errorf("%v.MinDelay() = %g, want %g", c.model, got, c.want)
+	models := append([]Model(nil), bare...)
+	for _, m := range bare {
+		models = append(models, Lossy{P: 0.1, Inner: m})
+	}
+	return append(models, Lossy{P: 0.1, Inner: Lossy{P: 0.2, Inner: Zones{K: 4, Intra: 0.5, Inter: 3}}})
+}
+
+// describePlan renders what PlanShards returns for one case: the error, or
+// the lookahead and the shard of every node — listed at n ≤ 16, as the
+// FNV-1a hash of that listing above.
+func describePlan(m Model, n, shards int) string {
+	shardOf, lookahead, err := PlanShards(m, n, shards)
+	if err != nil {
+		return "error " + err.Error()
+	}
+	digits := make([]byte, n)
+	for i := range digits {
+		digits[i] = byte('0' + shardOf(int32(i)))
+	}
+	if n <= 16 {
+		return fmt.Sprintf("lookahead %g shards %s", lookahead, digits)
+	}
+	h := fnv.New64a()
+	h.Write(digits)
+	return fmt.Sprintf("lookahead %g shards fnv:%016x", lookahead, h.Sum64())
+}
+
+// TestPlanShardsPinned pins every plan over the closed model set at 2 and 4
+// shards and 10 and 1000 nodes: the lookahead or the error, and the shard of
+// every node. The expected values are recorded output, not derived, so a
+// change to any plan shows here.
+func TestPlanShardsPinned(t *testing.T) {
+	for _, m := range pinnedModels() {
+		for _, shards := range []int{2, 4} {
+			for _, n := range []int{10, 1000} {
+				key := fmt.Sprintf("%s/%d/%d", modelLabel(m), shards, n)
+				if got := describePlan(m, n, shards); got != pinnedPlans[key] {
+					t.Errorf("%s: PlanShards = %q, want %q", key, got, pinnedPlans[key])
+				}
+			}
 		}
 	}
 }
 
-// fixedDelay is a model without the sharding capabilities.
+// pinnedPlans holds describePlan of every case of TestPlanShardsPinned, by
+// model/shards/n.
+var pinnedPlans = map[string]string{
+	"constant:1.728/2/10":                      "lookahead 1.728 shards 0000011111",
+	"constant:1.728/2/1000":                    "lookahead 1.728 shards fnv:75a7303bcf9c4ad9",
+	"constant:1.728/4/10":                      "lookahead 1.728 shards 0001122233",
+	"constant:1.728/4/1000":                    "lookahead 1.728 shards fnv:978431bcfa3090c5",
+	"uniform:0.5:2/2/10":                       "lookahead 0.5 shards 0000011111",
+	"uniform:0.5:2/2/1000":                     "lookahead 0.5 shards fnv:75a7303bcf9c4ad9",
+	"uniform:0.5:2/4/10":                       "lookahead 0.5 shards 0001122233",
+	"uniform:0.5:2/4/1000":                     "lookahead 0.5 shards fnv:978431bcfa3090c5",
+	"exponential:1.728/2/10":                   "error netmodel: model exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"exponential:1.728/2/1000":                 "error netmodel: model exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"exponential:1.728/4/10":                   "error netmodel: model exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"exponential:1.728/4/1000":                 "error netmodel: model exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lognormal:0:1/2/10":                       "error netmodel: model lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lognormal:0:1/2/1000":                     "error netmodel: model lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lognormal:0:1/4/10":                       "error netmodel: model lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lognormal:0:1/4/1000":                     "error netmodel: model lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"zones:1:0.5:3/2/10":                       "lookahead 0.5 shards 0000011111",
+	"zones:1:0.5:3/2/1000":                     "lookahead 0.5 shards fnv:75a7303bcf9c4ad9",
+	"zones:1:0.5:3/4/10":                       "lookahead 0.5 shards 0001122233",
+	"zones:1:0.5:3/4/1000":                     "lookahead 0.5 shards fnv:978431bcfa3090c5",
+	"zones:4:0.5:3/2/10":                       "lookahead 3 shards 1110111001",
+	"zones:4:0.5:3/2/1000":                     "lookahead 3 shards fnv:4dfd4c3c9851ff2f",
+	"zones:4:0.5:3/4/10":                       "lookahead 3 shards 3310111203",
+	"zones:4:0.5:3/4/1000":                     "lookahead 3 shards fnv:89e2f3b125142059",
+	"zones:4:5:3/2/10":                         "lookahead 3 shards 1110111001",
+	"zones:4:5:3/2/1000":                       "lookahead 3 shards fnv:4dfd4c3c9851ff2f",
+	"zones:4:5:3/4/10":                         "lookahead 3 shards 3310111203",
+	"zones:4:5:3/4/1000":                       "lookahead 3 shards fnv:89e2f3b125142059",
+	"lossy:0.1:constant:1.728/2/10":            "lookahead 1.728 shards 0000011111",
+	"lossy:0.1:constant:1.728/2/1000":          "lookahead 1.728 shards fnv:75a7303bcf9c4ad9",
+	"lossy:0.1:constant:1.728/4/10":            "lookahead 1.728 shards 0001122233",
+	"lossy:0.1:constant:1.728/4/1000":          "lookahead 1.728 shards fnv:978431bcfa3090c5",
+	"lossy:0.1:uniform:0.5:2/2/10":             "lookahead 0.5 shards 0000011111",
+	"lossy:0.1:uniform:0.5:2/2/1000":           "lookahead 0.5 shards fnv:75a7303bcf9c4ad9",
+	"lossy:0.1:uniform:0.5:2/4/10":             "lookahead 0.5 shards 0001122233",
+	"lossy:0.1:uniform:0.5:2/4/1000":           "lookahead 0.5 shards fnv:978431bcfa3090c5",
+	"lossy:0.1:exponential:1.728/2/10":         "error netmodel: model lossy:0.1:exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:exponential:1.728/2/1000":       "error netmodel: model lossy:0.1:exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:exponential:1.728/4/10":         "error netmodel: model lossy:0.1:exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:exponential:1.728/4/1000":       "error netmodel: model lossy:0.1:exponential:1.728 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:lognormal:0:1/2/10":             "error netmodel: model lossy:0.1:lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:lognormal:0:1/2/1000":           "error netmodel: model lossy:0.1:lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:lognormal:0:1/4/10":             "error netmodel: model lossy:0.1:lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:lognormal:0:1/4/1000":           "error netmodel: model lossy:0.1:lognormal:0:1 has minimum delay 0; sharded execution needs a positive minimum cross-shard delay",
+	"lossy:0.1:zones:1:0.5:3/2/10":             "lookahead 0.5 shards 0000011111",
+	"lossy:0.1:zones:1:0.5:3/2/1000":           "lookahead 0.5 shards fnv:75a7303bcf9c4ad9",
+	"lossy:0.1:zones:1:0.5:3/4/10":             "lookahead 0.5 shards 0001122233",
+	"lossy:0.1:zones:1:0.5:3/4/1000":           "lookahead 0.5 shards fnv:978431bcfa3090c5",
+	"lossy:0.1:zones:4:0.5:3/2/10":             "lookahead 3 shards 1110111001",
+	"lossy:0.1:zones:4:0.5:3/2/1000":           "lookahead 3 shards fnv:4dfd4c3c9851ff2f",
+	"lossy:0.1:zones:4:0.5:3/4/10":             "lookahead 3 shards 3310111203",
+	"lossy:0.1:zones:4:0.5:3/4/1000":           "lookahead 3 shards fnv:89e2f3b125142059",
+	"lossy:0.1:zones:4:5:3/2/10":               "lookahead 3 shards 1110111001",
+	"lossy:0.1:zones:4:5:3/2/1000":             "lookahead 3 shards fnv:4dfd4c3c9851ff2f",
+	"lossy:0.1:zones:4:5:3/4/10":               "lookahead 3 shards 3310111203",
+	"lossy:0.1:zones:4:5:3/4/1000":             "lookahead 3 shards fnv:89e2f3b125142059",
+	"lossy:0.1:lossy:0.2:zones:4:0.5:3/2/10":   "lookahead 3 shards 1110111001",
+	"lossy:0.1:lossy:0.2:zones:4:0.5:3/2/1000": "lookahead 3 shards fnv:4dfd4c3c9851ff2f",
+	"lossy:0.1:lossy:0.2:zones:4:0.5:3/4/10":   "lookahead 3 shards 3310111203",
+	"lossy:0.1:lossy:0.2:zones:4:0.5:3/4/1000": "lookahead 3 shards fnv:89e2f3b125142059",
+}
+
+// fixedDelay is a model outside the package's closed set.
 type fixedDelay struct{ d float64 }
 
 func (f fixedDelay) Delay(_, _ protocol.NodeID, _ protocol.Rand) float64 { return f.d }
@@ -52,7 +149,7 @@ func TestPlanShardsErrors(t *testing.T) {
 		{"exponential", Exponential{Mean: 1.728}, 100, 2, "minimum delay 0"},
 		{"lognormal", LogNormal{Mu: 0, Sigma: 1}, 100, 2, "minimum delay 0"},
 		{"lossy over exponential", Lossy{P: 0.01, Inner: Exponential{Mean: 1}}, 100, 2, "minimum delay 0"},
-		{"no capability", fixedDelay{d: 1}, 100, 2, "MinDelayer"},
+		{"no capability", fixedDelay{d: 1}, 100, 2, "minimum delay 0; sharded execution needs a positive minimum cross-shard delay"},
 		{"zones with zero inter", Zones{K: 4, Intra: 0, Inter: 0}, 100, 2, "lookahead 0"},
 	}
 	for _, c := range cases {
@@ -65,9 +162,9 @@ func TestPlanShardsErrors(t *testing.T) {
 	}
 }
 
-// TestPlanShardsContiguous covers the fallback plans: plain MinDelayer
-// models, the paper's Constant network among them, split nodes into
-// contiguous near-equal blocks.
+// TestPlanShardsContiguous covers the plans without zone structure: models
+// with a positive minimum delay, the paper's Constant network among them,
+// split nodes into contiguous near-equal blocks.
 func TestPlanShardsContiguous(t *testing.T) {
 	for _, c := range []struct {
 		model Model
@@ -145,8 +242,8 @@ func TestPlanShardsZones(t *testing.T) {
 		t.Fatalf("lossy over zones: lookahead = %g, shardOf nil = %v", lookahead, shardOf == nil)
 	}
 
-	// A single zone offers no boundary: the planner falls back to MinDelayer
-	// with contiguous blocks and the intra latency.
+	// A single zone offers no boundary: the plan falls back to contiguous
+	// blocks and the intra latency.
 	_, lookahead, err = PlanShards(Zones{K: 1, Intra: 0.5, Inter: 3}, 100, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -153,7 +153,10 @@ func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		rt := experiment.SimRuntimeWithOptions(shards)
+		rt, err := experiment.ParseRuntime(fmt.Sprintf("sim:shards=%d", shards))
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(w *lookWrapper) *experiment.Result {
 			t.Helper()
 			res, err := experiment.Run(experiment.Config{
