@@ -27,13 +27,13 @@ func RandRound(r float64, rng Rand) int {
 	return n
 }
 
-// Bernoulli returns true with probability p (clamped to [0, 1]).
+// Bernoulli returns true with probability p (clamped to [0, 1]), drawing
+// from rng only for p strictly between 0 and 1; a NaN p is false. It is
+// small enough to inline, so a caller that passes a concrete generator calls
+// it directly and a generator on the caller's stack stays there.
 func Bernoulli(p float64, rng Rand) bool {
-	if p <= 0 || math.IsNaN(p) {
+	if !(p > 0) {
 		return false
 	}
-	if p >= 1 {
-		return true
-	}
-	return rng.Float64() < p
+	return p >= 1 || rng.Float64() < p
 }

@@ -202,10 +202,27 @@ func (s *Slab) Receive(i int, from NodeID, payload Payload) {
 	s.receive(i, &s.apps[i], &s.states[i], from, payload)
 }
 
+// TickSends reports whether node i's next Tick draws a proactive send: the
+// draw tick makes, on a copy of the node's generator, so it changes nothing
+// and allocates nothing. A runtime that knows which nodes tick next (see
+// runtime.Preloader) asks it to load a node's application and peers only
+// for the ticks that will use them. The send itself still needs a peer; a
+// tick that finds none banks its token.
+func (s *Slab) TickSends(i int) bool {
+	st := &s.states[i]
+	r := st.rng
+	return s.drawsSend(st, &r)
+}
+
+// drawsSend is a tick's send decision: Bernoulli(Proactive(balance)) on r.
+func (s *Slab) drawsSend(st *NodeState, r *rng.Source) bool {
+	return core.Bernoulli(s.strategy.Proactive(st.Account.Balance()), r)
+}
+
 func (s *Slab) tick(i int, st *NodeState) {
 	s.count(&st.counts.rounds, 1)
 	r := &st.rng
-	if core.Bernoulli(s.strategy.Proactive(st.Account.Balance()), r) {
+	if s.drawsSend(st, r) {
 		if s.sendOne(i, s.apps[i], r) {
 			s.count(&st.counts.proactiveSent, 1)
 			return

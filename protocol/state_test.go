@@ -332,3 +332,73 @@ func TestPreloadsOnlyRead(t *testing.T) {
 		}
 	}
 }
+
+// uniformPeers samples a uniform peer among n with one Intn, as the
+// runtime's overlay draw does, so a tick's send moves the generator on.
+type uniformPeers struct{ n int }
+
+func (p uniformPeers) SelectPeerOf(_ int, r Rand) (NodeID, bool) { return NodeID(r.Intn(p.n)), true }
+
+// TestTickSendsPredictsTick holds Slab.TickSends to the tick it predicts:
+// for the simple, generalized, randomized, purely proactive and purely
+// reactive strategies, over random starting balances, generator seeds and
+// an interleaving of ticks and receives that moves both, it must report
+// exactly whether the node's next Tick sends a proactive message, leave the
+// node as it was, and allocate nothing.
+func TestTickSendsPredictsTick(t *testing.T) {
+	for _, c := range []struct {
+		strategy core.Strategy
+		mixed    bool // some ticks send and some do not
+	}{
+		{core.MustSimple(10), true},
+		{core.MustGeneralized(5, 10), true},
+		{core.MustRandomized(5, 10), true},
+		{core.PurelyProactive{}, false},
+		{core.MustPureReactive(2, false), false},
+	} {
+		strategy := c.strategy
+		t.Run(strategy.Name(), func(t *testing.T) {
+			const n = 64
+			r := rng.New(7)
+			s, err := NewSlab(n, strategy, &collectingSender{}, uniformPeers{n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				cfg := Config{Application: &countingApp{useful: r.Intn(2) == 0}, InitialTokens: r.Intn(16)}
+				if err := s.InitSeeded(i, cfg, r.Uint64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ticks, sends := 0, 0
+			for step := 0; step < 20000; step++ {
+				i := r.Intn(n)
+				if r.Float64() < 0.3 {
+					s.Receive(i, NodeID(r.Intn(n)), Payload{})
+					continue
+				}
+				ticks++
+				before := *s.State(i)
+				predicted := s.TickSends(i)
+				if *s.State(i) != before {
+					t.Fatalf("step %d: TickSends changed node %d", step, i)
+				}
+				s.Tick(i)
+				sent := s.State(i).Stats().ProactiveSent > before.Stats().ProactiveSent
+				if predicted != sent {
+					t.Fatalf("step %d: TickSends(%d) = %v at balance %d, but the tick sent: %v",
+						step, i, predicted, before.Account.Balance(), sent)
+				}
+				if sent {
+					sends++
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { s.TickSends(r.Intn(n)) }); allocs != 0 {
+				t.Errorf("TickSends allocates %.1f per call, want 0", allocs)
+			}
+			if c.mixed && (sends == 0 || sends == ticks) {
+				t.Errorf("%d of %d ticks sent; want both outcomes predicted", sends, ticks)
+			}
+		})
+	}
+}

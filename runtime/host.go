@@ -319,10 +319,53 @@ func (t *tickHook) RunHook(node int32, shard uint64) {
 	sched.AtHook(sched.Now()+h.cfg.Delta, t, node, shard)
 }
 
+var _ Preloader = (*tickHook)(nil)
+
+// Preload implements Preloader for the tick lane, which the engine
+// preloads through its hook (see sim.Engine.SetPreloader): it loads what
+// the ticks of the given nodes will read, ahead of them. Every tick reads
+// its node's state row, but most only bank a token; the lines of a send —
+// the application's row and value, and the first and last out-neighbour —
+// are worth loading only for the ticks that will send. So the loop goes in
+// four passes, each of independent loads whose misses overlap: the state
+// rows; the send decision of each tick (protocol.Slab.TickSends, the tick's
+// own draw on a copy of its generator, a bit per node in sends); the
+// application rows and neighbours of the senders; their application values,
+// whose addresses the rows hold. A batch is LookaheadBatch nodes, so sends
+// has a bit for each; past 64 nodes bits are shared, which only loads more.
+// Like Host.Preload it writes nothing.
+func (t *tickHook) Preload(nodes []int32) uint64 {
+	h := (*Host)(t)
+	var sum, sends uint64
+	for _, i := range nodes {
+		sum += uint64(h.slab.State(int(i)).PeerOff)
+	}
+	for k, i := range nodes {
+		if h.slab.TickSends(int(i)) {
+			sends |= 1 << (k & 63)
+		}
+	}
+	for k, i := range nodes {
+		if sends>>(k&63)&1 == 0 {
+			continue
+		}
+		sum += h.slab.Preload(int(i))
+		if st := h.slab.State(int(i)); st.PeerDeg > 0 {
+			sum += uint64(h.adj[st.PeerOff]) + uint64(h.adj[st.PeerOff+st.PeerDeg-1])
+		}
+	}
+	for k, i := range nodes {
+		if sends>>(k&63)&1 != 0 {
+			sum += h.slab.PreloadApp(int(i))
+		}
+	}
+	return sum
+}
+
 var _ Preloader = (*Host)(nil)
 
-// Preload implements Preloader: it loads what a tick, a churn transition
-// or a delivery of the given nodes reads, ahead of it. The first loop loads
+// Preload implements Preloader: it loads what a churn transition or a
+// delivery of the given nodes reads, ahead of it. The first loop loads
 // the lines the event reads first: the node row and the state row — which
 // also holds the generator, the byte counter and the CSR head. The second
 // loop, once those are under way, follows them: the application's row,

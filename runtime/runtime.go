@@ -153,9 +153,11 @@ type Hook interface {
 // which nodes' events come next — the simulated ones keep hook events and
 // fixed-delay deliveries in sorted lanes (see sim.Engine.SetPreloader) —
 // hands some of those nodes, a few events before they run, to the Preloader
-// installed here, on the goroutine that will run those events. Every hook
-// event's node must therefore be a node index, as HookScheduler defines it.
-// The Host installs itself at assembly.
+// installed here, on the goroutine that will run those events; a lane whose
+// Hook is itself a Preloader is handed to the Hook instead, under the same
+// gate. Every hook event's node must therefore be a node index, as
+// HookScheduler defines it. The Host installs itself at assembly, and its
+// proactive tick hook preloads the tick lanes.
 type Preloading interface {
 	SetPreloader(p Preloader)
 }

@@ -119,9 +119,11 @@ func NewEngine() *Engine { return &Engine{} }
 // removes any preloader otherwise, so one gate covers every lane. From then
 // on, every LookaheadBatch pops of a lane that leave at least 2K entries in
 // it, the engine hands p the To of the lane's entries [head+K, head+2K) (see
-// LookaheadBatch), whether the lane holds hook events or word deliveries.
-// The To of every hook event and lane delivery must therefore name one of
-// those nodes. Events held in the queue are never announced.
+// LookaheadBatch), whether the lane holds hook events or word deliveries —
+// unless the lane's hook is itself a Preloader, which then takes its lane's
+// batches instead of p, under the same gate. The To of every hook event and
+// lane delivery must therefore name one of those nodes. Events held in the
+// queue are never announced.
 func (e *Engine) SetPreloader(p Preloader, nodes int) {
 	e.preload = nil
 	if nodes > lookaheadMinLane {
@@ -418,8 +420,11 @@ func (e *Engine) lane(hook Hook) *hookLane {
 
 // lookahead hands the preloader the To of the entries [head+K, head+2K) of
 // the lane just popped — hook lane l, or delivery lane dl when l is nil —
-// which lookaheadDue has checked exist.
+// which lookaheadDue has checked exist. A hook lane whose hook is itself a
+// Preloader is preloaded through its hook, which knows what its own events
+// read; every other lane through the engine's preloader.
 func (e *Engine) lookahead(l *hookLane, dl *deliveryLane) {
+	p := e.preload
 	for k := range e.batch {
 		if l != nil {
 			e.batch[k] = l.buf[(l.head+LookaheadBatch+k)&(len(l.buf)-1)].to
@@ -427,5 +432,10 @@ func (e *Engine) lookahead(l *hookLane, dl *deliveryLane) {
 			e.batch[k] = dl.buf[(dl.head+LookaheadBatch+k)&(len(dl.buf)-1)].to
 		}
 	}
-	e.preloadSum += e.preload.Preload(e.batch[:])
+	if l != nil {
+		if hp, ok := l.hook.(Preloader); ok {
+			p = hp
+		}
+	}
+	e.preloadSum += p.Preload(e.batch[:])
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/szte-dcs/tokenaccount/internal/rng"
@@ -531,6 +534,115 @@ func TestShardHookLanesMatchQueue(t *testing.T) {
 						t.Fatalf("shards=%d seed %d: no hook on shard %d fell back to the queue", shards, seed, s)
 					}
 				}
+			}
+		})
+	}
+}
+
+// sortCases are the time distributions of the first-sort tests: each
+// returns the time of the i-th of n pushed entries.
+var sortCases = []struct {
+	name string
+	time func(r *rng.Source, i, n int) float64
+}{
+	{"uniform", func(r *rng.Source, _, _ int) float64 { return r.Float64() * 10 }},
+	{"equal", func(*rng.Source, int, int) float64 { return 3.5 }},
+	{"ties", func(r *rng.Source, _, n int) float64 { return float64(r.Intn(n/4+1)) / 8 }},
+	{"clusters", func(r *rng.Source, _, _ int) float64 {
+		if r.Intn(2) == 0 {
+			return r.Float64()
+		}
+		return 1e12 + r.Float64()
+	}},
+	{"signed-zeros", func(r *rng.Source, _, _ int) float64 {
+		switch r.Intn(3) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		}
+		return r.Float64()
+	}},
+	{"only-signed-zeros", func(r *rng.Source, _, _ int) float64 { return math.Copysign(0, float64(r.Intn(2))-0.5) }},
+	{"inf", func(r *rng.Source, _, _ int) float64 {
+		if r.Intn(16) == 0 {
+			return math.Inf(1)
+		}
+		return r.Float64()
+	}},
+	{"nan", func(r *rng.Source, _, _ int) float64 {
+		if r.Intn(16) == 0 {
+			return math.NaN()
+		}
+		return r.Float64()
+	}},
+	{"subnormals", func(r *rng.Source, _, _ int) float64 {
+		if r.Intn(2) == 0 {
+			return float64(r.Intn(1000)) * math.SmallestNonzeroFloat64
+		}
+		return r.Float64() * 1e-300
+	}},
+	{"only-subnormals", func(r *rng.Source, _, _ int) float64 {
+		return float64(r.Intn(1000)) * math.SmallestNonzeroFloat64
+	}},
+	{"descending", func(_ *rng.Source, i, n int) float64 { return float64(n - i) }},
+}
+
+// TestHookLaneSortMatchesSortFunc holds the lane's first sort to
+// slices.SortFunc by (time, seq): entries pushed in seq order, with times
+// spread evenly, all equal, in ties of about four, in two clusters 10^12
+// apart, mixing ±0, +Inf, NaN or subnormals, or descending, must come out of
+// front in exactly the reference order, bit for bit, on both sides of the
+// distribution sort's size threshold.
+func TestHookLaneSortMatchesSortFunc(t *testing.T) {
+	for _, c := range sortCases {
+		for _, n := range []int{minBucketSort - 1, minBucketSort, minBucketSort + 1, 5000, 1 << 17} {
+			t.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(t *testing.T) {
+				r := rng.New(uint64(n))
+				var l hookLane
+				for i := 0; i < n; i++ {
+					if !l.push(c.time(r, i, n), uint64(i+1), int32(i), r.Uint64()) {
+						t.Fatal("an unsorted lane refused an entry")
+					}
+				}
+				want := slices.Clone(l.buf[l.head : l.head+l.n])
+				slices.SortFunc(want, func(a, b hookEntry) int {
+					if c := cmp.Compare(a.time, b.time); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.seq, b.seq)
+				})
+				l.front()
+				for i, w := range want {
+					g := l.buf[l.head+i]
+					if math.Float64bits(g.time) != math.Float64bits(w.time) || g.seq != w.seq || g.to != w.to || g.word != w.word {
+						t.Fatalf("entry %d is %+v, want %+v", i, g, w)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkHookLaneFirstSort times a lane's first inspection, the sort of
+// every node's first tick, spread evenly over one period: 250 000 entries is
+// one shard's lane of the paper's 500 000-node run on two shards.
+func BenchmarkHookLaneFirstSort(b *testing.B) {
+	for _, n := range []int{5000, 250000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := rng.New(1)
+			var l hookLane
+			for i := 0; i < n; i++ {
+				l.push(r.Float64(), uint64(i+1), int32(i), 0)
+			}
+			pushed := slices.Clone(l.buf)
+			b.ResetTimer()
+			for range b.N {
+				b.StopTimer()
+				copy(l.buf, pushed)
+				l.sorted = false
+				b.StartTimer()
+				l.front()
 			}
 		})
 	}

@@ -764,3 +764,86 @@ func TestShardDeliveryLookaheadContract(t *testing.T) {
 		}
 	}
 }
+
+// selfPreloadingHook re-arms one period after every event, like countSink,
+// and is its own lane's Preloader: it counts the batches it takes and
+// checks each against its lane, which must hold the batch's nodes at
+// [head+K, head+2K).
+type selfPreloadingHook struct {
+	e       *Engine
+	preload bool // whether it is a Preloader (see plainHook)
+	batches int
+	wrong   string
+}
+
+func (h *selfPreloadingHook) RunHook(to int32, word uint64) {
+	h.e.ScheduleHookAt(h.e.Now()+1, to, word, h)
+}
+
+func (h *selfPreloadingHook) Preload(to []int32) uint64 {
+	h.batches++
+	l := h.e.lane(h)
+	for k := range to {
+		if want := l.buf[(l.head+LookaheadBatch+k)&(len(l.buf)-1)].to; to[k] != want && h.wrong == "" {
+			h.wrong = fmt.Sprintf("batch %d names node %d at %d, the lane holds %d", h.batches, to[k], k, want)
+		}
+	}
+	return uint64(to[0])
+}
+
+// plainHook is a selfPreloadingHook without the Preload method.
+type plainHook struct{ h *selfPreloadingHook }
+
+func (p plainHook) RunHook(to int32, word uint64) {
+	p.h.e.ScheduleHookAt(p.h.e.Now()+1, to, word, p)
+}
+
+// TestLookaheadHookPreloadsItsLane checks that a hook lane whose hook is
+// itself a Preloader takes its own lane's batches, the nodes the lane runs
+// next, in place of the engine's preloader, which keeps every other lane's:
+// on an engine of 2·lookaheadMinLane nodes with a self-preloading lane and a
+// plain one, the two preloaders' batches add up to the engine preloader's
+// batches when both lanes are plain, and the steady state allocates
+// nothing. The engine's one gate still holds: at lookaheadMinLane nodes
+// neither gets a batch.
+func TestLookaheadHookPreloadsItsLane(t *testing.T) {
+	run := func(nodes int, self bool) (engine, hook int64, allocs float64, wrong string) {
+		e := NewEngine()
+		p := &countPreloader{}
+		e.SetPreloader(p, nodes)
+		h := &selfPreloadingHook{e: e}
+		var first Hook = plainHook{h}
+		if self {
+			first = h
+		}
+		other := &countSink{e: e, period: 1}
+		r := rng.New(9)
+		for i := int32(0); i < 2*lookaheadMinLane; i++ {
+			e.ScheduleHookAt(r.Float64(), i, 0, first)
+			e.ScheduleHookAt(r.Float64(), i, 0, other)
+		}
+		e.RunUntil(2.5)
+		allocs = testing.AllocsPerRun(1000, func() { e.Step() })
+		return p.batches.Load(), int64(h.batches), allocs, h.wrong
+	}
+	engine, hook, allocs, wrong := run(2*lookaheadMinLane, true)
+	if wrong != "" {
+		t.Fatal(wrong)
+	}
+	if engine == 0 || hook == 0 {
+		t.Fatalf("engine preloader %d batches, self-preloading hook %d; want both", engine, hook)
+	}
+	if allocs != 0 {
+		t.Errorf("a self-preloading hook lane allocates %.3f per event, want 0", allocs)
+	}
+	plain, none, _, _ := run(2*lookaheadMinLane, false)
+	if none != 0 {
+		t.Fatalf("a hook without Preload took %d batches", none)
+	}
+	if plain != engine+hook {
+		t.Errorf("with both lanes plain the engine preloader took %d batches; split, %d + %d", plain, engine, hook)
+	}
+	if engine, hook, _, _ := run(lookaheadMinLane, true); engine != 0 || hook != 0 {
+		t.Errorf("at %d nodes: engine preloader %d batches, hook %d; want none", lookaheadMinLane, engine, hook)
+	}
+}

@@ -126,12 +126,14 @@ func (d wrappingRuntime) NewEnv(cfg experiment.Config, seed uint64) (runtime.Env
 // TestShardLookaheadHiddenMatchesExposed runs a churny 40 000-node push
 // gossip experiment on zones — every engine's node count is above the
 // lookahead threshold — at 1, 2 and 4 shards, with the Host's preloader
-// installed in the environment and without. A wrapper counts the batches
-// and checks that each leaves the nodes it names unchanged. Both runs must
-// give identical results: metric series, message and byte counts, event
-// counts. The lookahead only loads; it must never change a run. Which lane
-// kinds batch is pinned in package sim. Named …Shard… so CI's sharded race
-// soak runs it.
+// installed in the environment and without. A wrapper counts the Host's
+// batches and checks that each leaves the nodes it names unchanged; the
+// tick lanes' batches go to the Host's tick hook, the lane's own preloader,
+// which the wrapper does not see, but they too only run with a preloader
+// installed. Both runs must give identical results: metric series, message
+// and byte counts, event counts. The lookahead only loads; it must never
+// change a run. Which lane kinds batch, and to which preloader, is pinned in
+// package sim. Named …Shard… so CI's sharded race soak runs it.
 func TestShardLookaheadHiddenMatchesExposed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 000-node runs")
