@@ -23,7 +23,8 @@
 // Unlike the paper's one-word demonstrator applications, message size
 // matters here: a block weighs a header plus its batched transactions, so
 // the strategies are compared on wire bytes and burst load, not just
-// message counts (see wireSize and the runtime's byte accounting).
+// message counts (see protocol.PayloadSize, which weighs each message, and
+// the runtime's byte accounting).
 //
 // The chain is content-free on purpose: blocks carry height and batch size,
 // not transactions or hashes, because the experiment measures dissemination

@@ -116,42 +116,3 @@ func MsgFromPayload(p protocol.Payload) (Msg, bool) {
 	}
 	return msgFromWord(p.Word)
 }
-
-// The wire-size model, in bytes. The numbers follow the shape of a ByzCoin
-// conode's traffic: announces and pulls are small fixed-size control
-// messages (a height, a hash, a signature), while a block weighs its header
-// plus its batched transactions — the size of a typical signed transfer
-// transaction. The absolute values matter less than the ratio: blocks are
-// two to three orders of magnitude heavier than control traffic, which is
-// what makes byte-level accounting diverge from message counting.
-const (
-	// AnnounceBytes is the wire size of an announce.
-	AnnounceBytes = 96
-	// PullBytes is the wire size of a pull request.
-	PullBytes = 40
-	// BlockHeaderBytes is the fixed part of a block message.
-	BlockHeaderBytes = 200
-	// TxBytes is the per-transaction weight of a block message.
-	TxBytes = 250
-)
-
-// wireSize returns the modeled wire size in bytes of the message encoded in
-// word. Invalid words weigh one byte (the protocol never sends them; the
-// floor only keeps the accounting total monotone for arbitrary input).
-func wireSize(word uint64) int {
-	m, ok := msgFromWord(word)
-	if !ok {
-		return 1
-	}
-	switch m.Kind {
-	case MsgPull:
-		return PullBytes
-	case MsgBlock:
-		return BlockHeaderBytes + TxBytes*int(m.Batch)
-	}
-	return AnnounceBytes
-}
-
-func init() {
-	protocol.RegisterPayloadSizer(protocol.KindBlockcast, wireSize)
-}

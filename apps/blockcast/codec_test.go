@@ -65,29 +65,26 @@ func TestMsgWordPanicsOnInvalid(t *testing.T) {
 	Msg{Kind: MsgPull, Height: 1, Batch: 1}.word()
 }
 
-func TestWireSize(t *testing.T) {
+// TestPayloadSize checks that protocol.PayloadSize reads this codec's word
+// layout: every message weighs what its kind and batch say.
+func TestPayloadSize(t *testing.T) {
 	cases := []struct {
 		m    Msg
 		want int
 	}{
-		{Msg{Kind: MsgAnnounce, Height: 0, Batch: 0}, AnnounceBytes},
-		{Msg{Kind: MsgAnnounce, Height: 5, Batch: 64}, AnnounceBytes},
-		{Msg{Kind: MsgPull, Height: 5}, PullBytes},
-		{Msg{Kind: MsgBlock, Height: 5, Batch: 1}, BlockHeaderBytes + TxBytes},
-		{Msg{Kind: MsgBlock, Height: 5, Batch: 64}, BlockHeaderBytes + 64*TxBytes},
+		{Msg{Kind: MsgAnnounce, Height: 0, Batch: 0}, 96},
+		{Msg{Kind: MsgAnnounce, Height: 5, Batch: 64}, 96},
+		{Msg{Kind: MsgPull, Height: 5}, 40},
+		{Msg{Kind: MsgBlock, Height: 5, Batch: 1}, 200 + 250},
+		{Msg{Kind: MsgBlock, Height: MaxHeight, Batch: MaxBatch}, 200 + MaxBatch*250},
 	}
 	for _, c := range cases {
-		if got := wireSize(c.m.word()); got != c.want {
-			t.Errorf("wireSize(%+v) = %d, want %d", c.m, got, c.want)
-		}
-		// The registered sizer is the same function, reachable through the
-		// protocol's slow-path lookup.
 		if got := protocol.PayloadSize(c.m.Payload()); got != c.want {
 			t.Errorf("PayloadSize(%+v) = %d, want %d", c.m, got, c.want)
 		}
 	}
-	if got := wireSize(3 << 62); got != 1 {
-		t.Errorf("wireSize of an invalid word = %d, want 1", got)
+	if got := protocol.PayloadSize(protocol.WordPayload(protocol.KindBlockcast, 3<<62)); got != 1 {
+		t.Errorf("PayloadSize of the unused kind = %d, want 1", got)
 	}
 }
 
@@ -104,7 +101,8 @@ func TestMsgKindString(t *testing.T) {
 // FuzzMsgWord is the codec fuzz target of the CI smoke step: decoding any
 // word must never panic, and every accepted word must round-trip
 // bit-for-bit through re-encoding (the codec is a bijection between valid
-// words and valid messages). The size model must stay positive either way.
+// words and valid messages). The size model (protocol.PayloadSize) must
+// stay positive either way.
 func FuzzMsgWord(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(Msg{Kind: MsgAnnounce, Height: 12345, Batch: 64}.word())
@@ -121,8 +119,8 @@ func FuzzMsgWord(f *testing.F) {
 		} else if m != (Msg{}) {
 			t.Errorf("rejected word %#x left a partial message %+v", word, m)
 		}
-		if size := wireSize(word); size < 1 {
-			t.Errorf("wireSize(%#x) = %d, want ≥ 1", word, size)
+		if size := protocol.PayloadSize(protocol.WordPayload(protocol.KindBlockcast, word)); size < 1 {
+			t.Errorf("PayloadSize(%#x) = %d, want ≥ 1", word, size)
 		}
 		if pm, pok := MsgFromPayload(protocol.WordPayload(protocol.KindBlockcast, word)); pok != ok || pm != m {
 			t.Errorf("MsgFromPayload = %+v, %v disagrees with msgFromWord = %+v, %v for word %#x", pm, pok, m, ok, word)

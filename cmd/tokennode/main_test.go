@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -160,6 +161,40 @@ func TestBuildDaemonErrors(t *testing.T) {
 // TestOpsEndpoint drives the HTTP surface of a single running daemon:
 // /healthz flips with the lifecycle, /inject feeds the application, /metrics
 // exposes the protocol, transport and latency series, /drain stops the node.
+// metricsSeries is every series /metrics serves, by its # TYPE line, in the
+// order it serves them: a series added to or removed from the page must be
+// added to or removed from this list.
+var metricsSeries = []string{
+	"tokennode_tokens",
+	"tokennode_rounds_total",
+	"tokennode_sends_total",
+	"tokennode_bytes_sent_total",
+	"tokennode_audit_violations",
+	"tokennode_received_total",
+	"tokennode_useful_received_total",
+	"tokennode_tokens_banked_total",
+	"tokennode_dropped_incoming_total",
+	"tokennode_queue_depth",
+	"tokennode_peers",
+	"tokennode_app_seq",
+	"tokennode_health",
+	"tokennode_tick_latency_seconds",
+	"tokennode_transport_dials_total",
+	"tokennode_transport_dial_failures_total",
+	"tokennode_transport_reconnects_total",
+	"tokennode_transport_frames_sent_total",
+	"tokennode_transport_frames_received_total",
+	"tokennode_transport_writes_total",
+	"tokennode_transport_bytes_sent_total",
+	"tokennode_transport_bytes_received_total",
+	"tokennode_transport_sends_shed_total",
+	"tokennode_transport_send_errors_total",
+	"tokennode_transport_decode_errors_total",
+	"tokennode_transport_disconnects_total",
+	"tokennode_transport_queue_depth",
+	"tokennode_transport_peers_connected",
+}
+
 func TestOpsEndpoint(t *testing.T) {
 	o := defaultOptions()
 	o.ID = 0
@@ -219,28 +254,23 @@ func TestOpsEndpoint(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	_, metricsBody := get("/metrics")
+	var served []string
+	for _, line := range strings.Split(metricsBody, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			served = append(served, strings.Fields(rest)[0])
+		}
+	}
+	if !slices.Equal(served, metricsSeries) {
+		t.Errorf("/metrics serves the series\n%s\nwant\n%s", strings.Join(served, "\n"), strings.Join(metricsSeries, "\n"))
+	}
 	for _, want := range []string{
-		"tokennode_tokens ",
-		"tokennode_rounds_total ",
 		`tokennode_sends_total{kind="proactive"}`,
 		`tokennode_sends_total{kind="reactive"}`,
-		"tokennode_bytes_sent_total ",
 		"tokennode_audit_violations 0",
-		"tokennode_received_total ",
-		"tokennode_useful_received_total ",
-		"tokennode_tokens_banked_total ",
-		"tokennode_dropped_incoming_total ",
-		"tokennode_queue_depth ",
-		"tokennode_peers ",
 		"tokennode_app_seq 5",
 		`tokennode_health{state="serving"} 1`,
 		`tokennode_tick_latency_seconds{quantile="0.5"}`,
 		"tokennode_tick_latency_seconds_count ",
-		"tokennode_transport_bytes_sent_total ",
-		"tokennode_transport_writes_total ",
-		"tokennode_transport_sends_shed_total ",
-		"tokennode_transport_decode_errors_total ",
-		"tokennode_transport_queue_depth ",
 	} {
 		if !strings.Contains(metricsBody, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -98,7 +98,7 @@ func writeMetrics(w io.Writer, d *live.Daemon) {
 	fmt.Fprintf(w, "# HELP tokennode_sends_total Messages sent, by kind.\n# TYPE tokennode_sends_total counter\n")
 	fmt.Fprintf(w, "tokennode_sends_total{kind=\"proactive\"} %d\n", st.ProactiveSent)
 	fmt.Fprintf(w, "tokennode_sends_total{kind=\"reactive\"} %d\n", st.ReactiveSent)
-	counter(w, "tokennode_bytes_sent_total", "Modeled payload bytes handed to the transport (protocol sizer accounting).", float64(bytesSent))
+	counter(w, "tokennode_bytes_sent_total", "Modeled payload bytes handed to the transport (protocol.PayloadSize per message).", float64(bytesSent))
 	gauge(w, "tokennode_audit_violations", "1 if the node ever sent more than ceil(t/delta) + max(C, initial tokens) messages in a window of length t, else 0.", float64(violations))
 	counter(w, "tokennode_received_total", "Messages received.", float64(st.Received))
 	counter(w, "tokennode_useful_received_total", "Received messages the application classified as useful.", float64(st.UsefulReceived))
@@ -139,7 +139,6 @@ func writeMetrics(w io.Writer, d *live.Daemon) {
 	counter(w, "tokennode_transport_writes_total", "Completed socket writes; frames_sent_total over this is the batching factor.", float64(ts.Writes))
 	counter(w, "tokennode_transport_bytes_sent_total", "Wire bytes written, including frame headers.", float64(ts.BytesSent))
 	counter(w, "tokennode_transport_bytes_received_total", "Wire bytes read, including frame headers.", float64(ts.BytesReceived))
-	counter(w, "tokennode_transport_payload_bytes_sent_total", "Modeled payload bytes sent (protocol sizer accounting).", float64(ts.PayloadBytesSent))
 	counter(w, "tokennode_transport_sends_shed_total", "Sends shed because a peer's outbound queue was full.", float64(ts.SendsShed))
 	counter(w, "tokennode_transport_send_errors_total", "Sends lost to connection failures or backoff.", float64(ts.SendErrors))
 	counter(w, "tokennode_transport_decode_errors_total", "Incoming frames that failed to decode.", float64(ts.DecodeErrors))

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -29,10 +31,11 @@ func runBlockcastSim(t *testing.T, extra ...string) string {
 	return out.String()
 }
 
-// TestBlockcastByteIdentity extends the golden matrix to the blockcast
-// application: sim:shards=1 must route through the exact sequential engine. The summary
-// surface (byte totals, commit latency quantiles, peak burst) is part of the
-// pinned output.
+// TestBlockcastByteIdentity checks the blockcast summary surface (byte
+// totals, commit latency quantiles, peak burst) and that two sequential runs
+// agree: sim:shards=1 builds the sequential engine (TestSimRuntimeBuildsItsEnv
+// in experiment), so the second run is a rerun, not a sharded one.
+// TestBlockcastGoldenByteIdentity pins the output against recorded files.
 func TestBlockcastByteIdentity(t *testing.T) {
 	base := runBlockcastSim(t)
 	for _, want := range []string{
@@ -48,6 +51,36 @@ func TestBlockcastByteIdentity(t *testing.T) {
 	}
 	if got := runBlockcastSim(t, "-runtime", "sim:shards=1"); got != base {
 		t.Error("sim:shards=1 diverged from the sequential engine")
+	}
+}
+
+// goldenBlockcastCases maps each golden file under testdata/golden-blockcast
+// to the complete tokensim arguments that produce it: one sequential run
+// under churn, lossy zones and Poisson arrivals with the token series, one
+// sharded run with a parameterized chain. Together they pin the byte
+// accounting ("# bytes sent", peak_node_burst_bytes) of every message kind.
+var goldenBlockcastCases = map[string][]string{
+	"smartphone-lossy-zones-poisson": {"-app", "blockcast", "-strategy", "randomized:5:10", "-scenario", "smartphone-trace", "-network", "lossy:0.05:zones:4:0.5:3", "-workload", "poisson:0.2", "-n", "1000", "-rounds", "40", "-tokens"},
+	"batch-32_zones-8_shards-2":      {"-app", "blockcast:32:86.4", "-strategy", "simple:10", "-network", "zones:8:0.5:3", "-runtime", "sim:shards=2", "-n", "2000", "-rounds", "40"},
+}
+
+// TestBlockcastGoldenByteIdentity requires each blockcast case to reproduce
+// its golden file byte for byte.
+func TestBlockcastGoldenByteIdentity(t *testing.T) {
+	for name, args := range goldenBlockcastCases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden-blockcast", name+".tsv"))
+			if err != nil {
+				t.Fatalf("missing golden file for %s: %v (regenerate with the args in goldenBlockcastCases)", name, err)
+			}
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Errorf("blockcast output diverged from golden-blockcast file %s", name)
+			}
+		})
 	}
 }
 

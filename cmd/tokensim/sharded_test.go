@@ -55,27 +55,6 @@ func runGolden(t *testing.T, args []string, extra ...string) string {
 	return out.String()
 }
 
-// TestShardsOneByteIdentity requires sim:shards=1 to reproduce every golden
-// configuration byte-for-byte: a single shard must route through the exact
-// sequential engine, making sharding a pure opt-in.
-func TestShardsOneByteIdentity(t *testing.T) {
-	for name, args := range goldenConfigs(t) {
-		t.Run(name, func(t *testing.T) {
-			dir, file := "golden", name
-			if rest, ok := strings.CutPrefix(name, "network_"); ok {
-				dir, file = "golden-network", rest
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", dir, file+".tsv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runGolden(t, args, "-runtime", "sim:shards=1"); got != string(want) {
-				t.Errorf("sim:shards=1 output diverged from golden file %s/%s", dir, file)
-			}
-		})
-	}
-}
-
 // TestShardedSelfDeterminism requires every shardable golden configuration to
 // be run-to-run deterministic for shards ∈ {2, 4, 8}: the parallel schedule
 // must depend only on (seed, shard count), never on goroutine timing. The

@@ -41,11 +41,11 @@ func runWorkloadSim(t *testing.T, spec string, extra ...string) string {
 	return out.String()
 }
 
-// TestWorkloadMatrixByteIdentity is the workload golden matrix: every
-// built-in generator family must be run-to-run byte-identical on the
-// sequential engine, and sim:shards=1 must route
-// through the exact sequential engine — the same guarantees the app × strategy
-// × scenario golden matrix pins for the default workload.
+// TestWorkloadMatrixByteIdentity runs every built-in generator family twice
+// on the sequential engine and requires the two runs to agree byte for byte
+// (the second run's sim:shards=1 builds the sequential engine too, see
+// TestSimRuntimeBuildsItsEnv in experiment), and checks the label and the
+// skipped-injections line. No golden file backs it.
 func TestWorkloadMatrixByteIdentity(t *testing.T) {
 	for name, spec := range workloadCases {
 		t.Run(name, func(t *testing.T) {

@@ -194,10 +194,11 @@ func (c Config) Label() string {
 	return label
 }
 
-// DriverLabel renders an AppDriver or ScenarioDriver for display: through
-// fmt.Stringer when implemented (so parameterized drivers show their
-// parameters), falling back to Name(). Use it instead of %s when printing a
-// driver — the interfaces do not require String().
+// DriverLabel renders a value of any of the six dimensions for display — an
+// AppDriver, ScenarioDriver, NetworkDriver, WorkloadDriver, RuntimeDriver or
+// StrategySpec: through fmt.Stringer when implemented (so parameterized
+// drivers show their parameters), falling back to Name(). Use it instead of
+// %s when printing a driver — the interfaces do not require String().
 func DriverLabel(d any) string {
 	switch v := d.(type) {
 	case fmt.Stringer:
@@ -222,10 +223,10 @@ type Result struct {
 	Tokens *metrics.Series
 	// MessagesSent is the mean number of messages sent per run.
 	MessagesSent float64
-	// BytesSent is the mean number of modeled wire bytes sent per run, under
-	// the per-kind size hints of protocol.RegisterPayloadSizer. Applications
-	// without a registered size model weigh one byte per message, so their
-	// BytesSent equals MessagesSent.
+	// BytesSent is the mean number of modeled wire bytes sent per run, each
+	// message weighed by protocol.PayloadSize. Only blockcast's messages
+	// weigh more than one byte, so for every other application BytesSent
+	// equals MessagesSent.
 	BytesSent float64
 	// Summary holds the application's scalar summary statistics, averaged
 	// over repetitions, when the driver implements SummaryReporter (the

@@ -7,6 +7,7 @@ import (
 
 	"github.com/szte-dcs/tokenaccount/experiment"
 	"github.com/szte-dcs/tokenaccount/live"
+	"github.com/szte-dcs/tokenaccount/simnet"
 )
 
 // TestParseRuntime checks every spelling of the simulator runtime, one
@@ -76,6 +77,49 @@ func TestLiveRuntimeBuildsInProcessEnv(t *testing.T) {
 			}
 			if n := le.Availability().N(); n != 4 {
 				t.Errorf("env has %d node slots, want 4", n)
+			}
+		})
+	}
+}
+
+// TestSimRuntimeBuildsItsEnv checks which engine each simulator spec builds:
+// sim and sim:shards=1 the sequential *simnet.Env, so one shard is the
+// sequential engine itself, and sim:shards=2 on a zoned network the
+// *simnet.ShardedEnv.
+func TestSimRuntimeBuildsItsEnv(t *testing.T) {
+	zones, err := experiment.ParseNetwork("zones:4:0.5:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec    string
+		sharded bool
+	}{
+		{"sim", false},
+		{"sim:shards=1", false},
+		{"sim:shards=2", true},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			d, err := experiment.ParseRuntime(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := d.NewEnv(experiment.Config{N: 8, Network: zones}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			switch env.(type) {
+			case *simnet.Env:
+				if c.sharded {
+					t.Errorf("NewEnv returned %T, want *simnet.ShardedEnv", env)
+				}
+			case *simnet.ShardedEnv:
+				if !c.sharded {
+					t.Errorf("NewEnv returned %T, want *simnet.Env", env)
+				}
+			default:
+				t.Errorf("NewEnv returned %T, want a simnet environment", env)
 			}
 		})
 	}

@@ -1,10 +1,5 @@
 package protocol
 
-import (
-	"reflect"
-	"sync"
-)
-
 // PayloadKind discriminates the compact message representation of Payload.
 // The zero kind is the generic boxed path; the non-zero kinds are word-sized
 // encodings for the pointer-free messages of the paper's three demonstrator
@@ -29,9 +24,26 @@ const (
 	// IEEE-754 bits of the weight (poweriter.WeightMessage.X).
 	KindWeight
 	// KindBlockcast is the block-dissemination message of apps/blockcast:
-	// Word packs the message kind (announce/pull/block), the block height
-	// and the transaction batch size (blockcast.Msg).
+	// Word packs the message kind (bits 62–63: 0 announce, 1 pull, 2 block),
+	// the transaction batch size (bits 40–61) and the block height (bits
+	// 0–39); see blockcast.Msg. It is the one kind whose messages differ in
+	// wire size (see PayloadSize).
 	KindBlockcast
+)
+
+// The wire-size model of KindBlockcast, in bytes. The numbers follow the
+// shape of a ByzCoin conode's traffic: announces and pulls are small
+// fixed-size control messages (a height, a hash, a signature), while a block
+// weighs its header plus its batched transactions, each the size of a
+// typical signed transfer. The absolute values matter less than the ratio:
+// blocks are two to three orders of magnitude heavier than control traffic,
+// which is what makes byte-level accounting diverge from message counting.
+const (
+	blockcastAnnounceBytes    = 96
+	blockcastPullBytes        = 40
+	blockcastBlockHeaderBytes = 200
+	blockcastTxBytes          = 250
+	blockcastBatchMask        = 1<<22 - 1
 )
 
 // Payload is the message currency of the framework: what an Application
@@ -58,68 +70,25 @@ func WordPayload(kind PayloadKind, word uint64) Payload {
 	return Payload{Kind: kind, Word: word}
 }
 
-var (
-	sizerMu    sync.RWMutex
-	wordSizers = map[PayloadKind]func(word uint64) int{}
-)
-
-// RegisterPayloadSizer installs the wire-size hint of a word-encoded kind:
-// given a payload word, it returns the message's wire size in bytes. The
-// runtime's byte accounting uses it; kinds without a sizer count as one byte,
-// so the paper's one-word applications keep their historical (message-count)
-// numbers. A kind belongs to exactly one owner: registering a different
-// sizer for an already-claimed kind panics, so a kind collision between two
-// word-encoded applications fails loudly at init. Re-registering the same
-// function is a no-op (the same init may run again under -count=N test
-// reruns).
-func RegisterPayloadSizer(kind PayloadKind, size func(word uint64) int) {
-	if kind == KindBoxed || size == nil {
-		panic("protocol: RegisterPayloadSizer needs a word kind and a non-nil sizer")
-	}
-	sizerMu.Lock()
-	defer sizerMu.Unlock()
-	if prev, ok := wordSizers[kind]; ok {
-		if reflect.ValueOf(prev).Pointer() != reflect.ValueOf(size).Pointer() {
-			panic("protocol: payload kind already claimed by a different sizer")
-		}
-		return
-	}
-	wordSizers[kind] = size
-}
-
-// PayloadSizerTable returns a dense snapshot of the registered sizers,
-// indexed by kind (nil entries mean "no sizer: size 1"). Hosts snapshot the
-// table once at assembly so the per-message lookup on the send hot path is a
-// bounds check and an indexed load, with no lock and no map access.
-func PayloadSizerTable() []func(word uint64) int {
-	sizerMu.RLock()
-	defer sizerMu.RUnlock()
-	max := PayloadKind(0)
-	for kind := range wordSizers {
-		if kind > max {
-			max = kind
-		}
-	}
-	if len(wordSizers) == 0 {
-		return nil
-	}
-	table := make([]func(word uint64) int, max+1)
-	for kind, size := range wordSizers {
-		table[kind] = size
-	}
-	return table
-}
-
-// PayloadSize returns the wire-size hint of the payload: the registered
-// sizer's answer for its word, or 1 when no sizer is registered for the kind
-// (including every boxed payload). It is the slow-path twin of the Host's
-// snapshot table, for transports and tests.
+// PayloadSize returns the modeled wire size of the payload in bytes, the unit
+// of the runtime's byte accounting. Only KindBlockcast weighs its messages:
+// an announce, a pull, or a block's header plus its batch of transactions,
+// read from the word's kind and batch fields alone (the unused kind 3 weighs
+// one byte). Every other kind, boxed payloads included, weighs one byte, so
+// the paper's one-word applications read byte counts equal to their message
+// counts. It must stay small enough to inline into runtime.Host.Send, which
+// calls it on every message (TestHostSendInlinesPayloadSize checks).
 func PayloadSize(p Payload) int {
-	sizerMu.RLock()
-	size := wordSizers[p.Kind]
-	sizerMu.RUnlock()
-	if size == nil {
+	if p.Kind != KindBlockcast {
 		return 1
 	}
-	return size(p.Word)
+	switch p.Word >> 62 {
+	case 0:
+		return blockcastAnnounceBytes
+	case 1:
+		return blockcastPullBytes
+	case 2:
+		return blockcastBlockHeaderBytes + blockcastTxBytes*int(p.Word>>40&blockcastBatchMask)
+	}
+	return 1
 }

@@ -20,54 +20,33 @@ func TestWordPayload(t *testing.T) {
 	}
 }
 
-func TestRegisterPayloadSizer(t *testing.T) {
-	const kind = PayloadKind(1003) // private to this test
-	// Unregister the kind afterwards, so a rerun (-count=2) starts without it.
-	t.Cleanup(func() {
-		sizerMu.Lock()
-		delete(wordSizers, kind)
-		sizerMu.Unlock()
-	})
-	if got := PayloadSize(WordPayload(kind, 9)); got != 1 {
-		t.Errorf("PayloadSize without sizer = %d, want 1", got)
+// TestPayloadSize pins the wire-size model: blockcast words weigh what
+// their kind and batch fields say, whatever the height, and every other kind
+// weighs one byte.
+func TestPayloadSize(t *testing.T) {
+	blockcast := func(kind, batch, height uint64) Payload {
+		return WordPayload(KindBlockcast, kind<<62|batch<<40|height)
 	}
-	sizer := func(word uint64) int { return int(word) + 10 }
-	RegisterPayloadSizer(kind, sizer)
-	RegisterPayloadSizer(kind, sizer) // same sizer: no-op
-	if got := PayloadSize(WordPayload(kind, 9)); got != 19 {
-		t.Errorf("PayloadSize = %d, want 19", got)
-	}
-	table := PayloadSizerTable()
-	if len(table) <= int(kind) || table[kind] == nil {
-		t.Fatalf("sizer table has no entry for kind %d (len %d)", kind, len(table))
-	}
-	if got := table[kind](9); got != 19 {
-		t.Errorf("table sizer = %d, want 19", got)
-	}
-	if table[KindBoxed] != nil {
-		t.Error("table has a sizer for KindBoxed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("registering a different sizer for a claimed kind did not panic")
-		}
-	}()
-	RegisterPayloadSizer(kind, func(word uint64) int { return 1 })
-}
-
-func TestRegisterPayloadSizerValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"boxed kind": func() { RegisterPayloadSizer(KindBoxed, func(uint64) int { return 1 }) },
-		"nil sizer":  func() { RegisterPayloadSizer(KindWeight, nil) },
+	for _, c := range []struct {
+		name string
+		p    Payload
+		want int
+	}{
+		{"boxed", BoxPayload(struct{}{}), 1},
+		{"model age", WordPayload(KindModelAge, 1<<62|5<<40), 1},
+		{"update seq", WordPayload(KindUpdateSeq, ^uint64(0)), 1},
+		{"weight", WordPayload(KindWeight, 2<<62), 1},
+		{"empty announce", blockcast(0, 0, 0), 96},
+		{"announce", blockcast(0, 64, 5), 96},
+		{"pull", blockcast(1, 0, 5), 40},
+		{"block of 1", blockcast(2, 1, 5), 200 + 250},
+		{"block of 64", blockcast(2, 64, 1<<40-1), 200 + 64*250},
+		{"largest block", blockcast(2, 1<<22-1, 1), 200 + (1<<22-1)*250},
+		{"unused kind 3", blockcast(3, 64, 5), 1},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
+		if got := PayloadSize(c.p); got != c.want {
+			t.Errorf("%s: PayloadSize(%+v) = %d, want %d", c.name, c.p, got, c.want)
+		}
 	}
 }
 

@@ -127,15 +127,6 @@ type Host struct {
 	netRNGs []protocol.Rand
 	counts  []shardCounters
 
-	// sizers is the payload sizer table snapshotted at assembly (see
-	// protocol.PayloadSizerTable): kinds without a sizer weigh one byte, so
-	// the paper's one-word applications read byte counts equal to their
-	// historical message counts. Each node's egress accumulates in its state
-	// row (protocol.NodeState.Egress); a node only ever sends from its
-	// owning shard's worker (see Send), so the rows are never written
-	// concurrently.
-	sizers []func(word uint64) int
-
 	// adj is the overlay's out-adjacency (overlay.Graph.OutAdjacency). Each
 	// node's state row holds its CSR head into it, so a peer draw reads the
 	// neighbours from the row the node's event already touched instead of
@@ -196,7 +187,6 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 		env:    env,
 		avail:  avail,
 		netRNG: rng.New(env.StreamSeed(StreamNet)),
-		sizers: protocol.PayloadSizerTable(),
 		adj:    cfg.Graph.OutAdjacency(),
 	}
 	peers := cfg.Peers
@@ -635,13 +625,7 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	s := h.shardIdx(from)
 	c := &h.counts[s]
 	c.sent++
-	size := int64(1)
-	if int(payload.Kind) < len(h.sizers) {
-		if f := h.sizers[payload.Kind]; f != nil {
-			size = int64(f(payload.Word))
-		}
-	}
-	h.slab.State(int(from)).Egress += size
+	h.slab.State(int(from)).Egress += int64(protocol.PayloadSize(payload))
 	if h.envelopes != nil {
 		if env := h.envelopes[from]; env != nil {
 			env.Record(h.shardNow(s))
@@ -693,11 +677,11 @@ func (h *Host) MessagesDropped() int64 {
 	return total
 }
 
-// BytesSent returns the total wire bytes handed to the host, under the
-// per-kind size hints of protocol.RegisterPayloadSizer (kinds without a
-// sizer weigh one byte). Like MessagesSent it counts at send time, before
-// the loss lottery: dropped traffic still loaded the sender's uplink. It sums
-// the nodes' egress over the state rows.
+// BytesSent returns the total wire bytes handed to the host, each message
+// weighed by protocol.PayloadSize (one byte except for blockcast's). Like
+// MessagesSent it counts at send time, before the loss lottery: dropped
+// traffic still loaded the sender's uplink. It sums the nodes' egress over
+// the state rows.
 func (h *Host) BytesSent() int64 {
 	var total int64
 	states := h.slab.States()

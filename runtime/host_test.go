@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/szte-dcs/tokenaccount/apps/blockcast"
 	"github.com/szte-dcs/tokenaccount/apps/pushgossip"
 	"github.com/szte-dcs/tokenaccount/core"
 	"github.com/szte-dcs/tokenaccount/netmodel"
@@ -452,20 +453,13 @@ func TestInjectionsSkippedCounter(t *testing.T) {
 	}
 }
 
-// sizedTestKind is a payload kind private to this test with a registered
-// wire-size hint: the word itself is the size in bytes.
-const sizedTestKind = protocol.PayloadKind(2000)
-
-func sizedTestSizer(word uint64) int { return int(word) }
-
-// TestHostBytesAccounting checks the byte-level load accounting: payload
-// kinds without a registered sizer weigh exactly one byte — so for the paper
-// applications BytesSent equals MessagesSent, keeping their numbers
-// byte-identical to the pre-accounting ones — while sized kinds count their
-// hint into the total, into the sending node's tally and past loss lotteries
-// (dropped traffic still loaded the sender's uplink).
+// TestHostBytesAccounting checks the byte-level load accounting: the paper
+// applications' kinds weigh exactly one byte — so for them BytesSent equals
+// MessagesSent, keeping their numbers byte-identical to the pre-accounting
+// ones — while a blockcast message counts its protocol.PayloadSize into the
+// total, into the sending node's tally and past loss lotteries (dropped
+// traffic still loaded the sender's uplink).
 func TestHostBytesAccounting(t *testing.T) {
-	protocol.RegisterPayloadSizer(sizedTestKind, sizedTestSizer)
 	host, err := runtime.NewHost(newSimEnv(t, 30, 5), hostConfig(t, 30))
 	if err != nil {
 		t.Fatal(err)
@@ -486,12 +480,12 @@ func TestHostBytesAccounting(t *testing.T) {
 	}
 
 	before, beforeNode := host.BytesSent(), host.NodeBytes(3)
-	host.Send(3, 4, protocol.WordPayload(sizedTestKind, 250))
-	if got := host.BytesSent() - before; got != 250 {
-		t.Errorf("sized payload added %d bytes, want 250", got)
+	host.Send(3, 4, blockcast.Msg{Kind: blockcast.MsgBlock, Height: 1, Batch: 2}.Payload())
+	if got := host.BytesSent() - before; got != 700 {
+		t.Errorf("a block of 2 transactions added %d bytes, want 700", got)
 	}
-	if got := host.NodeBytes(3) - beforeNode; got != 250 {
-		t.Errorf("sized payload added %d bytes to the sender, want 250", got)
+	if got := host.NodeBytes(3) - beforeNode; got != 700 {
+		t.Errorf("a block of 2 transactions added %d bytes to the sender, want 700", got)
 	}
 
 	// A host that drops everything still counts the bytes as sent.
@@ -501,9 +495,9 @@ func TestHostBytesAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropAll.Send(1, 2, protocol.WordPayload(sizedTestKind, 99))
-	if dropAll.BytesSent() != 99 || dropAll.MessagesDropped() != 1 {
-		t.Errorf("dropped send: bytes = %d (want 99), dropped = %d (want 1)",
+	dropAll.Send(1, 2, blockcast.Msg{Kind: blockcast.MsgPull, Height: 1}.Payload())
+	if dropAll.BytesSent() != 40 || dropAll.MessagesDropped() != 1 {
+		t.Errorf("dropped send: bytes = %d (want 40), dropped = %d (want 1)",
 			dropAll.BytesSent(), dropAll.MessagesDropped())
 	}
 }

@@ -479,10 +479,11 @@ func TestBlockcastMessagePathAllocs(t *testing.T) {
 		t.Error("no block committed in the measured periods")
 	}
 	// Pulls weigh 40 B, announces 96 B and block answers 200 B plus
-	// 250 B per transaction: a mean above an announce's weight needs
-	// both the sizer table and token-gated block answers.
-	if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= blockcast.AnnounceBytes*dm {
-		t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, blockcast.AnnounceBytes)
+	// 250 B per transaction (protocol.PayloadSize): a mean above an
+	// announce's weight needs token-gated block answers.
+	announce := int64(protocol.PayloadSize(blockcast.Msg{Kind: blockcast.MsgAnnounce}.Payload()))
+	if dm, db := host.MessagesSent()-sent, host.BytesSent()-bytes; dm == 0 || db <= announce*dm {
+		t.Errorf("measured periods sent %d messages weighing %d bytes, want more than %d B each on average", dm, db, announce)
 	}
 }
 

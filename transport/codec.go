@@ -95,9 +95,7 @@ func (fr *frameReader) next() ([]byte, error) {
 //     protocol.Payload verbatim: tag, sender ID, payload kind, payload word,
 //     21 bytes total. The paper applications and blockcast word-encode every
 //     message, so their traffic crosses real sockets without reflection,
-//     JSON, or per-message allocation on the encode side — and the byte
-//     accounting of protocol.RegisterPayloadSizer applies on the wire exactly
-//     as it does in the simulator.
+//     JSON, or per-message allocation on the encode side.
 //
 // The discriminator is unambiguous: wordFrameTag is not a valid first byte of
 // any JSON document.

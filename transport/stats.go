@@ -4,8 +4,10 @@ import "sync/atomic"
 
 // Stats is a snapshot of a transport endpoint's operational counters. All
 // counters are cumulative since the endpoint was created, except the *Depth
-// and *Connected gauges, which reflect the moment of the snapshot. The
-// tokennode ops endpoint serves these as Prometheus metrics.
+// and *Connected gauges, which reflect the moment of the snapshot. Its byte
+// counters are socket bytes; the modeled payload bytes of a node's messages
+// (protocol.PayloadSize) are counted once, by the runtime.Host that sends
+// them. The tokennode ops endpoint serves these as Prometheus metrics.
 type Stats struct {
 	// Dials counts successful outgoing connection establishments.
 	Dials int64
@@ -27,12 +29,6 @@ type Stats struct {
 	// frame headers.
 	BytesSent     int64
 	BytesReceived int64
-	// PayloadBytesSent counts modeled payload bytes under the per-kind size
-	// hints of protocol.RegisterPayloadSizer, so the byte accounting the
-	// simulator applies to word-encoded payloads carries over to real
-	// sockets. Boxed payloads count one byte, the sizer table's convention
-	// for kinds without a sizer.
-	PayloadBytesSent int64
 	// SendsShed counts outgoing messages discarded because the destination
 	// peer's bounded outbound queue was full: the transport sheds load
 	// instead of blocking the protocol tick behind a slow peer.
@@ -62,25 +58,23 @@ type counters struct {
 	framesSent, framesReceived      atomic.Int64
 	writes                          atomic.Int64
 	bytesSent, bytesReceived        atomic.Int64
-	payloadBytesSent                atomic.Int64
 	sendsShed, sendErrors           atomic.Int64
 	decodeErrors, disconnects       atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Dials:            c.dials.Load(),
-		DialFailures:     c.dialFailures.Load(),
-		Reconnects:       c.reconnects.Load(),
-		FramesSent:       c.framesSent.Load(),
-		FramesReceived:   c.framesReceived.Load(),
-		Writes:           c.writes.Load(),
-		BytesSent:        c.bytesSent.Load(),
-		BytesReceived:    c.bytesReceived.Load(),
-		PayloadBytesSent: c.payloadBytesSent.Load(),
-		SendsShed:        c.sendsShed.Load(),
-		SendErrors:       c.sendErrors.Load(),
-		DecodeErrors:     c.decodeErrors.Load(),
-		Disconnects:      c.disconnects.Load(),
+		Dials:          c.dials.Load(),
+		DialFailures:   c.dialFailures.Load(),
+		Reconnects:     c.reconnects.Load(),
+		FramesSent:     c.framesSent.Load(),
+		FramesReceived: c.framesReceived.Load(),
+		Writes:         c.writes.Load(),
+		BytesSent:      c.bytesSent.Load(),
+		BytesReceived:  c.bytesReceived.Load(),
+		SendsShed:      c.sendsShed.Load(),
+		SendErrors:     c.sendErrors.Load(),
+		DecodeErrors:   c.decodeErrors.Load(),
+		Disconnects:    c.disconnects.Load(),
 	}
 }

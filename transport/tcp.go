@@ -203,25 +203,23 @@ func (e *TCPEndpoint) Send(to protocol.NodeID, payload any) error {
 // closed endpoint, unknown peer, unregistered payload type, a frame above the
 // 16 MiB limit, or a peer whose backoff window is open; a full queue sheds
 // the message (counted in Stats) and reports success, because shedding is the
-// designed response to a slow peer, not a caller error. The modeled payload
-// bytes (protocol.PayloadSize) accumulate in Stats.PayloadBytesSent, carrying
-// the simulator's byte accounting onto real sockets.
+// designed response to a slow peer, not a caller error.
 func (e *TCPEndpoint) SendPayload(to protocol.NodeID, p protocol.Payload) error {
 	if p.Kind == protocol.KindBoxed {
 		data, err := e.registry.encode(e.id, p.Box)
 		if err != nil {
 			return err
 		}
-		return e.enqueue(to, data, int64(protocol.PayloadSize(p)))
+		return e.enqueue(to, data)
 	}
 	var frame [wordFrameSize]byte // stays on the stack: enqueue copies it
-	return e.enqueue(to, appendWordFrame(frame[:0], e.id, p), int64(protocol.PayloadSize(p)))
+	return e.enqueue(to, appendWordFrame(frame[:0], e.id, p))
 }
 
 // enqueue routes an encoded frame body onto the destination's bounded queue.
 // An oversize frame is the caller's mistake and is refused here, before it
 // can reach the writer and be mistaken for a failed connection.
-func (e *TCPEndpoint) enqueue(to protocol.NodeID, body []byte, payloadBytes int64) error {
+func (e *TCPEndpoint) enqueue(to protocol.NodeID, body []byte) error {
 	if len(body) > maxFrameSize {
 		return fmt.Errorf("transport: frame of %d bytes for node %d exceeds the %d-byte limit", len(body), to, maxFrameSize)
 	}
@@ -235,7 +233,7 @@ func (e *TCPEndpoint) enqueue(to protocol.NodeID, body []byte, payloadBytes int6
 	if !ok {
 		return errUnknownPeer(to)
 	}
-	return l.enqueue(body, payloadBytes)
+	return l.enqueue(body)
 }
 
 func errUnknownPeer(id protocol.NodeID) error {
@@ -401,7 +399,7 @@ func (l *peerLink) gauges() (queued int, connected bool) {
 // Inside a reconnect backoff window with no established connection it
 // fast-fails rather than queueing frames that the writer would immediately
 // discard; at the bound it sheds.
-func (l *peerLink) enqueue(body []byte, payloadBytes int64) error {
+func (l *peerLink) enqueue(body []byte) error {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
@@ -427,7 +425,6 @@ func (l *peerLink) enqueue(body []byte, payloadBytes int64) error {
 	l.queued++
 	wake := l.queued == 1
 	l.mu.Unlock()
-	l.ep.stats.payloadBytesSent.Add(payloadBytes)
 	if wake {
 		// The writer parks only after seeing an empty queue under l.mu, so
 		// the send that makes it non-empty is the one that must wake it. A
