@@ -69,23 +69,29 @@ func TestMsgWordPanicsOnInvalid(t *testing.T) {
 // layout: every message weighs what its kind and batch say.
 func TestPayloadSize(t *testing.T) {
 	cases := []struct {
+		name string
 		m    Msg
 		want int
 	}{
-		{Msg{Kind: MsgAnnounce, Height: 0, Batch: 0}, 96},
-		{Msg{Kind: MsgAnnounce, Height: 5, Batch: 64}, 96},
-		{Msg{Kind: MsgPull, Height: 5}, 40},
-		{Msg{Kind: MsgBlock, Height: 5, Batch: 1}, 200 + 250},
-		{Msg{Kind: MsgBlock, Height: MaxHeight, Batch: MaxBatch}, 200 + MaxBatch*250},
+		{"genesis announce", Msg{Kind: MsgAnnounce, Height: 0, Batch: 0}, 96},
+		{"announce", Msg{Kind: MsgAnnounce, Height: 5, Batch: 64}, 96},
+		{"pull", Msg{Kind: MsgPull, Height: 5}, 40},
+		{"block of 1", Msg{Kind: MsgBlock, Height: 5, Batch: 1}, 200 + 250},
+		{"block of 64", Msg{Kind: MsgBlock, Height: 5, Batch: 64}, 200 + 64*250},
+		{"largest block", Msg{Kind: MsgBlock, Height: MaxHeight, Batch: MaxBatch}, 200 + MaxBatch*250},
 	}
 	for _, c := range cases {
-		if got := protocol.PayloadSize(c.m.Payload()); got != c.want {
-			t.Errorf("PayloadSize(%+v) = %d, want %d", c.m, got, c.want)
+		t.Run(c.name, func(t *testing.T) {
+			if got := protocol.PayloadSize(c.m.Payload()); got != c.want {
+				t.Errorf("PayloadSize(%+v) = %d, want %d", c.m, got, c.want)
+			}
+		})
+	}
+	t.Run("unused kind", func(t *testing.T) {
+		if got := protocol.PayloadSize(protocol.WordPayload(protocol.KindBlockcast, 3<<62)); got != 1 {
+			t.Errorf("PayloadSize of the unused kind = %d, want 1", got)
 		}
-	}
-	if got := protocol.PayloadSize(protocol.WordPayload(protocol.KindBlockcast, 3<<62)); got != 1 {
-		t.Errorf("PayloadSize of the unused kind = %d, want 1", got)
-	}
+	})
 }
 
 func TestMsgKindString(t *testing.T) {

@@ -44,9 +44,11 @@ func TestPayloadSize(t *testing.T) {
 		{"largest block", blockcast(2, 1<<22-1, 1), 200 + (1<<22-1)*250},
 		{"unused kind 3", blockcast(3, 64, 5), 1},
 	} {
-		if got := PayloadSize(c.p); got != c.want {
-			t.Errorf("%s: PayloadSize(%+v) = %d, want %d", c.name, c.p, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if got := PayloadSize(c.p); got != c.want {
+				t.Errorf("PayloadSize(%+v) = %d, want %d", c.p, got, c.want)
+			}
+		})
 	}
 }
 
