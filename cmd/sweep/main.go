@@ -90,7 +90,7 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	var nets []experiment.NetworkDriver
+	var nets []experiment.Network
 	for _, spec := range strings.Split(*networkList, ",") {
 		net, err := experiment.ParseNetwork(spec)
 		if err != nil {
@@ -98,7 +98,7 @@ func run(args []string, w io.Writer) (err error) {
 		}
 		nets = append(nets, net)
 	}
-	var wls []experiment.WorkloadDriver
+	var wls []experiment.Workload
 	for _, spec := range strings.Split(*workloadList, ",") {
 		wl, err := experiment.ParseWorkload(spec)
 		if err != nil {
@@ -120,11 +120,11 @@ func run(args []string, w io.Writer) (err error) {
 	if !experiment.IsDefaultRuntime(rt) {
 		runtimeNote = ", runtime=" + experiment.DriverLabel(rt)
 	}
-	showNet := len(nets) > 1 || !experiment.IsDefaultNetwork(nets[0])
+	showNet := len(nets) > 1 || !nets[0].IsDefault()
 	// Like the network column, the workload column (and its companion
 	// skipped-injection count) appears exactly when a non-default workload is
 	// in play, keeping default sweep output in its historical form.
-	showWl := len(wls) > 1 || !experiment.IsDefaultWorkload(wls[0])
+	showWl := len(wls) > 1 || !wls[0].IsDefault()
 	fmt.Fprintf(w, "# %s on %s, %s, N=%d, %d rounds, %d repetition(s)%s\n",
 		kind, experiment.DriverLabel(app), experiment.DriverLabel(scenario), *n, *rounds, *reps, runtimeNote)
 	header := "strategy\tmsgs_per_node_per_round\tsteady_state_metric\tfinal_metric"
@@ -150,8 +150,8 @@ func run(args []string, w io.Writer) (err error) {
 	// parallel: simulate them on a bounded worker pool and print the rows in
 	// grid order so the output is identical for any worker count.
 	type job struct {
-		net  experiment.NetworkDriver
-		wl   experiment.WorkloadDriver
+		net  experiment.Network
+		wl   experiment.Workload
 		spec experiment.StrategySpec
 	}
 	var jobs []job

@@ -133,7 +133,7 @@ func run(args []string, w io.Writer) (err error) {
 	// The skipped-injection line is printed only when it carries information
 	// (a non-default workload, or injections actually lost to a full-network
 	// outage), so historical default output stays byte-identical.
-	if !experiment.IsDefaultWorkload(workload) || res.InjectionsSkipped > 0 {
+	if !workload.IsDefault() || res.InjectionsSkipped > 0 {
 		fmt.Fprintf(w, "# injections skipped (no node online): %g\n", res.InjectionsSkipped)
 	}
 	// Byte-level load and the application's scalar summary columns appear only

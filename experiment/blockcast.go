@@ -258,8 +258,8 @@ func (r *blockcastRun) Summarize(rc *RunContext) []float64 {
 // network × workload × strategy combination and its run result.
 type BlockcastRow struct {
 	Scenario ScenarioDriver
-	Network  NetworkDriver
-	Workload WorkloadDriver
+	Network  Network
+	Workload Workload
 	Strategy StrategySpec
 	Result   *Result
 }

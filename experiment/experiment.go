@@ -62,15 +62,15 @@ type Config struct {
 	// any driver resolved through ParseRuntime). Nil means SimRuntime: the
 	// discrete-event engine in virtual time.
 	Runtime RuntimeDriver
-	// Network is the network model driver (ConstantNetwork, or any driver
-	// resolved through ParseNetwork). Nil means ConstantNetwork: every
-	// message delivered after TransferDelay, the paper's setup. Message loss
-	// is a network too: "lossy:0.1:constant" drops one message in ten.
-	Network NetworkDriver
-	// Workload is the traffic workload driver (IntervalWorkload, or any
-	// driver resolved through ParseWorkload). Nil means IntervalWorkload: one
-	// update injection every DefaultInjectionInterval, the paper's traffic.
-	Workload WorkloadDriver
+	// Network is the network model, resolved through ParseNetwork. The zero
+	// value is the paper's setup: every message delivered after
+	// TransferDelay. Message loss is a network too: "lossy:0.1:constant"
+	// drops one message in ten.
+	Network Network
+	// Workload is the traffic workload, resolved through ParseWorkload. The
+	// zero value is the paper's traffic: one update injection every
+	// DefaultInjectionInterval.
+	Workload Workload
 	// Seed drives all randomness; repetition r uses Seed+r.
 	Seed uint64
 	// Repetitions is the number of independent runs to average (the paper
@@ -105,12 +105,6 @@ func (c Config) WithDefaults() Config {
 	if c.Runtime == nil {
 		c.Runtime = SimRuntime
 	}
-	if c.Network == nil {
-		c.Network = ConstantNetwork
-	}
-	if c.Workload == nil {
-		c.Workload = IntervalWorkload
-	}
 	if c.Repetitions == 0 {
 		c.Repetitions = 1
 	}
@@ -131,10 +125,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: no scenario driver set")
 	case c.Runtime == nil:
 		return fmt.Errorf("experiment: no runtime driver set")
-	case c.Network == nil:
-		return fmt.Errorf("experiment: no network driver set")
-	case c.Workload == nil:
-		return fmt.Errorf("experiment: no workload driver set")
 	case c.N < 2:
 		return fmt.Errorf("experiment: N = %d, need ≥ 2", c.N)
 	case c.Rounds < 1:
@@ -151,14 +141,14 @@ func (c Config) validate() error {
 			return err
 		}
 	}
-	if !IsDefaultWorkload(c.Workload) {
+	if !c.Workload.IsDefault() {
 		ac, ok := c.App.(ArrivalConsumer)
 		if !ok || !ac.ArrivalDriven() {
 			return fmt.Errorf("experiment: application %s does not consume arrival workloads (workload %s would be ignored)",
 				DriverLabel(c.App), DriverLabel(c.Workload))
 		}
 	}
-	if _, err := networkModel(c); err != nil {
+	if _, err := c.Network.Model(c); err != nil {
 		return err
 	}
 	if _, err := c.Strategy.Build(); err != nil {
@@ -182,10 +172,10 @@ func (c Config) Duration() float64 { return float64(c.Rounds) * c.Delta }
 // keeps its historical form while live runs stay distinguishable.
 func (c Config) Label() string {
 	label := fmt.Sprintf("%s/%s/%s/N=%d", DriverLabel(c.App), c.Strategy.Label(), DriverLabel(c.Scenario), c.N)
-	if !IsDefaultNetwork(c.Network) {
+	if !c.Network.IsDefault() {
 		label += "/net=" + DriverLabel(c.Network)
 	}
-	if !IsDefaultWorkload(c.Workload) {
+	if !c.Workload.IsDefault() {
 		label += "/wl=" + DriverLabel(c.Workload)
 	}
 	if !IsDefaultRuntime(c.Runtime) {
@@ -195,7 +185,7 @@ func (c Config) Label() string {
 }
 
 // DriverLabel renders a value of any of the six dimensions for display — an
-// AppDriver, ScenarioDriver, NetworkDriver, WorkloadDriver, RuntimeDriver or
+// AppDriver, ScenarioDriver, RuntimeDriver, Network, Workload or
 // StrategySpec: through fmt.Stringer when implemented (so parameterized
 // drivers show their parameters), falling back to Name(). Use it instead of
 // %s when printing a driver — the interfaces do not require String().
@@ -304,9 +294,6 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if arrivals == nil {
-		return nil, fmt.Errorf("experiment: workload %s returned no arrival process", DriverLabel(cfg.Workload))
-	}
 	rc := &RunContext{
 		Config:     cfg,
 		Seed:       seed,
@@ -322,7 +309,7 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 	}
 	defer env.Close()
 
-	network, err := networkModel(cfg)
+	network, err := cfg.Network.Model(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -333,12 +320,7 @@ func runOnce(cfg Config, seed uint64) (*singleRun, error) {
 		Delta:    cfg.Delta,
 		Trace:    availability,
 		Network:  network,
-	}
-	if cfg.AuditRateLimit {
-		hostCfg.AuditNodes = make([]int, graph.N())
-		for i := range hostCfg.AuditNodes {
-			hostCfg.AuditNodes[i] = i
-		}
+		Audit:    cfg.AuditRateLimit,
 	}
 	// Rejoin hooks can only fire under churn, so they are wired up only when
 	// the scenario supplied a trace.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,7 +184,7 @@ func TestNetworkChangesResults(t *testing.T) {
 func TestLossyNetworkDropsTraffic(t *testing.T) {
 	base := runNetwork(t, networkTestConfig(t))
 	cfg := networkTestConfig(t)
-	cfg.Network = newModelNetwork("lossy", netmodel.Lossy{P: 1, Inner: netmodel.Constant{D: 1}})
+	cfg.Network = Network{model: netmodel.Constant{D: 1}, loss: []float64{1}}
 	res := runNetwork(t, cfg)
 	if res.MessagesSent == 0 {
 		t.Fatal("no messages sent")
@@ -199,30 +200,38 @@ func TestLossyNetworkDropsTraffic(t *testing.T) {
 	}
 }
 
-// TestNetworkValidationInConfig checks that a driver whose model cannot be
-// built, or that builds none, fails experiment validation with an
-// "experiment:" error.
+// TestNetworkValidationInConfig checks that a network whose model cannot be
+// built fails experiment validation with an "experiment:" error.
 func TestNetworkValidationInConfig(t *testing.T) {
 	cfg := networkTestConfig(t)
-	cfg.Network = badNetwork{}
-	if _, err := Run(cfg); err == nil {
-		t.Error("config with a failing network driver accepted")
-	}
-	cfg.Network = newModelNetwork("none", nil)
+	cfg.Network = Network{loss: []float64{2}}
 	if _, err := Run(cfg); err == nil || !strings.HasPrefix(err.Error(), "experiment:") {
-		t.Errorf("config with a driver that builds no model: err = %v, want an experiment: error", err)
+		t.Errorf("config with a loss probability of 2: err = %v, want an experiment: error", err)
 	}
 }
 
-type badNetwork struct{}
-
-func (badNetwork) Name() string { return "bad" }
-func (badNetwork) Model(Config) (netmodel.Model, error) {
-	return nil, errBadNetwork
+// TestDefaultNetworkFollowsTransferDelay pins that the zero Network (the
+// parsed "constant"), and "lossy:" layers around it, build the config's
+// TransferDelay rather than the paper's 1.728 s, while an explicit delay
+// stays as given.
+func TestDefaultNetworkFollowsTransferDelay(t *testing.T) {
+	cfg := Config{TransferDelay: 3.456}
+	for spec, want := range map[string]string{
+		"constant":                     "constant:3.456",
+		"lossy:0.01:constant":          "lossy:0.01:constant:3.456",
+		"lossy:0.2:lossy:0.1:constant": "lossy:0.2:lossy:0.1:constant:3.456",
+		"constant:2.5":                 "constant:2.5",
+	} {
+		n, err := ParseNetwork(spec)
+		if err != nil {
+			t.Fatalf("ParseNetwork(%q): %v", spec, err)
+		}
+		m, err := n.Model(cfg)
+		if err != nil {
+			t.Fatalf("%q: Model: %v", spec, err)
+		}
+		if got := fmt.Sprint(m); got != want {
+			t.Errorf("%q builds %q, want %q", spec, got, want)
+		}
+	}
 }
-
-var errBadNetwork = &badNetworkError{}
-
-type badNetworkError struct{}
-
-func (*badNetworkError) Error() string { return "experiment: bad network" }

@@ -121,7 +121,7 @@ func (d simRuntime) NewEnv(cfg Config, seed uint64) (runtime.Env, error) {
 	if d.shards <= 1 {
 		return simnet.NewEnv(simnet.EnvConfig{N: cfg.N, Seed: seed})
 	}
-	model, err := networkModel(cfg)
+	model, err := cfg.Network.Model(cfg)
 	if err != nil {
 		return nil, err
 	}

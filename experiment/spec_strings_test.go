@@ -38,17 +38,17 @@ func describeSpec(dim, spec string) specOutcome {
 		}
 		return accepted(string(s.Kind), s.String(), s.Label(), false)
 	case "network":
-		var n NetworkDriver
+		var n Network
 		n, err = ParseNetwork(spec)
-		d, dflt = n, IsDefaultNetwork(n)
+		d, dflt = n, n.IsDefault()
 	case "runtime":
 		var r RuntimeDriver
 		r, err = ParseRuntime(spec)
 		d, dflt = r, IsDefaultRuntime(r)
 	case "workload":
-		var w WorkloadDriver
+		var w Workload
 		w, err = ParseWorkload(spec)
-		d, dflt = w, IsDefaultWorkload(w)
+		d, dflt = w, w.IsDefault()
 	case "application":
 		d, err = ParseApplication(spec)
 	case "scenario":

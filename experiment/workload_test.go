@@ -11,7 +11,7 @@ import (
 
 // workloadTestConfig is a small, fast push-gossip experiment used by the
 // workload-dimension suite. Push gossip is the arrival-driven application, so
-// every workload driver is legal on it.
+// every workload is legal on it.
 func workloadTestConfig() Config {
 	return Config{
 		App:      PushGossip,
@@ -77,8 +77,8 @@ func TestParseWorkload(t *testing.T) {
 }
 
 // TestDefaultWorkloadByteIdentical pins the acceptance criterion: an
-// unspecified workload, the parsed bare "interval" spec and a nil driver must
-// all reproduce the identical run — the paper's fixed injection drip — and
+// unspecified (zero) workload and the parsed bare "interval" spec must both
+// reproduce the identical run — the paper's fixed injection drip — and
 // their labels must not mention the workload dimension.
 func TestDefaultWorkloadByteIdentical(t *testing.T) {
 	base := runWorkload(t, workloadTestConfig())
@@ -88,8 +88,8 @@ func TestDefaultWorkloadByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsDefaultWorkload(wl) {
-		t.Fatalf("ParseWorkload(\"interval\") = %v, want the default driver", wl)
+	if !wl.IsDefault() {
+		t.Fatalf("ParseWorkload(\"interval\") = %v, want the default workload", wl)
 	}
 	viaParse.Workload = wl
 	parsed := runWorkload(t, viaParse)
@@ -174,7 +174,7 @@ func TestWorkloadValidation(t *testing.T) {
 		t.Errorf("gossip-learning with a poisson workload: err = %v, want arrival-consumer rejection", err)
 	}
 	// The default workload stays legal on every application.
-	cfg.Workload = IntervalWorkload
+	cfg.Workload = Workload{}
 	if _, err := Run(cfg); err != nil {
 		t.Errorf("gossip-learning with the default workload failed: %v", err)
 	}

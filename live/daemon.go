@@ -273,7 +273,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		Peers:         d.peers,
 		Delta:         cfg.Delta.Seconds(),
 		InitialTokens: cfg.InitialTokens,
-		AuditNodes:    []int{0},
+		Audit:         true,
 		Network:       netmodel.Constant{},
 		// The rejoin pull of §4.1.2: a node returning from churn re-announces
 		// itself to one random peer, whose answer is token-gated on its side.

@@ -28,8 +28,9 @@ import (
 
 // EnvConfig parameterizes the wall-clock environment.
 type EnvConfig struct {
-	// N is the number of node slots (required, 1 ≤ N ≤ 65536). All nodes
-	// start online.
+	// N is the number of node slots (required, ≥ 1). All nodes start
+	// online. In process a slot costs what a simnet.Env slot costs; with
+	// NewTransport each slot opens its own endpoint.
 	N int
 	// Seed drives every randomness stream of the run (see Env.StreamSeed).
 	Seed uint64
@@ -101,8 +102,8 @@ var _ runtime.Env = (*Env)(nil)
 // EnvConfig.NewTransport, one transport endpoint per node.
 func NewEnv(cfg EnvConfig) (*Env, error) {
 	switch {
-	case cfg.N < 1 || cfg.N > 65536:
-		return nil, fmt.Errorf("live: EnvConfig.N = %d outside [1, 65536]", cfg.N)
+	case cfg.N < 1:
+		return nil, fmt.Errorf("live: EnvConfig.N = %d, need ≥ 1", cfg.N)
 	case cfg.TimeScale < 0 || math.IsInf(cfg.TimeScale, 1) || math.IsNaN(cfg.TimeScale):
 		return nil, fmt.Errorf("live: TimeScale = %v, need ≥ 0 and finite (0 means 1)", cfg.TimeScale)
 	case cfg.Latency < 0 || math.IsInf(cfg.Latency, 1) || math.IsNaN(cfg.Latency):

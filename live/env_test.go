@@ -21,7 +21,6 @@ import (
 func TestEnvConfigValidation(t *testing.T) {
 	broken := []live.EnvConfig{
 		{N: 0},
-		{N: 100000},
 		{N: 4, TimeScale: -1},
 		{N: 4, Latency: -1},
 		{N: 4, QueueSize: -1},
@@ -514,9 +513,9 @@ func TestLiveTicksNeverCatchUp(t *testing.T) {
 			apps[i] = &tickClock{Application: pushgossip.New(), env: env}
 			return apps[i]
 		},
-		Delta:      delta,
-		AuditNodes: []int{0, 1, 2, 3},
-		Network:    netmodel.Constant{},
+		Delta:   delta,
+		Audit:   true,
+		Network: netmodel.Constant{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -906,6 +905,51 @@ func TestInProcessEnvHasNoPerNodeCost(t *testing.T) {
 	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
 		t.Errorf("NewEnv with %d nodes allocated %d bytes, want < 1 MB", n, grown)
+	}
+}
+
+// TestHostRunsOnMoreThan65536Nodes runs a Host of 70 000 nodes in process
+// for three proactive rounds: an in-process Env is a simnet.Env paced by a
+// clock, so its size has no bound beyond memory. Every node must tick and
+// the §3.4 audit of every node must be clean.
+func TestHostRunsOnMoreThan65536Nodes(t *testing.T) {
+	const (
+		n     = 70000
+		delta = 172.8
+	)
+	graph, err := overlay.RandomKOut(n, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := live.NewEnv(live.EnvConfig{N: n, Seed: 9, TimeScale: 0.0001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	host, err := runtime.NewHost(env, runtime.Config{
+		Graph:    graph,
+		Strategy: core.PurelyProactive{},
+		NewApp:   func(int) protocol.Application { return pushgossip.New() },
+		Delta:    delta,
+		Audit:    true,
+		Network:  netmodel.Constant{D: 1.728},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.Run(3 * delta); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if host.Node(i).Stats().ProactiveSent == 0 {
+			t.Fatalf("node %d never ticked in three rounds", i)
+		}
+	}
+	if host.MessagesDelivered() == 0 {
+		t.Error("no message delivered")
+	}
+	for _, v := range host.AuditViolations() {
+		t.Errorf("audit: %v", v)
 	}
 }
 

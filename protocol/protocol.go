@@ -128,9 +128,6 @@ func (n Node) Tokens() int { return n.state().Account.Balance() }
 // Stats returns a snapshot of the node's activity counters.
 func (n Node) Stats() Stats { return n.state().Stats() }
 
-// Strategy returns the token account strategy of the node's slab.
-func (n Node) Strategy() core.Strategy { return n.slab.strategy }
-
 // Application returns the node's application instance.
 func (n Node) Application() Application { return n.slab.apps[n.idx] }
 

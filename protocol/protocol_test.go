@@ -342,8 +342,8 @@ func TestAccessors(t *testing.T) {
 	if n.idx != 1 {
 		t.Errorf("ID() = %d, want 1", n.idx)
 	}
-	if n.Strategy() != strategy {
-		t.Error("Strategy() does not return the configured strategy")
+	if n.slab.strategy != strategy {
+		t.Error("the slab does not hold the configured strategy")
 	}
 	if n.Application() != app {
 		t.Error("Application() does not return the configured application")

@@ -43,9 +43,11 @@ type Config struct {
 	// zero). The push gossip experiment uses it to issue the initial pull
 	// request of §4.1.2.
 	OnRejoin func(h *Host, node int)
-	// AuditNodes lists node indices whose outgoing message times are recorded
-	// in a rate-limit envelope for verification (§3.4). Empty means no audit.
-	AuditNodes []int
+	// Audit records every node's outgoing message times in a rate-limit
+	// envelope for verification (§3.4; see AuditViolations). Strategy and
+	// InitialTokens are slab-wide, so every node gets the same bound; an
+	// unbounded strategy has nothing to audit.
+	Audit bool
 	// Network is the per-message loss and latency model (required): every
 	// message the Host sends draws the model's Drop lottery and then its
 	// Delay on the sending shard's StreamNet stream, and is handed to the
@@ -71,11 +73,6 @@ func (c Config) validate() error {
 	}
 	if c.Trace != nil && c.Trace.N() < c.Graph.N() {
 		return fmt.Errorf("runtime: trace covers %d nodes, overlay has %d", c.Trace.N(), c.Graph.N())
-	}
-	for _, i := range c.AuditNodes {
-		if i < 0 || i >= c.Graph.N() {
-			return fmt.Errorf("runtime: audit node %d outside [0,%d)", i, c.Graph.N())
-		}
 	}
 	return nil
 }
@@ -133,10 +130,10 @@ type Host struct {
 	// from the graph's offsets.
 	adj []int32
 
-	// envelopes is nil unless Config.AuditNodes requests rate-limit audits;
-	// then it is indexed by node, nil for a node not audited, and each
-	// audited node costs one constant-size core.Envelope.
-	envelopes []*core.Envelope
+	// envelopes is nil unless Config.Audit requests rate-limit audits of a
+	// bounded strategy; then it holds one constant-size core.Envelope per
+	// node, indexed by node.
+	envelopes []core.Envelope
 
 	// skippedInjections counts update injections that found no online node.
 	// Injection drivers run in coordinator context (ScheduleArrivals chains
@@ -248,20 +245,14 @@ func NewHost(env Env, cfg Config) (*Host, error) {
 			}
 		}
 	}
-	var audited []core.Envelope
-	for _, i := range cfg.AuditNodes {
-		capacity := h.slab.Node(i).Strategy().Capacity()
-		if capacity == core.UnboundedCapacity {
-			continue // nothing to audit for unbounded strategies
-		}
-		if h.envelopes == nil {
-			h.envelopes = make([]*core.Envelope, n)
-			audited = make([]core.Envelope, 0, len(cfg.AuditNodes))
-		}
+	if capacity := cfg.Strategy.Capacity(); cfg.Audit && capacity != core.UnboundedCapacity {
 		// A node that starts with a₀ > C tokens may spend them all at once:
 		// the bound is ⌈t/Δ⌉ + max(C, a₀).
-		audited = append(audited, *core.NewEnvelope(cfg.Delta, max(capacity, cfg.InitialTokens)))
-		h.envelopes[i] = &audited[len(audited)-1]
+		env := *core.NewEnvelope(cfg.Delta, max(capacity, cfg.InitialTokens))
+		h.envelopes = make([]core.Envelope, n)
+		for i := range h.envelopes {
+			h.envelopes[i] = env
+		}
 	}
 	env.SetDeliver(h.deliver)
 	if p, ok := env.(Preloading); ok {
@@ -627,9 +618,7 @@ func (h *Host) Send(from, to protocol.NodeID, payload protocol.Payload) {
 	c.sent++
 	h.slab.State(int(from)).Egress += int64(protocol.PayloadSize(payload))
 	if h.envelopes != nil {
-		if env := h.envelopes[from]; env != nil {
-			env.Record(h.shardNow(s))
-		}
+		h.envelopes[from].Record(h.shardNow(s))
 	}
 	r, network := h.netRNGs[s], h.cfg.Network
 	if network.Drop(from, to, r) {
@@ -749,16 +738,13 @@ func (h *Host) SamplePeriodic(phase, interval float64, fn func(t float64)) {
 	})
 }
 
-// AuditViolations verifies the §3.4 rate bound for every audited node and
-// returns the violations found in node order (nil if all audited nodes
-// complied).
+// AuditViolations verifies the §3.4 rate bound for every node under
+// Config.Audit and returns the violations found in node order (nil if every
+// node complied or nothing was audited).
 func (h *Host) AuditViolations() []*core.Violation {
 	var out []*core.Violation
-	for _, env := range h.envelopes {
-		if env == nil {
-			continue
-		}
-		if v := env.Verify(); v != nil {
+	for i := range h.envelopes {
+		if v := h.envelopes[i].Verify(); v != nil {
 			out = append(out, v)
 		}
 	}

@@ -61,7 +61,6 @@ func TestHostConfigValidation(t *testing.T) {
 		func(c *runtime.Config) { c.Delta = math.NaN() },
 		func(c *runtime.Config) { c.Delta = math.Inf(1) },
 		func(c *runtime.Config) { c.InitialTokens = -1 },
-		func(c *runtime.Config) { c.AuditNodes = []int{20} },
 		func(c *runtime.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 		func(c *runtime.Config) { c.Trace = &trace.Trace{Duration: 1, Segments: make([]trace.Segment, 3)} },
 	}
@@ -593,7 +592,7 @@ func TestAuditCountsInitialTokens(t *testing.T) {
 		cfg := hostConfig(t, 8)
 		cfg.Strategy = tc.strategy
 		cfg.InitialTokens = tc.initialTokens
-		cfg.AuditNodes = []int{0}
+		cfg.Audit = true
 		env := newSimEnv(t, 8, 8)
 		host, err := runtime.NewHost(env, cfg)
 		if err != nil {

@@ -180,7 +180,7 @@ func TestParallelBuildMatchesSequentialUnderChurn(t *testing.T) {
 		defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(procs))
 		cfg := hostConfig(t, n)
 		cfg.Trace = tr
-		cfg.AuditNodes = []int{0, 5, 33}
+		cfg.Audit = true
 		var rejoined []int
 		cfg.OnRejoin = func(_ *runtime.Host, node int) { rejoined = append(rejoined, node) }
 		host, err := runtime.NewHost(newSimEnv(t, n, seed), cfg)

@@ -77,7 +77,6 @@ func TestConfigValidation(t *testing.T) {
 		func(e *EnvConfig, _ *hostrt.Config) { e.TransferDelay = -1 },
 		func(_ *EnvConfig, c *hostrt.Config) { c.InitialTokens = -1 },
 		func(_ *EnvConfig, c *hostrt.Config) { c.Trace = trace.AlwaysOnline(5, 100) }, // too few nodes
-		func(_ *EnvConfig, c *hostrt.Config) { c.AuditNodes = []int{99} },
 		func(_ *EnvConfig, c *hostrt.Config) { c.NewApp = func(int) protocol.Application { return nil } },
 	}
 	for i, mutate := range mutations {
@@ -169,7 +168,7 @@ func TestTokenAccountSpeedsUpGossipLearning(t *testing.T) {
 
 func TestRateLimitAuditAcrossNetwork(t *testing.T) {
 	envCfg, cfg := walkerConfig(t, 40, core.MustGeneralized(1, 20), 11)
-	cfg.AuditNodes = []int{0, 1, 2, 3, 4}
+	cfg.Audit = true
 	_, net := mustAssemble(t, envCfg, cfg)
 	mustRun(t, net, 80*cfg.Delta)
 	if violations := net.AuditViolations(); len(violations) != 0 {
